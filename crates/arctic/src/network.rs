@@ -3,7 +3,7 @@
 use crate::fault::{FaultInjector, FaultProfile};
 use crate::packet::{Packet, UpRoute};
 use crate::router::{
-    down_port_index, up_port_index, PortTarget, RouterActor, RouterEv, RouterTiming,
+    down_port_index, up_port_index, Arrive, LinkModel, PortTarget, RouterActor, RouterTiming,
 };
 use crate::topology::{DownTarget, FatTree, RouterAddr};
 use hyades_des::event::Payload;
@@ -58,7 +58,7 @@ pub struct TxPort {
     endpoint: u16,
     leaf: ActorId,
     tree: Arc<FatTree>,
-    timing: RouterTiming,
+    link: Arc<LinkModel>,
     uproute: UpRoute,
     rng: SplitMix64,
     free_at: SimTime,
@@ -126,27 +126,23 @@ impl TxPort {
             }
             return;
         }
-        let Some(mut pkt) = self.high.pop_front().or_else(|| self.low.pop_front()) else {
-            return;
+        // A packet dropped by an injector never occupied the link: go
+        // straight on to the next queued one. (A loop, not recursion — a
+        // backlog dropped wholesale would otherwise overflow the stack.)
+        let mut pkt = loop {
+            let Some(mut pkt) = self.high.pop_front().or_else(|| self.low.pop_front()) else {
+                return;
+            };
+            let id = ctx.self_id();
+            let mut injectors = self.fault.iter_mut().chain(self.plan_fault.iter_mut());
+            if injectors.all(|f| f.apply(&mut pkt, now, id)) {
+                break pkt;
+            }
         };
-        if let Some(f) = self.fault.as_mut() {
-            if !f.apply(&mut pkt, now, ctx.self_id()) {
-                // Dropped before the link was occupied: try the next
-                // queued packet immediately.
-                self.pump(ctx);
-                return;
-            }
-        }
-        if let Some(f) = self.plan_fault.as_mut() {
-            if !f.apply(&mut pkt, now, ctx.self_id()) {
-                self.pump(ctx);
-                return;
-            }
-        }
         if let Some(tr) = pkt.trace.as_deref_mut() {
             tr.injected_at = now;
         }
-        let ser = SimDuration::for_bytes_at(pkt.wire_bytes(), self.timing.link_mbyte_per_sec);
+        let ser = self.link.serialization(&pkt);
         self.free_at = now + ser;
         self.busy_ps += ser.as_ps();
         self.packets_injected += 1;
@@ -157,7 +153,7 @@ impl TxPort {
         flight::record(now, ctx.self_id(), "txport.inject", pkt.usr_tag as u64);
         // Cut-through: head reaches the leaf router one wire latency after
         // transmission starts.
-        ctx.send_after(self.timing.wire_latency, self.leaf, RouterEv::Arrive(pkt));
+        ctx.send_after(self.link.timing.wire_latency, self.leaf, Arrive(pkt));
         if !self.high.is_empty() || !self.low.is_empty() {
             ctx.send_after(ser, ctx.self_id(), TxKick);
         }
@@ -225,11 +221,12 @@ impl ArcticNetwork {
     pub fn build(sim: &mut Simulator, endpoint_actors: &[ActorId], cfg: ArcticConfig) -> Self {
         let n = endpoint_actors.len() as u16;
         let tree = Arc::new(FatTree::new(n));
+        let link = Arc::new(LinkModel::new(cfg.timing));
 
         // Pass 1: create the routers.
         let mut router_ids = Vec::with_capacity(tree.total_routers());
         for addr in tree.routers() {
-            let id = sim.add_actor(RouterActor::new(addr, Arc::clone(&tree), cfg.timing));
+            let id = sim.add_actor(RouterActor::new(addr, Arc::clone(&tree), Arc::clone(&link)));
             router_ids.push(id);
         }
         let idx = |addr: RouterAddr| -> usize {
@@ -265,7 +262,7 @@ impl ArcticNetwork {
                 endpoint: e,
                 leaf: router_ids[idx(leaf)],
                 tree: Arc::clone(&tree),
-                timing: cfg.timing,
+                link: Arc::clone(&link),
                 uproute: cfg.uproute,
                 rng: SplitMix64::new(seed_rng.next_u64()),
                 free_at: SimTime::ZERO,
@@ -650,6 +647,26 @@ mod tests {
         assert_eq!(sink.deliveries[0].1.usr_tag, 99);
         let (_, dropped) = net.fault_counts(&sim);
         assert_eq!(dropped, 4);
+    }
+
+    #[test]
+    fn dropping_a_stalled_backlog_does_not_recurse() {
+        // 50 000 packets queue behind an NIU stall; when it lifts, the
+        // drop window discards every one of them within a single pump.
+        const BACKLOG: u64 = 50_000;
+        let (mut sim, net) = build(16, ArcticConfig::default());
+        let plan = FaultPlan::new(0xF1)
+            .niu_stall(0, 0.0, 25.0)
+            .link_window(0.0, 100.0, 0.0, 1.0);
+        net.apply_fault_plan(&mut sim, &plan);
+        for i in 0..BACKLOG {
+            let pkt = Packet::new(0, 9, Priority::Low, (i % 0x7FF) as u16, vec![i as u32, 0]);
+            net.inject_at(&mut sim, SimTime::ZERO, pkt);
+        }
+        sim.run();
+        assert_eq!(net.fault_counts(&sim).1, BACKLOG);
+        let sink = sim.actor::<SinkEndpoint>(net.endpoint(9));
+        assert!(sink.deliveries.is_empty(), "every packet must drop");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! down-route, up-route / random-uproute) and a tag word (11-bit user tag,
 //! 5-bit size) — followed by a payload of 2 to 22 32-bit words.
 
-use crate::crc::crc16_words;
+use crate::crc::{crc16_update, INIT};
 use crate::path::PathTrace;
 
 /// Minimum payload size in 32-bit words.
@@ -123,11 +123,8 @@ impl Packet {
     /// feature is used): we mask them out of the route word.
     pub fn compute_crc(&self) -> u16 {
         let [route, tag] = self.header_words();
-        let mut words = Vec::with_capacity(HEADER_WORDS + self.payload.len());
-        words.push(route & !0x3FFF);
-        words.push(tag);
-        words.extend_from_slice(&self.payload);
-        crc16_words(&words)
+        let header = crc16_update(INIT, &[route & !0x3FFF, tag]);
+        crc16_update(header, &self.payload)
     }
 
     /// Verify the CRC; marks (and reports) corruption.

@@ -19,7 +19,7 @@
 //! two packets following the same path are delivered in injection order —
 //! Arctic's per-path FIFO guarantee.
 
-use crate::packet::{Packet, Priority};
+use crate::packet::{Packet, Priority, HEADER_WORDS, MAX_PAYLOAD_WORDS};
 use crate::path::HopRecord;
 use crate::topology::{FatTree, RouterAddr};
 use hyades_des::event::Payload;
@@ -41,12 +41,14 @@ pub fn up_port_index(p: u8) -> usize {
     2 + p as usize
 }
 
-/// Events understood by a router.
-pub enum RouterEv {
-    /// A packet head arriving on an input.
-    Arrive(Packet),
-    /// The output link for `port` may have become free.
-    TryTx { port: usize },
+/// A packet head arriving on a router input. A router forwards the box it
+/// received to the next stage, so a packet is allocated once at injection
+/// rather than once per stage.
+pub struct Arrive(pub Packet);
+
+/// Self-event: the output link for `port` may have become free.
+struct TryTx {
+    port: usize,
 }
 
 /// Where an output port leads.
@@ -67,8 +69,8 @@ struct OutputPort {
     free_at: SimTime,
     /// Queued packets with the time their head became eligible for the
     /// link (arrival + fall-through): the baseline for stall accounting.
-    high: VecDeque<(SimTime, Packet)>,
-    low: VecDeque<(SimTime, Packet)>,
+    high: VecDeque<(SimTime, Box<Arrive>)>,
+    low: VecDeque<(SimTime, Box<Arrive>)>,
     /// Traffic accounting for tests and diagnostics.
     packets: u64,
     bytes: u64,
@@ -130,11 +132,42 @@ impl Default for RouterTiming {
     }
 }
 
+/// One fabric's timing plus the per-grant value derived from it, shared by
+/// all of that fabric's routers and injection ports.
+pub struct LinkModel {
+    pub(crate) timing: RouterTiming,
+    /// Serialization time by packet size in wire words, each entry the
+    /// value of [`SimDuration::for_bytes_at`] — which costs an f64 divide
+    /// and a libm `round`, too dear to repeat on every link grant.
+    ser_by_words: [SimDuration; HEADER_WORDS + MAX_PAYLOAD_WORDS + 1],
+}
+
+impl LinkModel {
+    pub fn new(timing: RouterTiming) -> Self {
+        LinkModel {
+            timing,
+            ser_by_words: std::array::from_fn(|words| {
+                SimDuration::for_bytes_at(4 * words as u64, timing.link_mbyte_per_sec)
+            }),
+        }
+    }
+
+    /// Time `pkt` occupies a link.
+    pub fn serialization(&self, pkt: &Packet) -> SimDuration {
+        match self.ser_by_words.get(HEADER_WORDS + pkt.payload.len()) {
+            Some(&ser) => ser,
+            // `payload` is a public field: a hand-built oversize packet
+            // is still timed, just not from the table.
+            None => SimDuration::for_bytes_at(pkt.wire_bytes(), self.timing.link_mbyte_per_sec),
+        }
+    }
+}
+
 /// One simulated Arctic router.
 pub struct RouterActor {
     addr: RouterAddr,
     tree: Arc<FatTree>,
-    timing: RouterTiming,
+    link: Arc<LinkModel>,
     ports: Vec<OutputPort>,
     /// Stage-level CRC failures observed (packets are still forwarded with
     /// their corruption bit set).
@@ -144,11 +177,11 @@ pub struct RouterActor {
 }
 
 impl RouterActor {
-    pub fn new(addr: RouterAddr, tree: Arc<FatTree>, timing: RouterTiming) -> Self {
+    pub fn new(addr: RouterAddr, tree: Arc<FatTree>, link: Arc<LinkModel>) -> Self {
         RouterActor {
             addr,
             tree,
-            timing,
+            link,
             ports: (0..PORTS)
                 .map(|_| OutputPort::new(PortTarget::None))
                 .collect(),
@@ -213,7 +246,8 @@ impl RouterActor {
         }
     }
 
-    fn enqueue(&mut self, mut pkt: Packet, ctx: &mut Ctx<'_>) {
+    fn enqueue(&mut self, mut ev: Box<Arrive>, ctx: &mut Ctx<'_>) {
+        let pkt = &mut ev.0;
         // Per-stage CRC verification.
         if !pkt.verify() {
             self.crc_failures += 1;
@@ -233,7 +267,7 @@ impl RouterActor {
             "router.enqueue",
             pkt.usr_tag as u64,
         );
-        let port = self.route(&pkt);
+        let port = self.route(pkt);
         if pkt.up_remaining > 0 {
             pkt.up_remaining -= 1;
         }
@@ -248,15 +282,15 @@ impl RouterActor {
         }
         // The head has now fallen through the crossbar; the link grant can
         // happen no earlier than `fall_through` from arrival.
-        let ready = ctx.now() + self.timing.fall_through;
+        let ready = ctx.now() + self.link.timing.fall_through;
         let q = &mut self.ports[port];
         match pkt.priority {
-            Priority::High => q.high.push_back((ready, pkt)),
-            Priority::Low => q.low.push_back((ready, pkt)),
+            Priority::High => q.high.push_back((ready, ev)),
+            Priority::Low => q.low.push_back((ready, ev)),
         }
         q.max_queue = q.max_queue.max(q.queued());
         let at = ready.max(q.free_at);
-        ctx.send_after(at - ctx.now(), ctx.self_id(), RouterEv::TryTx { port });
+        ctx.send_after(at - ctx.now(), ctx.self_id(), TryTx { port });
     }
 
     fn try_tx(&mut self, port: usize, ctx: &mut Ctx<'_>) {
@@ -266,13 +300,14 @@ impl RouterActor {
             return;
         }
         // High priority is never blocked behind queued low priority.
-        let (ready, mut pkt) = match q.high.pop_front() {
+        let (ready, mut ev) = match q.high.pop_front() {
             Some(p) => p,
             None => match q.low.pop_front() {
                 Some(p) => p,
                 None => return,
             },
         };
+        let pkt = &mut ev.0;
         // Time the head waited for the link beyond its fall-through —
         // the flow-control stall this grant resolves.
         let waited = now.as_ps().saturating_sub(ready.as_ps());
@@ -280,7 +315,7 @@ impl RouterActor {
             q.stalls += 1;
             q.stall_ps += waited;
         }
-        let ser = SimDuration::for_bytes_at(pkt.wire_bytes(), self.timing.link_mbyte_per_sec);
+        let ser = self.link.serialization(pkt);
         q.free_at = now + ser;
         q.packets += 1;
         q.bytes += pkt.wire_bytes();
@@ -300,12 +335,13 @@ impl RouterActor {
             PortTarget::Router(next) => {
                 // Cut-through: the head reaches the next stage after the
                 // wire latency; the body streams behind it.
-                ctx.send_after(self.timing.wire_latency, next, RouterEv::Arrive(pkt));
+                ctx.send_boxed_after(self.link.timing.wire_latency, next, ev);
             }
             PortTarget::Endpoint(ep) => {
                 // Delivery completes at the packet tail.
+                let Arrive(pkt) = *ev;
                 ctx.send_after(
-                    self.timing.wire_latency + ser,
+                    self.link.timing.wire_latency + ser,
                     ep,
                     crate::network::Delivered { pkt },
                 );
@@ -318,7 +354,7 @@ impl RouterActor {
         // If more packets are queued, re-arm when the link frees.
         if self.ports[port].queued() > 0 {
             let free = self.ports[port].free_at;
-            ctx.send_after(free - now, ctx.self_id(), RouterEv::TryTx { port });
+            ctx.send_after(free - now, ctx.self_id(), TryTx { port });
         }
     }
 
@@ -353,11 +389,12 @@ impl RouterActor {
 
 impl Actor for RouterActor {
     fn on_event(&mut self, ev: Payload, ctx: &mut Ctx<'_>) {
-        match ev.downcast::<RouterEv>() {
-            Ok(ev) => match *ev {
-                RouterEv::Arrive(pkt) => self.enqueue(pkt, ctx),
-                RouterEv::TryTx { port } => self.try_tx(port, ctx),
-            },
+        let ev = match ev.downcast::<Arrive>() {
+            Ok(arrive) => return self.enqueue(arrive, ctx),
+            Err(other) => other,
+        };
+        match ev.downcast::<TryTx>() {
+            Ok(kick) => self.try_tx(kick.port, ctx),
             Err(other) => match other.downcast::<SampleTick>() {
                 Ok(_) => self.sample(ctx),
                 Err(other) => panic!("router received unexpected event: {other:?}"),
@@ -379,12 +416,29 @@ mod tests {
     }
 
     #[test]
+    fn link_model_serialization_equals_for_bytes_at() {
+        let timing = RouterTiming::default();
+        let link = LinkModel::new(timing);
+        // Every legal size from the table, then one oversize hand-built
+        // packet through the fallback.
+        for words in (0..=MAX_PAYLOAD_WORDS).chain([40]) {
+            let mut pkt = Packet::new(0, 1, Priority::Low, 0, vec![]);
+            pkt.payload = vec![0; words];
+            assert_eq!(
+                link.serialization(&pkt),
+                SimDuration::for_bytes_at(pkt.wire_bytes(), timing.link_mbyte_per_sec),
+                "{words} payload words"
+            );
+        }
+    }
+
+    #[test]
     fn routing_direction_selection() {
         let tree = Arc::new(FatTree::new(16));
         let r = RouterActor::new(
             RouterAddr { level: 1, word: 0 },
             tree,
-            RouterTiming::default(),
+            Arc::new(LinkModel::new(RouterTiming::default())),
         );
         // Ascending packet follows its uproute bit for level 1.
         let mut pkt = Packet::new(0, 15, Priority::Low, 0, vec![0; 2]);

@@ -76,6 +76,11 @@ pub struct TrafficResult {
     /// only.
     pub latency: OnlineStats,
     pub packets_delivered: u64,
+    /// Whole-run totals (warmup and drain included): events the simulator
+    /// dispatched and router stages crossed. Exact for a given seed, so
+    /// golden tests pin them across commits.
+    pub events_dispatched: u64,
+    pub stage_crossings: u64,
 }
 
 /// Source actor injecting fixed-size packets at the offered rate.
@@ -257,6 +262,8 @@ fn run_traffic_impl(
         delivered_mbyte_per_sec: bytes as f64 / measure_s / 1e6,
         latency,
         packets_delivered: packets,
+        events_dispatched: sim.events_dispatched(),
+        stage_crossings: net.total_stage_crossings(&sim),
     };
     let report = observatory.map(|o| o.collect(&sim, &net));
     (result, report)

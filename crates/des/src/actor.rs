@@ -76,8 +76,13 @@ impl<'a> Ctx<'a> {
 
     /// Schedule `payload` for `target` after `delay`.
     pub fn send_after(&mut self, delay: SimDuration, target: ActorId, payload: impl Any) {
-        self.outbox
-            .push((self.now + delay, target, Box::new(payload)));
+        self.send_boxed_after(delay, target, Box::new(payload));
+    }
+
+    /// [`Ctx::send_after`] for a payload that is already boxed: an actor
+    /// relaying the event it received passes the same allocation on.
+    pub fn send_boxed_after(&mut self, delay: SimDuration, target: ActorId, payload: Payload) {
+        self.outbox.push((self.now + delay, target, payload));
     }
 
     /// Schedule `payload` for `target` at the current instant (dispatched

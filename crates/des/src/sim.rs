@@ -1,9 +1,7 @@
 //! The simulation driver.
 
 use crate::actor::{Actor, ActorId, Ctx};
-use crate::event::EventQueue;
-#[cfg(test)]
-use crate::event::Payload;
+use crate::event::{EventQueue, Payload};
 use crate::time::SimTime;
 use std::any::Any;
 
@@ -38,6 +36,10 @@ pub struct Simulator {
     now: SimTime,
     halted: bool,
     dispatched: u64,
+    /// Events the running handler emits, flushed into `queue` in emission
+    /// order once it returns. Kept here so its buffer is reused instead
+    /// of allocated per dispatched event; empty between steps.
+    outbox: Vec<(SimTime, ActorId, Payload)>,
 }
 
 impl Simulator {
@@ -143,15 +145,16 @@ impl Simulator {
         let mut actor = self.actors[ev.target.0]
             .take()
             .unwrap_or_else(|| panic!("event for unregistered/busy actor {:?}", ev.target));
-        let mut outbox = Vec::new();
+        let mut outbox = std::mem::take(&mut self.outbox);
         {
             let mut ctx = Ctx::new(self.now, ev.target, &mut outbox, &mut self.halted);
             actor.on_event(ev.payload, &mut ctx);
         }
         self.actors[ev.target.0] = Some(actor);
-        for (t, target, payload) in outbox {
+        for (t, target, payload) in outbox.drain(..) {
             self.queue.push(t, target, payload);
         }
+        self.outbox = outbox;
         true
     }
 
@@ -197,6 +200,8 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::time::SimDuration;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     /// A pair of actors playing ping-pong a fixed number of times.
     struct Pinger {
@@ -262,6 +267,90 @@ mod tests {
         assert_eq!(sim.pending_events(), 5);
         let n = sim.run_until(SimTime::from_ps(100_000_000));
         assert_eq!(n, 5);
+    }
+
+    /// Appends its label to a shared log when an event reaches it.
+    struct Logger {
+        label: u32,
+        log: Rc<RefCell<Vec<u32>>>,
+    }
+    impl Actor for Logger {
+        fn on_event(&mut self, _ev: Payload, _ctx: &mut Ctx<'_>) {
+            self.log.borrow_mut().push(self.label);
+        }
+    }
+
+    /// Sends one same-instant event to each target, in order; optionally
+    /// halts first.
+    struct Fanout {
+        targets: Vec<ActorId>,
+        halt: bool,
+    }
+    impl Actor for Fanout {
+        fn on_event(&mut self, _ev: Payload, ctx: &mut Ctx<'_>) {
+            if self.halt {
+                ctx.halt();
+            }
+            for &t in &self.targets {
+                ctx.send_now(t, ());
+            }
+        }
+    }
+
+    fn loggers(sim: &mut Simulator, labels: &[u32]) -> (Vec<ActorId>, Rc<RefCell<Vec<u32>>>) {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let ids = labels
+            .iter()
+            .map(|&label| {
+                sim.add_actor(Logger {
+                    label,
+                    log: Rc::clone(&log),
+                })
+            })
+            .collect();
+        (ids, log)
+    }
+
+    #[test]
+    fn same_instant_events_dispatch_in_emission_order() {
+        let mut sim = Simulator::new();
+        let (ids, log) = loggers(&mut sim, &[0, 1, 2, 3, 4, 5]);
+        // Targets deliberately out of id order; the second handler runs at
+        // the same timestamp, so its three events queue behind the first's.
+        let first = sim.add_actor(Fanout {
+            targets: vec![ids[2], ids[0], ids[1]],
+            halt: false,
+        });
+        let second = sim.add_actor(Fanout {
+            targets: vec![ids[5], ids[3], ids[4]],
+            halt: false,
+        });
+        let at = SimTime::from_ps(7);
+        sim.schedule(at, first, ());
+        sim.schedule(at, second, ());
+        sim.run();
+        assert_eq!(*log.borrow(), vec![2, 0, 1, 5, 3, 4]);
+        assert_eq!(sim.now(), at);
+        assert_eq!(sim.events_dispatched(), 8);
+    }
+
+    #[test]
+    fn halting_handler_still_queues_its_outbox() {
+        let mut sim = Simulator::new();
+        let (ids, log) = loggers(&mut sim, &[0, 1, 2]);
+        let fan = sim.add_actor(Fanout {
+            targets: ids,
+            halt: true,
+        });
+        sim.schedule(SimTime::ZERO, fan, ());
+        sim.run();
+        assert!(sim.is_halted());
+        assert_eq!(sim.events_dispatched(), 1);
+        assert_eq!(sim.pending_events(), 3, "outbox lost on halt");
+        assert!(log.borrow().is_empty());
+        sim.resume();
+        sim.run();
+        assert_eq!(*log.borrow(), vec![0, 1, 2]);
     }
 
     #[test]

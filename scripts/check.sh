@@ -26,6 +26,20 @@ echo "    ${lint_summary#hyades-lint: } (report: target/lint-report.json)"
 echo "==> cargo test -q"
 cargo test -q
 
+# hbench is a workspace of its own, so nothing above compiles it: a
+# des/arctic signature change would break the benchmark unnoticed.
+echo "==> hbench: unit tests, then the two des/arctic workloads (must report 0 failed)"
+cargo test --offline -q --manifest-path hbench/Cargo.toml
+for workload in fabric_saturated comm_primitives; do
+    cargo run --release --offline --quiet --manifest-path hbench/Cargo.toml -- \
+        --workload "$workload" --seconds 3 > "target/hbench-$workload.txt"
+    if ! tail -n 1 "target/hbench-$workload.txt" | grep -q '"failed": 0,'; then
+        echo "hbench $workload reported failed checks (target/hbench-$workload.txt)"
+        exit 1
+    fi
+    sed -n "s/^  wall_s */    $workload wall_s /p" "target/hbench-$workload.txt"
+done
+
 echo "==> SPMD uniformity proof (E20: every collective reached uniformly)"
 cargo run -q --release --example uniform_proof > target/e20-uniform.txt
 tail -n 1 target/e20-uniform.txt

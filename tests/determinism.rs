@@ -11,6 +11,8 @@
 use hyades::arctic::network::{ArcticConfig, ArcticNetwork, SinkEndpoint};
 use hyades::arctic::packet::{Packet, Priority, UpRoute, MAX_PAYLOAD_WORDS};
 use hyades::arctic::workload::{run_traffic, Pattern};
+use hyades::comms::exchange::measure_exchange;
+use hyades::comms::gsum::measure_gsum;
 use hyades::comms::{CommWorld, ThreadWorld};
 use hyades::des::rng::SplitMix64;
 use hyades::des::sim::Simulator;
@@ -18,6 +20,7 @@ use hyades::des::time::SimTime;
 use hyades::gcm::decomp::Decomp;
 use hyades::gcm::field::Field3;
 use hyades::gcm::halo::{exchange3, HaloField};
+use hyades::startx::HostParams;
 
 /// One delivery, fully materialized: (sink, time in ps, src, usr_tag,
 /// payload words). Comparing vectors of these compares the whole trace.
@@ -102,6 +105,57 @@ fn arctic_traffic_stats_are_bit_identical_across_runs() {
     assert_eq!(a.latency.mean().to_bits(), b.latency.mean().to_bits());
     assert_eq!(a.latency.max().to_bits(), b.latency.max().to_bits());
     assert_eq!(a.latency.stddev().to_bits(), b.latency.stddev().to_bits());
+}
+
+/// Values captured at the commit before the `des`/`arctic` hot path was
+/// rewritten (PR 12). The tests above compare a run with itself; this one
+/// compares it with that commit, so a change that perturbs event order —
+/// and with it any simulated statistic — fails here, not only in `hbench`.
+#[test]
+fn fabric_and_comms_results_match_the_pinned_golden_values() {
+    // (pattern, load) -> (delivered, events dispatched, stage crossings,
+    // mean latency bits), 16 endpoints, 400 us window, seed 1999.
+    let golden = [
+        (
+            Pattern::BitReverse,
+            0.8,
+            4486,
+            221_917,
+            80_067,
+            0x4068_6f8b_f85c_b5c9_u64,
+        ),
+        (
+            Pattern::UniformRandom,
+            0.5,
+            5005,
+            140_978,
+            53_442,
+            0x3fff_6f29_125c_6297,
+        ),
+        (
+            Pattern::NearestNeighbor,
+            0.9,
+            9010,
+            160_158,
+            49_566,
+            0x3ff1_ed6c_528f_ede5,
+        ),
+    ];
+    for (pattern, load, delivered, events, crossings, latency_bits) in golden {
+        let r = run_traffic(16, pattern, UpRoute::SourceSpread, load, 400.0, 1999);
+        assert_eq!(r.packets_delivered, delivered, "{pattern:?} delivered");
+        assert_eq!(r.events_dispatched, events, "{pattern:?} events");
+        assert_eq!(r.stage_crossings, crossings, "{pattern:?} crossings");
+        let mean_bits = r.latency.mean().to_bits();
+        assert_eq!(mean_bits, latency_bits, "{pattern:?} latency");
+    }
+
+    let host = HostParams::default();
+    assert_eq!(measure_exchange(host, 4, 4, 4096).as_ps(), 412_480_004);
+    let operands: Vec<f64> = (0..16).map(|i| (f64::from(i) - 7.5) / 16.0).collect();
+    let g = measure_gsum(host, &operands, false);
+    assert_eq!(g.elapsed.as_ps(), 16_626_668);
+    assert_eq!(g.value.to_bits(), 0.0f64.to_bits());
 }
 
 /// Per-rank digest of a threaded halo-exchange + global-sum round:

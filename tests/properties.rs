@@ -39,11 +39,23 @@ proptest! {
         src in 0u16..16,
         dst in 0u16..16,
         tag in 0u16..0x800,
+        high in any::<bool>(),
+        uproute_bits in any::<u16>(),
     ) {
-        let mut p = Packet::new(src, dst, Priority::Low, tag, payload);
+        let priority = if high { Priority::High } else { Priority::Low };
+        let mut p = Packet::new(src, dst, priority, tag, payload);
+        p.uproute_bits = uproute_bits;
         prop_assert!(p.verify());
         prop_assert!(p.payload.len() >= 2 && p.payload.len() <= 22);
         prop_assert!(p.wire_bytes() <= 96);
+        // The definition of the packet CRC, pinned here because the
+        // library streams these words instead of assembling them: the
+        // route word with its up-route bits masked, the tag word, then
+        // the payload.
+        let [route, tag_word] = p.header_words();
+        let mut covered = vec![route & !0x3FFF, tag_word];
+        covered.extend_from_slice(&p.payload);
+        prop_assert_eq!(p.compute_crc(), crc16_words(&covered));
     }
 
     #[test]
