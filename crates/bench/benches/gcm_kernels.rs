@@ -89,6 +89,53 @@ fn bench(c: &mut Criterion) {
         }
     }
 
+    // The DS hot path on the coupled benchmark's ocean tile (64×32×15,
+    // continents): the solver's own exchange — two 2-D fields, width 1 —
+    // and a cold solve of a fixed right-hand side, rated in wet-column
+    // iterations.
+    {
+        use hyades_gcm::config::ModelConfig;
+        use hyades_gcm::decomp::Decomp;
+        use hyades_gcm::driver::Model;
+        use hyades_gcm::field::Field2;
+        use hyades_gcm::solver::{CgSolver, EllipticCoeffs};
+        let d = Decomp::blocks(64, 32, 1, 1, 3);
+        let mut cfg = ModelConfig::test_ocean(64, 32, 15, d);
+        cfg.continents = true;
+        cfg.cg_max_iters = 1000;
+        let m = Model::new(cfg, 0);
+        let mut w = SerialWorld;
+
+        let mut p = Field2::new(64, 32, 3);
+        let mut r = Field2::new(64, 32, 3);
+        g.throughput(Throughput::Elements(2 * 64 * 32));
+        g.bench_function("halo_exchange_2fields_w1", |b| {
+            b.iter(|| halo::exchange2(&mut w, &d, &m.tile, &mut [&mut p, &mut r], 1));
+        });
+
+        let coeffs = EllipticCoeffs::build(&m.cfg, &m.tile, &m.geom, &m.masks);
+        let mut rhs = Field2::new(64, 32, 3);
+        for (i, j) in rhs.clone().interior() {
+            if m.masks.depth.at(i, j) > 0.0 {
+                rhs.set(i, j, (((i * 13 + j * 7) % 19) as f64 - 9.0) * 1e4);
+            }
+        }
+        let mut solver = CgSolver::new(&m.tile);
+        let mut x = Field2::new(64, 32, 3);
+        let mut solve = |x: &mut Field2| {
+            x.fill(0.0);
+            solver.solve(
+                &mut w, &m.cfg, &d, &m.tile, &m.geom, &coeffs, &m.masks, &rhs, x,
+            )
+        };
+        let first = solve(&mut x);
+        assert!(first.converged, "bench solve did not converge: {first:?}");
+        g.throughput(Throughput::Elements(
+            first.iterations as u64 * m.masks.wet_columns(),
+        ));
+        g.bench_function("cg_solve_64x32x15", |b| b.iter(|| solve(&mut x)));
+    }
+
     // DES engine: raw event dispatch throughput.
     {
         struct Relay {

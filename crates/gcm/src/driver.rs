@@ -164,7 +164,7 @@ impl Model {
             &self.geom,
             &self.masks,
             &self.state,
-            &self.state.theta.clone(),
+            &self.state.theta,
             &mut self.ws.gt,
             self.cfg.diff_h,
             if self.cfg.implicit_vertical {
@@ -180,7 +180,7 @@ impl Model {
             &self.geom,
             &self.masks,
             &self.state,
-            &self.state.s.clone(),
+            &self.state.s,
             &mut self.ws.gs,
             self.cfg.diff_h,
             if self.cfg.implicit_vertical {
@@ -271,7 +271,6 @@ impl Model {
             &self.tile,
             &self.geom,
             &self.masks,
-            &self.state.ps.clone(),
             &mut self.state,
             &self.ws,
         );

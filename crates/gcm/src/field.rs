@@ -7,6 +7,49 @@
 //!
 //! Storage is level-major (`k` slowest), so horizontal stencil sweeps walk
 //! contiguous memory.
+//!
+//! Two ways in. `at`/`set` address one cell; their index is checked in
+//! debug builds only, so in a release build an `i` beyond the halo lands
+//! in a neighbouring row. `row`/`row_mut`/`block_mut` hand out spans of
+//! rows as slices and check the span once, in every build — the form the
+//! DS solver and the halo exchange sweep.
+
+use std::ops::Range;
+
+/// Positions of columns `is` of row `j` within one stored level
+/// (`(nx + 2h) × (ny + 2h)` words).
+#[inline]
+fn row_span(nx: usize, ny: usize, h: usize, j: i64, is: Range<i64>) -> Range<usize> {
+    let hi = h as i64;
+    assert!(
+        -hi <= j
+            && j < ny as i64 + hi
+            && -hi <= is.start
+            && is.start <= is.end
+            && is.end <= nx as i64 + hi,
+        "row {j}, columns {is:?} outside field ({nx}x{ny}, halo {h})"
+    );
+    let row = (j + hi) as usize * (nx + 2 * h);
+    row + (is.start + hi) as usize..row + (is.end + hi) as usize
+}
+
+/// Columns `is` of each row in `js` (neither empty) of one stored level,
+/// in row order.
+#[inline]
+fn block_mut(
+    level: &mut [f64],
+    (nx, ny, h): (usize, usize, usize),
+    is: Range<i64>,
+    js: Range<i64>,
+) -> impl Iterator<Item = &mut [f64]> {
+    // The spans of the first and the last row bound the block; between
+    // them a row's columns start every `nx + 2h` words.
+    let first = row_span(nx, ny, h, js.start, is.clone());
+    let last = row_span(nx, ny, h, js.end - 1, is);
+    level[first.start..last.end]
+        .chunks_mut(nx + 2 * h)
+        .map(move |row| &mut row[..first.len()])
+}
 
 /// A 2-D (single-level) field with halo.
 #[derive(Clone, Debug, PartialEq)]
@@ -73,6 +116,27 @@ impl Field2 {
     pub fn add(&mut self, i: i64, j: i64, v: f64) {
         let ix = self.idx(i, j);
         self.data[ix] += v;
+    }
+
+    /// Columns `is` of row `j`; halo rows and columns are in range.
+    #[inline]
+    pub fn row(&self, j: i64, is: Range<i64>) -> &[f64] {
+        &self.data[row_span(self.nx, self.ny, self.h, j, is)]
+    }
+
+    #[inline]
+    pub fn row_mut(&mut self, j: i64, is: Range<i64>) -> &mut [f64] {
+        &mut self.data[row_span(self.nx, self.ny, self.h, j, is)]
+    }
+
+    /// Columns `is` of each row in `js` (neither empty), in row order.
+    #[inline]
+    pub fn block_mut(
+        &mut self,
+        is: Range<i64>,
+        js: Range<i64>,
+    ) -> impl Iterator<Item = &mut [f64]> + '_ {
+        block_mut(&mut self.data, (self.nx, self.ny, self.h), is, js)
     }
 
     pub fn fill(&mut self, v: f64) {
@@ -161,6 +225,24 @@ impl Field3 {
         self.data[ix] += v;
     }
 
+    /// Columns `is` of each row in `js` (neither empty) on level `k`, in
+    /// row order.
+    #[inline]
+    pub fn block_mut(
+        &mut self,
+        k: usize,
+        is: Range<i64>,
+        js: Range<i64>,
+    ) -> impl Iterator<Item = &mut [f64]> + '_ {
+        let level = (self.nx + 2 * self.h) * (self.ny + 2 * self.h);
+        block_mut(
+            &mut self.data[k * level..(k + 1) * level],
+            (self.nx, self.ny, self.h),
+            is,
+            js,
+        )
+    }
+
     pub fn fill(&mut self, v: f64) {
         self.data.fill(v);
     }
@@ -229,6 +311,90 @@ mod tests {
     fn field2_out_of_bounds_panics() {
         let f = Field2::new(4, 3, 1);
         let _ = f.at(5, 0);
+    }
+
+    #[test]
+    fn row_slices_alias_the_cells_at_addresses() {
+        let mut f = Field2::new(4, 3, 2);
+        let mut g = Field3::new(4, 3, 2, 2);
+        for j in -2..5i64 {
+            for i in -2..6i64 {
+                f.set(i, j, (100 * j + i) as f64);
+                g.set(i, j, 1, (100 * j + i) as f64 + 0.5);
+            }
+        }
+        for j in -2..5i64 {
+            assert_eq!(f.row(j, -2..6).len(), 8);
+            for (i, &v) in (-1..5i64).zip(f.row(j, -1..5)) {
+                assert_eq!(v, f.at(i, j));
+            }
+        }
+        assert!(f.row(0, 3..3).is_empty());
+        f.row_mut(4, 5..6)[0] = -1.0;
+        assert_eq!(f.at(5, 4), -1.0);
+
+        // A block is its rows in order, each cut to the columns.
+        let want: Vec<Vec<f64>> = (-1..2i64)
+            .map(|j| (4..6i64).map(|i| f.at(i, j)).collect())
+            .collect();
+        let got: Vec<Vec<f64>> = f.block_mut(4..6, -1..2).map(|r| r.to_vec()).collect();
+        assert_eq!(got, want);
+        assert_eq!(g.block_mut(0, -2..6, -2..5).count(), 7);
+        assert!(g.block_mut(0, -2..6, -2..5).all(|r| r == [0.0; 8]));
+        let want: Vec<Vec<f64>> = (0..3i64)
+            .map(|j| (-2..1i64).map(|i| g.at(i, j, 1)).collect())
+            .collect();
+        let got: Vec<Vec<f64>> = g.block_mut(1, -2..1, 0..3).map(|r| r.to_vec()).collect();
+        assert_eq!(got, want);
+        g.block_mut(0, -2..0, -2..-1).for_each(|r| r.fill(7.0));
+        assert_eq!(
+            (
+                g.at(-2, -2, 0),
+                g.at(-1, -2, 0),
+                g.at(0, -2, 0),
+                g.at(-2, -1, 0)
+            ),
+            (7.0, 7.0, 0.0, 0.0)
+        );
+    }
+
+    // Unlike `at` (previous test), the slice accessors check their span
+    // in release builds too.
+    #[test]
+    #[should_panic(expected = "outside field")]
+    fn row_columns_beyond_the_halo_panic() {
+        let f = Field2::new(4, 3, 1);
+        let _ = f.row(0, 0..6);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside field")]
+    fn row_above_the_halo_panics() {
+        let mut f = Field2::new(4, 3, 1);
+        let _ = f.row_mut(4, 0..4);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside field")]
+    fn block_columns_before_the_halo_panic() {
+        let mut f = Field3::new(4, 3, 2, 1);
+        let _ = f.block_mut(1, -2..4, 0..3);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside field")]
+    fn block_rows_beyond_the_halo_panic() {
+        // In range of the storage (level 0 is followed by level 1), out
+        // of range of the level.
+        let mut f = Field3::new(4, 3, 2, 1);
+        let _ = f.block_mut(0, 0..4, 0..5);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn block_level_out_of_range_panics() {
+        let mut f = Field3::new(4, 3, 2, 1);
+        let _ = f.block_mut(2, 0..4, 0..3);
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::decomp::Decomp;
 use crate::field::{Field2, Field3};
 use crate::tile::Tile;
 use hyades_comms::CommWorld;
+use std::ops::Range;
 
 /// Placement codes carried in the first message element.
 const PLACE_EAST: f64 = 0.0;
@@ -23,26 +24,34 @@ const PLACE_WEST: f64 = 1.0;
 const PLACE_NORTH: f64 = 2.0;
 const PLACE_SOUTH: f64 = 3.0;
 
-/// Minimal view over `Field2`/`Field3` so one packing routine serves both.
+/// What the exchange needs of `Field2`/`Field3`: any block of any level
+/// as row slices, so a message is assembled and scattered a row at a time.
 pub trait HaloField {
     fn levels(&self) -> usize;
-    fn get(&self, i: i64, j: i64, k: usize) -> f64;
-    fn put(&mut self, i: i64, j: i64, k: usize, v: f64);
     fn halo_width(&self) -> usize;
+    /// Columns `is` of each row in `js` on level `k`, in row order.
+    fn block_mut(
+        &mut self,
+        k: usize,
+        is: Range<i64>,
+        js: Range<i64>,
+    ) -> impl Iterator<Item = &mut [f64]>;
 }
 
 impl HaloField for Field2 {
     fn levels(&self) -> usize {
         1
     }
-    fn get(&self, i: i64, j: i64, _k: usize) -> f64 {
-        self.at(i, j)
-    }
-    fn put(&mut self, i: i64, j: i64, _k: usize, v: f64) {
-        self.set(i, j, v);
-    }
     fn halo_width(&self) -> usize {
         self.halo()
+    }
+    fn block_mut(
+        &mut self,
+        _k: usize,
+        is: Range<i64>,
+        js: Range<i64>,
+    ) -> impl Iterator<Item = &mut [f64]> {
+        Field2::block_mut(self, is, js)
     }
 }
 
@@ -50,92 +59,81 @@ impl HaloField for Field3 {
     fn levels(&self) -> usize {
         self.nz()
     }
-    fn get(&self, i: i64, j: i64, k: usize) -> f64 {
-        self.at(i, j, k)
-    }
-    fn put(&mut self, i: i64, j: i64, k: usize, v: f64) {
-        self.set(i, j, k, v);
-    }
     fn halo_width(&self) -> usize {
         self.halo()
     }
+    fn block_mut(
+        &mut self,
+        k: usize,
+        is: Range<i64>,
+        js: Range<i64>,
+    ) -> impl Iterator<Item = &mut [f64]> {
+        Field3::block_mut(self, k, is, js)
+    }
 }
 
-fn pack(
-    fields: &[&mut dyn HaloField],
-    code: f64,
-    is_range: std::ops::Range<i64>,
-    js_range: std::ops::Range<i64>,
-) -> Vec<f64> {
-    let mut out = Vec::with_capacity(
-        1 + fields.len()
-            * (is_range.end - is_range.start) as usize
-            * (js_range.end - js_range.start) as usize,
-    );
-    out.push(code);
-    for f in fields {
+/// Hand `each` every row of the block `is × js`, in message order:
+/// field, level, row.
+fn each_row<F: HaloField>(
+    fields: &mut [&mut F],
+    is: &Range<i64>,
+    js: &Range<i64>,
+    mut each: impl FnMut(&mut [f64]),
+) {
+    for f in fields.iter_mut() {
         for k in 0..f.levels() {
-            for j in js_range.clone() {
-                for i in is_range.clone() {
-                    out.push(f.get(i, j, k));
-                }
-            }
+            f.block_mut(k, is.clone(), js.clone()).for_each(&mut each);
         }
     }
+}
+
+/// Words the block `is × js` of every level of `fields` packs to.
+fn block_words<F: HaloField>(fields: &[&mut F], is: &Range<i64>, js: &Range<i64>) -> usize {
+    let cells = ((is.end - is.start) * (js.end - js.start)).max(0) as usize;
+    fields.iter().map(|f| f.levels() * cells).sum()
+}
+
+fn pack<F: HaloField>(
+    fields: &mut [&mut F],
+    code: f64,
+    is: Range<i64>,
+    js: Range<i64>,
+) -> Vec<f64> {
+    let mut out = Vec::with_capacity(1 + block_words(fields, &is, &js));
+    out.push(code);
+    each_row(fields, &is, &js, |row| out.extend_from_slice(row));
     out
 }
 
-fn unpack(
-    fields: &mut [&mut dyn HaloField],
-    data: &[f64],
-    is_range: std::ops::Range<i64>,
-    js_range: std::ops::Range<i64>,
-) {
+fn unpack<F: HaloField>(fields: &mut [&mut F], data: &[f64], is: Range<i64>, js: Range<i64>) {
     // Validate the payload size once up front; the fill loop below can
     // then consume infallibly.
-    let cells = ((is_range.end - is_range.start) * (js_range.end - js_range.start)).max(0) as usize;
-    let expected = 1 + fields.iter().map(|f| f.levels() * cells).sum::<usize>();
+    let expected = 1 + block_words(fields, &is, &js);
     assert_eq!(
         data.len(),
         expected,
         "halo message truncated or padded: {} words, expected {expected}",
         data.len()
     );
-    let mut it = data.iter().skip(1).copied();
-    for f in fields.iter_mut() {
-        for k in 0..f.levels() {
-            for j in js_range.clone() {
-                for i in is_range.clone() {
-                    f.put(i, j, k, it.next().unwrap_or(0.0));
-                }
-            }
-        }
-    }
+    let mut rest = &data[1..];
+    each_row(fields, &is, &js, |row| {
+        let (src, tail) = rest.split_at(row.len());
+        row.copy_from_slice(src);
+        rest = tail;
+    });
 }
 
-fn zero_halo(
-    fields: &mut [&mut dyn HaloField],
-    is_range: std::ops::Range<i64>,
-    js_range: std::ops::Range<i64>,
-) {
-    for f in fields.iter_mut() {
-        for k in 0..f.levels() {
-            for j in js_range.clone() {
-                for i in is_range.clone() {
-                    f.put(i, j, k, 0.0);
-                }
-            }
-        }
-    }
+fn zero_halo<F: HaloField>(fields: &mut [&mut F], is: Range<i64>, js: Range<i64>) {
+    each_row(fields, &is, &js, |row| row.fill(0.0));
 }
 
 /// Exchange `width` halo rings of every field (all fields must share the
 /// tile's halo width ≥ `width`).
-pub fn exchange(
+pub fn exchange<F: HaloField>(
     world: &mut dyn CommWorld,
     decomp: &Decomp,
     tile: &Tile,
-    fields: &mut [&mut dyn HaloField],
+    fields: &mut [&mut F],
     width: usize,
 ) {
     assert!(width >= 1);
@@ -192,7 +190,7 @@ pub fn exchange(
     }
 }
 
-/// Convenience: exchange a set of 3-D fields.
+/// Exchange a set of 3-D fields.
 pub fn exchange3(
     world: &mut dyn CommWorld,
     decomp: &Decomp,
@@ -200,11 +198,10 @@ pub fn exchange3(
     fields: &mut [&mut Field3],
     width: usize,
 ) {
-    let mut views: Vec<&mut dyn HaloField> = fields.iter_mut().map(|f| &mut **f as _).collect();
-    exchange(world, decomp, tile, &mut views, width);
+    exchange(world, decomp, tile, fields, width);
 }
 
-/// Convenience: exchange a set of 2-D fields.
+/// Exchange a set of 2-D fields.
 pub fn exchange2(
     world: &mut dyn CommWorld,
     decomp: &Decomp,
@@ -212,8 +209,7 @@ pub fn exchange2(
     fields: &mut [&mut Field2],
     width: usize,
 ) {
-    let mut views: Vec<&mut dyn HaloField> = fields.iter_mut().map(|f| &mut **f as _).collect();
-    exchange(world, decomp, tile, &mut views, width);
+    exchange(world, decomp, tile, fields, width);
 }
 
 /// Bytes one rank moves per exchange of the given fields (both directions,
@@ -248,6 +244,142 @@ mod tests {
             let gi = gi.rem_euclid(nx_global);
             (gi * 1000 + gj * 10 + k as i64) as f64
         }
+    }
+
+    /// Cell access for the word-at-a-time reference below — what
+    /// `HaloField` itself offered until PR 13.
+    trait Cells: HaloField {
+        fn get(&self, i: i64, j: i64, k: usize) -> f64;
+        fn put(&mut self, i: i64, j: i64, k: usize, v: f64);
+    }
+
+    impl Cells for Field2 {
+        fn get(&self, i: i64, j: i64, _k: usize) -> f64 {
+            self.at(i, j)
+        }
+        fn put(&mut self, i: i64, j: i64, _k: usize, v: f64) {
+            self.set(i, j, v);
+        }
+    }
+
+    impl Cells for Field3 {
+        fn get(&self, i: i64, j: i64, k: usize) -> f64 {
+            self.at(i, j, k)
+        }
+        fn put(&mut self, i: i64, j: i64, k: usize, v: f64) {
+            self.set(i, j, k, v);
+        }
+    }
+
+    fn pack_reference<F: Cells>(
+        fields: &[&mut F],
+        code: f64,
+        is: Range<i64>,
+        js: Range<i64>,
+    ) -> Vec<f64> {
+        let mut out = vec![code];
+        for f in fields {
+            for k in 0..f.levels() {
+                for j in js.clone() {
+                    for i in is.clone() {
+                        out.push(f.get(i, j, k));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn unpack_reference<F: Cells>(
+        fields: &mut [&mut F],
+        data: &[f64],
+        is: Range<i64>,
+        js: Range<i64>,
+    ) {
+        let mut it = data.iter().skip(1).copied();
+        for f in fields.iter_mut() {
+            for k in 0..f.levels() {
+                for j in js.clone() {
+                    for i in is.clone() {
+                        f.put(i, j, k, it.next().expect("message as long as the block"));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every block `exchange` sends or fills, for widths 1–3 on an
+    /// `nx × ny` tile: slice pack gives the reference's message word for
+    /// word, and slice unpack scatters it to the same cells.
+    fn check_against_reference<F: Cells + Clone + PartialEq + std::fmt::Debug>(
+        make: impl Fn() -> F,
+        raw_mut: impl Fn(&mut F) -> &mut [f64],
+    ) {
+        let (nx, ny) = (5i64, 4i64);
+        for n_fields in [1usize, 3] {
+            for w in 1..=3i64 {
+                let mut owned: Vec<F> = (0..n_fields).map(|_| make()).collect();
+                for (n, f) in owned.iter_mut().enumerate() {
+                    for (m, v) in raw_mut(f).iter_mut().enumerate() {
+                        *v = (1000 * (n + 1) + m) as f64;
+                    }
+                }
+                let blocks = [
+                    (0..w, 0..ny),
+                    (nx - w..nx, 0..ny),
+                    (nx..nx + w, 0..ny),
+                    (-w..0, 0..ny),
+                    (-w..nx + w, 0..w),
+                    (-w..nx + w, ny - w..ny),
+                    (-w..nx + w, ny..ny + w),
+                    (-w..nx + w, -w..0),
+                ];
+                for (is, js) in blocks {
+                    let mut fields: Vec<&mut F> = owned.iter_mut().collect();
+                    let message = pack(&mut fields, 7.0, is.clone(), js.clone());
+                    assert_eq!(
+                        message,
+                        pack_reference(&fields, 7.0, is.clone(), js.clone()),
+                        "pack {is:?} x {js:?}, {n_fields} field(s)"
+                    );
+
+                    // Scatter the message, reversed so every cell
+                    // changes, into two copies of the fields.
+                    let mut data = message;
+                    data[1..].reverse();
+                    let (mut a, mut b) = (owned.clone(), owned.clone());
+                    unpack(
+                        &mut a.iter_mut().collect::<Vec<_>>(),
+                        &data,
+                        is.clone(),
+                        js.clone(),
+                    );
+                    unpack_reference(
+                        &mut b.iter_mut().collect::<Vec<_>>(),
+                        &data,
+                        is.clone(),
+                        js.clone(),
+                    );
+                    assert_eq!(a, b, "unpack {is:?} x {js:?}, {n_fields} field(s)");
+                    assert_ne!(a, owned);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slice_pack_and_unpack_match_the_word_at_a_time_reference() {
+        check_against_reference(|| Field2::new(5, 4, 3), Field2::raw_mut);
+        check_against_reference(|| Field3::new(5, 4, 3, 3), Field3::raw_mut);
+    }
+
+    #[test]
+    #[should_panic(expected = "truncated or padded")]
+    fn truncated_message_is_refused() {
+        let (mut a, mut b) = (Field3::new(5, 4, 2, 3), Field3::new(5, 4, 2, 3));
+        let mut message = pack(&mut [&mut a, &mut b], PLACE_EAST, 0..2, 0..4);
+        message.pop();
+        unpack(&mut [&mut a, &mut b], &message, 5..7, 0..4);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! DS solve.
 
 use crate::config::ModelConfig;
-use crate::field::{Field2, Field3};
+use crate::field::Field3;
 use crate::flops::{self, Phase};
 use crate::kernel::{TileGeom, Workspace};
 use crate::state::{Masks, ModelState};
@@ -140,33 +140,29 @@ pub fn divergence_rhs(
 
 /// Final update: subtract the surface-pressure gradient from the
 /// provisional velocities (interior only; the next step's exchange
-/// refreshes the halo). `ps` must hold a width-1 halo.
+/// refreshes the halo). `state.ps` must hold a width-1 halo.
 pub fn correct_velocities(
     cfg: &ModelConfig,
     tile: &Tile,
     geom: &TileGeom,
     masks: &Masks,
-    ps: &Field2,
     state: &mut ModelState,
     ws: &Workspace,
 ) {
     let nz = cfg.grid.nz;
     let (nx, ny) = (tile.nx as i64, tile.ny as i64);
     let dt = cfg.dt;
+    let ModelState { ps, u, v, .. } = state;
     let mut cells = 0u64;
     for k in 0..nz {
         for j in 0..ny {
             for i in 0..nx {
                 let mu = masks.u.at(i, j, k);
                 let dpdx = (ps.at(i, j) - ps.at(i - 1, j)) / geom.dxc_at(j);
-                state
-                    .u
-                    .set(i, j, k, mu * (ws.ustar.at(i, j, k) - dt * dpdx));
+                u.set(i, j, k, mu * (ws.ustar.at(i, j, k) - dt * dpdx));
                 let mv = masks.v.at(i, j, k);
                 let dpdy = (ps.at(i, j) - ps.at(i, j - 1)) / geom.dy;
-                state
-                    .v
-                    .set(i, j, k, mv * (ws.vstar.at(i, j, k) - dt * dpdy));
+                v.set(i, j, k, mv * (ws.vstar.at(i, j, k) - dt * dpdy));
                 cells += 1;
             }
         }
@@ -235,11 +231,10 @@ mod tests {
     fn correction_removes_divergence_source() {
         let (cfg, tile, geom, masks, mut st, mut ws) = setup();
         // ps bump at one cell: the correction pushes flow out of it.
-        let mut ps = crate::field::Field2::new(8, 8, 3);
-        ps.set(4, 4, 10.0);
+        st.ps.set(4, 4, 10.0);
         ws.ustar.fill(0.0);
         ws.vstar.fill(0.0);
-        correct_velocities(&cfg, &tile, &geom, &masks, &ps, &mut st, &ws);
+        correct_velocities(&cfg, &tile, &geom, &masks, &mut st, &ws);
         // West face of (4,4): dp/dx > 0 so u < 0 (out of the bump
         // westward); east face (5,4): u > 0.
         assert!(st.u.at(4, 4, 0) < 0.0);

@@ -80,8 +80,62 @@ impl EllipticCoeffs {
     /// `out = (−A)·x` on the interior: positive-semidefinite form
     /// `Σ_faces a·(x − x_nbr)`. `x` needs a width-1 halo.
     pub fn apply(&self, tile: &Tile, x: &Field2, out: &mut Field2) {
-        let (nx, ny) = (tile.nx as i64, tile.ny as i64);
+        self.apply_with(tile, x, out, |_, _| {});
+    }
+
+    /// [`apply`](Self::apply) that also returns `Σ x·out` over the
+    /// interior — CG's `p·q` from the sweep that forms `q`. One
+    /// accumulator running in row-major order: the sum a separate pass
+    /// over `x` and `out` would give, bit for bit.
+    pub(crate) fn apply_dot(&self, tile: &Tile, x: &Field2, out: &mut Field2) -> f64 {
+        let mut dot = 0.0;
+        self.apply_with(tile, x, out, |x, out| dot += x * out);
+        dot
+    }
+
+    /// The operator kernel: a sweep over row slices that hands each
+    /// cell's `(x, out)` to `each` in row-major order.
+    #[inline(always)]
+    fn apply_with(
+        &self,
+        tile: &Tile,
+        x: &Field2,
+        out: &mut Field2,
+        mut each: impl FnMut(f64, f64),
+    ) {
+        let nx = tile.nx as i64;
+        let n = tile.nx;
         telemetry::count("gcm.elliptic", "operator_applies", 1);
+        for j in 0..tile.ny as i64 {
+            // Every operand cut to a slice of exactly `n` cells, so the
+            // bounds are checked here and not per cell.
+            let xc = x.row(j, -1..nx + 1);
+            let (xw, xc, xe) = (&xc[..n], &xc[1..n + 1], &xc[2..n + 2]);
+            let xs = &x.row(j - 1, 0..nx)[..n];
+            let xn = &x.row(j + 1, 0..nx)[..n];
+            let diag = &self.diag.row(j, 0..nx)[..n];
+            let aw = self.aw.row(j, 0..nx + 1);
+            let (aw, ae) = (&aw[..n], &aw[1..n + 1]);
+            let a_s = &self.a_s.row(j, 0..nx)[..n];
+            let a_n = &self.a_s.row(j + 1, 0..nx)[..n];
+            let q = &mut out.row_mut(j, 0..nx)[..n];
+            for i in 0..n {
+                let v = diag[i] * xc[i]
+                    - aw[i] * xw[i]
+                    - ae[i] * xe[i]
+                    - a_s[i] * xs[i]
+                    - a_n[i] * xn[i];
+                q[i] = v;
+                each(xc[i], v);
+            }
+        }
+    }
+
+    /// The cell-at-a-time operator `apply` was until PR 13: the reference
+    /// its row kernel is tested against.
+    #[cfg(test)]
+    pub(crate) fn apply_reference(&self, tile: &Tile, x: &Field2, out: &mut Field2) {
+        let (nx, ny) = (tile.nx as i64, tile.ny as i64);
         for j in 0..ny {
             for i in 0..nx {
                 let xc = x.at(i, j);
@@ -133,6 +187,32 @@ mod tests {
             "{}",
             out.interior_max_abs()
         );
+    }
+
+    #[test]
+    fn row_kernel_matches_the_cell_at_a_time_reference() {
+        for continents in [false, true] {
+            let (_cfg, tile, _geom, _masks, coeffs) = setup(continents);
+            // Values everywhere, halo included: the stencil reads ring 1.
+            let mut x = Field2::new(16, 8, 3);
+            for (n, v) in x.raw_mut().iter_mut().enumerate() {
+                *v = ((n * 37 % 101) as f64 - 50.0) * 0.37;
+            }
+            let mut want = Field2::new(16, 8, 3);
+            want.fill(-1.0);
+            let mut got = want.clone();
+            coeffs.apply_reference(&tile, &x, &mut want);
+            coeffs.apply(&tile, &x, &mut got);
+            let bits = |f: &Field2| f.raw().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "interior equal, halo untouched");
+            let dot = coeffs.apply_dot(&tile, &x, &mut got);
+            assert_eq!(bits(&got), bits(&want));
+            let mut want_dot = 0.0;
+            for (i, j) in x.interior() {
+                want_dot += x.at(i, j) * want.at(i, j);
+            }
+            assert_eq!(dot.to_bits(), want_dot.to_bits());
+        }
     }
 
     #[test]

@@ -29,6 +29,7 @@ pub struct Masks {
     pub depth: Field2,
     /// Number of wet interior cells on this tile.
     pub wet_cells: u64,
+    wet_columns: u64,
 }
 
 impl Masks {
@@ -69,6 +70,10 @@ impl Masks {
                 wet_cells += 1;
             }
         }
+        let wet_columns = kmax
+            .interior()
+            .filter(|&(i, j)| kmax.at(i, j) > 0.0)
+            .count() as u64;
         Masks {
             c,
             u,
@@ -79,7 +84,14 @@ impl Masks {
             kmax,
             depth,
             wet_cells,
+            wet_columns,
         }
+    }
+
+    /// Number of wet columns on this tile (DS works on the vertically
+    /// integrated 2-D state).
+    pub fn wet_columns(&self) -> u64 {
+        self.wet_columns
     }
 }
 

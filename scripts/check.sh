@@ -27,10 +27,10 @@ echo "==> cargo test -q"
 cargo test -q
 
 # hbench is a workspace of its own, so nothing above compiles it: a
-# des/arctic signature change would break the benchmark unnoticed.
-echo "==> hbench: unit tests, then the two des/arctic workloads (must report 0 failed)"
+# des/arctic/gcm signature change would break the benchmark unnoticed.
+echo "==> hbench: unit tests, then the des/arctic and gcm workloads (must report 0 failed)"
 cargo test --offline -q --manifest-path hbench/Cargo.toml
-for workload in fabric_saturated comm_primitives; do
+for workload in fabric_saturated comm_primitives coupled_serial ocean_1deg; do
     cargo run --release --offline --quiet --manifest-path hbench/Cargo.toml -- \
         --workload "$workload" --seconds 3 > "target/hbench-$workload.txt"
     if ! tail -n 1 "target/hbench-$workload.txt" | grep -q '"failed": 0,'; then

@@ -19,7 +19,7 @@ use hyades::des::sim::Simulator;
 use hyades::des::time::SimTime;
 use hyades::gcm::decomp::Decomp;
 use hyades::gcm::field::Field3;
-use hyades::gcm::halo::{exchange3, HaloField};
+use hyades::gcm::halo::exchange3;
 use hyades::startx::HostParams;
 
 /// One delivery, fully materialized: (sink, time in ps, src, usr_tag,
@@ -158,6 +158,87 @@ fn fabric_and_comms_results_match_the_pinned_golden_values() {
     assert_eq!(g.value.to_bits(), 0.0f64.to_bits());
 }
 
+/// FNV-1a over the bit patterns of a model's `(u, v, w, θ, s, ps)`
+/// storage, halo included.
+fn model_state_digest(mut hash: u64, m: &hyades::gcm::driver::Model) -> u64 {
+    let st = &m.state;
+    let fields = [&st.u, &st.v, &st.w, &st.theta, &st.s];
+    for word in fields
+        .iter()
+        .flat_map(|f| f.raw())
+        .chain(st.ps.raw())
+        .map(|v| v.to_bits())
+    {
+        hash = (hash ^ word).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    hash
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Values captured at the commit before the DS hot path (`gcm::solver`,
+/// `gcm::halo`) was rewritten (PR 13): the rewrite promises the same
+/// bits, so the final state and the solver's iteration count of three
+/// short runs are compared with that commit, not only with themselves.
+#[test]
+fn gcm_results_match_the_pinned_golden_values() {
+    use hyades::comms::SerialWorld;
+    use hyades::gcm::config::{ModelConfig, SurfaceForcing};
+    use hyades::gcm::driver::Model;
+
+    // (a) 16x8 coupled pair (ocean with continents), 8 steps, serial.
+    let mut pair = hyades::scenario::small_coupled_scenario(16, 8, 4);
+    pair.atmos.cfg.cg_max_iters = 1000;
+    pair.ocean.cfg.cg_max_iters = 1000;
+    let (mut wa, mut wo) = (SerialWorld, SerialWorld);
+    let mut iters = 0;
+    for _ in 0..8 {
+        let (sa, so) = pair.step(&mut wa, &mut wo);
+        assert!(sa.cg_converged && so.cg_converged);
+        iters += sa.cg_iterations + so.cg_iterations;
+    }
+    let digest = model_state_digest(model_state_digest(FNV_OFFSET, &pair.atmos), &pair.ocean);
+    assert_eq!(
+        (digest, iters),
+        (0xc292_969e_6f72_30a8, 681),
+        "coupled 16x8"
+    );
+
+    // (b), (c) 32x16x4 forced ocean with continents on a 2x2 ThreadWorld,
+    // 5 steps: rigid lid, then free surface. Per rank: (digest, iterations).
+    let threaded = |free_surface: bool| {
+        let d = Decomp::blocks(32, 16, 2, 2, 3);
+        ThreadWorld::run(d.n_ranks(), move |w| {
+            let mut cfg = ModelConfig::test_ocean(32, 16, 4, d);
+            cfg.continents = true;
+            cfg.forcing = SurfaceForcing::Climatology;
+            cfg.free_surface = free_surface;
+            let mut m = Model::new(cfg, w.rank());
+            let mut iters = 0;
+            for _ in 0..5 {
+                let s = m.step(w);
+                assert!(s.cg_converged);
+                iters += s.cg_iterations;
+            }
+            (model_state_digest(FNV_OFFSET, &m), iters)
+        })
+    };
+    let rigid_lid = [
+        (0xa1ef_f82c_b7e7_301d, 565),
+        (0x6ab1_6840_a8cb_b8b4, 565),
+        (0x89a0_1254_fa22_0ba7, 565),
+        (0x7c06_64d2_0c49_97a1, 565),
+    ];
+    assert_eq!(threaded(false), rigid_lid, "rigid lid 32x16x4 on 2x2");
+    let free_surface = [
+        (0xc1dd_bf5e_2119_45b1, 108),
+        (0xb9c5_d7a5_ef35_129d, 108),
+        (0x96eb_2603_510f_c2ea, 108),
+        (0x8bd2_7fb8_7187_08c1, 108),
+    ];
+    assert_eq!(threaded(true), free_surface, "free surface 32x16x4 on 2x2");
+}
+
 /// Per-rank digest of a threaded halo-exchange + global-sum round:
 /// (global sum bits, FNV-1a over every halo cell's bit pattern).
 fn threaded_round(seed: u64) -> Vec<(u64, u64)> {
@@ -181,7 +262,7 @@ fn threaded_round(seed: u64) -> Vec<(u64, u64)> {
         for k in 0..nz {
             for j in 0..t.ny as i64 {
                 for i in 0..t.nx as i64 {
-                    local += field.get(i, j, k);
+                    local += field.at(i, j, k);
                 }
             }
         }
@@ -194,7 +275,7 @@ fn threaded_round(seed: u64) -> Vec<(u64, u64)> {
         for k in 0..nz {
             for j in -(h as i64)..(t.ny as i64 + h as i64) {
                 for i in -(h as i64)..(t.nx as i64 + h as i64) {
-                    hash ^= field.get(i, j, k).to_bits();
+                    hash ^= field.at(i, j, k).to_bits();
                     hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
                 }
             }
@@ -270,7 +351,7 @@ fn hb_replay_report(seed: u64) -> String {
             }
         }
         exchange3(w, &d, &t, &mut [&mut field], h);
-        let _ = w.global_sum(field.get(0, 0, 0));
+        let _ = w.global_sum(field.at(0, 0, 0));
         commlog::take()
     });
     let report = hyades_lint::hb::check(&logs).expect("ordering bug in threaded round");
