@@ -3,20 +3,16 @@
 //! The per-file rules in [`crate::rules`] catch nondeterminism *sources*
 //! where they are written; nothing there proves a source can't flow
 //! through a call chain into a reduction or an exported artifact. This
-//! module closes that gap with three layers on the same lexer/pass
-//! engine:
+//! module closes that gap with three layers on the shared front end
+//! ([`crate::graph::Workspace`]):
 //!
-//! 1. **Symbol table + call graph.** Every `fn` item in the workspace
-//!    (free functions, inherent/trait-impl methods, trait default
-//!    bodies) becomes a node, qualified by a module path derived from
-//!    its file (`comms::world::ThreadWorld::exchange`). Call sites come
-//!    straight off the token stream: bare calls resolve same-file →
-//!    same-crate → workspace; `Type::assoc(..)` / `Self::assoc(..)`
-//!    resolve through a `(type, name)` index; `recv.method(..)` uses
-//!    light local type inference (`let x = Type::new(..)`, `x: Type`
-//!    ascriptions, `self`) and falls back to *every* same-named method
-//!    when the receiver type is unknown — an over-approximation that
-//!    keeps dynamic dispatch sound.
+//! 1. **Function table + call graph** come from the workspace: every
+//!    `fn` item (free functions, inherent/trait-impl methods, trait
+//!    default bodies) is a node qualified by a module path derived from
+//!    its file (`comms::world::ThreadWorld::exchange`), and every call
+//!    site is already resolved (see [`crate::graph`] for the order; an
+//!    unknown receiver type falls back to *every* same-named method — an
+//!    over-approximation that keeps dynamic dispatch sound).
 //! 2. **Effect lattice.** `Det < DetModuloSeed < Nondet` with a source
 //!    catalog for intrinsic effects: wall-clock reads, unseeded RNG,
 //!    hash-container iteration, thread identity, env/args reads, atomic
@@ -42,17 +38,14 @@
 //! `nondet-reachable` itself is baselined so any accepted debt ratchets
 //! down, never up.
 
-use crate::graph::{
-    self, body_open, impl_subject, is_test_path, module_path, param_types, record_let, RawCall,
-    KEYWORDS,
-};
+use crate::graph::Workspace;
 use crate::lexer::TokKind;
 use crate::passes::{self, FileCtx};
 use crate::rules::{
-    for_in_subject, Finding, BAD_PRAGMA, FLOAT_REDUCE_UNORDERED, HASH_ITERATION, INSTANT_WALLCLOCK,
-    ITERATION_METHODS, NONDET_REACHABLE, PAR_METHODS, UNSEEDED_RNG, UNUSED_PRAGMA,
+    for_in_subject, Finding, FLOAT_REDUCE_UNORDERED, HASH_ITERATION, INSTANT_WALLCLOCK,
+    ITERATION_METHODS, NONDET_REACHABLE, PAR_METHODS, UNSEEDED_RNG,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// The effect lattice, ordered: `Det < DetModuloSeed < Nondet`.
 ///
@@ -275,15 +268,8 @@ impl FlowReport {
     }
 }
 
-/// A function definition found in the workspace.
-struct FnDef {
-    name: String,
-    qual: String,
-    file: String,
-    line: usize,
-    self_ty: Option<String>,
-    crate_name: Option<String>,
-    is_test: bool,
+/// What only this analysis knows about a function.
+struct FnFlow {
     trusted: bool,
     /// Line of a covering `lint:allow(nondet-reachable, why)` pragma.
     allow_sink: Option<usize>,
@@ -291,36 +277,11 @@ struct FnDef {
     source: Option<(usize, String)>,
 }
 
-#[derive(Default)]
-struct Builder {
-    fns: Vec<FnDef>,
-    calls: Vec<Vec<RawCall>>,
-    locals: Vec<BTreeMap<String, String>>,
-    findings: Vec<Finding>,
-    used_allow: BTreeSet<(String, usize)>,
-    trusted_sites: Vec<(String, usize)>,
-}
-
 /// Run the analysis over `(rel_path, contents)` sources against a sink
 /// list. Sources should be pre-sorted by path (as `collect_sources`
 /// returns them) for deterministic output.
 pub fn analyze(sources: &[(String, String)], sinks: &[SinkSpec]) -> FlowReport {
-    let mut b = Builder::default();
-    for (rel, src) in sources {
-        let ctx = FileCtx::new(rel, src);
-        extract_file(&ctx, &mut b);
-    }
-    resolve_and_check(b, sinks)
-}
-
-/// Which pragma (by line) covers a source on `line` for `rule`, if any.
-fn covering_pragma(ctx: &FileCtx<'_>, rule: &str, line: usize) -> Option<usize> {
-    ctx.pragmas
-        .iter()
-        .find(|p| {
-            p.rule == rule && p.has_reason && (p.line == line || (p.own_line && p.line + 1 == line))
-        })
-        .map(|p| p.line)
+    analyze_ws(&Workspace::build(sources), sinks)
 }
 
 /// The intrinsic-source catalog: does token `i` read nondeterminism (or
@@ -440,263 +401,64 @@ fn detect_source(
     }
 }
 
-fn apply_source(f: &mut FnDef, eff: Effect, line: usize, what: String) {
-    if eff > f.intrinsic || f.source.is_none() {
-        if eff >= f.intrinsic {
-            f.source = Some((line, what));
-        }
-        if eff > f.intrinsic {
-            f.intrinsic = eff;
-        }
-    }
-}
-
-/// One ident token inside a function body: record sources, `let` type
-/// bindings, and call sites.
-fn scan_token(
-    ctx: &FileCtx<'_>,
-    i: usize,
-    fid: usize,
+/// Function `f`'s own facts. Its intrinsic effect is the strongest
+/// un-suppressed source among the tokens it owns (the first one seen,
+/// among equals).
+fn fn_facts(
+    ws: &Workspace<'_>,
+    f: usize,
     hash_names: &BTreeSet<String>,
-    b: &mut Builder,
-) {
-    let t = &ctx.code[i];
-    if t.text == "let" {
-        record_let(ctx, i, &mut b.locals[fid]);
-        return;
-    }
-    if let Some((eff, what, allow_rule)) = detect_source(ctx, i, hash_names) {
-        let line = ctx.line(i);
-        let suppressed = allow_rule
-            .and_then(|rule| covering_pragma(ctx, rule, line))
-            .map(|pline| b.used_allow.insert((ctx.rel_path.to_string(), pline)))
-            .is_some();
-        if !suppressed {
-            apply_source(&mut b.fns[fid], eff, line, what);
-        }
-    }
-    if KEYWORDS.contains(&t.text) {
-        return;
-    }
-    let after = ctx.skip_turbofish(i + 1);
-    let is_call = if after > i + 1 {
-        ctx.is(after, "(")
+    used_allow: &mut BTreeSet<(String, usize)>,
+) -> FnFlow {
+    let (ctx, def) = (ws.ctx(f), &ws.fns[f]);
+    // Methods of the seeded RNG are DetModuloSeed by construction even
+    // when their bodies only touch state.
+    let (mut intrinsic, mut source) = if def.self_ty == Some("SplitMix64") {
+        let what = "method of seeded RNG `SplitMix64`".to_string();
+        (Effect::DetModuloSeed, Some((def.line, what)))
     } else {
-        ctx.is(i + 1, "(")
+        (Effect::Det, None)
     };
-    if !is_call {
-        return;
-    }
-    let call = graph::classify_call(ctx, i, b.fns[fid].self_ty.as_deref(), &b.locals[fid]);
-    b.calls[fid].push(call);
-}
-
-/// Symbol-table + call-site extraction for one file.
-fn extract_file(ctx: &FileCtx<'_>, b: &mut Builder) {
-    let base = module_path(ctx.rel_path);
-    let path_test = is_test_path(ctx.rel_path);
-    let hash_names = ctx.bound_names(&["HashMap", "HashSet"]);
-    let first_fn = b.fns.len();
-
-    struct Scope {
-        close: usize,
-        seg: Option<String>,
-        ty: Option<String>,
-        fn_id: Option<usize>,
-    }
-    let mut scopes: Vec<Scope> = Vec::new();
-    let mut i = 0usize;
-    while i < ctx.code.len() {
-        while scopes.last().is_some_and(|s| i > s.close) {
-            scopes.pop();
-        }
-        let Some(t) = ctx.code.get(i) else { break };
-        if t.kind != TokKind::Ident {
-            i += 1;
+    let owned = def.spans.iter().flat_map(|&(s, e)| s..e);
+    for i in owned.filter(|&i| ctx.kind(i) == Some(TokKind::Ident)) {
+        let Some((eff, what, allow_rule)) = detect_source(ctx, i, hash_names) else {
             continue;
-        }
-        match t.text {
-            "impl" => {
-                if let Some((subject, bopen)) = impl_subject(ctx, i) {
-                    if let Some(close) = ctx.bracket_partner(bopen) {
-                        scopes.push(Scope {
-                            close,
-                            seg: Some(subject.clone()),
-                            ty: Some(subject),
-                            fn_id: None,
-                        });
-                        i = bopen + 1;
-                        continue;
-                    }
-                }
-                i += 1;
-            }
-            "trait" if ctx.kind(i + 1) == Some(TokKind::Ident) => {
-                let subject = ctx.text(i + 1).to_string();
-                if let Some(bopen) = body_open(ctx, i + 2) {
-                    if let Some(close) = ctx.bracket_partner(bopen) {
-                        scopes.push(Scope {
-                            close,
-                            seg: Some(subject.clone()),
-                            ty: Some(subject),
-                            fn_id: None,
-                        });
-                        i = bopen + 1;
-                        continue;
-                    }
-                }
-                i += 1;
-            }
-            "mod" if ctx.kind(i + 1) == Some(TokKind::Ident) && ctx.is(i + 2, "{") => {
-                match ctx.bracket_partner(i + 2) {
-                    Some(close) => {
-                        scopes.push(Scope {
-                            close,
-                            seg: Some(ctx.text(i + 1).to_string()),
-                            ty: None,
-                            fn_id: None,
-                        });
-                        i += 3;
-                    }
-                    None => i += 1,
-                }
-            }
-            // Skip the name so tuple-struct `Name(..)` defs are not calls.
-            "struct" | "enum" | "union" => i += 2,
-            "fn" if ctx.kind(i + 1) == Some(TokKind::Ident) => {
-                let name_idx = i + 1;
-                let Some(bopen) = body_open(ctx, name_idx + 1) else {
-                    i = name_idx + 1; // bodyless trait method
-                    continue;
-                };
-                let Some(close) = ctx.bracket_partner(bopen) else {
-                    i = name_idx + 1;
-                    continue;
-                };
-                let cur_ty = scopes.iter().rev().find_map(|s| s.ty.clone());
-                let line = ctx.line(i);
-                let mut qual = base.clone();
-                for s in &scopes {
-                    if let Some(seg) = &s.seg {
-                        if !qual.is_empty() {
-                            qual.push_str("::");
-                        }
-                        qual.push_str(seg);
-                    }
-                }
-                if !qual.is_empty() {
-                    qual.push_str("::");
-                }
-                qual.push_str(ctx.text(name_idx));
-                let trusted = ctx.trusted.iter().any(|p| p.covers(line));
-                let allow_sink = ctx
-                    .pragmas
-                    .iter()
-                    .find(|p| {
-                        p.rule == NONDET_REACHABLE
-                            && p.has_reason
-                            && (p.line == line || (p.own_line && p.line + 1 == line))
-                    })
-                    .map(|p| p.line);
-                let id = b.fns.len();
-                // Methods of the seeded RNG are DetModuloSeed by
-                // construction even when their bodies only touch state.
-                let (intrinsic, source) = if cur_ty.as_deref() == Some("SplitMix64") {
-                    (
-                        Effect::DetModuloSeed,
-                        Some((line, "method of seeded RNG `SplitMix64`".to_string())),
-                    )
-                } else {
-                    (Effect::Det, None)
-                };
-                b.fns.push(FnDef {
-                    name: ctx.text(name_idx).to_string(),
-                    qual,
-                    file: ctx.rel_path.to_string(),
-                    line,
-                    self_ty: cur_ty,
-                    crate_name: ctx.scope.crate_name.clone(),
-                    is_test: path_test || ctx.in_test[i],
-                    trusted,
-                    allow_sink,
-                    intrinsic,
-                    source,
-                });
-                b.calls.push(Vec::new());
-                b.locals.push(param_types(ctx, name_idx));
-                scopes.push(Scope {
-                    close,
-                    seg: Some(ctx.text(name_idx).to_string()),
-                    ty: None,
-                    fn_id: Some(id),
-                });
-                i = name_idx + 1;
-            }
-            _ => {
-                if let Some(fid) = scopes.iter().rev().find_map(|s| s.fn_id) {
-                    scan_token(ctx, i, fid, &hash_names, b);
-                }
-                i += 1;
-            }
+        };
+        let line = ctx.line(i);
+        if let Some(pline) = allow_rule.and_then(|rule| ctx.allow_covering(rule, line)) {
+            used_allow.insert((ctx.rel_path.to_string(), pline));
+        } else if eff > intrinsic || (eff == intrinsic && source.is_none()) {
+            intrinsic = eff;
+            source = Some((line, what));
         }
     }
-
-    // det-trusted audit via the shared registry: reasonless pragmas are
-    // bad, unattached ones are stale; valid attached ones join the
-    // pragma budget.
-    let fn_lines: Vec<usize> = b.fns[first_fn..].iter().map(|f| f.line).collect();
-    for audit in passes::audit_trust_pragmas(&passes::DET_TRUSTED, &ctx.trusted, &fn_lines) {
-        match audit {
-            passes::TrustAudit::Reasonless { line, message } => b.findings.push(Finding {
-                rel_path: ctx.rel_path.to_string(),
-                line,
-                rule: BAD_PRAGMA,
-                message,
-            }),
-            passes::TrustAudit::Attached { line } => {
-                b.trusted_sites.push((ctx.rel_path.to_string(), line));
-            }
-            passes::TrustAudit::Unattached { line, message } => b.findings.push(Finding {
-                rel_path: ctx.rel_path.to_string(),
-                line,
-                rule: UNUSED_PRAGMA,
-                message,
-            }),
-        }
+    FnFlow {
+        trusted: ctx.trusted.iter().any(|p| p.covers(def.line)),
+        allow_sink: ctx.allow_covering(NONDET_REACHABLE, def.line),
+        intrinsic,
+        source,
     }
 }
 
-/// Call-graph resolution, effect fixpoint, and the sink check.
-fn resolve_and_check(mut b: Builder, sinks: &[SinkSpec]) -> FlowReport {
-    let n = b.fns.len();
-    let syms: Vec<graph::Sym> = b
-        .fns
+/// Effect sources per function, the effect fixpoint over the workspace
+/// call graph, and the sink check.
+pub(crate) fn analyze_ws(ws: &Workspace<'_>, sinks: &[SinkSpec]) -> FlowReport {
+    let n = ws.fns.len();
+    let (mut findings, mut trusted_sites) =
+        ws.audit_trust(&passes::DET_TRUSTED, |ctx| &ctx.trusted);
+    let mut used_allow = BTreeSet::new();
+    let hash_names: Vec<BTreeSet<String>> = ws
+        .files
         .iter()
-        .map(|f| graph::Sym {
-            name: f.name.clone(),
-            qual: f.qual.clone(),
-            file: f.file.clone(),
-            self_ty: f.self_ty.clone(),
-            crate_name: f.crate_name.clone(),
-            is_test: f.is_test,
-        })
+        .map(|ctx| ctx.bound_names(&["HashMap", "HashSet"]))
         .collect();
-    let resolver = graph::Resolver::new(&syms);
-
-    let mut edges: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-    for caller in 0..n {
-        for call in &b.calls[caller] {
-            for c in resolver.candidates(&syms, caller, call) {
-                edges[caller].insert(c);
-            }
-        }
-    }
-    let call_edges = edges.iter().map(BTreeSet::len).sum();
+    let facts: Vec<FnFlow> = (0..n)
+        .map(|f| fn_facts(ws, f, &hash_names[ws.fns[f].file], &mut used_allow))
+        .collect();
 
     // Fixpoint: effect(f) = max(intrinsic, max over callees); `via`
     // remembers which callee last raised f, for witness chains.
-    let mut effect: Vec<Effect> = b
-        .fns
+    let mut effect: Vec<Effect> = facts
         .iter()
         .map(|f| if f.trusted { Effect::Det } else { f.intrinsic })
         .collect();
@@ -704,10 +466,10 @@ fn resolve_and_check(mut b: Builder, sinks: &[SinkSpec]) -> FlowReport {
     loop {
         let mut changed = false;
         for f in 0..n {
-            if b.fns[f].trusted {
+            if facts[f].trusted {
                 continue;
             }
-            for &g in &edges[f] {
+            for &g in &ws.callees[f] {
                 if effect[g] > effect[f] {
                     effect[f] = effect[g];
                     via[f] = Some(g);
@@ -724,7 +486,7 @@ fn resolve_and_check(mut b: Builder, sinks: &[SinkSpec]) -> FlowReport {
         let mut out = vec![start];
         let mut seen = BTreeSet::from([start]);
         let mut cur = start;
-        while !b.fns[cur].trusted && effect[cur] > b.fns[cur].intrinsic {
+        while !facts[cur].trusted && effect[cur] > facts[cur].intrinsic {
             let Some(nx) = via[cur] else { break };
             if !seen.insert(nx) {
                 break;
@@ -734,18 +496,19 @@ fn resolve_and_check(mut b: Builder, sinks: &[SinkSpec]) -> FlowReport {
         }
         out
     };
+    let path = |f: usize| ws.ctx(f).rel_path;
 
     let mut sink_results: Vec<SinkResult> = Vec::new();
     for spec in sinks {
         let matches: Vec<usize> = (0..n)
             .filter(|&f| {
-                b.fns[f].name == spec.name
-                    && b.fns[f].file.contains(spec.path_hint)
-                    && !b.fns[f].is_test
+                ws.fns[f].name == spec.name
+                    && path(f).contains(spec.path_hint)
+                    && !ws.fns[f].is_test
             })
             .collect();
         if matches.is_empty() {
-            b.findings.push(Finding {
+            findings.push(Finding {
                 rel_path: spec.path_hint.trim_end_matches('/').to_string(),
                 line: 0,
                 rule: NONDET_REACHABLE,
@@ -758,26 +521,26 @@ fn resolve_and_check(mut b: Builder, sinks: &[SinkSpec]) -> FlowReport {
         }
         for m in matches {
             let ch = chain_of(m);
-            let terminal = *ch.last().expect("chain starts at the sink");
-            let chain_quals: Vec<String> = ch.iter().map(|&f| b.fns[f].qual.clone()).collect();
+            let terminal = ch.last().copied().unwrap_or(m);
+            let chain_quals: Vec<String> = ch.iter().map(|&f| ws.fns[f].qual.clone()).collect();
             if effect[m] == Effect::Nondet {
-                if let Some(pline) = b.fns[m].allow_sink {
-                    b.used_allow.insert((b.fns[m].file.clone(), pline));
+                if let Some(pline) = facts[m].allow_sink {
+                    used_allow.insert((path(m).to_string(), pline));
                 } else {
-                    let src_txt = b.fns[terminal]
+                    let src_txt = facts[terminal]
                         .source
                         .as_ref()
-                        .map(|(l, w)| format!("{w} at {}:{l}", b.fns[terminal].file))
+                        .map(|(l, w)| format!("{w} at {}:{l}", path(terminal)))
                         .unwrap_or_else(|| "unresolved source".to_string());
-                    b.findings.push(Finding {
-                        rel_path: b.fns[m].file.clone(),
-                        line: b.fns[m].line,
+                    findings.push(Finding {
+                        rel_path: path(m).to_string(),
+                        line: ws.fns[m].line,
                         rule: NONDET_REACHABLE,
                         message: format!(
                             "sink `{}` ({}) transitively reaches Nondet `{}` ({}); chain: {}",
-                            b.fns[m].qual,
+                            ws.fns[m].qual,
                             spec.what,
-                            b.fns[terminal].qual,
+                            ws.fns[terminal].qual,
                             src_txt,
                             chain_quals.join(" -> ")
                         ),
@@ -787,9 +550,9 @@ fn resolve_and_check(mut b: Builder, sinks: &[SinkSpec]) -> FlowReport {
             sink_results.push(SinkResult {
                 name: spec.name,
                 what: spec.what,
-                qual: b.fns[m].qual.clone(),
-                file: b.fns[m].file.clone(),
-                line: b.fns[m].line,
+                qual: ws.fns[m].qual.clone(),
+                file: path(m).to_string(),
+                line: ws.fns[m].line,
                 effect: effect[m],
                 chain: chain_quals,
             });
@@ -798,42 +561,41 @@ fn resolve_and_check(mut b: Builder, sinks: &[SinkSpec]) -> FlowReport {
 
     let mut fns_out: Vec<FnEffect> = (0..n)
         .map(|f| FnEffect {
-            qual: b.fns[f].qual.clone(),
-            file: b.fns[f].file.clone(),
-            line: b.fns[f].line,
+            qual: ws.fns[f].qual.clone(),
+            file: path(f).to_string(),
+            line: ws.fns[f].line,
             effect: effect[f],
-            is_test: b.fns[f].is_test,
-            trusted: b.fns[f].trusted,
-            source: b.fns[f].source.clone(),
+            is_test: ws.fns[f].is_test,
+            trusted: facts[f].trusted,
+            source: facts[f].source.clone(),
         })
         .collect();
     fns_out.sort_by(|a, z| (&a.qual, &a.file, a.line).cmp(&(&z.qual, &z.file, z.line)));
-    let mut trusted: Vec<String> = b
-        .fns
-        .iter()
-        .filter(|f| f.trusted)
-        .map(|f| f.qual.clone())
+    let mut trusted: Vec<String> = (0..n)
+        .filter(|&f| facts[f].trusted)
+        .map(|f| ws.fns[f].qual.clone())
         .collect();
     trusted.sort();
-    b.findings.sort();
-    b.findings.dedup();
-    b.trusted_sites.sort();
+    findings.sort();
+    findings.dedup();
+    trusted_sites.sort();
 
     FlowReport {
         functions: n,
-        call_edges,
+        call_edges: ws.call_edges(),
         fns: fns_out,
         sinks: sink_results,
         trusted,
-        trusted_sites: b.trusted_sites,
-        used_allow: b.used_allow,
-        findings: b.findings,
+        trusted_sites,
+        used_allow,
+        findings,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rules::{BAD_PRAGMA, UNUSED_PRAGMA};
 
     fn one(path: &str, src: &str, sinks: &[SinkSpec]) -> FlowReport {
         analyze(&[(path.to_string(), src.to_string())], sinks)

@@ -20,7 +20,8 @@
 //! [`uniform`] (PR 9) proves SPMD collective uniformity: no
 //! rank-dependent branch, early exit, or loop bound can make one rank
 //! skip or repeat a blocking collective the others enter. [`graph`] is
-//! the shared symbol-table/call-resolution layer under the last two.
+//! the one front end under all of it: each file lexed once, one function
+//! table, one resolved call graph ([`graph::Workspace`]).
 //!
 //! Runs two ways:
 //!
@@ -213,15 +214,17 @@ fn json_escape(s: &str) -> String {
 /// interprocedural [`flow`] and [`uniform`] findings. Pragmas either
 /// whole-program analysis honored are reconciled here: a pragma that
 /// suppressed a flow source or a collective-divergence finding is not
-/// "unused" even when no per-file rule fired on its line.
+/// "unused" even when no per-file rule fired on its line. Everything
+/// runs over one [`graph::Workspace`], so each file is lexed once.
 fn workspace_findings(
     sources: &[(String, String)],
 ) -> (Vec<Finding>, flow::FlowReport, uniform::UniformReport) {
-    let fl = flow::analyze(sources, flow::WORKSPACE_SINKS);
-    let un = uniform::analyze(sources);
+    let ws = graph::Workspace::build(sources);
+    let fl = flow::analyze_ws(&ws, flow::WORKSPACE_SINKS);
+    let un = uniform::analyze_ws(&ws);
     let mut findings = Vec::new();
-    for (rel, contents) in sources {
-        let fa = rules::analyze_file(rel, contents);
+    for ctx in &ws.files {
+        let fa = rules::analyze_ctx(ctx);
         findings.extend(fa.findings.into_iter().filter(|f| {
             f.rule != rules::UNUSED_PRAGMA
                 || (!fl.used_allow.contains(&(f.rel_path.clone(), f.line))
@@ -230,7 +233,7 @@ fn workspace_findings(
         for p in &fa.pragmas {
             if p.valid {
                 findings.push(Finding {
-                    rel_path: rel.clone(),
+                    rel_path: ctx.rel_path.to_string(),
                     line: p.line,
                     rule: rules::PRAGMA_ALLOW,
                     message: format!("lint:allow({}) suppression", p.rule),
@@ -315,8 +318,9 @@ pub fn fix_baseline(root: &Path) -> std::io::Result<(usize, usize)> {
     // A pragma only the whole-program analyses use (e.g. suppressing a
     // flow source or a collective-divergence finding) must survive the
     // sweep.
-    let fl = flow::analyze(&sources, flow::WORKSPACE_SINKS);
-    let un = uniform::analyze(&sources);
+    let ws = graph::Workspace::build(&sources);
+    let fl = flow::analyze_ws(&ws, flow::WORKSPACE_SINKS);
+    let un = uniform::analyze_ws(&ws);
     // Stale trust pragmas are reported as `unused-pragma` findings by
     // the two analyses' audits; their lines feed the same strip pass.
     let stale_trust: BTreeSet<(String, usize)> = fl
@@ -327,8 +331,8 @@ pub fn fix_baseline(root: &Path) -> std::io::Result<(usize, usize)> {
         .map(|f| (f.rel_path.clone(), f.line))
         .collect();
     let mut files_changed = 0usize;
-    for (rel, contents) in &sources {
-        let fa = rules::analyze_file(rel, contents);
+    for ((rel, contents), ctx) in sources.iter().zip(&ws.files) {
+        let fa = rules::analyze_ctx(ctx);
         let mut stale: BTreeSet<usize> = fa
             .pragmas
             .iter()

@@ -5,8 +5,9 @@
 //! * `--json` — emit the report as one stable-sorted JSON object
 //!   (machine-readable CI diffs);
 //! * `--summary` — print one stable `hyades-lint: files=N violations=N
-//!   effect-table=N collectives=N notes=N` line (consumed by
-//!   `scripts/check.sh`);
+//!   effect-table=N collectives=N notes=N` line; together with `--json`
+//!   the JSON goes to stdout and this line to stderr, so one run feeds
+//!   both consumers (`scripts/check.sh`);
 //! * `--write-baseline` — regenerate `crates/lint/baseline.txt` from the
 //!   current tree (ratchets the unwrap-in-lib and pragma budgets);
 //! * `--fix-baseline` — strip `unused-pragma` suppressions from the
@@ -61,12 +62,14 @@ fn main() -> ExitCode {
     let summary = args.iter().any(|a| a == "--summary");
     match hyades_lint::lint_workspace(&root) {
         Ok(report) => {
-            if json {
-                print!("{}", report.render_json());
-            } else if summary {
-                println!("{}", report.render_summary());
-            } else {
-                print!("{}", report.render());
+            match (json, summary) {
+                (true, true) => {
+                    print!("{}", report.render_json());
+                    eprintln!("{}", report.render_summary());
+                }
+                (true, false) => print!("{}", report.render_json()),
+                (false, true) => println!("{}", report.render_summary()),
+                (false, false) => print!("{}", report.render()),
             }
             if report.is_clean() {
                 if !json && !summary {

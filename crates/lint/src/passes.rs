@@ -75,7 +75,7 @@ impl TrustPragma {
 
 /// One trust-pragma family in the shared registry: its name, opener
 /// needle, and nothing else — parse ([`FileCtx::new`]), audit
-/// ([`audit_trust_pragmas`]), and `--fix-baseline` stripping
+/// ([`crate::graph::Workspace::audit_trust`]), and `--fix-baseline` stripping
 /// ([`PRAGMA_NEEDLES`]) are all driven off this table, so the
 /// `det-trusted` and `uniform-trusted` surfaces cannot drift apart.
 #[derive(Debug, Clone, Copy)]
@@ -118,50 +118,6 @@ impl TrustSpec {
     }
 }
 
-/// One audited trust pragma, classified. Produced by
-/// [`audit_trust_pragmas`]; the flow and uniform passes map these into
-/// their own `Finding` types (reasonless → `bad-pragma`, unattached →
-/// `unused-pragma`) and record attached sites in their audit trails.
-#[derive(Debug, Clone)]
-pub enum TrustAudit {
-    /// Empty reason: the pragma pins nothing and is itself a finding.
-    Reasonless { line: usize, message: String },
-    /// Reasoned but covering no `fn` header: stale, safe to strip.
-    Unattached { line: usize, message: String },
-    /// Reasoned and covering a `fn` header on `line` (per
-    /// [`TrustPragma::covers`] with the fn lines supplied).
-    Attached { line: usize },
-}
-
-/// Classify every trust pragma of one family against the `fn`-header
-/// lines seen in the same file. Shared by the `det-trusted` audit in
-/// [`crate::flow`] and the `uniform-trusted` audit in [`crate::uniform`]
-/// so the two families keep identical semantics.
-pub fn audit_trust_pragmas(
-    spec: &TrustSpec,
-    pragmas: &[TrustPragma],
-    fn_lines: &[usize],
-) -> Vec<TrustAudit> {
-    pragmas
-        .iter()
-        .map(|tp| {
-            if !tp.has_reason {
-                TrustAudit::Reasonless {
-                    line: tp.line,
-                    message: spec.reasonless_message(),
-                }
-            } else if fn_lines.iter().any(|&l| tp.covers(l)) {
-                TrustAudit::Attached { line: tp.line }
-            } else {
-                TrustAudit::Unattached {
-                    line: tp.line,
-                    message: spec.unattached_message(),
-                }
-            }
-        })
-        .collect()
-}
-
 /// One token-matching step for [`FileCtx::match_seq`].
 pub enum Pat {
     /// Exact token text (`"."`, `"("`, `"::"`, keyword, …).
@@ -193,8 +149,8 @@ pub struct FileCtx<'a> {
     /// For each closer token index, the opener index (and vice versa);
     /// `usize::MAX` elsewhere.
     partner: Vec<usize>,
-    /// 1-based lines that carry at least one code token.
-    lines_with_code: BTreeSet<usize>,
+    /// Indexed by 1-based line: does it carry at least one code token?
+    lines_with_code: Vec<bool>,
 }
 
 impl<'a> FileCtx<'a> {
@@ -202,14 +158,16 @@ impl<'a> FileCtx<'a> {
         let all = lex(source);
         let mut code = Vec::new();
         let mut comments = Vec::new();
-        let mut lines_with_code = BTreeSet::new();
+        let mut lines_with_code: Vec<bool> = Vec::new();
         for t in all {
             if matches!(t.kind, TokKind::Comment | TokKind::DocComment) {
                 comments.push(t);
             } else {
-                for l in 0..=t.extra_lines() {
-                    lines_with_code.insert((t.line + l) as usize);
+                let (first, last) = (t.line as usize, (t.line + t.extra_lines()) as usize);
+                if lines_with_code.len() <= last {
+                    lines_with_code.resize(last + 1, false);
                 }
+                lines_with_code[first..=last].fill(true);
                 code.push(t);
             }
         }
@@ -234,7 +192,7 @@ impl<'a> FileCtx<'a> {
     }
 
     /// Token text at `i` (empty past the end).
-    pub fn text(&self, i: usize) -> &str {
+    pub fn text(&self, i: usize) -> &'a str {
         self.code.get(i).map(|t| t.text).unwrap_or("")
     }
 
@@ -259,7 +217,20 @@ impl<'a> FileCtx<'a> {
 
     /// Does line `l` (1-based) carry any code token?
     pub fn line_has_code(&self, l: usize) -> bool {
-        self.lines_with_code.contains(&l)
+        has_code(&self.lines_with_code, l)
+    }
+
+    /// Line of the reasoned `lint:allow(rule, why)` pragma covering
+    /// `line`, if any: on the line itself, or alone on the line above.
+    pub(crate) fn allow_covering(&self, rule: &str, line: usize) -> Option<usize> {
+        self.pragmas
+            .iter()
+            .find(|p| {
+                p.rule == rule
+                    && p.has_reason
+                    && (p.line == line || (p.own_line && p.line + 1 == line))
+            })
+            .map(|p| p.line)
     }
 
     /// Matching bracket for opener/closer token `i`, if balanced.
@@ -430,6 +401,10 @@ impl<'a> FileCtx<'a> {
     }
 }
 
+fn has_code(lines_with_code: &[bool], l: usize) -> bool {
+    lines_with_code.get(l).copied().unwrap_or(false)
+}
+
 /// Opener/closer partner indices over `()`, `[]`, `{}`.
 fn match_brackets(code: &[Tok<'_>]) -> Vec<usize> {
     let mut partner = vec![usize::MAX; code.len()];
@@ -511,7 +486,7 @@ fn cfg_test_flags(code: &[Tok<'_>], partner: &[usize]) -> Vec<bool> {
 /// Parse `lint:allow(rule, reason)` pragmas out of the comment stream.
 /// Doc comments describe the syntax without invoking it; only plain
 /// comments carry live pragmas.
-fn parse_pragmas(comments: &[Tok<'_>], lines_with_code: &BTreeSet<usize>) -> Vec<Pragma> {
+fn parse_pragmas(comments: &[Tok<'_>], lines_with_code: &[bool]) -> Vec<Pragma> {
     let mut out = Vec::new();
     for c in comments {
         if c.kind == TokKind::DocComment {
@@ -532,7 +507,7 @@ fn parse_pragmas(comments: &[Tok<'_>], lines_with_code: &BTreeSet<usize>) -> Vec
             out.push(Pragma {
                 rule: rule.to_string(),
                 has_reason: reason,
-                own_line: !lines_with_code.contains(&line),
+                own_line: !has_code(lines_with_code, line),
                 line,
             });
             let consumed = pos + "lint:allow(".len() + close;
@@ -550,7 +525,7 @@ fn parse_pragmas(comments: &[Tok<'_>], lines_with_code: &BTreeSet<usize>) -> Vec
 fn parse_trust_pragmas(
     needle: &str,
     comments: &[Tok<'_>],
-    lines_with_code: &BTreeSet<usize>,
+    lines_with_code: &[bool],
 ) -> Vec<TrustPragma> {
     let mut out = Vec::new();
     for c in comments {
@@ -566,7 +541,7 @@ fn parse_trust_pragmas(
             let close = body.find(')').unwrap_or(body.len());
             out.push(TrustPragma {
                 has_reason: !body[..close].trim().is_empty(),
-                own_line: !lines_with_code.contains(&line),
+                own_line: !has_code(lines_with_code, line),
                 line,
             });
             let consumed = pos + needle.len() + close;
@@ -821,53 +796,6 @@ mod tests {
             );
         }
         assert_eq!(PRAGMA_NEEDLES.len(), TRUST_SPECS.len() + 1);
-    }
-
-    #[test]
-    fn trust_audit_classifies_all_three_ways() {
-        let pragmas = vec![
-            // Reasonless.
-            TrustPragma {
-                has_reason: false,
-                own_line: true,
-                line: 1,
-            },
-            // Attached: own comment line directly above fn on line 5.
-            TrustPragma {
-                has_reason: true,
-                own_line: true,
-                line: 4,
-            },
-            // Attached: trailing on the fn's own line 9.
-            TrustPragma {
-                has_reason: true,
-                own_line: false,
-                line: 9,
-            },
-            // Trailing on a code line: does NOT reach the next line.
-            TrustPragma {
-                has_reason: true,
-                own_line: false,
-                line: 11,
-            },
-        ];
-        let audits = audit_trust_pragmas(&DET_TRUSTED, &pragmas, &[5, 9, 12]);
-        assert!(matches!(
-            &audits[0],
-            TrustAudit::Reasonless { line: 1, message } if message.contains("needs a reason")
-        ));
-        assert!(matches!(audits[1], TrustAudit::Attached { line: 4 }));
-        assert!(matches!(audits[2], TrustAudit::Attached { line: 9 }));
-        assert!(matches!(
-            &audits[3],
-            TrustAudit::Unattached { line: 11, message } if message.contains("attaches to no `fn`")
-        ));
-        // Same pragmas under the uniform family: only the messages differ.
-        let u = audit_trust_pragmas(&UNIFORM_TRUSTED, &pragmas, &[5, 9, 12]);
-        assert!(matches!(
-            &u[0],
-            TrustAudit::Reasonless { message, .. } if message.starts_with("lint:uniform-trusted()")
-        ));
     }
 
     #[test]

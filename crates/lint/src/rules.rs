@@ -502,10 +502,15 @@ fn pass_schedule_tiebreak(ctx: &FileCtx<'_>, out: &mut Vec<Raw>) {
 /// Run every rule over one file, apply pragmas, and report the pragma
 /// audit trail. `rel_path` is workspace-relative with `/` separators.
 pub fn analyze_file(rel_path: &str, source: &str) -> FileAnalysis {
-    let ctx = FileCtx::new(rel_path, source);
+    analyze_ctx(&FileCtx::new(rel_path, source))
+}
+
+/// [`analyze_file`] over an already-lexed file.
+pub(crate) fn analyze_ctx(ctx: &FileCtx<'_>) -> FileAnalysis {
+    let rel_path = ctx.rel_path;
     let mut raw: Vec<Raw> = Vec::new();
     for pass in PASSES {
-        pass(&ctx, &mut raw);
+        pass(ctx, &mut raw);
     }
 
     // Pragma application: same-line always; a comment-only pragma line

@@ -40,10 +40,10 @@
 //! on the branch line, or `// lint:uniform-trusted(why)` directly above
 //! a `fn` to exempt the whole function.
 
-use crate::graph::{self, body_open, impl_subject, is_test_path, module_path, RawCall, KEYWORDS};
+use crate::graph::{body_open, call_open, starts_upper, RawCall, Workspace, KEYWORDS};
 use crate::lexer::TokKind;
 use crate::passes::{self, FileCtx};
-use crate::rules::{Finding, BAD_PRAGMA, COLLECTIVE_DIVERGENCE, UNUSED_PRAGMA};
+use crate::rules::{Finding, COLLECTIVE_DIVERGENCE};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One entry in the collective catalog.
@@ -193,24 +193,6 @@ enum Node {
     },
 }
 
-/// One function definition, with its body token range (token indices
-/// are stable across walks of the same [`FileCtx`]).
-struct UFn {
-    name: String,
-    qual: String,
-    file_idx: usize,
-    file: String,
-    line: usize,
-    name_idx: usize,
-    body: (usize, usize),
-    self_ty: Option<String>,
-    is_test: bool,
-    trusted: bool,
-    /// Line of a covering `lint:allow(collective-divergence, why)`.
-    allow_fn: Option<usize>,
-    params: Vec<String>,
-}
-
 /// Per-function row of the proof table.
 #[derive(Debug, Clone)]
 pub struct FnUniform {
@@ -286,21 +268,23 @@ impl UniformReport {
     }
 }
 
-/// Fixpoint cap: taints are monotone so this only bounds pathological
-/// call-graph depth, not correctness on real inputs.
-const MAX_ROUNDS: usize = 12;
-
-/// Global fixpoint state.
-struct State {
-    fns: Vec<UFn>,
-    syms: Vec<graph::Sym>,
-    resolver: graph::Resolver,
-    call_edges: usize,
+/// Fixpoint state over the workspace's function table (every `Vec` is
+/// indexed by function). Every taint slot is first-writer-wins, so each
+/// is written at most once and the fixpoint needs no round cap.
+struct State<'w, 'a> {
+    ws: &'w Workspace<'a>,
+    /// Covered by a `lint:uniform-trusted` pragma.
+    trusted: Vec<bool>,
+    /// Line of a covering `lint:allow(collective-divergence, why)`.
+    allow_fn: Vec<Option<usize>>,
     ret_rd: Vec<Taint>,
     param_rd: Vec<Vec<Taint>>,
     has_coll: Vec<bool>,
-    changed: bool,
-    /// Final round only.
+    /// An input of the function's walk — its own parameter taints, a
+    /// callee's return taint or has-collective bit — changed since the
+    /// walk last ran.
+    dirty: Vec<bool>,
+    /// Final walk only: count sites, check the control trees.
     collecting: bool,
     findings: Vec<Finding>,
     used_allow: BTreeSet<(String, usize)>,
@@ -308,282 +292,135 @@ struct State {
     divergent: Vec<bool>,
 }
 
+impl State<'_, '_> {
+    /// Interpret one function body against the current state.
+    fn walk(&mut self, fid: usize) {
+        let ws = self.ws;
+        let def = &ws.fns[fid];
+        let mut env: Env = Env::new();
+        for (p, t) in def.params.iter().zip(&self.param_rd[fid]) {
+            if let Some(wit) = t {
+                env.insert(p.to_string(), wit.clone());
+            }
+        }
+        let mut w = Walk {
+            ctx: ws.ctx(fid),
+            st: self,
+            fid,
+        };
+        let (start, end) = def.body;
+        let mut ret: Taint = None;
+        let (nodes, last) = w.block(start + 1, end, &mut env, &mut ret);
+        join(&mut ret, last);
+        if let Some(wit) = ret {
+            w.st.taint_ret(fid, wit);
+        }
+        if w.st.collecting && !w.st.trusted[fid] {
+            w.check(&nodes, false, false, false);
+        }
+    }
+
+    fn taint_param(&mut self, f: usize, slot: usize, wit: &str) {
+        if let Some(t @ None) = self.param_rd[f].get_mut(slot) {
+            *t = Some(wit.to_string());
+            self.dirty[f] = true;
+        }
+    }
+
+    fn taint_ret(&mut self, f: usize, wit: String) {
+        if self.ret_rd[f].is_none() {
+            self.ret_rd[f] = Some(wit);
+            self.dirty_callers(f);
+        }
+    }
+
+    fn set_has_coll(&mut self, f: usize) {
+        if !self.has_coll[f] {
+            self.has_coll[f] = true;
+            self.dirty_callers(f);
+        }
+    }
+
+    fn dirty_callers(&mut self, f: usize) {
+        for &caller in &self.ws.callers[f] {
+            self.dirty[caller] = true;
+        }
+    }
+}
+
 /// Run the analysis over `(rel_path, contents)` sources. Sources should
 /// be pre-sorted by path (as `collect_sources` returns them) for
 /// deterministic output.
 pub fn analyze(sources: &[(String, String)]) -> UniformReport {
-    let ctxs: Vec<FileCtx<'_>> = sources
-        .iter()
-        .map(|(rel, src)| FileCtx::new(rel, src))
-        .collect();
+    analyze_ws(&Workspace::build(sources))
+}
 
-    let mut findings = Vec::new();
-    let mut trusted_sites = Vec::new();
-    let mut fns = Vec::new();
-    for (file_idx, ctx) in ctxs.iter().enumerate() {
-        extract_file(ctx, file_idx, &mut fns, &mut findings, &mut trusted_sites);
-    }
+/// Taint fixpoint, then the uniformity check, over a built workspace.
+pub(crate) fn analyze_ws(ws: &Workspace<'_>) -> UniformReport {
+    run(ws, dirty_sweep)
+}
 
-    let syms: Vec<graph::Sym> = fns
-        .iter()
-        .map(|f| graph::Sym {
-            name: f.name.clone(),
-            qual: f.qual.clone(),
-            file: f.file.clone(),
-            self_ty: f.self_ty.clone(),
-            crate_name: ctxs[f.file_idx].scope.crate_name.clone(),
-            is_test: f.is_test,
-        })
-        .collect();
-    let resolver = graph::Resolver::new(&syms);
-    let n = fns.len();
+fn run(ws: &Workspace<'_>, fixpoint: fn(&mut State<'_, '_>)) -> UniformReport {
+    let n = ws.fns.len();
+    let (findings, trusted_sites) =
+        ws.audit_trust(&passes::UNIFORM_TRUSTED, |ctx| &ctx.uniform_trusted);
+    let marks = |f: usize| {
+        let (ctx, line) = (ws.ctx(f), ws.fns[f].line);
+        (
+            ctx.uniform_trusted.iter().any(|p| p.covers(line)),
+            ctx.allow_covering(COLLECTIVE_DIVERGENCE, line),
+        )
+    };
+    let (trusted, allow_fn) = (0..n).map(marks).unzip();
     let mut st = State {
-        fns,
-        syms,
-        resolver,
-        call_edges: 0,
+        ws,
+        trusted,
+        allow_fn,
         ret_rd: vec![None; n],
-        param_rd: Vec::new(),
+        param_rd: ws.fns.iter().map(|f| vec![None; f.params.len()]).collect(),
         has_coll: vec![false; n],
-        changed: false,
+        dirty: vec![true; n],
         collecting: false,
         findings,
         used_allow: BTreeSet::new(),
         sites: vec![0; n],
         divergent: vec![false; n],
     };
-    st.param_rd = st.fns.iter().map(|f| vec![None; f.params.len()]).collect();
-
-    for round in 0..MAX_ROUNDS {
-        st.changed = false;
-        st.call_edges = 0;
-        walk_all(&ctxs, &mut st);
-        if !st.changed || round == MAX_ROUNDS - 2 {
-            break;
-        }
-    }
-    // Final collecting round: taints are stable, gather trees/findings.
+    fixpoint(&mut st);
+    // Final collecting walk: taints are stable, gather trees/findings.
     st.collecting = true;
-    st.sites = vec![0; n];
-    walk_all(&ctxs, &mut st);
-
+    for fid in (0..n).filter(|&f| !ws.fns[f].is_test) {
+        st.walk(fid);
+    }
     finish(st, trusted_sites)
 }
 
-fn walk_all(ctxs: &[FileCtx<'_>], st: &mut State) {
-    for fid in 0..st.fns.len() {
-        if st.fns[fid].is_test {
-            continue;
-        }
-        let ctx = &ctxs[st.fns[fid].file_idx];
-        let mut w = Walk {
-            ctx,
-            st: &mut *st,
-            fid,
-            locals_ty: BTreeMap::new(),
-        };
-        w.locals_ty = graph::param_types(ctx, w.st.fns[fid].name_idx);
-        let mut env: Env = Env::new();
-        for (slot, p) in w.st.fns[fid].params.clone().into_iter().enumerate() {
-            if let Some(wit) = w.st.param_rd[fid][slot].clone() {
-                env.insert(p, wit);
+/// Dirty-set sweep in function-index order, until nothing is dirty. A
+/// walk whose inputs have not changed would re-offer the same taints to
+/// slots that are already filled — a no-op — so skipping it leaves the
+/// state-changing walks, and hence every witness, in plain round-robin
+/// order. The dirty bit is read as the sweep reaches each function: one
+/// dirtied by a lower index is still walked in the same sweep.
+fn dirty_sweep(st: &mut State<'_, '_>) {
+    while st.dirty.contains(&true) {
+        for fid in 0..st.dirty.len() {
+            // Test functions are never walked.
+            if std::mem::take(&mut st.dirty[fid]) && !st.ws.fns[fid].is_test {
+                st.walk(fid);
             }
-        }
-        let (start, end) = w.st.fns[fid].body;
-        let mut ret: Taint = None;
-        let (nodes, last) = w.block(start + 1, end, &mut env, &mut ret);
-        join(&mut ret, last);
-        if let Some(wit) = ret {
-            if w.st.ret_rd[fid].is_none() {
-                w.st.ret_rd[fid] = Some(wit);
-                w.st.changed = true;
-            }
-        }
-        if w.st.collecting && !w.st.fns[fid].trusted {
-            w.check(&nodes, false, false, false);
         }
     }
-}
-
-/// Symbol extraction for one file: same scope-stack walk as
-/// `flow::extract_file`, but recording body token ranges, positional
-/// parameter names, and the `uniform-trusted` / allow pragma coverage.
-fn extract_file(
-    ctx: &FileCtx<'_>,
-    file_idx: usize,
-    fns: &mut Vec<UFn>,
-    findings: &mut Vec<Finding>,
-    trusted_sites: &mut Vec<(String, usize)>,
-) {
-    let base = module_path(ctx.rel_path);
-    let path_test = is_test_path(ctx.rel_path);
-    let first_fn = fns.len();
-
-    struct Scope {
-        close: usize,
-        seg: Option<String>,
-        ty: Option<String>,
-    }
-    let mut scopes: Vec<Scope> = Vec::new();
-    let mut i = 0usize;
-    while i < ctx.code.len() {
-        while scopes.last().is_some_and(|s| i > s.close) {
-            scopes.pop();
-        }
-        let Some(t) = ctx.code.get(i) else { break };
-        if t.kind != TokKind::Ident {
-            i += 1;
-            continue;
-        }
-        match t.text {
-            "impl" => {
-                if let Some((subject, bopen)) = impl_subject(ctx, i) {
-                    if let Some(close) = ctx.bracket_partner(bopen) {
-                        scopes.push(Scope {
-                            close,
-                            seg: Some(subject.clone()),
-                            ty: Some(subject),
-                        });
-                        i = bopen + 1;
-                        continue;
-                    }
-                }
-                i += 1;
-            }
-            "trait" if ctx.kind(i + 1) == Some(TokKind::Ident) => {
-                let subject = ctx.text(i + 1).to_string();
-                if let Some(bopen) = body_open(ctx, i + 2) {
-                    if let Some(close) = ctx.bracket_partner(bopen) {
-                        scopes.push(Scope {
-                            close,
-                            seg: Some(subject.clone()),
-                            ty: Some(subject),
-                        });
-                        i = bopen + 1;
-                        continue;
-                    }
-                }
-                i += 1;
-            }
-            "mod" if ctx.kind(i + 1) == Some(TokKind::Ident) && ctx.is(i + 2, "{") => {
-                match ctx.bracket_partner(i + 2) {
-                    Some(close) => {
-                        scopes.push(Scope {
-                            close,
-                            seg: Some(ctx.text(i + 1).to_string()),
-                            ty: None,
-                        });
-                        i += 3;
-                    }
-                    None => i += 1,
-                }
-            }
-            "struct" | "enum" | "union" => i += 2,
-            "fn" if ctx.kind(i + 1) == Some(TokKind::Ident) => {
-                let name_idx = i + 1;
-                let Some(bopen) = body_open(ctx, name_idx + 1) else {
-                    i = name_idx + 1;
-                    continue;
-                };
-                let Some(close) = ctx.bracket_partner(bopen) else {
-                    i = name_idx + 1;
-                    continue;
-                };
-                let cur_ty = scopes.iter().rev().find_map(|s| s.ty.clone());
-                let line = ctx.line(i);
-                let mut qual = base.clone();
-                for s in &scopes {
-                    if let Some(seg) = &s.seg {
-                        if !qual.is_empty() {
-                            qual.push_str("::");
-                        }
-                        qual.push_str(seg);
-                    }
-                }
-                if !qual.is_empty() {
-                    qual.push_str("::");
-                }
-                qual.push_str(ctx.text(name_idx));
-                let trusted = ctx.uniform_trusted.iter().any(|p| p.covers(line));
-                let allow_fn = covering_pragma(ctx, line);
-                fns.push(UFn {
-                    name: ctx.text(name_idx).to_string(),
-                    qual,
-                    file_idx,
-                    file: ctx.rel_path.to_string(),
-                    line,
-                    name_idx,
-                    body: (bopen, close),
-                    self_ty: cur_ty,
-                    is_test: path_test || ctx.in_test[i],
-                    trusted,
-                    allow_fn,
-                    params: graph::param_names(ctx, name_idx),
-                });
-                // Keep scanning inside: nested fns are their own nodes;
-                // the body walker skips nested `fn` items.
-                scopes.push(Scope {
-                    close,
-                    seg: Some(ctx.text(name_idx).to_string()),
-                    ty: None,
-                });
-                i = name_idx + 1;
-            }
-            _ => i += 1,
-        }
-    }
-
-    // uniform-trusted audit via the same shared registry as the
-    // det-trusted audit in `flow`: reasonless pragmas are bad,
-    // unattached ones are stale; valid attached ones join the pragma
-    // budget.
-    let fn_lines: Vec<usize> = fns[first_fn..].iter().map(|f| f.line).collect();
-    for audit in
-        passes::audit_trust_pragmas(&passes::UNIFORM_TRUSTED, &ctx.uniform_trusted, &fn_lines)
-    {
-        match audit {
-            passes::TrustAudit::Reasonless { line, message } => findings.push(Finding {
-                rel_path: ctx.rel_path.to_string(),
-                line,
-                rule: BAD_PRAGMA,
-                message,
-            }),
-            passes::TrustAudit::Attached { line } => {
-                trusted_sites.push((ctx.rel_path.to_string(), line));
-            }
-            passes::TrustAudit::Unattached { line, message } => findings.push(Finding {
-                rel_path: ctx.rel_path.to_string(),
-                line,
-                rule: UNUSED_PRAGMA,
-                message,
-            }),
-        }
-    }
-}
-
-/// Which `lint:allow(collective-divergence, why)` pragma covers `line`.
-fn covering_pragma(ctx: &FileCtx<'_>, line: usize) -> Option<usize> {
-    ctx.pragmas
-        .iter()
-        .find(|p| {
-            p.rule == COLLECTIVE_DIVERGENCE
-                && p.has_reason
-                && (p.line == line || (p.own_line && p.line + 1 == line))
-        })
-        .map(|p| p.line)
 }
 
 /// One function-body walk: statement/expression scan producing the
 /// control-flow summary and propagating taint.
-struct Walk<'a, 'b> {
-    ctx: &'b FileCtx<'a>,
-    st: &'b mut State,
+struct Walk<'s, 'w, 'a> {
+    ctx: &'w FileCtx<'a>,
+    st: &'s mut State<'w, 'a>,
     fid: usize,
-    /// Locally inferred receiver types for call classification.
-    locals_ty: BTreeMap<String, String>,
 }
 
-impl Walk<'_, '_> {
+impl Walk<'_, '_, '_> {
     fn line(&self, i: usize) -> usize {
         self.ctx.line(i)
     }
@@ -616,7 +453,7 @@ impl Walk<'_, '_> {
             if self.ctx.kind(i) == Some(TokKind::Ident) {
                 let t = self.ctx.text(i);
                 if !KEYWORDS.contains(&t)
-                    && !graph::starts_upper(t)
+                    && !starts_upper(t)
                     && !self.ctx.is(i + 1, "::")
                     && !(i > s && self.ctx.is(i - 1, "::"))
                     && !self.ctx.is(i + 1, ":")
@@ -733,7 +570,6 @@ impl Walk<'_, '_> {
         nodes: &mut Vec<Node>,
         ret: &mut Taint,
     ) -> (usize, Taint) {
-        graph::record_let(self.ctx, i, &mut self.locals_ty);
         let stop = self.find_at_depth0(i + 1, end, &[";"]).unwrap_or(end);
         let Some(eq) = self.find_at_depth0(i + 1, stop, &["="]) else {
             return (stop + 1, None); // `let x;`
@@ -1053,15 +889,7 @@ impl Walk<'_, '_> {
                     &mut taint,
                     Some(format!("`.rank` at {}:{}", self.ctx.rel_path, self.line(i))),
                 );
-                let after = self.ctx.skip_turbofish(i + 1);
-                let open = if self.ctx.is(after, "(") {
-                    Some(after)
-                } else if self.ctx.is(i + 1, "(") {
-                    Some(i + 1)
-                } else {
-                    None
-                };
-                i = open
+                i = call_open(self.ctx, i)
                     .and_then(|o| self.ctx.bracket_partner(o))
                     .map(|c| c + 1)
                     .unwrap_or(i + 1);
@@ -1071,15 +899,7 @@ impl Walk<'_, '_> {
                 i += 1;
                 continue;
             }
-            let after = self.ctx.skip_turbofish(i + 1);
-            let open = if after > i + 1 && self.ctx.is(after, "(") {
-                Some(after)
-            } else if self.ctx.is(i + 1, "(") {
-                Some(i + 1)
-            } else {
-                None
-            };
-            let Some(open) = open else {
+            let Some(open) = call_open(self.ctx, i) else {
                 // Plain ident: tainted local?
                 if let Some(wit) = env.get(t.text) {
                     join(&mut taint, Some(wit.clone()));
@@ -1130,10 +950,7 @@ impl Walk<'_, '_> {
             if self.st.collecting {
                 self.st.sites[self.fid] += 1;
             }
-            if !self.st.has_coll[self.fid] {
-                self.st.has_coll[self.fid] = true;
-                self.st.changed = true;
-            }
+            self.st.set_has_coll(self.fid);
             nodes.push(Node::Coll {
                 name: name.to_string(),
                 line,
@@ -1177,16 +994,15 @@ impl Walk<'_, '_> {
             });
         }
 
-        let call = graph::classify_call(
-            self.ctx,
-            i,
-            self.st.fns[self.fid].self_ty.as_deref(),
-            &self.locals_ty,
-        );
-        let cands = self.st.resolver.candidates(&self.st.syms, self.fid, &call);
+        // Resolved once, in the workspace. A token that is no call site
+        // there (the header of a nested item) has no candidates.
+        let ws = self.st.ws;
+        let site = ws.call_at(ws.fns[self.fid].file, i);
+        let cands = site.map_or(&[][..], |s| &s.cands);
+        let is_method_call = site.is_some_and(|s| matches!(s.call, RawCall::Method { .. }));
 
         // Receiver taint for method calls (`halo.iter()`).
-        let recv_taint: Taint = if let RawCall::Method { .. } = call {
+        let recv_taint: Taint = if is_method_call {
             let (base, _) = self.ctx.chain_back(i - 1);
             base.and_then(|b| env.get(b).cloned())
         } else {
@@ -1208,44 +1024,31 @@ impl Walk<'_, '_> {
             return t;
         }
 
-        self.st.call_edges += cands.len();
-        let is_method_call = matches!(call, RawCall::Method { .. });
         let mut out: Taint = None;
-        let mut coll_qual: Option<String> = None;
-        for &c in &cands {
+        let mut coll_qual: Option<&str> = None;
+        for &c in cands {
             // Positional parameter taint: leading `self` slot takes the
             // receiver taint for method-form calls.
-            let params = self.st.fns[c].params.clone();
-            let mut slot_taints: Vec<&Taint> = Vec::new();
-            let has_self = params.first().map(String::as_str) == Some("self");
-            if has_self && is_method_call {
-                slot_taints.push(&recv_taint);
-            }
-            slot_taints.extend(arg_taints.iter());
-            for (slot, t) in slot_taints.into_iter().enumerate() {
-                if slot >= self.st.param_rd[c].len() {
-                    break;
-                }
+            let has_self = ws.fns[c].params.first() == Some(&"self");
+            let recv_slot = (has_self && is_method_call).then_some(&recv_taint);
+            for (slot, t) in recv_slot.into_iter().chain(&arg_taints).enumerate() {
                 if let Some(wit) = t {
-                    if self.st.param_rd[c][slot].is_none() {
-                        self.st.param_rd[c][slot] = Some(wit.clone());
-                        self.st.changed = true;
-                    }
+                    self.st.taint_param(c, slot, wit);
                 }
             }
             if let Some(wit) = &self.st.ret_rd[c] {
                 join(&mut out, Some(wit.clone()));
             }
             if self.st.has_coll[c] && coll_qual.is_none() {
-                coll_qual = Some(self.st.fns[c].qual.clone());
+                coll_qual = Some(&ws.fns[c].qual);
             }
         }
         if let Some(qual) = coll_qual {
-            if !self.st.has_coll[self.fid] {
-                self.st.has_coll[self.fid] = true;
-                self.st.changed = true;
-            }
-            nodes.push(Node::CallColl { qual, line });
+            self.st.set_has_coll(self.fid);
+            nodes.push(Node::CallColl {
+                qual: qual.to_string(),
+                line,
+            });
         }
         out
     }
@@ -1321,13 +1124,8 @@ impl Walk<'_, '_> {
     fn emit(&mut self, line: usize, message: String) {
         // Per-site allow pragma on the branch/loop line, then the
         // fn-level allow recorded at extraction.
-        if let Some(pline) = covering_pragma(self.ctx, line) {
-            self.st
-                .used_allow
-                .insert((self.ctx.rel_path.to_string(), pline));
-            return;
-        }
-        if let Some(pline) = self.st.fns[self.fid].allow_fn {
+        let site_allow = self.ctx.allow_covering(COLLECTIVE_DIVERGENCE, line);
+        if let Some(pline) = site_allow.or(self.st.allow_fn[self.fid]) {
             self.st
                 .used_allow
                 .insert((self.ctx.rel_path.to_string(), pline));
@@ -1373,7 +1171,7 @@ impl Walk<'_, '_> {
                     let exits_diverge =
                         (ret_exit && (rest_c || any_loop_c)) || (loop_exit && inner_loop_c);
                     if distinct && (any_c || exits_diverge) {
-                        let qual = self.st.fns[self.fid].qual.clone();
+                        let qual = &self.st.ws.fns[self.fid].qual;
                         let what = Self::first_coll(
                             arms.iter()
                                 .flatten()
@@ -1412,7 +1210,7 @@ impl Walk<'_, '_> {
                     body,
                 } => {
                     if Self::has_c(body) {
-                        let qual = self.st.fns[self.fid].qual.clone();
+                        let qual = &self.st.ws.fns[self.fid].qual;
                         let what = Self::first_coll(body)
                             .map(|(n, l)| format!("collective `{n}` (line {l})"))
                             .unwrap_or_default();
@@ -1438,16 +1236,18 @@ impl Walk<'_, '_> {
 }
 
 /// Assemble the report from the final fixpoint state.
-fn finish(st: State, mut trusted_sites: Vec<(String, usize)>) -> UniformReport {
-    let n = st.fns.len();
+fn finish(st: State<'_, '_>, mut trusted_sites: Vec<(String, usize)>) -> UniformReport {
+    let ws = st.ws;
+    let n = ws.fns.len();
     let mut fns_out: Vec<FnUniform> = Vec::new();
     let mut per_crate: BTreeMap<String, CrateProof> = BTreeMap::new();
     let mut collective_sites = 0usize;
     for f in 0..n {
-        if st.fns[f].is_test || !st.has_coll[f] {
+        if ws.fns[f].is_test || !st.has_coll[f] {
             continue;
         }
-        let verdict = if st.fns[f].trusted {
+        let file = ws.ctx(f).rel_path;
+        let verdict = if st.trusted[f] {
             "trusted"
         } else if st.divergent[f] {
             "divergent"
@@ -1456,19 +1256,22 @@ fn finish(st: State, mut trusted_sites: Vec<(String, usize)>) -> UniformReport {
         };
         collective_sites += st.sites[f];
         fns_out.push(FnUniform {
-            qual: st.fns[f].qual.clone(),
-            file: st.fns[f].file.clone(),
-            line: st.fns[f].line,
+            qual: ws.fns[f].qual.clone(),
+            file: file.to_string(),
+            line: ws.fns[f].line,
             sites: st.sites[f],
             verdict,
         });
-        let crate_name = st.syms[f].crate_name.clone().unwrap_or_else(|| {
-            match st.fns[f].file.split('/').next() {
-                Some("src") => "hyades".to_string(),
-                Some(seg) => seg.to_string(),
-                None => "workspace".to_string(),
-            }
-        });
+        let crate_name =
+            ws.ctx(f)
+                .scope
+                .crate_name
+                .clone()
+                .unwrap_or_else(|| match file.split('/').next() {
+                    Some("src") => "hyades".to_string(),
+                    Some(seg) => seg.to_string(),
+                    None => "workspace".to_string(),
+                });
         let row = per_crate.entry(crate_name.clone()).or_insert(CrateProof {
             crate_name,
             fns_with_collectives: 0,
@@ -1487,11 +1290,9 @@ fn finish(st: State, mut trusted_sites: Vec<(String, usize)>) -> UniformReport {
     }
     fns_out.sort_by(|a, z| (&a.qual, &a.file, a.line).cmp(&(&z.qual, &z.file, z.line)));
 
-    let mut trusted: Vec<String> = st
-        .fns
-        .iter()
-        .filter(|f| f.trusted)
-        .map(|f| f.qual.clone())
+    let mut trusted: Vec<String> = (0..n)
+        .filter(|&f| st.trusted[f])
+        .map(|f| ws.fns[f].qual.clone())
         .collect();
     trusted.sort();
     trusted_sites.sort();
@@ -1501,7 +1302,7 @@ fn finish(st: State, mut trusted_sites: Vec<(String, usize)>) -> UniformReport {
 
     UniformReport {
         functions: n,
-        call_edges: st.call_edges,
+        call_edges: ws.call_edges(),
         collective_sites,
         fns: fns_out,
         crates: per_crate.into_values().collect(),
@@ -1515,6 +1316,7 @@ fn finish(st: State, mut trusted_sites: Vec<(String, usize)>) -> UniformReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rules::{BAD_PRAGMA, UNUSED_PRAGMA};
 
     fn run(src: &str) -> UniformReport {
         analyze(&[("crates/comms/src/t.rs".to_string(), src.to_string())])
@@ -1571,6 +1373,112 @@ pub fn drive(world: &mut dyn CommWorld) {
         let d = divergences(&r);
         assert_eq!(d.len(), 1, "{:?}", r.findings);
         assert!(d[0].message.contains("barrier"), "{}", d[0].message);
+    }
+
+    /// Regression: the capped round-robin stopped after eleven rounds, so
+    /// with callers defined before callees a chain this deep reported
+    /// nothing. The witness must survive any depth.
+    #[test]
+    fn return_taint_crosses_a_call_chain_of_any_depth() {
+        for depth in [4, 14, 40] {
+            let mut src = String::from(
+                "pub fn drive(world: &mut dyn CommWorld) {\n    \
+                     if f0(world) > 0 {\n        world.barrier();\n    }\n}\n",
+            );
+            for k in 1..depth {
+                src += &format!(
+                    "fn f{}(world: &mut dyn CommWorld) -> usize {{\n    f{k}(world)\n}}\n",
+                    k - 1
+                );
+            }
+            src += &format!(
+                "fn f{}(world: &mut dyn CommWorld) -> usize {{\n    world.rank()\n}}\n",
+                depth - 1
+            );
+            let r = run(&src);
+            let d = divergences(&r);
+            assert_eq!(d.len(), 1, "depth {depth}: {:?}", r.findings);
+            assert_eq!(d[0].line, 2);
+            let source_line = 4 + 3 * depth;
+            for part in [
+                "fn `comms::t::drive`: collective `barrier` (line 3)".to_string(),
+                "guarded by a rank-dependent condition (line 2)".to_string(),
+                format!("tainted by `.rank` at crates/comms/src/t.rs:{source_line}"),
+            ] {
+                assert!(
+                    d[0].message.contains(&part),
+                    "depth {depth}: {}",
+                    d[0].message
+                );
+            }
+        }
+    }
+
+    /// Regression: a tuple-pattern parameter used to drop out of the
+    /// positional list, so `r`'s taint fell off the end.
+    #[test]
+    fn pattern_parameter_keeps_later_arguments_aligned() {
+        let r = run(r#"
+fn helper(a: usize, (x, y): (f64, f64), n: usize) {
+    for _ in 0..n {
+        W.barrier();
+    }
+}
+pub fn drive(world: &mut dyn CommWorld) {
+    let r = world.rank();
+    helper(1, (0.0, 0.0), r);
+}
+"#);
+        let d = divergences(&r);
+        assert_eq!(d.len(), 1, "{:?}", r.findings);
+        assert_eq!(d[0].line, 3);
+        assert!(d[0].message.contains("trip count"), "{}", d[0].message);
+        assert!(d[0].message.contains("`.rank` at"), "{}", d[0].message);
+    }
+
+    /// Reference fixpoint: walk every function, round after round, until
+    /// a whole round fills no slot.
+    fn walk_everything_until_stable(st: &mut State<'_, '_>) {
+        let filled = |st: &State<'_, '_>| {
+            st.ret_rd.iter().flatten().count()
+                + st.param_rd.iter().flatten().flatten().count()
+                + st.has_coll.iter().filter(|&&c| c).count()
+        };
+        loop {
+            let before = filled(st);
+            for fid in (0..st.dirty.len()).filter(|&f| !st.ws.fns[f].is_test) {
+                st.walk(fid);
+            }
+            if filled(st) == before {
+                return;
+            }
+        }
+    }
+
+    #[test]
+    fn dirty_sweep_matches_walking_everything_until_stable() {
+        let fixtures =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/uniform");
+        let mut inputs: Vec<Vec<(String, String)>> = std::fs::read_dir(&fixtures)
+            .expect("uniform fixtures dir")
+            .map(|e| e.expect("dir entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+            .map(|p| {
+                let src = std::fs::read_to_string(&p).expect("fixture source");
+                let rel = src.lines().find_map(|l| l.strip_prefix("//@path "));
+                vec![(rel.expect("//@path").trim().to_string(), src.clone())]
+            })
+            .collect();
+        assert!(inputs.len() >= 4, "uniform fixture set went missing");
+        // And the one input deep and wide enough to need many sweeps.
+        inputs.push(crate::collect_sources(&crate::workspace_root()).expect("live tree"));
+        for sources in &inputs {
+            let ws = Workspace::build(sources);
+            let swept = super::run(&ws, dirty_sweep);
+            let reference = super::run(&ws, walk_everything_until_stable);
+            assert_eq!(swept.render_golden(), reference.render_golden());
+            assert_eq!(swept.used_allow, reference.used_allow);
+        }
     }
 
     #[test]

@@ -13,14 +13,16 @@ cargo build --release
 
 echo "==> hyades-lint (determinism & numerical-correctness rules)"
 mkdir -p target
-if ! cargo run -q -p hyades-lint -- --json > target/lint-report.json; then
-    cat target/lint-report.json
+# One run, two renderings: the JSON report on stdout, the stable
+# machine-readable summary line (files=N violations=N effect-table=N
+# collectives=N notes=N) on stderr.
+if ! cargo run -q -p hyades-lint -- --json --summary \
+    > target/lint-report.json 2> target/lint-summary.txt; then
+    cat target/lint-report.json target/lint-summary.txt
     echo "hyades-lint reported violations (full report: target/lint-report.json)"
     exit 1
 fi
-# One stable machine-readable line (files=N violations=N effect-table=N
-# notes=N) instead of scraping the JSON with sed.
-lint_summary=$(cargo run -q -p hyades-lint -- --summary)
+lint_summary=$(grep '^hyades-lint: files=' target/lint-summary.txt)
 echo "    ${lint_summary#hyades-lint: } (report: target/lint-report.json)"
 
 echo "==> cargo test -q"
@@ -28,9 +30,9 @@ cargo test -q
 
 # hbench is a workspace of its own, so nothing above compiles it: a
 # des/arctic/gcm signature change would break the benchmark unnoticed.
-echo "==> hbench: unit tests, then the des/arctic and gcm workloads (must report 0 failed)"
+echo "==> hbench: unit tests, then the des/arctic, gcm and lint workloads (must report 0 failed)"
 cargo test --offline -q --manifest-path hbench/Cargo.toml
-for workload in fabric_saturated comm_primitives coupled_serial ocean_1deg; do
+for workload in fabric_saturated comm_primitives coupled_serial ocean_1deg lint_tree; do
     cargo run --release --offline --quiet --manifest-path hbench/Cargo.toml -- \
         --workload "$workload" --seconds 3 > "target/hbench-$workload.txt"
     if ! tail -n 1 "target/hbench-$workload.txt" | grep -q '"failed": 0,'; then
