@@ -1,24 +1,10 @@
-//! Cross-run bench differ: compare two `BENCH_pr*.json` summaries
-//! against per-metric tolerance budgets.
+//! A flattening JSON reader: one document in, dotted-path scalars out.
 //!
-//! The baseline harness emits one summary per PR; this module lines two
-//! of them up and renders a machine-readable verdict. Metrics fall into
-//! two classes:
-//!
-//! * **relative** — wall-clock keys (`wall_ms.*`) are compared
-//!   new-vs-old with a generous ratio budget plus a fixed slack, since
-//!   absolute times are environment noise;
-//! * **absolute** — correctness keys (`lint.violations`,
-//!   `failures.len`, `tour.max_abs_residual`, `determinism.*`,
-//!   `diag.sentinel_trips`) are judged on the new summary alone.
-//!
-//! Only keys present in *both* files are compared relatively, so an
-//! older summary that predates a section (e.g. `diag` before PR 7)
-//! never fails the gate; absolute checks apply whenever the new file
-//! carries the key.
+//! `hbench` (the benchmark behind `BENCHMARK.json`) reads its own result
+//! files back through [`flatten_json`] to compare two runs; nothing else
+//! in the workspace parses JSON.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// A flattened JSON scalar.
 #[derive(Clone, Debug, PartialEq)]
@@ -29,35 +15,9 @@ pub enum Val {
     Null,
 }
 
-impl Val {
-    fn render(&self) -> String {
-        match self {
-            Val::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 1e15 {
-                    format!("{n:.0}")
-                } else {
-                    format!("{n:.6}")
-                }
-            }
-            Val::Bool(b) => b.to_string(),
-            Val::Str(s) => format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\"")),
-            Val::Null => "null".to_string(),
-        }
-    }
-}
-
-/// Wall-clock budget: `new ≤ old · RATIO + SLACK_MS`. The ratio is
-/// deliberately loose — the gate catches order-of-magnitude blowups,
-/// not scheduler jitter.
-pub const WALL_RATIO_BUDGET: f64 = 25.0;
-pub const WALL_SLACK_MS: f64 = 1000.0;
-
-/// Residual sanity bar shared with the baseline harness.
-pub const RESIDUAL_BUDGET: f64 = 2.0;
-
 /// Flatten a JSON document into dotted-path scalars. Object keys join
 /// with `.`; array elements land at `path.<index>` and every array also
-/// records `path.len`. The parser covers the subset the bench summaries
+/// records `path.len`. The parser covers the subset the bench result files
 /// use (and standard escapes); it rejects trailing garbage.
 pub fn flatten_json(src: &str) -> Result<BTreeMap<String, Val>, String> {
     let mut p = Parser {
@@ -191,7 +151,7 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Strings in the summaries are ASCII, but pass UTF-8
+                    // Strings in the result files are ASCII, but pass UTF-8
                     // through byte-faithfully.
                     let start = self.i;
                     while self.peek().is_some_and(|c| c != b'"' && c != b'\\') {
@@ -261,169 +221,9 @@ impl Parser<'_> {
     }
 }
 
-/// One budgeted comparison.
-#[derive(Clone, Debug)]
-pub struct Check {
-    pub metric: String,
-    pub old: Option<Val>,
-    pub new: Option<Val>,
-    pub budget: String,
-    pub pass: bool,
-}
-
-fn num(v: Option<&Val>) -> Option<f64> {
-    match v {
-        Some(Val::Num(n)) => Some(*n),
-        _ => None,
-    }
-}
-
-/// Run every budget over the two flattened summaries.
-pub fn compare(old: &BTreeMap<String, Val>, new: &BTreeMap<String, Val>) -> Vec<Check> {
-    let mut checks = Vec::new();
-
-    // Relative wall-clock budgets: only keys present in both files.
-    for (k, nv) in new.range("wall_ms.".to_string()..) {
-        if !k.starts_with("wall_ms.") {
-            break;
-        }
-        if let (Some(o), Some(n)) = (num(old.get(k)), num(Some(nv))) {
-            let limit = o * WALL_RATIO_BUDGET + WALL_SLACK_MS;
-            checks.push(Check {
-                metric: k.clone(),
-                old: old.get(k).cloned(),
-                new: Some(nv.clone()),
-                budget: format!("<= old*{WALL_RATIO_BUDGET:.0} + {WALL_SLACK_MS:.0}ms"),
-                pass: n <= limit,
-            });
-        }
-    }
-
-    // Coverage ratchets: the lint pass never scans fewer files, and the
-    // uniformity proof never covers fewer collective call sites.
-    for key in ["lint.files_scanned", "uniform.collective_sites"] {
-        if let (Some(o), Some(n)) = (num(old.get(key)), num(new.get(key))) {
-            checks.push(Check {
-                metric: key.into(),
-                old: old.get(key).cloned(),
-                new: new.get(key).cloned(),
-                budget: ">= old".into(),
-                pass: n >= o,
-            });
-        }
-    }
-
-    // Absolute budgets on the new summary.
-    let absolute = [
-        ("lint.violations", "== 0", 0.0f64, 0.0f64),
-        ("failures.len", "== 0", 0.0, 0.0),
-        (
-            "tour.max_abs_residual",
-            "<= 2.0",
-            f64::NEG_INFINITY,
-            RESIDUAL_BUDGET,
-        ),
-        ("diag.sentinel_trips", "== 0", 0.0, 0.0),
-        ("uniform.findings", "== 0", 0.0, 0.0),
-        (
-            "critpath.max_step_residual",
-            "abs <= 2.0",
-            -RESIDUAL_BUDGET,
-            RESIDUAL_BUDGET,
-        ),
-        // The fault-recovery tour must actually recover from its
-        // planned crash (the bit-identity flag itself rides the
-        // `determinism.*` sweep below).
-        ("recovery.restarts", ">= 1", 1.0, f64::INFINITY),
-    ];
-    for (key, budget, lo, hi) in absolute {
-        if let Some(v) = new.get(key) {
-            let pass = num(Some(v)).is_some_and(|n| n >= lo && n <= hi);
-            checks.push(Check {
-                metric: key.into(),
-                old: old.get(key).cloned(),
-                new: Some(v.clone()),
-                budget: budget.into(),
-                pass,
-            });
-        }
-    }
-
-    // Every determinism flag in the new summary must hold.
-    for (k, v) in new.range("determinism.".to_string()..) {
-        if !k.starts_with("determinism.") {
-            break;
-        }
-        checks.push(Check {
-            metric: k.clone(),
-            old: old.get(k).cloned(),
-            new: Some(v.clone()),
-            budget: "== true".into(),
-            pass: *v == Val::Bool(true),
-        });
-    }
-
-    checks
-}
-
-/// Render the verdict JSON. Returns `(json, all_passed)`.
-pub fn render_verdict(old_name: &str, new_name: &str, checks: &[Check]) -> (String, bool) {
-    let pass = checks.iter().all(|c| c.pass);
-    let mut j = String::new();
-    let _ = write!(
-        j,
-        "{{\n  \"bench_diff\": {{\"old\": \"{old_name}\", \"new\": \"{new_name}\"}},\n  \"checks\": [\n"
-    );
-    for (i, c) in checks.iter().enumerate() {
-        let _ = write!(
-            j,
-            "    {{\"metric\": \"{}\", \"old\": {}, \"new\": {}, \"budget\": \"{}\", \"pass\": {}}}{}\n",
-            c.metric,
-            c.old.as_ref().map_or("null".to_string(), Val::render),
-            c.new.as_ref().map_or("null".to_string(), Val::render),
-            c.budget,
-            c.pass,
-            if i + 1 < checks.len() { "," } else { "" }
-        );
-    }
-    let _ = write!(
-        j,
-        "  ],\n  \"checked\": {},\n  \"verdict\": \"{}\"\n}}\n",
-        checks.len(),
-        if pass { "pass" } else { "fail" }
-    );
-    (j, pass)
-}
-
-/// Full pipeline: parse both summaries, compare, render. `Err` means a
-/// summary failed to parse, which is itself a gate failure.
-pub fn diff_summaries(
-    old_name: &str,
-    old_src: &str,
-    new_name: &str,
-    new_src: &str,
-) -> Result<(String, bool), String> {
-    let old = flatten_json(old_src).map_err(|e| format!("{old_name}: {e}"))?;
-    let new = flatten_json(new_src).map_err(|e| format!("{new_name}: {e}"))?;
-    let checks = compare(&old, &new);
-    if checks.is_empty() {
-        return Err("no comparable metrics between the two summaries".into());
-    }
-    Ok(render_verdict(old_name, new_name, &checks))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const OLD: &str = r#"{
-      "bench": "pr6-baseline",
-      "wall_ms": {"total": 100.0, "tour": 10.0},
-      "lint": {"files_scanned": 154, "violations": 0},
-      "tour": {"max_abs_residual": 0.63},
-      "determinism": {"prometheus_identical": true},
-      "failures": []
-    }"#;
 
     #[test]
     fn flatten_handles_nesting_arrays_and_escapes() {
@@ -435,76 +235,5 @@ mod tests {
         assert_eq!(m.get("c"), Some(&Val::Null));
         assert!(flatten_json("{}garbage").is_err());
         assert!(flatten_json(r#"{"a": }"#).is_err());
-    }
-
-    #[test]
-    fn healthy_new_summary_passes_every_budget() {
-        let new = r#"{
-          "bench": "pr8-baseline",
-          "wall_ms": {"total": 180.0, "tour": 12.0, "diag": 40.0},
-          "lint": {"files_scanned": 160, "violations": 0},
-          "tour": {"max_abs_residual": 0.7},
-          "diag": {"sentinel_trips": 0},
-          "critpath": {"max_step_residual": -0.4, "straggler_blamed": true},
-          "determinism": {"prometheus_identical": true, "diag_identical": true, "critpath_identical": true},
-          "failures": []
-        }"#;
-        let (j, pass) = diff_summaries("old.json", OLD, "new.json", new).unwrap();
-        assert!(pass, "{j}");
-        assert!(j.contains("\"verdict\": \"pass\""));
-        // diag-only keys never compare against the pre-diag summary...
-        assert!(!j.contains("wall_ms.diag"));
-        // ...but the diag absolute check still runs on the new file.
-        assert!(j.contains("diag.sentinel_trips"));
-        // A negative critpath residual inside the band passes the
-        // two-sided budget; the determinism flag is swept up with the
-        // rest.
-        assert!(j.contains("critpath.max_step_residual"));
-        assert!(j.contains("determinism.critpath_identical"));
-        assert!(j.contains("\"metric\": \"wall_ms.total\""));
-    }
-
-    #[test]
-    fn wall_clock_blowup_and_violations_fail() {
-        let new = r#"{
-          "wall_ms": {"total": 99999.0},
-          "lint": {"files_scanned": 140, "violations": 3},
-          "tour": {"max_abs_residual": 5.0},
-          "critpath": {"max_step_residual": -5.0},
-          "determinism": {"prometheus_identical": false},
-          "failures": ["boom"]
-        }"#;
-        let (j, pass) = diff_summaries("old.json", OLD, "new.json", new).unwrap();
-        assert!(!pass);
-        assert!(j.contains("\"verdict\": \"fail\""));
-        for metric in [
-            "wall_ms.total",
-            "lint.files_scanned",
-            "lint.violations",
-            "tour.max_abs_residual",
-            "critpath.max_step_residual",
-            "determinism.prometheus_identical",
-            "failures.len",
-        ] {
-            let line = j
-                .lines()
-                .find(|l| l.contains(&format!("\"{metric}\"")))
-                .unwrap_or_else(|| panic!("no check for {metric}:\n{j}"));
-            assert!(line.contains("\"pass\": false"), "{line}");
-        }
-    }
-
-    #[test]
-    fn real_pr6_summary_diffs_cleanly_against_itself() {
-        let (j, pass) = diff_summaries("a", OLD, "b", OLD).unwrap();
-        assert!(pass, "{j}");
-        let (j2, _) = diff_summaries("a", OLD, "b", OLD).unwrap();
-        assert_eq!(j, j2);
-    }
-
-    #[test]
-    fn unparseable_summary_is_a_gate_failure() {
-        assert!(diff_summaries("a", OLD, "b", "{not json").is_err());
-        assert!(diff_summaries("a", "[]", "b", "[]").is_err());
     }
 }

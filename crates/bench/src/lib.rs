@@ -1,10 +1,15 @@
-//! # hyades-bench — benchmark harnesses
+//! # hyades-bench — figure benches and the JSON reader
 //!
 //! Criterion benches regenerating each table/figure of the paper (the
-//! reported values are the *simulated* quantities; the wall time measures
-//! this implementation's own throughput), plus ablation studies of the
-//! design decisions DESIGN.md calls out. `examples/reproduce_all.rs` at
-//! the workspace root prints every experiment's table in one run.
+//! reported values are the *simulated* quantities), plus ablation studies
+//! of the design decisions DESIGN.md calls out, and the `export_figures`
+//! bin. `examples/reproduce_all.rs` at the workspace root prints every
+//! experiment's table in one run.
+//!
+//! Host times are not taken here: `hbench/` (the package behind
+//! `BENCHMARK.json`) is the repository's one benchmark, and correctness
+//! gates live in `cargo test`. [`diff`] keeps the flattening JSON reader
+//! `hbench` imports.
 
 pub mod diff;
 

@@ -48,19 +48,19 @@ use std::collections::{BTreeMap, BTreeSet};
 // 0x7FF): bits 8..10 select the message kind, bit 7 marks the recovery
 // variant of that kind, bits 0..6 carry the round. Rounds are therefore
 // capped at 127 — far beyond any torus schedule.
-const TAG_REQ_BASE: u16 = 0x100; // + round
-const TAG_ACK_BASE: u16 = 0x200;
-const TAG_DONE_BASE: u16 = 0x300;
+pub(crate) const TAG_REQ_BASE: u16 = 0x100; // + round
+pub(crate) const TAG_ACK_BASE: u16 = 0x200;
+pub(crate) const TAG_DONE_BASE: u16 = 0x300;
 /// Recovery legs: each retransmitted message kind has its own tag base,
 /// keeping per-channel tags unique for the static schedule proof.
-const TAG_REQ2_BASE: u16 = 0x180; // resent REQ
-const TAG_ACK2_BASE: u16 = 0x280; // resent ACK
-const TAG_DONE2_BASE: u16 = 0x380; // resent DONE
-const TAG_PROBE_BASE: u16 = 0x400; // sender -> receiver: how far did you get?
-const TAG_RETRY_BASE: u16 = 0x480; // receiver -> sender: restart DATA at payload seq
-const TAG_BASE_MASK: u16 = 0xF80;
+pub(crate) const TAG_REQ2_BASE: u16 = 0x180; // resent REQ
+pub(crate) const TAG_ACK2_BASE: u16 = 0x280; // resent ACK
+pub(crate) const TAG_DONE2_BASE: u16 = 0x380; // resent DONE
+pub(crate) const TAG_PROBE_BASE: u16 = 0x400; // sender -> receiver: how far did you get?
+pub(crate) const TAG_RETRY_BASE: u16 = 0x480; // receiver -> sender: restart DATA at payload seq
+pub(crate) const TAG_BASE_MASK: u16 = 0xF80;
 const TAG_ROUND_MASK: u16 = 0x07F;
-const TAG_DATA: u16 = 0x0FF;
+pub(crate) const TAG_DATA: u16 = 0x0FF;
 
 /// One pairing round of the exchange schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -212,6 +212,12 @@ pub struct ExchangeNode {
     epoch: u64,
     /// Retries of the currently guarded wait (drives the backoff).
     attempts: u32,
+    /// An ACK or DONE was accepted and the `Proceed` that acts on it is
+    /// still in flight (`ctrl_cost_rx` later). The phase stays
+    /// `WaitAck`/`WaitDone` meanwhile, so without this a duplicate inside
+    /// the window (ACK + ACK2, DONE + DONE2) would be accepted again and
+    /// its second `Proceed` would land in whatever phase came next.
+    proceeding: bool,
     pub recovery: RecoveryCounters,
     pub started: Option<SimTime>,
     pub finished: Option<SimTime>,
@@ -241,6 +247,7 @@ impl ExchangeNode {
             policy: RetryPolicy::default(),
             epoch: 0,
             attempts: 0,
+            proceeding: false,
             recovery: RecoveryCounters::default(),
             started: None,
             finished: None,
@@ -266,6 +273,14 @@ impl ExchangeNode {
     fn new_wait(&mut self) {
         self.epoch += 1;
         self.attempts = 0;
+    }
+
+    /// Accept the ACK/DONE the current wait was blocked on: disarm the
+    /// timeout and act on it once the CPU has processed the message.
+    fn accept_ctrl(&mut self, ctx: &mut Ctx<'_>) {
+        self.new_wait();
+        self.proceeding = true;
+        ctx.wake_after(self.ctrl_cost_rx(), SelfEv::Proceed);
     }
 
     fn plan(&self) -> Option<PairPlan> {
@@ -399,6 +414,7 @@ impl Actor for ExchangeNode {
                 self.phase = LegPhase::Start;
                 self.early_reqs.clear();
                 self.rx_done.clear();
+                self.proceeding = false;
                 self.new_wait();
                 flight::record(
                     ctx.now(),
@@ -531,19 +547,21 @@ impl ExchangeNode {
                 }
             }
             TAG_ACK_BASE | TAG_ACK2_BASE => {
-                if self.round == round && matches!(self.phase, LegPhase::WaitAck { .. }) {
-                    self.new_wait();
-                    let cost = self.ctrl_cost_rx();
-                    ctx.wake_after(cost, SelfEv::Proceed);
+                if self.round == round
+                    && !self.proceeding
+                    && matches!(self.phase, LegPhase::WaitAck { .. })
+                {
+                    self.accept_ctrl(ctx);
                 } else {
                     self.recovery.bump(RecoveryEvent::StaleIgnored);
                 }
             }
             TAG_DONE_BASE | TAG_DONE2_BASE => {
-                if self.round == round && matches!(self.phase, LegPhase::WaitDone { .. }) {
-                    self.new_wait();
-                    let cost = self.ctrl_cost_rx();
-                    ctx.wake_after(cost, SelfEv::Proceed);
+                if self.round == round
+                    && !self.proceeding
+                    && matches!(self.phase, LegPhase::WaitDone { .. })
+                {
+                    self.accept_ctrl(ctx);
                 } else {
                     self.recovery.bump(RecoveryEvent::StaleIgnored);
                 }
@@ -596,7 +614,9 @@ impl ExchangeNode {
             return;
         }
         let wait_done = match &self.phase {
-            LegPhase::WaitDone { partner, bytes } => Some((*partner, *bytes)),
+            // Once the DONE is accepted the leg is over: a late NAK must
+            // not reopen the stream under the pending `Proceed`.
+            LegPhase::WaitDone { partner, bytes } if !self.proceeding => Some((*partner, *bytes)),
             _ => None,
         };
         let Some((partner, bytes)) = wait_done else {
@@ -658,6 +678,7 @@ impl ExchangeNode {
     }
 
     fn on_proceed(&mut self, ctx: &mut Ctx<'_>) {
+        self.proceeding = false;
         match &self.phase {
             LegPhase::Receiving { .. } => {
                 // REQ processed: post RX descriptors and acknowledge.

@@ -38,8 +38,31 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Recovery tag bases (round values travel under their bare round index,
 /// so these start above any realistic `log2 N`).
-const GSUM_RETRY_BASE: u16 = 0x40; // + round: "resend me round r"
-const GSUM_RESEND_BASE: u16 = 0x60; // + round: the resent value
+pub(crate) const GSUM_RETRY_BASE: u16 = 0x40; // + round: "resend me round r"
+pub(crate) const GSUM_RESEND_BASE: u16 = 0x60; // + round: the resent value
+
+/// What a butterfly packet carries, read off its tag.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum TagKind {
+    /// A round's partial sum (the tag is the bare round).
+    Value,
+    /// "Resend me your round-r value."
+    Retry,
+    /// The resent round-r value.
+    Resend,
+}
+
+/// Decode a tag into its kind and round — the one place the node's
+/// dispatch reads the tag layout.
+pub(crate) fn classify(tag: u16) -> (TagKind, u32) {
+    if tag >= GSUM_RESEND_BASE {
+        (TagKind::Resend, u32::from(tag - GSUM_RESEND_BASE))
+    } else if tag >= GSUM_RETRY_BASE {
+        (TagKind::Retry, u32::from(tag - GSUM_RETRY_BASE))
+    } else {
+        (TagKind::Value, u32::from(tag))
+    }
+}
 
 /// Kick event: begin a global sum contributing `value`.
 pub struct StartGsum {
@@ -255,7 +278,7 @@ impl Actor for GsumNode {
         let ev = match ev.downcast::<Delivered>() {
             Ok(del) => {
                 let pkt = del.pkt;
-                let tag = pkt.usr_tag;
+                let (kind, round) = classify(pkt.usr_tag);
                 if pkt.corrupted {
                     // The CRC caught it; the payload is never trusted. The
                     // tag survives (the fault model flips payload bits
@@ -263,37 +286,27 @@ impl Actor for GsumNode {
                     // a corrupted RETRY is covered by the requester's
                     // backoff.
                     self.recovery.bump(RecoveryEvent::CorruptDiscard);
-                    let value_round = if tag < GSUM_RETRY_BASE {
-                        Some(u32::from(tag))
-                    } else if tag >= GSUM_RESEND_BASE {
-                        Some(u32::from(tag - GSUM_RESEND_BASE))
-                    } else {
-                        None
-                    };
-                    if let Some(r) = value_round {
-                        if !self.got.contains(&r) {
-                            self.recovery.bump(RecoveryEvent::Retry);
-                            self.send_ctrl(ctx, pkt.src, GSUM_RETRY_BASE + r as u16);
-                        }
+                    if kind != TagKind::Retry && !self.got.contains(&round) {
+                        self.recovery.bump(RecoveryEvent::Retry);
+                        self.send_ctrl(ctx, pkt.src, GSUM_RETRY_BASE + round as u16);
                     }
                     return;
                 }
-                if tag >= GSUM_RESEND_BASE {
-                    let round = u32::from(tag - GSUM_RESEND_BASE);
-                    self.accept_value(round, f64_from_words(&pkt.payload), ctx);
-                } else if tag >= GSUM_RETRY_BASE {
+                match kind {
+                    TagKind::Value | TagKind::Resend => {
+                        self.accept_value(round, f64_from_words(&pkt.payload), ctx);
+                    }
                     // The partner is missing our round-r value: resend the
                     // recorded partial, or ignore if we haven't sent it yet
                     // (their backoff will re-ask once we have).
-                    let round = (tag - GSUM_RETRY_BASE) as usize;
-                    if let Some(&v) = self.sent.get(round) {
-                        self.recovery.bump(RecoveryEvent::ValueResend);
-                        self.send_value(ctx, round as u32, GSUM_RESEND_BASE + round as u16, v);
-                    } else {
-                        self.recovery.bump(RecoveryEvent::StaleIgnored);
+                    TagKind::Retry => {
+                        if let Some(&v) = self.sent.get(round as usize) {
+                            self.recovery.bump(RecoveryEvent::ValueResend);
+                            self.send_value(ctx, round, GSUM_RESEND_BASE + round as u16, v);
+                        } else {
+                            self.recovery.bump(RecoveryEvent::StaleIgnored);
+                        }
                     }
-                } else {
-                    self.accept_value(u32::from(tag), f64_from_words(&pkt.payload), ctx);
                 }
                 return;
             }

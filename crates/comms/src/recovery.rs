@@ -50,7 +50,7 @@ impl RecoveryCounters {
         self.stale_ignored += other.stale_ignored;
     }
 
-    /// Total retransmitted messages (what the bench `recovery` block
+    /// Total retransmitted messages (what the tour's `recovery.json`
     /// reports as `retries`).
     pub fn total_retransmits(&self) -> u64 {
         self.req_resends

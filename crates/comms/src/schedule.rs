@@ -14,6 +14,16 @@
 //! non-blocking posts (unbounded channels / VI doorbells), receives block
 //! on their keyed channel. A schedule is deadlock-free iff the graph with
 //! program-order edges plus send→recv match edges is acyclic.
+//!
+//! The graphs are built from the tag constants `exchange.rs` and
+//! `gsum.rs` dispatch on, so the alphabet proven is the alphabet that
+//! runs.
+
+use crate::exchange::{
+    TAG_ACK2_BASE, TAG_ACK_BASE, TAG_DATA, TAG_DONE2_BASE, TAG_DONE_BASE, TAG_PROBE_BASE,
+    TAG_REQ2_BASE, TAG_REQ_BASE, TAG_RETRY_BASE,
+};
+use crate::gsum::{GSUM_RESEND_BASE, GSUM_RETRY_BASE};
 
 /// One message of the schedule: a directed channel (`src` → `dst`) and
 /// the tag it travels under.
@@ -145,21 +155,6 @@ impl CommGraph {
         }
     }
 }
-
-/// Tag bases of the exchange control protocol (mirrors `exchange.rs`).
-const TAG_REQ_BASE: u16 = 0x100;
-const TAG_ACK_BASE: u16 = 0x200;
-const TAG_DONE_BASE: u16 = 0x300;
-const TAG_REQ2_BASE: u16 = 0x180;
-const TAG_ACK2_BASE: u16 = 0x280;
-const TAG_DONE2_BASE: u16 = 0x380;
-const TAG_PROBE_BASE: u16 = 0x400;
-const TAG_RETRY_BASE: u16 = 0x480;
-const TAG_DATA: u16 = 0x0FF;
-
-/// Recovery tag bases of the gsum protocol (mirrors `gsum.rs`).
-const GSUM_RETRY_BASE: u16 = 0x40;
-const GSUM_RESEND_BASE: u16 = 0x60;
 
 /// The full §4.1 exchange schedule for a periodic `px × py` tile grid:
 /// per round each paired node runs two sequential half-legs, each a
@@ -359,6 +354,77 @@ mod tests {
         for prog in &g.program {
             assert_eq!(prog.len(), 4 * 6);
         }
+    }
+
+    #[test]
+    fn proven_tag_alphabet_is_the_dispatched_alphabet() {
+        use crate::exchange::{torus_schedule, ExchangeNode, TAG_BASE_MASK};
+        use crate::gsum::{classify, TagKind};
+        use hyades_arctic::network::Delivered;
+        use hyades_arctic::packet::{Packet, Priority};
+        use hyades_des::event::Payload;
+        use hyades_des::{Actor, Ctx, SimTime, Simulator};
+        use std::collections::BTreeSet;
+
+        // Exchange: DATA is one full tag, every other kind a base + round.
+        let alphabet = |tag: u16| {
+            if tag == TAG_DATA {
+                tag
+            } else {
+                tag & TAG_BASE_MASK
+            }
+        };
+        let proven: BTreeSet<u16> = exchange_recovery_graph(4, 4)
+            .msgs
+            .iter()
+            .map(|m| alphabet(m.tag))
+            .collect();
+        // `on_packet` panics on a tag it does not dispatch: hand a fresh
+        // node one packet under every base of the 11-bit tag space.
+        struct Sink;
+        impl Actor for Sink {
+            fn on_event(&mut self, _ev: Payload, _ctx: &mut Ctx<'_>) {}
+        }
+        let dispatches = |tag: u16| {
+            std::panic::catch_unwind(|| {
+                let mut sim = Simulator::new();
+                let tx = sim.add_actor(Sink);
+                let schedule = torus_schedule(2, 1, 64).swap_remove(1);
+                let node = sim.add_actor(ExchangeNode::new(1, Default::default(), tx, schedule));
+                let pkt = Packet::new(0, 1, Priority::High, tag, vec![0, 0]);
+                sim.schedule(SimTime::ZERO, node, Delivered { pkt });
+                sim.run();
+            })
+            .is_ok()
+        };
+        let top_base = 0x7FF & TAG_BASE_MASK;
+        let dispatched: BTreeSet<u16> = (0..=top_base)
+            .step_by(0x80)
+            .chain([TAG_DATA])
+            .filter(|&tag| dispatches(tag))
+            .map(alphabet)
+            .collect();
+        assert_eq!(proven, dispatched);
+
+        // Gsum: the node decodes every proven tag to the kind and round
+        // the graph labels it with, and the graph uses every kind.
+        let mut kinds = BTreeSet::new();
+        for m in &gsum_recovery_graph(16).msgs {
+            let (kind, round) = classify(m.tag);
+            let label = match kind {
+                TagKind::Value => "val",
+                TagKind::Retry => "retry",
+                TagKind::Resend => "resend",
+            };
+            assert!(
+                m.label.starts_with(&format!("gsum.r{round}.{label}.")),
+                "tag {:#x} of {} dispatches as {kind:?} round {round}",
+                m.tag,
+                m.label
+            );
+            kinds.insert(label);
+        }
+        assert_eq!(kinds.len(), 3);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! the attribution table pinning the blame on exactly that (rank,
 //! phase). The paper's slowest-rank argument, made causal and checkable.
 
-use crate::tour::{self, Straggler};
+use crate::tour::{Straggler, TourConfig};
 use hyades_telemetry::critpath::phase_label;
 
 /// Fixed seed: the experiment is a regression artefact, not a sweep.
@@ -28,7 +28,7 @@ pub fn run() -> String {
     let mut out = String::new();
     out.push_str("E19: cross-rank critical path of a coupled step (4 ranks)\n");
 
-    let base = tour::run_critpath(SEED, None);
+    let base = TourConfig::new(SEED).run_critpath();
     out.push_str("\n--- balanced run ---\n");
     out.push_str(&base.report);
     out.push('\n');
@@ -38,7 +38,7 @@ pub fn run() -> String {
         base.max_step_residual
     ));
 
-    let perturbed = tour::run_critpath(SEED, Some(STRAGGLER));
+    let perturbed = TourConfig::new(SEED).straggler(STRAGGLER).run_critpath();
     out.push_str(&format!(
         "\n--- injected straggler: rank {} + {} Mflop PS per step ---\n",
         STRAGGLER.rank,

@@ -6,13 +6,13 @@
 //! eqs. (4)–(13) — the §5.3 validation exercised per phase term instead
 //! of against one wall-clock total.
 
-use crate::tour;
+use crate::tour::TourConfig;
 
 /// Fixed seed: the experiment is a regression artefact, not a sweep.
 const SEED: u64 = 0xC11_317;
 
 pub fn run() -> String {
-    let t = tour::run(SEED);
+    let t = TourConfig::new(SEED).run_tour();
     let mut out = String::new();
     out.push_str("E14: model-vs-measured phase profiling (telemetry tour)\n\n");
     out.push_str(&t.phase_report);

@@ -11,13 +11,13 @@
 //! recast on deterministic reductions, so the health record itself is
 //! byte-identical run to run.
 
-use crate::tour;
+use crate::tour::TourConfig;
 
 /// Fixed seed: the experiment is a regression artefact, not a sweep.
 const SEED: u64 = 0xD1A_607;
 
 pub fn run() -> String {
-    let d = tour::run_coupled_diag(SEED);
+    let d = TourConfig::new(SEED).run_coupled_diag();
     let mut out = String::new();
     out.push_str("E18: GCM run-health observatory (coupled pair, 4 ranks)\n\n");
     out.push_str(&d.text);

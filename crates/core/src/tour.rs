@@ -19,7 +19,7 @@
 use hyades_cluster::interconnect::{arctic_paper, ExchangeShape, Interconnect};
 use hyades_comms::exchange::{measure_exchange, measure_exchange_faulty};
 use hyades_comms::gsum::{measure_gsum, measure_gsum_faulty};
-use hyades_comms::{RecoveryCounters, ThreadWorld, TimedWorld};
+use hyades_comms::{CommWorld, RecoveryCounters, ThreadWorld, TimedWorld};
 use hyades_des::rng::SplitMix64;
 use hyades_fault::FaultPlan;
 use hyades_gcm::config::{ModelConfig, SurfaceForcing};
@@ -52,14 +52,16 @@ const STEPS: usize = 4;
 const FPS_MFLOPS: f64 = 50.0;
 const FDS_MFLOPS: f64 = 60.0;
 
-/// One configuration for every tour entry point.
-///
-/// The four tours (profiling E14, run-health E18, critical-path E19,
-/// fault-recovery E21) used to each grow their own argument list; this
-/// builder is the single shared surface. `seed` is the only required
-/// input — everything else has the historical defaults, so
-/// `TourConfig::new(seed).run_tour()` is byte-identical to the old
-/// `run(seed)` (which survives as a shim over exactly that call).
+/// Checkpoint cadence of the resilient tour, in coupled steps (a
+/// multiple of the coupling interval, 2).
+const CHECKPOINT_EVERY: u64 = 2;
+
+/// Ring capacity of the DES flight recorder during the microbench legs.
+const FLIGHT_EVENTS: usize = 4096;
+
+/// One configuration for every tour entry point: the four tours
+/// (profiling E14, run-health E18, critical-path E19, fault-recovery
+/// E21) are methods on it. `seed` is the only required input.
 #[derive(Clone, Debug)]
 pub struct TourConfig {
     /// Seeds the physics perturbation and the microbench shapes.
@@ -73,14 +75,6 @@ pub struct TourConfig {
     /// Fault schedule: drives the resilient tour's crash/rollback and
     /// the DES recovery legs' link faults. Empty means fault-free.
     pub fault_plan: FaultPlan,
-    /// Checkpoint cadence of the resilient tour, in coupled steps (must
-    /// be a multiple of the coupling interval, 2).
-    pub checkpoint_every: u64,
-    /// Record per-op comm logs (feeds Chrome flow events and the
-    /// critical-path DAG). Off saves memory but drops the arrows.
-    pub commlog: bool,
-    /// Install the DES flight recorder during microbench legs.
-    pub flight: bool,
 }
 
 impl TourConfig {
@@ -91,9 +85,6 @@ impl TourConfig {
             coupled_steps: CSTEPS,
             straggler: None,
             fault_plan: FaultPlan::default(),
-            checkpoint_every: 2,
-            commlog: true,
-            flight: true,
         }
     }
 
@@ -117,25 +108,10 @@ impl TourConfig {
         self
     }
 
-    pub fn checkpoint_every(mut self, every: u64) -> TourConfig {
-        self.checkpoint_every = every;
-        self
-    }
-
-    pub fn commlog(mut self, on: bool) -> TourConfig {
-        self.commlog = on;
-        self
-    }
-
-    pub fn flight(mut self, on: bool) -> TourConfig {
-        self.flight = on;
-        self
-    }
-
-    /// The demonstration fault schedule the resilient tour and bench
-    /// use: a mid-run rank crash plus a seeded window of link corruption
-    /// and one NIU stall, so every recovery mechanism (rollback/replay,
-    /// CRC retransmit, stall timeout) fires in one run.
+    /// The demonstration fault schedule of the resilient tour: a mid-run
+    /// rank crash plus a seeded window of link corruption and one NIU
+    /// stall, so every recovery mechanism (rollback/replay, CRC
+    /// retransmit, stall timeout) fires in one run.
     pub fn demo_fault_plan(seed: u64) -> FaultPlan {
         FaultPlan::new(seed)
             .rank_crash(1, 3)
@@ -164,26 +140,43 @@ pub struct TourArtifacts {
     pub span_count: usize,
 }
 
+/// What the analytical model needs from one stepped model instance: the
+/// run's measured flop coefficients and its wet cell/column counts.
+#[derive(Clone, Copy)]
+struct ModelInputs {
+    nps: f64,
+    nds: f64,
+    wet_cells: u64,
+    wet_columns: u64,
+}
+
+impl ModelInputs {
+    fn of(m: &Model) -> ModelInputs {
+        let (nps, nds) = m.measured_n_coefficients();
+        ModelInputs {
+            nps,
+            nds,
+            wet_cells: m.masks.wet_cells,
+            wet_columns: m.masks.wet_columns(),
+        }
+    }
+}
+
 /// Per-worker results shipped back from the fan-out.
 struct RankRun {
     telemetry: RankTelemetry,
     /// Stamped comm log (feeds the Chrome flow events).
     stamped: Vec<telemetry::commlog::Stamped>,
     total_cg_iterations: u64,
-    wet_cells: u64,
-    wet_columns: u64,
-    measured_nps: f64,
-    measured_nds: f64,
+    inputs: ModelInputs,
     /// This rank's per-step charged phase deltas + iteration counts.
     steps: Vec<StepSample>,
 }
 
-fn run_rank<W: hyades_comms::CommWorld>(world: &mut W, tour: &TourConfig) -> RankRun {
+fn run_rank<W: CommWorld>(world: &mut W, tour: &TourConfig) -> RankRun {
     let rank = world.rank();
     telemetry::enable_with_rates(rank, FPS_MFLOPS, FDS_MFLOPS);
-    if tour.commlog {
-        telemetry::commlog::install();
-    }
+    telemetry::commlog::install();
     let d = Decomp::blocks(NX, NY, PX, PY, 3);
     let cfg = ModelConfig::test_ocean(NX, NY, NZ, d);
     let mut m = Model::new(cfg, rank);
@@ -213,47 +206,52 @@ fn run_rank<W: hyades_comms::CommWorld>(world: &mut W, tour: &TourConfig) -> Ran
             },
         });
     }
-    let (nps, nds) = m.measured_n_coefficients();
+    let inputs = ModelInputs::of(&m);
     RankRun {
         stamped: telemetry::commlog::take_stamped(),
         telemetry: telemetry::disable().expect("telemetry was enabled"),
         total_cg_iterations: m.total_cg_iterations,
-        wet_cells: m.masks.wet_cells,
-        wet_columns: m.masks.wet_columns(),
-        measured_nps: nps,
-        measured_nds: nds,
+        inputs,
         steps,
     }
+}
+
+/// The seeded shapes of the DES microbench legs (profiling and recovery
+/// tours): the 2×2 exchange's bytes per leg and the 8 gsum operands.
+fn microbench_shapes(seed: u64) -> (u64, Vec<f64>) {
+    let leg_bytes = 256 + (seed % 7) * 64;
+    let values = (0..8)
+        .map(|i| ((seed >> (i % 8)) & 0xF) as f64 + i as f64)
+        .collect();
+    (leg_bytes, values)
+}
+
+/// Take the flight recorder installed for the microbench legs and render
+/// its dump.
+fn take_flight_dump() -> String {
+    let tr = flight::take().expect("flight recorder was installed");
+    format!(
+        "[flight recorder] {} events ({} dropped)\n{}",
+        tr.len(),
+        tr.dropped(),
+        tr.dump()
+    )
 }
 
 /// The DES microbenchmark leg: exchange + butterfly gsum on the simulated
 /// fabric, recorded as event-timeline spans under a dedicated rank, with
 /// the flight recorder capturing router/NIU/comms breadcrumbs.
-fn run_microbench(tour: &TourConfig) -> (RankTelemetry, String) {
-    let seed = tour.seed;
+fn run_microbench(seed: u64) -> (RankTelemetry, String) {
     telemetry::enable_with_rates(NRANKS, FPS_MFLOPS, FDS_MFLOPS);
-    if tour.flight {
-        flight::install(4096);
-    }
+    flight::install(FLIGHT_EVENTS);
     let host = HostParams::default();
-    let leg_bytes = 256 + (seed % 7) * 64;
+    let (leg_bytes, values) = microbench_shapes(seed);
     let t_exch = measure_exchange(host, 2, 2, leg_bytes);
-    let values: Vec<f64> = (0..8)
-        .map(|i| ((seed >> (i % 8)) & 0xF) as f64 + i as f64)
-        .collect();
     let g = measure_gsum(host, &values, false);
     telemetry::observe_duration_us("tour.microbench", "exchange_elapsed_us", t_exch);
     telemetry::observe_duration_us("tour.microbench", "gsum_elapsed_us", g.elapsed);
     telemetry::count("tour.microbench", "exchange_leg_bytes", leg_bytes);
-    let dump = match flight::take() {
-        Some(tr) => format!(
-            "[flight recorder] {} events ({} dropped)\n{}",
-            tr.len(),
-            tr.dropped(),
-            tr.dump()
-        ),
-        None => String::from("[flight recorder] not installed\n"),
-    };
+    let dump = take_flight_dump();
     let tel = telemetry::disable().expect("telemetry was enabled");
     (tel, dump)
 }
@@ -261,14 +259,7 @@ fn run_microbench(tour: &TourConfig) -> (RankTelemetry, String) {
 /// Build the analytical model for one model instance on the tour's 2×2
 /// decomposition: `nz` levels, the run's measured flop coefficients, and
 /// the same interconnect cost model `TimedWorld` charged against.
-fn model_for(
-    net: &dyn Interconnect,
-    nz: usize,
-    nps: f64,
-    nds: f64,
-    wet_cells: u64,
-    wet_columns: u64,
-) -> PerfModel {
+fn model_for(net: &dyn Interconnect, nz: usize, inputs: ModelInputs) -> PerfModel {
     let (tx, ty) = (NX / PX, NY / PY);
     let elem = 8u64;
     // One 3-D field exchange: x phase moves width-3 strips to 2 neighbors
@@ -286,14 +277,14 @@ fn model_for(
     ]));
     PerfModel {
         ps: PsParams {
-            nps,
-            nxyz: wet_cells,
+            nps: inputs.nps,
+            nxyz: inputs.wet_cells,
             texch_xyz_us: texch_xyz.as_us_f64(),
             fps_mflops: FPS_MFLOPS,
         },
         ds: DsParams {
-            nds,
-            nxy: wet_columns,
+            nds: inputs.nds,
+            nxy: inputs.wet_columns,
             tgsum_us: net.gsum_time(NRANKS as u32).as_us_f64(),
             texch_xy_us: texch_xy.as_us_f64(),
             fds_mflops: FDS_MFLOPS,
@@ -301,150 +292,88 @@ fn model_for(
     }
 }
 
-/// The analytical model matching the single-model tour configuration.
-fn tour_model(net: &dyn Interconnect, rank0: &RankRun) -> PerfModel {
-    model_for(
-        net,
-        NZ,
-        rank0.measured_nps,
-        rank0.measured_nds,
-        rank0.wet_cells,
-        rank0.wet_columns,
-    )
-}
-
-/// Run the full tour for `seed` with the default [`TourConfig`].
-pub fn run(seed: u64) -> TourArtifacts {
-    TourConfig::new(seed).run_tour()
-}
-
 impl TourConfig {
     /// The profiling tour (E14): instrumented GCM fan-out + DES
     /// microbench + model-vs-measured phase report.
     pub fn run_tour(&self) -> TourArtifacts {
-        run_tour_impl(self)
+        // 1. Instrumented GCM fan-out.
+        let net = arctic_paper();
+        let mut runs = ThreadWorld::run(NRANKS, |w| run_rank(w, self));
+
+        // 2. DES microbench on this thread, as an extra "rank" holding the
+        //    event timeline.
+        let (bench_tel, flight_dump) = run_microbench(self.seed);
+
+        // 3. Model-vs-measured phase comparison (mean over the GCM ranks;
+        //    every rank ran the same-shape tile, so the mean is the
+        //    per-rank story eqs. (4)–(13) tell).
+        let model = model_for(&net, NZ, runs[0].inputs);
+        let mut totals = telemetry::PhaseTotals::default();
+        for r in &runs {
+            totals.merge(&r.telemetry.phases);
+        }
+        let n = NRANKS as f64;
+        let measured = MeasuredPhases {
+            ps_compute_s: totals.ps_compute.as_secs_f64() / n,
+            ps_comm_s: totals.ps_comm.as_secs_f64() / n,
+            ds_compute_s: totals.ds_compute.as_secs_f64() / n,
+            ds_comm_s: totals.ds_comm.as_secs_f64() / n,
+        };
+        let ni_total = runs[0].total_cg_iterations;
+        let cmp = phases::compare(&model, self.steps as u64, ni_total, &measured);
+
+        // Per-step residual series: each step's sample is the rank-mean of
+        // the charged phase deltas (iteration counts are global, so any
+        // rank's `ni` works).
+        let step_samples: Vec<StepSample> = (0..self.steps)
+            .map(|i| {
+                let mean = |term: fn(&MeasuredPhases) -> f64| {
+                    runs.iter().map(|r| term(&r.steps[i].measured)).sum::<f64>() / n
+                };
+                StepSample {
+                    ni: runs[0].steps[i].ni,
+                    measured: MeasuredPhases {
+                        ps_compute_s: mean(|m| m.ps_compute_s),
+                        ps_comm_s: mean(|m| m.ps_comm_s),
+                        ds_compute_s: mean(|m| m.ds_compute_s),
+                        ds_comm_s: mean(|m| m.ds_comm_s),
+                    },
+                }
+            })
+            .collect();
+        let series = phases::step_residual_series(&model, &step_samples);
+
+        // 4. Merge per-rank telemetry (rank order, then the bench rank) and
+        //    export both formats. Matched send→recv pairs from the stamped
+        //    comm logs become Chrome flow events, so the cross-rank arrows
+        //    are visible in the trace viewer.
+        let stamped: Vec<Vec<telemetry::commlog::Stamped>> = runs
+            .iter_mut()
+            .map(|r| std::mem::take(&mut r.stamped))
+            .collect();
+        let mut ranks: Vec<RankTelemetry> = runs.drain(..).map(|r| r.telemetry).collect();
+        ranks.push(bench_tel);
+        let mut run_tel = RunTelemetry::from_ranks(ranks);
+        run_tel.set_flows(telemetry::flows_from_stamped(&stamped));
+
+        TourArtifacts {
+            chrome_json: run_tel.chrome_trace_json(),
+            text_summary: format!("{}\n{}", run_tel.text_summary(), flight_dump),
+            phase_report: cmp.render(),
+            residual_series: series.render(),
+            max_abs_residual: cmp.max_abs_residual(),
+            max_step_residual: series.max_abs_residual(),
+            span_count: run_tel.span_count(),
+        }
     }
 }
 
-fn run_tour_impl(tour: &TourConfig) -> TourArtifacts {
-    // 1. Instrumented GCM fan-out.
-    let net = arctic_paper();
-    let mut runs = ThreadWorld::run(NRANKS, |w| run_rank(w, tour));
+// --- the coupled tours' shared run -------------------------------------
 
-    // 2. DES microbench on this thread, as an extra "rank" holding the
-    //    event timeline.
-    let (bench_tel, flight_dump) = run_microbench(tour);
-
-    // 3. Model-vs-measured phase comparison (mean over the GCM ranks;
-    //    every rank ran the same-shape tile, so the mean is the per-rank
-    //    story eqs. (4)–(13) tell).
-    let model = tour_model(&net, &runs[0]);
-    let mut totals = telemetry::PhaseTotals::default();
-    for r in &runs {
-        totals.merge(&r.telemetry.phases);
-    }
-    let n = NRANKS as f64;
-    let measured = MeasuredPhases {
-        ps_compute_s: totals.ps_compute.as_secs_f64() / n,
-        ps_comm_s: totals.ps_comm.as_secs_f64() / n,
-        ds_compute_s: totals.ds_compute.as_secs_f64() / n,
-        ds_comm_s: totals.ds_comm.as_secs_f64() / n,
-    };
-    let ni_total = runs[0].total_cg_iterations;
-    let cmp = phases::compare(&model, tour.steps as u64, ni_total, &measured);
-    let max_abs_residual = cmp.max_abs_residual();
-    let phase_report = cmp.render();
-
-    // Per-step residual series: each step's sample is the rank-mean of
-    // the charged phase deltas (iteration counts are global, so any
-    // rank's `ni` works).
-    let step_samples: Vec<StepSample> = (0..tour.steps)
-        .map(|i| StepSample {
-            ni: runs[0].steps[i].ni,
-            measured: MeasuredPhases {
-                ps_compute_s: runs
-                    .iter()
-                    .map(|r| r.steps[i].measured.ps_compute_s)
-                    .sum::<f64>()
-                    / n,
-                ps_comm_s: runs
-                    .iter()
-                    .map(|r| r.steps[i].measured.ps_comm_s)
-                    .sum::<f64>()
-                    / n,
-                ds_compute_s: runs
-                    .iter()
-                    .map(|r| r.steps[i].measured.ds_compute_s)
-                    .sum::<f64>()
-                    / n,
-                ds_comm_s: runs
-                    .iter()
-                    .map(|r| r.steps[i].measured.ds_comm_s)
-                    .sum::<f64>()
-                    / n,
-            },
-        })
-        .collect();
-    let series = phases::step_residual_series(&model, &step_samples);
-    let max_step_residual = series.max_abs_residual();
-    let residual_series = series.render();
-
-    // 4. Merge per-rank telemetry (rank order, then the bench rank) and
-    //    export both formats. Matched send→recv pairs from the stamped
-    //    comm logs become Chrome flow events, so the cross-rank arrows
-    //    are visible in the trace viewer.
-    let stamped: Vec<Vec<telemetry::commlog::Stamped>> = runs
-        .iter_mut()
-        .map(|r| std::mem::take(&mut r.stamped))
-        .collect();
-    let mut ranks: Vec<RankTelemetry> = runs.drain(..).map(|r| r.telemetry).collect();
-    ranks.push(bench_tel);
-    let mut run_tel = RunTelemetry::from_ranks(ranks);
-    run_tel.set_flows(telemetry::flows_from_stamped(&stamped));
-    let span_count = run_tel.span_count();
-    let chrome_json = run_tel.chrome_trace_json();
-    let text_summary = format!("{}\n{}", run_tel.text_summary(), flight_dump);
-
-    TourArtifacts {
-        chrome_json,
-        text_summary,
-        phase_report,
-        residual_series,
-        max_abs_residual,
-        max_step_residual,
-        span_count,
-    }
-}
-
-// --- the coupled diagnostics tour -------------------------------------
-
-/// Steps of the coupled run-health tour.
+/// Steps of the coupled tours.
 const CSTEPS: usize = 4;
 
-/// Everything the coupled diagnostics tour produces. Every artifact is a
-/// pure function of `seed` (pinned byte-identical by
-/// `tests/determinism.rs`).
-pub struct DiagArtifacts {
-    /// Per-timestep diagnostics tables for both isomorphs (MITgcm
-    /// monitor style).
-    pub text: String,
-    /// Machine-readable series (consumed by the bench differ).
-    pub json: String,
-    /// Prometheus gauges for the final state of both series.
-    pub prom: String,
-    /// Steps monitored per isomorph.
-    pub steps: u64,
-    /// Sentinel trips across both isomorphs (0 for a healthy run).
-    pub sentinel_trips: u64,
-    /// CG iterations-per-solve quantiles over every solve of the run
-    /// (both isomorphs, from the telemetry histogram).
-    pub cg_iters_p50: u64,
-    pub cg_iters_p99: u64,
-    /// Largest advective CFL seen by either isomorph.
-    pub max_cfl: f64,
-}
-
-/// The coupled pair of the diagnostics tour: miniature 2.8125°-style
+/// The coupled pair of the coupled tours: miniature 2.8125°-style
 /// atmosphere over a test ocean, both on the tour's 2×2 decomposition.
 fn coupled_pair(rank: usize) -> CoupledModel {
     let d = Decomp::blocks(NX, NY, PX, PY, 3);
@@ -456,12 +385,6 @@ fn coupled_pair(rank: usize) -> CoupledModel {
     ocfg.grid = Grid::global(NX, NY, 6, 60.0, stretched_levels(6, 3000.0));
     ocfg.forcing = SurfaceForcing::Coupled;
     CoupledModel::new(Model::new(acfg, rank), Model::new(ocfg, rank), 2)
-}
-
-struct CoupledRankRun {
-    telemetry: RankTelemetry,
-    atmos: RunMonitor,
-    ocean: RunMonitor,
 }
 
 /// Build the seeded coupled pair shared by the diag/critpath/resilient
@@ -481,98 +404,147 @@ fn seeded_coupled_pair(rank: usize, seed: u64) -> CoupledModel {
     c
 }
 
-fn run_coupled_rank<W: hyades_comms::CommWorld>(
+/// One rank's uninterrupted coupled run.
+struct CoupledRun {
+    pair: CoupledModel,
+    atmos: RunMonitor,
+    ocean: RunMonitor,
+    /// Per-step CG iteration counts for each isomorph (globally reduced,
+    /// so identical on every rank).
+    ni_atmos: Vec<u64>,
+    ni_ocean: Vec<u64>,
+}
+
+/// The per-rank loop of every coupled tour: the seeded pair stepped
+/// `tour.coupled_steps` times under a [`TimedWorld`] with both run-health
+/// monitors on and the sentinel armed, each step marked in the comm log
+/// (a no-op unless the caller installed one). `straggler`, if it names
+/// this rank, is charged before every step.
+fn run_coupled_steps<W: CommWorld>(
     world: &mut W,
     tour: &TourConfig,
-) -> CoupledRankRun {
+    straggler: Option<Straggler>,
+) -> CoupledRun {
     let rank = world.rank();
-    telemetry::enable_with_rates(rank, FPS_MFLOPS, FDS_MFLOPS);
-    let mut c = seeded_coupled_pair(rank, tour.seed);
-
+    let mut pair = seeded_coupled_pair(rank, tour.seed);
     let net = arctic_paper();
     let mut timed = TimedWorld::new(world, &net);
     let mut atmos = RunMonitor::new("atmos", SentinelConfig::default());
     let mut ocean = RunMonitor::new("ocean", SentinelConfig::default());
-    for _ in 0..tour.coupled_steps {
-        let healthy = c.step_monitored(&mut timed, &mut atmos, &mut ocean);
+    let mut ni_atmos = Vec::with_capacity(tour.coupled_steps);
+    let mut ni_ocean = Vec::with_capacity(tour.coupled_steps);
+    for s in 0..tour.coupled_steps {
+        telemetry::commlog::mark_step(s as u32 + 1);
+        if let Some(st) = straggler.filter(|st| st.rank == rank) {
+            // The perturbation lands *before* the step's first comm op:
+            // compute after a rank's last recorded event is invisible to
+            // the critical-path DAG.
+            telemetry::charge_flops(telemetry::Phase::Ps, st.extra_flops);
+        }
+        let (sa, so, healthy) = pair.step_monitored_full(&mut timed, &mut atmos, &mut ocean);
         assert!(
             healthy,
-            "coupled diag tour tripped the sentinel: {}",
+            "coupled tour tripped the sentinel: {}",
             atmos
                 .blowup()
                 .or(ocean.blowup())
                 .map(|r| r.render())
                 .unwrap_or_default()
         );
+        ni_atmos.push(sa.cg_iterations as u64);
+        ni_ocean.push(so.cg_iterations as u64);
     }
-    CoupledRankRun {
-        telemetry: telemetry::disable().expect("telemetry was enabled"),
+    CoupledRun {
+        pair,
         atmos,
         ocean,
+        ni_atmos,
+        ni_ocean,
     }
 }
 
-/// Run the coupled diagnostics tour: a 2×2-rank coupled
-/// atmosphere–ocean run under `TimedWorld` with per-step run-health
-/// monitoring and the sentinel armed. Every diagnostic is reduced
-/// through the communicator, so all ranks hold identical series; rank
-/// 0's is *the* global series.
-pub fn run_coupled_diag(seed: u64) -> DiagArtifacts {
-    TourConfig::new(seed).run_coupled_diag()
+/// Both isomorphs' per-timestep diagnostics tables, atmosphere first.
+fn diag_text(atmos: &RunMonitor, ocean: &RunMonitor) -> String {
+    format!(
+        "{}\n{}",
+        atmos.series().render_text(),
+        ocean.series().render_text()
+    )
+}
+
+// --- the coupled diagnostics tour -------------------------------------
+
+/// Everything the coupled diagnostics tour produces. Every artifact is a
+/// pure function of `seed` (pinned byte-identical by
+/// `tests/determinism.rs`).
+pub struct DiagArtifacts {
+    /// Per-timestep diagnostics tables for both isomorphs (MITgcm
+    /// monitor style).
+    pub text: String,
+    /// Machine-readable series.
+    pub json: String,
+    /// Prometheus gauges for the final state of both series.
+    pub prom: String,
+    /// Steps monitored per isomorph.
+    pub steps: u64,
+    /// Sentinel trips across both isomorphs (0 for a healthy run).
+    pub sentinel_trips: u64,
+    /// CG iterations-per-solve quantiles over every solve of the run
+    /// (both isomorphs, from the telemetry histogram).
+    pub cg_iters_p50: u64,
+    pub cg_iters_p99: u64,
+    /// Largest advective CFL seen by either isomorph.
+    pub max_cfl: f64,
 }
 
 impl TourConfig {
-    /// The run-health tour (E18): monitored coupled run, all three
-    /// diagnostics renderings.
+    /// The run-health tour (E18): a 2×2-rank coupled atmosphere–ocean
+    /// run under `TimedWorld` with per-step run-health monitoring and the
+    /// sentinel armed, in all three diagnostics renderings. Every
+    /// diagnostic is reduced through the communicator, so all ranks hold
+    /// identical series; rank 0's is *the* global series.
     pub fn run_coupled_diag(&self) -> DiagArtifacts {
-        run_coupled_diag_impl(self)
-    }
-}
+        let runs = ThreadWorld::run(NRANKS, |w| {
+            telemetry::enable_with_rates(w.rank(), FPS_MFLOPS, FDS_MFLOPS);
+            let run = run_coupled_steps(w, self, None);
+            let tel = telemetry::disable().expect("telemetry was enabled");
+            (tel, run.atmos, run.ocean)
+        });
+        let (tel, atmos, ocean) = &runs[0];
 
-fn run_coupled_diag_impl(tour: &TourConfig) -> DiagArtifacts {
-    let runs = ThreadWorld::run(NRANKS, |w| run_coupled_rank(w, tour));
-    let r0 = &runs[0];
+        let json = format!(
+            "{{\"diag\":[{},{}]}}",
+            atmos.series().render_json(),
+            ocean.series().render_json()
+        );
+        let prom = format!(
+            "{}{}",
+            atmos.series().render_prom("hyades"),
+            ocean.series().render_prom("hyades")
+        );
+        let (cg_iters_p50, cg_iters_p99) = tel
+            .registry
+            .hist("gcm.cg", "iterations_per_solve")
+            .map(|h| (h.p50(), h.p99()))
+            .unwrap_or((0, 0));
+        let max_cfl = atmos
+            .series()
+            .max("cfl_adv")
+            .unwrap_or(f64::NAN)
+            .max(ocean.series().max("cfl_adv").unwrap_or(f64::NAN));
 
-    let text = format!(
-        "{}\n{}",
-        r0.atmos.series().render_text(),
-        r0.ocean.series().render_text()
-    );
-    let json = format!(
-        "{{\"diag\":[{},{}]}}",
-        r0.atmos.series().render_json(),
-        r0.ocean.series().render_json()
-    );
-    let prom = format!(
-        "{}{}",
-        r0.atmos.series().render_prom("hyades"),
-        r0.ocean.series().render_prom("hyades")
-    );
-
-    let (cg_iters_p50, cg_iters_p99) = r0
-        .telemetry
-        .registry
-        .hist("gcm.cg", "iterations_per_solve")
-        .map(|h| (h.p50(), h.p99()))
-        .unwrap_or((0, 0));
-    let max_cfl = r0
-        .atmos
-        .series()
-        .max("cfl_adv")
-        .unwrap_or(f64::NAN)
-        .max(r0.ocean.series().max("cfl_adv").unwrap_or(f64::NAN));
-
-    DiagArtifacts {
-        text,
-        json,
-        prom,
-        steps: r0.ocean.steps(),
-        // Trip decisions come from reduced values, so every rank agrees;
-        // rank 0's count is the global count.
-        sentinel_trips: r0.atmos.trips() + r0.ocean.trips(),
-        cg_iters_p50,
-        cg_iters_p99,
-        max_cfl,
+        DiagArtifacts {
+            text: diag_text(atmos, ocean),
+            json,
+            prom,
+            steps: ocean.steps(),
+            // Trip decisions come from reduced values, so every rank agrees;
+            // rank 0's count is the global count.
+            sentinel_trips: atmos.trips() + ocean.trips(),
+            cg_iters_p50,
+            cg_iters_p99,
+            max_cfl,
+        }
     }
 }
 
@@ -594,7 +566,7 @@ pub struct CritArtifacts {
     /// The full critical-path report (per-step table, chain, slack,
     /// attribution, wait-vs-wire).
     pub report: String,
-    /// Machine-readable summary (consumed by the bench differ).
+    /// Machine-readable summary.
     pub json: String,
     /// Chrome trace with flow events linking matched sends to recvs.
     pub chrome_json: String,
@@ -610,127 +582,76 @@ pub struct CritArtifacts {
     pub messages: usize,
 }
 
+/// What the critical-path tour keeps of one rank's run (the stepped
+/// models die with their thread, before the traces are rendered).
 struct CritRankRun {
     telemetry: RankTelemetry,
     stamped: Vec<telemetry::commlog::Stamped>,
-    /// Per-step CG iteration counts for each isomorph (globally reduced,
-    /// so identical on every rank).
     ni_atmos: Vec<u64>,
     ni_ocean: Vec<u64>,
-    atmos_coeffs: (f64, f64, u64, u64),
-    ocean_coeffs: (f64, f64, u64, u64),
-}
-
-fn run_critpath_rank<W: hyades_comms::CommWorld>(world: &mut W, tour: &TourConfig) -> CritRankRun {
-    let rank = world.rank();
-    telemetry::enable_with_rates(rank, FPS_MFLOPS, FDS_MFLOPS);
-    telemetry::commlog::install();
-    let mut c = seeded_coupled_pair(rank, tour.seed);
-
-    let net = arctic_paper();
-    let mut timed = TimedWorld::new(world, &net);
-    let mut atmos = RunMonitor::new("atmos", SentinelConfig::default());
-    let mut ocean = RunMonitor::new("ocean", SentinelConfig::default());
-    let mut ni_atmos = Vec::with_capacity(tour.coupled_steps);
-    let mut ni_ocean = Vec::with_capacity(tour.coupled_steps);
-    for s in 0..tour.coupled_steps {
-        telemetry::commlog::mark_step(s as u32 + 1);
-        if let Some(st) = tour.straggler {
-            if st.rank == rank {
-                // The perturbation lands *before* the step's first comm
-                // op: compute after a rank's last recorded event is
-                // invisible to the DAG.
-                telemetry::charge_flops(telemetry::Phase::Ps, st.extra_flops);
-            }
-        }
-        let (sa, so, healthy) = c.step_monitored_full(&mut timed, &mut atmos, &mut ocean);
-        assert!(healthy, "critpath tour tripped the sentinel");
-        ni_atmos.push(sa.cg_iterations as u64);
-        ni_ocean.push(so.cg_iterations as u64);
-    }
-    let (anps, ands) = c.atmos.measured_n_coefficients();
-    let (onps, onds) = c.ocean.measured_n_coefficients();
-    CritRankRun {
-        stamped: telemetry::commlog::take_stamped(),
-        telemetry: telemetry::disable().expect("telemetry was enabled"),
-        ni_atmos,
-        ni_ocean,
-        atmos_coeffs: (
-            anps,
-            ands,
-            c.atmos.masks.wet_cells,
-            c.atmos.masks.wet_columns(),
-        ),
-        ocean_coeffs: (
-            onps,
-            onds,
-            c.ocean.masks.wet_cells,
-            c.ocean.masks.wet_columns(),
-        ),
-    }
-}
-
-/// Run the critical-path tour: the coupled diagnostics run, stamped and
-/// reconstructed into the global event DAG, with an optional injected
-/// straggler. Returns the byte-stable report/JSON/trace plus the
-/// model-vs-path residuals.
-pub fn run_critpath(seed: u64, straggler: Option<Straggler>) -> CritArtifacts {
-    let mut cfg = TourConfig::new(seed);
-    cfg.straggler = straggler;
-    cfg.run_critpath()
+    atmos: ModelInputs,
+    ocean: ModelInputs,
 }
 
 impl TourConfig {
-    /// The critical-path tour (E19): stamped coupled run reconstructed
-    /// into the global event DAG, with the configured straggler (if any).
+    /// The critical-path tour (E19): the coupled diagnostics run, stamped
+    /// and reconstructed into the global event DAG, with the configured
+    /// straggler (if any). Returns the byte-stable report/JSON/trace plus
+    /// the model-vs-path residuals.
     pub fn run_critpath(&self) -> CritArtifacts {
-        run_critpath_impl(self)
-    }
-}
+        let mut runs = ThreadWorld::run(NRANKS, |w| {
+            telemetry::enable_with_rates(w.rank(), FPS_MFLOPS, FDS_MFLOPS);
+            telemetry::commlog::install();
+            let run = run_coupled_steps(w, self, self.straggler);
+            CritRankRun {
+                stamped: telemetry::commlog::take_stamped(),
+                telemetry: telemetry::disable().expect("telemetry was enabled"),
+                atmos: ModelInputs::of(&run.pair.atmos),
+                ocean: ModelInputs::of(&run.pair.ocean),
+                ni_atmos: run.ni_atmos,
+                ni_ocean: run.ni_ocean,
+            }
+        });
+        let logs: Vec<Vec<telemetry::commlog::Stamped>> = runs
+            .iter_mut()
+            .map(|r| std::mem::take(&mut r.stamped))
+            .collect();
 
-fn run_critpath_impl(tour: &TourConfig) -> CritArtifacts {
-    let mut runs = ThreadWorld::run(NRANKS, |w| run_critpath_rank(w, tour));
-    let logs: Vec<Vec<telemetry::commlog::Stamped>> = runs
-        .iter_mut()
-        .map(|r| std::mem::take(&mut r.stamped))
-        .collect();
+        let net = arctic_paper();
+        let wire = |words: usize| net.ptp_time((words * 8) as u64).as_ps();
+        let cp = telemetry::critpath::analyze(&logs, &wire)
+            .unwrap_or_else(|e| panic!("critpath analysis failed: {e}"));
 
-    let net = arctic_paper();
-    let wire = |words: usize| net.ptp_time((words * 8) as u64).as_ps();
-    let cp = telemetry::critpath::analyze(&logs, &wire)
-        .unwrap_or_else(|e| panic!("critpath analysis failed: {e}"));
+        // Model-predicted coupled step cost vs the observed per-step path.
+        let r0 = &runs[0];
+        let ma = model_for(&net, 5, r0.atmos);
+        let mo = model_for(&net, 6, r0.ocean);
+        let predicted: Vec<f64> = (0..self.coupled_steps)
+            .map(|s| {
+                hyades_perf::slack::predicted_coupled_step(&ma, &mo, r0.ni_atmos[s], r0.ni_ocean[s])
+            })
+            .collect();
+        let observed: Vec<f64> = cp
+            .per_step_path_ps()
+            .iter()
+            .map(|&(_, ps)| ps as f64 * 1e-12)
+            .collect();
+        let series = hyades_perf::slack::critpath_series(&predicted, &observed);
 
-    // Model-predicted coupled step cost vs the observed per-step path.
-    let r0 = &runs[0];
-    let (anps, ands, acells, acols) = r0.atmos_coeffs;
-    let (onps, onds, ocells, ocols) = r0.ocean_coeffs;
-    let ma = model_for(&net, 5, anps, ands, acells, acols);
-    let mo = model_for(&net, 6, onps, onds, ocells, ocols);
-    let predicted: Vec<f64> = (0..tour.coupled_steps)
-        .map(|s| {
-            hyades_perf::slack::predicted_coupled_step(&ma, &mo, r0.ni_atmos[s], r0.ni_ocean[s])
-        })
-        .collect();
-    let observed: Vec<f64> = cp
-        .per_step_path_ps()
-        .iter()
-        .map(|&(_, ps)| ps as f64 * 1e-12)
-        .collect();
-    let series = hyades_perf::slack::critpath_series(&predicted, &observed);
+        // Chrome trace with the matched-message flow arrows.
+        let mut run_tel = RunTelemetry::from_ranks(runs.drain(..).map(|r| r.telemetry).collect());
+        run_tel.set_flows(telemetry::flows_from_stamped(&logs));
 
-    // Chrome trace with the matched-message flow arrows.
-    let mut run_tel = RunTelemetry::from_ranks(runs.drain(..).map(|r| r.telemetry).collect());
-    run_tel.set_flows(telemetry::flows_from_stamped(&logs));
-
-    CritArtifacts {
-        report: cp.render(),
-        json: cp.render_json(),
-        chrome_json: run_tel.chrome_trace_json(),
-        slack_report: series.render(),
-        max_step_residual: series.max_abs_residual(),
-        blame: cp.blame(),
-        total_path_us: cp.total_path_ps as f64 / 1e6,
-        messages: cp.messages,
+        CritArtifacts {
+            report: cp.render(),
+            json: cp.render_json(),
+            chrome_json: run_tel.chrome_trace_json(),
+            slack_report: series.render(),
+            max_step_residual: series.max_abs_residual(),
+            blame: cp.blame(),
+            total_path_us: cp.total_path_ps as f64 / 1e6,
+            messages: cp.messages,
+        }
     }
 }
 
@@ -743,8 +664,7 @@ pub struct ResilientArtifacts {
     /// Human-readable recovery report: fault plan, rollback/replay
     /// accounting, retransmit counters, clean-vs-faulty DES timings.
     pub report: String,
-    /// The machine-readable `recovery` block (embedded verbatim in the
-    /// bench baseline JSON).
+    /// The machine-readable `recovery` block.
     pub json: String,
     /// Per-timestep diagnostics of the *recovered* run (byte-identical
     /// to an uninterrupted run when `recovered_identical`).
@@ -775,53 +695,38 @@ struct ResilientRankRun {
     identical: bool,
 }
 
-fn run_resilient_rank<W: hyades_comms::CommWorld>(
-    world: &mut W,
-    tour: &TourConfig,
-) -> ResilientRankRun {
+fn run_resilient_rank<W: CommWorld>(world: &mut W, tour: &TourConfig) -> ResilientRankRun {
     let rank = world.rank();
     telemetry::enable_with_rates(rank, FPS_MFLOPS, FDS_MFLOPS);
-    let net = arctic_paper();
 
     // Uninterrupted reference first (same seed, no faults): the identity
     // check below is against this run. Both runs execute the same
     // collective schedule on every rank, so interleaving them through
     // one communicator is safe.
-    let mut clean = seeded_coupled_pair(rank, tour.seed);
-    let mut ca = RunMonitor::new("atmos", SentinelConfig::default());
-    let mut co = RunMonitor::new("ocean", SentinelConfig::default());
-    {
-        let mut timed = TimedWorld::new(world, &net);
-        for _ in 0..tour.coupled_steps {
-            let (_, _, healthy) = clean.step_monitored_full(&mut timed, &mut ca, &mut co);
-            assert!(healthy, "clean reference tripped the sentinel");
-        }
-    }
+    let clean = run_coupled_steps(world, tour, None);
 
     // The resilient run under the replicated fault plan.
     let mut c = seeded_coupled_pair(rank, tour.seed);
     let mut atmos = RunMonitor::new("atmos", SentinelConfig::default());
     let mut ocean = RunMonitor::new("ocean", SentinelConfig::default());
-    let mut runner = ResilientRunner::new(&c, tour.fault_plan.clone(), tour.checkpoint_every);
-    {
-        let mut timed = TimedWorld::new(world, &net);
-        let healthy = runner.run(
-            &mut c,
-            &mut timed,
-            &mut atmos,
-            &mut ocean,
-            tour.coupled_steps as u64,
-        );
-        assert!(healthy, "resilient tour tripped the sentinel");
-    }
+    let mut runner = ResilientRunner::new(&c, tour.fault_plan.clone(), CHECKPOINT_EVERY);
+    let net = arctic_paper();
+    let healthy = runner.run(
+        &mut c,
+        &mut TimedWorld::new(world, &net),
+        &mut atmos,
+        &mut ocean,
+        tour.coupled_steps as u64,
+    );
+    assert!(healthy, "resilient tour tripped the sentinel");
 
-    let identical = clean.atmos.state.theta.raw() == c.atmos.state.theta.raw()
-        && clean.atmos.state.u.raw() == c.atmos.state.u.raw()
-        && clean.ocean.state.theta.raw() == c.ocean.state.theta.raw()
-        && clean.ocean.state.u.raw() == c.ocean.state.u.raw()
-        && clean.ocean.state.ps.raw() == c.ocean.state.ps.raw()
-        && ca.series() == atmos.series()
-        && co.series() == ocean.series();
+    let identical = clean.pair.atmos.state.theta.raw() == c.atmos.state.theta.raw()
+        && clean.pair.atmos.state.u.raw() == c.atmos.state.u.raw()
+        && clean.pair.ocean.state.theta.raw() == c.ocean.state.theta.raw()
+        && clean.pair.ocean.state.u.raw() == c.ocean.state.u.raw()
+        && clean.pair.ocean.state.ps.raw() == c.ocean.state.ps.raw()
+        && clean.atmos.series() == atmos.series()
+        && clean.ocean.series() == ocean.series();
     telemetry::disable().expect("telemetry was enabled");
     ResilientRankRun {
         atmos,
@@ -852,36 +757,18 @@ impl TourConfig {
         // DES recovery legs: the same microbench shapes as the profiling
         // tour, but under the plan's link faults, with the flight
         // recorder catching the retransmit crumbs.
-        if self.flight {
-            flight::install(4096);
-        }
+        flight::install(FLIGHT_EVENTS);
         let host = HostParams::default();
-        let leg_bytes = 256 + (self.seed % 7) * 64;
+        let (leg_bytes, values) = microbench_shapes(self.seed);
         let t_exch = measure_exchange(host, 2, 2, leg_bytes);
         let (t_exch_faulty, ex) = measure_exchange_faulty(host, 2, 2, leg_bytes, &self.fault_plan);
-        let values: Vec<f64> = (0..8)
-            .map(|i| ((self.seed >> (i % 8)) & 0xF) as f64 + i as f64)
-            .collect();
         let g = measure_gsum(host, &values, false);
         let (g_faulty, gs) = measure_gsum_faulty(host, &values, &self.fault_plan);
         let gsum_exact = g_faulty.value == g.value;
         let mut counters = ex;
         counters.merge(&gs);
-        let flight_dump = match flight::take() {
-            Some(tr) => format!(
-                "[flight recorder] {} events ({} dropped)\n{}",
-                tr.len(),
-                tr.dropped(),
-                tr.dump()
-            ),
-            None => String::from("[flight recorder] not installed\n"),
-        };
+        let flight_dump = take_flight_dump();
 
-        let diag_text = format!(
-            "{}\n{}",
-            r0.atmos.series().render_text(),
-            r0.ocean.series().render_text()
-        );
         let report = render_recovery_report(
             self,
             &stats,
@@ -906,7 +793,7 @@ impl TourConfig {
         ResilientArtifacts {
             report,
             json,
-            diag_text,
+            diag_text: diag_text(&r0.atmos, &r0.ocean),
             flight_dump,
             steps: r0.ocean.steps(),
             checkpoints: stats.checkpoints,
@@ -935,7 +822,7 @@ fn render_recovery_report(
     let _ = writeln!(
         out,
         "fault-recovery tour: seed {:#x}, {} ranks, {} coupled steps, checkpoint every {}",
-        tour.seed, NRANKS, tour.coupled_steps, tour.checkpoint_every
+        tour.seed, NRANKS, tour.coupled_steps, CHECKPOINT_EVERY
     );
     out.push_str("\n[fault plan]\n");
     out.push_str(&tour.fault_plan.render());
@@ -1012,8 +899,8 @@ impl TourArtifacts {
 }
 
 impl DiagArtifacts {
-    /// `diag.{txt,json,prom}` behind the unified exporter API (the same
-    /// combined atmos+ocean documents the bench has always written).
+    /// `diag.{txt,json,prom}` (combined atmos+ocean documents) behind the
+    /// unified exporter API.
     pub fn exporter(&self) -> Prebuilt {
         Prebuilt::default()
             .with("diag", ArtifactKind::Text, self.text.clone())
@@ -1065,7 +952,7 @@ mod tests {
 
     #[test]
     fn tour_produces_all_artifacts() {
-        let t = run(7);
+        let t = TourConfig::new(7).run_tour();
         assert!(t.span_count > 0);
         // Valid-looking Chrome trace with both timelines present.
         assert!(t.chrome_json.starts_with("{\"traceEvents\":["));
@@ -1102,8 +989,8 @@ mod tests {
 
     #[test]
     fn tour_is_deterministic_per_seed() {
-        let a = run(3);
-        let b = run(3);
+        let a = TourConfig::new(3).run_tour();
+        let b = TourConfig::new(3).run_tour();
         assert_eq!(a.chrome_json, b.chrome_json);
         assert_eq!(a.text_summary, b.text_summary);
         assert_eq!(a.phase_report, b.phase_report);
@@ -1112,7 +999,7 @@ mod tests {
 
     #[test]
     fn tour_residual_series_has_one_row_per_step() {
-        let t = run(7);
+        let t = TourConfig::new(7).run_tour();
         assert!(t.residual_series.contains(&format!(
             "per-step model-vs-measured residuals ({STEPS} steps)"
         )));
@@ -1128,7 +1015,7 @@ mod tests {
 
     #[test]
     fn tour_chrome_trace_carries_flow_events() {
-        let t = run(7);
+        let t = TourConfig::new(7).run_tour();
         assert!(t.chrome_json.contains("\"ph\":\"s\""), "no flow starts");
         assert!(
             t.chrome_json.contains("\"ph\":\"f\",\"bp\":\"e\""),
@@ -1138,12 +1025,12 @@ mod tests {
 
     #[test]
     fn critpath_tour_without_straggler_is_balanced() {
-        let c = run_critpath(7, None);
+        let c = TourConfig::new(7).run_critpath();
         assert!(c.messages > 0);
         assert!(c.total_path_us > 0.0);
         // Identical tiles: no rank should own a grossly dominant share,
         // and the model should predict the path within the residual
-        // budget the bench gate enforces.
+        // budget.
         assert!(
             c.max_step_residual.is_finite() && c.max_step_residual < 2.0,
             "path vs model diverged:\n{}",
@@ -1163,13 +1050,12 @@ mod tests {
 
     #[test]
     fn critpath_tour_blames_the_injected_straggler() {
-        let c = run_critpath(
-            7,
-            Some(Straggler {
+        let c = TourConfig::new(7)
+            .straggler(Straggler {
                 rank: 2,
                 extra_flops: 50_000_000,
-            }),
-        );
+            })
+            .run_critpath();
         assert_eq!(
             c.blame,
             Some((2, telemetry::Phase::Ps)),
@@ -1218,28 +1104,16 @@ mod tests {
     }
 
     #[test]
-    fn tour_config_shims_match_legacy_entry_points() {
-        let a = run(5);
-        let b = TourConfig::new(5).run_tour();
-        assert_eq!(a.chrome_json, b.chrome_json);
-        assert_eq!(a.text_summary, b.text_summary);
-        let da = run_coupled_diag(5);
-        let db = TourConfig::new(5).run_coupled_diag();
-        assert_eq!(da.json, db.json);
-        assert_eq!(da.prom, db.prom);
-    }
-
-    #[test]
     fn exporters_bundle_the_tour_artifacts() {
         use hyades_telemetry::Exporter as _;
-        let d = run_coupled_diag(7);
+        let d = TourConfig::new(7).run_coupled_diag();
         let arts = d.exporter().artifacts();
         assert_eq!(arts.len(), 3);
         assert_eq!(arts[0].file_name(), "diag.txt");
         assert_eq!(arts[1].file_name(), "diag.json");
         assert_eq!(arts[2].file_name(), "diag.prom");
         assert_eq!(arts[1].bytes, d.json);
-        let c = run_critpath(7, None);
+        let c = TourConfig::new(7).run_critpath();
         let names: Vec<String> = c
             .exporter("critpath")
             .artifacts()
@@ -1259,7 +1133,7 @@ mod tests {
 
     #[test]
     fn coupled_diag_tour_is_healthy_and_complete() {
-        let d = run_coupled_diag(7);
+        let d = TourConfig::new(7).run_coupled_diag();
         assert_eq!(d.steps, CSTEPS as u64);
         assert_eq!(d.sentinel_trips, 0);
         assert!(d.cg_iters_p50 >= 1);

@@ -13,7 +13,6 @@
 //! * the direction in which a column is statically unstable.
 
 use crate::grid::GRAVITY;
-use serde::{Deserialize, Serialize};
 
 /// Reference surface pressure for the atmosphere isomorph (Pa).
 pub const P00: f64 = 1.0e5;
@@ -23,14 +22,14 @@ pub const R_DRY: f64 = 287.0;
 pub const KAPPA: f64 = 2.0 / 7.0;
 
 /// Which fluid this model instance is.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FluidKind {
     Ocean,
     Atmosphere,
 }
 
 /// Equation-of-state parameters for one isomorph.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Eos {
     pub kind: FluidKind,
     /// Reference potential temperature (K or °C offset).

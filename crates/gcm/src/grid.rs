@@ -5,8 +5,6 @@
 //! C-grid, tracers/pressure live at cell centres, `u` at west faces, `v`
 //! at south faces, and `w` at the interfaces between vertical levels.
 
-use serde::{Deserialize, Serialize};
-
 /// Earth radius (m).
 pub const EARTH_RADIUS: f64 = 6.371e6;
 /// Rotation rate (rad/s).
@@ -16,7 +14,7 @@ pub const GRAVITY: f64 = 9.81;
 
 /// Global grid description (identical on every tile; tiles index into it
 /// with their global offsets).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Grid {
     /// Number of cells in longitude (periodic).
     pub nx: usize,

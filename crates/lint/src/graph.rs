@@ -46,7 +46,7 @@ fn is_test_path(rel: &str) -> bool {
 
 /// Module path for qualification, derived from the file path:
 /// `crates/comms/src/world.rs` → `comms::world`,
-/// `crates/bench/src/bin/baseline.rs` → `bench::bin::baseline`,
+/// `crates/bench/src/bin/export_figures.rs` → `bench::bin::export_figures`,
 /// `src/lib.rs` → `hyades`, `tests/determinism.rs` → `tests::determinism`.
 fn module_path(rel: &str) -> String {
     let stem = rel.strip_suffix(".rs").unwrap_or(rel);
@@ -740,8 +740,8 @@ mod tests {
             "des::experiments"
         );
         assert_eq!(
-            module_path("crates/bench/src/bin/baseline.rs"),
-            "bench::bin::baseline"
+            module_path("crates/bench/src/bin/export_figures.rs"),
+            "bench::bin::export_figures"
         );
         assert_eq!(module_path("src/lib.rs"), "hyades");
         assert_eq!(module_path("tests/determinism.rs"), "tests::determinism");

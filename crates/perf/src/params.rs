@@ -4,10 +4,8 @@
 //! each isomorph on sixteen processors over eight SMPs (i.e. eight network
 //! endpoints; `nxyz`/`nxy` are per endpoint).
 
-use serde::{Deserialize, Serialize};
-
 /// PS-phase parameters of one isomorph.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PsParams {
     /// Floating-point operations per grid cell per PS pass.
     pub nps: f64,
@@ -20,7 +18,7 @@ pub struct PsParams {
 }
 
 /// DS-phase parameters (identical for both isomorphs in the coupled run).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct DsParams {
     /// Flops per vertical column per solver iteration.
     pub nds: f64,

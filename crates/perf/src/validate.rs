@@ -8,10 +8,9 @@
 //! the time-charging executor replaying a simulated run.
 
 use crate::model::PerfModel;
-use serde::Serialize;
 
 /// Outcome of one validation.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Validation {
     pub nt: u64,
     pub ni: f64,

@@ -7,8 +7,7 @@
 //!
 //! * [`DiagSeries::render_text`] — an aligned, human-readable table in
 //!   the spirit of MITgcm's `monitor` package output;
-//! * [`DiagSeries::render_json`] — a machine-readable series (consumed
-//!   by the bench differ);
+//! * [`DiagSeries::render_json`] — a machine-readable series;
 //! * [`DiagSeries::render_prom`] — the final row as Prometheus gauges
 //!   alongside the fabric metrics.
 //!

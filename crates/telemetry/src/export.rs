@@ -5,8 +5,8 @@
 //!
 //! * [`chrome_trace_json`](RunTelemetry::chrome_trace_json) — Chrome
 //!   trace-event JSON ("X" complete events), loadable in
-//!   `chrome://tracing` or Perfetto. Hand-rolled: the vendored `serde`
-//!   is a marker-trait stub, and the format is four fields per event.
+//!   `chrome://tracing` or Perfetto. Hand-rolled: the format is four
+//!   fields per event.
 //!   Timestamps are microseconds derived *exactly* from the integer
 //!   picosecond clock (`ps / 10^6` with six fixed decimals), so the
 //!   bytes are reproducible.

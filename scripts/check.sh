@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Full local gate: formatting, release build, static analysis, tests.
+# Full local gate: formatting, release build, static analysis, tests, the
+# benchmark's six workloads, and the tour example.
 # Run from anywhere inside the repo.
 set -eu
 
@@ -28,11 +29,15 @@ echo "    ${lint_summary#hyades-lint: } (report: target/lint-report.json)"
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> fault-plan seed sweep (2000 plan seeds x 6 exchange shapes and 4 gsum sizes)"
+cargo test -q --release -- --ignored
+
 # hbench is a workspace of its own, so nothing above compiles it: a
-# des/arctic/gcm signature change would break the benchmark unnoticed.
-echo "==> hbench: unit tests, then the des/arctic, gcm and lint workloads (must report 0 failed)"
+# signature change in any crate it drives would break the benchmark
+# unnoticed.
+echo "==> hbench: unit tests, then all six workloads (must report 0 failed)"
 cargo test --offline -q --manifest-path hbench/Cargo.toml
-for workload in fabric_saturated comm_primitives coupled_serial ocean_1deg lint_tree; do
+for workload in coupled_serial ocean_1deg cluster_tour fabric_saturated comm_primitives lint_tree; do
     cargo run --release --offline --quiet --manifest-path hbench/Cargo.toml -- \
         --workload "$workload" --seconds 3 > "target/hbench-$workload.txt"
     if ! tail -n 1 "target/hbench-$workload.txt" | grep -q '"failed": 0,'; then
@@ -42,31 +47,8 @@ for workload in fabric_saturated comm_primitives coupled_serial ocean_1deg lint_
     sed -n "s/^  wall_s */    $workload wall_s /p" "target/hbench-$workload.txt"
 done
 
-echo "==> SPMD uniformity proof (E20: every collective reached uniformly)"
-cargo run -q --release --example uniform_proof > target/e20-uniform.txt
-tail -n 1 target/e20-uniform.txt
-grep -q "collective-divergence findings: 0" target/e20-uniform.txt
-
-echo "==> telemetry tour (instrumented run + exporters)"
-cargo run -q --release --example telemetry_tour
-
-echo "==> monitor smoke (coupled run, diagnostics on, sentinel armed)"
-cargo run -q --release --example monitor_smoke > target/monitor-smoke.txt
-tail -n 1 target/monitor-smoke.txt
-
-echo "==> critpath smoke (critical-path profiler + straggler attribution)"
-cargo run -q --release --example critpath_smoke > target/critpath-smoke.txt
-tail -n 1 target/critpath-smoke.txt
-
-echo "==> fault smoke (planned rank crash + lossy links; must recover bit-identically)"
-cargo run -q --release --example fault_smoke > target/fault-smoke.txt
-tail -n 1 target/fault-smoke.txt
-
-echo "==> perf baseline (smoke): fabric observatory + export determinism"
-scripts/bench.sh --smoke
-
-echo "==> bench diff: BENCH_pr9.json vs BENCH_pr10.json (budgeted regression gate)"
-./target/release/baseline diff BENCH_pr9.json BENCH_pr10.json > target/bench-diff.json
-grep '"verdict"' target/bench-diff.json
+echo "==> tour (the four core::tour runs, one artifact bundle, three verdicts)"
+cargo run -q --release --example tour > target/tour.txt
+tail -n 1 target/tour.txt
 
 echo "All checks passed."

@@ -21,6 +21,7 @@ use hyades::gcm::decomp::Decomp;
 use hyades::gcm::field::Field3;
 use hyades::gcm::halo::exchange3;
 use hyades::startx::HostParams;
+use hyades::tour::TourConfig;
 
 /// One delivery, fully materialized: (sink, time in ps, src, usr_tag,
 /// payload words). Comparing vectors of these compares the whole trace.
@@ -310,8 +311,8 @@ fn telemetry_exports_are_bit_identical_across_runs() {
     // SimTime, f64 stats, and histogram buckets — any wall-clock leak,
     // hash-iteration order, or rank-merge shuffle in the recorder stack
     // shows up as a diff here.
-    let a = hyades::tour::run(0x7E1E_7E1E);
-    let b = hyades::tour::run(0x7E1E_7E1E);
+    let a = TourConfig::new(0x7E1E_7E1E).run_tour();
+    let b = TourConfig::new(0x7E1E_7E1E).run_tour();
     assert!(a.span_count > 0, "tour recorded nothing");
     assert_eq!(
         a.chrome_json, b.chrome_json,
@@ -326,7 +327,7 @@ fn telemetry_exports_are_bit_identical_across_runs() {
     // A different seed must move the artifacts, or the comparison above
     // is vacuous: the seed perturbs both the physics (solver residuals)
     // and the microbench shapes (exchange leg bytes).
-    let c = hyades::tour::run(0x5EED_0001);
+    let c = TourConfig::new(0x5EED_0001).run_tour();
     assert_ne!(a.chrome_json, c.chrome_json);
     assert_ne!(a.text_summary, c.text_summary);
 }
@@ -424,8 +425,8 @@ fn coupled_diag_exports_are_bit_identical_across_runs() {
     // indicators, per-field extremes with blame coordinates, CG traces —
     // are built entirely from rank-ordered reductions, so all three
     // exporters must replay byte-for-byte.
-    let a = hyades::tour::run_coupled_diag(0xD1A6);
-    let b = hyades::tour::run_coupled_diag(0xD1A6);
+    let a = TourConfig::new(0xD1A6).run_coupled_diag();
+    let b = TourConfig::new(0xD1A6).run_coupled_diag();
     assert_eq!(a.text, b.text, "diag text must replay byte-identically");
     assert_eq!(a.json, b.json, "diag json must replay byte-identically");
     assert_eq!(a.prom, b.prom, "diag prom must replay byte-identically");
@@ -434,7 +435,7 @@ fn coupled_diag_exports_are_bit_identical_across_runs() {
 
     // A different seed perturbs the ocean initial state, which must move
     // the recorded extremes — otherwise the equality above is vacuous.
-    let c = hyades::tour::run_coupled_diag(0x0CEA);
+    let c = TourConfig::new(0x0CEA).run_coupled_diag();
     assert_ne!(a.text, c.text);
     assert_ne!(a.json, c.json);
 }
@@ -495,8 +496,8 @@ fn critpath_blames_the_injected_straggler_byte_identically() {
         rank: 2,
         extra_flops: 50_000_000,
     };
-    let a = hyades::tour::run_critpath(0xC817, Some(straggler));
-    let b = hyades::tour::run_critpath(0xC817, Some(straggler));
+    let a = TourConfig::new(0xC817).straggler(straggler).run_critpath();
+    let b = TourConfig::new(0xC817).straggler(straggler).run_critpath();
     assert_eq!(
         a.report, b.report,
         "critpath report must replay byte-identically"
@@ -516,8 +517,8 @@ fn critpath_blames_the_injected_straggler_byte_identically() {
     // The balanced run must also replay byte-for-byte, and must not
     // blame the straggler's rank — otherwise the attribution above is
     // vacuous (e.g. rank 2 always winning a tiebreak).
-    let base_a = hyades::tour::run_critpath(0xC817, None);
-    let base_b = hyades::tour::run_critpath(0xC817, None);
+    let base_a = TourConfig::new(0xC817).run_critpath();
+    let base_b = TourConfig::new(0xC817).run_critpath();
     assert_eq!(base_a.report, base_b.report);
     assert_eq!(base_a.json, base_b.json);
     assert_ne!(
@@ -529,14 +530,12 @@ fn critpath_blames_the_injected_straggler_byte_identically() {
 
 #[test]
 fn recovery_exports_are_bit_identical_across_runs() {
-    use hyades::tour::TourConfig;
-
     // The fault-recovery tour's golden test: even a run that crashes a
     // rank, rolls back, replays, and retransmits through a lossy link
     // window must export byte-for-byte — the fault plan is seeded, the
     // backoff schedule is deterministic, and recovery is charged to
     // simulated time. The flight-recorder dump pins the retransmit crumb
-    // stream; the JSON block is what the bench baseline embeds.
+    // stream.
     let run = || {
         TourConfig::new(0xFA_017)
             .fault_plan(TourConfig::demo_fault_plan(0xFA_017))

@@ -4,17 +4,22 @@
 //!
 //! The paper's §6 workflow — "a century ... within a two week period" —
 //! only holds if a mid-run fault costs a checkpoint interval, not the
-//! run. These tests pin the three layers of that claim: bit-exact
-//! resume from a checkpoint file, bit-exact recovery from a planned
-//! rank crash under link faults, and a machine-checked proof that the
-//! recovery message legs cannot deadlock.
+//! run. These tests pin the layers of that claim: bit-exact resume from
+//! a checkpoint file, bit-exact recovery from a planned rank crash under
+//! link faults, a machine-checked proof that the recovery message legs
+//! cannot deadlock, and a sweep of the running retransmit protocols over
+//! seeded fault plans.
 
+use hyades::comms::exchange::{measure_exchange, measure_exchange_faulty};
+use hyades::comms::gsum::{measure_gsum, measure_gsum_faulty};
 use hyades::comms::schedule::{exchange_recovery_graph, gsum_recovery_graph};
 use hyades::comms::SerialWorld;
+use hyades::fault::FaultPlan;
 use hyades::gcm::checkpoint::{load_file, save_file};
 use hyades::gcm::config::{ModelConfig, SurfaceForcing};
 use hyades::gcm::decomp::Decomp;
 use hyades::gcm::driver::Model;
+use hyades::startx::HostParams;
 use hyades::tour::TourConfig;
 
 fn build_model() -> Model {
@@ -104,4 +109,100 @@ fn recovery_protocols_are_proven_deadlock_free() {
         .expect("4x4 exchange recovery schedule must verify");
     hyades_lint::schedule::verify(&gsum_recovery_graph(16))
         .expect("16-rank gsum recovery schedule must verify");
+}
+
+/// The lossy-link plan `hbench`'s `comm_primitives` draws, for one plan
+/// seed: a corrupt/drop window over the opening 60 µs plus one NIU stall.
+fn sweep_plan(seed: u64) -> FaultPlan {
+    FaultPlan::new(seed)
+        .link_window(0.0, 60.0, 0.2, 0.1)
+        .niu_stall(1, 5.0, 25.0)
+}
+
+/// One `px × py` exchange of `leg` bytes under every plan seed in
+/// `seeds`: every node must finish its schedule (the measurement panics
+/// otherwise), recovery may only cost simulated time, and the same seed
+/// must replay to the same time and counters.
+fn sweep_exchange(px: u16, py: u16, leg: u64, seeds: impl Iterator<Item = u64>, replays: usize) {
+    let host = HostParams::default();
+    let clean = measure_exchange(host, px, py, leg);
+    for seed in seeds {
+        let run = || measure_exchange_faulty(host, px, py, leg, &sweep_plan(seed));
+        let (t, counters) = run();
+        assert!(
+            t >= clean,
+            "{px}x{py}/{leg} B seed {seed}: faulty {t} beat fault-free {clean}"
+        );
+        for _ in 0..replays {
+            assert_eq!(run(), (t, counters), "{px}x{py}/{leg} B seed {seed} replay");
+        }
+    }
+}
+
+/// The `n`-rank butterfly under every plan seed in `seeds`: it must
+/// complete with the bit-exact rank-ordered sum, no sooner than the
+/// fault-free run, and replay identically.
+fn sweep_gsum(n: usize, seeds: impl Iterator<Item = u64>, replays: usize) {
+    let host = HostParams::default();
+    // Sixteenths in ±128: every summation order gives the same bits.
+    let values: Vec<f64> = (0..n)
+        .map(|i| (i * 613 % 4096) as f64 / 16.0 - 128.0)
+        .collect();
+    let exact = values.iter().sum::<f64>().to_bits();
+    let clean = measure_gsum(host, &values, false);
+    assert_eq!(clean.value.to_bits(), exact);
+    for seed in seeds {
+        let run = || measure_gsum_faulty(host, &values, &sweep_plan(seed));
+        let (g, counters) = run();
+        assert_eq!(
+            g.value.to_bits(),
+            exact,
+            "gsum n={n} seed {seed}: inexact sum"
+        );
+        assert!(g.elapsed >= clean.elapsed, "gsum n={n} seed {seed}");
+        for _ in 0..replays {
+            let (g2, counters2) = run();
+            assert_eq!(
+                (g2.value.to_bits(), g2.elapsed, counters2),
+                (exact, g.elapsed, counters),
+                "gsum n={n} seed {seed} replay"
+            );
+        }
+    }
+}
+
+// Plan seeds the retransmit protocol used to die on ("Proceed in
+// unexpected phase": a duplicate ACK/DONE accepted while the first was
+// still being processed) among their healthy neighbours: 19, 40, 68, 85,
+// 95, 146 on 4×4/256 B; 34, 39, 86, 90, 97, 100 on 4×4/4096 B; 138 on
+// 2×2/4096 B. A 4×4/4096 B run costs 0.1 s in a debug build, so that
+// shape takes every tenth seed plus its six; `fault_plan_seed_sweep_full`
+// covers the rest.
+
+#[test]
+fn fault_plan_seed_sweep_small_legs_and_gsum() {
+    sweep_exchange(4, 4, 256, 0..150, 1);
+    for n in [2, 4, 8, 16] {
+        sweep_gsum(n, 0..150, 1);
+    }
+}
+
+#[test]
+fn fault_plan_seed_sweep_large_legs() {
+    let seeds = (0..150).step_by(10).chain([34, 39, 86, 90, 97, 100]);
+    sweep_exchange(4, 4, 4096, seeds, 1);
+    sweep_exchange(2, 2, 4096, 138..139, 1);
+}
+
+#[test]
+#[ignore = "about a minute in release; scripts/check.sh runs it"]
+fn fault_plan_seed_sweep_full() {
+    for (px, py) in [(2, 2), (4, 4)] {
+        for leg in [256, 4096, 16384] {
+            sweep_exchange(px, py, leg, 0..2000, 0);
+        }
+    }
+    for n in [2, 4, 8, 16] {
+        sweep_gsum(n, 0..2000, 0);
+    }
 }
