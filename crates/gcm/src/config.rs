@@ -158,11 +158,11 @@ impl ModelConfig {
             diff_h: 5.0e2,
             diff_v: 1.0e-4,
             ab_eps: 0.01,
-            // Jacobi-PCG iteration counts scale with the grid diameter;
-            // at 360x160 a 1e-7 target needs >1000 iterations from a cold
-            // start. 1e-5 keeps the divergence residual dynamically
-            // negligible at ~150 iterations once warm-started (the E10
-            // throughput analysis' Ni).
+            // `cg_rtol` is a reduction from the warm-started residual
+            // (`solver::cg`), so 1e-5 already leaves the divergence
+            // residual dynamically negligible; the solver meets it in
+            // about 170 iterations a step, and the cap is an order of
+            // magnitude of slack over that.
             cg_rtol: 1e-5,
             cg_max_iters: 1500,
             forcing: SurfaceForcing::Climatology,

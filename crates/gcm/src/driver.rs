@@ -37,6 +37,9 @@ pub struct StepStats {
     pub cg_iterations: usize,
     /// 3-D solver iterations (non-hydrostatic mode; 0 otherwise).
     pub nh_iterations: usize,
+    /// Final `‖r‖ / ‖r₀‖` of the surface-pressure solve: the reduction
+    /// from the warm-started first residual (`CgResult::rel_residual`),
+    /// not a residual relative to the right-hand side.
     pub cg_residual: f64,
     /// Absolute `‖r₀‖` of the surface-pressure solve (warm-start drift).
     pub cg_initial_residual: f64,
@@ -566,10 +569,11 @@ mod tests {
         let mut w = SerialWorld;
         m.run(&mut w, 5);
         let (nps, nds) = m.measured_n_coefficients();
-        // Figure 11 quotes Nps ≈ 751–781 and Nds = 36; our leaner kernels
-        // must land within the same order of magnitude.
+        // Figure 11 quotes Nps ≈ 751–781 and Nds = 36. Our leaner PS
+        // kernels must land within the same order of magnitude; the DS
+        // iteration is counted flop by flop (operator 9 + CG 21).
         assert!((100.0..2000.0).contains(&nps), "Nps = {nps}");
-        assert!((10.0..100.0).contains(&nds), "Nds = {nds}");
+        assert_eq!(nds, 30.0);
     }
 }
 

@@ -42,13 +42,22 @@ fn block_mut(
     is: Range<i64>,
     js: Range<i64>,
 ) -> impl Iterator<Item = &mut [f64]> {
-    // The spans of the first and the last row bound the block; between
-    // them a row's columns start every `nx + 2h` words.
+    // Between the block's first and last word a row's columns start
+    // every `nx + 2h` words.
+    let width = (is.end - is.start) as usize;
+    level[block_span((nx, ny, h), is, js)]
+        .chunks_mut(nx + 2 * h)
+        .map(move |row| &mut row[..width])
+}
+
+/// From the first of columns `is` in row `js.start` to the last in row
+/// `js.end − 1` (neither range empty): the spans of the two rows bound
+/// the block, and each is checked.
+#[inline]
+fn block_span((nx, ny, h): (usize, usize, usize), is: Range<i64>, js: Range<i64>) -> Range<usize> {
     let first = row_span(nx, ny, h, js.start, is.clone());
     let last = row_span(nx, ny, h, js.end - 1, is);
-    level[first.start..last.end]
-        .chunks_mut(nx + 2 * h)
-        .map(move |row| &mut row[..first.len()])
+    first.start..last.end
 }
 
 /// A 2-D (single-level) field with halo.
@@ -137,6 +146,28 @@ impl Field2 {
         js: Range<i64>,
     ) -> impl Iterator<Item = &mut [f64]> + '_ {
         block_mut(&mut self.data, (self.nx, self.ny, self.h), is, js)
+    }
+
+    /// Where the whole rows `js` (not empty), halo columns included, lie
+    /// in the storage.
+    #[inline]
+    fn rows_span(&self, js: Range<i64>) -> Range<usize> {
+        let is = -(self.h as i64)..(self.nx + self.h) as i64;
+        block_span((self.nx, self.ny, self.h), is, js)
+    }
+
+    /// The whole rows `js` (not empty) as one slice: cell `(i, j)` is at
+    /// `(j − js.start)·(nx + 2h) + h + i`. For sweeps that address
+    /// several rows of several equally shaped fields with one index.
+    #[inline]
+    pub fn rows(&self, js: Range<i64>) -> &[f64] {
+        &self.data[self.rows_span(js)]
+    }
+
+    #[inline]
+    pub fn rows_mut(&mut self, js: Range<i64>) -> &mut [f64] {
+        let span = self.rows_span(js);
+        &mut self.data[span]
     }
 
     pub fn fill(&mut self, v: f64) {
@@ -333,6 +364,17 @@ mod tests {
         f.row_mut(4, 5..6)[0] = -1.0;
         assert_eq!(f.at(5, 4), -1.0);
 
+        // Whole rows as one slice: a row every `nx + 2h` words, the
+        // halo column first.
+        let rows = f.rows(-1..2);
+        assert_eq!(rows.len(), 3 * 8);
+        assert_eq!(
+            (rows[0], rows[8 + 2], rows[23]),
+            (f.at(-2, -1), f.at(0, 0), f.at(5, 1))
+        );
+        f.rows_mut(2..3)[2 + 3] = -2.0;
+        assert_eq!(f.at(3, 2), -2.0);
+
         // A block is its rows in order, each cut to the columns.
         let want: Vec<Vec<f64>> = (-1..2i64)
             .map(|j| (4..6i64).map(|i| f.at(i, j)).collect())
@@ -372,6 +414,13 @@ mod tests {
     fn row_above_the_halo_panics() {
         let mut f = Field2::new(4, 3, 1);
         let _ = f.row_mut(4, 0..4);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside field")]
+    fn rows_below_the_halo_panic() {
+        let f = Field2::new(4, 3, 1);
+        let _ = f.rows(-2..1);
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //!   step; *overcomputation* in the halo removes all other communication.
 //! * **DS (diagnostic step)** — solve the 2-D elliptic equation
 //!   `∇h·(H ∇h ps) = rhs` for the surface pressure that renders the
-//!   depth-integrated flow non-divergent, with a Jacobi-preconditioned
-//!   conjugate-gradient solver: one two-field width-1 exchange and two
-//!   global sums per iteration.
+//!   depth-integrated flow non-divergent, with a conjugate-gradient
+//!   solver preconditioned by a tile-local incomplete Cholesky factor:
+//!   one two-field width-1 exchange and two global sums per iteration.
 //!
 //! The domain is horizontally decomposed into tiles with halo regions
 //! (Figure 5); tiles run against the [`hyades_comms::CommWorld`] interface

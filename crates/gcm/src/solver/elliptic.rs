@@ -12,6 +12,7 @@ use crate::config::ModelConfig;
 use crate::field::Field2;
 use crate::grid::GRAVITY;
 use crate::kernel::TileGeom;
+use crate::solver::mic::Mic0;
 use crate::state::Masks;
 use crate::tile::Tile;
 use hyades_telemetry as telemetry;
@@ -26,6 +27,9 @@ pub struct EllipticCoeffs {
     pub a_s: Field2,
     /// Diagonal: sum of the four face transmissibilities.
     pub diag: Field2,
+    /// The operator's incomplete factor over the tile's own columns:
+    /// CG's preconditioner.
+    pub(crate) mic: Mic0,
 }
 
 /// Flops per wet column for one operator application.
@@ -74,7 +78,8 @@ impl EllipticCoeffs {
                 );
             }
         }
-        EllipticCoeffs { aw, a_s, diag }
+        let mic = Mic0::build(tile, &aw, &a_s, &diag);
+        EllipticCoeffs { aw, a_s, diag, mic }
     }
 
     /// `out = (−A)·x` on the interior: positive-semidefinite form

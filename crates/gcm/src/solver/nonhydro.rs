@@ -13,9 +13,9 @@
 //! ∇·(1/V · A_face ∇ p_nh) = ∇·v* / Δt,   v^{n+1} = v* − Δt ∇p_nh
 //! ```
 //!
-//! The solver is the same Jacobi-preconditioned CG as the surface solve,
-//! over 3-D fields (one width-1 exchange and two global sums per
-//! iteration). In the hydrostatic limit (aspect ratio → 0) the correction
+//! The solver is a Jacobi-preconditioned CG over 3-D fields with the
+//! surface solve's communication (one width-1 exchange and two global
+//! sums per iteration). In the hydrostatic limit (aspect ratio → 0) the correction
 //! vanishes — the paper's stated justification for running climate
 //! configurations hydrostatically — and a regression test pins that.
 

@@ -29,7 +29,7 @@ echo "    ${lint_summary#hyades-lint: } (report: target/lint-report.json)"
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> fault-plan seed sweep (2000 plan seeds x 6 exchange shapes and 4 gsum sizes)"
+echo "==> ignored tests, release: fault-plan seed sweep (2000 plan seeds x 6 exchange shapes and 4 gsum sizes), paper grid converges while finite"
 cargo test -q --release -- --ignored
 
 # hbench is a workspace of its own, so nothing above compiles it: a
@@ -46,6 +46,13 @@ for workload in coupled_serial ocean_1deg cluster_tour fabric_saturated comm_pri
     fi
     sed -n "s/^  wall_s */    $workload wall_s /p" "target/hbench-$workload.txt"
 done
+# Printed, not gated (the iteration-count gates are in cargo test): CG
+# iterations per model step on the coupled pair, from one traced run.
+cargo run --release --offline --quiet --manifest-path hbench/Cargo.toml -- \
+    --workload coupled_serial --seconds 3 --trace 1 > target/hbench-coupled_serial-traced.txt
+awk '$1 == "gcm.cg_iters" { iters = $2 } $1 == "gcm.steps" { steps = $2 }
+    END { if (steps > 0) printf "    coupled_serial gcm.cg_iters / gcm.steps  %d / %d = %.1f\n", iters, steps, iters / steps }' \
+    target/hbench-coupled_serial-traced.txt
 
 echo "==> tour (the four core::tour runs, one artifact bundle, three verdicts)"
 cargo run -q --release --example tour > target/tour.txt

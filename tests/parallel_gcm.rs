@@ -242,3 +242,32 @@ fn coupled_pair_runs_on_eight_threads_and_matches_serial() {
         );
     }
 }
+
+/// The paper's own 128×64 coupled pair at its default cap of 200
+/// iterations: both surface-pressure solves converge on every step while
+/// the run is finite (it leaves the finite numbers after step 59 for
+/// reasons that are not the solver's — ROADMAP item 1). Under point
+/// Jacobi not one of these steps converged.
+#[test]
+#[ignore = "about a second in release; scripts/check.sh runs it"]
+fn paper_grid_converges_while_finite() {
+    let mut pair = hyades::scenario::paper_coupled_scenario(4);
+    assert_eq!(pair.atmos.cfg.cg_max_iters, 200);
+    assert_eq!(pair.ocean.cfg.cg_max_iters, 200);
+    let (mut wa, mut wo) = (SerialWorld, SerialWorld);
+    for step in 1..=32 {
+        let (sa, so) = pair.step(&mut wa, &mut wo);
+        assert!(
+            sa.cg_converged && so.cg_converged,
+            "step {step}: atmosphere {} iterations to {:.1e}, ocean {} to {:.1e}",
+            sa.cg_iterations,
+            sa.cg_residual,
+            so.cg_iterations,
+            so.cg_residual
+        );
+        assert!(
+            sa.max_speed.is_finite() && so.max_speed.is_finite(),
+            "step {step}"
+        );
+    }
+}
