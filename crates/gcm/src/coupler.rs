@@ -14,7 +14,7 @@
 use crate::config::SurfaceForcing;
 use crate::driver::{Model, StepStats};
 use crate::eos::FluidKind;
-use crate::physics::atmos::{CP_AIR, L_VAP};
+use crate::physics::atmos::L_VAP;
 use hyades_comms::CommWorld;
 
 /// Bulk transfer coefficients for the air–sea fluxes.
@@ -96,7 +96,6 @@ impl CoupledModel {
                     let evap_mass = RHO_AIR * deficit * self.atmos.cfg.grid.dz[0]
                         / (9.81 * crate::physics::atmos::TAU_EVAP);
                     let q_evap = -L_VAP * evap_mass;
-                    let _ = CP_AIR;
                     self.ocean.bc.qflux.set(i, j, q_turb + q_evap);
                 } else {
                     self.ocean.bc.qflux.set(i, j, 0.0);

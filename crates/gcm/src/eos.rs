@@ -89,11 +89,21 @@ impl Eos {
     #[inline]
     pub fn buoyancy(&self, theta: f64, s: f64, k: usize) -> f64 {
         match self.kind {
-            FluidKind::Ocean => {
-                GRAVITY * (self.alpha_t * (theta - self.theta_ref) - self.beta_s * (s - self.s_ref))
-            }
-            FluidKind::Atmosphere => self.cb[k] * (theta - self.theta_ref),
+            FluidKind::Ocean => self.buoyancy_ocean(theta, s),
+            FluidKind::Atmosphere => self.buoyancy_atmosphere(theta, k),
         }
+    }
+
+    /// The two arms of [`Eos::buoyancy`], for row sweeps that match the
+    /// fluid once, outside the row.
+    #[inline]
+    pub(crate) fn buoyancy_ocean(&self, theta: f64, s: f64) -> f64 {
+        GRAVITY * (self.alpha_t * (theta - self.theta_ref) - self.beta_s * (s - self.s_ref))
+    }
+
+    #[inline]
+    pub(crate) fn buoyancy_atmosphere(&self, theta: f64, k: usize) -> f64 {
+        self.cb[k] * (theta - self.theta_ref)
     }
 
     /// True if the buoyancy pair `(b_near, b_far)` — `near` closer to the

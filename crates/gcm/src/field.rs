@@ -11,8 +11,9 @@
 //! Two ways in. `at`/`set` address one cell; their index is checked in
 //! debug builds only, so in a release build an `i` beyond the halo lands
 //! in a neighbouring row. `row`/`row_mut`/`block_mut` hand out spans of
-//! rows as slices and check the span once, in every build — the form the
-//! DS solver and the halo exchange sweep.
+//! rows as slices and check the span once, in every build — the form
+//! every kernel of the PS and DS phases and the halo exchange sweep;
+//! `at`/`set` are for set-up, diagnostics and tests.
 
 use std::ops::Range;
 
@@ -256,6 +257,50 @@ impl Field3 {
         self.data[ix] += v;
     }
 
+    /// Where columns `is` of row `j` on level `k` lie in the storage.
+    #[inline]
+    fn row_span(&self, j: i64, k: usize, is: Range<i64>) -> Range<usize> {
+        let level = k * (self.nx + 2 * self.h) * (self.ny + 2 * self.h);
+        let row = row_span(self.nx, self.ny, self.h, j, is);
+        level + row.start..level + row.end
+    }
+
+    /// Columns `is` of row `j` on level `k`; halo rows and columns are in
+    /// range.
+    #[inline]
+    pub fn row(&self, j: i64, k: usize, is: Range<i64>) -> &[f64] {
+        &self.data[self.row_span(j, k, is)]
+    }
+
+    #[inline]
+    pub fn row_mut(&mut self, j: i64, k: usize, is: Range<i64>) -> &mut [f64] {
+        let span = self.row_span(j, k, is);
+        &mut self.data[span]
+    }
+
+    /// Columns `is` of row `j` on two different levels: `k_read` to read,
+    /// `k_write` to write. For level-by-level sweeps whose carry is the
+    /// field's own previous level.
+    #[inline]
+    pub fn row_pair(
+        &mut self,
+        j: i64,
+        k_read: usize,
+        k_write: usize,
+        is: Range<i64>,
+    ) -> (&[f64], &mut [f64]) {
+        assert_ne!(k_read, k_write, "row_pair needs two different levels");
+        let read = self.row_span(j, k_read, is.clone());
+        let write = self.row_span(j, k_write, is);
+        if k_read < k_write {
+            let (lo, hi) = self.data.split_at_mut(write.start);
+            (&lo[read], &mut hi[..write.len()])
+        } else {
+            let (lo, hi) = self.data.split_at_mut(read.start);
+            (&hi[..read.len()], &mut lo[write])
+        }
+    }
+
     /// Columns `is` of each row in `js` (neither empty) on level `k`, in
     /// row order.
     #[inline]
@@ -301,9 +346,17 @@ impl Field3 {
     }
 
     pub fn interior_max_abs(&self) -> f64 {
-        self.interior()
-            .map(|(i, j, k)| self.at(i, j, k).abs())
-            .fold(0.0, f64::max)
+        let (nx, ny) = (self.nx as i64, self.ny as i64);
+        let mut max = 0.0f64;
+        for k in 0..self.nz {
+            for j in 0..ny {
+                max = self
+                    .row(j, k, 0..nx)
+                    .iter()
+                    .fold(max, |m, v| m.max(v.abs()));
+            }
+        }
+        max
     }
 
     pub fn raw(&self) -> &[f64] {
@@ -388,6 +441,30 @@ mod tests {
             .collect();
         let got: Vec<Vec<f64>> = g.block_mut(1, -2..1, 0..3).map(|r| r.to_vec()).collect();
         assert_eq!(got, want);
+        // A `Field3` row is the same span of one level.
+        for j in -2..5i64 {
+            assert!(g.row(j, 0, -2..6).iter().all(|&v| v == 0.0));
+            for (i, &v) in (-1..5i64).zip(g.row(j, 1, -1..5)) {
+                assert_eq!(v, g.at(i, j, 1));
+            }
+        }
+        g.row_mut(4, 1, 5..6)[0] = -1.5;
+        assert_eq!(g.at(5, 4, 1), -1.5);
+        g.row_mut(4, 1, 5..6)[0] = 405.5;
+        // Two levels of one row at once, either way round.
+        let (read, write) = g.row_pair(1, 1, 0, -2..3);
+        write.copy_from_slice(read);
+        let (read, write) = g.row_pair(2, 0, 1, 0..4);
+        assert_eq!(read, [0.0; 4]);
+        assert_eq!(write, [200.5, 201.5, 202.5, 203.5]);
+        write[3] = 8.0;
+        assert_eq!(
+            (g.at(-2, 1, 0), g.at(2, 1, 0), g.at(3, 1, 0), g.at(3, 2, 1)),
+            (98.5, 102.5, 0.0, 8.0)
+        );
+        g.row_mut(1, 0, -2..3).fill(0.0);
+        g.set(3, 2, 1, 203.5);
+
         g.block_mut(0, -2..0, -2..-1).for_each(|r| r.fill(7.0));
         assert_eq!(
             (
@@ -421,6 +498,44 @@ mod tests {
     fn rows_below_the_halo_panic() {
         let f = Field2::new(4, 3, 1);
         let _ = f.rows(-2..1);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside field")]
+    fn field3_row_columns_beyond_the_halo_panic() {
+        // In range of the storage (the next row follows), out of range of
+        // the row.
+        let f = Field3::new(4, 3, 2, 1);
+        let _ = f.row(0, 1, 0..6);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside field")]
+    fn field3_row_below_the_halo_panics() {
+        // Level 1 has a level before it in the storage.
+        let mut f = Field3::new(4, 3, 2, 1);
+        let _ = f.row_mut(-2, 1, 0..4);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn field3_row_level_out_of_range_panics() {
+        let f = Field3::new(4, 3, 2, 1);
+        let _ = f.row(0, 2, 0..4);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside field")]
+    fn row_pair_beyond_the_halo_panics() {
+        let mut f = Field3::new(4, 3, 2, 1);
+        let _ = f.row_pair(0, 0, 1, -2..4);
+    }
+
+    #[test]
+    #[should_panic(expected = "two different levels")]
+    fn row_pair_of_one_level_panics() {
+        let mut f = Field3::new(4, 3, 2, 1);
+        let _ = f.row_pair(0, 1, 1, 0..4);
     }
 
     #[test]
@@ -474,6 +589,17 @@ mod tests {
         }
         assert_eq!(f.interior_sum(), 4.0);
         assert_eq!(f.interior_max_abs(), 1.0);
+    }
+
+    #[test]
+    fn field3_max_ignores_halo_and_nan() {
+        let mut f = Field3::new(3, 2, 2, 1);
+        f.fill(-9.0);
+        for (n, (i, j, k)) in f.clone().interior().enumerate() {
+            f.set(i, j, k, n as f64 - 7.5);
+        }
+        f.set(1, 1, 0, f64::NAN);
+        assert_eq!(f.interior_max_abs(), 7.5);
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! the normal flow vanishes.
 
 use crate::config::ModelConfig;
+use crate::eos::FluidKind;
 use crate::field::Field3;
 use crate::flops::{self, Phase};
-use crate::kernel::TileGeom;
+use crate::kernel::{in_column, select, Cols, TileGeom};
 use crate::state::{Masks, ModelState};
 use crate::tile::Tile;
 
@@ -25,36 +26,72 @@ pub fn buoyancy_and_phy(
     state: &mut ModelState,
     ext: i64,
 ) {
-    let nz = cfg.grid.nz;
+    // The fluid is matched here, once, so the row body is monomorphic.
+    let eos = &cfg.eos;
+    match eos.kind {
+        FluidKind::Ocean => buoyancy_and_phy_rows(cfg, tile, masks, state, ext, |theta, s, _| {
+            eos.buoyancy_ocean(theta, s)
+        }),
+        FluidKind::Atmosphere => {
+            buoyancy_and_phy_rows(cfg, tile, masks, state, ext, |theta, _, k| {
+                eos.buoyancy_atmosphere(theta, k)
+            })
+        }
+    }
+}
+
+/// Rows outermost, levels in the middle, a row of columns innermost; the
+/// two column carries of the accumulation are a row each.
+fn buoyancy_and_phy_rows(
+    cfg: &ModelConfig,
+    tile: &Tile,
+    masks: &Masks,
+    state: &mut ModelState,
+    ext: i64,
+    buoyancy: impl Fn(f64, f64, usize) -> f64,
+) {
+    let dz = &cfg.grid.dz;
     let sign = cfg.eos.hydro_sign;
-    let (nx, ny) = (tile.nx as i64, tile.ny as i64);
+    let cols = Cols::new(tile.nx, ext);
+    let n = cols.n;
+    let ModelState {
+        theta, s, b, phy, ..
+    } = state;
+    // Pressure accumulated down to here, and the buoyancy of the last wet
+    // cell above.
+    let mut p = vec![0.0; n];
+    let mut b_above = vec![0.0; n];
     let mut cells = 0u64;
-    for j in -ext..ny + ext {
-        for i in -ext..nx + ext {
-            let mut p = 0.0;
-            let mut b_above = 0.0;
-            for k in 0..nz {
-                if masks.c.at(i, j, k) == 0.0 {
-                    state.b.set(i, j, k, 0.0);
-                    state.phy.set(i, j, k, p);
-                    continue;
-                }
-                let b = cfg
-                    .eos
-                    .buoyancy(state.theta.at(i, j, k), state.s.at(i, j, k), k);
-                state.b.set(i, j, k, b);
-                // Midpoint rule: contribution of the half-levels flanking
-                // interface k.
-                let dz_half = if k == 0 {
-                    0.5 * cfg.grid.dz[0]
+    for j in -ext..tile.ny as i64 + ext {
+        p.fill(0.0);
+        b_above.fill(0.0);
+        for k in 0..cfg.grid.nz {
+            // Midpoint rule: contribution of the half-levels flanking
+            // interface k.
+            let dz_half = if k == 0 {
+                0.5 * dz[0]
+            } else {
+                0.5 * (dz[k - 1] + dz[k])
+            };
+            let wet = cols.of(&masks.c, j, k);
+            let (theta, s) = (cols.of(theta, j, k), cols.of(s, j, k));
+            let (b, phy) = (cols.of_mut(b, j, k), cols.of_mut(phy, j, k));
+            for i in 0..n {
+                let here = buoyancy(theta[i], s[i], k);
+                let b_mid = if k == 0 {
+                    here
                 } else {
-                    0.5 * (cfg.grid.dz[k - 1] + cfg.grid.dz[k])
+                    0.5 * (b_above[i] + here)
                 };
-                let b_mid = if k == 0 { b } else { 0.5 * (b_above + b) };
-                p += sign * b_mid * dz_half;
-                state.phy.set(i, j, k, p);
-                b_above = b;
-                cells += 1;
+                let below = p[i] + sign * b_mid * dz_half;
+                // A dry cell stores +0.0 and the pressure above it, and
+                // leaves both carries as they are.
+                let is_wet = wet[i] != 0.0;
+                b[i] = select(is_wet, here, 0.0);
+                p[i] = select(is_wet, below, p[i]);
+                phy[i] = p[i];
+                b_above[i] = select(is_wet, here, b_above[i]);
+                cells += is_wet as u64;
             }
         }
     }
@@ -80,38 +117,145 @@ pub fn diagnose_w(
     w: &mut Field3,
     ext: i64,
 ) {
-    let nz = cfg.grid.nz;
-    let (nx, ny) = (tile.nx as i64, tile.ny as i64);
+    let dy = geom.dy;
+    let cols = Cols::new(tile.nx, ext);
+    let cols_east = cols.wider(0, 1);
+    let n = cols.n;
+    // `w` at the interface below, a row of columns: the integration runs
+    // bottom-up, rows outermost.
+    let mut w_below = vec![0.0; n];
     let mut cells = 0u64;
-    for j in -ext..ny + ext {
-        let dy = geom.dy;
+    for j in -ext..tile.ny as i64 + ext {
         let area = geom.area_at(j);
-        for i in -ext..nx + ext {
-            let kmax = masks.kmax.at(i, j) as usize;
-            // Below the bottom: no flow.
-            for k in kmax..nz {
-                w.set(i, j, k, 0.0);
-            }
-            if kmax == 0 {
-                continue;
-            }
-            let mut w_below = 0.0; // interface kmax: solid boundary
-            for k in (0..kmax).rev() {
-                let dz = cfg.grid.dz[k];
+        let (dxs_south, dxs_north) = (geom.dxs_at(j), geom.dxs_at(j + 1));
+        let kmax = cols.of2(&masks.kmax, j);
+        w_below.fill(0.0); // interface kmax: solid boundary
+        for k in (0..cfg.grid.nz).rev() {
+            let dz = cfg.grid.dz[k];
+            let (u, hu) = (cols_east.of(u, j, k), cols_east.of(&masks.hu, j, k));
+            let (v_south, hv_south) = (cols.of(v, j, k), cols.of(&masks.hv, j, k));
+            let (v_north, hv_north) = (cols.of(v, j + 1, k), cols.of(&masks.hv, j + 1, k));
+            let w = cols.of_mut(w, j, k);
+            for i in 0..n {
                 // Open face areas include the partial-cell fractions.
-                let uin = u.at(i, j, k) * masks.hu.at(i, j, k);
-                let uout = u.at(i + 1, j, k) * masks.hu.at(i + 1, j, k);
-                let vin = v.at(i, j, k) * masks.hv.at(i, j, k) * geom.dxs_at(j);
-                let vout = v.at(i, j + 1, k) * masks.hv.at(i, j + 1, k) * geom.dxs_at(j + 1);
+                let uin = u[i] * hu[i];
+                let uout = u[i + 1] * hu[i + 1];
+                let vin = v_south[i] * hv_south[i] * dxs_south;
+                let vout = v_north[i] * hv_north[i] * dxs_north;
                 let hdiv = (uout - uin) * dy * dz + (vout - vin) * dz;
-                let w_here = w_below - hdiv / area;
-                w.set(i, j, k, w_here);
-                w_below = w_here;
-                cells += 1;
+                let w_here = w_below[i] - hdiv / area;
+                // Below the bottom: no flow (+0.0), and the carry stays
+                // the solid boundary's.
+                let open = in_column(k, kmax[i]);
+                w[i] = select(open, w_here, 0.0);
+                w_below[i] = select(open, w_here, w_below[i]);
+                cells += open as u64;
             }
         }
     }
     flops::add(Phase::Ps, cells * W_FLOPS_PER_CELL);
+}
+
+/// The cell-at-a-time loops the row sweeps above replaced, kept as what
+/// the sweeps are compared with, bit for bit.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// Evaluate buoyancy and hydrostatic pressure on the interior extended by
+    /// `ext` halo rings.
+    pub(crate) fn buoyancy_and_phy(
+        cfg: &ModelConfig,
+        tile: &Tile,
+        masks: &Masks,
+        state: &mut ModelState,
+        ext: i64,
+    ) {
+        let nz = cfg.grid.nz;
+        let sign = cfg.eos.hydro_sign;
+        let (nx, ny) = (tile.nx as i64, tile.ny as i64);
+        let mut cells = 0u64;
+        for j in -ext..ny + ext {
+            for i in -ext..nx + ext {
+                let mut p = 0.0;
+                let mut b_above = 0.0;
+                for k in 0..nz {
+                    if masks.c.at(i, j, k) == 0.0 {
+                        state.b.set(i, j, k, 0.0);
+                        state.phy.set(i, j, k, p);
+                        continue;
+                    }
+                    let b = cfg
+                        .eos
+                        .buoyancy(state.theta.at(i, j, k), state.s.at(i, j, k), k);
+                    state.b.set(i, j, k, b);
+                    // Midpoint rule: contribution of the half-levels flanking
+                    // interface k.
+                    let dz_half = if k == 0 {
+                        0.5 * cfg.grid.dz[0]
+                    } else {
+                        0.5 * (cfg.grid.dz[k - 1] + cfg.grid.dz[k])
+                    };
+                    let b_mid = if k == 0 { b } else { 0.5 * (b_above + b) };
+                    p += sign * b_mid * dz_half;
+                    state.phy.set(i, j, k, p);
+                    b_above = b;
+                    cells += 1;
+                }
+            }
+        }
+        flops::add(Phase::Ps, cells * FLOPS_PER_CELL);
+    }
+
+    /// Diagnose `w` (the velocity across the interface between cell `k` and
+    /// cell `k-1`, positive toward `k-1`) from the divergence of `(u, v)`,
+    /// integrating from the far boundary (`w = 0` below the deepest wet cell).
+    /// Computed on the interior extended by `ext` rings (requires `u`, `v`
+    /// valid on `ext+1`).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn diagnose_w(
+        cfg: &ModelConfig,
+        tile: &Tile,
+        geom: &TileGeom,
+        masks: &Masks,
+        u: &Field3,
+        v: &Field3,
+        w: &mut Field3,
+        ext: i64,
+    ) {
+        let nz = cfg.grid.nz;
+        let (nx, ny) = (tile.nx as i64, tile.ny as i64);
+        let mut cells = 0u64;
+        for j in -ext..ny + ext {
+            let dy = geom.dy;
+            let area = geom.area_at(j);
+            for i in -ext..nx + ext {
+                let kmax = masks.kmax.at(i, j) as usize;
+                // Below the bottom: no flow.
+                for k in kmax..nz {
+                    w.set(i, j, k, 0.0);
+                }
+                if kmax == 0 {
+                    continue;
+                }
+                let mut w_below = 0.0; // interface kmax: solid boundary
+                for k in (0..kmax).rev() {
+                    let dz = cfg.grid.dz[k];
+                    // Open face areas include the partial-cell fractions.
+                    let uin = u.at(i, j, k) * masks.hu.at(i, j, k);
+                    let uout = u.at(i + 1, j, k) * masks.hu.at(i + 1, j, k);
+                    let vin = v.at(i, j, k) * masks.hv.at(i, j, k) * geom.dxs_at(j);
+                    let vout = v.at(i, j + 1, k) * masks.hv.at(i, j + 1, k) * geom.dxs_at(j + 1);
+                    let hdiv = (uout - uin) * dy * dz + (vout - vin) * dz;
+                    let w_here = w_below - hdiv / area;
+                    w.set(i, j, k, w_here);
+                    w_below = w_here;
+                    cells += 1;
+                }
+            }
+        }
+        flops::add(Phase::Ps, cells * W_FLOPS_PER_CELL);
+    }
 }
 
 #[cfg(test)]
@@ -222,5 +366,76 @@ mod tests {
         assert_eq!(ps, 8 * 8 * 4 * FLOPS_PER_CELL);
         assert_eq!(ds, 0);
         crate::flops::reset();
+    }
+}
+
+#[cfg(test)]
+mod sweep_tests {
+    use super::*;
+    use crate::kernel::fixtures::{cases, Case};
+
+    // `Model::step` uses `ext = 2`; the cell-local kernel can go to 3.
+    #[test]
+    fn buoyancy_and_phy_sweep_matches_the_reference_bit_for_bit() {
+        for case in cases() {
+            let Case {
+                cfg, tile, masks, ..
+            } = &case;
+            for ext in 0..=3 {
+                case.check(
+                    &format!("buoyancy_and_phy, ext {ext}"),
+                    |st, _| buoyancy_and_phy(cfg, tile, masks, st, ext),
+                    |st, _| reference::buoyancy_and_phy(cfg, tile, masks, st, ext),
+                );
+            }
+        }
+    }
+
+    // `Model::step` uses `ext = 0`, the gterms tests 1; the stencil
+    // reaches one column east and one row north, so 2 is the limit.
+    #[test]
+    fn diagnose_w_sweep_matches_the_reference_bit_for_bit() {
+        for case in cases() {
+            let Case {
+                cfg,
+                tile,
+                geom,
+                masks,
+                ..
+            } = &case;
+            for ext in 0..=2 {
+                case.check(
+                    &format!("diagnose_w, ext {ext}"),
+                    |st, _| diagnose_w(cfg, tile, geom, masks, &st.u, &st.v, &mut st.w, ext),
+                    |st, _| {
+                        reference::diagnose_w(cfg, tile, geom, masks, &st.u, &st.v, &mut st.w, ext)
+                    },
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside field")]
+    fn buoyancy_and_phy_beyond_the_halo_panics() {
+        let case = cases().swap_remove(0);
+        let mut st = case.state.clone();
+        buoyancy_and_phy(&case.cfg, &case.tile, &case.masks, &mut st, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside field")]
+    fn diagnose_w_beyond_the_halo_panics() {
+        let case = cases().swap_remove(0);
+        let mut w = case.state.w.clone();
+        let Case {
+            cfg,
+            tile,
+            geom,
+            masks,
+            state,
+            ..
+        } = &case;
+        diagnose_w(cfg, tile, geom, masks, &state.u, &state.v, &mut w, 3);
     }
 }

@@ -6,6 +6,13 @@
 //! 3×3-point stencils, tendencies can be **overcomputed** on a ring of
 //! halo cells so that a single exchange per time step suffices — the
 //! paper's key PS-phase communication optimization.
+//!
+//! Every kernel here and in `physics` is a sweep over row slices
+//! (`Cols`): one span check per row in every build, cell bodies
+//! written with `select` so the loops vectorise, and each cell's
+//! expression and operation order exactly those of the cell-at-a-time
+//! loop it replaced, which survives beside it as `#[cfg(test)] mod
+//! reference` and is compared bit for bit (DESIGN §17).
 
 pub mod gterms;
 pub mod hydrostatic;
@@ -15,6 +22,87 @@ pub mod vertical;
 use crate::config::ModelConfig;
 use crate::field::{Field2, Field3};
 use crate::tile::Tile;
+use std::ops::Range;
+
+/// `if c { a } else { b }` with both arms evaluated, as the selects of a
+/// sweep's cell body are written: plain `if` expressions come out of the
+/// optimiser as branches around loads again, which keeps the loop scalar.
+pub(crate) use std::hint::select_unpredictable as select;
+
+/// Whether level `k` is among the top `kmax` levels of a column, for the
+/// wet-level count a mask stores as `f64`: `k < kmax as usize` without
+/// the conversion, which does not vectorise. The two agree for every
+/// `kmax` — the cast truncates toward zero and saturates (NaN to 0), and
+/// `k + 1` is an integer.
+#[inline(always)]
+pub(crate) fn in_column(k: usize, kmax: f64) -> bool {
+    (k + 1) as f64 <= kmax
+}
+
+/// A span of columns that a kernel sweep takes of every row it reads or
+/// writes. Each row comes as a slice whose span is checked against the
+/// field (halo included) in every build, cut to the span's length `n`, so
+/// that the inner loops index `0..n` without bounds checks.
+#[derive(Debug)]
+pub(crate) struct Cols {
+    is: Range<i64>,
+    pub n: usize,
+}
+
+impl Cols {
+    /// Columns `-ext..nx + ext`: the interior extended by `ext` rings.
+    #[inline]
+    pub fn new(nx: usize, ext: i64) -> Cols {
+        let is = -ext..nx as i64 + ext;
+        let n = (is.end - is.start).max(0) as usize;
+        Cols { is, n }
+    }
+
+    /// `west` more columns before the span and `east` more after it. The
+    /// length is stated in terms of `self.n`, so that an index `i + east`
+    /// for `i < self.n` is visibly in range.
+    #[inline]
+    pub fn wider(&self, west: usize, east: usize) -> Cols {
+        Cols {
+            is: self.is.start - west as i64..self.is.end + east as i64,
+            n: self.n + west + east,
+        }
+    }
+
+    #[inline]
+    pub fn of<'a>(&self, f: &'a Field3, j: i64, k: usize) -> &'a [f64] {
+        &f.row(j, k, self.is.clone())[..self.n]
+    }
+
+    #[inline]
+    pub fn of_mut<'a>(&self, f: &'a mut Field3, j: i64, k: usize) -> &'a mut [f64] {
+        &mut f.row_mut(j, k, self.is.clone())[..self.n]
+    }
+
+    /// The row on two different levels of one field: `k_read` to read,
+    /// `k_write` to write.
+    #[inline]
+    pub fn pair<'a>(
+        &self,
+        f: &'a mut Field3,
+        j: i64,
+        k_read: usize,
+        k_write: usize,
+    ) -> (&'a [f64], &'a mut [f64]) {
+        let (read, write) = f.row_pair(j, k_read, k_write, self.is.clone());
+        (&read[..self.n], &mut write[..self.n])
+    }
+
+    #[inline]
+    pub fn of2<'a>(&self, f: &'a Field2, j: i64) -> &'a [f64] {
+        &f.row(j, self.is.clone())[..self.n]
+    }
+
+    #[inline]
+    pub fn of2_mut<'a>(&self, f: &'a mut Field2, j: i64) -> &'a mut [f64] {
+        &mut f.row_mut(j, self.is.clone())[..self.n]
+    }
+}
 
 /// Per-tile geometry cache: row-indexed metric factors (the grid is
 /// zonally symmetric, so geometry depends on the latitude row only).
@@ -137,10 +225,390 @@ impl Workspace {
     }
 }
 
+/// What the sweep tests of the PS kernels (here and in `physics`) run
+/// on, and how they compare a sweep with its cell-at-a-time reference.
+#[cfg(test)]
+pub(crate) mod fixtures {
+    use super::{TileGeom, Workspace};
+    use crate::config::{ModelConfig, SurfaceForcing};
+    use crate::decomp::Decomp;
+    use crate::eos::{Eos, FluidKind, P00};
+    use crate::field::Field3;
+    use crate::flops;
+    use crate::physics::BoundaryFields;
+    use crate::solver::fixtures::{offset_tile, scattered_land};
+    use crate::state::{perturbation, Masks, ModelState};
+    use crate::tile::Tile;
+    use crate::topography::Topography;
+
+    /// One tile with every word of its state, workspace and boundary
+    /// fields (halo included) set.
+    pub(crate) struct Case {
+        pub label: String,
+        pub cfg: ModelConfig,
+        pub tile: Tile,
+        pub geom: TileGeom,
+        pub masks: Masks,
+        pub state: ModelState,
+        pub ws: Workspace,
+        pub bc: BoundaryFields,
+    }
+
+    /// Pseudo-random finite values around `mid` with both signs of the
+    /// deviation, and exact `+0.0` and `−0.0` entries.
+    fn vary(f: &mut [f64], salt: u64, mid: f64, amp: f64) {
+        for (n, v) in f.iter_mut().enumerate() {
+            *v = match n % 13 {
+                3 => 0.0,
+                7 => -0.0,
+                _ => mid + amp * perturbation(salt, n as i64, 0, 0),
+            };
+        }
+    }
+
+    impl Case {
+        pub(crate) fn new(label: String, cfg: ModelConfig, tile: Tile, masks: Masks) -> Case {
+            let geom = TileGeom::build(&cfg, &tile);
+            let mut state = ModelState::initial(&cfg, &tile, &masks);
+            let mut ws = Workspace::new(&cfg, &tile);
+            let mut bc = BoundaryFields::new(&tile);
+            let atmosphere = cfg.eos.kind == FluidKind::Atmosphere;
+            let mut salt = 0u64;
+            let mut fill = |f: &mut [f64], mid: f64, amp: f64| {
+                salt += 1;
+                vary(f, salt, mid, amp);
+            };
+            for f in [&mut state.u, &mut state.v] {
+                fill(f.raw_mut(), 0.0, 2.0);
+            }
+            fill(state.w.raw_mut(), 0.0, 1e-3);
+            for f in [
+                &mut state.gu_prev,
+                &mut state.gv_prev,
+                &mut state.gt_prev,
+                &mut state.gs_prev,
+                &mut state.gw_prev,
+                &mut ws.gu,
+                &mut ws.gv,
+                &mut ws.gt,
+                &mut ws.gs,
+            ] {
+                fill(f.raw_mut(), 0.0, 1e-4);
+            }
+            for f in [&mut ws.ustar, &mut ws.vstar, &mut state.phy, &mut state.b] {
+                fill(f.raw_mut(), 0.0, 1.5);
+            }
+            fill(state.ps.raw_mut(), 0.0, 10.0);
+            fill(ws.rhs.raw_mut(), 0.0, 1e3);
+            fill(bc.taux.raw_mut(), 0.0, 0.2);
+            fill(bc.tauy.raw_mut(), 0.0, 0.2);
+            fill(bc.qflux.raw_mut(), 0.0, 200.0);
+            // Some sea-surface temperatures at or below zero: no
+            // evaporation there.
+            fill(bc.sst.raw_mut(), 150.0, 160.0);
+            // Tracers: a stable stratification under noise that overturns
+            // it in every third column and leaves the others stable; the
+            // atmosphere's humidity straddles saturation.
+            let (t0, dt_dk, s0, s_amp) = if atmosphere {
+                (285.0, 12.0, 0.012, 0.012)
+            } else {
+                (22.0, -4.0, 35.0, 0.3)
+            };
+            let h = tile.halo as i64;
+            for k in 0..cfg.grid.nz {
+                for j in -h..tile.ny as i64 + h {
+                    for i in -h..tile.nx as i64 + h {
+                        let amp = if (i + 2 * j).rem_euclid(3) == 0 {
+                            20.0
+                        } else {
+                            0.5
+                        };
+                        let r = perturbation(77, i, j, k);
+                        state.theta.set(i, j, k, t0 + dt_dk * k as f64 + amp * r);
+                        let q = perturbation(78, i, j, k);
+                        state.s.set(i, j, k, s0 + s_amp * q);
+                        // A few exact zeros of either sign here too.
+                        match (3 * i + 5 * j + k as i64).rem_euclid(17) {
+                            2 => state.theta.set(i, j, k, -0.0),
+                            9 => state.s.set(i, j, k, -0.0),
+                            13 => state.s.set(i, j, k, 0.0),
+                            _ => {}
+                        }
+                    }
+                }
+            }
+            Case {
+                label,
+                cfg,
+                tile,
+                geom,
+                masks,
+                state,
+                ws,
+                bc,
+            }
+        }
+
+        /// The same tile with no flow: every word of `u`, `v` and `w` a
+        /// zero of either sign, so that most of what the kernels compute
+        /// is a zero whose sign shows in the result.
+        fn at_rest(mut self) -> Case {
+            for (salt, f) in [&mut self.state.u, &mut self.state.v, &mut self.state.w]
+                .into_iter()
+                .enumerate()
+            {
+                for (n, v) in f.raw_mut().iter_mut().enumerate() {
+                    let minus = perturbation(salt as u64, n as i64, 0, 0) < 0.0;
+                    *v = if minus { -0.0 } else { 0.0 };
+                }
+            }
+            self.label += ", at rest";
+            self
+        }
+
+        /// The same tile with dry cells above wet ones. No topography
+        /// makes such a column, but the kernels driven by the cell mask
+        /// must carry their column sums across the gap as the references
+        /// do.
+        fn with_holes(mut self) -> Case {
+            let h = self.tile.halo as i64;
+            for k in 0..self.cfg.grid.nz {
+                for j in -h..self.tile.ny as i64 + h {
+                    for i in -h..self.tile.nx as i64 + h {
+                        if (i + 2 * j + 3 * k as i64).rem_euclid(5) == 0 {
+                            self.masks.c.set(i, j, k, 0.0);
+                        }
+                    }
+                }
+            }
+            self.label += ", with holes";
+            self
+        }
+
+        /// Run `sweep` and `reference` from this case's state: every word
+        /// of the state and the workspace, halo included, and the flops
+        /// each charged must come out the same.
+        pub(crate) fn check(
+            &self,
+            what: &str,
+            sweep: impl Fn(&mut ModelState, &mut Workspace),
+            reference: impl Fn(&mut ModelState, &mut Workspace),
+        ) {
+            let run = |kernel: &dyn Fn(&mut ModelState, &mut Workspace)| {
+                let (mut state, mut ws) = (self.state.clone(), self.ws.clone());
+                let before = flops::read();
+                kernel(&mut state, &mut ws);
+                let after = flops::read();
+                (bits(&state, &ws), (after.0 - before.0, after.1 - before.1))
+            };
+            let (got, got_flops) = run(&sweep);
+            let (want, want_flops) = run(&reference);
+            assert_eq!(got_flops, want_flops, "{what}, {}: flops", self.label);
+            for ((name, got), (_, want)) in got.iter().zip(&want) {
+                let differing = got.iter().zip(want).filter(|(a, b)| a != b).count();
+                assert_eq!(differing, 0, "{what}, {}: {name} differs", self.label);
+            }
+        }
+    }
+
+    /// The raw storage of every field a PS kernel can write, as bits.
+    fn bits(state: &ModelState, ws: &Workspace) -> Vec<(&'static str, Vec<u64>)> {
+        let f3 = |f: &Field3| f.raw().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        vec![
+            ("u", f3(&state.u)),
+            ("v", f3(&state.v)),
+            ("w", f3(&state.w)),
+            ("theta", f3(&state.theta)),
+            ("s", f3(&state.s)),
+            ("gu_prev", f3(&state.gu_prev)),
+            ("gv_prev", f3(&state.gv_prev)),
+            ("gt_prev", f3(&state.gt_prev)),
+            ("gs_prev", f3(&state.gs_prev)),
+            ("gw_prev", f3(&state.gw_prev)),
+            ("phy", f3(&state.phy)),
+            ("b", f3(&state.b)),
+            ("ps", crate::solver::fixtures::bits(&state.ps)),
+            ("gu", f3(&ws.gu)),
+            ("gv", f3(&ws.gv)),
+            ("gt", f3(&ws.gt)),
+            ("gs", f3(&ws.gs)),
+            ("ustar", f3(&ws.ustar)),
+            ("vstar", f3(&ws.vstar)),
+            ("rhs", crate::solver::fixtures::bits(&ws.rhs)),
+        ]
+    }
+
+    /// A configuration of either fluid on a `gnx × gny × nz` grid, forced
+    /// by its climatology.
+    fn config(gnx: usize, gny: usize, nz: usize, fluid: FluidKind) -> ModelConfig {
+        // The sweeps never exchange, so the decomposition is not used.
+        let d = Decomp::blocks(16, 8, 1, 1, 3);
+        let mut cfg = ModelConfig::test_ocean(gnx, gny, nz, d);
+        cfg.forcing = SurfaceForcing::Climatology;
+        if fluid == FluidKind::Atmosphere {
+            let centre = |k: usize| P00 * (1.0 - (k as f64 + 0.5) / nz as f64);
+            cfg.eos = Eos::atmosphere(&(0..nz).map(centre).collect::<Vec<_>>());
+            cfg.grid.dz = vec![P00 / nz as f64; nz];
+            cfg.dt = 400.0;
+            (cfg.visc_v, cfg.diff_v) = (10.0, 10.0);
+        }
+        cfg
+    }
+
+    /// An `nx × ny` tile (halo 3) of a grid three columns wider and a row
+    /// taller — the wrap and the southern wall are in its halo — whose
+    /// columns have 0, 1, 2, … or all `nz` wet levels in a fixed scatter,
+    /// every third wet column with a shaved bottom cell.
+    fn staircase(nx: usize, ny: usize, nz: usize, fluid: FluidKind) -> Case {
+        let cfg = config(nx + 3, ny + 1, nz, fluid);
+        let tile = offset_tile(nx, ny);
+        let dz = &cfg.grid.dz;
+        let topo = Topography::from_depths(&cfg.grid, 0.2, |gi, j| {
+            let levels = [nz, 1, 0, 2, nz, nz - nz / 3][(gi * 7 + j * 3) % 6].min(nz);
+            if levels == 0 {
+                return 0.0;
+            }
+            let bottom = if (gi + j) % 3 == 0 { 0.6 } else { 1.01 };
+            dz[..levels - 1].iter().sum::<f64>() + bottom * dz[levels - 1]
+        });
+        let masks = Masks::build(&cfg, &tile, &topo);
+        let label = format!("staircase {fluid:?} {nx}x{ny}x{nz}");
+        Case::new(label, cfg, tile, masks)
+    }
+
+    /// The tiles every sweep is compared with its reference on: both
+    /// fluids, `nz ∈ {1, 2, 5}`, `nx ∈ {1, 2, 5, 16}` over the staircase,
+    /// some of them again at rest and with holes in the mask; the
+    /// solver's scattered land (an isolated wet column among them); the
+    /// idealized continents on a whole 16 × 8 grid.
+    pub(crate) fn cases() -> Vec<Case> {
+        let mut cases = Vec::new();
+        for fluid in [FluidKind::Ocean, FluidKind::Atmosphere] {
+            for nz in [1, 2, 5] {
+                for nx in [1, 2, 5, 16] {
+                    cases.push(staircase(nx, 4, nz, fluid));
+                }
+            }
+        }
+        for fluid in [FluidKind::Ocean, FluidKind::Atmosphere] {
+            cases.push(staircase(5, 4, 5, fluid).at_rest());
+            cases.push(staircase(16, 3, 2, fluid).at_rest().with_holes());
+            cases.push(staircase(5, 4, 5, fluid).with_holes());
+        }
+        for nx in [1, 2, 5, 16] {
+            let (mut cfg, tile, _, masks, _) = scattered_land(nx, 6, false);
+            cfg.forcing = SurfaceForcing::Climatology;
+            cases.push(Case::new(
+                format!("scattered land {nx}x6x4"),
+                cfg,
+                tile,
+                masks,
+            ));
+        }
+        for nz in [1, 2, 5] {
+            let cfg = config(16, 8, nz, FluidKind::Ocean);
+            let tile = Decomp::blocks(16, 8, 1, 1, 3).tile(0);
+            let topo = Topography::idealized_continents(&cfg.grid);
+            let masks = Masks::build(&cfg, &tile, &topo);
+            cases.push(Case::new(format!("continents 16x8x{nz}"), cfg, tile, masks));
+        }
+        cases
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::decomp::Decomp;
+
+    #[test]
+    fn in_column_is_the_truncating_cast_compared() {
+        let counts = [
+            0.0,
+            -0.0,
+            0.5,
+            1.0,
+            1.999,
+            2.0,
+            15.0,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.0e300,
+            u16::MAX as f64,
+        ];
+        for kmax in counts {
+            for k in [0usize, 1, 2, 14, 15, 65_534, 65_535] {
+                assert_eq!(in_column(k, kmax), k < kmax as usize, "{k} of {kmax}");
+            }
+        }
+    }
+
+    #[test]
+    fn cols_cut_rows_to_their_length() {
+        let mut f = Field3::new(5, 4, 2, 3);
+        let mut g = Field2::new(5, 4, 3);
+        for (n, v) in f.raw_mut().iter_mut().enumerate() {
+            *v = n as f64;
+        }
+        g.raw_mut().copy_from_slice(&f.raw()[..11 * 10]);
+        let cols = Cols::new(5, 1);
+        let wide = cols.wider(2, 1);
+        assert_eq!((cols.n, wide.n), (7, 10));
+        assert_eq!(cols.of(&f, 2, 1), f.row(2, 1, -1..6));
+        assert_eq!(wide.of(&f, -3, 0), f.row(-3, 0, -3..7));
+        assert_eq!(wide.of2(&g, 0), wide.of(&f, 0, 0));
+        cols.of_mut(&mut f, 0, 1)[0] = -1.0;
+        cols.of2_mut(&mut g, 3)[6] = -2.0;
+        assert_eq!((f.at(-1, 0, 1), g.at(5, 3)), (-1.0, -2.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside field")]
+    fn cols_beyond_the_halo_panic() {
+        let f = Field3::new(5, 4, 2, 3);
+        let _ = Cols::new(5, 3).wider(0, 1).of(&f, 0, 0);
+    }
+
+    #[test]
+    fn fixtures_hold_the_edge_cases_the_sweep_tests_lean_on() {
+        let cases = fixtures::cases();
+        let case = cases
+            .iter()
+            .find(|c| c.label == "staircase Ocean 16x4x5")
+            .expect("the widest staircase");
+        // Columns of 0, 1, 2 and all 5 levels, some with a shaved bottom.
+        let levels: Vec<usize> = case
+            .masks
+            .kmax
+            .interior()
+            .map(|(i, j)| case.masks.kmax.at(i, j) as usize)
+            .collect();
+        for want in [0, 1, 2, 5] {
+            assert!(levels.contains(&want), "no column of {want} levels");
+        }
+        assert!(case.masks.hc.raw().iter().any(|&h| 0.0 < h && h < 1.0));
+        // Both signs of `w`, and zeros of both signs.
+        let w = case.state.w.raw();
+        assert!(w.iter().any(|&x| x > 0.0) && w.iter().any(|&x| x < 0.0));
+        for zero in [0.0f64, -0.0] {
+            assert!(w.iter().any(|x| x.to_bits() == zero.to_bits()));
+        }
+        // The variants: no flow, and dry cells above wet ones.
+        let at_rest = cases.iter().filter(|c| c.label.contains("at rest"));
+        assert!(at_rest.clone().count() >= 2);
+        for c in at_rest {
+            assert!(c.state.u.raw().iter().all(|&x| x == 0.0));
+        }
+        let holed = cases
+            .iter()
+            .find(|c| c.label.ends_with("5x4x5, with holes"));
+        let m = &holed.expect("a holed case").masks.c;
+        assert!(m
+            .interior()
+            .any(|(i, j, k)| k > 0 && m.at(i, j, k) != 0.0 && m.at(i, j, k - 1) == 0.0));
+    }
 
     #[test]
     fn geometry_rows_cover_halo() {

@@ -9,7 +9,7 @@
 use crate::config::ModelConfig;
 use crate::field::Field3;
 use crate::flops::{self, Phase};
-use crate::kernel::{TileGeom, Workspace};
+use crate::kernel::{select, Cols, TileGeom, Workspace};
 use crate::state::{Masks, ModelState};
 use crate::tile::Tile;
 
@@ -28,7 +28,7 @@ pub fn ab2_extrapolate(
     first_step: bool,
     ext: i64,
 ) {
-    let (nx, ny) = (g.nx() as i64, g.ny() as i64);
+    let cols = Cols::new(g.nx(), ext);
     let (a, b) = if first_step {
         (1.0, 0.0)
     } else {
@@ -36,22 +36,23 @@ pub fn ab2_extrapolate(
     };
     let mut cells = 0u64;
     for k in 0..g.nz() {
-        for j in -ext..ny + ext {
-            for i in -ext..nx + ext {
-                let gn = g.at(i, j, k);
-                let gm = g_prev.at(i, j, k);
-                g.set(i, j, k, a * gn - b * gm);
-                g_prev.set(i, j, k, gn);
-                cells += 1;
+        for j in -ext..g.ny() as i64 + ext {
+            let (g, g_prev) = (cols.of_mut(g, j, k), cols.of_mut(g_prev, j, k));
+            for (g, g_prev) in g.iter_mut().zip(g_prev) {
+                let gn = *g;
+                *g = a * gn - b * *g_prev;
+                *g_prev = gn;
             }
+            cells += cols.n as u64;
         }
     }
     flops::add(Phase::Ps, cells * AB2_FLOPS_PER_CELL);
 }
 
 /// Provisional velocities: `v* = v^n + Δt (Ĝ − ∇p_hy)` on the interior
-/// extended by `ext` (needs `phy` on `ext+1`... the x-gradient at a
-/// u-point uses `phy(i-1)` and `phy(i)`).
+/// extended by `ext`. The pressure gradient at a u-point (v-point)
+/// differences `phy` across the face, so `phy` must be valid one column
+/// further west (one row further south): on `ext + 1`.
 pub fn velocity_star(
     cfg: &ModelConfig,
     tile: &Tile,
@@ -61,31 +62,37 @@ pub fn velocity_star(
     ws: &mut Workspace,
     ext: i64,
 ) {
-    let nz = cfg.grid.nz;
-    let (nx, ny) = (tile.nx as i64, tile.ny as i64);
-    let dt = cfg.dt;
+    let cols = Cols::new(tile.nx, ext);
+    let cols_west = cols.wider(1, 0);
+    let n = cols.n;
+    let (dt, dy) = (cfg.dt, geom.dy);
+    let Workspace {
+        gu,
+        gv,
+        ustar,
+        vstar,
+        ..
+    } = ws;
     let mut cells = 0u64;
-    for k in 0..nz {
-        for j in -ext..ny + ext {
-            for i in -ext..nx + ext {
-                let mu = masks.u.at(i, j, k);
-                let dpdx = (state.phy.at(i, j, k) - state.phy.at(i - 1, j, k)) / geom.dxc_at(j);
-                ws.ustar.set(
-                    i,
-                    j,
-                    k,
-                    mu * (state.u.at(i, j, k) + dt * (ws.gu.at(i, j, k) - dpdx)),
-                );
-                let mv = masks.v.at(i, j, k);
-                let dpdy = (state.phy.at(i, j, k) - state.phy.at(i, j - 1, k)) / geom.dy;
-                ws.vstar.set(
-                    i,
-                    j,
-                    k,
-                    mv * (state.v.at(i, j, k) + dt * (ws.gv.at(i, j, k) - dpdy)),
-                );
-                cells += 1;
+    for k in 0..cfg.grid.nz {
+        for j in -ext..tile.ny as i64 + ext {
+            let dxc = geom.dxc_at(j);
+            // Cell `i` of the sweep is at index `i + 1` of `phy`'s row.
+            let (phy, phy_south) = (
+                cols_west.of(&state.phy, j, k),
+                cols.of(&state.phy, j - 1, k),
+            );
+            let (mu, mv) = (cols.of(&masks.u, j, k), cols.of(&masks.v, j, k));
+            let (u, v) = (cols.of(&state.u, j, k), cols.of(&state.v, j, k));
+            let (gu, gv) = (cols.of(gu, j, k), cols.of(gv, j, k));
+            let (ustar, vstar) = (cols.of_mut(ustar, j, k), cols.of_mut(vstar, j, k));
+            for i in 0..n {
+                let dpdx = (phy[i + 1] - phy[i]) / dxc;
+                ustar[i] = mu[i] * (u[i] + dt * (gu[i] - dpdx));
+                let dpdy = (phy[i + 1] - phy_south[i]) / dy;
+                vstar[i] = mv[i] * (v[i] + dt * (gv[i] - dpdy));
             }
+            cells += n as u64;
         }
     }
     flops::add(Phase::Ps, cells * UPDATE_FLOPS_PER_CELL);
@@ -93,14 +100,23 @@ pub fn velocity_star(
 
 /// Step the tracers forward on the interior: `θ^{n+1} = θ^n + Δt·Ĝθ`.
 pub fn update_tracers(cfg: &ModelConfig, masks: &Masks, state: &mut ModelState, ws: &Workspace) {
+    let cols = Cols::new(ws.gt.nx(), 0);
+    let dt = cfg.dt;
     let mut cells = 0u64;
-    for (i, j, k) in ws.gt.interior() {
-        if masks.c.at(i, j, k) == 0.0 {
-            continue;
+    for k in 0..ws.gt.nz() {
+        for j in 0..ws.gt.ny() as i64 {
+            let wet = cols.of(&masks.c, j, k);
+            let (gt, gs) = (cols.of(&ws.gt, j, k), cols.of(&ws.gs, j, k));
+            let theta = cols.of_mut(&mut state.theta, j, k);
+            let s = cols.of_mut(&mut state.s, j, k);
+            for i in 0..cols.n {
+                // A dry cell keeps its values as they are (not `+ 0.0`).
+                let is_wet = wet[i] != 0.0;
+                theta[i] = select(is_wet, theta[i] + dt * gt[i], theta[i]);
+                s[i] = select(is_wet, s[i] + dt * gs[i], s[i]);
+                cells += is_wet as u64;
+            }
         }
-        state.theta.add(i, j, k, cfg.dt * ws.gt.at(i, j, k));
-        state.s.add(i, j, k, cfg.dt * ws.gs.at(i, j, k));
-        cells += 1;
     }
     flops::add(Phase::Ps, cells * 4);
 }
@@ -114,25 +130,34 @@ pub fn divergence_rhs(
     masks: &Masks,
     ws: &mut Workspace,
 ) {
-    let nz = cfg.grid.nz;
-    let (nx, ny) = (tile.nx as i64, tile.ny as i64);
+    let cols = Cols::new(tile.nx, 0);
+    let cols_east = cols.wider(0, 1);
+    let n = cols.n;
+    let dy = geom.dy;
+    let Workspace {
+        ustar, vstar, rhs, ..
+    } = ws;
     let mut cells = 0u64;
-    for j in 0..ny {
-        let dy = geom.dy;
-        for i in 0..nx {
-            let mut div = 0.0;
-            for k in 0..nz {
-                let dz = cfg.grid.dz[k];
-                // Face thicknesses carry the partial-cell fractions
-                // (§3.2): the open area of each face is dz·hu (or dz·hv).
-                let uin = ws.ustar.at(i, j, k) * masks.hu.at(i, j, k);
-                let uout = ws.ustar.at(i + 1, j, k) * masks.hu.at(i + 1, j, k);
-                let vin = ws.vstar.at(i, j, k) * masks.hv.at(i, j, k) * geom.dxs_at(j);
-                let vout = ws.vstar.at(i, j + 1, k) * masks.hv.at(i, j + 1, k) * geom.dxs_at(j + 1);
-                div += (uout - uin) * dy * dz + (vout - vin) * dz;
-                cells += 1;
+    for j in 0..tile.ny as i64 {
+        let (dxs_south, dxs_north) = (geom.dxs_at(j), geom.dxs_at(j + 1));
+        // The row of `rhs` is the accumulator of its columns' sums.
+        let rhs = cols.of2_mut(rhs, j);
+        rhs.fill(0.0);
+        for k in 0..cfg.grid.nz {
+            let dz = cfg.grid.dz[k];
+            // Face thicknesses carry the partial-cell fractions (§3.2):
+            // the open area of each face is dz·hu (or dz·hv).
+            let (u, hu) = (cols_east.of(ustar, j, k), cols_east.of(&masks.hu, j, k));
+            let (v_south, hv_south) = (cols.of(vstar, j, k), cols.of(&masks.hv, j, k));
+            let (v_north, hv_north) = (cols.of(vstar, j + 1, k), cols.of(&masks.hv, j + 1, k));
+            for i in 0..n {
+                let uin = u[i] * hu[i];
+                let uout = u[i + 1] * hu[i + 1];
+                let vin = v_south[i] * hv_south[i] * dxs_south;
+                let vout = v_north[i] * hv_north[i] * dxs_north;
+                rhs[i] += (uout - uin) * dy * dz + (vout - vin) * dz;
             }
-            ws.rhs.set(i, j, div);
+            cells += n as u64;
         }
     }
     flops::add(Phase::Ps, cells * 9);
@@ -149,25 +174,196 @@ pub fn correct_velocities(
     state: &mut ModelState,
     ws: &Workspace,
 ) {
-    let nz = cfg.grid.nz;
-    let (nx, ny) = (tile.nx as i64, tile.ny as i64);
-    let dt = cfg.dt;
+    let cols = Cols::new(tile.nx, 0);
+    let cols_west = cols.wider(1, 0);
+    let n = cols.n;
+    let (dt, dy) = (cfg.dt, geom.dy);
     let ModelState { ps, u, v, .. } = state;
     let mut cells = 0u64;
-    for k in 0..nz {
-        for j in 0..ny {
-            for i in 0..nx {
-                let mu = masks.u.at(i, j, k);
-                let dpdx = (ps.at(i, j) - ps.at(i - 1, j)) / geom.dxc_at(j);
-                u.set(i, j, k, mu * (ws.ustar.at(i, j, k) - dt * dpdx));
-                let mv = masks.v.at(i, j, k);
-                let dpdy = (ps.at(i, j) - ps.at(i, j - 1)) / geom.dy;
-                v.set(i, j, k, mv * (ws.vstar.at(i, j, k) - dt * dpdy));
-                cells += 1;
+    for k in 0..cfg.grid.nz {
+        for j in 0..tile.ny as i64 {
+            let dxc = geom.dxc_at(j);
+            // Cell `i` is at index `i + 1` of `ps`'s row.
+            let (ps, ps_south) = (cols_west.of2(ps, j), cols.of2(ps, j - 1));
+            let (mu, mv) = (cols.of(&masks.u, j, k), cols.of(&masks.v, j, k));
+            let (ustar, vstar) = (cols.of(&ws.ustar, j, k), cols.of(&ws.vstar, j, k));
+            let (u, v) = (cols.of_mut(u, j, k), cols.of_mut(v, j, k));
+            for i in 0..n {
+                let dpdx = (ps[i + 1] - ps[i]) / dxc;
+                u[i] = mu[i] * (ustar[i] - dt * dpdx);
+                let dpdy = (ps[i + 1] - ps_south[i]) / dy;
+                v[i] = mv[i] * (vstar[i] - dt * dpdy);
             }
+            cells += n as u64;
         }
     }
     flops::add(Phase::Ps, cells * CORRECT_FLOPS_PER_CELL);
+}
+
+/// The cell-at-a-time loops the row sweeps above replaced, kept as what
+/// the sweeps are compared with, bit for bit.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// Extrapolate `g` with AB2 against `g_prev`, storing the extrapolated
+    /// value in `g` and the *pre-extrapolation* tendency in `g_prev` for the
+    /// next step. On the first step the tendency is used as-is
+    /// (forward Euler).
+    pub(crate) fn ab2_extrapolate(
+        g: &mut Field3,
+        g_prev: &mut Field3,
+        ab_eps: f64,
+        first_step: bool,
+        ext: i64,
+    ) {
+        let (nx, ny) = (g.nx() as i64, g.ny() as i64);
+        let (a, b) = if first_step {
+            (1.0, 0.0)
+        } else {
+            (1.5 + ab_eps, 0.5 + ab_eps)
+        };
+        let mut cells = 0u64;
+        for k in 0..g.nz() {
+            for j in -ext..ny + ext {
+                for i in -ext..nx + ext {
+                    let gn = g.at(i, j, k);
+                    let gm = g_prev.at(i, j, k);
+                    g.set(i, j, k, a * gn - b * gm);
+                    g_prev.set(i, j, k, gn);
+                    cells += 1;
+                }
+            }
+        }
+        flops::add(Phase::Ps, cells * AB2_FLOPS_PER_CELL);
+    }
+
+    /// Provisional velocities: `v* = v^n + Δt (Ĝ − ∇p_hy)` on the interior
+    /// extended by `ext` (needs `phy` on `ext+1`... the x-gradient at a
+    /// u-point uses `phy(i-1)` and `phy(i)`).
+    pub(crate) fn velocity_star(
+        cfg: &ModelConfig,
+        tile: &Tile,
+        geom: &TileGeom,
+        masks: &Masks,
+        state: &ModelState,
+        ws: &mut Workspace,
+        ext: i64,
+    ) {
+        let nz = cfg.grid.nz;
+        let (nx, ny) = (tile.nx as i64, tile.ny as i64);
+        let dt = cfg.dt;
+        let mut cells = 0u64;
+        for k in 0..nz {
+            for j in -ext..ny + ext {
+                for i in -ext..nx + ext {
+                    let mu = masks.u.at(i, j, k);
+                    let dpdx = (state.phy.at(i, j, k) - state.phy.at(i - 1, j, k)) / geom.dxc_at(j);
+                    ws.ustar.set(
+                        i,
+                        j,
+                        k,
+                        mu * (state.u.at(i, j, k) + dt * (ws.gu.at(i, j, k) - dpdx)),
+                    );
+                    let mv = masks.v.at(i, j, k);
+                    let dpdy = (state.phy.at(i, j, k) - state.phy.at(i, j - 1, k)) / geom.dy;
+                    ws.vstar.set(
+                        i,
+                        j,
+                        k,
+                        mv * (state.v.at(i, j, k) + dt * (ws.gv.at(i, j, k) - dpdy)),
+                    );
+                    cells += 1;
+                }
+            }
+        }
+        flops::add(Phase::Ps, cells * UPDATE_FLOPS_PER_CELL);
+    }
+
+    /// Step the tracers forward on the interior: `θ^{n+1} = θ^n + Δt·Ĝθ`.
+    pub(crate) fn update_tracers(
+        cfg: &ModelConfig,
+        masks: &Masks,
+        state: &mut ModelState,
+        ws: &Workspace,
+    ) {
+        let mut cells = 0u64;
+        for (i, j, k) in ws.gt.interior() {
+            if masks.c.at(i, j, k) == 0.0 {
+                continue;
+            }
+            state.theta.add(i, j, k, cfg.dt * ws.gt.at(i, j, k));
+            state.s.add(i, j, k, cfg.dt * ws.gs.at(i, j, k));
+            cells += 1;
+        }
+        flops::add(Phase::Ps, cells * 4);
+    }
+
+    /// Depth-integrated divergence of the provisional flow (the elliptic
+    /// right-hand side, m³/s), on the interior.
+    pub(crate) fn divergence_rhs(
+        cfg: &ModelConfig,
+        tile: &Tile,
+        geom: &TileGeom,
+        masks: &Masks,
+        ws: &mut Workspace,
+    ) {
+        let nz = cfg.grid.nz;
+        let (nx, ny) = (tile.nx as i64, tile.ny as i64);
+        let mut cells = 0u64;
+        for j in 0..ny {
+            let dy = geom.dy;
+            for i in 0..nx {
+                let mut div = 0.0;
+                for k in 0..nz {
+                    let dz = cfg.grid.dz[k];
+                    // Face thicknesses carry the partial-cell fractions
+                    // (§3.2): the open area of each face is dz·hu (or dz·hv).
+                    let uin = ws.ustar.at(i, j, k) * masks.hu.at(i, j, k);
+                    let uout = ws.ustar.at(i + 1, j, k) * masks.hu.at(i + 1, j, k);
+                    let vin = ws.vstar.at(i, j, k) * masks.hv.at(i, j, k) * geom.dxs_at(j);
+                    let vout =
+                        ws.vstar.at(i, j + 1, k) * masks.hv.at(i, j + 1, k) * geom.dxs_at(j + 1);
+                    div += (uout - uin) * dy * dz + (vout - vin) * dz;
+                    cells += 1;
+                }
+                ws.rhs.set(i, j, div);
+            }
+        }
+        flops::add(Phase::Ps, cells * 9);
+    }
+
+    /// Final update: subtract the surface-pressure gradient from the
+    /// provisional velocities (interior only; the next step's exchange
+    /// refreshes the halo). `state.ps` must hold a width-1 halo.
+    pub(crate) fn correct_velocities(
+        cfg: &ModelConfig,
+        tile: &Tile,
+        geom: &TileGeom,
+        masks: &Masks,
+        state: &mut ModelState,
+        ws: &Workspace,
+    ) {
+        let nz = cfg.grid.nz;
+        let (nx, ny) = (tile.nx as i64, tile.ny as i64);
+        let dt = cfg.dt;
+        let ModelState { ps, u, v, .. } = state;
+        let mut cells = 0u64;
+        for k in 0..nz {
+            for j in 0..ny {
+                for i in 0..nx {
+                    let mu = masks.u.at(i, j, k);
+                    let dpdx = (ps.at(i, j) - ps.at(i - 1, j)) / geom.dxc_at(j);
+                    u.set(i, j, k, mu * (ws.ustar.at(i, j, k) - dt * dpdx));
+                    let mv = masks.v.at(i, j, k);
+                    let dpdy = (ps.at(i, j) - ps.at(i, j - 1)) / geom.dy;
+                    v.set(i, j, k, mv * (ws.vstar.at(i, j, k) - dt * dpdy));
+                    cells += 1;
+                }
+            }
+        }
+        flops::add(Phase::Ps, cells * CORRECT_FLOPS_PER_CELL);
+    }
 }
 
 #[cfg(test)]
@@ -261,5 +457,112 @@ mod tests {
         let expect = 0.5 * geom.dy * cfg.grid.dz[0];
         assert!((ws.rhs.at(3, 3) - expect).abs() < 1e-9);
         assert!((ws.rhs.at(4, 3) + expect).abs() < 1e-9);
+    }
+}
+
+#[cfg(test)]
+mod sweep_tests {
+    use super::*;
+    use crate::kernel::fixtures::{cases, Case};
+
+    // First (forward Euler) and later steps, every `ext` of the halo.
+    #[test]
+    fn ab2_sweep_matches_the_reference_bit_for_bit() {
+        for case in cases() {
+            let eps = case.cfg.ab_eps;
+            for first in [true, false] {
+                for ext in 0..=3 {
+                    case.check(
+                        &format!("ab2_extrapolate, first {first}, ext {ext}"),
+                        |st, ws| {
+                            ab2_extrapolate(&mut ws.gu, &mut st.gu_prev, eps, first, ext);
+                            ab2_extrapolate(&mut ws.gt, &mut st.gt_prev, eps, first, ext);
+                        },
+                        |st, ws| {
+                            reference::ab2_extrapolate(
+                                &mut ws.gu,
+                                &mut st.gu_prev,
+                                eps,
+                                first,
+                                ext,
+                            );
+                            reference::ab2_extrapolate(
+                                &mut ws.gt,
+                                &mut st.gt_prev,
+                                eps,
+                                first,
+                                ext,
+                            );
+                        },
+                    );
+                }
+            }
+        }
+    }
+
+    // `Model::step` uses `ext = 1`; the gradient reaches one column west
+    // and one row south, so 2 is the limit.
+    #[test]
+    fn velocity_star_sweep_matches_the_reference_bit_for_bit() {
+        for case in cases() {
+            let Case {
+                cfg,
+                tile,
+                geom,
+                masks,
+                ..
+            } = &case;
+            for ext in 0..=2 {
+                case.check(
+                    &format!("velocity_star, ext {ext}"),
+                    |st, ws| velocity_star(cfg, tile, geom, masks, st, ws, ext),
+                    |st, ws| reference::velocity_star(cfg, tile, geom, masks, st, ws, ext),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn interior_sweeps_match_their_references_bit_for_bit() {
+        for case in cases() {
+            let Case {
+                cfg,
+                tile,
+                geom,
+                masks,
+                ..
+            } = &case;
+            case.check(
+                "update_tracers",
+                |st, ws| update_tracers(cfg, masks, st, ws),
+                |st, ws| reference::update_tracers(cfg, masks, st, ws),
+            );
+            case.check(
+                "divergence_rhs",
+                |_, ws| divergence_rhs(cfg, tile, geom, masks, ws),
+                |_, ws| reference::divergence_rhs(cfg, tile, geom, masks, ws),
+            );
+            case.check(
+                "correct_velocities",
+                |st, ws| correct_velocities(cfg, tile, geom, masks, st, ws),
+                |st, ws| reference::correct_velocities(cfg, tile, geom, masks, st, ws),
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside field")]
+    fn velocity_star_beyond_the_halo_panics() {
+        let case = cases().swap_remove(0);
+        let mut ws = case.ws.clone();
+        let Case {
+            cfg,
+            tile,
+            geom,
+            masks,
+            state,
+            ..
+        } = &case;
+        velocity_star(cfg, tile, geom, masks, state, &mut ws, 3);
     }
 }

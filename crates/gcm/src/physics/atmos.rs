@@ -9,7 +9,7 @@
 
 use crate::config::ModelConfig;
 use crate::flops::{self, Phase};
-use crate::kernel::{TileGeom, Workspace};
+use crate::kernel::{select, Cols, TileGeom, Workspace};
 use crate::physics::BoundaryFields;
 use crate::state::{Masks, ModelState};
 use crate::tile::Tile;
@@ -52,48 +52,58 @@ pub fn q_sat(t: f64, p: f64) -> f64 {
 
 /// Add radiative relaxation, boundary-layer friction, and surface
 /// evaporation to the tendencies.
+///
+/// Levels outermost, then rows: the equilibrium temperature depends on
+/// the row's latitude and the level only, so it is evaluated once per
+/// (row, level), and the surface terms are a second pass over the rows
+/// of level 0.
 #[allow(clippy::too_many_arguments)]
 pub fn forcing(
     cfg: &ModelConfig,
     tile: &Tile,
-    geom: &TileGeom,
+    _geom: &TileGeom,
     masks: &Masks,
     state: &ModelState,
     bc: &BoundaryFields,
     ws: &mut Workspace,
     ext: i64,
 ) {
-    let nz = cfg.grid.nz;
-    let (nx, ny) = (tile.nx as i64, tile.ny as i64);
+    let cols = Cols::new(tile.nx, ext);
+    let n = cols.n;
     let mut cells = 0u64;
-    let _ = geom;
-    for j in -ext..ny + ext {
-        let gj = tile.gy(j).clamp(0, cfg.grid.ny as i64 - 1);
-        let lat = cfg.grid.lat_c(gj);
-        for i in -ext..nx + ext {
-            for k in 0..nz {
-                if masks.c.at(i, j, k) == 0.0 {
-                    continue;
-                }
-                let tau = if k == 0 { TAU_RAD_SURF } else { TAU_RAD };
-                let teq = theta_eq(cfg, lat, k);
-                ws.gt.add(i, j, k, (teq - state.theta.at(i, j, k)) / tau);
-                if k == 0 {
+    for k in 0..cfg.grid.nz {
+        let tau = if k == 0 { TAU_RAD_SURF } else { TAU_RAD };
+        for j in -ext..tile.ny as i64 + ext {
+            let gj = tile.gy(j).clamp(0, cfg.grid.ny as i64 - 1);
+            let teq = theta_eq(cfg, cfg.grid.lat_c(gj), k);
+            let wet = cols.of(&masks.c, j, k);
+            let theta = cols.of(&state.theta, j, k);
+            let gt = cols.of_mut(&mut ws.gt, j, k);
+            // Dry cells keep their tendencies as they are (not `+ 0.0`).
+            for i in 0..n {
+                let is_wet = wet[i] != 0.0;
+                gt[i] = select(is_wet, gt[i] + (teq - theta[i]) / tau, gt[i]);
+                cells += is_wet as u64;
+            }
+            if k == 0 {
+                let (u, v) = (cols.of(&state.u, j, k), cols.of(&state.v, j, k));
+                let (q, sst) = (cols.of(&state.s, j, k), cols.of2(&bc.sst, j));
+                let gu = cols.of_mut(&mut ws.gu, j, k);
+                let gv = cols.of_mut(&mut ws.gv, j, k);
+                let gs = cols.of_mut(&mut ws.gs, j, k);
+                for i in (0..n).filter(|&i| wet[i] != 0.0) {
                     // Rayleigh friction on the boundary-layer winds.
-                    ws.gu.add(i, j, k, -state.u.at(i, j, k) / TAU_FRICTION);
-                    ws.gv.add(i, j, k, -state.v.at(i, j, k) / TAU_FRICTION);
+                    gu[i] += -u[i] / TAU_FRICTION;
+                    gv[i] += -v[i] / TAU_FRICTION;
                     // Bulk evaporation toward saturation at the SST.
-                    let sst = bc.sst.at(i, j);
-                    if sst > 0.0 {
+                    if sst[i] > 0.0 {
                         let p0 = crate::eos::P00 * 0.9;
-                        let qs = q_sat(sst, p0);
-                        let deficit = qs - state.s.at(i, j, k);
+                        let deficit = q_sat(sst[i], p0) - q[i];
                         if deficit > 0.0 {
-                            ws.gs.add(i, j, k, deficit / TAU_EVAP);
+                            gs[i] += deficit / TAU_EVAP;
                         }
                     }
                 }
-                cells += 1;
             }
         }
     }
@@ -105,33 +115,127 @@ pub const CONDENSE_FLOPS_PER_CELL: u64 = 14;
 
 /// Large-scale condensation: humidity above saturation rains out within a
 /// step, heating the layer by `L/cp · Δq` (converted to potential
-/// temperature through the Exner function).
+/// temperature through the Exner function). The Exner function and the
+/// layer-centre pressure are evaluated once per level.
 pub fn condensation(cfg: &ModelConfig, tile: &Tile, masks: &Masks, state: &mut ModelState) {
-    let nz = cfg.grid.nz;
-    let (nx, ny) = (tile.nx as i64, tile.ny as i64);
+    let cols = Cols::new(tile.nx, 0);
     let mut cells = 0u64;
-    for j in 0..ny {
-        for i in 0..nx {
-            for k in 0..nz {
-                if masks.c.at(i, j, k) == 0.0 {
+    for k in 0..cfg.grid.nz {
+        let exner = cfg.eos.exner(k);
+        // Layer-centre pressure from the Exner function.
+        let p = crate::eos::P00 * exner.powf(1.0 / crate::eos::KAPPA);
+        for j in 0..tile.ny as i64 {
+            let wet = cols.of(&masks.c, j, k);
+            let theta = cols.of_mut(&mut state.theta, j, k);
+            let s = cols.of_mut(&mut state.s, j, k);
+            for i in 0..cols.n {
+                if wet[i] == 0.0 {
                     continue;
                 }
-                let exner = cfg.eos.exner(k);
-                let t = state.theta.at(i, j, k) * exner;
-                // Layer-centre pressure from the Exner function.
-                let p = crate::eos::P00 * exner.powf(1.0 / crate::eos::KAPPA);
-                let qs = q_sat(t, p);
-                let q = state.s.at(i, j, k);
+                let qs = q_sat(theta[i] * exner, p);
+                let q = s[i];
                 if q > qs {
                     let dq = q - qs;
-                    state.s.set(i, j, k, qs);
-                    state.theta.add(i, j, k, L_VAP / CP_AIR * dq / exner);
+                    s[i] = qs;
+                    theta[i] += L_VAP / CP_AIR * dq / exner;
                 }
                 cells += 1;
             }
         }
     }
     flops::add(Phase::Ps, cells * CONDENSE_FLOPS_PER_CELL);
+}
+
+/// The cell-at-a-time loops the row sweeps above replaced, kept as what
+/// the sweeps are compared with, bit for bit.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// Add radiative relaxation, boundary-layer friction, and surface
+    /// evaporation to the tendencies.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn forcing(
+        cfg: &ModelConfig,
+        tile: &Tile,
+        _geom: &TileGeom,
+        masks: &Masks,
+        state: &ModelState,
+        bc: &BoundaryFields,
+        ws: &mut Workspace,
+        ext: i64,
+    ) {
+        let nz = cfg.grid.nz;
+        let (nx, ny) = (tile.nx as i64, tile.ny as i64);
+        let mut cells = 0u64;
+        for j in -ext..ny + ext {
+            let gj = tile.gy(j).clamp(0, cfg.grid.ny as i64 - 1);
+            let lat = cfg.grid.lat_c(gj);
+            for i in -ext..nx + ext {
+                for k in 0..nz {
+                    if masks.c.at(i, j, k) == 0.0 {
+                        continue;
+                    }
+                    let tau = if k == 0 { TAU_RAD_SURF } else { TAU_RAD };
+                    let teq = theta_eq(cfg, lat, k);
+                    ws.gt.add(i, j, k, (teq - state.theta.at(i, j, k)) / tau);
+                    if k == 0 {
+                        // Rayleigh friction on the boundary-layer winds.
+                        ws.gu.add(i, j, k, -state.u.at(i, j, k) / TAU_FRICTION);
+                        ws.gv.add(i, j, k, -state.v.at(i, j, k) / TAU_FRICTION);
+                        // Bulk evaporation toward saturation at the SST.
+                        let sst = bc.sst.at(i, j);
+                        if sst > 0.0 {
+                            let p0 = crate::eos::P00 * 0.9;
+                            let qs = q_sat(sst, p0);
+                            let deficit = qs - state.s.at(i, j, k);
+                            if deficit > 0.0 {
+                                ws.gs.add(i, j, k, deficit / TAU_EVAP);
+                            }
+                        }
+                    }
+                    cells += 1;
+                }
+            }
+        }
+        flops::add(Phase::Ps, cells * FLOPS_PER_CELL);
+    }
+
+    /// Large-scale condensation: humidity above saturation rains out within a
+    /// step, heating the layer by `L/cp · Δq` (converted to potential
+    /// temperature through the Exner function).
+    pub(crate) fn condensation(
+        cfg: &ModelConfig,
+        tile: &Tile,
+        masks: &Masks,
+        state: &mut ModelState,
+    ) {
+        let nz = cfg.grid.nz;
+        let (nx, ny) = (tile.nx as i64, tile.ny as i64);
+        let mut cells = 0u64;
+        for j in 0..ny {
+            for i in 0..nx {
+                for k in 0..nz {
+                    if masks.c.at(i, j, k) == 0.0 {
+                        continue;
+                    }
+                    let exner = cfg.eos.exner(k);
+                    let t = state.theta.at(i, j, k) * exner;
+                    // Layer-centre pressure from the Exner function.
+                    let p = crate::eos::P00 * exner.powf(1.0 / crate::eos::KAPPA);
+                    let qs = q_sat(t, p);
+                    let q = state.s.at(i, j, k);
+                    if q > qs {
+                        let dq = q - qs;
+                        state.s.set(i, j, k, qs);
+                        state.theta.add(i, j, k, L_VAP / CP_AIR * dq / exner);
+                    }
+                    cells += 1;
+                }
+            }
+        }
+        flops::add(Phase::Ps, cells * CONDENSE_FLOPS_PER_CELL);
+    }
 }
 
 #[cfg(test)]

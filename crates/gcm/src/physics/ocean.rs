@@ -5,7 +5,7 @@
 
 use crate::config::{ModelConfig, SurfaceForcing};
 use crate::flops::{self, Phase};
-use crate::kernel::{TileGeom, Workspace};
+use crate::kernel::{Cols, TileGeom, Workspace};
 use crate::physics::BoundaryFields;
 use crate::state::{Masks, ModelState};
 use crate::tile::Tile;
@@ -34,60 +34,136 @@ pub fn surface_climatology(lat: f64) -> (f64, f64) {
     (2.0 + 25.0 * c2, 34.0 + 2.5 * c2)
 }
 
-/// Add wind stress, heat, and salinity forcing to the tendencies.
+/// Add wind stress, heat, and salinity forcing to the tendencies: a sweep
+/// over the rows of the surface level, the row's climatology evaluated
+/// once.
 #[allow(clippy::too_many_arguments)]
 pub fn forcing(
     cfg: &ModelConfig,
     tile: &Tile,
-    geom: &TileGeom,
+    _geom: &TileGeom,
     masks: &Masks,
     state: &ModelState,
     bc: &BoundaryFields,
     ws: &mut Workspace,
     ext: i64,
 ) {
-    let (nx, ny) = (tile.nx as i64, tile.ny as i64);
+    let cols = Cols::new(tile.nx, ext);
+    let n = cols.n;
     let dz0 = cfg.grid.dz[0];
     let lat_max = -cfg.grid.lat0;
     let coupled = cfg.forcing == SurfaceForcing::Coupled;
+    let k = 0usize;
     let mut cells = 0u64;
-    let _ = geom;
-    for j in -ext..ny + ext {
-        let gj = tile.gy(j).clamp(0, cfg.grid.ny as i64 - 1);
-        let lat = cfg.grid.lat_c(gj);
-        let lat_s = cfg.grid.lat_s(gj);
-        for i in -ext..nx + ext {
-            let k = 0usize;
-            // Momentum: wind stress on the surface level.
-            if masks.u.at(i, j, k) != 0.0 {
-                let tx = if coupled {
-                    bc.taux.at(i, j)
-                } else {
-                    tau_x_climatology(lat, lat_max)
-                };
-                ws.gu.add(i, j, k, tx / (RHO0 * dz0));
-            }
-            if masks.v.at(i, j, k) != 0.0 && coupled {
-                ws.gv.add(i, j, k, bc.tauy.at(i, j) / (RHO0 * dz0));
-            }
-            let _ = lat_s;
-            // Tracers: restoring (climatology) or flux (coupled).
-            if masks.c.at(i, j, k) != 0.0 {
-                if coupled {
-                    ws.gt
-                        .add(i, j, k, bc.qflux.at(i, j) / (RHO0 * CP_SEA * dz0));
-                } else {
-                    let (t_star, s_star) = surface_climatology(lat);
-                    ws.gt
-                        .add(i, j, k, (t_star - state.theta.at(i, j, k)) / TAU_RESTORE);
-                    ws.gs
-                        .add(i, j, k, (s_star - state.s.at(i, j, k)) / TAU_RESTORE);
+    for j in -ext..tile.ny as i64 + ext {
+        let (mu, mv, wet) = (
+            cols.of(&masks.u, j, k),
+            cols.of(&masks.v, j, k),
+            cols.of(&masks.c, j, k),
+        );
+        let gu = cols.of_mut(&mut ws.gu, j, k);
+        let gv = cols.of_mut(&mut ws.gv, j, k);
+        let gt = cols.of_mut(&mut ws.gt, j, k);
+        // A masked point keeps its tendency as it is (not `+ 0.0`).
+        if coupled {
+            // Momentum: wind stress on the surface level; tracers: the
+            // coupler's heat flux.
+            let (taux, tauy) = (cols.of2(&bc.taux, j), cols.of2(&bc.tauy, j));
+            let qflux = cols.of2(&bc.qflux, j);
+            for i in 0..n {
+                if mu[i] != 0.0 {
+                    gu[i] += taux[i] / (RHO0 * dz0);
                 }
-                cells += 1;
+                if mv[i] != 0.0 {
+                    gv[i] += tauy[i] / (RHO0 * dz0);
+                }
+                if wet[i] != 0.0 {
+                    gt[i] += qflux[i] / (RHO0 * CP_SEA * dz0);
+                    cells += 1;
+                }
+            }
+        } else {
+            // Climatological stress; tracers restored to the row's
+            // climatology.
+            let gj = tile.gy(j).clamp(0, cfg.grid.ny as i64 - 1);
+            let lat = cfg.grid.lat_c(gj);
+            let tx = tau_x_climatology(lat, lat_max);
+            let (t_star, s_star) = surface_climatology(lat);
+            let (theta, s) = (cols.of(&state.theta, j, k), cols.of(&state.s, j, k));
+            let gs = cols.of_mut(&mut ws.gs, j, k);
+            for i in 0..n {
+                if mu[i] != 0.0 {
+                    gu[i] += tx / (RHO0 * dz0);
+                }
+                if wet[i] != 0.0 {
+                    gt[i] += (t_star - theta[i]) / TAU_RESTORE;
+                    gs[i] += (s_star - s[i]) / TAU_RESTORE;
+                    cells += 1;
+                }
             }
         }
     }
     flops::add(Phase::Ps, cells * FLOPS_PER_CELL);
+}
+
+/// The cell-at-a-time loops the row sweeps above replaced, kept as what
+/// the sweeps are compared with, bit for bit.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// Add wind stress, heat, and salinity forcing to the tendencies.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn forcing(
+        cfg: &ModelConfig,
+        tile: &Tile,
+        _geom: &TileGeom,
+        masks: &Masks,
+        state: &ModelState,
+        bc: &BoundaryFields,
+        ws: &mut Workspace,
+        ext: i64,
+    ) {
+        let (nx, ny) = (tile.nx as i64, tile.ny as i64);
+        let dz0 = cfg.grid.dz[0];
+        let lat_max = -cfg.grid.lat0;
+        let coupled = cfg.forcing == SurfaceForcing::Coupled;
+        let mut cells = 0u64;
+        for j in -ext..ny + ext {
+            let gj = tile.gy(j).clamp(0, cfg.grid.ny as i64 - 1);
+            let lat = cfg.grid.lat_c(gj);
+            for i in -ext..nx + ext {
+                let k = 0usize;
+                // Momentum: wind stress on the surface level.
+                if masks.u.at(i, j, k) != 0.0 {
+                    let tx = if coupled {
+                        bc.taux.at(i, j)
+                    } else {
+                        tau_x_climatology(lat, lat_max)
+                    };
+                    ws.gu.add(i, j, k, tx / (RHO0 * dz0));
+                }
+                if masks.v.at(i, j, k) != 0.0 && coupled {
+                    ws.gv.add(i, j, k, bc.tauy.at(i, j) / (RHO0 * dz0));
+                }
+                // Tracers: restoring (climatology) or flux (coupled).
+                if masks.c.at(i, j, k) != 0.0 {
+                    if coupled {
+                        ws.gt
+                            .add(i, j, k, bc.qflux.at(i, j) / (RHO0 * CP_SEA * dz0));
+                    } else {
+                        let (t_star, s_star) = surface_climatology(lat);
+                        ws.gt
+                            .add(i, j, k, (t_star - state.theta.at(i, j, k)) / TAU_RESTORE);
+                        ws.gs
+                            .add(i, j, k, (s_star - state.s.at(i, j, k)) / TAU_RESTORE);
+                    }
+                    cells += 1;
+                }
+            }
+        }
+        flops::add(Phase::Ps, cells * FLOPS_PER_CELL);
+    }
 }
 
 #[cfg(test)]

@@ -41,16 +41,7 @@ pub(crate) mod fixtures {
         let d = Decomp::blocks(16, 8, 1, 1, 3);
         let mut cfg = ModelConfig::test_ocean(nx + 3, ny + 1, 4, d);
         cfg.free_surface = free_surface;
-        let tile = Tile {
-            rank: 0,
-            tx: 0,
-            ty: 0,
-            gx0: 1,
-            gy0: 0,
-            nx,
-            ny,
-            halo: 3,
-        };
+        let tile = offset_tile(nx, ny);
         let topo = Topography::from_depths(&cfg.grid, 0.2, |gi, j| {
             let around_2_2 = (gi as i64 - 3).abs() + (j as i64 - 2).abs();
             match around_2_2 {
@@ -64,6 +55,22 @@ pub(crate) mod fixtures {
         let geom = TileGeom::build(&cfg, &tile);
         let coeffs = EllipticCoeffs::build(&cfg, &tile, &geom, &masks);
         (cfg, tile, geom, masks, coeffs)
+    }
+
+    /// An `nx × ny` tile (halo 3) one column in from the west edge of a
+    /// grid three columns wider and a row taller: the periodic wrap and
+    /// the southern wall are in its halo.
+    pub(crate) fn offset_tile(nx: usize, ny: usize) -> Tile {
+        Tile {
+            rank: 0,
+            tx: 0,
+            ty: 0,
+            gx0: 1,
+            gy0: 0,
+            nx,
+            ny,
+            halo: 3,
+        }
     }
 
     /// A field with a different value in every cell, halo included.

@@ -46,11 +46,14 @@ for workload in coupled_serial ocean_1deg cluster_tour fabric_saturated comm_pri
     fi
     sed -n "s/^  wall_s */    $workload wall_s /p" "target/hbench-$workload.txt"
 done
-# Printed, not gated (the iteration-count gates are in cargo test): CG
-# iterations per model step on the coupled pair, from one traced run.
+# Printed, not gated (the gates are in cargo test), from one traced run of
+# the coupled pair: the stand-alone kernel ranking — the five PS kernel
+# rates and host Fps — then CG iterations per model step.
 cargo run --release --offline --quiet --manifest-path hbench/Cargo.toml -- \
     --workload coupled_serial --seconds 3 --trace 1 > target/hbench-coupled_serial-traced.txt
 awk '$1 == "gcm.cg_iters" { iters = $2 } $1 == "gcm.steps" { steps = $2 }
+    $1 == "gcm.fps_mflops" { printf "    coupled_serial %-30s %8.0f Mflop/s\n", $1, $2 }
+    $1 ~ /^gcm\.k_.*_cells_per_s$/ { printf "    coupled_serial %-30s %8.1f M cells/s\n", $1, $2 / 1e6 }
     END { if (steps > 0) printf "    coupled_serial gcm.cg_iters / gcm.steps  %d / %d = %.1f\n", iters, steps, iters / steps }' \
     target/hbench-coupled_serial-traced.txt
 
