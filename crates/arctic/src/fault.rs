@@ -15,96 +15,45 @@
 use crate::packet::Packet;
 use hyades_des::rng::SplitMix64;
 use hyades_des::{ActorId, SimTime};
-use hyades_fault::LinkFaultWindow;
+use hyades_fault::{FaultPlan, LinkFaultWindow};
 use hyades_telemetry as telemetry;
 use hyades_telemetry::flight;
+use std::sync::Arc;
 
-/// Deterministically corrupts (and optionally drops) a configurable
-/// fraction of packets passed through it. Rates are either constant
-/// (the base `rate`/`drop_rate`) or scheduled: when `windows` is
-/// non-empty, a packet entering the fabric inside a
-/// [`LinkFaultWindow`] uses that window's rates and packets outside
-/// every window fall back to the base rates (zero for plan-driven
-/// injectors, so faults happen *only* inside the scheduled weather).
+/// One injection port's view of a [`FaultPlan`]: corrupts or drops
+/// packets at the rates of the plan's link window covering the moment
+/// they enter the fabric (outside every window nothing is injected and
+/// nothing is drawn), and answers whether the port's NIU is stalled.
 pub struct FaultInjector {
     rng: SplitMix64,
-    /// Probability in [0, 1] that a packet gets a single bit flip.
-    pub rate: f64,
-    /// Probability in [0, 1] that a packet is dropped outright.
-    pub drop_rate: f64,
-    /// Scheduled rate overrides from a `hyades_fault::FaultPlan`.
-    pub windows: Vec<LinkFaultWindow>,
+    plan: Arc<FaultPlan>,
+    endpoint: u16,
     pub injected: u64,
     pub dropped: u64,
 }
 
-/// Fault configuration carried by
-/// [`ArcticConfig`](crate::network::ArcticConfig): each injection port
-/// derives its own deterministic [`FaultInjector`] from this profile.
-#[derive(Clone, Copy, Debug)]
-pub struct FaultProfile {
-    pub seed: u64,
-    /// Per-packet single-bit-flip probability.
-    pub corrupt_rate: f64,
-    /// Per-packet drop probability (checked before corruption).
-    pub drop_rate: f64,
-}
-
 impl FaultInjector {
-    pub fn new(seed: u64, rate: f64) -> Self {
-        Self::with_drop_rate(seed, rate, 0.0)
-    }
-
-    pub fn with_drop_rate(seed: u64, rate: f64, drop_rate: f64) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "rate must be a probability");
-        assert!(
-            (0.0..=1.0).contains(&drop_rate),
-            "drop_rate must be a probability"
-        );
+    /// The injector of `endpoint`'s port. The port index is mixed into
+    /// the plan seed (as stream `endpoint + 1`) so ports draw independent
+    /// deterministic sequences.
+    pub fn windowed(plan: Arc<FaultPlan>, endpoint: u16) -> Self {
+        let stream = u64::from(endpoint) + 1;
+        let mut mix = SplitMix64::new(plan.seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         FaultInjector {
-            rng: SplitMix64::new(seed),
-            rate,
-            drop_rate,
-            windows: Vec::new(),
+            rng: SplitMix64::new(mix.next_u64()),
+            plan,
+            endpoint,
             injected: 0,
             dropped: 0,
         }
     }
 
-    pub fn from_profile(p: &FaultProfile, stream: u64) -> Self {
-        // Mix the stream index so per-port injectors draw independent
-        // sequences from one profile seed.
-        let mut mix = SplitMix64::new(p.seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        Self::with_drop_rate(mix.next_u64(), p.corrupt_rate, p.drop_rate)
+    /// If this port's NIU is stalled at `at`, the time the stall ends.
+    pub fn stalled_until(&self, at: SimTime) -> Option<SimTime> {
+        self.plan.stalled_until(self.endpoint, at)
     }
 
-    /// Plan-driven injector: zero base rates, faults only inside the
-    /// scheduled windows. `stream` mixes the per-port index into the
-    /// plan seed so ports draw independent deterministic sequences.
-    pub fn windowed(seed: u64, stream: u64, windows: Vec<LinkFaultWindow>) -> Self {
-        let mut mix = SplitMix64::new(seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut f = Self::with_drop_rate(mix.next_u64(), 0.0, 0.0);
-        f.windows = windows;
-        f
-    }
-
-    /// Effective (corrupt, drop) rates at simulated time `at`.
-    fn rates_at(&self, at: SimTime) -> (f64, f64) {
-        for w in &self.windows {
-            if w.covers(at) {
-                return (w.corrupt_rate, w.drop_rate);
-            }
-        }
-        (self.rate, self.drop_rate)
-    }
-
-    /// Flip one random payload bit with probability `rate`. Returns true if
-    /// the packet was corrupted.
-    pub fn maybe_corrupt(&mut self, pkt: &mut Packet) -> bool {
-        let rate = self.rate;
-        self.corrupt_with(pkt, rate)
-    }
-
+    /// Flip one random payload bit with probability `rate`.
     fn corrupt_with(&mut self, pkt: &mut Packet, rate: f64) -> bool {
         if rate <= 0.0 || self.rng.next_f64() >= rate {
             return false;
@@ -116,12 +65,20 @@ impl FaultInjector {
         true
     }
 
-    /// Apply the full fault model to a packet about to enter the fabric.
-    /// Returns `false` if the packet is dropped (the caller must not
-    /// forward it). Both outcomes leave a flight-recorder crumb and a
-    /// registry counter so the faults are visible in run manifests.
+    /// Apply the fault model to a packet about to enter the fabric: the
+    /// drop draw first, then the corruption draw. Returns `false` if the
+    /// packet is dropped (the caller must not forward it). Both outcomes
+    /// leave a flight-recorder crumb and a registry counter so the faults
+    /// are visible in run manifests.
     pub fn apply(&mut self, pkt: &mut Packet, at: SimTime, actor: ActorId) -> bool {
-        let (corrupt_rate, drop_rate) = self.rates_at(at);
+        let Some(&LinkFaultWindow {
+            corrupt_rate,
+            drop_rate,
+            ..
+        }) = self.plan.link_window_at(at)
+        else {
+            return true;
+        };
         if drop_rate > 0.0 && self.rng.next_f64() < drop_rate {
             self.dropped += 1;
             flight::record(at, actor, "fault.drop", pkt.usr_tag as u64);
@@ -141,23 +98,31 @@ mod tests {
     use super::*;
     use crate::packet::Priority;
 
+    /// Endpoint 0's injector under one window over `[0, 100)` µs.
+    fn windowed(seed: u64, corrupt_rate: f64, drop_rate: f64) -> FaultInjector {
+        let plan = FaultPlan::new(seed).link_window(0.0, 100.0, corrupt_rate, drop_rate);
+        FaultInjector::windowed(Arc::new(plan), 0)
+    }
+
+    const INSIDE: SimTime = SimTime::ZERO;
+
     #[test]
-    fn zero_rate_never_corrupts() {
-        let mut f = FaultInjector::new(1, 0.0);
+    fn zero_rate_window_never_corrupts() {
+        let mut f = windowed(1, 0.0, 0.0);
         let mut pkt = Packet::new(0, 1, Priority::Low, 0, vec![1, 2, 3]);
         for _ in 0..100 {
-            assert!(!f.maybe_corrupt(&mut pkt));
+            assert!(f.apply(&mut pkt, INSIDE, ActorId(0)));
         }
         assert!(pkt.verify());
-        assert_eq!(f.injected, 0);
+        assert_eq!((f.injected, f.dropped), (0, 0));
     }
 
     #[test]
-    fn unit_rate_always_corrupts_and_crc_detects() {
-        let mut f = FaultInjector::new(2, 1.0);
+    fn unit_rate_window_always_corrupts_and_crc_detects() {
+        let mut f = windowed(2, 1.0, 0.0);
         for i in 0..50u32 {
             let mut pkt = Packet::new(0, 1, Priority::Low, 0, vec![i, i + 1, i + 2]);
-            assert!(f.maybe_corrupt(&mut pkt));
+            assert!(f.apply(&mut pkt, INSIDE, ActorId(0)));
             assert!(!pkt.verify(), "single bit flip must fail the CRC");
         }
         assert_eq!(f.injected, 50);
@@ -165,35 +130,35 @@ mod tests {
 
     #[test]
     fn intermediate_rate_is_roughly_honoured() {
-        let mut f = FaultInjector::new(3, 0.3);
-        let mut hits = 0;
+        let mut f = windowed(3, 0.3, 0.0);
         for i in 0..1000u32 {
             let mut pkt = Packet::new(0, 1, Priority::Low, 0, vec![i, 0]);
-            if f.maybe_corrupt(&mut pkt) {
-                hits += 1;
-            }
+            f.apply(&mut pkt, INSIDE, ActorId(0));
         }
-        assert!((200..400).contains(&hits), "rate drifted: {hits}/1000");
+        assert!(
+            (200..400).contains(&f.injected),
+            "rate drifted: {}/1000",
+            f.injected
+        );
     }
 
     #[test]
-    #[should_panic(expected = "probability")]
-    fn invalid_rate_rejected() {
-        FaultInjector::new(0, 1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "probability")]
-    fn invalid_drop_rate_rejected() {
-        FaultInjector::with_drop_rate(0, 0.0, -0.1);
+    fn nothing_is_injected_or_drawn_outside_the_window() {
+        let mut f = windowed(4, 1.0, 1.0);
+        let before = f.rng.clone().next_u64();
+        let mut pkt = Packet::new(0, 1, Priority::Low, 0, vec![1, 2]);
+        assert!(f.apply(&mut pkt, SimTime::from_us_f64(100.0), ActorId(0)));
+        assert!(pkt.verify());
+        assert_eq!((f.injected, f.dropped), (0, 0));
+        assert_eq!(f.rng.next_u64(), before, "a clean packet must not draw");
     }
 
     #[test]
     fn apply_drops_at_unit_drop_rate_and_is_observable() {
         flight::install(16);
-        let mut f = FaultInjector::with_drop_rate(7, 0.0, 1.0);
+        let mut f = windowed(7, 0.0, 1.0);
         let mut pkt = Packet::new(0, 1, Priority::Low, 42, vec![1, 2]);
-        assert!(!f.apply(&mut pkt, SimTime::ZERO, ActorId(3)));
+        assert!(!f.apply(&mut pkt, INSIDE, ActorId(3)));
         assert_eq!(f.dropped, 1);
         let tr = flight::take().unwrap();
         let labels: Vec<&str> = tr.iter().map(|r| r.label).collect();
@@ -203,9 +168,9 @@ mod tests {
     #[test]
     fn apply_corrupts_and_leaves_crumb() {
         flight::install(16);
-        let mut f = FaultInjector::with_drop_rate(8, 1.0, 0.0);
+        let mut f = windowed(8, 1.0, 0.0);
         let mut pkt = Packet::new(0, 1, Priority::Low, 9, vec![1, 2]);
-        assert!(f.apply(&mut pkt, SimTime::ZERO, ActorId(0)));
+        assert!(f.apply(&mut pkt, INSIDE, ActorId(0)));
         assert!(!pkt.verify());
         assert_eq!(f.injected, 1);
         let tr = flight::take().unwrap();
@@ -213,17 +178,13 @@ mod tests {
     }
 
     #[test]
-    fn profile_streams_are_independent_but_deterministic() {
-        let p = FaultProfile {
-            seed: 11,
-            corrupt_rate: 0.5,
-            drop_rate: 0.1,
-        };
-        let mut a0 = FaultInjector::from_profile(&p, 0);
-        let mut b0 = FaultInjector::from_profile(&p, 0);
-        let mut a1 = FaultInjector::from_profile(&p, 1);
+    fn port_streams_are_independent_but_deterministic() {
+        let plan = Arc::new(FaultPlan::new(11).link_window(0.0, 100.0, 0.5, 0.1));
+        let mut a0 = FaultInjector::windowed(Arc::clone(&plan), 0);
+        let mut b0 = FaultInjector::windowed(Arc::clone(&plan), 0);
+        let mut a1 = FaultInjector::windowed(plan, 1);
         let draw0 = a0.rng.next_u64();
-        assert_eq!(draw0, b0.rng.next_u64(), "same stream, same draws");
-        assert_ne!(draw0, a1.rng.next_u64(), "different streams diverge");
+        assert_eq!(draw0, b0.rng.next_u64(), "same port, same draws");
+        assert_ne!(draw0, a1.rng.next_u64(), "different ports diverge");
     }
 }

@@ -1,6 +1,6 @@
 //! The assembled fabric: routers + injection ports + delivery plumbing.
 
-use crate::fault::{FaultInjector, FaultProfile};
+use crate::fault::FaultInjector;
 use crate::packet::{Packet, UpRoute};
 use crate::router::{
     down_port_index, up_port_index, Arrive, LinkModel, PortTarget, RouterActor, RouterTiming,
@@ -22,10 +22,6 @@ pub struct ArcticConfig {
     pub uproute: UpRoute,
     /// Seed for random up-route selection (only used in `UpRoute::Random`).
     pub seed: u64,
-    /// Optional fault injection applied at the injection ports; every
-    /// injected fault is visible in the flight recorder and the
-    /// `arctic.fault` registry counters.
-    pub fault: Option<FaultProfile>,
 }
 
 impl Default for ArcticConfig {
@@ -34,7 +30,6 @@ impl Default for ArcticConfig {
             timing: RouterTiming::default(),
             uproute: UpRoute::SourceSpread,
             seed: 0xA7C71C,
-            fault: None,
         }
     }
 }
@@ -64,15 +59,11 @@ pub struct TxPort {
     free_at: SimTime,
     high: std::collections::VecDeque<Packet>,
     low: std::collections::VecDeque<Packet>,
+    /// This port's share of the fault plan installed by
+    /// [`ArcticNetwork::apply_fault_plan`]: packets granted the link pass
+    /// through it (corrupt/drop windows), and while it reports an NIU
+    /// stall the port grants nothing — queued packets wait the stall out.
     fault: Option<FaultInjector>,
-    /// Plan-driven injector installed by [`ArcticNetwork::apply_fault_plan`]
-    /// (kept separate from the constant-rate `fault` so a harness can run
-    /// both a background profile and scheduled fault weather).
-    plan_fault: Option<FaultInjector>,
-    /// NIU stall intervals for this endpoint, from the fault plan: while
-    /// `from <= now < until` the port grants nothing; queued packets wait
-    /// the stall out.
-    stalls: Vec<(SimTime, SimTime)>,
     /// Guard so each stall window arms one wake and records one span.
     stall_armed_until: SimTime,
     pub stall_waits: u64,
@@ -94,22 +85,13 @@ impl TxPort {
         }
     }
 
-    /// If this endpoint's NIU is stalled at `now`, the time the stall ends.
-    fn stalled_until(&self, now: SimTime) -> Option<SimTime> {
-        self.stalls
-            .iter()
-            .filter(|(from, until)| *from <= now && now < *until)
-            .map(|(_, until)| *until)
-            .max()
-    }
-
     fn pump(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         if now < self.free_at {
             ctx.send_after(self.free_at - now, ctx.self_id(), TxKick);
             return;
         }
-        if let Some(until) = self.stalled_until(now) {
+        if let Some(until) = self.fault.as_ref().and_then(|f| f.stalled_until(now)) {
             if self.high.is_empty() && self.low.is_empty() {
                 return;
             }
@@ -126,7 +108,7 @@ impl TxPort {
             }
             return;
         }
-        // A packet dropped by an injector never occupied the link: go
+        // A packet dropped by the injector never occupied the link: go
         // straight on to the next queued one. (A loop, not recursion — a
         // backlog dropped wholesale would otherwise overflow the stack.)
         let mut pkt = loop {
@@ -134,8 +116,11 @@ impl TxPort {
                 return;
             };
             let id = ctx.self_id();
-            let mut injectors = self.fault.iter_mut().chain(self.plan_fault.iter_mut());
-            if injectors.all(|f| f.apply(&mut pkt, now, id)) {
+            if self
+                .fault
+                .as_mut()
+                .is_none_or(|f| f.apply(&mut pkt, now, id))
+            {
                 break pkt;
             }
         };
@@ -268,12 +253,7 @@ impl ArcticNetwork {
                 free_at: SimTime::ZERO,
                 high: std::collections::VecDeque::new(),
                 low: std::collections::VecDeque::new(),
-                fault: cfg
-                    .fault
-                    .as_ref()
-                    .map(|p| FaultInjector::from_profile(p, e as u64)),
-                plan_fault: None,
-                stalls: Vec::new(),
+                fault: None,
                 stall_armed_until: SimTime::ZERO,
                 stall_waits: 0,
                 busy_ps: 0,
@@ -291,6 +271,25 @@ impl ArcticNetwork {
             tx_ports,
             endpoints: endpoint_actors.to_vec(),
         }
+    }
+
+    /// Build a fabric of `n` endpoints whose endpoint `e` is the actor
+    /// `make(e, tx_port(e))` — for protocol actors that must know their
+    /// injection port. The endpoints take their actor ids, in endpoint
+    /// order, before the fabric's own actors do — exactly as if they had
+    /// been added first and handed to [`ArcticNetwork::build`].
+    pub fn build_with(
+        sim: &mut Simulator,
+        n: u16,
+        cfg: ArcticConfig,
+        mut make: impl FnMut(u16, ActorId) -> Box<dyn Actor>,
+    ) -> Self {
+        let ids: Vec<ActorId> = (0..n).map(|_| sim.reserve()).collect();
+        let net = Self::build(sim, &ids, cfg);
+        for e in 0..n {
+            sim.insert_actor_at(net.endpoint(e), make(e, net.tx_port(e)));
+        }
+        net
     }
 
     pub fn n_endpoints(&self) -> u16 {
@@ -317,26 +316,15 @@ impl ArcticNetwork {
     }
 
     /// Thread a deterministic [`FaultPlan`] through the fabric: every
-    /// injection port gets a windowed corrupt/drop injector drawing an
-    /// independent stream from the plan seed, plus this endpoint's NIU
-    /// stall intervals. Call after [`ArcticNetwork::build`], before the
-    /// workload starts.
+    /// injection port gets an injector over the shared plan (link windows
+    /// drawn from the port's own stream of the plan seed, and the
+    /// endpoint's NIU stalls). Call after [`ArcticNetwork::build`], before
+    /// the workload starts.
     pub fn apply_fault_plan(&self, sim: &mut Simulator, plan: &FaultPlan) {
+        let plan = Arc::new(plan.clone());
         for e in 0..self.n_endpoints() {
-            let port = sim.actor_mut::<TxPort>(self.tx_ports[e as usize]);
-            if !plan.link_windows.is_empty() {
-                port.plan_fault = Some(FaultInjector::windowed(
-                    plan.seed,
-                    u64::from(e) + 1,
-                    plan.link_windows.clone(),
-                ));
-            }
-            port.stalls = plan
-                .niu_stalls
-                .iter()
-                .filter(|s| s.endpoint == e)
-                .map(|s| (s.from, s.until))
-                .collect();
+            sim.actor_mut::<TxPort>(self.tx_port(e)).fault =
+                Some(FaultInjector::windowed(Arc::clone(&plan), e));
         }
     }
 
@@ -374,8 +362,7 @@ impl ArcticNetwork {
         let mut corrupted = 0;
         let mut dropped = 0;
         for &id in &self.tx_ports {
-            let p = sim.actor::<TxPort>(id);
-            for f in p.fault.iter().chain(p.plan_fault.iter()) {
+            if let Some(f) = &sim.actor::<TxPort>(id).fault {
                 corrupted += f.injected;
                 dropped += f.dropped;
             }

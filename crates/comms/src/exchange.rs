@@ -32,13 +32,14 @@
 //!   `lint::schedule` keeps per-channel tag uniqueness, and duplicates
 //!   are idempotent by the dedup rules in `on_packet`.
 
+use crate::node::{run_nodes, Endpoint, Guard, Timeout, Woken};
 use crate::recovery::{RecoveryCounters, RecoveryEvent};
-use hyades_arctic::network::{ArcticNetwork, Delivered, Inject};
-use hyades_arctic::packet::{Packet, Priority};
+use hyades_arctic::network::Inject;
+use hyades_arctic::packet::Packet;
 use hyades_des::event::Payload;
-use hyades_des::{Actor, ActorId, Ctx, SimDuration, SimTime, Simulator};
-use hyades_fault::{FaultPlan, RetryPolicy};
-use hyades_startx::msg::{bulk_packet, segment};
+use hyades_des::{Actor, Ctx, SimDuration, SimTime};
+use hyades_fault::FaultPlan;
+use hyades_startx::msg::{bulk_packet, packet_bytes, packet_count};
 use hyades_startx::HostParams;
 use hyades_telemetry as telemetry;
 use hyades_telemetry::flight;
@@ -58,9 +59,43 @@ pub(crate) const TAG_ACK2_BASE: u16 = 0x280; // resent ACK
 pub(crate) const TAG_DONE2_BASE: u16 = 0x380; // resent DONE
 pub(crate) const TAG_PROBE_BASE: u16 = 0x400; // sender -> receiver: how far did you get?
 pub(crate) const TAG_RETRY_BASE: u16 = 0x480; // receiver -> sender: restart DATA at payload seq
-pub(crate) const TAG_BASE_MASK: u16 = 0xF80;
+const TAG_BASE_MASK: u16 = 0xF80;
 const TAG_ROUND_MASK: u16 = 0x07F;
 pub(crate) const TAG_DATA: u16 = 0x0FF;
+
+/// What an exchange packet is, read off its tag. A message and its
+/// resent twin (REQ/REQ2, ACK/ACK2, DONE/DONE2) are one kind: the
+/// receiving side treats them alike, the dedup rules make the second
+/// copy harmless.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum TagKind {
+    Req,
+    Ack,
+    Data,
+    Done,
+    Probe,
+    Retry,
+}
+
+/// Decode a tag into its kind and round — the one place the tag layout
+/// is read, by the node's dispatch and by the schedule graphs alike.
+/// `None` is a tag the protocol does not speak. DATA carries no round
+/// (its stream is sequenced inside the REQ…DONE envelope); it reads as 0.
+pub(crate) fn classify(tag: u16) -> Option<(TagKind, usize)> {
+    let kind = match tag & TAG_BASE_MASK {
+        _ if tag == TAG_DATA => return Some((TagKind::Data, 0)),
+        TAG_REQ_BASE | TAG_REQ2_BASE => TagKind::Req,
+        TAG_ACK_BASE | TAG_ACK2_BASE => TagKind::Ack,
+        TAG_DONE_BASE | TAG_DONE2_BASE => TagKind::Done,
+        TAG_PROBE_BASE => TagKind::Probe,
+        TAG_RETRY_BASE => TagKind::Retry,
+        _ => return None,
+    };
+    Some((kind, usize::from(tag & TAG_ROUND_MASK)))
+}
+
+/// Staging chunk size for copy/DMA overlap.
+const CHUNK: u64 = 512;
 
 /// One pairing round of the exchange schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,66 +114,40 @@ pub type Schedule = Vec<Option<PairPlan>>;
 /// every leg moves `bytes`. Rounds: x-pairs at even x, x-pairs at odd x,
 /// then the same in y (skipped when the dimension is 1).
 pub fn torus_schedule(px: u16, py: u16, bytes: u64) -> Vec<Schedule> {
-    assert!(px >= 1 && py >= 1);
-    assert!(
-        px == 1 || px.is_multiple_of(2),
-        "px must be even (or 1) for pairing"
-    );
-    assert!(
-        py == 1 || py.is_multiple_of(2),
-        "py must be even (or 1) for pairing"
-    );
-    let n = px * py;
-    let rank = |x: u16, y: u16| y * px + x;
-    let mut schedules: Vec<Schedule> = vec![Vec::new(); n as usize];
-    let push_round = |pairs: &[(u16, u16)], schedules: &mut Vec<Schedule>| {
-        let mut round: Vec<Option<PairPlan>> = vec![None; n as usize];
-        for &(a, b) in pairs {
-            round[a as usize] = Some(PairPlan {
-                partner: b,
-                bytes,
-                sends_first: true,
-            });
-            round[b as usize] = Some(PairPlan {
-                partner: a,
-                bytes,
-                sends_first: false,
-            });
-        }
-        for (s, r) in schedules.iter_mut().zip(round) {
-            s.push(r);
-        }
-    };
-    for parity in 0..2u16 {
-        if px < 2 {
-            break;
-        }
-        let mut pairs = Vec::new();
-        for y in 0..py {
-            for x in (parity..px).step_by(2) {
-                let nx = (x + 1) % px;
-                if px == 2 && parity == 1 {
-                    // Two columns: both colors map to the same single pair;
-                    // keep the second round so both directions of halo move
-                    // (east and west edges are distinct data).
-                }
-                pairs.push((rank(x, y), rank(nx, y)));
-            }
-        }
-        push_round(&pairs, &mut schedules);
+    for (extent, name) in [(px, "px"), (py, "py")] {
+        let pairable = extent == 1 || (extent >= 2 && extent.is_multiple_of(2));
+        assert!(pairable, "{name} must be even (or 1) for pairing");
     }
-    for parity in 0..2u16 {
-        if py < 2 {
-            break;
+    let n = usize::from(px * py);
+    let mut schedules: Vec<Schedule> = vec![Vec::new(); n];
+    // Pair along x, then along y: (tiles along the pairing axis, lanes
+    // across it, the rank stride of each).
+    for (len, lanes, step, lane_step) in [(px, py, 1, px), (py, px, px, 1)] {
+        if len < 2 {
+            continue;
         }
-        let mut pairs = Vec::new();
-        for x in 0..px {
-            for y in (parity..py).step_by(2) {
-                let ny = (y + 1) % py;
-                pairs.push((rank(x, y), rank(x, ny)));
+        let rank = |at: u16, lane: u16| at * step + lane * lane_step;
+        // With two tiles along the axis both colors map to the same single
+        // pair; the second round stays so both directions of halo move
+        // (east and west edges are distinct data).
+        for parity in 0..2u16 {
+            let mut round: Vec<Option<PairPlan>> = vec![None; n];
+            for lane in 0..lanes {
+                for at in (parity..len).step_by(2) {
+                    let (a, b) = (rank(at, lane), rank((at + 1) % len, lane));
+                    let plan = |partner, sends_first| PairPlan {
+                        partner,
+                        bytes,
+                        sends_first,
+                    };
+                    round[usize::from(a)] = Some(plan(b, true));
+                    round[usize::from(b)] = Some(plan(a, false));
+                }
+            }
+            for (s, r) in schedules.iter_mut().zip(round) {
+                s.push(r);
             }
         }
-        push_round(&pairs, &mut schedules);
     }
     schedules
 }
@@ -150,23 +159,14 @@ enum LegPhase {
     /// Sender: REQ sent, waiting for ACK. Carries the leg parameters so
     /// later phases never have to re-derive the plan from the schedule.
     WaitAck { partner: u16, bytes: u64 },
-    /// Sender: streaming packets (`left` packets remain).
-    Streaming {
-        queue: Vec<u64>,
-        seq: u32,
-        partner: u16,
-    },
+    /// Sender: streaming the leg's `bytes`; packet `seq` goes next.
+    Streaming { seq: u32, partner: u16, bytes: u64 },
     /// Sender: all packets emitted, waiting for DONE. Carries the leg
     /// parameters so a RETRY can rebuild the stream.
     WaitDone { partner: u16, bytes: u64 },
-    /// Receiver: ACK sent, accumulating DATA in go-back-N order
-    /// (`queue[next_seq]` is the next packet's byte count).
-    Receiving {
-        queue: Vec<u64>,
-        next_seq: u32,
-        expected: u64,
-        got: u64,
-    },
+    /// Receiver: ACK sent, accumulating the `expected` bytes of DATA in
+    /// go-back-N order.
+    Receiving { next_seq: u32, expected: u64 },
 }
 
 /// Which half of the round we are in.
@@ -174,7 +174,6 @@ enum LegPhase {
 enum Half {
     First,
     Second,
-    DoneRound,
 }
 
 enum SelfEv {
@@ -184,15 +183,10 @@ enum SelfEv {
     Emit,
     /// Receiver finished the final copy-out; send DONE.
     RxDone,
-    /// A guarded wait timed out. Stale timeouts (epoch mismatch) are
-    /// no-ops.
-    Timeout { epoch: u64 },
 }
 
 pub struct ExchangeNode {
-    pub me: u16,
-    host: HostParams,
-    tx_port: ActorId,
+    ep: Endpoint,
     schedule: Schedule,
     round: usize,
     half: Half,
@@ -205,15 +199,10 @@ pub struct ExchangeNode {
     /// receives in exactly one half of each paired round), so a late
     /// PROBE can be answered with a resent DONE.
     rx_done: BTreeSet<u16>,
-    /// Retransmit policy guarding every sender-side wait.
-    policy: RetryPolicy,
-    /// Bumped on every state transition; pending timeouts carrying an
-    /// older epoch are stale.
-    epoch: u64,
-    /// Retries of the currently guarded wait (drives the backoff).
-    attempts: u32,
+    /// Guards every sender-side wait (WaitAck, WaitDone).
+    guard: Guard,
     /// An ACK or DONE was accepted and the `Proceed` that acts on it is
-    /// still in flight (`ctrl_cost_rx` later). The phase stays
+    /// still in flight (`recv_cost` later). The phase stays
     /// `WaitAck`/`WaitDone` meanwhile, so without this a duplicate inside
     /// the window (ACK + ACK2, DONE + DONE2) would be accepted again and
     /// its second `Proceed` would land in whatever phase came next.
@@ -221,80 +210,48 @@ pub struct ExchangeNode {
     pub recovery: RecoveryCounters,
     pub started: Option<SimTime>,
     pub finished: Option<SimTime>,
-    /// Staging chunk size for copy/DMA overlap.
-    chunk: u64,
 }
 
 /// Kick event: run the exchange schedule.
 pub struct StartExchange;
 
 impl ExchangeNode {
-    pub fn new(me: u16, host: HostParams, tx_port: ActorId, schedule: Schedule) -> Self {
+    pub(crate) fn new(ep: Endpoint, schedule: Schedule) -> Self {
         assert!(
             schedule.len() <= TAG_ROUND_MASK as usize,
             "round index must fit the 7-bit tag field"
         );
         ExchangeNode {
-            me,
-            host,
-            tx_port,
+            ep,
             schedule,
             round: 0,
             half: Half::First,
             phase: LegPhase::Start,
             early_reqs: BTreeMap::new(),
             rx_done: BTreeSet::new(),
-            policy: RetryPolicy::default(),
-            epoch: 0,
-            attempts: 0,
+            guard: Guard::default(),
             proceeding: false,
             recovery: RecoveryCounters::default(),
             started: None,
             finished: None,
-            chunk: 512,
         }
-    }
-
-    /// Override the retransmit policy (tests tighten the timeout).
-    pub fn with_policy(mut self, policy: RetryPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Arm the timeout guarding the current wait; `attempts` picks the
-    /// backoff step.
-    fn arm_timeout(&mut self, ctx: &mut Ctx<'_>) {
-        let wait = self.policy.arm(self.attempts);
-        let epoch = self.epoch;
-        ctx.wake_after(wait, SelfEv::Timeout { epoch });
-    }
-
-    /// Invalidate pending timeouts and reset the backoff ladder.
-    fn new_wait(&mut self) {
-        self.epoch += 1;
-        self.attempts = 0;
     }
 
     /// Accept the ACK/DONE the current wait was blocked on: disarm the
     /// timeout and act on it once the CPU has processed the message.
     fn accept_ctrl(&mut self, ctx: &mut Ctx<'_>) {
-        self.new_wait();
+        self.guard.new_wait();
         self.proceeding = true;
-        ctx.wake_after(self.ctrl_cost_rx(), SelfEv::Proceed);
+        ctx.wake_after(self.ep.recv_cost(), SelfEv::Proceed);
     }
 
     fn plan(&self) -> Option<PairPlan> {
         self.schedule.get(self.round).copied().flatten()
     }
 
-    fn ctrl_cost_rx(&self) -> SimDuration {
-        self.host.status_poll + self.host.pio.recv_overhead(8)
-    }
-
-    fn send_ctrl(&self, ctx: &mut Ctx<'_>, dst: u16, tag: u16, word: u32) {
-        let os = self.host.pio.send_overhead(8);
-        let pkt = Packet::new(self.me, dst, Priority::High, tag, vec![word, 0]);
-        ctx.send_after(os, self.tx_port, Inject(pkt));
+    /// Send the control message `base` of `round`, carrying `word`.
+    fn send_ctrl(&self, ctx: &mut Ctx<'_>, dst: u16, base: u16, round: usize, word: u32) {
+        self.ep.send(ctx, dst, base + round as u16, vec![word, 0]);
     }
 
     /// Am I the sender in the current half-round?
@@ -302,12 +259,11 @@ impl ExchangeNode {
         match self.half {
             Half::First => plan.sends_first,
             Half::Second => !plan.sends_first,
-            Half::DoneRound => false,
         }
     }
 
     fn begin_half(&mut self, ctx: &mut Ctx<'_>) {
-        self.new_wait();
+        self.guard.new_wait();
         let Some(plan) = self.plan() else {
             self.advance_round(ctx);
             return;
@@ -318,31 +274,26 @@ impl ExchangeNode {
                 partner: plan.partner,
                 bytes: plan.bytes,
             };
-            self.send_ctrl(
-                ctx,
-                plan.partner,
-                TAG_REQ_BASE + self.round as u16,
-                plan.bytes as u32,
-            );
-            self.arm_timeout(ctx);
+            let word = plan.bytes as u32;
+            self.send_ctrl(ctx, plan.partner, TAG_REQ_BASE, self.round, word);
+            self.guard.arm(ctx);
         } else {
             // Receiver leg: if the REQ already arrived, answer it now.
             self.phase = LegPhase::Start;
             if let Some(bytes) = self.early_reqs.remove(&(self.round as u16)) {
-                let cost = self.ctrl_cost_rx();
-                self.accept_req(bytes);
-                ctx.wake_after(cost, SelfEv::Proceed);
+                self.accept_req(bytes, ctx);
             }
         }
     }
 
-    fn accept_req(&mut self, bytes: u64) {
+    /// Take the REQ of the leg this node is about to receive; the ACK
+    /// follows once the CPU has processed it.
+    fn accept_req(&mut self, bytes: u64, ctx: &mut Ctx<'_>) {
         self.phase = LegPhase::Receiving {
-            queue: segment(bytes),
             next_seq: 0,
             expected: bytes,
-            got: 0,
         };
+        ctx.wake_after(self.ep.recv_cost(), SelfEv::Proceed);
     }
 
     fn advance_half(&mut self, ctx: &mut Ctx<'_>) {
@@ -351,11 +302,7 @@ impl ExchangeNode {
                 self.half = Half::Second;
                 self.begin_half(ctx);
             }
-            Half::Second => {
-                self.half = Half::DoneRound;
-                self.advance_round(ctx);
-            }
-            Half::DoneRound => unreachable!(),
+            Half::Second => self.advance_round(ctx),
         }
     }
 
@@ -373,371 +320,270 @@ impl ExchangeNode {
 
     /// Record completion: span over the whole schedule plus flight crumbs.
     fn mark_finished(&mut self, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
+        let (now, me) = (ctx.now(), u64::from(self.ep.me));
         self.finished = Some(now);
         if let Some(started) = self.started {
-            telemetry::record_span(
-                u64::from(self.me),
-                "comms",
-                "exchange.node",
-                started,
-                now.since(started),
-            );
+            telemetry::record_span(me, "comms", "exchange.node", started, now.since(started));
         }
         telemetry::count("comms.exchange", "nodes_finished", 1);
-        flight::record(now, ctx.self_id(), "exchange.finished", u64::from(self.me));
+        flight::record(now, ctx.self_id(), "exchange.finished", me);
     }
 
-    fn start_stream(&mut self, ctx: &mut Ctx<'_>, partner: u16, bytes: u64) {
-        // Stage the first chunk (halo gather into the VI region), kick the
-        // DMA, then emit paced packets. Later staging copies overlap the
-        // stream (copy bandwidth exceeds the PCI payload rate).
-        let first = bytes.min(self.chunk);
-        let queue = segment(bytes);
+    /// Enter the DATA stream of a `bytes` leg at packet `from_seq` (0, or
+    /// the rewind point of a RETRY): stage the first chunk (halo gather
+    /// into the VI region), kick the DMA, then emit paced packets. Later
+    /// staging copies overlap the stream (copy bandwidth exceeds the PCI
+    /// payload rate).
+    fn start_stream(&mut self, ctx: &mut Ctx<'_>, partner: u16, bytes: u64, from_seq: u32) {
         self.phase = LegPhase::Streaming {
-            queue,
-            seq: 0,
+            seq: from_seq,
             partner,
+            bytes,
         };
-        let lead = self.host.memcpy_time(first) + self.host.dma_kick;
+        let lead = self.ep.host.memcpy_time(bytes.min(CHUNK)) + self.ep.host.dma_kick;
         ctx.wake_after(lead, SelfEv::Emit);
+    }
+
+    /// The next DATA sequence number expected, if this node is receiving
+    /// `round`'s leg right now.
+    fn live_next_seq(&self, round: usize) -> Option<u32> {
+        match &self.phase {
+            LegPhase::Receiving { next_seq, .. } if self.round == round => Some(*next_seq),
+            _ => None,
+        }
     }
 }
 
 impl Actor for ExchangeNode {
     fn on_event(&mut self, ev: Payload, ctx: &mut Ctx<'_>) {
-        let ev = match ev.downcast::<StartExchange>() {
-            Ok(_) => {
+        match Woken::<StartExchange, SelfEv>::from(ev) {
+            Woken::Start(StartExchange) => {
+                assert!(self.started.is_none(), "a node runs one exchange");
                 self.started = Some(ctx.now());
-                self.round = 0;
-                self.half = Half::First;
-                self.phase = LegPhase::Start;
-                self.early_reqs.clear();
-                self.rx_done.clear();
-                self.proceeding = false;
-                self.new_wait();
-                flight::record(
-                    ctx.now(),
-                    ctx.self_id(),
-                    "exchange.start",
-                    u64::from(self.me),
-                );
+                self.guard.new_wait();
+                let me = u64::from(self.ep.me);
+                flight::record(ctx.now(), ctx.self_id(), "exchange.start", me);
                 if self.schedule.is_empty() {
                     self.mark_finished(ctx);
                 } else {
                     self.begin_half(ctx);
                 }
-                return;
             }
-            Err(e) => e,
-        };
-        let ev = match ev.downcast::<Delivered>() {
-            Ok(del) => {
-                self.on_packet(del.pkt, ctx);
-                return;
-            }
-            Err(e) => e,
-        };
-        let Ok(ev) = ev.downcast::<SelfEv>() else {
-            panic!("node {}: unexpected event type", self.me);
-        };
-        match *ev {
-            SelfEv::Proceed => self.on_proceed(ctx),
-            SelfEv::Emit => self.on_emit(ctx),
-            SelfEv::RxDone => {
+            Woken::Packet(pkt) => self.on_packet(pkt, ctx),
+            Woken::Timeout(t) => self.on_timeout(&t, ctx),
+            Woken::Own(SelfEv::Proceed) => self.on_proceed(ctx),
+            Woken::Own(SelfEv::Emit) => self.on_emit(ctx),
+            Woken::Own(SelfEv::RxDone) => {
                 // Send DONE to the sender, then move on. Remember the
                 // completed receive so a late PROBE can be answered with a
                 // resent DONE after this node has moved past the round.
                 self.rx_done.insert(self.round as u16);
                 if let Some(plan) = self.plan() {
-                    self.send_ctrl(ctx, plan.partner, TAG_DONE_BASE + self.round as u16, 0);
+                    self.send_ctrl(ctx, plan.partner, TAG_DONE_BASE, self.round, 0);
                 }
                 self.advance_half(ctx);
             }
-            SelfEv::Timeout { epoch } => self.on_timeout(epoch, ctx),
         }
     }
 }
 
 impl ExchangeNode {
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
-        let tag = pkt.usr_tag;
+        let kind = classify(pkt.usr_tag);
         if pkt.corrupted {
             // The CRC caught it: the payload is never trusted. A corrupt
             // DATA packet is NAKed immediately (the header's tag + src
             // survive — the fault model flips payload bits only) so the
             // sender can rewind without waiting for a PROBE round-trip.
             self.recovery.bump(RecoveryEvent::CorruptDiscard);
-            if tag == TAG_DATA {
-                let nak = match &self.phase {
-                    LegPhase::Receiving { next_seq, .. } => Some(*next_seq),
-                    _ => None,
-                };
-                if let Some(next_seq) = nak {
-                    self.recovery.bump(RecoveryEvent::Retry);
-                    self.send_ctrl(ctx, pkt.src, TAG_RETRY_BASE + self.round as u16, next_seq);
-                }
+            if let (Some((TagKind::Data, _)), Some(next_seq)) =
+                (kind, self.live_next_seq(self.round))
+            {
+                self.recovery.bump(RecoveryEvent::Retry);
+                self.send_ctrl(ctx, pkt.src, TAG_RETRY_BASE, self.round, next_seq);
             }
             return;
         }
-        if tag == TAG_DATA {
-            let LegPhase::Receiving {
-                queue,
-                next_seq,
-                expected,
-                got,
-            } = &mut self.phase
-            else {
-                // A duplicate from a rewound stream after this leg closed.
-                self.recovery.bump(RecoveryEvent::StaleIgnored);
-                return;
-            };
-            let seq = pkt.payload[0];
-            if seq != *next_seq {
-                // Go-back-N: anything out of order (a gap after a drop, or
-                // a duplicate behind the rewind point) is ignored; the
-                // sender re-emits from the NAKed sequence number.
-                self.recovery.bump(RecoveryEvent::StaleIgnored);
-                return;
-            }
-            *got += queue[seq as usize].min(*expected - *got);
-            *next_seq += 1;
-            if *got >= *expected {
-                let tail = (*expected).min(self.chunk);
-                let cost = self.host.memcpy_time(tail);
-                ctx.wake_after(cost, SelfEv::RxDone);
-            }
-            return;
-        }
-        let (base, round) = (tag & TAG_BASE_MASK, (tag & TAG_ROUND_MASK) as usize);
-        match base {
-            TAG_REQ_BASE | TAG_REQ2_BASE => {
-                let bytes = u64::from(pkt.payload[0]);
+        let Some((kind, round)) = kind else {
+            panic!("node {}: unexpected tag {:#x}", self.ep.me, pkt.usr_tag);
+        };
+        match kind {
+            TagKind::Data => self.on_data(pkt.payload[0], ctx),
+            TagKind::Req => {
                 if self.rx_done.contains(&(round as u16)) {
                     // Receive already completed; DONE (or DONE2 via PROBE)
                     // covers the sender.
                     self.recovery.bump(RecoveryEvent::StaleIgnored);
-                    return;
-                }
-                let live_next_seq = match &self.phase {
-                    LegPhase::Receiving { next_seq, .. } if self.round == round => Some(*next_seq),
-                    _ => None,
-                };
-                if let Some(next_seq) = live_next_seq {
+                } else if let Some(next_seq) = self.live_next_seq(round) {
                     // Duplicate REQ for the leg we are already receiving:
                     // if no data arrived yet the original ACK may be lost,
                     // so resend it; otherwise the stream is live.
                     if next_seq == 0 {
                         self.recovery.bump(RecoveryEvent::AckResend);
-                        self.send_ctrl(ctx, pkt.src, TAG_ACK2_BASE + round as u16, 0);
+                        self.send_ctrl(ctx, pkt.src, TAG_ACK2_BASE, round, 0);
                     } else {
                         self.recovery.bump(RecoveryEvent::StaleIgnored);
                     }
-                    return;
-                }
-                let here = self.round == round
-                    && matches!(self.phase, LegPhase::Start)
-                    && self.plan().map(|p| !self.i_send_now(&p)).unwrap_or(false);
-                if here {
-                    let cost = self.ctrl_cost_rx();
-                    self.accept_req(bytes);
-                    ctx.wake_after(cost, SelfEv::Proceed);
                 } else {
-                    self.early_reqs.insert(round as u16, bytes);
+                    let bytes = u64::from(pkt.payload[0]);
+                    let here = self.round == round
+                        && matches!(self.phase, LegPhase::Start)
+                        && self.plan().is_some_and(|p| !self.i_send_now(&p));
+                    if here {
+                        self.accept_req(bytes, ctx);
+                    } else {
+                        self.early_reqs.insert(round as u16, bytes);
+                    }
                 }
             }
-            TAG_ACK_BASE | TAG_ACK2_BASE => {
-                if self.round == round
-                    && !self.proceeding
-                    && matches!(self.phase, LegPhase::WaitAck { .. })
-                {
+            TagKind::Ack | TagKind::Done => {
+                let awaited = match self.phase {
+                    LegPhase::WaitAck { .. } => kind == TagKind::Ack,
+                    LegPhase::WaitDone { .. } => kind == TagKind::Done,
+                    _ => false,
+                };
+                if awaited && self.round == round && !self.proceeding {
                     self.accept_ctrl(ctx);
                 } else {
                     self.recovery.bump(RecoveryEvent::StaleIgnored);
                 }
             }
-            TAG_DONE_BASE | TAG_DONE2_BASE => {
-                if self.round == round
-                    && !self.proceeding
-                    && matches!(self.phase, LegPhase::WaitDone { .. })
-                {
-                    self.accept_ctrl(ctx);
-                } else {
-                    self.recovery.bump(RecoveryEvent::StaleIgnored);
-                }
-            }
-            TAG_PROBE_BASE => {
+            TagKind::Probe => {
                 if self.rx_done.contains(&(round as u16)) {
                     self.recovery.bump(RecoveryEvent::DoneResend);
-                    self.send_ctrl(ctx, pkt.src, TAG_DONE2_BASE + round as u16, 0);
-                    return;
-                }
-                let live_next_seq = match &self.phase {
-                    LegPhase::Receiving { next_seq, .. } if self.round == round => Some(*next_seq),
-                    _ => None,
-                };
-                if let Some(next_seq) = live_next_seq {
+                    self.send_ctrl(ctx, pkt.src, TAG_DONE2_BASE, round, 0);
+                } else if let Some(next_seq) = self.live_next_seq(round) {
                     // Stream incomplete: tell the sender where to restart.
                     self.recovery.bump(RecoveryEvent::Retry);
-                    self.send_ctrl(ctx, pkt.src, TAG_RETRY_BASE + round as u16, next_seq);
+                    self.send_ctrl(ctx, pkt.src, TAG_RETRY_BASE, round, next_seq);
                 } else {
                     self.recovery.bump(RecoveryEvent::StaleIgnored);
                 }
             }
-            TAG_RETRY_BASE => self.on_retry(round, pkt.payload[0], ctx),
-            other => panic!("node {}: unexpected tag {other:#x}", self.me),
+            TagKind::Retry => self.on_retry(round, pkt.payload[0], ctx),
+        }
+    }
+
+    /// An intact DATA packet carrying sequence number `seq`.
+    fn on_data(&mut self, seq: u32, ctx: &mut Ctx<'_>) {
+        match &mut self.phase {
+            LegPhase::Receiving { next_seq, expected } if seq == *next_seq => {
+                *next_seq += 1;
+                if u64::from(*next_seq) == packet_count(*expected) {
+                    let tail = (*expected).min(CHUNK);
+                    ctx.wake_after(self.ep.host.memcpy_time(tail), SelfEv::RxDone);
+                }
+            }
+            // Go-back-N: anything out of order (a gap after a drop, or a
+            // duplicate behind the rewind point) is ignored — the sender
+            // re-emits from the NAKed sequence number — as is a duplicate
+            // from a rewound stream after this leg closed.
+            _ => self.recovery.bump(RecoveryEvent::StaleIgnored),
         }
     }
 
     /// A RETRY (go-back-N NAK) from the receiver: rewind the DATA stream
     /// to `restart`.
     fn on_retry(&mut self, round: usize, restart: u32, ctx: &mut Ctx<'_>) {
-        if self.round != round {
-            self.recovery.bump(RecoveryEvent::StaleIgnored);
-            return;
-        }
-        let rewound = match &mut self.phase {
-            LegPhase::Streaming { seq, .. } => {
-                // Live stream: pull the cursor back; the pending Emit chain
-                // re-emits from there.
-                if restart < *seq {
-                    *seq = restart;
-                    true
-                } else {
-                    false
-                }
+        match &mut self.phase {
+            _ if self.round != round => {}
+            // Live stream: pull the cursor back; the pending Emit chain
+            // re-emits from there.
+            LegPhase::Streaming { seq, .. } if restart < *seq => {
+                *seq = restart;
+                self.recovery.bump(RecoveryEvent::DataRewind);
+                return;
             }
-            _ => false,
-        };
-        if rewound {
-            self.recovery.bump(RecoveryEvent::DataRewind);
-            return;
+            // Stream already drained: re-enter it at the rewind point.
+            // (Once the DONE is accepted the leg is over: a late NAK must
+            // not reopen the stream under the pending `Proceed`.)
+            LegPhase::WaitDone { partner, bytes }
+                if !self.proceeding && u64::from(restart) < packet_count(*bytes) =>
+            {
+                let (partner, bytes) = (*partner, *bytes);
+                self.guard.new_wait();
+                self.recovery.bump(RecoveryEvent::DataRewind);
+                self.start_stream(ctx, partner, bytes, restart);
+                return;
+            }
+            _ => {}
         }
-        let wait_done = match &self.phase {
-            // Once the DONE is accepted the leg is over: a late NAK must
-            // not reopen the stream under the pending `Proceed`.
-            LegPhase::WaitDone { partner, bytes } if !self.proceeding => Some((*partner, *bytes)),
-            _ => None,
-        };
-        let Some((partner, bytes)) = wait_done else {
-            self.recovery.bump(RecoveryEvent::StaleIgnored);
-            return;
-        };
-        let queue = segment(bytes);
-        if (restart as usize) >= queue.len() {
-            self.recovery.bump(RecoveryEvent::StaleIgnored);
-            return;
-        }
-        // Stream already drained: re-enter it at the rewind point (stage
-        // the chunk again, kick the DMA).
-        self.new_wait();
-        self.recovery.bump(RecoveryEvent::DataRewind);
-        let first = bytes.min(self.chunk);
-        let lead = self.host.memcpy_time(first) + self.host.dma_kick;
-        self.phase = LegPhase::Streaming {
-            queue,
-            seq: restart,
-            partner,
-        };
-        ctx.wake_after(lead, SelfEv::Emit);
+        self.recovery.bump(RecoveryEvent::StaleIgnored);
     }
 
     /// A guarded wait expired: resend the blocking control message with
     /// backoff. WaitAck resends the REQ (as REQ2); WaitDone probes the
     /// receiver, which answers RETRY (stream incomplete) or DONE2.
-    fn on_timeout(&mut self, epoch: u64, ctx: &mut Ctx<'_>) {
-        if epoch != self.epoch {
-            return; // stale guard from a wait that already resolved
-        }
-        let action = match &self.phase {
-            LegPhase::WaitAck { partner, bytes } => Some((*partner, *bytes as u32, true)),
-            LegPhase::WaitDone { partner, .. } => Some((*partner, 0, false)),
-            _ => None,
-        };
-        let Some((partner, word, is_req)) = action else {
+    fn on_timeout(&mut self, t: &Timeout, ctx: &mut Ctx<'_>) {
+        if self.guard.is_stale(t) {
             return;
+        }
+        use RecoveryEvent::{Probe, ReqResend};
+        let (partner, word, base, crumb, ev, want) = match self.phase {
+            LegPhase::WaitAck { partner, bytes } => {
+                let word = bytes as u32;
+                (
+                    partner,
+                    word,
+                    TAG_REQ2_BASE,
+                    "exchange.req2",
+                    ReqResend,
+                    "ACK",
+                )
+            }
+            LegPhase::WaitDone { partner, .. } => {
+                (partner, 0, TAG_PROBE_BASE, "exchange.probe", Probe, "DONE")
+            }
+            _ => return,
         };
-        assert!(
-            self.attempts < self.policy.max_attempts,
-            "node {}: retries exhausted in round {} (wait for {})",
-            self.me,
-            self.round,
-            if is_req { "ACK" } else { "DONE" }
-        );
-        self.attempts += 1;
-        self.recovery.bump(RecoveryEvent::Timeout);
-        let (tag_base, crumb, ev) = if is_req {
-            (TAG_REQ2_BASE, "exchange.req2", RecoveryEvent::ReqResend)
-        } else {
-            (TAG_PROBE_BASE, "exchange.probe", RecoveryEvent::Probe)
-        };
+        self.guard
+            .retry(&mut self.recovery, self.ep.me, self.round, want);
         self.recovery.bump(ev);
-        flight::record(ctx.now(), ctx.self_id(), crumb, u64::from(self.me));
-        self.send_ctrl(ctx, partner, tag_base + self.round as u16, word);
-        self.arm_timeout(ctx);
+        let me = u64::from(self.ep.me);
+        flight::record(ctx.now(), ctx.self_id(), crumb, me);
+        self.send_ctrl(ctx, partner, base, self.round, word);
+        self.guard.arm(ctx);
     }
 
     fn on_proceed(&mut self, ctx: &mut Ctx<'_>) {
         self.proceeding = false;
-        match &self.phase {
+        match self.phase {
             LegPhase::Receiving { .. } => {
-                // REQ processed: post RX descriptors and acknowledge.
+                // REQ processed: post RX descriptors, then acknowledge.
                 if let Some(plan) = self.plan() {
-                    let kick = self.host.dma_kick;
-                    let round = self.round as u16;
-                    let partner = plan.partner;
-                    // ACK after the descriptor post.
-                    let os = self.host.pio.send_overhead(8);
-                    let pkt = Packet::new(
-                        self.me,
-                        partner,
-                        Priority::High,
-                        TAG_ACK_BASE + round,
-                        vec![0, 0],
-                    );
-                    ctx.send_after(kick + os, self.tx_port, Inject(pkt));
+                    let tag = TAG_ACK_BASE + self.round as u16;
+                    let kick = self.ep.host.dma_kick;
+                    self.ep.send_after(ctx, kick, plan.partner, tag, vec![0, 0]);
                 }
             }
-            LegPhase::WaitAck { partner, bytes } => {
-                // ACK processed: start streaming.
-                let (partner, bytes) = (*partner, *bytes);
-                self.start_stream(ctx, partner, bytes);
-            }
-            LegPhase::WaitDone { .. } => {
-                // DONE processed: this half-round is complete.
-                self.advance_half(ctx);
-            }
-            _ => panic!("node {}: Proceed in unexpected phase", self.me),
+            // ACK processed: start streaming.
+            LegPhase::WaitAck { partner, bytes } => self.start_stream(ctx, partner, bytes, 0),
+            // DONE processed: this half-round is complete.
+            LegPhase::WaitDone { .. } => self.advance_half(ctx),
+            _ => panic!("node {}: Proceed in unexpected phase", self.ep.me),
         }
     }
 
     fn on_emit(&mut self, ctx: &mut Ctx<'_>) {
         let LegPhase::Streaming {
-            queue,
-            seq,
+            ref mut seq,
             partner,
-        } = &mut self.phase
+            bytes,
+        } = self.phase
         else {
-            panic!("node {}: Emit outside streaming", self.me);
+            panic!("node {}: Emit outside streaming", self.ep.me);
         };
-        let idx = *seq as usize;
-        let bytes = queue[idx];
-        let pkt = bulk_packet(self.me, *partner, TAG_DATA, *seq, bytes);
+        let packet = packet_bytes(bytes, *seq);
+        let pkt = bulk_packet(self.ep.me, partner, TAG_DATA, *seq, packet);
         *seq += 1;
-        let more = (*seq as usize) < queue.len();
-        let partner = *partner;
-        let total: u64 = queue.iter().sum();
-        ctx.send_now(self.tx_port, Inject(pkt));
-        let gap = self.host.vi_dma_time(bytes);
+        let more = u64::from(*seq) < packet_count(bytes);
+        ctx.send_now(self.ep.tx_port, Inject(pkt));
         if more {
-            ctx.wake_after(gap, SelfEv::Emit);
+            ctx.wake_after(self.ep.host.vi_dma_time(packet), SelfEv::Emit);
         } else {
-            self.phase = LegPhase::WaitDone {
-                partner,
-                bytes: total,
-            };
-            self.new_wait();
-            self.arm_timeout(ctx);
+            self.phase = LegPhase::WaitDone { partner, bytes };
+            self.guard.new_wait();
+            self.guard.arm(ctx);
         }
     }
 }
@@ -763,6 +609,16 @@ pub fn measure_exchange_faulty(
     measure_exchange_inner(host, px, py, leg_bytes, Some(plan))
 }
 
+/// Builds each endpoint's node of a `px × py` exchange, with that
+/// endpoint's own schedule.
+fn exchange_nodes(px: u16, py: u16, leg_bytes: u64) -> impl FnMut(Endpoint) -> ExchangeNode {
+    let mut schedules = torus_schedule(px, py, leg_bytes);
+    move |ep| {
+        let schedule = std::mem::take(&mut schedules[usize::from(ep.me)]);
+        ExchangeNode::new(ep, schedule)
+    }
+}
+
 fn measure_exchange_inner(
     host: HostParams,
     px: u16,
@@ -770,72 +626,26 @@ fn measure_exchange_inner(
     leg_bytes: u64,
     plan: Option<&FaultPlan>,
 ) -> (SimDuration, RecoveryCounters) {
-    let n = px * py;
-    assert!(
-        n.is_power_of_two(),
-        "fabric needs a power-of-two endpoint count"
-    );
-    let schedules = torus_schedule(px, py, leg_bytes);
-    let mut sim = Simulator::new();
-    let ids: Vec<ActorId> = (0..n).map(|_| sim.add_actor(Slot)).collect();
-    let net = ArcticNetwork::build(&mut sim, &ids, Default::default());
-    if let Some(plan) = plan {
-        net.apply_fault_plan(&mut sim, plan);
-    }
-    for e in 0..n {
-        let node = ExchangeNode::new(e, host, net.tx_port(e), schedules[e as usize].clone());
-        let _ = sim.remove_actor(ids[e as usize]);
-        sim.insert_actor_at(ids[e as usize], Box::new(node));
-    }
-    for &id in &ids {
-        sim.schedule(SimTime::ZERO, id, StartExchange);
-    }
-    sim.run();
     let mut last = SimTime::ZERO;
     let mut recovery = RecoveryCounters::default();
-    for (e, &id) in ids.iter().enumerate() {
-        let node = sim.actor::<ExchangeNode>(id);
-        let f = node
-            .finished
-            .unwrap_or_else(|| panic!("node {e} never finished its exchange"));
-        last = last.max(f);
-        recovery.merge(&node.recovery);
-    }
+    run_nodes(
+        host,
+        px * py,
+        plan,
+        exchange_nodes(px, py, leg_bytes),
+        |_| StartExchange,
+        |e, node: &ExchangeNode| {
+            let f = node.finished;
+            last = last.max(f.unwrap_or_else(|| panic!("node {e} never finished its exchange")));
+            recovery.merge(&node.recovery);
+        },
+    );
     (last.since(SimTime::ZERO), recovery)
-}
-
-struct Slot;
-impl Actor for Slot {
-    fn on_event(&mut self, _ev: Payload, _ctx: &mut Ctx<'_>) {
-        panic!("slot actor received an event");
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn schedule_pairs_are_consistent() {
-        for (px, py) in [(4u16, 2u16), (2, 2), (4, 4), (8, 2)] {
-            let s = torus_schedule(px, py, 100);
-            let n = (px * py) as usize;
-            let rounds = s[0].len();
-            #[allow(clippy::needless_range_loop)]
-            for r in 0..rounds {
-                for me in 0..n {
-                    if let Some(plan) = s[me][r] {
-                        let back = s[plan.partner as usize][r].expect("partner idle");
-                        assert_eq!(back.partner as usize, me, "round {r}: asymmetric pair");
-                        assert_ne!(
-                            back.sends_first, plan.sends_first,
-                            "round {r}: both sides claim the same role"
-                        );
-                    }
-                }
-            }
-        }
-    }
 
     #[test]
     fn four_by_two_has_eight_legs() {
@@ -868,19 +678,6 @@ mod tests {
         // data time; with per-leg overheads expect 380–700 µs.
         let us = ps.as_us_f64();
         assert!((330.0..800.0).contains(&us), "PS exchange {us} µs");
-    }
-
-    #[test]
-    fn two_by_two_grid_works() {
-        let t = measure_exchange(HostParams::default(), 2, 2, 512);
-        assert!(t.as_us_f64() > 0.0);
-    }
-
-    #[test]
-    fn deterministic() {
-        let a = measure_exchange(HostParams::default(), 4, 2, 1024);
-        let b = measure_exchange(HostParams::default(), 4, 2, 1024);
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -946,5 +743,68 @@ mod tests {
             (d2 / (2.0 * d1) - 1.0).abs() < 0.25,
             "non-linear growth: {t1} {t2} {t3}"
         );
+    }
+
+    /// An [`ExchangeNode`] that logs the sequence number of every DATA
+    /// packet it accepts.
+    struct Spy {
+        node: ExchangeNode,
+        accepted: Vec<u32>,
+    }
+
+    impl Actor for Spy {
+        fn on_event(&mut self, ev: Payload, ctx: &mut Ctx<'_>) {
+            let before = self.node.live_next_seq(self.node.round);
+            self.node.on_event(ev, ctx);
+            // The cursor moves on an accepted DATA packet and on nothing
+            // else while the leg is open.
+            if let (Some(seq), Some(after)) = (before, self.node.live_next_seq(self.node.round)) {
+                if after != seq {
+                    assert_eq!(after, seq + 1);
+                    self.accepted.push(seq);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// Go-back-N under random fault weather: every receiving leg of
+        /// every node accepts each of its packets exactly once, in
+        /// strictly increasing sequence order — what it would have
+        /// accepted from an uninterrupted stream.
+        #[test]
+        fn data_is_accepted_in_sequence_order_under_random_faults(
+            seed in 0u64..1 << 32,
+            windows in proptest::collection::vec((0.0f64..600.0, 1.0f64..200.0, 0.0f64..0.3, 0.0f64..0.3), 1..=3),
+            stall in (0u16..4, 0.0f64..300.0, 1.0f64..200.0),
+            leg_bytes in 1u64..=4096,
+        ) {
+            let mut plan = FaultPlan::new(seed).niu_stall(stall.0, stall.1, stall.1 + stall.2);
+            for (from, len, corrupt, drop) in windows {
+                plan = plan.link_window(from, from + len, corrupt, drop);
+            }
+            let mut make = exchange_nodes(2, 2, leg_bytes);
+            run_nodes(
+                HostParams::default(),
+                4,
+                Some(&plan),
+                |ep| Spy {
+                    node: make(ep),
+                    accepted: Vec::new(),
+                },
+                |_| StartExchange,
+                |e, spy: &Spy| {
+                    assert!(spy.node.finished.is_some(), "node {e} never finished");
+                    // One receiving leg per round, `packets` packets each.
+                    let packets = packet_count(leg_bytes) as usize;
+                    let in_order: Vec<u32> = (0..spy.node.schedule.len() * packets)
+                        .map(|i| (i % packets) as u32)
+                        .collect();
+                    assert_eq!(spy.accepted, in_order, "node {e}");
+                },
+            );
+        }
     }
 }

@@ -25,12 +25,13 @@
 //! original plus a RESEND never double-adds. The tree-gsum ablation
 //! baseline intentionally keeps the paper's catastrophic-failure model.
 
+use crate::mixmode::SmpCosts;
+use crate::node::{run_nodes, Endpoint, Guard, Timeout, Woken};
 use crate::recovery::{RecoveryCounters, RecoveryEvent};
-use hyades_arctic::network::{ArcticNetwork, Delivered, Inject};
-use hyades_arctic::packet::{f64_from_words, words_from_f64, Packet, Priority};
+use hyades_arctic::packet::{f64_from_words, words_from_f64, Packet};
 use hyades_des::event::Payload;
-use hyades_des::{Actor, ActorId, Ctx, SimDuration, SimTime, Simulator};
-use hyades_fault::{FaultPlan, RetryPolicy};
+use hyades_des::{Actor, Ctx, SimDuration, SimTime};
+use hyades_fault::FaultPlan;
 use hyades_startx::HostParams;
 use hyades_telemetry as telemetry;
 use hyades_telemetry::flight;
@@ -42,7 +43,7 @@ pub(crate) const GSUM_RETRY_BASE: u16 = 0x40; // + round: "resend me round r"
 pub(crate) const GSUM_RESEND_BASE: u16 = 0x60; // + round: the resent value
 
 /// What a butterfly packet carries, read off its tag.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum TagKind {
     /// A round's partial sum (the tag is the bare round).
     Value,
@@ -69,15 +70,12 @@ pub struct StartGsum {
     pub value: f64,
 }
 
-/// Self event: the CPU has finished reading a round message.
-struct RxReady {
-    round: u32,
-    value: f64,
-}
-
-/// Self event: the wait for the current round's value timed out.
-struct GsumTimeout {
-    epoch: u64,
+enum SelfEv {
+    /// Send the current round's partial sum, then take the partner's if
+    /// it is already here.
+    SendRound,
+    /// The CPU has finished reading a round message.
+    RxReady { round: u32, value: f64 },
 }
 
 /// Cost of the floating-point add + loop bookkeeping per round.
@@ -85,10 +83,8 @@ const ADD_COST_US: f64 = 0.05;
 
 /// One participant in the butterfly.
 pub struct GsumNode {
-    pub me: u16,
+    ep: Endpoint,
     n: u16,
-    host: HostParams,
-    tx_port: ActorId,
     /// Extra cost charged before the network phase (intra-SMP combine) and
     /// after it (intra-SMP broadcast) in mixed mode.
     pre_cost: SimDuration,
@@ -105,9 +101,8 @@ pub struct GsumNode {
     /// Rounds whose incoming value has been accepted — makes duplicate
     /// deliveries (late original + RESEND) idempotent.
     got: BTreeSet<u32>,
-    policy: RetryPolicy,
-    epoch: u64,
-    attempts: u32,
+    /// Guards the wait for the current round's value.
+    guard: Guard,
     pub recovery: RecoveryCounters,
     pub started: Option<SimTime>,
     pub finished: Option<SimTime>,
@@ -115,22 +110,20 @@ pub struct GsumNode {
 }
 
 impl GsumNode {
-    pub fn new(me: u16, n: u16, host: HostParams, tx_port: ActorId) -> Self {
+    /// `smp` charges the intra-SMP combine before the network phase and
+    /// the broadcast after it (mixed mode, §4.2: "about 1 µs" in total).
+    pub(crate) fn new(ep: Endpoint, n: u16, smp: Option<SmpCosts>) -> Self {
         GsumNode {
-            me,
+            ep,
             n,
-            host,
-            tx_port,
-            pre_cost: SimDuration::ZERO,
-            post_cost: SimDuration::ZERO,
+            pre_cost: smp.map_or(SimDuration::ZERO, |c| c.combine),
+            post_cost: smp.map_or(SimDuration::ZERO, |c| c.broadcast),
             round: 0,
             partial: 0.0,
             early: BTreeMap::new(),
             sent: Vec::new(),
             got: BTreeSet::new(),
-            policy: RetryPolicy::default(),
-            epoch: 0,
-            attempts: 0,
+            guard: Guard::default(),
             recovery: RecoveryCounters::default(),
             started: None,
             finished: None,
@@ -138,56 +131,25 @@ impl GsumNode {
         }
     }
 
-    /// Override the retransmit policy (tests tighten the timeout).
-    pub fn with_policy(mut self, policy: RetryPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    fn arm_timeout(&mut self, ctx: &mut Ctx<'_>) {
-        let wait = self.policy.arm(self.attempts);
-        let epoch = self.epoch;
-        ctx.wake_after(wait, GsumTimeout { epoch });
-    }
-
-    fn new_wait(&mut self) {
-        self.epoch += 1;
-        self.attempts = 0;
-    }
-
-    /// Add the intra-SMP combine/broadcast costs of the mixed-mode scheme
-    /// (§4.2: "about 1 µs" total on the two-way SMPs).
-    pub fn with_smp_step(mut self, pre: SimDuration, post: SimDuration) -> Self {
-        self.pre_cost = pre;
-        self.post_cost = post;
-        self
-    }
-
     fn rounds(&self) -> u32 {
         self.n.trailing_zeros()
     }
 
     fn partner_of(&self, round: u32) -> u16 {
-        self.me ^ (1u16 << round)
+        self.ep.me ^ (1u16 << round)
     }
 
-    fn send_value(&self, ctx: &mut Ctx<'_>, round: u32, tag: u16, value: f64) {
-        let partner = self.partner_of(round);
-        let os = self.host.pio.send_overhead(8);
-        let pkt = Packet::new(self.me, partner, Priority::High, tag, words_from_f64(value));
-        ctx.send_after(os, self.tx_port, Inject(pkt));
+    /// Send round `round`'s partial sum `value` to that round's partner.
+    fn send_value(&self, ctx: &mut Ctx<'_>, round: u32, base: u16, value: f64) {
+        let tag = base + round as u16;
+        self.ep
+            .send(ctx, self.partner_of(round), tag, words_from_f64(value));
     }
 
-    fn send_round(&mut self, ctx: &mut Ctx<'_>) {
-        debug_assert_eq!(self.sent.len(), self.round as usize);
-        self.sent.push(self.partial);
-        self.send_value(ctx, self.round, self.round as u16, self.partial);
-    }
-
-    fn send_ctrl(&self, ctx: &mut Ctx<'_>, dst: u16, tag: u16) {
-        let os = self.host.pio.send_overhead(8);
-        let pkt = Packet::new(self.me, dst, Priority::High, tag, vec![0, 0]);
-        ctx.send_after(os, self.tx_port, Inject(pkt));
+    /// Ask `dst` to resend its round-`round` value.
+    fn send_retry(&self, ctx: &mut Ctx<'_>, dst: u16, round: u32) {
+        let tag = GSUM_RETRY_BASE + round as u16;
+        self.ep.send(ctx, dst, tag, vec![0, 0]);
     }
 
     /// Accept an incoming round value (original or RESEND), with the
@@ -195,19 +157,21 @@ impl GsumNode {
     fn accept_value(&mut self, round: u32, value: f64, ctx: &mut Ctx<'_>) {
         if round < self.round || self.got.contains(&round) {
             self.recovery.bump(RecoveryEvent::StaleIgnored);
-            return;
-        }
-        if round == self.round {
-            // Blocked waiting on this message: one status poll plus
-            // the PIO read of header+payload.
-            self.got.insert(round);
-            self.new_wait();
-            let cost = self.host.status_poll + self.host.pio.recv_overhead(8);
-            ctx.wake_after(cost, RxReady { round, value });
+        } else if round == self.round {
+            self.take_value(value, ctx);
         } else {
             // A fast partner ran ahead; stash until we get there.
             self.early.insert(round, value);
         }
+    }
+
+    /// The current round's value is here and this node is blocked on it:
+    /// one status poll plus the PIO read of header+payload, then the add.
+    fn take_value(&mut self, value: f64, ctx: &mut Ctx<'_>) {
+        let round = self.round;
+        self.got.insert(round);
+        self.guard.new_wait();
+        ctx.wake_after(self.ep.recv_cost(), SelfEv::RxReady { round, value });
     }
 
     fn advance(&mut self, value: f64, ctx: &mut Ctx<'_>) {
@@ -220,7 +184,7 @@ impl GsumNode {
             self.result = Some(self.partial);
             if let Some(started) = self.started {
                 telemetry::record_span(
-                    u64::from(self.me),
+                    u64::from(self.ep.me),
                     "comms",
                     "gsum.node",
                     started,
@@ -232,146 +196,100 @@ impl GsumNode {
         } else {
             // The add happens before the next send; fold its cost in by
             // delaying the send kick.
-            let round = self.round;
-            ctx.wake_after(
-                add,
-                RxReady {
-                    round,
-                    value: f64::NAN, // marker: "send next round" (value unused)
-                },
-            );
+            ctx.wake_after(add, SelfEv::SendRound);
         }
     }
 }
 
 impl Actor for GsumNode {
     fn on_event(&mut self, ev: Payload, ctx: &mut Ctx<'_>) {
-        let ev = match ev.downcast::<StartGsum>() {
-            Ok(s) => {
-                assert!(self.n.is_power_of_two() && self.n >= 2);
+        match Woken::<StartGsum, SelfEv>::from(ev) {
+            Woken::Start(s) => {
                 assert!(
                     self.rounds() < u32::from(GSUM_RETRY_BASE),
                     "round index must stay below the recovery tag bases"
                 );
+                assert!(self.started.is_none(), "a node runs one global sum");
                 self.partial = s.value;
-                self.round = 0;
                 self.started = Some(ctx.now());
-                self.finished = None;
-                self.result = None;
-                self.early.clear();
-                self.sent.clear();
-                self.got.clear();
-                self.new_wait();
+                self.guard.new_wait();
                 // Mixed mode: combine the SMP-local values first.
-                let pre = self.pre_cost;
-                ctx.wake_after(
-                    pre,
-                    RxReady {
-                        round: 0,
-                        value: f64::NAN,
-                    },
-                );
-                return;
+                ctx.wake_after(self.pre_cost, SelfEv::SendRound);
             }
-            Err(e) => e,
-        };
-        let ev = match ev.downcast::<Delivered>() {
-            Ok(del) => {
-                let pkt = del.pkt;
-                let (kind, round) = classify(pkt.usr_tag);
-                if pkt.corrupted {
-                    // The CRC caught it; the payload is never trusted. The
-                    // tag survives (the fault model flips payload bits
-                    // only), so a corrupted value can be NAKed right away;
-                    // a corrupted RETRY is covered by the requester's
-                    // backoff.
-                    self.recovery.bump(RecoveryEvent::CorruptDiscard);
-                    if kind != TagKind::Retry && !self.got.contains(&round) {
-                        self.recovery.bump(RecoveryEvent::Retry);
-                        self.send_ctrl(ctx, pkt.src, GSUM_RETRY_BASE + round as u16);
-                    }
-                    return;
+            Woken::Packet(pkt) => self.on_packet(pkt, ctx),
+            Woken::Timeout(t) => self.on_timeout(&t, ctx),
+            Woken::Own(SelfEv::RxReady { round, value }) => {
+                debug_assert_eq!(round, self.round);
+                self.advance(value, ctx);
+            }
+            Woken::Own(SelfEv::SendRound) => {
+                debug_assert_eq!(self.sent.len(), self.round as usize);
+                self.sent.push(self.partial);
+                self.send_value(ctx, self.round, 0, self.partial);
+                if let Some(v) = self.early.remove(&self.round) {
+                    self.take_value(v, ctx);
+                } else {
+                    // Now blocked on the partner: guard the wait.
+                    self.guard.new_wait();
+                    self.guard.arm(ctx);
                 }
-                match kind {
-                    TagKind::Value | TagKind::Resend => {
-                        self.accept_value(round, f64_from_words(&pkt.payload), ctx);
-                    }
-                    // The partner is missing our round-r value: resend the
-                    // recorded partial, or ignore if we haven't sent it yet
-                    // (their backoff will re-ask once we have).
-                    TagKind::Retry => {
-                        if let Some(&v) = self.sent.get(round as usize) {
-                            self.recovery.bump(RecoveryEvent::ValueResend);
-                            self.send_value(ctx, round, GSUM_RESEND_BASE + round as u16, v);
-                        } else {
-                            self.recovery.bump(RecoveryEvent::StaleIgnored);
-                        }
-                    }
-                }
-                return;
             }
-            Err(e) => e,
-        };
-        let ev = match ev.downcast::<GsumTimeout>() {
-            Ok(t) => {
-                self.on_timeout(t.epoch, ctx);
-                return;
-            }
-            Err(e) => e,
-        };
-        let Ok(rx) = ev.downcast::<RxReady>() else {
-            panic!("GsumNode received an unexpected event type");
-        };
-        if rx.value.is_nan() {
-            // Marker: kick off the send for the current round, then check
-            // whether the partner's message already arrived.
-            debug_assert_eq!(rx.round, self.round);
-            self.send_round(ctx);
-            if let Some(v) = self.early.remove(&self.round) {
-                self.got.insert(self.round);
-                self.new_wait();
-                let cost = self.host.status_poll + self.host.pio.recv_overhead(8);
-                let round = self.round;
-                ctx.wake_after(cost, RxReady { round, value: v });
-            } else {
-                // Now blocked on the partner: guard the wait.
-                self.new_wait();
-                self.arm_timeout(ctx);
-            }
-            return;
         }
-        debug_assert_eq!(rx.round, self.round);
-        self.advance(rx.value, ctx);
     }
 }
 
 impl GsumNode {
+    fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
+        let (kind, round) = classify(pkt.usr_tag);
+        if pkt.corrupted {
+            // The CRC caught it; the payload is never trusted. The tag
+            // survives (the fault model flips payload bits only), so a
+            // corrupted value can be NAKed right away; a corrupted RETRY
+            // is covered by the requester's backoff.
+            self.recovery.bump(RecoveryEvent::CorruptDiscard);
+            if kind != TagKind::Retry && !self.got.contains(&round) {
+                self.recovery.bump(RecoveryEvent::Retry);
+                self.send_retry(ctx, pkt.src, round);
+            }
+            return;
+        }
+        match kind {
+            TagKind::Value | TagKind::Resend => {
+                self.accept_value(round, f64_from_words(&pkt.payload), ctx);
+            }
+            // The partner is missing our round-r value: resend the
+            // recorded partial, or ignore if we haven't sent it yet (their
+            // backoff will re-ask once we have).
+            TagKind::Retry => {
+                if let Some(&v) = self.sent.get(round as usize) {
+                    self.recovery.bump(RecoveryEvent::ValueResend);
+                    self.send_value(ctx, round, GSUM_RESEND_BASE, v);
+                } else {
+                    self.recovery.bump(RecoveryEvent::StaleIgnored);
+                }
+            }
+        }
+    }
+
     /// The wait for the current round's value expired: re-request it.
-    fn on_timeout(&mut self, epoch: u64, ctx: &mut Ctx<'_>) {
-        if epoch != self.epoch || self.finished.is_some() {
+    fn on_timeout(&mut self, t: &Timeout, ctx: &mut Ctx<'_>) {
+        if self.guard.is_stale(t) || self.finished.is_some() {
             return; // stale guard from a wait that already resolved
         }
         if self.got.contains(&self.round) {
             return; // value accepted, RxReady in flight
         }
-        assert!(
-            self.attempts < self.policy.max_attempts,
-            "node {}: gsum retries exhausted in round {}",
-            self.me,
-            self.round
+        self.guard.retry(
+            &mut self.recovery,
+            self.ep.me,
+            self.round,
+            "the round value",
         );
-        self.attempts += 1;
-        self.recovery.bump(RecoveryEvent::Timeout);
         self.recovery.bump(RecoveryEvent::Retry);
-        flight::record(
-            ctx.now(),
-            ctx.self_id(),
-            "gsum.retry",
-            u64::from(self.round),
-        );
-        let partner = self.partner_of(self.round);
-        self.send_ctrl(ctx, partner, GSUM_RETRY_BASE + self.round as u16);
-        self.arm_timeout(ctx);
+        let round = u64::from(self.round);
+        flight::record(ctx.now(), ctx.self_id(), "gsum.retry", round);
+        self.send_retry(ctx, self.partner_of(self.round), self.round);
+        self.guard.arm(ctx);
     }
 }
 
@@ -382,6 +300,41 @@ pub struct GsumMeasurement {
     /// Latency from common start to the *last* node holding the result.
     pub elapsed: SimDuration,
     pub value: f64,
+}
+
+/// Folds the nodes of one run into its measurement: the last finish time
+/// and the one value every node must hold.
+#[derive(Default)]
+struct Outcome {
+    last: SimTime,
+    value: Option<f64>,
+}
+
+impl Outcome {
+    fn node(&mut self, e: u16, finished: Option<SimTime>, result: Option<f64>) {
+        let f = finished.unwrap_or_else(|| panic!("node {e} never finished"));
+        self.last = self.last.max(f);
+        let r = result.unwrap_or_else(|| panic!("node {e} finished without a result"));
+        // Compared as bits: a sum over a NaN is a NaN on every node.
+        if let Some(prev) = self.value {
+            assert_eq!(
+                prev.to_bits(),
+                r.to_bits(),
+                "nodes disagree on the global sum: {prev} vs {r}"
+            );
+        }
+        self.value = Some(r);
+    }
+
+    fn measurement(self, n: u16) -> GsumMeasurement {
+        GsumMeasurement {
+            n,
+            elapsed: self.last.since(SimTime::ZERO),
+            value: self
+                .value
+                .unwrap_or_else(|| panic!("gsum over zero nodes has no result")),
+        }
+    }
 }
 
 /// Run one `n`-way global sum on a fresh fabric; node `i` contributes
@@ -410,50 +363,22 @@ fn measure_gsum_inner(
     plan: Option<&FaultPlan>,
 ) -> (GsumMeasurement, RecoveryCounters) {
     let n = values.len() as u16;
-    let mut sim = Simulator::new();
-    let ids: Vec<ActorId> = (0..n).map(|_| sim.add_actor(Slot)).collect();
-    let net = ArcticNetwork::build(&mut sim, &ids, Default::default());
-    if let Some(plan) = plan {
-        net.apply_fault_plan(&mut sim, plan);
-    }
-    for e in 0..n {
-        let mut node = GsumNode::new(e, n, host, net.tx_port(e));
-        if smp_step {
-            node = node.with_smp_step(SimDuration::from_us_f64(0.6), SimDuration::from_us_f64(0.4));
-        }
-        let _ = sim.remove_actor(ids[e as usize]);
-        sim.insert_actor_at(ids[e as usize], Box::new(node));
-    }
-    for (e, &v) in values.iter().enumerate() {
-        sim.schedule(SimTime::ZERO, ids[e], StartGsum { value: v });
-    }
-    sim.run();
-    let mut last = SimTime::ZERO;
-    let mut result = None;
+    let mut outcome = Outcome::default();
     let mut recovery = RecoveryCounters::default();
-    for (e, &id) in ids.iter().enumerate() {
-        let node = sim.actor::<GsumNode>(id);
-        let f = node
-            .finished
-            .unwrap_or_else(|| panic!("node {e} never finished"));
-        last = last.max(f);
-        recovery.merge(&node.recovery);
-        let r = node
-            .result
-            .unwrap_or_else(|| panic!("node {e} finished without a result"));
-        if let Some(prev) = result {
-            assert_eq!(prev, r, "nodes disagree on the global sum");
-        }
-        result = Some(r);
-    }
-    (
-        GsumMeasurement {
-            n,
-            elapsed: last.since(SimTime::ZERO),
-            value: result.unwrap_or_else(|| panic!("gsum over zero nodes has no result")),
+    run_nodes(
+        host,
+        n,
+        plan,
+        |ep| GsumNode::new(ep, n, smp_step.then(SmpCosts::default)),
+        |e| StartGsum {
+            value: values[usize::from(e)],
         },
-        recovery,
-    )
+        |e, node: &GsumNode| {
+            outcome.node(e, node.finished, node.result);
+            recovery.merge(&node.recovery);
+        },
+    );
+    (outcome.measurement(n), recovery)
 }
 
 /// Measure the §4.2 latency table: 2/4/8/16-way, with and without the SMP
@@ -472,13 +397,6 @@ pub fn latency_table(host: HostParams) -> Vec<(u16, GsumMeasurement, GsumMeasure
         .collect()
 }
 
-struct Slot;
-impl Actor for Slot {
-    fn on_event(&mut self, _ev: Payload, _ctx: &mut Ctx<'_>) {
-        panic!("slot actor received an event");
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Ablation comparator: tree reduce + broadcast
 // ---------------------------------------------------------------------------
@@ -489,12 +407,10 @@ impl Actor for Slot {
 /// path is `2·log2 N` message latencies instead of `log2 N` — the paper's
 /// §4.2 design trades extra messages for exactly this halving of latency.
 pub struct TreeGsumNode {
-    pub me: u16,
+    ep: Endpoint,
     n: u16,
-    host: HostParams,
-    tx_port: ActorId,
     partial: f64,
-    children_pending: u32,
+    children_pending: usize,
     pub started: Option<SimTime>,
     pub finished: Option<SimTime>,
     pub result: Option<f64>,
@@ -505,63 +421,54 @@ const TAG_REDUCE: u16 = 0x51;
 const TAG_BCAST: u16 = 0x52;
 
 impl TreeGsumNode {
-    pub fn new(me: u16, n: u16, host: HostParams, tx_port: ActorId) -> Self {
-        // Children of `me`: me + 2^i for each i with 2^i > lowest set bit
-        // span... simpler: me XOR 2^i for i in (level(me)..log2 n) where
-        // level = index of lowest set bit (or log2 n for node 0).
-        let rounds = n.trailing_zeros();
-        let level = if me == 0 { rounds } else { me.trailing_zeros() };
-        let children = (0..level).filter(|i| me + (1u16 << i) < n).count() as u32;
-        TreeGsumNode {
-            me,
+    pub(crate) fn new(ep: Endpoint, n: u16) -> Self {
+        let mut node = TreeGsumNode {
+            ep,
             n,
-            host,
-            tx_port,
             partial: 0.0,
-            children_pending: children,
+            children_pending: 0,
             started: None,
             finished: None,
             result: None,
-        }
+        };
+        node.children_pending = node.children().len();
+        node
     }
 
     fn parent(&self) -> u16 {
-        debug_assert_ne!(self.me, 0);
-        self.me & (self.me - 1) // clear lowest set bit
+        debug_assert_ne!(self.ep.me, 0);
+        self.ep.me & (self.ep.me - 1) // clear lowest set bit
     }
 
+    /// `me + 2^i` for every `i` below the index of `me`'s lowest set bit
+    /// (below `log2 n` for node 0).
     fn children(&self) -> Vec<u16> {
-        let rounds = self.n.trailing_zeros();
-        let level = if self.me == 0 {
-            rounds
-        } else {
-            self.me.trailing_zeros()
-        };
+        let me = self.ep.me;
+        let level = if me == 0 { self.n } else { me }.trailing_zeros();
         (0..level)
-            .map(|i| self.me + (1u16 << i))
+            .map(|i| me + (1u16 << i))
             .filter(|&c| c < self.n)
             .collect()
     }
 
-    fn send(&self, ctx: &mut Ctx<'_>, dst: u16, tag: u16, value: f64) {
-        let os = self.host.pio.send_overhead(8);
-        let pkt = Packet::new(self.me, dst, Priority::High, tag, words_from_f64(value));
-        ctx.send_after(os, self.tx_port, Inject(pkt));
+    /// The total has reached this node: hold it and pass it down.
+    fn hold(&mut self, ctx: &mut Ctx<'_>, total: f64) {
+        self.result = Some(total);
+        self.finished = Some(ctx.now());
+        for c in self.children() {
+            self.ep.send(ctx, c, TAG_BCAST, words_from_f64(total));
+        }
     }
 
     fn maybe_send_up(&mut self, ctx: &mut Ctx<'_>) {
         if self.children_pending > 0 || self.started.is_none() {
             return;
         }
-        if self.me == 0 {
-            // Root holds the total: broadcast.
-            self.result = Some(self.partial);
-            self.finished = Some(ctx.now());
-            for c in self.children() {
-                self.send(ctx, c, TAG_BCAST, self.partial);
-            }
+        if self.ep.me == 0 {
+            self.hold(ctx, self.partial);
         } else {
-            self.send(ctx, self.parent(), TAG_REDUCE, self.partial);
+            let up = words_from_f64(self.partial);
+            self.ep.send(ctx, self.parent(), TAG_REDUCE, up);
         }
     }
 }
@@ -574,47 +481,31 @@ struct TreeRx {
 
 impl Actor for TreeGsumNode {
     fn on_event(&mut self, ev: Payload, ctx: &mut Ctx<'_>) {
-        let ev = match ev.downcast::<StartGsum>() {
-            Ok(s) => {
+        match Woken::<StartGsum, TreeRx>::from(ev) {
+            Woken::Start(s) => {
                 self.partial = s.value;
                 self.started = Some(ctx.now());
                 self.maybe_send_up(ctx);
-                return;
             }
-            Err(e) => e,
-        };
-        let ev = match ev.downcast::<Delivered>() {
-            Ok(del) => {
-                assert!(!del.pkt.corrupted);
-                let cost = self.host.status_poll + self.host.pio.recv_overhead(8);
-                ctx.wake_after(
-                    cost,
-                    TreeRx {
-                        tag: del.pkt.usr_tag,
-                        value: f64_from_words(&del.pkt.payload),
-                    },
-                );
-                return;
+            Woken::Packet(pkt) => {
+                assert!(!pkt.corrupted);
+                let (tag, value) = (pkt.usr_tag, f64_from_words(&pkt.payload));
+                ctx.wake_after(self.ep.recv_cost(), TreeRx { tag, value });
             }
-            Err(e) => e,
-        };
-        let Ok(rx) = ev.downcast::<TreeRx>() else {
-            panic!("TreeGsumNode received an unexpected event type");
-        };
-        match rx.tag {
-            TAG_REDUCE => {
-                self.partial += rx.value;
+            Woken::Own(TreeRx {
+                tag: TAG_REDUCE,
+                value,
+            }) => {
+                self.partial += value;
                 self.children_pending -= 1;
                 self.maybe_send_up(ctx);
             }
-            TAG_BCAST => {
-                self.result = Some(rx.value);
-                self.finished = Some(ctx.now());
-                for c in self.children() {
-                    self.send(ctx, c, TAG_BCAST, rx.value);
-                }
-            }
-            t => panic!("unexpected tag {t:#x}"),
+            Woken::Own(TreeRx {
+                tag: TAG_BCAST,
+                value,
+            }) => self.hold(ctx, value),
+            Woken::Own(TreeRx { tag, .. }) => panic!("unexpected tag {tag:#x}"),
+            Woken::Timeout(_) => panic!("the tree guards no wait"),
         }
     }
 }
@@ -622,40 +513,18 @@ impl Actor for TreeGsumNode {
 /// Measure the tree reduce+broadcast variant (the ablation baseline).
 pub fn measure_gsum_tree(host: HostParams, values: &[f64]) -> GsumMeasurement {
     let n = values.len() as u16;
-    assert!(n.is_power_of_two() && n >= 2);
-    let mut sim = Simulator::new();
-    let ids: Vec<ActorId> = (0..n).map(|_| sim.add_actor(Slot)).collect();
-    let net = ArcticNetwork::build(&mut sim, &ids, Default::default());
-    for e in 0..n {
-        let node = TreeGsumNode::new(e, n, host, net.tx_port(e));
-        let _ = sim.remove_actor(ids[e as usize]);
-        sim.insert_actor_at(ids[e as usize], Box::new(node));
-    }
-    for (e, &v) in values.iter().enumerate() {
-        sim.schedule(SimTime::ZERO, ids[e], StartGsum { value: v });
-    }
-    sim.run();
-    let mut last = SimTime::ZERO;
-    let mut result = None;
-    for (e, &id) in ids.iter().enumerate() {
-        let node = sim.actor::<TreeGsumNode>(id);
-        last = last.max(
-            node.finished
-                .unwrap_or_else(|| panic!("tree node {e} never finished")),
-        );
-        let r = node
-            .result
-            .unwrap_or_else(|| panic!("tree node {e} finished without a result"));
-        if let Some(prev) = result {
-            assert_eq!(prev, r, "tree nodes disagree");
-        }
-        result = Some(r);
-    }
-    GsumMeasurement {
+    let mut outcome = Outcome::default();
+    run_nodes(
+        host,
         n,
-        elapsed: last.since(SimTime::ZERO),
-        value: result.unwrap_or_else(|| panic!("tree gsum over zero nodes has no result")),
-    }
+        None,
+        |ep| TreeGsumNode::new(ep, n),
+        |e| StartGsum {
+            value: values[usize::from(e)],
+        },
+        |e, node: &TreeGsumNode| outcome.node(e, node.finished, node.result),
+    );
+    outcome.measurement(n)
 }
 
 #[cfg(test)]
@@ -667,6 +536,34 @@ mod tests {
         let vals = [3.25, -1.5, 10.0, 0.125, 7.0, 2.0, -4.0, 0.5];
         let m = measure_gsum(HostParams::default(), &vals, false);
         assert_eq!(m.value, vals.iter().sum::<f64>());
+    }
+
+    /// Figure 8's defining property, read off the running nodes: the
+    /// partial sum a node sends in round `r` is the sum over the group of
+    /// nodes whose identifiers differ from its own only in the lowest `r`
+    /// bits, and after the last round every node holds the total — with
+    /// no broadcast step, what the design buys with N·log2(N) messages.
+    #[test]
+    fn des_butterfly_sends_the_figure_8_partial_sums() {
+        let d: Vec<f64> = (0..8).map(|i| (i as f64 + 1.0) * 10.0).collect();
+        let group = |me: u16, r: usize| -> f64 {
+            let same = |o: &usize| o >> r == usize::from(me) >> r;
+            (0..8).filter(same).map(|o| d[o]).sum()
+        };
+        run_nodes(
+            HostParams::default(),
+            8,
+            None,
+            |ep| GsumNode::new(ep, 8, None),
+            |e| StartGsum {
+                value: d[usize::from(e)],
+            },
+            |me, node: &GsumNode| {
+                let expect: Vec<f64> = (0..3).map(|r| group(me, r)).collect();
+                assert_eq!(node.sent, expect, "node {me}");
+                assert_eq!(node.result, Some(group(me, 3)));
+            },
+        );
     }
 
     #[test]
@@ -736,6 +633,21 @@ mod tests {
     }
 
     #[test]
+    fn nan_operand_is_summed_like_any_other_value() {
+        // A NaN is an operand, not a protocol marker: the butterfly (clean
+        // and retransmitting) and the tree complete, and every node holds
+        // the IEEE sum (the harness compares the nodes' results as bits).
+        let host = HostParams::default();
+        let vals = [f64::NAN, 1.0, 2.0, 3.0];
+        assert!(measure_gsum(host, &vals, false).value.is_nan());
+        let plan = FaultPlan::new(0x65).link_window(0.0, 40.0, 0.25, 0.2);
+        let (m, r) = measure_gsum_faulty(host, &vals, &plan);
+        assert!(m.value.is_nan());
+        assert!(r.value_resends > 0, "no value was ever resent: {r:?}");
+        assert!(measure_gsum_tree(host, &vals).value.is_nan());
+    }
+
+    #[test]
     fn empty_plan_changes_nothing() {
         let vals: Vec<f64> = (0..4).map(|i| i as f64).collect();
         let clean = measure_gsum(HostParams::default(), &vals, false);
@@ -800,54 +712,6 @@ mod tree_tests {
 }
 
 #[cfg(test)]
-mod figure8_tests {
-    /// Figure 8's defining property, checked round by round on a pure
-    /// model of the butterfly: after round `i`, every node holds the sum
-    /// over the group of nodes whose identifiers differ from its own only
-    /// in the lowest `i+1` bits.
-    #[test]
-    fn butterfly_partial_sums_match_figure_8() {
-        let n = 8usize;
-        let d: Vec<f64> = (0..n).map(|i| (i as f64 + 1.0) * 10.0).collect();
-        let mut partial = d.clone();
-        for round in 0..3 {
-            let mut next = partial.clone();
-            for (me, slot) in next.iter_mut().enumerate() {
-                let partner = me ^ (1 << round);
-                *slot = partial[me] + partial[partner];
-            }
-            partial = next;
-            // Check the group property after this round.
-            let mask = !((1usize << (round + 1)) - 1);
-            for (me, &got) in partial.iter().enumerate() {
-                let expect: f64 = (0..n)
-                    .filter(|&o| o & mask == me & mask)
-                    .map(|o| d[o])
-                    .sum();
-                assert_eq!(got, expect, "round {round}, node {me}: Figure 8 violated");
-            }
-        }
-        // After the last round every node holds the full sum — with no
-        // broadcast step, the property the paper's design buys with
-        // N·log2(N) messages.
-        let total: f64 = d.iter().sum();
-        assert!(partial.iter().all(|&p| p == total));
-    }
-
-    /// The same property, observed through the DES protocol: every node's
-    /// final result equals the total (the protocol IS the Figure 8
-    /// butterfly; intermediate rounds are validated by the model test
-    /// above and by the exact result here).
-    #[test]
-    fn des_butterfly_reaches_figure_8_endpoint() {
-        use super::*;
-        let d: Vec<f64> = (0..8).map(|i| (i as f64 + 1.0) * 10.0).collect();
-        let m = measure_gsum(HostParams::default(), &d, false);
-        assert_eq!(m.value, d.iter().sum::<f64>());
-    }
-}
-
-#[cfg(test)]
 mod scaling_tests {
     use super::*;
 
@@ -866,13 +730,7 @@ mod scaling_tests {
         }
         // Fit t = C·log2 N + B over the five points; residuals must be
         // small (log-linear law) and C in the paper's regime.
-        let n = pts.len() as f64;
-        let sx: f64 = pts.iter().map(|p| p.0).sum();
-        let sy: f64 = pts.iter().map(|p| p.1).sum();
-        let sxx: f64 = pts.iter().map(|p| p.0 * p.0).sum();
-        let sxy: f64 = pts.iter().map(|p| p.0 * p.1).sum();
-        let c = (n * sxy - sx * sy) / (n * sxx - sx * sx);
-        let b = (sy - c * sx) / n;
+        let (c, b) = crate::measured::linear_fit(&pts);
         assert!((3.5..5.5).contains(&c), "slope {c}");
         for &(x, y) in &pts {
             let pred = c * x + b;

@@ -18,8 +18,8 @@
 //!   SMP is the *communication master* owning the NIU; slaves post requests
 //!   through shared-memory semaphores.
 //! * [`world`] — the `CommWorld` abstraction the GCM runs against, with a
-//!   serial backend and a real multi-threaded backend (crossbeam channels +
-//!   shared-memory reductions).
+//!   serial backend and a real multi-threaded backend (`std::sync::mpsc`
+//!   channels + shared-memory reductions).
 //! * [`schedule`] — the exchange/gsum schedules reified as static
 //!   send/recv dependency graphs, proven deadlock-free and tag-unique by
 //!   `hyades-lint`'s `lint::schedule` analyzer.
@@ -36,6 +36,7 @@ pub mod gsum;
 pub mod measured;
 pub mod mixmode;
 pub mod mpistart;
+mod node;
 pub mod recovery;
 pub mod schedule;
 pub mod timed;

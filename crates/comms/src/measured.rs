@@ -9,7 +9,7 @@
 
 use crate::barrier::measure_barrier;
 use crate::exchange::measure_exchange;
-use crate::gsum::measure_gsum;
+use crate::gsum::{latency_table, GsumMeasurement};
 use crate::mixmode::SmpCosts;
 use hyades_cluster::interconnect::PrimitiveModel;
 use hyades_des::SimDuration;
@@ -30,26 +30,15 @@ pub struct ArcticMeasurements {
 
 /// Run the full microbenchmark suite.
 pub fn measure_arctic(host: HostParams) -> ArcticMeasurements {
-    let sizes = [2u16, 4, 8, 16];
-    let gsum = sizes
+    let table = latency_table(host);
+    let us = |m: &GsumMeasurement| m.elapsed.as_us_f64();
+    let gsum = table
         .iter()
-        .map(|&n| {
-            let vals: Vec<f64> = (0..n).map(|i| i as f64).collect();
-            (
-                n as u32,
-                measure_gsum(host, &vals, false).elapsed.as_us_f64(),
-            )
-        })
+        .map(|(n, m, _)| (u32::from(*n), us(m)))
         .collect();
-    let gsum_smp = sizes
+    let gsum_smp = table
         .iter()
-        .map(|&n| {
-            let vals: Vec<f64> = (0..n).map(|i| i as f64).collect();
-            (
-                n as u32,
-                measure_gsum(host, &vals, true).elapsed.as_us_f64(),
-            )
-        })
+        .map(|(n, _, m)| (u32::from(*n), us(m)))
         .collect();
     let exchange = [256u64, 1024, 3840, 15360]
         .iter()

@@ -37,12 +37,6 @@ impl Default for SmpCosts {
 }
 
 impl SmpCosts {
-    /// Total latency added to a global sum by the local combine and
-    /// broadcast steps (§4.2: "about 1 µs").
-    pub fn gsum_overhead(&self) -> SimDuration {
-        self.combine + self.broadcast
-    }
-
     /// Effective bandwidth of a slave-to-slave exchange leg given the
     /// master-to-master bandwidth (§4.1: "about 30 % lower").
     pub fn slave_bandwidth(&self, master_mbyte_per_sec: f64) -> f64 {
@@ -68,13 +62,6 @@ impl SmpCosts {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gsum_overhead_about_one_microsecond() {
-        let c = SmpCosts::default();
-        let us = c.gsum_overhead().as_us_f64();
-        assert!((0.9..1.1).contains(&us));
-    }
 
     #[test]
     fn slave_bandwidth_is_thirty_percent_lower() {

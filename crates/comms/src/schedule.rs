@@ -20,10 +20,11 @@
 //! runs.
 
 use crate::exchange::{
-    TAG_ACK2_BASE, TAG_ACK_BASE, TAG_DATA, TAG_DONE2_BASE, TAG_DONE_BASE, TAG_PROBE_BASE,
-    TAG_REQ2_BASE, TAG_REQ_BASE, TAG_RETRY_BASE,
+    classify, torus_schedule, TagKind, TAG_ACK2_BASE, TAG_ACK_BASE, TAG_DATA, TAG_DONE2_BASE,
+    TAG_DONE_BASE, TAG_PROBE_BASE, TAG_REQ2_BASE, TAG_REQ_BASE, TAG_RETRY_BASE,
 };
-use crate::gsum::{GSUM_RESEND_BASE, GSUM_RETRY_BASE};
+use crate::gsum::{self, GSUM_RESEND_BASE, GSUM_RETRY_BASE};
+use std::collections::BTreeMap;
 
 /// One message of the schedule: a directed channel (`src` → `dst`) and
 /// the tag it travels under.
@@ -77,23 +78,12 @@ impl CommGraph {
     /// Declare a message without scheduling its operations (callers then
     /// place `send`/`recv` explicitly to express interleavings).
     pub fn msg(&mut self, src: u16, dst: u16, tag: u16, label: impl Into<String>) -> usize {
-        self.msg_full(src, dst, tag, false, label)
-    }
-
-    fn msg_full(
-        &mut self,
-        src: u16,
-        dst: u16,
-        tag: u16,
-        enveloped: bool,
-        label: impl Into<String>,
-    ) -> usize {
         assert!(src < self.n_nodes && dst < self.n_nodes && src != dst);
         self.msgs.push(Msg {
             src,
             dst,
             tag,
-            enveloped,
+            enveloped: false,
             label: label.into(),
         });
         self.msgs.len() - 1
@@ -126,20 +116,6 @@ impl CommGraph {
         m
     }
 
-    /// `transfer`, but tagged as sequenced within a control envelope.
-    pub fn transfer_enveloped(
-        &mut self,
-        src: u16,
-        dst: u16,
-        tag: u16,
-        label: impl Into<String>,
-    ) -> usize {
-        let m = self.msg_full(src, dst, tag, true, label);
-        self.send(m);
-        self.recv(m);
-        m
-    }
-
     /// Concatenate `other` after this graph: same nodes, every node's
     /// program from `other` runs after its program here (the primitives
     /// execute back to back on each rank).
@@ -156,12 +132,44 @@ impl CommGraph {
     }
 }
 
-/// The full §4.1 exchange schedule for a periodic `px × py` tile grid:
-/// per round each paired node runs two sequential half-legs, each a
-/// REQ → ACK → DATA-stream → DONE envelope (the DATA stream is modeled
-/// as one enveloped message).
-pub fn exchange_graph(px: u16, py: u16) -> CommGraph {
-    let schedules = crate::exchange::torus_schedule(px, py, 1);
+/// One message of an exchange leg: the tag it travels under in round 0,
+/// its name, and whether it runs back from the leg's receiver to its
+/// sender.
+type LegMsg = (u16, &'static str, bool);
+const FWD: bool = false;
+const BACK: bool = true;
+
+/// The fault-free leg: a REQ → ACK → DATA-stream → DONE envelope.
+const EXCHANGE_LEG: [LegMsg; 4] = [
+    (TAG_REQ_BASE, "req", FWD),
+    (TAG_ACK_BASE, "ack", BACK),
+    (TAG_DATA, "data", FWD),
+    (TAG_DONE_BASE, "done", BACK),
+];
+
+/// The leg with every recovery message of the retransmit protocol fired
+/// once, in its worst-case serial order: REQ is resent (REQ2) and both are
+/// acknowledged (ACK, ACK2), the DATA stream runs, the sender PROBEs, the
+/// receiver NAKs with RETRY, the stream is rewound (a second DATA
+/// stream), and DONE is resent (DONE2) after the PROBE.
+const EXCHANGE_RECOVERY_LEG: [LegMsg; 10] = [
+    (TAG_REQ_BASE, "req", FWD),
+    (TAG_REQ2_BASE, "req2", FWD),
+    (TAG_ACK_BASE, "ack", BACK),
+    (TAG_ACK2_BASE, "ack2", BACK),
+    (TAG_DATA, "data", FWD),
+    (TAG_PROBE_BASE, "probe", FWD),
+    (TAG_RETRY_BASE, "retry", BACK),
+    (TAG_DATA, "data.rewind", FWD),
+    (TAG_DONE_BASE, "done", BACK),
+    (TAG_DONE2_BASE, "done2", BACK),
+];
+
+/// The §4.1 schedule for a periodic `px × py` tile grid with every
+/// transfer leg running `leg`: per round each paired node runs two
+/// sequential half-legs in opposite directions.
+fn exchange_legs(px: u16, py: u16, leg: &[LegMsg]) -> CommGraph {
+    let schedules = torus_schedule(px, py, 1);
     let mut g = CommGraph::new(px * py);
     let rounds = schedules[0].len();
     for round in 0..rounds {
@@ -178,73 +186,64 @@ pub fn exchange_graph(px: u16, py: u16) -> CommGraph {
             }
             let (s, r) = (me, plan.partner);
             for (half, from, to) in [(1u8, s, r), (2u8, r, s)] {
-                let tag = |base: u16| base + round as u16;
-                let name = |kind: &str| format!("exch.r{round}.h{half}.{kind}.{from}->{to}");
-                g.transfer(from, to, tag(TAG_REQ_BASE), name("req"));
-                g.transfer(
-                    to,
-                    from,
-                    tag(TAG_ACK_BASE),
-                    format!("exch.r{round}.h{half}.ack.{to}->{from}"),
-                );
-                g.transfer_enveloped(from, to, TAG_DATA, name("data"));
-                g.transfer(
-                    to,
-                    from,
-                    tag(TAG_DONE_BASE),
-                    format!("exch.r{round}.h{half}.done.{to}->{from}"),
-                );
+                for &(tag, name, back) in leg {
+                    let (src, dst) = if back { (to, from) } else { (from, to) };
+                    let label = format!("exch.r{round}.h{half}.{name}.{src}->{dst}");
+                    // A DATA stream is one message, sequenced inside its
+                    // envelope; everything else carries the round.
+                    let data = matches!(classify(tag), Some((TagKind::Data, _)));
+                    let tag = if data { tag } else { tag + round as u16 };
+                    let m = g.transfer(src, dst, tag, label);
+                    g.msgs[m].enveloped = data;
+                }
             }
         }
     }
     g
 }
 
-/// The exchange schedule with every recovery leg of the retransmit
-/// protocol exercised once, in its worst-case serial order: REQ is
-/// resent (REQ2) and both are acknowledged (ACK, ACK2), the DATA stream
-/// runs, the sender PROBEs, the receiver NAKs with RETRY, the stream is
-/// rewound (a second enveloped DATA message), and DONE is resent
-/// (DONE2) after the PROBE. Verifying this graph proves the extended
-/// protocol keeps per-channel tag uniqueness and stays deadlock-free
-/// even when *every* retransmit path fires.
+/// The full §4.1 exchange schedule for a periodic `px × py` tile grid
+/// (the DATA stream is modeled as one enveloped message).
+pub fn exchange_graph(px: u16, py: u16) -> CommGraph {
+    exchange_legs(px, py, &EXCHANGE_LEG)
+}
+
+/// The exchange schedule with every recovery leg exercised once per
+/// transfer. Verifying this graph proves the extended protocol keeps
+/// per-channel tag uniqueness and stays deadlock-free even when *every*
+/// retransmit path fires.
 pub fn exchange_recovery_graph(px: u16, py: u16) -> CommGraph {
-    let schedules = crate::exchange::torus_schedule(px, py, 1);
-    let mut g = CommGraph::new(px * py);
-    let rounds = schedules[0].len();
-    for round in 0..rounds {
-        for me in 0..px * py {
-            let Some(plan) = schedules[me as usize][round] else {
-                continue;
-            };
-            if !plan.sends_first {
-                continue;
-            }
-            let (s, r) = (me, plan.partner);
-            for (half, from, to) in [(1u8, s, r), (2u8, r, s)] {
-                let tag = |base: u16| base + round as u16;
-                let fwd = |kind: &str| format!("exch.r{round}.h{half}.{kind}.{from}->{to}");
-                let back = |kind: &str| format!("exch.r{round}.h{half}.{kind}.{to}->{from}");
-                g.transfer(from, to, tag(TAG_REQ_BASE), fwd("req"));
-                g.transfer(from, to, tag(TAG_REQ2_BASE), fwd("req2"));
-                g.transfer(to, from, tag(TAG_ACK_BASE), back("ack"));
-                g.transfer(to, from, tag(TAG_ACK2_BASE), back("ack2"));
-                g.transfer_enveloped(from, to, TAG_DATA, fwd("data"));
-                g.transfer(from, to, tag(TAG_PROBE_BASE), fwd("probe"));
-                g.transfer(to, from, tag(TAG_RETRY_BASE), back("retry"));
-                g.transfer_enveloped(from, to, TAG_DATA, fwd("data.rewind"));
-                g.transfer(to, from, tag(TAG_DONE_BASE), back("done"));
-                g.transfer(to, from, tag(TAG_DONE2_BASE), back("done2"));
-            }
-        }
-    }
-    g
+    exchange_legs(px, py, &EXCHANGE_RECOVERY_LEG)
 }
 
-/// The §4.2 global-sum butterfly for `n` nodes (`n` a power of two):
-/// `log2 n` rounds, partner `me ^ (1 << round)`, both partners post
-/// their send before blocking on the matching receive.
-pub fn gsum_graph(n: u16) -> CommGraph {
+/// One partner's program for a butterfly round: a `Send` posts its own
+/// message of that kind, a `Recv` blocks on the partner's.
+type RoundOp = (Dir, gsum::TagKind);
+
+/// Send-then-recv on both sides: the posts never block, so the cross-wise
+/// receives always complete.
+const GSUM_ROUND: [RoundOp; 2] = [
+    (Dir::Send, gsum::TagKind::Value),
+    (Dir::Recv, gsum::TagKind::Value),
+];
+
+/// Both directions of the recovery protocol fired: post value and
+/// re-request (RETRY), answer the partner's re-request (RESEND), then
+/// block on the partner's value and resend. Every recv's matching send
+/// precedes it behind only non-blocking ops, so the interleaving is
+/// realizable and acyclic.
+const GSUM_RECOVERY_ROUND: [RoundOp; 6] = [
+    (Dir::Send, gsum::TagKind::Value),
+    (Dir::Send, gsum::TagKind::Retry),
+    (Dir::Recv, gsum::TagKind::Retry),
+    (Dir::Send, gsum::TagKind::Resend),
+    (Dir::Recv, gsum::TagKind::Value),
+    (Dir::Recv, gsum::TagKind::Resend),
+];
+
+/// The §4.2 butterfly for `n` nodes (`n` a power of two): `log2 n`
+/// rounds, partner `me ^ (1 << round)`, both partners running `side`.
+fn gsum_rounds(n: u16, side: &[RoundOp]) -> CommGraph {
     assert!(n.is_power_of_two(), "butterfly needs a power-of-two size");
     let mut g = CommGraph::new(n);
     let rounds = n.trailing_zeros() as u16;
@@ -254,62 +253,42 @@ pub fn gsum_graph(n: u16) -> CommGraph {
             if me > p {
                 continue;
             }
-            let fwd = g.msg(me, p, round, format!("gsum.r{round}.{me}->{p}"));
-            let back = g.msg(p, me, round, format!("gsum.r{round}.{p}->{me}"));
-            // Send-then-recv on both sides: the posts never block, so the
-            // cross-wise receives always complete.
-            g.send(fwd);
-            g.recv(back);
-            g.send(back);
-            g.recv(fwd);
+            // The pair's two messages of each kind: `[from me, from p]`.
+            let mut msgs: BTreeMap<gsum::TagKind, [usize; 2]> = BTreeMap::new();
+            for &(_, kind) in side.iter().filter(|op| op.0 == Dir::Send) {
+                let (base, name) = match kind {
+                    gsum::TagKind::Value => (0, "val"),
+                    gsum::TagKind::Retry => (GSUM_RETRY_BASE, "retry"),
+                    gsum::TagKind::Resend => (GSUM_RESEND_BASE, "resend"),
+                };
+                let mut msg = |a: u16, b: u16| {
+                    g.msg(a, b, base + round, format!("gsum.r{round}.{name}.{a}->{b}"))
+                };
+                msgs.insert(kind, [msg(me, p), msg(p, me)]);
+            }
+            for mine in [0, 1] {
+                for &(dir, kind) in side {
+                    match dir {
+                        Dir::Send => g.send(msgs[&kind][mine]),
+                        Dir::Recv => g.recv(msgs[&kind][1 - mine]),
+                    }
+                }
+            }
         }
     }
     g
+}
+
+/// The §4.2 global-sum butterfly for `n` nodes.
+pub fn gsum_graph(n: u16) -> CommGraph {
+    gsum_rounds(n, &GSUM_ROUND)
 }
 
 /// The butterfly with both directions of the recovery protocol fired in
-/// every round: each partner re-requests the other's value (RETRY) and
-/// answers the partner's re-request (RESEND). All sends are non-blocking
-/// posts, so the interleaving below is realizable and acyclic; verifying
-/// it proves the recovery tags never alias a channel and the extended
-/// butterfly cannot deadlock.
+/// every round. Verifying it proves the recovery tags never alias a
+/// channel and the extended butterfly cannot deadlock.
 pub fn gsum_recovery_graph(n: u16) -> CommGraph {
-    assert!(n.is_power_of_two(), "butterfly needs a power-of-two size");
-    let mut g = CommGraph::new(n);
-    let rounds = n.trailing_zeros() as u16;
-    for round in 0..rounds {
-        for me in 0..n {
-            let p = me ^ (1 << round);
-            if me > p {
-                continue;
-            }
-            let name = |kind: &str, a: u16, b: u16| format!("gsum.r{round}.{kind}.{a}->{b}");
-            let fwd = g.msg(me, p, round, name("val", me, p));
-            let back = g.msg(p, me, round, name("val", p, me));
-            let retry_from_me = g.msg(me, p, GSUM_RETRY_BASE + round, name("retry", me, p));
-            let retry_from_p = g.msg(p, me, GSUM_RETRY_BASE + round, name("retry", p, me));
-            let resend_from_me = g.msg(me, p, GSUM_RESEND_BASE + round, name("resend", me, p));
-            let resend_from_p = g.msg(p, me, GSUM_RESEND_BASE + round, name("resend", p, me));
-            // `me`'s program: post value and re-request, answer the
-            // partner's re-request, then block on the partner's value and
-            // resend. `p` runs the mirror image; every recv's matching
-            // send precedes it behind only non-blocking ops.
-            g.send(fwd);
-            g.send(retry_from_me);
-            g.recv(retry_from_p);
-            g.send(resend_from_me);
-            g.recv(back);
-            g.recv(resend_from_p);
-
-            g.send(back);
-            g.send(retry_from_p);
-            g.recv(retry_from_me);
-            g.send(resend_from_p);
-            g.recv(fwd);
-            g.recv(resend_from_me);
-        }
-    }
-    g
+    gsum_rounds(n, &GSUM_RECOVERY_ROUND)
 }
 
 #[cfg(test)]
@@ -358,63 +337,51 @@ mod tests {
 
     #[test]
     fn proven_tag_alphabet_is_the_dispatched_alphabet() {
-        use crate::exchange::{torus_schedule, ExchangeNode, TAG_BASE_MASK};
-        use crate::gsum::{classify, TagKind};
-        use hyades_arctic::network::Delivered;
-        use hyades_arctic::packet::{Packet, Priority};
-        use hyades_des::event::Payload;
-        use hyades_des::{Actor, Ctx, SimTime, Simulator};
         use std::collections::BTreeSet;
 
-        // Exchange: DATA is one full tag, every other kind a base + round.
-        let alphabet = |tag: u16| {
-            if tag == TAG_DATA {
-                tag
-            } else {
-                tag & TAG_BASE_MASK
-            }
-        };
-        let proven: BTreeSet<u16> = exchange_recovery_graph(4, 4)
-            .msgs
-            .iter()
-            .map(|m| alphabet(m.tag))
+        // Every tag of the 11-bit space either classifies or is rejected
+        // (a node panics on a `None`); what classifies, within the four
+        // rounds of a 4×4 exchange, is exactly what was proven.
+        let proven = exchange_recovery_graph(4, 4).msgs;
+        let dispatched: BTreeSet<u16> = (0..=0x7FF)
+            .filter(|&tag| classify(tag).is_some_and(|(_, round)| round < 4))
             .collect();
-        // `on_packet` panics on a tag it does not dispatch: hand a fresh
-        // node one packet under every base of the 11-bit tag space.
-        struct Sink;
-        impl Actor for Sink {
-            fn on_event(&mut self, _ev: Payload, _ctx: &mut Ctx<'_>) {}
+        assert_eq!(
+            proven.iter().map(|m| m.tag).collect::<BTreeSet<_>>(),
+            dispatched
+        );
+        // The node decodes every proven tag to the kind and round the
+        // graph labels it with, and the recovery leg uses every kind.
+        let mut kinds = BTreeSet::new();
+        for m in &proven {
+            let (kind, round) = classify(m.tag).expect("proven tags dispatch");
+            let (name, rounded) = match kind {
+                TagKind::Req => ("req", true),
+                TagKind::Ack => ("ack", true),
+                TagKind::Data => ("data", false),
+                TagKind::Done => ("done", true),
+                TagKind::Probe => ("probe", true),
+                TagKind::Retry => ("retry", true),
+            };
+            let label: Vec<&str> = m.label.split('.').collect();
+            assert!(
+                label[3].starts_with(name) && (!rounded || label[1] == format!("r{round}")),
+                "tag {:#x} of {} dispatches as {kind:?} round {round}",
+                m.tag,
+                m.label
+            );
+            kinds.insert(kind);
         }
-        let dispatches = |tag: u16| {
-            std::panic::catch_unwind(|| {
-                let mut sim = Simulator::new();
-                let tx = sim.add_actor(Sink);
-                let schedule = torus_schedule(2, 1, 64).swap_remove(1);
-                let node = sim.add_actor(ExchangeNode::new(1, Default::default(), tx, schedule));
-                let pkt = Packet::new(0, 1, Priority::High, tag, vec![0, 0]);
-                sim.schedule(SimTime::ZERO, node, Delivered { pkt });
-                sim.run();
-            })
-            .is_ok()
-        };
-        let top_base = 0x7FF & TAG_BASE_MASK;
-        let dispatched: BTreeSet<u16> = (0..=top_base)
-            .step_by(0x80)
-            .chain([TAG_DATA])
-            .filter(|&tag| dispatches(tag))
-            .map(alphabet)
-            .collect();
-        assert_eq!(proven, dispatched);
+        assert_eq!(kinds.len(), 6);
 
-        // Gsum: the node decodes every proven tag to the kind and round
-        // the graph labels it with, and the graph uses every kind.
+        // Gsum: likewise.
         let mut kinds = BTreeSet::new();
         for m in &gsum_recovery_graph(16).msgs {
-            let (kind, round) = classify(m.tag);
+            let (kind, round) = gsum::classify(m.tag);
             let label = match kind {
-                TagKind::Value => "val",
-                TagKind::Retry => "retry",
-                TagKind::Resend => "resend",
+                gsum::TagKind::Value => "val",
+                gsum::TagKind::Retry => "retry",
+                gsum::TagKind::Resend => "resend",
             };
             assert!(
                 m.label.starts_with(&format!("gsum.r{round}.{label}.")),
@@ -422,7 +389,7 @@ mod tests {
                 m.tag,
                 m.label
             );
-            kinds.insert(label);
+            kinds.insert(kind);
         }
         assert_eq!(kinds.len(), 3);
     }

@@ -41,6 +41,24 @@ impl<'a, W: CommWorld> TimedWorld<'a, W> {
     pub fn comm_seconds(&self) -> f64 {
         self.comm_time.as_secs_f64()
     }
+
+    /// Charge one all-ranks collective of phase `name`, priced by `time`
+    /// for the world padded to a power of two (free on a single rank),
+    /// and open its stamped op.
+    fn charge_collective(
+        &mut self,
+        name: &'static str,
+        time: fn(&dyn Interconnect, u32) -> SimDuration,
+    ) {
+        let mut cost = SimDuration::ZERO;
+        if self.size() > 1 {
+            let n = self.size().next_power_of_two() as u32;
+            cost = time(self.net, n.max(2));
+            self.comm_time += cost;
+            telemetry::charge_comm(name, cost);
+        }
+        telemetry::commlog::begin_op(cost.as_ps());
+    }
 }
 
 impl<W: CommWorld> CommWorld for TimedWorld<'_, W> {
@@ -79,40 +97,19 @@ impl<W: CommWorld> CommWorld for TimedWorld<'_, W> {
     }
 
     fn global_sum_vec(&mut self, xs: &mut [f64]) {
-        let mut cost = SimDuration::ZERO;
-        if self.size() > 1 {
-            let n = self.size().next_power_of_two() as u32;
-            cost = self.net.gsum_time(n.max(2));
-            self.comm_time += cost;
-            telemetry::charge_comm("gsum", cost);
-        }
-        telemetry::commlog::begin_op(cost.as_ps());
+        self.charge_collective("gsum", |net, n| net.gsum_time(n));
         self.reductions += 1;
         self.inner.global_sum_vec(xs)
     }
 
     fn global_max(&mut self, x: f64) -> f64 {
-        let mut cost = SimDuration::ZERO;
-        if self.size() > 1 {
-            let n = self.size().next_power_of_two() as u32;
-            cost = self.net.gsum_time(n.max(2));
-            self.comm_time += cost;
-            telemetry::charge_comm("gmax", cost);
-        }
-        telemetry::commlog::begin_op(cost.as_ps());
+        self.charge_collective("gmax", |net, n| net.gsum_time(n));
         self.reductions += 1;
         self.inner.global_max(x)
     }
 
     fn barrier(&mut self) {
-        let mut cost = SimDuration::ZERO;
-        if self.size() > 1 {
-            let n = self.size().next_power_of_two() as u32;
-            cost = self.net.barrier_time(n.max(2));
-            self.comm_time += cost;
-            telemetry::charge_comm("barrier", cost);
-        }
-        telemetry::commlog::begin_op(cost.as_ps());
+        self.charge_collective("barrier", |net, n| net.barrier_time(n));
         self.inner.barrier()
     }
 

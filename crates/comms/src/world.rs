@@ -7,18 +7,17 @@
 //!
 //! * [`SerialWorld`] — a single rank; exchanges are identities (used for
 //!   single-tile runs and tests);
-//! * [`ThreadWorld`] — one OS thread per rank with crossbeam channels for
-//!   halo exchange and a shared-memory reduction tree for global sums
-//!   (deterministic: contributions are summed in rank order).
+//! * [`ThreadWorld`] — one OS thread per rank with `std::sync::mpsc`
+//!   channels for halo exchange and a shared-memory reduction tree for
+//!   global sums (deterministic: contributions are summed in rank order).
 //!
 //! Timing studies use the simulated interconnects instead (the
 //! time-charging executor in `hyades-perf` / `hyades-gcm`); these backends
 //! provide *functional* parallelism.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use hyades_telemetry::commlog::{self, CommEvent};
-use parking_lot::{Condvar, Mutex};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// The communication surface of one parallel process (rank).
 pub trait CommWorld {
@@ -164,7 +163,9 @@ impl RendezvousCore {
         contribution: Vec<f64>,
         combine: fn(&mut [f64], &[f64]),
     ) -> (Vec<f64>, u64) {
-        let mut st = self.m.lock();
+        // A poisoned lock is recovered, not propagated: the rank that
+        // panicked already fails the run through its joining thread.
+        let mut st = self.m.lock().unwrap_or_else(PoisonError::into_inner);
         let my_gen = st.generation;
         debug_assert!(st.slots[rank].is_none(), "rank {rank} reduced twice");
         st.slots[rank] = Some(contribution);
@@ -187,7 +188,7 @@ impl RendezvousCore {
             self.cv.notify_all();
         } else {
             while st.generation == my_gen {
-                self.cv.wait(&mut st);
+                st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
         }
         (st.result.clone(), my_gen)
@@ -209,30 +210,59 @@ impl ThreadWorld {
     /// Build the `n` connected worlds.
     pub fn create(n: usize) -> Vec<ThreadWorld> {
         assert!(n >= 1);
-        // txs[s][d] / rxs[d][s]
-        let mut txs: Vec<Vec<Option<Sender<Vec<f64>>>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        let mut rxs: Vec<Vec<Option<Receiver<Vec<f64>>>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        for s in 0..n {
-            for d in 0..n {
-                let (tx, rx) = unbounded();
-                txs[s][d] = Some(tx);
-                rxs[d][s] = Some(rx);
-            }
-        }
         let red = Arc::new(RendezvousCore::new(n));
-        let mut worlds = Vec::with_capacity(n);
-        for ((rank, tx_row), rx_row) in txs.into_iter().enumerate().zip(rxs) {
-            worlds.push(ThreadWorld {
+        let mut worlds: Vec<ThreadWorld> = (0..n)
+            .map(|rank| ThreadWorld {
                 rank,
                 size: n,
-                tx: tx_row.into_iter().map(Option::unwrap).collect(),
-                rx: rx_row.into_iter().map(Option::unwrap).collect(),
+                tx: Vec::with_capacity(n),
+                rx: Vec::with_capacity(n),
                 red: Arc::clone(&red),
-            });
+            })
+            .collect();
+        // One channel per ordered pair, pushed so that `tx[d]` and `rx[s]`
+        // land at their ranks' indices.
+        for s in 0..n {
+            for d in 0..n {
+                let (tx, rx) = channel();
+                worlds[s].tx.push(tx);
+                worlds[d].rx.push(rx);
+            }
         }
         worlds
+    }
+
+    /// Post `data` on the channel to rank `to` (never blocks).
+    fn post(&self, to: usize, data: Vec<f64>) {
+        let words = data.len();
+        commlog::record(CommEvent::Send { to, words });
+        self.tx[to].send(data).unwrap_or_else(|_| {
+            panic!(
+                "rank {}: channel to rank {to} closed (peer exited early)",
+                self.rank
+            )
+        });
+    }
+
+    /// Block on the next message from rank `from`.
+    fn take(&self, from: usize) -> Vec<f64> {
+        let data = self.rx[from].recv().unwrap_or_else(|_| {
+            panic!(
+                "rank {}: channel from rank {from} closed (peer exited early)",
+                self.rank
+            )
+        });
+        let words = data.len();
+        commlog::record(CommEvent::Recv { from, words });
+        data
+    }
+
+    /// Join the all-ranks rendezvous with `contribution`; returns the
+    /// rank-ordered `combine` of everyone's.
+    fn reduce(&self, contribution: Vec<f64>, combine: fn(&mut [f64], &[f64])) -> Vec<f64> {
+        let (res, generation) = self.red.reduce(self.rank, contribution, combine);
+        commlog::record(CommEvent::Reduce { generation });
+        res
     }
 
     /// Run `f` on `n` ranks across `n` scoped threads; returns the
@@ -274,89 +304,45 @@ impl CommWorld for ThreadWorld {
             if nbr == self.rank {
                 selfs.push((nbr, data));
             } else {
-                commlog::record(CommEvent::Send {
-                    to: nbr,
-                    words: data.len(),
-                });
-                self.tx[nbr].send(data).unwrap_or_else(|_| {
-                    panic!(
-                        "rank {}: channel to rank {nbr} closed (peer exited early)",
-                        self.rank
-                    )
-                });
+                self.post(nbr, data);
                 awaiting.push(nbr);
             }
         }
         let mut incoming = selfs;
         for nbr in awaiting {
-            let data = self.rx[nbr].recv().unwrap_or_else(|_| {
-                panic!(
-                    "rank {}: channel from rank {nbr} closed (peer exited early)",
-                    self.rank
-                )
-            });
-            commlog::record(CommEvent::Recv {
-                from: nbr,
-                words: data.len(),
-            });
-            incoming.push((nbr, data));
+            incoming.push((nbr, self.take(nbr)));
         }
         incoming
     }
 
     fn global_sum_vec(&mut self, xs: &mut [f64]) {
-        let (res, generation) = self.red.reduce(self.rank, xs.to_vec(), |a, b| {
+        let res = self.reduce(xs.to_vec(), |a, b| {
             for (ai, bi) in a.iter_mut().zip(b) {
                 *ai += bi;
             }
         });
-        commlog::record(CommEvent::Reduce { generation });
         xs.copy_from_slice(&res);
     }
 
     fn global_max(&mut self, x: f64) -> f64 {
-        let (res, generation) = self.red.reduce(self.rank, vec![x], |a, b| {
+        let res = self.reduce(vec![x], |a, b| {
             for (ai, bi) in a.iter_mut().zip(b) {
                 *ai = ai.max(*bi);
             }
         });
-        commlog::record(CommEvent::Reduce { generation });
         res[0]
     }
 
     fn barrier(&mut self) {
-        let (_, generation) = self.red.reduce(self.rank, Vec::new(), |_a, _b| {});
-        commlog::record(CommEvent::Reduce { generation });
+        self.reduce(Vec::new(), |_a, _b| {});
     }
 
     fn gather(&mut self, data: Vec<f64>) -> Option<Vec<Vec<f64>>> {
         if self.rank == 0 {
-            let mut out = vec![data];
-            for src in 1..self.size {
-                let v = self.rx[src].recv().unwrap_or_else(|_| {
-                    panic!(
-                        "rank {}: gather channel from rank {src} closed (peer exited early)",
-                        self.rank
-                    )
-                });
-                commlog::record(CommEvent::Recv {
-                    from: src,
-                    words: v.len(),
-                });
-                out.push(v);
-            }
-            Some(out)
+            let others = (1..self.size).map(|src| self.take(src));
+            Some(std::iter::once(data).chain(others).collect())
         } else {
-            commlog::record(CommEvent::Send {
-                to: 0,
-                words: data.len(),
-            });
-            self.tx[0].send(data).unwrap_or_else(|_| {
-                panic!(
-                    "rank {}: gather channel to rank 0 closed (peer exited early)",
-                    self.rank
-                )
-            });
+            self.post(0, data);
             None
         }
     }

@@ -1,10 +1,32 @@
 //! Property tests of the exchange protocol simulation: it must terminate
 //! (no deadlock) for every grid shape and leg size, deterministically,
-//! with cost monotone in the data volume.
+//! with cost monotone in the data volume — and, with the global sum,
+//! recover from randomised fault plans to the uninterrupted result.
 
-use hyades_comms::exchange::{measure_exchange, torus_schedule};
+use hyades_comms::exchange::{measure_exchange, measure_exchange_faulty, torus_schedule};
+use hyades_comms::gsum::{measure_gsum, measure_gsum_faulty};
+use hyades_fault::FaultPlan;
 use hyades_startx::HostParams;
 use proptest::prelude::*;
+
+/// A randomised fault plan over the first `horizon` µs: 1–3 link windows
+/// (placement, length, corrupt and drop rates ≤ 0.3) and 0–3 NIU stalls
+/// on random endpoints.
+fn plans(horizon: f64) -> impl Strategy<Value = FaultPlan> {
+    let spans = || (0.0..horizon, 1.0..horizon / 5.0);
+    let windows = prop::collection::vec((spans(), 0.0..0.3, 0.0..0.3), 1..=3);
+    let stalls = prop::collection::vec((0u16..4, spans()), 0..=3);
+    (any::<u64>(), windows, stalls).prop_map(|(seed, windows, stalls)| {
+        let mut plan = FaultPlan::new(seed);
+        for ((from, len), corrupt, drop) in windows {
+            plan = plan.link_window(from, from + len, corrupt, drop);
+        }
+        for (endpoint, (from, len)) in stalls {
+            plan = plan.niu_stall(endpoint, from, from + len);
+        }
+        plan
+    })
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -28,6 +50,41 @@ proptest! {
     }
 
     #[test]
+    fn exchange_recovers_from_random_plans(
+        // Past the 1 ms base timeout, so recovery legs meet faults too.
+        plan in plans(1500.0),
+        (px, py) in prop::sample::select(vec![(2u16, 2u16), (4, 2)]),
+        leg_bytes in 1u64..=4096,
+    ) {
+        let host = HostParams::default();
+        // Completes (the measurement panics on an unfinished node), ...
+        let (t, counters) = measure_exchange_faulty(host, px, py, leg_bytes, &plan);
+        // ... replays to the same time and counters, ...
+        let replay = measure_exchange_faulty(host, px, py, leg_bytes, &plan);
+        prop_assert_eq!(replay, (t, counters), "{}", plan.render());
+        // ... and recovery only ever costs simulated time.
+        let clean = measure_exchange(host, px, py, leg_bytes);
+        prop_assert!(t >= clean, "{t} beat fault-free {clean}\n{}", plan.render());
+    }
+
+    #[test]
+    fn gsum_recovers_the_exact_sum_from_random_plans(
+        // A clean 16-way sum takes 17 µs.
+        plan in plans(60.0),
+        n in prop::sample::select(vec![2usize, 4, 8, 16]),
+        sixteenths in prop::collection::vec(-2048i32..2048, 16),
+    ) {
+        // Sixteenths in ±128: every summation order gives the same bits.
+        let values: Vec<f64> = sixteenths[..n].iter().map(|&v| f64::from(v) / 16.0).collect();
+        let host = HostParams::default();
+        let (g, counters) = measure_gsum_faulty(host, &values, &plan);
+        prop_assert_eq!(g.value.to_bits(), values.iter().sum::<f64>().to_bits());
+        let (g2, counters2) = measure_gsum_faulty(host, &values, &plan);
+        prop_assert_eq!((g2.elapsed, counters2), (g.elapsed, counters), "{}", plan.render());
+        prop_assert!(g.elapsed >= measure_gsum(host, &values, false).elapsed);
+    }
+
+    #[test]
     fn exchange_cost_is_monotone_in_volume(
         leg_bytes in 64u64..8_000,
         extra in 64u64..8_000,
@@ -38,24 +95,22 @@ proptest! {
     }
 
     #[test]
-    fn schedule_is_a_perfect_matching_per_round(
-        px in prop::sample::select(vec![1u16, 2, 4, 8]),
-        py in prop::sample::select(vec![1u16, 2, 4]),
-        bytes in 1u64..1_000_000,
-    ) {
-        let n = (px * py) as usize;
-        prop_assume!(n >= 2);
-        let s = torus_schedule(px, py, bytes);
-        prop_assert_eq!(s.len(), n);
-        let rounds = s[0].len();
-        #[allow(clippy::needless_range_loop)]
-        for r in 0..rounds {
-            for me in 0..n {
-                if let Some(plan) = s[me][r] {
-                    prop_assert_eq!(plan.bytes, bytes);
-                    let back = s[plan.partner as usize][r].expect("partner idle");
-                    prop_assert_eq!(back.partner as usize, me);
-                    prop_assert_ne!(back.sends_first, plan.sends_first);
+    fn schedule_is_a_perfect_matching_per_round(bytes in 1u64..1_000_000) {
+        // Every pairable grid shape up to 8 × 4, each time.
+        for (px, py) in [1u16, 2, 4, 8].into_iter().flat_map(|px| [1u16, 2, 4].map(|py| (px, py))) {
+            let n = (px * py) as usize;
+            let s = torus_schedule(px, py, bytes);
+            prop_assert_eq!(s.len(), n);
+            let rounds = s[0].len();
+            #[allow(clippy::needless_range_loop)]
+            for r in 0..rounds {
+                for me in 0..n {
+                    if let Some(plan) = s[me][r] {
+                        prop_assert_eq!(plan.bytes, bytes);
+                        let back = s[plan.partner as usize][r].expect("partner idle");
+                        prop_assert_eq!(back.partner as usize, me, "{}x{} round {}", px, py, r);
+                        prop_assert_ne!(back.sends_first, plan.sends_first);
+                    }
                 }
             }
         }

@@ -6,21 +6,20 @@
 //! proven deadlock-free and tag-unique by `lint::schedule`. Dynamically,
 //! a live 16-rank [`ThreadWorld`] run of the same primitives is recorded
 //! through the telemetry comm log and replayed through the vector-clock
-//! happens-before checker in `lint::hb`, which must find every matched
-//! send/recv pair strictly ordered.
+//! happens-before checker in `telemetry::matcher`, which must find every
+//! matched send/recv pair strictly ordered.
 //!
 //! [`CommGraph`]: hyades_comms::schedule::CommGraph
 //! [`ThreadWorld`]: hyades_comms::world::ThreadWorld
 
 use hyades_comms::schedule::{exchange_graph, gsum_graph};
 use hyades_comms::world::{CommWorld, ThreadWorld};
-use hyades_lint::hb;
 use hyades_lint::schedule as schedule_proof;
-use hyades_telemetry::commlog;
+use hyades_telemetry::{commlog, matcher};
 
 pub struct SchedCheckReport {
     pub proof: schedule_proof::ScheduleProof,
-    pub hb: hb::HbReport,
+    pub hb: matcher::HbReport,
 }
 
 /// The live run audited by the happens-before checker: a few steps of
@@ -55,7 +54,7 @@ pub fn measure() -> SchedCheckReport {
     };
     // Dynamic side: replay a recorded run through the vector clocks.
     let logs = logged_run(16, 3);
-    let hb = match hb::check(&logs) {
+    let hb = match matcher::check(&logs) {
         Ok(r) => r,
         Err(e) => panic!("happens-before replay failed: {e}"),
     };

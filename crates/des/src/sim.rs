@@ -87,7 +87,7 @@ impl Simulator {
     pub fn actor<T: Actor + 'static>(&self, id: ActorId) -> &T {
         let slot = match self.actors[id.0].as_ref() {
             Some(a) => a,
-            None => panic!("actor {} is currently executing or removed", id.0),
+            None => panic!("actor {} is currently executing or not seated yet", id.0),
         };
         match slot.as_any().downcast_ref::<T>() {
             Some(t) => t,
@@ -99,7 +99,7 @@ impl Simulator {
     pub fn actor_mut<T: Actor + 'static>(&mut self, id: ActorId) -> &mut T {
         let slot = match self.actors[id.0].as_mut() {
             Some(a) => a,
-            None => panic!("actor {} is currently executing or removed", id.0),
+            None => panic!("actor {} is currently executing or not seated yet", id.0),
         };
         match slot.as_any_mut().downcast_mut::<T>() {
             Some(t) => t,
@@ -168,31 +168,18 @@ impl Simulator {
         self.halted = false;
     }
 
-    /// Take an actor back out of the simulator (e.g. to read results after a
-    /// run). The slot is left empty; scheduling further events for this id
-    /// will panic.
-    pub fn remove_actor(&mut self, id: ActorId) -> Box<dyn Actor> {
-        self.actors[id.0].take().expect("actor already removed")
+    /// Claim the next actor id for an actor that can only be built later
+    /// (it must know ids created after its own); an event for the slot
+    /// panics until [`Simulator::insert_actor_at`] has seated it.
+    pub fn reserve(&mut self) -> ActorId {
+        self.actors.push(None);
+        ActorId(self.actors.len() - 1)
     }
 
-    /// Fill an empty slot (created by [`Simulator::remove_actor`]) with a
-    /// new actor. Harnesses use this to swap placeholder endpoints for
-    /// protocol actors once wiring information (e.g. network port ids)
-    /// exists.
+    /// Seat an actor in a slot claimed by [`Simulator::reserve`].
     pub fn insert_actor_at(&mut self, id: ActorId, actor: Box<dyn Actor>) {
         assert!(self.actors[id.0].is_none(), "slot {id:?} is still occupied");
         self.actors[id.0] = Some(actor);
-    }
-
-    /// Mutable access to an actor slot for harness-level inspection.
-    ///
-    /// The closure receives the boxed actor; use `downcast_with` from
-    /// [`crate::actor`] helpers or keep concrete handles externally.
-    pub fn with_actor<R>(&mut self, id: ActorId, f: impl FnOnce(&mut dyn Actor) -> R) -> R {
-        let a = self.actors[id.0]
-            .as_mut()
-            .expect("actor is currently executing or removed");
-        f(a.as_mut())
     }
 }
 
@@ -253,6 +240,19 @@ mod tests {
         fn on_event(&mut self, _ev: Payload, _ctx: &mut Ctx<'_>) {
             self.count += 1;
         }
+    }
+
+    #[test]
+    fn reserved_slot_keeps_its_id_and_is_seated_later() {
+        let mut sim = Simulator::new();
+        let early = sim.reserve();
+        let later = sim.add_actor(Counter { count: 0 });
+        assert_eq!((early, later), (ActorId(0), ActorId(1)));
+        sim.insert_actor_at(early, Box::new(Counter { count: 0 }));
+        sim.schedule(SimTime::ZERO, early, ());
+        sim.run();
+        assert_eq!(sim.actor::<Counter>(early).count, 1);
+        assert_eq!(sim.actor::<Counter>(later).count, 0);
     }
 
     #[test]

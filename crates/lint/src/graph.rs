@@ -176,13 +176,22 @@ fn param_list(ctx: &FileCtx<'_>, name_idx: usize) -> Option<(usize, usize)> {
     Some((j, close))
 }
 
+/// The primitive numeric types. A value of one has the methods the
+/// workspace `impl`s for that very type and no other workspace method.
+const PRIMITIVE_NUMERIC: [&str; 14] = [
+    "usize", "u8", "u16", "u32", "u64", "u128", "isize", "i8", "i16", "i32", "i64", "i128", "f32",
+    "f64",
+];
+
 /// Type name at `k` behind any `&` / `mut` / `dyn` / lifetime prefix —
-/// only a leading uppercase ident counts.
+/// only a leading uppercase ident or a primitive numeric type counts.
 fn type_head<'a>(ctx: &FileCtx<'a>, mut k: usize) -> Option<&'a str> {
     while matches!(ctx.text(k), "&" | "mut" | "dyn") || ctx.kind(k) == Some(TokKind::Lifetime) {
         k += 1;
     }
-    (ctx.kind(k) == Some(TokKind::Ident) && starts_upper(ctx.text(k))).then(|| ctx.text(k))
+    let t = ctx.text(k);
+    (ctx.kind(k) == Some(TokKind::Ident) && (starts_upper(t) || PRIMITIVE_NUMERIC.contains(&t)))
+        .then_some(t)
 }
 
 /// Parameter types for local receiver inference: `x: Type`,
@@ -250,7 +259,8 @@ fn param_names<'a>(ctx: &FileCtx<'a>, name_idx: usize) -> Vec<&'a str> {
 }
 
 /// `let [mut] x: Type = ..` / `let [mut] x = [path::]Type::ctor(..)` /
-/// `let x = Type { .. }` — record `x: Type`.
+/// `let x = Type { .. }` — record `x: Type`. Any other `let x` shadows
+/// what was known of `x`.
 fn record_let<'a>(ctx: &FileCtx<'a>, i: usize, locals: &mut Locals<'a>) {
     let mut j = i + 1;
     if ctx.is(j, "mut") {
@@ -259,36 +269,38 @@ fn record_let<'a>(ctx: &FileCtx<'a>, i: usize, locals: &mut Locals<'a>) {
     if ctx.kind(j) != Some(TokKind::Ident) {
         return;
     }
-    let var = ctx.text(j);
-    if ctx.is(j + 1, ":") {
-        if let Some(ty) = type_head(ctx, j + 2) {
-            locals.insert(var, ty);
-        }
-        return;
+    match let_type(ctx, j + 1) {
+        Some(ty) => locals.insert(ctx.text(j), ty),
+        None => locals.remove(ctx.text(j)),
+    };
+}
+
+/// The type a `let` gives its variable, read from the token after the
+/// variable's name on.
+fn let_type<'a>(ctx: &FileCtx<'a>, after: usize) -> Option<&'a str> {
+    if ctx.is(after, ":") {
+        return type_head(ctx, after + 1);
     }
-    if !ctx.is(j + 1, "=") {
-        return;
+    if !ctx.is(after, "=") {
+        return None;
     }
-    let mut k = j + 2;
+    let mut k = after + 1;
     loop {
         if ctx.kind(k) != Some(TokKind::Ident) {
-            return;
+            return None;
         }
         if starts_upper(ctx.text(k)) {
             let ctor_call = ctx.is(k + 1, "::")
                 && ctx.kind(k + 2) == Some(TokKind::Ident)
                 && ctx.is(k + 3, "(");
             let struct_lit = ctx.is(k + 1, "{");
-            if ctor_call || struct_lit {
-                locals.insert(var, ctx.text(k));
-            }
-            return;
+            return (ctor_call || struct_lit).then(|| ctx.text(k));
         }
         // Walk over a lowercase `path::` prefix.
         if ctx.is(k + 1, "::") {
             k += 2;
         } else {
-            return;
+            return None;
         }
     }
 }
@@ -320,9 +332,18 @@ fn classify_call<'a>(
 ) -> RawCall<'a> {
     let name = ctx.text(i);
     if i >= 1 && ctx.is(i - 1, ".") {
-        let recv = match ctx.chain_back(i - 1).0 {
+        let (base, chain) = ctx.chain_back(i - 1);
+        // A primitive type is believed only of the variable itself
+        // (`n.method()`): behind a call chain or a field path the base's
+        // name says nothing about the receiver, and a primitive receiver
+        // has no by-name fallback to make a wrong guess harmless.
+        let direct = chain.is_empty() && !(i >= 3 && ctx.is(i - 3, "."));
+        let recv = match base {
             Some("self") => self_ty,
-            Some(v) => locals.get(v).copied(),
+            Some(v) => locals
+                .get(v)
+                .copied()
+                .filter(|ty| direct || !PRIMITIVE_NUMERIC.contains(ty)),
             None => None,
         };
         RawCall::Method { name, recv }
@@ -705,8 +726,11 @@ impl<'a> Resolver<'a> {
                 &narrowed
             }
             RawCall::Method { name, recv } => {
-                match recv.map(|ty| ids(&self.methods, &(ty, name))) {
-                    Some(v) if !v.is_empty() => v,
+                match recv.map(|ty| (ty, ids(&self.methods, &(ty, name)))) {
+                    Some((_, v)) if !v.is_empty() => v,
+                    // `n.saturating_sub(1)` on a `usize` is std's, never a
+                    // workspace type's method of the same name.
+                    Some((ty, _)) if PRIMITIVE_NUMERIC.contains(&ty) => &[],
                     _ => ids(&self.methods_by_name, &name),
                 }
             }
@@ -719,6 +743,32 @@ impl<'a> Resolver<'a> {
             .collect()
     }
 }
+
+/// A `usize` calling std's `saturating_sub` beside a workspace method of
+/// the same name whose return value is rank-derived (what
+/// `(0..nz.saturating_sub(1))` met in `des::time::SimDuration`).
+#[cfg(test)]
+pub(crate) const USIZE_RECEIVER_SRC: &str = r#"
+struct Elapsed { rank: usize }
+impl Elapsed {
+    fn saturating_sub(&self, other: usize) -> usize {
+        self.rank - other
+    }
+}
+pub fn drive(world: &mut dyn CommWorld, nz: usize) {
+    if nz.saturating_sub(1) == 0 {
+        return;
+    }
+    world.barrier();
+}
+pub fn rebound(world: &mut dyn CommWorld, nz: usize) {
+    let nz = wrap(nz);
+    if nz.saturating_sub(1) == 0 {
+        return;
+    }
+    world.barrier();
+}
+"#;
 
 #[cfg(test)]
 mod tests {
@@ -913,5 +963,28 @@ mod tests {
         let site = ws.calls.iter().find(|c| c.caller == run).unwrap();
         assert_eq!(ws.call_at(0, site.tok).map(|c| c.tok), Some(site.tok));
         assert!(ws.call_at(0, ws.fns[run].name_idx).is_none());
+    }
+
+    #[test]
+    fn primitive_receiver_never_resolves_by_name() {
+        let srcs = sources(&[("crates/comms/src/t.rs", USIZE_RECEIVER_SRC)]);
+        let ws = Workspace::build(&srcs);
+        let id = |name: &str| ws.fns.iter().position(|f| f.name == name).unwrap();
+        let cands = |caller: &str| {
+            let site = ws
+                .calls
+                .iter()
+                .find(|c| c.caller == id(caller) && ws.files[0].text(c.tok) == "saturating_sub");
+            (site.unwrap().call.clone(), site.unwrap().cands.clone())
+        };
+        let method = |recv| RawCall::Method {
+            name: "saturating_sub",
+            recv,
+        };
+        // `nz: usize` has std's method, not `Elapsed`'s.
+        assert_eq!(cands("drive"), (method(Some("usize")), vec![]));
+        // `let nz = wrap(nz)` is of a type nobody can see: by name.
+        let elapsed = id("saturating_sub");
+        assert_eq!(cands("rebound"), (method(None), vec![elapsed]));
     }
 }

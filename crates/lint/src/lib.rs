@@ -12,8 +12,9 @@
 //! [`passes`] the match-tree API rules are written against, and three
 //! whole-program analyzers go beyond per-file rules — [`schedule`]
 //! proves the comms exchange/gsum schedules deadlock-free and tag-unique
-//! statically, [`hb`] is a vector-clock happens-before checker over
-//! recorded ThreadWorld event streams, [`flow`] infers a
+//! statically (the dynamic counterpart, the vector-clock happens-before
+//! check over recorded ThreadWorld event streams, is
+//! `hyades_telemetry::matcher::check`), [`flow`] infers a
 //! determinism effect (`Det`/`DetModuloSeed`/`Nondet`) for every
 //! function over the workspace call graph and proves the declared sinks
 //! (reductions, exporters, traces) never reach `Nondet` code, and
@@ -34,7 +35,6 @@
 pub mod baseline;
 pub mod flow;
 pub mod graph;
-pub mod hb;
 pub mod lexer;
 pub mod passes;
 pub mod rules;

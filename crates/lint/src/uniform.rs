@@ -1502,6 +1502,16 @@ pub fn drive(world: &mut dyn CommWorld, h: &H) {
     }
 
     #[test]
+    fn std_method_on_a_primitive_takes_no_workspace_taint() {
+        let r = run(crate::graph::USIZE_RECEIVER_SRC);
+        // `drive` calls `usize::saturating_sub`; only `rebound`, whose
+        // receiver nobody can type, still meets `Elapsed`'s `.rank`.
+        let d = divergences(&r);
+        assert_eq!(d.len(), 1, "{:?}", r.findings);
+        assert!(d[0].message.contains("`comms::t::rebound`"), "{:?}", d[0]);
+    }
+
+    #[test]
     fn reductions_launder_rank_dependence() {
         let r = run(r#"
 pub fn drive(world: &mut dyn CommWorld) {

@@ -124,35 +124,30 @@ pub fn measure_logp(
 ) -> LogPRow {
     assert!(rounds > 0);
     let mut sim = Simulator::new();
-    let ids: Vec<ActorId> = (0..n_endpoints).map(|_| sim.add_actor(Slot)).collect();
-    let net = ArcticNetwork::build(&mut sim, &ids, Default::default());
-    for e in 0..n_endpoints {
-        let (me, peer) = if e == src {
-            (src, dst)
-        } else if e == dst {
-            (dst, src)
-        } else {
-            (e, e)
-        };
-        let _ = sim.remove_actor(ids[e as usize]);
-        sim.insert_actor_at(
-            ids[e as usize],
+    let net =
+        ArcticNetwork::build_with(&mut sim, n_endpoints, Default::default(), |me, tx_port| {
+            let peer = if me == src {
+                dst
+            } else if me == dst {
+                src
+            } else {
+                me
+            };
             Box::new(PingPonger {
                 me,
                 peer,
                 host,
-                tx_port: net.tx_port(me),
+                tx_port,
                 payload_bytes,
                 rounds_left: 0,
                 started: None,
                 finished: None,
                 rounds_total: 0,
-            }),
-        );
-    }
-    sim.schedule(SimTime::ZERO, ids[src as usize], StartPingPong { rounds });
+            })
+        });
+    sim.schedule(SimTime::ZERO, net.endpoint(src), StartPingPong { rounds });
     sim.run();
-    let a = sim.actor::<PingPonger>(ids[src as usize]);
+    let a = sim.actor::<PingPonger>(net.endpoint(src));
     let total = a
         .finished
         .expect("ping-pong did not finish")
@@ -177,13 +172,6 @@ pub fn figure2(host: HostParams) -> Vec<LogPRow> {
         .iter()
         .map(|&b| measure_logp(host, b, 16, 0, 15, 100))
         .collect()
-}
-
-struct Slot;
-impl Actor for Slot {
-    fn on_event(&mut self, _ev: Payload, _ctx: &mut Ctx<'_>) {
-        panic!("slot actor received an event");
-    }
 }
 
 #[cfg(test)]

@@ -52,6 +52,12 @@ pub fn packet_count(len: u64) -> u64 {
     len.div_ceil(MAX_PACKET_PAYLOAD_BYTES as u64)
 }
 
+/// Payload bytes of packet `seq` of a `len`-byte transfer: `segment(len)[seq]`
+/// without the list.
+pub fn packet_bytes(len: u64, seq: u32) -> u64 {
+    (len - u64::from(seq) * MAX_PACKET_PAYLOAD_BYTES as u64).min(MAX_PACKET_PAYLOAD_BYTES as u64)
+}
+
 /// Build a data packet carrying `payload_bytes` of opaque bulk data (the
 /// simulation tracks lengths, not content, for bulk transfers; the sequence
 /// number travels in the first payload word for reordering checks).
@@ -97,7 +103,12 @@ mod tests {
     #[test]
     fn segments_sum_to_length() {
         for len in [1u64, 87, 88, 89, 1024, 131072] {
-            assert_eq!(segment(len).iter().sum::<u64>(), len);
+            let packets = segment(len);
+            assert_eq!(packets.iter().sum::<u64>(), len);
+            assert_eq!(packets.len() as u64, packet_count(len));
+            for (seq, &bytes) in packets.iter().enumerate() {
+                assert_eq!(packet_bytes(len, seq as u32), bytes);
+            }
         }
     }
 

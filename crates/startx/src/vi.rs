@@ -116,6 +116,8 @@ pub struct StartTransfer {
 
 /// Sender-side self events.
 enum SenderEv {
+    /// The receiver's ACK has been read: begin staging.
+    AckProcessed,
     /// A staging chunk finished copying into the VI region.
     ChunkStaged { idx: usize },
     /// The DMA engine emits the next packet of the stream.
@@ -208,16 +210,10 @@ impl ViSender {
 
     fn kick_dma(&mut self, ctx: &mut Ctx<'_>, chunk: u64) {
         // Segment the chunk into packets and queue them for paced emission.
-        let is_final_chunk = self.staged == self.chunks.len();
-        let segs = segment(chunk);
-        let n = segs.len();
-        for (i, s) in segs.into_iter().enumerate() {
-            let _ = i;
+        for s in segment(chunk) {
             self.packets_pending.push_back((self.next_seq, s));
             self.next_seq += 1;
         }
-        let _ = n;
-        let _ = is_final_chunk;
         if !self.emitting {
             self.emitting = true;
             let start = ctx.now().max(self.dma_free_at) + self.host.dma_kick;
@@ -263,7 +259,7 @@ impl Actor for ViSender {
                         // CPU cost of reading the ack, then start staging.
                         flight::record(ctx.now(), ctx.self_id(), "vi.ack", 0);
                         let or = self.host.pio.recv_overhead(8);
-                        ctx.wake_after(or, SenderEv::ChunkStaged { idx: usize::MAX });
+                        ctx.wake_after(or, SenderEv::AckProcessed);
                     }
                     TAG_DONE => {
                         let or = self.host.pio.recv_overhead(8);
@@ -280,12 +276,8 @@ impl Actor for ViSender {
             Err(e) => e,
         };
         match *ev.downcast::<SenderEv>().expect("ViSender event") {
+            SenderEv::AckProcessed => self.stage_chunks(ctx, 0),
             SenderEv::ChunkStaged { idx } => {
-                if idx == usize::MAX {
-                    // Ack processed: begin staging the first chunk.
-                    self.stage_chunks(ctx, 0);
-                    return;
-                }
                 self.staged = idx + 1;
                 let chunk = self.chunks[idx];
                 self.kick_dma(ctx, chunk);
@@ -463,40 +455,21 @@ pub fn measure_transfer(
     n_endpoints: u16,
     len: u64,
 ) -> TransferMeasurement {
-    let mut sim = Simulator::new();
-    // Reserve actor slots: sender is endpoint 0, receiver endpoint 1, the
-    // rest are inert sinks.
-    let mut endpoint_ids = Vec::new();
-    let sender_slot = sim.add_actor(Placeholder);
-    let receiver_slot = sim.add_actor(Placeholder);
-    endpoint_ids.push(sender_slot);
-    endpoint_ids.push(receiver_slot);
-    for _ in 2..n_endpoints {
-        endpoint_ids.push(sim.add_actor(NullSink));
-    }
-    let net = ArcticNetwork::build(&mut sim, &endpoint_ids, Default::default());
-
-    // Swap the placeholders for the real protocol actors now that the
-    // tx-port ids exist.
+    // The bandwidth microbenchmark times the data, not the DONE ack.
     let bench_cfg = ViConfig {
         notify_sender: false,
         ..cfg
     };
-    replace_actor(
-        &mut sim,
-        sender_slot,
-        ViSender::new(0, host, bench_cfg, net.tx_port(0)),
+    let mut sim = Simulator::new();
+    let net = transfer_fabric(&mut sim, n_endpoints, host, bench_cfg);
+    sim.schedule(
+        SimTime::ZERO,
+        net.endpoint(0),
+        StartTransfer { dst: 1, len },
     );
-    replace_actor(
-        &mut sim,
-        receiver_slot,
-        ViReceiver::new(1, host, bench_cfg, net.tx_port(1)),
-    );
-
-    sim.schedule(SimTime::ZERO, sender_slot, StartTransfer { dst: 1, len });
     sim.run();
 
-    let rx = sim.actor::<ViReceiver>(receiver_slot);
+    let rx = sim.actor::<ViReceiver>(net.endpoint(1));
     let done = rx.done_at.expect("transfer did not complete");
     assert_eq!(rx.out_of_order, 0, "VI stream must stay in order");
     let elapsed = done.since(SimTime::ZERO);
@@ -514,28 +487,20 @@ pub fn bandwidth_sweep(host: HostParams, cfg: ViConfig) -> Vec<TransferMeasureme
         .collect()
 }
 
+/// A fabric whose endpoint 0 is a [`ViSender`], endpoint 1 a
+/// [`ViReceiver`], and the rest inert.
+fn transfer_fabric(sim: &mut Simulator, n: u16, host: HostParams, cfg: ViConfig) -> ArcticNetwork {
+    ArcticNetwork::build_with(sim, n, Default::default(), |e, tx_port| match e {
+        0 => Box::new(ViSender::new(0, host, cfg, tx_port)),
+        1 => Box::new(ViReceiver::new(1, host, cfg, tx_port)),
+        _ => Box::new(NullSink),
+    })
+}
+
 /// Inert endpoint used for unused fabric slots.
 struct NullSink;
 impl Actor for NullSink {
     fn on_event(&mut self, _ev: Payload, _ctx: &mut Ctx<'_>) {}
-}
-
-/// Temporary actor occupying a slot until the real one is swapped in.
-struct Placeholder;
-impl Actor for Placeholder {
-    fn on_event(&mut self, _ev: Payload, _ctx: &mut Ctx<'_>) {
-        panic!("placeholder actor received an event");
-    }
-}
-
-/// Replace the actor in `slot` with `new` (harness plumbing: protocol
-/// actors need tx-port ids that only exist after the network is built).
-fn replace_actor(sim: &mut Simulator, slot: hyades_des::ActorId, new: impl Actor + 'static) {
-    // `remove_actor` empties the slot; re-register at the same position via
-    // swap. Simulator has no public slot-replacement, so emulate with the
-    // documented remove/insert pattern.
-    let _ = sim.remove_actor(slot);
-    sim.insert_actor_at(slot, Box::new(new));
 }
 
 #[cfg(test)]
@@ -638,19 +603,8 @@ mod notify_tests {
             ..ViConfig::default()
         };
         let mut sim = Simulator::new();
-        let tx_slot = sim.add_actor(Placeholder);
-        let rx_slot = sim.add_actor(Placeholder);
-        let net = ArcticNetwork::build(&mut sim, &[tx_slot, rx_slot], Default::default());
-        let _ = sim.remove_actor(tx_slot);
-        sim.insert_actor_at(
-            tx_slot,
-            Box::new(ViSender::new(0, host, cfg, net.tx_port(0))),
-        );
-        let _ = sim.remove_actor(rx_slot);
-        sim.insert_actor_at(
-            rx_slot,
-            Box::new(ViReceiver::new(1, host, cfg, net.tx_port(1))),
-        );
+        let net = transfer_fabric(&mut sim, 2, host, cfg);
+        let (tx_slot, rx_slot) = (net.endpoint(0), net.endpoint(1));
         sim.schedule(SimTime::ZERO, tx_slot, StartTransfer { dst: 1, len: 4096 });
         sim.run();
         let tx = sim.actor::<ViSender>(tx_slot);

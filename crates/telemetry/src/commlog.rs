@@ -1,6 +1,6 @@
 //! Thread-local communication event log for `ThreadWorld` ranks.
 //!
-//! The happens-before checker in `hyades-lint` (`lint::hb`) needs the
+//! The happens-before checker ([`crate::matcher::check`]) needs the
 //! exact sequence of communication operations each rank performed —
 //! keyed channel sends/recvs and shared-memory reductions — to replay
 //! them under vector clocks and prove every matched send/recv pair is

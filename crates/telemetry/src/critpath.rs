@@ -229,7 +229,7 @@ pub fn analyze(
     }
 
     // Match sends to receives and reductions to rounds on the bare
-    // event stream (identical semantics to lint::hb).
+    // event stream (the replay the happens-before check runs).
     let bare: Vec<Vec<_>> = logs
         .iter()
         .map(|l| l.iter().map(|s| s.ev).collect())

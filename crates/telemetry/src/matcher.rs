@@ -1,17 +1,29 @@
-//! Vector-clock replay matcher over recorded per-rank comm logs.
+//! Vector-clock replay matcher and happens-before checker over recorded
+//! per-rank comm logs.
 //!
-//! The deterministic replay that used to live inside `hyades-lint`'s
-//! happens-before checker, extracted so the critical-path profiler
-//! ([`crate::critpath`]) and the Chrome flow-event exporter can reuse
-//! the exact same matching semantics: ranks replayed in index order,
+//! Input: one `Vec<CommEvent>` per rank, recorded by [`crate::commlog`]
+//! during a real threaded run. [`replay`] is the one deterministic replay
+//! the happens-before check ([`check`]), the critical-path profiler
+//! ([`crate::critpath`]) and the Chrome flow-event exporter share, so all
+//! three agree on matching semantics: ranks replayed in index order,
 //! sends non-blocking, receives blocking on their keyed `(src, dst)`
 //! FIFO channel, reductions as all-ranks joins keyed by generation. A
-//! vector clock per rank tracks causality; each matched pair records
-//! whether the send's clock strictly precedes the receive's (the
-//! happens-before property `lint::hb` asserts).
+//! vector clock per rank tracks causality — executing any event
+//! increments the rank's own component, a receive joins the matched
+//! send's clock, a reduction joins every rank's — and each matched pair
+//! records whether the send's clock strictly precedes the receive's.
+//!
+//! With keyed FIFO channels that must hold for every pair; an unordered
+//! pair means the matching degenerated to arrival order somewhere (a
+//! wildcard receive — the race class MPI_ANY_SOURCE introduces), which is
+//! exactly what the determinism argument cannot tolerate. Structural
+//! failures — a receive with no posted send (deadlock), messages left in
+//! a channel, payload size mismatches, ranks disagreeing on the reduction
+//! sequence — are hard errors ([`MatchError`]).
 //!
 //! The replay order is fixed, so every output — match indices, ordinals,
-//! round memberships — is byte-stable across same-input runs.
+//! round memberships, [`HbReport::render`] — is byte-stable across
+//! same-input runs (enforced in `tests/determinism.rs`).
 
 use crate::commlog::CommEvent;
 use std::collections::{BTreeMap, VecDeque};
@@ -61,6 +73,57 @@ pub struct MatchedRun {
     pub events: usize,
     pub messages: Vec<MatchedMessage>,
     pub reductions: Vec<ReduceRound>,
+}
+
+/// The happens-before verdict on a replayed run: counts plus any
+/// unordered pairs (expected none).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HbReport {
+    pub ranks: usize,
+    pub events: usize,
+    /// Matched send/recv pairs.
+    pub messages: usize,
+    pub reductions: usize,
+    /// Matched pairs with no strict happens-before edge, rendered as
+    /// `src->dst msg#k`. Zero on every keyed-channel run.
+    pub unordered: Vec<String>,
+}
+
+impl HbReport {
+    /// Deterministic text rendering (joins the determinism gate).
+    pub fn render(&self) -> String {
+        let mut s = format!(
+            "hb: {} ranks, {} events, {} messages, {} reductions, {} unordered pair(s)\n",
+            self.ranks,
+            self.events,
+            self.messages,
+            self.reductions,
+            self.unordered.len()
+        );
+        for u in &self.unordered {
+            s.push_str(&format!("unordered: {u}\n"));
+        }
+        s
+    }
+}
+
+/// Replay per-rank event logs and report whether every matched send/recv
+/// pair is ordered. See the module docs for semantics.
+pub fn check(progs: &[Vec<CommEvent>]) -> Result<HbReport, MatchError> {
+    let run = replay(progs)?;
+    let unordered = run
+        .messages
+        .iter()
+        .filter(|m| !m.ordered)
+        .map(|m| format!("{}->{} msg#{}", m.src, m.dst, m.ordinal))
+        .collect();
+    Ok(HbReport {
+        ranks: run.ranks,
+        events: run.events,
+        messages: run.messages.len(),
+        reductions: run.reductions.len(),
+        unordered,
+    })
 }
 
 /// Why the replay failed: each variant is a real ordering bug in the
@@ -287,7 +350,13 @@ mod tests {
             vec![Recv { from: 1, words: 1 }],
             vec![Recv { from: 0, words: 1 }],
         ];
-        assert!(matches!(replay(&progs), Err(MatchError::Stuck { .. })));
+        match replay(&progs) {
+            Err(MatchError::Stuck { state }) => {
+                assert_eq!(state.len(), 2);
+                assert!(state[0].contains("rank0"), "{state:?}");
+            }
+            other => panic!("expected stuck, got {other:?}"),
+        }
     }
 
     #[test]
@@ -325,6 +394,49 @@ mod tests {
             replay(&progs),
             Err(MatchError::ReduceMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn missing_reducer_rejected() {
+        let progs = vec![vec![Reduce { generation: 0 }], vec![]];
+        assert!(matches!(
+            check(&progs),
+            Err(MatchError::ReduceMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn reductions_join_all_ranks() {
+        let progs = vec![
+            vec![Reduce { generation: 0 }, Send { to: 1, words: 1 }],
+            vec![Reduce { generation: 0 }, Recv { from: 0, words: 1 }],
+        ];
+        let rep = check(&progs).expect("reduce then message");
+        assert_eq!((rep.reductions, rep.messages), (1, 1));
+        assert!(rep.unordered.is_empty());
+    }
+
+    #[test]
+    fn errors_render_in_the_cli_vocabulary() {
+        // E16 prints these strings; its output joins the determinism gate.
+        let progs = vec![vec![Send { to: 1, words: 2 }], vec![]];
+        let err = check(&progs).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "1 message(s) left undelivered on channel 0->1"
+        );
+    }
+
+    #[test]
+    fn report_renders_deterministically() {
+        let progs = vec![
+            vec![Send { to: 1, words: 4 }, Reduce { generation: 0 }],
+            vec![Recv { from: 0, words: 4 }, Reduce { generation: 0 }],
+        ];
+        let a = check(&progs).unwrap().render();
+        let b = check(&progs).unwrap().render();
+        assert_eq!(a, b);
+        assert!(a.starts_with("hb: 2 ranks"));
     }
 
     #[test]

@@ -29,6 +29,11 @@ echo "    ${lint_summary#hyades-lint: } (report: target/lint-report.json)"
 echo "==> cargo test -q"
 cargo test -q
 
+# The simulated communication stack again in release: a defect can fail
+# differently behind `debug_assert!` than in the build hbench measures.
+echo "==> cargo test -q --release (des, arctic, startx, comms)"
+cargo test -q --release -p hyades-des -p hyades-arctic -p hyades-startx -p hyades-comms
+
 echo "==> ignored tests, release: fault-plan seed sweep (2000 plan seeds x 6 exchange shapes and 4 gsum sizes), paper grid converges while finite"
 cargo test -q --release -- --ignored
 
@@ -56,6 +61,13 @@ awk '$1 == "gcm.cg_iters" { iters = $2 } $1 == "gcm.steps" { steps = $2 }
     $1 ~ /^gcm\.k_.*_cells_per_s$/ { printf "    coupled_serial %-30s %8.1f M cells/s\n", $1, $2 / 1e6 }
     END { if (steps > 0) printf "    coupled_serial gcm.cg_iters / gcm.steps  %d / %d = %.1f\n", iters, steps, iters / steps }' \
     target/hbench-coupled_serial-traced.txt
+# Likewise printed only (tests/determinism.rs and tests/recovery.rs pin
+# them): the exact simulated values of one traced comm_primitives run.
+cargo run --release --offline --quiet --manifest-path hbench/Cargo.toml -- \
+    --workload comm_primitives --seconds 3 --trace 1 > target/hbench-comm_primitives-traced.txt
+awk '$1 ~ /^(comms\.(exchange_4x4_4096_us|gsum_16_us|retries|backoff_waits)|startx\.(pio_rtt_half_us|vi_peak_mbyte_per_s))$/ {
+        printf "    comm_primitives %-30s %14.6f %s\n", $1, $2, $3 }' \
+    target/hbench-comm_primitives-traced.txt
 
 echo "==> tour (the four core::tour runs, one artifact bundle, three verdicts)"
 cargo run -q --release --example tour > target/tour.txt

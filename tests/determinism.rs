@@ -356,7 +356,7 @@ fn hb_replay_report(seed: u64) -> String {
         let _ = w.global_sum(field.at(0, 0, 0));
         commlog::take()
     });
-    let report = hyades_lint::hb::check(&logs).expect("ordering bug in threaded round");
+    let report = hyades_telemetry::matcher::check(&logs).expect("ordering bug in threaded round");
     report.render()
 }
 

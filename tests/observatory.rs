@@ -2,7 +2,6 @@
 //! statically computed route, the analytical queue-occupancy cross-check,
 //! and fault visibility in the exported manifest.
 
-use hyades::arctic::fault::FaultProfile;
 use hyades::arctic::network::{ArcticConfig, ArcticNetwork, SinkEndpoint};
 use hyades::arctic::observatory::{Observatory, ObservatoryConfig};
 use hyades::arctic::packet::{Packet, Priority, UpRoute};
@@ -10,6 +9,7 @@ use hyades::arctic::topology::FatTree;
 use hyades::arctic::workload::{run_traffic_observed, Pattern};
 use hyades::des::sim::Simulator;
 use hyades::des::time::SimTime;
+use hyades::fault::FaultPlan;
 use hyades::perf::queueing::{md1_mean_queue, mm1_mean_queue};
 
 /// A traced packet's hop records must reproduce exactly the route the
@@ -120,15 +120,10 @@ fn faults_surface_in_the_manifest() {
     let eps: Vec<_> = (0..16)
         .map(|_| sim.add_actor(SinkEndpoint::default()))
         .collect();
-    let cfg = ArcticConfig {
-        fault: Some(FaultProfile {
-            seed: 0xBAD_5EED,
-            corrupt_rate: 0.05,
-            drop_rate: 0.05,
-        }),
-        ..ArcticConfig::default()
-    };
-    let net = ArcticNetwork::build(&mut sim, &eps, cfg);
+    let net = ArcticNetwork::build(&mut sim, &eps, ArcticConfig::default());
+    // One window spanning the whole run.
+    let plan = FaultPlan::new(0xBAD_5EED).link_window(0.0, 1.0e9, 0.05, 0.05);
+    net.apply_fault_plan(&mut sim, &plan);
     let obs = Observatory::attach(&mut sim, &net, ObservatoryConfig::new(5.0, 200.0));
     for i in 0..400u16 {
         let (src, dst) = (i % 16, (i * 7 + 3) % 16);

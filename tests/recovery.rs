@@ -8,12 +8,12 @@
 //! a checkpoint file, bit-exact recovery from a planned rank crash under
 //! link faults, a machine-checked proof that the recovery message legs
 //! cannot deadlock, and a sweep of the running retransmit protocols over
-//! seeded fault plans.
+//! seeded fault plans, its times and counters pinned by a digest.
 
 use hyades::comms::exchange::{measure_exchange, measure_exchange_faulty};
 use hyades::comms::gsum::{measure_gsum, measure_gsum_faulty};
 use hyades::comms::schedule::{exchange_recovery_graph, gsum_recovery_graph};
-use hyades::comms::SerialWorld;
+use hyades::comms::{RecoveryCounters, SerialWorld};
 use hyades::fault::FaultPlan;
 use hyades::gcm::checkpoint::{load_file, save_file};
 use hyades::gcm::config::{ModelConfig, SurfaceForcing};
@@ -119,16 +119,53 @@ fn sweep_plan(seed: u64) -> FaultPlan {
         .niu_stall(1, 5.0, 25.0)
 }
 
+/// FNV-1a over the `(elapsed ps, every recovery counter)` of each run a
+/// sweep makes, in order.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Digest {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn run(&mut self, elapsed_ps: u64, r: &RecoveryCounters) {
+        let words = [
+            elapsed_ps,
+            r.timeouts,
+            r.req_resends,
+            r.probes,
+            r.acks_resent,
+            r.dones_resent,
+            r.data_rewinds,
+            r.value_resends,
+            r.retries,
+            r.corrupt_discarded,
+            r.stale_ignored,
+        ];
+        for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
 /// One `px × py` exchange of `leg` bytes under every plan seed in
 /// `seeds`: every node must finish its schedule (the measurement panics
 /// otherwise), recovery may only cost simulated time, and the same seed
 /// must replay to the same time and counters.
-fn sweep_exchange(px: u16, py: u16, leg: u64, seeds: impl Iterator<Item = u64>, replays: usize) {
+fn sweep_exchange(
+    px: u16,
+    py: u16,
+    leg: u64,
+    seeds: impl Iterator<Item = u64>,
+    replays: usize,
+    digest: &mut Digest,
+) {
     let host = HostParams::default();
     let clean = measure_exchange(host, px, py, leg);
     for seed in seeds {
         let run = || measure_exchange_faulty(host, px, py, leg, &sweep_plan(seed));
         let (t, counters) = run();
+        digest.run(t.as_ps(), &counters);
         assert!(
             t >= clean,
             "{px}x{py}/{leg} B seed {seed}: faulty {t} beat fault-free {clean}"
@@ -142,7 +179,7 @@ fn sweep_exchange(px: u16, py: u16, leg: u64, seeds: impl Iterator<Item = u64>, 
 /// The `n`-rank butterfly under every plan seed in `seeds`: it must
 /// complete with the bit-exact rank-ordered sum, no sooner than the
 /// fault-free run, and replay identically.
-fn sweep_gsum(n: usize, seeds: impl Iterator<Item = u64>, replays: usize) {
+fn sweep_gsum(n: usize, seeds: impl Iterator<Item = u64>, replays: usize, digest: &mut Digest) {
     let host = HostParams::default();
     // Sixteenths in ±128: every summation order gives the same bits.
     let values: Vec<f64> = (0..n)
@@ -154,6 +191,7 @@ fn sweep_gsum(n: usize, seeds: impl Iterator<Item = u64>, replays: usize) {
     for seed in seeds {
         let run = || measure_gsum_faulty(host, &values, &sweep_plan(seed));
         let (g, counters) = run();
+        digest.run(g.elapsed.as_ps(), &counters);
         assert_eq!(
             g.value.to_bits(),
             exact,
@@ -181,28 +219,45 @@ fn sweep_gsum(n: usize, seeds: impl Iterator<Item = u64>, replays: usize) {
 
 #[test]
 fn fault_plan_seed_sweep_small_legs_and_gsum() {
-    sweep_exchange(4, 4, 256, 0..150, 1);
+    let d = &mut Digest::new();
+    sweep_exchange(4, 4, 256, 0..150, 1, d);
     for n in [2, 4, 8, 16] {
-        sweep_gsum(n, 0..150, 1);
+        sweep_gsum(n, 0..150, 1, d);
     }
+}
+
+/// The same 750 runs against values recorded once (at the commit before
+/// the protocol nodes were restructured), not against themselves: any
+/// change to a simulated time or a recovery counter of any of them moves
+/// the digest, and has to be re-pinned on purpose.
+#[test]
+fn fault_sweep_matches_the_pinned_digest() {
+    let mut d = Digest::new();
+    sweep_exchange(4, 4, 256, 0..150, 0, &mut d);
+    for n in [2, 4, 8, 16] {
+        sweep_gsum(n, 0..150, 0, &mut d);
+    }
+    assert_eq!(d.0, 0x0792_b5e1_7333_4734, "{:#018x}", d.0);
 }
 
 #[test]
 fn fault_plan_seed_sweep_large_legs() {
+    let d = &mut Digest::new();
     let seeds = (0..150).step_by(10).chain([34, 39, 86, 90, 97, 100]);
-    sweep_exchange(4, 4, 4096, seeds, 1);
-    sweep_exchange(2, 2, 4096, 138..139, 1);
+    sweep_exchange(4, 4, 4096, seeds, 1, d);
+    sweep_exchange(2, 2, 4096, 138..139, 1, d);
 }
 
 #[test]
 #[ignore = "about a minute in release; scripts/check.sh runs it"]
 fn fault_plan_seed_sweep_full() {
+    let d = &mut Digest::new();
     for (px, py) in [(2, 2), (4, 4)] {
         for leg in [256, 4096, 16384] {
-            sweep_exchange(px, py, leg, 0..2000, 0);
+            sweep_exchange(px, py, leg, 0..2000, 0, d);
         }
     }
     for n in [2, 4, 8, 16] {
-        sweep_gsum(n, 0..2000, 0);
+        sweep_gsum(n, 0..2000, 0, d);
     }
 }
