@@ -24,6 +24,7 @@
 use crate::network::ArcticNetwork;
 use crate::router::{RouterActor, PORTS};
 use hyades_des::{ActorId, SimDuration, SimTime, Simulator};
+use hyades_telemetry::export::escape;
 use hyades_telemetry::prom::{fixed, PromText};
 use hyades_telemetry::sampler::{self, SampleSet, SamplerActor};
 use std::fmt::Write as _;
@@ -318,7 +319,7 @@ impl FabricReport {
             o,
             "{{\n  \"run\": \"{}\",\n  \"seed\": {seed},\n  \"n_endpoints\": {},\n  \
              \"interval_us\": {},\n  \"ticks\": {},\n  \"hotspot_occ_p99_threshold\": {},\n",
-            json_escape(run),
+            escape(run),
             self.n_endpoints,
             fixed(self.interval_us),
             self.ticks,
@@ -331,7 +332,7 @@ impl FabricReport {
                 "    {{\"link\": \"{}\", \"samples\": {}, \"util_mean\": {}, \
                  \"occ_mean\": {}, \"occ_p99\": {}, \"occ_max\": {}, \"stalls\": {}, \
                  \"stall_us\": {}, \"packets\": {}, \"bytes\": {}}}{}\n",
-                json_escape(&l.entity),
+                escape(&l.entity),
                 l.samples,
                 fixed(l.util_mean),
                 fixed(l.occ_mean),
@@ -350,7 +351,7 @@ impl FabricReport {
                 o,
                 "    {{\"link\": \"{}\", \"occ_p99\": {}, \"util_mean\": {}, \
                  \"stall_us\": {}, \"flows\": [",
-                json_escape(&h.entity),
+                escape(&h.entity),
                 fixed(h.occ_p99),
                 fixed(h.util_mean),
                 fixed(h.stall_us),
@@ -394,22 +395,6 @@ impl FabricReport {
                 self.json_manifest(run, seed),
             )
     }
-}
-
-/// Minimal JSON string escaping for entity labels and run names.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

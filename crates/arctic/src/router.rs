@@ -216,11 +216,6 @@ impl RouterActor {
         (p.stalls, p.stall_ps)
     }
 
-    /// Total link-busy picoseconds per port.
-    pub fn port_busy_ps(&self, port: usize) -> u64 {
-        self.ports[port].busy_ps
-    }
-
     /// Per-flow grant counts for a port, in (src, dst) order. Populated
     /// only while the sampler observatory is installed.
     pub fn port_flows(&self, port: usize) -> Vec<((u16, u16), u64)> {

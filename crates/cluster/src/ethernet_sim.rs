@@ -218,10 +218,6 @@ impl EthernetSim {
         self.n
     }
 
-    pub fn switch_actor(&self) -> ActorId {
-        self.switch
-    }
-
     /// Inject a frame from outside the simulation: it reaches the switch
     /// after its own injection-link serialization (store-and-forward).
     pub fn inject_at(&self, sim: &mut Simulator, at: SimTime, mut frame: EtherFrame) {

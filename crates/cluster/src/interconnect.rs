@@ -27,14 +27,21 @@ pub struct ExchangeShape {
 }
 
 impl ExchangeShape {
-    /// Exchange for a square `edge × edge` tile with 4 neighbors: two legs
-    /// (send + receive turn) per neighbor, each `edge × halo × levels ×
-    /// elem_bytes`.
-    pub fn square_tile(edge: u32, halo: u32, levels: u32, elem_bytes: u32) -> Self {
-        let bytes = (edge * halo * levels * elem_bytes) as u64;
+    /// Exchange for a `tx × ty` tile with 4 neighbors: two legs (send +
+    /// receive turn) per neighbor, x-direction neighbors first. An
+    /// x-direction leg carries a `ty`-long edge, `ty × halo × levels ×
+    /// elem_bytes`; a y-direction leg a `tx`-long one.
+    pub fn tile(tx: u32, ty: u32, halo: u32, levels: u32, elem_bytes: u32) -> Self {
+        let x = (ty * halo * levels * elem_bytes) as u64;
+        let y = (tx * halo * levels * elem_bytes) as u64;
         ExchangeShape {
-            legs: vec![bytes; 8],
+            legs: vec![x, x, x, x, y, y, y, y],
         }
+    }
+
+    /// [`ExchangeShape::tile`] for a square `edge × edge` tile.
+    pub fn square_tile(edge: u32, halo: u32, levels: u32, elem_bytes: u32) -> Self {
+        Self::tile(edge, edge, halo, levels, elem_bytes)
     }
 
     /// Exchange for a strip decomposition (tiles span the full x extent):

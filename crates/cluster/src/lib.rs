@@ -2,11 +2,6 @@
 //!
 //! Models the machines of the SC'99 paper's evaluation:
 //!
-//! * [`node`] — the dual-processor SMP nodes (400-MHz Pentium II, shared
-//!   memory semaphores, per-phase sustained floating-point rates measured by
-//!   the paper's stand-alone kernels: 50 MFlop/s in PS, 60 MFlop/s in DS).
-//! * [`hyades`] — the sixteen-SMP cluster assembly: nodes + StarT-X NIUs +
-//!   the Arctic fabric, with the cost/configuration facts of §2.
 //! * [`interconnect`] — the analytic primitive-cost interface the
 //!   performance model consumes: the cost of a global sum, a halo exchange,
 //!   a barrier, and a point-to-point leg on a given interconnect.
@@ -25,11 +20,7 @@
 
 pub mod ethernet;
 pub mod ethernet_sim;
-pub mod hyades;
 pub mod interconnect;
 pub mod machines;
-pub mod node;
 
-pub use hyades::HyadesCluster;
 pub use interconnect::{ExchangeShape, Interconnect};
-pub use node::{CpuPerf, SmpNode};

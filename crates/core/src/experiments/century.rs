@@ -12,7 +12,7 @@
 use hyades_cluster::interconnect::{ExchangeShape, Interconnect};
 use hyades_comms::measured::simulated_arctic_model;
 use hyades_perf::model::{paper_atmosphere, PerfModel};
-use hyades_perf::params::{DsParams, PsParams};
+use hyades_perf::params::{paper_ds, paper_ocean_ps, DsParams, PsParams};
 
 /// The 1° ocean: 360×160 columns (walls poleward of ±80°), 15 levels, on
 /// 8 endpoints (4×2 tiles of 90×80), both SMP processors working per
@@ -21,31 +21,22 @@ use hyades_perf::params::{DsParams, PsParams};
 pub fn ocean_1deg_model() -> PerfModel {
     let net = simulated_arctic_model();
     let (tx, ty, levels) = (90u32, 80u32, 15u32);
-    let ps_shape = ExchangeShape::from_legs(
-        vec![(ty * 3 * levels * 8) as u64; 4]
-            .into_iter()
-            .chain(vec![(tx * 3 * levels * 8) as u64; 4])
-            .collect(),
-    );
-    let ds_shape = ExchangeShape::from_legs(
-        vec![(ty * 8) as u64; 4]
-            .into_iter()
-            .chain(vec![(tx * 8) as u64; 4])
-            .collect(),
-    );
+    let ps_shape = ExchangeShape::tile(tx, ty, 3, levels, 8);
+    let ds_shape = ExchangeShape::tile(tx, ty, 1, 1, 8);
+    let (ps, ds) = (paper_ocean_ps(), paper_ds());
     PerfModel {
         ps: PsParams {
-            nps: 751.0,
             nxyz: (tx * ty * levels) as u64,
             texch_xyz_us: net.exchange_time(&ps_shape).as_us_f64(),
-            fps_mflops: 100.0, // both processors of the SMP
+            fps_mflops: 2.0 * ps.fps_mflops, // both processors of the SMP
+            ..ps
         },
         ds: DsParams {
-            nds: 36.0,
             nxy: (tx * ty) as u64,
             tgsum_us: net.smp_gsum_time(8).as_us_f64(),
             texch_xy_us: net.exchange_time(&ds_shape).as_us_f64(),
-            fds_mflops: 120.0,
+            fds_mflops: 2.0 * ds.fds_mflops,
+            ..ds
         },
     }
 }

@@ -11,7 +11,7 @@ use hyades_cluster::interconnect::{ExchangeShape, Interconnect};
 use hyades_cluster::machines::figure10_vector_rows;
 use hyades_comms::measured::simulated_arctic_model;
 use hyades_perf::model::PerfModel;
-use hyades_perf::params::{DsParams, PsParams};
+use hyades_perf::params::{paper_ds, paper_ocean_ps, DsParams, PsParams};
 use hyades_perf::report::Table;
 
 /// Paper's Hyades rows: (procs, sustained GFlop/s).
@@ -21,8 +21,9 @@ pub const PAPER_HYADES: [(u32, f64); 2] = [(1, 0.054), (16, 0.8)];
 /// one CPU, no communication — the harmonic mix of the PS and DS kernel
 /// rates weighted by their flop shares.
 pub fn hyades_single_proc_gflops() -> f64 {
-    let (nps, fps) = (751.0, 50.0e6);
-    let (nds, fds, ni) = (36.0, 60.0e6, 60.0);
+    let (ps, ds) = (paper_ocean_ps(), paper_ds());
+    let (nps, fps) = (ps.nps, ps.fps_mflops * 1e6);
+    let (nds, fds, ni) = (ds.nds, ds.fds_mflops * 1e6, 60.0);
     let cells = 128.0 * 64.0 * 15.0;
     let cols = 128.0 * 64.0;
     let flops = nps * cells + ni * nds * cols;
@@ -37,31 +38,21 @@ pub fn hyades_16proc_gflops() -> (f64, PerfModel) {
     let net = simulated_arctic_model();
     // 128×64 over a 4×4 process grid: 32×16 tiles, 15 levels.
     let (tx, ty, levels) = (32u32, 16u32, 15u32);
-    let ps_legs: Vec<u64> = vec![(ty * 3 * levels * 8) as u64; 4]
-        .into_iter()
-        .chain(vec![(tx * 3 * levels * 8) as u64; 4])
-        .collect();
-    let ds_legs: Vec<u64> = vec![(ty * 8) as u64; 4]
-        .into_iter()
-        .chain(vec![(tx * 8) as u64; 4])
-        .collect();
     let m = PerfModel {
         ps: PsParams {
-            nps: 751.0,
             nxyz: (tx * ty * levels) as u64,
             texch_xyz_us: net
-                .exchange_time(&ExchangeShape::from_legs(ps_legs))
+                .exchange_time(&ExchangeShape::tile(tx, ty, 3, levels, 8))
                 .as_us_f64(),
-            fps_mflops: 50.0,
+            ..paper_ocean_ps()
         },
         ds: DsParams {
-            nds: 36.0,
             nxy: (tx * ty) as u64,
             tgsum_us: net.gsum_time(16).as_us_f64(),
             texch_xy_us: net
-                .exchange_time(&ExchangeShape::from_legs(ds_legs))
+                .exchange_time(&ExchangeShape::tile(tx, ty, 1, 1, 8))
                 .as_us_f64(),
-            fds_mflops: 60.0,
+            ..paper_ds()
         },
     };
     (m.sustained_mflops(16, 60.0) / 1000.0, m)

@@ -11,6 +11,7 @@ use hyades_comms::measured::simulated_arctic_model;
 use hyades_perf::model::{paper_atmosphere, PerfModel};
 use hyades_perf::pfpp::{self, PfppRow};
 use hyades_perf::report::{mflops, us, Table};
+use std::fmt::Write as _;
 
 /// Paper's Figure 12 rows: (name, tgsum, texch_xy, texch_xyz, Pfpp_ps,
 /// Pfpp_ds) in µs / MFlop/s.
@@ -73,6 +74,21 @@ pub fn run() -> String {
         t.render(),
         ge_sum / budget,
     )
+}
+
+/// The rows as point data.
+pub fn csv() -> String {
+    let mut csv = String::from(
+        "interconnect,tgsum_us,texch_xy_us,texch_xyz_us,pfpp_ps_mflops,pfpp_ds_mflops\n",
+    );
+    for r in rows() {
+        let _ = writeln!(
+            csv,
+            "{},{:.2},{:.2},{:.2},{:.2},{:.2}",
+            r.name, r.tgsum_us, r.texch_xy_us, r.texch_xyz_us, r.pfpp_ps, r.pfpp_ds
+        );
+    }
+    csv
 }
 
 #[cfg(test)]

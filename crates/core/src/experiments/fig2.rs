@@ -3,6 +3,7 @@
 use hyades_perf::report::Table;
 use hyades_startx::logp::{figure2, LogPRow};
 use hyades_startx::HostParams;
+use std::fmt::Write as _;
 
 /// Paper values: (payload, Os, Or, RTT/2, L) in µs.
 pub const PAPER: [(u64, f64, f64, f64, f64); 2] =
@@ -39,6 +40,27 @@ pub fn run() -> String {
          (simulated fabric, 16 endpoints, worst-case 7-stage path)\n\n{}",
         t.render()
     )
+}
+
+/// The measured rows as point data, paper values alongside.
+pub fn csv() -> String {
+    let mut csv = String::from("payload_bytes,os_us,or_us,half_rtt_us,latency_us,paper_os,paper_or,paper_half_rtt,paper_latency\n");
+    for (row, paper) in measure().iter().zip(PAPER.iter()) {
+        let _ = writeln!(
+            csv,
+            "{},{:.3},{:.3},{:.3},{:.3},{},{},{},{}",
+            row.payload_bytes,
+            row.os.as_us_f64(),
+            row.or.as_us_f64(),
+            row.half_rtt.as_us_f64(),
+            row.latency.as_us_f64(),
+            paper.1,
+            paper.2,
+            paper.3,
+            paper.4
+        );
+    }
+    csv
 }
 
 #[cfg(test)]

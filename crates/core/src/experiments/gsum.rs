@@ -1,9 +1,15 @@
-//! E3 — §4.2: global-sum latencies and the least-squares fit.
+//! E3 — §4.2: global-sum latencies and the least-squares fit, and the
+//! algorithm choice behind them: the paper spends `N·log2 N` messages on a
+//! `log2 N`-latency butterfly where the conventional binary-tree reduce +
+//! broadcast sends `2(N−1)` over a `2·log2 N` critical path. On a
+//! latency-bound primitive called 2 × Ni times a model step the path
+//! length decides.
 
-use hyades_comms::gsum::latency_table;
+use hyades_comms::gsum::{latency_table, measure_gsum_tree};
 use hyades_perf::fit::log2_fit;
 use hyades_perf::report::Table;
 use hyades_startx::HostParams;
+use std::fmt::Write as _;
 
 /// Paper values: (N, plain µs, 2×N SMP µs).
 pub const PAPER: [(u16, f64, f64); 4] = [
@@ -36,10 +42,24 @@ pub fn measure() -> GsumReport {
     }
 }
 
+/// The comparator's latency (µs) for each `N` of [`PAPER`]: tree reduce to
+/// node 0, then broadcast back down (the operands do not move the time).
+pub fn measure_tree() -> Vec<f64> {
+    PAPER
+        .iter()
+        .map(|&(n, ..)| {
+            measure_gsum_tree(HostParams::default(), &vec![1.0; usize::from(n)])
+                .elapsed
+                .as_us_f64()
+        })
+        .collect()
+}
+
 pub fn run() -> String {
     let rep = measure();
     let mut t = Table::new(&["N-way", "t (us)", "paper", "2xN-way (us)", "paper"]);
-    for ((n, plain, smp), paper) in rep.rows.iter().zip(PAPER.iter()) {
+    let mut algo = Table::new(&["N-way", "butterfly (us)", "tree (us)", "tree/butterfly"]);
+    for (((n, plain, smp), paper), tree) in rep.rows.iter().zip(PAPER.iter()).zip(measure_tree()) {
         t.row(&[
             n.to_string(),
             format!("{plain:.1}"),
@@ -47,16 +67,40 @@ pub fn run() -> String {
             format!("{smp:.1}"),
             format!("{}", paper.2),
         ]);
+        algo.row(&[
+            n.to_string(),
+            format!("{plain:.1}"),
+            format!("{tree:.1}"),
+            format!("{:.2}x", tree / plain),
+        ]);
     }
     format!(
         "E3  Section 4.2: N-way global sum latency (simulated fabric)\n\n{}\n\
-         least-squares fit: t = {:.2}*log2(N) {:+.2} us   (paper: {}*log2(N) {:+})\n",
+         least-squares fit: t = {:.2}*log2(N) {:+.2} us   (paper: {}*log2(N) {:+})\n\n\
+         Section 4.2 ablation: butterfly vs tree reduce + broadcast\n\n{}",
         t.render(),
         rep.fit.0,
         rep.fit.1,
         PAPER_FIT.0,
-        PAPER_FIT.1
+        PAPER_FIT.1,
+        algo.render()
     )
+}
+
+/// The latencies as point data, paper values alongside; the fit rides as
+/// a trailing comment line.
+pub fn csv() -> String {
+    let rep = measure();
+    let mut csv = String::from("n,measured_us,measured_smp_us,paper_us,paper_smp_us\n");
+    for ((n, plain, smp), paper) in rep.rows.iter().zip(PAPER.iter()) {
+        let _ = writeln!(csv, "{n},{plain:.3},{smp:.3},{},{}", paper.1, paper.2);
+    }
+    let _ = writeln!(
+        csv,
+        "# fit: t = {:.3}*log2(N) + {:.3}",
+        rep.fit.0, rep.fit.1
+    );
+    csv
 }
 
 #[cfg(test)]

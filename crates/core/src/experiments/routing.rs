@@ -11,9 +11,24 @@
 use hyades_arctic::packet::UpRoute;
 use hyades_arctic::workload::{run_traffic, Pattern, TrafficResult};
 use hyades_perf::report::Table;
+use std::fmt::Write as _;
 
 const LOAD: f64 = 0.8;
 const WINDOW_US: f64 = 400.0;
+
+/// The traffic patterns of the study: (pattern, table label, CSV label).
+const PATTERNS: [(Pattern, &str, &str); 5] = [
+    (Pattern::NearestNeighbor, "nearest-neighbor", "nearest"),
+    (Pattern::Transpose, "transpose", "transpose"),
+    (Pattern::BitReverse, "bit-reverse", "bitreverse"),
+    (Pattern::UniformRandom, "uniform random", "uniform"),
+    (Pattern::Hotspot, "hotspot", "hotspot"),
+];
+
+const UPROUTES: [(UpRoute, &str); 2] = [
+    (UpRoute::SourceSpread, "deterministic"),
+    (UpRoute::Random, "random"),
+];
 
 pub fn measure(pattern: Pattern, uproute: UpRoute, seed: u64) -> TrafficResult {
     run_traffic(16, pattern, uproute, LOAD, WINDOW_US, seed)
@@ -28,18 +43,8 @@ pub fn run() -> String {
         "% offered",
         "mean latency (us)",
     ]);
-    let cases = [
-        (Pattern::NearestNeighbor, "nearest-neighbor"),
-        (Pattern::Transpose, "transpose"),
-        (Pattern::BitReverse, "bit-reverse"),
-        (Pattern::UniformRandom, "uniform random"),
-        (Pattern::Hotspot, "hotspot"),
-    ];
-    for (i, (p, name)) in cases.iter().enumerate() {
-        for (up, upname) in [
-            (UpRoute::SourceSpread, "deterministic"),
-            (UpRoute::Random, "random"),
-        ] {
+    for (i, (p, name, _)) in PATTERNS.iter().enumerate() {
+        for (up, upname) in UPROUTES {
             let r = measure(*p, up, 10 + i as u64);
             t.row(&[
                 name.to_string(),
@@ -59,6 +64,26 @@ pub fn run() -> String {
         LOAD * 100.0,
         t.render()
     )
+}
+
+/// Delivered bandwidth and latency of every case as point data. Seeds are
+/// 100 + pattern index (the table's are 10 +): the ones the digest pinned
+/// in `tests/determinism.rs` was generated with.
+pub fn csv() -> String {
+    let mut csv = String::from("pattern,uproute,delivered_mbs,mean_latency_us,max_latency_us\n");
+    for (i, (p, _, name)) in PATTERNS.iter().enumerate() {
+        for (up, upname) in UPROUTES {
+            let r = measure(*p, up, 100 + i as u64);
+            let _ = writeln!(
+                csv,
+                "{name},{upname},{:.1},{:.2},{:.2}",
+                r.delivered_mbyte_per_sec,
+                r.latency.mean(),
+                r.latency.max()
+            );
+        }
+    }
+    csv
 }
 
 #[cfg(test)]

@@ -27,6 +27,7 @@ use hyades_gcm::coupler::CoupledModel;
 use hyades_gcm::decomp::Decomp;
 use hyades_gcm::driver::Model;
 use hyades_gcm::grid::{stretched_levels, Grid};
+use hyades_gcm::halo::exchange_leg_bytes;
 use hyades_gcm::monitor::{RunMonitor, SentinelConfig};
 use hyades_gcm::resilient::ResilientRunner;
 use hyades_perf::model::PerfModel;
@@ -260,21 +261,15 @@ fn run_microbench(seed: u64) -> (RankTelemetry, String) {
 /// decomposition: `nz` levels, the run's measured flop coefficients, and
 /// the same interconnect cost model `TimedWorld` charged against.
 fn model_for(net: &dyn Interconnect, nz: usize, inputs: ModelInputs) -> PerfModel {
-    let (tx, ty) = (NX / PX, NY / PY);
-    let elem = 8u64;
-    // One 3-D field exchange: x phase moves width-3 strips to 2 neighbors
-    // (send + receive legs each), then y phase moves halo-widened rows.
-    let xleg3 = (3 * ty * nz) as u64 * elem;
-    let yleg3 = ((tx + 6) * 3 * nz) as u64 * elem;
-    let texch_xyz = net.exchange_time(&ExchangeShape::from_legs(vec![
-        xleg3, xleg3, xleg3, xleg3, yleg3, yleg3, yleg3, yleg3,
-    ]));
-    // One 2-D field exchange, width 1.
-    let xleg2 = ty as u64 * elem;
-    let yleg2 = (tx + 2) as u64 * elem;
-    let texch_xy = net.exchange_time(&ExchangeShape::from_legs(vec![
-        xleg2, xleg2, xleg2, xleg2, yleg2, yleg2, yleg2, yleg2,
-    ]));
+    let tile = Decomp::blocks(NX, NY, PX, PY, 3).tile(0);
+    // One field exchange: x phase moves strips to 2 neighbors (send +
+    // receive legs each), then y phase moves halo-widened rows.
+    let exch = |levels: usize, width: usize| {
+        let (x, y) = exchange_leg_bytes(&tile, levels, width);
+        net.exchange_time(&ExchangeShape::from_legs(vec![x, x, x, x, y, y, y, y]))
+    };
+    // 3-D fields go at width 3, 2-D fields at width 1.
+    let (texch_xyz, texch_xy) = (exch(nz, 3), exch(1, 1));
     PerfModel {
         ps: PsParams {
             nps: inputs.nps,

@@ -203,11 +203,6 @@ impl ModelConfig {
         }
     }
 
-    /// Number of tracer fields carried (θ plus the second tracer).
-    pub fn n_tracers(&self) -> usize {
-        2
-    }
-
     /// Sanity-check time-step stability limits (advisory; returns the most
     /// restrictive CFL-style ratio, which should be < 1).
     pub fn stability_ratio(&self, max_speed: f64) -> f64 {

@@ -428,22 +428,6 @@ impl Model {
         };
         (nps, nds)
     }
-
-    /// The tile's surface level of a field as (global_i, global_j, value)
-    /// triples — diagnostics/coupling helper.
-    pub fn surface_theta(&self) -> Vec<(i64, i64, f64)> {
-        let mut out = Vec::new();
-        for j in 0..self.tile.ny as i64 {
-            for i in 0..self.tile.nx as i64 {
-                out.push((
-                    self.tile.gx(i),
-                    self.tile.gy(j),
-                    self.state.theta.at(i, j, 0),
-                ));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]

@@ -212,9 +212,9 @@ pub fn exchange2(
     exchange(world, decomp, tile, fields, width);
 }
 
-/// Bytes one rank moves per exchange of the given fields (both directions,
-/// all neighbors) — used by the time-charging executor to cost the
-/// primitive.
+/// Bytes of one x-direction and one y-direction leg of a `width`-wide
+/// exchange of one `levels`-deep field — what `core::tour` prices the
+/// analytical model's `texch` with.
 pub fn exchange_leg_bytes(tile: &Tile, levels: usize, width: usize) -> (u64, u64) {
     // x legs carry (width × ny) columns, y legs (width × (nx + 2w)).
     let x = (width * tile.ny * levels * 8) as u64;

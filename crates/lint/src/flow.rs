@@ -23,12 +23,11 @@
 //!    `Det` — the catalog covers the nondeterministic std surface at
 //!    the call site itself.
 //! 3. **Sink check.** Declared sinks — comms reductions, telemetry
-//!    exporters, the DES trace dump, bench artifact writers — must end
+//!    exporters, the DES trace dump — must end
 //!    `Det` or `DetModuloSeed`. A sink that transitively reaches
 //!    `Nondet` code outside test scope is a `nondet-reachable` finding
 //!    carrying the witness call chain. Test-scope functions (`tests/`,
-//!    `benches/`, `#[cfg(test)]`) are never resolved as callees of
-//!    non-test code.
+//!    `#[cfg(test)]`) are never resolved as callees of non-test code.
 //!
 //! Escape hatches, both audited: a `lint:allow(rule, why)` pragma on a
 //! source line removes that source from the catalog (same attribution
@@ -42,8 +41,7 @@ use crate::graph::Workspace;
 use crate::lexer::TokKind;
 use crate::passes::{self, FileCtx};
 use crate::rules::{
-    for_in_subject, Finding, FLOAT_REDUCE_UNORDERED, HASH_ITERATION, INSTANT_WALLCLOCK,
-    ITERATION_METHODS, NONDET_REACHABLE, PAR_METHODS, UNSEEDED_RNG,
+    source_at, Finding, Source, FLOAT_REDUCE_UNORDERED, NONDET_REACHABLE, PAR_METHODS,
 };
 use std::collections::BTreeSet;
 
@@ -80,9 +78,8 @@ pub struct SinkSpec {
 }
 
 /// The workspace sink list: every function whose result is published as
-/// a paper artefact or feeds one (reductions, exporters, traces, bench
-/// JSON). `lint_workspace` proves each reaches only `Det` /
-/// `DetModuloSeed` code.
+/// a paper artefact or feeds one (reductions, exporters, traces).
+/// `lint_workspace` proves each reaches only `Det` / `DetModuloSeed` code.
 pub const WORKSPACE_SINKS: &[SinkSpec] = &[
     SinkSpec {
         name: "exchange",
@@ -286,44 +283,32 @@ pub fn analyze(sources: &[(String, String)], sinks: &[SinkSpec]) -> FlowReport {
 
 /// The intrinsic-source catalog: does token `i` read nondeterminism (or
 /// seed-scoped determinism) into the enclosing function? Returns
-/// (effect, description, suppressing per-file rule if one exists).
+/// (effect, description, suppressing per-file rule if one exists). The
+/// sources a per-file rule also flags come from [`source_at`]; thread
+/// identity, environment reads, atomics, parallel iterators and the
+/// seeded RNG are known only here.
 fn detect_source(
     ctx: &FileCtx<'_>,
     i: usize,
     hash_names: &BTreeSet<String>,
 ) -> Option<(Effect, String, Option<&'static str>)> {
     let t = &ctx.code[i];
-    let bench = ctx.scope.crate_name.as_deref() == Some("bench");
+    if let Some(source) = source_at(ctx, i, hash_names) {
+        let what = match source {
+            // The type's own name: `time::Instant` and `Instant::now` both
+            // read `Instant`.
+            Source::Wallclock(_) => format!("wall-clock `{}`", t.text),
+            Source::Rng(tok) => format!("unseeded RNG `{tok}`"),
+            Source::HashMethod(recv, method) => {
+                format!("hash-container iteration `{recv}.{method}()`")
+            }
+            Source::HashFor(_, name) => format!("hash-container iteration `for .. in {name}`"),
+        };
+        return Some((Effect::Nondet, what, Some(source.rule())));
+    }
     let dotted = i >= 1 && ctx.is(i - 1, ".");
     let pathed = |seg: &str| i >= 2 && ctx.is(i - 1, "::") && ctx.is_ident(i - 2, seg);
     match t.text {
-        // Wall-clock (crates/bench is exempt, mirroring instant-wallclock).
-        "SystemTime" if !bench => Some((
-            Effect::Nondet,
-            "wall-clock `SystemTime`".to_string(),
-            Some(INSTANT_WALLCLOCK),
-        )),
-        "Instant"
-            if !bench
-                && (pathed("time") || (ctx.is(i + 1, "::") && ctx.is_ident(i + 2, "now"))) =>
-        {
-            Some((
-                Effect::Nondet,
-                "wall-clock `Instant`".to_string(),
-                Some(INSTANT_WALLCLOCK),
-            ))
-        }
-        // Unseeded randomness.
-        "thread_rng" | "from_entropy" => Some((
-            Effect::Nondet,
-            format!("unseeded RNG `{}`", t.text),
-            Some(UNSEEDED_RNG),
-        )),
-        "random" if pathed("rand") => Some((
-            Effect::Nondet,
-            "unseeded RNG `rand::random`".to_string(),
-            Some(UNSEEDED_RNG),
-        )),
         // Thread identity.
         "current" if pathed("thread") => Some((
             Effect::Nondet,
@@ -366,37 +351,12 @@ fn detect_source(
             format!("seeded RNG `{}`", t.text),
             None,
         )),
-        // `for x in hash_container` iteration.
-        "for" => {
-            let (idx, name) = for_in_subject(ctx, i)?;
-            (hash_names.contains(name) && !ctx.is(idx + 1, ".")).then(|| {
-                (
-                    Effect::Nondet,
-                    format!("hash-container iteration `for .. in {name}`"),
-                    Some(HASH_ITERATION),
-                )
-            })
-        }
         // `.par_iter()` family: scheduling-dependent order.
         m if PAR_METHODS.contains(&m) && dotted => Some((
             Effect::Nondet,
             format!("parallel iterator `.{m}()`"),
             Some(FLOAT_REDUCE_UNORDERED),
         )),
-        // `hash_recv.iter()` family.
-        m if ITERATION_METHODS.contains(&m)
-            && dotted
-            && ctx.is(i + 1, "(")
-            && i >= 2
-            && ctx.kind(i - 2) == Some(TokKind::Ident)
-            && hash_names.contains(ctx.text(i - 2)) =>
-        {
-            Some((
-                Effect::Nondet,
-                format!("hash-container iteration `{}.{m}()`", ctx.text(i - 2)),
-                Some(HASH_ITERATION),
-            ))
-        }
         _ => None,
     }
 }

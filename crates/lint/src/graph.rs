@@ -17,9 +17,9 @@
 //! tail; `recv.name(..)` uses the receiver type inferred from
 //! parameters, `let` bindings seen so far in token order, and `self`,
 //! falling back to *every* same-named method when the type is unknown
-//! (sound for dynamic dispatch). Test scope (`tests/`, `benches/`,
-//! `#[cfg(test)]`) is never a callee of non-test code, and a function is
-//! never its own candidate.
+//! (sound for dynamic dispatch). Test scope (`tests/`, `#[cfg(test)]`)
+//! is never a callee of non-test code, and a function is never its own
+//! candidate.
 
 use crate::lexer::TokKind;
 use crate::passes::{FileCtx, TrustPragma, TrustSpec};
@@ -38,15 +38,15 @@ pub fn starts_upper(s: &str) -> bool {
     s.chars().next().is_some_and(|c| c.is_ascii_uppercase())
 }
 
-/// Integration tests, benches, and `#[cfg(test)]` bodies are test scope:
-/// they may be nondeterministic setup and are never callees of lib code.
+/// Integration tests and `#[cfg(test)]` bodies are test scope: they may
+/// be nondeterministic setup and are never callees of lib code.
 fn is_test_path(rel: &str) -> bool {
-    rel.starts_with("tests/") || rel.contains("/tests/") || rel.contains("/benches/")
+    rel.starts_with("tests/") || rel.contains("/tests/")
 }
 
 /// Module path for qualification, derived from the file path:
 /// `crates/comms/src/world.rs` → `comms::world`,
-/// `crates/bench/src/bin/export_figures.rs` → `bench::bin::export_figures`,
+/// `crates/lint/src/main.rs` → `lint`,
 /// `src/lib.rs` → `hyades`, `tests/determinism.rs` → `tests::determinism`.
 fn module_path(rel: &str) -> String {
     let stem = rel.strip_suffix(".rs").unwrap_or(rel);
@@ -379,7 +379,7 @@ pub struct FnRec<'a> {
     pub body: (usize, usize),
     /// Enclosing `impl` / `trait` subject.
     pub self_ty: Option<&'a str>,
-    /// Under `tests/`, `benches/`, or a `#[cfg(test)]` item.
+    /// Under `tests/` or a `#[cfg(test)]` item.
     pub is_test: bool,
     /// Positional parameter names; see [`param_names`] for patterns.
     pub params: Vec<&'a str>,
@@ -789,10 +789,7 @@ mod tests {
             module_path("crates/des/src/experiments/mod.rs"),
             "des::experiments"
         );
-        assert_eq!(
-            module_path("crates/bench/src/bin/export_figures.rs"),
-            "bench::bin::export_figures"
-        );
+        assert_eq!(module_path("crates/lint/src/main.rs"), "lint");
         assert_eq!(module_path("src/lib.rs"), "hyades");
         assert_eq!(module_path("tests/determinism.rs"), "tests::determinism");
         assert_eq!(

@@ -390,7 +390,7 @@ mod tests {
         );
     }
 
-    /// Acceptance criterion: a fixture with a deliberate `thread_rng()`
+    /// Acceptance check: a fixture with a deliberate `thread_rng()`
     /// (and friends) must be caught when fed through the analyzer.
     #[test]
     fn fixture_with_thread_rng_is_caught() {

@@ -18,7 +18,7 @@ pub struct FileScope {
     /// `Some("des")` for `crates/des/...`.
     pub crate_name: Option<String>,
     /// Under a `src/` directory (library code), as opposed to
-    /// `tests/`, `benches/`, or the workspace `examples/`.
+    /// `tests/` or the workspace `examples/`.
     pub in_src: bool,
 }
 
@@ -149,8 +149,6 @@ pub struct FileCtx<'a> {
     /// For each closer token index, the opener index (and vice versa);
     /// `usize::MAX` elsewhere.
     partner: Vec<usize>,
-    /// Indexed by 1-based line: does it carry at least one code token?
-    lines_with_code: Vec<bool>,
 }
 
 impl<'a> FileCtx<'a> {
@@ -158,6 +156,7 @@ impl<'a> FileCtx<'a> {
         let all = lex(source);
         let mut code = Vec::new();
         let mut comments = Vec::new();
+        // Indexed by 1-based line: does it carry at least one code token?
         let mut lines_with_code: Vec<bool> = Vec::new();
         for t in all {
             if matches!(t.kind, TokKind::Comment | TokKind::DocComment) {
@@ -187,7 +186,6 @@ impl<'a> FileCtx<'a> {
             trusted,
             uniform_trusted,
             partner,
-            lines_with_code,
         }
     }
 
@@ -213,11 +211,6 @@ impl<'a> FileCtx<'a> {
     /// 1-based line of token `i`.
     pub fn line(&self, i: usize) -> usize {
         self.code.get(i).map(|t| t.line as usize).unwrap_or(0)
-    }
-
-    /// Does line `l` (1-based) carry any code token?
-    pub fn line_has_code(&self, l: usize) -> bool {
-        has_code(&self.lines_with_code, l)
     }
 
     /// Line of the reasoned `lint:allow(rule, why)` pragma covering

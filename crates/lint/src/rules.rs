@@ -4,7 +4,7 @@
 //!
 //! | rule                    | scope                                   | forbids                                        |
 //! |-------------------------|-----------------------------------------|------------------------------------------------|
-//! | `instant-wallclock`     | everywhere except `crates/bench`        | `std::time::Instant`, `Instant::now`, `SystemTime` |
+//! | `instant-wallclock`     | everywhere                              | `std::time::Instant`, `Instant::now`, `SystemTime` |
 //! | `unseeded-rng`          | everywhere                              | `thread_rng`, `from_entropy`, `rand::random`   |
 //! | `hash-iteration`        | `des`, `arctic`, `comms`, `cluster`, `telemetry` | iterating `HashMap`/`HashSet` (keyed lookup ok)|
 //! | `f32-in-gcm`            | `crates/gcm/src`                        | the `f32` type (the model is 64-bit)           |
@@ -23,6 +23,7 @@
 
 use crate::lexer::TokKind;
 use crate::passes::FileCtx;
+use std::collections::BTreeSet;
 use std::fmt;
 
 pub const INSTANT_WALLCLOCK: &str = "instant-wallclock";
@@ -40,7 +41,7 @@ pub const UNUSED_PRAGMA: &str = "unused-pragma";
 /// `baseline.txt` (see `lint_workspace`). Not suppressible.
 pub const PRAGMA_ALLOW: &str = "pragma-allow";
 /// Interprocedural rule ([`crate::flow`]): a declared sink (comms
-/// reduction, telemetry exporter, DES trace, bench writer) transitively
+/// reduction, telemetry exporter, DES trace) transitively
 /// reaches a `Nondet`-classified function. Suppressible at the sink's
 /// definition line and ratchetable via `baseline.txt`.
 pub const NONDET_REACHABLE: &str = "nondet-reachable";
@@ -118,9 +119,7 @@ struct Raw {
 type Pass = fn(&FileCtx<'_>, &mut Vec<Raw>);
 
 const PASSES: &[Pass] = &[
-    pass_wallclock,
-    pass_rng,
-    pass_hash_iteration,
+    pass_sources,
     pass_f32_in_gcm,
     pass_unwrap_in_lib,
     pass_float_reduce,
@@ -136,73 +135,73 @@ fn event_ordering_crate(ctx: &FileCtx<'_>) -> bool {
     )
 }
 
-/// R1: wall-clock time outside the benchmark crate breaks replayability
-/// of anything it touches.
-fn pass_wallclock(ctx: &FileCtx<'_>, out: &mut Vec<Raw>) {
-    if ctx.scope.crate_name.as_deref() == Some("bench") {
-        return;
-    }
-    let mut last_line = 0usize;
-    for i in 0..ctx.code.len() {
-        let t = &ctx.code[i];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let hit = match t.text {
-            "SystemTime" => Some("SystemTime"),
-            "Instant" if i >= 2 && ctx.is(i - 1, "::") && ctx.is_ident(i - 2, "time") => {
-                Some("time::Instant")
-            }
-            "Instant" if ctx.is(i + 1, "::") && ctx.is_ident(i + 2, "now") => Some("Instant::now"),
-            _ => None,
-        };
-        if let Some(tok) = hit {
-            let line = ctx.line(i);
-            if line != last_line {
-                out.push(Raw {
-                    line,
-                    rule: INSTANT_WALLCLOCK,
-                    message: format!(
-                        "wall-clock `{tok}` outside crates/bench; simulated time only"
-                    ),
-                });
-                last_line = line;
-            }
+/// A token that reads nondeterminism the per-file rules can name: the
+/// one catalogue [`pass_sources`] turns into `instant-wallclock`,
+/// `unseeded-rng` and `hash-iteration` findings and [`crate::flow`] reads
+/// as intrinsic `Nondet` sources.
+pub(crate) enum Source<'a> {
+    /// `SystemTime`, `time::Instant` or `Instant::now`, as spelled.
+    Wallclock(&'static str),
+    /// `thread_rng`, `from_entropy` or `rand::random`.
+    Rng(&'static str),
+    /// `recv.method()`: one of [`ITERATION_METHODS`] on a hash container.
+    HashMethod(&'a str, &'a str),
+    /// `for … in [&[mut ]][self.]name` over a hash container, with the
+    /// token index of `name`.
+    HashFor(usize, &'a str),
+}
+
+impl Source<'_> {
+    /// The per-file rule that flags the token, whose `lint:allow` also
+    /// removes it from `flow`'s catalogue.
+    pub(crate) fn rule(&self) -> &'static str {
+        match self {
+            Source::Wallclock(_) => INSTANT_WALLCLOCK,
+            Source::Rng(_) => UNSEEDED_RNG,
+            Source::HashMethod(..) | Source::HashFor(..) => HASH_ITERATION,
         }
     }
 }
 
-/// R2: unseeded randomness is nondeterminism by construction.
-fn pass_rng(ctx: &FileCtx<'_>, out: &mut Vec<Raw>) {
-    for i in 0..ctx.code.len() {
-        let t = &ctx.code[i];
-        if t.kind != TokKind::Ident {
-            continue;
+/// Is identifier token `i` a [`Source`]? `hash_names` are the names bound
+/// to a `HashMap` / `HashSet` in the file (keyed access — `get`, `insert`,
+/// `remove`, `contains_key`, indexing — is fine; iteration is not).
+pub(crate) fn source_at<'a>(
+    ctx: &FileCtx<'a>,
+    i: usize,
+    hash_names: &BTreeSet<String>,
+) -> Option<Source<'a>> {
+    let pathed = |seg: &str| i >= 2 && ctx.is(i - 1, "::") && ctx.is_ident(i - 2, seg);
+    match ctx.code[i].text {
+        "SystemTime" => Some(Source::Wallclock("SystemTime")),
+        "Instant" if pathed("time") => Some(Source::Wallclock("time::Instant")),
+        "Instant" if ctx.is(i + 1, "::") && ctx.is_ident(i + 2, "now") => {
+            Some(Source::Wallclock("Instant::now"))
         }
-        let hit = match t.text {
-            "thread_rng" => Some("thread_rng"),
-            "from_entropy" => Some("from_entropy"),
-            "random" if i >= 2 && ctx.is(i - 1, "::") && ctx.is_ident(i - 2, "rand") => {
-                Some("rand::random")
-            }
-            _ => None,
-        };
-        if let Some(tok) = hit {
-            out.push(Raw {
-                line: ctx.line(i),
-                rule: UNSEEDED_RNG,
-                message: format!(
-                    "unseeded RNG `{tok}`; use hyades_des::rng::SplitMix64 with an explicit seed"
-                ),
-            });
+        "thread_rng" => Some(Source::Rng("thread_rng")),
+        "from_entropy" => Some(Source::Rng("from_entropy")),
+        "random" if pathed("rand") => Some(Source::Rng("rand::random")),
+        "for" => {
+            let (idx, name) = for_in_subject(ctx, i)?;
+            (hash_names.contains(name) && !ctx.is(idx + 1, "."))
+                .then_some(Source::HashFor(idx, name))
         }
+        m if i >= 2
+            && ctx.is(i - 1, ".")
+            && ctx.is(i + 1, "(")
+            && ctx.kind(i - 2) == Some(TokKind::Ident)
+            && hash_names.contains(ctx.text(i - 2))
+            && ITERATION_METHODS.contains(&m) =>
+        {
+            Some(Source::HashMethod(ctx.text(i - 2), m))
+        }
+        _ => None,
     }
 }
 
 /// Methods on a hash container whose results depend on hash-iteration
-/// order. Keyed access (`get`, `insert`, `remove`, `contains_key`,
-/// indexing) is fine.
-pub(crate) const ITERATION_METHODS: &[&str] = &[
+/// order.
+const ITERATION_METHODS: &[&str] = &[
     "iter",
     "iter_mut",
     "keys",
@@ -215,56 +214,65 @@ pub(crate) const ITERATION_METHODS: &[&str] = &[
     "into_values",
 ];
 
-/// R3: hash-iteration order can leak into event ordering.
-fn pass_hash_iteration(ctx: &FileCtx<'_>, out: &mut Vec<Raw>) {
-    if !event_ordering_crate(ctx) {
-        return;
-    }
-    let names = ctx.bound_names(&["HashMap", "HashSet"]);
-    if names.is_empty() {
-        return;
-    }
+/// R1–R3, one finding per [`Source`] token. R1: wall-clock time breaks
+/// replayability of anything it touches (the one benchmark, `hbench/`, is
+/// a workspace of its own and not scanned). R2: unseeded randomness is
+/// nondeterminism by construction. R3: hash-iteration order can leak
+/// into event ordering, so it is flagged in the event-ordering crates.
+fn pass_sources(ctx: &FileCtx<'_>, out: &mut Vec<Raw>) {
+    let names = if event_ordering_crate(ctx) {
+        ctx.bound_names(&["HashMap", "HashSet"])
+    } else {
+        BTreeSet::new()
+    };
+    let mut last_wallclock_line = 0usize;
     for i in 0..ctx.code.len() {
-        let t = &ctx.code[i];
-        // `recv.iter()` and friends.
-        if t.kind == TokKind::Ident
-            && ITERATION_METHODS.contains(&t.text)
-            && i >= 2
-            && ctx.is(i - 1, ".")
-            && ctx.is(i + 1, "(")
-            && ctx.kind(i - 2) == Some(TokKind::Ident)
-            && names.contains(ctx.text(i - 2))
-        {
-            out.push(Raw {
-                line: ctx.line(i),
-                rule: HASH_ITERATION,
-                message: format!(
-                    "iterating hash container `{}` (`.{}()`); order is nondeterministic — use BTreeMap/BTreeSet or keyed access",
-                    ctx.text(i - 2),
-                    t.text
-                ),
-            });
+        if ctx.code[i].kind != TokKind::Ident {
+            continue;
         }
-        // `for x in [&[mut ]][self.]name` over a hash container.
-        if t.is_ident("for") {
-            if let Some((name_idx, name)) = for_in_subject(ctx, i) {
-                if names.contains(name) && !ctx.is(name_idx + 1, ".") {
-                    out.push(Raw {
-                        line: ctx.line(name_idx),
-                        rule: HASH_ITERATION,
-                        message: format!(
-                            "`for … in {name}` iterates a hash container; order is nondeterministic"
-                        ),
-                    });
+        let Some(source) = source_at(ctx, i, &names) else {
+            continue;
+        };
+        let rule = source.rule();
+        let (line, message) = match source {
+            Source::Wallclock(tok) => {
+                let line = ctx.line(i);
+                if line == last_wallclock_line {
+                    continue;
                 }
+                last_wallclock_line = line;
+                (line, format!("wall-clock `{tok}`; simulated time only"))
             }
-        }
+            Source::Rng(tok) => (
+                ctx.line(i),
+                format!(
+                    "unseeded RNG `{tok}`; use hyades_des::rng::SplitMix64 with an explicit seed"
+                ),
+            ),
+            Source::HashMethod(recv, method) => (
+                ctx.line(i),
+                format!(
+                    "iterating hash container `{recv}` (`.{method}()`); order is nondeterministic — use BTreeMap/BTreeSet or keyed access"
+                ),
+            ),
+            Source::HashFor(name_idx, name) => (
+                ctx.line(name_idx),
+                format!(
+                    "`for … in {name}` iterates a hash container; order is nondeterministic"
+                ),
+            ),
+        };
+        out.push(Raw {
+            line,
+            rule,
+            message,
+        });
     }
 }
 
 /// For a `for` token at `i`, the identifier heading the iterated
 /// expression (after `in`, past `&`/`mut`/`self.`).
-pub(crate) fn for_in_subject<'a>(ctx: &FileCtx<'a>, i: usize) -> Option<(usize, &'a str)> {
+fn for_in_subject<'a>(ctx: &FileCtx<'a>, i: usize) -> Option<(usize, &'a str)> {
     let mut depth = 0i64;
     let mut j = i + 1;
     loop {
@@ -613,10 +621,9 @@ mod tests {
     }
 
     #[test]
-    fn instant_flagged_outside_bench_only() {
+    fn instant_flagged() {
         let src = "let t0 = std::time::Instant::now();\n";
         assert!(rules_hit("crates/des/src/x.rs", src).contains(&INSTANT_WALLCLOCK));
-        assert!(!rules_hit("crates/bench/benches/b.rs", src).contains(&INSTANT_WALLCLOCK));
     }
 
     #[test]

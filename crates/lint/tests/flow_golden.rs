@@ -65,7 +65,7 @@ fn flow_fixtures_match_expected_reports() {
     }
 }
 
-/// The acceptance criterion spelled out: seeding a synthetic
+/// The acceptance check spelled out: seeding a synthetic
 /// `SystemTime::now()` into a comms helper chain is caught, with the
 /// full witness chain in the message.
 #[test]

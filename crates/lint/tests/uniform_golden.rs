@@ -55,7 +55,7 @@ fn uniform_fixtures_match_expected_reports() {
     }
 }
 
-/// Acceptance criterion: the seeded divergent fixture produces the
+/// Acceptance check: the seeded divergent fixture produces the
 /// exact witness chain — tainted source, guarded collective, arm
 /// sequences — not just "a finding somewhere".
 #[test]

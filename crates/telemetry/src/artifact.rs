@@ -39,6 +39,8 @@ pub enum ArtifactKind {
     Prom,
     /// Human-readable deterministic text report.
     Text,
+    /// Comma-separated point data of a figure, header row first.
+    Csv,
 }
 
 impl ArtifactKind {
@@ -47,6 +49,7 @@ impl ArtifactKind {
             ArtifactKind::Json | ArtifactKind::ChromeTrace => "json",
             ArtifactKind::Prom => "prom",
             ArtifactKind::Text => "txt",
+            ArtifactKind::Csv => "csv",
         }
     }
 }
@@ -201,6 +204,7 @@ mod tests {
         assert_eq!(ArtifactKind::ChromeTrace.extension(), "json");
         assert_eq!(ArtifactKind::Prom.extension(), "prom");
         assert_eq!(ArtifactKind::Text.extension(), "txt");
+        assert_eq!(ArtifactKind::Csv.extension(), "csv");
         let a = Artifact::new("fabric_manifest", ArtifactKind::Json, "{}".into());
         assert_eq!(a.file_name(), "fabric_manifest.json");
     }

@@ -18,6 +18,7 @@
 //! sentinel exists to catch — render as `NaN`/`+Inf`/`-Inf` in text and
 //! prom, and as quoted strings in JSON (bare `NaN` is not valid JSON).
 
+use crate::export::escape;
 use crate::prom::{fixed, PromText};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -172,11 +173,7 @@ impl DiagSeries {
     /// values are encoded as the strings `"NaN"` / `"+Inf"` / `"-Inf"`.
     pub fn render_json(&self) -> String {
         let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"series\":\"{}\",\"rows\":[",
-            json_escape(&self.name)
-        );
+        let _ = write!(out, "{{\"series\":\"{}\",\"rows\":[", escape(&self.name));
         for (i, r) in self.rows.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -184,9 +181,9 @@ impl DiagSeries {
             let _ = write!(out, "{{\"step\":{}", r.step);
             for (k, v) in r.iter() {
                 if v.is_finite() {
-                    let _ = write!(out, ",\"{}\":{}", json_escape(k), fixed(v));
+                    let _ = write!(out, ",\"{}\":{}", escape(k), fixed(v));
                 } else {
-                    let _ = write!(out, ",\"{}\":\"{}\"", json_escape(k), fixed(v));
+                    let _ = write!(out, ",\"{}\":\"{}\"", escape(k), fixed(v));
                 }
             }
             out.push('}');
@@ -216,24 +213,6 @@ impl DiagSeries {
         }
         p.finish()
     }
-}
-
-/// Minimal JSON string escaping (quote, backslash, control chars) for
-/// series/metric names.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

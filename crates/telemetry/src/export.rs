@@ -309,12 +309,12 @@ fn us(ps: u64) -> String {
     format!("{}.{:06}", ps / 1_000_000, ps % 1_000_000)
 }
 
-/// Minimal JSON string escaping (the strings are static labels, but be
-/// safe about quotes, backslashes, and control characters). Uses the
-/// same shorthand escapes as `prom.rs`'s label escaping (`\n`, `\r`,
-/// `\t`) so the two exporters render identical labels; other control
-/// characters fall back to `\u00xx`.
-fn escape(s: &str) -> String {
+/// JSON string escaping for every exporter in the stack (the strings are
+/// static labels, but be safe about quotes, backslashes, and control
+/// characters). Uses the same shorthand escapes as `prom.rs`'s label
+/// escaping (`\n`, `\r`, `\t`) so the exporters render identical labels;
+/// other control characters fall back to `\u00xx`.
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -19,8 +19,9 @@
 //!   double runs with the same seed (enforced by `tests/determinism.rs`).
 //! * **Zero cost when disabled.** Every recording entry point is
 //!   `#[inline]` and begins with a single `thread_local` [`Cell`] load
-//!   (the same idiom as `gcm::flops`); the bench suite pins the overhead
-//!   of the disabled path at ≤ 2 %.
+//!   (the same idiom as `gcm::flops`). `hbench` measures the cost: its
+//!   `coupled_serial` workload runs with the recorder compiled in and off,
+//!   `cluster_tour` with it on.
 //! * **Per-rank, merged at end of run.** State is thread-local; each rank
 //!   of a `ThreadWorld` run enables its own recorder and returns a
 //!   [`RankTelemetry`], merged in rank order into a [`RunTelemetry`] —

@@ -11,7 +11,7 @@ use hyades::cluster::ethernet::{fast_ethernet, gigabit_ethernet, hpvm_myrinet};
 use hyades::cluster::interconnect::{ExchangeShape, Interconnect};
 use hyades::comms::measured::simulated_arctic_model;
 use hyades::perf::model::PerfModel;
-use hyades::perf::params::{DsParams, PsParams};
+use hyades::perf::params::{paper_ds, paper_ocean_ps, DsParams, PsParams};
 use hyades::perf::report::Table;
 
 /// Build the ocean perf model for `n` endpoints of a 128×64×15 domain on
@@ -29,40 +29,34 @@ fn model_for(net: &dyn Interconnect, n: u32) -> PerfModel {
     };
     let (tx, ty) = (128 / px, 64 / py);
     let levels = 15u32;
-    let legs = |halo: u32, lv: u32| -> Vec<u64> {
-        let mut v = Vec::new();
-        if px > 1 {
-            v.extend(vec![(ty * halo * lv * 8) as u64; 4]);
-        }
-        if py > 1 {
-            v.extend(vec![(tx * halo * lv * 8) as u64; 4]);
-        }
-        v
+    // A direction the process grid does not split has no neighbor to
+    // exchange with: drop its four legs (x-direction legs come first).
+    let shape = |halo: u32, lv: u32| {
+        let full = ExchangeShape::tile(tx, ty, halo, lv, 8);
+        let (x, y) = full.legs.split_at(4);
+        let kept = [if px > 1 { x } else { &[] }, if py > 1 { y } else { &[] }];
+        ExchangeShape::from_legs(kept.concat())
     };
     let (texch_xyz, texch_xy, tgsum) = if n == 1 {
         (0.0, 0.0, 0.0)
     } else {
         (
-            net.exchange_time(&ExchangeShape::from_legs(legs(3, levels)))
-                .as_us_f64(),
-            net.exchange_time(&ExchangeShape::from_legs(legs(1, 1)))
-                .as_us_f64(),
+            net.exchange_time(&shape(3, levels)).as_us_f64(),
+            net.exchange_time(&shape(1, 1)).as_us_f64(),
             net.gsum_time(n).as_us_f64(),
         )
     };
     PerfModel {
         ps: PsParams {
-            nps: 751.0,
             nxyz: (tx * ty * levels) as u64,
             texch_xyz_us: texch_xyz,
-            fps_mflops: 50.0,
+            ..paper_ocean_ps()
         },
         ds: DsParams {
-            nds: 36.0,
             nxy: (tx * ty) as u64,
             tgsum_us: tgsum,
             texch_xy_us: texch_xy,
-            fds_mflops: 60.0,
+            ..paper_ds()
         },
     }
 }

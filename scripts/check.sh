@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Full local gate: formatting, release build, static analysis, tests, the
-# benchmark's six workloads, and the tour example.
+# benchmark's six workloads, the tour example, and every experiment's
+# report and point data regenerated into one artifact directory.
 # Run from anywhere inside the repo.
 set -eu
 
@@ -72,5 +73,9 @@ awk '$1 ~ /^(comms\.(exchange_4x4_4096_us|gsum_16_us|retries|backoff_waits)|star
 echo "==> tour (the four core::tour runs, one artifact bundle, three verdicts)"
 cargo run -q --release --example tour > target/tour.txt
 tail -n 1 target/tour.txt
+
+echo "==> reproduce_all (all 21 experiments: reports on stdout, reports + figure CSVs as artifacts)"
+cargo run -q --release --example reproduce_all -- --out target/experiments > target/experiments.txt
+tail -n 1 target/experiments.txt
 
 echo "All checks passed."

@@ -170,12 +170,13 @@ fn model_state_digest(mut hash: u64, m: &hyades::gcm::driver::Model) -> u64 {
         .chain(st.ps.raw())
         .map(|v| v.to_bits())
     {
-        hash = (hash ^ word).wrapping_mul(0x0000_0100_0000_01B3);
+        hash = (hash ^ word).wrapping_mul(FNV_PRIME);
     }
     hash
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// The final state and the solver's iteration count of three short runs,
 /// compared with pinned values and not only with themselves: a change to
@@ -591,4 +592,50 @@ fn e20_uniformity_proof_is_bit_identical_across_runs() {
     let b = hyades::experiments::spmd::run();
     assert_eq!(a, b, "E20 uniformity report must replay byte-identically");
     assert!(a.contains("collective-divergence findings: 0"), "{a}");
+}
+
+/// FNV-1a over bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(FNV_OFFSET, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+    })
+}
+
+/// The figures' point data against pinned digests: the bytes of the CSV
+/// files plotted before the builders moved beside the experiments they
+/// print (PR 21), so a plot made from an old file and one made from
+/// `reproduce_all --out` show the same points.
+#[test]
+fn figure_csv_artifacts_match_the_pinned_digests() {
+    let digests: Vec<(&str, u64)> = hyades::experiments::all()
+        .iter()
+        .filter_map(|e| e.csv.map(|csv| (e.id, fnv1a(csv().as_bytes()))))
+        .collect();
+    let pinned = [
+        ("E1", 0x91b3_72a2_fa04_dcc0_u64),
+        ("E2", 0x1440_f205_cfd8_c3fd),
+        ("E3", 0xc8aa_9dba_5941_38a6),
+        ("E7", 0x4624_aad1_e4c4_8b78),
+        ("E12", 0x2452_4453_a1a9_5e73),
+    ];
+    assert_eq!(digests, pinned);
+}
+
+/// Every experiment but E12, whose twenty 400 us traffic runs take 16 s in
+/// a debug build: its replay is `arctic_traffic_stats_are_bit_identical_
+/// across_runs` and its bytes are pinned above.
+#[test]
+fn experiment_bundle_is_byte_identical_across_runs() {
+    use hyades::telemetry::Exporter;
+    let all = hyades::experiments::all();
+    let ids: Vec<&str> = all.iter().map(|e| e.id).filter(|&id| id != "E12").collect();
+    let a = hyades::experiments::bundle(&ids).artifacts();
+    let b = hyades::experiments::bundle(&ids).artifacts();
+    assert_eq!(a, b, "the experiment bundle must replay byte-identically");
+    // One report an experiment and four with point data, no name twice.
+    let mut names: Vec<String> = a.iter().map(|x| x.file_name()).collect();
+    assert_eq!(names.len(), 20 + 4);
+    names.sort();
+    names.dedup();
+    assert_eq!(names.len(), 20 + 4, "artifact file names must be unique");
 }

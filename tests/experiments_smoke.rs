@@ -56,3 +56,31 @@ fn bandwidth_figure_renders() {
     assert!(report.contains("131072"));
     assert!(report.contains("% of peak"));
 }
+
+#[test]
+fn e2_carries_the_section_4_1_ablations() {
+    use hyades::experiments::fig7;
+    let report = fig7::run();
+    assert!(report.contains("staging chunk (B)"), "{report}");
+    assert!(report.contains("three width-1 exchanges"), "{report}");
+    // Small chunks overlap the copy with the DMA; one 64 KB chunk cannot.
+    let chunks = fig7::chunk_sweep();
+    let (first, last) = (chunks[0], chunks[chunks.len() - 1]);
+    assert_eq!((first.0, last.0), (256, 65536));
+    assert!(first.1 > last.1, "{chunks:?}");
+    // The paper's choice: one wide exchange beats three narrow ones.
+    let (wide, narrow) = fig7::overcomputation();
+    assert!(wide < narrow, "{wide} vs {narrow}");
+}
+
+#[test]
+fn e3_tree_is_slower_than_the_butterfly_at_every_n() {
+    use hyades::experiments::gsum;
+    assert!(gsum::run().contains("tree (us)"));
+    let rep = gsum::measure();
+    let tree = gsum::measure_tree();
+    assert_eq!(tree.len(), rep.rows.len());
+    for ((n, butterfly, _), tree) in rep.rows.iter().zip(tree) {
+        assert!(tree > *butterfly, "N={n}: tree {tree} vs {butterfly}");
+    }
+}
