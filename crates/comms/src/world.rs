@@ -8,16 +8,19 @@
 //! * [`SerialWorld`] — a single rank; exchanges are identities (used for
 //!   single-tile runs and tests);
 //! * [`ThreadWorld`] — one OS thread per rank with `std::sync::mpsc`
-//!   channels for halo exchange and a shared-memory reduction tree for
+//!   channels for halo exchange and a shared-memory rendezvous for
 //!   global sums (deterministic: contributions are summed in rank order).
+//!   A rank waiting on either polls and yields a fixed number of times
+//!   before it parks in the kernel (`POLLS_BEFORE_PARK`).
 //!
 //! Timing studies use the simulated interconnects instead (the
 //! time-charging executor in `hyades-perf` / `hyades-gcm`); these backends
 //! provide *functional* parallelism.
 
 use hyades_telemetry::commlog::{self, CommEvent};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// The communication surface of one parallel process (rank).
 pub trait CommWorld {
@@ -122,76 +125,111 @@ impl CommWorld for SerialWorld {
     }
 }
 
+/// Poll-then-yield rounds a waiter makes before it parks. A count, never
+/// a duration: nothing here may read a clock (`instant-wallclock`; a
+/// timed bound would make `exchange` nondeterministic in the effect
+/// table). Each round yields instead of spinning, so with more ranks
+/// than cores the rank being waited for gets the processor. A collective
+/// between running ranks completes within a few rounds, so the exact
+/// count hardly matters (DESIGN.md §15a: 10 costs a tenth, 5 000 nothing).
+const POLLS_BEFORE_PARK: usize = 200;
+
+/// The one wait policy of both collectives: `poll`, yield, `poll` again,
+/// [`POLLS_BEFORE_PARK`] times. `None` tells the caller to park on its
+/// blocking primitive.
+fn poll_then_yield<T>(mut poll: impl FnMut() -> Option<T>) -> Option<T> {
+    for _ in 0..POLLS_BEFORE_PARK {
+        if let Some(ready) = poll() {
+            return Some(ready);
+        }
+        std::thread::yield_now();
+    }
+    None
+}
+
 /// Shared state for deterministic reductions and barriers.
 struct RendezvousCore {
     m: Mutex<RendezvousState>,
     cv: Condvar,
     n: usize,
+    /// Number of completed operations. Stored (Release) only under `m`,
+    /// after the result is written; waiters poll it (Acquire) outside
+    /// the lock and take the lock to read the result.
+    generation: AtomicU64,
 }
 
 struct RendezvousState {
-    /// Per-rank contribution for the in-flight operation.
-    slots: Vec<Option<Vec<f64>>>,
+    /// Per-rank contribution to the in-flight operation (buffers reused
+    /// from one operation to the next).
+    slots: Vec<Vec<f64>>,
     arrived: usize,
-    generation: u64,
     /// Result of the last completed operation.
     result: Vec<f64>,
+    /// Ranks whose world has been dropped, in order of departure.
+    departed: Vec<usize>,
 }
 
 impl RendezvousCore {
     fn new(n: usize) -> Self {
         RendezvousCore {
             m: Mutex::new(RendezvousState {
-                slots: vec![None; n],
+                slots: vec![Vec::new(); n],
                 arrived: 0,
-                generation: 0,
                 result: Vec::new(),
+                departed: Vec::new(),
             }),
             cv: Condvar::new(),
             n,
+            generation: AtomicU64::new(0),
         }
     }
 
-    /// Deposit this rank's contribution; the last arriver combines all
-    /// contributions in rank order with `combine` and publishes the
-    /// result. Also returns the reduction's generation number (the
-    /// all-ranks join point, recorded in the comm log for the
+    /// A poisoned lock is recovered, not propagated: the rank that
+    /// panicked already fails the run through its joining thread.
+    fn lock(&self) -> MutexGuard<'_, RendezvousState> {
+        self.m.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Deposit this rank's contribution `xs`; the last arriver combines
+    /// all contributions in rank order with `combine` (whatever order
+    /// they arrived in) and publishes the result, which every rank
+    /// copies back into `xs`. Returns the reduction's generation number
+    /// (the all-ranks join point, recorded in the comm log for the
     /// happens-before checker).
-    fn reduce(
-        &self,
-        rank: usize,
-        contribution: Vec<f64>,
-        combine: fn(&mut [f64], &[f64]),
-    ) -> (Vec<f64>, u64) {
-        // A poisoned lock is recovered, not propagated: the rank that
-        // panicked already fails the run through its joining thread.
-        let mut st = self.m.lock().unwrap_or_else(PoisonError::into_inner);
-        let my_gen = st.generation;
-        debug_assert!(st.slots[rank].is_none(), "rank {rank} reduced twice");
-        st.slots[rank] = Some(contribution);
+    fn reduce(&self, rank: usize, xs: &mut [f64], combine: fn(&mut [f64], &[f64])) -> u64 {
+        let mut st = self.lock();
+        let my_gen = self.generation.load(Ordering::Relaxed);
+        st.slots[rank].clear();
+        st.slots[rank].extend_from_slice(xs);
         st.arrived += 1;
         if st.arrived == self.n {
-            let mut acc: Vec<f64> = Vec::new();
-            let mut seen = 0usize;
-            for v in st.slots.iter_mut().filter_map(Option::take) {
-                if seen == 0 {
-                    acc = v;
-                } else {
-                    combine(&mut acc, &v);
-                }
-                seen += 1;
+            let RendezvousState { slots, result, .. } = &mut *st;
+            result.clear();
+            result.extend_from_slice(&slots[0]);
+            for v in &slots[1..] {
+                combine(result, v);
             }
-            debug_assert_eq!(seen, self.n, "missing contribution");
-            st.result = acc;
             st.arrived = 0;
-            st.generation += 1;
+            self.generation.store(my_gen + 1, Ordering::Release);
             self.cv.notify_all();
         } else {
-            while st.generation == my_gen {
+            drop(st);
+            let pending = || self.generation.load(Ordering::Acquire) == my_gen;
+            let _ = poll_then_yield(|| (!pending()).then_some(()));
+            st = self.lock();
+            while pending() {
+                // A rank that left cannot have joined this operation
+                // (it would still be waiting here), so it never will.
+                if let Some(gone) = st.departed.first() {
+                    panic!(
+                        "rank {rank}: rank {gone} left before reduction {my_gen} (peer exited early)"
+                    );
+                }
                 st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
         }
-        (st.result.clone(), my_gen)
+        xs.copy_from_slice(&st.result);
+        my_gen
     }
 }
 
@@ -244,9 +282,15 @@ impl ThreadWorld {
         });
     }
 
-    /// Block on the next message from rank `from`.
+    /// Wait for the next message from rank `from`.
     fn take(&self, from: usize) -> Vec<f64> {
-        let data = self.rx[from].recv().unwrap_or_else(|_| {
+        let rx = &self.rx[from];
+        // `Some(None)`: the peer hung up with nothing left in the channel.
+        let polled = poll_then_yield(|| match rx.try_recv() {
+            Err(TryRecvError::Empty) => None,
+            got => Some(got.ok()),
+        });
+        let data = polled.unwrap_or_else(|| rx.recv().ok()).unwrap_or_else(|| {
             panic!(
                 "rank {}: channel from rank {from} closed (peer exited early)",
                 self.rank
@@ -257,33 +301,46 @@ impl ThreadWorld {
         data
     }
 
-    /// Join the all-ranks rendezvous with `contribution`; returns the
-    /// rank-ordered `combine` of everyone's.
-    fn reduce(&self, contribution: Vec<f64>, combine: fn(&mut [f64], &[f64])) -> Vec<f64> {
-        let (res, generation) = self.red.reduce(self.rank, contribution, combine);
+    /// Join the all-ranks rendezvous with the contribution `xs`, which
+    /// becomes the rank-ordered `combine` of everyone's.
+    fn reduce(&self, xs: &mut [f64], combine: fn(&mut [f64], &[f64])) {
+        let generation = self.red.reduce(self.rank, xs, combine);
         commlog::record(CommEvent::Reduce { generation });
-        res
     }
 
     /// Run `f` on `n` ranks across `n` scoped threads; returns the
-    /// per-rank results in rank order.
+    /// per-rank results in rank order. If ranks panic, the panic of the
+    /// one that left first is re-raised: the ranks waiting for it fail
+    /// with "peer exited early" reports of their own, which are not the
+    /// cause.
     pub fn run<R: Send>(n: usize, f: impl Fn(&mut ThreadWorld) -> R + Send + Sync) -> Vec<R> {
         let worlds = Self::create(n);
-        let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (rank, mut w) in worlds.into_iter().enumerate() {
-                let f = &f;
-                handles.push((rank, scope.spawn(move || f(&mut w))));
-            }
-            for (rank, h) in handles {
-                match h.join() {
-                    Ok(r) => out[rank] = Some(r),
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
+        let red = Arc::clone(&worlds[0].red);
+        let mut results: Vec<_> = std::thread::scope(|scope| {
+            let f = &f;
+            let handles: Vec<_> = worlds
+                .into_iter()
+                .map(|mut w| scope.spawn(move || f(&mut w)))
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
         });
-        out.into_iter().map(Option::unwrap).collect()
+        // Every world is dropped by now, so a rank that panicked is
+        // listed, and past this check no result is an `Err`.
+        let departed = std::mem::take(&mut red.lock().departed);
+        let first_dead = departed.into_iter().find(|&rank| results[rank].is_err());
+        if let Some(Err(payload)) = first_dead.map(|rank| results.swap_remove(rank)) {
+            std::panic::resume_unwind(payload);
+        }
+        results.into_iter().flatten().collect()
+    }
+}
+
+impl Drop for ThreadWorld {
+    /// Mark this rank departed and wake the parked waiters, so that a
+    /// reduction it can no longer join fails instead of hanging.
+    fn drop(&mut self) {
+        self.red.lock().departed.push(self.rank);
+        self.red.cv.notify_all();
     }
 }
 
@@ -316,25 +373,25 @@ impl CommWorld for ThreadWorld {
     }
 
     fn global_sum_vec(&mut self, xs: &mut [f64]) {
-        let res = self.reduce(xs.to_vec(), |a, b| {
+        self.reduce(xs, |a, b| {
             for (ai, bi) in a.iter_mut().zip(b) {
                 *ai += bi;
             }
         });
-        xs.copy_from_slice(&res);
     }
 
     fn global_max(&mut self, x: f64) -> f64 {
-        let res = self.reduce(vec![x], |a, b| {
+        let mut v = [x];
+        self.reduce(&mut v, |a, b| {
             for (ai, bi) in a.iter_mut().zip(b) {
                 *ai = ai.max(*bi);
             }
         });
-        res[0]
+        v[0]
     }
 
     fn barrier(&mut self) {
-        self.reduce(Vec::new(), |_a, _b| {});
+        self.reduce(&mut [], |_a, _b| {});
     }
 
     fn gather(&mut self, data: Vec<f64>) -> Option<Vec<Vec<f64>>> {
@@ -500,6 +557,256 @@ mod tests {
         for r in results {
             assert_eq!(r, vec![6.0, 4.0]);
         }
+    }
+
+    // --- the wait path: poll, yield, park -----------------------------------
+
+    /// Reproducible input of `rank` in `round` for use `salt`. Magnitudes
+    /// span six decades, so a sum taken in any order but rank order has
+    /// different bits.
+    fn input(rank: usize, round: usize, salt: u64) -> f64 {
+        const SCALE: [f64; 7] = [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3];
+        let mut h = (rank as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            ^ (round as u64 + 1).wrapping_mul(0xbf58_476d_1ce4_e5b9)
+            ^ (salt + 1).wrapping_mul(0x94d0_49bb_1331_11eb);
+        h = (h ^ (h >> 31)).wrapping_mul(0xd6e8_feb8_6659_fd93);
+        h ^= h >> 29;
+        ((h % 20_001) as f64 - 10_000.0) * SCALE[(h >> 40) as usize % 7]
+    }
+
+    /// `op` over ranks `0..n` in rank order, as the rendezvous combines.
+    fn serial(n: usize, of: impl Fn(usize) -> f64, op: fn(f64, f64) -> f64) -> f64 {
+        (1..n).fold(of(0), |acc, k| op(acc, of(k)))
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `rounds` rounds of every collective on `n` ranks, each result
+    /// checked bit for bit against the serial reference inside the rank
+    /// that received it; returns a digest of everything each rank saw.
+    fn soak(n: usize, rounds: usize) -> Vec<u64> {
+        ThreadWorld::run(n, |w| {
+            let me = w.rank();
+            let (left, right) = ((me + n - 1) % n, (me + 1) % n);
+            let mut digest = 0u64;
+            let mut saw = |xs: &[f64]| {
+                for x in xs {
+                    digest = digest.rotate_left(7) ^ x.to_bits();
+                }
+            };
+            for round in 0..rounds {
+                // Ring exchange, a different payload each way: the left
+                // neighbour's rightward message is the one we receive.
+                let got = w.exchange(vec![
+                    (left, vec![input(me, round, 0); 3]),
+                    (right, vec![input(me, round, 1); 5]),
+                ]);
+                let want = [
+                    (left, vec![input(left, round, 1); 5]),
+                    (right, vec![input(right, round, 0); 3]),
+                ];
+                assert_eq!(got.len(), 2);
+                for ((nbr, data), (want_nbr, want_data)) in got.iter().zip(&want) {
+                    assert_eq!((nbr, bits(data)), (want_nbr, bits(want_data)));
+                    saw(data);
+                }
+
+                let sum = w.global_sum(input(me, round, 2));
+                let want = serial(n, |k| input(k, round, 2), |a, b| a + b);
+                assert_eq!(sum.to_bits(), want.to_bits(), "global_sum, round {round}");
+                saw(&[sum]);
+
+                let len = [0, 1, 6, 64][round % 4];
+                let mine = |k: usize, i: usize| input(k, round, 10 + i as u64);
+                let mut v: Vec<f64> = (0..len).map(|i| mine(me, i)).collect();
+                w.global_sum_vec(&mut v);
+                let want: Vec<f64> = (0..len)
+                    .map(|i| serial(n, |k| mine(k, i), |a, b| a + b))
+                    .collect();
+                assert_eq!(bits(&v), bits(&want), "global_sum_vec, round {round}");
+                saw(&v);
+
+                let max = w.global_max(input(me, round, 3));
+                let want = serial(n, |k| input(k, round, 3), f64::max);
+                assert_eq!(max.to_bits(), want.to_bits(), "global_max, round {round}");
+                saw(&[max]);
+
+                // Four distinct scores on sixteen ranks: ties every round.
+                let score = |k: usize| input(k, round, 4).rem_euclid(4.0).floor();
+                let (top, owner) = w.global_argmax(score(me), me as u64);
+                let want_top = serial(n, score, f64::max);
+                let want_owner = (0..n).find(|&k| score(k) == want_top).unwrap();
+                assert_eq!(
+                    (top.to_bits(), owner),
+                    (want_top.to_bits(), want_owner as u64)
+                );
+                saw(&[top, owner as f64]);
+
+                if round % 8 == 0 {
+                    w.barrier();
+                }
+                if round % 16 == 0 {
+                    let part = |k: usize| vec![input(k, round, 5); k % 3];
+                    match w.gather(part(me)) {
+                        Some(all) => {
+                            assert_eq!(me, 0);
+                            assert_eq!(all.len(), n);
+                            for (k, v) in all.iter().enumerate() {
+                                assert_eq!(bits(v), bits(&part(k)), "gather, round {round}");
+                                saw(v);
+                            }
+                        }
+                        None => assert_ne!(me, 0),
+                    }
+                }
+            }
+            digest
+        })
+    }
+
+    #[test]
+    fn oversubscribed_soak_matches_the_rank_ordered_serial_reference() {
+        // Sixteen ranks on however few cores: every wait starts as a
+        // poll-and-yield, and the order of arrival changes every round.
+        assert_eq!(soak(16, 2_000), soak(16, 2_000));
+    }
+
+    #[test]
+    fn waiters_that_exhaust_the_yield_budget_park_and_still_complete() {
+        use std::time::Duration;
+        // The late rank sleeps far longer than POLLS_BEFORE_PARK yields
+        // take, so the others have parked (condvar or blocking `recv`)
+        // by the time it arrives. Late rank 0 is also the gather root.
+        for late in [0, 2] {
+            let results = ThreadWorld::run(4, move |w| {
+                let me = w.rank();
+                let nap = || {
+                    if me == late {
+                        std::thread::sleep(Duration::from_millis(20));
+                    }
+                };
+                nap();
+                let sum = w.global_sum(me as f64 + 0.5);
+                nap();
+                let ring = [(me + 1) % 4, (me + 3) % 4];
+                let got = w.exchange(ring.iter().map(|&to| (to, vec![me as f64])).collect());
+                nap();
+                let max = w.global_max(me as f64);
+                nap();
+                let all = w.gather(vec![me as f64]);
+                nap();
+                w.barrier();
+                (sum, got, max, all)
+            });
+            for (me, (sum, got, max, all)) in results.into_iter().enumerate() {
+                let ring = [(me + 1) % 4, (me + 3) % 4];
+                assert_eq!(sum, 8.0);
+                assert_eq!(got, ring.map(|from| (from, vec![from as f64])));
+                assert_eq!(max, 3.0);
+                let everyone = || (0..4).map(|k| vec![k as f64]).collect::<Vec<_>>();
+                assert_eq!(all, (me == 0).then(everyone));
+            }
+        }
+    }
+
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(payload) => payload
+                .downcast::<&str>()
+                .map_or_else(|_| String::new(), |s| s.to_string()),
+        }
+    }
+
+    #[test]
+    fn take_drains_a_dead_peers_channel_then_reports_it() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut worlds = ThreadWorld::create(2);
+        let (w1, w0) = (worlds.pop().unwrap(), worlds.pop().unwrap());
+        w1.post(0, vec![7.0]);
+        drop(w1);
+        assert_eq!(w0.take(1), vec![7.0]);
+        // Nobody is left to wait for: the first poll sees the hang-up,
+        // without reaching the blocking `recv`.
+        let err = catch_unwind(AssertUnwindSafe(|| w0.take(1))).unwrap_err();
+        assert_eq!(
+            panic_message(err),
+            "rank 0: channel from rank 1 closed (peer exited early)"
+        );
+    }
+
+    /// `f` on a helper thread, so that a run that hangs fails the test
+    /// instead of hanging it.
+    fn within_ten_seconds<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = channel();
+        let helper = std::thread::spawn(move || tx.send(f()));
+        let out = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the run hung on a rank that had exited");
+        helper.join().unwrap().unwrap();
+        out
+    }
+
+    #[test]
+    fn a_reduction_a_departed_rank_cannot_join_names_that_rank() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut worlds = ThreadWorld::create(3);
+        drop(worlds.pop());
+        let mut w0 = worlds.swap_remove(0);
+        let outcome =
+            within_ten_seconds(move || catch_unwind(AssertUnwindSafe(|| w0.global_sum(1.0))));
+        assert_eq!(
+            panic_message(outcome.unwrap_err()),
+            "rank 0: rank 2 left before reduction 0 (peer exited early)"
+        );
+    }
+
+    #[test]
+    fn a_rank_that_dies_before_a_reduction_fails_the_run_with_its_own_panic() {
+        use std::panic::catch_unwind;
+        // Dying at once finds the survivor still polling; dying after
+        // 20 ms finds it parked.
+        for nap_ms in [0, 20] {
+            let outcome = within_ten_seconds(move || {
+                catch_unwind(|| {
+                    ThreadWorld::run(2, |w| {
+                        if w.rank() == 1 {
+                            std::thread::sleep(std::time::Duration::from_millis(nap_ms));
+                            panic!("rank 1 blew up");
+                        }
+                        w.global_sum(1.0)
+                    })
+                })
+            });
+            assert_eq!(panic_message(outcome.unwrap_err()), "rank 1 blew up");
+        }
+    }
+
+    #[test]
+    fn a_rank_that_dies_mid_run_takes_every_waiter_down_with_its_own_panic() {
+        use std::panic::catch_unwind;
+        // Rank 3's ring neighbours fail in `take`, everyone else in the
+        // reduction those two can no longer join; the report is rank 3's.
+        let outcome = within_ten_seconds(|| {
+            catch_unwind(|| {
+                ThreadWorld::run(8, |w| {
+                    let me = w.rank();
+                    for round in 0..10 {
+                        if me == 3 && round == 5 {
+                            panic!("rank 3 blew up in round 5");
+                        }
+                        w.exchange(vec![((me + 1) % 8, vec![1.0]), ((me + 7) % 8, vec![2.0])]);
+                        w.global_sum(round as f64);
+                    }
+                })
+            })
+        });
+        assert_eq!(
+            panic_message(outcome.unwrap_err()),
+            "rank 3 blew up in round 5"
+        );
     }
 }
 

@@ -22,7 +22,7 @@ use crate::matcher;
 use crate::recorder::{PhaseTotals, RankTelemetry, DES_PID, GCM_PID};
 use crate::registry::Registry;
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// One matched send→recv pair rendered as a Chrome flow (`ph:"s"` start
 /// on the sender's track, `ph:"f"` finish on the receiver's), so the
@@ -122,7 +122,12 @@ impl RunTelemetry {
 
     /// Chrome trace-event JSON (see module docs).
     pub fn chrome_trace_json(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[\n");
+        // Sized for the events up front (a span renders to about 100
+        // bytes, a flow to two events of that size), so that a trace of
+        // megabytes is not grown by doubling and copying.
+        let mut out =
+            String::with_capacity(1024 + 128 * (self.span_count() + 2 * self.flows.len()));
+        out.push_str("{\"traceEvents\":[\n");
         let mut first = true;
 
         // Metadata: name the two processes and every track that appears.
@@ -144,21 +149,16 @@ impl RunTelemetry {
                 out,
                 "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\
                  \"args\":{{\"name\":\"{}\"}}}}",
-                escape(pname)
+                Escaped(pname)
             );
         }
         for &(pid, tid) in &tracks {
-            let tname = if pid == GCM_PID {
-                format!("rank {tid}")
-            } else {
-                format!("actor {tid}")
-            };
+            let kind = if pid == GCM_PID { "rank" } else { "actor" };
             comma(&mut out, &mut first);
             let _ = write!(
                 out,
                 "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                escape(&tname)
+                 \"args\":{{\"name\":\"{kind} {tid}\"}}}}",
             );
         }
 
@@ -170,10 +170,10 @@ impl RunTelemetry {
                     out,
                     "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\
                      \"dur\":{},\"pid\":{},\"tid\":{}}}",
-                    escape(s.name),
-                    escape(s.cat),
-                    us(s.start.as_ps()),
-                    us(s.dur.as_ps()),
+                    Escaped(s.name),
+                    Escaped(s.cat),
+                    Us(s.start.as_ps()),
+                    Us(s.dur.as_ps()),
                     s.pid,
                     s.tid
                 );
@@ -191,7 +191,7 @@ impl RunTelemetry {
                  \"ts\":{},\"pid\":{},\"tid\":{}}}",
                 fl.words,
                 id,
-                us(fl.send_ps),
+                Us(fl.send_ps),
                 GCM_PID,
                 fl.src
             );
@@ -202,7 +202,7 @@ impl RunTelemetry {
                  \"id\":{},\"ts\":{},\"pid\":{},\"tid\":{}}}",
                 fl.words,
                 id,
-                us(fl.recv_ps),
+                Us(fl.recv_ps),
                 GCM_PID,
                 fl.dst
             );
@@ -305,8 +305,32 @@ fn comma(out: &mut String, first: &mut bool) {
 }
 
 /// Integer picoseconds rendered as a microsecond JSON number, exactly.
-fn us(ps: u64) -> String {
-    format!("{}.{:06}", ps / 1_000_000, ps % 1_000_000)
+struct Us(u64);
+
+impl fmt::Display for Us {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}.{:06}", self.0 / 1_000_000, self.0 % 1_000_000)
+    }
+}
+
+/// A string rendered with JSON escaping, straight into the output.
+struct Escaped<'a>(&'a str);
+
+impl fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
+            }
+        }
+        Ok(())
+    }
 }
 
 /// JSON string escaping for every exporter in the stack (the strings are
@@ -315,21 +339,7 @@ fn us(ps: u64) -> String {
 /// escaping (`\n`, `\r`, `\t`) so the exporters render identical labels;
 /// other control characters fall back to `\u00xx`.
 pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+    Escaped(s).to_string()
 }
 
 #[cfg(test)]
@@ -421,6 +431,8 @@ mod tests {
         assert_eq!(escape("x\ny"), "x\\ny");
         assert_eq!(escape("x\r\ty"), "x\\r\\ty");
         assert_eq!(escape("x\u{1}y"), "x\\u0001y");
+        // Escapes beside multi-byte characters, which pass through.
+        assert_eq!(escape("\"µs\u{1f}é\\"), "\\\"µs\\u001fé\\\\");
     }
 
     #[test]
@@ -480,9 +492,9 @@ mod tests {
 
     #[test]
     fn us_renders_exact_picoseconds() {
-        assert_eq!(us(0), "0.000000");
-        assert_eq!(us(1_250_000), "1.250000");
-        assert_eq!(us(600), "0.000600");
-        assert_eq!(us(12_345_678_901), "12345.678901");
+        assert_eq!(Us(0).to_string(), "0.000000");
+        assert_eq!(Us(1_250_000).to_string(), "1.250000");
+        assert_eq!(Us(600).to_string(), "0.000600");
+        assert_eq!(Us(12_345_678_901).to_string(), "12345.678901");
     }
 }

@@ -35,6 +35,14 @@ cargo test -q
 echo "==> cargo test -q --release (des, arctic, startx, comms)"
 cargo test -q --release -p hyades-des -p hyades-arctic -p hyades-startx -p hyades-comms
 
+# One core is the adversarial schedule for a wait that polls: every rank
+# a waiter needs is behind it on the same run queue, and a policy that
+# forgot to yield would crawl there instead of failing.
+if command -v taskset > /dev/null; then
+    echo "==> cargo test -q --release -p hyades-comms world:: (pinned to one core)"
+    taskset -c 0 cargo test -q --release -p hyades-comms world::
+fi
+
 echo "==> ignored tests, release: fault-plan seed sweep (2000 plan seeds x 6 exchange shapes and 4 gsum sizes), paper grid converges while finite"
 cargo test -q --release -- --ignored
 
@@ -70,9 +78,21 @@ awk '$1 ~ /^(comms\.(exchange_4x4_4096_us|gsum_16_us|retries|backoff_waits)|star
         printf "    comm_primitives %-30s %14.6f %s\n", $1, $2, $3 }' \
     target/hbench-comm_primitives-traced.txt
 
+# And from one traced run of the tour: what ThreadWorld completes a second
+# between two ranks, and where a repetition's host time goes.
+cargo run --release --offline --quiet --manifest-path hbench/Cargo.toml -- \
+    --workload cluster_tour --seconds 3 --trace 1 > target/hbench-cluster_tour-traced.txt
+awk '$1 ~ /^comms\.thread_(exchange|gsum)_per_s$/ { printf "    cluster_tour %-33s %8.0f k/s\n", $1, $2 / 1e3 }
+    $1 ~ /^core\.(tour|diag|critpath|resilient)_s$/ { printf "    cluster_tour %-33s %8.3f s\n", $1, $2 }' \
+    target/hbench-cluster_tour-traced.txt
+
 echo "==> tour (the four core::tour runs, one artifact bundle, three verdicts)"
 cargo run -q --release --example tour > target/tour.txt
 tail -n 1 target/tour.txt
+if command -v taskset > /dev/null; then
+    taskset -c 0 cargo run -q --release --example tour > target/tour-one-core.txt
+    echo "    pinned to one core: $(tail -n 1 target/tour-one-core.txt)"
+fi
 
 echo "==> reproduce_all (all 21 experiments: reports on stdout, reports + figure CSVs as artifacts)"
 cargo run -q --release --example reproduce_all -- --out target/experiments > target/experiments.txt
