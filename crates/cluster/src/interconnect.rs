@@ -44,15 +44,6 @@ impl ExchangeShape {
         Self::tile(edge, edge, halo, levels, elem_bytes)
     }
 
-    /// Exchange for a strip decomposition (tiles span the full x extent):
-    /// 2 neighbors, two legs each of `nx × halo × levels × elem_bytes`.
-    pub fn strip_tile(nx: u32, halo: u32, levels: u32, elem_bytes: u32) -> Self {
-        let bytes = (nx * halo * levels * elem_bytes) as u64;
-        ExchangeShape {
-            legs: vec![bytes; 4],
-        }
-    }
-
     /// Arbitrary leg sizes (e.g. non-square tiles).
     pub fn from_legs(legs: Vec<u64>) -> Self {
         ExchangeShape { legs }
@@ -184,9 +175,6 @@ mod tests {
         // PS atmosphere shape: halo 3, 5 levels.
         let ps = ExchangeShape::square_tile(32, 3, 5, 8);
         assert_eq!(ps.total_bytes(), 8 * 3840);
-        let strip = ExchangeShape::strip_tile(128, 3, 5, 8);
-        assert_eq!(strip.legs.len(), 4);
-        assert_eq!(strip.total_bytes(), 4 * 15360);
     }
 
     #[test]

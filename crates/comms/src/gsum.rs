@@ -730,7 +730,7 @@ mod scaling_tests {
         }
         // Fit t = C·log2 N + B over the five points; residuals must be
         // small (log-linear law) and C in the paper's regime.
-        let (c, b) = crate::measured::linear_fit(&pts);
+        let (c, b) = hyades_des::stats::linear_fit(&pts);
         assert!((3.5..5.5).contains(&c), "slope {c}");
         for &(x, y) in &pts {
             let pred = c * x + b;

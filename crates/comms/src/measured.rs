@@ -12,6 +12,7 @@ use crate::exchange::measure_exchange;
 use crate::gsum::{latency_table, GsumMeasurement};
 use crate::mixmode::SmpCosts;
 use hyades_cluster::interconnect::PrimitiveModel;
+use hyades_des::stats::linear_fit;
 use hyades_des::SimDuration;
 use hyades_startx::HostParams;
 
@@ -50,19 +51,6 @@ pub fn measure_arctic(host: HostParams) -> ArcticMeasurements {
         exchange,
         barrier16_us: measure_barrier(host, 16).as_us_f64(),
     }
-}
-
-/// Ordinary least squares for `y = a·x + b`.
-pub fn linear_fit(points: &[(f64, f64)]) -> (f64, f64) {
-    let n = points.len() as f64;
-    assert!(n >= 2.0, "need at least two points");
-    let sx: f64 = points.iter().map(|p| p.0).sum();
-    let sy: f64 = points.iter().map(|p| p.1).sum();
-    let sxx: f64 = points.iter().map(|p| p.0 * p.0).sum();
-    let sxy: f64 = points.iter().map(|p| p.0 * p.1).sum();
-    let a = (n * sxy - sx * sy) / (n * sxx - sx * sx);
-    let b = (sy - a * sx) / n;
-    (a, b)
 }
 
 /// Fit the primitive model from the measurements.
@@ -138,13 +126,6 @@ pub fn measure_exchange_mixmode(host: HostParams, px: u16, py: u16, leg_bytes: u
 mod tests {
     use super::*;
     use hyades_cluster::interconnect::{arctic_paper, ExchangeShape, Interconnect};
-
-    #[test]
-    fn linear_fit_exact_line() {
-        let (a, b) = linear_fit(&[(1.0, 5.0), (2.0, 7.0), (3.0, 9.0)]);
-        assert!((a - 2.0).abs() < 1e-12);
-        assert!((b - 3.0).abs() < 1e-12);
-    }
 
     #[test]
     fn fitted_model_close_to_paper_constants() {

@@ -436,7 +436,7 @@ fn run_coupled_steps<W: CommWorld>(
             // the critical-path DAG.
             telemetry::charge_flops(telemetry::Phase::Ps, st.extra_flops);
         }
-        let (sa, so, healthy) = pair.step_monitored_full(&mut timed, &mut atmos, &mut ocean);
+        let (sa, so, healthy) = pair.step_monitored(&mut timed, &mut atmos, &mut ocean);
         assert!(
             healthy,
             "coupled tour tripped the sentinel: {}",

@@ -205,6 +205,20 @@ impl Counters {
     }
 }
 
+/// Ordinary least squares for `y = a·x + b`; returns `(a, b)`.
+pub fn linear_fit(points: &[(f64, f64)]) -> (f64, f64) {
+    assert!(points.len() >= 2, "need at least two points");
+    let n = points.len() as f64;
+    let sx: f64 = points.iter().map(|p| p.0).sum();
+    let sy: f64 = points.iter().map(|p| p.1).sum();
+    let sxx: f64 = points.iter().map(|p| p.0 * p.0).sum();
+    let sxy: f64 = points.iter().map(|p| p.0 * p.1).sum();
+    let denom = n * sxx - sx * sx;
+    assert!(denom.abs() > 1e-300, "degenerate x values");
+    let a = (n * sxy - sx * sy) / denom;
+    (a, (sy - a * sx) / n)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,9 +9,11 @@
 
 use crate::driver::Model;
 use crate::field::{Field2, Field3};
+use crate::state::ModelState;
 use std::io::{self, Read, Write};
 
-const MAGIC: &[u8; 8] = b"HYADES01";
+/// Nine 3-D fields and `ps`; `HYADES01` images carried a tenth field.
+const MAGIC: &[u8; 8] = b"HYADES02";
 
 fn write_u64(w: &mut impl Write, v: u64) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
@@ -59,16 +61,9 @@ fn read_f64s(r: &mut impl Read, expect_len: usize, hash: &mut u64) -> io::Result
     Ok(out)
 }
 
-/// Write a checkpoint of `model`'s prognostic state.
-pub fn save(model: &Model, w: &mut impl Write) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    write_u64(w, model.steps_taken)?;
-    write_u64(w, model.total_cg_iterations)?;
-    write_u64(w, model.total_ps_flops)?;
-    write_u64(w, model.total_ds_flops)?;
-    write_u64(w, model.state.first_step as u64)?;
-    let st = &model.state;
-    let f3: [&Field3; 10] = [
+/// The 3-D fields of an image, in file order.
+fn fields3(st: &ModelState) -> [&Field3; 9] {
+    [
         &st.u,
         &st.v,
         &st.w,
@@ -78,10 +73,34 @@ pub fn save(model: &Model, w: &mut impl Write) -> io::Result<()> {
         &st.gv_prev,
         &st.gt_prev,
         &st.gs_prev,
-        &st.gw_prev,
-    ];
+    ]
+}
+
+fn fields3_mut(st: &mut ModelState) -> [&mut Field3; 9] {
+    [
+        &mut st.u,
+        &mut st.v,
+        &mut st.w,
+        &mut st.theta,
+        &mut st.s,
+        &mut st.gu_prev,
+        &mut st.gv_prev,
+        &mut st.gt_prev,
+        &mut st.gs_prev,
+    ]
+}
+
+/// Write a checkpoint of `model`'s prognostic state.
+pub fn save(model: &Model, w: &mut impl Write) -> io::Result<()> {
+    w.write_all(MAGIC)?;
+    write_u64(w, model.steps_taken)?;
+    write_u64(w, model.total_cg_iterations)?;
+    write_u64(w, model.total_ps_flops)?;
+    write_u64(w, model.total_ds_flops)?;
+    write_u64(w, model.state.first_step as u64)?;
+    let st = &model.state;
     let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for f in f3 {
+    for f in fields3(st) {
         write_f64s(w, f.raw(), &mut hash)?;
     }
     write_f64s(w, st.ps.raw(), &mut hash)?;
@@ -90,54 +109,79 @@ pub fn save(model: &Model, w: &mut impl Write) -> io::Result<()> {
     Ok(())
 }
 
-/// Restore a checkpoint into `model` (which must have been built with the
-/// same configuration and rank).
-pub fn load(model: &mut Model, r: &mut impl Read) -> io::Result<()> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "not a Hyades checkpoint",
-        ));
-    }
-    model.steps_taken = read_u64(r)?;
-    model.total_cg_iterations = read_u64(r)?;
-    model.total_ps_flops = read_u64(r)?;
-    model.total_ds_flops = read_u64(r)?;
-    let first_step = read_u64(r)? != 0;
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    {
-        let st = &mut model.state;
-        st.first_step = first_step;
-        let fields: [&mut Field3; 10] = [
-            &mut st.u,
-            &mut st.v,
-            &mut st.w,
-            &mut st.theta,
-            &mut st.s,
-            &mut st.gu_prev,
-            &mut st.gv_prev,
-            &mut st.gt_prev,
-            &mut st.gs_prev,
-            &mut st.gw_prev,
-        ];
-        for f in fields {
-            let len = f.raw().len();
-            let data = read_f64s(r, len, &mut hash)?;
-            f.raw_mut().copy_from_slice(&data);
+/// A whole image, read and verified against a model's shape and the
+/// trailer, not yet written into the model.
+pub(crate) struct Staged {
+    steps_taken: u64,
+    total_cg_iterations: u64,
+    total_ps_flops: u64,
+    total_ds_flops: u64,
+    first_step: bool,
+    fields3: Vec<Vec<f64>>,
+    ps: Vec<f64>,
+}
+
+impl Staged {
+    /// Read one image for `model`; `model` is only asked for its field
+    /// lengths.
+    pub(crate) fn read(model: &Model, r: &mut impl Read) -> io::Result<Staged> {
+        let mut magic = [0u8; 8];
+        r.read_exact(&mut magic)?;
+        if &magic != MAGIC {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "not a Hyades checkpoint",
+            ));
         }
-        let len = st.ps.raw().len();
-        let data = read_f64s(r, len, &mut hash)?;
-        st.ps.raw_mut().copy_from_slice(&data);
+        let steps_taken = read_u64(r)?;
+        let total_cg_iterations = read_u64(r)?;
+        let total_ps_flops = read_u64(r)?;
+        let total_ds_flops = read_u64(r)?;
+        let first_step = read_u64(r)? != 0;
+        let mut hash = 0xCBF2_9CE4_8422_2325u64;
+        let st = &model.state;
+        let fields3 = fields3(st)
+            .iter()
+            .map(|f| read_f64s(r, f.raw().len(), &mut hash))
+            .collect::<io::Result<Vec<_>>>()?;
+        let ps = read_f64s(r, st.ps.raw().len(), &mut hash)?;
+        if read_u64(r)? != hash {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "checkpoint checksum mismatch",
+            ));
+        }
+        Ok(Staged {
+            steps_taken,
+            total_cg_iterations,
+            total_ps_flops,
+            total_ds_flops,
+            first_step,
+            fields3,
+            ps,
+        })
     }
-    let expect = read_u64(r)?;
-    if expect != hash {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "checkpoint checksum mismatch",
-        ));
+
+    /// Write the verified image into the model it was read for.
+    pub(crate) fn commit(self, model: &mut Model) {
+        model.steps_taken = self.steps_taken;
+        model.total_cg_iterations = self.total_cg_iterations;
+        model.total_ps_flops = self.total_ps_flops;
+        model.total_ds_flops = self.total_ds_flops;
+        let st = &mut model.state;
+        st.first_step = self.first_step;
+        for (f, data) in fields3_mut(st).into_iter().zip(&self.fields3) {
+            f.raw_mut().copy_from_slice(data);
+        }
+        st.ps.raw_mut().copy_from_slice(&self.ps);
     }
+}
+
+/// Restore a checkpoint into `model` (which must have been built with the
+/// same configuration and rank). On `Err` the model is as it was: nothing
+/// is written until lengths and checksum have been verified.
+pub fn load(model: &mut Model, r: &mut impl Read) -> io::Result<()> {
+    Staged::read(model, r)?.commit(model);
     Ok(())
 }
 
@@ -226,6 +270,44 @@ mod tests {
             err.to_string().contains("checksum") || err.kind() == std::io::ErrorKind::InvalidData,
             "{err}"
         );
+    }
+
+    /// An image that fails verification must not be half-restored: damage
+    /// inside the last field (`ps`), and a cut at a field boundary.
+    #[test]
+    fn rejected_image_leaves_the_model_as_it_was() {
+        let mut w = SerialWorld;
+        let mut source = model();
+        source.run(&mut w, 4);
+        let mut image = Vec::new();
+        save(&source, &mut image).unwrap();
+        let mut flipped = image.clone();
+        let in_ps = image.len() - 8 - 16;
+        flipped[in_ps] ^= 0x01;
+        let one_field = 8 + 8 * source.state.u.raw().len();
+        let cut = &image[..8 + 5 * 8 + 3 * one_field];
+
+        let mut target = model();
+        target.run(&mut w, 2);
+        let mut before = Vec::new();
+        save(&target, &mut before).unwrap();
+        for bad in [flipped.as_slice(), cut] {
+            load(&mut target, &mut &*bad).unwrap_err();
+            let mut after = Vec::new();
+            save(&target, &mut after).unwrap();
+            assert!(after == before, "a refused image changed the model");
+            assert_eq!(target.steps_taken, 2);
+        }
+    }
+
+    #[test]
+    fn previous_format_is_refused_at_the_magic() {
+        let mut m = model();
+        let mut image = Vec::new();
+        save(&m, &mut image).unwrap();
+        image[..8].copy_from_slice(b"HYADES01");
+        let err = load(&mut m, &mut image.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("not a Hyades checkpoint"), "{err}");
     }
 
     #[test]

@@ -4,19 +4,6 @@ use crate::decomp::Decomp;
 use crate::eos::{atmos_5level_pressures, Eos, FluidKind, P00};
 use crate::grid::{stretched_levels, Grid};
 
-/// Horizontal tracer advection scheme.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AdvectionScheme {
-    /// Second-order centred fluxes (the classic MITgcm default): exactly
-    /// conservative, dispersive near sharp gradients (needs diffusion).
-    Centered2,
-    /// First-order upwind: monotone, strongly diffusive.
-    Upwind1,
-    /// Second-order TVD with the Superbee limiter: monotone *and* sharp —
-    /// the scheme of choice for tracers with fronts.
-    Superbee,
-}
-
 /// How the ocean surface boundary is forced when running uncoupled.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SurfaceForcing {
@@ -54,13 +41,6 @@ pub struct ModelConfig {
     pub forcing: SurfaceForcing,
     /// Whether to use the idealized-continent topography (ocean only).
     pub continents: bool,
-    /// Non-hydrostatic mode (§3.1): prognostic `w` plus a 3-D pressure
-    /// solve. Climate-scale configurations run hydrostatic (the default);
-    /// the flag exists for the fine-scale process studies the model's
-    /// versatility claim covers.
-    pub nonhydrostatic: bool,
-    /// Horizontal tracer advection scheme.
-    pub advection: AdvectionScheme,
     /// Linear implicit free surface: the DS operator gains a
     /// `area/(g·Δt²)` diagonal term and `ps/g` becomes a real surface
     /// elevation η. `false` = the paper's rigid-lid-style solve (pure
@@ -102,8 +82,6 @@ impl ModelConfig {
             cg_max_iters: 200,
             forcing: SurfaceForcing::Climatology,
             continents: false,
-            nonhydrostatic: false,
-            advection: AdvectionScheme::Centered2,
             free_surface: false,
             implicit_vertical: false,
             theta_eq_offset: 0.0,
@@ -132,8 +110,6 @@ impl ModelConfig {
             cg_max_iters: 200,
             forcing: SurfaceForcing::Climatology,
             continents: true,
-            nonhydrostatic: false,
-            advection: AdvectionScheme::Centered2,
             free_surface: false,
             implicit_vertical: false,
             theta_eq_offset: 0.0,
@@ -167,8 +143,6 @@ impl ModelConfig {
             cg_max_iters: 1500,
             forcing: SurfaceForcing::Climatology,
             continents: true,
-            nonhydrostatic: false,
-            advection: AdvectionScheme::Centered2,
             free_surface: false,
             implicit_vertical: true,
             theta_eq_offset: 0.0,
@@ -194,8 +168,6 @@ impl ModelConfig {
             cg_max_iters: 500,
             forcing: SurfaceForcing::None,
             continents: false,
-            nonhydrostatic: false,
-            advection: AdvectionScheme::Centered2,
             free_surface: false,
             implicit_vertical: false,
             theta_eq_offset: 0.0,

@@ -114,11 +114,16 @@ impl CoupledModel {
     ) -> (StepStats, StepStats) {
         let sa = self.atmos.step(atmos_world);
         let so = self.ocean.step(ocean_world);
+        self.count_and_couple();
+        (sa, so)
+    }
+
+    /// What follows the two model steps of every coupled step.
+    fn count_and_couple(&mut self) {
         self.steps += 1;
         if self.steps.is_multiple_of(self.couple_every) {
             self.exchange_boundary_conditions();
         }
-        (sa, so)
     }
 }
 
@@ -165,7 +170,7 @@ mod tests {
         let mut ma = RunMonitor::new("atmos", SentinelConfig::default());
         let mut mo = RunMonitor::new("ocean", SentinelConfig::default());
         for _ in 0..4 {
-            assert!(c.step_monitored(&mut w, &mut ma, &mut mo));
+            assert!(c.step_monitored(&mut w, &mut ma, &mut mo).2);
         }
         assert_eq!(ma.steps(), 4);
         assert_eq!(mo.series().len(), 4);
@@ -229,10 +234,7 @@ impl CoupledModel {
     pub fn step_shared(&mut self, world: &mut dyn CommWorld) -> (StepStats, StepStats) {
         let sa = self.atmos.step(world);
         let so = self.ocean.step(world);
-        self.steps += 1;
-        if self.steps.is_multiple_of(self.couple_every) {
-            self.exchange_boundary_conditions();
-        }
+        self.count_and_couple();
         (sa, so)
     }
 
@@ -240,27 +242,14 @@ impl CoupledModel {
     /// isomorph's [`RunMonitor`] observes its model through the same
     /// shared communicator (again in a fixed atmos-then-ocean order, so
     /// the collective schedule stays identical on every rank). Returns
-    /// `true` while both isomorphs are healthy; on `false` the caller
-    /// stops stepping and reads the blame from the tripped monitor.
+    /// both isomorphs' step statistics (the critical-path tour drives the
+    /// phase model with their CG iteration counts) and `true` while both
+    /// are healthy; on `false` the caller stops stepping and reads the
+    /// blame from the tripped monitor.
     ///
     /// [`step_shared`]: CoupledModel::step_shared
     /// [`RunMonitor`]: crate::monitor::RunMonitor
     pub fn step_monitored(
-        &mut self,
-        world: &mut dyn CommWorld,
-        atmos_monitor: &mut crate::monitor::RunMonitor,
-        ocean_monitor: &mut crate::monitor::RunMonitor,
-    ) -> bool {
-        self.step_monitored_full(world, atmos_monitor, ocean_monitor)
-            .2
-    }
-
-    /// [`step_monitored`] returning both isomorphs' step statistics
-    /// alongside the health flag — the critical-path tour needs the
-    /// per-step CG iteration counts to drive the phase model.
-    ///
-    /// [`step_monitored`]: CoupledModel::step_monitored
-    pub fn step_monitored_full(
         &mut self,
         world: &mut dyn CommWorld,
         atmos_monitor: &mut crate::monitor::RunMonitor,
@@ -291,12 +280,17 @@ impl CoupledModel {
     }
 
     /// Restore both isomorphs (the pair must match the saved
-    /// configuration) and re-derive the boundary fields.
+    /// configuration) and re-derive the boundary fields. On `Err` the pair
+    /// is as it was: neither isomorph is written until both images and the
+    /// step count have been read and verified.
     pub fn load_checkpoint(&mut self, r: &mut impl std::io::Read) -> std::io::Result<()> {
-        crate::checkpoint::load(&mut self.atmos, r)?;
-        crate::checkpoint::load(&mut self.ocean, r)?;
+        use crate::checkpoint::Staged;
+        let atmos = Staged::read(&self.atmos, r)?;
+        let ocean = Staged::read(&self.ocean, r)?;
         let mut b = [0u8; 8];
         r.read_exact(&mut b)?;
+        atmos.commit(&mut self.atmos);
+        ocean.commit(&mut self.ocean);
         self.steps = u64::from_le_bytes(b);
         // Boundary fields are diagnostic: rebuild from the restored state
         // so the next steps see exactly the fluxes the saved run would.
@@ -357,5 +351,36 @@ mod checkpoint_tests {
             "ocean diverged after coupled restart"
         );
         assert_eq!(straight.steps, resumed.steps);
+    }
+
+    /// A pair image whose ocean half fails verification must not restore
+    /// the atmosphere half either; nor may one cut short of the step count.
+    #[test]
+    fn rejected_pair_image_leaves_both_isomorphs_as_they_were() {
+        let mut w = SerialWorld;
+        let mut source = pair();
+        for _ in 0..4 {
+            source.step_shared(&mut w);
+        }
+        let mut image = Vec::new();
+        source.save_checkpoint(&mut image).unwrap();
+        let mut flipped = image.clone();
+        let in_ocean_ps = image.len() - 8 - 8 - 16;
+        flipped[in_ocean_ps] ^= 0x01;
+        let cut = &image[..image.len() - 8];
+
+        let mut target = pair();
+        for _ in 0..2 {
+            target.step_shared(&mut w);
+        }
+        let mut before = Vec::new();
+        target.save_checkpoint(&mut before).unwrap();
+        for bad in [flipped.as_slice(), cut] {
+            target.load_checkpoint(&mut &*bad).unwrap_err();
+            let mut after = Vec::new();
+            target.save_checkpoint(&mut after).unwrap();
+            assert!(after == before, "a refused image changed the pair");
+            assert_eq!(target.atmos.steps_taken, 2);
+        }
     }
 }

@@ -21,7 +21,6 @@ use crate::halo;
 use crate::kernel::vertical::{implicit_vertical_diffusion, Tridiag};
 use crate::kernel::{gterms, hydrostatic, timestep, TileGeom, Workspace};
 use crate::physics::{self, BoundaryFields};
-use crate::solver::nonhydro::{w_tendency, NonHydroSolver};
 use crate::solver::{CgSolver, EllipticCoeffs};
 use crate::state::{Masks, ModelState};
 use crate::tile::Tile;
@@ -35,8 +34,6 @@ use std::sync::Arc;
 pub struct StepStats {
     /// Solver iterations this step (the paper's `Ni`).
     pub cg_iterations: usize,
-    /// 3-D solver iterations (non-hydrostatic mode; 0 otherwise).
-    pub nh_iterations: usize,
     /// Final `‖r‖ / ‖r₀‖` of the surface-pressure solve: the reduction
     /// from the warm-started first residual (`CgResult::rel_residual`),
     /// not a residual relative to the right-hand side.
@@ -65,7 +62,6 @@ pub struct Model {
     ws: Workspace,
     coeffs: EllipticCoeffs,
     solver: CgSolver,
-    nh: Option<NonHydroSolver>,
     tridiag: Tridiag,
     pub steps_taken: u64,
     /// Cumulative solver iterations (for the mean `Ni`).
@@ -99,9 +95,6 @@ impl Model {
         let ws = Workspace::new(&cfg, &tile);
         let coeffs = EllipticCoeffs::build(&cfg, &tile, &geom, &masks);
         let solver = CgSolver::new(&tile);
-        let nh = cfg
-            .nonhydrostatic
-            .then(|| NonHydroSolver::new(&cfg, &tile, &geom, &masks));
         let tridiag = Tridiag::new(cfg.grid.nz);
         let bc = BoundaryFields::new(&tile);
         Model {
@@ -115,7 +108,6 @@ impl Model {
             ws,
             coeffs,
             solver,
-            nh,
             tridiag,
             steps_taken: 0,
             total_cg_iterations: 0,
@@ -277,60 +269,17 @@ impl Model {
             &mut self.state,
             &self.ws,
         );
-        let mut nh_iterations = 0;
-        if let Some(nh) = self.nh.as_mut() {
-            // Non-hydrostatic mode: w is prognostic (advected + AB2), and
-            // a 3-D pressure solve projects the full flow to
-            // non-divergence (§3.1's p_nh part).
-            let mut gw = self.state.gw_prev.clone();
-            w_tendency(
-                &self.cfg,
-                &self.tile,
-                &self.geom,
-                &self.masks,
-                &self.state,
-                &mut gw,
-            );
-            timestep::ab2_extrapolate(&mut gw, &mut self.state.gw_prev, self.cfg.ab_eps, first, 0);
-            for (i, j, k) in gw.interior() {
-                self.state.w.add(i, j, k, self.cfg.dt * gw.at(i, j, k));
-            }
-            // The projection exchanges (u, v, w) itself before taking the
-            // 3-D divergence.
-            {
-                let st = &mut self.state;
-                halo::exchange3(
-                    world,
-                    &decomp,
-                    &self.tile,
-                    &mut [&mut st.u, &mut st.v, &mut st.w],
-                    1,
-                );
-            }
-            let res = nh.project(
-                world,
-                &self.cfg,
-                &decomp,
-                &self.tile,
-                &self.geom,
-                &self.masks,
-                &mut self.state,
-            );
-            debug_assert!(res.converged, "non-hydrostatic solve diverged");
-            nh_iterations = res.iterations;
-        } else {
-            // Hydrostatic mode: w is diagnosed from continuity.
-            hydrostatic::diagnose_w(
-                &self.cfg,
-                &self.tile,
-                &self.geom,
-                &self.masks,
-                &self.state.u,
-                &self.state.v,
-                &mut self.state.w,
-                0,
-            );
-        }
+        // w is diagnosed from continuity.
+        hydrostatic::diagnose_w(
+            &self.cfg,
+            &self.tile,
+            &self.geom,
+            &self.masks,
+            &self.state.u,
+            &self.state.v,
+            &mut self.state.w,
+            0,
+        );
 
         // Adjustments (convection, condensation).
         physics::post_adjust(&self.cfg, &self.tile, &self.masks, &mut self.state);
@@ -375,7 +324,6 @@ impl Model {
             .max(self.state.v.interior_max_abs());
         StepStats {
             cg_iterations: cg.iterations,
-            nh_iterations,
             cg_residual: cg.rel_residual,
             cg_initial_residual: cg.initial_residual,
             cg_final_residual: cg.final_residual,
@@ -558,114 +506,6 @@ mod tests {
         // iteration is counted flop by flop (operator 9 + CG 21).
         assert!((100.0..2000.0).contains(&nps), "Nps = {nps}");
         assert_eq!(nds, 30.0);
-    }
-}
-
-#[cfg(test)]
-mod nonhydro_tests {
-    use super::*;
-    use crate::config::SurfaceForcing;
-    use crate::decomp::Decomp;
-    use crate::solver::nonhydro::divergence3;
-    use hyades_comms::SerialWorld;
-
-    fn cfg(nonhydro: bool) -> ModelConfig {
-        let d = Decomp::blocks(16, 8, 1, 1, 3);
-        let mut cfg = ModelConfig::test_ocean(16, 8, 4, d);
-        cfg.forcing = SurfaceForcing::Climatology;
-        cfg.nonhydrostatic = nonhydro;
-        cfg
-    }
-
-    #[test]
-    fn nonhydrostatic_run_stays_finite_and_3d_nondivergent() {
-        let mut m = Model::new(cfg(true), 0);
-        let mut w = SerialWorld;
-        let mut last = StepStats::default();
-        for _ in 0..8 {
-            last = m.step(&mut w);
-            assert!(last.cg_converged);
-        }
-        assert!(m.state.is_finite());
-        assert!(last.nh_iterations > 0, "3-D solver must have run");
-        // The full 3-D divergence must be at solver tolerance.
-        let mut div = m.state.w.clone();
-        {
-            let st = &mut m.state;
-            crate::halo::exchange3(
-                &mut w,
-                &m.cfg.decomp,
-                &m.tile,
-                &mut [&mut st.u, &mut st.v, &mut st.w],
-                1,
-            );
-        }
-        divergence3(
-            &m.cfg, &m.tile, &m.geom, &m.masks, &m.state.u, &m.state.v, &m.state.w, &mut div,
-        );
-        let scale = m.geom.area_at(4) * 1e-6;
-        assert!(
-            div.interior_max_abs() < scale,
-            "3-D divergence {} vs scale {scale}",
-            div.interior_max_abs()
-        );
-    }
-
-    #[test]
-    fn hydrostatic_limit_agreement() {
-        // The paper runs climate scales hydrostatic because "in the
-        // hydrostatic limit the non-hydrostatic pressure component is
-        // negligible" (§3.1). At 300-km grid spacing over 4-km depth
-        // (aspect ratio ~1e-2), the two modes must track each other
-        // closely over a short run.
-        let steps = 6;
-        let mut hydro = Model::new(cfg(false), 0);
-        let mut nonhydro = Model::new(cfg(true), 0);
-        let mut w = SerialWorld;
-        hydro.run(&mut w, steps);
-        nonhydro.run(&mut w, steps);
-        let mut max_dt = 0.0f64;
-        let mut max_du = 0.0f64;
-        for (i, j, k) in hydro.state.theta.interior() {
-            max_dt = max_dt
-                .max((hydro.state.theta.at(i, j, k) - nonhydro.state.theta.at(i, j, k)).abs());
-            max_du = max_du.max((hydro.state.u.at(i, j, k) - nonhydro.state.u.at(i, j, k)).abs());
-        }
-        // Velocities are mm/s-scale at this point; agreement must be far
-        // below the signal.
-        let u_scale = hydro.state.u.interior_max_abs().max(1e-9);
-        assert!(
-            max_du < 0.05 * u_scale,
-            "u differs by {max_du} (scale {u_scale})"
-        );
-        // Tracer drift: a few mK against a ~25 K signal — four orders of
-        // magnitude below the stratification (w is prognostic vs
-        // diagnosed, so small vertical-advection differences accrue).
-        assert!(max_dt < 5e-3, "theta differs by {max_dt} K");
-    }
-
-    #[test]
-    fn nonhydrostatic_checkpoint_roundtrip() {
-        let mut m = Model::new(cfg(true), 0);
-        let mut w = SerialWorld;
-        m.run(&mut w, 3);
-        let mut buf = Vec::new();
-        crate::checkpoint::save(&m, &mut buf).unwrap();
-        let mut straight = Model::new(cfg(true), 0);
-        straight.run(&mut w, 5);
-        let mut resumed = Model::new(cfg(true), 0);
-        crate::checkpoint::load(&mut resumed, &mut buf.as_slice()).unwrap();
-        resumed.run(&mut w, 2);
-        // gw_prev in the checkpoint makes the NH restart bit-exact too…
-        // up to the warm-started pnh, which is *not* checkpointed (it is
-        // a diagnostic whose initial guess only affects iteration counts,
-        // not converged values beyond tolerance).
-        let mut max_d = 0.0f64;
-        for (i, j, k) in straight.state.u.clone().interior() {
-            max_d = max_d.max((straight.state.u.at(i, j, k) - resumed.state.u.at(i, j, k)).abs());
-        }
-        let scale = straight.state.u.interior_max_abs().max(1e-12);
-        assert!(max_d < 1e-5 * scale.max(1e-6), "restart drift {max_d}");
     }
 }
 

@@ -12,7 +12,7 @@
 //! Every term uses only a 3×3 (×3 vertical) stencil, which is what makes
 //! halo overcomputation possible (§4).
 
-use crate::config::{AdvectionScheme, ModelConfig};
+use crate::config::ModelConfig;
 use crate::field::Field3;
 use crate::flops::{self, Phase};
 use crate::kernel::{select, Cols, TileGeom, Workspace};
@@ -224,53 +224,17 @@ fn vertical_viscosity(
     0.0 + from_above + from_below
 }
 
-/// Advected face value for the flux through a cell face, given the
-/// normal velocity `vel` and the four tracer values straddling the face
-/// (`t_mm, t_m | face | t_p, t_pp` in the flow direction's coordinate).
-///
-/// * `Centered2`: arithmetic mean of the two adjacent cells.
-/// * `Upwind1`: the donor cell.
-/// * `Superbee`: donor plus a Superbee-limited correction — second-order
-///   where smooth, monotone at fronts (TVD).
-#[inline]
-pub fn face_value(
-    scheme: AdvectionScheme,
-    vel: f64,
-    t_mm: f64,
-    t_m: f64,
-    t_p: f64,
-    t_pp: f64,
-) -> f64 {
-    match scheme {
-        AdvectionScheme::Centered2 => 0.5 * (t_m + t_p),
-        AdvectionScheme::Upwind1 => {
-            if vel >= 0.0 {
-                t_m
-            } else {
-                t_p
-            }
-        }
-        AdvectionScheme::Superbee => {
-            // Upstream-biased slope ratio r and the Superbee limiter
-            // ψ(r) = max(0, min(1, 2r), min(2, r)).
-            let (up, dn, up2) = if vel >= 0.0 {
-                (t_m, t_p, t_mm)
-            } else {
-                (t_p, t_m, t_pp)
-            };
-            let denom = dn - up;
-            let psi = if denom.abs() < 1e-300 {
-                0.0
-            } else {
-                let r = (up - up2) / denom;
-                (2.0 * r).min(1.0).max(r.min(2.0)).max(0.0)
-            };
-            up + 0.5 * psi * (dn - up)
-        }
-    }
-}
-
 /// Flux-form tendency for one tracer on the interior extended by `ext`.
+///
+/// Horizontal advective + diffusive fluxes through the faces (centred
+/// advection: the face value is the mean of the two adjacent cells;
+/// down-gradient diffusion; masked faces carry no flux; partial cells
+/// shrink the open face area and the cell volume by the same §3.2
+/// fractions, so fluxes stay exactly conservative), each computed once: a
+/// cell's east flux is its east neighbour's west flux and its north flux
+/// the south flux of the cell to the north, expression for expression, so
+/// differencing the shared values is what differencing four fluxes of its
+/// own was.
 #[allow(clippy::too_many_arguments)]
 pub fn tracer_tendency(
     cfg: &ModelConfig,
@@ -284,185 +248,87 @@ pub fn tracer_tendency(
     diff_v: f64,
     ext: i64,
 ) {
-    tracer_tendency_scheme(
-        cfg,
-        tile,
-        geom,
-        masks,
-        state,
-        tracer,
-        out,
-        diff_h,
-        diff_v,
-        ext,
-        cfg.advection,
-    )
-}
+    let t = tracer;
+    let cols = Cols::new(tile.nx, ext);
+    let (cols_east, cols_wide) = (cols.wider(0, 1), cols.wider(1, 1));
+    let n = cols.n;
+    let dy = geom.dy;
+    // x-face fluxes of a row: the west face of each of its cells and
+    // the east face of the last. y-face fluxes of a row's south faces
+    // and of its north faces, which are the next row's south faces.
+    let mut fx = vec![0.0; n + 1];
+    let mut fy_south = vec![0.0; n];
+    let mut fy_north = vec![0.0; n];
+    let mut cells = 0u64;
+    for k in 0..cfg.grid.nz {
+        let lev = Level::of(&cfg.grid.dz, k);
+        let (dz, ku, kd) = (lev.dz, lev.ku, lev.kd);
+        // Fluxes through the south faces of row `j`, from the two rows
+        // straddling them.
+        let y_fluxes = |j: i64, fy: &mut [f64]| {
+            let fy = &mut fy[..n];
+            let (hv, v) = (cols.of(&masks.hv, j, k), cols.of(&state.v, j, k));
+            let (t_m, t_p) = (cols.of(t, j - 1, k), cols.of(t, j, k));
+            let dxs = geom.dxs_at(j);
+            for i in 0..n {
+                fy[i] = hv[i]
+                    * dxs
+                    * dz
+                    * (v[i] * (0.5 * (t_m[i] + t_p[i])) - diff_h * (t_p[i] - t_m[i]) / dy);
+            }
+        };
+        y_fluxes(-ext, &mut fy_north);
+        for j in -ext..tile.ny as i64 + ext {
+            std::mem::swap(&mut fy_south, &mut fy_north);
+            y_fluxes(j + 1, &mut fy_north);
 
-/// As [`tracer_tendency`] with an explicit advection scheme (the config's
-/// scheme is the default; benches sweep all of them).
-#[allow(clippy::too_many_arguments)]
-pub fn tracer_tendency_scheme(
-    cfg: &ModelConfig,
-    tile: &Tile,
-    geom: &TileGeom,
-    masks: &Masks,
-    state: &ModelState,
-    tracer: &Field3,
-    out: &mut Field3,
-    diff_h: f64,
-    diff_v: f64,
-    ext: i64,
-    scheme: AdvectionScheme,
-) {
-    // The scheme is matched here, once a call: each arm is a row body of
-    // its own in which `face_value`'s match has folded away.
-    use AdvectionScheme::*;
-    let sweep = TracerSweep {
-        cfg,
-        tile,
-        geom,
-        masks,
-        state,
-        t: tracer,
-        diff_h,
-        diff_v,
-        ext,
-    };
-    match scheme {
-        Centered2 => sweep.run(out, |vel, mm, m, p, pp| {
-            face_value(Centered2, vel, mm, m, p, pp)
-        }),
-        Upwind1 => sweep.run(out, |vel, mm, m, p, pp| {
-            face_value(Upwind1, vel, mm, m, p, pp)
-        }),
-        Superbee => sweep.run(out, |vel, mm, m, p, pp| {
-            face_value(Superbee, vel, mm, m, p, pp)
-        }),
-    }
-}
+            // Cell `i` of the sweep is at index `i + 1` of the wide
+            // tracer row; face `f` lies between indices `f` and `f + 1`.
+            let t_c = cols_wide.of(t, j, k);
+            let hu = cols_east.of(&masks.hu, j, k);
+            let u = cols_east.of(&state.u, j, k);
+            let dxc = geom.dxc_at(j);
+            let fx = &mut fx[..n + 1];
+            for f in 0..n + 1 {
+                fx[f] = hu[f]
+                    * dy
+                    * dz
+                    * (u[f] * (0.5 * (t_c[f] + t_c[f + 1])) - diff_h * (t_c[f + 1] - t_c[f]) / dxc);
+            }
 
-/// The arguments of one tracer-tendency call.
-struct TracerSweep<'a> {
-    cfg: &'a ModelConfig,
-    tile: &'a Tile,
-    geom: &'a TileGeom,
-    masks: &'a Masks,
-    state: &'a ModelState,
-    t: &'a Field3,
-    diff_h: f64,
-    diff_v: f64,
-    ext: i64,
-}
-
-impl TracerSweep<'_> {
-    /// Horizontal advective + diffusive fluxes through the faces (centred
-    /// advection, down-gradient diffusion; masked faces carry no flux;
-    /// partial cells shrink the open face area and the cell volume by the
-    /// same §3.2 fractions, so fluxes stay exactly conservative), each
-    /// computed once: a cell's east flux is its east neighbour's west
-    /// flux and its north flux the south flux of the cell to the north,
-    /// expression for expression, so differencing the shared values is
-    /// what differencing four fluxes of its own was.
-    fn run(&self, out: &mut Field3, face: impl Fn(f64, f64, f64, f64, f64) -> f64) {
-        let TracerSweep {
-            cfg,
-            tile,
-            geom,
-            masks,
-            state,
-            t,
-            diff_h,
-            diff_v,
-            ext,
-        } = *self;
-        let cols = Cols::new(tile.nx, ext);
-        let (cols_east, cols_wide) = (cols.wider(0, 1), cols.wider(2, 2));
-        let n = cols.n;
-        let dy = geom.dy;
-        // x-face fluxes of a row: the west face of each of its cells and
-        // the east face of the last. y-face fluxes of a row's south faces
-        // and of its north faces, which are the next row's south faces.
-        let mut fx = vec![0.0; n + 1];
-        let mut fy_south = vec![0.0; n];
-        let mut fy_north = vec![0.0; n];
-        let mut cells = 0u64;
-        for k in 0..cfg.grid.nz {
-            let lev = Level::of(&cfg.grid.dz, k);
-            let (dz, ku, kd) = (lev.dz, lev.ku, lev.kd);
-            // Fluxes through the south faces of row `j`, from the four
-            // rows straddling them.
-            let y_fluxes = |j: i64, fy: &mut [f64]| {
-                let fy = &mut fy[..n];
-                let (hv, v) = (cols.of(&masks.hv, j, k), cols.of(&state.v, j, k));
-                let (t_mm, t_m) = (cols.of(t, j - 2, k), cols.of(t, j - 1, k));
-                let (t_p, t_pp) = (cols.of(t, j, k), cols.of(t, j + 1, k));
-                let dxs = geom.dxs_at(j);
-                for i in 0..n {
-                    fy[i] = hv[i]
-                        * dxs
-                        * dz
-                        * (v[i] * face(v[i], t_mm[i], t_m[i], t_p[i], t_pp[i])
-                            - diff_h * (t_p[i] - t_m[i]) / dy);
-                }
-            };
-            y_fluxes(-ext, &mut fy_north);
-            for j in -ext..tile.ny as i64 + ext {
-                std::mem::swap(&mut fy_south, &mut fy_north);
-                y_fluxes(j + 1, &mut fy_north);
-
-                // Cell `i` of the sweep is at index `i + 2` of the wide
-                // tracer row; face `f` lies between indices `f + 1` and
-                // `f + 2`.
-                let t_c = cols_wide.of(t, j, k);
-                let hu = cols_east.of(&masks.hu, j, k);
-                let u = cols_east.of(&state.u, j, k);
-                let dxc = geom.dxc_at(j);
-                let fx = &mut fx[..n + 1];
-                for f in 0..n + 1 {
-                    fx[f] = hu[f]
-                        * dy
-                        * dz
-                        * (u[f] * face(u[f], t_c[f], t_c[f + 1], t_c[f + 2], t_c[f + 3])
-                            - diff_h * (t_c[f + 2] - t_c[f + 1]) / dxc);
-                }
-
-                let (wet, hc) = (cols.of(&masks.c, j, k), cols.of(&masks.hc, j, k));
-                let (wet_up, wet_dn) = (cols.of(&masks.c, j, ku), cols.of(&masks.c, j, kd));
-                let (t_up, t_dn) = (cols.of(t, j, ku), cols.of(t, j, kd));
-                let (w_top, w_bot) = (cols.of(&state.w, j, k), cols.of(&state.w, j, kd));
-                let (fy_south, fy_north) = (&fy_south[..n], &fy_north[..n]);
-                let area = geom.area_at(j);
-                let out = cols.of_mut(out, j, k);
-                for i in 0..n {
-                    let vol = area * dz * hc[i].max(1e-12);
-                    let mut g = -(fx[i + 1] - fx[i] + fy_north[i] - fy_south[i]) / vol;
-                    // Vertical: upwind advection + diffusion across wet
-                    // interfaces (w > 0 moves fluid toward smaller k). The
-                    // budget divides by the cell's *effective* thickness
-                    // dz·hc, so the shared interface flux cancels exactly
-                    // between a full cell and a shaved §3.2 partial cell.
-                    // A closed interface adds nothing — not even `+ 0.0`,
-                    // which would turn a `−0.0` into `+0.0`.
-                    let dz_eff = dz * hc[i].max(1e-12);
-                    let tc = t_c[i + 2];
-                    let (wtop, wbot) = (w_top[i], w_bot[i]);
-                    let donor = select(wtop > 0.0, tc, t_up[i]);
-                    let through_top =
-                        (-wtop * donor + diff_v * (t_up[i] - tc) / lev.dzi_up) / dz_eff;
-                    g = select(lev.has_up & (wet_up[i] != 0.0), g + through_top, g);
-                    let donor = select(wbot > 0.0, t_dn[i], tc);
-                    let through_bottom =
-                        (wbot * donor + diff_v * (t_dn[i] - tc) / lev.dzi_dn) / dz_eff;
-                    g = select(lev.has_dn & (wet_dn[i] != 0.0), g + through_bottom, g);
-                    let is_wet = wet[i] != 0.0;
-                    out[i] = select(is_wet, g, 0.0);
-                    cells += is_wet as u64;
-                }
+            let (wet, hc) = (cols.of(&masks.c, j, k), cols.of(&masks.hc, j, k));
+            let (wet_up, wet_dn) = (cols.of(&masks.c, j, ku), cols.of(&masks.c, j, kd));
+            let (t_up, t_dn) = (cols.of(t, j, ku), cols.of(t, j, kd));
+            let (w_top, w_bot) = (cols.of(&state.w, j, k), cols.of(&state.w, j, kd));
+            let (fy_south, fy_north) = (&fy_south[..n], &fy_north[..n]);
+            let area = geom.area_at(j);
+            let out = cols.of_mut(out, j, k);
+            for i in 0..n {
+                let vol = area * dz * hc[i].max(1e-12);
+                let mut g = -(fx[i + 1] - fx[i] + fy_north[i] - fy_south[i]) / vol;
+                // Vertical: upwind advection + diffusion across wet
+                // interfaces (w > 0 moves fluid toward smaller k). The
+                // budget divides by the cell's *effective* thickness
+                // dz·hc, so the shared interface flux cancels exactly
+                // between a full cell and a shaved §3.2 partial cell.
+                // A closed interface adds nothing — not even `+ 0.0`,
+                // which would turn a `−0.0` into `+0.0`.
+                let dz_eff = dz * hc[i].max(1e-12);
+                let tc = t_c[i + 1];
+                let (wtop, wbot) = (w_top[i], w_bot[i]);
+                let donor = select(wtop > 0.0, tc, t_up[i]);
+                let through_top = (-wtop * donor + diff_v * (t_up[i] - tc) / lev.dzi_up) / dz_eff;
+                g = select(lev.has_up & (wet_up[i] != 0.0), g + through_top, g);
+                let donor = select(wbot > 0.0, t_dn[i], tc);
+                let through_bottom = (wbot * donor + diff_v * (t_dn[i] - tc) / lev.dzi_dn) / dz_eff;
+                g = select(lev.has_dn & (wet_dn[i] != 0.0), g + through_bottom, g);
+                let is_wet = wet[i] != 0.0;
+                out[i] = select(is_wet, g, 0.0);
+                cells += is_wet as u64;
             }
         }
-        flops::add(Phase::Ps, cells * TRACER_FLOPS_PER_CELL);
     }
+    flops::add(Phase::Ps, cells * TRACER_FLOPS_PER_CELL);
 }
 
 /// The cell-at-a-time loops the row sweeps above replaced, kept as what
@@ -618,10 +484,9 @@ pub(crate) mod reference {
         flops::add(Phase::Ps, cells * MOMENTUM_FLOPS_PER_CELL);
     }
 
-    /// As [`tracer_tendency`] with an explicit advection scheme (the config's
-    /// scheme is the default; benches sweep all of them).
+    /// Flux-form tendency for one tracer on the interior extended by `ext`.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn tracer_tendency_scheme(
+    pub(crate) fn tracer_tendency(
         cfg: &ModelConfig,
         tile: &Tile,
         geom: &TileGeom,
@@ -632,7 +497,6 @@ pub(crate) mod reference {
         diff_h: f64,
         diff_v: f64,
         ext: i64,
-        scheme: AdvectionScheme,
     ) {
         let nz = cfg.grid.nz;
         let (nx, ny) = (tile.nx as i64, tile.ny as i64);
@@ -667,54 +531,22 @@ pub(crate) mod reference {
                     let fx_w = mu_w
                         * dy
                         * dz
-                        * (uw
-                            * face_value(
-                                scheme,
-                                uw,
-                                t.at(i - 2, j, k),
-                                t.at(i - 1, j, k),
-                                t.at(i, j, k),
-                                t.at(i + 1, j, k),
-                            )
+                        * (uw * (0.5 * (t.at(i - 1, j, k) + t.at(i, j, k)))
                             - diff_h * (t.at(i, j, k) - t.at(i - 1, j, k)) / dxc);
                     let fx_e = mu_e
                         * dy
                         * dz
-                        * (ue
-                            * face_value(
-                                scheme,
-                                ue,
-                                t.at(i - 1, j, k),
-                                t.at(i, j, k),
-                                t.at(i + 1, j, k),
-                                t.at(i + 2, j, k),
-                            )
+                        * (ue * (0.5 * (t.at(i, j, k) + t.at(i + 1, j, k)))
                             - diff_h * (t.at(i + 1, j, k) - t.at(i, j, k)) / dxc);
                     let fy_s = mv_s
                         * geom.dxs_at(j)
                         * dz
-                        * (vs
-                            * face_value(
-                                scheme,
-                                vs,
-                                t.at(i, j - 2, k),
-                                t.at(i, j - 1, k),
-                                t.at(i, j, k),
-                                t.at(i, j + 1, k),
-                            )
+                        * (vs * (0.5 * (t.at(i, j - 1, k) + t.at(i, j, k)))
                             - diff_h * (t.at(i, j, k) - t.at(i, j - 1, k)) / dy);
                     let fy_n = mv_n
                         * geom.dxs_at(j + 1)
                         * dz
-                        * (vn
-                            * face_value(
-                                scheme,
-                                vn,
-                                t.at(i, j - 1, k),
-                                t.at(i, j, k),
-                                t.at(i, j + 1, k),
-                                t.at(i, j + 2, k),
-                            )
+                        * (vn * (0.5 * (t.at(i, j, k) + t.at(i, j + 1, k)))
                             - diff_h * (t.at(i, j + 1, k) - t.at(i, j, k)) / dy);
                     let mut g = -(fx_e - fx_w + fy_n - fy_s) / vol;
                     // Vertical: upwind advection + diffusion across wet
@@ -890,6 +722,67 @@ mod tests {
         assert!(ws.gt.at(8, 5, 1) > 0.0);
     }
 
+    /// Advect a top-hat round the periodic channel with no diffusion: the
+    /// flux form conserves the tracer integral step after step, and the
+    /// centred face value overshoots at the fronts (why the presets all
+    /// carry a horizontal diffusivity).
+    #[test]
+    fn centred_advection_of_a_top_hat_conserves_and_overshoots() {
+        let d = Decomp::blocks(32, 4, 1, 1, 3);
+        let mut cfg = ModelConfig::test_ocean(32, 4, 1, d);
+        cfg.dt = 2000.0;
+        let tile = d.tile(0);
+        let topo = Topography::aquaplanet(&cfg.grid);
+        let masks = Masks::build(&cfg, &tile, &topo);
+        let geom = TileGeom::build(&cfg, &tile);
+        let mut world = hyades_comms::SerialWorld;
+        let mut st = ModelState::initial(&cfg, &tile, &masks);
+        st.u.fill(1.0); // uniform zonal flow, non-divergent
+        st.v.fill(0.0);
+        st.w.fill(0.0);
+        for (i, j, k) in st.theta.clone().interior() {
+            st.theta
+                .set(i, j, k, if (8..16).contains(&i) { 1.0 } else { 0.0 });
+        }
+        let mut ws = Workspace::new(&cfg, &tile);
+        for _ in 0..40 {
+            crate::halo::exchange3(
+                &mut world,
+                &d,
+                &tile,
+                &mut [&mut st.u, &mut st.v, &mut st.theta],
+                3,
+            );
+            tracer_tendency(
+                &cfg,
+                &tile,
+                &geom,
+                &masks,
+                &st,
+                &st.theta.clone(),
+                &mut ws.gt,
+                0.0,
+                0.0,
+                0,
+            );
+            for (i, j, k) in ws.gt.interior() {
+                st.theta.add(i, j, k, cfg.dt * ws.gt.at(i, j, k));
+            }
+        }
+        let (mut min, mut max, mut sum) = (f64::INFINITY, f64::NEG_INFINITY, 0.0);
+        for (i, j, k) in st.theta.interior() {
+            let v = st.theta.at(i, j, k);
+            min = min.min(v);
+            max = max.max(v);
+            sum += v;
+        }
+        assert!((sum - 32.0).abs() < 1e-9, "sum {sum}");
+        assert!(
+            min < -0.01 || max > 1.01,
+            "unexpectedly monotone [{min}, {max}]"
+        );
+    }
+
     #[test]
     fn land_points_have_zero_tendency() {
         let d = Decomp::blocks(16, 8, 1, 1, 3);
@@ -912,120 +805,6 @@ mod tests {
                 assert_eq!(ws.gv.at(i, j, k), 0.0);
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod advection_scheme_tests {
-    use super::*;
-    use crate::config::AdvectionScheme;
-    use crate::decomp::Decomp;
-    use crate::kernel::Workspace;
-    use crate::state::ModelState;
-    use crate::topography::Topography;
-
-    #[test]
-    fn face_value_schemes() {
-        use AdvectionScheme::*;
-        // Smooth linear data: centred and Superbee agree at second order.
-        let fv = |s| face_value(s, 1.0, 1.0, 2.0, 3.0, 4.0);
-        assert_eq!(fv(Centered2), 2.5);
-        assert_eq!(fv(Upwind1), 2.0);
-        assert!((fv(Superbee) - 2.5).abs() < 1e-12, "{}", fv(Superbee));
-        // Reversed flow: upwind picks the other donor.
-        assert_eq!(face_value(Upwind1, -1.0, 1.0, 2.0, 3.0, 4.0), 3.0);
-        // At an extremum the limiter falls back to the donor (monotone).
-        let at_step = face_value(Superbee, 1.0, 0.0, 0.0, 1.0, 1.0);
-        assert_eq!(at_step, 0.0, "no overshoot at a step");
-    }
-
-    /// Advect a top-hat around the periodic channel and compare schemes:
-    /// Superbee must create no new extrema; centred (without diffusion)
-    /// oscillates; upwind smears hardest.
-    #[test]
-    fn superbee_is_monotone_where_centered_oscillates() {
-        let d = Decomp::blocks(32, 4, 1, 1, 3);
-        let mut cfg = crate::config::ModelConfig::test_ocean(32, 4, 1, d);
-        cfg.dt = 2000.0;
-        let tile = d.tile(0);
-        let topo = Topography::aquaplanet(&cfg.grid);
-        let masks = crate::state::Masks::build(&cfg, &tile, &topo);
-        let geom = TileGeom::build(&cfg, &tile);
-        let mut world = hyades_comms::SerialWorld;
-
-        let mut run = |scheme: AdvectionScheme| -> (f64, f64, f64) {
-            let mut st = ModelState::initial(&cfg, &tile, &masks);
-            st.u.fill(1.0); // uniform zonal flow, non-divergent
-            st.v.fill(0.0);
-            st.w.fill(0.0);
-            // Top-hat tracer.
-            for (i, j, k) in st.theta.clone().interior() {
-                st.theta
-                    .set(i, j, k, if (8..16).contains(&i) { 1.0 } else { 0.0 });
-            }
-            let mut ws = Workspace::new(&cfg, &tile);
-            for _ in 0..40 {
-                crate::halo::exchange3(
-                    &mut world,
-                    &d,
-                    &tile,
-                    &mut [&mut st.u, &mut st.v, &mut st.theta],
-                    3,
-                );
-                tracer_tendency_scheme(
-                    &cfg,
-                    &tile,
-                    &geom,
-                    &masks,
-                    &st,
-                    &st.theta.clone(),
-                    &mut ws.gt,
-                    0.0,
-                    0.0,
-                    0,
-                    scheme,
-                );
-                for (i, j, k) in ws.gt.interior() {
-                    st.theta.add(i, j, k, cfg.dt * ws.gt.at(i, j, k));
-                }
-            }
-            let mut min = f64::INFINITY;
-            let mut max = f64::NEG_INFINITY;
-            let mut sum = 0.0;
-            for (i, j, k) in st.theta.interior() {
-                let v = st.theta.at(i, j, k);
-                min = min.min(v);
-                max = max.max(v);
-                sum += v;
-            }
-            (min, max, sum)
-        };
-
-        let (min_sb, max_sb, sum_sb) = run(AdvectionScheme::Superbee);
-        let (min_c2, max_c2, sum_c2) = run(AdvectionScheme::Centered2);
-        let (min_u1, max_u1, sum_u1) = run(AdvectionScheme::Upwind1);
-
-        // All schemes conserve the tracer integral (flux form).
-        assert!((sum_sb - 32.0).abs() < 1e-9, "superbee sum {sum_sb}");
-        assert!((sum_c2 - 32.0).abs() < 1e-9, "centered sum {sum_c2}");
-        assert!((sum_u1 - 32.0).abs() < 1e-9, "upwind sum {sum_u1}");
-        // TVD: no new extrema for Superbee and Upwind.
-        assert!(
-            min_sb >= -1e-9 && max_sb <= 1.0 + 1e-9,
-            "superbee [{min_sb}, {max_sb}]"
-        );
-        assert!(
-            min_u1 >= -1e-9 && max_u1 <= 1.0 + 1e-9,
-            "upwind [{min_u1}, {max_u1}]"
-        );
-        // Centred without diffusion overshoots visibly.
-        assert!(
-            min_c2 < -0.01 || max_c2 > 1.01,
-            "centered unexpectedly monotone [{min_c2}, {max_c2}]"
-        );
-        // Superbee keeps the front sharper than upwind: its peak stays
-        // closer to 1.
-        assert!(max_sb > max_u1, "superbee {max_sb} vs upwind {max_u1}");
     }
 }
 
@@ -1055,12 +834,10 @@ mod sweep_tests {
         }
     }
 
-    // Both tracers, every scheme, with and without explicit vertical
-    // diffusion, every `ext` the five-point-wide stencil can afford
-    // (`Model::step` uses 0).
+    // Both tracers, with and without explicit vertical diffusion, every
+    // `ext` a width-3 halo affords the stencil (`Model::step` uses 0).
     #[test]
     fn tracer_sweep_matches_the_reference_bit_for_bit() {
-        use AdvectionScheme::*;
         type Kernel = fn(
             &ModelConfig,
             &Tile,
@@ -1072,7 +849,6 @@ mod sweep_tests {
             f64,
             f64,
             i64,
-            AdvectionScheme,
         );
         for case in cases() {
             let Case {
@@ -1082,25 +858,20 @@ mod sweep_tests {
                 masks,
                 ..
             } = &case;
-            for scheme in [Centered2, Upwind1, Superbee] {
-                for (kh, diff_v) in [(cfg.diff_h, 0.0), (cfg.diff_h, cfg.diff_v), (0.0, 0.0)] {
-                    for ext in 0..=1 {
-                        let both = |kernel: Kernel, st: &mut ModelState, ws: &mut Workspace| {
-                            let (theta, s) = (&st.theta, &st.s);
-                            kernel(
-                                cfg, tile, geom, masks, st, theta, &mut ws.gt, kh, diff_v, ext,
-                                scheme,
-                            );
-                            kernel(
-                                cfg, tile, geom, masks, st, s, &mut ws.gs, kh, diff_v, ext, scheme,
-                            );
-                        };
-                        case.check(
-                            &format!("tracer_tendency, {scheme:?}, diff {kh}/{diff_v}, ext {ext}"),
-                            |st, ws| both(tracer_tendency_scheme, st, ws),
-                            |st, ws| both(reference::tracer_tendency_scheme, st, ws),
+            for (kh, diff_v) in [(cfg.diff_h, 0.0), (cfg.diff_h, cfg.diff_v), (0.0, 0.0)] {
+                for ext in 0..=2 {
+                    let both = |kernel: Kernel, st: &mut ModelState, ws: &mut Workspace| {
+                        let (theta, s) = (&st.theta, &st.s);
+                        kernel(
+                            cfg, tile, geom, masks, st, theta, &mut ws.gt, kh, diff_v, ext,
                         );
-                    }
+                        kernel(cfg, tile, geom, masks, st, s, &mut ws.gs, kh, diff_v, ext);
+                    };
+                    case.check(
+                        &format!("tracer_tendency, diff {kh}/{diff_v}, ext {ext}"),
+                        |st, ws| both(tracer_tendency, st, ws),
+                        |st, ws| both(reference::tracer_tendency, st, ws),
+                    );
                 }
             }
         }
@@ -1176,7 +947,7 @@ mod sweep_tests {
             &mut out,
             1.0e3,
             0.0,
-            2,
+            3,
         );
     }
 }

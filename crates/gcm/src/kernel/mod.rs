@@ -287,7 +287,6 @@ pub(crate) mod fixtures {
                 &mut state.gv_prev,
                 &mut state.gt_prev,
                 &mut state.gs_prev,
-                &mut state.gw_prev,
                 &mut ws.gu,
                 &mut ws.gv,
                 &mut ws.gt,
@@ -424,7 +423,6 @@ pub(crate) mod fixtures {
             ("gv_prev", f3(&state.gv_prev)),
             ("gt_prev", f3(&state.gt_prev)),
             ("gs_prev", f3(&state.gs_prev)),
-            ("gw_prev", f3(&state.gw_prev)),
             ("phy", f3(&state.phy)),
             ("b", f3(&state.b)),
             ("ps", crate::solver::fixtures::bits(&state.ps)),

@@ -171,7 +171,7 @@ impl CoupledModel {
                 };
             }
         }
-        let (_, _, healthy) = self.step_monitored_full(world, atmos_monitor, ocean_monitor);
+        let (_, _, healthy) = self.step_monitored(world, atmos_monitor, ocean_monitor);
         if healthy && self.steps_taken().is_multiple_of(runner.checkpoint_every) {
             runner.checkpoint.clear();
             self.save_checkpoint(&mut runner.checkpoint)
@@ -226,7 +226,7 @@ mod tests {
         let mut clean = pair();
         let (mut cma, mut cmo) = monitors();
         for _ in 0..8 {
-            let (_, _, ok) = clean.step_monitored_full(&mut w, &mut cma, &mut cmo);
+            let (_, _, ok) = clean.step_monitored(&mut w, &mut cma, &mut cmo);
             assert!(ok);
         }
 
@@ -277,7 +277,7 @@ mod tests {
         let mut clean = pair();
         let (mut cma, mut cmo) = monitors();
         for _ in 0..8 {
-            clean.step_monitored_full(&mut w, &mut cma, &mut cmo);
+            clean.step_monitored(&mut w, &mut cma, &mut cmo);
         }
         assert_eq!(clean.ocean.state.theta.raw(), c.ocean.state.theta.raw());
     }

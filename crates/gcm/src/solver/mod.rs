@@ -9,11 +9,9 @@
 pub mod cg;
 pub mod elliptic;
 mod mic;
-pub mod nonhydro;
 
 pub use cg::{CgResult, CgSolver};
 pub use elliptic::EllipticCoeffs;
-pub use nonhydro::NonHydroSolver;
 
 /// What the sweep tests of [`cg`] and `mic` run on.
 #[cfg(test)]

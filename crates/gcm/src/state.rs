@@ -114,8 +114,6 @@ pub struct ModelState {
     pub gv_prev: Field3,
     pub gt_prev: Field3,
     pub gs_prev: Field3,
-    /// AB2 history for prognostic `w` (non-hydrostatic mode only).
-    pub gw_prev: Field3,
     /// Surface pressure / surface geopotential (m²/s², i.e. p/ρ0).
     pub ps: Field2,
     /// Hydrostatic pressure / geopotential anomaly at cell centres.
@@ -157,7 +155,6 @@ impl ModelState {
             gv_prev: f3(),
             gt_prev: f3(),
             gs_prev: f3(),
-            gw_prev: f3(),
             ps: Field2::new(nx, ny, h),
             phy: f3(),
             b: f3(),

@@ -1,19 +1,7 @@
 //! Least-squares fitting (behind the paper's global-sum fit
 //! `t = 4.67·log2 N − 0.95` µs, §4.2).
 
-/// Ordinary least squares for `y = a·x + b`; returns `(a, b)`.
-pub fn linear(points: &[(f64, f64)]) -> (f64, f64) {
-    assert!(points.len() >= 2, "need at least two points");
-    let n = points.len() as f64;
-    let sx: f64 = points.iter().map(|p| p.0).sum();
-    let sy: f64 = points.iter().map(|p| p.1).sum();
-    let sxx: f64 = points.iter().map(|p| p.0 * p.0).sum();
-    let sxy: f64 = points.iter().map(|p| p.0 * p.1).sum();
-    let denom = n * sxx - sx * sx;
-    assert!(denom.abs() > 1e-300, "degenerate x values");
-    let a = (n * sxy - sx * sy) / denom;
-    (a, (sy - a * sx) / n)
-}
+use hyades_des::stats::linear_fit;
 
 /// Fit `t = C·log2(N) + B` to `(N, t)` latency measurements.
 pub fn log2_fit(points: &[(u32, f64)]) -> (f64, f64) {
@@ -21,7 +9,7 @@ pub fn log2_fit(points: &[(u32, f64)]) -> (f64, f64) {
         .iter()
         .map(|&(n, t)| ((n as f64).log2(), t))
         .collect();
-    linear(&xs)
+    linear_fit(&xs)
 }
 
 /// Coefficient of determination R² of a linear fit.
@@ -54,7 +42,7 @@ mod tests {
     #[test]
     fn exact_line_recovered() {
         let pts: Vec<(f64, f64)> = (0..10).map(|i| (i as f64, 3.0 * i as f64 - 7.0)).collect();
-        let (a, b) = linear(&pts);
+        let (a, b) = linear_fit(&pts);
         assert!((a - 3.0).abs() < 1e-12);
         assert!((b + 7.0).abs() < 1e-12);
         assert!((r_squared(&pts, a, b) - 1.0).abs() < 1e-12);
@@ -67,7 +55,7 @@ mod tests {
             .iter()
             .map(|&(x, y)| (x, y + if x as i64 % 2 == 0 { 5.0 } else { -5.0 }))
             .collect();
-        let (a, b) = linear(&noisy);
+        let (a, b) = linear_fit(&noisy);
         let r2 = r_squared(&noisy, a, b);
         assert!(r2 < 1.0 && r2 > 0.5);
     }
@@ -75,6 +63,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least two")]
     fn rejects_single_point() {
-        linear(&[(1.0, 1.0)]);
+        linear_fit(&[(1.0, 1.0)]);
     }
 }

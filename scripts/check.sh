@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Full local gate: formatting, release build, static analysis, tests, the
-# benchmark's six workloads, the tour example, and every experiment's
-# report and point data regenerated into one artifact directory.
+# benchmark's six workloads, the tour example, the examples that complete
+# at their defaults, and every experiment's report and point data
+# regenerated into one artifact directory; then a per-crate line count.
 # Run from anywhere inside the repo.
 set -eu
 
@@ -94,8 +95,32 @@ if command -v taskset > /dev/null; then
     echo "    pinned to one core: $(tail -n 1 target/tour-one-core.txt)"
 fi
 
+# The examples that complete at their defaults. `coupled_climate` is left
+# out: its default 200 steps leave the finite numbers at step 60 (ROADMAP
+# item 1's horizon); add it when item 1 lands.
+echo "==> examples (each must exit 0)"
+for example in quickstart ocean_gyre checkpoint_restart climate_atlas paleo_experiment century_planner scaling_study; do
+    if ! cargo run -q --release --example "$example" > "target/example-$example.txt" 2>&1; then
+        tail -n 20 "target/example-$example.txt"
+        echo "example $example failed (target/example-$example.txt)"
+        exit 1
+    fi
+    echo "    $example ok"
+done
+
 echo "==> reproduce_all (all 21 experiments: reports on stdout, reports + figure CSVs as artifacts)"
 cargo run -q --release --example reproduce_all -- --out target/experiments > target/experiments.txt
 tail -n 1 target/experiments.txt
+
+# Printed, not gated: the count every CHANGES.md entry quotes for ROADMAP
+# aim 2. `tests` is each file's lines from its first `#[cfg(test)]` on.
+echo "==> line ledger (crate: total lines, of which tests)"
+for crate in crates/*/; do
+    find "$crate" -name '*.rs' -exec awk -v crate="$(basename "$crate")" '
+        FNR == 1 { in_tests = 0 }
+        /#\[cfg\(test\)\]/ { in_tests = 1 }
+        { total++; tests += in_tests }
+        END { printf "    %-10s %6d %6d\n", crate, total, tests }' {} +
+done
 
 echo "All checks passed."
