@@ -10,10 +10,34 @@
 //!
 //! Both models must share the same horizontal grid and decomposition (the
 //! paper's coupled run uses 2.8125° for both).
+//!
+//! [`CoupledModel::step`] gives the pair the concurrency the paper's
+//! layout had, on the one rank's two cores: of the five phases of
+//! [`Model::step`], the two that neither communicate nor record
+//! telemetry — `tendencies` and `finish_state` — run the atmosphere's on a
+//! scoped helper thread while the calling thread runs the ocean's:
+//!
+//! ```text
+//! caller:  a.begin(wa)  o.begin(wo)  o.tendencies  a.solve(wa)  o.solve(wo)  o.finish_state  a.close  o.close  couple
+//! helper:                            a.tendencies                            a.finish_state
+//! ```
+//!
+//! The rules that keep it exact: every world and telemetry call stays on
+//! the calling thread (a `CommWorld` is not `Send`), so each world sees
+//! the call sequence `atmos.step` / `ocean.step` would send it; each model
+//! runs its own phases in its own order on its own data, so every bit of
+//! both states is the sequential composition's; the flop counters are
+//! thread-local, so the helper returns what it counted, the caller adds it
+//! to its own and each model's `StepStats` is the sum of its own segments;
+//! a helper panic re-raises on the caller with its own payload.
+//! [`step_shared`](CoupledModel::step_shared) and
+//! [`step_monitored`](CoupledModel::step_monitored) — one world for both
+//! isomorphs, the tour's path with the recorder on — stay sequential.
 
 use crate::config::SurfaceForcing;
 use crate::driver::{Model, StepStats};
 use crate::eos::FluidKind;
+use crate::flops::{self, Phase};
 use crate::physics::atmos::L_VAP;
 use hyades_comms::CommWorld;
 
@@ -106,14 +130,28 @@ impl CoupledModel {
 
     /// Step both isomorphs once, exchanging boundary conditions every
     /// `couple_every` steps. Both models advance by their own `dt`; the
-    /// paper's coupled run steps them synchronously.
+    /// paper's coupled run steps them synchronously. The two models'
+    /// tile-local PS work runs side by side (module doc); the result is
+    /// bit for bit `atmos.step(atmos_world)` then `ocean.step(ocean_world)`.
     pub fn step(
         &mut self,
         atmos_world: &mut dyn CommWorld,
         ocean_world: &mut dyn CommWorld,
     ) -> (StepStats, StepStats) {
-        let sa = self.atmos.step(atmos_world);
-        let so = self.ocean.step(ocean_world);
+        let (atmos, ocean) = (&mut self.atmos, &mut self.ocean);
+        let ((), a0) = flops::counted(|| atmos.begin(atmos_world));
+        let ((), o0) = flops::counted(|| ocean.begin(ocean_world));
+        let (a1, o1) = side_by_side(|| atmos.tendencies(), || ocean.tendencies());
+        let (cga, a2) = flops::counted(|| atmos.solve(atmos_world));
+        let (cgo, o2) = flops::counted(|| ocean.solve(ocean_world));
+        let (a3, o3) = side_by_side(|| atmos.finish_state(), || ocean.finish_state());
+        let sum = |parts: [(u64, u64); 4]| {
+            parts
+                .iter()
+                .fold((0, 0), |(ps, ds), &(p, d)| (ps + p, ds + d))
+        };
+        let sa = atmos.close(sum([a0, a1, a2, a3]), cga);
+        let so = ocean.close(sum([o0, o1, o2, o3]), cgo);
         self.count_and_couple();
         (sa, so)
     }
@@ -125,102 +163,7 @@ impl CoupledModel {
             self.exchange_boundary_conditions();
         }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::ModelConfig;
-    use crate::decomp::Decomp;
-    use crate::grid::{stretched_levels, Grid};
-    use hyades_comms::SerialWorld;
-
-    fn small_pair() -> CoupledModel {
-        let d = Decomp::blocks(16, 8, 1, 1, 3);
-        // Miniature atmosphere: reuse the standard preset's physics on a
-        // small grid.
-        let mut acfg = ModelConfig::atmosphere_2p8125(Decomp::blocks(128, 64, 1, 1, 3));
-        acfg.grid = Grid::global(16, 8, 5, 60.0, vec![2.0e4; 5]);
-        acfg.decomp = d;
-        acfg.dt = 600.0;
-        let mut ocfg = ModelConfig::test_ocean(16, 8, 6, d);
-        ocfg.grid = Grid::global(16, 8, 6, 60.0, stretched_levels(6, 3000.0));
-        ocfg.forcing = crate::config::SurfaceForcing::Coupled;
-        let atmos = Model::new(acfg, 0);
-        let ocean = Model::new(ocfg, 0);
-        CoupledModel::new(atmos, ocean, 2)
-    }
-
-    #[test]
-    fn boundary_conditions_flow_both_ways() {
-        let c = small_pair();
-        // SST handed to the atmosphere is the ocean's surface θ in K.
-        let sst = c.atmos.bc.sst.at(4, 4);
-        let expect = c.ocean.state.theta.at(4, 4, 0) + 273.15;
-        assert!((sst - expect).abs() < 1e-12);
-        // At rest the initial wind stress is zero.
-        assert_eq!(c.ocean.bc.taux.at(4, 4), 0.0);
-    }
-
-    #[test]
-    fn monitored_coupled_steps_stay_healthy() {
-        use crate::monitor::{RunMonitor, SentinelConfig};
-        let mut c = small_pair();
-        let mut w = SerialWorld;
-        let mut ma = RunMonitor::new("atmos", SentinelConfig::default());
-        let mut mo = RunMonitor::new("ocean", SentinelConfig::default());
-        for _ in 0..4 {
-            assert!(c.step_monitored(&mut w, &mut ma, &mut mo).2);
-        }
-        assert_eq!(ma.steps(), 4);
-        assert_eq!(mo.series().len(), 4);
-        assert_eq!(ma.trips() + mo.trips(), 0);
-    }
-
-    #[test]
-    fn coupled_steps_stay_finite() {
-        let mut c = small_pair();
-        let mut wa = SerialWorld;
-        let mut wo = SerialWorld;
-        for _ in 0..6 {
-            let (sa, so) = c.step(&mut wa, &mut wo);
-            assert!(sa.cg_converged && so.cg_converged);
-        }
-        assert!(c.atmos.state.is_finite());
-        assert!(c.ocean.state.is_finite());
-    }
-
-    #[test]
-    fn atmosphere_drives_ocean_stress_after_spinup() {
-        let mut c = small_pair();
-        let mut wa = SerialWorld;
-        let mut wo = SerialWorld;
-        for _ in 0..20 {
-            c.step(&mut wa, &mut wo);
-        }
-        // The radiative forcing spins up winds, which must appear as
-        // stress on the ocean.
-        let mut max_tau = 0.0f64;
-        for (i, j) in c.ocean.bc.taux.clone().interior() {
-            max_tau = max_tau.max(c.ocean.bc.taux.at(i, j).abs());
-        }
-        assert!(max_tau > 0.0, "no momentum flux reached the ocean");
-    }
-
-    #[test]
-    fn heat_flux_cools_warm_water_under_cold_air() {
-        let mut c = small_pair();
-        // Make the ocean much warmer than the air.
-        for (i, j) in c.ocean.state.ps.clone().interior() {
-            c.ocean.state.theta.set(i, j, 0, 30.0);
-        }
-        c.exchange_boundary_conditions();
-        // Mid-latitude air is colder than 30 °C water: flux must cool.
-        assert!(c.ocean.bc.qflux.at(8, 4) < 0.0);
-    }
-}
-
-impl CoupledModel {
     /// Coupled steps taken so far (the resilient stepper keys its fault
     /// plan and checkpoint cadence off this).
     pub fn steps_taken(&self) -> u64 {
@@ -299,42 +242,447 @@ impl CoupledModel {
     }
 }
 
+/// Run `helper` on a scoped thread while this thread runs `caller`, and
+/// return the flops `(ps, ds)` each counted. The counters are
+/// thread-local, so the helper's count is also added to this thread's:
+/// `flops::read` afterwards is what running both here would have left. A
+/// panic on the helper re-raises here with its own payload.
+fn side_by_side(helper: impl FnOnce() + Send, caller: impl FnOnce()) -> ((u64, u64), (u64, u64)) {
+    let (theirs, mine) = std::thread::scope(|s| {
+        let h = s.spawn(|| flops::counted(helper).1);
+        let ((), mine) = flops::counted(caller);
+        let theirs = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+        (theirs, mine)
+    });
+    flops::add(Phase::Ps, theirs.0);
+    flops::add(Phase::Ds, theirs.1);
+    (theirs, mine)
+}
+
 #[cfg(test)]
-mod checkpoint_tests {
+mod tests {
     use super::*;
     use crate::config::ModelConfig;
     use crate::decomp::Decomp;
     use crate::grid::{stretched_levels, Grid};
     use hyades_comms::SerialWorld;
 
-    fn pair() -> CoupledModel {
-        let d = Decomp::blocks(16, 8, 1, 1, 3);
+    /// The 16×8 test pair, coupled every second step.
+    pub(super) fn small_pair() -> CoupledModel {
+        pair_on(16, 8, false)
+    }
+
+    /// A pair on an `nx × ny` grid; `continents` puts land in the ocean.
+    pub(super) fn pair_on(nx: usize, ny: usize, continents: bool) -> CoupledModel {
+        let d = Decomp::blocks(nx, ny, 1, 1, 3);
+        // Miniature atmosphere: reuse the standard preset's physics on a
+        // small grid.
         let mut acfg = ModelConfig::atmosphere_2p8125(Decomp::blocks(128, 64, 1, 1, 3));
-        acfg.grid = Grid::global(16, 8, 5, 60.0, vec![2.0e4; 5]);
+        acfg.grid = Grid::global(nx, ny, 5, 60.0, vec![2.0e4; 5]);
         acfg.decomp = d;
         acfg.dt = 600.0;
-        let mut ocfg = ModelConfig::test_ocean(16, 8, 6, d);
-        ocfg.grid = Grid::global(16, 8, 6, 60.0, stretched_levels(6, 3000.0));
+        let mut ocfg = ModelConfig::test_ocean(nx, ny, 6, d);
+        ocfg.grid = Grid::global(nx, ny, 6, 60.0, stretched_levels(6, 3000.0));
         ocfg.forcing = crate::config::SurfaceForcing::Coupled;
-        CoupledModel::new(Model::new(acfg, 0), Model::new(ocfg, 0), 2)
+        ocfg.continents = continents;
+        let atmos = Model::new(acfg, 0);
+        let ocean = Model::new(ocfg, 0);
+        CoupledModel::new(atmos, ocean, 2)
     }
+
+    #[test]
+    fn boundary_conditions_flow_both_ways() {
+        let c = small_pair();
+        // SST handed to the atmosphere is the ocean's surface θ in K.
+        let sst = c.atmos.bc.sst.at(4, 4);
+        let expect = c.ocean.state.theta.at(4, 4, 0) + 273.15;
+        assert!((sst - expect).abs() < 1e-12);
+        // At rest the initial wind stress is zero.
+        assert_eq!(c.ocean.bc.taux.at(4, 4), 0.0);
+    }
+
+    #[test]
+    fn monitored_coupled_steps_stay_healthy() {
+        use crate::monitor::{RunMonitor, SentinelConfig};
+        let mut c = small_pair();
+        let mut w = SerialWorld;
+        let mut ma = RunMonitor::new("atmos", SentinelConfig::default());
+        let mut mo = RunMonitor::new("ocean", SentinelConfig::default());
+        for _ in 0..4 {
+            assert!(c.step_monitored(&mut w, &mut ma, &mut mo).2);
+        }
+        assert_eq!(ma.steps(), 4);
+        assert_eq!(mo.series().len(), 4);
+        assert_eq!(ma.trips() + mo.trips(), 0);
+    }
+
+    #[test]
+    fn coupled_steps_stay_finite() {
+        let mut c = small_pair();
+        let mut wa = SerialWorld;
+        let mut wo = SerialWorld;
+        for _ in 0..6 {
+            let (sa, so) = c.step(&mut wa, &mut wo);
+            assert!(sa.cg_converged && so.cg_converged);
+        }
+        assert!(c.atmos.state.is_finite());
+        assert!(c.ocean.state.is_finite());
+    }
+
+    #[test]
+    fn atmosphere_drives_ocean_stress_after_spinup() {
+        let mut c = small_pair();
+        let mut wa = SerialWorld;
+        let mut wo = SerialWorld;
+        for _ in 0..20 {
+            c.step(&mut wa, &mut wo);
+        }
+        // The radiative forcing spins up winds, which must appear as
+        // stress on the ocean.
+        let mut max_tau = 0.0f64;
+        for (i, j) in c.ocean.bc.taux.clone().interior() {
+            max_tau = max_tau.max(c.ocean.bc.taux.at(i, j).abs());
+        }
+        assert!(max_tau > 0.0, "no momentum flux reached the ocean");
+    }
+
+    #[test]
+    fn heat_flux_cools_warm_water_under_cold_air() {
+        let mut c = small_pair();
+        // Make the ocean much warmer than the air.
+        for (i, j) in c.ocean.state.ps.clone().interior() {
+            c.ocean.state.theta.set(i, j, 0, 30.0);
+        }
+        c.exchange_boundary_conditions();
+        // Mid-latitude air is colder than 30 °C water: flux must cool.
+        assert!(c.ocean.bc.qflux.at(8, 4) < 0.0);
+    }
+}
+
+#[cfg(test)]
+mod schedule_tests {
+    use super::tests::{pair_on, small_pair};
+    use super::*;
+    use hyades_comms::SerialWorld;
+
+    /// Every bit of both models' state, boundary fields and counters.
+    fn pair_bits(c: &CoupledModel) -> Vec<u64> {
+        let mut bits = vec![c.steps];
+        for m in [&c.atmos, &c.ocean] {
+            let st = &m.state;
+            for f in [
+                &st.u,
+                &st.v,
+                &st.w,
+                &st.theta,
+                &st.s,
+                &st.gu_prev,
+                &st.gv_prev,
+                &st.gt_prev,
+                &st.gs_prev,
+                &st.phy,
+                &st.b,
+            ] {
+                bits.extend(f.raw().iter().map(|x| x.to_bits()));
+            }
+            for f in [&st.ps, &m.bc.sst, &m.bc.taux, &m.bc.tauy, &m.bc.qflux] {
+                bits.extend(f.raw().iter().map(|x| x.to_bits()));
+            }
+            bits.extend([
+                u64::from(st.first_step),
+                m.steps_taken,
+                m.total_cg_iterations,
+                m.total_ps_flops,
+                m.total_ds_flops,
+            ]);
+        }
+        bits
+    }
+
+    fn stats_bits(s: &StepStats) -> [u64; 8] {
+        [
+            s.cg_iterations as u64,
+            s.cg_residual.to_bits(),
+            s.cg_initial_residual.to_bits(),
+            s.cg_final_residual.to_bits(),
+            u64::from(s.cg_converged),
+            s.ps_flops,
+            s.ds_flops,
+            s.max_speed.to_bits(),
+        ]
+    }
+
+    /// The concurrent step against `atmos.step; ocean.step;
+    /// count_and_couple` over nine steps (four coupling boundaries), on the
+    /// 16×8 test pair and on an odd-`nx` pair with continents.
+    #[test]
+    fn concurrent_step_is_bit_identical_to_the_sequential_composition() {
+        for (nx, ny, continents) in [(16, 8, false), (17, 8, true)] {
+            let (mut concurrent, mut sequential) =
+                (pair_on(nx, ny, continents), pair_on(nx, ny, continents));
+            let (mut wa, mut wo) = (SerialWorld, SerialWorld);
+            for step in 1..=9 {
+                let (got, got_flops) = flops::counted(|| concurrent.step(&mut wa, &mut wo));
+                let (want, want_flops) = flops::counted(|| {
+                    let want = (
+                        sequential.atmos.step(&mut wa),
+                        sequential.ocean.step(&mut wo),
+                    );
+                    sequential.count_and_couple();
+                    want
+                });
+                let at = format!("{nx}x{ny} pair, step {step}");
+                assert_eq!(
+                    stats_bits(&got.0),
+                    stats_bits(&want.0),
+                    "{at}: atmosphere stats"
+                );
+                assert_eq!(stats_bits(&got.1), stats_bits(&want.1), "{at}: ocean stats");
+                assert_eq!(got_flops, want_flops, "{at}: this thread's flop counters");
+                assert!(
+                    pair_bits(&concurrent) == pair_bits(&sequential),
+                    "{at}: state bits"
+                );
+                assert!(got.0.ps_flops > 0 && got.1.ps_flops > 0 && got.0.ds_flops > 0);
+            }
+            assert_eq!(concurrent.steps_taken(), 9);
+        }
+    }
+
+    /// A one-rank world that answers as `SerialWorld` does and records
+    /// each call with the bits of its arguments. The derived collectives
+    /// are recorded as the primitives they are made of.
+    #[derive(Default)]
+    struct Recording(Vec<(&'static str, Vec<u64>)>);
+
+    impl Recording {
+        fn log(&mut self, method: &'static str, args: impl IntoIterator<Item = f64>) {
+            self.0
+                .push((method, args.into_iter().map(f64::to_bits).collect()));
+        }
+    }
+
+    impl CommWorld for Recording {
+        fn rank(&self) -> usize {
+            0
+        }
+        fn size(&self) -> usize {
+            1
+        }
+        fn exchange(&mut self, outgoing: Vec<(usize, Vec<f64>)>) -> Vec<(usize, Vec<f64>)> {
+            let args = outgoing
+                .iter()
+                .flat_map(|(to, data)| std::iter::once(*to as f64).chain(data.iter().copied()));
+            self.log("exchange", args.collect::<Vec<_>>());
+            SerialWorld.exchange(outgoing)
+        }
+        fn global_sum_vec(&mut self, xs: &mut [f64]) {
+            self.log("global_sum_vec", xs.iter().copied());
+        }
+        fn global_max(&mut self, x: f64) -> f64 {
+            self.log("global_max", [x]);
+            x
+        }
+        fn barrier(&mut self) {
+            self.log("barrier", []);
+        }
+        fn gather(&mut self, data: Vec<f64>) -> Option<Vec<Vec<f64>>> {
+            self.log("gather", data.iter().copied());
+            Some(vec![data])
+        }
+    }
+
+    /// Each isomorph's world receives, call for call and argument for
+    /// argument, what the sequential composition sends it; and
+    /// `step_shared`'s one world still sees the atmosphere's sequence, then
+    /// the ocean's.
+    #[test]
+    fn each_world_sees_its_sequential_call_sequence() {
+        let (mut concurrent, mut sequential, mut shared) =
+            (small_pair(), small_pair(), small_pair());
+        for step in 1..=5 {
+            let (mut wa, mut wo) = (Recording::default(), Recording::default());
+            concurrent.step(&mut wa, &mut wo);
+            let (mut sa, mut so) = (Recording::default(), Recording::default());
+            sequential.atmos.step(&mut sa);
+            sequential.ocean.step(&mut so);
+            sequential.count_and_couple();
+            let mut w = Recording::default();
+            shared.step_shared(&mut w);
+
+            assert!(!sa.0.is_empty() && !so.0.is_empty());
+            assert!(wa.0 == sa.0, "step {step}: atmosphere world calls differ");
+            assert!(wo.0 == so.0, "step {step}: ocean world calls differ");
+            assert!(
+                w.0 == [sa.0, so.0].concat(),
+                "step {step}: the shared world's calls differ"
+            );
+        }
+    }
+
+    /// The helper's flops reach the calling thread's counters, and its
+    /// panic reaches the caller with the helper's own payload.
+    #[test]
+    fn side_by_side_returns_the_helpers_flops_and_its_panic() {
+        let (counts, total) = flops::counted(|| {
+            side_by_side(|| flops::add(Phase::Ps, 5), || flops::add(Phase::Ds, 3))
+        });
+        assert_eq!(counts, ((5, 0), (0, 3)));
+        assert_eq!(total, (5, 3));
+
+        let payload = std::panic::catch_unwind(|| side_by_side(|| panic!("helper tile"), || ()))
+            .expect_err("the helper panicked");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"helper tile"));
+    }
+}
+
+/// ROADMAP item 1(d), characterised and not changed: what the +1 ring of
+/// the boundary fields holds, and whether it reaches the model state.
+/// `apply_forcing(.., ext = 1)` reads that ring.
+#[cfg(test)]
+mod ring_tests {
+    use super::tests::small_pair;
+    use super::*;
+    use crate::field::Field2;
+    use hyades_comms::SerialWorld;
+
+    /// The four sides of the +1 ring: the west and east columns, then the
+    /// south and north rows (corners included).
+    const SIDES: [&str; 4] = ["west", "east", "south", "north"];
+
+    fn side(f: &Field2, side: &str) -> Vec<(i64, i64)> {
+        let (nx, ny) = (f.nx() as i64, f.ny() as i64);
+        match side {
+            "west" => (0..ny).map(|j| (-1, j)).collect(),
+            "east" => (0..ny).map(|j| (nx, j)).collect(),
+            "south" => (-1..=nx).map(|i| (i, -1)).collect(),
+            _ => (-1..=nx).map(|i| (i, ny)).collect(),
+        }
+    }
+
+    /// The four boundary fields, by name, with a perturbation of each's
+    /// own scale.
+    const FIELDS: [(&str, f64); 4] = [
+        ("sst", 1.0),
+        ("taux", 0.05),
+        ("tauy", 0.05),
+        ("qflux", 50.0),
+    ];
+
+    fn field<'a>(c: &'a mut CoupledModel, name: &str) -> &'a mut Field2 {
+        match name {
+            "sst" => &mut c.atmos.bc.sst,
+            "taux" => &mut c.ocean.bc.taux,
+            "tauy" => &mut c.ocean.bc.tauy,
+            _ => &mut c.ocean.bc.qflux,
+        }
+    }
+
+    /// The pair after four steps (a coupling boundary; the winds, hence
+    /// the stress, are no longer zero).
+    fn spun_up() -> CoupledModel {
+        let mut c = small_pair();
+        for _ in 0..4 {
+            c.step(&mut SerialWorld, &mut SerialWorld);
+        }
+        c
+    }
+
+    /// Interior bits of every prognostic field and AB2 memory of both
+    /// isomorphs.
+    fn interior_bits(c: &CoupledModel) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for st in [&c.atmos.state, &c.ocean.state] {
+            for f in [
+                &st.u,
+                &st.v,
+                &st.w,
+                &st.theta,
+                &st.s,
+                &st.gu_prev,
+                &st.gv_prev,
+                &st.gt_prev,
+                &st.gs_prev,
+            ] {
+                bits.extend(f.interior().map(|(i, j, k)| f.at(i, j, k).to_bits()));
+            }
+            bits.extend(st.ps.interior().map(|(i, j)| st.ps.at(i, j).to_bits()));
+        }
+        bits
+    }
+
+    /// `exchange_boundary_conditions` writes the interior only: the ring
+    /// keeps the zeros `BoundaryFields::new` put there, and is not the
+    /// periodic wrap of the interior (which is not zero).
+    #[test]
+    fn the_ring_holds_zeros_not_the_wrapped_interior() {
+        let mut c = spun_up();
+        for (name, _) in FIELDS {
+            let f = field(&mut c, name);
+            let nx = f.nx() as i64;
+            for s in SIDES {
+                for (i, j) in side(f, s) {
+                    assert_eq!(f.at(i, j).to_bits(), 0, "{name} at ({i}, {j})");
+                }
+            }
+            let wrapped = side(f, "east")
+                .iter()
+                .filter(|&&(i, j)| f.at(i % nx, j) != 0.0)
+                .count();
+            assert!(wrapped > 0, "{name}: the wrapped interior is zero too");
+        }
+    }
+
+    /// Perturb one side of one field's ring, step once, and see whether
+    /// any interior bit of either isomorph moves. Only the east column of
+    /// `taux` does: it is the stress on the east face of the last column,
+    /// whose `u*` enters that column's divergence, hence the pressure
+    /// solve. Filling the ring would therefore move the ocean's bits (and
+    /// after the next coupling the atmosphere's): a golden re-pin.
+    #[test]
+    fn only_the_east_column_of_taux_reaches_the_interior() {
+        let mut reference = spun_up();
+        reference.step(&mut SerialWorld, &mut SerialWorld);
+        let want = interior_bits(&reference);
+        let mut reaching = Vec::new();
+        for (name, delta) in FIELDS {
+            for s in SIDES {
+                let mut c = spun_up();
+                let f = field(&mut c, name);
+                for (i, j) in side(f, s) {
+                    f.add(i, j, delta);
+                }
+                c.step(&mut SerialWorld, &mut SerialWorld);
+                if interior_bits(&c) != want {
+                    reaching.push(format!("{name} {s}"));
+                }
+            }
+        }
+        assert_eq!(reaching, ["taux east"]);
+    }
+}
+
+#[cfg(test)]
+mod checkpoint_tests {
+    use super::tests::small_pair;
+    use hyades_comms::SerialWorld;
 
     #[test]
     fn coupled_restart_is_bit_exact() {
         let mut wa = SerialWorld;
         let mut wo = SerialWorld;
-        let mut straight = pair();
+        let mut straight = small_pair();
         for _ in 0..8 {
             straight.step(&mut wa, &mut wo);
         }
 
-        let mut first = pair();
+        let mut first = small_pair();
         for _ in 0..4 {
             first.step(&mut wa, &mut wo);
         }
         let mut buf = Vec::new();
         first.save_checkpoint(&mut buf).unwrap();
-        let mut resumed = pair();
+        let mut resumed = small_pair();
         resumed.load_checkpoint(&mut buf.as_slice()).unwrap();
         for _ in 0..4 {
             resumed.step(&mut wa, &mut wo);
@@ -358,7 +706,7 @@ mod checkpoint_tests {
     #[test]
     fn rejected_pair_image_leaves_both_isomorphs_as_they_were() {
         let mut w = SerialWorld;
-        let mut source = pair();
+        let mut source = small_pair();
         for _ in 0..4 {
             source.step_shared(&mut w);
         }
@@ -369,7 +717,7 @@ mod checkpoint_tests {
         flipped[in_ocean_ps] ^= 0x01;
         let cut = &image[..image.len() - 8];
 
-        let mut target = pair();
+        let mut target = small_pair();
         for _ in 0..2 {
             target.step_shared(&mut w);
         }

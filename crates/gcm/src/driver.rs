@@ -21,7 +21,7 @@ use crate::halo;
 use crate::kernel::vertical::{implicit_vertical_diffusion, Tridiag};
 use crate::kernel::{gterms, hydrostatic, timestep, TileGeom, Workspace};
 use crate::physics::{self, BoundaryFields};
-use crate::solver::{CgSolver, EllipticCoeffs};
+use crate::solver::{CgResult, CgSolver, EllipticCoeffs};
 use crate::state::{Masks, ModelState};
 use crate::tile::Tile;
 use crate::topography::Topography;
@@ -118,27 +118,49 @@ impl Model {
 
     /// Advance one time step (Figure 6). `world` supplies exchange and
     /// global sum.
+    ///
+    /// The step is the sequential composition of five phases. Only
+    /// [`begin`], [`solve`] and [`close`] touch `world` or telemetry;
+    /// [`tendencies`] and [`finish_state`] are this tile's own arithmetic,
+    /// which is what lets [`CoupledModel::step`] run the atmosphere's and
+    /// the ocean's side by side.
+    ///
+    /// [`begin`]: Model::begin
+    /// [`solve`]: Model::solve
+    /// [`close`]: Model::close
+    /// [`tendencies`]: Model::tendencies
+    /// [`finish_state`]: Model::finish_state
+    /// [`CoupledModel::step`]: crate::coupler::CoupledModel::step
     pub fn step(&mut self, world: &mut dyn CommWorld) -> StepStats {
-        let decomp = self.cfg.decomp;
-        let flops_before = flops::read();
+        let (cg, flops) = flops::counted(|| {
+            self.begin(world);
+            self.tendencies();
+            let cg = self.solve(world);
+            self.finish_state();
+            cg
+        });
+        self.close(flops, cg)
+    }
+
+    /// PS, communication: one exchange of the five model fields, width 3
+    /// (§4: "an exchange must be performed for each of the model
+    /// three-dimensional state variables over a halo width of at least
+    /// three points").
+    pub(crate) fn begin(&mut self, world: &mut dyn CommWorld) {
         telemetry::set_phase(telemetry::Phase::Ps);
+        let st = &mut self.state;
+        halo::exchange3(
+            world,
+            &self.cfg.decomp,
+            &self.tile,
+            &mut [&mut st.u, &mut st.v, &mut st.w, &mut st.theta, &mut st.s],
+            3,
+        );
+    }
 
-        // --- PS ---------------------------------------------------------
-        // One exchange of the five model fields, width 3 (§4: "an
-        // exchange must be performed for each of the model
-        // three-dimensional state variables over a halo width of at least
-        // three points").
-        {
-            let st = &mut self.state;
-            halo::exchange3(
-                world,
-                &decomp,
-                &self.tile,
-                &mut [&mut st.u, &mut st.v, &mut st.w, &mut st.theta, &mut st.s],
-                3,
-            );
-        }
-
+    /// PS, tile-local: tendencies through the elliptic right-hand side.
+    /// No world or telemetry call.
+    pub(crate) fn tendencies(&mut self) {
         // Buoyancy and hydrostatic pressure, overcomputed on +2.
         hydrostatic::buoyancy_and_phy(&self.cfg, &self.tile, &self.masks, &mut self.state, 2);
 
@@ -242,13 +264,17 @@ impl Model {
 
         // Elliptic right-hand side.
         timestep::divergence_rhs(&self.cfg, &self.tile, &self.geom, &self.masks, &mut self.ws);
+    }
 
-        // --- DS ---------------------------------------------------------
+    /// DS: the surface-pressure solve. Post-solve work (velocity
+    /// correction, adjustments, mixing) belongs to PS in the paper's
+    /// two-phase accounting, so the phase is PS again on return.
+    pub(crate) fn solve(&mut self, world: &mut dyn CommWorld) -> CgResult {
         telemetry::set_phase(telemetry::Phase::Ds);
         let cg = self.solver.solve(
             world,
             &self.cfg,
-            &decomp,
+            &self.cfg.decomp,
             &self.tile,
             &self.geom,
             &self.coeffs,
@@ -256,10 +282,13 @@ impl Model {
             &self.ws.rhs,
             &mut self.state.ps,
         );
-        // Post-solve work (velocity correction, adjustments, mixing)
-        // belongs to PS in the paper's two-phase accounting.
         telemetry::set_phase(telemetry::Phase::Ps);
+        cg
+    }
 
+    /// PS, tile-local: velocity correction through implicit vertical
+    /// mixing. No world or telemetry call.
+    pub(crate) fn finish_state(&mut self) {
         // Final update.
         timestep::correct_velocities(
             &self.cfg,
@@ -303,11 +332,11 @@ impl Model {
                 &mut self.tridiag,
             );
         }
+    }
 
-        // --- bookkeeping --------------------------------------------------
-        let flops_after = flops::read();
-        let ps_flops = flops_after.0 - flops_before.0;
-        let ds_flops = flops_after.1 - flops_before.1;
+    /// Bookkeeping: charge the step's `(ps, ds)` flops, count the step,
+    /// leave the PS/DS phases and report.
+    pub(crate) fn close(&mut self, (ps_flops, ds_flops): (u64, u64), cg: CgResult) -> StepStats {
         telemetry::charge_flops(telemetry::Phase::Ps, ps_flops);
         telemetry::charge_flops(telemetry::Phase::Ds, ds_flops);
         telemetry::count("gcm.driver", "steps", 1);

@@ -46,6 +46,15 @@ pub fn read() -> (u64, u64) {
     (PS_FLOPS.with(Cell::get), DS_FLOPS.with(Cell::get))
 }
 
+/// Run `f`, returning its result and the flops `(ps, ds)` it counted on
+/// this thread.
+pub(crate) fn counted<R>(f: impl FnOnce() -> R) -> (R, (u64, u64)) {
+    let before = read();
+    let r = f();
+    let after = read();
+    (r, (after.0 - before.0, after.1 - before.1))
+}
+
 /// Reset both counters, returning their previous values.
 pub fn reset() -> (u64, u64) {
     let out = read();

@@ -395,10 +395,8 @@ pub(crate) mod fixtures {
         ) {
             let run = |kernel: &dyn Fn(&mut ModelState, &mut Workspace)| {
                 let (mut state, mut ws) = (self.state.clone(), self.ws.clone());
-                let before = flops::read();
-                kernel(&mut state, &mut ws);
-                let after = flops::read();
-                (bits(&state, &ws), (after.0 - before.0, after.1 - before.1))
+                let ((), counted) = flops::counted(|| kernel(&mut state, &mut ws));
+                (bits(&state, &ws), counted)
             };
             let (got, got_flops) = run(&sweep);
             let (want, want_flops) = run(&reference);
