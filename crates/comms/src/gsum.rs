@@ -26,12 +26,12 @@
 //! baseline intentionally keeps the paper's catastrophic-failure model.
 
 use crate::mixmode::SmpCosts;
-use crate::node::{run_nodes, Endpoint, Guard, Timeout, Woken};
-use crate::recovery::{RecoveryCounters, RecoveryEvent};
 use hyades_arctic::packet::{f64_from_words, words_from_f64, Packet};
 use hyades_des::event::Payload;
 use hyades_des::{Actor, Ctx, SimDuration, SimTime};
 use hyades_fault::FaultPlan;
+use hyades_startx::node::{run_nodes, Endpoint, Guard, Timeout, Woken};
+use hyades_startx::recovery::{RecoveryCounters, RecoveryEvent};
 use hyades_startx::HostParams;
 use hyades_telemetry as telemetry;
 use hyades_telemetry::flight;

@@ -11,8 +11,11 @@
 //!   fabric it reproduces the paper's `4.67·log2 N − 0.95` µs fit.
 //! * [`exchange`] — the **optimized exchange** (§4.1): brings tile halo
 //!   regions into a consistent state with two sequential VI-mode transfers
-//!   per neighbor pair (a single transfer saturates PCI), chunked staging
-//!   copies overlapped with DMA, and an 8.6 µs negotiation per transfer.
+//!   per neighbor pair (a single transfer saturates PCI). This crate
+//!   decides which legs run; each leg *is* the one simulated VI transfer,
+//!   `hyades_startx::vi::ExchangeNode` (chunked staging copies overlapped
+//!   with DMA, an 8.6 µs negotiation, go-back-N recovery), the transfer
+//!   whose bandwidth is Figure 7.
 //! * [`barrier`] — a butterfly barrier, used for the HPVM comparison (§6).
 //! * [`mixmode`] — the mixed-mode SMP scheme (§4.1–4.2): one processor per
 //!   SMP is the *communication master* owning the NIU; slaves post requests
@@ -36,13 +39,11 @@ pub mod gsum;
 pub mod measured;
 pub mod mixmode;
 pub mod mpistart;
-mod node;
-pub mod recovery;
 pub mod schedule;
 pub mod timed;
 pub mod world;
 
-pub use recovery::RecoveryCounters;
+pub use hyades_startx::recovery::RecoveryCounters;
 
 pub use timed::TimedWorld;
 pub use world::{CommWorld, SerialWorld, ThreadWorld};

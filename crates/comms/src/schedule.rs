@@ -15,15 +15,16 @@
 //! on their keyed channel. A schedule is deadlock-free iff the graph with
 //! program-order edges plus send→recv match edges is acyclic.
 //!
-//! The graphs are built from the tag constants `exchange.rs` and
-//! `gsum.rs` dispatch on, so the alphabet proven is the alphabet that
-//! runs.
+//! The graphs are built from the tag constants the VI leg
+//! (`hyades_startx::vi`) and `gsum.rs` dispatch on, so the alphabet
+//! proven is the alphabet that runs.
 
-use crate::exchange::{
-    classify, torus_schedule, TagKind, TAG_ACK2_BASE, TAG_ACK_BASE, TAG_DATA, TAG_DONE2_BASE,
-    TAG_DONE_BASE, TAG_PROBE_BASE, TAG_REQ2_BASE, TAG_REQ_BASE, TAG_RETRY_BASE,
-};
+use crate::exchange::torus_schedule;
 use crate::gsum::{self, GSUM_RESEND_BASE, GSUM_RETRY_BASE};
+use hyades_startx::vi::{
+    classify, TagKind, TAG_ACK2_BASE, TAG_ACK_BASE, TAG_DATA, TAG_DONE2_BASE, TAG_DONE_BASE,
+    TAG_PROBE_BASE, TAG_REQ2_BASE, TAG_REQ_BASE, TAG_RETRY_BASE,
+};
 use std::collections::BTreeMap;
 
 /// One message of the schedule: a directed channel (`src` → `dst`) and

@@ -27,10 +27,7 @@ pub fn chunk_sweep() -> Vec<(u64, f64)> {
     [256u64, 512, 2048, 8192, 65536]
         .into_iter()
         .map(|chunk_bytes| {
-            let cfg = ViConfig {
-                chunk_bytes,
-                notify_sender: true,
-            };
+            let cfg = ViConfig { chunk_bytes };
             let m = measure_transfer(HostParams::default(), cfg, 16, 65536);
             (chunk_bytes, m.mbyte_per_sec)
         })

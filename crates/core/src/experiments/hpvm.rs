@@ -80,9 +80,9 @@ mod tests {
     fn hpvm_1kb_rate_about_42() {
         let c = measure();
         assert!((c.hpvm_1kb_mbs - 42.0).abs() < 1.0, "{}", c.hpvm_1kb_mbs);
-        // ~25% slower than Hyades.
+        // ~25% slower than Hyades's 1-KB exchange leg.
         let slowdown = 1.0 - c.hpvm_1kb_mbs / c.hyades_1kb_mbs;
-        assert!((0.1..0.4).contains(&slowdown), "slowdown {slowdown}");
+        assert!((0.2..0.3).contains(&slowdown), "slowdown {slowdown}");
     }
 
     #[test]

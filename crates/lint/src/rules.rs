@@ -131,7 +131,7 @@ const PASSES: &[Pass] = &[
 fn event_ordering_crate(ctx: &FileCtx<'_>) -> bool {
     matches!(
         ctx.scope.crate_name.as_deref(),
-        Some("des" | "arctic" | "comms" | "cluster" | "telemetry")
+        Some("des" | "arctic" | "startx" | "comms" | "cluster" | "telemetry")
     )
 }
 
@@ -689,7 +689,7 @@ mod tests {
         assert!(rules_hit("crates/gcm/tests/t.rs", src).is_empty());
         // The widened scope is rule-local: gcm stays outside the
         // event-ordering passes (hash iteration is only flagged in the
-        // des/arctic/comms/cluster/telemetry crates).
+        // des/arctic/startx/comms/cluster/telemetry crates).
         let hash_src = "let mut m = HashMap::new();\nfor v in m.values() {}\n";
         assert!(!rules_hit("crates/gcm/src/x.rs", hash_src).contains(&HASH_ITERATION));
         assert!(rules_hit("crates/des/src/x.rs", hash_src).contains(&HASH_ITERATION));
@@ -705,6 +705,11 @@ mod tests {
             vec![UNWRAP_IN_LIB]
         );
         assert!(rules_hit("crates/cluster/tests/t.rs", unwrap_src).is_empty());
+        // The VI leg that every exchange runs lives in `startx`.
+        assert_eq!(
+            rules_hit("crates/startx/src/vi.rs", unwrap_src),
+            vec![UNWRAP_IN_LIB]
+        );
     }
 
     #[test]

@@ -15,14 +15,21 @@
 //! * **VI mode** ([`vi`]) — cacheable virtual queues extended into host
 //!   memory by DMA. A bulk transfer pays a one-time ~8.6 µs negotiation and
 //!   then streams at the 110 MByte/s PCI payload limit, giving the perceived
-//!   bandwidth curve of Figure 7.
+//!   bandwidth curve of Figure 7. The transfer is simulated once, as one
+//!   leg of the §4.1 exchange ([`vi::ExchangeNode`]): Figure 7 times a
+//!   single leg, and `hyades-comms` schedules the exchange's legs.
+//! * **Protocol nodes** ([`node`], [`recovery`]) — the fabric endpoint,
+//!   guarded wait, run harness and recovery counters that the VI leg and
+//!   the global sums of `hyades-comms` share.
 //! * **LogP harness** ([`logp`]) — ping-pong and overhead microbenchmarks
 //!   run on the simulated fabric, regenerating Figure 2.
 
 pub mod host;
 pub mod logp;
 pub mod msg;
+pub mod node;
 pub mod pio;
+pub mod recovery;
 pub mod vi;
 
 pub use host::HostParams;

@@ -96,7 +96,9 @@ impl Actor for PingPonger {
             }
             Err(e) => e,
         };
-        let rx = ev.downcast::<RxProcessed>().expect("PingPonger event");
+        let rx = ev
+            .downcast::<RxProcessed>()
+            .unwrap_or_else(|_| panic!("PingPonger: unexpected event type"));
         match rx.tag {
             TAG_PING => self.send(ctx, TAG_PONG),
             TAG_PONG => {
@@ -148,10 +150,11 @@ pub fn measure_logp(
     sim.schedule(SimTime::ZERO, net.endpoint(src), StartPingPong { rounds });
     sim.run();
     let a = sim.actor::<PingPonger>(net.endpoint(src));
-    let total = a
-        .finished
-        .expect("ping-pong did not finish")
-        .since(a.started.unwrap());
+    let (started, finished) = a
+        .started
+        .zip(a.finished)
+        .unwrap_or_else(|| panic!("ping-pong did not finish"));
+    let total = finished.since(started);
     let half_rtt = total / (2 * rounds as u64);
     let os = host.pio.send_overhead(payload_bytes);
     let or = host.pio.recv_overhead(payload_bytes);

@@ -1,16 +1,6 @@
 //! Root crate of the Hyades reproduction workspace.
 //!
 //! This crate exists to host the workspace-level integration tests
-//! (`tests/`) and the runnable examples (`examples/`). The actual library
-//! surface lives in the member crates; the most convenient entry point is
-//! the [`hyades`] facade crate, re-exported here.
-
-pub use hyades;
-pub use hyades_arctic as arctic;
-pub use hyades_cluster as cluster;
-pub use hyades_comms as comms;
-pub use hyades_des as des;
-pub use hyades_gcm as gcm;
-pub use hyades_perf as perf;
-pub use hyades_startx as startx;
-pub use hyades_telemetry as telemetry;
+//! (`tests/`) and the runnable examples (`examples/`); it exports nothing.
+//! The library surface lives in the member crates, and the entry point is
+//! the `hyades` facade crate (`crates/core`), which re-exports them.

@@ -613,7 +613,7 @@ fn figure_csv_artifacts_match_the_pinned_digests() {
         .collect();
     let pinned = [
         ("E1", 0x91b3_72a2_fa04_dcc0_u64),
-        ("E2", 0x1440_f205_cfd8_c3fd),
+        ("E2", 0x16de_ef62_8cdc_2d16),
         ("E3", 0xc8aa_9dba_5941_38a6),
         ("E7", 0x4624_aad1_e4c4_8b78),
         ("E12", 0x2452_4453_a1a9_5e73),
