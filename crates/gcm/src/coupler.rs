@@ -32,7 +32,10 @@
 //! a helper panic re-raises on the caller with its own payload.
 //! [`step_shared`](CoupledModel::step_shared) and
 //! [`step_monitored`](CoupledModel::step_monitored) — one world for both
-//! isomorphs, the tour's path with the recorder on — stay sequential.
+//! isomorphs, the tour's path with the recorder on — stay sequential. On
+//! every path each model runs its kernels as one band of rows: the split
+//! of a large tile's kernels across two threads (`kernel::in_bands`) is
+//! `Model::step`'s, for an isomorph stepped alone.
 
 use crate::config::SurfaceForcing;
 use crate::driver::{Model, StepStats};
@@ -141,10 +144,10 @@ impl CoupledModel {
         let (atmos, ocean) = (&mut self.atmos, &mut self.ocean);
         let ((), a0) = flops::counted(|| atmos.begin(atmos_world));
         let ((), o0) = flops::counted(|| ocean.begin(ocean_world));
-        let (a1, o1) = side_by_side(|| atmos.tendencies(), || ocean.tendencies());
+        let (a1, o1) = side_by_side(|| atmos.tendencies(None), || ocean.tendencies(None));
         let (cga, a2) = flops::counted(|| atmos.solve(atmos_world));
         let (cgo, o2) = flops::counted(|| ocean.solve(ocean_world));
-        let (a3, o3) = side_by_side(|| atmos.finish_state(), || ocean.finish_state());
+        let (a3, o3) = side_by_side(|| atmos.finish_state(None), || ocean.finish_state(None));
         let sum = |parts: [(u64, u64); 4]| {
             parts
                 .iter()
@@ -175,8 +178,8 @@ impl CoupledModel {
     /// thread-parallel coupled runs. Collectives interleave identically on
     /// every rank, so the lockstep schedule is deadlock-free.
     pub fn step_shared(&mut self, world: &mut dyn CommWorld) -> (StepStats, StepStats) {
-        let sa = self.atmos.step(world);
-        let so = self.ocean.step(world);
+        let sa = self.atmos.step_split(world, None);
+        let so = self.ocean.step_split(world, None);
         self.count_and_couple();
         (sa, so)
     }
@@ -247,7 +250,10 @@ impl CoupledModel {
 /// thread-local, so the helper's count is also added to this thread's:
 /// `flops::read` afterwards is what running both here would have left. A
 /// panic on the helper re-raises here with its own payload.
-fn side_by_side(helper: impl FnOnce() + Send, caller: impl FnOnce()) -> ((u64, u64), (u64, u64)) {
+pub(crate) fn side_by_side(
+    helper: impl FnOnce() + Send,
+    caller: impl FnOnce(),
+) -> ((u64, u64), (u64, u64)) {
     let (theirs, mine) = std::thread::scope(|s| {
         let h = s.spawn(|| flops::counted(helper).1);
         let ((), mine) = flops::counted(caller);

@@ -18,8 +18,8 @@
 use crate::config::ModelConfig;
 use crate::flops;
 use crate::halo;
-use crate::kernel::vertical::{implicit_vertical_diffusion, Tridiag};
-use crate::kernel::{gterms, hydrostatic, timestep, TileGeom, Workspace};
+use crate::kernel::vertical::{implicit_vertical_diffusion_rows, Tridiag};
+use crate::kernel::{band_split, gterms, hydrostatic, in_bands, timestep, TileGeom, Workspace};
 use crate::physics::{self, BoundaryFields};
 use crate::solver::{CgResult, CgSolver, EllipticCoeffs};
 use crate::state::{Masks, ModelState};
@@ -123,7 +123,9 @@ impl Model {
     /// [`begin`], [`solve`] and [`close`] touch `world` or telemetry;
     /// [`tendencies`] and [`finish_state`] are this tile's own arithmetic,
     /// which is what lets [`CoupledModel::step`] run the atmosphere's and
-    /// the ocean's side by side.
+    /// the ocean's side by side, and lets a large tile run each of their
+    /// kernels as two row bands on two threads ([`band_split`],
+    /// [`in_bands`]).
     ///
     /// [`begin`]: Model::begin
     /// [`solve`]: Model::solve
@@ -132,11 +134,17 @@ impl Model {
     /// [`finish_state`]: Model::finish_state
     /// [`CoupledModel::step`]: crate::coupler::CoupledModel::step
     pub fn step(&mut self, world: &mut dyn CommWorld) -> StepStats {
+        self.step_split(world, band_split(&self.tile, self.cfg.grid.nz))
+    }
+
+    /// [`step`](Model::step) with the PS kernels run whole (`None`) or
+    /// split at row `mid`.
+    pub(crate) fn step_split(&mut self, world: &mut dyn CommWorld, mid: Option<i64>) -> StepStats {
         let (cg, flops) = flops::counted(|| {
             self.begin(world);
-            self.tendencies();
+            self.tendencies(mid);
             let cg = self.solve(world);
-            self.finish_state();
+            self.finish_state(mid);
             cg
         });
         self.close(flops, cg)
@@ -158,112 +166,85 @@ impl Model {
         );
     }
 
-    /// PS, tile-local: tendencies through the elliptic right-hand side.
-    /// No world or telemetry call.
-    pub(crate) fn tendencies(&mut self) {
+    /// PS, tile-local: tendencies through the elliptic right-hand side,
+    /// each kernel whole or split at row `mid` ([`in_bands`]). No world or
+    /// telemetry call.
+    pub(crate) fn tendencies(&mut self, mid: Option<i64>) {
         // Buoyancy and hydrostatic pressure, overcomputed on +2.
-        hydrostatic::buoyancy_and_phy(&self.cfg, &self.tile, &self.masks, &mut self.state, 2);
+        in_bands(mid, [self.state.b.band(), self.state.phy.band()], |b_phy| {
+            let (theta, s) = (&self.state.theta, &self.state.s);
+            hydrostatic::buoyancy_and_phy_rows(
+                &self.cfg,
+                &self.tile,
+                &self.masks,
+                theta,
+                s,
+                b_phy,
+                2,
+            )
+        });
 
         // Tendencies: momentum on +1 (feeds v* on +1), tracers on the
         // interior.
-        gterms::momentum_tendencies(
-            &self.cfg,
-            &self.tile,
-            &self.geom,
-            &self.masks,
-            &self.state,
-            &mut self.ws,
-            1,
-        );
-        gterms::tracer_tendency(
-            &self.cfg,
-            &self.tile,
-            &self.geom,
-            &self.masks,
-            &self.state,
-            &self.state.theta,
-            &mut self.ws.gt,
-            self.cfg.diff_h,
-            if self.cfg.implicit_vertical {
-                0.0
-            } else {
-                self.cfg.diff_v
-            },
-            0,
-        );
-        gterms::tracer_tendency(
-            &self.cfg,
-            &self.tile,
-            &self.geom,
-            &self.masks,
-            &self.state,
-            &self.state.s,
-            &mut self.ws.gs,
-            self.cfg.diff_h,
-            if self.cfg.implicit_vertical {
-                0.0
-            } else {
-                self.cfg.diff_v
-            },
-            0,
-        );
-        physics::apply_forcing(
-            &self.cfg,
-            &self.tile,
-            &self.geom,
-            &self.masks,
-            &self.state,
-            &self.bc,
-            &mut self.ws,
-            1,
-        );
+        in_bands(mid, [self.ws.gu.band(), self.ws.gv.band()], |g| {
+            let (cfg, tile, geom, masks) = (&self.cfg, &self.tile, &self.geom, &self.masks);
+            gterms::momentum_tendencies_rows(cfg, tile, geom, masks, &self.state, g, 1)
+        });
+        let diff_v = if self.cfg.implicit_vertical {
+            0.0
+        } else {
+            self.cfg.diff_v
+        };
+        let tracers = [
+            (&self.state.theta, &mut self.ws.gt),
+            (&self.state.s, &mut self.ws.gs),
+        ];
+        for (tracer, g) in tracers {
+            in_bands(mid, [g.band()], |[g]| {
+                let (cfg, tile, geom, masks) = (&self.cfg, &self.tile, &self.geom, &self.masks);
+                let (state, diff_h) = (&self.state, self.cfg.diff_h);
+                gterms::tracer_tendency_rows(
+                    cfg, tile, geom, masks, state, tracer, g, diff_h, diff_v, 0,
+                )
+            });
+        }
+        let ws = &mut self.ws;
+        let g = [ws.gu.band(), ws.gv.band(), ws.gt.band(), ws.gs.band()];
+        in_bands(mid, g, |g| {
+            let (cfg, tile, geom, masks) = (&self.cfg, &self.tile, &self.geom, &self.masks);
+            physics::apply_forcing_rows(cfg, tile, geom, masks, &self.state, &self.bc, g, 1)
+        });
 
         // Adams–Bashforth extrapolation (momentum on +1, tracers interior).
         let first = self.state.first_step;
-        timestep::ab2_extrapolate(
-            &mut self.ws.gu,
-            &mut self.state.gu_prev,
-            self.cfg.ab_eps,
-            first,
-            1,
-        );
-        timestep::ab2_extrapolate(
-            &mut self.ws.gv,
-            &mut self.state.gv_prev,
-            self.cfg.ab_eps,
-            first,
-            1,
-        );
-        timestep::ab2_extrapolate(
-            &mut self.ws.gt,
-            &mut self.state.gt_prev,
-            self.cfg.ab_eps,
-            first,
-            0,
-        );
-        timestep::ab2_extrapolate(
-            &mut self.ws.gs,
-            &mut self.state.gs_prev,
-            self.cfg.ab_eps,
-            first,
-            0,
-        );
+        for (g, g_prev, ext) in [
+            (&mut self.ws.gu, &mut self.state.gu_prev, 1),
+            (&mut self.ws.gv, &mut self.state.gv_prev, 1),
+            (&mut self.ws.gt, &mut self.state.gt_prev, 0),
+            (&mut self.ws.gs, &mut self.state.gs_prev, 0),
+        ] {
+            in_bands(mid, [g.band(), g_prev.band()], |g| {
+                timestep::ab2_extrapolate_rows(g, self.cfg.ab_eps, first, ext)
+            });
+        }
         self.state.first_step = false;
 
         // Provisional velocities and tracer update.
-        timestep::velocity_star(
-            &self.cfg,
-            &self.tile,
-            &self.geom,
-            &self.masks,
-            &self.state,
-            &mut self.ws,
-            1,
-        );
-        timestep::update_tracers(&self.cfg, &self.masks, &mut self.state, &self.ws);
+        in_bands(mid, [self.ws.ustar.band(), self.ws.vstar.band()], |uv| {
+            let (cfg, tile, geom, masks) = (&self.cfg, &self.tile, &self.geom, &self.masks);
+            let (state, gu, gv) = (&self.state, &self.ws.gu, &self.ws.gv);
+            timestep::velocity_star_rows(cfg, tile, geom, masks, state, gu, gv, uv, 1)
+        });
+        in_bands(mid, [self.state.theta.band(), self.state.s.band()], |ts| {
+            timestep::update_tracers(&self.cfg, &self.masks, &self.ws.gt, &self.ws.gs, ts)
+        });
 
         // Elliptic right-hand side.
-        timestep::divergence_rhs(&self.cfg, &self.tile, &self.geom, &self.masks, &mut self.ws);
+        in_bands(mid, [self.ws.rhs.band()], |[rhs]| {
+            let (cfg, tile, geom, masks) = (&self.cfg, &self.tile, &self.geom, &self.masks);
+            let (ustar, vstar) = (&self.ws.ustar, &self.ws.vstar);
+            timestep::divergence_rhs_rows(cfg, tile, geom, masks, ustar, vstar, rhs)
+        });
     }
 
     /// DS: the surface-pressure solve. Post-solve work (velocity
@@ -287,50 +268,37 @@ impl Model {
     }
 
     /// PS, tile-local: velocity correction through implicit vertical
-    /// mixing. No world or telemetry call.
-    pub(crate) fn finish_state(&mut self) {
+    /// mixing, each kernel whole or split at row `mid` ([`in_bands`]). No
+    /// world or telemetry call.
+    pub(crate) fn finish_state(&mut self, mid: Option<i64>) {
         // Final update.
-        timestep::correct_velocities(
-            &self.cfg,
-            &self.tile,
-            &self.geom,
-            &self.masks,
-            &mut self.state,
-            &self.ws,
-        );
+        in_bands(mid, [self.state.u.band(), self.state.v.band()], |uv| {
+            let (cfg, tile, geom, masks) = (&self.cfg, &self.tile, &self.geom, &self.masks);
+            let (ps, ustar, vstar) = (&self.state.ps, &self.ws.ustar, &self.ws.vstar);
+            timestep::correct_velocities(cfg, tile, geom, masks, ps, ustar, vstar, uv)
+        });
         // w is diagnosed from continuity.
-        hydrostatic::diagnose_w(
-            &self.cfg,
-            &self.tile,
-            &self.geom,
-            &self.masks,
-            &self.state.u,
-            &self.state.v,
-            &mut self.state.w,
-            0,
-        );
+        in_bands(mid, [self.state.w.band()], |[w]| {
+            let (cfg, tile, geom, masks) = (&self.cfg, &self.tile, &self.geom, &self.masks);
+            let (u, v) = (&self.state.u, &self.state.v);
+            hydrostatic::diagnose_w(cfg, tile, geom, masks, u, v, w, 0)
+        });
 
         // Adjustments (convection, condensation).
-        physics::post_adjust(&self.cfg, &self.tile, &self.masks, &mut self.state);
+        in_bands(mid, [self.state.theta.band(), self.state.s.band()], |ts| {
+            physics::post_adjust(&self.cfg, &self.tile, &self.masks, ts)
+        });
 
         // Implicit vertical tracer mixing (backward Euler), if configured.
-        if self.cfg.implicit_vertical {
-            implicit_vertical_diffusion(
-                &self.cfg,
-                &self.tile,
-                &self.masks,
-                &mut self.state.theta,
-                self.cfg.diff_v,
-                &mut self.tridiag,
-            );
-            implicit_vertical_diffusion(
-                &self.cfg,
-                &self.tile,
-                &self.masks,
-                &mut self.state.s,
-                self.cfg.diff_v,
-                &mut self.tridiag,
-            );
+        if !self.cfg.implicit_vertical {
+            return;
+        }
+        if let Some(factors) = self.tridiag.factored(&self.cfg, self.cfg.diff_v) {
+            for field in [&mut self.state.theta, &mut self.state.s] {
+                in_bands(mid, [field.band()], |[f]| {
+                    implicit_vertical_diffusion_rows(&self.cfg, &self.tile, &self.masks, f, factors)
+                });
+            }
         }
     }
 
@@ -404,6 +372,246 @@ impl Model {
             self.total_ds_flops as f64 / (self.total_cg_iterations as f64 * cols)
         };
         (nps, nds)
+    }
+}
+
+#[cfg(test)]
+mod band_tests {
+    use super::*;
+    use crate::config::SurfaceForcing;
+    use crate::decomp::Decomp;
+    use crate::field::Field3;
+    use crate::grid::Grid;
+    use crate::kernel::fixtures::{cases, Case};
+    use hyades_comms::SerialWorld;
+
+    /// One PS kernel call of the step, as `tendencies` / `finish_state`
+    /// make it: whole, or split at a row.
+    type Kernel = fn(&Case, &mut ModelState, &mut Workspace, Option<i64>);
+
+    /// Every kernel call of the two phases, the forcing also coupled, AB2
+    /// on a first and a later step, the implicit mixing also violent.
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        vec![
+            ("buoyancy_and_phy", |c, st, _, mid| {
+                in_bands(mid, [st.b.band(), st.phy.band()], |b_phy| {
+                    let (theta, s) = (&st.theta, &st.s);
+                    hydrostatic::buoyancy_and_phy_rows(
+                        &c.cfg, &c.tile, &c.masks, theta, s, b_phy, 2,
+                    )
+                })
+            }),
+            ("momentum_tendencies", |c, st, ws, mid| {
+                in_bands(mid, [ws.gu.band(), ws.gv.band()], |g| {
+                    gterms::momentum_tendencies_rows(&c.cfg, &c.tile, &c.geom, &c.masks, st, g, 1)
+                })
+            }),
+            ("tracer_tendency", |c, st, ws, mid| {
+                for (tracer, g) in [(&st.theta, &mut ws.gt), (&st.s, &mut ws.gs)] {
+                    in_bands(mid, [g.band()], |[g]| {
+                        let (cfg, kh, kv) = (&c.cfg, c.cfg.diff_h, c.cfg.diff_v);
+                        gterms::tracer_tendency_rows(
+                            cfg, &c.tile, &c.geom, &c.masks, st, tracer, g, kh, kv, 0,
+                        )
+                    });
+                }
+            }),
+            ("apply_forcing", |c, st, ws, mid| {
+                for forcing in [c.cfg.forcing, SurfaceForcing::Coupled] {
+                    let cfg = ModelConfig {
+                        forcing,
+                        ..c.cfg.clone()
+                    };
+                    let g = [ws.gu.band(), ws.gv.band(), ws.gt.band(), ws.gs.band()];
+                    in_bands(mid, g, |g| {
+                        physics::apply_forcing_rows(
+                            &cfg, &c.tile, &c.geom, &c.masks, st, &c.bc, g, 1,
+                        )
+                    });
+                }
+            }),
+            ("ab2_extrapolate", |c, st, ws, mid| {
+                for first in [true, false] {
+                    for (g, g_prev, ext) in [
+                        (&mut ws.gu, &mut st.gu_prev, 1),
+                        (&mut ws.gs, &mut st.gs_prev, 0),
+                    ] {
+                        in_bands(mid, [g.band(), g_prev.band()], |g| {
+                            timestep::ab2_extrapolate_rows(g, c.cfg.ab_eps, first, ext)
+                        });
+                    }
+                }
+            }),
+            ("velocity_star", |c, st, ws, mid| {
+                in_bands(mid, [ws.ustar.band(), ws.vstar.band()], |uv| {
+                    let (gu, gv) = (&ws.gu, &ws.gv);
+                    timestep::velocity_star_rows(
+                        &c.cfg, &c.tile, &c.geom, &c.masks, st, gu, gv, uv, 1,
+                    )
+                })
+            }),
+            ("update_tracers", |c, st, ws, mid| {
+                in_bands(mid, [st.theta.band(), st.s.band()], |ts| {
+                    timestep::update_tracers(&c.cfg, &c.masks, &ws.gt, &ws.gs, ts)
+                })
+            }),
+            ("divergence_rhs", |c, _, ws, mid| {
+                in_bands(mid, [ws.rhs.band()], |[rhs]| {
+                    let (ustar, vstar) = (&ws.ustar, &ws.vstar);
+                    timestep::divergence_rhs_rows(
+                        &c.cfg, &c.tile, &c.geom, &c.masks, ustar, vstar, rhs,
+                    )
+                })
+            }),
+            ("correct_velocities", |c, st, ws, mid| {
+                in_bands(mid, [st.u.band(), st.v.band()], |uv| {
+                    let (ps, ustar, vstar) = (&st.ps, &ws.ustar, &ws.vstar);
+                    timestep::correct_velocities(
+                        &c.cfg, &c.tile, &c.geom, &c.masks, ps, ustar, vstar, uv,
+                    )
+                })
+            }),
+            ("diagnose_w", |c, st, _, mid| {
+                in_bands(mid, [st.w.band()], |[w]| {
+                    let (u, v) = (&st.u, &st.v);
+                    hydrostatic::diagnose_w(&c.cfg, &c.tile, &c.geom, &c.masks, u, v, w, 0)
+                })
+            }),
+            ("post_adjust", |c, st, _, mid| {
+                in_bands(mid, [st.theta.band(), st.s.band()], |ts| {
+                    physics::post_adjust(&c.cfg, &c.tile, &c.masks, ts)
+                })
+            }),
+            ("implicit_vertical_diffusion", |c, st, _, mid| {
+                for kappa in [c.cfg.diff_v, 1.0e4 * c.cfg.diff_v] {
+                    let mut tridiag = Tridiag::new(c.cfg.grid.nz);
+                    let Some(factors) = tridiag.factored(&c.cfg, kappa) else {
+                        continue;
+                    };
+                    for field in [&mut st.theta, &mut st.s] {
+                        in_bands(mid, [field.band()], |[f]| {
+                            implicit_vertical_diffusion_rows(&c.cfg, &c.tile, &c.masks, f, factors)
+                        });
+                    }
+                }
+            }),
+        ]
+    }
+
+    /// Each kernel split at every row of the tile — halo rows, the empty
+    /// bands at either end, one-row bands — writes every word and charges
+    /// every flop the whole kernel does, on every fixture tile.
+    #[test]
+    fn every_kernel_split_at_every_row_matches_the_whole_kernel() {
+        let kernels = kernels();
+        for case in cases() {
+            let h = case.tile.halo as i64;
+            for mid in -h..=case.tile.ny as i64 + h {
+                for (name, kernel) in &kernels {
+                    case.check(
+                        &format!("{name} split at row {mid}"),
+                        |st, ws| kernel(&case, st, ws, Some(mid)),
+                        |st, ws| kernel(&case, st, ws, None),
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every word a step writes or keeps, and its counters.
+    fn model_bits(m: &Model) -> Vec<u64> {
+        let (st, ws) = (&m.state, &m.ws);
+        let f3 = [
+            &st.u,
+            &st.v,
+            &st.w,
+            &st.theta,
+            &st.s,
+            &st.gu_prev,
+            &st.gv_prev,
+            &st.gt_prev,
+            &st.gs_prev,
+            &st.phy,
+            &st.b,
+            &ws.gu,
+            &ws.gv,
+            &ws.gt,
+            &ws.gs,
+            &ws.ustar,
+            &ws.vstar,
+        ];
+        let f2 = [&st.ps, &ws.rhs];
+        let words = f3.iter().map(|f| f.raw()).chain(f2.iter().map(|f| f.raw()));
+        let mut bits: Vec<u64> = words.flatten().map(|x| x.to_bits()).collect();
+        bits.extend([
+            u64::from(st.first_step),
+            m.steps_taken,
+            m.total_cg_iterations,
+            m.total_ps_flops,
+            m.total_ds_flops,
+        ]);
+        bits
+    }
+
+    fn stats_bits(s: &StepStats) -> [u64; 8] {
+        [
+            s.cg_iterations as u64,
+            s.cg_residual.to_bits(),
+            s.cg_initial_residual.to_bits(),
+            s.cg_final_residual.to_bits(),
+            u64::from(s.cg_converged),
+            s.ps_flops,
+            s.ds_flops,
+            s.max_speed.to_bits(),
+        ]
+    }
+
+    /// Steps with every kernel split at a row, against the same steps
+    /// whole: every word of the model, the `StepStats` and this thread's
+    /// flop counters, on a forced ocean with continents and implicit
+    /// mixing and on an atmosphere of odd width that condenses.
+    #[test]
+    fn split_steps_are_bit_identical_to_whole_steps() {
+        let d = Decomp::blocks(16, 8, 1, 1, 3);
+        let mut ocean = ModelConfig::test_ocean(16, 8, 5, d);
+        (ocean.forcing, ocean.continents, ocean.implicit_vertical) =
+            (SurfaceForcing::Climatology, true, true);
+        let mut atmos = ModelConfig::atmosphere_2p8125(Decomp::blocks(128, 64, 1, 1, 3));
+        atmos.grid = Grid::global(17, 8, 5, 60.0, vec![2.0e4; 5]);
+        (atmos.decomp, atmos.dt) = (Decomp::blocks(17, 8, 1, 1, 3), 600.0);
+        for cfg in [ocean, atmos] {
+            for mid in [-3, -1, 0, 1, 4, 7, 8, 11] {
+                let (mut split, mut whole) =
+                    (Model::new(cfg.clone(), 0), Model::new(cfg.clone(), 0));
+                for step in 1..=4 {
+                    let at = format!("{:?} split at row {mid}, step {step}", cfg.eos.kind);
+                    let (got, got_flops) =
+                        flops::counted(|| split.step_split(&mut SerialWorld, Some(mid)));
+                    let (want, want_flops) =
+                        flops::counted(|| whole.step_split(&mut SerialWorld, None));
+                    assert_eq!(stats_bits(&got), stats_bits(&want), "{at}: stats");
+                    assert_eq!(got_flops, want_flops, "{at}: this thread's flop counters");
+                    assert!(model_bits(&split) == model_bits(&whole), "{at}: model bits");
+                    assert!(got.ps_flops > 0 && got.ds_flops > 0);
+                }
+            }
+        }
+    }
+
+    /// A panic on the helper's band (the rows below the cut) re-raises on
+    /// the caller with the helper's own payload.
+    #[test]
+    fn a_panic_on_the_helper_band_reaches_the_caller() {
+        let mut f = Field3::new(4, 6, 2, 3);
+        let run = std::panic::AssertUnwindSafe(|| {
+            in_bands(Some(3), [f.band()], |[band]| {
+                if band.rows(3).start < 3 {
+                    panic!("helper band");
+                }
+            })
+        });
+        let payload = std::panic::catch_unwind(run).expect_err("the helper's band panicked");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"helper band"));
     }
 }
 

@@ -14,6 +14,10 @@
 //! rows as slices and check the span once, in every build — the form
 //! every kernel of the PS and DS phases and the halo exchange sweep;
 //! `at`/`set` are for set-up, diagnostics and tests.
+//!
+//! A PS kernel writes through a [`Band`]: whole rows of every level,
+//! which `split_off` cuts into two disjoint bands that two threads can
+//! write at once.
 
 use std::ops::Range;
 
@@ -59,6 +63,160 @@ fn block_span((nx, ny, h): (usize, usize, usize), is: Range<i64>, js: Range<i64>
     let first = row_span(nx, ny, h, js.start, is.clone());
     let last = row_span(nx, ny, h, js.end - 1, is);
     first.start..last.end
+}
+
+/// The whole rows `js` of every level of a field, to write: all of them
+/// (`Field2::band`, `Field3::band`), or one of the two disjoint parts
+/// [`split_off`](Band::split_off) cuts a band into. Rows and columns are
+/// addressed as in the field, and a span outside the band panics.
+#[derive(Debug)]
+pub(crate) struct Band<'a> {
+    nx: usize,
+    ny: usize,
+    h: usize,
+    js: Range<i64>,
+    /// Rows `js` of each level, halo columns included.
+    levels: Vec<&'a mut [f64]>,
+}
+
+impl<'a> Band<'a> {
+    fn new(data: &'a mut [f64], (nx, ny, h): (usize, usize, usize)) -> Band<'a> {
+        let hi = h as i64;
+        Band {
+            nx,
+            ny,
+            h,
+            js: -hi..ny as i64 + hi,
+            levels: data.chunks_mut((nx + 2 * h) * (ny + 2 * h)).collect(),
+        }
+    }
+
+    pub(crate) fn nx(&self) -> usize {
+        self.nx
+    }
+
+    pub(crate) fn nz(&self) -> usize {
+        self.levels.len()
+    }
+
+    pub(crate) fn halo(&self) -> usize {
+        self.h
+    }
+
+    /// The rows of the interior extended by `ext` rings (`-ext..ny + ext`)
+    /// that this band holds; empty when it holds none of them.
+    pub(crate) fn rows(&self, ext: i64) -> Range<i64> {
+        // `i64::max`, not `.max`: `hyades-lint` resolves a method on a
+        // receiver it cannot type by name (DESIGN §11), and the rows a
+        // kernel sweeps must not look rank-dependent to it.
+        let start = i64::max(self.js.start, -ext);
+        start..i64::max(start, i64::min(self.js.end, self.ny as i64 + ext))
+    }
+
+    /// Cut the band at row `mid`: it keeps the rows below, and the rows
+    /// from `mid` on are returned. Either part may be empty.
+    pub(crate) fn split_off(&mut self, mid: i64) -> Band<'a> {
+        assert!(
+            self.js.start <= mid && mid <= self.js.end,
+            "split row {mid} outside band {:?}",
+            self.js
+        );
+        let at = (mid - self.js.start) as usize * (self.nx + 2 * self.h);
+        let upper = self
+            .levels
+            .iter_mut()
+            .map(|level| {
+                let (below, above) = std::mem::take(level).split_at_mut(at);
+                *level = below;
+                above
+            })
+            .collect();
+        let js = mid..self.js.end;
+        self.js.end = mid;
+        Band {
+            js,
+            levels: upper,
+            ..*self
+        }
+    }
+
+    /// Where columns `is` of row `j` lie in each level's rows.
+    #[inline]
+    fn span(&self, j: i64, is: Range<i64>) -> Range<usize> {
+        assert!(self.js.contains(&j), "row {j} outside band {:?}", self.js);
+        let skip = (self.js.start + self.h as i64) as usize * (self.nx + 2 * self.h);
+        let row = row_span(self.nx, self.ny, self.h, j, is);
+        row.start - skip..row.end - skip
+    }
+
+    #[inline]
+    pub(crate) fn row_mut(&mut self, j: i64, k: usize, is: Range<i64>) -> &mut [f64] {
+        let span = self.span(j, is);
+        &mut self.levels[k][span]
+    }
+
+    /// Cell `(i, j)` on level `k`, for sweeps that visit scattered cells.
+    #[inline]
+    pub(crate) fn cell_mut(&mut self, i: i64, j: i64, k: usize) -> &mut f64 {
+        let span = self.span(j, i..i + 1);
+        &mut self.levels[k][span.start]
+    }
+
+    /// Columns `is` of row `j` on two different levels: `k_read` to read,
+    /// `k_write` to write. For level-by-level sweeps whose carry is the
+    /// field's own previous level.
+    #[inline]
+    pub(crate) fn row_pair(
+        &mut self,
+        j: i64,
+        k_read: usize,
+        k_write: usize,
+        is: Range<i64>,
+    ) -> (&[f64], &mut [f64]) {
+        assert_ne!(k_read, k_write, "row_pair needs two different levels");
+        let span = self.span(j, is);
+        let (read, write) = if k_read < k_write {
+            let (lo, hi) = self.levels.split_at_mut(k_write);
+            (&lo[k_read], &mut hi[0])
+        } else {
+            let (lo, hi) = self.levels.split_at_mut(k_read);
+            (&hi[0], &mut lo[k_write])
+        };
+        (&read[span.clone()], &mut write[span])
+    }
+}
+
+/// Width of the lane blocks the bookkeeping scans fold: independent
+/// accumulators, so the loop vectorises and does not wait on one chain.
+const LANES: usize = 8;
+
+/// Max of `acc` and `|x|` over `xs`. `f64::max` drops a NaN, and a max
+/// of non-negative values is the same in any order, so the lane-blocked
+/// fold is exactly the scalar `xs.iter().fold(acc, |m, x| m.max(x.abs()))`.
+fn max_abs(acc: f64, xs: &[f64]) -> f64 {
+    let mut lanes = [acc; LANES];
+    let mut blocks = xs.chunks_exact(LANES);
+    for block in &mut blocks {
+        for (m, x) in lanes.iter_mut().zip(block) {
+            *m = m.max(x.abs());
+        }
+    }
+    let tail = blocks.remainder().iter().fold(acc, |m, x| m.max(x.abs()));
+    lanes.iter().fold(tail, |m, &x| m.max(x))
+}
+
+/// Whether every value is finite. `x · 0` is a zero for every finite `x`
+/// and NaN for ±∞ and NaN, so a lane's sum stays a zero exactly until it
+/// meets one that is not.
+fn all_finite(xs: &[f64]) -> bool {
+    let mut lanes = [0.0; LANES];
+    let mut blocks = xs.chunks_exact(LANES);
+    for block in &mut blocks {
+        for (s, x) in lanes.iter_mut().zip(block) {
+            *s += x * 0.0;
+        }
+    }
+    lanes.iter().all(|&s| s == 0.0) && blocks.remainder().iter().all(|x| x.is_finite())
 }
 
 /// A 2-D (single-level) field with halo.
@@ -171,6 +329,11 @@ impl Field2 {
         &mut self.data[span]
     }
 
+    /// Every row, to write as a band of one level.
+    pub(crate) fn band(&mut self) -> Band<'_> {
+        Band::new(&mut self.data, (self.nx, self.ny, self.h))
+    }
+
     pub fn fill(&mut self, v: f64) {
         self.data.fill(v);
     }
@@ -195,11 +358,10 @@ impl Field2 {
         self.interior().map(|(i, j)| self.at(i, j)).sum()
     }
 
-    /// Max |v| over the interior.
+    /// Max |v| over the interior (a NaN is passed over).
     pub fn interior_max_abs(&self) -> f64 {
-        self.interior()
-            .map(|(i, j)| self.at(i, j).abs())
-            .fold(0.0, f64::max)
+        let nx = self.nx as i64;
+        (0..self.ny as i64).fold(0.0, |m, j| max_abs(m, self.row(j, 0..nx)))
     }
 }
 
@@ -278,27 +440,9 @@ impl Field3 {
         &mut self.data[span]
     }
 
-    /// Columns `is` of row `j` on two different levels: `k_read` to read,
-    /// `k_write` to write. For level-by-level sweeps whose carry is the
-    /// field's own previous level.
-    #[inline]
-    pub fn row_pair(
-        &mut self,
-        j: i64,
-        k_read: usize,
-        k_write: usize,
-        is: Range<i64>,
-    ) -> (&[f64], &mut [f64]) {
-        assert_ne!(k_read, k_write, "row_pair needs two different levels");
-        let read = self.row_span(j, k_read, is.clone());
-        let write = self.row_span(j, k_write, is);
-        if k_read < k_write {
-            let (lo, hi) = self.data.split_at_mut(write.start);
-            (&lo[read], &mut hi[..write.len()])
-        } else {
-            let (lo, hi) = self.data.split_at_mut(read.start);
-            (&hi[..read.len()], &mut lo[write])
-        }
+    /// Every row of every level, to write as a band.
+    pub(crate) fn band(&mut self) -> Band<'_> {
+        Band::new(&mut self.data, (self.nx, self.ny, self.h))
     }
 
     /// Columns `is` of each row in `js` (neither empty) on level `k`, in
@@ -345,15 +489,13 @@ impl Field3 {
         self.interior().map(|(i, j, k)| self.at(i, j, k)).sum()
     }
 
+    /// Max |v| over the interior (a NaN is passed over).
     pub fn interior_max_abs(&self) -> f64 {
         let (nx, ny) = (self.nx as i64, self.ny as i64);
         let mut max = 0.0f64;
         for k in 0..self.nz {
             for j in 0..ny {
-                max = self
-                    .row(j, k, 0..nx)
-                    .iter()
-                    .fold(max, |m, v| m.max(v.abs()));
+                max = max_abs(max, self.row(j, k, 0..nx));
             }
         }
         max
@@ -369,7 +511,7 @@ impl Field3 {
 
     /// Check every value is finite (stability tripwire).
     pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|v| v.is_finite())
+        all_finite(&self.data)
     }
 }
 
@@ -451,10 +593,11 @@ mod tests {
         g.row_mut(4, 1, 5..6)[0] = -1.5;
         assert_eq!(g.at(5, 4, 1), -1.5);
         g.row_mut(4, 1, 5..6)[0] = 405.5;
-        // Two levels of one row at once, either way round.
-        let (read, write) = g.row_pair(1, 1, 0, -2..3);
+        // Two levels of one row of a band at once, either way round.
+        let mut band = g.band();
+        let (read, write) = band.row_pair(1, 1, 0, -2..3);
         write.copy_from_slice(read);
-        let (read, write) = g.row_pair(2, 0, 1, 0..4);
+        let (read, write) = band.row_pair(2, 0, 1, 0..4);
         assert_eq!(read, [0.0; 4]);
         assert_eq!(write, [200.5, 201.5, 202.5, 203.5]);
         write[3] = 8.0;
@@ -528,14 +671,94 @@ mod tests {
     #[should_panic(expected = "outside field")]
     fn row_pair_beyond_the_halo_panics() {
         let mut f = Field3::new(4, 3, 2, 1);
-        let _ = f.row_pair(0, 0, 1, -2..4);
+        let _ = f.band().row_pair(0, 0, 1, -2..4);
     }
 
     #[test]
     #[should_panic(expected = "two different levels")]
     fn row_pair_of_one_level_panics() {
         let mut f = Field3::new(4, 3, 2, 1);
-        let _ = f.row_pair(0, 1, 1, 0..4);
+        let _ = f.band().row_pair(0, 1, 1, 0..4);
+    }
+
+    /// Cut at every row, halo rows and both ends included: the two bands
+    /// hold the rows on either side of the cut, address every cell where
+    /// the field does, and say which rows of a sweep each holds.
+    #[test]
+    fn a_band_splits_into_the_rows_on_either_side() {
+        let (nx, ny, nz, h) = (4usize, 3usize, 2usize, 2usize);
+        let (hi, top) = (h as i64, (ny + h) as i64);
+        let mut f = Field3::new(nx, ny, nz, h);
+        let mut g = Field2::new(nx, ny, h);
+        for mid in -hi..=top {
+            let mut lower = f.band();
+            let mut upper = lower.split_off(mid);
+            assert_eq!((lower.nx(), upper.nz()), (nx, nz));
+            for (band, rows) in [(&mut lower, -hi..mid), (&mut upper, mid..top)] {
+                for j in rows.clone() {
+                    for k in 0..nz {
+                        band.row_mut(j, k, -hi..nx as i64 + hi)
+                            .fill((mid + 100 * j) as f64);
+                        band.row_mut(j, k, 1..2)[0] = (k as i64 - mid) as f64;
+                    }
+                }
+                for ext in 0..=hi {
+                    let sweep = -ext..ny as i64 + ext;
+                    let want: Vec<i64> = sweep.filter(|j| rows.contains(j)).collect();
+                    assert_eq!(
+                        band.rows(ext).collect::<Vec<_>>(),
+                        want,
+                        "cut {mid}, ext {ext}"
+                    );
+                }
+            }
+            for j in -hi..top {
+                for k in 0..nz {
+                    assert_eq!(f.at(3, j, k), (mid + 100 * j) as f64);
+                    assert_eq!(f.at(1, j, k), (k as i64 - mid) as f64);
+                }
+            }
+            let mut lower = g.band();
+            let mut upper = lower.split_off(mid);
+            for j in -hi..top {
+                let band = if j < mid { &mut lower } else { &mut upper };
+                band.row_mut(j, 0, 0..1)[0] = (mid - j) as f64;
+            }
+            assert!((-hi..top).all(|j| g.at(0, j) == (mid - j) as f64));
+        }
+        // A band cut again, below and above.
+        let mut lower = f.band();
+        let mut upper = lower.split_off(1);
+        let middle = lower.split_off(0);
+        let top_row = upper.split_off(top - 1);
+        assert_eq!(
+            (middle.rows(3), top_row.rows(0), upper.rows(1)),
+            (0..1, 4..4, 1..top - 1)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "row 1 outside band")]
+    fn a_row_beyond_the_cut_panics() {
+        let mut f = Field3::new(4, 3, 2, 1);
+        let mut lower = f.band();
+        let _upper = lower.split_off(1);
+        let _ = lower.row_mut(1, 0, 0..4);
+    }
+
+    #[test]
+    #[should_panic(expected = "row -1 outside band")]
+    fn a_row_below_the_cut_panics() {
+        let mut f = Field2::new(4, 3, 1);
+        let mut upper = f.band().split_off(0);
+        let _ = upper.row_mut(-1, 0, 0..4);
+    }
+
+    #[test]
+    #[should_panic(expected = "split row 5 outside band")]
+    fn a_cut_beyond_the_halo_panics() {
+        let mut f = Field3::new(4, 3, 2, 1);
+        let _ = f.band().split_off(5);
     }
 
     #[test]
@@ -608,5 +831,66 @@ mod tests {
         assert!(f.all_finite());
         f.set(0, 0, 0, f64::NAN);
         assert!(!f.all_finite());
+    }
+
+    /// A finite word from random bits: `±0`, a subnormal, or a normal
+    /// value of any magnitude, either sign.
+    fn finite(kind: u8, bits: u64) -> f64 {
+        let sign = bits & (1 << 63);
+        let mantissa = bits & 0x000f_ffff_ffff_ffff;
+        // Any exponent but the all-ones one (∞ and NaN).
+        let exponent = ((bits >> 52) & 0x7ff) % 0x7ff;
+        f64::from_bits(match kind % 4 {
+            0 => sign,
+            1 => sign | mantissa.max(1),
+            _ => sign | (exponent << 52) | mantissa,
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(300))]
+
+        /// The lane-blocked scans against the scalar folds they replaced,
+        /// bit for bit, on fields of every shape with `±0`, subnormals,
+        /// and now and then a NaN (with a payload, either sign) or `±∞`,
+        /// in the halo or the interior.
+        #[test]
+        fn lane_blocked_scans_match_the_scalar_folds(
+            (nx, ny, nz, h) in (1usize..20, 1usize..6, 1usize..4, 0usize..3),
+            words in proptest::collection::vec((0u8..4, proptest::prelude::any::<u64>()), 1..64),
+            specials in proptest::collection::vec((proptest::prelude::any::<usize>(), 0u8..3, proptest::prelude::any::<u64>()), 0..3),
+        ) {
+            let mut f3 = Field3::new(nx, ny, nz, h);
+            let mut f2 = Field2::new(nx, ny, h);
+            for f in [f3.raw_mut(), f2.raw_mut()] {
+                for (n, (x, &(kind, bits))) in f.iter_mut().zip(words.iter().cycle()).enumerate() {
+                    *x = finite(kind, bits.rotate_left(n as u32));
+                }
+                for &(at, kind, bits) in &specials {
+                    let sign = bits & (1 << 63);
+                    f[at % f.len()] = f64::from_bits(match kind {
+                        0 => sign | f64::INFINITY.to_bits(),
+                        _ => sign | f64::NAN.to_bits() | (bits & 0x0007_ffff_ffff_ffff),
+                    });
+                }
+            }
+            assert_eq!(f3.all_finite(), f3.raw().iter().all(|x| x.is_finite()));
+            let scalar3 = f3.interior().fold(0.0, |m: f64, (i, j, k)| m.max(f3.at(i, j, k).abs()));
+            assert_eq!(f3.interior_max_abs().to_bits(), scalar3.to_bits());
+            let scalar2 = f2.interior().fold(0.0, |m: f64, (i, j)| m.max(f2.at(i, j).abs()));
+            assert_eq!(f2.interior_max_abs().to_bits(), scalar2.to_bits());
+        }
+    }
+
+    /// The finite words the proptest draws are of every class it names.
+    #[test]
+    fn finite_words_cover_zeros_subnormals_and_normals() {
+        let words: Vec<f64> = (0..64u64)
+            .map(|n| finite(n as u8, n.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+            .collect();
+        assert!(words.iter().all(|x| x.is_finite()));
+        assert!(words.iter().any(|x| x.to_bits() == (-0.0f64).to_bits()));
+        assert!(words.iter().any(|x| x.is_subnormal()));
+        assert!(words.iter().any(|x| x.abs() > 1e100));
     }
 }

@@ -13,7 +13,7 @@
 //! halo overcomputation possible (§4).
 
 use crate::config::ModelConfig;
-use crate::field::Field3;
+use crate::field::{Band, Field3};
 use crate::flops::{self, Phase};
 use crate::kernel::{select, Cols, TileGeom, Workspace};
 use crate::state::{Masks, ModelState};
@@ -88,12 +88,6 @@ impl Level {
 
 /// Evaluate `G_u`, `G_v` on the interior extended by `ext` rings
 /// (requires state valid on `ext+1`).
-///
-/// Row sweeps with the row's metric factors hoisted and every branch of
-/// the cell body a select, so the two loops vectorise. The kernel stays
-/// divide-bound — twenty divides a cell — because multiplying by hoisted
-/// reciprocals instead changes result bits (DESIGN, "PS hot path").
-#[allow(clippy::too_many_arguments)]
 pub fn momentum_tendencies(
     cfg: &ModelConfig,
     tile: &Tile,
@@ -101,6 +95,25 @@ pub fn momentum_tendencies(
     masks: &Masks,
     state: &ModelState,
     ws: &mut Workspace,
+    ext: i64,
+) {
+    let bands = [ws.gu.band(), ws.gv.band()];
+    momentum_tendencies_rows(cfg, tile, geom, masks, state, bands, ext);
+}
+
+/// [`momentum_tendencies`] on the rows the bands of `G_u`, `G_v` hold.
+///
+/// Row sweeps with the row's metric factors hoisted and every branch of
+/// the cell body a select, so the two loops vectorise. The kernel stays
+/// divide-bound — twenty divides a cell — because multiplying by hoisted
+/// reciprocals instead changes result bits (DESIGN, "PS hot path").
+pub(crate) fn momentum_tendencies_rows(
+    cfg: &ModelConfig,
+    tile: &Tile,
+    geom: &TileGeom,
+    masks: &Masks,
+    state: &ModelState,
+    [mut gu, mut gv]: [Band<'_>; 2],
     ext: i64,
 ) {
     let cols = Cols::new(tile.nx, ext);
@@ -112,7 +125,7 @@ pub fn momentum_tendencies(
     for k in 0..cfg.grid.nz {
         let lev = Level::of(&cfg.grid.dz, k);
         let w_rows = |j: i64| (wide.of(&state.w, j, k), wide.of(&state.w, j, lev.kd));
-        for j in -ext..tile.ny as i64 + ext {
+        for j in gu.rows(ext) {
             let u = Stencil::of(&state.u, j, &lev, &wide);
             let v = Stencil::of(&state.v, j, &lev, &wide);
             let mu = Stencil::of(&masks.u, j, &lev, &wide);
@@ -124,7 +137,7 @@ pub fn momentum_tendencies(
             let dxc = geom.dxc_at(j);
             let (two_dxc, dxc2) = (2.0 * dxc, dxc * dxc);
             let (f_c, tanr_c) = (geom.f_c_at(j), geom.tanr_c_at(j));
-            let gu = cols.of_mut(&mut ws.gu, j, k);
+            let gu = cols.of_mut(&mut gu, j, k);
             for (i, gu) in gu.iter_mut().enumerate() {
                 let c = i + 1;
                 let uc = u.c[c];
@@ -162,7 +175,7 @@ pub fn momentum_tendencies(
             let dxs = geom.dxs_at(j);
             let (two_dxs, dxs2) = (2.0 * dxs, dxs * dxs);
             let (f_s, tanr_s) = (geom.f_s_at(j), geom.tanr_s_at(j));
-            let gv = cols.of_mut(&mut ws.gv, j, k);
+            let gv = cols.of_mut(&mut gv, j, k);
             for (i, gv) in gv.iter_mut().enumerate() {
                 let c = i + 1;
                 let vc = v.c[c];
@@ -225,16 +238,6 @@ fn vertical_viscosity(
 }
 
 /// Flux-form tendency for one tracer on the interior extended by `ext`.
-///
-/// Horizontal advective + diffusive fluxes through the faces (centred
-/// advection: the face value is the mean of the two adjacent cells;
-/// down-gradient diffusion; masked faces carry no flux; partial cells
-/// shrink the open face area and the cell volume by the same §3.2
-/// fractions, so fluxes stay exactly conservative), each computed once: a
-/// cell's east flux is its east neighbour's west flux and its north flux
-/// the south flux of the cell to the north, expression for expression, so
-/// differencing the shared values is what differencing four fluxes of its
-/// own was.
 #[allow(clippy::too_many_arguments)]
 pub fn tracer_tendency(
     cfg: &ModelConfig,
@@ -248,7 +251,42 @@ pub fn tracer_tendency(
     diff_v: f64,
     ext: i64,
 ) {
+    let out = out.band();
+    tracer_tendency_rows(
+        cfg, tile, geom, masks, state, tracer, out, diff_h, diff_v, ext,
+    );
+}
+
+/// [`tracer_tendency`] on the rows the band `out` holds.
+///
+/// Horizontal advective + diffusive fluxes through the faces (centred
+/// advection: the face value is the mean of the two adjacent cells;
+/// down-gradient diffusion; masked faces carry no flux; partial cells
+/// shrink the open face area and the cell volume by the same §3.2
+/// fractions, so fluxes stay exactly conservative), each computed once: a
+/// cell's east flux is its east neighbour's west flux and its north flux
+/// the south flux of the cell to the north, expression for expression, so
+/// differencing the shared values is what differencing four fluxes of its
+/// own was.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn tracer_tendency_rows(
+    cfg: &ModelConfig,
+    tile: &Tile,
+    geom: &TileGeom,
+    masks: &Masks,
+    state: &ModelState,
+    tracer: &Field3,
+    mut out: Band<'_>,
+    diff_h: f64,
+    diff_v: f64,
+    ext: i64,
+) {
     let t = tracer;
+    let rows = out.rows(ext);
+    // An empty band has no first row whose south faces could be read.
+    if rows.is_empty() {
+        return;
+    }
     let cols = Cols::new(tile.nx, ext);
     let (cols_east, cols_wide) = (cols.wider(0, 1), cols.wider(1, 1));
     let n = cols.n;
@@ -277,8 +315,8 @@ pub fn tracer_tendency(
                     * (v[i] * (0.5 * (t_m[i] + t_p[i])) - diff_h * (t_p[i] - t_m[i]) / dy);
             }
         };
-        y_fluxes(-ext, &mut fy_north);
-        for j in -ext..tile.ny as i64 + ext {
+        y_fluxes(rows.start, &mut fy_north);
+        for j in rows.clone() {
             std::mem::swap(&mut fy_south, &mut fy_north);
             y_fluxes(j + 1, &mut fy_north);
 
@@ -302,7 +340,7 @@ pub fn tracer_tendency(
             let (w_top, w_bot) = (cols.of(&state.w, j, k), cols.of(&state.w, j, kd));
             let (fy_south, fy_north) = (&fy_south[..n], &fy_north[..n]);
             let area = geom.area_at(j);
-            let out = cols.of_mut(out, j, k);
+            let out = cols.of_mut(&mut out, j, k);
             for i in 0..n {
                 let vol = area * dz * hc[i].max(1e-12);
                 let mut g = -(fx[i + 1] - fx[i] + fy_north[i] - fy_south[i]) / vol;
@@ -672,7 +710,7 @@ mod tests {
             &mut [&mut st.u, &mut st.v, &mut st.theta],
             3,
         );
-        diagnose_w(&cfg, &tile, &geom, &masks, &st.u, &st.v, &mut st.w, 1);
+        diagnose_w(&cfg, &tile, &geom, &masks, &st.u, &st.v, st.w.band(), 1);
         // Zero diffusivity: advection alone must conserve.
         tracer_tendency(
             &cfg,

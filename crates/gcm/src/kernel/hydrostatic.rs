@@ -8,7 +8,7 @@
 
 use crate::config::ModelConfig;
 use crate::eos::FluidKind;
-use crate::field::Field3;
+use crate::field::{Band, Field3};
 use crate::flops::{self, Phase};
 use crate::kernel::{in_column, select, Cols, TileGeom};
 use crate::state::{Masks, ModelState};
@@ -26,14 +26,31 @@ pub fn buoyancy_and_phy(
     state: &mut ModelState,
     ext: i64,
 ) {
+    let bands = [state.b.band(), state.phy.band()];
+    buoyancy_and_phy_rows(cfg, tile, masks, &state.theta, &state.s, bands, ext);
+}
+
+/// [`buoyancy_and_phy`] from `theta` and `s` on the rows the bands of `b`
+/// and `phy` hold.
+pub(crate) fn buoyancy_and_phy_rows(
+    cfg: &ModelConfig,
+    tile: &Tile,
+    masks: &Masks,
+    theta: &Field3,
+    s: &Field3,
+    bands: [Band<'_>; 2],
+    ext: i64,
+) {
     // The fluid is matched here, once, so the row body is monomorphic.
     let eos = &cfg.eos;
     match eos.kind {
-        FluidKind::Ocean => buoyancy_and_phy_rows(cfg, tile, masks, state, ext, |theta, s, _| {
-            eos.buoyancy_ocean(theta, s)
-        }),
+        FluidKind::Ocean => {
+            buoyancy_and_phy_with(cfg, tile, masks, theta, s, bands, ext, |theta, s, _| {
+                eos.buoyancy_ocean(theta, s)
+            })
+        }
         FluidKind::Atmosphere => {
-            buoyancy_and_phy_rows(cfg, tile, masks, state, ext, |theta, _, k| {
+            buoyancy_and_phy_with(cfg, tile, masks, theta, s, bands, ext, |theta, _, k| {
                 eos.buoyancy_atmosphere(theta, k)
             })
         }
@@ -42,11 +59,14 @@ pub fn buoyancy_and_phy(
 
 /// Rows outermost, levels in the middle, a row of columns innermost; the
 /// two column carries of the accumulation are a row each.
-fn buoyancy_and_phy_rows(
+#[allow(clippy::too_many_arguments)]
+fn buoyancy_and_phy_with(
     cfg: &ModelConfig,
     tile: &Tile,
     masks: &Masks,
-    state: &mut ModelState,
+    theta: &Field3,
+    s: &Field3,
+    [mut b, mut phy]: [Band<'_>; 2],
     ext: i64,
     buoyancy: impl Fn(f64, f64, usize) -> f64,
 ) {
@@ -54,15 +74,12 @@ fn buoyancy_and_phy_rows(
     let sign = cfg.eos.hydro_sign;
     let cols = Cols::new(tile.nx, ext);
     let n = cols.n;
-    let ModelState {
-        theta, s, b, phy, ..
-    } = state;
     // Pressure accumulated down to here, and the buoyancy of the last wet
     // cell above.
     let mut p = vec![0.0; n];
     let mut b_above = vec![0.0; n];
     let mut cells = 0u64;
-    for j in -ext..tile.ny as i64 + ext {
+    for j in b.rows(ext) {
         p.fill(0.0);
         b_above.fill(0.0);
         for k in 0..cfg.grid.nz {
@@ -75,7 +92,7 @@ fn buoyancy_and_phy_rows(
             };
             let wet = cols.of(&masks.c, j, k);
             let (theta, s) = (cols.of(theta, j, k), cols.of(s, j, k));
-            let (b, phy) = (cols.of_mut(b, j, k), cols.of_mut(phy, j, k));
+            let (b, phy) = (cols.of_mut(&mut b, j, k), cols.of_mut(&mut phy, j, k));
             for i in 0..n {
                 let here = buoyancy(theta[i], s[i], k);
                 let b_mid = if k == 0 {
@@ -105,16 +122,16 @@ pub const W_FLOPS_PER_CELL: u64 = 9;
 /// cell `k-1`, positive toward `k-1`) from the divergence of `(u, v)`,
 /// integrating from the far boundary (`w = 0` below the deepest wet cell).
 /// Computed on the interior extended by `ext` rings (requires `u`, `v`
-/// valid on `ext+1`).
+/// valid on `ext+1`), on the rows the band of `w` holds.
 #[allow(clippy::too_many_arguments)]
-pub fn diagnose_w(
+pub(crate) fn diagnose_w(
     cfg: &ModelConfig,
     tile: &Tile,
     geom: &TileGeom,
     masks: &Masks,
     u: &Field3,
     v: &Field3,
-    w: &mut Field3,
+    mut w: Band<'_>,
     ext: i64,
 ) {
     let dy = geom.dy;
@@ -125,7 +142,7 @@ pub fn diagnose_w(
     // bottom-up, rows outermost.
     let mut w_below = vec![0.0; n];
     let mut cells = 0u64;
-    for j in -ext..tile.ny as i64 + ext {
+    for j in w.rows(ext) {
         let area = geom.area_at(j);
         let (dxs_south, dxs_north) = (geom.dxs_at(j), geom.dxs_at(j + 1));
         let kmax = cols.of2(&masks.kmax, j);
@@ -135,7 +152,7 @@ pub fn diagnose_w(
             let (u, hu) = (cols_east.of(u, j, k), cols_east.of(&masks.hu, j, k));
             let (v_south, hv_south) = (cols.of(v, j, k), cols.of(&masks.hv, j, k));
             let (v_north, hv_north) = (cols.of(v, j + 1, k), cols.of(&masks.hv, j + 1, k));
-            let w = cols.of_mut(w, j, k);
+            let w = cols.of_mut(&mut w, j, k);
             for i in 0..n {
                 // Open face areas include the partial-cell fractions.
                 let uin = u[i] * hu[i];
@@ -320,7 +337,7 @@ mod tests {
         // Uniform zonal flow on the periodic channel is non-divergent.
         st.u.fill(0.1);
         st.v.fill(0.0);
-        diagnose_w(&cfg, &tile, &geom, &masks, &st.u, &st.v, &mut st.w, 0);
+        diagnose_w(&cfg, &tile, &geom, &masks, &st.u, &st.v, st.w.band(), 0);
         assert!(
             st.w.interior_max_abs() < 1e-12,
             "{}",
@@ -338,7 +355,7 @@ mod tests {
                 st.u.set(i, j, 0, 0.1);
             }
         }
-        diagnose_w(&cfg, &tile, &geom, &masks, &st.u, &st.v, &mut st.w, 0);
+        diagnose_w(&cfg, &tile, &geom, &masks, &st.u, &st.v, st.w.band(), 0);
         // Column (3, j): inflow at level 0 must go up through interface 0
         // (rigid lid ⇒ w(0) computed nonzero = residual divergence that
         // the surface-pressure solve would remove). Here we just verify
@@ -406,7 +423,7 @@ mod sweep_tests {
             for ext in 0..=2 {
                 case.check(
                     &format!("diagnose_w, ext {ext}"),
-                    |st, _| diagnose_w(cfg, tile, geom, masks, &st.u, &st.v, &mut st.w, ext),
+                    |st, _| diagnose_w(cfg, tile, geom, masks, &st.u, &st.v, st.w.band(), ext),
                     |st, _| {
                         reference::diagnose_w(cfg, tile, geom, masks, &st.u, &st.v, &mut st.w, ext)
                     },
@@ -436,6 +453,6 @@ mod sweep_tests {
             state,
             ..
         } = &case;
-        diagnose_w(cfg, tile, geom, masks, &state.u, &state.v, &mut w, 3);
+        diagnose_w(cfg, tile, geom, masks, &state.u, &state.v, w.band(), 3);
     }
 }

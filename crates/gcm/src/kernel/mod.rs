@@ -13,6 +13,13 @@
 //! expression and operation order exactly those of the cell-at-a-time
 //! loop it replaced, which survives beside it as `#[cfg(test)] mod
 //! reference` and is compared bit for bit (DESIGN §17).
+//!
+//! Each kernel has one body, which sweeps the rows its output bands
+//! (`field::Band`) hold — `momentum_tendencies_rows` and so on; a `pub`
+//! kernel function runs it on whole fields. `Model::step` cuts a large
+//! tile's bands at mid-tile and runs the two halves of each kernel on two
+//! threads (`in_bands`): every output row is the same expression in the
+//! same order either way (DESIGN §20).
 
 pub mod gterms;
 pub mod hydrostatic;
@@ -20,9 +27,46 @@ pub mod timestep;
 pub mod vertical;
 
 use crate::config::ModelConfig;
-use crate::field::{Field2, Field3};
+use crate::coupler::side_by_side;
+use crate::field::{Band, Field2, Field3};
 use crate::tile::Tile;
 use std::ops::Range;
+
+/// Tiles of fewer cells run their kernels whole. A split costs a thread
+/// spawn and join per kernel — 26–50 µs hot, 80–150 µs once the second
+/// core has gone idle — and a step runs seventeen kernels; it saves at
+/// most half of their 50–65 ns a cell a step (≈ 21 ns measured). At the
+/// idle cost that breaks even near 120 000 cells, hot near 30 000
+/// (DESIGN §20).
+const SPLIT_MIN_CELLS: usize = 1 << 17;
+
+/// The row at which a tile's kernels are cut in two: mid-tile if it has
+/// at least `SPLIT_MIN_CELLS` cells over its `nz` levels, none if fewer.
+pub(crate) fn band_split(tile: &Tile, nz: usize) -> Option<i64> {
+    (tile.columns() * nz >= SPLIT_MIN_CELLS).then_some(tile.ny as i64 / 2)
+}
+
+/// Run a kernel on the rows of `bands`: whole (`mid` is `None`), or cut
+/// at row `mid`, the rows below it on a scoped helper thread and the rest
+/// on this one (`coupler::side_by_side`: the helper's flops are added to
+/// this thread's counters, and its panic re-raises here). Each output row
+/// is computed by the same body either way, so every bit is the same. The
+/// bands are disjoint, and the borrow of every field the kernel writes
+/// ends at the join, before the next kernel may read a row of the other
+/// band.
+pub(crate) fn in_bands<'a, const N: usize>(
+    mid: Option<i64>,
+    mut bands: [Band<'a>; N],
+    kernel: impl Fn([Band<'a>; N]) + Sync,
+) {
+    match mid {
+        None => kernel(bands),
+        Some(mid) => {
+            let upper = bands.each_mut().map(|band| band.split_off(mid));
+            side_by_side(|| kernel(bands), || kernel(upper));
+        }
+    }
+}
 
 /// `if c { a } else { b }` with both arms evaluated, as the selects of a
 /// sweep's cell body are written: plain `if` expressions come out of the
@@ -74,33 +118,29 @@ impl Cols {
         &f.row(j, k, self.is.clone())[..self.n]
     }
 
+    /// The row on level `k` of a band (level 0 of a `Field2`'s), to write.
     #[inline]
-    pub fn of_mut<'a>(&self, f: &'a mut Field3, j: i64, k: usize) -> &'a mut [f64] {
-        &mut f.row_mut(j, k, self.is.clone())[..self.n]
+    pub fn of_mut<'a>(&self, band: &'a mut Band<'_>, j: i64, k: usize) -> &'a mut [f64] {
+        &mut band.row_mut(j, k, self.is.clone())[..self.n]
     }
 
-    /// The row on two different levels of one field: `k_read` to read,
+    /// The row on two different levels of one band: `k_read` to read,
     /// `k_write` to write.
     #[inline]
     pub fn pair<'a>(
         &self,
-        f: &'a mut Field3,
+        band: &'a mut Band<'_>,
         j: i64,
         k_read: usize,
         k_write: usize,
     ) -> (&'a [f64], &'a mut [f64]) {
-        let (read, write) = f.row_pair(j, k_read, k_write, self.is.clone());
+        let (read, write) = band.row_pair(j, k_read, k_write, self.is.clone());
         (&read[..self.n], &mut write[..self.n])
     }
 
     #[inline]
     pub fn of2<'a>(&self, f: &'a Field2, j: i64) -> &'a [f64] {
         &f.row(j, self.is.clone())[..self.n]
-    }
-
-    #[inline]
-    pub fn of2_mut<'a>(&self, f: &'a mut Field2, j: i64) -> &'a mut [f64] {
-        &mut f.row_mut(j, self.is.clone())[..self.n]
     }
 }
 
@@ -236,7 +276,7 @@ pub(crate) mod fixtures {
     use crate::field::Field3;
     use crate::flops;
     use crate::physics::BoundaryFields;
-    use crate::solver::fixtures::{offset_tile, scattered_land};
+    use crate::solver::fixtures::{offset_tile, scattered_land, scattered_topography};
     use crate::state::{perturbation, Masks, ModelState};
     use crate::tile::Tile;
     use crate::topography::Topography;
@@ -247,6 +287,8 @@ pub(crate) mod fixtures {
         pub label: String,
         pub cfg: ModelConfig,
         pub tile: Tile,
+        /// What `masks` was built from (the variants then edit the masks).
+        pub topo: Topography,
         pub geom: TileGeom,
         pub masks: Masks,
         pub state: ModelState,
@@ -267,7 +309,8 @@ pub(crate) mod fixtures {
     }
 
     impl Case {
-        pub(crate) fn new(label: String, cfg: ModelConfig, tile: Tile, masks: Masks) -> Case {
+        pub(crate) fn new(label: String, cfg: ModelConfig, tile: Tile, topo: Topography) -> Case {
+            let masks = Masks::build(&cfg, &tile, &topo);
             let geom = TileGeom::build(&cfg, &tile);
             let mut state = ModelState::initial(&cfg, &tile, &masks);
             let mut ws = Workspace::new(&cfg, &tile);
@@ -340,6 +383,7 @@ pub(crate) mod fixtures {
                 label,
                 cfg,
                 tile,
+                topo,
                 geom,
                 masks,
                 state,
@@ -467,16 +511,15 @@ pub(crate) mod fixtures {
             let bottom = if (gi + j) % 3 == 0 { 0.6 } else { 1.01 };
             dz[..levels - 1].iter().sum::<f64>() + bottom * dz[levels - 1]
         });
-        let masks = Masks::build(&cfg, &tile, &topo);
         let label = format!("staircase {fluid:?} {nx}x{ny}x{nz}");
-        Case::new(label, cfg, tile, masks)
+        Case::new(label, cfg, tile, topo)
     }
 
     /// The tiles every sweep is compared with its reference on: both
     /// fluids, `nz ∈ {1, 2, 5}`, `nx ∈ {1, 2, 5, 16}` over the staircase,
     /// some of them again at rest and with holes in the mask; the
     /// solver's scattered land (an isolated wet column among them); the
-    /// idealized continents on a whole 16 × 8 grid.
+    /// idealized continents on a whole 16 × 8 grid, under both fluids.
     pub(crate) fn cases() -> Vec<Case> {
         let mut cases = Vec::new();
         for fluid in [FluidKind::Ocean, FluidKind::Atmosphere] {
@@ -492,21 +535,20 @@ pub(crate) mod fixtures {
             cases.push(staircase(5, 4, 5, fluid).with_holes());
         }
         for nx in [1, 2, 5, 16] {
-            let (mut cfg, tile, _, masks, _) = scattered_land(nx, 6, false);
+            let (mut cfg, tile, ..) = scattered_land(nx, 6, false);
             cfg.forcing = SurfaceForcing::Climatology;
-            cases.push(Case::new(
-                format!("scattered land {nx}x6x4"),
-                cfg,
-                tile,
-                masks,
-            ));
+            let topo = scattered_topography(&cfg);
+            let label = format!("scattered land {nx}x6x4");
+            cases.push(Case::new(label, cfg, tile, topo));
         }
-        for nz in [1, 2, 5] {
-            let cfg = config(16, 8, nz, FluidKind::Ocean);
-            let tile = Decomp::blocks(16, 8, 1, 1, 3).tile(0);
-            let topo = Topography::idealized_continents(&cfg.grid);
-            let masks = Masks::build(&cfg, &tile, &topo);
-            cases.push(Case::new(format!("continents 16x8x{nz}"), cfg, tile, masks));
+        for fluid in [FluidKind::Ocean, FluidKind::Atmosphere] {
+            for nz in [1, 2, 5] {
+                let cfg = config(16, 8, nz, fluid);
+                let tile = Decomp::blocks(16, 8, 1, 1, 3).tile(0);
+                let topo = Topography::idealized_continents(&cfg.grid);
+                let label = format!("continents {fluid:?} 16x8x{nz}");
+                cases.push(Case::new(label, cfg, tile, topo));
+            }
         }
         cases
     }
@@ -555,8 +597,8 @@ mod tests {
         assert_eq!(cols.of(&f, 2, 1), f.row(2, 1, -1..6));
         assert_eq!(wide.of(&f, -3, 0), f.row(-3, 0, -3..7));
         assert_eq!(wide.of2(&g, 0), wide.of(&f, 0, 0));
-        cols.of_mut(&mut f, 0, 1)[0] = -1.0;
-        cols.of2_mut(&mut g, 3)[6] = -2.0;
+        cols.of_mut(&mut f.band(), 0, 1)[0] = -1.0;
+        cols.of_mut(&mut g.band(), 3, 0)[6] = -2.0;
         assert_eq!((f.at(-1, 0, 1), g.at(5, 3)), (-1.0, -2.0));
     }
 

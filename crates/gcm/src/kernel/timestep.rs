@@ -7,7 +7,7 @@
 //! DS solve.
 
 use crate::config::ModelConfig;
-use crate::field::Field3;
+use crate::field::{Band, Field2, Field3};
 use crate::flops::{self, Phase};
 use crate::kernel::{select, Cols, TileGeom, Workspace};
 use crate::state::{Masks, ModelState};
@@ -28,6 +28,16 @@ pub fn ab2_extrapolate(
     first_step: bool,
     ext: i64,
 ) {
+    ab2_extrapolate_rows([g.band(), g_prev.band()], ab_eps, first_step, ext);
+}
+
+/// [`ab2_extrapolate`] on the rows the bands of `g`, `g_prev` hold.
+pub(crate) fn ab2_extrapolate_rows(
+    [mut g, mut g_prev]: [Band<'_>; 2],
+    ab_eps: f64,
+    first_step: bool,
+    ext: i64,
+) {
     let cols = Cols::new(g.nx(), ext);
     let (a, b) = if first_step {
         (1.0, 0.0)
@@ -36,8 +46,8 @@ pub fn ab2_extrapolate(
     };
     let mut cells = 0u64;
     for k in 0..g.nz() {
-        for j in -ext..g.ny() as i64 + ext {
-            let (g, g_prev) = (cols.of_mut(g, j, k), cols.of_mut(g_prev, j, k));
+        for j in g.rows(ext) {
+            let (g, g_prev) = (cols.of_mut(&mut g, j, k), cols.of_mut(&mut g_prev, j, k));
             for (g, g_prev) in g.iter_mut().zip(g_prev) {
                 let gn = *g;
                 *g = a * gn - b * *g_prev;
@@ -62,20 +72,31 @@ pub fn velocity_star(
     ws: &mut Workspace,
     ext: i64,
 ) {
+    let bands = [ws.ustar.band(), ws.vstar.band()];
+    velocity_star_rows(cfg, tile, geom, masks, state, &ws.gu, &ws.gv, bands, ext);
+}
+
+/// [`velocity_star`] from the tendencies `gu`, `gv` on the rows the
+/// bands of `u*`, `v*` hold.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn velocity_star_rows(
+    cfg: &ModelConfig,
+    tile: &Tile,
+    geom: &TileGeom,
+    masks: &Masks,
+    state: &ModelState,
+    gu: &Field3,
+    gv: &Field3,
+    [mut ustar, mut vstar]: [Band<'_>; 2],
+    ext: i64,
+) {
     let cols = Cols::new(tile.nx, ext);
     let cols_west = cols.wider(1, 0);
     let n = cols.n;
     let (dt, dy) = (cfg.dt, geom.dy);
-    let Workspace {
-        gu,
-        gv,
-        ustar,
-        vstar,
-        ..
-    } = ws;
     let mut cells = 0u64;
     for k in 0..cfg.grid.nz {
-        for j in -ext..tile.ny as i64 + ext {
+        for j in ustar.rows(ext) {
             let dxc = geom.dxc_at(j);
             // Cell `i` of the sweep is at index `i + 1` of `phy`'s row.
             let (phy, phy_south) = (
@@ -85,7 +106,7 @@ pub fn velocity_star(
             let (mu, mv) = (cols.of(&masks.u, j, k), cols.of(&masks.v, j, k));
             let (u, v) = (cols.of(&state.u, j, k), cols.of(&state.v, j, k));
             let (gu, gv) = (cols.of(gu, j, k), cols.of(gv, j, k));
-            let (ustar, vstar) = (cols.of_mut(ustar, j, k), cols.of_mut(vstar, j, k));
+            let (ustar, vstar) = (cols.of_mut(&mut ustar, j, k), cols.of_mut(&mut vstar, j, k));
             for i in 0..n {
                 let dpdx = (phy[i + 1] - phy[i]) / dxc;
                 ustar[i] = mu[i] * (u[i] + dt * (gu[i] - dpdx));
@@ -98,17 +119,24 @@ pub fn velocity_star(
     flops::add(Phase::Ps, cells * UPDATE_FLOPS_PER_CELL);
 }
 
-/// Step the tracers forward on the interior: `θ^{n+1} = θ^n + Δt·Ĝθ`.
-pub fn update_tracers(cfg: &ModelConfig, masks: &Masks, state: &mut ModelState, ws: &Workspace) {
-    let cols = Cols::new(ws.gt.nx(), 0);
+/// Step the tracers forward on the interior: `θ^{n+1} = θ^n + Δt·Ĝθ`,
+/// with the tendencies `gt`, `gs`, on the rows the bands of `θ`, `s` hold.
+pub(crate) fn update_tracers(
+    cfg: &ModelConfig,
+    masks: &Masks,
+    gt: &Field3,
+    gs: &Field3,
+    [mut theta, mut s]: [Band<'_>; 2],
+) {
+    let cols = Cols::new(theta.nx(), 0);
     let dt = cfg.dt;
     let mut cells = 0u64;
-    for k in 0..ws.gt.nz() {
-        for j in 0..ws.gt.ny() as i64 {
+    for k in 0..theta.nz() {
+        for j in theta.rows(0) {
             let wet = cols.of(&masks.c, j, k);
-            let (gt, gs) = (cols.of(&ws.gt, j, k), cols.of(&ws.gs, j, k));
-            let theta = cols.of_mut(&mut state.theta, j, k);
-            let s = cols.of_mut(&mut state.s, j, k);
+            let (gt, gs) = (cols.of(gt, j, k), cols.of(gs, j, k));
+            let theta = cols.of_mut(&mut theta, j, k);
+            let s = cols.of_mut(&mut s, j, k);
             for i in 0..cols.n {
                 // A dry cell keeps its values as they are (not `+ 0.0`).
                 let is_wet = wet[i] != 0.0;
@@ -130,18 +158,30 @@ pub fn divergence_rhs(
     masks: &Masks,
     ws: &mut Workspace,
 ) {
+    let rhs = ws.rhs.band();
+    divergence_rhs_rows(cfg, tile, geom, masks, &ws.ustar, &ws.vstar, rhs);
+}
+
+/// [`divergence_rhs`] of `ustar`, `vstar` on the rows the band of `rhs`
+/// holds.
+pub(crate) fn divergence_rhs_rows(
+    cfg: &ModelConfig,
+    tile: &Tile,
+    geom: &TileGeom,
+    masks: &Masks,
+    ustar: &Field3,
+    vstar: &Field3,
+    mut rhs: Band<'_>,
+) {
     let cols = Cols::new(tile.nx, 0);
     let cols_east = cols.wider(0, 1);
     let n = cols.n;
     let dy = geom.dy;
-    let Workspace {
-        ustar, vstar, rhs, ..
-    } = ws;
     let mut cells = 0u64;
-    for j in 0..tile.ny as i64 {
+    for j in rhs.rows(0) {
         let (dxs_south, dxs_north) = (geom.dxs_at(j), geom.dxs_at(j + 1));
         // The row of `rhs` is the accumulator of its columns' sums.
-        let rhs = cols.of2_mut(rhs, j);
+        let rhs = cols.of_mut(&mut rhs, j, 0);
         rhs.fill(0.0);
         for k in 0..cfg.grid.nz {
             let dz = cfg.grid.dz[k];
@@ -163,31 +203,33 @@ pub fn divergence_rhs(
     flops::add(Phase::Ps, cells * 9);
 }
 
-/// Final update: subtract the surface-pressure gradient from the
-/// provisional velocities (interior only; the next step's exchange
-/// refreshes the halo). `state.ps` must hold a width-1 halo.
-pub fn correct_velocities(
+/// Final update: subtract the gradient of `ps` (width-1 halo) from the
+/// provisional velocities `ustar`, `vstar` on the interior rows the bands
+/// of `u`, `v` hold (the next step's exchange refreshes the halo).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn correct_velocities(
     cfg: &ModelConfig,
     tile: &Tile,
     geom: &TileGeom,
     masks: &Masks,
-    state: &mut ModelState,
-    ws: &Workspace,
+    ps: &Field2,
+    ustar: &Field3,
+    vstar: &Field3,
+    [mut u, mut v]: [Band<'_>; 2],
 ) {
     let cols = Cols::new(tile.nx, 0);
     let cols_west = cols.wider(1, 0);
     let n = cols.n;
     let (dt, dy) = (cfg.dt, geom.dy);
-    let ModelState { ps, u, v, .. } = state;
     let mut cells = 0u64;
     for k in 0..cfg.grid.nz {
-        for j in 0..tile.ny as i64 {
+        for j in u.rows(0) {
             let dxc = geom.dxc_at(j);
             // Cell `i` is at index `i + 1` of `ps`'s row.
             let (ps, ps_south) = (cols_west.of2(ps, j), cols.of2(ps, j - 1));
             let (mu, mv) = (cols.of(&masks.u, j, k), cols.of(&masks.v, j, k));
-            let (ustar, vstar) = (cols.of(&ws.ustar, j, k), cols.of(&ws.vstar, j, k));
-            let (u, v) = (cols.of_mut(u, j, k), cols.of_mut(v, j, k));
+            let (ustar, vstar) = (cols.of(ustar, j, k), cols.of(vstar, j, k));
+            let (u, v) = (cols.of_mut(&mut u, j, k), cols.of_mut(&mut v, j, k));
             for i in 0..n {
                 let dpdx = (ps[i + 1] - ps[i]) / dxc;
                 u[i] = mu[i] * (ustar[i] - dt * dpdx);
@@ -430,7 +472,8 @@ mod tests {
         st.ps.set(4, 4, 10.0);
         ws.ustar.fill(0.0);
         ws.vstar.fill(0.0);
-        correct_velocities(&cfg, &tile, &geom, &masks, &mut st, &ws);
+        let uv = [st.u.band(), st.v.band()];
+        correct_velocities(&cfg, &tile, &geom, &masks, &st.ps, &ws.ustar, &ws.vstar, uv);
         // West face of (4,4): dp/dx > 0 so u < 0 (out of the bump
         // westward); east face (5,4): u > 0.
         assert!(st.u.at(4, 4, 0) < 0.0);
@@ -534,7 +577,10 @@ mod sweep_tests {
             } = &case;
             case.check(
                 "update_tracers",
-                |st, ws| update_tracers(cfg, masks, st, ws),
+                |st, ws| {
+                    let ts = [st.theta.band(), st.s.band()];
+                    update_tracers(cfg, masks, &ws.gt, &ws.gs, ts)
+                },
                 |st, ws| reference::update_tracers(cfg, masks, st, ws),
             );
             case.check(
@@ -544,7 +590,10 @@ mod sweep_tests {
             );
             case.check(
                 "correct_velocities",
-                |st, ws| correct_velocities(cfg, tile, geom, masks, st, ws),
+                |st, ws| {
+                    let (ps, uv) = (&st.ps, [st.u.band(), st.v.band()]);
+                    correct_velocities(cfg, tile, geom, masks, ps, &ws.ustar, &ws.vstar, uv)
+                },
                 |st, ws| reference::correct_velocities(cfg, tile, geom, masks, st, ws),
             );
         }

@@ -10,7 +10,7 @@
 //! boundaries.
 
 use crate::config::ModelConfig;
-use crate::field::Field3;
+use crate::field::{Band, Field3};
 use crate::flops::{self, Phase};
 use crate::kernel::{in_column, select, Cols};
 use crate::state::Masks;
@@ -44,6 +44,16 @@ impl Tridiag {
             m: vec![0.0; nz],
             m_last: vec![0.0; nz],
         }
+    }
+
+    /// The factors of a step with diffusivity `kappa`, or `None` when the
+    /// step leaves every column as it is (no diffusivity, or one level).
+    pub(crate) fn factored(&mut self, cfg: &ModelConfig, kappa: f64) -> Option<&Tridiag> {
+        if kappa <= 0.0 || cfg.grid.nz < 2 {
+            return None;
+        }
+        self.factor(kappa, cfg.dt, &cfg.grid.dz);
+        Some(self)
     }
 
     /// Factor the operator for diffusivity `kappa` on levels `dz`.
@@ -96,36 +106,48 @@ pub fn implicit_vertical_diffusion(
     kappa: f64,
     scratch: &mut Tridiag,
 ) {
-    let nz = cfg.grid.nz;
-    if kappa <= 0.0 || nz < 2 {
-        return;
+    if let Some(factors) = scratch.factored(cfg, kappa) {
+        implicit_vertical_diffusion_rows(cfg, tile, masks, field.band(), factors);
     }
-    scratch.factor(kappa, cfg.dt, &cfg.grid.dz);
-    let Tridiag { a, cp, m, m_last } = &*scratch;
+}
+
+/// [`implicit_vertical_diffusion`] with `factors` on the rows the band
+/// of the field holds. The factors are only read, so bands of one field
+/// share them.
+pub(crate) fn implicit_vertical_diffusion_rows(
+    cfg: &ModelConfig,
+    tile: &Tile,
+    masks: &Masks,
+    mut field: Band<'_>,
+    factors: &Tridiag,
+) {
+    let nz = cfg.grid.nz;
+    let Tridiag { a, cp, m, m_last } = factors;
     let cols = Cols::new(tile.nx, 0);
     let n = cols.n;
     let mut cells = 0u64;
-    for j in 0..tile.ny as i64 {
+    for j in field.rows(0) {
         let kmax = cols.of2(&masks.kmax, j);
         // Columns of fewer than two levels have nothing to mix.
-        let top = cols.of_mut(field, j, 0);
+        let top = cols.of_mut(&mut field, j, 0);
         for i in 0..n {
             let solved = in_column(1, kmax[i]);
             top[i] = select(solved, top[i] / m[0], top[i]);
             cells += if solved { kmax[i] as u64 } else { 0 };
         }
         for k in 1..nz {
-            let (above, here) = cols.pair(field, j, k - 1, k);
+            let (above, here) = cols.pair(&mut field, j, k - 1, k);
             for i in 0..n {
                 let pivot = select(in_column(k + 1, kmax[i]), m[k], m_last[k]);
                 let x = (here[i] - a[k] * above[i]) / pivot;
                 here[i] = select(in_column(k, kmax[i]), x, here[i]);
             }
         }
-        // `nz ≥ 2` here. (`nz.saturating_sub(1)` would do no more, and
-        // `hyades-lint` resolves it to a workspace method: DESIGN §11.)
+        // `nz ≥ 2` wherever there are factors. (`nz.saturating_sub(1)`
+        // would do no more, and `hyades-lint` resolves it to a workspace
+        // method: DESIGN §11.)
         for k in (0..nz - 1).rev() {
-            let (below, here) = cols.pair(field, j, k + 1, k);
+            let (below, here) = cols.pair(&mut field, j, k + 1, k);
             for i in 0..n {
                 let x = here[i] - cp[k] * below[i];
                 here[i] = select(in_column(k + 1, kmax[i]), x, here[i]);

@@ -8,8 +8,9 @@
 //! the ocean) dry convective adjustment.
 
 use crate::config::ModelConfig;
+use crate::field::Band;
 use crate::flops::{self, Phase};
-use crate::kernel::{select, Cols, TileGeom, Workspace};
+use crate::kernel::{select, Cols, TileGeom};
 use crate::physics::BoundaryFields;
 use crate::state::{Masks, ModelState};
 use crate::tile::Tile;
@@ -58,14 +59,14 @@ pub fn q_sat(t: f64, p: f64) -> f64 {
 /// (row, level), and the surface terms are a second pass over the rows
 /// of level 0.
 #[allow(clippy::too_many_arguments)]
-pub fn forcing(
+pub(crate) fn forcing(
     cfg: &ModelConfig,
     tile: &Tile,
     _geom: &TileGeom,
     masks: &Masks,
     state: &ModelState,
     bc: &BoundaryFields,
-    ws: &mut Workspace,
+    [mut gu, mut gv, mut gt, mut gs]: [Band<'_>; 4],
     ext: i64,
 ) {
     let cols = Cols::new(tile.nx, ext);
@@ -73,12 +74,12 @@ pub fn forcing(
     let mut cells = 0u64;
     for k in 0..cfg.grid.nz {
         let tau = if k == 0 { TAU_RAD_SURF } else { TAU_RAD };
-        for j in -ext..tile.ny as i64 + ext {
+        for j in gt.rows(ext) {
             let gj = tile.gy(j).clamp(0, cfg.grid.ny as i64 - 1);
             let teq = theta_eq(cfg, cfg.grid.lat_c(gj), k);
             let wet = cols.of(&masks.c, j, k);
             let theta = cols.of(&state.theta, j, k);
-            let gt = cols.of_mut(&mut ws.gt, j, k);
+            let gt = cols.of_mut(&mut gt, j, k);
             // Dry cells keep their tendencies as they are (not `+ 0.0`).
             for i in 0..n {
                 let is_wet = wet[i] != 0.0;
@@ -88,9 +89,9 @@ pub fn forcing(
             if k == 0 {
                 let (u, v) = (cols.of(&state.u, j, k), cols.of(&state.v, j, k));
                 let (q, sst) = (cols.of(&state.s, j, k), cols.of2(&bc.sst, j));
-                let gu = cols.of_mut(&mut ws.gu, j, k);
-                let gv = cols.of_mut(&mut ws.gv, j, k);
-                let gs = cols.of_mut(&mut ws.gs, j, k);
+                let gu = cols.of_mut(&mut gu, j, k);
+                let gv = cols.of_mut(&mut gv, j, k);
+                let gs = cols.of_mut(&mut gs, j, k);
                 for i in (0..n).filter(|&i| wet[i] != 0.0) {
                     // Rayleigh friction on the boundary-layer winds.
                     gu[i] += -u[i] / TAU_FRICTION;
@@ -115,19 +116,26 @@ pub const CONDENSE_FLOPS_PER_CELL: u64 = 14;
 
 /// Large-scale condensation: humidity above saturation rains out within a
 /// step, heating the layer by `L/cp · Δq` (converted to potential
-/// temperature through the Exner function). The Exner function and the
-/// layer-centre pressure are evaluated once per level.
-pub fn condensation(cfg: &ModelConfig, tile: &Tile, masks: &Masks, state: &mut ModelState) {
+/// temperature through the Exner function), on the rows the bands of `θ`
+/// and the humidity `s` hold. The Exner function and the layer-centre
+/// pressure are evaluated once per level.
+pub(crate) fn condensation(
+    cfg: &ModelConfig,
+    tile: &Tile,
+    masks: &Masks,
+    theta: &mut Band<'_>,
+    s: &mut Band<'_>,
+) {
     let cols = Cols::new(tile.nx, 0);
     let mut cells = 0u64;
     for k in 0..cfg.grid.nz {
         let exner = cfg.eos.exner(k);
         // Layer-centre pressure from the Exner function.
         let p = crate::eos::P00 * exner.powf(1.0 / crate::eos::KAPPA);
-        for j in 0..tile.ny as i64 {
+        for j in theta.rows(0) {
             let wet = cols.of(&masks.c, j, k);
-            let theta = cols.of_mut(&mut state.theta, j, k);
-            let s = cols.of_mut(&mut state.s, j, k);
+            let theta = cols.of_mut(theta, j, k);
+            let s = cols.of_mut(s, j, k);
             for i in 0..cols.n {
                 if wet[i] == 0.0 {
                     continue;
@@ -151,6 +159,7 @@ pub fn condensation(cfg: &ModelConfig, tile: &Tile, masks: &Masks, state: &mut M
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
+    use crate::kernel::Workspace;
 
     /// Add radiative relaxation, boundary-layer friction, and surface
     /// evaporation to the tendencies.
@@ -242,6 +251,8 @@ pub(crate) mod reference {
 mod tests {
     use super::*;
     use crate::decomp::Decomp;
+    use crate::kernel::Workspace;
+    use crate::physics::apply_forcing;
     use crate::state::ModelState;
     use crate::topography::Topography;
 
@@ -294,7 +305,7 @@ mod tests {
         for (i, j, _k) in st.theta.clone().interior() {
             st.theta.set(i, j, 0, 350.0);
         }
-        forcing(&cfg, &tile, &geom, &masks, &st, &bc, &mut ws, 0);
+        apply_forcing(&cfg, &tile, &geom, &masks, &st, &bc, &mut ws, 0);
         assert!(ws.gt.at(64, 32, 0) < 0.0);
     }
 
@@ -302,7 +313,7 @@ mod tests {
     fn friction_damps_surface_wind_only() {
         let (cfg, tile, geom, masks, mut st, mut ws, bc) = atm();
         st.u.fill(10.0);
-        forcing(&cfg, &tile, &geom, &masks, &st, &bc, &mut ws, 0);
+        apply_forcing(&cfg, &tile, &geom, &masks, &st, &bc, &mut ws, 0);
         assert!(ws.gu.at(10, 32, 0) < 0.0);
         assert_eq!(ws.gu.at(10, 32, 3), 0.0, "no friction aloft");
     }
@@ -311,7 +322,7 @@ mod tests {
     fn evaporation_requires_warm_sst_and_dry_air() {
         let (cfg, tile, geom, masks, st, mut ws, mut bc) = atm();
         bc.sst.fill(300.0);
-        forcing(&cfg, &tile, &geom, &masks, &st, &bc, &mut ws, 0);
+        apply_forcing(&cfg, &tile, &geom, &masks, &st, &bc, &mut ws, 0);
         assert!(ws.gs.at(64, 32, 0) > 0.0, "warm sea evaporates");
         assert_eq!(ws.gs.at(64, 32, 2), 0.0, "no surface flux aloft");
     }
@@ -321,7 +332,7 @@ mod tests {
         let (cfg, tile, _geom, masks, mut st, _ws, _bc) = atm();
         let before_theta = st.theta.at(64, 32, 0);
         st.s.set(64, 32, 0, 0.05); // grossly supersaturated
-        condensation(&cfg, &tile, &masks, &mut st);
+        condensation(&cfg, &tile, &masks, &mut st.theta.band(), &mut st.s.band());
         let t = cfg.eos.temperature(st.theta.at(64, 32, 0), 0);
         let p = crate::eos::P00 * cfg.eos.exner(0).powf(1.0 / crate::eos::KAPPA);
         assert!(st.s.at(64, 32, 0) <= q_sat(t, p) + 1e-12);

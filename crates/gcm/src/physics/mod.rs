@@ -13,7 +13,7 @@ pub mod ocean;
 
 use crate::config::{ModelConfig, SurfaceForcing};
 use crate::eos::FluidKind;
-use crate::field::Field2;
+use crate::field::{Band, Field2};
 use crate::flops::{self, Phase};
 use crate::kernel::{in_column, Cols, TileGeom, Workspace};
 use crate::state::{Masks, ModelState};
@@ -55,20 +55,39 @@ pub fn apply_forcing(
     ws: &mut Workspace,
     ext: i64,
 ) {
+    let bands = [ws.gu.band(), ws.gv.band(), ws.gt.band(), ws.gs.band()];
+    apply_forcing_rows(cfg, tile, geom, masks, state, bc, bands, ext);
+}
+
+/// [`apply_forcing`] on the rows the bands of the tendencies
+/// `[gu, gv, gt, gs]` hold.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn apply_forcing_rows(
+    cfg: &ModelConfig,
+    tile: &Tile,
+    geom: &TileGeom,
+    masks: &Masks,
+    state: &ModelState,
+    bc: &BoundaryFields,
+    tendencies: [Band<'_>; 4],
+    ext: i64,
+) {
     if cfg.forcing == SurfaceForcing::None {
         return;
     }
     match cfg.eos.kind {
-        FluidKind::Atmosphere => atmos::forcing(cfg, tile, geom, masks, state, bc, ws, ext),
-        FluidKind::Ocean => ocean::forcing(cfg, tile, geom, masks, state, bc, ws, ext),
+        FluidKind::Atmosphere => atmos::forcing(cfg, tile, geom, masks, state, bc, tendencies, ext),
+        FluidKind::Ocean => ocean::forcing(cfg, tile, geom, masks, state, bc, tendencies, ext),
     }
 }
 
-/// End-of-step adjustments on the updated state (interior only).
-pub fn post_adjust(cfg: &ModelConfig, tile: &Tile, masks: &Masks, state: &mut ModelState) {
-    convective_adjustment(cfg, tile, masks, state);
+/// End-of-step adjustments on the updated state (interior only), on the
+/// rows the bands of `θ` and the second tracer hold.
+pub(crate) fn post_adjust(cfg: &ModelConfig, tile: &Tile, masks: &Masks, bands: [Band<'_>; 2]) {
+    let [mut theta, mut s] = bands;
+    convective_adjustment_rows(cfg, tile, masks, &mut theta, &mut s);
     if cfg.eos.kind == FluidKind::Atmosphere && cfg.forcing != SurfaceForcing::None {
-        atmos::condensation(cfg, tile, masks, state);
+        atmos::condensation(cfg, tile, masks, &mut theta, &mut s);
     }
 }
 
@@ -86,16 +105,30 @@ pub fn convective_adjustment(
     masks: &Masks,
     state: &mut ModelState,
 ) {
+    let (mut theta, mut s) = (state.theta.band(), state.s.band());
+    convective_adjustment_rows(cfg, tile, masks, &mut theta, &mut s);
+}
+
+/// [`convective_adjustment`] on the rows the bands of `θ`, `s` hold.
+fn convective_adjustment_rows(
+    cfg: &ModelConfig,
+    tile: &Tile,
+    masks: &Masks,
+    theta: &mut Band<'_>,
+    s: &mut Band<'_>,
+) {
     // The fluid is matched here, once, so the prescan's row body is
     // monomorphic.
     let eos = &cfg.eos;
     match eos.kind {
-        FluidKind::Ocean => adjust_unstable_columns(cfg, tile, masks, state, |theta, s, _| {
+        FluidKind::Ocean => adjust_unstable_columns(cfg, tile, masks, theta, s, |theta, s, _| {
             eos.buoyancy_ocean(theta, s)
         }),
-        FluidKind::Atmosphere => adjust_unstable_columns(cfg, tile, masks, state, |theta, _, k| {
-            eos.buoyancy_atmosphere(theta, k)
-        }),
+        FluidKind::Atmosphere => {
+            adjust_unstable_columns(cfg, tile, masks, theta, s, |theta, _, k| {
+                eos.buoyancy_atmosphere(theta, k)
+            })
+        }
     }
 }
 
@@ -120,7 +153,8 @@ fn adjust_unstable_columns(
     cfg: &ModelConfig,
     tile: &Tile,
     masks: &Masks,
-    state: &mut ModelState,
+    theta: &mut Band<'_>,
+    s: &mut Band<'_>,
     buoyancy: impl Fn(f64, f64, usize) -> f64,
 ) {
     let cols = Cols::new(tile.nx, 0);
@@ -131,12 +165,13 @@ fn adjust_unstable_columns(
     let mut unstable = vec![false; n];
     let mut stack = Vec::new();
     let mut cells = 0u64;
-    for j in 0..tile.ny as i64 {
+    for j in theta.rows(0) {
         let kmax = cols.of2(&masks.kmax, j);
         unstable.fill(false);
         for k in 0..cfg.grid.nz {
             let dz = cfg.grid.dz[k];
-            let (theta, s) = (cols.of(&state.theta, j, k), cols.of(&state.s, j, k));
+            // Read here; written below, in the flagged columns only.
+            let (theta, s) = (cols.of_mut(theta, j, k), cols.of_mut(s, j, k));
             for i in 0..n {
                 let b_far = buoyancy(theta[i] * dz / dz, s[i] * dz / dz, k);
                 let pair_in_column = (k > 0) & in_column(k, kmax[i]);
@@ -151,7 +186,7 @@ fn adjust_unstable_columns(
             }
             cells += levels as u64;
             if unstable[i] {
-                adjust_column(cfg, state, &mut stack, (i as i64, j), levels);
+                adjust_column(cfg, theta, s, &mut stack, (i as i64, j), levels);
             }
         }
     }
@@ -165,7 +200,8 @@ fn adjust_unstable_columns(
 /// (thickness-weighted) and re-check.
 fn adjust_column(
     cfg: &ModelConfig,
-    state: &mut ModelState,
+    theta: &mut Band<'_>,
+    s: &mut Band<'_>,
     stack: &mut Vec<Group>,
     (i, j): (i64, i64),
     kmax: usize,
@@ -176,8 +212,8 @@ fn adjust_column(
         stack.push(Group {
             k_first: k,
             k_last: k,
-            t_sum: state.theta.at(i, j, k) * dz,
-            s_sum: state.s.at(i, j, k) * dz,
+            t_sum: *theta.cell_mut(i, j, k) * dz,
+            s_sum: *s.cell_mut(i, j, k) * dz,
             w: dz,
         });
         // Merge while the top two stack entries are unstable at
@@ -207,11 +243,10 @@ fn adjust_column(
         if g.k_first == g.k_last {
             continue;
         }
-        let t = g.t_sum / g.w;
-        let s = g.s_sum / g.w;
+        let (t, q) = (g.t_sum / g.w, g.s_sum / g.w);
         for k in g.k_first..=g.k_last {
-            state.theta.set(i, j, k, t);
-            state.s.set(i, j, k, s);
+            *theta.cell_mut(i, j, k) = t;
+            *s.cell_mut(i, j, k) = q;
         }
     }
 }
@@ -523,13 +558,17 @@ mod sweep_tests {
             let Case {
                 cfg, tile, masks, ..
             } = &case;
+            let condensation = |st: &mut ModelState| {
+                let (mut theta, mut s) = (st.theta.band(), st.s.band());
+                atmos::condensation(cfg, tile, masks, &mut theta, &mut s)
+            };
             case.check(
                 "condensation",
-                |st, _| atmos::condensation(cfg, tile, masks, st),
+                |st, _| condensation(st),
                 |st, _| atmos::reference::condensation(cfg, tile, masks, st),
             );
             let mut after = case.state.clone();
-            atmos::condensation(cfg, tile, masks, &mut after);
+            condensation(&mut after);
             rained += (after.s != case.state.s) as usize;
         }
         assert!(rained > 0, "no case condensed anything");

@@ -4,8 +4,9 @@
 //! through the coupler.
 
 use crate::config::{ModelConfig, SurfaceForcing};
+use crate::field::Band;
 use crate::flops::{self, Phase};
-use crate::kernel::{Cols, TileGeom, Workspace};
+use crate::kernel::{Cols, TileGeom};
 use crate::physics::BoundaryFields;
 use crate::state::{Masks, ModelState};
 use crate::tile::Tile;
@@ -38,14 +39,14 @@ pub fn surface_climatology(lat: f64) -> (f64, f64) {
 /// over the rows of the surface level, the row's climatology evaluated
 /// once.
 #[allow(clippy::too_many_arguments)]
-pub fn forcing(
+pub(crate) fn forcing(
     cfg: &ModelConfig,
     tile: &Tile,
     _geom: &TileGeom,
     masks: &Masks,
     state: &ModelState,
     bc: &BoundaryFields,
-    ws: &mut Workspace,
+    [mut gu, mut gv, mut gt, mut gs]: [Band<'_>; 4],
     ext: i64,
 ) {
     let cols = Cols::new(tile.nx, ext);
@@ -55,15 +56,15 @@ pub fn forcing(
     let coupled = cfg.forcing == SurfaceForcing::Coupled;
     let k = 0usize;
     let mut cells = 0u64;
-    for j in -ext..tile.ny as i64 + ext {
+    for j in gt.rows(ext) {
         let (mu, mv, wet) = (
             cols.of(&masks.u, j, k),
             cols.of(&masks.v, j, k),
             cols.of(&masks.c, j, k),
         );
-        let gu = cols.of_mut(&mut ws.gu, j, k);
-        let gv = cols.of_mut(&mut ws.gv, j, k);
-        let gt = cols.of_mut(&mut ws.gt, j, k);
+        let gu = cols.of_mut(&mut gu, j, k);
+        let gv = cols.of_mut(&mut gv, j, k);
+        let gt = cols.of_mut(&mut gt, j, k);
         // A masked point keeps its tendency as it is (not `+ 0.0`).
         if coupled {
             // Momentum: wind stress on the surface level; tracers: the
@@ -90,7 +91,7 @@ pub fn forcing(
             let tx = tau_x_climatology(lat, lat_max);
             let (t_star, s_star) = surface_climatology(lat);
             let (theta, s) = (cols.of(&state.theta, j, k), cols.of(&state.s, j, k));
-            let gs = cols.of_mut(&mut ws.gs, j, k);
+            let gs = cols.of_mut(&mut gs, j, k);
             for i in 0..n {
                 if mu[i] != 0.0 {
                     gu[i] += tx / (RHO0 * dz0);
@@ -111,6 +112,7 @@ pub fn forcing(
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
+    use crate::kernel::Workspace;
 
     /// Add wind stress, heat, and salinity forcing to the tendencies.
     #[allow(clippy::too_many_arguments)]
@@ -170,6 +172,8 @@ pub(crate) mod reference {
 mod tests {
     use super::*;
     use crate::decomp::Decomp;
+    use crate::kernel::Workspace;
+    use crate::physics::apply_forcing;
     use crate::state::ModelState;
     use crate::topography::Topography;
 
@@ -217,7 +221,7 @@ mod tests {
             st.theta.set(i, j, 0, 0.0);
             st.s.set(i, j, 0, 30.0);
         }
-        forcing(&cfg, &tile, &geom, &masks, &st, &bc, &mut ws, 0);
+        apply_forcing(&cfg, &tile, &geom, &masks, &st, &bc, &mut ws, 0);
         assert!(ws.gt.at(64, 32, 0) > 0.0);
         assert!(ws.gs.at(64, 32, 0) > 0.0);
         assert_eq!(ws.gt.at(64, 32, 5), 0.0, "forcing is surface-only");
@@ -229,7 +233,7 @@ mod tests {
         cfg.forcing = SurfaceForcing::Coupled;
         bc.qflux.fill(100.0); // 100 W/m² warming
         bc.taux.fill(0.1);
-        forcing(&cfg, &tile, &geom, &masks, &st, &bc, &mut ws, 0);
+        apply_forcing(&cfg, &tile, &geom, &masks, &st, &bc, &mut ws, 0);
         let dz0 = cfg.grid.dz[0];
         let expect = 100.0 / (RHO0 * CP_SEA * dz0);
         assert!((ws.gt.at(10, 32, 0) - expect).abs() < 1e-15);

@@ -40,7 +40,15 @@ pub(crate) mod fixtures {
         let mut cfg = ModelConfig::test_ocean(nx + 3, ny + 1, 4, d);
         cfg.free_surface = free_surface;
         let tile = offset_tile(nx, ny);
-        let topo = Topography::from_depths(&cfg.grid, 0.2, |gi, j| {
+        let masks = Masks::build(&cfg, &tile, &scattered_topography(&cfg));
+        let geom = TileGeom::build(&cfg, &tile);
+        let coeffs = EllipticCoeffs::build(&cfg, &tile, &geom, &masks);
+        (cfg, tile, geom, masks, coeffs)
+    }
+
+    /// The land of [`scattered_land`].
+    pub(crate) fn scattered_topography(cfg: &ModelConfig) -> Topography {
+        Topography::from_depths(&cfg.grid, 0.2, |gi, j| {
             let around_2_2 = (gi as i64 - 3).abs() + (j as i64 - 2).abs();
             match around_2_2 {
                 0 => 3000.0,
@@ -48,11 +56,7 @@ pub(crate) mod fixtures {
                 _ if (gi * 7 + j * 3) % 5 == 0 => 0.0,
                 _ => 1000.0 + 700.0 * ((gi + 2 * j) % 4) as f64,
             }
-        });
-        let masks = Masks::build(&cfg, &tile, &topo);
-        let geom = TileGeom::build(&cfg, &tile);
-        let coeffs = EllipticCoeffs::build(&cfg, &tile, &geom, &masks);
-        (cfg, tile, geom, masks, coeffs)
+        })
     }
 
     /// An `nx × ny` tile (halo 3) one column in from the west edge of a

@@ -39,12 +39,13 @@ cargo test -q --release -p hyades-des -p hyades-arctic -p hyades-startx -p hyade
 # One core is the adversarial schedule for a wait that polls: every rank
 # a waiter needs is behind it on the same run queue, and a policy that
 # forgot to yield would crawl there instead of failing. It is also the
-# schedule on which the coupled step's helper thread cannot run beside
-# the caller, and the coupler's bit-identity tests must pass there too.
+# schedule on which a helper thread — the coupled step's, or a split
+# tile's other band — cannot run beside the caller, and the coupler's
+# and the bands' bit-identity tests must pass there too.
 if command -v taskset > /dev/null; then
-    echo "==> cargo test -q --release, pinned to one core: comms world:: and gcm coupler"
+    echo "==> cargo test -q --release, pinned to one core: comms world::, gcm coupler and bands"
     taskset -c 0 cargo test -q --release -p hyades-comms world::
-    taskset -c 0 cargo test -q --release -p hyades-gcm coupler
+    taskset -c 0 cargo test -q --release -p hyades-gcm -- coupler band set_up
 fi
 
 echo "==> ignored tests, release: fault-plan seed sweep (2000 plan seeds x 6 exchange shapes and 4 gsum sizes), paper grid converges while finite"
@@ -65,20 +66,23 @@ for workload in coupled_serial ocean_1deg cluster_tour fabric_saturated comm_pri
     sed -n "s/^  wall_s */    $workload wall_s /p" "target/hbench-$workload.txt"
 done
 # Printed, not gated (the gates are in cargo test), from one traced run of
-# the coupled pair: the stand-alone kernel ranking — the five PS kernel
-# rates and host Fps — then CG iterations per model step, the median
-# coupled step, and CPU against wall time (above 1 when the two isomorphs'
-# PS work overlaps on the second core).
-cargo run --release --offline --quiet --manifest-path hbench/Cargo.toml -- \
-    --workload coupled_serial --seconds 3 --trace 1 > target/hbench-coupled_serial-traced.txt
-awk '$1 == "gcm.cg_iters" { iters = $2 } $1 == "gcm.steps" { steps = $2 }
-    $1 == "wall_s" { wall = $2 } $1 == "bench.cpu_s" { cpu = $2 }
-    $1 == "gcm.fps_mflops" { printf "    coupled_serial %-30s %8.0f Mflop/s\n", $1, $2 }
-    $1 ~ /^gcm\.k_.*_cells_per_s$/ { printf "    coupled_serial %-30s %8.1f M cells/s\n", $1, $2 / 1e6 }
-    $1 == "gcm.step_p50_ms" { printf "    coupled_serial %-30s %8.3f ms\n", $1, $2 }
-    END { if (steps > 0) printf "    coupled_serial gcm.cg_iters / gcm.steps  %d / %d = %.1f\n", iters, steps, iters / steps
-          if (wall > 0) printf "    coupled_serial bench.cpu_s / wall_s      %.3f / %.3f s = %.2f\n", cpu, wall, cpu / wall }' \
-    target/hbench-coupled_serial-traced.txt
+# each gcm workload: for the coupled pair the stand-alone kernel ranking —
+# the five PS kernel rates and host Fps; for both, CG iterations per model
+# step, the median step, and CPU against wall time (above 1 when PS work
+# runs on the second core: the pair's two isomorphs side by side, the 1°
+# tile's two bands).
+for workload in coupled_serial ocean_1deg; do
+    cargo run --release --offline --quiet --manifest-path hbench/Cargo.toml -- \
+        --workload "$workload" --seconds 3 --trace 1 > "target/hbench-$workload-traced.txt"
+    awk -v w="$workload" '$1 == "gcm.cg_iters" { iters = $2 } $1 == "gcm.steps" { steps = $2 }
+        $1 == "wall_s" { wall = $2 } $1 == "bench.cpu_s" { cpu = $2 }
+        w == "coupled_serial" && $1 == "gcm.fps_mflops" { printf "    %s %-30s %8.0f Mflop/s\n", w, $1, $2 }
+        w == "coupled_serial" && $1 ~ /^gcm\.k_.*_cells_per_s$/ { printf "    %s %-30s %8.1f M cells/s\n", w, $1, $2 / 1e6 }
+        $1 == "gcm.step_p50_ms" { printf "    %s %-30s %8.3f ms\n", w, $1, $2 }
+        END { if (steps > 0) printf "    %s gcm.cg_iters / gcm.steps  %d / %d = %.1f\n", w, iters, steps, iters / steps
+              if (wall > 0) printf "    %s bench.cpu_s / wall_s      %.3f / %.3f s = %.2f\n", w, cpu, wall, cpu / wall }' \
+        "target/hbench-$workload-traced.txt"
+done
 # Likewise printed only (tests/determinism.rs and tests/recovery.rs pin
 # them): the exact simulated values of one traced comm_primitives run.
 cargo run --release --offline --quiet --manifest-path hbench/Cargo.toml -- \
