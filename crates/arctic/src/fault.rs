@@ -13,9 +13,9 @@
 //! simulation.
 
 use crate::packet::Packet;
+use hyades_des::fault::{FaultPlan, LinkFaultWindow};
 use hyades_des::rng::SplitMix64;
 use hyades_des::{ActorId, SimTime};
-use hyades_fault::{FaultPlan, LinkFaultWindow};
 use hyades_telemetry as telemetry;
 use hyades_telemetry::flight;
 use std::sync::Arc;

@@ -31,7 +31,6 @@ pub mod fault;
 pub mod network;
 pub mod observatory;
 pub mod packet;
-pub mod path;
 pub mod router;
 pub mod topology;
 pub mod workload;
@@ -39,5 +38,4 @@ pub mod workload;
 pub use network::{ArcticConfig, ArcticNetwork, Delivered};
 pub use observatory::{FabricReport, Hotspot, LinkSummary, Observatory, ObservatoryConfig};
 pub use packet::{Packet, Priority, MAX_PAYLOAD_WORDS, MIN_PAYLOAD_WORDS};
-pub use path::{HopRecord, PathTrace};
 pub use topology::FatTree;

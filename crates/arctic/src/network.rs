@@ -7,9 +7,9 @@ use crate::router::{
 };
 use crate::topology::{DownTarget, FatTree, RouterAddr};
 use hyades_des::event::Payload;
+use hyades_des::fault::FaultPlan;
 use hyades_des::rng::SplitMix64;
 use hyades_des::{Actor, ActorId, Ctx, SimDuration, SimTime, Simulator};
-use hyades_fault::FaultPlan;
 use hyades_telemetry as telemetry;
 use hyades_telemetry::flight;
 use hyades_telemetry::sampler::{self, SampleTick};
@@ -111,7 +111,7 @@ impl TxPort {
         // A packet dropped by the injector never occupied the link: go
         // straight on to the next queued one. (A loop, not recursion — a
         // backlog dropped wholesale would otherwise overflow the stack.)
-        let mut pkt = loop {
+        let pkt = loop {
             let Some(mut pkt) = self.high.pop_front().or_else(|| self.low.pop_front()) else {
                 return;
             };
@@ -124,9 +124,6 @@ impl TxPort {
                 break pkt;
             }
         };
-        if let Some(tr) = pkt.trace.as_deref_mut() {
-            tr.injected_at = now;
-        }
         let ser = self.link.serialization(&pkt);
         self.free_at = now + ser;
         self.busy_ps += ser.as_ps();

@@ -216,11 +216,6 @@ impl Observatory {
 }
 
 impl FabricReport {
-    /// Links carrying traffic, in entity order (the order collected).
-    pub fn active_links(&self) -> impl Iterator<Item = &LinkSummary> + '_ {
-        self.links.iter().filter(|l| l.packets > 0)
-    }
-
     /// Prometheus text exposition (see module docs; byte-identical across
     /// same-seed runs).
     pub fn prometheus(&self) -> String {
@@ -379,22 +374,6 @@ impl FabricReport {
         );
         o
     }
-
-    /// Both renderings bundled behind the unified
-    /// [`Exporter`](hyades_telemetry::Exporter) API: `fabric.prom`
-    /// (Prometheus exposition) and `fabric_manifest.json` (run
-    /// manifest). The bytes are exactly what [`FabricReport::prometheus`]
-    /// and [`FabricReport::json_manifest`] render.
-    pub fn as_exporter(&self, run: &str, seed: u64) -> hyades_telemetry::Prebuilt {
-        use hyades_telemetry::ArtifactKind;
-        hyades_telemetry::Prebuilt::default()
-            .with("fabric", ArtifactKind::Prom, self.prometheus())
-            .with(
-                "fabric_manifest",
-                ArtifactKind::Json,
-                self.json_manifest(run, seed),
-            )
-    }
 }
 
 #[cfg(test)]
@@ -455,18 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn exporter_bundle_matches_legacy_renderings() {
-        use hyades_telemetry::Exporter as _;
-        let rep = congested_run();
-        let arts = rep.as_exporter("congested", 7).artifacts();
-        assert_eq!(arts.len(), 2);
-        assert_eq!(arts[0].file_name(), "fabric.prom");
-        assert_eq!(arts[1].file_name(), "fabric_manifest.json");
-        assert_eq!(arts[0].bytes, rep.prometheus());
-        assert_eq!(arts[1].bytes, rep.json_manifest("congested", 7));
-    }
-
-    #[test]
     fn quiet_fabric_has_no_hotspots() {
         let mut sim = Simulator::new();
         let eps: Vec<ActorId> = (0..4)
@@ -482,6 +449,7 @@ mod tests {
         sim.run();
         let rep = obs.collect(&sim, &net);
         assert!(rep.hotspots.is_empty());
-        assert_eq!(rep.active_links().count(), 3, "one 3-stage path");
+        let active = rep.links.iter().filter(|l| l.packets > 0).count();
+        assert_eq!(active, 3, "one 3-stage path");
     }
 }

@@ -6,7 +6,6 @@
 //! 5-bit size) — followed by a payload of 2 to 22 32-bit words.
 
 use crate::crc::{crc16_update, INIT};
-use crate::path::PathTrace;
 
 /// Minimum payload size in 32-bit words.
 pub const MIN_PAYLOAD_WORDS: usize = 2;
@@ -62,10 +61,6 @@ pub struct Packet {
     /// Set if any stage detected a CRC mismatch: the endpoint's 1-bit
     /// status. Software treats this as a catastrophic network failure.
     pub corrupted: bool,
-    /// Optional path trace (observer state; see [`crate::path`]). Like
-    /// the up-route scratch bits it is excluded from the CRC — it is not
-    /// wire content. `None` unless built with [`Packet::with_trace`].
-    pub trace: Option<Box<PathTrace>>,
 }
 
 impl Packet {
@@ -97,16 +92,9 @@ impl Packet {
             up_remaining: 0,
             crc: 0,
             corrupted: false,
-            trace: None,
         };
         pkt.crc = pkt.compute_crc();
         pkt
-    }
-
-    /// Enable path tracing on this packet (see [`crate::path`]).
-    pub fn with_trace(mut self) -> Self {
-        self.trace = Some(Box::default());
-        self
     }
 
     /// The two header words of the wire format.
@@ -226,19 +214,6 @@ mod tests {
         for f in [0.0f64, -1.5, std::f64::consts::PI, f64::MAX] {
             assert_eq!(f64_from_words(&words_from_f64(f)), f);
         }
-    }
-
-    #[test]
-    fn trace_is_observer_state_outside_the_crc() {
-        let plain = Packet::new(3, 9, Priority::High, 5, vec![1, 2]);
-        let mut traced = Packet::new(3, 9, Priority::High, 5, vec![1, 2]).with_trace();
-        assert_eq!(plain.crc, traced.crc);
-        assert!(
-            traced.verify(),
-            "enabling a trace must not corrupt the packet"
-        );
-        assert!(traced.trace.is_some());
-        assert!(plain.trace.is_none());
     }
 
     #[test]

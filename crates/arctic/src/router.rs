@@ -20,7 +20,6 @@
 //! Arctic's per-path FIFO guarantee.
 
 use crate::packet::{Packet, Priority, HEADER_WORDS, MAX_PAYLOAD_WORDS};
-use crate::path::HopRecord;
 use crate::topology::{FatTree, RouterAddr};
 use hyades_des::event::Payload;
 use hyades_des::{Actor, ActorId, Ctx, SimDuration, SimTime};
@@ -266,15 +265,6 @@ impl RouterActor {
         if pkt.up_remaining > 0 {
             pkt.up_remaining -= 1;
         }
-        if let Some(tr) = pkt.trace.as_deref_mut() {
-            tr.hops.push(HopRecord {
-                router: self.addr,
-                port: port as u8,
-                priority: pkt.priority,
-                enq: ctx.now(),
-                deq: SimTime::ZERO,
-            });
-        }
         // The head has now fallen through the crossbar; the link grant can
         // happen no earlier than `fall_through` from arrival.
         let ready = ctx.now() + self.link.timing.fall_through;
@@ -317,11 +307,6 @@ impl RouterActor {
         q.busy_ps += ser.as_ps();
         if sampler::installed() {
             *q.flows.entry((pkt.src, pkt.dst)).or_insert(0) += 1;
-        }
-        if let Some(tr) = pkt.trace.as_deref_mut() {
-            if let Some(h) = tr.hops.last_mut() {
-                h.deq = now;
-            }
         }
         telemetry::record_span(ctx.self_id().0 as u64, "arctic", "router.tx", now, ser);
         telemetry::observe_hist("arctic.router", "tx_queue_depth", q.queued() as u64);

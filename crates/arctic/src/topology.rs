@@ -137,37 +137,6 @@ impl FatTree {
         2 * self.up_hops(s, d) + 1
     }
 
-    /// The exact static route a packet from `s` to `d` takes given its
-    /// up-route bits: each visited router paired with the output port
-    /// index it grants (0,1 down-ports; 2,3 up-ports), in traversal
-    /// order. This is the reference the path tracer is checked against:
-    /// a traced packet's hop records must reproduce this sequence.
-    pub fn route_path(&self, s: u16, d: u16, uproute_bits: u16) -> Vec<(RouterAddr, u8)> {
-        let m = self.up_hops(s, d);
-        let (mut r, _) = self.leaf_of(s);
-        let mut path = Vec::with_capacity(2 * m as usize + 1);
-        // Ascend: at level `l` the up-port is up-route bit `l`
-        // (port index 2 + bit).
-        for l in 0..m {
-            let p = ((uproute_bits >> l) & 1) as u8;
-            path.push((r, 2 + p));
-            r = self.up_neighbor(r, p);
-        }
-        // Descend: at level `l` the down-port is destination bit `l`.
-        loop {
-            let b = self.down_port(r.level, d);
-            path.push((r, b));
-            match self.down_neighbor(r, b) {
-                DownTarget::Router(next) => r = next,
-                DownTarget::Endpoint(e) => {
-                    debug_assert_eq!(e, d);
-                    break;
-                }
-            }
-        }
-        path
-    }
-
     /// Verify the nearest-common-ancestor property used by `up_hops`.
     pub fn ancestors_agree(&self, s: u16, d: u16) -> bool {
         let m = self.up_hops(s, d);
@@ -271,40 +240,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn route_path_is_consistent_with_stage_count_and_lands_on_dst() {
-        let t = FatTree::new(16);
-        for s in 0..16u16 {
-            for d in 0..16u16 {
-                for up_bits in [0u16, 0b101, 0x3FFF] {
-                    let path = t.route_path(s, d, up_bits);
-                    assert_eq!(path.len(), t.path_stages(s, d) as usize);
-                    // First router is the source leaf; last exits on a
-                    // down-port leading to d.
-                    assert_eq!(path[0].0, t.leaf_of(s).0);
-                    let (last, port) = path[path.len() - 1];
-                    assert_eq!(last.level, 0);
-                    assert!(port < 2);
-                    assert_eq!(t.down_neighbor(last, port), DownTarget::Endpoint(d));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn route_path_up_ports_follow_uproute_bits() {
-        let t = FatTree::new(16);
-        let path = t.route_path(0, 15, 0b010);
-        // 3 up-hops then 4 down-stages.
-        assert_eq!(path.len(), 7);
-        assert_eq!(path[0].1, 2, "level 0: bit 0 clear -> up-port 0");
-        assert_eq!(path[1].1, 3, "level 1: bit 1 set -> up-port 1");
-        assert_eq!(path[2].1, 2, "level 2: bit 2 clear -> up-port 0");
-        for (r, p) in &path[3..] {
-            assert!(*p < 2, "descending stage at {r:?} must use a down-port");
         }
     }
 

@@ -48,11 +48,6 @@ impl ExchangeShape {
     pub fn from_legs(legs: Vec<u64>) -> Self {
         ExchangeShape { legs }
     }
-
-    /// Total bytes a node moves per exchange of one field.
-    pub fn total_bytes(&self) -> u64 {
-        self.legs.iter().sum()
-    }
 }
 
 /// Cost model of an interconnect's communication primitives.
@@ -171,10 +166,10 @@ mod tests {
         // DS shape at 2.8125°, 8 endpoints: 32×32 tiles, halo 1, 1 level.
         let ds = ExchangeShape::square_tile(32, 1, 1, 8);
         assert_eq!(ds.legs.len(), 8);
-        assert_eq!(ds.total_bytes(), 8 * 256);
+        assert_eq!(ds.legs.iter().sum::<u64>(), 8 * 256);
         // PS atmosphere shape: halo 3, 5 levels.
         let ps = ExchangeShape::square_tile(32, 3, 5, 8);
-        assert_eq!(ps.total_bytes(), 8 * 3840);
+        assert_eq!(ps.legs.iter().sum::<u64>(), 8 * 3840);
     }
 
     #[test]

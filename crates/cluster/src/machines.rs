@@ -6,7 +6,7 @@
 //! a vector efficiency on the GCM kernel, with the sustained values pinned
 //! to the paper's measurements. The Hyades rows, by contrast, are
 //! *computed* by this reproduction from the performance model
-//! (`hyades-perf`), not copied.
+//! (`hyades::perf`), not copied.
 
 /// A vector supercomputer entry.
 #[derive(Clone, Debug)]

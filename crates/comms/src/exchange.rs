@@ -17,8 +17,8 @@
 //! DONE envelope with its go-back-N recovery — the same leg Figure 7
 //! times.
 
+use hyades_des::fault::FaultPlan;
 use hyades_des::{SimDuration, SimTime};
-use hyades_fault::FaultPlan;
 use hyades_startx::node::{run_nodes, Endpoint};
 use hyades_startx::recovery::RecoveryCounters;
 use hyades_startx::vi::{ExchangeNode, PairPlan, Schedule, StartExchange, ViConfig};

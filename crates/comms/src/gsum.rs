@@ -28,8 +28,8 @@
 use crate::mixmode::SmpCosts;
 use hyades_arctic::packet::{f64_from_words, words_from_f64, Packet};
 use hyades_des::event::Payload;
+use hyades_des::fault::FaultPlan;
 use hyades_des::{Actor, Ctx, SimDuration, SimTime};
-use hyades_fault::FaultPlan;
 use hyades_startx::node::{run_nodes, Endpoint, Guard, Timeout, Woken};
 use hyades_startx::recovery::{RecoveryCounters, RecoveryEvent};
 use hyades_startx::HostParams;

@@ -14,7 +14,7 @@
 //!   before it parks in the kernel (`POLLS_BEFORE_PARK`).
 //!
 //! Timing studies use the simulated interconnects instead (the
-//! time-charging executor in `hyades-perf` / `hyades-gcm`); these backends
+//! time-charging executor in `hyades::perf` / `hyades-gcm`); these backends
 //! provide *functional* parallelism.
 
 use hyades_telemetry::commlog::{self, CommEvent};

@@ -5,7 +5,7 @@
 
 use hyades_comms::exchange::{measure_exchange, measure_exchange_faulty, torus_schedule};
 use hyades_comms::gsum::{measure_gsum, measure_gsum_faulty};
-use hyades_fault::FaultPlan;
+use hyades_des::fault::FaultPlan;
 use hyades_startx::HostParams;
 use proptest::prelude::*;
 

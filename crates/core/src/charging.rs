@@ -8,10 +8,10 @@
 //! equivalent of running the year-long simulation on the real cluster —
 //! while the closed-form performance model provides the prediction.
 
+use crate::perf::model::PerfModel;
 use hyades_comms::{CommWorld, SerialWorld};
 use hyades_gcm::config::ModelConfig;
 use hyades_gcm::driver::Model;
-use hyades_perf::model::PerfModel;
 
 /// Result of a charged run.
 #[derive(Clone, Debug)]
@@ -94,8 +94,8 @@ pub fn run_charged_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::perf::model::paper_atmosphere;
     use hyades_gcm::decomp::Decomp;
-    use hyades_perf::model::paper_atmosphere;
 
     #[test]
     fn charged_run_produces_consistent_split() {

@@ -6,11 +6,11 @@
 //! performance for an API that is more general than required."
 //! This experiment puts a number on "any performance".
 
+use crate::perf::model::paper_atmosphere;
+use crate::perf::pfpp::pfpp_ds;
+use crate::perf::report::Table;
 use hyades_cluster::interconnect::{arctic_paper, ExchangeShape, Interconnect};
 use hyades_comms::mpistart::{mpistart_model, reduction_tax};
-use hyades_perf::model::paper_atmosphere;
-use hyades_perf::pfpp::pfpp_ds;
-use hyades_perf::report::Table;
 
 pub fn run() -> String {
     let mut t = Table::new(&["N-way reduction", "custom (us)", "MPI-StarT (us)", "tax"]);

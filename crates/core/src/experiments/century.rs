@@ -9,10 +9,10 @@
 //! ocean is costed through the same performance model with communication
 //! from the simulated fabric.
 
+use crate::perf::model::{paper_atmosphere, PerfModel};
+use crate::perf::params::{paper_ds, paper_ocean_ps, DsParams, PsParams};
 use hyades_cluster::interconnect::{ExchangeShape, Interconnect};
 use hyades_comms::measured::simulated_arctic_model;
-use hyades_perf::model::{paper_atmosphere, PerfModel};
-use hyades_perf::params::{paper_ds, paper_ocean_ps, DsParams, PsParams};
 
 /// The 1° ocean: 360×160 columns (walls poleward of ±80°), 15 levels, on
 /// 8 endpoints (4×2 tiles of 90×80), both SMP processors working per
@@ -121,7 +121,7 @@ mod tests {
         // efficient than the 2.8° configuration, which is the reason a
         // personal cluster can afford the finer ocean at all.
         let one_deg = ocean_1deg_model();
-        let coarse = hyades_perf::model::paper_ocean();
+        let coarse = crate::perf::model::paper_ocean();
         assert!(one_deg.efficiency(OCEAN_NI) > coarse.efficiency(60.0));
         assert!(one_deg.efficiency(OCEAN_NI) > 0.85);
     }

@@ -12,9 +12,9 @@
 //! data in the same sense as the Figure 10 sustained rates.
 
 use crate::experiments::fig10::{hyades_16proc_gflops, hyades_single_proc_gflops};
+use crate::perf::queueing::{campaign_hours, SharedQueue};
+use crate::perf::report::Table;
 use hyades_cluster::machines::figure10_vector_rows;
-use hyades_perf::queueing::{campaign_hours, SharedQueue};
-use hyades_perf::report::Table;
 
 /// Estimated 1999 system price (USD) for each Figure 10 configuration.
 pub fn estimated_price_usd(name: &str, processors: u32) -> f64 {

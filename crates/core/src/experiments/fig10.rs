@@ -7,12 +7,12 @@
 //! from the performance model with communication costs measured on the
 //! simulated fabric.
 
+use crate::perf::model::PerfModel;
+use crate::perf::params::{paper_ds, paper_ocean_ps, DsParams, PsParams};
+use crate::perf::report::Table;
 use hyades_cluster::interconnect::{ExchangeShape, Interconnect};
 use hyades_cluster::machines::figure10_vector_rows;
 use hyades_comms::measured::simulated_arctic_model;
-use hyades_perf::model::PerfModel;
-use hyades_perf::params::{paper_ds, paper_ocean_ps, DsParams, PsParams};
-use hyades_perf::report::Table;
 
 /// Paper's Hyades rows: (procs, sustained GFlop/s).
 pub const PAPER_HYADES: [(u32, f64); 2] = [(1, 0.054), (16, 0.8)];

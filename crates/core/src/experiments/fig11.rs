@@ -5,13 +5,13 @@
 //! benchmarks. The paper's values were obtained the same way on the real
 //! hardware, so this table is the honest side-by-side.
 
+use crate::perf::report::Table;
 use hyades_cluster::interconnect::{ExchangeShape, Interconnect};
 use hyades_comms::measured::{measure_exchange_mixmode, simulated_arctic_model};
 use hyades_comms::SerialWorld;
 use hyades_gcm::config::ModelConfig;
 use hyades_gcm::decomp::Decomp;
 use hyades_gcm::driver::Model;
-use hyades_perf::report::Table;
 
 /// Measured flop coefficients from `steps` instrumented steps of a model.
 pub fn measure_flops(cfg: ModelConfig, steps: usize) -> (f64, f64, f64) {

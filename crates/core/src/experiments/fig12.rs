@@ -6,11 +6,11 @@
 //! fine-grain DS phase, by what factor the Ethernets miss — are computed,
 //! not copied, and the paper's published row is shown alongside.
 
+use crate::perf::model::{paper_atmosphere, PerfModel};
+use crate::perf::pfpp::{self, PfppRow};
+use crate::perf::report::{mflops, us, Table};
 use hyades_cluster::ethernet::{fast_ethernet, gigabit_ethernet};
 use hyades_comms::measured::simulated_arctic_model;
-use hyades_perf::model::{paper_atmosphere, PerfModel};
-use hyades_perf::pfpp::{self, PfppRow};
-use hyades_perf::report::{mflops, us, Table};
 use std::fmt::Write as _;
 
 /// Paper's Figure 12 rows: (name, tgsum, texch_xy, texch_xyz, Pfpp_ps,

@@ -1,6 +1,6 @@
 //! E1 — Figure 2: LogP characteristics of PIO message passing.
 
-use hyades_perf::report::Table;
+use crate::perf::report::Table;
 use hyades_startx::logp::{figure2, LogPRow};
 use hyades_startx::HostParams;
 use std::fmt::Write as _;

@@ -3,9 +3,9 @@
 //! (the copy/DMA overlap) and one wide halo exchange instead of several
 //! narrow ones (overcomputation).
 
+use crate::perf::report::Table;
 use hyades_comms::exchange::measure_exchange;
 use hyades_des::SimDuration;
-use hyades_perf::report::Table;
 use hyades_startx::vi::{bandwidth_sweep, measure_transfer, TransferMeasurement, ViConfig};
 use hyades_startx::HostParams;
 use std::fmt::Write as _;

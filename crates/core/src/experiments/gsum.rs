@@ -5,9 +5,9 @@
 //! latency-bound primitive called 2 × Ni times a model step the path
 //! length decides.
 
+use crate::perf::fit::log2_fit;
+use crate::perf::report::Table;
 use hyades_comms::gsum::{latency_table, measure_gsum_tree};
-use hyades_perf::fit::log2_fit;
-use hyades_perf::report::Table;
 use hyades_startx::HostParams;
 use std::fmt::Write as _;
 

@@ -6,10 +6,10 @@
 //! Hyades context-specific primitive — and moves 1-KB blocks at
 //! ~42 MByte/s, about 25% slower than the Hyades exchange legs.
 
+use crate::perf::report::Table;
 use hyades_cluster::ethernet::hpvm_myrinet;
 use hyades_cluster::interconnect::Interconnect;
 use hyades_comms::barrier::measure_barrier;
-use hyades_perf::report::Table;
 use hyades_startx::vi::{measure_transfer, ViConfig};
 use hyades_startx::HostParams;
 

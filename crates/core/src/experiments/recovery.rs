@@ -5,7 +5,7 @@
 //! *keeps* computing: a flipped link bit or a crashed rank on day 3
 //! must not cost the run. This experiment drives the full recovery
 //! stack under a deterministic, seeded fault plan
-//! ([`hyades_fault::FaultPlan`]):
+//! ([`hyades_des::fault::FaultPlan`]):
 //!
 //! * **Link faults** (§2.2): a corrupt/drop window over the Arctic
 //!   fabric exercises the CRC-triggered retransmit protocol in

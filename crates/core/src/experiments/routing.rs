@@ -8,9 +8,9 @@
 //! either way, which is why the communication library can afford the
 //! deterministic mode (and gain Arctic's per-path FIFO ordering).
 
+use crate::perf::report::Table;
 use hyades_arctic::packet::UpRoute;
 use hyades_arctic::workload::{run_traffic, Pattern, TrafficResult};
-use hyades_perf::report::Table;
 use std::fmt::Write as _;
 
 const LOAD: f64 = 0.8;

@@ -13,11 +13,11 @@
 //!    agreement the paper demonstrates.
 
 use crate::charging::run_charged;
+use crate::perf::model::PerfModel;
+use crate::perf::params::{paper_validation_run, DsParams, PsParams};
+use crate::perf::validate::{paper_validation, validate, Validation};
 use hyades_gcm::config::ModelConfig;
 use hyades_gcm::decomp::Decomp;
-use hyades_perf::model::PerfModel;
-use hyades_perf::params::{paper_validation_run, DsParams, PsParams};
-use hyades_perf::validate::{paper_validation, validate, Validation};
 
 /// Closed-loop validation on a reduced grid (per-cell coefficients are
 /// grid-size independent).
@@ -28,7 +28,7 @@ pub fn closed_loop(steps: usize) -> (Validation, f64) {
     cfg.decomp = d;
     // Charge with the paper's 8-endpoint layout and its measured
     // communication costs.
-    let base = hyades_perf::model::paper_atmosphere();
+    let base = crate::perf::model::paper_atmosphere();
     let run = run_charged(cfg, &base, steps);
     let nt = paper_validation_run().nt;
     let observed_minutes = run.extrapolated_minutes(nt);

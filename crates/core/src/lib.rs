@@ -5,7 +5,7 @@
 //! SC'99 paper. Each experiment runs against the simulated hardware
 //! (`hyades-arctic` / `hyades-startx`), the communication library
 //! (`hyades-comms`), the Rust MIT GCM (`hyades-gcm`), and the analytical
-//! performance model (`hyades-perf`), and renders a plain-text report
+//! performance model ([`perf`]), and renders a plain-text report
 //! comparing the paper's published numbers with the values this
 //! reproduction measures.
 //!
@@ -17,6 +17,7 @@
 
 pub mod charging;
 pub mod experiments;
+pub mod perf;
 pub mod scenario;
 pub mod tour;
 
@@ -24,8 +25,7 @@ pub use hyades_arctic as arctic;
 pub use hyades_cluster as cluster;
 pub use hyades_comms as comms;
 pub use hyades_des as des;
-pub use hyades_fault as fault;
+pub use hyades_des::fault;
 pub use hyades_gcm as gcm;
-pub use hyades_perf as perf;
 pub use hyades_startx as startx;
 pub use hyades_telemetry as telemetry;

@@ -32,16 +32,6 @@ pub fn small_coupled_scenario(nx: usize, ny: usize, couple_every: u64) -> Couple
     CoupledModel::new(atmos, ocean, couple_every)
 }
 
-/// A standalone wind-driven ocean configuration (e.g. for gyre
-/// spin-up experiments) on a `px × py` decomposition.
-pub fn ocean_gyre_config(nx: usize, ny: usize, nz: usize, px: usize, py: usize) -> ModelConfig {
-    let d = Decomp::blocks(nx, ny, px, py, 3);
-    let mut cfg = ModelConfig::test_ocean(nx, ny, nz, d);
-    cfg.forcing = hyades_gcm::config::SurfaceForcing::Climatology;
-    cfg.continents = false;
-    cfg
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,11 +47,5 @@ mod tests {
             assert!(sa.cg_converged && so.cg_converged);
         }
         assert!(c.atmos.state.is_finite() && c.ocean.state.is_finite());
-    }
-
-    #[test]
-    fn gyre_config_is_forced() {
-        let cfg = ocean_gyre_config(16, 8, 4, 1, 1);
-        assert_eq!(cfg.forcing, hyades_gcm::config::SurfaceForcing::Climatology);
     }
 }

@@ -16,12 +16,15 @@
 //! produce byte-identical artifacts (the determinism test pins this), and
 //! different seeds perturb both the physics and the microbench shapes.
 
+use crate::perf::model::PerfModel;
+use crate::perf::params::{DsParams, PsParams};
+use crate::perf::phases::{self, MeasuredPhases, StepSample};
 use hyades_cluster::interconnect::{arctic_paper, ExchangeShape, Interconnect};
 use hyades_comms::exchange::{measure_exchange, measure_exchange_faulty};
 use hyades_comms::gsum::{measure_gsum, measure_gsum_faulty};
 use hyades_comms::{CommWorld, RecoveryCounters, ThreadWorld, TimedWorld};
+use hyades_des::fault::FaultPlan;
 use hyades_des::rng::SplitMix64;
-use hyades_fault::FaultPlan;
 use hyades_gcm::config::{ModelConfig, SurfaceForcing};
 use hyades_gcm::coupler::CoupledModel;
 use hyades_gcm::decomp::Decomp;
@@ -30,9 +33,6 @@ use hyades_gcm::grid::{stretched_levels, Grid};
 use hyades_gcm::halo::exchange_leg_bytes;
 use hyades_gcm::monitor::{RunMonitor, SentinelConfig};
 use hyades_gcm::resilient::ResilientRunner;
-use hyades_perf::model::PerfModel;
-use hyades_perf::params::{DsParams, PsParams};
-use hyades_perf::phases::{self, MeasuredPhases, StepSample};
 use hyades_startx::HostParams;
 use hyades_telemetry as telemetry;
 use hyades_telemetry::artifact::{Artifact, ArtifactKind, Prebuilt};
@@ -372,10 +372,7 @@ const CSTEPS: usize = 4;
 /// atmosphere over a test ocean, both on the tour's 2×2 decomposition.
 fn coupled_pair(rank: usize) -> CoupledModel {
     let d = Decomp::blocks(NX, NY, PX, PY, 3);
-    let mut acfg = ModelConfig::atmosphere_2p8125(Decomp::blocks(128, 64, 1, 1, 3));
-    acfg.grid = Grid::global(NX, NY, 5, 60.0, vec![2.0e4; 5]);
-    acfg.decomp = d;
-    acfg.dt = 600.0;
+    let acfg = ModelConfig::test_atmosphere(NX, NY, d);
     let mut ocfg = ModelConfig::test_ocean(NX, NY, 6, d);
     ocfg.grid = Grid::global(NX, NY, 6, 60.0, stretched_levels(6, 3000.0));
     ocfg.forcing = SurfaceForcing::Coupled;
@@ -623,7 +620,7 @@ impl TourConfig {
         let mo = model_for(&net, 6, r0.ocean);
         let predicted: Vec<f64> = (0..self.coupled_steps)
             .map(|s| {
-                hyades_perf::slack::predicted_coupled_step(&ma, &mo, r0.ni_atmos[s], r0.ni_ocean[s])
+                crate::perf::slack::predicted_coupled_step(&ma, &mo, r0.ni_atmos[s], r0.ni_ocean[s])
             })
             .collect();
         let observed: Vec<f64> = cp
@@ -631,7 +628,7 @@ impl TourConfig {
             .iter()
             .map(|&(_, ps)| ps as f64 * 1e-12)
             .collect();
-        let series = hyades_perf::slack::critpath_series(&predicted, &observed);
+        let series = crate::perf::slack::critpath_series(&predicted, &observed);
 
         // Chrome trace with the matched-message flow arrows.
         let mut run_tel = RunTelemetry::from_ranks(runs.drain(..).map(|r| r.telemetry).collect());

@@ -18,6 +18,8 @@
 //!   randomized decisions (e.g. Arctic's random up-route selection).
 //! * [`stats`] — online statistics and log-scale histograms used by the
 //!   measurement harnesses.
+//! * [`fault`] — seeded fault plans (link corrupt/drop windows, NIU
+//!   stalls, rank crashes) and the retry policy, on the same clock.
 //!
 //! The engine makes no attempt at parallel simulation: the simulated
 //! workloads are microbenchmarks (micro- to millisecond scale), and full
@@ -27,6 +29,7 @@
 
 pub mod actor;
 pub mod event;
+pub mod fault;
 pub mod rng;
 pub mod sim;
 pub mod stats;

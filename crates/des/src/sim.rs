@@ -158,11 +158,6 @@ impl Simulator {
         true
     }
 
-    /// Whether an actor has halted the simulation.
-    pub fn is_halted(&self) -> bool {
-        self.halted
-    }
-
     /// Clear the halted flag so the simulation can be resumed.
     pub fn resume(&mut self) {
         self.halted = false;
@@ -344,7 +339,7 @@ mod tests {
         });
         sim.schedule(SimTime::ZERO, fan, ());
         sim.run();
-        assert!(sim.is_halted());
+        assert!(sim.halted);
         assert_eq!(sim.events_dispatched(), 1);
         assert_eq!(sim.pending_events(), 3, "outbox lost on halt");
         assert!(log.borrow().is_empty());

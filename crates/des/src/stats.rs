@@ -1,7 +1,5 @@
 //! Online statistics and histograms for measurement harnesses.
 
-use crate::time::SimDuration;
-
 /// Welford online mean/variance with min/max tracking.
 #[derive(Clone, Debug, Default)]
 pub struct OnlineStats {
@@ -31,11 +29,6 @@ impl OnlineStats {
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Record a duration sample in microseconds.
-    pub fn push_duration_us(&mut self, d: SimDuration) {
-        self.push(d.as_us_f64());
     }
 
     pub fn count(&self) -> u64 {
@@ -273,14 +266,6 @@ mod tests {
         let mut e = OnlineStats::new();
         e.merge(&whole);
         assert_eq!(e.count(), whole.count());
-    }
-
-    #[test]
-    fn duration_samples() {
-        let mut s = OnlineStats::new();
-        s.push_duration_us(SimDuration::from_us(4));
-        s.push_duration_us(SimDuration::from_us(6));
-        assert!((s.mean() - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Model configuration presets.
 
 use crate::decomp::Decomp;
-use crate::eos::{atmos_5level_pressures, Eos, FluidKind, P00};
+use crate::eos::{atmos_5level_pressures, Eos, P00};
 use crate::grid::{stretched_levels, Grid};
 
 /// How the ocean surface boundary is forced when running uncoupled.
@@ -175,6 +175,18 @@ impl ModelConfig {
         }
     }
 
+    /// The paper's atmosphere in miniature, for tests and the tour: the
+    /// 2.8125° preset's physics on an `nx × ny` grid (walls at ±60°) of
+    /// five 200-hPa layers, stepped at Δt = 600 s.
+    pub fn test_atmosphere(nx: usize, ny: usize, decomp: Decomp) -> ModelConfig {
+        ModelConfig {
+            grid: Grid::global(nx, ny, 5, 60.0, vec![2.0e4; 5]),
+            decomp,
+            dt: 600.0,
+            ..ModelConfig::atmosphere_2p8125(Decomp::blocks(128, 64, 1, 1, 3))
+        }
+    }
+
     /// Sanity-check time-step stability limits (advisory; returns the most
     /// restrictive CFL-style ratio, which should be < 1).
     pub fn stability_ratio(&self, max_speed: f64) -> f64 {
@@ -184,15 +196,12 @@ impl ModelConfig {
         let cor = 2.0 * self.grid.omega * self.dt;
         adv.max(visc).max(cor)
     }
-
-    pub fn is_atmosphere(&self) -> bool {
-        self.eos.kind == FluidKind::Atmosphere
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eos::FluidKind;
 
     #[test]
     fn paper_atmosphere_step_count() {
@@ -201,7 +210,7 @@ mod tests {
         // One year in Nt = 77760 steps.
         let steps_per_year = 365.25 * 86400.0 / cfg.dt;
         assert!((steps_per_year - 77760.0).abs() < 1.0);
-        assert!(cfg.is_atmosphere());
+        assert_eq!(cfg.eos.kind, FluidKind::Atmosphere);
         assert_eq!(cfg.grid.nz, 5);
     }
 
@@ -211,7 +220,31 @@ mod tests {
         let cfg = ModelConfig::ocean_2p8125(d);
         assert_eq!(cfg.grid.nz, 15);
         assert!((cfg.grid.full_depth() - 4000.0).abs() < 1e-9);
-        assert!(!cfg.is_atmosphere());
+        assert_eq!(cfg.eos.kind, FluidKind::Ocean);
+    }
+
+    /// `test_atmosphere` builds, field for field, the miniature that
+    /// tests and the tour used to shrink from the paper preset by hand.
+    #[test]
+    fn test_atmosphere_is_the_hand_shrunk_preset() {
+        for (nx, ny, px, py) in [
+            (16, 8, 1, 1),
+            (16, 8, 2, 2),
+            (17, 8, 1, 1),
+            (32, 16, 1, 1),
+            (32, 16, 4, 2),
+        ] {
+            let d = Decomp::blocks(nx, ny, px, py, 3);
+            let mut by_hand = ModelConfig::atmosphere_2p8125(Decomp::blocks(128, 64, 1, 1, 3));
+            by_hand.grid = Grid::global(nx, ny, 5, 60.0, vec![2.0e4; 5]);
+            by_hand.decomp = d;
+            by_hand.dt = 600.0;
+            assert_eq!(
+                format!("{:?}", ModelConfig::test_atmosphere(nx, ny, d)),
+                format!("{by_hand:?}"),
+                "{nx}x{ny} on {px}x{py}"
+            );
+        }
     }
 
     #[test]

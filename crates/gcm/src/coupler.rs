@@ -281,12 +281,7 @@ mod tests {
     /// A pair on an `nx × ny` grid; `continents` puts land in the ocean.
     pub(super) fn pair_on(nx: usize, ny: usize, continents: bool) -> CoupledModel {
         let d = Decomp::blocks(nx, ny, 1, 1, 3);
-        // Miniature atmosphere: reuse the standard preset's physics on a
-        // small grid.
-        let mut acfg = ModelConfig::atmosphere_2p8125(Decomp::blocks(128, 64, 1, 1, 3));
-        acfg.grid = Grid::global(nx, ny, 5, 60.0, vec![2.0e4; 5]);
-        acfg.decomp = d;
-        acfg.dt = 600.0;
+        let acfg = ModelConfig::test_atmosphere(nx, ny, d);
         let mut ocfg = ModelConfig::test_ocean(nx, ny, 6, d);
         ocfg.grid = Grid::global(nx, ny, 6, 60.0, stretched_levels(6, 3000.0));
         ocfg.forcing = crate::config::SurfaceForcing::Coupled;

@@ -381,7 +381,6 @@ mod band_tests {
     use crate::config::SurfaceForcing;
     use crate::decomp::Decomp;
     use crate::field::Field3;
-    use crate::grid::Grid;
     use crate::kernel::fixtures::{cases, Case};
     use hyades_comms::SerialWorld;
 
@@ -576,9 +575,7 @@ mod band_tests {
         let mut ocean = ModelConfig::test_ocean(16, 8, 5, d);
         (ocean.forcing, ocean.continents, ocean.implicit_vertical) =
             (SurfaceForcing::Climatology, true, true);
-        let mut atmos = ModelConfig::atmosphere_2p8125(Decomp::blocks(128, 64, 1, 1, 3));
-        atmos.grid = Grid::global(17, 8, 5, 60.0, vec![2.0e4; 5]);
-        (atmos.decomp, atmos.dt) = (Decomp::blocks(17, 8, 1, 1, 3), 600.0);
+        let atmos = ModelConfig::test_atmosphere(17, 8, Decomp::blocks(17, 8, 1, 1, 3));
         for cfg in [ocean, atmos] {
             for mid in [-3, -1, 0, 1, 4, 7, 8, 11] {
                 let (mut split, mut whole) =

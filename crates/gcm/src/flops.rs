@@ -35,12 +35,6 @@ pub fn add(phase: Phase, n: u64) {
     }
 }
 
-/// Record work over `cells` cells at `per_cell` flops each.
-#[inline]
-pub fn add_cells(phase: Phase, cells: u64, per_cell: u64) {
-    add(phase, cells * per_cell);
-}
-
 /// Read the current counters (ps, ds).
 pub fn read() -> (u64, u64) {
     (PS_FLOPS.with(Cell::get), DS_FLOPS.with(Cell::get))
@@ -72,7 +66,7 @@ mod tests {
         reset();
         add(Phase::Ps, 100);
         add(Phase::Ds, 7);
-        add_cells(Phase::Ps, 10, 5);
+        add(Phase::Ps, 50);
         assert_eq!(read(), (150, 7));
         assert_eq!(reset(), (150, 7));
         assert_eq!(read(), (0, 0));

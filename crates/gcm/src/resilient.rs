@@ -1,6 +1,6 @@
 //! Checkpoint/rollback resilience for coupled runs.
 //!
-//! The Hyades fault model (crate `hyades-fault`) schedules rank crashes
+//! The Hyades fault model (`hyades_des::fault`) schedules rank crashes
 //! at specific coupled-model steps. This module gives the coupler a
 //! recovery discipline for them: a [`ResilientRunner`] checkpoints the
 //! full coupled state every K steps (K a multiple of the coupling
@@ -30,7 +30,7 @@
 use crate::coupler::CoupledModel;
 use crate::monitor::RunMonitor;
 use hyades_comms::CommWorld;
-use hyades_fault::FaultPlan;
+use hyades_des::fault::FaultPlan;
 use hyades_telemetry::{self as telemetry, flight};
 use std::collections::BTreeSet;
 
@@ -202,10 +202,7 @@ mod tests {
 
     fn pair() -> CoupledModel {
         let d = Decomp::blocks(16, 8, 1, 1, 3);
-        let mut acfg = ModelConfig::atmosphere_2p8125(Decomp::blocks(128, 64, 1, 1, 3));
-        acfg.grid = Grid::global(16, 8, 5, 60.0, vec![2.0e4; 5]);
-        acfg.decomp = d;
-        acfg.dt = 600.0;
+        let acfg = ModelConfig::test_atmosphere(16, 8, d);
         let mut ocfg = ModelConfig::test_ocean(16, 8, 6, d);
         ocfg.grid = Grid::global(16, 8, 6, 60.0, stretched_levels(6, 3000.0));
         ocfg.forcing = crate::config::SurfaceForcing::Coupled;

@@ -183,12 +183,6 @@ impl Topography {
         full + grid.dz[km - 1] * self.hfac(i, j, km - 1)
     }
 
-    /// Fraction of columns that are wet.
-    pub fn wet_fraction(&self) -> f64 {
-        let wet = self.kmax.iter().filter(|&&k| k > 0).count();
-        wet as f64 / self.kmax.len() as f64
-    }
-
     /// Total number of wet cells.
     pub fn wet_cells(&self) -> u64 {
         self.kmax.iter().map(|&k| k as u64).sum()
@@ -208,7 +202,6 @@ mod tests {
     fn aquaplanet_all_wet() {
         let g = grid();
         let t = Topography::aquaplanet(&g);
-        assert_eq!(t.wet_fraction(), 1.0);
         assert_eq!(t.wet_cells(), (128 * 64 * 5) as u64);
         assert!(t.wet(0, 0, 4));
         assert!(!t.wet(0, 0, 5));
@@ -236,8 +229,9 @@ mod tests {
         let g = grid();
         let t = Topography::idealized_continents(&g);
         // Land exists.
-        assert!(t.wet_fraction() < 1.0);
-        assert!(t.wet_fraction() > 0.6, "mostly ocean");
+        let wet = t.kmax.iter().filter(|&&k| k > 0).count() as f64 / t.kmax.len() as f64;
+        assert!(wet < 1.0);
+        assert!(wet > 0.6, "mostly ocean");
         // Southern-ocean row is circumpolar (all wet): pick a row near
         // -60° latitude.
         let j_south = (0..64)

@@ -11,7 +11,7 @@
 //! | `unwrap-in-lib`         | `des`/`comms`/`arctic`/`telemetry`/`cluster` non-test lib code | `.unwrap()` / `.expect(` (baseline burndown) |
 //! | `float-reduce-unordered`| everywhere (tests too)                  | `.sum()`/`.product()`/`.fold()` over hash or `par_` iterators |
 //! | `partial-cmp-unwrap`    | lib code, non-test                      | `partial_cmp(..).unwrap()` — use `total_cmp`   |
-//! | `float-sort-unstable`   | `gcm`, `perf`                           | `sort_unstable_by*` with a float comparator    |
+//! | `float-sort-unstable`   | `crates/gcm/`, `crates/core/src/perf/`  | `sort_unstable_by*` with a float comparator    |
 //! | `schedule-no-tiebreak`  | event-ordering crates, lib code         | `BinaryHeap::push` keys without a `seq` tie-break |
 //! | `collective-divergence` | whole-program ([`crate::uniform`])      | a collective reachable under a rank-dependent condition, or branch arms with unequal collective sequences |
 //!
@@ -432,11 +432,15 @@ fn pass_partial_cmp_unwrap(ctx: &FileCtx<'_>, out: &mut Vec<Raw>) {
     }
 }
 
-/// R8: unstable sorts keyed on floats in the numerical crates: tie
-/// order is implementation-defined, and a refactor away from a panic on
-/// NaN. The observatory/telemetry sorters use stable sorts + `total_cmp`.
+/// R8: unstable sorts keyed on floats in the numerical code — the GCM
+/// and the performance model (`core::perf`): tie order is
+/// implementation-defined, and a refactor away from a panic on NaN. The
+/// observatory/telemetry sorters use stable sorts + `total_cmp`.
 fn pass_float_sort_unstable(ctx: &FileCtx<'_>, out: &mut Vec<Raw>) {
-    if !matches!(ctx.scope.crate_name.as_deref(), Some("gcm" | "perf")) {
+    if !["crates/gcm/", "crates/core/src/perf/"]
+        .iter()
+        .any(|dir| ctx.rel_path.starts_with(dir))
+    {
         return;
     }
     for i in 0..ctx.code.len() {
@@ -664,7 +668,7 @@ mod tests {
             rules_hit("crates/gcm/src/kernel/k.rs", src),
             vec![F32_IN_GCM]
         );
-        assert!(rules_hit("crates/perf/src/x.rs", src).is_empty());
+        assert!(rules_hit("crates/core/src/perf/x.rs", src).is_empty());
         assert!(rules_hit("crates/gcm/tests/t.rs", src).is_empty());
     }
 
@@ -773,30 +777,38 @@ mod tests {
     fn partial_cmp_unwrap_in_lib_flagged() {
         let src = "fn f(a: f64, b: f64) { xs.sort_by(|x, y| x.partial_cmp(y).unwrap()); }\n";
         assert_eq!(
-            rules_hit("crates/perf/src/x.rs", src),
+            rules_hit("crates/core/src/perf/x.rs", src),
             vec![PARTIAL_CMP_UNWRAP]
         );
         // Tests and non-src files are exempt (assertion helpers).
-        assert!(rules_hit("crates/perf/tests/t.rs", src).is_empty());
+        assert!(rules_hit("crates/core/tests/t.rs", src).is_empty());
         let test_src = format!("#[cfg(test)]\nmod t {{\n{src}}}\n");
-        assert!(rules_hit("crates/perf/src/x.rs", &test_src).is_empty());
+        assert!(rules_hit("crates/core/src/perf/x.rs", &test_src).is_empty());
     }
 
     #[test]
-    fn float_sort_unstable_scoped_to_numerical_crates() {
+    fn float_sort_unstable_scoped_to_numerical_code() {
         let src = "xs.sort_unstable_by(|a, b| a.total_cmp(b));\n";
         assert_eq!(
             rules_hit("crates/gcm/src/x.rs", src),
-            vec![FLOAT_SORT_UNSTABLE]
-        );
-        assert_eq!(
-            rules_hit("crates/perf/src/x.rs", src),
             vec![FLOAT_SORT_UNSTABLE]
         );
         assert!(rules_hit("crates/arctic/src/x.rs", src).is_empty());
         // Non-float comparator is fine.
         let by_id = "xs.sort_unstable_by(|a, b| a.id.cmp(&b.id));\n";
         assert!(rules_hit("crates/gcm/src/x.rs", by_id).is_empty());
+    }
+
+    #[test]
+    fn float_sort_unstable_covers_the_performance_model() {
+        // The model is a module of `core`, so the scope is its directory,
+        // not a crate name; the rest of `core` stays out.
+        let src = "xs.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(Equal));\n";
+        assert_eq!(
+            rules_hit("crates/core/src/perf/x.rs", src),
+            vec![FLOAT_SORT_UNSTABLE]
+        );
+        assert!(rules_hit("crates/core/src/tour.rs", src).is_empty());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//@path crates/perf/src/golden/partial_cmp.rs
+//@path crates/core/src/perf/golden/partial_cmp.rs
 // partial-cmp-unwrap: NaN-partial comparators in library code.
 
 fn sort_scores(xs: &mut Vec<f64>) {

@@ -9,8 +9,8 @@ use crate::recovery::{RecoveryCounters, RecoveryEvent};
 use hyades_arctic::network::{ArcticNetwork, Delivered, Inject};
 use hyades_arctic::packet::{Packet, Priority};
 use hyades_des::event::Payload;
+use hyades_des::fault::{FaultPlan, RetryPolicy};
 use hyades_des::{Actor, ActorId, Ctx, SimDuration, SimTime, Simulator};
-use hyades_fault::{FaultPlan, RetryPolicy};
 use std::any::Any;
 
 /// One node's attachment to the fabric.

@@ -40,7 +40,7 @@
 //!   sequence number and NAKs a corrupt data packet with `RETRY(seq)`;
 //! * every blocking wait on the sender side (WaitAck, WaitDone) is
 //!   guarded by a timeout with capped exponential backoff
-//!   ([`hyades_fault::RetryPolicy`]): a missing ACK resends the REQ, a
+//!   ([`hyades_des::fault::RetryPolicy`]): a missing ACK resends the REQ, a
 //!   missing DONE sends a PROBE that the receiver answers with either
 //!   `RETRY(next_seq)` (stream incomplete) or a resent DONE;
 //! * each retransmitted control message travels under its own tag base
@@ -719,7 +719,7 @@ pub fn bandwidth_sweep(host: HostParams, cfg: ViConfig) -> Vec<TransferMeasureme
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hyades_fault::FaultPlan;
+    use hyades_des::fault::FaultPlan;
 
     #[test]
     fn analytic_curve_matches_figure_7_anchors() {

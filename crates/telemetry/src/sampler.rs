@@ -142,11 +142,6 @@ impl SampleSet {
             .find(|(k, _)| k.component == component && k.entity == entity && k.metric == metric)
             .map(|(_, s)| s)
     }
-
-    /// Number of distinct series.
-    pub fn n_series(&self) -> usize {
-        self.series.len()
-    }
 }
 
 thread_local! {
@@ -280,7 +275,6 @@ mod tests {
         );
         let set = take().expect("installed");
         assert!(!installed());
-        assert_eq!(set.n_series(), 2);
         let keys: Vec<&str> = set.iter().map(|(k, _)| k.entity.as_str()).collect();
         assert_eq!(keys, ["l0.w0.p2", "l0.w1.p2"], "BTreeMap key order");
         let s = set.get("arctic.link", "l0.w1.p2", "occ").unwrap();

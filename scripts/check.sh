@@ -132,7 +132,8 @@ awk '/^\[E[0-9]+\]/ { section = $1 }
     target/experiments.txt
 
 # Printed, not gated: the count every CHANGES.md entry quotes for ROADMAP
-# aim 2. `tests` is each file's lines from its first `#[cfg(test)]` on.
+# aim 2. `tests` is each file's lines from its first `#[cfg(test)]` on;
+# the closing `workspace` row sums the crates and counts them.
 echo "==> line ledger (crate: total lines, of which tests)"
 for crate in crates/*/; do
     find "$crate" -name '*.rs' -exec awk -v crate="$(basename "$crate")" '
@@ -140,6 +141,7 @@ for crate in crates/*/; do
         /#\[cfg\(test\)\]/ { in_tests = 1 }
         { total++; tests += in_tests }
         END { printf "    %-10s %6d %6d\n", crate, total, tests }' {} +
-done
+done | awk '{ print; crates++; total += $2; tests += $3 }
+    END { printf "    %-10s %6d %6d  (%d crates)\n", "workspace", total, tests, crates }'
 
 echo "All checks passed."

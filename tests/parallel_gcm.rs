@@ -186,10 +186,7 @@ fn coupled_pair_runs_on_eight_threads_and_matches_serial() {
     use hyades::gcm::grid::{stretched_levels, Grid};
 
     fn pair(d: Decomp) -> CoupledModel {
-        let mut acfg = ModelConfig::atmosphere_2p8125(Decomp::blocks(128, 64, 1, 1, 3));
-        acfg.grid = Grid::global(32, 16, 5, 60.0, vec![2.0e4; 5]);
-        acfg.decomp = d;
-        acfg.dt = 600.0;
+        let acfg = ModelConfig::test_atmosphere(32, 16, d);
         let mut ocfg = ModelConfig::test_ocean(32, 16, 6, d);
         ocfg.grid = Grid::global(32, 16, 6, 60.0, stretched_levels(6, 3000.0));
         ocfg.forcing = hyades::gcm::config::SurfaceForcing::Coupled;
@@ -216,10 +213,7 @@ fn coupled_pair_runs_on_eight_threads_and_matches_serial() {
         let d = Decomp::blocks(32, 16, 4, 2, 3);
         // Build per-rank models directly (CoupledModel::new expects
         // matching tiles; rank comes from the world).
-        let mut acfg = ModelConfig::atmosphere_2p8125(Decomp::blocks(128, 64, 1, 1, 3));
-        acfg.grid = Grid::global(32, 16, 5, 60.0, vec![2.0e4; 5]);
-        acfg.decomp = d;
-        acfg.dt = 600.0;
+        let acfg = ModelConfig::test_atmosphere(32, 16, d);
         let mut ocfg = ModelConfig::test_ocean(32, 16, 6, d);
         ocfg.grid = Grid::global(32, 16, 6, 60.0, stretched_levels(6, 3000.0));
         ocfg.forcing = hyades::gcm::config::SurfaceForcing::Coupled;
