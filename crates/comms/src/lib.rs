@@ -24,8 +24,8 @@
 //!   serial backend and a real multi-threaded backend (`std::sync::mpsc`
 //!   channels + shared-memory reductions).
 //! * [`schedule`] — the exchange/gsum schedules reified as static
-//!   send/recv dependency graphs, proven deadlock-free and tag-unique by
-//!   `hyades-lint`'s `lint::schedule` analyzer.
+//!   send/recv dependency graphs, and `schedule::verify`, which proves
+//!   them deadlock-free and tag-unique.
 //! * [`mpistart`] — the general-purpose MPI layer comparison (§6): the
 //!   same algorithms through a portable library's per-message costs,
 //!   quantifying the "generality tax" the custom primitives avoid.

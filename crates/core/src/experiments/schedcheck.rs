@@ -3,7 +3,7 @@
 //! Two complementary checks on the paper's hand-scheduled communication
 //! layer. Statically, the 16-node halo exchange (§4.1) concatenated with
 //! the global-sum butterfly (§4.2) is reified as a [`CommGraph`] and
-//! proven deadlock-free and tag-unique by `lint::schedule`. Dynamically,
+//! proven deadlock-free and tag-unique by [`verify`]. Dynamically,
 //! a live 16-rank [`ThreadWorld`] run of the same primitives is recorded
 //! through the telemetry comm log and replayed through the vector-clock
 //! happens-before checker in `telemetry::matcher`, which must find every
@@ -12,13 +12,12 @@
 //! [`CommGraph`]: hyades_comms::schedule::CommGraph
 //! [`ThreadWorld`]: hyades_comms::world::ThreadWorld
 
-use hyades_comms::schedule::{exchange_graph, gsum_graph};
+use hyades_comms::schedule::{exchange_graph, gsum_graph, verify, ScheduleProof};
 use hyades_comms::world::{CommWorld, ThreadWorld};
-use hyades_lint::schedule as schedule_proof;
 use hyades_telemetry::{commlog, matcher};
 
 pub struct SchedCheckReport {
-    pub proof: schedule_proof::ScheduleProof,
+    pub proof: ScheduleProof,
     pub hb: matcher::HbReport,
 }
 
@@ -48,7 +47,7 @@ pub fn measure() -> SchedCheckReport {
     // Static side: the full 16-node schedule, exchange then butterfly.
     let mut g = exchange_graph(4, 4);
     g.append(&gsum_graph(16));
-    let proof = match schedule_proof::verify(&g) {
+    let proof = match verify(&g) {
         Ok(p) => p,
         Err(e) => panic!("static schedule verification failed: {e}"),
     };
@@ -75,13 +74,6 @@ pub fn run() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn combined_schedule_is_deadlock_free() {
-        let rep = measure();
-        assert_eq!(rep.proof.nodes, 16);
-        assert!(rep.proof.critical_depth >= 16);
-    }
 
     #[test]
     fn live_run_has_no_unordered_pairs() {

@@ -199,8 +199,6 @@ pub struct FlowReport {
     pub fns: Vec<FnEffect>,
     /// In `WORKSPACE_SINKS` order, then definition order.
     pub sinks: Vec<SinkResult>,
-    /// Qualified names of `lint:det-trusted` functions.
-    pub trusted: Vec<String>,
     /// (file, pragma line) of every valid, attached `det-trusted`
     /// pragma — counted against the pragma budget by `lint_workspace`.
     pub trusted_sites: Vec<(String, usize)>,
@@ -213,19 +211,6 @@ pub struct FlowReport {
 }
 
 impl FlowReport {
-    /// Count of (Det, DetModuloSeed, Nondet) functions.
-    pub fn effect_counts(&self) -> (usize, usize, usize) {
-        let mut c = (0usize, 0usize, 0usize);
-        for f in &self.fns {
-            match f.effect {
-                Effect::Det => c.0 += 1,
-                Effect::DetModuloSeed => c.1 += 1,
-                Effect::Nondet => c.2 += 1,
-            }
-        }
-        c
-    }
-
     /// Stable text rendering for golden tests: effect table, sink
     /// verdicts, findings.
     pub fn render_golden(&self) -> String {
@@ -531,11 +516,6 @@ pub(crate) fn analyze_ws(ws: &Workspace<'_>, sinks: &[SinkSpec]) -> FlowReport {
         })
         .collect();
     fns_out.sort_by(|a, z| (&a.qual, &a.file, a.line).cmp(&(&z.qual, &z.file, z.line)));
-    let mut trusted: Vec<String> = (0..n)
-        .filter(|&f| facts[f].trusted)
-        .map(|f| ws.fns[f].qual.clone())
-        .collect();
-    trusted.sort();
     findings.sort();
     findings.dedup();
     trusted_sites.sort();
@@ -545,7 +525,6 @@ pub(crate) fn analyze_ws(ws: &Workspace<'_>, sinks: &[SinkSpec]) -> FlowReport {
         call_edges: ws.call_edges(),
         fns: fns_out,
         sinks: sink_results,
-        trusted,
         trusted_sites,
         used_allow,
         findings,
@@ -614,7 +593,7 @@ mod tests {
         let r = one("crates/comms/src/flowdemo.rs", src, SINK_PUBLISH);
         assert!(r.findings.is_empty(), "{:?}", r.findings);
         assert_eq!(r.sinks[0].effect, Effect::Det);
-        assert_eq!(r.trusted, vec!["comms::flowdemo::stamp".to_string()]);
+        assert!(effect_of(&r, "comms::flowdemo::stamp").trusted);
         assert_eq!(
             r.trusted_sites,
             vec![("crates/comms/src/flowdemo.rs".to_string(), 1)]

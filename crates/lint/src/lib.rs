@@ -7,28 +7,26 @@
 //! depends on replayable runs). This crate enforces, mechanically, the
 //! coding rules that keep it that way — see [`rules`] for the table.
 //!
-//! Since PR 4 the engine is a real static-analysis layer: [`lexer`] is a
-//! hand-rolled Rust lexer (string/comment/raw-string aware, spans),
-//! [`passes`] the match-tree API rules are written against, and three
-//! whole-program analyzers go beyond per-file rules — [`schedule`]
-//! proves the comms exchange/gsum schedules deadlock-free and tag-unique
-//! statically (the dynamic counterpart, the vector-clock happens-before
-//! check over recorded ThreadWorld event streams, is
-//! `hyades_telemetry::matcher::check`), [`flow`] infers a
-//! determinism effect (`Det`/`DetModuloSeed`/`Nondet`) for every
-//! function over the workspace call graph and proves the declared sinks
-//! (reductions, exporters, traces) never reach `Nondet` code, and
-//! [`uniform`] (PR 9) proves SPMD collective uniformity: no
-//! rank-dependent branch, early exit, or loop bound can make one rank
-//! skip or repeat a blocking collective the others enter. [`graph`] is
-//! the one front end under all of it: each file lexed once, one function
-//! table, one resolved call graph ([`graph::Workspace`]).
+//! The engine is a static-analysis layer over the sources as text, and
+//! depends on no other workspace crate: [`lexer`] is a hand-rolled Rust
+//! lexer (string/comment/raw-string aware, spans), [`passes`] the
+//! match-tree API rules are written against, and two whole-program
+//! analyzers go beyond per-file rules — [`flow`] infers a determinism
+//! effect (`Det`/`DetModuloSeed`/`Nondet`) for every function over the
+//! workspace call graph and proves the declared sinks (reductions,
+//! exporters, traces) never reach `Nondet` code, and [`uniform`] proves
+//! SPMD collective uniformity: no rank-dependent branch, early exit, or
+//! loop bound can make one rank skip or repeat a blocking collective the
+//! others enter. [`graph`] is the one front end under both: each file
+//! lexed once, one function table, one resolved call graph
+//! ([`graph::Workspace`]).
 //!
 //! Runs two ways:
 //!
 //! * `cargo run -p hyades-lint` — prints `file:line: rule: message`
 //!   diagnostics, exits nonzero on violations (`--json` for a
-//!   machine-readable report);
+//!   machine-readable report, `--summary` for the one-line counts:
+//!   files, violations, effect-table functions, collective sites);
 //! * as a `#[test]` (`tests/lint_gate.rs` in the workspace root), so
 //!   plain `cargo test` enforces the rules in CI.
 
@@ -38,7 +36,6 @@ pub mod graph;
 pub mod lexer;
 pub mod passes;
 pub mod rules;
-pub mod schedule;
 pub mod uniform;
 
 pub use rules::{analyze, analyze_file, Finding};

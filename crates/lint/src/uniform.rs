@@ -205,17 +205,6 @@ pub struct FnUniform {
     pub verdict: &'static str,
 }
 
-/// Per-crate rollup for the E20 proof table.
-#[derive(Debug, Clone)]
-pub struct CrateProof {
-    pub crate_name: String,
-    pub fns_with_collectives: usize,
-    pub collective_sites: usize,
-    pub proven: usize,
-    pub trusted: usize,
-    pub findings: usize,
-}
-
 /// Everything the analysis produced, in deterministic order.
 pub struct UniformReport {
     pub functions: usize,
@@ -224,10 +213,6 @@ pub struct UniformReport {
     pub collective_sites: usize,
     /// Collective-bearing non-test functions, sorted by qualified name.
     pub fns: Vec<FnUniform>,
-    /// Per-crate proof rollup, sorted by crate name.
-    pub crates: Vec<CrateProof>,
-    /// Qualified names of `lint:uniform-trusted` functions.
-    pub trusted: Vec<String>,
     /// (file, pragma line) of every valid, attached `uniform-trusted`
     /// pragma — counted against the pragma budget by `lint_workspace`.
     pub trusted_sites: Vec<(String, usize)>,
@@ -240,22 +225,11 @@ pub struct UniformReport {
 
 impl UniformReport {
     /// Stable text rendering for golden tests: proof table per
-    /// collective-bearing function, per-crate rollup, findings.
+    /// collective-bearing function, then findings.
     pub fn render_golden(&self) -> String {
         let mut s = String::new();
         for f in &self.fns {
             s.push_str(&format!("fn {} sites={} {}\n", f.qual, f.sites, f.verdict));
-        }
-        for c in &self.crates {
-            s.push_str(&format!(
-                "crate {} fns={} sites={} proven={} trusted={} findings={}\n",
-                c.crate_name,
-                c.fns_with_collectives,
-                c.collective_sites,
-                c.proven,
-                c.trusted,
-                c.findings
-            ));
         }
         if self.findings.is_empty() {
             s.push_str("findings: none\n");
@@ -1240,7 +1214,6 @@ fn finish(st: State<'_, '_>, mut trusted_sites: Vec<(String, usize)>) -> Uniform
     let ws = st.ws;
     let n = ws.fns.len();
     let mut fns_out: Vec<FnUniform> = Vec::new();
-    let mut per_crate: BTreeMap<String, CrateProof> = BTreeMap::new();
     let mut collective_sites = 0usize;
     for f in 0..n {
         if ws.fns[f].is_test || !st.has_coll[f] {
@@ -1262,39 +1235,9 @@ fn finish(st: State<'_, '_>, mut trusted_sites: Vec<(String, usize)>) -> Uniform
             sites: st.sites[f],
             verdict,
         });
-        let crate_name =
-            ws.ctx(f)
-                .scope
-                .crate_name
-                .clone()
-                .unwrap_or_else(|| match file.split('/').next() {
-                    Some("src") => "hyades".to_string(),
-                    Some(seg) => seg.to_string(),
-                    None => "workspace".to_string(),
-                });
-        let row = per_crate.entry(crate_name.clone()).or_insert(CrateProof {
-            crate_name,
-            fns_with_collectives: 0,
-            collective_sites: 0,
-            proven: 0,
-            trusted: 0,
-            findings: 0,
-        });
-        row.fns_with_collectives += 1;
-        row.collective_sites += st.sites[f];
-        match verdict {
-            "uniform" => row.proven += 1,
-            "trusted" => row.trusted += 1,
-            _ => row.findings += 1,
-        }
     }
     fns_out.sort_by(|a, z| (&a.qual, &a.file, a.line).cmp(&(&z.qual, &z.file, z.line)));
 
-    let mut trusted: Vec<String> = (0..n)
-        .filter(|&f| st.trusted[f])
-        .map(|f| ws.fns[f].qual.clone())
-        .collect();
-    trusted.sort();
     trusted_sites.sort();
     let mut findings = st.findings;
     findings.sort();
@@ -1305,8 +1248,6 @@ fn finish(st: State<'_, '_>, mut trusted_sites: Vec<(String, usize)>) -> Uniform
         call_edges: ws.call_edges(),
         collective_sites,
         fns: fns_out,
-        crates: per_crate.into_values().collect(),
-        trusted,
         trusted_sites,
         used_allow: st.used_allow,
         findings,
@@ -1644,7 +1585,6 @@ pub fn report(world: &mut dyn CommWorld) {
 }
 "#);
         assert!(divergences(&r).is_empty(), "{:?}", r.findings);
-        assert_eq!(r.trusted, vec!["comms::t::report".to_string()]);
         assert_eq!(r.trusted_sites.len(), 1);
         let row = r.fns.iter().find(|f| f.qual == "comms::t::report").unwrap();
         assert_eq!(row.verdict, "trusted");
@@ -1693,7 +1633,6 @@ pub fn drive(world: &mut dyn CommWorld) {
         let a = run(src).render_golden();
         let b = run(src).render_golden();
         assert_eq!(a, b);
-        assert!(a.contains("fn comms::t::drive sites=1 uniform"), "{a}");
-        assert!(a.contains("crate comms fns=1 sites=1 proven=1"), "{a}");
+        assert_eq!(a, "fn comms::t::drive sites=1 uniform\nfindings: none\n");
     }
 }

@@ -44,9 +44,9 @@
 //!   missing DONE sends a PROBE that the receiver answers with either
 //!   `RETRY(next_seq)` (stream incomplete) or a resent DONE;
 //! * each retransmitted control message travels under its own tag base
-//!   (REQ2/ACK2/DONE2/PROBE/RETRY) so the static schedule proof in
-//!   `lint::schedule` keeps per-channel tag uniqueness, and duplicates
-//!   are idempotent by the dedup rules in `on_packet`.
+//!   (REQ2/ACK2/DONE2/PROBE/RETRY) so the static schedule proof,
+//!   `hyades_comms::schedule::verify`, keeps per-channel tag uniqueness,
+//!   and duplicates are idempotent by the dedup rules in `on_packet`.
 
 use crate::host::HostParams;
 use crate::msg::{bulk_packet, packet_bytes, packet_count};

@@ -28,6 +28,20 @@ fi
 lint_summary=$(grep '^hyades-lint: files=' target/lint-summary.txt)
 echo "    ${lint_summary#hyades-lint: } (report: target/lint-report.json)"
 
+# The analyser reads sources as text: it links no other workspace crate,
+# and nothing at run time links it.
+echo "==> crate graph: hyades-lint is a leaf, hyades does not depend on it"
+lint_deps=$(cargo tree --offline -p hyades-lint -e normal --prefix none | grep '^hyades' | grep -v '^hyades-lint ' || true)
+if [ -n "$lint_deps" ]; then
+    echo "hyades-lint depends on workspace crates:"
+    echo "$lint_deps"
+    exit 1
+fi
+if cargo tree --offline -p hyades -e normal | grep -q 'hyades-lint'; then
+    echo "hyades depends on hyades-lint"
+    exit 1
+fi
+
 echo "==> cargo test -q"
 cargo test -q
 
@@ -120,7 +134,7 @@ for example in quickstart ocean_gyre checkpoint_restart climate_atlas paleo_expe
     echo "    $example ok"
 done
 
-echo "==> reproduce_all (all 21 experiments: reports on stdout, reports + figure CSVs as artifacts)"
+echo "==> reproduce_all (every registered experiment: reports on stdout, reports + figure CSVs as artifacts)"
 cargo run -q --release --example reproduce_all -- --out target/experiments > target/experiments.txt
 tail -n 1 target/experiments.txt
 # Printed, not gated, like the comm_primitives values above: the two

@@ -569,31 +569,6 @@ fn recovery_exports_are_bit_identical_across_runs() {
     assert_ne!(a.diag_text, c.diag_text);
 }
 
-#[test]
-fn e17_effect_table_report_is_bit_identical_across_runs() {
-    // The interprocedural effect table is itself a published artefact
-    // (E17). The analysis walks sorted sources through BTree-ordered
-    // symbol tables, so rendering the whole report twice — symbol
-    // extraction, call-graph resolution, fixpoint, sink proof — must be
-    // byte-identical.
-    let a = hyades::experiments::detflow::run();
-    let b = hyades::experiments::detflow::run();
-    assert_eq!(a, b, "E17 effect-table report must replay byte-identically");
-    assert!(a.contains("nondet-reachable findings: 0"), "{a}");
-}
-
-#[test]
-fn e20_uniformity_proof_is_bit_identical_across_runs() {
-    // The SPMD uniformity proof table is a published artefact (E20).
-    // Taint joins are first-witness-wins over deterministic walk order,
-    // fixpoint rounds re-walk sorted sources, and the proof table is
-    // BTree-grouped — so the whole report must replay byte-identically.
-    let a = hyades::experiments::spmd::run();
-    let b = hyades::experiments::spmd::run();
-    assert_eq!(a, b, "E20 uniformity report must replay byte-identically");
-    assert!(a.contains("collective-divergence findings: 0"), "{a}");
-}
-
 /// FNV-1a over bytes.
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(FNV_OFFSET, |hash, &b| {
@@ -634,8 +609,8 @@ fn experiment_bundle_is_byte_identical_across_runs() {
     assert_eq!(a, b, "the experiment bundle must replay byte-identically");
     // One report an experiment and four with point data, no name twice.
     let mut names: Vec<String> = a.iter().map(|x| x.file_name()).collect();
-    assert_eq!(names.len(), 20 + 4);
+    assert_eq!(names.len(), 18 + 4);
     names.sort();
     names.dedup();
-    assert_eq!(names.len(), 20 + 4, "artifact file names must be unique");
+    assert_eq!(names.len(), 18 + 4, "artifact file names must be unique");
 }
