@@ -22,8 +22,8 @@
 //!   into NaN soup.
 //!
 //! Every rank calls [`RunMonitor::observe`] collectively (the reduction
-//! schedule is identical on all ranks whether or not anything is wrong
-//! locally), so a trip can never leave one rank stranded in a
+//! schedule is identical on all ranks, and on every step whether or not
+//! the sentinel trips), so a trip can never leave one rank stranded in a
 //! collective.
 
 use crate::driver::{Model, StepStats};
@@ -250,10 +250,9 @@ impl RunMonitor {
 
         // --- per-field extrema with owner attribution ---------------
         let s = &model.state;
-        let fields3: [(&Field3, &'static str, [&'static str; 6]); 5] = [
+        let fields3: [(&Field3, [&'static str; 6]); 5] = [
             (
                 &s.u,
-                "u",
                 [
                     "u_max",
                     "u_max_rank",
@@ -265,7 +264,6 @@ impl RunMonitor {
             ),
             (
                 &s.v,
-                "v",
                 [
                     "v_max",
                     "v_max_rank",
@@ -277,7 +275,6 @@ impl RunMonitor {
             ),
             (
                 &s.w,
-                "w",
                 [
                     "w_max",
                     "w_max_rank",
@@ -289,7 +286,6 @@ impl RunMonitor {
             ),
             (
                 &s.theta,
-                "theta",
                 [
                     "theta_max",
                     "theta_max_rank",
@@ -301,7 +297,6 @@ impl RunMonitor {
             ),
             (
                 &s.s,
-                "s",
                 [
                     "s_max",
                     "s_max_rank",
@@ -312,8 +307,8 @@ impl RunMonitor {
                 ],
             ),
         ];
-        for (f, _, cols) in &fields3 {
-            let e = extremes3(world, model, f, rank);
+        let extremes = fields3.map(|(f, _)| extremes3(world, model, f, rank));
+        for ((_, cols), e) in fields3.iter().zip(&extremes) {
             let (max_rank, max_k, _, _) = unpack_loc(e.max_tag);
             let (min_rank, min_k, _, _) = unpack_loc(e.min_tag);
             row.set(cols[0], e.max);
@@ -334,15 +329,9 @@ impl RunMonitor {
         // --- sentinel -----------------------------------------------
         // The non-finite scan + reduction runs every step on every rank
         // regardless of local state, so the collective schedule never
-        // diverges across ranks. The verdict branch below *does* issue
-        // extremes3 reductions conditionally, but every input to its
-        // condition is rank-uniform: `blame` and `speed` are global
-        // reductions, and `cfl_adv` / the sentinel thresholds derive
-        // from the replicated config. `lint::uniform` checks the rest
-        // of this schedule mechanically; this one branch carries an
-        // audited allow because the taint lattice tracks `model` and
-        // `self` wholesale and cannot see that `.cfg` / `.sentinel`
-        // are replicated (struct fields are not taint-tracked).
+        // diverges across ranks. The verdict issues no collective: a
+        // threshold trip blames the owner of the `u` / `v` extremes the
+        // loop above has already reduced onto every rank.
         let local_blame = first_non_finite(model, rank);
         let blame = world.global_min(local_blame.map_or(f64::INFINITY, |k| k as f64));
 
@@ -351,25 +340,22 @@ impl RunMonitor {
         telemetry::observe("gcm.monitor", "div_max", div_max);
         flight::crumb(step, rank, "monitor.step", stats.cg_iterations as u64);
 
-        // lint:allow(collective-divergence, condition inputs are global reductions or replicated config; see sentinel comment above)
+        let [eu, ev, ..] = &extremes;
         let verdict = if blame.is_finite() {
             let (field, k, gj, gi, owner) = unpack_blame(blame as u64);
             Some((BlowupKind::NonFinite, field, k, gj, gi, owner, f64::NAN))
         } else if self.sentinel.armed && speed > self.sentinel.max_speed {
             // Blame the owner of the fastest |u| or |v| cell.
-            let eu = extremes3(world, model, &s.u, rank);
-            let ev = extremes3(world, model, &s.v, rank);
             let (val, tag, field) =
                 if eu.max.abs().max(eu.min.abs()) >= ev.max.abs().max(ev.min.abs()) {
-                    pick_abs_extreme(&eu, 0)
+                    pick_abs_extreme(eu, 0)
                 } else {
-                    pick_abs_extreme(&ev, 1)
+                    pick_abs_extreme(ev, 1)
                 };
             let (owner, k, gj, gi) = unpack_loc(tag);
             Some((BlowupKind::Speed, field, k, gj, gi, owner, val))
         } else if self.sentinel.armed && cfl_adv > self.sentinel.max_cfl {
-            let eu = extremes3(world, model, &s.u, rank);
-            let (val, tag, field) = pick_abs_extreme(&eu, 0);
+            let (val, tag, field) = pick_abs_extreme(eu, 0);
             let (owner, k, gj, gi) = unpack_loc(tag);
             Some((BlowupKind::Cfl, field, k, gj, gi, owner, val))
         } else {
@@ -654,6 +640,77 @@ mod tests {
         assert_eq!(r.field, "u");
         assert_eq!((r.level, r.gi, r.gj), (0, 4, 4));
         assert_eq!(r.value, -2.0);
+    }
+
+    /// The one-rank world, recording the name of every primitive
+    /// collective it is asked for (`global_min` and the arg-reductions
+    /// arrive as `global_max` calls).
+    #[derive(Default)]
+    struct Recording(Vec<&'static str>);
+
+    impl CommWorld for Recording {
+        fn rank(&self) -> usize {
+            0
+        }
+        fn size(&self) -> usize {
+            1
+        }
+        fn exchange(&mut self, outgoing: Vec<(usize, Vec<f64>)>) -> Vec<(usize, Vec<f64>)> {
+            self.0.push("exchange");
+            SerialWorld.exchange(outgoing)
+        }
+        fn global_sum_vec(&mut self, _xs: &mut [f64]) {
+            self.0.push("global_sum_vec");
+        }
+        fn global_max(&mut self, x: f64) -> f64 {
+            self.0.push("global_max");
+            x
+        }
+        fn barrier(&mut self) {
+            self.0.push("barrier");
+        }
+        fn gather(&mut self, data: Vec<f64>) -> Option<Vec<Vec<f64>>> {
+            self.0.push("gather");
+            Some(vec![data])
+        }
+    }
+
+    /// A trip on speed or on CFL issues exactly the collectives a quiet
+    /// step does: the verdict blames from the extremes every step has
+    /// already reduced.
+    #[test]
+    fn threshold_trips_issue_the_quiet_schedule() {
+        let mut m = small_model();
+        let mut stats = m.step(&mut SerialWorld);
+        m.state.u.set(4, 4, 0, -2.0);
+        stats.max_speed = 2.0;
+        let observe = |sentinel: SentinelConfig| {
+            let mut w = Recording::default();
+            let mut mon = RunMonitor::new("ocean", sentinel);
+            mon.observe(&mut w, &m, &stats);
+            (
+                w.0,
+                mon.blowup().map(|r| (r.kind, r.field, r.level, r.gi, r.gj)),
+            )
+        };
+        let (quiet, none) = observe(SentinelConfig {
+            armed: false,
+            ..SentinelConfig::default()
+        });
+        assert_eq!(none, None);
+        let (speed, speed_trip) = observe(SentinelConfig {
+            max_speed: 0.5,
+            ..SentinelConfig::default()
+        });
+        assert_eq!(speed_trip, Some((BlowupKind::Speed, "u", 0, 4, 4)));
+        let (cfl, cfl_trip) = observe(SentinelConfig {
+            max_cfl: 0.0,
+            ..SentinelConfig::default()
+        });
+        assert_eq!(cfl_trip, Some((BlowupKind::Cfl, "u", 0, 4, 4)));
+        assert!(quiet.len() > 10, "{quiet:?}");
+        assert_eq!(speed, quiet);
+        assert_eq!(cfl, quiet);
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! `nondet-reachable` itself is baselined so any accepted debt ratchets
 //! down, never up.
 
-use crate::graph::Workspace;
+use crate::graph::{self, Fixpoint, Workspace};
 use crate::lexer::TokKind;
 use crate::passes::{self, FileCtx};
 use crate::rules::{
@@ -385,9 +385,50 @@ fn fn_facts(
     }
 }
 
+/// The effect fixpoint's state: `effect(f) = max(intrinsic, max over
+/// callees)`; `via` remembers which callee last raised f, for witness
+/// chains.
+struct Effects<'w, 'a> {
+    ws: &'w Workspace<'a>,
+    facts: Vec<FnFlow>,
+    effect: Vec<Effect>,
+    via: Vec<Option<usize>>,
+    /// A callee's effect rose since the function was last evaluated.
+    dirty: Vec<bool>,
+}
+
+impl Fixpoint for Effects<'_, '_> {
+    fn dirty(&mut self) -> &mut [bool] {
+        &mut self.dirty
+    }
+
+    fn eval(&mut self, f: usize) {
+        if self.facts[f].trusted {
+            return;
+        }
+        for &g in &self.ws.callees[f] {
+            if self.effect[g] > self.effect[f] {
+                self.effect[f] = self.effect[g];
+                self.via[f] = Some(g);
+                for &caller in &self.ws.callers[f] {
+                    self.dirty[caller] = true;
+                }
+            }
+        }
+    }
+}
+
 /// Effect sources per function, the effect fixpoint over the workspace
 /// call graph, and the sink check.
 pub(crate) fn analyze_ws(ws: &Workspace<'_>, sinks: &[SinkSpec]) -> FlowReport {
+    run(ws, sinks, graph::sweep)
+}
+
+fn run<'w, 'a>(
+    ws: &'w Workspace<'a>,
+    sinks: &[SinkSpec],
+    fixpoint: fn(&mut Effects<'w, 'a>),
+) -> FlowReport {
     let n = ws.fns.len();
     let (mut findings, mut trusted_sites) =
         ws.audit_trust(&passes::DET_TRUSTED, |ctx| &ctx.trusted);
@@ -401,31 +442,21 @@ pub(crate) fn analyze_ws(ws: &Workspace<'_>, sinks: &[SinkSpec]) -> FlowReport {
         .map(|f| fn_facts(ws, f, &hash_names[ws.fns[f].file], &mut used_allow))
         .collect();
 
-    // Fixpoint: effect(f) = max(intrinsic, max over callees); `via`
-    // remembers which callee last raised f, for witness chains.
-    let mut effect: Vec<Effect> = facts
+    let effect = facts
         .iter()
         .map(|f| if f.trusted { Effect::Det } else { f.intrinsic })
         .collect();
-    let mut via: Vec<Option<usize>> = vec![None; n];
-    loop {
-        let mut changed = false;
-        for f in 0..n {
-            if facts[f].trusted {
-                continue;
-            }
-            for &g in &ws.callees[f] {
-                if effect[g] > effect[f] {
-                    effect[f] = effect[g];
-                    via[f] = Some(g);
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
+    let mut fx = Effects {
+        ws,
+        facts,
+        effect,
+        via: vec![None; n],
+        dirty: vec![true; n],
+    };
+    fixpoint(&mut fx);
+    let Effects {
+        facts, effect, via, ..
+    } = fx;
 
     let chain_of = |start: usize| -> Vec<usize> {
         let mut out = vec![start];
@@ -758,6 +789,75 @@ mod tests {
             effect_of(&r, "comms::flowdemo::bump").effect,
             Effect::Nondet
         );
+    }
+
+    /// Reference fixpoint: the round-robin the sweep replaced — evaluate
+    /// every function, round after round, until a whole round raises
+    /// nothing.
+    fn round_robin(fx: &mut Effects<'_, '_>) {
+        loop {
+            let mut changed = false;
+            for f in 0..fx.effect.len() {
+                if fx.facts[f].trusted {
+                    continue;
+                }
+                for &g in &fx.ws.callees[f] {
+                    if fx.effect[g] > fx.effect[f] {
+                        fx.effect[f] = fx.effect[g];
+                        fx.via[f] = Some(g);
+                        changed = true;
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_matches_the_round_robin() {
+        let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/flow");
+        let mut inputs: Vec<_> = std::fs::read_dir(&fixtures)
+            .expect("flow fixtures dir")
+            .map(|e| e.expect("dir entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+            .map(|p| {
+                let src = std::fs::read_to_string(&p).expect("fixture source");
+                let rel = src.lines().find_map(|l| l.strip_prefix("//@path "));
+                let rel = rel.expect("//@path").trim().to_string();
+                // `SinkSpec` holds `&'static str`s: leak the few a test
+                // run reads.
+                let sinks: Vec<SinkSpec> = src
+                    .lines()
+                    .filter_map(|l| l.strip_prefix("//@sink "))
+                    .map(|l| {
+                        let (name, what) = l.trim().split_once(' ').expect("//@sink name what");
+                        SinkSpec {
+                            name: String::leak(name.to_string()),
+                            path_hint: String::leak(rel.clone()),
+                            what: String::leak(what.to_string()),
+                        }
+                    })
+                    .collect();
+                (vec![(rel, src)], &*Vec::leak(sinks))
+            })
+            .collect();
+        assert!(inputs.len() >= 4, "flow fixture set went missing");
+        // And the one input deep and wide enough to need many sweeps.
+        let live = crate::collect_sources(&crate::workspace_root()).expect("live tree");
+        inputs.push((live, WORKSPACE_SINKS));
+        for (sources, sinks) in &inputs {
+            let ws = Workspace::build(sources);
+            let swept = run(&ws, sinks, graph::sweep);
+            let reference = run(&ws, sinks, round_robin);
+            assert_eq!(swept.render_golden(), reference.render_golden());
+            assert_eq!(swept.used_allow, reference.used_allow);
+            let chains = |r: &FlowReport| -> Vec<Vec<String>> {
+                r.sinks.iter().map(|k| k.chain.clone()).collect()
+            };
+            assert_eq!(chains(&swept), chains(&reference));
+        }
     }
 
     #[test]

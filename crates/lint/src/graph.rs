@@ -6,10 +6,11 @@
 //! call-site table ([`CallSite`]), then resolves every call site against
 //! the finished function table and records forward and reverse edges.
 //! [`crate::rules`] runs over `ws.files`, [`crate::flow`] scans the
-//! tokens each function owns for effect sources and runs its fixpoint
-//! over `ws.callees`, and [`crate::uniform`] interprets each body and
-//! looks its call sites up with [`Workspace::call_at`] — so a call site
-//! resolves to the same candidates for everyone.
+//! tokens each function owns for effect sources, and [`crate::uniform`]
+//! interprets each body and looks its call sites up with
+//! [`Workspace::call_at`] — so a call site resolves to the same
+//! candidates for everyone. Both whole-program analyses reach their
+//! fixpoint through the one [`sweep`].
 //!
 //! Resolution order: a bare `name(..)` narrows same-file → same-crate →
 //! workspace; `Type::name(..)` / `Self::name(..)` go through a
@@ -503,6 +504,34 @@ impl<'a> Workspace<'a> {
             }
         }
         (findings, sites)
+    }
+}
+
+/// A monotone fact per function, driven to its fixpoint one function
+/// evaluation at a time: [`crate::flow`]'s effects and
+/// [`crate::uniform`]'s taints.
+pub(crate) trait Fixpoint {
+    /// Per function: an input of its evaluation changed since it last
+    /// ran. An evaluation sets the flag of every function whose input it
+    /// changes.
+    fn dirty(&mut self) -> &mut [bool];
+    /// Evaluate function `f` against the current state.
+    fn eval(&mut self, f: usize);
+}
+
+/// The one fixpoint engine: sweep in function-index order until nothing
+/// is dirty. An evaluation whose inputs have not changed could only
+/// re-offer facts the state already holds — a no-op — so skipping it
+/// leaves the state-changing evaluations, and hence every witness, in
+/// plain round-robin order. The flag is read as the sweep reaches each
+/// function: one dirtied by a lower index is evaluated in the same sweep.
+pub(crate) fn sweep<F: Fixpoint>(st: &mut F) {
+    while st.dirty().contains(&true) {
+        for f in 0..st.dirty().len() {
+            if std::mem::take(&mut st.dirty()[f]) {
+                st.eval(f);
+            }
+        }
     }
 }
 

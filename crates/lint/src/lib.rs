@@ -10,7 +10,7 @@
 //! The engine is a static-analysis layer over the sources as text, and
 //! depends on no other workspace crate: [`lexer`] is a hand-rolled Rust
 //! lexer (string/comment/raw-string aware, spans), [`passes`] the
-//! match-tree API rules are written against, and two whole-program
+//! per-file token view rules are written against, and two whole-program
 //! analyzers go beyond per-file rules — [`flow`] infers a determinism
 //! effect (`Det`/`DetModuloSeed`/`Nondet`) for every function over the
 //! workspace call graph and proves the declared sinks (reductions,

@@ -1,14 +1,13 @@
-//! The match-tree pass API: everything a rule needs to see a file as a
-//! token sequence.
+//! Everything a rule needs to see a file as a token sequence.
 //!
 //! [`FileCtx`] owns one lexed file plus the derived facts rules keep
 //! asking for: where the file sits in the workspace ([`classify`]),
 //! which tokens are inside `#[cfg(test)]` regions, which lines carry
 //! code (for own-line pragma attribution), bracket matching, and parsed
 //! `lint:allow` pragmas. Rules then use the small combinators here —
-//! [`FileCtx::match_seq`] with [`Pat`] patterns, [`FileCtx::chain_back`]
-//! for method-chain receivers, [`FileCtx::bound_names`] for "names bound
-//! to type T" — instead of re-deriving structure from strings.
+//! [`FileCtx::chain_back`] for method-chain receivers,
+//! [`FileCtx::bound_names`] for "names bound to type T" — instead of
+//! re-deriving structure from strings.
 
 use crate::lexer::{lex, Tok, TokKind};
 use std::collections::BTreeSet;
@@ -118,18 +117,6 @@ impl TrustSpec {
     }
 }
 
-/// One token-matching step for [`FileCtx::match_seq`].
-pub enum Pat {
-    /// Exact token text (`"."`, `"("`, `"::"`, keyword, …).
-    Lit(&'static str),
-    /// An identifier with this exact name.
-    Ident(&'static str),
-    /// Any identifier.
-    AnyIdent,
-    /// A balanced `(…)` / `[…]` / `{…}` group, opener through closer.
-    Group,
-}
-
 /// A lexed file with the derived facts rules match against.
 pub struct FileCtx<'a> {
     pub rel_path: &'a str,
@@ -232,42 +219,6 @@ impl<'a> FileCtx<'a> {
             Some(&p) if p != usize::MAX => Some(p),
             _ => None,
         }
-    }
-
-    /// Match `pats` starting at token `start`; returns the index one
-    /// past the last matched token.
-    pub fn match_seq(&self, start: usize, pats: &[Pat]) -> Option<usize> {
-        let mut i = start;
-        for p in pats {
-            let t = self.code.get(i)?;
-            match p {
-                Pat::Lit(s) => {
-                    if t.text != *s {
-                        return None;
-                    }
-                    i += 1;
-                }
-                Pat::Ident(s) => {
-                    if !t.is_ident(s) {
-                        return None;
-                    }
-                    i += 1;
-                }
-                Pat::AnyIdent => {
-                    if t.kind != TokKind::Ident {
-                        return None;
-                    }
-                    i += 1;
-                }
-                Pat::Group => {
-                    if !matches!(t.text, "(" | "[" | "{") {
-                        return None;
-                    }
-                    i = self.bracket_partner(i)? + 1;
-                }
-            }
-        }
-        Some(i)
     }
 
     /// Skip a turbofish `::<…>` starting at `i`; returns the index after
@@ -613,10 +564,6 @@ mod tests {
         let close = ctx.bracket_partner(open).unwrap();
         assert_eq!(ctx.text(close), ")");
         assert_eq!(ctx.text(close + 1), ";");
-        let end = ctx
-            .match_seq(0, &[Pat::Ident("f"), Pat::Group, Pat::Lit(";")])
-            .unwrap();
-        assert_eq!(end, ctx.code.len());
     }
 
     #[test]

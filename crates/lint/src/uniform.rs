@@ -40,7 +40,9 @@
 //! on the branch line, or `// lint:uniform-trusted(why)` directly above
 //! a `fn` to exempt the whole function.
 
-use crate::graph::{body_open, call_open, starts_upper, RawCall, Workspace, KEYWORDS};
+use crate::graph::{
+    self, body_open, call_open, starts_upper, Fixpoint, RawCall, Workspace, KEYWORDS,
+};
 use crate::lexer::TokKind;
 use crate::passes::{self, FileCtx};
 use crate::rules::{Finding, COLLECTIVE_DIVERGENCE};
@@ -258,12 +260,24 @@ struct State<'w, 'a> {
     /// callee's return taint or has-collective bit — changed since the
     /// walk last ran.
     dirty: Vec<bool>,
-    /// Final walk only: count sites, check the control trees.
-    collecting: bool,
+    /// The control tree of each function's latest walk.
+    trees: Vec<Vec<Node>>,
     findings: Vec<Finding>,
     used_allow: BTreeSet<(String, usize)>,
-    sites: Vec<usize>,
     divergent: Vec<bool>,
+}
+
+impl Fixpoint for State<'_, '_> {
+    fn dirty(&mut self) -> &mut [bool] {
+        &mut self.dirty
+    }
+
+    fn eval(&mut self, fid: usize) {
+        // Test functions are never walked.
+        if !self.ws.fns[fid].is_test {
+            self.walk(fid);
+        }
+    }
 }
 
 impl State<'_, '_> {
@@ -289,9 +303,7 @@ impl State<'_, '_> {
         if let Some(wit) = ret {
             w.st.taint_ret(fid, wit);
         }
-        if w.st.collecting && !w.st.trusted[fid] {
-            w.check(&nodes, false, false, false);
-        }
+        w.st.trees[fid] = nodes;
     }
 
     fn taint_param(&mut self, f: usize, slot: usize, wit: &str) {
@@ -331,10 +343,10 @@ pub fn analyze(sources: &[(String, String)]) -> UniformReport {
 
 /// Taint fixpoint, then the uniformity check, over a built workspace.
 pub(crate) fn analyze_ws(ws: &Workspace<'_>) -> UniformReport {
-    run(ws, dirty_sweep)
+    run(ws, graph::sweep)
 }
 
-fn run(ws: &Workspace<'_>, fixpoint: fn(&mut State<'_, '_>)) -> UniformReport {
+fn run<'w, 'a>(ws: &'w Workspace<'a>, fixpoint: fn(&mut State<'w, 'a>)) -> UniformReport {
     let n = ws.fns.len();
     let (findings, trusted_sites) =
         ws.audit_trust(&passes::UNIFORM_TRUSTED, |ctx| &ctx.uniform_trusted);
@@ -354,36 +366,27 @@ fn run(ws: &Workspace<'_>, fixpoint: fn(&mut State<'_, '_>)) -> UniformReport {
         param_rd: ws.fns.iter().map(|f| vec![None; f.params.len()]).collect(),
         has_coll: vec![false; n],
         dirty: vec![true; n],
-        collecting: false,
+        trees: vec![Vec::new(); n],
         findings,
         used_allow: BTreeSet::new(),
-        sites: vec![0; n],
         divergent: vec![false; n],
     };
     fixpoint(&mut st);
-    // Final collecting walk: taints are stable, gather trees/findings.
-    st.collecting = true;
-    for fid in (0..n).filter(|&f| !ws.fns[f].is_test) {
-        st.walk(fid);
-    }
-    finish(st, trusted_sites)
-}
-
-/// Dirty-set sweep in function-index order, until nothing is dirty. A
-/// walk whose inputs have not changed would re-offer the same taints to
-/// slots that are already filled — a no-op — so skipping it leaves the
-/// state-changing walks, and hence every witness, in plain round-robin
-/// order. The dirty bit is read as the sweep reaches each function: one
-/// dirtied by a lower index is still walked in the same sweep.
-fn dirty_sweep(st: &mut State<'_, '_>) {
-    while st.dirty.contains(&true) {
-        for fid in 0..st.dirty.len() {
-            // Test functions are never walked.
-            if std::mem::take(&mut st.dirty[fid]) && !st.ws.fns[fid].is_test {
-                st.walk(fid);
+    // Each latest tree is final: with nothing dirty, a walk now would
+    // read the very inputs that walk read.
+    let trees = std::mem::take(&mut st.trees);
+    for (fid, tree) in trees.iter().enumerate() {
+        if !ws.fns[fid].is_test && !st.trusted[fid] {
+            let ctx = ws.ctx(fid);
+            Walk {
+                ctx,
+                st: &mut st,
+                fid,
             }
+            .check(tree, false, false, false);
         }
     }
+    finish(st, &trees, trusted_sites)
 }
 
 /// One function-body walk: statement/expression scan producing the
@@ -921,9 +924,6 @@ impl Walk<'_, '_, '_> {
         }
 
         if let Some(cat) = catalog(name) {
-            if self.st.collecting {
-                self.st.sites[self.fid] += 1;
-            }
             self.st.set_has_coll(self.fid);
             nodes.push(Node::Coll {
                 name: name.to_string(),
@@ -1028,6 +1028,19 @@ impl Walk<'_, '_, '_> {
     }
 
     // ---- uniformity check over the finished control tree ----
+
+    /// Direct collective call sites in a node list.
+    fn sites(nodes: &[Node]) -> usize {
+        nodes
+            .iter()
+            .map(|n| match n {
+                Node::Coll { .. } => 1,
+                Node::Branch { arms, .. } => arms.iter().map(|a| Self::sites(a)).sum(),
+                Node::Loop { body, .. } => Self::sites(body),
+                Node::CallColl { .. } | Node::Exit { .. } => 0,
+            })
+            .sum()
+    }
 
     /// Abstract collective-sequence signature of a node list.
     fn sig(nodes: &[Node]) -> String {
@@ -1209,13 +1222,17 @@ impl Walk<'_, '_, '_> {
     }
 }
 
-/// Assemble the report from the final fixpoint state.
-fn finish(st: State<'_, '_>, mut trusted_sites: Vec<(String, usize)>) -> UniformReport {
+/// Assemble the report from the final fixpoint state and trees.
+fn finish(
+    st: State<'_, '_>,
+    trees: &[Vec<Node>],
+    mut trusted_sites: Vec<(String, usize)>,
+) -> UniformReport {
     let ws = st.ws;
     let n = ws.fns.len();
     let mut fns_out: Vec<FnUniform> = Vec::new();
     let mut collective_sites = 0usize;
-    for f in 0..n {
+    for (f, tree) in trees.iter().enumerate() {
         if ws.fns[f].is_test || !st.has_coll[f] {
             continue;
         }
@@ -1227,12 +1244,13 @@ fn finish(st: State<'_, '_>, mut trusted_sites: Vec<(String, usize)>) -> Uniform
         } else {
             "uniform"
         };
-        collective_sites += st.sites[f];
+        let sites = Walk::sites(tree);
+        collective_sites += sites;
         fns_out.push(FnUniform {
             qual: ws.fns[f].qual.clone(),
             file: file.to_string(),
             line: ws.fns[f].line,
-            sites: st.sites[f],
+            sites,
             verdict,
         });
     }
@@ -1318,9 +1336,43 @@ pub fn drive(world: &mut dyn CommWorld) {
 
     /// Regression: the capped round-robin stopped after eleven rounds, so
     /// with callers defined before callees a chain this deep reported
-    /// nothing. The witness must survive any depth.
+    /// nothing. The witness must survive any depth — carried up as a
+    /// return taint, and carried up as a has-collective bit: there the
+    /// caller's first walk sees no collective under its guard, so the
+    /// finding shows only if the check reads the caller's latest tree.
     #[test]
     fn return_taint_crosses_a_call_chain_of_any_depth() {
+        for depth in [4, 14, 40] {
+            let mut src = String::from(
+                "pub fn drive(world: &mut dyn CommWorld) {\n    \
+                     if world.rank() > 0 {\n        g0(world);\n    }\n}\n",
+            );
+            for k in 1..depth {
+                src += &format!(
+                    "fn g{}(world: &mut dyn CommWorld) {{\n    g{k}(world);\n}}\n",
+                    k - 1
+                );
+            }
+            src += &format!(
+                "fn g{}(world: &mut dyn CommWorld) {{\n    world.barrier();\n}}\n",
+                depth - 1
+            );
+            let r = run(&src);
+            let d = divergences(&r);
+            assert_eq!(d.len(), 1, "depth {depth}: {:?}", r.findings);
+            assert_eq!(d[0].line, 2);
+            for part in [
+                "fn `comms::t::drive`: collective `@comms::t::g0` (line 3)",
+                "guarded by a rank-dependent condition (line 2)",
+                "tainted by `.rank` at crates/comms/src/t.rs:2",
+            ] {
+                assert!(
+                    d[0].message.contains(part),
+                    "depth {depth}: {}",
+                    d[0].message
+                );
+            }
+        }
         for depth in [4, 14, 40] {
             let mut src = String::from(
                 "pub fn drive(world: &mut dyn CommWorld) {\n    \
@@ -1415,7 +1467,7 @@ pub fn drive(world: &mut dyn CommWorld) {
         inputs.push(crate::collect_sources(&crate::workspace_root()).expect("live tree"));
         for sources in &inputs {
             let ws = Workspace::build(sources);
-            let swept = super::run(&ws, dirty_sweep);
+            let swept = super::run(&ws, graph::sweep);
             let reference = super::run(&ws, walk_everything_until_stable);
             assert_eq!(swept.render_golden(), reference.render_golden());
             assert_eq!(swept.used_allow, reference.used_allow);

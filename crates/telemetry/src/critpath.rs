@@ -23,8 +23,10 @@
 //! * **reduce-round joins**: every participant's end waits for the
 //!   last-entering participant's start plus its own charged cost.
 //!
-//! A forward pass computes earliest times and the critical predecessor
-//! of every node; a backward pass computes latest times, hence per-rank
+//! A forward pass walks the events in the order the matcher executed
+//! them ([`matcher::MatchedRun::order`], a topological order of the
+//! DAG) and computes earliest times and the critical predecessor of
+//! every node; a backward pass computes latest times, hence per-rank
 //! **slack** — how much that rank could slow before the path moves.
 //! Everything is integer-picosecond arithmetic on charged simulated
 //! time, so the report is byte-identical across same-seed double runs.
@@ -34,7 +36,7 @@
 //! before a step's communication if they are to be attributed.
 
 use crate::commlog::Stamped;
-use crate::matcher::{self, MatchError};
+use crate::matcher::{self, Executed, MatchError};
 use crate::recorder::Phase;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -107,8 +109,6 @@ struct Op {
     latest_start_ps: u64,
     latest_end_ps: u64,
     pred: Pred,
-    /// Generation for `Reduce` ops.
-    generation: u64,
 }
 
 /// One hop of the rendered critical path.
@@ -259,7 +259,6 @@ pub fn analyze(
                     latest_start_ps: u64::MAX,
                     latest_end_ps: u64::MAX,
                     pred: Pred::Local,
-                    generation: 0,
                 });
                 prev_local_end = s.at_ps;
             }
@@ -268,10 +267,7 @@ pub fn analyze(
                 .unwrap_or_else(|| panic!("op opened above for event {}", s.op));
             match s.ev {
                 crate::commlog::CommEvent::Recv { .. } => op.kind = OpKind::Exchange,
-                crate::commlog::CommEvent::Reduce { generation } => {
-                    op.kind = OpKind::Reduce;
-                    op.generation = generation;
-                }
+                crate::commlog::CommEvent::Reduce { .. } => op.kind = OpKind::Reduce,
                 crate::commlog::CommEvent::Send { .. } => {}
             }
             map.push(rank_ops.len() - 1);
@@ -308,123 +304,76 @@ pub fn analyze(
         }
     }
 
-    // Forward pass: earliest start/end per op, in a replay-style
-    // round-robin (the matcher already proved the schedule completes).
-    // `cursor[r]` is the first unresolved op; starts are known for ops
-    // 0..=cursor[r].
+    // Forward pass: earliest start/end per op, in the order the matcher
+    // executed the run. An op starts at its first event, where its
+    // rank's previous op has ended; it ends at its last event — once
+    // every incoming message is in — or, for a reduction, at its round's
+    // join. `topo` keeps the nodes in that order for the backward pass.
     #[derive(Clone, Copy)]
     enum Node {
         Start(usize, usize),
         End(usize, usize),
     }
-    let mut cursor = vec![0usize; n];
     let mut topo: Vec<Node> = Vec::new();
-    for (r, rank_ops) in ops.iter_mut().enumerate() {
-        if let Some(first) = rank_ops.first_mut() {
-            first.start_ps = first.compute_in_ps;
-            topo.push(Node::Start(r, 0));
+    let mut events: Vec<(usize, usize)> = Vec::with_capacity(n);
+    for step in &run.order {
+        events.clear();
+        match *step {
+            Executed::Event { rank, idx } => events.push((rank, idx)),
+            Executed::Join(ri) => events.extend(run.reductions[ri].at.iter().copied().enumerate()),
         }
-    }
-    let resolve = |ops: &mut Vec<Vec<Op>>,
-                   cursor: &mut Vec<usize>,
-                   topo: &mut Vec<Node>,
-                   r: usize,
-                   end: u64,
-                   pred: Pred| {
-        let i = cursor[r];
-        ops[r][i].end_ps = end;
-        ops[r][i].pred = pred;
-        topo.push(Node::End(r, i));
-        cursor[r] += 1;
-        if cursor[r] < ops[r].len() {
-            let next_in = ops[r][cursor[r]].compute_in_ps;
-            ops[r][cursor[r]].start_ps = end + next_in;
-            topo.push(Node::Start(r, cursor[r]));
-        }
-    };
-    loop {
-        let mut progressed = false;
-        for r in 0..n {
-            while cursor[r] < ops[r].len() {
-                let i = cursor[r];
-                let (kind, start, cost) = (ops[r][i].kind, ops[r][i].start_ps, ops[r][i].cost_ps);
-                match kind {
-                    OpKind::SendOnly => {
-                        resolve(
-                            &mut ops,
-                            &mut cursor,
-                            &mut topo,
-                            r,
-                            start + cost,
-                            Pred::Local,
-                        );
-                        progressed = true;
-                    }
-                    OpKind::Exchange => {
-                        if in_msgs[r][i].iter().any(|&(q, p, _, _)| p > cursor[q]) {
-                            break; // a sender has not posted its start yet
-                        }
-                        let mut end = start + cost;
-                        let mut pred = Pred::Local;
-                        for &(q, p, w, mi) in &in_msgs[r][i] {
-                            let cand = ops[q][p].start_ps + w;
-                            if cand > end {
-                                end = cand;
-                                pred = Pred::Msg {
-                                    src: q,
-                                    src_op: p,
-                                    msg: mi,
-                                };
-                            }
-                        }
-                        resolve(&mut ops, &mut cursor, &mut topo, r, end, pred);
-                        progressed = true;
-                    }
-                    OpKind::Reduce => break, // joins at the barrier below
-                }
+        for &(r, e) in &events {
+            let i = ev2op[r][e];
+            if e == 0 || ev2op[r][e - 1] != i {
+                let prev_end = if i == 0 { 0 } else { ops[r][i - 1].end_ps };
+                ops[r][i].start_ps = prev_end + ops[r][i].compute_in_ps;
+                topo.push(Node::Start(r, i));
             }
         }
-
-        // Reduce-round join: every rank's current op must be the round's
-        // member (the matcher guarantees a consistent global sequence).
-        let at_reduce =
-            (0..n).all(|r| cursor[r] < ops[r].len() && ops[r][cursor[r]].kind == OpKind::Reduce);
-        if at_reduce {
-            // Last-entering participant sets the join; smallest rank on
-            // ties, so the blame is deterministic.
-            let mut t_join = 0u64;
-            let mut who = 0usize;
-            for r in 0..n {
-                let s = ops[r][cursor[r]].start_ps;
+        // A join waits for the last-entering participant; smallest rank
+        // on ties, so the blame is deterministic.
+        let join = matches!(step, Executed::Join(_)).then(|| {
+            let (mut t_join, mut who) = (0u64, 0usize);
+            for &(r, e) in &events {
+                let s = ops[r][ev2op[r][e]].start_ps;
                 if s > t_join {
                     t_join = s;
                     who = r;
                 }
             }
-            let who_op = cursor[who];
-            for r in 0..n {
-                let cost = ops[r][cursor[r]].cost_ps;
-                let pred = if r == who {
-                    Pred::Local
-                } else {
-                    Pred::Round {
-                        src: who,
-                        src_op: who_op,
-                    }
-                };
-                resolve(&mut ops, &mut cursor, &mut topo, r, t_join + cost, pred);
+            (t_join, who, ev2op[who][events[who].1])
+        });
+        for &(r, e) in &events {
+            let i = ev2op[r][e];
+            if ev2op[r].get(e + 1) == Some(&i) {
+                continue; // the op has events still to run
             }
-            progressed = true;
-        }
-
-        if !progressed {
-            break;
+            let op = &ops[r][i];
+            let (end, pred) = match join {
+                Some((t_join, who, _)) if who == r => (t_join + op.cost_ps, Pred::Local),
+                Some((t_join, src, src_op)) => (t_join + op.cost_ps, Pred::Round { src, src_op }),
+                None => {
+                    let mut end = op.start_ps + op.cost_ps;
+                    let mut pred = Pred::Local;
+                    for &(q, p, w, mi) in &in_msgs[r][i] {
+                        let cand = ops[q][p].start_ps + w;
+                        if cand > end {
+                            end = cand;
+                            pred = Pred::Msg {
+                                src: q,
+                                src_op: p,
+                                msg: mi,
+                            };
+                        }
+                    }
+                    (end, pred)
+                }
+            };
+            ops[r][i].end_ps = end;
+            ops[r][i].pred = pred;
+            topo.push(Node::End(r, i));
         }
     }
-    assert!(
-        (0..n).all(|r| cursor[r] == ops[r].len()),
-        "forward pass stalled on a schedule the matcher replayed"
-    );
 
     // Makespan: latest earliest-end over every rank's last op.
     let total_path_ps = (0..n)

@@ -23,7 +23,11 @@
 //!
 //! The replay order is fixed, so every output — match indices, ordinals,
 //! round memberships, [`HbReport::render`] — is byte-stable across
-//! same-input runs (enforced in `tests/determinism.rs`).
+//! same-input runs (enforced in `tests/determinism.rs`). The order
+//! itself is an output too ([`MatchedRun::order`]): every event in the
+//! order the replay executed it, a topological order of the run's
+//! happens-before graph that the critical-path profiler walks instead of
+//! replaying the logs a second time.
 
 use crate::commlog::CommEvent;
 use std::collections::{BTreeMap, VecDeque};
@@ -65,6 +69,16 @@ pub struct ReduceRound {
     pub at: Vec<usize>,
 }
 
+/// One step of the replay, in the order it executed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Executed {
+    /// Rank `rank`'s send or receive at event index `idx`.
+    Event { rank: usize, idx: usize },
+    /// The join of reduction round `n` (an index into
+    /// [`MatchedRun::reductions`]): every rank's `Reduce` at once.
+    Join(usize),
+}
+
 /// Everything the replay matched, in replay order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MatchedRun {
@@ -73,6 +87,9 @@ pub struct MatchedRun {
     pub events: usize,
     pub messages: Vec<MatchedMessage>,
     pub reductions: Vec<ReduceRound>,
+    /// Every event once, as the replay executed it: a send before its
+    /// receive, and a rank's events in log order.
+    pub order: Vec<Executed>,
 }
 
 /// The happens-before verdict on a replayed run: counts plus any
@@ -187,6 +204,7 @@ pub fn replay(progs: &[Vec<CommEvent>]) -> Result<MatchedRun, MatchError> {
     let mut sent_on: BTreeMap<(usize, usize), usize> = BTreeMap::new();
     let mut messages = Vec::new();
     let mut reductions = Vec::new();
+    let mut order = Vec::new();
 
     loop {
         let mut progressed = false;
@@ -233,6 +251,10 @@ pub fn replay(progs: &[Vec<CommEvent>]) -> Result<MatchedRun, MatchError> {
                     }
                     CommEvent::Reduce { .. } => break, // needs everyone
                 }
+                order.push(Executed::Event {
+                    rank: r,
+                    idx: cursor[r],
+                });
                 cursor[r] += 1;
                 progressed = true;
             }
@@ -253,6 +275,7 @@ pub fn replay(progs: &[Vec<CommEvent>]) -> Result<MatchedRun, MatchError> {
                     detail: format!("ranks joined different generations {gens:?}"),
                 });
             }
+            order.push(Executed::Join(reductions.len()));
             reductions.push(ReduceRound {
                 generation: gens[0],
                 at: cursor.clone(),
@@ -308,6 +331,7 @@ pub fn replay(progs: &[Vec<CommEvent>]) -> Result<MatchedRun, MatchError> {
         events: progs.iter().map(Vec::len).sum(),
         messages,
         reductions,
+        order,
     })
 }
 
@@ -342,6 +366,15 @@ mod tests {
         assert_eq!(run.reductions.len(), 1);
         assert_eq!(run.reductions[0].generation, 0);
         assert_eq!(run.reductions[0].at, vec![1, 1]);
+        // The send runs before its receive, the join after both.
+        assert_eq!(
+            run.order,
+            vec![
+                Executed::Event { rank: 0, idx: 0 },
+                Executed::Event { rank: 1, idx: 0 },
+                Executed::Join(0),
+            ]
+        );
     }
 
     #[test]

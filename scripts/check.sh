@@ -113,6 +113,13 @@ awk '$1 ~ /^comms\.thread_(exchange|gsum)_per_s$/ { printf "    cluster_tour %-3
     $1 ~ /^core\.(tour|diag|critpath|resilient)_s$/ { printf "    cluster_tour %-33s %8.3f s\n", $1, $2 }' \
     target/hbench-cluster_tour-traced.txt
 
+# And from one traced lint pass: the time of each measured analyser
+# stage (`lint.rules_s` is the remainder of the pass, not a stage).
+cargo run --release --offline --quiet --manifest-path hbench/Cargo.toml -- \
+    --workload lint_tree --seconds 3 --trace 1 > target/hbench-lint_tree-traced.txt
+awk '$1 ~ /^lint\.(collect|flow|uniform)_s$/ { printf "    lint_tree %-36s %8.4f s\n", $1, $2 }' \
+    target/hbench-lint_tree-traced.txt
+
 echo "==> tour (the four core::tour runs, one artifact bundle, three verdicts)"
 cargo run -q --release --example tour > target/tour.txt
 tail -n 1 target/tour.txt
@@ -146,13 +153,15 @@ awk '/^\[E[0-9]+\]/ { section = $1 }
     target/experiments.txt
 
 # Printed, not gated: the count every CHANGES.md entry quotes for ROADMAP
-# aim 2. `tests` is each file's lines from its first `#[cfg(test)]` on;
-# the closing `workspace` row sums the crates and counts them.
+# aim 2. `tests` is every line of a file under a `tests/` directory, and
+# each other file's lines from the first line that starts with
+# `#[cfg(test)]` on; the closing `workspace` row sums the crates and
+# counts them.
 echo "==> line ledger (crate: total lines, of which tests)"
 for crate in crates/*/; do
     find "$crate" -name '*.rs' -exec awk -v crate="$(basename "$crate")" '
-        FNR == 1 { in_tests = 0 }
-        /#\[cfg\(test\)\]/ { in_tests = 1 }
+        FNR == 1 { in_tests = (FILENAME ~ /\/tests\//) }
+        /^[ \t]*#\[cfg\(test\)\]/ { in_tests = 1 }
         { total++; tests += in_tests }
         END { printf "    %-10s %6d %6d\n", crate, total, tests }' {} +
 done | awk '{ print; crates++; total += $2; tests += $3 }
