@@ -12,28 +12,34 @@
 //! roles reverse. A 4-neighbor tile therefore performs 8 sequential
 //! transfer legs per field.
 //!
-//! This module decides *which* legs run. Each leg is the one simulated VI
-//! transfer, [`hyades_startx::vi::ExchangeNode`]'s REQ → ACK → DATA →
-//! DONE envelope with its go-back-N recovery — the same leg Figure 7
-//! times.
+//! This module decides *which* legs run: it builds the exchange's
+//! [`CommGraph`], which the nodes run and `schedule::verify` proves. Each
+//! leg is the one simulated VI transfer,
+//! [`hyades_startx::vi::ExchangeNode`]'s REQ → ACK → DATA → DONE envelope
+//! with its go-back-N recovery — the same leg Figure 7 times.
 
 use hyades_des::fault::FaultPlan;
 use hyades_des::{SimDuration, SimTime};
-use hyades_startx::node::{run_nodes, Endpoint};
+use hyades_startx::node::{run_nodes, CommGraph};
 use hyades_startx::recovery::RecoveryCounters;
-use hyades_startx::vi::{ExchangeNode, PairPlan, Schedule, StartExchange, ViConfig};
+use hyades_startx::vi::{
+    exchange_round, ExchangeNode, LegMsg, StartExchange, ViConfig, EXCHANGE_LEG,
+    EXCHANGE_RECOVERY_LEG,
+};
 use hyades_startx::HostParams;
+use std::rc::Rc;
 
-/// Build the edge-colored schedule for a periodic `px × py` tile grid where
-/// every leg moves `bytes`. Rounds: x-pairs at even x, x-pairs at odd x,
-/// then the same in y (skipped when the dimension is 1).
-pub fn torus_schedule(px: u16, py: u16, bytes: u64) -> Vec<Schedule> {
+/// The edge-colored exchange of a periodic `px × py` tile grid with every
+/// transfer running `leg`. Rounds: x-pairs at even x, x-pairs at odd x,
+/// then the same in y (skipped when the dimension is 1); in each round
+/// every node is in one pair, whose two legs run in opposite directions.
+fn torus(px: u16, py: u16, leg: &[LegMsg]) -> CommGraph {
     for (extent, name) in [(px, "px"), (py, "py")] {
         let pairable = extent == 1 || (extent >= 2 && extent.is_multiple_of(2));
         assert!(pairable, "{name} must be even (or 1) for pairing");
     }
-    let n = usize::from(px * py);
-    let mut schedules: Vec<Schedule> = vec![Vec::new(); n];
+    let mut g = CommGraph::new(px * py);
+    let mut round = 0;
     // Pair along x, then along y: (tiles along the pairing axis, lanes
     // across it, the rank stride of each).
     for (len, lanes, step, lane_step) in [(px, py, 1, px), (py, px, px, 1)] {
@@ -45,25 +51,30 @@ pub fn torus_schedule(px: u16, py: u16, bytes: u64) -> Vec<Schedule> {
         // pair; the second round stays so both directions of halo move
         // (east and west edges are distinct data).
         for parity in 0..2u16 {
-            let mut round: Vec<Option<PairPlan>> = vec![None; n];
             for lane in 0..lanes {
                 for at in (parity..len).step_by(2) {
                     let (a, b) = (rank(at, lane), rank((at + 1) % len, lane));
-                    let plan = |partner, sends_first| PairPlan {
-                        partner,
-                        bytes,
-                        sends_first,
-                    };
-                    round[usize::from(a)] = Some(plan(b, true));
-                    round[usize::from(b)] = Some(plan(a, false));
+                    exchange_round(&mut g, a, b, round, leg);
                 }
             }
-            for (s, r) in schedules.iter_mut().zip(round) {
-                s.push(r);
-            }
+            round += 1;
         }
     }
-    schedules
+    g
+}
+
+/// The §4.1 exchange for a periodic `px × py` tile grid, the graph
+/// [`measure_exchange`] runs (the DATA stream is one enveloped message).
+pub fn exchange_graph(px: u16, py: u16) -> CommGraph {
+    torus(px, py, &EXCHANGE_LEG)
+}
+
+/// The exchange with every recovery leg exercised once per transfer.
+/// Verifying this graph proves the extended protocol keeps per-channel
+/// tag uniqueness and stays deadlock-free even when *every* retransmit
+/// path fires.
+pub fn exchange_recovery_graph(px: u16, py: u16) -> CommGraph {
+    torus(px, py, &EXCHANGE_RECOVERY_LEG)
 }
 
 /// Measurement: run one exchange over a `px × py` periodic tile grid with
@@ -87,16 +98,6 @@ pub fn measure_exchange_faulty(
     measure_exchange_inner(host, px, py, leg_bytes, Some(plan))
 }
 
-/// Builds each endpoint's node of a `px × py` exchange, with that
-/// endpoint's own schedule.
-fn exchange_nodes(px: u16, py: u16, leg_bytes: u64) -> impl FnMut(Endpoint) -> ExchangeNode {
-    let mut schedules = torus_schedule(px, py, leg_bytes);
-    move |ep| {
-        let schedule = std::mem::take(&mut schedules[usize::from(ep.me)]);
-        ExchangeNode::new(ep, schedule, ViConfig::default())
-    }
-}
-
 fn measure_exchange_inner(
     host: HostParams,
     px: u16,
@@ -104,13 +105,14 @@ fn measure_exchange_inner(
     leg_bytes: u64,
     plan: Option<&FaultPlan>,
 ) -> (SimDuration, RecoveryCounters) {
+    let graph = Rc::new(exchange_graph(px, py));
     let mut last = SimTime::ZERO;
     let mut recovery = RecoveryCounters::default();
     run_nodes(
         host,
         px * py,
         plan,
-        exchange_nodes(px, py, leg_bytes),
+        |ep| ExchangeNode::new(ep, Rc::clone(&graph), leg_bytes, ViConfig::default()),
         |_| StartExchange,
         |e, node: &ExchangeNode| {
             let f = node.finished;
@@ -129,9 +131,8 @@ mod tests {
     fn four_by_two_has_eight_legs() {
         // The 8-endpoint isomorph grid: 4 rounds × 2 legs each = 8
         // sequential transfers per node (4 neighbors).
-        let s = torus_schedule(4, 2, 256);
-        assert_eq!(s[0].len(), 4);
-        assert!(s.iter().all(|sched| sched.iter().all(|r| r.is_some())));
+        let g = exchange_graph(4, 2);
+        assert!(g.program.iter().all(|p| p.len() == 8 * EXCHANGE_LEG.len()));
     }
 
     #[test]

@@ -30,12 +30,13 @@ use hyades_arctic::packet::{f64_from_words, words_from_f64, Packet};
 use hyades_des::event::Payload;
 use hyades_des::fault::FaultPlan;
 use hyades_des::{Actor, Ctx, SimDuration, SimTime};
-use hyades_startx::node::{run_nodes, Endpoint, Guard, Timeout, Woken};
+use hyades_startx::node::{run_nodes, CommGraph, Dir, Endpoint, Guard, Msg, Op, Timeout, Woken};
 use hyades_startx::recovery::{RecoveryCounters, RecoveryEvent};
 use hyades_startx::HostParams;
 use hyades_telemetry as telemetry;
 use hyades_telemetry::flight;
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 /// Recovery tag bases (round values travel under their bare round index,
 /// so these start above any realistic `log2 N`).
@@ -65,6 +66,81 @@ pub(crate) fn classify(tag: u16) -> (TagKind, u32) {
     }
 }
 
+/// One partner's program for a butterfly round: a `Send` posts its own
+/// message of that kind, a `Recv` blocks on the partner's.
+type RoundOp = (Dir, TagKind);
+
+/// Send-then-recv on both sides: the posts never block, so the cross-wise
+/// receives always complete. [`GsumNode`] runs this round.
+const GSUM_ROUND: [RoundOp; 2] = [(Dir::Send, TagKind::Value), (Dir::Recv, TagKind::Value)];
+
+/// Both directions of the recovery protocol fired: post value and
+/// re-request (RETRY), answer the partner's re-request (RESEND), then
+/// block on the partner's value and resend. Every recv's matching send
+/// precedes it behind only non-blocking ops, so the interleaving is
+/// realizable and acyclic.
+const GSUM_RECOVERY_ROUND: [RoundOp; 6] = [
+    (Dir::Send, TagKind::Value),
+    (Dir::Send, TagKind::Retry),
+    (Dir::Recv, TagKind::Retry),
+    (Dir::Send, TagKind::Resend),
+    (Dir::Recv, TagKind::Value),
+    (Dir::Recv, TagKind::Resend),
+];
+
+/// The §4.2 butterfly for `n` nodes (`n` a power of two): `log2 n`
+/// rounds, partner `me ^ (1 << round)`, both partners running `side`.
+fn butterfly(n: u16, side: &[RoundOp]) -> CommGraph {
+    assert!(n.is_power_of_two(), "butterfly needs a power-of-two size");
+    let rounds = n.trailing_zeros() as u16;
+    assert!(
+        rounds < GSUM_RETRY_BASE,
+        "round index must stay below the recovery tag bases"
+    );
+    let mut g = CommGraph::new(n);
+    for round in 0..rounds {
+        for me in 0..n {
+            let p = me ^ (1 << round);
+            if me > p {
+                continue;
+            }
+            // The pair's two messages of each kind: `[from me, from p]`.
+            let mut msgs = [[0; 2]; 3];
+            for &(_, kind) in side.iter().filter(|op| op.0 == Dir::Send) {
+                let (base, name) = match kind {
+                    TagKind::Value => (0, "gsum.val"),
+                    TagKind::Retry => (GSUM_RETRY_BASE, "gsum.retry"),
+                    TagKind::Resend => (GSUM_RESEND_BASE, "gsum.resend"),
+                };
+                let tag = base + round;
+                msgs[kind as usize] = [g.msg(me, p, tag, name), g.msg(p, me, tag, name)];
+            }
+            for mine in [0, 1] {
+                for &(dir, kind) in side {
+                    match dir {
+                        Dir::Send => g.send(msgs[kind as usize][mine]),
+                        Dir::Recv => g.recv(msgs[kind as usize][1 - mine]),
+                    }
+                }
+            }
+        }
+    }
+    g
+}
+
+/// The §4.2 global-sum butterfly for `n` nodes, the graph
+/// [`measure_gsum`] runs.
+pub fn gsum_graph(n: u16) -> CommGraph {
+    butterfly(n, &GSUM_ROUND)
+}
+
+/// The butterfly with both directions of the recovery protocol fired in
+/// every round. Verifying it proves the recovery tags never alias a
+/// channel and the extended butterfly cannot deadlock.
+pub fn gsum_recovery_graph(n: u16) -> CommGraph {
+    butterfly(n, &GSUM_RECOVERY_ROUND)
+}
+
 /// Kick event: begin a global sum contributing `value`.
 pub struct StartGsum {
     pub value: f64,
@@ -81,16 +157,19 @@ enum SelfEv {
 /// Cost of the floating-point add + loop bookkeeping per round.
 const ADD_COST_US: f64 = 0.05;
 
-/// One participant in the butterfly.
+/// One participant in the butterfly: it runs its program of the
+/// [`gsum_graph`], one `GSUM_ROUND` after another, sending to and
+/// receiving from the partner each message names, under its tag.
 pub struct GsumNode {
     ep: Endpoint,
-    n: u16,
+    graph: Rc<CommGraph>,
+    /// Index in `graph.program[me]` of the op this node is at.
+    at: usize,
     /// Extra cost charged before the network phase (intra-SMP combine) and
     /// after it (intra-SMP broadcast) in mixed mode.
     pre_cost: SimDuration,
     post_cost: SimDuration,
 
-    round: u32,
     partial: f64,
     /// BTreeMap, not HashMap: keeps early-arrival bookkeeping free of
     /// hash-iteration order (lint rule `hash-iteration`).
@@ -112,13 +191,13 @@ pub struct GsumNode {
 impl GsumNode {
     /// `smp` charges the intra-SMP combine before the network phase and
     /// the broadcast after it (mixed mode, §4.2: "about 1 µs" in total).
-    pub(crate) fn new(ep: Endpoint, n: u16, smp: Option<SmpCosts>) -> Self {
+    pub(crate) fn new(ep: Endpoint, graph: Rc<CommGraph>, smp: Option<SmpCosts>) -> Self {
         GsumNode {
             ep,
-            n,
+            graph,
+            at: 0,
             pre_cost: smp.map_or(SimDuration::ZERO, |c| c.combine),
             post_cost: smp.map_or(SimDuration::ZERO, |c| c.broadcast),
-            round: 0,
             partial: 0.0,
             early: BTreeMap::new(),
             sent: Vec::new(),
@@ -131,19 +210,16 @@ impl GsumNode {
         }
     }
 
-    fn rounds(&self) -> u32 {
-        self.n.trailing_zeros()
+    /// The op this node is at and its message (`None` once done).
+    fn op(&self) -> Option<(Op, Msg)> {
+        let op = *self.graph.program[usize::from(self.ep.me)].get(self.at)?;
+        Some((op, self.graph.msgs[op.msg]))
     }
 
-    fn partner_of(&self, round: u32) -> u16 {
-        self.ep.me ^ (1u16 << round)
-    }
-
-    /// Send round `round`'s partial sum `value` to that round's partner.
-    fn send_value(&self, ctx: &mut Ctx<'_>, round: u32, base: u16, value: f64) {
-        let tag = base + round as u16;
-        self.ep
-            .send(ctx, self.partner_of(round), tag, words_from_f64(value));
+    /// The current round, read off the current op's tag; past every
+    /// round once done.
+    fn current_round(&self) -> u32 {
+        self.op().map_or(u32::MAX, |(_, m)| classify(m.tag).1)
     }
 
     /// Ask `dst` to resend its round-`round` value.
@@ -155,9 +231,9 @@ impl GsumNode {
     /// Accept an incoming round value (original or RESEND), with the
     /// `got`-set dedup making duplicates idempotent.
     fn accept_value(&mut self, round: u32, value: f64, ctx: &mut Ctx<'_>) {
-        if round < self.round || self.got.contains(&round) {
+        if round < self.current_round() || self.got.contains(&round) {
             self.recovery.bump(RecoveryEvent::StaleIgnored);
-        } else if round == self.round {
+        } else if round == self.current_round() {
             self.take_value(value, ctx);
         } else {
             // A fast partner ran ahead; stash until we get there.
@@ -168,7 +244,7 @@ impl GsumNode {
     /// The current round's value is here and this node is blocked on it:
     /// one status poll plus the PIO read of header+payload, then the add.
     fn take_value(&mut self, value: f64, ctx: &mut Ctx<'_>) {
-        let round = self.round;
+        let round = self.current_round();
         self.got.insert(round);
         self.guard.new_wait();
         ctx.wake_after(self.ep.recv_cost(), SelfEv::RxReady { round, value });
@@ -176,9 +252,9 @@ impl GsumNode {
 
     fn advance(&mut self, value: f64, ctx: &mut Ctx<'_>) {
         self.partial += value;
-        self.round += 1;
+        self.at += 1;
         let add = SimDuration::from_us_f64(ADD_COST_US);
-        if self.round == self.rounds() {
+        if self.op().is_none() {
             let done = ctx.now() + add + self.post_cost;
             self.finished = Some(done);
             self.result = Some(self.partial);
@@ -191,8 +267,9 @@ impl GsumNode {
                     done.since(started),
                 );
             }
-            telemetry::count("comms.gsum", "rounds", u64::from(self.rounds()));
-            flight::record(done, ctx.self_id(), "gsum.finished", u64::from(self.round));
+            let rounds = self.sent.len() as u64;
+            telemetry::count("comms.gsum", "rounds", rounds);
+            flight::record(done, ctx.self_id(), "gsum.finished", rounds);
         } else {
             // The add happens before the next send; fold its cost in by
             // delaying the send kick.
@@ -205,10 +282,6 @@ impl Actor for GsumNode {
     fn on_event(&mut self, ev: Payload, ctx: &mut Ctx<'_>) {
         match Woken::<StartGsum, SelfEv>::from(ev) {
             Woken::Start(s) => {
-                assert!(
-                    self.rounds() < u32::from(GSUM_RETRY_BASE),
-                    "round index must stay below the recovery tag bases"
-                );
                 assert!(self.started.is_none(), "a node runs one global sum");
                 self.partial = s.value;
                 self.started = Some(ctx.now());
@@ -219,14 +292,20 @@ impl Actor for GsumNode {
             Woken::Packet(pkt) => self.on_packet(pkt, ctx),
             Woken::Timeout(t) => self.on_timeout(&t, ctx),
             Woken::Own(SelfEv::RxReady { round, value }) => {
-                debug_assert_eq!(round, self.round);
+                debug_assert_eq!(round, self.current_round());
                 self.advance(value, ctx);
             }
             Woken::Own(SelfEv::SendRound) => {
-                debug_assert_eq!(self.sent.len(), self.round as usize);
+                let Some((op, m)) = self.op() else {
+                    panic!("node {}: no round left to send", self.ep.me);
+                };
+                debug_assert_eq!(op.dir, Dir::Send);
+                debug_assert_eq!(self.sent.len(), classify(m.tag).1 as usize);
                 self.sent.push(self.partial);
-                self.send_value(ctx, self.round, 0, self.partial);
-                if let Some(v) = self.early.remove(&self.round) {
+                self.ep
+                    .send(ctx, m.dst, m.tag, words_from_f64(self.partial));
+                self.at += 1;
+                if let Some(v) = self.early.remove(&self.current_round()) {
                     self.take_value(v, ctx);
                 } else {
                     // Now blocked on the partner: guard the wait.
@@ -263,7 +342,8 @@ impl GsumNode {
             TagKind::Retry => {
                 if let Some(&v) = self.sent.get(round as usize) {
                     self.recovery.bump(RecoveryEvent::ValueResend);
-                    self.send_value(ctx, round, GSUM_RESEND_BASE, v);
+                    let tag = GSUM_RESEND_BASE + round as u16;
+                    self.ep.send(ctx, pkt.src, tag, words_from_f64(v));
                 } else {
                     self.recovery.bump(RecoveryEvent::StaleIgnored);
                 }
@@ -273,22 +353,21 @@ impl GsumNode {
 
     /// The wait for the current round's value expired: re-request it.
     fn on_timeout(&mut self, t: &Timeout, ctx: &mut Ctx<'_>) {
-        if self.guard.is_stale(t) || self.finished.is_some() {
+        if self.guard.is_stale(t) {
             return; // stale guard from a wait that already resolved
         }
-        if self.got.contains(&self.round) {
+        let Some((_, m)) = self.op() else {
+            return; // finished
+        };
+        let round = self.current_round();
+        if self.got.contains(&round) {
             return; // value accepted, RxReady in flight
         }
-        self.guard.retry(
-            &mut self.recovery,
-            self.ep.me,
-            self.round,
-            "the round value",
-        );
+        self.guard
+            .retry(&mut self.recovery, self.ep.me, round, "the round value");
         self.recovery.bump(RecoveryEvent::Retry);
-        let round = u64::from(self.round);
-        flight::record(ctx.now(), ctx.self_id(), "gsum.retry", round);
-        self.send_retry(ctx, self.partner_of(self.round), self.round);
+        flight::record(ctx.now(), ctx.self_id(), "gsum.retry", u64::from(round));
+        self.send_retry(ctx, m.src, round);
         self.guard.arm(ctx);
     }
 }
@@ -363,13 +442,14 @@ fn measure_gsum_inner(
     plan: Option<&FaultPlan>,
 ) -> (GsumMeasurement, RecoveryCounters) {
     let n = values.len() as u16;
+    let graph = Rc::new(gsum_graph(n));
     let mut outcome = Outcome::default();
     let mut recovery = RecoveryCounters::default();
     run_nodes(
         host,
         n,
         plan,
-        |ep| GsumNode::new(ep, n, smp_step.then(SmpCosts::default)),
+        |ep| GsumNode::new(ep, Rc::clone(&graph), smp_step.then(SmpCosts::default)),
         |e| StartGsum {
             value: values[usize::from(e)],
         },
@@ -550,11 +630,12 @@ mod tests {
             let same = |o: &usize| o >> r == usize::from(me) >> r;
             (0..8).filter(same).map(|o| d[o]).sum()
         };
+        let graph = Rc::new(gsum_graph(8));
         run_nodes(
             HostParams::default(),
             8,
             None,
-            |ep| GsumNode::new(ep, 8, None),
+            |ep| GsumNode::new(ep, Rc::clone(&graph), None),
             |e| StartGsum {
                 value: d[usize::from(e)],
             },

@@ -12,7 +12,8 @@
 //! * [`exchange`] — the **optimized exchange** (§4.1): brings tile halo
 //!   regions into a consistent state with two sequential VI-mode transfers
 //!   per neighbor pair (a single transfer saturates PCI). This crate
-//!   decides which legs run; each leg *is* the one simulated VI transfer,
+//!   pairs the legs into the graph the nodes run; each leg *is* the one
+//!   simulated VI transfer,
 //!   `hyades_startx::vi::ExchangeNode` (chunked staging copies overlapped
 //!   with DMA, an 8.6 µs negotiation, go-back-N recovery), the transfer
 //!   whose bandwidth is Figure 7.
@@ -23,9 +24,9 @@
 //! * [`world`] — the `CommWorld` abstraction the GCM runs against, with a
 //!   serial backend and a real multi-threaded backend (`std::sync::mpsc`
 //!   channels + shared-memory reductions).
-//! * [`schedule`] — the exchange/gsum schedules reified as static
-//!   send/recv dependency graphs, and `schedule::verify`, which proves
-//!   them deadlock-free and tag-unique.
+//! * [`schedule`] — `schedule::verify`, which proves the exchange and
+//!   global-sum graphs deadlock-free and tag-unique: the very graphs
+//!   (`hyades_startx::node::CommGraph`) their simulated nodes run.
 //! * [`mpistart`] — the general-purpose MPI layer comparison (§6): the
 //!   same algorithms through a portable library's per-message costs,
 //!   quantifying the "generality tax" the custom primitives avoid.

@@ -3,9 +3,11 @@
 //! with cost monotone in the data volume — and, with the global sum,
 //! recover from randomised fault plans to the uninterrupted result.
 
-use hyades_comms::exchange::{measure_exchange, measure_exchange_faulty, torus_schedule};
+use hyades_comms::exchange::{exchange_graph, measure_exchange, measure_exchange_faulty};
 use hyades_comms::gsum::{measure_gsum, measure_gsum_faulty};
 use hyades_des::fault::FaultPlan;
+use hyades_startx::node::{CommGraph, Dir};
+use hyades_startx::vi::{classify, EXCHANGE_LEG};
 use hyades_startx::HostParams;
 use proptest::prelude::*;
 
@@ -44,8 +46,8 @@ proptest! {
         prop_assert!(a.as_us_f64() > 0.0);
         // Sanity upper bound: per leg, negotiation + stream at >10 MB/s
         // equivalent (very loose).
-        let rounds = torus_schedule(px, py, leg_bytes)[0].len() as f64;
-        let bound = rounds * 2.0 * (100.0 + leg_bytes as f64 / 10.0);
+        let legs = exchange_graph(px, py).program[0].len() / EXCHANGE_LEG.len();
+        let bound = legs as f64 * (100.0 + leg_bytes as f64 / 10.0);
         prop_assert!(a.as_us_f64() < bound, "{} vs bound {bound}", a.as_us_f64());
     }
 
@@ -93,25 +95,42 @@ proptest! {
         let large = measure_exchange(HostParams::default(), 4, 2, leg_bytes + extra);
         prop_assert!(large >= small, "{large} < {small}");
     }
+}
 
-    #[test]
-    fn schedule_is_a_perfect_matching_per_round(bytes in 1u64..1_000_000) {
-        // Every pairable grid shape up to 8 × 4, each time.
-        for (px, py) in [1u16, 2, 4, 8].into_iter().flat_map(|px| [1u16, 2, 4].map(|py| (px, py))) {
-            let n = (px * py) as usize;
-            let s = torus_schedule(px, py, bytes);
-            prop_assert_eq!(s.len(), n);
-            let rounds = s[0].len();
-            #[allow(clippy::needless_range_loop)]
-            for r in 0..rounds {
-                for me in 0..n {
-                    if let Some(plan) = s[me][r] {
-                        prop_assert_eq!(plan.bytes, bytes);
-                        let back = s[plan.partner as usize][r].expect("partner idle");
-                        prop_assert_eq!(back.partner as usize, me, "{}x{} round {}", px, py, r);
-                        prop_assert_ne!(back.sends_first, plan.sends_first);
-                    }
-                }
+/// Node `me`'s legs in `g`, in program order: (round, partner, whether
+/// `me` sends the leg).
+fn legs(g: &CommGraph, me: u16) -> Vec<(usize, u16, bool)> {
+    let program = &g.program[usize::from(me)];
+    program
+        .chunks(EXCHANGE_LEG.len())
+        .map(|leg| {
+            let req = g.msgs[leg[0].msg];
+            let (_, round) = classify(req.tag).expect("a leg opens with its REQ");
+            let sends = leg[0].dir == Dir::Send;
+            (round, if sends { req.dst } else { req.src }, sends)
+        })
+        .collect()
+}
+
+#[test]
+fn schedule_is_a_perfect_matching_per_round() {
+    // Every pairable grid shape up to 8 × 4: in each round every node
+    // runs two legs with one partner, first one way then the other, and
+    // the partner runs the same two legs with it.
+    for (px, py) in [1u16, 2, 4, 8]
+        .into_iter()
+        .flat_map(|px| [1u16, 2, 4].map(|py| (px, py)))
+    {
+        let g = exchange_graph(px, py);
+        let rounds = 2 * (u16::from(px > 1) + u16::from(py > 1));
+        for me in 0..px * py {
+            let mine = legs(&g, me);
+            assert_eq!(mine.len(), 2 * usize::from(rounds), "{px}x{py} node {me}");
+            for (k, pair) in mine.chunks(2).enumerate() {
+                let [(r1, p1, s1), (r2, p2, s2)] = [pair[0], pair[1]];
+                assert_eq!((r1, r2, p2, s2), (k, k, p1, !s1), "{px}x{py} node {me}");
+                let theirs = &legs(&g, p1)[2 * k..2 * k + 2];
+                assert_eq!(theirs, [(k, me, !s1), (k, me, s1)], "{px}x{py} round {k}");
             }
         }
     }

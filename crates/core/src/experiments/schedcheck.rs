@@ -9,10 +9,12 @@
 //! happens-before checker in `telemetry::matcher`, which must find every
 //! matched send/recv pair strictly ordered.
 //!
-//! [`CommGraph`]: hyades_comms::schedule::CommGraph
+//! [`CommGraph`]: hyades_startx::node::CommGraph
 //! [`ThreadWorld`]: hyades_comms::world::ThreadWorld
 
-use hyades_comms::schedule::{exchange_graph, gsum_graph, verify, ScheduleProof};
+use hyades_comms::exchange::exchange_graph;
+use hyades_comms::gsum::gsum_graph;
+use hyades_comms::schedule::{verify, ScheduleProof};
 use hyades_comms::world::{CommWorld, ThreadWorld};
 use hyades_telemetry::{commlog, matcher};
 

@@ -9,8 +9,7 @@ use std::any::Any;
 ///
 /// Components are registered with [`Simulator::add_actor`]; external stimulus
 /// is injected with [`Simulator::schedule`]; then the event loop is driven by
-/// [`Simulator::run`] (until the queue drains or an actor halts) or
-/// [`Simulator::run_until`].
+/// [`Simulator::run`] (until the queue drains or an actor halts).
 ///
 /// ```
 /// use hyades_des::{Actor, Ctx, SimDuration, SimTime, Simulator};
@@ -110,21 +109,6 @@ impl Simulator {
     /// Run until no events remain or an actor calls [`Ctx::halt`].
     pub fn run(&mut self) {
         while self.step() {}
-    }
-
-    /// Run while the next event is at or before `deadline`. Returns the
-    /// number of events dispatched.
-    pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        let start = self.dispatched;
-        while !self.halted {
-            match self.queue.next_time() {
-                Some(t) if t <= deadline => {
-                    self.step();
-                }
-                _ => break,
-            }
-        }
-        self.dispatched - start
     }
 
     /// Dispatch a single event. Returns false if the queue is empty or the
@@ -248,20 +232,6 @@ mod tests {
         sim.run();
         assert_eq!(sim.actor::<Counter>(early).count, 1);
         assert_eq!(sim.actor::<Counter>(later).count, 0);
-    }
-
-    #[test]
-    fn run_until_respects_deadline() {
-        let mut sim = Simulator::new();
-        let c = sim.add_actor(Counter { count: 0 });
-        for i in 0..10 {
-            sim.schedule(SimTime::from_ps(i * 1_000_000), c, ());
-        }
-        let n = sim.run_until(SimTime::from_ps(4_500_000));
-        assert_eq!(n, 5); // events at 0..=4 us
-        assert_eq!(sim.pending_events(), 5);
-        let n = sim.run_until(SimTime::from_ps(100_000_000));
-        assert_eq!(n, 5);
     }
 
     /// Appends its label to a shared log when an event reaches it.

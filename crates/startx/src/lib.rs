@@ -17,8 +17,9 @@
 //!   then streams at the 110 MByte/s PCI payload limit, giving the perceived
 //!   bandwidth curve of Figure 7. The transfer is simulated once, as one
 //!   leg of the §4.1 exchange ([`vi::ExchangeNode`]): Figure 7 times a
-//!   single leg, and `hyades-comms` schedules the exchange's legs.
-//! * **Protocol nodes** ([`node`], [`recovery`]) — the fabric endpoint,
+//!   single leg, and `hyades-comms` pairs the exchange's legs.
+//! * **Protocol nodes** ([`node`], [`recovery`]) — the communication graph
+//!   each node runs (the one `hyades-comms` proves), the fabric endpoint,
 //!   guarded wait, run harness and recovery counters that the VI leg and
 //!   the global sums of `hyades-comms` share.
 //! * **LogP harness** ([`logp`]) — ping-pong and overhead microbenchmarks

@@ -1,8 +1,10 @@
 //! What the simulated protocol nodes share — the VI leg here and the
-//! global sums of `hyades-comms`: the fabric endpoint (identity, host
-//! cost model, injection port, the PIO control send), the guarded wait of
-//! the two recovering protocols, and the harness that runs one node per
-//! endpoint on a fresh fabric.
+//! global sums of `hyades-comms`: the [`CommGraph`] a node runs (every
+//! message with its channel and tag, each node's program of sends and
+//! receives — the graph `hyades_comms::schedule::verify` proves), the
+//! fabric endpoint (identity, host cost model, injection port, the PIO
+//! control send), the guarded wait of the two recovering protocols, and
+//! the harness that runs one node per endpoint on a fresh fabric.
 
 use crate::host::HostParams;
 use crate::recovery::{RecoveryCounters, RecoveryEvent};
@@ -12,6 +14,122 @@ use hyades_des::event::Payload;
 use hyades_des::fault::{FaultPlan, RetryPolicy};
 use hyades_des::{Actor, ActorId, Ctx, SimDuration, SimTime, Simulator};
 use std::any::Any;
+
+/// One message of a [`CommGraph`]: a directed channel (`src` → `dst`)
+/// and the tag it travels under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Msg {
+    pub src: u16,
+    pub dst: u16,
+    pub tag: u16,
+    /// Sequenced inside a control envelope (e.g. the DATA stream between
+    /// ACK and DONE): the shared tag is exempt from per-channel tag
+    /// uniqueness because the envelope guarantees only one such stream is
+    /// in flight on the channel at a time.
+    pub enveloped: bool,
+    /// What the message is (`"exch.ack"`, `"gsum.val"`), for [`Msg::label`].
+    pub name: &'static str,
+}
+
+impl Msg {
+    /// Human-readable name, rendered only to report a failed proof or for
+    /// a test to read.
+    pub fn label(&self) -> String {
+        let Msg { src, dst, tag, .. } = self;
+        format!("{}.{src}->{dst} (tag {tag:#05x})", self.name)
+    }
+}
+
+/// Which side of a message an operation is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dir {
+    Send,
+    Recv,
+}
+
+/// One operation in a node's program: the `Dir` side of message `msg`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Op {
+    pub msg: usize,
+    pub dir: Dir,
+}
+
+/// A complete static schedule: messages plus each node's ordered program
+/// of send/recv operations. The protocol nodes run it, each with a cursor
+/// into its own program.
+#[derive(Debug, Clone, Default)]
+pub struct CommGraph {
+    pub n_nodes: u16,
+    pub msgs: Vec<Msg>,
+    /// `program[node]` = that node's operations, in execution order.
+    pub program: Vec<Vec<Op>>,
+}
+
+impl CommGraph {
+    pub fn new(n_nodes: u16) -> Self {
+        CommGraph {
+            n_nodes,
+            msgs: Vec::new(),
+            program: vec![Vec::new(); n_nodes as usize],
+        }
+    }
+
+    /// Declare a message without scheduling its operations (callers then
+    /// place `send`/`recv` explicitly to express interleavings).
+    pub fn msg(&mut self, src: u16, dst: u16, tag: u16, name: &'static str) -> usize {
+        assert!(src < self.n_nodes && dst < self.n_nodes && src != dst);
+        self.msgs.push(Msg {
+            src,
+            dst,
+            tag,
+            enveloped: false,
+            name,
+        });
+        self.msgs.len() - 1
+    }
+
+    /// Append the send side of `msg` to its source's program.
+    pub fn send(&mut self, m: usize) {
+        let src = self.msgs[m].src;
+        self.program[src as usize].push(Op {
+            msg: m,
+            dir: Dir::Send,
+        });
+    }
+
+    /// Append the recv side of `msg` to its destination's program.
+    pub fn recv(&mut self, m: usize) {
+        let dst = self.msgs[m].dst;
+        self.program[dst as usize].push(Op {
+            msg: m,
+            dir: Dir::Recv,
+        });
+    }
+
+    /// Declare a message and schedule both sides at the current end of
+    /// each endpoint's program (the common half-duplex case).
+    pub fn transfer(&mut self, src: u16, dst: u16, tag: u16, name: &'static str) -> usize {
+        let m = self.msg(src, dst, tag, name);
+        self.send(m);
+        self.recv(m);
+        m
+    }
+
+    /// Concatenate `other` after this graph: same nodes, every node's
+    /// program from `other` runs after its program here (the primitives
+    /// execute back to back on each rank).
+    pub fn append(&mut self, other: &CommGraph) {
+        assert_eq!(self.n_nodes, other.n_nodes, "appending mismatched graphs");
+        let offset = self.msgs.len();
+        self.msgs.extend_from_slice(&other.msgs);
+        for (mine, theirs) in self.program.iter_mut().zip(&other.program) {
+            mine.extend(theirs.iter().map(|op| Op {
+                msg: op.msg + offset,
+                dir: op.dir,
+            }));
+        }
+    }
+}
 
 /// One node's attachment to the fabric.
 pub struct Endpoint {

@@ -9,8 +9,7 @@
 //! that separates the paper's estimates (0.36/1.86 µs) from its measured
 //! LogP values (0.4/2.0 µs).
 
-use hyades_des::{SimDuration, SimTime};
-use hyades_telemetry as telemetry;
+use hyades_des::SimDuration;
 
 /// PIO register-access cost parameters.
 #[derive(Clone, Copy, Debug)]
@@ -68,38 +67,6 @@ impl PioCosts {
     }
 }
 
-/// Tracks when a (simulated) CPU becomes free. Protocol actors use this to
-/// serialize their own send/receive overheads: a single processor cannot
-/// overlap two PIO operations.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CpuClock {
-    free_at: SimTime,
-}
-
-impl CpuClock {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Occupy the CPU for `cost`, starting no earlier than `now`; returns
-    /// the completion time.
-    pub fn occupy(&mut self, now: SimTime, cost: SimDuration) -> SimTime {
-        let start = if now > self.free_at {
-            now
-        } else {
-            self.free_at
-        };
-        self.free_at = start + cost;
-        telemetry::observe_duration_us("startx.pio", "cpu_occupy_us", cost);
-        telemetry::observe_hist("startx.pio", "cpu_occupy_ps", cost.as_ps());
-        self.free_at
-    }
-
-    pub fn free_at(&self) -> SimTime {
-        self.free_at
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,19 +98,5 @@ mod tests {
         assert_eq!(PioCosts::accesses(9), 3);
         assert_eq!(PioCosts::accesses(64), 9);
         assert_eq!(PioCosts::accesses(88), 12);
-    }
-
-    #[test]
-    fn cpu_clock_serializes() {
-        let mut cpu = CpuClock::new();
-        let t0 = SimTime::ZERO;
-        let a = cpu.occupy(t0, SimDuration::from_us(2));
-        assert_eq!(a, SimTime::from_us_f64(2.0));
-        // Second op at t=1 must wait for the first to finish.
-        let b = cpu.occupy(SimTime::from_us_f64(1.0), SimDuration::from_us(3));
-        assert_eq!(b, SimTime::from_us_f64(5.0));
-        // An op after the CPU is idle starts immediately.
-        let c = cpu.occupy(SimTime::from_us_f64(10.0), SimDuration::from_us(1));
-        assert_eq!(c, SimTime::from_us_f64(11.0));
     }
 }

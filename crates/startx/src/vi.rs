@@ -22,11 +22,13 @@
 //! ## One simulated transfer
 //!
 //! The exchange of §4.1 is "two separate VI-mode transfers in opposite
-//! directions", so the DES model of a transfer is one leg of
-//! [`ExchangeNode`]'s schedule: REQ → ACK → DATA stream → DONE. Figure 7
-//! ([`measure_transfer`]) times a schedule of one leg up to the receiver's
-//! copy-out; `hyades-comms` builds the exchange's schedules out of the
-//! same legs.
+//! directions", so the DES model of a transfer is one leg of an exchange
+//! [`CommGraph`] as [`ExchangeNode`] runs it: the [`EXCHANGE_LEG`]
+//! template, REQ → ACK → DATA stream → DONE. Figure 7
+//! ([`measure_transfer`]) times the first leg of a one-round graph up to
+//! the receiver's copy-out; `hyades-comms` pairs the exchange's rounds
+//! ([`exchange_round`]) into the graph its nodes run and its schedule
+//! proof checks.
 //!
 //! ## Recovery (fault-injection subsystem)
 //!
@@ -45,12 +47,13 @@
 //!   `RETRY(next_seq)` (stream incomplete) or a resent DONE;
 //! * each retransmitted control message travels under its own tag base
 //!   (REQ2/ACK2/DONE2/PROBE/RETRY) so the static schedule proof,
-//!   `hyades_comms::schedule::verify`, keeps per-channel tag uniqueness,
-//!   and duplicates are idempotent by the dedup rules in `on_packet`.
+//!   `hyades_comms::schedule::verify` of the [`EXCHANGE_RECOVERY_LEG`]
+//!   graph, keeps per-channel tag uniqueness, and duplicates are
+//!   idempotent by the dedup rules in `on_packet`.
 
 use crate::host::HostParams;
 use crate::msg::{bulk_packet, packet_bytes, packet_count};
-use crate::node::{run_nodes, Endpoint, Guard, Timeout, Woken};
+use crate::node::{run_nodes, CommGraph, Endpoint, Guard, Msg, Op, Timeout, Woken};
 use crate::recovery::{RecoveryCounters, RecoveryEvent};
 use hyades_arctic::network::Inject;
 use hyades_arctic::packet::Packet;
@@ -59,6 +62,7 @@ use hyades_des::{Actor, Ctx, SimDuration, SimTime};
 use hyades_telemetry as telemetry;
 use hyades_telemetry::flight;
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 /// VI transfer configuration.
 #[derive(Clone, Copy, Debug)]
@@ -175,41 +179,73 @@ pub fn classify(tag: u16) -> Option<(TagKind, usize)> {
     Some((kind, usize::from(tag & TAG_ROUND_MASK)))
 }
 
-/// One pairing round of the exchange schedule.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PairPlan {
-    pub partner: u16,
-    pub bytes: u64,
-    /// Whether this node initiates the first transfer of the pair.
-    pub sends_first: bool,
+/// One message of an exchange leg: the tag it travels under in round 0,
+/// its name, and whether it runs back from the leg's receiver to its
+/// sender.
+pub type LegMsg = (u16, &'static str, bool);
+const FWD: bool = false;
+const BACK: bool = true;
+
+/// The fault-free leg, which [`ExchangeNode`] runs: a REQ → ACK →
+/// DATA-stream → DONE envelope.
+pub const EXCHANGE_LEG: [LegMsg; 4] = [
+    (TAG_REQ_BASE, "exch.req", FWD),
+    (TAG_ACK_BASE, "exch.ack", BACK),
+    (TAG_DATA, "exch.data", FWD),
+    (TAG_DONE_BASE, "exch.done", BACK),
+];
+
+/// The leg with every recovery message of the retransmit protocol fired
+/// once, in its worst-case serial order: REQ is resent (REQ2) and both are
+/// acknowledged (ACK, ACK2), the DATA stream runs, the sender PROBEs, the
+/// receiver NAKs with RETRY, the stream is rewound (a second DATA
+/// stream), and DONE is resent (DONE2) after the PROBE.
+pub const EXCHANGE_RECOVERY_LEG: [LegMsg; 10] = [
+    (TAG_REQ_BASE, "exch.req", FWD),
+    (TAG_REQ2_BASE, "exch.req2", FWD),
+    (TAG_ACK_BASE, "exch.ack", BACK),
+    (TAG_ACK2_BASE, "exch.ack2", BACK),
+    (TAG_DATA, "exch.data", FWD),
+    (TAG_PROBE_BASE, "exch.probe", FWD),
+    (TAG_RETRY_BASE, "exch.retry", BACK),
+    (TAG_DATA, "exch.data.rewind", FWD),
+    (TAG_DONE_BASE, "exch.done", BACK),
+    (TAG_DONE2_BASE, "exch.done2", BACK),
+];
+
+/// Append one pairing round of the §4.1 exchange to `g`: `a`'s leg to
+/// `b`, then `b`'s leg back to `a`, every message of `leg` in order.
+pub fn exchange_round(g: &mut CommGraph, a: u16, b: u16, round: usize, leg: &[LegMsg]) {
+    assert!(
+        round <= usize::from(TAG_ROUND_MASK),
+        "round index must fit the 7-bit tag field"
+    );
+    for (from, to) in [(a, b), (b, a)] {
+        for &(base, name, back) in leg {
+            let (src, dst) = if back { (to, from) } else { (from, to) };
+            // A DATA stream is one message, sequenced inside its
+            // envelope; everything else carries the round.
+            let data = base == TAG_DATA;
+            let tag = if data { base } else { base + round as u16 };
+            let m = g.transfer(src, dst, tag, name);
+            g.msgs[m].enveloped = data;
+        }
+    }
 }
 
-/// The full per-node schedule: one pairing per round (None = idle round,
-/// e.g. at non-periodic domain edges).
-pub type Schedule = Vec<Option<PairPlan>>;
-
-/// Per-node exchange state machine.
+/// Where a node is within the current leg.
 enum LegPhase {
-    /// Waiting to begin the round (or for the partner's REQ).
+    /// Waiting to begin the leg (or for the partner's REQ).
     Start,
-    /// Sender: REQ sent, waiting for ACK. Carries the leg parameters so
-    /// later phases never have to re-derive the plan from the schedule.
-    WaitAck { partner: u16, bytes: u64 },
-    /// Sender: streaming the leg's `bytes`; packet `seq` goes next.
-    Streaming { seq: u32, partner: u16, bytes: u64 },
-    /// Sender: all packets emitted, waiting for DONE. Carries the leg
-    /// parameters so a RETRY can rebuild the stream.
-    WaitDone { partner: u16, bytes: u64 },
+    /// Sender: REQ sent, waiting for ACK.
+    WaitAck,
+    /// Sender: streaming the leg's bytes; packet `seq` goes next.
+    Streaming { seq: u32 },
+    /// Sender: all packets emitted, waiting for DONE.
+    WaitDone,
     /// Receiver: ACK sent, accumulating the `expected` bytes of DATA in
     /// go-back-N order.
     Receiving { next_seq: u32, expected: u64 },
-}
-
-/// Which half of the round we are in.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Half {
-    First,
-    Second,
 }
 
 enum SelfEv {
@@ -221,22 +257,25 @@ enum SelfEv {
     RxDone,
 }
 
-/// One endpoint's run of a schedule of VI legs: in each round it sends
-/// one leg to its partner and receives one back (the order set by
-/// [`PairPlan::sends_first`]).
+/// One endpoint's run of an exchange [`CommGraph`]: its program is a
+/// sequence of [`EXCHANGE_LEG`]s, each sent to or received from the
+/// partner its messages name, under the tags they carry.
 pub struct ExchangeNode {
     ep: Endpoint,
     cfg: ViConfig,
-    schedule: Schedule,
-    round: usize,
-    half: Half,
+    graph: Rc<CommGraph>,
+    /// Bytes of every leg's DATA stream.
+    bytes: u64,
+    /// Index in `graph.program[me]` of the current leg's first op (the
+    /// program's length once every leg has run).
+    leg: usize,
     phase: LegPhase,
     /// REQs that arrived before this node entered the matching round.
     /// BTreeMap, not HashMap: hash-iteration order could differ between
     /// runs and leak into event ordering (lint rule `hash-iteration`).
     early_reqs: BTreeMap<u16, u64>,
     /// Rounds whose *receiving* leg this node has completed (a node
-    /// receives in exactly one half of each paired round), so a late
+    /// receives in exactly one leg of each paired round), so a late
     /// PROBE can be answered with a resent DONE.
     rx_done: BTreeSet<u16>,
     /// Guards every sender-side wait (WaitAck, WaitDone).
@@ -252,21 +291,18 @@ pub struct ExchangeNode {
     pub finished: Option<SimTime>,
 }
 
-/// Kick event: run the exchange schedule.
+/// Kick event: run the exchange.
 pub struct StartExchange;
 
 impl ExchangeNode {
-    pub fn new(ep: Endpoint, schedule: Schedule, cfg: ViConfig) -> Self {
-        assert!(
-            schedule.len() <= TAG_ROUND_MASK as usize,
-            "round index must fit the 7-bit tag field"
-        );
+    /// This endpoint's node of `graph`, every DATA stream `bytes` long.
+    pub fn new(ep: Endpoint, graph: Rc<CommGraph>, bytes: u64, cfg: ViConfig) -> Self {
         ExchangeNode {
             ep,
             cfg,
-            schedule,
-            round: 0,
-            half: Half::First,
+            graph,
+            bytes,
+            leg: 0,
             phase: LegPhase::Start,
             early_reqs: BTreeMap::new(),
             rx_done: BTreeSet::new(),
@@ -278,6 +314,40 @@ impl ExchangeNode {
         }
     }
 
+    fn program(&self) -> &[Op] {
+        &self.graph.program[usize::from(self.ep.me)]
+    }
+
+    /// The current leg's message of `kind` (`None` once every leg has run).
+    fn find_msg(&self, kind: TagKind) -> Option<Msg> {
+        let ops = self.program().get(self.leg..)?.iter();
+        ops.take(EXCHANGE_LEG.len())
+            .map(|op| self.graph.msgs[op.msg])
+            .find(|m| classify(m.tag).is_some_and(|(k, _)| k == kind))
+    }
+
+    /// The current leg's message of `kind`.
+    fn leg_msg(&self, kind: TagKind) -> Msg {
+        let me = self.ep.me;
+        self.find_msg(kind)
+            .unwrap_or_else(|| panic!("node {me}: no {kind:?} in the current leg"))
+    }
+
+    /// The current leg's round, read off its REQ; past every round once
+    /// every leg has run.
+    fn leg_round(&self) -> usize {
+        let req = self
+            .find_msg(TagKind::Req)
+            .and_then(|req| classify(req.tag));
+        req.map_or(usize::MAX, |(_, round)| round)
+    }
+
+    /// Whether this node sends the current leg.
+    fn sends(&self) -> bool {
+        self.find_msg(TagKind::Req)
+            .is_some_and(|req| req.src == self.ep.me)
+    }
+
     /// Accept the ACK/DONE the current wait was blocked on: disarm the
     /// timeout and act on it once the CPU has processed the message.
     fn accept_ctrl(&mut self, ctx: &mut Ctx<'_>) {
@@ -286,42 +356,31 @@ impl ExchangeNode {
         ctx.wake_after(self.ep.recv_cost(), SelfEv::Proceed);
     }
 
-    fn plan(&self) -> Option<PairPlan> {
-        self.schedule.get(self.round).copied().flatten()
+    /// Send the current leg's `kind` message, carrying `word`, `lead`
+    /// from now.
+    fn send_leg(&self, ctx: &mut Ctx<'_>, kind: TagKind, lead: SimDuration, word: u32) {
+        let m = self.leg_msg(kind);
+        debug_assert_eq!(m.src, self.ep.me, "node sends {}", m.label());
+        self.ep.send_after(ctx, lead, m.dst, m.tag, vec![word, 0]);
     }
 
-    /// Send the control message `base` of `round`, carrying `word`.
+    /// Send the recovery message `base` of `round`, carrying `word`.
     fn send_ctrl(&self, ctx: &mut Ctx<'_>, dst: u16, base: u16, round: usize, word: u32) {
         self.ep.send(ctx, dst, base + round as u16, vec![word, 0]);
     }
 
-    /// Am I the sender in the current half-round?
-    fn i_send_now(&self, plan: &PairPlan) -> bool {
-        match self.half {
-            Half::First => plan.sends_first,
-            Half::Second => !plan.sends_first,
-        }
-    }
-
-    fn begin_half(&mut self, ctx: &mut Ctx<'_>) {
+    fn begin_leg(&mut self, ctx: &mut Ctx<'_>) {
         self.guard.new_wait();
-        let Some(plan) = self.plan() else {
-            self.advance_round(ctx);
-            return;
-        };
-        if self.i_send_now(&plan) {
+        if self.sends() {
             // Sender leg: negotiate.
-            self.phase = LegPhase::WaitAck {
-                partner: plan.partner,
-                bytes: plan.bytes,
-            };
-            let word = plan.bytes as u32;
-            self.send_ctrl(ctx, plan.partner, TAG_REQ_BASE, self.round, word);
+            self.phase = LegPhase::WaitAck;
+            let word = self.bytes as u32;
+            self.send_leg(ctx, TagKind::Req, SimDuration::ZERO, word);
             self.guard.arm(ctx);
         } else {
             // Receiver leg: if the REQ already arrived, answer it now.
             self.phase = LegPhase::Start;
-            if let Some(bytes) = self.early_reqs.remove(&(self.round as u16)) {
+            if let Some(bytes) = self.early_reqs.remove(&(self.leg_round() as u16)) {
                 self.accept_req(bytes, ctx);
             }
         }
@@ -337,29 +396,23 @@ impl ExchangeNode {
         ctx.wake_after(self.ep.recv_cost(), SelfEv::Proceed);
     }
 
-    fn advance_half(&mut self, ctx: &mut Ctx<'_>) {
-        match self.half {
-            Half::First => {
-                self.half = Half::Second;
-                self.begin_half(ctx);
-            }
-            Half::Second => self.advance_round(ctx),
-        }
-    }
-
-    fn advance_round(&mut self, ctx: &mut Ctx<'_>) {
-        self.round += 1;
-        self.half = Half::First;
+    /// The current leg is over: move the cursor to the next one, or
+    /// finish.
+    fn next_leg(&mut self, ctx: &mut Ctx<'_>) {
+        let round = self.leg_round();
+        self.leg += EXCHANGE_LEG.len();
         self.phase = LegPhase::Start;
-        telemetry::count("comms.exchange", "rounds_completed", 1);
-        if self.round >= self.schedule.len() {
+        if self.leg_round() != round {
+            telemetry::count("comms.exchange", "rounds_completed", 1);
+        }
+        if self.leg >= self.program().len() {
             self.mark_finished(ctx);
         } else {
-            self.begin_half(ctx);
+            self.begin_leg(ctx);
         }
     }
 
-    /// Record completion: span over the whole schedule plus flight crumbs.
+    /// Record completion: span over the whole exchange plus flight crumbs.
     fn mark_finished(&mut self, ctx: &mut Ctx<'_>) {
         let (now, me) = (ctx.now(), u64::from(self.ep.me));
         self.finished = Some(now);
@@ -370,19 +423,15 @@ impl ExchangeNode {
         flight::record(now, ctx.self_id(), "exchange.finished", me);
     }
 
-    /// Enter the DATA stream of a `bytes` leg at packet `from_seq` (0, or
-    /// the rewind point of a RETRY): stage the first chunk (halo gather
-    /// into the VI region), kick the DMA, then emit paced packets. Later
+    /// Enter the DATA stream of the leg at packet `from_seq` (0, or the
+    /// rewind point of a RETRY): stage the first chunk (halo gather into
+    /// the VI region), kick the DMA, then emit paced packets. Later
     /// staging copies overlap the stream (copy bandwidth exceeds the PCI
     /// payload rate).
-    fn start_stream(&mut self, ctx: &mut Ctx<'_>, partner: u16, bytes: u64, from_seq: u32) {
-        self.phase = LegPhase::Streaming {
-            seq: from_seq,
-            partner,
-            bytes,
-        };
-        let lead =
-            self.ep.host.memcpy_time(bytes.min(self.cfg.chunk_bytes)) + self.ep.host.dma_kick;
+    fn start_stream(&mut self, ctx: &mut Ctx<'_>, from_seq: u32) {
+        self.phase = LegPhase::Streaming { seq: from_seq };
+        let first = self.bytes.min(self.cfg.chunk_bytes);
+        let lead = self.ep.host.memcpy_time(first) + self.ep.host.dma_kick;
         ctx.wake_after(lead, SelfEv::Emit);
     }
 
@@ -390,7 +439,7 @@ impl ExchangeNode {
     /// `round`'s leg right now.
     fn live_next_seq(&self, round: usize) -> Option<u32> {
         match &self.phase {
-            LegPhase::Receiving { next_seq, .. } if self.round == round => Some(*next_seq),
+            LegPhase::Receiving { next_seq, .. } if self.leg_round() == round => Some(*next_seq),
             _ => None,
         }
     }
@@ -405,10 +454,10 @@ impl Actor for ExchangeNode {
                 self.guard.new_wait();
                 let me = u64::from(self.ep.me);
                 flight::record(ctx.now(), ctx.self_id(), "exchange.start", me);
-                if self.schedule.is_empty() {
+                if self.program().is_empty() {
                     self.mark_finished(ctx);
                 } else {
-                    self.begin_half(ctx);
+                    self.begin_leg(ctx);
                 }
             }
             Woken::Packet(pkt) => self.on_packet(pkt, ctx),
@@ -419,11 +468,9 @@ impl Actor for ExchangeNode {
                 // Send DONE to the sender, then move on. Remember the
                 // completed receive so a late PROBE can be answered with a
                 // resent DONE after this node has moved past the round.
-                self.rx_done.insert(self.round as u16);
-                if let Some(plan) = self.plan() {
-                    self.send_ctrl(ctx, plan.partner, TAG_DONE_BASE, self.round, 0);
-                }
-                self.advance_half(ctx);
+                self.rx_done.insert(self.leg_round() as u16);
+                self.send_leg(ctx, TagKind::Done, SimDuration::ZERO, 0);
+                self.next_leg(ctx);
             }
         }
     }
@@ -438,11 +485,10 @@ impl ExchangeNode {
             // survive — the fault model flips payload bits only) so the
             // sender can rewind without waiting for a PROBE round-trip.
             self.recovery.bump(RecoveryEvent::CorruptDiscard);
-            if let (Some((TagKind::Data, _)), Some(next_seq)) =
-                (kind, self.live_next_seq(self.round))
-            {
+            let round = self.leg_round();
+            if let (Some((TagKind::Data, _)), Some(next_seq)) = (kind, self.live_next_seq(round)) {
                 self.recovery.bump(RecoveryEvent::Retry);
-                self.send_ctrl(ctx, pkt.src, TAG_RETRY_BASE, self.round, next_seq);
+                self.send_ctrl(ctx, pkt.src, TAG_RETRY_BASE, round, next_seq);
             }
             return;
         }
@@ -468,9 +514,9 @@ impl ExchangeNode {
                     }
                 } else {
                     let bytes = u64::from(pkt.payload[0]);
-                    let here = self.round == round
+                    let here = self.leg_round() == round
                         && matches!(self.phase, LegPhase::Start)
-                        && self.plan().is_some_and(|p| !self.i_send_now(&p));
+                        && !self.sends();
                     if here {
                         self.accept_req(bytes, ctx);
                     } else {
@@ -480,11 +526,11 @@ impl ExchangeNode {
             }
             TagKind::Ack | TagKind::Done => {
                 let awaited = match self.phase {
-                    LegPhase::WaitAck { .. } => kind == TagKind::Ack,
-                    LegPhase::WaitDone { .. } => kind == TagKind::Done,
+                    LegPhase::WaitAck => kind == TagKind::Ack,
+                    LegPhase::WaitDone => kind == TagKind::Done,
                     _ => false,
                 };
-                if awaited && self.round == round && !self.proceeding {
+                if awaited && self.leg_round() == round && !self.proceeding {
                     self.accept_ctrl(ctx);
                 } else {
                     self.recovery.bump(RecoveryEvent::StaleIgnored);
@@ -527,11 +573,12 @@ impl ExchangeNode {
     /// A RETRY (go-back-N NAK) from the receiver: rewind the DATA stream
     /// to `restart`.
     fn on_retry(&mut self, round: usize, restart: u32, ctx: &mut Ctx<'_>) {
+        let current = self.leg_round() == round;
         match &mut self.phase {
-            _ if self.round != round => {}
+            _ if !current => {}
             // Live stream: pull the cursor back; the pending Emit chain
             // re-emits from there.
-            LegPhase::Streaming { seq, .. } if restart < *seq => {
+            LegPhase::Streaming { seq } if restart < *seq => {
                 *seq = restart;
                 self.recovery.bump(RecoveryEvent::DataRewind);
                 return;
@@ -539,13 +586,12 @@ impl ExchangeNode {
             // Stream already drained: re-enter it at the rewind point.
             // (Once the DONE is accepted the leg is over: a late NAK must
             // not reopen the stream under the pending `Proceed`.)
-            LegPhase::WaitDone { partner, bytes }
-                if !self.proceeding && u64::from(restart) < packet_count(*bytes) =>
+            LegPhase::WaitDone
+                if !self.proceeding && u64::from(restart) < packet_count(self.bytes) =>
             {
-                let (partner, bytes) = (*partner, *bytes);
                 self.guard.new_wait();
                 self.recovery.bump(RecoveryEvent::DataRewind);
-                self.start_stream(ctx, partner, bytes, restart);
+                self.start_stream(ctx, restart);
                 return;
             }
             _ => {}
@@ -561,69 +607,57 @@ impl ExchangeNode {
             return;
         }
         use RecoveryEvent::{Probe, ReqResend};
-        let (partner, word, base, crumb, ev, want) = match self.phase {
-            LegPhase::WaitAck { partner, bytes } => {
-                let word = bytes as u32;
-                (
-                    partner,
-                    word,
-                    TAG_REQ2_BASE,
-                    "exchange.req2",
-                    ReqResend,
-                    "ACK",
-                )
+        let (word, base, crumb, ev, want) = match self.phase {
+            LegPhase::WaitAck => {
+                let word = self.bytes as u32;
+                (word, TAG_REQ2_BASE, "exchange.req2", ReqResend, "ACK")
             }
-            LegPhase::WaitDone { partner, .. } => {
-                (partner, 0, TAG_PROBE_BASE, "exchange.probe", Probe, "DONE")
-            }
+            LegPhase::WaitDone => (0, TAG_PROBE_BASE, "exchange.probe", Probe, "DONE"),
             _ => return,
         };
+        let round = self.leg_round();
         self.guard
-            .retry(&mut self.recovery, self.ep.me, self.round, want);
+            .retry(&mut self.recovery, self.ep.me, round, want);
         self.recovery.bump(ev);
         let me = u64::from(self.ep.me);
         flight::record(ctx.now(), ctx.self_id(), crumb, me);
-        self.send_ctrl(ctx, partner, base, self.round, word);
+        // Only a leg's sender waits under the guard: the REQ names its
+        // partner.
+        let partner = self.leg_msg(TagKind::Req).dst;
+        self.send_ctrl(ctx, partner, base, round, word);
         self.guard.arm(ctx);
     }
 
     fn on_proceed(&mut self, ctx: &mut Ctx<'_>) {
         self.proceeding = false;
         match self.phase {
+            // REQ processed: post RX descriptors, then acknowledge.
             LegPhase::Receiving { .. } => {
-                // REQ processed: post RX descriptors, then acknowledge.
-                if let Some(plan) = self.plan() {
-                    let tag = TAG_ACK_BASE + self.round as u16;
-                    let kick = self.ep.host.dma_kick;
-                    self.ep.send_after(ctx, kick, plan.partner, tag, vec![0, 0]);
-                }
+                let kick = self.ep.host.dma_kick;
+                self.send_leg(ctx, TagKind::Ack, kick, 0);
             }
             // ACK processed: start streaming.
-            LegPhase::WaitAck { partner, bytes } => self.start_stream(ctx, partner, bytes, 0),
-            // DONE processed: this half-round is complete.
-            LegPhase::WaitDone { .. } => self.advance_half(ctx),
+            LegPhase::WaitAck => self.start_stream(ctx, 0),
+            // DONE processed: this leg is complete.
+            LegPhase::WaitDone => self.next_leg(ctx),
             _ => panic!("node {}: Proceed in unexpected phase", self.ep.me),
         }
     }
 
     fn on_emit(&mut self, ctx: &mut Ctx<'_>) {
-        let LegPhase::Streaming {
-            ref mut seq,
-            partner,
-            bytes,
-        } = self.phase
-        else {
+        let data = self.leg_msg(TagKind::Data);
+        let LegPhase::Streaming { ref mut seq } = self.phase else {
             panic!("node {}: Emit outside streaming", self.ep.me);
         };
-        let packet = packet_bytes(bytes, *seq);
-        let pkt = bulk_packet(self.ep.me, partner, TAG_DATA, *seq, packet);
+        let packet = packet_bytes(self.bytes, *seq);
+        let pkt = bulk_packet(self.ep.me, data.dst, data.tag, *seq, packet);
         *seq += 1;
-        let more = u64::from(*seq) < packet_count(bytes);
+        let more = u64::from(*seq) < packet_count(self.bytes);
         ctx.send_now(self.ep.tx_port, Inject(pkt));
         if more {
             ctx.wake_after(self.ep.host.vi_dma_time(packet), SelfEv::Emit);
         } else {
-            self.phase = LegPhase::WaitDone { partner, bytes };
+            self.phase = LegPhase::WaitDone;
             self.guard.new_wait();
             self.guard.arm(ctx);
         }
@@ -661,37 +695,26 @@ impl Actor for CopyOut {
 }
 
 /// Run one VI transfer of `len` bytes between endpoints 0 → 1 of a
-/// `n_endpoints` fabric — the first leg of a one-round exchange schedule
-/// — and measure the user-to-user time (start of send call to receiver's
-/// data being copied out).
+/// `n_endpoints` fabric — the first leg of a one-round exchange — and
+/// measure the user-to-user time (start of send call to receiver's data
+/// being copied out).
 pub fn measure_transfer(
     host: HostParams,
     cfg: ViConfig,
     n_endpoints: u16,
     len: u64,
 ) -> TransferMeasurement {
-    let leg = |partner, sends_first| {
-        vec![Some(PairPlan {
-            partner,
-            bytes: len,
-            sends_first,
-        })]
-    };
+    let mut graph = CommGraph::new(n_endpoints);
+    exchange_round(&mut graph, 0, 1, 0, &EXCHANGE_LEG);
+    let graph = Rc::new(graph);
     let mut copied_out = None;
     run_nodes(
         host,
         n_endpoints,
         None,
-        |ep| {
-            let schedule = match ep.me {
-                0 => leg(1, true),
-                1 => leg(0, false),
-                _ => Vec::new(),
-            };
-            CopyOut {
-                node: ExchangeNode::new(ep, schedule, cfg),
-                at: None,
-            }
+        |ep| CopyOut {
+            node: ExchangeNode::new(ep, Rc::clone(&graph), len, cfg),
+            at: None,
         },
         |_| StartExchange,
         |e, c: &CopyOut| {
@@ -719,7 +742,10 @@ pub fn bandwidth_sweep(host: HostParams, cfg: ViConfig) -> Vec<TransferMeasureme
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::Dir;
+    use hyades_arctic::network::ArcticNetwork;
     use hyades_des::fault::FaultPlan;
+    use hyades_des::{ActorId, Simulator};
 
     #[test]
     fn analytic_curve_matches_figure_7_anchors() {
@@ -795,24 +821,83 @@ mod tests {
         }
     }
 
-    /// The exchange schedule of a periodic 2 × 2 tile grid with `bytes`
-    /// legs (`hyades-comms`'s `torus_schedule(2, 2, bytes)`): the x pairs,
-    /// then the y pairs, each pair once in either sending order.
-    fn two_by_two(bytes: u64) -> Vec<Schedule> {
-        (0..4u16)
-            .map(|me| {
-                (0..4)
-                    .map(|round| {
-                        let axis = 1 << (round / 2);
-                        Some(PairPlan {
-                            partner: me ^ axis,
-                            bytes,
-                            sends_first: (me & axis == 0) == (round % 2 == 0),
-                        })
-                    })
-                    .collect()
-            })
-            .collect()
+    /// A 2 × 2 exchange of [`EXCHANGE_LEG`]s whose pairing rounds run
+    /// along `axes` in order (1: x, 2: y), each pair once in either
+    /// sending order; `[1, 2]` is the periodic grid's torus pairing.
+    fn two_by_two(axes: [u16; 2]) -> CommGraph {
+        let mut g = CommGraph::new(4);
+        for (k, axis) in axes.into_iter().enumerate() {
+            for parity in 0..2 {
+                for lo in (0..4).filter(|me| me & axis == 0) {
+                    let (a, b) = if parity == 0 {
+                        (lo, lo ^ axis)
+                    } else {
+                        (lo ^ axis, lo)
+                    };
+                    exchange_round(&mut g, a, b, 2 * k + parity, &EXCHANGE_LEG);
+                }
+            }
+        }
+        g
+    }
+
+    /// Passes a node's injections on to its port, logging each packet's
+    /// destination and tag.
+    struct Tap {
+        port: ActorId,
+        sent: Vec<(u16, u16)>,
+    }
+
+    impl Actor for Tap {
+        fn on_event(&mut self, ev: Payload, ctx: &mut Ctx<'_>) {
+            let Inject(pkt) = ev.downcast_ref::<Inject>().expect("an injection");
+            self.sent.push((pkt.dst, pkt.usr_tag));
+            ctx.send_boxed_after(SimDuration::ZERO, self.port, ev);
+        }
+    }
+
+    /// A node runs the graph it is handed: with the y rounds before the
+    /// x rounds every node finishes, and what it injects, in order (a
+    /// DATA stream as one send), is the send ops of its program.
+    #[test]
+    fn nodes_run_the_graph_they_are_handed() {
+        let graph = Rc::new(two_by_two([2, 1]));
+        let mut sim = Simulator::new();
+        let taps: Vec<ActorId> = (0..4).map(|_| sim.reserve()).collect();
+        let mut ports = Vec::new();
+        let net = ArcticNetwork::build_with(&mut sim, 4, Default::default(), |me, port| {
+            ports.push(port);
+            let host = HostParams::default();
+            let ep = Endpoint {
+                me,
+                host,
+                tx_port: taps[usize::from(me)],
+            };
+            Box::new(ExchangeNode::new(
+                ep,
+                Rc::clone(&graph),
+                1024,
+                ViConfig::default(),
+            ))
+        });
+        for (e, (&tap, port)) in (0..4).zip(taps.iter().zip(ports)) {
+            let sent = Vec::new();
+            sim.insert_actor_at(tap, Box::new(Tap { port, sent }));
+            sim.schedule(SimTime::ZERO, net.endpoint(e), StartExchange);
+        }
+        sim.run();
+        for (me, program) in (0..4).zip(&graph.program) {
+            let node = sim.actor::<ExchangeNode>(net.endpoint(me));
+            assert!(node.finished.is_some(), "node {me} never finished");
+            let mut sent = sim.actor::<Tap>(taps[usize::from(me)]).sent.clone();
+            sent.dedup();
+            let sends: Vec<(u16, u16)> = program
+                .iter()
+                .filter(|op| op.dir == Dir::Send)
+                .map(|op| (graph.msgs[op.msg].dst, graph.msgs[op.msg].tag))
+                .collect();
+            assert_eq!(sent, sends, "node {me}");
+        }
     }
 
     /// An [`ExchangeNode`] that logs the round and sequence number of
@@ -822,16 +907,24 @@ mod tests {
         accepted: Vec<(usize, u32)>,
     }
 
+    impl Spy {
+        /// The round the node is receiving right now, and its cursor.
+        fn live(&self) -> Option<(usize, u32)> {
+            let round = self.node.leg_round();
+            Some((round, self.node.live_next_seq(round)?))
+        }
+    }
+
     impl Actor for Spy {
         fn on_event(&mut self, ev: Payload, ctx: &mut Ctx<'_>) {
-            let before = self.node.live_next_seq(self.node.round);
+            let before = self.live();
             self.node.on_event(ev, ctx);
             // The cursor moves on an accepted DATA packet and on nothing
             // else while the leg is open.
-            if let (Some(seq), Some(after)) = (before, self.node.live_next_seq(self.node.round)) {
+            if let (Some((round, seq)), Some((_, after))) = (before, self.live()) {
                 if after != seq {
                     assert_eq!(after, seq + 1);
-                    self.accepted.push((self.node.round, seq));
+                    self.accepted.push((round, seq));
                 }
             }
         }
@@ -844,18 +937,15 @@ mod tests {
     /// Every node of a 2 × 2 exchange of `leg_bytes` legs, run under
     /// `plan`.
     fn spy_two_by_two(plan: Option<&FaultPlan>, leg_bytes: u64) -> Vec<EndState> {
-        let mut schedules = two_by_two(leg_bytes);
+        let graph = Rc::new(two_by_two([1, 2]));
         let mut nodes = Vec::new();
         run_nodes(
             HostParams::default(),
             4,
             plan,
-            |ep| {
-                let schedule = std::mem::take(&mut schedules[usize::from(ep.me)]);
-                Spy {
-                    node: ExchangeNode::new(ep, schedule, ViConfig::default()),
-                    accepted: Vec::new(),
-                }
+            |ep| Spy {
+                node: ExchangeNode::new(ep, Rc::clone(&graph), leg_bytes, ViConfig::default()),
+                accepted: Vec::new(),
             },
             |_| StartExchange,
             |e, spy: &Spy| {

@@ -146,10 +146,12 @@ cargo run -q --release --example reproduce_all -- --out target/experiments > tar
 tail -n 1 target/experiments.txt
 # Printed, not gated, like the comm_primitives values above: the two
 # numbers the one simulated VI transfer (the exchange's leg) sets — Figure
-# 7 at 1 KB and the HPVM comparison's 1-KB row.
+# 7 at 1 KB and the HPVM comparison's 1-KB row — and E16's proof of the
+# exchange and butterfly graphs the simulated nodes run.
 awk '/^\[E[0-9]+\]/ { section = $1 }
     section == "[E2]" && $1 == "1024" { printf "    E2 1-KB transfer  %s us, %s MB/s\n", $3, $5 }
-    section == "[E8]" && $1 == "1-KB" { printf "    E8 1-KB transfer  Hyades %s MB/s, HPVM %s MB/s (%s slower)\n", $5, $7, $9 }' \
+    section == "[E8]" && $1 == "1-KB" { printf "    E8 1-KB transfer  Hyades %s MB/s, HPVM %s MB/s (%s slower)\n", $5, $7, $9 }
+    section == "[E16]" && $1 == "deadlock-free:" { sub(/^ +/, ""); printf "    E16 static proof  %s\n", $0 }' \
     target/experiments.txt
 
 # Printed, not gated: the count every CHANGES.md entry quotes for ROADMAP
