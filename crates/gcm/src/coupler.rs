@@ -84,7 +84,7 @@ impl CoupledModel {
         let ny = self.atmos.tile.ny as i64;
         for j in 0..ny {
             for i in 0..nx {
-                let ocean_wet = self.ocean.masks.c.at(i, j, 0) > 0.0;
+                let ocean_wet = self.ocean.masks.c(i, j, 0) > 0.0;
                 // Ocean → atmosphere: SST in Kelvin (ocean θ is °C).
                 let sst_k = if ocean_wet {
                     self.ocean.state.theta.at(i, j, 0) + 273.15
@@ -382,7 +382,6 @@ mod schedule_tests {
                 &st.gt_prev,
                 &st.gs_prev,
                 &st.phy,
-                &st.b,
             ] {
                 bits.extend(f.raw().iter().map(|x| x.to_bits()));
             }

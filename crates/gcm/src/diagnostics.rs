@@ -25,7 +25,7 @@ pub fn global_diagnostics(model: &Model, world: &mut dyn CommWorld) -> GlobalDia
     let st = &model.state;
     let mut sums = [0.0f64; 3];
     for (i, j, k) in st.theta.interior() {
-        let vol = model.geom.area_at(j) * model.cfg.grid.dz[k] * model.masks.c.at(i, j, k);
+        let vol = model.geom.area_at(j) * model.cfg.grid.dz[k] * model.masks.c(i, j, k);
         let u = st.u.at(i, j, k);
         let v = st.v.at(i, j, k);
         sums[0] += 0.5 * (u * u + v * v) * vol;
@@ -78,7 +78,7 @@ pub fn ascii_map(model: &Model, level: usize, width: usize) -> String {
     let mut vals = Vec::new();
     for j in 0..t.ny as i64 {
         for i in 0..t.nx as i64 {
-            if model.masks.c.at(i, j, level) > 0.0 {
+            if model.masks.c(i, j, level) > 0.0 {
                 vals.push(model.state.theta.at(i, j, level));
             }
         }
@@ -93,7 +93,7 @@ pub fn ascii_map(model: &Model, level: usize, width: usize) -> String {
     let mut out = String::new();
     for j in (0..t.ny as i64).rev() {
         for i in (0..t.nx as i64).step_by(step_i) {
-            if model.masks.c.at(i, j, level) == 0.0 {
+            if model.masks.c(i, j, level) == 0.0 {
                 out.push('#');
             } else {
                 let v = model.state.theta.at(i, j, level);
@@ -161,7 +161,7 @@ pub fn zonal_mean(model: &Model, field: &crate::field::Field3, level: usize) -> 
         let mut sum = 0.0;
         let mut n = 0.0;
         for i in 0..t.nx as i64 {
-            if model.masks.c.at(i, j, level) > 0.0 {
+            if model.masks.c(i, j, level) > 0.0 {
                 sum += field.at(i, j, level);
                 n += 1.0;
             }
@@ -188,7 +188,7 @@ pub fn overturning_streamfunction(model: &Model) -> Vec<Vec<f64>> {
             let dz = model.cfg.grid.dz[k];
             let mut vsum = 0.0;
             for i in 0..t.nx as i64 {
-                vsum += model.state.v.at(i, jj, k) * model.masks.v.at(i, jj, k);
+                vsum += model.state.v.at(i, jj, k) * model.masks.v(i, jj, k);
             }
             acc += vsum * dx * dz;
             row[k + 1] = acc / 1e6; // Sverdrups
@@ -221,7 +221,7 @@ pub fn poleward_heat_transport(model: &Model) -> Vec<(f64, f64)> {
         for k in 0..nz {
             let dz = model.cfg.grid.dz[k];
             for i in 0..t.nx as i64 {
-                if model.masks.v.at(i, j, k) > 0.0 {
+                if model.masks.v(i, j, k) > 0.0 {
                     // θ interpolated to the v-point, in Kelvin.
                     let th = 0.5
                         * (model.state.theta.at(i, j - 1, k) + model.state.theta.at(i, j, k))

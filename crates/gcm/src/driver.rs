@@ -170,18 +170,10 @@ impl Model {
     /// each kernel whole or split at row `mid` ([`in_bands`]). No world or
     /// telemetry call.
     pub(crate) fn tendencies(&mut self, mid: Option<i64>) {
-        // Buoyancy and hydrostatic pressure, overcomputed on +2.
-        in_bands(mid, [self.state.b.band(), self.state.phy.band()], |b_phy| {
+        // Hydrostatic pressure from the buoyancy, overcomputed on +2.
+        in_bands(mid, [self.state.phy.band()], |[phy]| {
             let (theta, s) = (&self.state.theta, &self.state.s);
-            hydrostatic::buoyancy_and_phy_rows(
-                &self.cfg,
-                &self.tile,
-                &self.masks,
-                theta,
-                s,
-                b_phy,
-                2,
-            )
+            hydrostatic::buoyancy_and_phy_rows(&self.cfg, &self.tile, &self.masks, theta, s, phy, 2)
         });
 
         // Tendencies: momentum on +1 (feeds v* on +1), tracers on the
@@ -229,11 +221,11 @@ impl Model {
         }
         self.state.first_step = false;
 
-        // Provisional velocities and tracer update.
-        in_bands(mid, [self.ws.ustar.band(), self.ws.vstar.band()], |uv| {
+        // Provisional velocities, over the extrapolated tendencies, and
+        // tracer update.
+        in_bands(mid, [self.ws.gu.band(), self.ws.gv.band()], |g| {
             let (cfg, tile, geom, masks) = (&self.cfg, &self.tile, &self.geom, &self.masks);
-            let (state, gu, gv) = (&self.state, &self.ws.gu, &self.ws.gv);
-            timestep::velocity_star_rows(cfg, tile, geom, masks, state, gu, gv, uv, 1)
+            timestep::velocity_star_rows(cfg, tile, geom, masks, &self.state, g, 1)
         });
         in_bands(mid, [self.state.theta.band(), self.state.s.band()], |ts| {
             timestep::update_tracers(&self.cfg, &self.masks, &self.ws.gt, &self.ws.gs, ts)
@@ -242,7 +234,7 @@ impl Model {
         // Elliptic right-hand side.
         in_bands(mid, [self.ws.rhs.band()], |[rhs]| {
             let (cfg, tile, geom, masks) = (&self.cfg, &self.tile, &self.geom, &self.masks);
-            let (ustar, vstar) = (&self.ws.ustar, &self.ws.vstar);
+            let (ustar, vstar) = (&self.ws.gu, &self.ws.gv);
             timestep::divergence_rhs_rows(cfg, tile, geom, masks, ustar, vstar, rhs)
         });
     }
@@ -274,7 +266,7 @@ impl Model {
         // Final update.
         in_bands(mid, [self.state.u.band(), self.state.v.band()], |uv| {
             let (cfg, tile, geom, masks) = (&self.cfg, &self.tile, &self.geom, &self.masks);
-            let (ps, ustar, vstar) = (&self.state.ps, &self.ws.ustar, &self.ws.vstar);
+            let (ps, ustar, vstar) = (&self.state.ps, &self.ws.gu, &self.ws.gv);
             timestep::correct_velocities(cfg, tile, geom, masks, ps, ustar, vstar, uv)
         });
         // w is diagnosed from continuity.
@@ -393,11 +385,9 @@ mod band_tests {
     fn kernels() -> Vec<(&'static str, Kernel)> {
         vec![
             ("buoyancy_and_phy", |c, st, _, mid| {
-                in_bands(mid, [st.b.band(), st.phy.band()], |b_phy| {
+                in_bands(mid, [st.phy.band()], |[phy]| {
                     let (theta, s) = (&st.theta, &st.s);
-                    hydrostatic::buoyancy_and_phy_rows(
-                        &c.cfg, &c.tile, &c.masks, theta, s, b_phy, 2,
-                    )
+                    hydrostatic::buoyancy_and_phy_rows(&c.cfg, &c.tile, &c.masks, theta, s, phy, 2)
                 })
             }),
             ("momentum_tendencies", |c, st, ws, mid| {
@@ -442,11 +432,8 @@ mod band_tests {
                 }
             }),
             ("velocity_star", |c, st, ws, mid| {
-                in_bands(mid, [ws.ustar.band(), ws.vstar.band()], |uv| {
-                    let (gu, gv) = (&ws.gu, &ws.gv);
-                    timestep::velocity_star_rows(
-                        &c.cfg, &c.tile, &c.geom, &c.masks, st, gu, gv, uv, 1,
-                    )
+                in_bands(mid, [ws.gu.band(), ws.gv.band()], |g| {
+                    timestep::velocity_star_rows(&c.cfg, &c.tile, &c.geom, &c.masks, st, g, 1)
                 })
             }),
             ("update_tracers", |c, st, ws, mid| {
@@ -456,7 +443,7 @@ mod band_tests {
             }),
             ("divergence_rhs", |c, _, ws, mid| {
                 in_bands(mid, [ws.rhs.band()], |[rhs]| {
-                    let (ustar, vstar) = (&ws.ustar, &ws.vstar);
+                    let (ustar, vstar) = (&ws.gu, &ws.gv);
                     timestep::divergence_rhs_rows(
                         &c.cfg, &c.tile, &c.geom, &c.masks, ustar, vstar, rhs,
                     )
@@ -464,7 +451,7 @@ mod band_tests {
             }),
             ("correct_velocities", |c, st, ws, mid| {
                 in_bands(mid, [st.u.band(), st.v.band()], |uv| {
-                    let (ps, ustar, vstar) = (&st.ps, &ws.ustar, &ws.vstar);
+                    let (ps, ustar, vstar) = (&st.ps, &ws.gu, &ws.gv);
                     timestep::correct_velocities(
                         &c.cfg, &c.tile, &c.geom, &c.masks, ps, ustar, vstar, uv,
                     )
@@ -531,13 +518,10 @@ mod band_tests {
             &st.gt_prev,
             &st.gs_prev,
             &st.phy,
-            &st.b,
             &ws.gu,
             &ws.gv,
             &ws.gt,
             &ws.gs,
-            &ws.ustar,
-            &ws.vstar,
         ];
         let f2 = [&st.ps, &ws.rhs];
         let words = f3.iter().map(|f| f.raw()).chain(f2.iter().map(|f| f.raw()));
@@ -662,14 +646,14 @@ mod tests {
         // Recompute the depth-integrated divergence of the *final*
         // velocities: it should be at solver-tolerance level.
         let mut ws = Workspace::new(&m.cfg, &m.tile);
-        ws.ustar = m.state.u.clone();
-        ws.vstar = m.state.v.clone();
+        ws.gu = m.state.u.clone();
+        ws.gv = m.state.v.clone();
         // Refresh halos for the divergence stencil.
         halo::exchange3(
             &mut w,
             &m.cfg.decomp,
             &m.tile,
-            &mut [&mut ws.ustar, &mut ws.vstar],
+            &mut [&mut ws.gu, &mut ws.gv],
             1,
         );
         timestep::divergence_rhs(&m.cfg, &m.tile, &m.geom, &m.masks, &mut ws);
@@ -869,7 +853,7 @@ mod partial_cell_model_tests {
         let heat = |m: &Model| -> f64 {
             let mut h = 0.0;
             for (i, j, k) in m.state.theta.interior() {
-                let vol = m.geom.area_at(j) * m.cfg.grid.dz[k] * m.masks.hc.at(i, j, k);
+                let vol = m.geom.area_at(j) * m.cfg.grid.dz[k] * m.masks.hc(i, j, k);
                 h += m.state.theta.at(i, j, k) * vol;
             }
             h
@@ -890,13 +874,13 @@ mod partial_cell_model_tests {
         // Recompute the depth-integrated divergence with the partial-cell
         // face factors: must sit at solver tolerance.
         let mut ws = crate::kernel::Workspace::new(&m.cfg, &m.tile);
-        ws.ustar = m.state.u.clone();
-        ws.vstar = m.state.v.clone();
+        ws.gu = m.state.u.clone();
+        ws.gv = m.state.v.clone();
         crate::halo::exchange3(
             &mut w,
             &m.cfg.decomp,
             &m.tile,
-            &mut [&mut ws.ustar, &mut ws.vstar],
+            &mut [&mut ws.gu, &mut ws.gv],
             1,
         );
         timestep::divergence_rhs(&m.cfg, &m.tile, &m.geom, &m.masks, &mut ws);

@@ -15,7 +15,7 @@
 use crate::config::ModelConfig;
 use crate::field::{Band, Field3};
 use crate::flops::{self, Phase};
-use crate::kernel::{select, Cols, TileGeom, Workspace};
+use crate::kernel::{select, Cols, Columns, TileGeom, Workspace};
 use crate::state::{Masks, ModelState};
 use crate::tile::Tile;
 
@@ -46,6 +46,40 @@ impl<'a> Stencil<'a> {
             n: wide.of(f, j + 1, lev.k),
             up: wide.of(f, j, lev.ku),
             dn: wide.of(f, j, lev.kd),
+        }
+    }
+}
+
+/// The masks of one kind of face that a momentum tendency reads around
+/// row `j` of level `k`, as wide as a [`Stencil`]'s rows: those of the row
+/// and of its south and north neighbours, built from the face columns
+/// once per row and level into `rows`, which the sweep keeps; those above
+/// and below, from the row's `columns`.
+struct FaceMasks<'a> {
+    c: &'a [f64],
+    s: &'a [f64],
+    n: &'a [f64],
+    columns: Columns<'a>,
+}
+
+impl<'a> FaceMasks<'a> {
+    fn build(
+        faces: impl Fn(i64) -> Columns<'a>,
+        j: i64,
+        k: usize,
+        wide: &Cols,
+        rows: &'a mut [Vec<f64>; 3],
+    ) -> Self {
+        for (row, j) in rows.iter_mut().zip([j, j - 1, j + 1]) {
+            row.resize(wide.n, 0.0);
+            faces(j).wet_row(k, row);
+        }
+        let [c, s, n] = rows.each_ref().map(|row| &row[..wide.n]);
+        FaceMasks {
+            c,
+            s,
+            n,
+            columns: faces(j),
         }
     }
 }
@@ -121,6 +155,7 @@ pub(crate) fn momentum_tendencies_rows(
     let (visc_h, visc_v) = (cfg.visc_h, cfg.visc_v);
     let dy = geom.dy;
     let (two_dy, dy2) = (2.0 * dy, dy * dy);
+    let [mut mu_rows, mut mv_rows]: [[Vec<f64>; 3]; 2] = Default::default();
     let mut cells = 0u64;
     for k in 0..cfg.grid.nz {
         let lev = Level::of(&cfg.grid.dz, k);
@@ -128,8 +163,8 @@ pub(crate) fn momentum_tendencies_rows(
         for j in gu.rows(ext) {
             let u = Stencil::of(&state.u, j, &lev, &wide);
             let v = Stencil::of(&state.v, j, &lev, &wide);
-            let mu = Stencil::of(&masks.u, j, &lev, &wide);
-            let mv = Stencil::of(&masks.v, j, &lev, &wide);
+            let mu = FaceMasks::build(|j| wide.u_faces(masks, j), j, k, &wide, &mut mu_rows);
+            let mv = FaceMasks::build(|j| wide.v_faces(masks, j), j, k, &wide, &mut mv_rows);
             let (w_c, w_dn_c) = w_rows(j);
             let (w_s, w_dn_s) = w_rows(j - 1);
 
@@ -166,7 +201,12 @@ pub(crate) fn momentum_tendencies_rows(
                     + mu.n[c] * (u.n[c] - uc) / dy2
                     + mu.s[c] * (u.s[c] - uc) / dy2;
                 g += visc_h * lap;
-                let vv = vertical_viscosity(&lev, uc, (u.up[c], mu.up[c]), (u.dn[c], mu.dn[c]));
+                let vv = vertical_viscosity(
+                    &lev,
+                    uc,
+                    (u.up[c], mu.columns.wet(lev.ku, c)),
+                    (u.dn[c], mu.columns.wet(lev.kd, c)),
+                );
                 g += visc_v * vv / lev.dz;
                 *gu = select(mu.c[c] != 0.0, g, 0.0);
             }
@@ -197,7 +237,12 @@ pub(crate) fn momentum_tendencies_rows(
                     + mv.n[c] * (v.n[c] - vc) / dy2
                     + mv.s[c] * (v.s[c] - vc) / dy2;
                 g += visc_h * lap;
-                let vv = vertical_viscosity(&lev, vc, (v.up[c], mv.up[c]), (v.dn[c], mv.dn[c]));
+                let vv = vertical_viscosity(
+                    &lev,
+                    vc,
+                    (v.up[c], mv.columns.wet(lev.ku, c)),
+                    (v.dn[c], mv.columns.wet(lev.kd, c)),
+                );
                 g += visc_v * vv / lev.dz;
                 *gv = select(mv.c[c] != 0.0, g, 0.0);
             }
@@ -305,11 +350,11 @@ pub(crate) fn tracer_tendency_rows(
         // straddling them.
         let y_fluxes = |j: i64, fy: &mut [f64]| {
             let fy = &mut fy[..n];
-            let (hv, v) = (cols.of(&masks.hv, j, k), cols.of(&state.v, j, k));
+            let (faces, v) = (cols.v_faces(masks, j), cols.of(&state.v, j, k));
             let (t_m, t_p) = (cols.of(t, j - 1, k), cols.of(t, j, k));
             let dxs = geom.dxs_at(j);
             for i in 0..n {
-                fy[i] = hv[i]
+                fy[i] = faces.thickness(k, i)
                     * dxs
                     * dz
                     * (v[i] * (0.5 * (t_m[i] + t_p[i])) - diff_h * (t_p[i] - t_m[i]) / dy);
@@ -323,26 +368,26 @@ pub(crate) fn tracer_tendency_rows(
             // Cell `i` of the sweep is at index `i + 1` of the wide
             // tracer row; face `f` lies between indices `f` and `f + 1`.
             let t_c = cols_wide.of(t, j, k);
-            let hu = cols_east.of(&masks.hu, j, k);
+            let faces = cols_east.u_faces(masks, j);
             let u = cols_east.of(&state.u, j, k);
             let dxc = geom.dxc_at(j);
             let fx = &mut fx[..n + 1];
             for f in 0..n + 1 {
-                fx[f] = hu[f]
+                fx[f] = faces.thickness(k, f)
                     * dy
                     * dz
                     * (u[f] * (0.5 * (t_c[f] + t_c[f + 1])) - diff_h * (t_c[f + 1] - t_c[f]) / dxc);
             }
 
-            let (wet, hc) = (cols.of(&masks.c, j, k), cols.of(&masks.hc, j, k));
-            let (wet_up, wet_dn) = (cols.of(&masks.c, j, ku), cols.of(&masks.c, j, kd));
+            let wet = cols.cells(masks, j);
             let (t_up, t_dn) = (cols.of(t, j, ku), cols.of(t, j, kd));
             let (w_top, w_bot) = (cols.of(&state.w, j, k), cols.of(&state.w, j, kd));
             let (fy_south, fy_north) = (&fy_south[..n], &fy_north[..n]);
             let area = geom.area_at(j);
             let out = cols.of_mut(&mut out, j, k);
             for i in 0..n {
-                let vol = area * dz * hc[i].max(1e-12);
+                let hc = wet.thickness(k, i);
+                let vol = area * dz * hc.max(1e-12);
                 let mut g = -(fx[i + 1] - fx[i] + fy_north[i] - fy_south[i]) / vol;
                 // Vertical: upwind advection + diffusion across wet
                 // interfaces (w > 0 moves fluid toward smaller k). The
@@ -351,16 +396,16 @@ pub(crate) fn tracer_tendency_rows(
                 // between a full cell and a shaved §3.2 partial cell.
                 // A closed interface adds nothing — not even `+ 0.0`,
                 // which would turn a `−0.0` into `+0.0`.
-                let dz_eff = dz * hc[i].max(1e-12);
+                let dz_eff = dz * hc.max(1e-12);
                 let tc = t_c[i + 1];
                 let (wtop, wbot) = (w_top[i], w_bot[i]);
                 let donor = select(wtop > 0.0, tc, t_up[i]);
                 let through_top = (-wtop * donor + diff_v * (t_up[i] - tc) / lev.dzi_up) / dz_eff;
-                g = select(lev.has_up & (wet_up[i] != 0.0), g + through_top, g);
+                g = select(lev.has_up & wet.open(ku, i), g + through_top, g);
                 let donor = select(wbot > 0.0, t_dn[i], tc);
                 let through_bottom = (wbot * donor + diff_v * (t_dn[i] - tc) / lev.dzi_dn) / dz_eff;
-                g = select(lev.has_dn & (wet_dn[i] != 0.0), g + through_bottom, g);
-                let is_wet = wet[i] != 0.0;
+                g = select(lev.has_dn & wet.open(kd, i), g + through_bottom, g);
+                let is_wet = wet.open(k, i);
                 out[i] = select(is_wet, g, 0.0);
                 cells += is_wet as u64;
             }
@@ -397,22 +442,22 @@ pub(crate) mod reference {
                 let dy = geom.dy;
                 for i in -ext..nx + ext {
                     // ---- G_u at the u-point (west face of cell i,j) ----
-                    if masks.u.at(i, j, k) != 0.0 {
+                    if masks.u(i, j, k) != 0.0 {
                         let dxc = geom.dxc_at(j);
                         let uc = u.at(i, j, k);
                         // v averaged to the u-point (4 surrounding v-points).
                         let vbar = 0.25
-                            * (v.at(i - 1, j, k) * masks.v.at(i - 1, j, k)
-                                + v.at(i, j, k) * masks.v.at(i, j, k)
-                                + v.at(i - 1, j + 1, k) * masks.v.at(i - 1, j + 1, k)
-                                + v.at(i, j + 1, k) * masks.v.at(i, j + 1, k));
+                            * (v.at(i - 1, j, k) * masks.v(i - 1, j, k)
+                                + v.at(i, j, k) * masks.v(i, j, k)
+                                + v.at(i - 1, j + 1, k) * masks.v(i - 1, j + 1, k)
+                                + v.at(i, j + 1, k) * masks.v(i, j + 1, k));
                         // Horizontal advection (centred, masked one-sided at
                         // walls via the face masks).
-                        let dudx = (u.at(i + 1, j, k) * masks.u.at(i + 1, j, k)
-                            - u.at(i - 1, j, k) * masks.u.at(i - 1, j, k))
+                        let dudx = (u.at(i + 1, j, k) * masks.u(i + 1, j, k)
+                            - u.at(i - 1, j, k) * masks.u(i - 1, j, k))
                             / (2.0 * dxc);
-                        let dudy = (u.at(i, j + 1, k) * masks.u.at(i, j + 1, k)
-                            - u.at(i, j - 1, k) * masks.u.at(i, j - 1, k))
+                        let dudy = (u.at(i, j + 1, k) * masks.u(i, j + 1, k)
+                            - u.at(i, j - 1, k) * masks.u(i, j - 1, k))
                             / (2.0 * dy);
                         let mut g = -(uc * dudx + vbar * dudy);
                         // Vertical advection, first-order upwind on the two
@@ -440,17 +485,17 @@ pub(crate) mod reference {
                         g += (geom.f_c_at(j) + uc * geom.tanr_c_at(j)) * vbar;
                         // Horizontal Laplacian viscosity (free-slip at walls:
                         // dry-neighbour contributions vanish).
-                        let lap = masks.u.at(i + 1, j, k) * (u.at(i + 1, j, k) - uc) / (dxc * dxc)
-                            + masks.u.at(i - 1, j, k) * (u.at(i - 1, j, k) - uc) / (dxc * dxc)
-                            + masks.u.at(i, j + 1, k) * (u.at(i, j + 1, k) - uc) / (dy * dy)
-                            + masks.u.at(i, j - 1, k) * (u.at(i, j - 1, k) - uc) / (dy * dy);
+                        let lap = masks.u(i + 1, j, k) * (u.at(i + 1, j, k) - uc) / (dxc * dxc)
+                            + masks.u(i - 1, j, k) * (u.at(i - 1, j, k) - uc) / (dxc * dxc)
+                            + masks.u(i, j + 1, k) * (u.at(i, j + 1, k) - uc) / (dy * dy)
+                            + masks.u(i, j - 1, k) * (u.at(i, j - 1, k) - uc) / (dy * dy);
                         g += cfg.visc_h * lap;
                         // Vertical viscosity (zero-flux at top/bottom).
                         let mut vv = 0.0;
-                        if k > 0 && masks.u.at(i, j, k - 1) != 0.0 {
+                        if k > 0 && masks.u(i, j, k - 1) != 0.0 {
                             vv += (u.at(i, j, k - 1) - uc) / (0.5 * (cfg.grid.dz[k - 1] + dz));
                         }
-                        if k + 1 < nz && masks.u.at(i, j, k + 1) != 0.0 {
+                        if k + 1 < nz && masks.u(i, j, k + 1) != 0.0 {
                             vv += (u.at(i, j, k + 1) - uc) / (0.5 * (cfg.grid.dz[k + 1] + dz));
                         }
                         g += cfg.visc_v * vv / dz;
@@ -460,19 +505,19 @@ pub(crate) mod reference {
                     }
 
                     // ---- G_v at the v-point (south face of cell i,j) ----
-                    if masks.v.at(i, j, k) != 0.0 {
+                    if masks.v(i, j, k) != 0.0 {
                         let dxs = geom.dxs_at(j);
                         let vc = v.at(i, j, k);
                         let ubar = 0.25
-                            * (u.at(i, j - 1, k) * masks.u.at(i, j - 1, k)
-                                + u.at(i + 1, j - 1, k) * masks.u.at(i + 1, j - 1, k)
-                                + u.at(i, j, k) * masks.u.at(i, j, k)
-                                + u.at(i + 1, j, k) * masks.u.at(i + 1, j, k));
-                        let dvdx = (v.at(i + 1, j, k) * masks.v.at(i + 1, j, k)
-                            - v.at(i - 1, j, k) * masks.v.at(i - 1, j, k))
+                            * (u.at(i, j - 1, k) * masks.u(i, j - 1, k)
+                                + u.at(i + 1, j - 1, k) * masks.u(i + 1, j - 1, k)
+                                + u.at(i, j, k) * masks.u(i, j, k)
+                                + u.at(i + 1, j, k) * masks.u(i + 1, j, k));
+                        let dvdx = (v.at(i + 1, j, k) * masks.v(i + 1, j, k)
+                            - v.at(i - 1, j, k) * masks.v(i - 1, j, k))
                             / (2.0 * dxs);
-                        let dvdy = (v.at(i, j + 1, k) * masks.v.at(i, j + 1, k)
-                            - v.at(i, j - 1, k) * masks.v.at(i, j - 1, k))
+                        let dvdy = (v.at(i, j + 1, k) * masks.v(i, j + 1, k)
+                            - v.at(i, j - 1, k) * masks.v(i, j - 1, k))
                             / (2.0 * geom.dy);
                         let mut g = -(ubar * dvdx + vc * dvdy);
                         let w_top = 0.5 * (w.at(i, j - 1, k) + w.at(i, j, k));
@@ -496,18 +541,16 @@ pub(crate) mod reference {
                         g += (flux_bot - flux_top - vc * (w_bot - w_top)) / dz;
                         // Coriolis + metric (note the sign).
                         g -= (geom.f_s_at(j) + ubar * geom.tanr_s_at(j)) * ubar;
-                        let lap = masks.v.at(i + 1, j, k) * (v.at(i + 1, j, k) - vc) / (dxs * dxs)
-                            + masks.v.at(i - 1, j, k) * (v.at(i - 1, j, k) - vc) / (dxs * dxs)
-                            + masks.v.at(i, j + 1, k) * (v.at(i, j + 1, k) - vc)
-                                / (geom.dy * geom.dy)
-                            + masks.v.at(i, j - 1, k) * (v.at(i, j - 1, k) - vc)
-                                / (geom.dy * geom.dy);
+                        let lap = masks.v(i + 1, j, k) * (v.at(i + 1, j, k) - vc) / (dxs * dxs)
+                            + masks.v(i - 1, j, k) * (v.at(i - 1, j, k) - vc) / (dxs * dxs)
+                            + masks.v(i, j + 1, k) * (v.at(i, j + 1, k) - vc) / (geom.dy * geom.dy)
+                            + masks.v(i, j - 1, k) * (v.at(i, j - 1, k) - vc) / (geom.dy * geom.dy);
                         g += cfg.visc_h * lap;
                         let mut vv = 0.0;
-                        if k > 0 && masks.v.at(i, j, k - 1) != 0.0 {
+                        if k > 0 && masks.v(i, j, k - 1) != 0.0 {
                             vv += (v.at(i, j, k - 1) - vc) / (0.5 * (cfg.grid.dz[k - 1] + dz));
                         }
-                        if k + 1 < nz && masks.v.at(i, j, k + 1) != 0.0 {
+                        if k + 1 < nz && masks.v(i, j, k + 1) != 0.0 {
                             vv += (v.at(i, j, k + 1) - vc) / (0.5 * (cfg.grid.dz[k + 1] + dz));
                         }
                         g += cfg.visc_v * vv / dz;
@@ -548,8 +591,8 @@ pub(crate) mod reference {
                 let area = geom.area_at(j);
                 let dxc = geom.dxc_at(j);
                 for i in -ext..nx + ext {
-                    let vol = area * dz * masks.hc.at(i, j, k).max(1e-12);
-                    if masks.c.at(i, j, k) == 0.0 {
+                    let vol = area * dz * masks.hc(i, j, k).max(1e-12);
+                    if masks.c(i, j, k) == 0.0 {
                         out.set(i, j, k, 0.0);
                         continue;
                     }
@@ -558,10 +601,10 @@ pub(crate) mod reference {
                     // masked faces carry no flux; partial cells shrink the
                     // open face area and the cell volume by the same §3.2
                     // fractions, so fluxes stay exactly conservative).
-                    let mu_w = masks.hu.at(i, j, k);
-                    let mu_e = masks.hu.at(i + 1, j, k);
-                    let mv_s = masks.hv.at(i, j, k);
-                    let mv_n = masks.hv.at(i, j + 1, k);
+                    let mu_w = masks.hu(i, j, k);
+                    let mu_e = masks.hu(i + 1, j, k);
+                    let mv_s = masks.hv(i, j, k);
+                    let mv_n = masks.hv(i, j + 1, k);
                     let uw = u.at(i, j, k);
                     let ue = u.at(i + 1, j, k);
                     let vs = v.at(i, j, k);
@@ -592,15 +635,15 @@ pub(crate) mod reference {
                     // budget divides by the cell's *effective* thickness
                     // dz·hc, so the shared interface flux cancels exactly
                     // between a full cell and a shaved §3.2 partial cell.
-                    let dz_eff = dz * masks.hc.at(i, j, k).max(1e-12);
+                    let dz_eff = dz * masks.hc(i, j, k).max(1e-12);
                     let tc = t.at(i, j, k);
-                    if k > 0 && masks.c.at(i, j, k - 1) != 0.0 {
+                    if k > 0 && masks.c(i, j, k - 1) != 0.0 {
                         let wtop = w.at(i, j, k);
                         let donor = if wtop > 0.0 { tc } else { t.at(i, j, k - 1) };
                         let dzi = 0.5 * (cfg.grid.dz[k - 1] + dz);
                         g += (-wtop * donor + diff_v * (t.at(i, j, k - 1) - tc) / dzi) / dz_eff;
                     }
-                    if k + 1 < nz && masks.c.at(i, j, k + 1) != 0.0 {
+                    if k + 1 < nz && masks.c(i, j, k + 1) != 0.0 {
                         let wbot = w.at(i, j, k + 1);
                         let donor = if wbot > 0.0 { t.at(i, j, k + 1) } else { tc };
                         let dzi = 0.5 * (cfg.grid.dz[k + 1] + dz);
@@ -694,7 +737,7 @@ mod tests {
                 i,
                 j,
                 k,
-                0.02 * ((2 * i - j) as f64 * 0.9).cos() * masks.v.at(i, j, k),
+                0.02 * ((2 * i - j) as f64 * 0.9).cos() * masks.v(i, j, k),
             );
             st.theta
                 .set(i, j, k, 10.0 + ((i * j) as f64 * 0.3).sin() + k as f64);
@@ -836,10 +879,10 @@ mod tests {
         let mut ws = Workspace::new(&cfg, &tile);
         momentum_tendencies(&cfg, &tile, &geom, &masks, &st, &mut ws, 0);
         for (i, j, k) in ws.gu.interior() {
-            if masks.u.at(i, j, k) == 0.0 {
+            if masks.u(i, j, k) == 0.0 {
                 assert_eq!(ws.gu.at(i, j, k), 0.0);
             }
-            if masks.v.at(i, j, k) == 0.0 {
+            if masks.v(i, j, k) == 0.0 {
                 assert_eq!(ws.gv.at(i, j, k), 0.0);
             }
         }

@@ -10,15 +10,16 @@ use crate::config::ModelConfig;
 use crate::eos::FluidKind;
 use crate::field::{Band, Field3};
 use crate::flops::{self, Phase};
-use crate::kernel::{in_column, select, Cols, TileGeom};
+use crate::kernel::{select, Cols, TileGeom};
 use crate::state::{Masks, ModelState};
 use crate::tile::Tile;
 
 /// Flops per wet cell: buoyancy (5) + hydrostatic accumulation (4).
 pub const FLOPS_PER_CELL: u64 = 9;
 
-/// Evaluate buoyancy and hydrostatic pressure on the interior extended by
-/// `ext` halo rings.
+/// Evaluate the hydrostatic pressure from the buoyancy on the interior
+/// extended by `ext` halo rings. The buoyancy itself is not kept: each
+/// cell's is used by its own and the next level's midpoint only.
 pub fn buoyancy_and_phy(
     cfg: &ModelConfig,
     tile: &Tile,
@@ -26,31 +27,31 @@ pub fn buoyancy_and_phy(
     state: &mut ModelState,
     ext: i64,
 ) {
-    let bands = [state.b.band(), state.phy.band()];
-    buoyancy_and_phy_rows(cfg, tile, masks, &state.theta, &state.s, bands, ext);
+    let phy = state.phy.band();
+    buoyancy_and_phy_rows(cfg, tile, masks, &state.theta, &state.s, phy, ext);
 }
 
-/// [`buoyancy_and_phy`] from `theta` and `s` on the rows the bands of `b`
-/// and `phy` hold.
+/// [`buoyancy_and_phy`] from `theta` and `s` on the rows the band of
+/// `phy` holds.
 pub(crate) fn buoyancy_and_phy_rows(
     cfg: &ModelConfig,
     tile: &Tile,
     masks: &Masks,
     theta: &Field3,
     s: &Field3,
-    bands: [Band<'_>; 2],
+    phy: Band<'_>,
     ext: i64,
 ) {
     // The fluid is matched here, once, so the row body is monomorphic.
     let eos = &cfg.eos;
     match eos.kind {
         FluidKind::Ocean => {
-            buoyancy_and_phy_with(cfg, tile, masks, theta, s, bands, ext, |theta, s, _| {
+            buoyancy_and_phy_with(cfg, tile, masks, theta, s, phy, ext, |theta, s, _| {
                 eos.buoyancy_ocean(theta, s)
             })
         }
         FluidKind::Atmosphere => {
-            buoyancy_and_phy_with(cfg, tile, masks, theta, s, bands, ext, |theta, _, k| {
+            buoyancy_and_phy_with(cfg, tile, masks, theta, s, phy, ext, |theta, _, k| {
                 eos.buoyancy_atmosphere(theta, k)
             })
         }
@@ -66,7 +67,7 @@ fn buoyancy_and_phy_with(
     masks: &Masks,
     theta: &Field3,
     s: &Field3,
-    [mut b, mut phy]: [Band<'_>; 2],
+    mut phy: Band<'_>,
     ext: i64,
     buoyancy: impl Fn(f64, f64, usize) -> f64,
 ) {
@@ -79,7 +80,8 @@ fn buoyancy_and_phy_with(
     let mut p = vec![0.0; n];
     let mut b_above = vec![0.0; n];
     let mut cells = 0u64;
-    for j in b.rows(ext) {
+    for j in phy.rows(ext) {
+        let wet = cols.cells(masks, j);
         p.fill(0.0);
         b_above.fill(0.0);
         for k in 0..cfg.grid.nz {
@@ -90,9 +92,8 @@ fn buoyancy_and_phy_with(
             } else {
                 0.5 * (dz[k - 1] + dz[k])
             };
-            let wet = cols.of(&masks.c, j, k);
             let (theta, s) = (cols.of(theta, j, k), cols.of(s, j, k));
-            let (b, phy) = (cols.of_mut(&mut b, j, k), cols.of_mut(&mut phy, j, k));
+            let phy = cols.of_mut(&mut phy, j, k);
             for i in 0..n {
                 let here = buoyancy(theta[i], s[i], k);
                 let b_mid = if k == 0 {
@@ -101,10 +102,9 @@ fn buoyancy_and_phy_with(
                     0.5 * (b_above[i] + here)
                 };
                 let below = p[i] + sign * b_mid * dz_half;
-                // A dry cell stores +0.0 and the pressure above it, and
-                // leaves both carries as they are.
-                let is_wet = wet[i] != 0.0;
-                b[i] = select(is_wet, here, 0.0);
+                // A dry cell stores the pressure above it, and leaves both
+                // carries as they are.
+                let is_wet = wet.open(k, i);
                 p[i] = select(is_wet, below, p[i]);
                 phy[i] = p[i];
                 b_above[i] = select(is_wet, here, b_above[i]);
@@ -145,25 +145,28 @@ pub(crate) fn diagnose_w(
     for j in w.rows(ext) {
         let area = geom.area_at(j);
         let (dxs_south, dxs_north) = (geom.dxs_at(j), geom.dxs_at(j + 1));
-        let kmax = cols.of2(&masks.kmax, j);
+        let wet = cols.cells(masks, j);
+        // The row's west faces and the east face of its last cell, its
+        // south faces and its north faces.
+        let u_faces = cols_east.u_faces(masks, j);
+        let (south, north) = (cols.v_faces(masks, j), cols.v_faces(masks, j + 1));
         w_below.fill(0.0); // interface kmax: solid boundary
         for k in (0..cfg.grid.nz).rev() {
             let dz = cfg.grid.dz[k];
-            let (u, hu) = (cols_east.of(u, j, k), cols_east.of(&masks.hu, j, k));
-            let (v_south, hv_south) = (cols.of(v, j, k), cols.of(&masks.hv, j, k));
-            let (v_north, hv_north) = (cols.of(v, j + 1, k), cols.of(&masks.hv, j + 1, k));
+            let u = cols_east.of(u, j, k);
+            let (v_south, v_north) = (cols.of(v, j, k), cols.of(v, j + 1, k));
             let w = cols.of_mut(&mut w, j, k);
             for i in 0..n {
                 // Open face areas include the partial-cell fractions.
-                let uin = u[i] * hu[i];
-                let uout = u[i + 1] * hu[i + 1];
-                let vin = v_south[i] * hv_south[i] * dxs_south;
-                let vout = v_north[i] * hv_north[i] * dxs_north;
+                let uin = u[i] * u_faces.thickness(k, i);
+                let uout = u[i + 1] * u_faces.thickness(k, i + 1);
+                let vin = v_south[i] * south.thickness(k, i) * dxs_south;
+                let vout = v_north[i] * north.thickness(k, i) * dxs_north;
                 let hdiv = (uout - uin) * dy * dz + (vout - vin) * dz;
                 let w_here = w_below[i] - hdiv / area;
                 // Below the bottom: no flow (+0.0), and the carry stays
                 // the solid boundary's.
-                let open = in_column(k, kmax[i]);
+                let open = wet.open(k, i);
                 w[i] = select(open, w_here, 0.0);
                 w_below[i] = select(open, w_here, w_below[i]);
                 cells += open as u64;
@@ -197,15 +200,13 @@ pub(crate) mod reference {
                 let mut p = 0.0;
                 let mut b_above = 0.0;
                 for k in 0..nz {
-                    if masks.c.at(i, j, k) == 0.0 {
-                        state.b.set(i, j, k, 0.0);
+                    if masks.c(i, j, k) == 0.0 {
                         state.phy.set(i, j, k, p);
                         continue;
                     }
                     let b = cfg
                         .eos
                         .buoyancy(state.theta.at(i, j, k), state.s.at(i, j, k), k);
-                    state.b.set(i, j, k, b);
                     // Midpoint rule: contribution of the half-levels flanking
                     // interface k.
                     let dz_half = if k == 0 {
@@ -259,10 +260,10 @@ pub(crate) mod reference {
                 for k in (0..kmax).rev() {
                     let dz = cfg.grid.dz[k];
                     // Open face areas include the partial-cell fractions.
-                    let uin = u.at(i, j, k) * masks.hu.at(i, j, k);
-                    let uout = u.at(i + 1, j, k) * masks.hu.at(i + 1, j, k);
-                    let vin = v.at(i, j, k) * masks.hv.at(i, j, k) * geom.dxs_at(j);
-                    let vout = v.at(i, j + 1, k) * masks.hv.at(i, j + 1, k) * geom.dxs_at(j + 1);
+                    let uin = u.at(i, j, k) * masks.hu(i, j, k);
+                    let uout = u.at(i + 1, j, k) * masks.hu(i + 1, j, k);
+                    let vin = v.at(i, j, k) * masks.hv(i, j, k) * geom.dxs_at(j);
+                    let vout = v.at(i, j + 1, k) * masks.hv(i, j + 1, k) * geom.dxs_at(j + 1);
                     let hdiv = (uout - uin) * dy * dz + (vout - vin) * dz;
                     let w_here = w_below - hdiv / area;
                     w.set(i, j, k, w_here);
@@ -303,7 +304,6 @@ mod tests {
         // finite, and zero buoyancy would give zero phy.
         for k in 0..4 {
             assert!(st.phy.at(2, 3, k).is_finite());
-            assert!(st.b.at(2, 3, k).is_finite());
         }
         // Uniform reference state gives identically zero phy.
         st.theta.fill(cfg.eos.theta_ref);

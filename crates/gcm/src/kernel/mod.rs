@@ -29,6 +29,7 @@ pub mod vertical;
 use crate::config::ModelConfig;
 use crate::coupler::side_by_side;
 use crate::field::{Band, Field2, Field3};
+use crate::state::Masks;
 use crate::tile::Tile;
 use std::ops::Range;
 
@@ -81,6 +82,29 @@ pub(crate) use std::hint::select_unpredictable as select;
 #[inline(always)]
 pub(crate) fn in_column(k: usize, kmax: f64) -> bool {
     (k + 1) as f64 <= kmax
+}
+
+/// The wet mask on level `k` of a column (of a cell or of a face) with
+/// `kmax` wet levels: 1.0 on its top `kmax` levels, 0.0 below.
+#[inline(always)]
+pub(crate) fn wet(k: usize, kmax: f64) -> f64 {
+    select(in_column(k, kmax), 1.0, 0.0)
+}
+
+/// The thickness factor on level `k` of a column with `kmax` wet levels
+/// whose deepest has the thickness fraction `bottom`: 1.0 above it,
+/// `bottom` on it, 0.0 below (the §3.2 partial cells).
+#[inline(always)]
+pub(crate) fn thickness(k: usize, kmax: f64, bottom: f64) -> f64 {
+    // `below` counts the wet levels under level `k`, exactly. Above the
+    // bottom cell it is at least 1, and the sum clamps to 1.0; on it, 0,
+    // and the sum is `bottom` exactly; under it, at most −1, and the sum
+    // clamps to 0.0 (−1 + 1 is +0.0). Two clamps cost fewer instructions
+    // than two selects on the level.
+    let below = kmax - (k + 1) as f64;
+    let x = below + bottom;
+    let x = select(x > 0.0, x, 0.0);
+    select(x < 1.0, x, 1.0)
 }
 
 /// A span of columns that a kernel sweep takes of every row it reads or
@@ -141,6 +165,65 @@ impl Cols {
     #[inline]
     pub fn of2<'a>(&self, f: &'a Field2, j: i64) -> &'a [f64] {
         &f.row(j, self.is.clone())[..self.n]
+    }
+
+    /// The columns of the cells of row `j`.
+    #[inline]
+    pub fn cells<'a>(&self, masks: &'a Masks, j: i64) -> Columns<'a> {
+        let (kmax, bottom) = (self.of2(&masks.kmax, j), self.of2(&masks.bottom, j));
+        Columns { kmax, bottom }
+    }
+
+    /// The columns of the west faces (u-points) of row `j`.
+    #[inline]
+    pub fn u_faces<'a>(&self, masks: &'a Masks, j: i64) -> Columns<'a> {
+        let (kmax, bottom) = (self.of2(&masks.kmax_u, j), self.of2(&masks.bottom_u, j));
+        Columns { kmax, bottom }
+    }
+
+    /// The columns of the south faces (v-points) of row `j`.
+    #[inline]
+    pub fn v_faces<'a>(&self, masks: &'a Masks, j: i64) -> Columns<'a> {
+        let (kmax, bottom) = (self.of2(&masks.kmax_v, j), self.of2(&masks.bottom_v, j));
+        Columns { kmax, bottom }
+    }
+}
+
+/// A row of columns — of cells, or of west or south faces — that a sweep
+/// reads its masks from: on every level, each mask value of the row is
+/// built inline from a column's wet levels and bottom fraction, the same
+/// `f64` as [`Masks::c`] and the rest give for the cell.
+#[derive(Clone, Copy)]
+pub(crate) struct Columns<'a> {
+    kmax: &'a [f64],
+    bottom: &'a [f64],
+}
+
+impl Columns<'_> {
+    /// Whether column `i` is open on level `k` (its mask is 1.0).
+    #[inline(always)]
+    pub fn open(&self, k: usize, i: usize) -> bool {
+        in_column(k, self.kmax[i])
+    }
+
+    /// The mask of column `i` on level `k`: [`wet`].
+    #[inline(always)]
+    pub fn wet(&self, k: usize, i: usize) -> f64 {
+        wet(k, self.kmax[i])
+    }
+
+    /// The masks of the columns on level `k`, into `out`.
+    #[inline]
+    pub fn wet_row(&self, k: usize, out: &mut [f64]) {
+        for (out, &kmax) in out.iter_mut().zip(self.kmax) {
+            *out = wet(k, kmax);
+        }
+    }
+
+    /// The open fraction of column `i` on level `k`: [`thickness`].
+    #[inline(always)]
+    pub fn thickness(&self, k: usize, i: usize) -> f64 {
+        thickness(k, self.kmax[i], self.bottom[i])
     }
 }
 
@@ -238,14 +321,12 @@ impl TileGeom {
 /// Scratch fields reused across steps.
 #[derive(Clone, Debug)]
 pub struct Workspace {
-    /// Current tendencies.
+    /// Current tendencies; `gu`, `gv` hold the provisional
+    /// (pre-projection) velocities `u*`, `v*` from `velocity_star` on.
     pub gu: Field3,
     pub gv: Field3,
     pub gt: Field3,
     pub gs: Field3,
-    /// Provisional (pre-projection) velocities.
-    pub ustar: Field3,
-    pub vstar: Field3,
     /// Depth-integrated divergence of the provisional flow (m³/s).
     pub rhs: Field2,
 }
@@ -258,8 +339,6 @@ impl Workspace {
             gv: Field3::new(nx, ny, nz, h),
             gt: Field3::new(nx, ny, nz, h),
             gs: Field3::new(nx, ny, nz, h),
-            ustar: Field3::new(nx, ny, nz, h),
-            vstar: Field3::new(nx, ny, nz, h),
             rhs: Field2::new(nx, ny, h),
         }
     }
@@ -287,7 +366,7 @@ pub(crate) mod fixtures {
         pub label: String,
         pub cfg: ModelConfig,
         pub tile: Tile,
-        /// What `masks` was built from (the variants then edit the masks).
+        /// What `masks` was built from.
         pub topo: Topography,
         pub geom: TileGeom,
         pub masks: Masks,
@@ -337,9 +416,7 @@ pub(crate) mod fixtures {
             ] {
                 fill(f.raw_mut(), 0.0, 1e-4);
             }
-            for f in [&mut ws.ustar, &mut ws.vstar, &mut state.phy, &mut state.b] {
-                fill(f.raw_mut(), 0.0, 1.5);
-            }
+            fill(state.phy.raw_mut(), 0.0, 1.5);
             fill(state.ps.raw_mut(), 0.0, 10.0);
             fill(ws.rhs.raw_mut(), 0.0, 1e3);
             fill(bc.taux.raw_mut(), 0.0, 0.2);
@@ -409,21 +486,21 @@ pub(crate) mod fixtures {
             self
         }
 
-        /// The same tile with dry cells above wet ones. No topography
-        /// makes such a column, but the kernels driven by the cell mask
-        /// must carry their column sums across the gap as the references
-        /// do.
+        /// The same tile with column holes: each column dry from the
+        /// first level of the scatter `(i + 2j + 3k) mod 5 = 0` down, if
+        /// that is above its bottom (a hole on level 0 makes it land).
+        /// A topography can make no other hole: a column is wet from the
+        /// top down to its bottom.
         fn with_holes(mut self) -> Case {
-            let h = self.tile.halo as i64;
-            for k in 0..self.cfg.grid.nz {
-                for j in -h..self.tile.ny as i64 + h {
-                    for i in -h..self.tile.nx as i64 + h {
-                        if (i + 2 * j + 3 * k as i64).rem_euclid(5) == 0 {
-                            self.masks.c.set(i, j, k, 0.0);
-                        }
+            let grid = &self.cfg.grid;
+            for j in 0..grid.ny {
+                for i in 0..grid.nx {
+                    if let Some(k) = (0..grid.nz).find(|k| (i + 2 * j + 3 * k) % 5 == 0) {
+                        self.topo.cut(i, j, k as u16);
                     }
                 }
             }
+            self.masks = Masks::build(&self.cfg, &self.tile, &self.topo);
             self.label += ", with holes";
             self
         }
@@ -466,14 +543,11 @@ pub(crate) mod fixtures {
             ("gt_prev", f3(&state.gt_prev)),
             ("gs_prev", f3(&state.gs_prev)),
             ("phy", f3(&state.phy)),
-            ("b", f3(&state.b)),
             ("ps", crate::solver::fixtures::bits(&state.ps)),
             ("gu", f3(&ws.gu)),
             ("gv", f3(&ws.gv)),
             ("gt", f3(&ws.gt)),
             ("gs", f3(&ws.gs)),
-            ("ustar", f3(&ws.ustar)),
-            ("vstar", f3(&ws.vstar)),
             ("rhs", crate::solver::fixtures::bits(&ws.rhs)),
         ]
     }
@@ -517,7 +591,7 @@ pub(crate) mod fixtures {
 
     /// The tiles every sweep is compared with its reference on: both
     /// fluids, `nz ∈ {1, 2, 5}`, `nx ∈ {1, 2, 5, 16}` over the staircase,
-    /// some of them again at rest and with holes in the mask; the
+    /// some of them again at rest and with column holes; the
     /// solver's scattered land (an isolated wet column among them); the
     /// idealized continents on a whole 16 × 8 grid, under both fluids.
     pub(crate) fn cases() -> Vec<Case> {
@@ -626,26 +700,35 @@ mod tests {
         for want in [0, 1, 2, 5] {
             assert!(levels.contains(&want), "no column of {want} levels");
         }
-        assert!(case.masks.hc.raw().iter().any(|&h| 0.0 < h && h < 1.0));
+        let bottom = &case.masks.bottom;
+        assert!(bottom
+            .interior()
+            .any(|(i, j)| 0.0 < bottom.at(i, j) && bottom.at(i, j) < 1.0));
         // Both signs of `w`, and zeros of both signs.
         let w = case.state.w.raw();
         assert!(w.iter().any(|&x| x > 0.0) && w.iter().any(|&x| x < 0.0));
         for zero in [0.0f64, -0.0] {
             assert!(w.iter().any(|x| x.to_bits() == zero.to_bits()));
         }
-        // The variants: no flow, and dry cells above wet ones.
+        // The variants: no flow, and columns cut shorter.
         let at_rest = cases.iter().filter(|c| c.label.contains("at rest"));
         assert!(at_rest.clone().count() >= 2);
         for c in at_rest {
             assert!(c.state.u.raw().iter().all(|&x| x == 0.0));
         }
-        let holed = cases
-            .iter()
-            .find(|c| c.label.ends_with("5x4x5, with holes"));
-        let m = &holed.expect("a holed case").masks.c;
-        assert!(m
-            .interior()
-            .any(|(i, j, k)| k > 0 && m.at(i, j, k) != 0.0 && m.at(i, j, k - 1) == 0.0));
+        let kmax = |label: &str| {
+            let case = cases.iter().find(|c| c.label == label).expect(label);
+            let kmax = &case.masks.kmax;
+            kmax.interior()
+                .map(|(i, j)| kmax.at(i, j))
+                .collect::<Vec<_>>()
+        };
+        let whole = kmax("staircase Ocean 5x4x5");
+        let holed = kmax("staircase Ocean 5x4x5, with holes");
+        let pairs = || whole.iter().zip(&holed);
+        assert!(pairs().all(|(whole, holed)| holed <= whole));
+        assert!(pairs().any(|(&whole, &holed)| 0.0 < holed && holed < whole));
+        assert!(pairs().any(|(&whole, &holed)| holed == 0.0 && whole > 0.0));
     }
 
     #[test]

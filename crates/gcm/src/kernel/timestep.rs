@@ -60,9 +60,12 @@ pub(crate) fn ab2_extrapolate_rows(
 }
 
 /// Provisional velocities: `v* = v^n + Δt (Ĝ − ∇p_hy)` on the interior
-/// extended by `ext`. The pressure gradient at a u-point (v-point)
-/// differences `phy` across the face, so `phy` must be valid one column
-/// further west (one row further south): on `ext + 1`.
+/// extended by `ext`, written over the extrapolated tendencies `Ĝ` in
+/// `ws.gu`, `ws.gv` (the sweep is pointwise, and the raw tendency the
+/// next step's AB2 needs is already in `gu_prev`, `gv_prev`). The
+/// pressure gradient at a u-point (v-point) differences `phy` across the
+/// face, so `phy` must be valid one column further west (one row further
+/// south): on `ext + 1`.
 pub fn velocity_star(
     cfg: &ModelConfig,
     tile: &Tile,
@@ -72,22 +75,19 @@ pub fn velocity_star(
     ws: &mut Workspace,
     ext: i64,
 ) {
-    let bands = [ws.ustar.band(), ws.vstar.band()];
-    velocity_star_rows(cfg, tile, geom, masks, state, &ws.gu, &ws.gv, bands, ext);
+    let bands = [ws.gu.band(), ws.gv.band()];
+    velocity_star_rows(cfg, tile, geom, masks, state, bands, ext);
 }
 
-/// [`velocity_star`] from the tendencies `gu`, `gv` on the rows the
-/// bands of `u*`, `v*` hold.
-#[allow(clippy::too_many_arguments)]
+/// [`velocity_star`] on the rows the bands of `Ĝu`, `Ĝv` hold, `u*`, `v*`
+/// replacing them.
 pub(crate) fn velocity_star_rows(
     cfg: &ModelConfig,
     tile: &Tile,
     geom: &TileGeom,
     masks: &Masks,
     state: &ModelState,
-    gu: &Field3,
-    gv: &Field3,
-    [mut ustar, mut vstar]: [Band<'_>; 2],
+    [mut gu, mut gv]: [Band<'_>; 2],
     ext: i64,
 ) {
     let cols = Cols::new(tile.nx, ext);
@@ -96,22 +96,21 @@ pub(crate) fn velocity_star_rows(
     let (dt, dy) = (cfg.dt, geom.dy);
     let mut cells = 0u64;
     for k in 0..cfg.grid.nz {
-        for j in ustar.rows(ext) {
+        for j in gu.rows(ext) {
             let dxc = geom.dxc_at(j);
             // Cell `i` of the sweep is at index `i + 1` of `phy`'s row.
             let (phy, phy_south) = (
                 cols_west.of(&state.phy, j, k),
                 cols.of(&state.phy, j - 1, k),
             );
-            let (mu, mv) = (cols.of(&masks.u, j, k), cols.of(&masks.v, j, k));
+            let (u_faces, v_faces) = (cols.u_faces(masks, j), cols.v_faces(masks, j));
             let (u, v) = (cols.of(&state.u, j, k), cols.of(&state.v, j, k));
-            let (gu, gv) = (cols.of(gu, j, k), cols.of(gv, j, k));
-            let (ustar, vstar) = (cols.of_mut(&mut ustar, j, k), cols.of_mut(&mut vstar, j, k));
+            let (gu, gv) = (cols.of_mut(&mut gu, j, k), cols.of_mut(&mut gv, j, k));
             for i in 0..n {
                 let dpdx = (phy[i + 1] - phy[i]) / dxc;
-                ustar[i] = mu[i] * (u[i] + dt * (gu[i] - dpdx));
+                gu[i] = u_faces.wet(k, i) * (u[i] + dt * (gu[i] - dpdx));
                 let dpdy = (phy[i + 1] - phy_south[i]) / dy;
-                vstar[i] = mv[i] * (v[i] + dt * (gv[i] - dpdy));
+                gv[i] = v_faces.wet(k, i) * (v[i] + dt * (gv[i] - dpdy));
             }
             cells += n as u64;
         }
@@ -133,13 +132,13 @@ pub(crate) fn update_tracers(
     let mut cells = 0u64;
     for k in 0..theta.nz() {
         for j in theta.rows(0) {
-            let wet = cols.of(&masks.c, j, k);
+            let wet = cols.cells(masks, j);
             let (gt, gs) = (cols.of(gt, j, k), cols.of(gs, j, k));
             let theta = cols.of_mut(&mut theta, j, k);
             let s = cols.of_mut(&mut s, j, k);
             for i in 0..cols.n {
                 // A dry cell keeps its values as they are (not `+ 0.0`).
-                let is_wet = wet[i] != 0.0;
+                let is_wet = wet.open(k, i);
                 theta[i] = select(is_wet, theta[i] + dt * gt[i], theta[i]);
                 s[i] = select(is_wet, s[i] + dt * gs[i], s[i]);
                 cells += is_wet as u64;
@@ -149,8 +148,9 @@ pub(crate) fn update_tracers(
     flops::add(Phase::Ps, cells * 4);
 }
 
-/// Depth-integrated divergence of the provisional flow (the elliptic
-/// right-hand side, m³/s), on the interior.
+/// Depth-integrated divergence of the provisional flow `u*`, `v*` in
+/// `ws.gu`, `ws.gv` (the elliptic right-hand side, m³/s), on the
+/// interior.
 pub fn divergence_rhs(
     cfg: &ModelConfig,
     tile: &Tile,
@@ -159,7 +159,7 @@ pub fn divergence_rhs(
     ws: &mut Workspace,
 ) {
     let rhs = ws.rhs.band();
-    divergence_rhs_rows(cfg, tile, geom, masks, &ws.ustar, &ws.vstar, rhs);
+    divergence_rhs_rows(cfg, tile, geom, masks, &ws.gu, &ws.gv, rhs);
 }
 
 /// [`divergence_rhs`] of `ustar`, `vstar` on the rows the band of `rhs`
@@ -180,6 +180,10 @@ pub(crate) fn divergence_rhs_rows(
     let mut cells = 0u64;
     for j in rhs.rows(0) {
         let (dxs_south, dxs_north) = (geom.dxs_at(j), geom.dxs_at(j + 1));
+        // The row's west faces and the east face of its last cell, its
+        // south faces and its north faces.
+        let u_faces = cols_east.u_faces(masks, j);
+        let (south, north) = (cols.v_faces(masks, j), cols.v_faces(masks, j + 1));
         // The row of `rhs` is the accumulator of its columns' sums.
         let rhs = cols.of_mut(&mut rhs, j, 0);
         rhs.fill(0.0);
@@ -187,14 +191,13 @@ pub(crate) fn divergence_rhs_rows(
             let dz = cfg.grid.dz[k];
             // Face thicknesses carry the partial-cell fractions (§3.2):
             // the open area of each face is dz·hu (or dz·hv).
-            let (u, hu) = (cols_east.of(ustar, j, k), cols_east.of(&masks.hu, j, k));
-            let (v_south, hv_south) = (cols.of(vstar, j, k), cols.of(&masks.hv, j, k));
-            let (v_north, hv_north) = (cols.of(vstar, j + 1, k), cols.of(&masks.hv, j + 1, k));
+            let u = cols_east.of(ustar, j, k);
+            let (v_south, v_north) = (cols.of(vstar, j, k), cols.of(vstar, j + 1, k));
             for i in 0..n {
-                let uin = u[i] * hu[i];
-                let uout = u[i + 1] * hu[i + 1];
-                let vin = v_south[i] * hv_south[i] * dxs_south;
-                let vout = v_north[i] * hv_north[i] * dxs_north;
+                let uin = u[i] * u_faces.thickness(k, i);
+                let uout = u[i + 1] * u_faces.thickness(k, i + 1);
+                let vin = v_south[i] * south.thickness(k, i) * dxs_south;
+                let vout = v_north[i] * north.thickness(k, i) * dxs_north;
                 rhs[i] += (uout - uin) * dy * dz + (vout - vin) * dz;
             }
             cells += n as u64;
@@ -227,14 +230,14 @@ pub(crate) fn correct_velocities(
             let dxc = geom.dxc_at(j);
             // Cell `i` is at index `i + 1` of `ps`'s row.
             let (ps, ps_south) = (cols_west.of2(ps, j), cols.of2(ps, j - 1));
-            let (mu, mv) = (cols.of(&masks.u, j, k), cols.of(&masks.v, j, k));
+            let (u_faces, v_faces) = (cols.u_faces(masks, j), cols.v_faces(masks, j));
             let (ustar, vstar) = (cols.of(ustar, j, k), cols.of(vstar, j, k));
             let (u, v) = (cols.of_mut(&mut u, j, k), cols.of_mut(&mut v, j, k));
             for i in 0..n {
                 let dpdx = (ps[i + 1] - ps[i]) / dxc;
-                u[i] = mu[i] * (ustar[i] - dt * dpdx);
+                u[i] = u_faces.wet(k, i) * (ustar[i] - dt * dpdx);
                 let dpdy = (ps[i + 1] - ps_south[i]) / dy;
-                v[i] = mv[i] * (vstar[i] - dt * dpdy);
+                v[i] = v_faces.wet(k, i) * (vstar[i] - dt * dpdy);
             }
             cells += n as u64;
         }
@@ -281,8 +284,8 @@ pub(crate) mod reference {
     }
 
     /// Provisional velocities: `v* = v^n + Δt (Ĝ − ∇p_hy)` on the interior
-    /// extended by `ext` (needs `phy` on `ext+1`... the x-gradient at a
-    /// u-point uses `phy(i-1)` and `phy(i)`).
+    /// extended by `ext`, over `Ĝ` (needs `phy` on `ext+1`... the
+    /// x-gradient at a u-point uses `phy(i-1)` and `phy(i)`).
     pub(crate) fn velocity_star(
         cfg: &ModelConfig,
         tile: &Tile,
@@ -299,17 +302,17 @@ pub(crate) mod reference {
         for k in 0..nz {
             for j in -ext..ny + ext {
                 for i in -ext..nx + ext {
-                    let mu = masks.u.at(i, j, k);
+                    let mu = masks.u(i, j, k);
                     let dpdx = (state.phy.at(i, j, k) - state.phy.at(i - 1, j, k)) / geom.dxc_at(j);
-                    ws.ustar.set(
+                    ws.gu.set(
                         i,
                         j,
                         k,
                         mu * (state.u.at(i, j, k) + dt * (ws.gu.at(i, j, k) - dpdx)),
                     );
-                    let mv = masks.v.at(i, j, k);
+                    let mv = masks.v(i, j, k);
                     let dpdy = (state.phy.at(i, j, k) - state.phy.at(i, j - 1, k)) / geom.dy;
-                    ws.vstar.set(
+                    ws.gv.set(
                         i,
                         j,
                         k,
@@ -331,7 +334,7 @@ pub(crate) mod reference {
     ) {
         let mut cells = 0u64;
         for (i, j, k) in ws.gt.interior() {
-            if masks.c.at(i, j, k) == 0.0 {
+            if masks.c(i, j, k) == 0.0 {
                 continue;
             }
             state.theta.add(i, j, k, cfg.dt * ws.gt.at(i, j, k));
@@ -361,11 +364,10 @@ pub(crate) mod reference {
                     let dz = cfg.grid.dz[k];
                     // Face thicknesses carry the partial-cell fractions
                     // (§3.2): the open area of each face is dz·hu (or dz·hv).
-                    let uin = ws.ustar.at(i, j, k) * masks.hu.at(i, j, k);
-                    let uout = ws.ustar.at(i + 1, j, k) * masks.hu.at(i + 1, j, k);
-                    let vin = ws.vstar.at(i, j, k) * masks.hv.at(i, j, k) * geom.dxs_at(j);
-                    let vout =
-                        ws.vstar.at(i, j + 1, k) * masks.hv.at(i, j + 1, k) * geom.dxs_at(j + 1);
+                    let uin = ws.gu.at(i, j, k) * masks.hu(i, j, k);
+                    let uout = ws.gu.at(i + 1, j, k) * masks.hu(i + 1, j, k);
+                    let vin = ws.gv.at(i, j, k) * masks.hv(i, j, k) * geom.dxs_at(j);
+                    let vout = ws.gv.at(i, j + 1, k) * masks.hv(i, j + 1, k) * geom.dxs_at(j + 1);
                     div += (uout - uin) * dy * dz + (vout - vin) * dz;
                     cells += 1;
                 }
@@ -394,12 +396,12 @@ pub(crate) mod reference {
         for k in 0..nz {
             for j in 0..ny {
                 for i in 0..nx {
-                    let mu = masks.u.at(i, j, k);
+                    let mu = masks.u(i, j, k);
                     let dpdx = (ps.at(i, j) - ps.at(i - 1, j)) / geom.dxc_at(j);
-                    u.set(i, j, k, mu * (ws.ustar.at(i, j, k) - dt * dpdx));
-                    let mv = masks.v.at(i, j, k);
+                    u.set(i, j, k, mu * (ws.gu.at(i, j, k) - dt * dpdx));
+                    let mv = masks.v(i, j, k);
                     let dpdy = (ps.at(i, j) - ps.at(i, j - 1)) / geom.dy;
-                    v.set(i, j, k, mv * (ws.vstar.at(i, j, k) - dt * dpdy));
+                    v.set(i, j, k, mv * (ws.gv.at(i, j, k) - dt * dpdy));
                     cells += 1;
                 }
             }
@@ -461,8 +463,8 @@ mod tests {
             }
         }
         velocity_star(&cfg, &tile, &geom, &masks, &st, &mut ws, 0);
-        assert!(ws.ustar.at(4, 4, 0) > 0.0, "flow toward low pressure");
-        assert!(ws.ustar.at(2, 4, 0) == 0.0, "no gradient, no flow");
+        assert!(ws.gu.at(4, 4, 0) > 0.0, "flow toward low pressure");
+        assert!(ws.gu.at(2, 4, 0) == 0.0, "no gradient, no flow");
     }
 
     #[test]
@@ -470,10 +472,10 @@ mod tests {
         let (cfg, tile, geom, masks, mut st, mut ws) = setup();
         // ps bump at one cell: the correction pushes flow out of it.
         st.ps.set(4, 4, 10.0);
-        ws.ustar.fill(0.0);
-        ws.vstar.fill(0.0);
+        ws.gu.fill(0.0);
+        ws.gv.fill(0.0);
         let uv = [st.u.band(), st.v.band()];
-        correct_velocities(&cfg, &tile, &geom, &masks, &st.ps, &ws.ustar, &ws.vstar, uv);
+        correct_velocities(&cfg, &tile, &geom, &masks, &st.ps, &ws.gu, &ws.gv, uv);
         // West face of (4,4): dp/dx > 0 so u < 0 (out of the bump
         // westward); east face (5,4): u > 0.
         assert!(st.u.at(4, 4, 0) < 0.0);
@@ -485,8 +487,8 @@ mod tests {
     #[test]
     fn rhs_zero_for_nondivergent_flow() {
         let (cfg, tile, geom, masks, _st, mut ws) = setup();
-        ws.ustar.fill(0.25);
-        ws.vstar.fill(0.0);
+        ws.gu.fill(0.25);
+        ws.gv.fill(0.0);
         divergence_rhs(&cfg, &tile, &geom, &masks, &mut ws);
         assert!(ws.rhs.interior_max_abs() < 1e-9);
     }
@@ -495,7 +497,7 @@ mod tests {
     fn rhs_measures_divergence() {
         let (cfg, tile, geom, masks, _st, mut ws) = setup();
         // Outflow from cell (3,3) at level 0 only.
-        ws.ustar.set(4, 3, 0, 0.5);
+        ws.gu.set(4, 3, 0, 0.5);
         divergence_rhs(&cfg, &tile, &geom, &masks, &mut ws);
         let expect = 0.5 * geom.dy * cfg.grid.dz[0];
         assert!((ws.rhs.at(3, 3) - expect).abs() < 1e-9);
@@ -592,7 +594,7 @@ mod sweep_tests {
                 "correct_velocities",
                 |st, ws| {
                     let (ps, uv) = (&st.ps, [st.u.band(), st.v.band()]);
-                    correct_velocities(cfg, tile, geom, masks, ps, &ws.ustar, &ws.vstar, uv)
+                    correct_velocities(cfg, tile, geom, masks, ps, &ws.gu, &ws.gv, uv)
                 },
                 |st, ws| reference::correct_velocities(cfg, tile, geom, masks, st, ws),
             );

@@ -426,11 +426,11 @@ fn local_budgets(model: &Model) -> [f64; 6] {
     }
     for (i, j, k) in s.theta.interior() {
         let vol = g.area_at(j) * dz[k];
-        let wet_c = m.c.at(i, j, k);
+        let wet_c = m.c(i, j, k);
         out[1] += wet_c * vol * s.theta.at(i, j, k);
         out[2] += wet_c * vol * s.s.at(i, j, k);
-        out[3] += 0.5 * m.u.at(i, j, k) * vol * s.u.at(i, j, k).powi(2);
-        out[4] += 0.5 * m.v.at(i, j, k) * vol * s.v.at(i, j, k).powi(2);
+        out[3] += 0.5 * m.u(i, j, k) * vol * s.u.at(i, j, k).powi(2);
+        out[4] += 0.5 * m.v(i, j, k) * vol * s.v.at(i, j, k).powi(2);
         out[5] += 0.5 * wet_c * vol * s.w.at(i, j, k).powi(2);
     }
     out

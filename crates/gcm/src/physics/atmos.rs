@@ -77,12 +77,12 @@ pub(crate) fn forcing(
         for j in gt.rows(ext) {
             let gj = tile.gy(j).clamp(0, cfg.grid.ny as i64 - 1);
             let teq = theta_eq(cfg, cfg.grid.lat_c(gj), k);
-            let wet = cols.of(&masks.c, j, k);
+            let wet = cols.cells(masks, j);
             let theta = cols.of(&state.theta, j, k);
             let gt = cols.of_mut(&mut gt, j, k);
             // Dry cells keep their tendencies as they are (not `+ 0.0`).
             for i in 0..n {
-                let is_wet = wet[i] != 0.0;
+                let is_wet = wet.open(k, i);
                 gt[i] = select(is_wet, gt[i] + (teq - theta[i]) / tau, gt[i]);
                 cells += is_wet as u64;
             }
@@ -92,7 +92,7 @@ pub(crate) fn forcing(
                 let gu = cols.of_mut(&mut gu, j, k);
                 let gv = cols.of_mut(&mut gv, j, k);
                 let gs = cols.of_mut(&mut gs, j, k);
-                for i in (0..n).filter(|&i| wet[i] != 0.0) {
+                for i in (0..n).filter(|&i| wet.open(k, i)) {
                     // Rayleigh friction on the boundary-layer winds.
                     gu[i] += -u[i] / TAU_FRICTION;
                     gv[i] += -v[i] / TAU_FRICTION;
@@ -133,11 +133,11 @@ pub(crate) fn condensation(
         // Layer-centre pressure from the Exner function.
         let p = crate::eos::P00 * exner.powf(1.0 / crate::eos::KAPPA);
         for j in theta.rows(0) {
-            let wet = cols.of(&masks.c, j, k);
+            let wet = cols.cells(masks, j);
             let theta = cols.of_mut(theta, j, k);
             let s = cols.of_mut(s, j, k);
             for i in 0..cols.n {
-                if wet[i] == 0.0 {
+                if !wet.open(k, i) {
                     continue;
                 }
                 let qs = q_sat(theta[i] * exner, p);
@@ -182,7 +182,7 @@ pub(crate) mod reference {
             let lat = cfg.grid.lat_c(gj);
             for i in -ext..nx + ext {
                 for k in 0..nz {
-                    if masks.c.at(i, j, k) == 0.0 {
+                    if masks.c(i, j, k) == 0.0 {
                         continue;
                     }
                     let tau = if k == 0 { TAU_RAD_SURF } else { TAU_RAD };
@@ -225,7 +225,7 @@ pub(crate) mod reference {
         for j in 0..ny {
             for i in 0..nx {
                 for k in 0..nz {
-                    if masks.c.at(i, j, k) == 0.0 {
+                    if masks.c(i, j, k) == 0.0 {
                         continue;
                     }
                     let exner = cfg.eos.exner(k);

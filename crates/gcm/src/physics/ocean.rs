@@ -57,10 +57,10 @@ pub(crate) fn forcing(
     let k = 0usize;
     let mut cells = 0u64;
     for j in gt.rows(ext) {
-        let (mu, mv, wet) = (
-            cols.of(&masks.u, j, k),
-            cols.of(&masks.v, j, k),
-            cols.of(&masks.c, j, k),
+        let (wet, u_faces, v_faces) = (
+            cols.cells(masks, j),
+            cols.u_faces(masks, j),
+            cols.v_faces(masks, j),
         );
         let gu = cols.of_mut(&mut gu, j, k);
         let gv = cols.of_mut(&mut gv, j, k);
@@ -72,13 +72,13 @@ pub(crate) fn forcing(
             let (taux, tauy) = (cols.of2(&bc.taux, j), cols.of2(&bc.tauy, j));
             let qflux = cols.of2(&bc.qflux, j);
             for i in 0..n {
-                if mu[i] != 0.0 {
+                if u_faces.open(k, i) {
                     gu[i] += taux[i] / (RHO0 * dz0);
                 }
-                if mv[i] != 0.0 {
+                if v_faces.open(k, i) {
                     gv[i] += tauy[i] / (RHO0 * dz0);
                 }
-                if wet[i] != 0.0 {
+                if wet.open(k, i) {
                     gt[i] += qflux[i] / (RHO0 * CP_SEA * dz0);
                     cells += 1;
                 }
@@ -93,10 +93,10 @@ pub(crate) fn forcing(
             let (theta, s) = (cols.of(&state.theta, j, k), cols.of(&state.s, j, k));
             let gs = cols.of_mut(&mut gs, j, k);
             for i in 0..n {
-                if mu[i] != 0.0 {
+                if u_faces.open(k, i) {
                     gu[i] += tx / (RHO0 * dz0);
                 }
-                if wet[i] != 0.0 {
+                if wet.open(k, i) {
                     gt[i] += (t_star - theta[i]) / TAU_RESTORE;
                     gs[i] += (s_star - s[i]) / TAU_RESTORE;
                     cells += 1;
@@ -137,7 +137,7 @@ pub(crate) mod reference {
             for i in -ext..nx + ext {
                 let k = 0usize;
                 // Momentum: wind stress on the surface level.
-                if masks.u.at(i, j, k) != 0.0 {
+                if masks.u(i, j, k) != 0.0 {
                     let tx = if coupled {
                         bc.taux.at(i, j)
                     } else {
@@ -145,11 +145,11 @@ pub(crate) mod reference {
                     };
                     ws.gu.add(i, j, k, tx / (RHO0 * dz0));
                 }
-                if masks.v.at(i, j, k) != 0.0 && coupled {
+                if masks.v(i, j, k) != 0.0 && coupled {
                     ws.gv.add(i, j, k, bc.tauy.at(i, j) / (RHO0 * dz0));
                 }
                 // Tracers: restoring (climatology) or flux (coupled).
-                if masks.c.at(i, j, k) != 0.0 {
+                if masks.c(i, j, k) != 0.0 {
                     if coupled {
                         ws.gt
                             .add(i, j, k, bc.qflux.at(i, j) / (RHO0 * CP_SEA * dz0));

@@ -3,30 +3,39 @@
 use crate::config::ModelConfig;
 use crate::eos::FluidKind;
 use crate::field::{Band, Field2, Field3};
-use crate::kernel::{band_split, in_bands};
+use crate::kernel::{band_split, in_bands, in_column, thickness, wet};
 use crate::tile::Tile;
 use crate::topography::Topography;
 use std::ops::Range;
 
 /// Land/wet masks and column geometry on a tile (including halo, built
 /// directly from the global topography so no exchange is needed).
+///
+/// A column of the topography is wet from the top down to its `kmax`-th
+/// level, and only its deepest wet cell can be shaved (§3.2), so a tile
+/// stores per column what is per column: the wet levels and the thickness
+/// fraction of the bottom cell — of each cell's column, and of each west
+/// and south face's, which is open where both its cells are. The six 3-D
+/// masks of the finite-volume scheme are views of these pairs
+/// (`kernel::wet`, `kernel::thickness`): a sweep builds each value inline
+/// from the pairs' rows, a cell-at-a-time loop asks for a cell
+/// ([`Masks::c`] and the rest).
 #[derive(Clone, Debug)]
 pub struct Masks {
-    /// Cell-centre wet mask (1.0 wet / 0.0 land).
-    pub c: Field3,
-    /// West-face (u-point) mask.
-    pub u: Field3,
-    /// South-face (v-point) mask.
-    pub v: Field3,
-    /// Cell thickness factors (1 interior, shaved fraction at the bottom,
-    /// 0 on land) — the §3.2 partial cells.
-    pub hc: Field3,
-    /// Face thickness factors: the open fraction of each u/v face (the
-    /// minimum of the two adjacent cells).
-    pub hu: Field3,
-    pub hv: Field3,
     /// Wet levels per column.
     pub kmax: Field2,
+    /// Thickness fraction of each column's deepest wet cell (1.0 on a
+    /// full cell, 0.0 on land).
+    pub(crate) bottom: Field2,
+    /// Wet levels of each west face (u-point): those of the shallower of
+    /// its two columns.
+    pub(crate) kmax_u: Field2,
+    /// Open fraction of each west face's deepest wet level: the smaller
+    /// thickness fraction of its two cells there.
+    pub(crate) bottom_u: Field2,
+    /// The same for each south face (v-point).
+    pub(crate) kmax_v: Field2,
+    pub(crate) bottom_v: Field2,
     /// Fluid depth per column (m, or Pa for the atmosphere isomorph).
     pub depth: Field2,
     /// Number of wet interior cells on this tile.
@@ -34,65 +43,69 @@ pub struct Masks {
     wet_columns: u64,
 }
 
-impl Masks {
-    /// Level by level and row by row, as two bands of rows on a large
-    /// tile, from each column's wet levels and bottom-cell fraction,
-    /// looked up once.
-    pub fn build(cfg: &ModelConfig, tile: &Tile, topo: &Topography) -> Masks {
-        Masks::build_split(cfg, tile, topo, band_split(tile, cfg.grid.nz))
+/// The face between the columns `(kmax, bottom)` of its two cells: the
+/// levels both are wet on, and on the deepest of them the smaller of the
+/// two cells' thickness fractions — the shallower column's bottom
+/// fraction, or the smaller of the two bottom fractions where both end
+/// there (a cell above its column's bottom is full).
+fn face((ka, ba): (f64, f64), (kb, bb): (f64, f64)) -> (f64, f64) {
+    if ka < kb {
+        (ka, ba)
+    } else if kb < ka {
+        (kb, bb)
+    } else {
+        (ka, ba.min(bb))
     }
+}
 
-    /// [`build`](Masks::build) whole (`None`) or split at row `mid`.
-    pub(crate) fn build_split(
-        cfg: &ModelConfig,
-        tile: &Tile,
-        topo: &Topography,
-        mid: Option<i64>,
-    ) -> Masks {
+impl Masks {
+    /// Each column of the tile and its halo, and the columns west and
+    /// south of it, looked up in the topography.
+    pub fn build(cfg: &ModelConfig, tile: &Tile, topo: &Topography) -> Masks {
         let (nx, ny, nz, h) = (tile.nx, tile.ny, cfg.grid.nz, tile.halo);
-        let mut c = Field3::new(nx, ny, nz, h);
-        let mut u = Field3::new(nx, ny, nz, h);
-        let mut v = Field3::new(nx, ny, nz, h);
-        let mut hc = Field3::new(nx, ny, nz, h);
-        let mut hu = Field3::new(nx, ny, nz, h);
-        let mut hv = Field3::new(nx, ny, nz, h);
-        let mut kmax = Field2::new(nx, ny, h);
-        let mut depth = Field2::new(nx, ny, h);
+        let f2 = || Field2::new(nx, ny, h);
+        let (mut kmax, mut bottom, mut depth) = (f2(), f2(), f2());
+        let (mut kmax_u, mut bottom_u, mut kmax_v, mut bottom_v) = (f2(), f2(), f2(), f2());
+        let column = |gi: i64, gj: i64| {
+            let levels = topo.kmax(gi, gj);
+            let bottom = match levels {
+                0 => 0.0,
+                _ => topo.hfac(gi, gj, levels as usize - 1),
+            };
+            (levels as f64, bottom)
+        };
         let hi = h as i64;
-        let (is, js) = (-hi..(nx as i64 + hi), -hi..(ny as i64 + hi));
-        // Rows `js.start − 1..js.end` of columns `is.start − 1..is.end`:
-        // the tile and its halo, and one more row south and column west —
-        // the other cell of the halo's south and west faces.
-        let width = (is.end - is.start + 1) as usize;
-        let columns: Vec<Column> = (js.start - 1..js.end)
-            .flat_map(|j| (is.start - 1..is.end).map(move |i| Column::new(topo, tile, i, j)))
-            .collect();
-        let row = |j: i64| &columns[(j - js.start + 1) as usize * width..][..width];
-        for j in js.clone() {
-            for (i, column) in is.clone().zip(&row(j)[1..]) {
-                kmax.set(i, j, column.kmax as f64);
-                depth.set(i, j, topo.depth(&cfg.grid, tile.gx(i), tile.gy(j)));
+        for j in -hi..ny as i64 + hi {
+            for i in -hi..nx as i64 + hi {
+                let (gi, gj) = (tile.gx(i), tile.gy(j));
+                let here = column(gi, gj);
+                let (west, south) = (
+                    face(here, column(gi - 1, gj)),
+                    face(here, column(gi, gj - 1)),
+                );
+                let pairs = [
+                    (&mut kmax, &mut bottom, here),
+                    (&mut kmax_u, &mut bottom_u, west),
+                    (&mut kmax_v, &mut bottom_v, south),
+                ];
+                for (levels, fraction, (l, f)) in pairs {
+                    levels.set(i, j, l);
+                    fraction.set(i, j, f);
+                }
+                depth.set(i, j, topo.depth(&cfg.grid, gi, gj));
             }
         }
-        let masks = [&mut c, &mut u, &mut v, &mut hc, &mut hu, &mut hv].map(|f| f.band());
-        in_bands(mid, masks, |bands| mask_rows(&columns, bands));
         // A column has its top `kmax` levels wet.
-        let wet_cells = (0..ny as i64)
-            .flat_map(|j| &row(j)[1 + h..][..nx])
-            .map(|column| u64::from(column.kmax).min(nz as u64))
-            .sum();
-        let wet_columns = kmax
-            .interior()
-            .filter(|&(i, j)| kmax.at(i, j) > 0.0)
-            .count() as u64;
+        let levels = || kmax.interior().map(|(i, j)| kmax.at(i, j) as u64);
+        let wet_cells = levels().map(|l| l.min(nz as u64)).sum();
+        let wet_columns = levels().filter(|&l| l > 0).count() as u64;
         Masks {
-            c,
-            u,
-            v,
-            hc,
-            hu,
-            hv,
             kmax,
+            bottom,
+            kmax_u,
+            bottom_u,
+            kmax_v,
+            bottom_v,
             depth,
             wet_cells,
             wet_columns,
@@ -104,6 +117,37 @@ impl Masks {
     pub fn wet_columns(&self) -> u64 {
         self.wet_columns
     }
+
+    /// Cell-centre wet mask of cell `(i, j, k)` (1.0 wet / 0.0 land).
+    pub fn c(&self, i: i64, j: i64, k: usize) -> f64 {
+        wet(k, self.kmax.at(i, j))
+    }
+
+    /// West-face (u-point) mask: 1.0 where both cells are wet.
+    pub fn u(&self, i: i64, j: i64, k: usize) -> f64 {
+        wet(k, self.kmax_u.at(i, j))
+    }
+
+    /// South-face (v-point) mask: 1.0 where both cells are wet.
+    pub fn v(&self, i: i64, j: i64, k: usize) -> f64 {
+        wet(k, self.kmax_v.at(i, j))
+    }
+
+    /// Cell thickness factor: 1.0 above the column's bottom cell, the
+    /// shaved fraction on it, 0.0 on land — the §3.2 partial cells.
+    pub fn hc(&self, i: i64, j: i64, k: usize) -> f64 {
+        thickness(k, self.kmax.at(i, j), self.bottom.at(i, j))
+    }
+
+    /// Open fraction of the west face: the smaller `hc` of its two cells.
+    pub fn hu(&self, i: i64, j: i64, k: usize) -> f64 {
+        thickness(k, self.kmax_u.at(i, j), self.bottom_u.at(i, j))
+    }
+
+    /// Open fraction of the south face, likewise.
+    pub fn hv(&self, i: i64, j: i64, k: usize) -> f64 {
+        thickness(k, self.kmax_v.at(i, j), self.bottom_v.at(i, j))
+    }
 }
 
 /// A band's levels, halo width and columns (halo included), which the
@@ -114,33 +158,6 @@ impl Masks {
 fn band_indices(band: &Band<'_>) -> (usize, i64, Range<i64>) {
     let (h, nx) = (band.halo() as i64, band.nx() as i64);
     (band.nz(), h, -h..nx + h)
-}
-
-/// The rows of the masks `[c, u, v, hc, hu, hv]` the bands hold, from
-/// `columns`: the tile's, a row of columns after the other, with one row
-/// south and one column west more.
-fn mask_rows(columns: &[Column], mut bands: [Band<'_>; 6]) {
-    let (levels, halo, is) = band_indices(&bands[0]);
-    let width = (is.end - is.start + 1) as usize;
-    let columns_of = |j: i64| &columns[(j + halo + 1) as usize * width..][..width];
-    for k in 0..levels {
-        for j in bands[0].rows(halo) {
-            let (here, south) = (columns_of(j), columns_of(j - 1));
-            let [c, u, v, hc, hu, hv] = bands.each_mut().map(|f| f.row_mut(j, k, is.clone()));
-            for n in 0..c.len() {
-                let (west, south) = (&here[n], &south[n + 1]);
-                let wc = here[n + 1].wet(k);
-                c[n] = wc as u8 as f64;
-                u[n] = (wc && west.wet(k)) as u8 as f64;
-                v[n] = (wc && south.wet(k)) as u8 as f64;
-                // Partial-cell factors (1.0 on full cells).
-                let fc = here[n + 1].hfac(k);
-                hc[n] = fc;
-                hu[n] = fc.min(west.hfac(k));
-                hv[n] = fc.min(south.hfac(k));
-            }
-        }
-    }
 }
 
 /// The rows of `θ` and `s` the bands hold, at rest with a stable
@@ -159,9 +176,13 @@ fn initial_rows(
         let frac = (k as f64 + 0.5) / levels as f64;
         for j in theta.rows(halo) {
             let cos2 = cos2[(j + halo) as usize];
-            let wet = masks.c.row(j, k, is.clone());
+            let kmax = masks.kmax.row(j, is.clone());
             let (theta, s) = (theta.row_mut(j, k, is.clone()), s.row_mut(j, k, is.clone()));
-            for (n, i) in is.clone().enumerate().filter(|&(n, _)| wet[n] != 0.0) {
+            for (n, i) in is
+                .clone()
+                .enumerate()
+                .filter(|&(n, _)| in_column(k, kmax[n]))
+            {
                 let pert = 0.05 * perturbation(cfg.seed, tile.gx(i), tile.gy(j), k);
                 (theta[n], s[n]) = match cfg.eos.kind {
                     FluidKind::Ocean => {
@@ -178,43 +199,6 @@ fn initial_rows(
                     }
                 };
             }
-        }
-    }
-}
-
-/// One column of the topography: its wet levels and the thickness
-/// fraction of its deepest wet cell, which is all `Topography::wet` and
-/// `Topography::hfac` read of it.
-struct Column {
-    kmax: u16,
-    bottom: f64,
-}
-
-impl Column {
-    fn new(topo: &Topography, tile: &Tile, i: i64, j: i64) -> Column {
-        let (gi, gj) = (tile.gx(i), tile.gy(j));
-        let kmax = topo.kmax(gi, gj);
-        let bottom = if kmax == 0 {
-            0.0
-        } else {
-            topo.hfac(gi, gj, kmax as usize - 1)
-        };
-        Column { kmax, bottom }
-    }
-
-    /// `Topography::wet` on level `k`.
-    fn wet(&self, k: usize) -> bool {
-        (k as u16) < self.kmax
-    }
-
-    /// `Topography::hfac` on level `k`.
-    fn hfac(&self, k: usize) -> f64 {
-        if !self.wet(k) {
-            0.0
-        } else if (k as u16) + 1 == self.kmax {
-            self.bottom
-        } else {
-            1.0
         }
     }
 }
@@ -242,8 +226,6 @@ pub struct ModelState {
     pub ps: Field2,
     /// Hydrostatic pressure / geopotential anomaly at cell centres.
     pub phy: Field3,
-    /// Buoyancy.
-    pub b: Field3,
     /// True until the first step has run (the AB2 history is empty and the
     /// step runs forward-Euler).
     pub first_step: bool,
@@ -292,7 +274,6 @@ impl ModelState {
             gs_prev: f3(),
             ps: Field2::new(nx, ny, h),
             phy: f3(),
-            b: f3(),
             first_step: true,
         };
         // Level by level and row by row, as two bands of rows on a large
@@ -327,7 +308,22 @@ impl ModelState {
 pub(crate) mod reference {
     use super::*;
 
-    pub(crate) fn masks(cfg: &ModelConfig, tile: &Tile, topo: &Topography) -> Masks {
+    /// The six masks as 3-D fields (tile and halo), and the columns' wet
+    /// levels and depths, expanded cell by cell from the topography.
+    pub(crate) struct Expanded {
+        pub c: Field3,
+        pub u: Field3,
+        pub v: Field3,
+        pub hc: Field3,
+        pub hu: Field3,
+        pub hv: Field3,
+        pub kmax: Field2,
+        pub depth: Field2,
+        pub wet_cells: u64,
+        pub wet_columns: u64,
+    }
+
+    pub(crate) fn masks(cfg: &ModelConfig, tile: &Tile, topo: &Topography) -> Expanded {
         let (nx, ny, nz, h) = (tile.nx, tile.ny, cfg.grid.nz, tile.halo);
         let mut c = Field3::new(nx, ny, nz, h);
         let mut u = Field3::new(nx, ny, nz, h);
@@ -368,7 +364,7 @@ pub(crate) mod reference {
             .interior()
             .filter(|&(i, j)| kmax.at(i, j) > 0.0)
             .count() as u64;
-        Masks {
+        Expanded {
             c,
             u,
             v,
@@ -394,7 +390,7 @@ pub(crate) mod reference {
                 let (gi, gj) = (tile.gx(i), tile.gy(j));
                 let lat = cfg.grid.lat_c(tile.gy(j).clamp(0, cfg.grid.ny as i64 - 1));
                 for k in 0..nz {
-                    if masks.c.at(i, j, k) == 0.0 {
+                    if masks.c(i, j, k) == 0.0 {
                         continue;
                     }
                     let pert = 0.05 * perturbation(cfg.seed, gi, gj, k);
@@ -423,36 +419,131 @@ pub(crate) mod reference {
 #[cfg(test)]
 mod set_up_tests {
     use super::*;
+    use crate::decomp::Decomp;
     use crate::kernel::fixtures::cases;
+    use crate::kernel::Cols;
 
     fn bits<'a>(fields: impl IntoIterator<Item = &'a [f64]>) -> Vec<u64> {
         fields.into_iter().flatten().map(|x| x.to_bits()).collect()
     }
 
-    /// Every word of the masks and of the initial state, halo included,
-    /// and the wet counts, against the cell-at-a-time loops: the
-    /// staircase, the scattered land and the continents, both fluids, and
-    /// (for the state) masks with dry cells above wet ones.
+    /// A mask of a cell, as a cell-at-a-time loop asks for it.
+    type Cell = fn(&Masks, i64, i64, usize) -> f64;
+    /// A mask of cell `i` of a row `j` of columns on level `k`, as a sweep
+    /// builds it.
+    type Row = fn(&Cols, &Masks, i64, usize, usize) -> f64;
+
+    /// Every value of the six masks, halo included, from the cell
+    /// accessors and from the rows of columns the sweeps build them from,
+    /// against the cell-at-a-time expansion from the topography; and the
+    /// columns' wet levels, depths and wet counts.
+    fn assert_views_match_the_expansion(cfg: &ModelConfig, tile: &Tile, topo: &Topography) {
+        let (got, want) = (
+            Masks::build(cfg, tile, topo),
+            reference::masks(cfg, tile, topo),
+        );
+        let h = tile.halo as i64;
+        let cols = Cols::new(tile.nx, h);
+        let (is, js) = (-h..tile.nx as i64 + h, -h..tile.ny as i64 + h);
+        let label = format!(
+            "{}x{} tile at ({}, {})",
+            tile.nx, tile.ny, tile.gx0, tile.gy0
+        );
+        let masks: [(&str, &Field3, Cell, Row); 6] = [
+            ("c", &want.c, Masks::c, |cols, m, j, k, i| {
+                cols.cells(m, j).wet(k, i)
+            }),
+            ("u", &want.u, Masks::u, |cols, m, j, k, i| {
+                cols.u_faces(m, j).wet(k, i)
+            }),
+            ("v", &want.v, Masks::v, |cols, m, j, k, i| {
+                cols.v_faces(m, j).wet(k, i)
+            }),
+            ("hc", &want.hc, Masks::hc, |cols, m, j, k, i| {
+                cols.cells(m, j).thickness(k, i)
+            }),
+            ("hu", &want.hu, Masks::hu, |cols, m, j, k, i| {
+                cols.u_faces(m, j).thickness(k, i)
+            }),
+            ("hv", &want.hv, Masks::hv, |cols, m, j, k, i| {
+                cols.v_faces(m, j).thickness(k, i)
+            }),
+        ];
+        for (name, expanded, cell, row) in masks {
+            for k in 0..cfg.grid.nz {
+                for j in js.clone() {
+                    let want = bits([expanded.row(j, k, is.clone())]);
+                    let cells: Vec<u64> =
+                        is.clone().map(|i| cell(&got, i, j, k).to_bits()).collect();
+                    assert_eq!(
+                        cells, want,
+                        "{label}: {name} of the cells of row {j}, level {k}"
+                    );
+                    let rows: Vec<u64> = (0..cols.n)
+                        .map(|i| row(&cols, &got, j, k, i).to_bits())
+                        .collect();
+                    assert_eq!(rows, want, "{label}: {name} of row {j}, level {k}");
+                }
+            }
+        }
+        assert_eq!(
+            bits([got.kmax.raw()]),
+            bits([want.kmax.raw()]),
+            "{label}: kmax"
+        );
+        assert_eq!(
+            bits([got.depth.raw()]),
+            bits([want.depth.raw()]),
+            "{label}: depth"
+        );
+        assert_eq!(
+            (got.wet_cells, got.wet_columns),
+            (want.wet_cells, want.wet_columns),
+            "{label}"
+        );
+    }
+
+    /// The staircase, the scattered land and the continents of the kernel
+    /// fixtures, both fluids, with and without holes.
+    #[test]
+    fn masks_are_the_cell_by_cell_expansion_on_the_fixtures() {
+        for case in cases() {
+            assert_views_match_the_expansion(&case.cfg, &case.tile, &case.topo);
+        }
+    }
+
+    /// The 2.8125° ocean with continents whole and cut 2 × 2, and the 1°
+    /// ocean's tile.
+    #[test]
+    fn masks_are_the_cell_by_cell_expansion_on_the_paper_grids() {
+        for (cfg, tiles) in [
+            (
+                ModelConfig::ocean_2p8125(Decomp::blocks(128, 64, 1, 1, 3)),
+                1,
+            ),
+            (
+                ModelConfig::ocean_2p8125(Decomp::blocks(128, 64, 2, 2, 3)),
+                4,
+            ),
+            (
+                ModelConfig::ocean_1deg(Decomp::blocks(360, 160, 1, 1, 3)),
+                1,
+            ),
+        ] {
+            let topo = Topography::idealized_continents(&cfg.grid);
+            for rank in 0..tiles {
+                assert_views_match_the_expansion(&cfg, &cfg.decomp.tile(rank), &topo);
+            }
+        }
+    }
+
+    /// Every word of the initial state, halo included, against the
+    /// cell-at-a-time loop.
     #[test]
     fn level_major_set_up_matches_the_reference_bit_for_bit() {
-        let fields = |m: &Masks| {
-            let f3 = [&m.c, &m.u, &m.v, &m.hc, &m.hu, &m.hv].map(|f| f.raw());
-            let f2 = [&m.kmax, &m.depth].map(|f| f.raw());
-            bits(f3.into_iter().chain(f2))
-        };
         let state = |st: &ModelState| bits([st.theta.raw(), st.s.raw()]);
         for case in cases() {
             let (cfg, tile, label) = (&case.cfg, &case.tile, &case.label);
-            let (got, want) = (
-                Masks::build(cfg, tile, &case.topo),
-                reference::masks(cfg, tile, &case.topo),
-            );
-            assert!(fields(&got) == fields(&want), "{label}: masks differ");
-            assert_eq!(
-                (got.wet_cells, got.wet_columns),
-                (want.wet_cells, want.wet_columns),
-                "{label}"
-            );
             let (got, want) = (
                 ModelState::initial(cfg, tile, &case.masks),
                 reference::initial(cfg, tile, &case.masks),
@@ -485,13 +576,13 @@ mod tests {
         let (cfg, tile, masks) = setup();
         assert_eq!(masks.wet_cells, (16 * 8 * 4) as u64);
         // Interior cells wet; u faces wet (periodic).
-        assert_eq!(masks.c.at(0, 0, 0), 1.0);
-        assert_eq!(masks.u.at(0, 0, 0), 1.0);
+        assert_eq!(masks.c(0, 0, 0), 1.0);
+        assert_eq!(masks.u(0, 0, 0), 1.0);
         // v face at the southern wall is land-masked (j-1 outside).
-        assert_eq!(masks.v.at(3, 0, 0), 0.0);
-        assert_eq!(masks.v.at(3, 1, 0), 1.0);
+        assert_eq!(masks.v(3, 0, 0), 0.0);
+        assert_eq!(masks.v(3, 1, 0), 1.0);
         // Halo rows beyond the wall are land.
-        assert_eq!(masks.c.at(3, -1, 0), 0.0);
+        assert_eq!(masks.c(3, -1, 0), 0.0);
         let _ = (cfg, tile);
     }
 

@@ -1,9 +1,10 @@
 //! Topography: sculpting the model grid to land masses (§3.2).
 //!
-//! The MITgcm uses shaved/partial cells (Adcroft et al. 1997); we keep the
-//! same data flow with full cells: each column carries a wet-level count
-//! `kmax(i,j)` (0 = land), from which per-face transmissibilities and the
-//! depth field `H` of the surface-pressure equation are derived.
+//! As in the MITgcm, cells are shaved/partial (Adcroft et al. 1997): each
+//! column carries a wet-level count `kmax(i,j)` (0 = land) and the
+//! thickness fraction of its deepest wet cell, from which the cell and
+//! face masks, the open fractions of cells and faces, and the depth field
+//! `H` of the surface-pressure equation are derived.
 
 use crate::grid::Grid;
 
@@ -186,6 +187,17 @@ impl Topography {
     /// Total number of wet cells.
     pub fn wet_cells(&self) -> u64 {
         self.kmax.iter().map(|&k| k as u64).sum()
+    }
+
+    /// Cut column `(i, j)` to its top `levels` wet levels, if it has more;
+    /// its new bottom cell is a full one.
+    #[cfg(test)]
+    pub(crate) fn cut(&mut self, i: usize, j: usize, levels: u16) {
+        let column = j * self.nx + i;
+        if levels < self.kmax[column] {
+            self.kmax[column] = levels;
+            self.hfrac[column] = HFRAC_ONE;
+        }
     }
 }
 

@@ -50,7 +50,7 @@ fn simulate(theta_eq_offset: f64, steps: usize) -> Climate {
     let mut wet = 0.0;
     for j in 0..ny {
         for i in 0..nx {
-            if c.ocean.masks.c.at(i, j, 0) > 0.0 {
+            if c.ocean.masks.c(i, j, 0) > 0.0 {
                 sst += c.ocean.state.theta.at(i, j, 0);
                 wet += 1.0;
             }

@@ -77,7 +77,9 @@ for workload in coupled_serial ocean_1deg cluster_tour fabric_saturated comm_pri
         echo "hbench $workload reported failed checks (target/hbench-$workload.txt)"
         exit 1
     fi
-    sed -n "s/^  wall_s */    $workload wall_s /p" "target/hbench-$workload.txt"
+    # Printed, not gated: the end-to-end wall time and peak RSS.
+    sed -n -e "s/^  wall_s */    $workload wall_s /p" \
+        -e "s/^  peak_rss_mb */    $workload peak_rss_mb /p" "target/hbench-$workload.txt"
 done
 # Printed, not gated (the gates are in cargo test), from one traced run of
 # each gcm workload: for the coupled pair the stand-alone kernel ranking —
