@@ -112,7 +112,7 @@ impl ResilientRunner {
     /// every planned crash along the way. Returns `true` if the run
     /// finished healthy, `false` on a sentinel trip (rollback does not
     /// resurrect a physically blown-up run).
-    // lint:uniform-trusted(the fault plan is replicated on every rank, so the per-step crash check branches identically everywhere)
+    // lint:allow(collective-divergence, the fault plan is replicated on every rank, so the per-step crash check branches identically everywhere)
     pub fn run(
         &mut self,
         model: &mut CoupledModel,
@@ -142,7 +142,7 @@ impl CoupledModel {
     /// Collective: every rank calls this with the same (replicated)
     /// runner state, so the rollback branch is rank-uniform by
     /// construction.
-    // lint:uniform-trusted(every rank holds the same replicated FaultPlan and consumed set, so all ranks take the same rollback-vs-step branch)
+    // lint:allow(collective-divergence, every rank holds the same replicated FaultPlan and consumed set, so all ranks take the same rollback-vs-step branch)
     pub fn step_resilient(
         &mut self,
         runner: &mut ResilientRunner,

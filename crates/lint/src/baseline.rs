@@ -14,7 +14,7 @@
 //! Since PR 4 the same ratchet covers `pragma-allow`: every valid
 //! `lint:allow(rule, reason)` pragma counts against a per-file budget,
 //! so new suppressions fail until deliberately baselined, and stale ones
-//! (see `unused-pragma`) are stripped by `--fix-baseline`.
+//! fail as `unused-pragma`.
 //!
 //! Format, one entry per line, sorted: `path rule count`.
 
@@ -22,15 +22,9 @@ use crate::rules::Finding;
 use std::collections::BTreeMap;
 
 /// Rules whose findings are counted against the baseline instead of
-/// failing outright. `nondet-reachable` and `collective-divergence`
-/// ride the same ratchet so any accepted interprocedural debt can only
-/// burn down, never grow.
-pub const BASELINED_RULES: &[&str] = &[
-    crate::rules::UNWRAP_IN_LIB,
-    crate::rules::PRAGMA_ALLOW,
-    crate::rules::NONDET_REACHABLE,
-    crate::rules::COLLECTIVE_DIVERGENCE,
-];
+/// failing outright: the two budgets. Every other finding fails, or is
+/// accepted with a `lint:allow` pragma that `pragma-allow` counts.
+pub const BASELINED_RULES: &[&str] = &[crate::rules::UNWRAP_IN_LIB, crate::rules::PRAGMA_ALLOW];
 
 /// (path, rule) → allowed count.
 pub type Baseline = BTreeMap<(String, String), usize>;
@@ -52,6 +46,9 @@ pub fn parse(text: &str) -> Result<Baseline, String> {
                 ))
             }
         };
+        if !BASELINED_RULES.contains(&rule) {
+            return Err(format!("baseline line {}: `{rule}` has no budget", idx + 1));
+        }
         let count: usize = count
             .parse()
             .map_err(|_| format!("baseline line {}: bad count `{count}`", idx + 1))?;
@@ -62,9 +59,8 @@ pub fn parse(text: &str) -> Result<Baseline, String> {
 
 pub fn render(baseline: &Baseline) -> String {
     let mut s = String::from(
-        "# hyades-lint baseline: unwrap-in-lib counts, the lint:allow pragma\n\
-         # budget (pragma-allow), nondet-reachable sink debt, and\n\
-         # collective-divergence SPMD debt — all burn-down-only ratchets.\n\
+        "# hyades-lint baseline: unwrap-in-lib counts and the lint:allow pragma\n\
+         # budget (pragma-allow) — burn-down-only ratchets.\n\
          # Regenerate with: cargo run -p hyades-lint -- --write-baseline\n",
     );
     for ((path, rule), count) in baseline {
@@ -179,6 +175,12 @@ mod tests {
     fn parse_rejects_garbage() {
         assert!(parse("a.rs unwrap-in-lib many").is_err());
         assert!(parse("just-two fields").is_err());
+        let err = parse("a.rs unwrap-in-lib 1\nb.rs collective-divergence 1").unwrap_err();
+        assert!(
+            err.contains("line 2") && err.contains("collective-divergence"),
+            "{err}"
+        );
+        assert!(parse("a.rs unwrap-in-lbi 1").is_err());
         assert!(parse("# comment\n\n").unwrap().is_empty());
     }
 }

@@ -29,17 +29,15 @@
 //!    carrying the witness call chain. Test-scope functions (`tests/`,
 //!    `#[cfg(test)]`) are never resolved as callees of non-test code.
 //!
-//! Escape hatches, both audited: a `lint:allow(rule, why)` pragma on a
-//! source line removes that source from the catalog (same attribution
-//! rules as the per-file passes), and `// lint:det-trusted(why)`
-//! directly above a `fn` pins it to `Det` regardless of its body. Both
-//! count against the `pragma-allow` budget in `baseline.txt`, and
-//! `nondet-reachable` itself is baselined so any accepted debt ratchets
-//! down, never up.
+//! The one escape hatch is `lint:allow(rule, why)`: on a source line it
+//! removes that source from the catalog (same attribution rules as the
+//! per-file passes), on a sink's `fn` line it waives the sink's
+//! `nondet-reachable` finding. Each counts against the `pragma-allow`
+//! budget in `baseline.txt`.
 
 use crate::graph::{self, Fixpoint, Workspace};
 use crate::lexer::TokKind;
-use crate::passes::{self, FileCtx};
+use crate::passes::FileCtx;
 use crate::rules::{
     source_at, Finding, Source, FLOAT_REDUCE_UNORDERED, NONDET_REACHABLE, PAR_METHODS,
 };
@@ -171,7 +169,6 @@ pub struct FnEffect {
     pub line: usize,
     pub effect: Effect,
     pub is_test: bool,
-    pub trusted: bool,
     /// Intrinsic source that set this function's own effect, if any:
     /// (line, description).
     pub source: Option<(usize, String)>,
@@ -199,14 +196,11 @@ pub struct FlowReport {
     pub fns: Vec<FnEffect>,
     /// In `WORKSPACE_SINKS` order, then definition order.
     pub sinks: Vec<SinkResult>,
-    /// (file, pragma line) of every valid, attached `det-trusted`
-    /// pragma — counted against the pragma budget by `lint_workspace`.
-    pub trusted_sites: Vec<(String, usize)>,
     /// (file, pragma line) of every `lint:allow` pragma this analysis
     /// honored; such pragmas are not stale even when no per-file rule
     /// fired on their line.
     pub used_allow: BTreeSet<(String, usize)>,
-    /// `nondet-reachable` findings plus det-trusted pragma audit.
+    /// `nondet-reachable` findings.
     pub findings: Vec<Finding>,
 }
 
@@ -219,9 +213,6 @@ impl FlowReport {
             s.push_str(&format!("fn {} {}", f.qual, f.effect.name()));
             if f.is_test {
                 s.push_str(" [test]");
-            }
-            if f.trusted {
-                s.push_str(" [trusted]");
             }
             if f.effect != Effect::Det {
                 if let Some((line, what)) = &f.source {
@@ -252,7 +243,6 @@ impl FlowReport {
 
 /// What only this analysis knows about a function.
 struct FnFlow {
-    trusted: bool,
     /// Line of a covering `lint:allow(nondet-reachable, why)` pragma.
     allow_sink: Option<usize>,
     intrinsic: Effect,
@@ -378,7 +368,6 @@ fn fn_facts(
         }
     }
     FnFlow {
-        trusted: ctx.trusted.iter().any(|p| p.covers(def.line)),
         allow_sink: ctx.allow_covering(NONDET_REACHABLE, def.line),
         intrinsic,
         source,
@@ -403,9 +392,6 @@ impl Fixpoint for Effects<'_, '_> {
     }
 
     fn eval(&mut self, f: usize) {
-        if self.facts[f].trusted {
-            return;
-        }
         for &g in &self.ws.callees[f] {
             if self.effect[g] > self.effect[f] {
                 self.effect[f] = self.effect[g];
@@ -430,8 +416,7 @@ fn run<'w, 'a>(
     fixpoint: fn(&mut Effects<'w, 'a>),
 ) -> FlowReport {
     let n = ws.fns.len();
-    let (mut findings, mut trusted_sites) =
-        ws.audit_trust(&passes::DET_TRUSTED, |ctx| &ctx.trusted);
+    let mut findings = Vec::new();
     let mut used_allow = BTreeSet::new();
     let hash_names: Vec<BTreeSet<String>> = ws
         .files
@@ -442,10 +427,7 @@ fn run<'w, 'a>(
         .map(|f| fn_facts(ws, f, &hash_names[ws.fns[f].file], &mut used_allow))
         .collect();
 
-    let effect = facts
-        .iter()
-        .map(|f| if f.trusted { Effect::Det } else { f.intrinsic })
-        .collect();
+    let effect = facts.iter().map(|f| f.intrinsic).collect();
     let mut fx = Effects {
         ws,
         facts,
@@ -462,7 +444,7 @@ fn run<'w, 'a>(
         let mut out = vec![start];
         let mut seen = BTreeSet::from([start]);
         let mut cur = start;
-        while !facts[cur].trusted && effect[cur] > facts[cur].intrinsic {
+        while effect[cur] > facts[cur].intrinsic {
             let Some(nx) = via[cur] else { break };
             if !seen.insert(nx) {
                 break;
@@ -542,21 +524,18 @@ fn run<'w, 'a>(
             line: ws.fns[f].line,
             effect: effect[f],
             is_test: ws.fns[f].is_test,
-            trusted: facts[f].trusted,
             source: facts[f].source.clone(),
         })
         .collect();
     fns_out.sort_by(|a, z| (&a.qual, &a.file, a.line).cmp(&(&z.qual, &z.file, z.line)));
     findings.sort();
     findings.dedup();
-    trusted_sites.sort();
 
     FlowReport {
         functions: n,
         call_edges: ws.call_edges(),
         fns: fns_out,
         sinks: sink_results,
-        trusted_sites,
         used_allow,
         findings,
     }
@@ -565,7 +544,6 @@ fn run<'w, 'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::{BAD_PRAGMA, UNUSED_PRAGMA};
 
     fn one(path: &str, src: &str, sinks: &[SinkSpec]) -> FlowReport {
         analyze(&[(path.to_string(), src.to_string())], sinks)
@@ -614,37 +592,6 @@ mod tests {
             f.message
         );
         assert_eq!(r.sinks[0].effect, Effect::Nondet);
-    }
-
-    #[test]
-    fn det_trusted_pins_function_and_is_audited() {
-        let src = "// lint:det-trusted(stamp is mocked to a constant in sim builds)\n\
-                   fn stamp() -> u64 { std::time::SystemTime::now().elapsed().unwrap().as_nanos() as u64 }\n\
-                   pub fn publish_sum(xs: &[f64]) -> f64 { xs.len() as f64 + stamp() as f64 }\n";
-        let r = one("crates/comms/src/flowdemo.rs", src, SINK_PUBLISH);
-        assert!(r.findings.is_empty(), "{:?}", r.findings);
-        assert_eq!(r.sinks[0].effect, Effect::Det);
-        assert!(effect_of(&r, "comms::flowdemo::stamp").trusted);
-        assert_eq!(
-            r.trusted_sites,
-            vec![("crates/comms/src/flowdemo.rs".to_string(), 1)]
-        );
-    }
-
-    #[test]
-    fn det_trusted_without_reason_or_target_is_flagged() {
-        let src = "// lint:det-trusted()\n\
-                   fn a() {}\n\
-                   // lint:det-trusted(floating in space)\n\
-                   let x = 1;\n";
-        let r = one("crates/comms/src/flowdemo.rs", src, &[]);
-        let rules_hit: Vec<&str> = r.findings.iter().map(|f| f.rule).collect();
-        assert_eq!(
-            rules_hit,
-            vec![BAD_PRAGMA, UNUSED_PRAGMA],
-            "{:?}",
-            r.findings
-        );
     }
 
     #[test]
@@ -798,9 +745,6 @@ mod tests {
         loop {
             let mut changed = false;
             for f in 0..fx.effect.len() {
-                if fx.facts[f].trusted {
-                    continue;
-                }
                 for &g in &fx.ws.callees[f] {
                     if fx.effect[g] > fx.effect[f] {
                         fx.effect[f] = fx.effect[g];

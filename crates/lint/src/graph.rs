@@ -23,8 +23,7 @@
 //! candidate.
 
 use crate::lexer::TokKind;
-use crate::passes::{FileCtx, TrustPragma, TrustSpec};
-use crate::rules::{Finding, BAD_PRAGMA, UNUSED_PRAGMA};
+use crate::passes::FileCtx;
 use std::collections::BTreeMap;
 
 /// Words that look like `ident (` in token space but are not calls.
@@ -471,40 +470,6 @@ impl<'a> Workspace<'a> {
     pub fn ctx(&self, f: usize) -> &FileCtx<'a> {
         &self.files[self.fns[f].file]
     }
-
-    /// Audit one trust-pragma family (`pick` selects it from a file)
-    /// against the `fn` headers of its file: a reasonless pragma is a
-    /// `bad-pragma` finding, a reasoned one covering no `fn` is
-    /// `unused-pragma` (stale, safe to strip), and the attached ones are
-    /// returned as (file, line) sites for the pragma budget.
-    pub(crate) fn audit_trust(
-        &self,
-        spec: &TrustSpec,
-        pick: for<'c> fn(&'c FileCtx<'a>) -> &'c [TrustPragma],
-    ) -> (Vec<Finding>, Vec<(String, usize)>) {
-        let mut findings = Vec::new();
-        let mut sites = Vec::new();
-        for (file, ctx) in self.files.iter().enumerate() {
-            for tp in pick(ctx) {
-                let covers = |f: &FnRec<'a>| f.file == file && tp.covers(f.line);
-                let (rule, message) = if !tp.has_reason {
-                    (BAD_PRAGMA, spec.reasonless_message())
-                } else if self.fns.iter().any(covers) {
-                    sites.push((ctx.rel_path.to_string(), tp.line));
-                    continue;
-                } else {
-                    (UNUSED_PRAGMA, spec.unattached_message())
-                };
-                findings.push(Finding {
-                    rel_path: ctx.rel_path.to_string(),
-                    line: tp.line,
-                    rule,
-                    message,
-                });
-            }
-        }
-        (findings, sites)
-    }
 }
 
 /// A monotone fact per function, driven to its fixpoint one function
@@ -880,32 +845,6 @@ mod tests {
         assert_eq!(ws.callees[2], vec![0, 4]);
         assert_eq!(ws.callers[0], vec![1, 2]);
         assert_eq!(ws.call_edges(), 3);
-    }
-
-    #[test]
-    fn trust_audit_classifies_all_three_ways() {
-        let path = "crates/x/src/a.rs";
-        let src = sources(&[(
-            path,
-            "// lint:det-trusted()\n\
-             fn a() {}\n\
-             // lint:det-trusted(on the line above)\n\
-             fn b() {}\n\
-             fn c() {} // lint:det-trusted(trailing on the fn's own line)\n\
-             const X: u8 = 1; // lint:det-trusted(does not reach the next line)\n\
-             fn d() {}\n",
-        )]);
-        let ws = Workspace::build(&src);
-        let (findings, sites) = ws.audit_trust(&crate::passes::DET_TRUSTED, |ctx| &ctx.trusted);
-        assert_eq!(sites, vec![(path.to_string(), 3), (path.to_string(), 5)]);
-        let got: Vec<(usize, &str)> = findings.iter().map(|f| (f.line, f.rule)).collect();
-        assert_eq!(got, vec![(1, BAD_PRAGMA), (6, UNUSED_PRAGMA)]);
-        assert!(findings[0].message.contains("needs a reason"));
-        assert!(findings[1].message.contains("attaches to no `fn`"));
-        // The other family sees none of these pragmas.
-        let (findings, sites) =
-            ws.audit_trust(&crate::passes::UNIFORM_TRUSTED, |ctx| &ctx.uniform_trusted);
-        assert!(findings.is_empty() && sites.is_empty());
     }
 
     #[test]

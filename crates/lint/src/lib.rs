@@ -40,7 +40,6 @@ pub mod uniform;
 
 pub use rules::{analyze, analyze_file, Finding};
 
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// The workspace root, resolved relative to this crate
@@ -205,8 +204,7 @@ fn json_escape(s: &str) -> String {
 }
 
 /// All workspace findings: per-file rule findings, one synthetic
-/// [`rules::PRAGMA_ALLOW`] finding per valid `lint:allow` pragma and
-/// per attached `lint:det-trusted` / `lint:uniform-trusted` pragma (so
+/// [`rules::PRAGMA_ALLOW`] finding per valid `lint:allow` pragma (so
 /// the whole suppression set rides the baseline ratchet), plus the
 /// interprocedural [`flow`] and [`uniform`] findings. Pragmas either
 /// whole-program analysis honored are reconciled here: a pragma that
@@ -237,22 +235,6 @@ fn workspace_findings(
                 });
             }
         }
-    }
-    for (rel, line) in &fl.trusted_sites {
-        findings.push(Finding {
-            rel_path: rel.clone(),
-            line: *line,
-            rule: rules::PRAGMA_ALLOW,
-            message: "lint:det-trusted(..) suppression".to_string(),
-        });
-    }
-    for (rel, line) in &un.trusted_sites {
-        findings.push(Finding {
-            rel_path: rel.clone(),
-            line: *line,
-            rule: rules::PRAGMA_ALLOW,
-            message: "lint:uniform-trusted(..) suppression".to_string(),
-        });
     }
     findings.extend(fl.findings.iter().cloned());
     findings.extend(un.findings.iter().cloned());
@@ -301,61 +283,6 @@ pub fn write_baseline(root: &Path) -> std::io::Result<usize> {
     let b = baseline::from_findings(&findings);
     std::fs::write(root.join(baseline_file()), baseline::render(&b))?;
     Ok(b.len())
-}
-
-/// Strip every valid-but-unused `lint:allow` pragma AND every stale
-/// (unattached) `lint:det-trusted` / `lint:uniform-trusted` pragma from
-/// the tree, then regenerate the baseline (so the pragma budget
-/// ratchets down in the same step). All three pragma families go
-/// through the same reconciliation: a pragma survives only if a
-/// per-file rule used it, a whole-program analysis honored it, or it is
-/// attached to a function. Returns (files rewritten, baseline entries).
-pub fn fix_baseline(root: &Path) -> std::io::Result<(usize, usize)> {
-    let sources = collect_sources(root)?;
-    // A pragma only the whole-program analyses use (e.g. suppressing a
-    // flow source or a collective-divergence finding) must survive the
-    // sweep.
-    let ws = graph::Workspace::build(&sources);
-    let fl = flow::analyze_ws(&ws, flow::WORKSPACE_SINKS);
-    let un = uniform::analyze_ws(&ws);
-    // Stale trust pragmas are reported as `unused-pragma` findings by
-    // the two analyses' audits; their lines feed the same strip pass.
-    let stale_trust: BTreeSet<(String, usize)> = fl
-        .findings
-        .iter()
-        .chain(un.findings.iter())
-        .filter(|f| f.rule == rules::UNUSED_PRAGMA)
-        .map(|f| (f.rel_path.clone(), f.line))
-        .collect();
-    let mut files_changed = 0usize;
-    for ((rel, contents), ctx) in sources.iter().zip(&ws.files) {
-        let fa = rules::analyze_ctx(ctx);
-        let mut stale: BTreeSet<usize> = fa
-            .pragmas
-            .iter()
-            .filter(|p| {
-                p.valid
-                    && !p.used
-                    && !fl.used_allow.contains(&(rel.clone(), p.line))
-                    && !un.used_allow.contains(&(rel.clone(), p.line))
-            })
-            .map(|p| p.line)
-            .collect();
-        stale.extend(
-            stale_trust
-                .iter()
-                .filter(|(path, _)| path == rel)
-                .map(|(_, line)| *line),
-        );
-        if stale.is_empty() {
-            continue;
-        }
-        let fixed = passes::strip_pragmas_on_lines(contents, &stale);
-        std::fs::write(root.join(rel), fixed)?;
-        files_changed += 1;
-    }
-    let entries = write_baseline(root)?;
-    Ok((files_changed, entries))
 }
 
 #[cfg(test)]

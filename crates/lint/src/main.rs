@@ -1,4 +1,4 @@
-//! `cargo run -p hyades-lint [-- --write-baseline | --fix-baseline | --json | --summary]`
+//! `cargo run -p hyades-lint [-- --write-baseline | --json | --summary]`
 //!
 //! Lints the workspace sources and exits nonzero on violations.
 //!
@@ -9,11 +9,7 @@
 //!   the JSON goes to stdout and this line to stderr, so one run feeds
 //!   both consumers (`scripts/check.sh`);
 //! * `--write-baseline` — regenerate `crates/lint/baseline.txt` from the
-//!   current tree (ratchets the unwrap-in-lib and pragma budgets);
-//! * `--fix-baseline` — strip `unused-pragma` suppressions from the
-//!   sources — including stale `lint:det-trusted` / `lint:uniform-trusted`
-//!   pragmas that no longer attach to a `fn` — then regenerate the
-//!   baseline.
+//!   current tree (ratchets the unwrap-in-lib and pragma budgets).
 
 use std::process::ExitCode;
 
@@ -21,7 +17,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let root = hyades_lint::workspace_root();
 
-    const KNOWN: &[&str] = &["--write-baseline", "--fix-baseline", "--json", "--summary"];
+    const KNOWN: &[&str] = &["--write-baseline", "--json", "--summary"];
     if let Some(unknown) = args.iter().find(|a| !KNOWN.contains(&a.as_str())) {
         eprintln!(
             "hyades-lint: unknown argument `{unknown}` (accepted: {})",
@@ -30,21 +26,6 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    if args.iter().any(|a| a == "--fix-baseline") {
-        match hyades_lint::fix_baseline(&root) {
-            Ok((files, n)) => {
-                println!(
-                    "stripped stale pragmas from {files} file(s); wrote {} with {n} entries",
-                    hyades_lint::baseline_file()
-                );
-                return ExitCode::SUCCESS;
-            }
-            Err(e) => {
-                eprintln!("hyades-lint: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     if args.iter().any(|a| a == "--write-baseline") {
         match hyades_lint::write_baseline(&root) {
             Ok(n) => {

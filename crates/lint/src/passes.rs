@@ -46,77 +46,6 @@ pub struct Pragma {
     pub line: usize,
 }
 
-/// A parsed trust pragma: `lint:det-trusted(reason)` marks the function
-/// defined on (or directly below) its line as `Det` for the
-/// interprocedural flow analysis ([`crate::flow`]);
-/// `lint:uniform-trusted(reason)` exempts the function from the SPMD
-/// collective-uniformity check ([`crate::uniform`]), asserting every
-/// rank still issues the same collective sequence. Every use is recorded
-/// in the respective audit trail.
-#[derive(Debug, Clone)]
-pub struct TrustPragma {
-    pub has_reason: bool,
-    /// Pragma sits on a comment-only line, so it covers the next line.
-    pub own_line: bool,
-    /// 1-based source line the pragma text sits on.
-    pub line: usize,
-}
-
-impl TrustPragma {
-    /// Does this pragma cover a `fn` whose header sits on `line`? Same
-    /// attachment rule as `lint:allow`: the pragma's own code line, or —
-    /// when the pragma sits on a comment-only line — the line directly
-    /// below. Reasonless pragmas cover nothing; they are audit findings.
-    pub fn covers(&self, line: usize) -> bool {
-        self.has_reason && (self.line == line || (self.own_line && self.line + 1 == line))
-    }
-}
-
-/// One trust-pragma family in the shared registry: its name, opener
-/// needle, and nothing else — parse ([`FileCtx::new`]), audit
-/// ([`crate::graph::Workspace::audit_trust`]), and `--fix-baseline` stripping
-/// ([`PRAGMA_NEEDLES`]) are all driven off this table, so the
-/// `det-trusted` and `uniform-trusted` surfaces cannot drift apart.
-#[derive(Debug, Clone, Copy)]
-pub struct TrustSpec {
-    /// Pragma name without the opening paren, e.g. `"lint:det-trusted"`.
-    pub name: &'static str,
-    /// The opener needle the parser scans for, e.g. `"lint:det-trusted("`.
-    pub opener: &'static str,
-}
-
-/// `lint:det-trusted(why)` — pins a function to `Det` for the
-/// interprocedural flow analysis ([`crate::flow`]).
-pub const DET_TRUSTED: TrustSpec = TrustSpec {
-    name: "lint:det-trusted",
-    opener: "lint:det-trusted(",
-};
-
-/// `lint:uniform-trusted(why)` — exempts a function from the SPMD
-/// collective-uniformity check ([`crate::uniform`]).
-pub const UNIFORM_TRUSTED: TrustSpec = TrustSpec {
-    name: "lint:uniform-trusted",
-    opener: "lint:uniform-trusted(",
-};
-
-/// Every trust-pragma family the toolchain knows about.
-pub const TRUST_SPECS: &[TrustSpec] = &[DET_TRUSTED, UNIFORM_TRUSTED];
-
-impl TrustSpec {
-    /// Audit message for a pragma with an empty reason.
-    pub fn reasonless_message(&self) -> String {
-        format!("{}() needs a reason: {}(why)", self.name, self.name)
-    }
-
-    /// Audit message for a pragma that covers no `fn` header.
-    pub fn unattached_message(&self) -> String {
-        format!(
-            "{}(..) attaches to no `fn` on this or the next line",
-            self.name
-        )
-    }
-}
-
 /// A lexed file with the derived facts rules match against.
 pub struct FileCtx<'a> {
     pub rel_path: &'a str,
@@ -129,10 +58,6 @@ pub struct FileCtx<'a> {
     pub in_test: Vec<bool>,
     /// Parsed non-doc pragmas, in source order.
     pub pragmas: Vec<Pragma>,
-    /// Parsed `lint:det-trusted(reason)` pragmas, in source order.
-    pub trusted: Vec<TrustPragma>,
-    /// Parsed `lint:uniform-trusted(reason)` pragmas, in source order.
-    pub uniform_trusted: Vec<TrustPragma>,
     /// For each closer token index, the opener index (and vice versa);
     /// `usize::MAX` elsewhere.
     partner: Vec<usize>,
@@ -160,9 +85,6 @@ impl<'a> FileCtx<'a> {
         let partner = match_brackets(&code);
         let in_test = cfg_test_flags(&code, &partner);
         let pragmas = parse_pragmas(&comments, &lines_with_code);
-        let trusted = parse_trust_pragmas(DET_TRUSTED.opener, &comments, &lines_with_code);
-        let uniform_trusted =
-            parse_trust_pragmas(UNIFORM_TRUSTED.opener, &comments, &lines_with_code);
         FileCtx {
             rel_path,
             scope: classify(rel_path),
@@ -170,8 +92,6 @@ impl<'a> FileCtx<'a> {
             comments,
             in_test,
             pragmas,
-            trusted,
-            uniform_trusted,
             partner,
         }
     }
@@ -462,84 +382,6 @@ fn parse_pragmas(comments: &[Tok<'_>], lines_with_code: &[bool]) -> Vec<Pragma> 
     out
 }
 
-/// Parse trust pragmas (`needle` is the opener, e.g. `lint:det-trusted(`
-/// or `lint:uniform-trusted(`) out of the comment stream. Same
-/// attribution rules as `lint:allow`: a pragma on a code line covers
-/// that line's `fn`; one on a comment-only line covers the next line.
-fn parse_trust_pragmas(
-    needle: &str,
-    comments: &[Tok<'_>],
-    lines_with_code: &[bool],
-) -> Vec<TrustPragma> {
-    let mut out = Vec::new();
-    for c in comments {
-        if c.kind == TokKind::DocComment {
-            continue;
-        }
-        let mut rest = c.text;
-        let mut offset = 0usize;
-        while let Some(pos) = rest.find(needle) {
-            let abs = offset + pos;
-            let line = c.line as usize + c.text[..abs].bytes().filter(|&b| b == b'\n').count();
-            let body = &rest[pos + needle.len()..];
-            let close = body.find(')').unwrap_or(body.len());
-            out.push(TrustPragma {
-                has_reason: !body[..close].trim().is_empty(),
-                own_line: !has_code(lines_with_code, line),
-                line,
-            });
-            let consumed = pos + needle.len() + close;
-            offset += consumed;
-            rest = &rest[consumed..];
-        }
-    }
-    out
-}
-
-/// Every pragma opener `--fix-baseline` knows how to strip. One shared
-/// reconciliation path: stale `lint:allow`, `lint:det-trusted`, and
-/// `lint:uniform-trusted` pragmas all leave the tree the same way.
-/// The trust openers come straight from [`TRUST_SPECS`] so a family
-/// added to the registry is automatically strippable.
-pub const PRAGMA_NEEDLES: &[&str] = &["lint:allow(", DET_TRUSTED.opener, UNIFORM_TRUSTED.opener];
-
-/// Remove the pragmas on the given 1-based `lines` from `source`
-/// (textually), cleaning up comments left empty. Used by
-/// `--fix-baseline` to drop `unused-pragma` suppressions — allow and
-/// trust pragmas alike ([`PRAGMA_NEEDLES`]).
-pub fn strip_pragmas_on_lines(source: &str, lines: &BTreeSet<usize>) -> String {
-    let mut out = Vec::new();
-    for (idx, line) in source.lines().enumerate() {
-        if !lines.contains(&(idx + 1)) {
-            out.push(line.to_string());
-            continue;
-        }
-        let mut l = line.to_string();
-        for needle in PRAGMA_NEEDLES {
-            while let Some(pos) = l.find(needle) {
-                let close = l[pos..].find(')').map(|c| pos + c + 1).unwrap_or(l.len());
-                l.replace_range(pos..close, "");
-            }
-        }
-        // `// ` with nothing left: drop the comment; drop the whole
-        // line if no code remains.
-        let trimmed = l.trim_end();
-        if let Some(cpos) = trimmed.rfind("//") {
-            if trimmed[cpos + 2..].trim().is_empty() {
-                l = trimmed[..cpos].trim_end().to_string();
-            }
-        }
-        if !l.trim().is_empty() {
-            out.push(l.trim_end().to_string());
-        }
-    }
-    let mut s = out.join("\n");
-    if source.ends_with('\n') {
-        s.push('\n');
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -678,73 +520,9 @@ mod tests {
     }
 
     #[test]
-    fn trust_pragmas_parse_with_and_without_reason() {
-        let src = "// lint:det-trusted(clock is mocked in this build)\n\
-                   fn stamp() -> u64 { 0 }\n\
-                   fn other() {} // lint:det-trusted()\n";
-        let ctx = FileCtx::new("crates/x/src/a.rs", src);
-        assert_eq!(ctx.trusted.len(), 2);
-        assert!(ctx.trusted[0].has_reason);
-        assert!(ctx.trusted[0].own_line);
-        assert_eq!(ctx.trusted[0].line, 1);
-        assert!(!ctx.trusted[1].has_reason);
-        assert!(!ctx.trusted[1].own_line);
-        assert_eq!(ctx.trusted[1].line, 3);
-    }
-
-    #[test]
-    fn uniform_trust_pragmas_parse_independently() {
-        let src = "// lint:uniform-trusted(rank-0-only IO, no collectives follow)\n\
-                   fn report() {}\n\
-                   // lint:det-trusted(mocked clock)\n\
-                   fn stamp() -> u64 { 0 }\n";
-        let ctx = FileCtx::new("crates/x/src/a.rs", src);
-        assert_eq!(ctx.uniform_trusted.len(), 1);
-        assert_eq!(ctx.uniform_trusted[0].line, 1);
-        assert!(ctx.uniform_trusted[0].has_reason);
-        assert!(ctx.uniform_trusted[0].own_line);
-        assert_eq!(ctx.trusted.len(), 1);
-        assert_eq!(ctx.trusted[0].line, 3);
-    }
-
-    #[test]
-    fn strip_pragmas_covers_trust_needles() {
-        let src = "// lint:uniform-trusted(stale)\n\
-                   fn f() {}\n\
-                   fn g() {} // lint:det-trusted(stale)\n";
-        let got = strip_pragmas_on_lines(src, &BTreeSet::from([1, 3]));
-        assert_eq!(got, "fn f() {}\nfn g() {}\n");
-    }
-
-    #[test]
     fn doc_comments_do_not_carry_pragmas() {
         let src = "//! Use `lint:allow(rule, reason)` to suppress.\n/// lint:allow(x, y)\n";
         let ctx = FileCtx::new("crates/x/src/a.rs", src);
         assert!(ctx.pragmas.is_empty());
-    }
-
-    #[test]
-    fn trust_registry_is_consistent() {
-        // Openers are always `name(`, and every family in the registry
-        // is strippable by `--fix-baseline`.
-        for spec in TRUST_SPECS {
-            assert_eq!(spec.opener, format!("{}(", spec.name));
-            assert!(
-                PRAGMA_NEEDLES.contains(&spec.opener),
-                "{} missing from PRAGMA_NEEDLES",
-                spec.opener
-            );
-        }
-        assert_eq!(PRAGMA_NEEDLES.len(), TRUST_SPECS.len() + 1);
-    }
-
-    #[test]
-    fn strip_pragmas_drops_own_line_and_trailing() {
-        let src = "fn f() {\n    // lint:allow(unwrap-in-lib, stale)\n    let x = 1; // lint:allow(f32-in-gcm, stale)\n    let y = 2; // keep me lint:allow(unseeded-rng, stale)\n}\n";
-        let got = strip_pragmas_on_lines(src, &BTreeSet::from([2, 3, 4]));
-        assert_eq!(
-            got,
-            "fn f() {\n    let x = 1;\n    let y = 2; // keep me\n}\n"
-        );
     }
 }

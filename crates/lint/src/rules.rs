@@ -19,7 +19,8 @@
 //! `// lint:allow(rule-name, reason)` on the offending line, or on a
 //! comment-only line directly above it. The reason is mandatory, and a
 //! pragma that suppresses nothing is itself flagged (`unused-pragma`) so
-//! the suppression set ratchets down (`--fix-baseline` strips them).
+//! the suppression set ratchets down. The whole-program rules honour the
+//! same pragma, and nothing else suppresses a finding.
 
 use crate::lexer::TokKind;
 use crate::passes::FileCtx;
@@ -43,15 +44,14 @@ pub const PRAGMA_ALLOW: &str = "pragma-allow";
 /// Interprocedural rule ([`crate::flow`]): a declared sink (comms
 /// reduction, telemetry exporter, DES trace) transitively
 /// reaches a `Nondet`-classified function. Suppressible at the sink's
-/// definition line and ratchetable via `baseline.txt`.
+/// definition line.
 pub const NONDET_REACHABLE: &str = "nondet-reachable";
 /// Whole-program SPMD rule ([`crate::uniform`]): a collective call
 /// (exchange, global reduction, barrier) is reachable under a
 /// rank-dependent condition, or two paths through a function issue
 /// unequal collective sequences — one rank would block in a collective
-/// another rank never enters. Suppressible per-site via `lint:allow` or
-/// per-function via `lint:uniform-trusted(reason)`, and ratchetable via
-/// `baseline.txt`.
+/// another rank never enters. Suppressible per site, or per function
+/// with the pragma directly above the `fn`.
 pub const COLLECTIVE_DIVERGENCE: &str = "collective-divergence";
 
 /// The suppressible rules — the namespace `lint:allow` pragmas draw from.
@@ -89,8 +89,7 @@ impl fmt::Display for Finding {
     }
 }
 
-/// One `lint:allow` pragma and what became of it, for the pragma budget
-/// and `--fix-baseline`.
+/// One `lint:allow` pragma and what became of it, for the pragma budget.
 #[derive(Debug, Clone)]
 pub struct PragmaInfo {
     /// 1-based line the pragma sits on.
@@ -579,10 +578,7 @@ pub(crate) fn analyze_ctx(ctx: &FileCtx<'_>) -> FileAnalysis {
                 rel_path: rel_path.to_string(),
                 line: p.line,
                 rule: UNUSED_PRAGMA,
-                message: format!(
-                    "lint:allow({}) suppresses nothing; remove it (cargo run -p hyades-lint -- --fix-baseline)",
-                    p.rule
-                ),
+                message: format!("lint:allow({}) suppresses nothing; remove it", p.rule),
             });
         }
         pragmas.push(PragmaInfo {

@@ -35,16 +35,16 @@
 //! are not modeled, struct fields are not tracked as taint carriers
 //! (only locals and parameters), and two arms calling *different*
 //! collective-bearing helpers are flagged even if the helpers happen to
-//! issue equal sequences. Escape hatches, both audited and counted
-//! against the pragma budget: `lint:allow(collective-divergence, why)`
-//! on the branch line, or `// lint:uniform-trusted(why)` directly above
-//! a `fn` to exempt the whole function.
+//! issue equal sequences. The escape hatch, counted against the pragma
+//! budget, is `lint:allow(collective-divergence, why)`: on a branch or
+//! loop line it covers that site, directly above a `fn` every site of
+//! the function.
 
 use crate::graph::{
     self, body_open, call_open, starts_upper, Fixpoint, RawCall, Workspace, KEYWORDS,
 };
 use crate::lexer::TokKind;
-use crate::passes::{self, FileCtx};
+use crate::passes::FileCtx;
 use crate::rules::{Finding, COLLECTIVE_DIVERGENCE};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -203,7 +203,7 @@ pub struct FnUniform {
     pub line: usize,
     /// Direct collective call sites in the body.
     pub sites: usize,
-    /// "uniform" | "trusted" | "divergent".
+    /// "uniform" | "divergent".
     pub verdict: &'static str,
 }
 
@@ -215,13 +215,10 @@ pub struct UniformReport {
     pub collective_sites: usize,
     /// Collective-bearing non-test functions, sorted by qualified name.
     pub fns: Vec<FnUniform>,
-    /// (file, pragma line) of every valid, attached `uniform-trusted`
-    /// pragma — counted against the pragma budget by `lint_workspace`.
-    pub trusted_sites: Vec<(String, usize)>,
     /// (file, pragma line) of every `lint:allow` pragma this analysis
     /// honored.
     pub used_allow: BTreeSet<(String, usize)>,
-    /// `collective-divergence` findings plus the trust-pragma audit.
+    /// `collective-divergence` findings.
     pub findings: Vec<Finding>,
 }
 
@@ -249,8 +246,6 @@ impl UniformReport {
 /// is written at most once and the fixpoint needs no round cap.
 struct State<'w, 'a> {
     ws: &'w Workspace<'a>,
-    /// Covered by a `lint:uniform-trusted` pragma.
-    trusted: Vec<bool>,
     /// Line of a covering `lint:allow(collective-divergence, why)`.
     allow_fn: Vec<Option<usize>>,
     ret_rd: Vec<Taint>,
@@ -348,26 +343,20 @@ pub(crate) fn analyze_ws(ws: &Workspace<'_>) -> UniformReport {
 
 fn run<'w, 'a>(ws: &'w Workspace<'a>, fixpoint: fn(&mut State<'w, 'a>)) -> UniformReport {
     let n = ws.fns.len();
-    let (findings, trusted_sites) =
-        ws.audit_trust(&passes::UNIFORM_TRUSTED, |ctx| &ctx.uniform_trusted);
-    let marks = |f: usize| {
-        let (ctx, line) = (ws.ctx(f), ws.fns[f].line);
-        (
-            ctx.uniform_trusted.iter().any(|p| p.covers(line)),
-            ctx.allow_covering(COLLECTIVE_DIVERGENCE, line),
-        )
+    let allow = |f: usize| {
+        ws.ctx(f)
+            .allow_covering(COLLECTIVE_DIVERGENCE, ws.fns[f].line)
     };
-    let (trusted, allow_fn) = (0..n).map(marks).unzip();
+    let allow_fn = (0..n).map(allow).collect();
     let mut st = State {
         ws,
-        trusted,
         allow_fn,
         ret_rd: vec![None; n],
         param_rd: ws.fns.iter().map(|f| vec![None; f.params.len()]).collect(),
         has_coll: vec![false; n],
         dirty: vec![true; n],
         trees: vec![Vec::new(); n],
-        findings,
+        findings: Vec::new(),
         used_allow: BTreeSet::new(),
         divergent: vec![false; n],
     };
@@ -376,7 +365,7 @@ fn run<'w, 'a>(ws: &'w Workspace<'a>, fixpoint: fn(&mut State<'w, 'a>)) -> Unifo
     // read the very inputs that walk read.
     let trees = std::mem::take(&mut st.trees);
     for (fid, tree) in trees.iter().enumerate() {
-        if !ws.fns[fid].is_test && !st.trusted[fid] {
+        if !ws.fns[fid].is_test {
             let ctx = ws.ctx(fid);
             Walk {
                 ctx,
@@ -386,7 +375,7 @@ fn run<'w, 'a>(ws: &'w Workspace<'a>, fixpoint: fn(&mut State<'w, 'a>)) -> Unifo
             .check(tree, false, false, false);
         }
     }
-    finish(st, &trees, trusted_sites)
+    finish(st, &trees)
 }
 
 /// One function-body walk: statement/expression scan producing the
@@ -1223,11 +1212,7 @@ impl Walk<'_, '_, '_> {
 }
 
 /// Assemble the report from the final fixpoint state and trees.
-fn finish(
-    st: State<'_, '_>,
-    trees: &[Vec<Node>],
-    mut trusted_sites: Vec<(String, usize)>,
-) -> UniformReport {
+fn finish(st: State<'_, '_>, trees: &[Vec<Node>]) -> UniformReport {
     let ws = st.ws;
     let n = ws.fns.len();
     let mut fns_out: Vec<FnUniform> = Vec::new();
@@ -1237,9 +1222,7 @@ fn finish(
             continue;
         }
         let file = ws.ctx(f).rel_path;
-        let verdict = if st.trusted[f] {
-            "trusted"
-        } else if st.divergent[f] {
+        let verdict = if st.divergent[f] {
             "divergent"
         } else {
             "uniform"
@@ -1256,7 +1239,6 @@ fn finish(
     }
     fns_out.sort_by(|a, z| (&a.qual, &a.file, a.line).cmp(&(&z.qual, &z.file, z.line)));
 
-    trusted_sites.sort();
     let mut findings = st.findings;
     findings.sort();
     findings.dedup();
@@ -1266,7 +1248,6 @@ fn finish(
         call_edges: ws.call_edges(),
         collective_sites,
         fns: fns_out,
-        trusted_sites,
         used_allow: st.used_allow,
         findings,
     }
@@ -1275,7 +1256,6 @@ fn finish(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::{BAD_PRAGMA, UNUSED_PRAGMA};
 
     fn run(src: &str) -> UniformReport {
         analyze(&[("crates/comms/src/t.rs".to_string(), src.to_string())])
@@ -1627,35 +1607,23 @@ pub fn drive(world: &mut dyn CommWorld) {
     }
 
     #[test]
-    fn trusted_pragma_skips_fn_and_is_audited() {
+    fn fn_level_allow_covers_every_site_of_its_fn() {
         let r = run(r#"
-// lint:uniform-trusted(rank 0 intentionally reports alone; harness drains)
+// lint:allow(collective-divergence, rank 0 intentionally reports alone; harness drains)
 pub fn report(world: &mut dyn CommWorld) {
     if world.rank() == 0 {
         world.global_sum(1.0);
     }
+    while world.rank() > 1 {
+        world.barrier();
+    }
 }
 "#);
         assert!(divergences(&r).is_empty(), "{:?}", r.findings);
-        assert_eq!(r.trusted_sites.len(), 1);
+        let pragma = ("crates/comms/src/t.rs".to_string(), 2);
+        assert_eq!(r.used_allow, BTreeSet::from([pragma]));
         let row = r.fns.iter().find(|f| f.qual == "comms::t::report").unwrap();
-        assert_eq!(row.verdict, "trusted");
-    }
-
-    #[test]
-    fn bad_and_stale_trusted_pragmas_are_findings() {
-        let r = run(r#"
-// lint:uniform-trusted()
-pub fn a(world: &mut dyn CommWorld) {
-    world.barrier();
-}
-
-// lint:uniform-trusted(floating, attaches to nothing)
-const X: usize = 0;
-"#);
-        let rules: Vec<&str> = r.findings.iter().map(|f| f.rule).collect();
-        assert!(rules.contains(&BAD_PRAGMA), "{:?}", r.findings);
-        assert!(rules.contains(&UNUSED_PRAGMA), "{:?}", r.findings);
+        assert_eq!(row.verdict, "uniform");
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //@path crates/comms/src/golden/flow_pragma.rs
 //@sink publish comms reduction
 // Pragma-suppressed chain: the same wall-clock helper as flow_chain,
-// but pinned Det by an audited lint:det-trusted pragma — the sink check
-// passes and the suppression lands in the trusted audit trail.
+// but its source line carries an audited lint:allow pragma — the
+// source leaves the catalog, the chain stays Det and the sink check
+// passes.
 
-// lint:det-trusted(wall_ns is compiled to a constant in sim builds; never feeds simulated time)
 fn wall_ns() -> u64 {
+    // lint:allow(instant-wallclock, wall_ns is compiled to a constant in sim builds; never feeds simulated time)
     let t = std::time::SystemTime::now();
     t.elapsed().map(|d| d.as_nanos() as u64).unwrap_or(0)
 }

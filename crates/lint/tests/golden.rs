@@ -1,47 +1,24 @@
 //! Golden fixture tests: every `tests/fixtures/*.rs` file with a
 //! companion `.expected` snapshot is run through the analyzer and its
-//! rendered findings must match the snapshot byte for byte.
-//!
-//! The first line of each fixture is a `//@path <workspace-rel-path>`
-//! directive giving the path the file pretends to live at, so the
-//! rules' crate/src/test scoping applies exactly as in the workspace.
-//! The directive line is analyzed too (it is a plain comment), keeping
-//! fixture line numbers identical to what the snapshot records.
+//! rendered findings must match the snapshot byte for byte (directives
+//! and re-blessing: `common/mod.rs`).
 
-use std::fs;
-use std::path::Path;
+mod common;
 
 #[test]
 fn fixtures_match_expected_findings() {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    let mut cases: Vec<_> = fs::read_dir(&dir)
-        .expect("fixtures dir")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| {
-            p.extension().is_some_and(|x| x == "rs") && p.with_extension("expected").is_file()
-        })
+    let cases: Vec<_> = common::fixtures("")
+        .into_iter()
+        .filter(|f| f.snapshot().is_file())
         .collect();
-    cases.sort();
-    assert!(
-        cases.len() >= 8,
-        "golden fixture set went missing: {cases:?}"
-    );
+    assert!(cases.len() >= 8, "golden fixture set went missing");
 
     for case in cases {
-        let name = case.file_name().unwrap().to_string_lossy().into_owned();
-        let src = fs::read_to_string(&case).expect("fixture source");
-        let rel = src
-            .lines()
-            .next()
-            .and_then(|l| l.strip_prefix("//@path "))
-            .unwrap_or_else(|| panic!("{name}: missing //@path directive"))
-            .trim();
-        let got: String = hyades_lint::analyze(rel, &src)
+        let got: String = hyades_lint::analyze(case.rel(), &case.src)
             .iter()
             .map(|f| format!("{f}\n"))
             .collect();
-        let expected = fs::read_to_string(case.with_extension("expected")).expect("snapshot");
-        assert_eq!(got, expected, "fixture {name} drifted from its snapshot");
+        case.check(&got);
     }
 }
 
@@ -49,9 +26,8 @@ fn fixtures_match_expected_findings() {
 fn fixture_pragmas_are_audited() {
     // The pragma fixture's audit trail feeds the budget ratchet: it must
     // classify each pragma (valid/used) exactly.
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    let src = fs::read_to_string(dir.join("pragma.rs")).expect("pragma fixture");
-    let fa = hyades_lint::analyze_file("crates/des/src/golden/pragma.rs", &src);
+    let case = common::fixture("", "pragma.rs");
+    let fa = hyades_lint::analyze_file(case.rel(), &case.src);
     let audit: Vec<(String, bool, bool)> = fa
         .pragmas
         .iter()

@@ -9,40 +9,14 @@ use hyades_lint::flow::Effect;
 use hyades_lint::graph::Workspace;
 use hyades_lint::rules::COLLECTIVE_DIVERGENCE;
 use hyades_lint::{collect_sources, flow, uniform, workspace_root};
-use std::fs;
-use std::path::Path;
 
-/// One single-file input per flow/uniform fixture, at its `//@path`.
-fn fixture_inputs() -> Vec<Vec<(String, String)>> {
-    let mut inputs = Vec::new();
-    for sub in ["flow", "uniform"] {
-        let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("tests/fixtures")
-            .join(sub);
-        let mut cases: Vec<_> = fs::read_dir(&dir)
-            .expect("fixtures dir")
-            .map(|e| e.expect("dir entry").path())
-            .filter(|p| p.extension().is_some_and(|x| x == "rs"))
-            .collect();
-        cases.sort();
-        for case in cases {
-            let src = fs::read_to_string(&case).expect("fixture source");
-            let rel = src
-                .lines()
-                .find_map(|l| l.strip_prefix("//@path "))
-                .unwrap_or_else(|| panic!("{}: missing //@path", case.display()))
-                .trim()
-                .to_string();
-            inputs.push(vec![(rel, src)]);
-        }
-    }
-    assert!(inputs.len() >= 8, "fixture sets went missing");
-    inputs
-}
+mod common;
 
 #[test]
 fn flow_and_uniform_report_the_same_graph() {
-    let mut inputs = fixture_inputs();
+    let fixtures = ["flow", "uniform"].map(common::fixtures);
+    let mut inputs: Vec<_> = fixtures.iter().flatten().map(|f| f.input()).collect();
+    assert!(inputs.len() >= 8, "fixture sets went missing");
     inputs.push(collect_sources(&workspace_root()).expect("live tree"));
     for sources in &inputs {
         let what = &sources[0].0;

@@ -13,8 +13,6 @@ use hyades::gcm::driver::Model;
 use hyades_comms::{CommWorld, ThreadWorld};
 
 fn run_decomp(name: &str, decomp: Decomp, steps: usize) -> (f64, f64) {
-    // lint:allow(instant-wallclock, example prints human-facing throughput; never feeds simulated time)
-    let t0 = std::time::Instant::now();
     let results = ThreadWorld::run(decomp.n_ranks(), |world| {
         let mut cfg = ModelConfig::test_ocean(64, 32, 6, decomp);
         cfg.forcing = SurfaceForcing::Climatology;
@@ -26,10 +24,9 @@ fn run_decomp(name: &str, decomp: Decomp, steps: usize) -> (f64, f64) {
         let d = global_diagnostics(&model, world);
         (d.max_speed, d.kinetic_energy)
     });
-    let wall = t0.elapsed().as_secs_f64();
     let (max_speed, ke) = results[0];
     println!(
-        "{name:<22} {ranks} ranks  {steps} steps  {wall:6.2}s wall  \
+        "{name:<22} {ranks} ranks  {steps} steps  \
          max current {max_speed:7.4} m/s  KE {ke:.3e}",
         ranks = decomp.n_ranks()
     );
