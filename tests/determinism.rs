@@ -242,6 +242,33 @@ fn gcm_results_match_the_pinned_golden_values() {
     assert_eq!(threaded(true), free_surface, "free surface 32x16x4 on 2x2");
 }
 
+/// The `coupled_serial` configuration — the 64×32 coupled pair, both CG
+/// caps at 1 000, 64 steps on `SerialWorld` — at the scenario's default
+/// seeds (the benchmark seeds its pair differently): final state digest
+/// of both models and the total CG iterations.
+#[test]
+#[ignore = "about a quarter second in release; scripts/check.sh runs it"]
+fn coupled_64x32_matches_the_pinned_golden_values() {
+    use hyades::comms::SerialWorld;
+
+    let mut pair = hyades::scenario::small_coupled_scenario(64, 32, 4);
+    pair.atmos.cfg.cg_max_iters = 1000;
+    pair.ocean.cfg.cg_max_iters = 1000;
+    let (mut wa, mut wo) = (SerialWorld, SerialWorld);
+    let mut iters = 0;
+    for _ in 0..64 {
+        let (sa, so) = pair.step(&mut wa, &mut wo);
+        assert!(sa.cg_converged && so.cg_converged);
+        iters += sa.cg_iterations + so.cg_iterations;
+    }
+    let digest = model_state_digest(model_state_digest(FNV_OFFSET, &pair.atmos), &pair.ocean);
+    assert_eq!(
+        (digest, iters),
+        (0x7df7_8922_e6d0_8a12, 6054),
+        "coupled 64x32"
+    );
+}
+
 /// The 1° ocean (360×160×15 with continents and shelves) on one tile,
 /// two steps: the grids pinned above are small enough to run their
 /// kernels whole, this tile runs each one as two row bands. Final state
