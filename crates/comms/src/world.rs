@@ -6,7 +6,8 @@
 //! global-sum / barrier, and two functional backends:
 //!
 //! * [`SerialWorld`] — a single rank; exchanges are identities (used for
-//!   single-tile runs and tests);
+//!   single-tile runs and tests). It holds nothing, so it is the one
+//!   backend that may move to another thread ([`CommWorld::as_send`]);
 //! * [`ThreadWorld`] — one OS thread per rank with `std::sync::mpsc`
 //!   channels for halo exchange and a shared-memory rendezvous for
 //!   global sums (deterministic: contributions are summed in rank order).
@@ -94,6 +95,14 @@ pub trait CommWorld {
         let (neg_min, t) = self.global_argmax(-value, tag);
         (-neg_min, t)
     }
+
+    /// This world as one that may be used from another thread, if it can
+    /// be: the coupled step then runs one isomorph's whole step on a
+    /// helper thread (`gcm::coupler`). `None` — the default — keeps every
+    /// call to this world on the thread that holds it.
+    fn as_send(&mut self) -> Option<&mut (dyn CommWorld + Send)> {
+        None
+    }
 }
 
 /// Single-rank world.
@@ -122,6 +131,9 @@ impl CommWorld for SerialWorld {
     fn barrier(&mut self) {}
     fn gather(&mut self, data: Vec<f64>) -> Option<Vec<Vec<f64>>> {
         Some(vec![data])
+    }
+    fn as_send(&mut self) -> Option<&mut (dyn CommWorld + Send)> {
+        Some(self)
     }
 }
 
@@ -417,6 +429,14 @@ mod tests {
         let back = w.exchange(vec![(0, vec![1.0, 2.0])]);
         assert_eq!(back, vec![(0, vec![1.0, 2.0])]);
         w.barrier();
+    }
+
+    #[test]
+    fn only_the_serial_world_moves() {
+        assert!(SerialWorld.as_send().is_some());
+        assert!(ThreadWorld::run(2, |w| w.as_send().is_none())
+            .into_iter()
+            .all(|none| none));
     }
 
     #[test]
