@@ -155,7 +155,7 @@ mod tests {
 
     #[test]
     fn apply_drops_at_unit_drop_rate_and_is_observable() {
-        flight::install(16);
+        flight::install();
         let mut f = windowed(7, 0.0, 1.0);
         let mut pkt = Packet::new(0, 1, Priority::Low, 42, vec![1, 2]);
         assert!(!f.apply(&mut pkt, INSIDE, ActorId(3)));
@@ -167,7 +167,7 @@ mod tests {
 
     #[test]
     fn apply_corrupts_and_leaves_crumb() {
-        flight::install(16);
+        flight::install();
         let mut f = windowed(8, 1.0, 0.0);
         let mut pkt = Packet::new(0, 1, Priority::Low, 9, vec![1, 2]);
         assert!(f.apply(&mut pkt, INSIDE, ActorId(0)));

@@ -3,7 +3,8 @@
 use crate::fault::FaultInjector;
 use crate::packet::{Packet, UpRoute};
 use crate::router::{
-    down_port_index, up_port_index, Arrive, LinkModel, PortTarget, RouterActor, RouterTiming,
+    down_port_index, up_port_index, Arrive, LinkModel, PortTarget, RouterActor, FALL_THROUGH,
+    LINK_MBYTE_PER_SEC, WIRE_LATENCY,
 };
 use crate::topology::{DownTarget, FatTree, RouterAddr};
 use hyades_des::event::Payload;
@@ -15,10 +16,10 @@ use hyades_telemetry::flight;
 use hyades_telemetry::sampler::{self, SampleTick};
 use std::sync::Arc;
 
-/// Fabric configuration. Defaults are the paper's hardware constants.
+/// Fabric configuration: how packets pick their up-routes. The hardware
+/// timing is the paper's constants ([`crate::router`]).
 #[derive(Clone, Copy, Debug)]
 pub struct ArcticConfig {
-    pub timing: RouterTiming,
     pub uproute: UpRoute,
     /// Seed for random up-route selection (only used in `UpRoute::Random`).
     pub seed: u64,
@@ -27,7 +28,6 @@ pub struct ArcticConfig {
 impl Default for ArcticConfig {
     fn default() -> Self {
         ArcticConfig {
-            timing: RouterTiming::default(),
             uproute: UpRoute::SourceSpread,
             seed: 0xA7C71C,
         }
@@ -135,7 +135,7 @@ impl TxPort {
         flight::record(now, ctx.self_id(), "txport.inject", pkt.usr_tag as u64);
         // Cut-through: head reaches the leaf router one wire latency after
         // transmission starts.
-        ctx.send_after(self.link.timing.wire_latency, self.leaf, Arrive(pkt));
+        ctx.send_after(WIRE_LATENCY, self.leaf, Arrive(pkt));
         if !self.high.is_empty() || !self.low.is_empty() {
             ctx.send_after(ser, ctx.self_id(), TxKick);
         }
@@ -203,7 +203,7 @@ impl ArcticNetwork {
     pub fn build(sim: &mut Simulator, endpoint_actors: &[ActorId], cfg: ArcticConfig) -> Self {
         let n = endpoint_actors.len() as u16;
         let tree = Arc::new(FatTree::new(n));
-        let link = Arc::new(LinkModel::new(cfg.timing));
+        let link = Arc::new(LinkModel::default());
 
         // Pass 1: create the routers.
         let mut router_ids = Vec::with_capacity(tree.total_routers());
@@ -390,10 +390,9 @@ impl ArcticNetwork {
     /// serialization.
     pub fn uncontended_latency(&self, s: u16, d: u16, wire_bytes: u64) -> SimDuration {
         let stages = self.tree.path_stages(s, d) as u64;
-        let t = &self.cfg.timing;
-        let per_stage = t.fall_through + t.wire_latency;
-        let ser = SimDuration::for_bytes_at(wire_bytes, t.link_mbyte_per_sec);
-        t.wire_latency + per_stage * stages + ser
+        let per_stage = FALL_THROUGH + WIRE_LATENCY;
+        let ser = SimDuration::for_bytes_at(wire_bytes, LINK_MBYTE_PER_SEC);
+        WIRE_LATENCY + per_stage * stages + ser
     }
 }
 

@@ -29,28 +29,28 @@ use hyades_telemetry::prom::{fixed, PromText};
 use hyades_telemetry::sampler::{self, SampleSet, SamplerActor};
 use std::fmt::Write as _;
 
-/// Observatory configuration.
+/// A link is a hotspot when its sampled occupancy p99 exceeds this many
+/// queued packets.
+pub const HOTSPOT_OCC_P99: f64 = 4.0;
+
+/// How many contributing flows a hotspot names.
+const TOP_FLOWS: usize = 4;
+
+/// Observatory configuration: when to sample.
 #[derive(Clone, Copy, Debug)]
 pub struct ObservatoryConfig {
     /// Sampling interval (simulated time).
     pub interval: SimDuration,
     /// Last tick time: the sampler expires here so the simulation drains.
     pub until: SimTime,
-    /// A link is a hotspot when its sampled occupancy p99 exceeds this.
-    pub hotspot_occ_p99: f64,
-    /// How many contributing flows to name per hotspot.
-    pub top_flows: usize,
 }
 
 impl ObservatoryConfig {
-    /// Sample every `interval_us` until `until_us`, with the default
-    /// hotspot threshold.
+    /// Sample every `interval_us` until `until_us`.
     pub fn new(interval_us: f64, until_us: f64) -> Self {
         ObservatoryConfig {
             interval: SimDuration::from_us_f64(interval_us),
             until: SimTime::from_us_f64(until_us),
-            hotspot_occ_p99: 4.0,
-            top_flows: 4,
         }
     }
 }
@@ -99,7 +99,6 @@ pub struct FabricReport {
     pub n_endpoints: u16,
     pub interval_us: f64,
     pub ticks: u64,
-    pub hotspot_occ_p99: f64,
     pub links: Vec<LinkSummary>,
     pub hotspots: Vec<Hotspot>,
     pub faults_corrupted: u64,
@@ -169,7 +168,7 @@ impl Observatory {
                     packets,
                     bytes,
                 };
-                if occ_p99 > self.cfg.hotspot_occ_p99 {
+                if occ_p99 > HOTSPOT_OCC_P99 {
                     let mut flows: Vec<FlowShare> = r
                         .port_flows(port)
                         .into_iter()
@@ -180,7 +179,7 @@ impl Observatory {
                             .cmp(&a.packets)
                             .then((a.src, a.dst).cmp(&(b.src, b.dst)))
                     });
-                    flows.truncate(self.cfg.top_flows);
+                    flows.truncate(TOP_FLOWS);
                     hotspots.push(Hotspot {
                         entity,
                         occ_p99,
@@ -204,7 +203,6 @@ impl Observatory {
             n_endpoints: net.n_endpoints(),
             interval_us,
             ticks,
-            hotspot_occ_p99: self.cfg.hotspot_occ_p99,
             links,
             hotspots,
             faults_corrupted,
@@ -318,15 +316,15 @@ impl FabricReport {
             self.n_endpoints,
             fixed(self.interval_us),
             self.ticks,
-            fixed(self.hotspot_occ_p99),
+            fixed(HOTSPOT_OCC_P99),
         );
         o.push_str("  \"links\": [\n");
         for (i, l) in self.links.iter().enumerate() {
-            let _ = write!(
+            let _ = writeln!(
                 o,
                 "    {{\"link\": \"{}\", \"samples\": {}, \"util_mean\": {}, \
                  \"occ_mean\": {}, \"occ_p99\": {}, \"occ_max\": {}, \"stalls\": {}, \
-                 \"stall_us\": {}, \"packets\": {}, \"bytes\": {}}}{}\n",
+                 \"stall_us\": {}, \"packets\": {}, \"bytes\": {}}}{}",
                 escape(&l.entity),
                 l.samples,
                 fixed(l.util_mean),
@@ -416,7 +414,7 @@ mod tests {
         assert_eq!(h.entity, "l0.w0.p0", "expected the leaf down-link: {h:?}");
         assert!(!h.flows.is_empty());
         assert!(h.flows.iter().all(|f| f.dst == 0), "{:?}", h.flows);
-        assert!(h.occ_p99 > rep.hotspot_occ_p99);
+        assert!(h.occ_p99 > HOTSPOT_OCC_P99);
         assert!(h.stall_us > 0.0, "congestion must show up as stalls");
     }
 

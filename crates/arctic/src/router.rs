@@ -113,51 +113,42 @@ impl OutputPort {
     }
 }
 
-/// Timing parameters shared by all routers of a fabric.
-#[derive(Clone, Copy, Debug)]
-pub struct RouterTiming {
-    pub fall_through: SimDuration,
-    pub link_mbyte_per_sec: f64,
-    pub wire_latency: SimDuration,
-}
+/// Crossbar fall-through of one router stage (§2.2: 0.15 µs).
+pub(crate) const FALL_THROUGH: SimDuration = SimDuration::from_us_f64(0.15);
 
-impl Default for RouterTiming {
-    fn default() -> Self {
-        RouterTiming {
-            fall_through: SimDuration::from_us_f64(0.15),
-            link_mbyte_per_sec: 150.0,
-            wire_latency: SimDuration::from_ns(10),
-        }
-    }
-}
+/// Link bandwidth (§2.2: 150 MByte/s in each direction).
+pub(crate) const LINK_MBYTE_PER_SEC: f64 = 150.0;
 
-/// One fabric's timing plus the per-grant value derived from it, shared by
-/// all of that fabric's routers and injection ports.
+/// Head latency of one wire hop between stages.
+pub(crate) const WIRE_LATENCY: SimDuration = SimDuration::from_ns(10);
+
+/// The per-grant value derived from the link bandwidth, shared by all of
+/// a fabric's routers and injection ports.
 pub struct LinkModel {
-    pub(crate) timing: RouterTiming,
     /// Serialization time by packet size in wire words, each entry the
     /// value of [`SimDuration::for_bytes_at`] — which costs an f64 divide
     /// and a libm `round`, too dear to repeat on every link grant.
     ser_by_words: [SimDuration; HEADER_WORDS + MAX_PAYLOAD_WORDS + 1],
 }
 
-impl LinkModel {
-    pub fn new(timing: RouterTiming) -> Self {
+impl Default for LinkModel {
+    fn default() -> Self {
         LinkModel {
-            timing,
             ser_by_words: std::array::from_fn(|words| {
-                SimDuration::for_bytes_at(4 * words as u64, timing.link_mbyte_per_sec)
+                SimDuration::for_bytes_at(4 * words as u64, LINK_MBYTE_PER_SEC)
             }),
         }
     }
+}
 
+impl LinkModel {
     /// Time `pkt` occupies a link.
     pub fn serialization(&self, pkt: &Packet) -> SimDuration {
         match self.ser_by_words.get(HEADER_WORDS + pkt.payload.len()) {
             Some(&ser) => ser,
             // `payload` is a public field: a hand-built oversize packet
             // is still timed, just not from the table.
-            None => SimDuration::for_bytes_at(pkt.wire_bytes(), self.timing.link_mbyte_per_sec),
+            None => SimDuration::for_bytes_at(pkt.wire_bytes(), LINK_MBYTE_PER_SEC),
         }
     }
 }
@@ -266,8 +257,8 @@ impl RouterActor {
             pkt.up_remaining -= 1;
         }
         // The head has now fallen through the crossbar; the link grant can
-        // happen no earlier than `fall_through` from arrival.
-        let ready = ctx.now() + self.link.timing.fall_through;
+        // happen no earlier than `FALL_THROUGH` from arrival.
+        let ready = ctx.now() + FALL_THROUGH;
         let q = &mut self.ports[port];
         match pkt.priority {
             Priority::High => q.high.push_back((ready, ev)),
@@ -315,16 +306,12 @@ impl RouterActor {
             PortTarget::Router(next) => {
                 // Cut-through: the head reaches the next stage after the
                 // wire latency; the body streams behind it.
-                ctx.send_boxed_after(self.link.timing.wire_latency, next, ev);
+                ctx.send_boxed_after(WIRE_LATENCY, next, ev);
             }
             PortTarget::Endpoint(ep) => {
                 // Delivery completes at the packet tail.
                 let Arrive(pkt) = *ev;
-                ctx.send_after(
-                    self.link.timing.wire_latency + ser,
-                    ep,
-                    crate::network::Delivered { pkt },
-                );
+                ctx.send_after(WIRE_LATENCY + ser, ep, crate::network::Delivered { pkt });
             }
             PortTarget::None => panic!(
                 "router {:?} routed a packet out of an unwired port {port}",
@@ -397,8 +384,7 @@ mod tests {
 
     #[test]
     fn link_model_serialization_equals_for_bytes_at() {
-        let timing = RouterTiming::default();
-        let link = LinkModel::new(timing);
+        let link = LinkModel::default();
         // Every legal size from the table, then one oversize hand-built
         // packet through the fallback.
         for words in (0..=MAX_PAYLOAD_WORDS).chain([40]) {
@@ -406,7 +392,7 @@ mod tests {
             pkt.payload = vec![0; words];
             assert_eq!(
                 link.serialization(&pkt),
-                SimDuration::for_bytes_at(pkt.wire_bytes(), timing.link_mbyte_per_sec),
+                SimDuration::for_bytes_at(pkt.wire_bytes(), LINK_MBYTE_PER_SEC),
                 "{words} payload words"
             );
         }
@@ -418,7 +404,7 @@ mod tests {
         let r = RouterActor::new(
             RouterAddr { level: 1, word: 0 },
             tree,
-            Arc::new(LinkModel::new(RouterTiming::default())),
+            Arc::new(LinkModel::default()),
         );
         // Ascending packet follows its uproute bit for level 1.
         let mut pkt = Packet::new(0, 15, Priority::Low, 0, vec![0; 2]);

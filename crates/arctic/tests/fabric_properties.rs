@@ -54,7 +54,7 @@ fn injection_strategy(n: u16) -> impl Strategy<Value = Injection> {
 fn run_fabric(n: u16, uproute: UpRoute, injections: &[Injection]) -> Vec<Vec<(u64, Packet)>> {
     // Arm the flight recorder: router enqueue/tx and NIU injection events
     // are recorded as they happen, bounded to the most recent 4096.
-    flight::install(4096);
+    flight::install();
     let mut sim = Simulator::new();
     let sinks: Vec<ActorId> = (0..n)
         .map(|_| sim.add_actor(SinkEndpoint::default()))

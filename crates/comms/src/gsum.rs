@@ -25,7 +25,7 @@
 //! original plus a RESEND never double-adds. The tree-gsum ablation
 //! baseline intentionally keeps the paper's catastrophic-failure model.
 
-use crate::mixmode::SmpCosts;
+use crate::mixmode;
 use hyades_arctic::packet::{f64_from_words, words_from_f64, Packet};
 use hyades_des::event::Payload;
 use hyades_des::fault::FaultPlan;
@@ -191,13 +191,18 @@ pub struct GsumNode {
 impl GsumNode {
     /// `smp` charges the intra-SMP combine before the network phase and
     /// the broadcast after it (mixed mode, §4.2: "about 1 µs" in total).
-    pub(crate) fn new(ep: Endpoint, graph: Rc<CommGraph>, smp: Option<SmpCosts>) -> Self {
+    pub(crate) fn new(ep: Endpoint, graph: Rc<CommGraph>, smp: bool) -> Self {
+        let (pre_cost, post_cost) = if smp {
+            (mixmode::COMBINE, mixmode::BROADCAST)
+        } else {
+            (SimDuration::ZERO, SimDuration::ZERO)
+        };
         GsumNode {
             ep,
             graph,
             at: 0,
-            pre_cost: smp.map_or(SimDuration::ZERO, |c| c.combine),
-            post_cost: smp.map_or(SimDuration::ZERO, |c| c.broadcast),
+            pre_cost,
+            post_cost,
             partial: 0.0,
             early: BTreeMap::new(),
             sent: Vec::new(),
@@ -449,7 +454,7 @@ fn measure_gsum_inner(
         host,
         n,
         plan,
-        |ep| GsumNode::new(ep, Rc::clone(&graph), smp_step.then(SmpCosts::default)),
+        |ep| GsumNode::new(ep, Rc::clone(&graph), smp_step),
         |e| StartGsum {
             value: values[usize::from(e)],
         },
@@ -635,7 +640,7 @@ mod tests {
             HostParams::default(),
             8,
             None,
-            |ep| GsumNode::new(ep, Rc::clone(&graph), None),
+            |ep| GsumNode::new(ep, Rc::clone(&graph), false),
             |e| StartGsum {
                 value: d[usize::from(e)],
             },

@@ -10,10 +10,11 @@
 use crate::barrier::measure_barrier;
 use crate::exchange::measure_exchange;
 use crate::gsum::{latency_table, GsumMeasurement};
-use crate::mixmode::SmpCosts;
+use crate::mixmode;
 use hyades_cluster::interconnect::PrimitiveModel;
 use hyades_des::stats::linear_fit;
 use hyades_des::SimDuration;
+use hyades_startx::host::VI_PAYLOAD_MBYTE_PER_SEC;
 use hyades_startx::HostParams;
 
 /// Raw measurements from the simulated fabric.
@@ -113,11 +114,10 @@ pub fn measure_exchange_mixmode(host: HostParams, px: u16, py: u16, leg_bytes: u
     let master = measure_exchange(host, px, py, leg_bytes);
     let legs = 8u64;
     let master_leg = master / legs;
-    let smp = SmpCosts::default();
     let slave_remote_legs = 6u64;
     let mut total = master;
     for _ in 0..slave_remote_legs {
-        total += smp.slave_leg_time(master_leg, leg_bytes, host.vi_payload_mbyte_per_sec);
+        total += mixmode::slave_leg_time(master_leg, leg_bytes, VI_PAYLOAD_MBYTE_PER_SEC);
     }
     total
 }

@@ -13,50 +13,37 @@
 
 use hyades_des::SimDuration;
 
-/// Costs of the shared-memory semaphore protocol between the two
-/// processors of an SMP.
-#[derive(Clone, Copy, Debug)]
-pub struct SmpCosts {
-    /// Slave posts its operand / request and the master picks it up.
-    pub combine: SimDuration,
-    /// Master publishes the result and the slave picks it up.
-    pub broadcast: SimDuration,
-    /// Fractional exchange-bandwidth loss when a slave's halo moves through
-    /// the master (extra staging copy through shared memory).
-    pub slave_bandwidth_penalty: f64,
+/// Shared-memory semaphore hop in which the slave posts its operand or
+/// request and the master picks it up (§4.2: with [`BROADCAST`], "about
+/// 1 µs" added to a global sum).
+pub(crate) const COMBINE: SimDuration = SimDuration::from_us_f64(0.6);
+
+/// Semaphore hop in which the master publishes the result and the slave
+/// picks it up.
+pub(crate) const BROADCAST: SimDuration = SimDuration::from_us_f64(0.4);
+
+/// Fractional exchange-bandwidth loss when a slave's halo moves through
+/// the master (extra staging copy through shared memory; §4.1: "about
+/// 30 % lower").
+const SLAVE_BANDWIDTH_PENALTY: f64 = 0.30;
+
+/// Effective bandwidth of a slave-to-slave exchange leg given the
+/// master-to-master bandwidth.
+pub(crate) fn slave_bandwidth(master_mbyte_per_sec: f64) -> f64 {
+    master_mbyte_per_sec * (1.0 - SLAVE_BANDWIDTH_PENALTY)
 }
 
-impl Default for SmpCosts {
-    fn default() -> Self {
-        SmpCosts {
-            combine: SimDuration::from_us_f64(0.6),
-            broadcast: SimDuration::from_us_f64(0.4),
-            slave_bandwidth_penalty: 0.30,
-        }
-    }
-}
-
-impl SmpCosts {
-    /// Effective bandwidth of a slave-to-slave exchange leg given the
-    /// master-to-master bandwidth (§4.1: "about 30 % lower").
-    pub fn slave_bandwidth(&self, master_mbyte_per_sec: f64) -> f64 {
-        master_mbyte_per_sec * (1.0 - self.slave_bandwidth_penalty)
-    }
-
-    /// Time for a slave's exchange leg of `bytes`, given the
-    /// master-to-master leg time: the request/response semaphore hops plus
-    /// the bandwidth penalty on the streaming portion.
-    pub fn slave_leg_time(
-        &self,
-        master_leg: SimDuration,
-        bytes: u64,
-        master_mbyte_per_sec: f64,
-    ) -> SimDuration {
-        let stream_master = SimDuration::for_bytes_at(bytes, master_mbyte_per_sec);
-        let stream_slave =
-            SimDuration::for_bytes_at(bytes, self.slave_bandwidth(master_mbyte_per_sec));
-        master_leg + self.combine + self.broadcast + (stream_slave - stream_master)
-    }
+/// Time for a slave's exchange leg of `bytes`, given the master-to-master
+/// leg time: the request/response semaphore hops plus the bandwidth
+/// penalty on the streaming portion.
+pub(crate) fn slave_leg_time(
+    master_leg: SimDuration,
+    bytes: u64,
+    master_mbyte_per_sec: f64,
+) -> SimDuration {
+    let stream_master = SimDuration::for_bytes_at(bytes, master_mbyte_per_sec);
+    let stream_slave = SimDuration::for_bytes_at(bytes, slave_bandwidth(master_mbyte_per_sec));
+    master_leg + COMBINE + BROADCAST + (stream_slave - stream_master)
 }
 
 #[cfg(test)]
@@ -65,15 +52,13 @@ mod tests {
 
     #[test]
     fn slave_bandwidth_is_thirty_percent_lower() {
-        let c = SmpCosts::default();
-        assert!((c.slave_bandwidth(110.0) - 77.0).abs() < 1e-9);
+        assert!((slave_bandwidth(110.0) - 77.0).abs() < 1e-9);
     }
 
     #[test]
     fn slave_leg_slower_than_master_leg() {
-        let c = SmpCosts::default();
         let master = SimDuration::from_us_f64(43.5); // 3840 B leg
-        let slave = c.slave_leg_time(master, 3840, 110.0);
+        let slave = slave_leg_time(master, 3840, 110.0);
         assert!(slave > master);
         // Penalty should be dominated by the extra streaming time:
         // 3840 B at 77 vs 110 MB/s is ~15 µs slower.

@@ -21,7 +21,6 @@
 use crate::gsum::{measure_gsum, GsumMeasurement};
 use hyades_cluster::interconnect::PrimitiveModel;
 use hyades_des::SimDuration;
-use hyades_startx::pio::PioCosts;
 use hyades_startx::HostParams;
 
 /// Software overhead MPI adds to each send.
@@ -35,14 +34,9 @@ pub const MPI_BULK_MBS: f64 = 75.0;
 /// Host parameters with the MPI library tax folded into the per-message
 /// software costs (the hardware underneath is identical).
 pub fn mpi_host() -> HostParams {
-    let base = HostParams::default();
     HostParams {
-        pio: PioCosts {
-            send_sw: SimDuration::from_us_f64(MPI_SEND_SW_US),
-            recv_sw: SimDuration::from_us_f64(MPI_RECV_SW_US),
-            ..base.pio
-        },
-        ..base
+        send_sw: SimDuration::from_us_f64(MPI_SEND_SW_US),
+        recv_sw: SimDuration::from_us_f64(MPI_RECV_SW_US),
     }
 }
 

@@ -10,7 +10,7 @@
 //! traffic — and contrasts both with a hammered single-switch Ethernet
 //! port, where no path diversity exists to disperse anything.
 
-use hyades_arctic::observatory::ObservatoryConfig;
+use hyades_arctic::observatory::{ObservatoryConfig, HOTSPOT_OCC_P99};
 use hyades_arctic::packet::UpRoute;
 use hyades_arctic::workload::{run_traffic_observed, Pattern};
 use hyades_cluster::ethernet_sim::{
@@ -46,7 +46,7 @@ pub fn run() -> String {
         det.delivered_mbyte_per_sec,
         det.latency.mean(),
         det_rep.hotspots.len(),
-        det_rep.hotspot_occ_p99,
+        HOTSPOT_OCC_P99,
     );
     for h in det_rep.hotspots.iter().take(4) {
         let _ = write!(

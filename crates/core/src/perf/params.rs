@@ -2,7 +2,10 @@
 //!
 //! Measured values for the coupled ocean–atmosphere simulation at 2.8125°,
 //! each isomorph on sixteen processors over eight SMPs (i.e. eight network
-//! endpoints; `nxyz`/`nxy` are per endpoint).
+//! endpoints; `nxyz`/`nxy` are per endpoint). The sustained rates are the
+//! ones the telemetry recorder charges compute at.
+
+use hyades_telemetry::{FDS_MFLOPS, FPS_MFLOPS};
 
 /// PS-phase parameters of one isomorph.
 #[derive(Clone, Copy, Debug)]
@@ -38,7 +41,7 @@ pub fn paper_atmos_ps() -> PsParams {
         nps: 781.0,
         nxyz: 5120,
         texch_xyz_us: 1640.0,
-        fps_mflops: 50.0,
+        fps_mflops: FPS_MFLOPS,
     }
 }
 
@@ -48,7 +51,7 @@ pub fn paper_ocean_ps() -> PsParams {
         nps: 751.0,
         nxyz: 15360,
         texch_xyz_us: 4573.0,
-        fps_mflops: 50.0,
+        fps_mflops: FPS_MFLOPS,
     }
 }
 
@@ -59,7 +62,7 @@ pub fn paper_ds() -> DsParams {
         nxy: 1024,
         tgsum_us: 13.5,
         texch_xy_us: 115.0,
-        fds_mflops: 60.0,
+        fds_mflops: FDS_MFLOPS,
     }
 }
 

@@ -31,12 +31,12 @@ use hyades_gcm::decomp::Decomp;
 use hyades_gcm::driver::Model;
 use hyades_gcm::grid::{stretched_levels, Grid};
 use hyades_gcm::halo::exchange_leg_bytes;
-use hyades_gcm::monitor::{RunMonitor, SentinelConfig};
+use hyades_gcm::monitor::RunMonitor;
 use hyades_gcm::resilient::ResilientRunner;
 use hyades_startx::HostParams;
 use hyades_telemetry as telemetry;
 use hyades_telemetry::artifact::{Artifact, ArtifactKind, Prebuilt};
-use hyades_telemetry::{flight, RankTelemetry, RunTelemetry};
+use hyades_telemetry::{flight, RankTelemetry, RunTelemetry, FDS_MFLOPS, FPS_MFLOPS};
 use std::fmt::Write as _;
 
 /// Grid/decomposition constants of the tour run.
@@ -47,18 +47,6 @@ const PX: usize = 2;
 const PY: usize = 2;
 const NRANKS: usize = PX * PY;
 const STEPS: usize = 4;
-
-/// Sustained kernel rates used both to charge compute time and as the
-/// model's `Fps`/`Fds` (Figure 11's values).
-const FPS_MFLOPS: f64 = 50.0;
-const FDS_MFLOPS: f64 = 60.0;
-
-/// Checkpoint cadence of the resilient tour, in coupled steps (a
-/// multiple of the coupling interval, 2).
-const CHECKPOINT_EVERY: u64 = 2;
-
-/// Ring capacity of the DES flight recorder during the microbench legs.
-const FLIGHT_EVENTS: usize = 4096;
 
 /// One configuration for every tour entry point: the four tours
 /// (profiling E14, run-health E18, critical-path E19, fault-recovery
@@ -176,7 +164,7 @@ struct RankRun {
 
 fn run_rank<W: CommWorld>(world: &mut W, tour: &TourConfig) -> RankRun {
     let rank = world.rank();
-    telemetry::enable_with_rates(rank, FPS_MFLOPS, FDS_MFLOPS);
+    telemetry::enable(rank);
     telemetry::commlog::install();
     let d = Decomp::blocks(NX, NY, PX, PY, 3);
     let cfg = ModelConfig::test_ocean(NX, NY, NZ, d);
@@ -243,8 +231,8 @@ fn take_flight_dump() -> String {
 /// fabric, recorded as event-timeline spans under a dedicated rank, with
 /// the flight recorder capturing router/NIU/comms breadcrumbs.
 fn run_microbench(seed: u64) -> (RankTelemetry, String) {
-    telemetry::enable_with_rates(NRANKS, FPS_MFLOPS, FDS_MFLOPS);
-    flight::install(FLIGHT_EVENTS);
+    telemetry::enable(NRANKS);
+    flight::install();
     let host = HostParams::default();
     let (leg_bytes, values) = microbench_shapes(seed);
     let t_exch = measure_exchange(host, 2, 2, leg_bytes);
@@ -258,8 +246,9 @@ fn run_microbench(seed: u64) -> (RankTelemetry, String) {
 }
 
 /// Build the analytical model for one model instance on the tour's 2×2
-/// decomposition: `nz` levels, the run's measured flop coefficients, and
-/// the same interconnect cost model `TimedWorld` charged against.
+/// decomposition: `nz` levels, the run's measured flop coefficients, the
+/// interconnect cost model `TimedWorld` charged against, and the rates
+/// the recorder charged compute at as `Fps`/`Fds`.
 fn model_for(net: &dyn Interconnect, nz: usize, inputs: ModelInputs) -> PerfModel {
     let tile = Decomp::blocks(NX, NY, PX, PY, 3).tile(0);
     // One field exchange: x phase moves strips to 2 neighbors (send +
@@ -368,6 +357,10 @@ impl TourConfig {
 /// Steps of the coupled tours.
 const CSTEPS: usize = 4;
 
+/// Coupling interval of the coupled tours' pair, in steps; the resilient
+/// tour checkpoints at every coupling boundary.
+const COUPLE_EVERY: u64 = 2;
+
 /// The coupled pair of the coupled tours: miniature 2.8125°-style
 /// atmosphere over a test ocean, both on the tour's 2×2 decomposition.
 fn coupled_pair(rank: usize) -> CoupledModel {
@@ -376,7 +369,7 @@ fn coupled_pair(rank: usize) -> CoupledModel {
     let mut ocfg = ModelConfig::test_ocean(NX, NY, 6, d);
     ocfg.grid = Grid::global(NX, NY, 6, 60.0, stretched_levels(6, 3000.0));
     ocfg.forcing = SurfaceForcing::Coupled;
-    CoupledModel::new(Model::new(acfg, rank), Model::new(ocfg, rank), 2)
+    CoupledModel::new(Model::new(acfg, rank), Model::new(ocfg, rank), COUPLE_EVERY)
 }
 
 /// Build the seeded coupled pair shared by the diag/critpath/resilient
@@ -421,8 +414,8 @@ fn run_coupled_steps<W: CommWorld>(
     let mut pair = seeded_coupled_pair(rank, tour.seed);
     let net = arctic_paper();
     let mut timed = TimedWorld::new(world, &net);
-    let mut atmos = RunMonitor::new("atmos", SentinelConfig::default());
-    let mut ocean = RunMonitor::new("ocean", SentinelConfig::default());
+    let mut atmos = RunMonitor::new("atmos");
+    let mut ocean = RunMonitor::new("ocean");
     let mut ni_atmos = Vec::with_capacity(tour.coupled_steps);
     let mut ni_ocean = Vec::with_capacity(tour.coupled_steps);
     for s in 0..tour.coupled_steps {
@@ -497,7 +490,7 @@ impl TourConfig {
     /// identical series; rank 0's is *the* global series.
     pub fn run_coupled_diag(&self) -> DiagArtifacts {
         let runs = ThreadWorld::run(NRANKS, |w| {
-            telemetry::enable_with_rates(w.rank(), FPS_MFLOPS, FDS_MFLOPS);
+            telemetry::enable(w.rank());
             let run = run_coupled_steps(w, self, None);
             let tel = telemetry::disable().expect("telemetry was enabled");
             (tel, run.atmos, run.ocean)
@@ -592,7 +585,7 @@ impl TourConfig {
     /// the model-vs-path residuals.
     pub fn run_critpath(&self) -> CritArtifacts {
         let mut runs = ThreadWorld::run(NRANKS, |w| {
-            telemetry::enable_with_rates(w.rank(), FPS_MFLOPS, FDS_MFLOPS);
+            telemetry::enable(w.rank());
             telemetry::commlog::install();
             let run = run_coupled_steps(w, self, self.straggler);
             CritRankRun {
@@ -632,7 +625,7 @@ impl TourConfig {
 
         // Chrome trace with the matched-message flow arrows.
         let mut run_tel = RunTelemetry::from_ranks(runs.drain(..).map(|r| r.telemetry).collect());
-        run_tel.set_flows(telemetry::flows_from_stamped(&logs));
+        run_tel.set_flows(cp.flows.clone());
 
         CritArtifacts {
             report: cp.render(),
@@ -689,7 +682,7 @@ struct ResilientRankRun {
 
 fn run_resilient_rank<W: CommWorld>(world: &mut W, tour: &TourConfig) -> ResilientRankRun {
     let rank = world.rank();
-    telemetry::enable_with_rates(rank, FPS_MFLOPS, FDS_MFLOPS);
+    telemetry::enable(rank);
 
     // Uninterrupted reference first (same seed, no faults): the identity
     // check below is against this run. Both runs execute the same
@@ -699,9 +692,9 @@ fn run_resilient_rank<W: CommWorld>(world: &mut W, tour: &TourConfig) -> Resilie
 
     // The resilient run under the replicated fault plan.
     let mut c = seeded_coupled_pair(rank, tour.seed);
-    let mut atmos = RunMonitor::new("atmos", SentinelConfig::default());
-    let mut ocean = RunMonitor::new("ocean", SentinelConfig::default());
-    let mut runner = ResilientRunner::new(&c, tour.fault_plan.clone(), CHECKPOINT_EVERY);
+    let mut atmos = RunMonitor::new("atmos");
+    let mut ocean = RunMonitor::new("ocean");
+    let mut runner = ResilientRunner::new(&c, tour.fault_plan.clone());
     let net = arctic_paper();
     let healthy = runner.run(
         &mut c,
@@ -749,7 +742,7 @@ impl TourConfig {
         // DES recovery legs: the same microbench shapes as the profiling
         // tour, but under the plan's link faults, with the flight
         // recorder catching the retransmit crumbs.
-        flight::install(FLIGHT_EVENTS);
+        flight::install();
         let host = HostParams::default();
         let (leg_bytes, values) = microbench_shapes(self.seed);
         let t_exch = measure_exchange(host, 2, 2, leg_bytes);
@@ -814,7 +807,7 @@ fn render_recovery_report(
     let _ = writeln!(
         out,
         "fault-recovery tour: seed {:#x}, {} ranks, {} coupled steps, checkpoint every {}",
-        tour.seed, NRANKS, tour.coupled_steps, CHECKPOINT_EVERY
+        tour.seed, NRANKS, tour.coupled_steps, COUPLE_EVERY
     );
     out.push_str("\n[fault plan]\n");
     out.push_str(&tour.fault_plan.render());

@@ -1,4 +1,4 @@
-//! Deterministic fault plans and recovery policy.
+//! Deterministic fault plans.
 //!
 //! The paper's Hyades cluster assumed a reliable Arctic fabric: per-stage
 //! CRC *detects* corruption, but §2.2 treats a failed check as a
@@ -15,15 +15,13 @@
 //!   (an injection port holds its queue until the window closes), and
 //!   [`RankCrash`] events (a rank loses its in-memory model state at a
 //!   given coupled step).
-//! * [`RetryPolicy`] — timeout + capped exponential backoff, consumed
-//!   by the `comms` retransmit protocols.
 //!
 //! Injection lives with the consumers (`arctic` applies link windows
 //! and stalls at its injection ports, `gcm` applies rank crashes in its
 //! resilient stepper); this module only describes the schedule, which is
 //! why it lives beside the simulation clock it is written in.
 
-use crate::{SimDuration, SimTime};
+use crate::SimTime;
 use std::fmt::Write as _;
 
 /// A corrupt/drop-rate window on the fabric's injection links: between
@@ -187,54 +185,6 @@ impl FaultPlan {
     }
 }
 
-/// Timeout + capped exponential backoff, driving the `comms` retransmit
-/// protocols. Retry `k` (0-based) is armed `arm(k)` after the request it
-/// guards: `timeout · 2^k`, saturating at `cap`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Base wait before the first retry fires.
-    pub timeout: SimDuration,
-    /// Ceiling on the backed-off wait.
-    pub cap: SimDuration,
-    /// Give up (catastrophic failure) after this many retries of one
-    /// message.
-    pub max_attempts: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        // The longest fault-free leg in the exchange microbench is a few
-        // hundred microseconds; a 1 ms base timeout never fires
-        // spuriously but still recovers a dropped control packet in
-        // small multiples of the leg time.
-        RetryPolicy {
-            timeout: SimDuration::from_us_f64(1000.0),
-            cap: SimDuration::from_us_f64(8000.0),
-            max_attempts: 10,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The wait armed before retry `attempt` (0-based): capped
-    /// exponential backoff.
-    pub fn arm(&self, attempt: u32) -> SimDuration {
-        let mut d = self.timeout;
-        for _ in 0..attempt {
-            let doubled = d + d;
-            d = if doubled > self.cap {
-                self.cap
-            } else {
-                doubled
-            };
-            if d == self.cap {
-                break;
-            }
-        }
-        d
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,20 +233,6 @@ mod tests {
         let p = FaultPlan::new(1).rank_crash(3, 5).rank_crash(1, 5);
         assert_eq!(p.crash_at_step(5).map(|c| c.rank), Some(1));
         assert_eq!(p.crash_at_step(4), None);
-    }
-
-    #[test]
-    fn backoff_is_capped_exponential() {
-        let pol = RetryPolicy {
-            timeout: SimDuration::from_us_f64(100.0),
-            cap: SimDuration::from_us_f64(500.0),
-            max_attempts: 8,
-        };
-        assert_eq!(pol.arm(0), SimDuration::from_us_f64(100.0));
-        assert_eq!(pol.arm(1), SimDuration::from_us_f64(200.0));
-        assert_eq!(pol.arm(2), SimDuration::from_us_f64(400.0));
-        assert_eq!(pol.arm(3), SimDuration::from_us_f64(500.0));
-        assert_eq!(pol.arm(9), SimDuration::from_us_f64(500.0));
     }
 
     #[test]

@@ -1,13 +1,19 @@
 //! Online statistics and histograms for measurement harnesses.
 
 /// Welford online mean/variance with min/max tracking.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
     m2: f64,
     min: f64,
     max: f64,
+}
+
+impl Default for OnlineStats {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl OnlineStats {

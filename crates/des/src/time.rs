@@ -39,9 +39,13 @@ impl SimDuration {
     }
 
     /// Construct from fractional microseconds (rounded to the nearest
-    /// picosecond). Panics on negative or non-finite input.
-    pub fn from_us_f64(us: f64) -> Self {
-        assert!(us.is_finite() && us >= 0.0, "invalid duration: {us} us");
+    /// picosecond). Panics on negative or non-finite input. A `const fn`,
+    /// so the paper's fractional-microsecond costs can be named constants.
+    pub const fn from_us_f64(us: f64) -> Self {
+        assert!(
+            us.is_finite() && us >= 0.0,
+            "invalid duration: negative or non-finite microseconds"
+        );
         SimDuration((us * 1e6).round() as u64)
     }
 

@@ -35,11 +35,11 @@
 //! counters are thread-local, so the helper returns what it counted and
 //! the caller adds it to its own; with the recorder off every telemetry
 //! call is a no-op on either thread; a helper panic re-raises on the
-//! caller with its own payload. [`step_shared`](CoupledModel::step_shared)
-//! and [`step_monitored`](CoupledModel::step_monitored) — one world for
-//! both isomorphs, the tour's path with the recorder on — stay
-//! sequential. On every path each model runs its kernels as one band of
-//! rows: the split of a large tile's kernels across two threads
+//! caller with its own payload.
+//! [`step_monitored`](CoupledModel::step_monitored) — one world for both
+//! isomorphs, the tour's path with the recorder on — stays sequential.
+//! On every path each model runs its kernels as one band of rows: the
+//! split of a large tile's kernels across two threads
 //! (`kernel::in_bands`) is `Model::step`'s, for an isomorph stepped alone.
 
 use crate::config::SurfaceForcing;
@@ -181,26 +181,15 @@ impl CoupledModel {
     }
 
     /// Step both isomorphs through a *shared* communicator (each rank
-    /// owns the matching tiles of both models): the functional layout for
-    /// thread-parallel coupled runs. Collectives interleave identically on
-    /// every rank, so the lockstep schedule is deadlock-free.
-    pub fn step_shared(&mut self, world: &mut dyn CommWorld) -> (StepStats, StepStats) {
-        let sa = self.atmos.step_split(world, None);
-        let so = self.ocean.step_split(world, None);
-        self.count_and_couple();
-        (sa, so)
-    }
-
-    /// [`step_shared`] with run-health monitoring: after stepping, each
-    /// isomorph's [`RunMonitor`] observes its model through the same
-    /// shared communicator (again in a fixed atmos-then-ocean order, so
-    /// the collective schedule stays identical on every rank). Returns
-    /// both isomorphs' step statistics (the critical-path tour drives the
-    /// phase model with their CG iteration counts) and `true` while both
-    /// are healthy; on `false` the caller stops stepping and reads the
-    /// blame from the tripped monitor.
+    /// owns the matching tiles of both models), then let each isomorph's
+    /// [`RunMonitor`] observe its model through the same communicator.
+    /// Atmosphere before ocean, stepping before observing: the collectives
+    /// interleave identically on every rank, so the lockstep schedule is
+    /// deadlock-free. Returns both isomorphs' step statistics (the
+    /// critical-path tour drives the phase model with their CG iteration
+    /// counts) and `true` while both are healthy; on `false` the caller
+    /// stops stepping and reads the blame from the tripped monitor.
     ///
-    /// [`step_shared`]: CoupledModel::step_shared
     /// [`RunMonitor`]: crate::monitor::RunMonitor
     pub fn step_monitored(
         &mut self,
@@ -208,7 +197,9 @@ impl CoupledModel {
         atmos_monitor: &mut crate::monitor::RunMonitor,
         ocean_monitor: &mut crate::monitor::RunMonitor,
     ) -> (StepStats, StepStats, bool) {
-        let (sa, so) = self.step_shared(world);
+        let sa = self.atmos.step_split(world, None);
+        let so = self.ocean.step_split(world, None);
+        self.count_and_couple();
         let ha = atmos_monitor.observe(world, &self.atmos, &sa);
         let ho = ocean_monitor.observe(world, &self.ocean, &so);
         (sa, so, ha && ho)
@@ -252,6 +243,9 @@ impl CoupledModel {
     }
 }
 
+/// A value with the flops `(ps, ds)` counted while computing it.
+pub(crate) type Counted<T> = (T, (u64, u64));
+
 /// Run `helper` on a scoped thread while this thread runs `caller`, and
 /// return what each computed with the flops `(ps, ds)` it counted. The
 /// counters are thread-local, so the helper's count is also added to this
@@ -260,7 +254,7 @@ impl CoupledModel {
 pub(crate) fn side_by_side<A: Send, B>(
     helper: impl FnOnce() -> A + Send,
     caller: impl FnOnce() -> B,
-) -> ((A, (u64, u64)), (B, (u64, u64))) {
+) -> (Counted<A>, Counted<B>) {
     let ((a, theirs), mine) = std::thread::scope(|s| {
         let h = s.spawn(|| flops::counted(helper));
         let mine = flops::counted(caller);
@@ -311,11 +305,11 @@ mod tests {
 
     #[test]
     fn monitored_coupled_steps_stay_healthy() {
-        use crate::monitor::{RunMonitor, SentinelConfig};
+        use crate::monitor::RunMonitor;
         let mut c = small_pair();
         let mut w = SerialWorld;
-        let mut ma = RunMonitor::new("atmos", SentinelConfig::default());
-        let mut mo = RunMonitor::new("ocean", SentinelConfig::default());
+        let mut ma = RunMonitor::new("atmos");
+        let mut mo = RunMonitor::new("ocean");
         for _ in 0..4 {
             assert!(c.step_monitored(&mut w, &mut ma, &mut mo).2);
         }
@@ -512,20 +506,26 @@ mod schedule_tests {
         }
     }
 
-    /// `step_shared`'s one world sees the atmosphere's call sequence, then
-    /// the ocean's.
+    /// `step_monitored`'s one world sees the atmosphere's call sequence,
+    /// then the ocean's, then each monitor's.
     #[test]
     fn the_shared_world_sees_the_atmosphere_then_the_ocean() {
+        use crate::monitor::RunMonitor;
         let (mut sequential, mut shared) = (small_pair(), small_pair());
+        let monitors = || (RunMonitor::new("atmos"), RunMonitor::new("ocean"));
+        let ((mut sma, mut smo), (mut ma, mut mo)) = (monitors(), monitors());
         for step in 1..=5 {
             let (mut sa, mut so) = (Recording::default(), Recording::default());
-            sequential.atmos.step(&mut sa);
-            sequential.ocean.step(&mut so);
+            let a = sequential.atmos.step(&mut sa);
+            let o = sequential.ocean.step(&mut so);
             sequential.count_and_couple();
+            let (mut oa, mut oo) = (Recording::default(), Recording::default());
+            sma.observe(&mut oa, &sequential.atmos, &a);
+            smo.observe(&mut oo, &sequential.ocean, &o);
             let mut w = Recording::default();
-            shared.step_shared(&mut w);
+            shared.step_monitored(&mut w, &mut ma, &mut mo);
             assert!(
-                w.calls == [sa.calls, so.calls].concat(),
+                w.calls == [sa.calls, so.calls, oa.calls, oo.calls].concat(),
                 "step {step}: the shared world's calls differ"
             );
         }
@@ -804,7 +804,7 @@ mod checkpoint_tests {
         let mut w = SerialWorld;
         let mut source = small_pair();
         for _ in 0..4 {
-            source.step_shared(&mut w);
+            source.step(&mut w, &mut SerialWorld);
         }
         let mut image = Vec::new();
         source.save_checkpoint(&mut image).unwrap();
@@ -815,7 +815,7 @@ mod checkpoint_tests {
 
         let mut target = small_pair();
         for _ in 0..2 {
-            target.step_shared(&mut w);
+            target.step(&mut w, &mut SerialWorld);
         }
         let mut before = Vec::new();
         target.save_checkpoint(&mut before).unwrap();

@@ -60,5 +60,5 @@ pub use config::ModelConfig;
 pub use driver::{Model, StepStats};
 pub use field::{Field2, Field3};
 pub use grid::Grid;
-pub use monitor::{BlowupKind, BlowupReport, RunMonitor, SentinelConfig};
-pub use resilient::{RecoveryStats, ResilientOutcome, ResilientRunner};
+pub use monitor::{BlowupKind, BlowupReport, RunMonitor};
+pub use resilient::{RecoveryStats, ResilientRunner};

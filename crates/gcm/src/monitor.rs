@@ -38,35 +38,22 @@ use std::fmt::Write as _;
 /// the first field (in this order) that carries one.
 const FIELDS: [&str; 6] = ["u", "v", "w", "theta", "s", "ps"];
 
-/// Sentinel thresholds. Defaults are deliberately loose — they catch a
+/// The sentinel trips when the global max horizontal speed exceeds this
+/// (m/s). Deliberately loose, like [`MAX_CFL`]: the thresholds catch a
 /// run that is already unphysical, not one that is merely energetic.
-#[derive(Clone, Copy, Debug)]
-pub struct SentinelConfig {
-    pub armed: bool,
-    /// Trip when the global max horizontal speed exceeds this (m/s).
-    pub max_speed: f64,
-    /// Trip when the advective CFL number exceeds this.
-    pub max_cfl: f64,
-}
+const MAX_SPEED: f64 = 1.0e3;
 
-impl Default for SentinelConfig {
-    fn default() -> SentinelConfig {
-        SentinelConfig {
-            armed: true,
-            max_speed: 1.0e3,
-            max_cfl: 1.0,
-        }
-    }
-}
+/// The sentinel trips when the advective CFL number exceeds this.
+const MAX_CFL: f64 = 1.0;
 
 /// What tripped the sentinel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BlowupKind {
     /// NaN or ±Inf in a prognostic field.
     NonFinite,
-    /// Global max speed breached [`SentinelConfig::max_speed`].
+    /// Global max speed breached `MAX_SPEED`.
     Speed,
-    /// Advective CFL breached [`SentinelConfig::max_cfl`].
+    /// Advective CFL breached `MAX_CFL`.
     Cfl,
 }
 
@@ -162,7 +149,6 @@ struct Extremes {
 /// step and arms the blowup sentinel.
 #[derive(Debug)]
 pub struct RunMonitor {
-    sentinel: SentinelConfig,
     series: DiagSeries,
     steps: u64,
     trips: u64,
@@ -171,9 +157,8 @@ pub struct RunMonitor {
 
 impl RunMonitor {
     /// `name` labels the series in every exporter (e.g. `"ocean"`).
-    pub fn new(name: &str, sentinel: SentinelConfig) -> RunMonitor {
+    pub fn new(name: &str) -> RunMonitor {
         RunMonitor {
-            sentinel,
             series: DiagSeries::new(name),
             steps: 0,
             trips: 0,
@@ -344,7 +329,7 @@ impl RunMonitor {
         let verdict = if blame.is_finite() {
             let (field, k, gj, gi, owner) = unpack_blame(blame as u64);
             Some((BlowupKind::NonFinite, field, k, gj, gi, owner, f64::NAN))
-        } else if self.sentinel.armed && speed > self.sentinel.max_speed {
+        } else if speed > MAX_SPEED {
             // Blame the owner of the fastest |u| or |v| cell.
             let (val, tag, field) =
                 if eu.max.abs().max(eu.min.abs()) >= ev.max.abs().max(ev.min.abs()) {
@@ -354,7 +339,7 @@ impl RunMonitor {
                 };
             let (owner, k, gj, gi) = unpack_loc(tag);
             Some((BlowupKind::Speed, field, k, gj, gi, owner, val))
-        } else if self.sentinel.armed && cfl_adv > self.sentinel.max_cfl {
+        } else if cfl_adv > MAX_CFL {
             let (val, tag, field) = pick_abs_extreme(eu, 0);
             let (owner, k, gj, gi) = unpack_loc(tag);
             Some((BlowupKind::Cfl, field, k, gj, gi, owner, val))
@@ -547,7 +532,7 @@ mod tests {
     fn healthy_run_records_per_step_rows() {
         let mut w = SerialWorld;
         let mut m = small_model();
-        let mut mon = RunMonitor::new("ocean", SentinelConfig::default());
+        let mut mon = RunMonitor::new("ocean");
         for _ in 0..3 {
             let stats = m.step(&mut w);
             assert!(mon.observe(&mut w, &m, &stats), "healthy run tripped");
@@ -587,7 +572,7 @@ mod tests {
     fn nan_injection_is_blamed_to_field_level_and_cell() {
         let mut w = SerialWorld;
         let mut m = small_model();
-        let mut mon = RunMonitor::new("ocean", SentinelConfig::default());
+        let mut mon = RunMonitor::new("ocean");
         let stats = m.step(&mut w);
         // Poison one interior theta cell at a known location.
         m.state.theta.set(5, 3, 2, f64::NAN);
@@ -608,7 +593,7 @@ mod tests {
     fn earlier_field_in_blame_order_wins() {
         let mut w = SerialWorld;
         let mut m = small_model();
-        let mut mon = RunMonitor::new("ocean", SentinelConfig::default());
+        let mut mon = RunMonitor::new("ocean");
         let stats = m.step(&mut w);
         m.state.s.set(1, 1, 0, f64::INFINITY);
         m.state.v.set(7, 2, 1, f64::NAN);
@@ -623,23 +608,16 @@ mod tests {
     fn speed_threshold_trips_with_owner() {
         let mut w = SerialWorld;
         let mut m = small_model();
-        let mut mon = RunMonitor::new(
-            "ocean",
-            SentinelConfig {
-                armed: true,
-                max_speed: 0.5,
-                max_cfl: 1.0,
-            },
-        );
+        let mut mon = RunMonitor::new("ocean");
         let mut stats = m.step(&mut w);
-        m.state.u.set(4, 4, 0, -2.0);
-        stats.max_speed = 2.0; // what the driver would report for this state
+        m.state.u.set(4, 4, 0, -2.0e3);
+        stats.max_speed = 2.0e3; // what the driver would report for this state
         assert!(!mon.observe(&mut w, &m, &stats));
         let r = mon.blowup().expect("no blowup report");
         assert_eq!(r.kind, BlowupKind::Speed);
         assert_eq!(r.field, "u");
         assert_eq!((r.level, r.gi, r.gj), (0, 4, 4));
-        assert_eq!(r.value, -2.0);
+        assert_eq!(r.value, -2.0e3);
     }
 
     /// The one-rank world, recording the name of every primitive
@@ -677,58 +655,36 @@ mod tests {
 
     /// A trip on speed or on CFL issues exactly the collectives a quiet
     /// step does: the verdict blames from the extremes every step has
-    /// already reduced.
+    /// already reduced. |u| = 500 m/s is below the speed threshold but an
+    /// advective CFL of about 1.2 on the test ocean at Δt = 3 600 s.
     #[test]
     fn threshold_trips_issue_the_quiet_schedule() {
         let mut m = small_model();
-        let mut stats = m.step(&mut SerialWorld);
-        m.state.u.set(4, 4, 0, -2.0);
-        stats.max_speed = 2.0;
-        let observe = |sentinel: SentinelConfig| {
+        let stats = m.step(&mut SerialWorld);
+        let mut observe = |speed: f64| {
+            m.state.u.set(4, 4, 0, -speed);
+            let stats = StepStats {
+                max_speed: speed,
+                ..stats
+            };
             let mut w = Recording::default();
-            let mut mon = RunMonitor::new("ocean", sentinel);
+            let mut mon = RunMonitor::new("ocean");
             mon.observe(&mut w, &m, &stats);
-            (
-                w.0,
-                mon.blowup().map(|r| (r.kind, r.field, r.level, r.gi, r.gj)),
-            )
+            let cfl = mon.series().last("cfl_adv").unwrap_or(f64::NAN);
+            let trip = mon.blowup().map(|r| (r.kind, r.field, r.level, r.gi, r.gj));
+            (w.0, cfl, trip)
         };
-        let (quiet, none) = observe(SentinelConfig {
-            armed: false,
-            ..SentinelConfig::default()
-        });
+        let (quiet, quiet_cfl, none) = observe(2.0);
         assert_eq!(none, None);
-        let (speed, speed_trip) = observe(SentinelConfig {
-            max_speed: 0.5,
-            ..SentinelConfig::default()
-        });
-        assert_eq!(speed_trip, Some((BlowupKind::Speed, "u", 0, 4, 4)));
-        let (cfl, cfl_trip) = observe(SentinelConfig {
-            max_cfl: 0.0,
-            ..SentinelConfig::default()
-        });
+        assert!(quiet_cfl < MAX_CFL, "CFL {quiet_cfl}");
+        let (cfl, cfl_value, cfl_trip) = observe(500.0);
+        assert!((1.1..1.3).contains(&cfl_value), "CFL {cfl_value}");
         assert_eq!(cfl_trip, Some((BlowupKind::Cfl, "u", 0, 4, 4)));
+        let (speed, _, speed_trip) = observe(2.0e3);
+        assert_eq!(speed_trip, Some((BlowupKind::Speed, "u", 0, 4, 4)));
         assert!(quiet.len() > 10, "{quiet:?}");
         assert_eq!(speed, quiet);
         assert_eq!(cfl, quiet);
-    }
-
-    #[test]
-    fn disarmed_sentinel_still_reports_nan() {
-        // Thresholds are opt-out; non-finite state is never ignored.
-        let mut w = SerialWorld;
-        let mut m = small_model();
-        let mut mon = RunMonitor::new(
-            "ocean",
-            SentinelConfig {
-                armed: false,
-                ..SentinelConfig::default()
-            },
-        );
-        let stats = m.step(&mut w);
-        m.state.u.set(0, 0, 0, f64::NAN);
-        assert!(!mon.observe(&mut w, &m, &stats));
-        assert_eq!(mon.blowup().map(|r| r.field), Some("u"));
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! The Hyades fault model (`hyades_des::fault`) schedules rank crashes
 //! at specific coupled-model steps. This module gives the coupler a
 //! recovery discipline for them: a [`ResilientRunner`] checkpoints the
-//! full coupled state every K steps (K a multiple of the coupling
-//! interval, so checkpoints always land on a coupling boundary), and
-//! when the fault plan declares a rank dead at step N it rolls the
-//! *whole* run back to the last checkpoint and replays forward.
+//! full coupled state at every coupling boundary (every `couple_every`
+//! steps, where [`CoupledModel::save_checkpoint`] is exact), and when the
+//! fault plan declares a rank dead at step N it rolls the *whole* run
+//! back to the last checkpoint and replays forward.
 //!
 //! Rolling every rank back — rather than restarting only the dead one —
 //! is what keeps the collective schedule uniform: the [`FaultPlan`] is
@@ -43,22 +43,11 @@ pub struct RecoveryStats {
     pub replayed_steps: u64,
 }
 
-/// What one [`CoupledModel::step_resilient`] call did.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ResilientOutcome {
-    /// A model step ran; `healthy` is the monitors' verdict.
-    Stepped { healthy: bool },
-    /// A planned rank crash fired instead: the run rolled back to
-    /// `to_step` and will replay from there on subsequent calls.
-    RolledBack { to_step: u64, crashed_rank: usize },
-}
-
-/// Drives a [`CoupledModel`] through a [`FaultPlan`], checkpointing
-/// every `checkpoint_every` steps and rolling back on planned crashes.
+/// Drives a [`CoupledModel`] through a [`FaultPlan`], checkpointing at
+/// every coupling boundary and rolling back on planned crashes.
 #[derive(Debug)]
 pub struct ResilientRunner {
     plan: FaultPlan,
-    checkpoint_every: u64,
     /// In-memory image of the last checkpoint (a real deployment would
     /// put this on the neighbour's disk; the recovery semantics are the
     /// same).
@@ -71,23 +60,15 @@ pub struct ResilientRunner {
 }
 
 impl ResilientRunner {
-    /// Checkpoint `model`'s current state (normally step 0) and arm the
-    /// plan. `checkpoint_every` must be a positive multiple of the
-    /// coupling interval so every checkpoint lands on a coupling
-    /// boundary, where [`CoupledModel::save_checkpoint`] is exact.
-    pub fn new(model: &CoupledModel, plan: FaultPlan, checkpoint_every: u64) -> ResilientRunner {
-        assert!(
-            checkpoint_every >= 1 && checkpoint_every.is_multiple_of(model.couple_every),
-            "checkpoint_every ({checkpoint_every}) must be a positive multiple of couple_every ({})",
-            model.couple_every
-        );
+    /// Checkpoint `model`'s current state (normally step 0, a coupling
+    /// boundary) and arm the plan.
+    pub fn new(model: &CoupledModel, plan: FaultPlan) -> ResilientRunner {
         let mut checkpoint = Vec::new();
         model
             .save_checkpoint(&mut checkpoint)
             .expect("in-memory checkpoint never fails");
         ResilientRunner {
             plan,
-            checkpoint_every,
             checkpoint,
             checkpoint_step: model.steps_taken(),
             consumed: BTreeSet::new(),
@@ -95,24 +76,24 @@ impl ResilientRunner {
         }
     }
 
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     pub fn stats(&self) -> RecoveryStats {
         self.stats
     }
 
-    /// Step of the last checkpoint taken (the rollback target).
-    pub fn checkpoint_step(&self) -> u64 {
-        self.checkpoint_step
-    }
-
     /// Run `model` up to `total_steps` coupled steps, recovering from
-    /// every planned crash along the way. Returns `true` if the run
+    /// every planned crash along the way. Before each step, if the plan
+    /// schedules a crash at the step about to run (and it has not fired
+    /// yet), roll back to the last checkpoint instead of stepping —
+    /// restoring model state, rewinding both monitors, and charging the
+    /// recovery to telemetry. Otherwise take a monitored step and
+    /// checkpoint at a coupling boundary. Returns `true` if the run
     /// finished healthy, `false` on a sentinel trip (rollback does not
     /// resurrect a physically blown-up run).
-    // lint:allow(collective-divergence, the fault plan is replicated on every rank, so the per-step crash check branches identically everywhere)
+    ///
+    /// Collective: every rank calls this with the same (replicated)
+    /// runner state, so the rollback branch is rank-uniform by
+    /// construction.
+    // lint:allow(collective-divergence, every rank holds the same replicated FaultPlan and consumed set, so all ranks take the same rollback-vs-step branch)
     pub fn run(
         &mut self,
         model: &mut CoupledModel,
@@ -122,71 +103,46 @@ impl ResilientRunner {
         total_steps: u64,
     ) -> bool {
         while model.steps_taken() < total_steps {
-            if let ResilientOutcome::Stepped { healthy: false } =
-                model.step_resilient(self, world, atmos_monitor, ocean_monitor)
-            {
+            let next = model.steps_taken() + 1;
+            if let Some(crash) = self.plan.crash_at_step(next) {
+                if self.consumed.insert(next) {
+                    let to_step = self.checkpoint_step;
+                    let replayed = (next - 1) - to_step;
+                    self.stats.restarts += 1;
+                    self.stats.replayed_steps += replayed;
+                    model
+                        .load_checkpoint(&mut self.checkpoint.as_slice())
+                        .expect("in-memory checkpoint restore never fails");
+                    atmos_monitor.truncate(to_step);
+                    ocean_monitor.truncate(to_step);
+                    telemetry::count("gcm.recovery", "restarts", 1);
+                    telemetry::count("gcm.recovery", "replayed_steps", replayed);
+                    flight::crumb(next, crash.rank, "recovery.crash", crash.rank as u64);
+                    flight::crumb(next, crash.rank, "recovery.rollback", to_step);
+                    continue;
+                }
+            }
+            let (_, _, healthy) = model.step_monitored(world, atmos_monitor, ocean_monitor);
+            if !healthy {
                 return false;
+            }
+            if model.steps_taken().is_multiple_of(model.couple_every) {
+                self.checkpoint.clear();
+                model
+                    .save_checkpoint(&mut self.checkpoint)
+                    .expect("in-memory checkpoint never fails");
+                self.checkpoint_step = model.steps_taken();
+                self.stats.checkpoints += 1;
+                telemetry::count("gcm.recovery", "checkpoints", 1);
+                flight::crumb(
+                    model.steps_taken(),
+                    world.rank(),
+                    "recovery.checkpoint",
+                    self.checkpoint.len() as u64,
+                );
             }
         }
         true
-    }
-}
-
-impl CoupledModel {
-    /// One resilient step: if the runner's fault plan schedules a crash
-    /// at the step about to run (and it has not fired yet), roll back to
-    /// the last checkpoint instead of stepping — restoring model state,
-    /// rewinding both monitors, and charging the recovery to telemetry.
-    /// Otherwise take a monitored step and checkpoint on cadence.
-    ///
-    /// Collective: every rank calls this with the same (replicated)
-    /// runner state, so the rollback branch is rank-uniform by
-    /// construction.
-    // lint:allow(collective-divergence, every rank holds the same replicated FaultPlan and consumed set, so all ranks take the same rollback-vs-step branch)
-    pub fn step_resilient(
-        &mut self,
-        runner: &mut ResilientRunner,
-        world: &mut dyn CommWorld,
-        atmos_monitor: &mut RunMonitor,
-        ocean_monitor: &mut RunMonitor,
-    ) -> ResilientOutcome {
-        let next = self.steps_taken() + 1;
-        if let Some(crash) = runner.plan.crash_at_step(next) {
-            if runner.consumed.insert(next) {
-                let to_step = runner.checkpoint_step;
-                let replayed = (next - 1) - to_step;
-                runner.stats.restarts += 1;
-                runner.stats.replayed_steps += replayed;
-                self.load_checkpoint(&mut runner.checkpoint.as_slice())
-                    .expect("in-memory checkpoint restore never fails");
-                atmos_monitor.truncate(to_step);
-                ocean_monitor.truncate(to_step);
-                telemetry::count("gcm.recovery", "restarts", 1);
-                telemetry::count("gcm.recovery", "replayed_steps", replayed);
-                flight::crumb(next, crash.rank, "recovery.crash", crash.rank as u64);
-                flight::crumb(next, crash.rank, "recovery.rollback", to_step);
-                return ResilientOutcome::RolledBack {
-                    to_step,
-                    crashed_rank: crash.rank,
-                };
-            }
-        }
-        let (_, _, healthy) = self.step_monitored(world, atmos_monitor, ocean_monitor);
-        if healthy && self.steps_taken().is_multiple_of(runner.checkpoint_every) {
-            runner.checkpoint.clear();
-            self.save_checkpoint(&mut runner.checkpoint)
-                .expect("in-memory checkpoint never fails");
-            runner.checkpoint_step = self.steps_taken();
-            runner.stats.checkpoints += 1;
-            telemetry::count("gcm.recovery", "checkpoints", 1);
-            flight::crumb(
-                self.steps_taken(),
-                world.rank(),
-                "recovery.checkpoint",
-                runner.checkpoint.len() as u64,
-            );
-        }
-        ResilientOutcome::Stepped { healthy }
     }
 }
 
@@ -197,7 +153,6 @@ mod tests {
     use crate::decomp::Decomp;
     use crate::driver::Model;
     use crate::grid::{stretched_levels, Grid};
-    use crate::monitor::SentinelConfig;
     use hyades_comms::SerialWorld;
 
     fn pair() -> CoupledModel {
@@ -210,10 +165,7 @@ mod tests {
     }
 
     fn monitors() -> (RunMonitor, RunMonitor) {
-        (
-            RunMonitor::new("atmos", SentinelConfig::default()),
-            RunMonitor::new("ocean", SentinelConfig::default()),
-        )
+        (RunMonitor::new("atmos"), RunMonitor::new("ocean"))
     }
 
     #[test]
@@ -227,12 +179,12 @@ mod tests {
             assert!(ok);
         }
 
-        // Resilient run with rank 0 crashing at step 6 (checkpoint
-        // cadence 2, so the rollback target is step 4 and step 5 is
-        // replayed).
+        // Resilient run with rank 0 crashing at step 6 (checkpoints at
+        // every coupling boundary, every second step, so the rollback
+        // target is step 4 and step 5 is replayed).
         let plan = FaultPlan::new(0x5EED).rank_crash(0, 6);
         let mut c = pair();
-        let mut r = ResilientRunner::new(&c, plan, 2);
+        let mut r = ResilientRunner::new(&c, plan);
         let (mut ma, mut mo) = monitors();
         assert!(r.run(&mut c, &mut w, &mut ma, &mut mo, 8));
 
@@ -261,7 +213,7 @@ mod tests {
         let mut w = SerialWorld;
         let plan = FaultPlan::new(1).rank_crash(2, 3).rank_crash(1, 7);
         let mut c = pair();
-        let mut r = ResilientRunner::new(&c, plan, 2);
+        let mut r = ResilientRunner::new(&c, plan);
         let (mut ma, mut mo) = monitors();
         assert!(r.run(&mut c, &mut w, &mut ma, &mut mo, 8));
         let s = r.stats();
@@ -283,20 +235,15 @@ mod tests {
     fn empty_plan_is_a_plain_monitored_run() {
         let mut w = SerialWorld;
         let mut c = pair();
-        let mut r = ResilientRunner::new(&c, FaultPlan::default(), 4);
+        let mut r = ResilientRunner::new(&c, FaultPlan::default());
         let (mut ma, mut mo) = monitors();
         assert!(r.run(&mut c, &mut w, &mut ma, &mut mo, 8));
         let s = r.stats();
         assert_eq!(s.restarts, 0);
         assert_eq!(s.replayed_steps, 0);
-        assert_eq!(s.checkpoints, 2);
+        // One checkpoint at each coupling boundary: steps 2, 4, 6, 8.
+        assert_eq!(c.couple_every, 2);
+        assert_eq!(s.checkpoints, 4);
         assert_eq!(ma.steps(), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of couple_every")]
-    fn checkpoint_cadence_must_hit_coupling_boundaries() {
-        let c = pair();
-        let _ = ResilientRunner::new(&c, FaultPlan::default(), 3);
     }
 }

@@ -418,11 +418,11 @@ impl Walk<'_, '_, '_> {
         while i < e {
             if self.ctx.kind(i) == Some(TokKind::Ident) {
                 let t = self.ctx.text(i);
-                if !KEYWORDS.contains(&t)
-                    && !starts_upper(t)
-                    && !self.ctx.is(i + 1, "::")
-                    && !(i > s && self.ctx.is(i - 1, "::"))
-                    && !self.ctx.is(i + 1, ":")
+                let path_segment = self.ctx.is(i + 1, "::") || (i > s && self.ctx.is(i - 1, "::"));
+                if !(KEYWORDS.contains(&t)
+                    || starts_upper(t)
+                    || path_segment
+                    || self.ctx.is(i + 1, ":"))
                 {
                     out.push(t.to_string());
                 }

@@ -6,7 +6,8 @@
 //! communication":
 //!
 //! * 8-byte uncached mmap **read** of a PCI device register: **0.93 µs**;
-//! * minimum gap between back-to-back 8-byte mmap **writes**: **0.18 µs**;
+//! * minimum gap between back-to-back 8-byte mmap **writes**: **0.18 µs**
+//!   (both in [`pio`]);
 //! * sustained PCI **DMA** above **120 MByte/s**, with a VI-mode payload
 //!   transfer peak of **110 MByte/s** (§2.3);
 //! * cached memory copies run far faster than PIO — we model cached memcpy at
@@ -14,52 +15,60 @@
 //!   on a 400-MHz PII, used for the VI-region
 //!   staging copies.
 
-use crate::pio::PioCosts;
+use crate::pio;
 use hyades_des::SimDuration;
 
-/// Host platform parameters; defaults are the paper's measurements.
+/// Effective VI-mode payload rate (§2.3: 110 MByte/s peak), the
+/// bottleneck once packetization and descriptor overhead are paid.
+pub const VI_PAYLOAD_MBYTE_PER_SEC: f64 = 110.0;
+
+/// Cached memcpy bandwidth for staging copies into/out of the VI region
+/// (§2.1: far above PIO; modelled at 800 MByte/s).
+const MEMCPY_MBYTE_PER_SEC: f64 = 800.0;
+
+/// Time for the CPU to copy `bytes` between cached memory regions.
+pub(crate) fn memcpy_time(bytes: u64) -> SimDuration {
+    SimDuration::for_bytes_at(bytes, MEMCPY_MBYTE_PER_SEC)
+}
+
+/// Time for the DMA engine to move `bytes` of payload across PCI in VI
+/// mode.
+pub(crate) fn vi_dma_time(bytes: u64) -> SimDuration {
+    SimDuration::for_bytes_at(bytes, VI_PAYLOAD_MBYTE_PER_SEC)
+}
+
+/// The per-message software costs of the messaging layer; the hardware
+/// costs are the constants of this module and of [`pio`]. Defaults are
+/// the raw StarT-X layer's; `hyades_comms::mpistart::mpi_host` taxes them
+/// with an MPI library's.
 #[derive(Clone, Copy, Debug)]
 pub struct HostParams {
-    /// PIO register access cost model.
-    pub pio: PioCosts,
-    /// Raw PCI DMA rate the chipset can sustain (paper: >120 MByte/s).
-    pub pci_dma_mbyte_per_sec: f64,
-    /// Effective VI-mode payload rate (paper: 110 MByte/s peak), the
-    /// bottleneck once packetization and descriptor overhead are paid.
-    pub vi_payload_mbyte_per_sec: f64,
-    /// Cached memcpy bandwidth for staging copies into/out of the VI region.
-    pub memcpy_mbyte_per_sec: f64,
-    /// Cost of kicking a DMA engine: one mmap write to a doorbell register
-    /// plus descriptor setup.
-    pub dma_kick: SimDuration,
-    /// Cost of polling DMA/rx status: one mmap read.
-    pub status_poll: SimDuration,
+    /// Fixed software cost per send (function call, header compose).
+    pub send_sw: SimDuration,
+    /// Fixed software cost per receive (dispatch on tag, status check).
+    pub recv_sw: SimDuration,
 }
 
 impl Default for HostParams {
     fn default() -> Self {
-        let pio = PioCosts::default();
         HostParams {
-            pio,
-            pci_dma_mbyte_per_sec: 122.0,
-            vi_payload_mbyte_per_sec: 110.0,
-            memcpy_mbyte_per_sec: 800.0,
-            dma_kick: SimDuration::from_us_f64(0.18 * 2.0), // doorbell + descriptor
-            status_poll: SimDuration::from_us_f64(0.93),
+            send_sw: SimDuration::from_us_f64(0.05),
+            recv_sw: SimDuration::from_us_f64(0.15),
         }
     }
 }
 
 impl HostParams {
-    /// Time for the CPU to copy `bytes` between cached memory regions.
-    pub fn memcpy_time(&self, bytes: u64) -> SimDuration {
-        SimDuration::for_bytes_at(bytes, self.memcpy_mbyte_per_sec)
+    /// CPU send overhead `Os` for a PIO message with `payload_bytes`
+    /// payload.
+    pub fn send_overhead(&self, payload_bytes: u64) -> SimDuration {
+        self.send_sw + pio::send_estimate(payload_bytes)
     }
 
-    /// Time for the DMA engine to move `bytes` of payload across PCI in VI
-    /// mode.
-    pub fn vi_dma_time(&self, bytes: u64) -> SimDuration {
-        SimDuration::for_bytes_at(bytes, self.vi_payload_mbyte_per_sec)
+    /// CPU receive overhead `Or` for a PIO message with `payload_bytes`
+    /// payload.
+    pub fn recv_overhead(&self, payload_bytes: u64) -> SimDuration {
+        self.recv_sw + pio::recv_estimate(payload_bytes)
     }
 }
 
@@ -69,27 +78,34 @@ mod tests {
 
     #[test]
     fn defaults_match_paper() {
+        assert!((pio::READ_8B.as_us_f64() - 0.93).abs() < 1e-9);
+        assert!((VI_PAYLOAD_MBYTE_PER_SEC - 110.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn measured_overheads_match_figure_2() {
         let h = HostParams::default();
-        assert!((h.status_poll.as_us_f64() - 0.93).abs() < 1e-9);
-        assert!((h.vi_payload_mbyte_per_sec - 110.0).abs() < 1e-9);
-        assert!(h.pci_dma_mbyte_per_sec > 120.0);
+        // Figure 2: Os = 0.4, Or = 2.0 for 8-byte payloads.
+        assert!((h.send_overhead(8).as_us_f64() - 0.4).abs() < 0.02);
+        assert!((h.recv_overhead(8).as_us_f64() - 2.0).abs() < 0.02);
+        // Figure 2: Os = 1.7, Or = 8.6 for 64-byte payloads.
+        assert!((h.send_overhead(64).as_us_f64() - 1.7).abs() < 0.05);
+        assert!((h.recv_overhead(64).as_us_f64() - 8.6).abs() < 0.15);
     }
 
     #[test]
     fn memcpy_faster_than_pio() {
-        let h = HostParams::default();
         // Copying 8 bytes through cache is far cheaper than one uncached
         // read — the disparity VI mode exploits (§2.3).
-        assert!(h.memcpy_time(8) < h.status_poll / 10);
+        assert!(memcpy_time(8) < pio::READ_8B / 10);
     }
 
     #[test]
     fn dma_time_scales_linearly() {
-        let h = HostParams::default();
-        let t1 = h.vi_dma_time(1024);
-        let t2 = h.vi_dma_time(2048);
+        let t1 = vi_dma_time(1024);
+        let t2 = vi_dma_time(2048);
         assert_eq!(t2, t1 * 2);
         // 110 bytes at 110 MB/s is 1 us.
-        assert_eq!(h.vi_dma_time(110), SimDuration::from_us(1));
+        assert_eq!(vi_dma_time(110), SimDuration::from_us(1));
     }
 }

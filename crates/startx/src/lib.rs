@@ -34,4 +34,3 @@ pub mod recovery;
 pub mod vi;
 
 pub use host::HostParams;
-pub use pio::PioCosts;

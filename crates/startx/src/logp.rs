@@ -57,7 +57,7 @@ struct PingPonger {
 
 impl PingPonger {
     fn send(&self, ctx: &mut Ctx<'_>, tag: u16) {
-        let os = self.host.pio.send_overhead(self.payload_bytes);
+        let os = self.host.send_overhead(self.payload_bytes);
         let data = vec![0u8; self.payload_bytes as usize];
         let pkt = Packet::new(
             self.me,
@@ -85,7 +85,7 @@ impl Actor for PingPonger {
         let ev = match ev.downcast::<Delivered>() {
             Ok(del) => {
                 assert!(!del.pkt.corrupted);
-                let or = self.host.pio.recv_overhead(self.payload_bytes);
+                let or = self.host.recv_overhead(self.payload_bytes);
                 ctx.wake_after(
                     or,
                     RxProcessed {
@@ -156,8 +156,8 @@ pub fn measure_logp(
         .unwrap_or_else(|| panic!("ping-pong did not finish"));
     let total = finished.since(started);
     let half_rtt = total / (2 * rounds as u64);
-    let os = host.pio.send_overhead(payload_bytes);
-    let or = host.pio.recv_overhead(payload_bytes);
+    let os = host.send_overhead(payload_bytes);
+    let or = host.recv_overhead(payload_bytes);
     LogPRow {
         payload_bytes,
         os,

@@ -7,11 +7,12 @@
 //! the harness that runs one node per endpoint on a fresh fabric.
 
 use crate::host::HostParams;
+use crate::pio;
 use crate::recovery::{RecoveryCounters, RecoveryEvent};
 use hyades_arctic::network::{ArcticNetwork, Delivered, Inject};
 use hyades_arctic::packet::{Packet, Priority};
 use hyades_des::event::Payload;
-use hyades_des::fault::{FaultPlan, RetryPolicy};
+use hyades_des::fault::FaultPlan;
 use hyades_des::{Actor, ActorId, Ctx, SimDuration, SimTime, Simulator};
 use std::any::Any;
 
@@ -154,15 +155,15 @@ impl Endpoint {
         tag: u16,
         words: Vec<u32>,
     ) {
-        let os = self.host.pio.send_overhead(8);
+        let os = self.host.send_overhead(8);
         let pkt = Packet::new(self.me, dst, Priority::High, tag, words);
         ctx.send_after(lead + os, self.tx_port, Inject(pkt));
     }
 
     /// CPU cost of taking a two-word message a node is blocked on: one
-    /// status poll plus the PIO read of header and payload.
+    /// status poll (an mmap read) plus the PIO read of header and payload.
     pub fn recv_cost(&self) -> SimDuration {
-        self.host.status_poll + self.host.pio.recv_overhead(8)
+        pio::READ_8B + self.host.recv_overhead(8)
     }
 }
 
@@ -205,12 +206,42 @@ impl<S: 'static, E: 'static> Woken<S, E> {
     }
 }
 
+/// Base wait before a guarded message's first retry: 1 ms. The longest
+/// fault-free leg of the exchange microbench is a few hundred
+/// microseconds, so the timeout never fires spuriously but still
+/// recovers a dropped control packet in small multiples of the leg time.
+const RETRY_TIMEOUT: SimDuration = SimDuration::from_us_f64(1000.0);
+
+/// Ceiling of the backed-off wait: 8 ms.
+const RETRY_CAP: SimDuration = SimDuration::from_us_f64(8000.0);
+
+/// Retries of one message before the node gives up: the catastrophic
+/// failure the paper assumes of a failed CRC (§2.2).
+const MAX_ATTEMPTS: u32 = 10;
+
+/// The wait armed before retry `attempt` (0-based): capped exponential
+/// backoff, `RETRY_TIMEOUT · 2^attempt` saturating at `RETRY_CAP`.
+fn backoff(attempt: u32) -> SimDuration {
+    let mut d = RETRY_TIMEOUT;
+    for _ in 0..attempt {
+        let doubled = d + d;
+        d = if doubled > RETRY_CAP {
+            RETRY_CAP
+        } else {
+            doubled
+        };
+        if d == RETRY_CAP {
+            break;
+        }
+    }
+    d
+}
+
 /// The timeout guarding a node's blocking wait: capped exponential
-/// backoff under [`RetryPolicy`], with an epoch that makes the timeouts
-/// of waits already resolved no-ops.
+/// `backoff`, with an epoch that makes the timeouts of waits already
+/// resolved no-ops.
 #[derive(Default)]
 pub struct Guard {
-    policy: RetryPolicy,
     /// Bumped on every state transition; pending timeouts carrying an
     /// older epoch are stale.
     epoch: u64,
@@ -229,7 +260,7 @@ impl Guard {
     /// backoff step.
     pub fn arm(&self, ctx: &mut Ctx<'_>) {
         let epoch = self.epoch;
-        ctx.wake_after(self.policy.arm(self.attempts), Timeout { epoch });
+        ctx.wake_after(backoff(self.attempts), Timeout { epoch });
     }
 
     /// Whether `t` guarded a wait that has already resolved.
@@ -248,7 +279,7 @@ impl Guard {
         want: &str,
     ) {
         assert!(
-            self.attempts < self.policy.max_attempts,
+            self.attempts < MAX_ATTEMPTS,
             "node {me}: retries exhausted in round {round} (waiting for {want})"
         );
         self.attempts += 1;
@@ -282,5 +313,18 @@ pub fn run_nodes<N: Actor + 'static, K: Any>(
     sim.run();
     for e in 0..n {
         each(e, sim.actor::<N>(net.endpoint(e)));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn backoff_doubles_from_one_millisecond_to_the_eight_millisecond_cap() {
+        let ms: Vec<SimDuration> = (0..5).map(backoff).collect();
+        let want = [1000.0, 2000.0, 4000.0, 8000.0, 8000.0].map(SimDuration::from_us_f64);
+        assert_eq!(ms, want);
+        assert_eq!(backoff(MAX_ATTEMPTS), RETRY_CAP);
     }
 }

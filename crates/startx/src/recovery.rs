@@ -4,7 +4,7 @@
 //! recovery legs in the fault-injection subsystem: corrupted packets are
 //! discarded at delivery (the CRC's 1-bit status word), dropped packets
 //! are recovered by sender-side timeouts with capped exponential backoff
-//! ([`hyades_des::fault::RetryPolicy`]), and every recovery action is counted
+//! ([`Guard`](crate::node::Guard)), and every recovery action is counted
 //! here *and* in the `comms.retry` telemetry registry group so a run
 //! manifest shows exactly how the protocol earned its completion.
 

@@ -42,7 +42,7 @@
 //!   sequence number and NAKs a corrupt data packet with `RETRY(seq)`;
 //! * every blocking wait on the sender side (WaitAck, WaitDone) is
 //!   guarded by a timeout with capped exponential backoff
-//!   ([`hyades_des::fault::RetryPolicy`]): a missing ACK resends the REQ, a
+//!   ([`Guard`]): a missing ACK resends the REQ, a
 //!   missing DONE sends a PROBE that the receiver answers with either
 //!   `RETRY(next_seq)` (stream incomplete) or a resent DONE;
 //! * each retransmitted control message travels under its own tag base
@@ -51,7 +51,7 @@
 //!   graph, keeps per-channel tag uniqueness, and duplicates are
 //!   idempotent by the dedup rules in `on_packet`.
 
-use crate::host::HostParams;
+use crate::host::{memcpy_time, vi_dma_time, HostParams};
 use crate::msg::{bulk_packet, packet_bytes, packet_count};
 use crate::node::{run_nodes, CommGraph, Endpoint, Guard, Msg, Op, Timeout, Woken};
 use crate::recovery::{RecoveryCounters, RecoveryEvent};
@@ -85,6 +85,10 @@ impl Default for ViConfig {
     }
 }
 
+/// Cost of kicking a DMA engine (§2.1): one mmap write to a doorbell
+/// register plus descriptor setup, two 0.18 µs writes.
+const DMA_KICK: SimDuration = SimDuration::from_us_f64(0.18 * 2.0);
+
 /// Analytic model of the one-time per-transfer overhead: PIO round trip
 /// (request + ack) + DMA kick + first staging copy.
 pub fn negotiation_time(
@@ -92,10 +96,9 @@ pub fn negotiation_time(
     net_latency: SimDuration,
     first_chunk: u64,
 ) -> SimDuration {
-    let pio = &host.pio;
-    let req = pio.send_overhead(8) + net_latency + pio.recv_overhead(8);
-    let ack = pio.send_overhead(8) + net_latency + pio.recv_overhead(8);
-    req + ack + host.dma_kick + host.memcpy_time(first_chunk)
+    let req = host.send_overhead(8) + net_latency + host.recv_overhead(8);
+    let ack = host.send_overhead(8) + net_latency + host.recv_overhead(8);
+    req + ack + DMA_KICK + memcpy_time(first_chunk)
 }
 
 /// Analytic transfer time: negotiation + streaming at the PCI payload rate
@@ -117,7 +120,7 @@ pub fn transfer_time(
     } else {
         last
     };
-    negotiation_time(host, net_latency, first) + host.vi_dma_time(len) + host.memcpy_time(last)
+    negotiation_time(host, net_latency, first) + vi_dma_time(len) + memcpy_time(last)
 }
 
 /// Perceived bandwidth in MByte/s for a transfer of `len` bytes.
@@ -431,7 +434,7 @@ impl ExchangeNode {
     fn start_stream(&mut self, ctx: &mut Ctx<'_>, from_seq: u32) {
         self.phase = LegPhase::Streaming { seq: from_seq };
         let first = self.bytes.min(self.cfg.chunk_bytes);
-        let lead = self.ep.host.memcpy_time(first) + self.ep.host.dma_kick;
+        let lead = memcpy_time(first) + DMA_KICK;
         ctx.wake_after(lead, SelfEv::Emit);
     }
 
@@ -559,7 +562,7 @@ impl ExchangeNode {
                 *next_seq += 1;
                 if u64::from(*next_seq) == packet_count(*expected) {
                     let tail = (*expected).min(self.cfg.chunk_bytes);
-                    ctx.wake_after(self.ep.host.memcpy_time(tail), SelfEv::RxDone);
+                    ctx.wake_after(memcpy_time(tail), SelfEv::RxDone);
                 }
             }
             // Go-back-N: anything out of order (a gap after a drop, or a
@@ -633,8 +636,7 @@ impl ExchangeNode {
         match self.phase {
             // REQ processed: post RX descriptors, then acknowledge.
             LegPhase::Receiving { .. } => {
-                let kick = self.ep.host.dma_kick;
-                self.send_leg(ctx, TagKind::Ack, kick, 0);
+                self.send_leg(ctx, TagKind::Ack, DMA_KICK, 0);
             }
             // ACK processed: start streaming.
             LegPhase::WaitAck => self.start_stream(ctx, 0),
@@ -655,7 +657,7 @@ impl ExchangeNode {
         let more = u64::from(*seq) < packet_count(self.bytes);
         ctx.send_now(self.ep.tx_port, Inject(pkt));
         if more {
-            ctx.wake_after(self.ep.host.vi_dma_time(packet), SelfEv::Emit);
+            ctx.wake_after(vi_dma_time(packet), SelfEv::Emit);
         } else {
             self.phase = LegPhase::WaitDone;
             self.guard.new_wait();

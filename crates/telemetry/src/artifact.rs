@@ -10,21 +10,15 @@
 //!
 //! [`Exporter`] collapses those into one shape: a producer yields
 //! [`Artifact`]s — named, typed, fully rendered documents — and callers
-//! handle them uniformly: [`Exporter::export_all`] streams them to any
-//! `Write` with `tail(1)`-style headers, and [`write_artifacts_to_dir`]
-//! lands one file per artifact using the kind's canonical extension.
+//! handle them uniformly: [`write_artifacts_to_dir`] lands one file per
+//! artifact using the kind's canonical extension.
 //!
-//! The artifacts themselves are the *same bytes* the legacy render
-//! methods produce (each impl delegates to them), so every determinism
-//! guarantee in `tests/determinism.rs` carries over: same seed, same
-//! artifacts, byte for byte. Producers outside this crate (e.g. the
-//! Arctic observatory's `FabricReport`) participate via [`Prebuilt`],
-//! which wraps already-rendered strings.
+//! Every producer hands over its rendered strings as a [`Prebuilt`], so
+//! the artifacts are the *same bytes* the render methods produce and
+//! every determinism guarantee in `tests/determinism.rs` carries over:
+//! same seed, same artifacts, byte for byte.
 
-use crate::critpath::CritPath;
-use crate::diag::DiagSeries;
-use crate::export::RunTelemetry;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// What a rendered artifact is, which fixes its file extension and how
@@ -85,20 +79,6 @@ pub trait Exporter {
     /// Render every artifact this producer owns, in a deterministic
     /// order.
     fn artifacts(&self) -> Vec<Artifact>;
-
-    /// Stream every artifact to one writer, each prefixed with a
-    /// `==> name.ext <==` header line (the `tail -n +1` convention) and
-    /// terminated by a newline.
-    fn export_all(&self, w: &mut dyn Write) -> io::Result<()> {
-        for a in self.artifacts() {
-            writeln!(w, "==> {} <==", a.file_name())?;
-            w.write_all(a.bytes.as_bytes())?;
-            if !a.bytes.ends_with('\n') {
-                writeln!(w)?;
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Already-rendered artifacts wrapped as an [`Exporter`] — the adapter
@@ -153,49 +133,19 @@ pub fn write_artifacts_to_dir(exporter: &dyn Exporter, dir: &Path) -> io::Result
     Ok(written)
 }
 
-impl Exporter for RunTelemetry {
-    /// `trace.json` (Chrome trace) + `telemetry.txt` (text summary).
-    fn artifacts(&self) -> Vec<Artifact> {
-        vec![
-            Artifact::new("trace", ArtifactKind::ChromeTrace, self.chrome_trace_json()),
-            Artifact::new("telemetry", ArtifactKind::Text, self.text_summary()),
-        ]
-    }
-}
-
-impl Exporter for DiagSeries {
-    /// `diag_<name>.{txt,json,prom}` — all three diagnostic renderings.
-    fn artifacts(&self) -> Vec<Artifact> {
-        let base = format!("diag_{}", self.name());
-        vec![
-            Artifact::new(&base, ArtifactKind::Text, self.render_text()),
-            Artifact::new(&base, ArtifactKind::Json, self.render_json()),
-            Artifact::new(&base, ArtifactKind::Prom, self.render_prom("hyades")),
-        ]
-    }
-}
-
-impl Exporter for CritPath {
-    /// `critpath.txt` (blame report) + `critpath.json` (summary).
-    fn artifacts(&self) -> Vec<Artifact> {
-        vec![
-            Artifact::new("critpath", ArtifactKind::Text, self.render()),
-            Artifact::new("critpath", ArtifactKind::Json, self.render_json()),
-        ]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diag::DiagRow;
 
-    fn sample_series() -> DiagSeries {
-        let mut s = DiagSeries::new("ocean");
-        let mut r = DiagRow::new(1);
-        r.set("cfl_adv", 0.25).set("ke_u", 12.5);
-        s.push(r);
-        s
+    fn sample_bundle() -> Prebuilt {
+        Prebuilt::default()
+            .with("diag_ocean", ArtifactKind::Text, "cfl_adv 0.25\n".into())
+            .with(
+                "diag_ocean",
+                ArtifactKind::Json,
+                "{\"cfl_adv\":0.25}".into(),
+            )
+            .with("diag_ocean", ArtifactKind::Prom, "# TYPE x gauge\n".into())
     }
 
     #[test]
@@ -210,37 +160,10 @@ mod tests {
     }
 
     #[test]
-    fn diag_series_exports_all_three_renderings() {
-        let s = sample_series();
-        let arts = s.artifacts();
-        assert_eq!(arts.len(), 3);
-        assert_eq!(arts[0].file_name(), "diag_ocean.txt");
-        assert_eq!(arts[1].file_name(), "diag_ocean.json");
-        assert_eq!(arts[2].file_name(), "diag_ocean.prom");
-        // Identical bytes to the legacy render methods.
-        assert_eq!(arts[0].bytes, s.render_text());
-        assert_eq!(arts[1].bytes, s.render_json());
-        assert_eq!(arts[2].bytes, s.render_prom("hyades"));
-    }
-
-    #[test]
-    fn export_all_streams_with_tail_headers() {
-        let s = sample_series();
-        let mut buf: Vec<u8> = Vec::new();
-        s.export_all(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("==> diag_ocean.txt <=="));
-        assert!(text.contains("==> diag_ocean.json <=="));
-        assert!(text.contains("==> diag_ocean.prom <=="));
-        assert!(text.contains("cfl_adv"));
-        assert!(text.ends_with('\n'));
-    }
-
-    #[test]
     fn prebuilt_bundles_and_extends() {
         let bundle = Prebuilt::default()
             .with("fabric", ArtifactKind::Prom, "# TYPE x gauge\n".into())
-            .extend_from(&sample_series());
+            .extend_from(&sample_bundle());
         let arts = bundle.artifacts();
         assert_eq!(arts.len(), 4);
         assert_eq!(arts[0].file_name(), "fabric.prom");
@@ -251,7 +174,7 @@ mod tests {
     fn write_to_dir_lands_one_file_per_artifact() {
         let dir = std::env::temp_dir().join(format!("hyades-artifact-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let paths = write_artifacts_to_dir(&sample_series(), &dir).unwrap();
+        let paths = write_artifacts_to_dir(&sample_bundle(), &dir).unwrap();
         assert_eq!(paths.len(), 3);
         for p in &paths {
             let body = std::fs::read_to_string(p).unwrap();

@@ -199,7 +199,7 @@ mod tests {
     #[test]
     fn stamps_follow_the_charged_clock() {
         use hyades_des::SimDuration;
-        crate::recorder::enable_with_rates(0, 50.0, 60.0);
+        crate::recorder::enable(0);
         install();
         crate::recorder::set_phase(Phase::Ds);
         let cost = SimDuration::from_us(3);

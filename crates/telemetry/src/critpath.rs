@@ -36,6 +36,7 @@
 //! before a step's communication if they are to be attributed.
 
 use crate::commlog::Stamped;
+use crate::export::{matched_flows, FlowEvent};
 use crate::matcher::{self, Executed, MatchError};
 use crate::recorder::Phase;
 use std::collections::BTreeMap;
@@ -184,6 +185,10 @@ pub struct CritPath {
     pub rank_rows: Vec<RankRow>,
     pub attribution: Vec<AttributionRow>,
     pub cross_edges: Vec<CrossEdge>,
+    /// Every matched send→recv pair as a Chrome flow event, from the same
+    /// replay (what [`flows_from_stamped`](crate::flows_from_stamped)
+    /// returns for these logs).
+    pub flows: Vec<FlowEvent>,
 }
 
 /// Phase label used across the report and JSON.
@@ -590,6 +595,7 @@ pub fn analyze(
         rank_rows,
         attribution,
         cross_edges,
+        flows: matched_flows(logs, &run),
     })
 }
 

@@ -46,9 +46,12 @@ pub fn flows_from_stamped(logs: &[Vec<Stamped>]) -> Vec<FlowEvent> {
         .iter()
         .map(|l| l.iter().map(|s| s.ev).collect())
         .collect();
-    let Ok(run) = matcher::replay(&bare) else {
-        return Vec::new();
-    };
+    matcher::replay(&bare).map_or_else(|_| Vec::new(), |run| matched_flows(logs, &run))
+}
+
+/// The flow events of the messages `run` matched in `logs` (the replay of
+/// their bare events).
+pub(crate) fn matched_flows(logs: &[Vec<Stamped>], run: &matcher::MatchedRun) -> Vec<FlowEvent> {
     run.messages
         .iter()
         .map(|m| {
@@ -349,7 +352,7 @@ mod tests {
     use hyades_des::{SimDuration, SimTime};
 
     fn sample_run() -> RunTelemetry {
-        recorder::enable_with_rates(0, 50.0, 60.0);
+        recorder::enable(0);
         recorder::set_phase(Phase::Ps);
         recorder::charge_flops(Phase::Ps, 5_000_000);
         recorder::charge_comm("exchange", SimDuration::from_us(10));

@@ -15,10 +15,13 @@ thread_local! {
     static FLIGHT: RefCell<Option<Trace>> = const { RefCell::new(None) };
 }
 
-/// Install a bounded flight recorder on this thread (capacity records;
-/// oldest are dropped first). Replaces any existing recorder.
-pub fn install(capacity: usize) {
-    FLIGHT.with(|f| *f.borrow_mut() = Some(Trace::new(capacity)));
+/// Records a flight recorder holds; the oldest are dropped first.
+const CAPACITY: usize = 4096;
+
+/// Install a bounded flight recorder on this thread (`CAPACITY`
+/// records). Replaces any existing recorder.
+pub fn install() {
+    FLIGHT.with(|f| *f.borrow_mut() = Some(Trace::new(CAPACITY)));
     INSTALLED.with(|i| i.set(true));
 }
 
@@ -75,7 +78,7 @@ mod tests {
 
     #[test]
     fn installed_recorder_captures_events() {
-        install(8);
+        install();
         assert!(installed());
         record(SimTime::from_us_f64(1.0), ActorId(2), "router.tx", 7);
         record(SimTime::from_us_f64(2.0), ActorId(3), "router.rx", 7);
@@ -89,9 +92,9 @@ mod tests {
 
     #[test]
     fn reinstall_replaces_buffer() {
-        install(4);
+        install();
         record(SimTime::ZERO, ActorId(0), "old", 0);
-        install(4);
+        install();
         record(SimTime::ZERO, ActorId(0), "new", 0);
         let tr = take().unwrap();
         assert_eq!(tr.len(), 1);

@@ -53,9 +53,9 @@ pub use diag::{DiagRow, DiagSeries};
 pub use export::{flows_from_stamped, FlowEvent, RunTelemetry};
 pub use prom::PromText;
 pub use recorder::{
-    charge_comm, charge_flops, count, current_phase, disable, enable, enable_with_rates, enabled,
-    observe, observe_duration_us, observe_hist, phase_totals, record_span, set_phase, Phase,
-    PhaseTotals, RankTelemetry, SpanRecord, DES_PID, GCM_PID,
+    charge_comm, charge_flops, count, current_phase, disable, enable, enabled, observe,
+    observe_duration_us, observe_hist, phase_totals, record_span, set_phase, Phase, PhaseTotals,
+    RankTelemetry, SpanRecord, DES_PID, FDS_MFLOPS, FPS_MFLOPS, GCM_PID,
 };
 pub use registry::Registry;
 pub use sampler::{SampleSet, SampleTick, SamplerActor, Series, SeriesKey};

@@ -95,11 +95,14 @@ struct Recorder {
     phases: PhaseTotals,
     clock: SimTime,
     phase: Phase,
-    /// Sustained PS flop rate used to convert flops → charged time (MFlop/s).
-    fps_mflops: f64,
-    /// Sustained DS flop rate (MFlop/s).
-    fds_mflops: f64,
 }
+
+/// Sustained PS flop rate that converts flops to charged time (Figure 11:
+/// Fps = 50 MFlop/s).
+pub const FPS_MFLOPS: f64 = 50.0;
+
+/// Sustained DS flop rate (Figure 11: Fds = 60 MFlop/s).
+pub const FDS_MFLOPS: f64 = 60.0;
 
 thread_local! {
     static ENABLED: Cell<bool> = const { Cell::new(false) };
@@ -113,18 +116,9 @@ pub fn enabled() -> bool {
     ENABLED.with(|e| e.get())
 }
 
-/// Start recording on this thread with the paper's sustained flop rates
-/// (Fps = 50, Fds = 60 MFlop/s, Figure 11). Replaces any prior recorder.
+/// Start recording on this thread, charging compute at [`FPS_MFLOPS`] /
+/// [`FDS_MFLOPS`]. Replaces any prior recorder.
 pub fn enable(rank: usize) {
-    enable_with_rates(rank, 50.0, 60.0);
-}
-
-/// Start recording with explicit sustained per-phase flop rates.
-pub fn enable_with_rates(rank: usize, fps_mflops: f64, fds_mflops: f64) {
-    assert!(
-        fps_mflops > 0.0 && fds_mflops > 0.0,
-        "flop rates must be positive"
-    );
     RECORDER.with(|r| {
         *r.borrow_mut() = Some(Recorder {
             rank,
@@ -133,8 +127,6 @@ pub fn enable_with_rates(rank: usize, fps_mflops: f64, fds_mflops: f64) {
             phases: PhaseTotals::default(),
             clock: SimTime::ZERO,
             phase: Phase::Outside,
-            fps_mflops,
-            fds_mflops,
         });
     });
     ENABLED.with(|e| e.set(true));
@@ -240,7 +232,7 @@ pub fn charge_comm(name: &'static str, dur: SimDuration) {
 }
 
 /// Charge `flops` floating-point operations of `phase` compute to the
-/// rank's timeline, converted through the configured sustained rate
+/// rank's timeline, converted through the sustained phase rate
 /// (compute time = flops / F, eq. (5)/(8) methodology).
 #[inline]
 pub fn charge_flops(phase: Phase, flops: u64) {
@@ -249,9 +241,9 @@ pub fn charge_flops(phase: Phase, flops: u64) {
     }
     with_recorder(|rec| {
         let (rate_mflops, name) = match phase {
-            Phase::Ps => (rec.fps_mflops, "ps.compute"),
-            Phase::Ds => (rec.fds_mflops, "ds.compute"),
-            Phase::Outside => (rec.fps_mflops, "compute"),
+            Phase::Ps => (FPS_MFLOPS, "ps.compute"),
+            Phase::Ds => (FDS_MFLOPS, "ds.compute"),
+            Phase::Outside => (FPS_MFLOPS, "compute"),
         };
         let dur = SimDuration::from_secs_f64(flops as f64 / (rate_mflops * 1e6));
         let tid = rec.rank as u64;
@@ -355,7 +347,7 @@ mod tests {
 
     #[test]
     fn charged_clock_advances_and_phases_split() {
-        enable_with_rates(3, 50.0, 60.0);
+        enable(3);
         assert!(enabled());
         set_phase(Phase::Ps);
         assert_eq!(current_phase(), Phase::Ps);

@@ -34,7 +34,7 @@ impl Registry {
     pub fn observe(&mut self, component: &'static str, metric: &'static str, value: f64) {
         self.stats
             .entry((component, metric))
-            .or_insert_with(OnlineStats::new)
+            .or_default()
             .push(value);
     }
 
@@ -52,7 +52,7 @@ impl Registry {
     pub fn observe_hist(&mut self, component: &'static str, metric: &'static str, value: u64) {
         self.hists
             .entry((component, metric))
-            .or_insert_with(Log2Histogram::new)
+            .or_default()
             .record(value);
     }
 
@@ -91,16 +91,10 @@ impl Registry {
             *self.counters.entry(k).or_insert(0) += v;
         }
         for (&k, s) in &other.stats {
-            self.stats
-                .entry(k)
-                .or_insert_with(OnlineStats::new)
-                .merge(s);
+            self.stats.entry(k).or_default().merge(s);
         }
         for (&k, h) in &other.hists {
-            self.hists
-                .entry(k)
-                .or_insert_with(Log2Histogram::new)
-                .merge(h);
+            self.hists.entry(k).or_default().merge(h);
         }
     }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
-# Full local gate: formatting, release build, static analysis, tests, the
-# benchmark's six workloads, the tour example, the examples that complete
-# at their defaults, and every experiment's report and point data
+# Full local gate: formatting, release build, clippy, static analysis,
+# tests, the benchmark's six workloads, the tour example, the examples that
+# complete at their defaults, and every experiment's report and point data
 # regenerated into one artifact directory; then a per-crate line count.
 # Run from anywhere inside the repo.
 set -eu
@@ -13,6 +13,9 @@ cargo fmt --check
 
 echo "==> cargo build --release"
 cargo build --release
+
+echo "==> cargo clippy (every target, warnings are errors)"
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> hyades-lint (determinism & numerical-correctness rules)"
 mkdir -p target

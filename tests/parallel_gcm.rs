@@ -184,6 +184,7 @@ fn coupled_pair_runs_on_eight_threads_and_matches_serial() {
     use hyades::gcm::coupler::CoupledModel;
     use hyades::gcm::diagnostics::global_diagnostics;
     use hyades::gcm::grid::{stretched_levels, Grid};
+    use hyades::gcm::RunMonitor;
 
     fn pair(d: Decomp) -> CoupledModel {
         let acfg = ModelConfig::test_atmosphere(32, 16, d);
@@ -203,7 +204,7 @@ fn coupled_pair_runs_on_eight_threads_and_matches_serial() {
         let mut c = pair(d);
         let mut w = SerialWorld;
         for _ in 0..steps {
-            c.step_shared(&mut w);
+            c.step(&mut w, &mut SerialWorld);
         }
         let dg = global_diagnostics(&c.ocean, &mut w);
         dg.heat_content
@@ -222,10 +223,11 @@ fn coupled_pair_runs_on_eight_threads_and_matches_serial() {
             hyades::gcm::driver::Model::new(ocfg, w.rank()),
             2,
         );
-        // The two isomorphs share one world per rank; step_shared keeps
-        // the collective schedule in lockstep across ranks.
+        // The two isomorphs share one world per rank; step_monitored
+        // keeps the collective schedule in lockstep across ranks.
+        let (mut ma, mut mo) = (RunMonitor::new("atmos"), RunMonitor::new("ocean"));
         for _ in 0..steps {
-            c.step_shared(w);
+            assert!(c.step_monitored(w, &mut ma, &mut mo).2, "sentinel tripped");
         }
         global_diagnostics(&c.ocean, w).heat_content
     });
