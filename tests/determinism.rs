@@ -694,6 +694,21 @@ fn figure_csv_artifacts_match_the_pinned_digests() {
     assert_eq!(digests, pinned);
 }
 
+/// E15's report against a pinned digest: two observed 16-endpoint Arctic
+/// runs (hotspots, their flows and stall totals) and the sampled Ethernet
+/// hammer. Sampling ticks are DES events, so a change to what the
+/// observatory samples, or to whom it sends ticks, must leave these bytes
+/// alone.
+#[test]
+fn e15_observatory_report_matches_the_pinned_digest() {
+    let report = hyades::experiments::observatory::run();
+    let digest = fnv1a(report.as_bytes());
+    assert_eq!(
+        digest, 0xbd89_0517_d83b_f476,
+        "E15 report digest {digest:#018x}:\n{report}"
+    );
+}
+
 /// Every experiment but E12, whose twenty 400 us traffic runs take 16 s in
 /// a debug build: its replay is `arctic_traffic_stats_are_bit_identical_
 /// across_runs` and its bytes are pinned above.
