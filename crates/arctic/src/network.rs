@@ -13,7 +13,6 @@ use hyades_des::rng::SplitMix64;
 use hyades_des::{Actor, ActorId, Ctx, SimDuration, SimTime, Simulator};
 use hyades_telemetry as telemetry;
 use hyades_telemetry::flight;
-use hyades_telemetry::sampler::{self, SampleTick};
 use std::sync::Arc;
 
 /// Fabric configuration: how packets pick their up-routes. The hardware
@@ -67,11 +66,6 @@ pub struct TxPort {
     /// Guard so each stall window arms one wake and records one span.
     stall_armed_until: SimTime,
     pub stall_waits: u64,
-    /// Link-busy accounting for the sampler (mirrors the router ports).
-    busy_ps: u64,
-    sampled_busy_ps: u64,
-    pub packets_injected: u64,
-    pub bytes_injected: u64,
 }
 
 /// Internal self-event: the injection link may have become free.
@@ -126,9 +120,6 @@ impl TxPort {
         };
         let ser = self.link.serialization(&pkt);
         self.free_at = now + ser;
-        self.busy_ps += ser.as_ps();
-        self.packets_injected += 1;
-        self.bytes_injected += pkt.wire_bytes();
         telemetry::record_span(ctx.self_id().0 as u64, "arctic", "niu.inject", now, ser);
         telemetry::count("arctic.txport", "packets_injected", 1);
         telemetry::count("arctic.txport", "bytes_injected", pkt.wire_bytes());
@@ -139,26 +130,6 @@ impl TxPort {
         if !self.high.is_empty() || !self.low.is_empty() {
             ctx.send_after(ser, ctx.self_id(), TxKick);
         }
-    }
-
-    /// Answer a [`SampleTick`]: report this injection link's state.
-    fn sample(&mut self, ctx: &mut Ctx<'_>) {
-        if !sampler::installed() {
-            return;
-        }
-        let now = ctx.now();
-        let entity = format!("ep{}", self.endpoint);
-        sampler::record(
-            "arctic.niu",
-            &entity,
-            "occ_high",
-            now,
-            self.high.len() as f64,
-        );
-        sampler::record("arctic.niu", &entity, "occ_low", now, self.low.len() as f64);
-        let busy = self.busy_ps - self.sampled_busy_ps;
-        self.sampled_busy_ps = self.busy_ps;
-        sampler::record("arctic.niu", &entity, "busy_us", now, busy as f64 / 1e6);
     }
 }
 
@@ -178,10 +149,7 @@ impl Actor for TxPort {
             }
             Err(other) => match other.downcast::<TxKick>() {
                 Ok(_) => self.pump(ctx),
-                Err(other) => match other.downcast::<SampleTick>() {
-                    Ok(_) => self.sample(ctx),
-                    Err(_) => panic!("TxPort unexpected event"),
-                },
+                Err(_) => panic!("TxPort unexpected event"),
             },
         }
     }
@@ -253,10 +221,6 @@ impl ArcticNetwork {
                 fault: None,
                 stall_armed_until: SimTime::ZERO,
                 stall_waits: 0,
-                busy_ps: 0,
-                sampled_busy_ps: 0,
-                packets_injected: 0,
-                bytes_injected: 0,
             });
             tx_ports.push(id);
         }
@@ -340,17 +304,10 @@ impl ArcticNetwork {
     }
 
     /// Router actor ids, level-major (`idx = level * routers_per_level +
-    /// word`) — the observatory walks these to collect per-port state.
+    /// word`) — the actors the observatory samples and whose per-port
+    /// state it collects.
     pub fn router_actor_ids(&self) -> &[ActorId] {
         &self.router_ids
-    }
-
-    /// Every actor the fabric observatory samples: all routers plus all
-    /// injection ports, in deterministic id order.
-    pub fn sampler_targets(&self) -> Vec<ActorId> {
-        let mut t = self.router_ids.clone();
-        t.extend_from_slice(&self.tx_ports);
-        t
     }
 
     /// Fault-injection totals across all injection ports:
@@ -576,8 +533,8 @@ mod tests {
             net.router_ids[leaf.word as usize]
         };
         let r = sim.actor::<RouterActor>(leaf_id);
-        let (p0, _, _) = r.port_stats(up_port_index(0));
-        let (p1, _, _) = r.port_stats(up_port_index(1));
+        let p0 = r.port_packets(up_port_index(0));
+        let p1 = r.port_packets(up_port_index(1));
         assert!(
             p0 > 20 && p1 > 20,
             "random uproute unbalanced: {p0} vs {p1}"

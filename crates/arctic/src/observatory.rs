@@ -1,33 +1,26 @@
-//! The fabric observatory: per-link time series, hotspot detection, and
-//! deterministic exporters.
+//! The fabric observatory: per-link time series and hotspot detection.
 //!
 //! [`Observatory::attach`] installs the thread-local sampler and plants a
-//! [`SamplerActor`] that ticks every router and injection port at a fixed
-//! simulated interval; each target answers by reporting queue occupancy,
-//! link-busy time, and flow-control stalls (see `router::sample`). After
-//! the simulation runs, [`Observatory::collect`] folds the samples and the
-//! routers' own counters into a [`FabricReport`]:
+//! [`SamplerActor`] that ticks every router at a fixed simulated interval;
+//! each router answers by reporting its output links' queue occupancy and
+//! link-busy time (see `router::sample`). After the simulation runs,
+//! [`Observatory::collect`] folds the samples and the routers' own
+//! counters into a [`FabricReport`]:
 //!
-//! * a [`LinkSummary`] per wired output link (utilization, occupancy
-//!   mean/p99/max, stalls, traffic totals),
+//! * a [`LinkSummary`] per wired output link (utilization, mean
+//!   occupancy, packets),
 //! * a [`Hotspot`] per link whose sampled occupancy p99 exceeds the
 //!   configured threshold, naming the flows that fed it,
-//! * fault-injection and CRC-failure totals, so faults are visible in the
-//!   manifest rather than silently absorbed.
+//! * fault-injection totals, so faults are visible in the report rather
+//!   than silently absorbed.
 //!
-//! Two exporters render the report: [`FabricReport::prometheus`]
-//! (Prometheus text exposition) and [`FabricReport::json_manifest`]
-//! (a per-run JSON document). Both use fixed six-decimal formatting and
-//! sorted iteration only, so same-seed double runs are byte-identical
-//! (asserted by `tests/determinism.rs`).
+//! E15 prints the report; same-seed double runs collect bit-identical
+//! reports (asserted by `tests/determinism.rs`).
 
 use crate::network::ArcticNetwork;
 use crate::router::{RouterActor, PORTS};
 use hyades_des::{ActorId, SimDuration, SimTime, Simulator};
-use hyades_telemetry::export::escape;
-use hyades_telemetry::prom::{fixed, PromText};
-use hyades_telemetry::sampler::{self, SampleSet, SamplerActor};
-use std::fmt::Write as _;
+use hyades_telemetry::sampler::{self, SamplerActor};
 
 /// A link is a hotspot when its sampled occupancy p99 exceeds this many
 /// queued packets.
@@ -60,17 +53,11 @@ impl ObservatoryConfig {
 pub struct LinkSummary {
     /// Sampler entity label (`l{level}.w{word}.p{port}`).
     pub entity: String,
-    pub samples: usize,
     /// Mean fraction of each sampling window the link spent serializing.
     pub util_mean: f64,
+    /// Mean sampled queue occupancy, in packets.
     pub occ_mean: f64,
-    pub occ_p99: f64,
-    pub occ_max: f64,
-    /// Flow-control stalls resolved at this link: count and total time.
-    pub stalls: u64,
-    pub stall_us: f64,
     pub packets: u64,
-    pub bytes: u64,
 }
 
 /// A flow contributing to a hotspot link.
@@ -96,16 +83,11 @@ pub struct Hotspot {
 /// Everything the observatory saw in one run.
 #[derive(Clone, Debug)]
 pub struct FabricReport {
-    pub n_endpoints: u16,
-    pub interval_us: f64,
     pub ticks: u64,
     pub links: Vec<LinkSummary>,
     pub hotspots: Vec<Hotspot>,
     pub faults_corrupted: u64,
     pub faults_dropped: u64,
-    pub crc_failures: u64,
-    /// The raw sample set (NIU series included), for ad-hoc queries.
-    pub samples: SampleSet,
 }
 
 /// Handle returned by [`Observatory::attach`]; collect after `sim.run()`.
@@ -116,10 +98,11 @@ pub struct Observatory {
 
 impl Observatory {
     /// Install the thread-local sampler and start the sampling actor over
-    /// every router and injection port of `net`.
+    /// every router of `net`.
     pub fn attach(sim: &mut Simulator, net: &ArcticNetwork, cfg: ObservatoryConfig) -> Observatory {
         sampler::install(cfg.interval);
-        let sampler_id = SamplerActor::start(sim, net.sampler_targets(), cfg.interval, cfg.until);
+        let targets = net.router_actor_ids().to_vec();
+        let sampler_id = SamplerActor::start(sim, targets, cfg.interval, cfg.until);
         Observatory { cfg, sampler_id }
     }
 
@@ -146,11 +129,9 @@ impl Observatory {
                 let entity = RouterActor::link_entity(addr, port);
                 let occ = samples.get("arctic.link", &entity, "occ");
                 let busy = samples.get("arctic.link", &entity, "busy_us");
-                let (packets, bytes, _) = r.port_stats(port);
-                let (stalls, stall_ps) = r.port_stalls(port);
-                let (occ_mean, occ_p99, occ_max, n) = match occ {
-                    Some(s) => (s.mean(), s.p99(), s.max(), s.len()),
-                    None => (0.0, 0.0, 0.0, 0),
+                let (occ_mean, occ_p99) = match occ {
+                    Some(s) => (s.mean(), s.p99()),
+                    None => (0.0, 0.0),
                 };
                 let util_mean = match busy {
                     Some(s) if interval_us > 0.0 => s.mean() / interval_us,
@@ -158,15 +139,9 @@ impl Observatory {
                 };
                 let summary = LinkSummary {
                     entity: entity.clone(),
-                    samples: n,
                     util_mean,
                     occ_mean,
-                    occ_p99,
-                    occ_max,
-                    stalls,
-                    stall_us: stall_ps as f64 / 1e6,
-                    packets,
-                    bytes,
+                    packets: r.port_packets(port),
                 };
                 if occ_p99 > HOTSPOT_OCC_P99 {
                     let mut flows: Vec<FlowShare> = r
@@ -184,7 +159,7 @@ impl Observatory {
                         entity,
                         occ_p99,
                         util_mean,
-                        stall_us: stall_ps as f64 / 1e6,
+                        stall_us: r.port_stall_ps(port) as f64 / 1e6,
                         flows,
                     });
                 }
@@ -200,177 +175,12 @@ impl Observatory {
 
         let (faults_corrupted, faults_dropped) = net.fault_counts(sim);
         FabricReport {
-            n_endpoints: net.n_endpoints(),
-            interval_us,
             ticks,
             links,
             hotspots,
             faults_corrupted,
             faults_dropped,
-            crc_failures: net.total_crc_failures(sim),
-            samples,
         }
-    }
-}
-
-impl FabricReport {
-    /// Prometheus text exposition (see module docs; byte-identical across
-    /// same-seed runs).
-    pub fn prometheus(&self) -> String {
-        let mut p = PromText::new();
-        p.type_line("hyades_fabric_ticks", "gauge");
-        p.sample("hyades_fabric_ticks", &[], self.ticks as f64);
-        p.type_line("hyades_fabric_endpoints", "gauge");
-        p.sample("hyades_fabric_endpoints", &[], self.n_endpoints as f64);
-
-        p.type_line("hyades_link_util_mean", "gauge");
-        for l in &self.links {
-            p.sample("hyades_link_util_mean", &[("link", &l.entity)], l.util_mean);
-        }
-        p.type_line("hyades_link_occ", "gauge");
-        for l in &self.links {
-            p.sample(
-                "hyades_link_occ",
-                &[("link", &l.entity), ("agg", "mean")],
-                l.occ_mean,
-            );
-            p.sample(
-                "hyades_link_occ",
-                &[("link", &l.entity), ("agg", "p99")],
-                l.occ_p99,
-            );
-            p.sample(
-                "hyades_link_occ",
-                &[("link", &l.entity), ("agg", "max")],
-                l.occ_max,
-            );
-        }
-        p.type_line("hyades_link_stall_us_total", "counter");
-        for l in &self.links {
-            p.sample(
-                "hyades_link_stall_us_total",
-                &[("link", &l.entity)],
-                l.stall_us,
-            );
-        }
-        p.type_line("hyades_link_packets_total", "counter");
-        for l in &self.links {
-            p.sample(
-                "hyades_link_packets_total",
-                &[("link", &l.entity)],
-                l.packets as f64,
-            );
-        }
-        p.type_line("hyades_link_bytes_total", "counter");
-        for l in &self.links {
-            p.sample(
-                "hyades_link_bytes_total",
-                &[("link", &l.entity)],
-                l.bytes as f64,
-            );
-        }
-
-        // NIU injection-port series, straight from the sample set
-        // (BTreeMap order).
-        p.type_line("hyades_niu_busy_us_total", "counter");
-        for (k, s) in self.samples.iter() {
-            if k.component == "arctic.niu" && k.metric == "busy_us" {
-                let total: f64 = s.points.iter().map(|&(_, v)| v).sum();
-                p.sample("hyades_niu_busy_us_total", &[("ep", &k.entity)], total);
-            }
-        }
-
-        p.type_line("hyades_fabric_hotspot_occ_p99", "gauge");
-        for h in &self.hotspots {
-            p.sample(
-                "hyades_fabric_hotspot_occ_p99",
-                &[("link", &h.entity)],
-                h.occ_p99,
-            );
-        }
-        p.type_line("hyades_fault_total", "counter");
-        p.sample(
-            "hyades_fault_total",
-            &[("kind", "corrupted")],
-            self.faults_corrupted as f64,
-        );
-        p.sample(
-            "hyades_fault_total",
-            &[("kind", "dropped")],
-            self.faults_dropped as f64,
-        );
-        p.type_line("hyades_crc_failures_total", "counter");
-        p.sample("hyades_crc_failures_total", &[], self.crc_failures as f64);
-        p.finish()
-    }
-
-    /// Deterministic per-run JSON manifest. `run` names the scenario;
-    /// `seed` records what seeded it.
-    pub fn json_manifest(&self, run: &str, seed: u64) -> String {
-        let mut o = String::new();
-        let _ = write!(
-            o,
-            "{{\n  \"run\": \"{}\",\n  \"seed\": {seed},\n  \"n_endpoints\": {},\n  \
-             \"interval_us\": {},\n  \"ticks\": {},\n  \"hotspot_occ_p99_threshold\": {},\n",
-            escape(run),
-            self.n_endpoints,
-            fixed(self.interval_us),
-            self.ticks,
-            fixed(HOTSPOT_OCC_P99),
-        );
-        o.push_str("  \"links\": [\n");
-        for (i, l) in self.links.iter().enumerate() {
-            let _ = writeln!(
-                o,
-                "    {{\"link\": \"{}\", \"samples\": {}, \"util_mean\": {}, \
-                 \"occ_mean\": {}, \"occ_p99\": {}, \"occ_max\": {}, \"stalls\": {}, \
-                 \"stall_us\": {}, \"packets\": {}, \"bytes\": {}}}{}",
-                escape(&l.entity),
-                l.samples,
-                fixed(l.util_mean),
-                fixed(l.occ_mean),
-                fixed(l.occ_p99),
-                fixed(l.occ_max),
-                l.stalls,
-                fixed(l.stall_us),
-                l.packets,
-                l.bytes,
-                if i + 1 < self.links.len() { "," } else { "" },
-            );
-        }
-        o.push_str("  ],\n  \"hotspots\": [\n");
-        for (i, h) in self.hotspots.iter().enumerate() {
-            let _ = write!(
-                o,
-                "    {{\"link\": \"{}\", \"occ_p99\": {}, \"util_mean\": {}, \
-                 \"stall_us\": {}, \"flows\": [",
-                escape(&h.entity),
-                fixed(h.occ_p99),
-                fixed(h.util_mean),
-                fixed(h.stall_us),
-            );
-            for (j, f) in h.flows.iter().enumerate() {
-                let _ = write!(
-                    o,
-                    "{}{{\"src\": {}, \"dst\": {}, \"packets\": {}}}",
-                    if j > 0 { ", " } else { "" },
-                    f.src,
-                    f.dst,
-                    f.packets,
-                );
-            }
-            let _ = writeln!(
-                o,
-                "]}}{}",
-                if i + 1 < self.hotspots.len() { "," } else { "" }
-            );
-        }
-        let _ = write!(
-            o,
-            "  ],\n  \"faults\": {{\"corrupted\": {}, \"dropped\": {}, \"crc_failures\": {}}}\n}}\n",
-            self.faults_corrupted, self.faults_dropped, self.crc_failures,
-        );
-        o
     }
 }
 
@@ -416,19 +226,6 @@ mod tests {
         assert!(h.flows.iter().all(|f| f.dst == 0), "{:?}", h.flows);
         assert!(h.occ_p99 > HOTSPOT_OCC_P99);
         assert!(h.stall_us > 0.0, "congestion must show up as stalls");
-    }
-
-    #[test]
-    fn exports_render_and_agree_with_the_report() {
-        let rep = congested_run();
-        let prom = rep.prometheus();
-        assert!(prom.contains("# TYPE hyades_link_occ gauge"));
-        assert!(prom.contains("hyades_fabric_hotspot_occ_p99{link=\"l0.w0.p0\"}"));
-        let json = rep.json_manifest("congested", 0);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"run\": \"congested\""));
-        assert!(json.contains("\"link\": \"l0.w0.p0\""));
-        assert!(json.contains("\"faults\": {\"corrupted\": 0, \"dropped\": 0"));
     }
 
     #[test]

@@ -70,20 +70,16 @@ struct OutputPort {
     /// link (arrival + fall-through): the baseline for stall accounting.
     high: VecDeque<(SimTime, Box<Arrive>)>,
     low: VecDeque<(SimTime, Box<Arrive>)>,
-    /// Traffic accounting for tests and diagnostics.
+    /// Packets granted this link.
     packets: u64,
-    bytes: u64,
-    max_queue: usize,
     /// Link-busy time accumulated over the run (serialization charged at
     /// grant), and the value last reported to the sampler.
     busy_ps: u64,
     sampled_busy_ps: u64,
-    /// Flow-control stall accounting: time packet heads spent waiting
-    /// for this output link *beyond* the fall-through, i.e. blocked by
-    /// link occupancy — the wormhole analogue of credit stalls.
+    /// Flow-control stall time: how long packet heads waited for this
+    /// output link *beyond* the fall-through, i.e. blocked by link
+    /// occupancy — the wormhole analogue of credit stalls.
     stall_ps: u64,
-    sampled_stall_ps: u64,
-    stalls: u64,
     /// Per-flow grant counts, kept only while the sampler observatory is
     /// installed (it costs a map insert per packet).
     flows: BTreeMap<(u16, u16), u64>,
@@ -97,13 +93,9 @@ impl OutputPort {
             high: VecDeque::new(),
             low: VecDeque::new(),
             packets: 0,
-            bytes: 0,
-            max_queue: 0,
             busy_ps: 0,
             sampled_busy_ps: 0,
             stall_ps: 0,
-            sampled_stall_ps: 0,
-            stalls: 0,
             flows: BTreeMap::new(),
         }
     }
@@ -189,10 +181,9 @@ impl RouterActor {
         self.ports[port].target = target;
     }
 
-    /// Traffic counters per port: (packets, bytes, max queue depth).
-    pub fn port_stats(&self, port: usize) -> (u64, u64, usize) {
-        let p = &self.ports[port];
-        (p.packets, p.bytes, p.max_queue)
+    /// Packets granted an output port's link.
+    pub fn port_packets(&self, port: usize) -> u64 {
+        self.ports[port].packets
     }
 
     /// Is this output port wired to anything?
@@ -200,10 +191,9 @@ impl RouterActor {
         !matches!(self.ports[port].target, PortTarget::None)
     }
 
-    /// Stall counters per port: (stall events, total stall picoseconds).
-    pub fn port_stalls(&self, port: usize) -> (u64, u64) {
-        let p = &self.ports[port];
-        (p.stalls, p.stall_ps)
+    /// Total flow-control stall picoseconds at an output port.
+    pub fn port_stall_ps(&self, port: usize) -> u64 {
+        self.ports[port].stall_ps
     }
 
     /// Per-flow grant counts for a port, in (src, dst) order. Populated
@@ -264,7 +254,6 @@ impl RouterActor {
             Priority::High => q.high.push_back((ready, ev)),
             Priority::Low => q.low.push_back((ready, ev)),
         }
-        q.max_queue = q.max_queue.max(q.queued());
         let at = ready.max(q.free_at);
         ctx.send_after(at - ctx.now(), ctx.self_id(), TryTx { port });
     }
@@ -286,15 +275,10 @@ impl RouterActor {
         let pkt = &mut ev.0;
         // Time the head waited for the link beyond its fall-through —
         // the flow-control stall this grant resolves.
-        let waited = now.as_ps().saturating_sub(ready.as_ps());
-        if waited > 0 {
-            q.stalls += 1;
-            q.stall_ps += waited;
-        }
+        q.stall_ps += now.as_ps().saturating_sub(ready.as_ps());
         let ser = self.link.serialization(pkt);
         q.free_at = now + ser;
         q.packets += 1;
-        q.bytes += pkt.wire_bytes();
         q.busy_ps += ser.as_ps();
         if sampler::installed() {
             *q.flows.entry((pkt.src, pkt.dst)).or_insert(0) += 1;
@@ -325,11 +309,10 @@ impl RouterActor {
         }
     }
 
-    /// Answer a [`SampleTick`]: report each wired output link's state to
-    /// the thread-local sampler. `busy_us` / `stall_us` are deltas since
-    /// the previous tick (serialization is charged at grant time, so a
-    /// packet spanning a tick boundary is attributed to the window that
-    /// granted it).
+    /// Answer a [`SampleTick`]: report each wired output link's queue
+    /// occupancy and `busy_us`, the link-busy time since the previous tick
+    /// (serialization is charged at grant time, so a packet spanning a
+    /// tick boundary is attributed to the window that granted it).
     fn sample(&mut self, ctx: &mut Ctx<'_>) {
         if !sampler::installed() {
             return;
@@ -341,15 +324,10 @@ impl RouterActor {
                 continue;
             }
             let entity = RouterActor::link_entity(addr, i);
-            sampler::record("arctic.link", &entity, "occ_high", now, q.high.len() as f64);
-            sampler::record("arctic.link", &entity, "occ_low", now, q.low.len() as f64);
             sampler::record("arctic.link", &entity, "occ", now, q.queued() as f64);
             let busy = q.busy_ps - q.sampled_busy_ps;
             q.sampled_busy_ps = q.busy_ps;
             sampler::record("arctic.link", &entity, "busy_us", now, busy as f64 / 1e6);
-            let stall = q.stall_ps - q.sampled_stall_ps;
-            q.sampled_stall_ps = q.stall_ps;
-            sampler::record("arctic.link", &entity, "stall_us", now, stall as f64 / 1e6);
         }
     }
 }

@@ -25,8 +25,7 @@
 
 use hyades_des::event::Payload;
 use hyades_des::{Actor, ActorId, Ctx, SimDuration, SimTime, Simulator};
-use hyades_telemetry::prom::PromText;
-use hyades_telemetry::sampler::{self, SampleSet, SampleTick, SamplerActor};
+use hyades_telemetry::sampler::{self, SampleTick, SamplerActor};
 use std::collections::VecDeque;
 
 /// Minimum Ethernet frame payload-bearing size (bytes on the wire before
@@ -78,10 +77,7 @@ struct OutPort {
     free_at: SimTime,
     queue: VecDeque<(SimTime, EtherFrame)>,
     packets: u64,
-    bytes: u64,
     max_queue: usize,
-    busy_ps: u64,
-    sampled_busy_ps: u64,
     stall_ps: u64,
     stalls: u64,
 }
@@ -127,8 +123,6 @@ impl SwitchActor {
         let ser = SimDuration::for_bytes_at(frame.wire_bytes(), self.rate_mbyte_per_sec);
         q.free_at = now + ser;
         q.packets += 1;
-        q.bytes += frame.wire_bytes();
-        q.busy_ps += ser.as_ps();
         // Store-and-forward: the endpoint sees the frame once it has
         // fully serialized out of the switch.
         ctx.send_after(ser, q.endpoint, EtherDelivered { frame });
@@ -138,19 +132,17 @@ impl SwitchActor {
         }
     }
 
-    /// Answer a [`SampleTick`] with the same metrics the Arctic routers
-    /// report, under the `ether.link` component.
+    /// Answer a [`SampleTick`] with each port's queue occupancy, the
+    /// series the Arctic routers report as `occ`, under the `ether.link`
+    /// component.
     fn sample(&mut self, ctx: &mut Ctx<'_>) {
         if !sampler::installed() {
             return;
         }
         let now = ctx.now();
-        for (i, q) in self.ports.iter_mut().enumerate() {
+        for (i, q) in self.ports.iter().enumerate() {
             let entity = format!("p{i}");
             sampler::record("ether.link", &entity, "occ", now, q.queue.len() as f64);
-            let busy = q.busy_ps - q.sampled_busy_ps;
-            q.sampled_busy_ps = q.busy_ps;
-            sampler::record("ether.link", &entity, "busy_us", now, busy as f64 / 1e6);
         }
     }
 }
@@ -193,10 +185,7 @@ impl EthernetSim {
                 free_at: SimTime::ZERO,
                 queue: VecDeque::new(),
                 packets: 0,
-                bytes: 0,
                 max_queue: 0,
-                busy_ps: 0,
-                sampled_busy_ps: 0,
                 stall_ps: 0,
                 stalls: 0,
             })
@@ -234,38 +223,12 @@ impl EthernetSim {
         SamplerActor::start(sim, vec![self.switch], interval, until)
     }
 
-    /// Per-port summary after a run: (packets, bytes, max queue depth,
-    /// stalls, stall picoseconds), indexed by destination endpoint.
-    pub fn port_stats(&self, sim: &Simulator, port: usize) -> (u64, u64, usize, u64, u64) {
+    /// Per-port summary after a run: (packets, max queue depth, stalls,
+    /// stall picoseconds), indexed by destination endpoint.
+    pub fn port_stats(&self, sim: &Simulator, port: usize) -> (u64, usize, u64, u64) {
         let s = sim.actor::<SwitchActor>(self.switch);
         let p = &s.ports[port];
-        (p.packets, p.bytes, p.max_queue, p.stalls, p.stall_ps)
-    }
-
-    /// Render the sampled switch series as a Prometheus exposition with
-    /// the same shape as the Arctic exporter (deterministic byte-wise).
-    pub fn prometheus(samples: &SampleSet) -> String {
-        let mut p = PromText::new();
-        p.type_line("hyades_ether_occ_mean", "gauge");
-        for (k, s) in samples.iter() {
-            if k.component == "ether.link" && k.metric == "occ" {
-                p.sample("hyades_ether_occ_mean", &[("port", &k.entity)], s.mean());
-            }
-        }
-        p.type_line("hyades_ether_occ_p99", "gauge");
-        for (k, s) in samples.iter() {
-            if k.component == "ether.link" && k.metric == "occ" {
-                p.sample("hyades_ether_occ_p99", &[("port", &k.entity)], s.p99());
-            }
-        }
-        p.type_line("hyades_ether_busy_us_total", "counter");
-        for (k, s) in samples.iter() {
-            if k.component == "ether.link" && k.metric == "busy_us" {
-                let total: f64 = s.points.iter().map(|&(_, v)| v).sum();
-                p.sample("hyades_ether_busy_us_total", &[("port", &k.entity)], total);
-            }
-        }
-        p.finish()
+        (p.packets, p.max_queue, p.stalls, p.stall_ps)
     }
 }
 
@@ -363,17 +326,16 @@ mod tests {
             "70 frames into one 12.5 MB/s port must queue: p99 {}",
             s.p99()
         );
-        let (packets, _, max_q, stalls, _) = net.port_stats(&sim, 0);
+        let (packets, max_q, stalls, _) = net.port_stats(&sim, 0);
         assert_eq!(packets, 70);
         assert!(max_q > 4);
         assert!(stalls > 0);
-        let prom = EthernetSim::prometheus(&samples);
-        assert!(prom.contains("hyades_ether_occ_p99{port=\"p0\"}"));
     }
 
     #[test]
-    fn deterministic_double_run_is_byte_identical() {
-        let run = || {
+    fn deterministic_double_run_is_bit_identical() {
+        // Every port's sampled occupancy series, (tick ps, value bits).
+        let run = || -> Vec<Vec<(u64, u64)>> {
             let (mut sim, net, _) = build(4, GIGABIT_ETHERNET_MBYTE_PER_SEC);
             net.observe(
                 &mut sim,
@@ -395,8 +357,20 @@ mod tests {
                 }
             }
             sim.run();
-            EthernetSim::prometheus(&sampler::take().expect("observed"))
+            let samples = sampler::take().expect("observed");
+            (0..4)
+                .map(|p| {
+                    let occ = samples.get("ether.link", &format!("p{p}"), "occ");
+                    let occ = occ.expect("every port is sampled");
+                    occ.points
+                        .iter()
+                        .map(|&(t, v)| (t.as_ps(), v.to_bits()))
+                        .collect()
+                })
+                .collect()
         };
-        assert_eq!(run(), run());
+        let a = run();
+        assert!(a[0].iter().any(|&(_, v)| f64::from_bits(v) > 0.0));
+        assert_eq!(a, run());
     }
 }

@@ -111,7 +111,7 @@ pub fn run() -> String {
             .unwrap_or((0.0, 0.0, 0.0))
     });
     let (occ_mean, occ_p99, occ_max) = samples.unwrap_or((0.0, 0.0, 0.0));
-    let (packets, _, max_q, stalls, stall_ps) = net.port_stats(&sim, 0);
+    let (packets, max_q, stalls, stall_ps) = net.port_stats(&sim, 0);
     let _ = writeln!(
         out,
         "\n[fast ethernet switch, 15-to-1 hammer on port 0]\n\

@@ -29,6 +29,7 @@ use hyades_gcm::config::{ModelConfig, SurfaceForcing};
 use hyades_gcm::coupler::CoupledModel;
 use hyades_gcm::decomp::Decomp;
 use hyades_gcm::driver::Model;
+use hyades_gcm::field::Field3;
 use hyades_gcm::grid::{stretched_levels, Grid};
 use hyades_gcm::halo::exchange_leg_bytes;
 use hyades_gcm::monitor::RunMonitor;
@@ -162,6 +163,17 @@ struct RankRun {
     steps: Vec<StepSample>,
 }
 
+/// Seeded perturbation of an initial stratification, up to ±0.1 K a
+/// cell from a stream of its own for each (seed, rank): makes a tour a
+/// genuine function of its seed (solver trajectories, residuals, and the
+/// exported artifacts all move with it).
+fn perturb_theta(theta: &mut Field3, seed: u64, rank: usize) {
+    let mut rng = SplitMix64::new(seed ^ (rank as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    for (i, j, k) in theta.clone().interior() {
+        theta.add(i, j, k, (rng.next_f64() - 0.5) * 0.2);
+    }
+}
+
 fn run_rank<W: CommWorld>(world: &mut W, tour: &TourConfig) -> RankRun {
     let rank = world.rank();
     telemetry::enable(rank);
@@ -169,14 +181,7 @@ fn run_rank<W: CommWorld>(world: &mut W, tour: &TourConfig) -> RankRun {
     let d = Decomp::blocks(NX, NY, PX, PY, 3);
     let cfg = ModelConfig::test_ocean(NX, NY, NZ, d);
     let mut m = Model::new(cfg, rank);
-    // Seeded perturbation of the initial stratification: makes the run a
-    // genuine function of `seed` (solver trajectories, residuals, and the
-    // exported artifacts all move with it).
-    let mut rng =
-        SplitMix64::new(tour.seed ^ (rank as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    for (i, j, k) in m.state.theta.clone().interior() {
-        m.state.theta.add(i, j, k, (rng.next_f64() - 0.5) * 0.2);
-    }
+    perturb_theta(&mut m.state.theta, tour.seed, rank);
     let net = arctic_paper();
     let mut timed = TimedWorld::new(world, &net);
     let mut steps = Vec::with_capacity(tour.steps);
@@ -378,13 +383,7 @@ fn coupled_pair(rank: usize) -> CoupledModel {
 /// state stays self-consistent.
 fn seeded_coupled_pair(rank: usize, seed: u64) -> CoupledModel {
     let mut c = coupled_pair(rank);
-    let mut rng = SplitMix64::new(seed ^ (rank as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    for (i, j, k) in c.ocean.state.theta.clone().interior() {
-        c.ocean
-            .state
-            .theta
-            .add(i, j, k, (rng.next_f64() - 0.5) * 0.2);
-    }
+    perturb_theta(&mut c.ocean.state.theta, seed, rank);
     c.exchange_boundary_conditions();
     c
 }

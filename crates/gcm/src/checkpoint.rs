@@ -8,7 +8,7 @@
 //! self-describing little-endian binary format with a checksum.
 
 use crate::driver::Model;
-use crate::field::{Field2, Field3};
+use crate::field::Field3;
 use crate::state::ModelState;
 use std::io::{self, Read, Write};
 
@@ -196,11 +196,6 @@ pub fn load_file(model: &mut Model, path: &std::path::Path) -> io::Result<()> {
     let mut f = io::BufReader::new(std::fs::File::open(path)?);
     load(model, &mut f)
 }
-
-/// A `Field2` helper mirroring `Field3::raw` for checkpoint symmetry is
-/// already public; this marker keeps the doc link stable.
-#[allow(dead_code)]
-fn _doc_anchor(_: &Field2) {}
 
 #[cfg(test)]
 mod tests {

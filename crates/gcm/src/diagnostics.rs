@@ -235,55 +235,6 @@ pub fn poleward_heat_transport(model: &Model) -> Vec<(f64, f64)> {
     out
 }
 
-/// Gather one level of θ (plus u, v) from every rank to rank 0 and render
-/// the *global* field as CSV; other ranks return `None`. Collective.
-pub fn gathered_level_csv(
-    model: &Model,
-    world: &mut dyn CommWorld,
-    level: usize,
-) -> Option<String> {
-    let t = &model.tile;
-    // Payload per rank: [gx0, gy0, nx, ny, then row-major u,v,theta].
-    let mut data = vec![t.gx0 as f64, t.gy0 as f64, t.nx as f64, t.ny as f64];
-    for j in 0..t.ny as i64 {
-        for i in 0..t.nx as i64 {
-            data.push(model.state.u.at(i, j, level));
-            data.push(model.state.v.at(i, j, level));
-            data.push(model.state.theta.at(i, j, level));
-        }
-    }
-    let gathered = world.gather(data)?;
-    let (gnx, gny) = (model.cfg.grid.nx, model.cfg.grid.ny);
-    let mut grid = vec![[f64::NAN; 3]; gnx * gny];
-    for chunk in &gathered {
-        let (gx0, gy0) = (chunk[0] as usize, chunk[1] as usize);
-        let (nx, ny) = (chunk[2] as usize, chunk[3] as usize);
-        let mut it = chunk[4..].iter();
-        for j in 0..ny {
-            for i in 0..nx {
-                let g = (gy0 + j) * gnx + (gx0 + i);
-                // A short chunk (malformed gather) leaves NaN holes
-                // rather than panicking mid-diagnostic.
-                grid[g] = [
-                    it.next().copied().unwrap_or(f64::NAN),
-                    it.next().copied().unwrap_or(f64::NAN),
-                    it.next().copied().unwrap_or(f64::NAN),
-                ];
-            }
-        }
-    }
-    let mut out = String::from("# gi,gj,u,v,theta\n");
-    for (g, cell) in grid.iter().enumerate() {
-        let (gi, gj) = (g % gnx, g / gnx);
-        let _ = writeln!(
-            out,
-            "{gi},{gj},{:.6},{:.6},{:.4}",
-            cell[0], cell[1], cell[2]
-        );
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod climate_tests {
     use super::*;
@@ -370,45 +321,5 @@ mod climate_tests {
         let eq = zm[4].1;
         let pole = zm[0].1;
         assert!(eq > pole, "equator {eq} vs pole {pole}");
-    }
-}
-
-#[cfg(test)]
-mod gather_tests {
-    use super::*;
-    use crate::config::ModelConfig;
-    use crate::decomp::Decomp;
-    use hyades_comms::{SerialWorld, ThreadWorld};
-
-    #[test]
-    fn gathered_csv_covers_the_global_grid() {
-        let d = Decomp::blocks(16, 8, 4, 2, 3);
-        let csvs = ThreadWorld::run(8, |w| {
-            let m = Model::new(ModelConfig::test_ocean(16, 8, 3, d), w.rank());
-            gathered_level_csv(&m, w, 0)
-        });
-        // Only rank 0 produced output.
-        assert!(csvs[1..].iter().all(|c| c.is_none()));
-        let csv = csvs[0].as_ref().unwrap();
-        assert_eq!(csv.lines().count(), 1 + 16 * 8);
-        assert!(!csv.contains("NaN"), "grid has holes");
-        // Spot-check a cell against a fresh single-tile model: initial
-        // conditions are decomposition-independent.
-        let serial = Model::new(
-            ModelConfig::test_ocean(16, 8, 3, Decomp::blocks(16, 8, 1, 1, 3)),
-            0,
-        );
-        let line = csv.lines().nth(1 + 5 * 16 + 9).unwrap(); // gi=9, gj=5
-        let theta: f64 = line.split(',').nth(4).unwrap().parse().unwrap();
-        assert!((theta - serial.state.theta.at(9, 5, 0)).abs() < 1e-4);
-    }
-
-    #[test]
-    fn serial_gathered_matches_tile_csv_cells() {
-        let d = Decomp::blocks(16, 8, 1, 1, 3);
-        let m = Model::new(ModelConfig::test_ocean(16, 8, 3, d), 0);
-        let mut w = SerialWorld;
-        let csv = gathered_level_csv(&m, &mut w, 0).unwrap();
-        assert_eq!(csv.lines().count(), 1 + 16 * 8);
     }
 }

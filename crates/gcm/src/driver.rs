@@ -120,16 +120,10 @@ impl Model {
     /// global sum.
     ///
     /// The step is the sequential composition of five phases. Only
-    /// [`begin`], [`solve`] and [`close`] touch `world` or telemetry;
-    /// [`tendencies`] and [`finish_state`] are this tile's own arithmetic,
+    /// `begin`, `solve` and `close` touch `world` or telemetry;
+    /// `tendencies` and `finish_state` are this tile's own arithmetic,
     /// which is what lets a large tile run each of their kernels as two
-    /// row bands on two threads ([`band_split`], [`in_bands`]).
-    ///
-    /// [`begin`]: Model::begin
-    /// [`solve`]: Model::solve
-    /// [`close`]: Model::close
-    /// [`tendencies`]: Model::tendencies
-    /// [`finish_state`]: Model::finish_state
+    /// row bands on two threads (`kernel::band_split`, `kernel::in_bands`).
     pub fn step(&mut self, world: &mut dyn CommWorld) -> StepStats {
         self.step_split(world, band_split(&self.tile, self.cfg.grid.nz))
     }

@@ -15,7 +15,7 @@
 //! every kernel of the PS and DS phases and the halo exchange sweep;
 //! `at`/`set` are for set-up, diagnostics and tests.
 //!
-//! A PS kernel writes through a [`Band`]: whole rows of every level,
+//! A PS kernel writes through a `Band`: whole rows of every level,
 //! which `split_off` cuts into two disjoint bands that two threads can
 //! write at once.
 

@@ -62,7 +62,7 @@ pub enum BlowupKind {
 pub struct BlowupReport {
     pub step: u64,
     pub kind: BlowupKind,
-    /// Offending field name (one of [`FIELDS`]).
+    /// Offending field name (one of `FIELDS`).
     pub field: &'static str,
     /// Rank owning the offending cell.
     pub rank: usize,

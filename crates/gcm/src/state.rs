@@ -621,6 +621,28 @@ mod tests {
     }
 
     #[test]
+    fn initial_state_does_not_depend_on_the_cut() {
+        // One tile of a 4×2 cut against the same cells of a single tile.
+        let initial = |d: Decomp, rank: usize| {
+            let cfg = ModelConfig::test_ocean(16, 8, 3, d);
+            let tile = d.tile(rank);
+            let masks = Masks::build(&cfg, &tile, &Topography::aquaplanet(&cfg.grid));
+            let state = ModelState::initial(&cfg, &tile, &masks);
+            (tile, state)
+        };
+        let (_, whole) = initial(Decomp::blocks(16, 8, 1, 1, 3), 0);
+        let (tile, part) = initial(Decomp::blocks(16, 8, 4, 2, 3), 5);
+        assert_eq!((tile.gx0, tile.gy0, tile.nx, tile.ny), (4, 4, 4, 4));
+        let (dx, dy) = (tile.gx0 as i64, tile.gy0 as i64);
+        for (i, j, k) in part.theta.interior() {
+            for (p, w) in [(&part.theta, &whole.theta), (&part.s, &whole.s)] {
+                let (a, b) = (p.at(i, j, k), w.at(i + dx, j + dy, k));
+                assert_eq!(a.to_bits(), b.to_bits(), "cell ({i}, {j}, {k})");
+            }
+        }
+    }
+
+    #[test]
     fn perturbation_is_deterministic_and_bounded() {
         for gi in [-3i64, 0, 7, 127] {
             for gj in [0i64, 5] {

@@ -130,24 +130,9 @@ pub const WORKSPACE_SINKS: &[SinkSpec] = &[
         what: "telemetry text exporter",
     },
     SinkSpec {
-        name: "render_registry",
-        path_hint: "crates/telemetry/src/prom.rs",
-        what: "telemetry Prometheus exporter",
-    },
-    SinkSpec {
-        name: "prometheus",
+        name: "collect",
         path_hint: "crates/arctic/src/observatory.rs",
-        what: "observatory Prometheus exposition",
-    },
-    SinkSpec {
-        name: "json_manifest",
-        path_hint: "crates/arctic/src/observatory.rs",
-        what: "observatory JSON manifest",
-    },
-    SinkSpec {
-        name: "prometheus",
-        path_hint: "crates/cluster/src/ethernet_sim.rs",
-        what: "ethernet telemetry exposition",
+        what: "fabric observatory report",
     },
     SinkSpec {
         name: "dump",

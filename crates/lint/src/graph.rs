@@ -10,7 +10,7 @@
 //! interprets each body and looks its call sites up with
 //! [`Workspace::call_at`] — so a call site resolves to the same
 //! candidates for everyone. Both whole-program analyses reach their
-//! fixpoint through the one [`sweep`].
+//! fixpoint through the one `sweep`.
 //!
 //! Resolution order: a bare `name(..)` narrows same-file → same-crate →
 //! workspace; `Type::name(..)` / `Self::name(..)` go through a
@@ -381,7 +381,7 @@ pub struct FnRec<'a> {
     pub self_ty: Option<&'a str>,
     /// Under `tests/` or a `#[cfg(test)]` item.
     pub is_test: bool,
-    /// Positional parameter names; see [`param_names`] for patterns.
+    /// Positional parameter names; see `param_names` for patterns.
     pub params: Vec<&'a str>,
     /// Half-open token ranges this function owns: signature and body,
     /// minus nested functions and the headers of nested items.

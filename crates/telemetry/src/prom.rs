@@ -9,7 +9,6 @@
 //! produce byte-identical expositions (asserted by
 //! `tests/determinism.rs`).
 
-use crate::registry::Registry;
 use std::fmt::Write as _;
 
 /// Render an `f64` the way every exporter in this crate does: fixed six
@@ -83,54 +82,6 @@ fn escape_label(s: &str) -> String {
     out
 }
 
-/// Render a [`Registry`] as an exposition: counters as `counter`
-/// families, online stats as mean/min/max gauges, histograms as
-/// quantile-bound gauges. Iteration order is the registry's `BTreeMap`
-/// order, so the output is deterministic.
-pub fn render_registry(prefix: &str, reg: &Registry) -> String {
-    let mut p = PromText::new();
-
-    let counters: Vec<_> = reg.iter_counters().collect();
-    if !counters.is_empty() {
-        let name = format!("{prefix}_events_total");
-        p.type_line(&name, "counter");
-        for ((component, metric), v) in counters {
-            p.sample(
-                &name,
-                &[("component", component), ("metric", metric)],
-                v as f64,
-            );
-        }
-    }
-
-    let stats: Vec<_> = reg.iter_stats().collect();
-    if !stats.is_empty() {
-        let name = format!("{prefix}_stat");
-        p.type_line(&name, "gauge");
-        for ((component, metric), s) in stats {
-            let labels = |agg| [("component", component), ("metric", metric), ("agg", agg)];
-            p.sample(&name, &labels("count"), s.count() as f64);
-            p.sample(&name, &labels("mean"), s.mean());
-            p.sample(&name, &labels("min"), s.min());
-            p.sample(&name, &labels("max"), s.max());
-        }
-    }
-
-    let hists: Vec<_> = reg.iter_hists().collect();
-    if !hists.is_empty() {
-        let name = format!("{prefix}_hist_bound");
-        p.type_line(&name, "gauge");
-        for ((component, metric), h) in hists {
-            let labels = |q| [("component", component), ("metric", metric), ("q", q)];
-            p.sample(&name, &labels("0.5"), h.p50() as f64);
-            p.sample(&name, &labels("0.9"), h.p90() as f64);
-            p.sample(&name, &labels("0.99"), h.p99() as f64);
-        }
-    }
-
-    p.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,23 +143,5 @@ mod tests {
         assert_eq!(fixed(f64::NAN), "NaN");
         assert_eq!(fixed(f64::INFINITY), "+Inf");
         assert_eq!(fixed(f64::NEG_INFINITY), "-Inf");
-    }
-
-    #[test]
-    fn registry_rendering_is_deterministic() {
-        let mut reg = Registry::new();
-        reg.add_count("arctic.fault", "corrupted", 2);
-        reg.add_count("arctic.fault", "dropped", 1);
-        reg.observe("net", "latency_us", 12.5);
-        reg.observe_hist("net", "bytes", 96);
-        let a = render_registry("hyades", &reg);
-        let b = render_registry("hyades", &reg);
-        assert_eq!(a, b);
-        assert!(a.contains("# TYPE hyades_events_total counter"));
-        assert!(a.contains(
-            "hyades_events_total{component=\"arctic.fault\",metric=\"corrupted\"} 2.000000"
-        ));
-        assert!(a.contains("agg=\"mean\"} 12.500000"));
-        assert!(a.contains("q=\"0.99\"}"));
     }
 }

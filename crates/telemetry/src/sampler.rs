@@ -15,9 +15,8 @@
 //!   any label formatting or per-flow accounting they keep solely for the
 //!   observatory.
 //! * **Deterministic.** Ticks are ordinary DES events (fixed interval,
-//!   deterministic tie-breaking), keys are `BTreeMap`-ordered, and every
-//!   quantile is computed by total-order sort — two same-seed runs export
-//!   byte-identical artifacts.
+//!   deterministic tie-breaking) and every quantile is computed by
+//!   total-order sort — two same-seed runs record bit-identical series.
 //!
 //! [`Cell`]: std::cell::Cell
 
@@ -128,11 +127,6 @@ impl SampleSet {
             .or_default()
             .points
             .push((at, value));
-    }
-
-    /// Series in deterministic key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&SeriesKey, &Series)> + '_ {
-        self.series.iter()
     }
 
     /// Look up one series.
@@ -275,12 +269,12 @@ mod tests {
         );
         let set = take().expect("installed");
         assert!(!installed());
-        let keys: Vec<&str> = set.iter().map(|(k, _)| k.entity.as_str()).collect();
-        assert_eq!(keys, ["l0.w0.p2", "l0.w1.p2"], "BTreeMap key order");
         let s = set.get("arctic.link", "l0.w1.p2", "occ").unwrap();
         assert_eq!(s.len(), 2);
         assert_eq!(s.mean(), 4.0);
         assert_eq!(s.max(), 5.0);
+        assert_eq!(set.get("arctic.link", "l0.w0.p2", "occ").unwrap().len(), 1);
+        assert!(set.get("arctic.link", "l0.w0.p2", "busy_us").is_none());
     }
 
     #[test]

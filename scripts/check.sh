@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Full local gate: formatting, release build, clippy, static analysis,
+# Full local gate: formatting, release build, clippy, rustdoc, static analysis,
 # tests, the benchmark's six workloads, the tour example, the examples that
 # complete at their defaults, and every experiment's report and point data
 # regenerated into one artifact directory; then a per-crate line count.
@@ -16,6 +16,11 @@ cargo build --release
 
 echo "==> cargo clippy (every target, warnings are errors)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+# A dangling or private intra-doc link (one a deletion leaves behind) is
+# an error.
+echo "==> cargo doc (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 echo "==> hyades-lint (determinism & numerical-correctness rules)"
 mkdir -p target

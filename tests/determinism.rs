@@ -9,6 +9,7 @@
 //! iteration-order leak shows up here as a hard failure.
 
 use hyades::arctic::network::{ArcticConfig, ArcticNetwork, SinkEndpoint};
+use hyades::arctic::observatory::FlowShare;
 use hyades::arctic::packet::{Packet, Priority, UpRoute, MAX_PAYLOAD_WORDS};
 use hyades::arctic::workload::{run_traffic, Pattern};
 use hyades::comms::exchange::measure_exchange;
@@ -427,9 +428,18 @@ fn happens_before_replay_is_ordered_and_byte_identical() {
     assert!(!a.contains("0 messages"), "no exchange traffic was logged");
 }
 
-/// One observed congested run, fully exported: (Prometheus exposition,
-/// JSON manifest).
-fn observatory_exports(seed: u64) -> (String, String) {
+/// A fabric report as comparable values, each `f64` by its bits: ticks,
+/// (corrupted, dropped), per link (entity, [util, occ, packets]) and per
+/// hotspot (entity, [occ p99, util, stall], flows).
+type ReportBits = (
+    u64,
+    (u64, u64),
+    Vec<(String, [u64; 3])>,
+    Vec<(String, [u64; 3], Vec<FlowShare>)>,
+);
+
+/// One observed congested run's report, field by field.
+fn observatory_report(seed: u64) -> ReportBits {
     use hyades::arctic::observatory::ObservatoryConfig;
     use hyades::arctic::workload::run_traffic_observed;
 
@@ -446,31 +456,34 @@ fn observatory_exports(seed: u64) -> (String, String) {
         !report.hotspots.is_empty(),
         "congested run showed no hotspot"
     );
+    let links = report.links.iter().map(|l| {
+        let row = [l.util_mean.to_bits(), l.occ_mean.to_bits(), l.packets];
+        (l.entity.clone(), row)
+    });
+    let hotspots = report.hotspots.iter().map(|h| {
+        let row = [h.occ_p99, h.util_mean, h.stall_us].map(f64::to_bits);
+        (h.entity.clone(), row, h.flows.clone())
+    });
     (
-        report.prometheus(),
-        report.json_manifest("determinism", seed),
+        report.ticks,
+        (report.faults_corrupted, report.faults_dropped),
+        links.collect(),
+        hotspots.collect(),
     )
 }
 
 #[test]
 fn observatory_exports_are_bit_identical_across_runs() {
-    // The fabric-observatory golden test: per-link sampled occupancy,
-    // stall accounting, hotspot flow attribution, and both exporters'
-    // fixed-decimal rendering must replay byte-for-byte. The sampler
-    // stores f64 series and the hotspot detector sorts by p99 — any
-    // total_cmp slip, map-order leak, or float-format drift diffs here.
-    let (prom_a, man_a) = observatory_exports(0xFAB_0B5);
-    let (prom_b, man_b) = observatory_exports(0xFAB_0B5);
-    assert_eq!(
-        prom_a, prom_b,
-        "prometheus export must replay byte-identically"
-    );
-    assert_eq!(man_a, man_b, "json manifest must replay byte-identically");
+    // The fabric-observatory golden test: per-link sampled utilization
+    // and occupancy, stall accounting and hotspot flow attribution must
+    // replay bit for bit. The sampler stores f64 series and the hotspot
+    // detector sorts by p99 — any total_cmp slip or map-order leak
+    // diffs here.
+    let a = observatory_report(0xFAB_0B5);
+    assert_eq!(a, observatory_report(0xFAB_0B5), "report must replay");
 
     // A different seed must move the samples, or the equality is vacuous.
-    let (prom_c, man_c) = observatory_exports(0xFAB_0B6);
-    assert_ne!(prom_a, prom_c);
-    assert_ne!(man_a, man_c);
+    assert_ne!(a, observatory_report(0xFAB_0B6));
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Fabric-observatory integration tests: the analytical queue-occupancy
-//! cross-check and fault visibility in the exported manifest.
+//! cross-check and fault visibility in the collected report.
 
 use hyades::arctic::network::{ArcticConfig, ArcticNetwork, SinkEndpoint};
 use hyades::arctic::observatory::{Observatory, ObservatoryConfig};
@@ -65,10 +65,9 @@ fn sampled_occupancy_brackets_analytical_queue_models() {
     );
 }
 
-/// Injected faults must be visible end to end: registry counters, the
-/// collected report, and the exported JSON manifest.
+/// Injected faults must be visible end to end, in the collected report.
 #[test]
-fn faults_surface_in_the_manifest() {
+fn faults_surface_in_the_report() {
     let mut sim = Simulator::new();
     let eps: Vec<_> = (0..16)
         .map(|_| sim.add_actor(SinkEndpoint::default()))
@@ -97,11 +96,5 @@ fn faults_surface_in_the_manifest() {
         "5% fault rates over ~400 packets must fire (corrupted {}, dropped {})",
         report.faults_corrupted,
         report.faults_dropped
-    );
-    let manifest = report.json_manifest("fault-run", 0xBAD_5EED);
-    assert!(
-        manifest.contains(&format!("\"corrupted\": {}", report.faults_corrupted))
-            && manifest.contains(&format!("\"dropped\": {}", report.faults_dropped)),
-        "manifest must carry the fault counters:\n{manifest}"
     );
 }
