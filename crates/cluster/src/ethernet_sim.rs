@@ -361,8 +361,8 @@ mod tests {
             (0..4)
                 .map(|p| {
                     let occ = samples.get("ether.link", &format!("p{p}"), "occ");
-                    let occ = occ.expect("every port is sampled");
-                    occ.points
+                    occ.expect("every port is sampled")
+                        .points
                         .iter()
                         .map(|&(t, v)| (t.as_ps(), v.to_bits()))
                         .collect()
