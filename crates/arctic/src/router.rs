@@ -156,6 +156,9 @@ pub struct RouterActor {
     pub crc_failures: u64,
     /// Total packets routed through this stage.
     pub packets_routed: u64,
+    /// Each wired output port with its sampler label, made on the first
+    /// [`SampleTick`] (an unobserved run formats none).
+    sampled: Vec<(usize, String)>,
 }
 
 impl RouterActor {
@@ -169,6 +172,7 @@ impl RouterActor {
                 .collect(),
             crc_failures: 0,
             packets_routed: 0,
+            sampled: Vec::new(),
         }
     }
 
@@ -317,17 +321,20 @@ impl RouterActor {
         if !sampler::installed() {
             return;
         }
+        if self.sampled.is_empty() {
+            let addr = self.addr;
+            self.sampled = (0..PORTS)
+                .filter(|&port| self.port_is_wired(port))
+                .map(|port| (port, RouterActor::link_entity(addr, port)))
+                .collect();
+        }
         let now = ctx.now();
-        let addr = self.addr;
-        for (i, q) in self.ports.iter_mut().enumerate() {
-            if matches!(q.target, PortTarget::None) {
-                continue;
-            }
-            let entity = RouterActor::link_entity(addr, i);
-            sampler::record("arctic.link", &entity, "occ", now, q.queued() as f64);
+        for (port, entity) in &self.sampled {
+            let q = &mut self.ports[*port];
+            sampler::record("arctic.link", entity, "occ", now, q.queued() as f64);
             let busy = q.busy_ps - q.sampled_busy_ps;
             q.sampled_busy_ps = q.busy_ps;
-            sampler::record("arctic.link", &entity, "busy_us", now, busy as f64 / 1e6);
+            sampler::record("arctic.link", entity, "busy_us", now, busy as f64 / 1e6);
         }
     }
 }

@@ -58,4 +58,4 @@ pub use recorder::{
     RankTelemetry, SpanRecord, DES_PID, FDS_MFLOPS, FPS_MFLOPS, GCM_PID,
 };
 pub use registry::Registry;
-pub use sampler::{SampleSet, SampleTick, SamplerActor, Series, SeriesKey};
+pub use sampler::{SampleSet, SampleTick, SamplerActor, Series};

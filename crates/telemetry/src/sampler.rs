@@ -6,7 +6,9 @@
 //! A [`SamplerActor`] placed in the DES broadcasts a [`SampleTick`] to its
 //! subscribed actors at a fixed simulated interval; each subscriber
 //! answers by calling [`record`] with its current readings, which land in
-//! a thread-local [`SampleSet`] keyed by `(component, entity, metric)`.
+//! a thread-local [`SampleSet`] keyed by `(component, entity, metric)`:
+//! a component namespace (`"arctic.link"`), an entity within it
+//! (`"l0.w3.p2"`), and the sampled metric (`"occ"`).
 //!
 //! Design rules match the rest of the crate:
 //!
@@ -31,15 +33,6 @@ pub struct SampleTick;
 
 /// Internal self-event driving the tick loop.
 struct Tick;
-
-/// Identifies one time series: a component namespace (`"arctic.link"`),
-/// an entity within it (`"l0.w3.p2"`), and the sampled metric (`"occ"`).
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SeriesKey {
-    pub component: &'static str,
-    pub entity: String,
-    pub metric: &'static str,
-}
 
 /// One sampled time series.
 #[derive(Clone, Debug, Default)]
@@ -99,7 +92,9 @@ impl Series {
 pub struct SampleSet {
     /// The configured sampling interval.
     pub interval: SimDuration,
-    series: BTreeMap<SeriesKey, Series>,
+    /// By `(component, metric)`, then entity: a sample for a series that
+    /// exists is appended without making a key.
+    series: BTreeMap<(&'static str, &'static str), BTreeMap<String, Series>>,
 }
 
 impl SampleSet {
@@ -118,23 +113,24 @@ impl SampleSet {
         at: SimTime,
         value: f64,
     ) {
-        self.series
-            .entry(SeriesKey {
-                component,
-                entity: entity.to_string(),
-                metric,
-            })
-            .or_default()
-            .points
-            .push((at, value));
+        let by_entity = self.series.entry((component, metric)).or_default();
+        match by_entity.get_mut(entity) {
+            Some(series) => series.points.push((at, value)),
+            None => {
+                let points = vec![(at, value)];
+                by_entity.insert(entity.to_string(), Series { points });
+            }
+        }
     }
 
     /// Look up one series.
-    pub fn get(&self, component: &str, entity: &str, metric: &str) -> Option<&Series> {
-        self.series
-            .iter()
-            .find(|(k, _)| k.component == component && k.entity == entity && k.metric == metric)
-            .map(|(_, s)| s)
+    pub fn get(
+        &self,
+        component: &'static str,
+        entity: &str,
+        metric: &'static str,
+    ) -> Option<&Series> {
+        self.series.get(&(component, metric))?.get(entity)
     }
 }
 
