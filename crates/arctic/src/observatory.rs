@@ -7,7 +7,7 @@
 //! [`Observatory::collect`] folds the samples and the routers' own
 //! counters into a [`FabricReport`]:
 //!
-//! * a [`LinkSummary`] per wired output link (utilization, mean
+//! * a [`LinkSummary`] per wired output link (utilization, mean and p99
 //!   occupancy, packets),
 //! * a [`Hotspot`] per link whose sampled occupancy p99 exceeds the
 //!   configured threshold, naming the flows that fed it,
@@ -57,6 +57,8 @@ pub struct LinkSummary {
     pub util_mean: f64,
     /// Mean sampled queue occupancy, in packets.
     pub occ_mean: f64,
+    /// Sampled queue occupancy p99, in packets.
+    pub occ_p99: f64,
     pub packets: u64,
 }
 
@@ -88,6 +90,13 @@ pub struct FabricReport {
     pub hotspots: Vec<Hotspot>,
     pub faults_corrupted: u64,
     pub faults_dropped: u64,
+}
+
+impl FabricReport {
+    /// The largest sampled occupancy p99 over every wired link.
+    pub fn worst_occ_p99(&self) -> f64 {
+        self.links.iter().map(|l| l.occ_p99).fold(0.0, f64::max)
+    }
 }
 
 /// Handle returned by [`Observatory::attach`]; collect after `sim.run()`.
@@ -141,6 +150,7 @@ impl Observatory {
                     entity: entity.clone(),
                     util_mean,
                     occ_mean,
+                    occ_p99,
                     packets: r.port_packets(port),
                 };
                 if occ_p99 > HOTSPOT_OCC_P99 {
