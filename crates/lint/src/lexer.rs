@@ -4,7 +4,7 @@
 //! split off) and matched substrings against the residue. That cannot
 //! see expression structure: `.sum::<f64>()` over a hash iterator looks
 //! exactly like one over a `Vec`. This lexer produces a real token
-//! stream with line/column spans so rules in [`crate::passes`] can match
+//! stream with line spans so rules in [`crate::passes`] can match
 //! token *sequences* instead.
 //!
 //! Handled, faithfully enough for linting (not a full rustc lexer):
@@ -51,13 +51,12 @@ pub enum TokKind {
     DocComment,
 }
 
-/// One token. `line`/`col` are 1-based and refer to the first byte.
+/// One token. `line` is 1-based and refers to the first byte.
 #[derive(Debug, Clone, Copy)]
 pub struct Tok<'a> {
     pub kind: TokKind,
     pub text: &'a str,
     pub line: u32,
-    pub col: u32,
 }
 
 impl Tok<'_> {
@@ -83,7 +82,6 @@ struct Lexer<'a> {
     bytes: &'a [u8],
     pos: usize,
     line: u32,
-    col: u32,
 }
 
 impl<'a> Lexer<'a> {
@@ -91,14 +89,9 @@ impl<'a> Lexer<'a> {
         *self.bytes.get(self.pos + ahead).unwrap_or(&0)
     }
 
-    /// Advance one byte, tracking line/col.
+    /// Advance one byte, tracking the line.
     fn bump(&mut self) {
-        if self.peek(0) == b'\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
-        }
+        self.line += u32::from(self.peek(0) == b'\n');
         self.pos += 1;
     }
 
@@ -129,7 +122,6 @@ pub fn lex(src: &str) -> Vec<Tok<'_>> {
         bytes: src.as_bytes(),
         pos: 0,
         line: 1,
-        col: 1,
     };
     let mut out = Vec::new();
     while lx.pos < lx.bytes.len() {
@@ -138,7 +130,7 @@ pub fn lex(src: &str) -> Vec<Tok<'_>> {
             lx.bump();
             continue;
         }
-        let (start, line, col) = (lx.pos, lx.line, lx.col);
+        let (start, line) = (lx.pos, lx.line);
         let kind = match b {
             b'/' if lx.peek(1) == b'/' => lex_line_comment(&mut lx),
             b'/' if lx.peek(1) == b'*' => lex_block_comment(&mut lx),
@@ -161,7 +153,6 @@ pub fn lex(src: &str) -> Vec<Tok<'_>> {
             kind,
             text: lx.slice(start),
             line,
-            col,
         });
     }
     out
@@ -493,12 +484,11 @@ mod tests {
     }
 
     #[test]
-    fn spans_track_lines_and_columns() {
+    fn spans_track_lines() {
         let ts = lex("ab cd\n  ef\n\"x\ny\" gh");
         let find = |name: &str| ts.iter().find(|t| t.text == name).unwrap();
-        assert_eq!((find("ab").line, find("ab").col), (1, 1));
-        assert_eq!((find("cd").line, find("cd").col), (1, 4));
-        assert_eq!((find("ef").line, find("ef").col), (2, 3));
+        assert_eq!((find("ab").line, find("cd").line), (1, 1));
+        assert_eq!(find("ef").line, 2);
         // Token after a multi-line string lands on the string's last line.
         assert_eq!(find("gh").line, 4);
         let s = ts.iter().find(|t| t.kind == TokKind::Str).unwrap();

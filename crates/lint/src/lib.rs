@@ -19,7 +19,7 @@
 //! loop bound can make one rank skip or repeat a blocking collective the
 //! others enter. [`graph`] is the one front end under both: each file
 //! lexed once, one function table, one resolved call graph
-//! ([`graph::Workspace`]).
+//! ([`graph::Workspace`]). A pass runs on two threads (see [`graph`]).
 //!
 //! Runs two ways:
 //!
@@ -210,16 +210,20 @@ fn json_escape(s: &str) -> String {
 /// whole-program analysis honored are reconciled here: a pragma that
 /// suppressed a flow source or a collective-divergence finding is not
 /// "unused" even when no per-file rule fired on its line. Everything
-/// runs over one [`graph::Workspace`], so each file is lexed once.
+/// runs over one [`graph::Workspace`], so each file is lexed once;
+/// [`uniform`] runs on a second thread beside [`flow`] and the rules.
 fn workspace_findings(
     sources: &[(String, String)],
 ) -> (Vec<Finding>, flow::FlowReport, uniform::UniformReport) {
     let ws = graph::Workspace::build(sources);
-    let fl = flow::analyze_ws(&ws, flow::WORKSPACE_SINKS);
-    let un = uniform::analyze_ws(&ws);
+    let flow_then_rules = || {
+        let fl = flow::analyze_ws(&ws, flow::WORKSPACE_SINKS);
+        let per_file: Vec<_> = ws.files.iter().map(rules::analyze_ctx).collect();
+        (fl, per_file)
+    };
+    let (un, (fl, per_file)) = side_by_side(|| uniform::analyze_ws(&ws), flow_then_rules);
     let mut findings = Vec::new();
-    for ctx in &ws.files {
-        let fa = rules::analyze_ctx(ctx);
+    for (ctx, fa) in ws.files.iter().zip(per_file) {
         findings.extend(fa.findings.into_iter().filter(|f| {
             f.rule != rules::UNUSED_PRAGMA
                 || (!fl.used_allow.contains(&(f.rel_path.clone(), f.line))
@@ -239,6 +243,21 @@ fn workspace_findings(
     findings.extend(fl.findings.iter().cloned());
     findings.extend(un.findings.iter().cloned());
     (findings, fl, un)
+}
+
+/// Run `helper` on a scoped thread while this thread runs `caller`, and
+/// return what each computed. A panic on the helper re-raises here with
+/// its own payload.
+pub(crate) fn side_by_side<A: Send, B>(
+    helper: impl FnOnce() -> A + Send,
+    caller: impl FnOnce() -> B,
+) -> (A, B) {
+    std::thread::scope(|s| {
+        let h = s.spawn(helper);
+        let mine = caller();
+        let theirs = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+        (theirs, mine)
+    })
 }
 
 /// Lint every scanned source against the checked-in baseline.
@@ -334,6 +353,20 @@ mod tests {
         let good = include_str!("../tests/fixtures/clean.rs");
         let findings = analyze("crates/des/src/clean.rs", good);
         assert!(findings.is_empty(), "{findings:?}");
+    }
+
+    #[test]
+    fn side_by_side_returns_both_sides_and_re_raises_the_helpers_panic() {
+        assert_eq!(side_by_side(|| 'h', || 'c'), ('h', 'c'));
+        let helper_panics = || side_by_side(|| panic!("helper fell over"), || 'c');
+        let payload = std::panic::catch_unwind(helper_panics).unwrap_err();
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"helper fell over"));
+    }
+
+    #[test]
+    fn a_pass_over_the_live_tree_renders_the_same_bytes_twice() {
+        let json = || lint_workspace(&workspace_root()).unwrap().render_json();
+        assert_eq!(json(), json());
     }
 
     #[test]

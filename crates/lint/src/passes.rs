@@ -59,8 +59,8 @@ pub struct FileCtx<'a> {
     /// Parsed non-doc pragmas, in source order.
     pub pragmas: Vec<Pragma>,
     /// For each closer token index, the opener index (and vice versa);
-    /// `usize::MAX` elsewhere.
-    partner: Vec<usize>,
+    /// `u32::MAX` elsewhere.
+    partner: Vec<u32>,
 }
 
 impl<'a> FileCtx<'a> {
@@ -82,18 +82,18 @@ impl<'a> FileCtx<'a> {
                 code.push(t);
             }
         }
-        let partner = match_brackets(&code);
-        let in_test = cfg_test_flags(&code, &partner);
         let pragmas = parse_pragmas(&comments, &lines_with_code);
-        FileCtx {
+        let mut ctx = FileCtx {
             rel_path,
             scope: classify(rel_path),
+            partner: match_brackets(&code),
             code,
             comments,
-            in_test,
+            in_test: Vec::new(),
             pragmas,
-            partner,
-        }
+        };
+        ctx.in_test = cfg_test_flags(&ctx);
+        ctx
     }
 
     /// Token text at `i` (empty past the end).
@@ -135,10 +135,8 @@ impl<'a> FileCtx<'a> {
 
     /// Matching bracket for opener/closer token `i`, if balanced.
     pub fn bracket_partner(&self, i: usize) -> Option<usize> {
-        match self.partner.get(i) {
-            Some(&p) if p != usize::MAX => Some(p),
-            _ => None,
-        }
+        let p = *self.partner.get(i)?;
+        (p != u32::MAX).then_some(p as usize)
     }
 
     /// Skip a turbofish `::<…>` starting at `i`; returns the index after
@@ -270,8 +268,8 @@ fn has_code(lines_with_code: &[bool], l: usize) -> bool {
 }
 
 /// Opener/closer partner indices over `()`, `[]`, `{}`.
-fn match_brackets(code: &[Tok<'_>]) -> Vec<usize> {
-    let mut partner = vec![usize::MAX; code.len()];
+fn match_brackets(code: &[Tok<'_>]) -> Vec<u32> {
+    let mut partner = vec![u32::MAX; code.len()];
     let mut stack: Vec<(usize, &str)> = Vec::new();
     for (i, t) in code.iter().enumerate() {
         match t.text {
@@ -285,8 +283,8 @@ fn match_brackets(code: &[Tok<'_>]) -> Vec<usize> {
                 if let Some(&(open, otext)) = stack.last() {
                     if otext == want {
                         stack.pop();
-                        partner[i] = open;
-                        partner[open] = i;
+                        partner[i] = open as u32;
+                        partner[open] = i as u32;
                     }
                 }
             }
@@ -299,7 +297,8 @@ fn match_brackets(code: &[Tok<'_>]) -> Vec<usize> {
 /// Per-token flag: inside a `#[cfg(test)]`-gated item. Tracks the
 /// outermost gated region by brace depth; `#[cfg(test)] mod x;` (no
 /// braces before the `;`) gates nothing in this file.
-fn cfg_test_flags(code: &[Tok<'_>], partner: &[usize]) -> Vec<bool> {
+fn cfg_test_flags(ctx: &FileCtx<'_>) -> Vec<bool> {
+    let code = &ctx.code;
     let mut flags = vec![false; code.len()];
     let mut i = 0;
     while i < code.len() {
@@ -321,12 +320,12 @@ fn cfg_test_flags(code: &[Tok<'_>], partner: &[usize]) -> Vec<bool> {
         while j < code.len() {
             match code[j].text {
                 "{" => {
-                    end = partner.get(j).copied().filter(|&p| p != usize::MAX);
+                    end = ctx.bracket_partner(j);
                     break;
                 }
                 ";" => break,
                 // Skip nested groups in signatures/attributes.
-                "(" | "[" => match partner.get(j).copied().filter(|&p| p != usize::MAX) {
+                "(" | "[" => match ctx.bracket_partner(j) {
                     Some(p) => j = p,
                     None => break,
                 },

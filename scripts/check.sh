@@ -61,13 +61,21 @@ cargo test -q --release -p hyades-des -p hyades-arctic -p hyades-startx -p hyade
 # One core is the adversarial schedule for a wait that polls: every rank
 # a waiter needs is behind it on the same run queue, and a policy that
 # forgot to yield would crawl there instead of failing. It is also the
-# schedule on which a helper thread — the coupled step's, or a split
-# tile's other band — cannot run beside the caller, and the coupler's
-# and the bands' bit-identity tests must pass there too.
+# schedule on which a helper thread — the coupled step's, a split
+# tile's other band, or the analyser's second side — cannot run beside
+# the caller, and the coupler's, the bands' and the analyser's
+# bit-identity tests must pass there too, as must its report.
 if command -v taskset > /dev/null; then
-    echo "==> cargo test -q --release, pinned to one core: comms world::, gcm coupler and bands"
+    echo "==> cargo test -q --release, pinned to one core: comms world::, gcm coupler and bands, hyades-lint"
     taskset -c 0 cargo test -q --release -p hyades-comms world::
     taskset -c 0 cargo test -q --release -p hyades-gcm -- coupler band set_up
+    taskset -c 0 cargo test -q --release -p hyades-lint
+    taskset -c 0 cargo run -q -p hyades-lint -- --json > target/lint-report-one-core.json
+    if ! cmp target/lint-report.json target/lint-report-one-core.json; then
+        echo "hyades-lint's report pinned to one core differs from target/lint-report.json"
+        exit 1
+    fi
+    echo "    hyades-lint --json pinned to one core: identical to target/lint-report.json"
 fi
 
 echo "==> ignored tests, release: fault-plan seed sweep (2000 plan seeds x 6 exchange shapes and 4 gsum sizes), paper grid converges while finite"
@@ -124,10 +132,15 @@ awk '$1 ~ /^comms\.thread_(exchange|gsum)_per_s$/ { printf "    cluster_tour %-3
     target/hbench-cluster_tour-traced.txt
 
 # And from one traced lint pass: the time of each measured analyser
-# stage (`lint.rules_s` is the remainder of the pass, not a stage).
+# stage (`lint.rules_s` is the remainder of the pass, not a stage), the
+# lines a second, and CPU against wall time (above 1 when the pass's
+# second side runs on the second core).
 cargo run --release --offline --quiet --manifest-path hbench/Cargo.toml -- \
     --workload lint_tree --seconds 3 --trace 1 > target/hbench-lint_tree-traced.txt
-awk '$1 ~ /^lint\.(collect|flow|uniform)_s$/ { printf "    lint_tree %-36s %8.4f s\n", $1, $2 }' \
+awk '$1 ~ /^lint\.(collect|flow|uniform)_s$/ { printf "    lint_tree %-36s %8.4f s\n", $1, $2 }
+    $1 == "lint.lines_per_s" { printf "    lint_tree %-36s %8.0f k/s\n", $1, $2 / 1e3 }
+    $1 == "wall_s" { wall = $2 } $1 == "bench.cpu_s" { cpu = $2 }
+    END { if (wall > 0) printf "    lint_tree bench.cpu_s / wall_s             %.3f / %.3f s = %.2f\n", cpu, wall, cpu / wall }' \
     target/hbench-lint_tree-traced.txt
 
 echo "==> tour (the four core::tour runs, one artifact bundle, three verdicts)"
