@@ -64,9 +64,7 @@ impl ResilientRunner {
     /// boundary) and arm the plan.
     pub fn new(model: &CoupledModel, plan: FaultPlan) -> ResilientRunner {
         let mut checkpoint = Vec::new();
-        model
-            .save_checkpoint(&mut checkpoint)
-            .expect("in-memory checkpoint never fails");
+        save_image(model, &mut checkpoint);
         ResilientRunner {
             plan,
             checkpoint,
@@ -112,6 +110,7 @@ impl ResilientRunner {
                     self.stats.replayed_steps += replayed;
                     model
                         .load_checkpoint(&mut self.checkpoint.as_slice())
+                        // lint:allow(unwrap-in-lib, the image was written by save_image from this same pair, so its shapes and trailer match; only a defect can fail here)
                         .expect("in-memory checkpoint restore never fails");
                     atmos_monitor.truncate(to_step);
                     ocean_monitor.truncate(to_step);
@@ -127,10 +126,7 @@ impl ResilientRunner {
                 return false;
             }
             if model.steps_taken().is_multiple_of(model.couple_every) {
-                self.checkpoint.clear();
-                model
-                    .save_checkpoint(&mut self.checkpoint)
-                    .expect("in-memory checkpoint never fails");
+                save_image(model, &mut self.checkpoint);
                 self.checkpoint_step = model.steps_taken();
                 self.stats.checkpoints += 1;
                 telemetry::count("gcm.recovery", "checkpoints", 1);
@@ -144,6 +140,15 @@ impl ResilientRunner {
         }
         true
     }
+}
+
+/// Overwrite `image` with `model`'s checkpoint.
+fn save_image(model: &CoupledModel, image: &mut Vec<u8>) {
+    image.clear();
+    model
+        .save_checkpoint(image)
+        // lint:allow(unwrap-in-lib, writing into a Vec<u8> cannot fail, and the writer is the only source of an io::Error in save_checkpoint)
+        .expect("in-memory checkpoint never fails");
 }
 
 #[cfg(test)]

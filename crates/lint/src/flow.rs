@@ -32,8 +32,7 @@
 //! The one escape hatch is `lint:allow(rule, why)`: on a source line it
 //! removes that source from the catalog (same attribution rules as the
 //! per-file passes), on a sink's `fn` line it waives the sink's
-//! `nondet-reachable` finding. Each counts against the `pragma-allow`
-//! budget in `baseline.txt`.
+//! `nondet-reachable` finding.
 
 use crate::graph::{self, Fixpoint, Workspace};
 use crate::lexer::TokKind;

@@ -26,11 +26,11 @@
 //! * `cargo run -p hyades-lint` — prints `file:line: rule: message`
 //!   diagnostics, exits nonzero on violations (`--json` for a
 //!   machine-readable report, `--summary` for the one-line counts:
-//!   files, violations, effect-table functions, collective sites);
+//!   files, violations, effect-table functions, collective sites,
+//!   reasoned suppressions);
 //! * as a `#[test]` (`tests/lint_gate.rs` in the workspace root), so
 //!   plain `cargo test` enforces the rules in CI.
 
-pub mod baseline;
 pub mod flow;
 pub mod graph;
 pub mod lexer;
@@ -38,7 +38,7 @@ pub mod passes;
 pub mod rules;
 pub mod uniform;
 
-pub use rules::{analyze, analyze_file, Finding};
+pub use rules::{analyze, Finding};
 
 use std::path::{Path, PathBuf};
 
@@ -105,8 +105,9 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 pub struct LintReport {
     /// Hard failures, sorted by path/line.
     pub violations: Vec<Finding>,
-    /// Informational ratchet notes (files now under baseline).
-    pub notes: Vec<String>,
+    /// Every reasoned `lint:allow` in the tree as (file, rule, count),
+    /// sorted: the suppression set `tests/lint_gate.rs` pins.
+    pub allows: Vec<(String, String, usize)>,
     /// Files scanned.
     pub files_scanned: usize,
     /// Functions in the interprocedural effect table ([`flow`]).
@@ -120,14 +121,11 @@ impl LintReport {
         self.violations.is_empty()
     }
 
-    /// Human-readable report body (diagnostics + notes, no summary line).
+    /// Human-readable report body (diagnostics, no summary line).
     pub fn render(&self) -> String {
         let mut s = String::new();
         for v in &self.violations {
             s.push_str(&format!("{v}\n"));
-        }
-        for n in &self.notes {
-            s.push_str(&format!("note: {n}\n"));
         }
         s
     }
@@ -142,16 +140,6 @@ impl LintReport {
         ));
         s.push_str(&format!("  \"effect_fns\": {},\n", self.effect_fns));
         s.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        s.push_str("  \"notes\": [");
-        for (i, n) in self.notes.iter().enumerate() {
-            s.push_str(if i == 0 { "\n" } else { ",\n" });
-            s.push_str(&format!("    \"{}\"", json_escape(n)));
-        }
-        s.push_str(if self.notes.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
         s.push_str("  \"violations\": [");
         for (i, v) in self.violations.iter().enumerate() {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
@@ -177,12 +165,12 @@ impl LintReport {
     /// report. Field order is part of the contract.
     pub fn render_summary(&self) -> String {
         format!(
-            "hyades-lint: files={} violations={} effect-table={} collectives={} notes={}",
+            "hyades-lint: files={} violations={} effect-table={} collectives={} allows={}",
             self.files_scanned,
             self.violations.len(),
             self.effect_fns,
             self.collective_sites,
-            self.notes.len()
+            self.allows.iter().map(|(_, _, n)| n).sum::<usize>()
         )
     }
 }
@@ -203,46 +191,52 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// All workspace findings: per-file rule findings, one synthetic
-/// [`rules::PRAGMA_ALLOW`] finding per valid `lint:allow` pragma (so
-/// the whole suppression set rides the baseline ratchet), plus the
-/// interprocedural [`flow`] and [`uniform`] findings. Pragmas either
-/// whole-program analysis honored are reconciled here: a pragma that
-/// suppressed a flow source or a collective-divergence finding is not
-/// "unused" even when no per-file rule fired on its line. Everything
-/// runs over one [`graph::Workspace`], so each file is lexed once;
-/// [`uniform`] runs on a second thread beside [`flow`] and the rules.
-fn workspace_findings(
-    sources: &[(String, String)],
-) -> (Vec<Finding>, flow::FlowReport, uniform::UniformReport) {
-    let ws = graph::Workspace::build(sources);
+/// Lint every scanned source: per-file rule findings plus the
+/// interprocedural [`flow`] and [`uniform`] findings, and the reasoned
+/// `lint:allow` inventory. Pragmas either whole-program analysis
+/// honored are reconciled here: a pragma that suppressed a flow source
+/// or a collective-divergence finding is not "unused" even when no
+/// per-file rule fired on its line. Everything runs over one
+/// [`graph::Workspace`], so each file is lexed once; [`uniform`] runs on
+/// a second thread beside [`flow`] and the rules.
+pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
+    let sources = collect_sources(root)?;
+    let ws = graph::Workspace::build(&sources);
     let flow_then_rules = || {
         let fl = flow::analyze_ws(&ws, flow::WORKSPACE_SINKS);
         let per_file: Vec<_> = ws.files.iter().map(rules::analyze_ctx).collect();
         (fl, per_file)
     };
     let (un, (fl, per_file)) = side_by_side(|| uniform::analyze_ws(&ws), flow_then_rules);
-    let mut findings = Vec::new();
-    for (ctx, fa) in ws.files.iter().zip(per_file) {
-        findings.extend(fa.findings.into_iter().filter(|f| {
+    let mut violations = Vec::new();
+    for findings in per_file {
+        violations.extend(findings.into_iter().filter(|f| {
             f.rule != rules::UNUSED_PRAGMA
                 || (!fl.used_allow.contains(&(f.rel_path.clone(), f.line))
                     && !un.used_allow.contains(&(f.rel_path.clone(), f.line)))
         }));
-        for p in &fa.pragmas {
-            if p.valid {
-                findings.push(Finding {
-                    rel_path: ctx.rel_path.to_string(),
-                    line: p.line,
-                    rule: rules::PRAGMA_ALLOW,
-                    message: format!("lint:allow({}) suppression", p.rule),
-                });
+    }
+    violations.extend(fl.findings);
+    violations.extend(un.findings);
+    violations.sort();
+    violations.dedup();
+    let mut allows = std::collections::BTreeMap::new();
+    for ctx in &ws.files {
+        for p in &ctx.pragmas {
+            if p.has_reason && rules::ALL_RULES.contains(&p.rule.as_str()) {
+                *allows.entry((ctx.rel_path, p.rule.as_str())).or_insert(0) += 1;
             }
         }
     }
-    findings.extend(fl.findings.iter().cloned());
-    findings.extend(un.findings.iter().cloned());
-    (findings, fl, un)
+    Ok(LintReport {
+        violations,
+        allows: (allows.into_iter())
+            .map(|((file, rule), n)| (file.to_string(), rule.to_string(), n))
+            .collect(),
+        files_scanned: sources.len(),
+        effect_fns: fl.functions,
+        collective_sites: un.collective_sites,
+    })
 }
 
 /// Run `helper` on a scoped thread while this thread runs `caller`, and
@@ -258,50 +252,6 @@ pub(crate) fn side_by_side<A: Send, B>(
         let theirs = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
         (theirs, mine)
     })
-}
-
-/// Lint every scanned source against the checked-in baseline.
-pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
-    let sources = collect_sources(root)?;
-    let files_scanned = sources.len();
-    let (findings, fl, un) = workspace_findings(&sources);
-
-    let baseline_path = root.join(baseline_file());
-    let baseline = if baseline_path.is_file() {
-        baseline::parse(&std::fs::read_to_string(&baseline_path)?).map_err(|e| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("{}: {e}", baseline_path.display()),
-            )
-        })?
-    } else {
-        baseline::Baseline::new()
-    };
-    let (mut violations, notes) = baseline::apply(findings, &baseline);
-    violations.sort();
-    violations.dedup();
-    Ok(LintReport {
-        violations,
-        notes,
-        files_scanned,
-        effect_fns: fl.functions,
-        collective_sites: un.collective_sites,
-    })
-}
-
-/// Workspace-relative location of the baseline file.
-pub fn baseline_file() -> &'static str {
-    "crates/lint/baseline.txt"
-}
-
-/// Recompute the baseline from the current tree and write it out.
-/// Returns the number of (file, rule) entries.
-pub fn write_baseline(root: &Path) -> std::io::Result<usize> {
-    let sources = collect_sources(root)?;
-    let (findings, _, _) = workspace_findings(&sources);
-    let b = baseline::from_findings(&findings);
-    std::fs::write(root.join(baseline_file()), baseline::render(&b))?;
-    Ok(b.len())
 }
 
 #[cfg(test)]
@@ -378,7 +328,7 @@ mod tests {
                 rule: rules::UNSEEDED_RNG,
                 message: "say \"no\"".into(),
             }],
-            notes: vec!["a note".into()],
+            allows: vec![("crates/x/src/a.rs".into(), "unwrap-in-lib".into(), 2)],
             files_scanned: 2,
             effect_fns: 41,
             collective_sites: 7,
@@ -389,7 +339,7 @@ mod tests {
         assert!(json.contains("\"collective_sites\": 7"));
         assert_eq!(
             report.render_summary(),
-            "hyades-lint: files=2 violations=1 effect-table=41 collectives=7 notes=1"
+            "hyades-lint: files=2 violations=1 effect-table=41 collectives=7 allows=2"
         );
         assert!(json.contains("\\\"no\\\""));
         assert!(json.contains("\"rule\": \"unseeded-rng\""));

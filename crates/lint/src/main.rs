@@ -1,15 +1,14 @@
-//! `cargo run -p hyades-lint [-- --write-baseline | --json | --summary]`
+//! `cargo run -p hyades-lint [-- --json | --summary]`
 //!
 //! Lints the workspace sources and exits nonzero on violations.
 //!
 //! * `--json` — emit the report as one stable-sorted JSON object
 //!   (machine-readable CI diffs);
 //! * `--summary` — print one stable `hyades-lint: files=N violations=N
-//!   effect-table=N collectives=N notes=N` line; together with `--json`
-//!   the JSON goes to stdout and this line to stderr, so one run feeds
-//!   both consumers (`scripts/check.sh`);
-//! * `--write-baseline` — regenerate `crates/lint/baseline.txt` from the
-//!   current tree (ratchets the unwrap-in-lib and pragma budgets).
+//!   effect-table=N collectives=N allows=N` line (`allows` counts the
+//!   reasoned `lint:allow` suppressions in the tree); together with
+//!   `--json` the JSON goes to stdout and this line to stderr, so one
+//!   run feeds both consumers (`scripts/check.sh`).
 
 use std::process::ExitCode;
 
@@ -17,26 +16,13 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let root = hyades_lint::workspace_root();
 
-    const KNOWN: &[&str] = &["--write-baseline", "--json", "--summary"];
+    const KNOWN: &[&str] = &["--json", "--summary"];
     if let Some(unknown) = args.iter().find(|a| !KNOWN.contains(&a.as_str())) {
         eprintln!(
             "hyades-lint: unknown argument `{unknown}` (accepted: {})",
             KNOWN.join(", ")
         );
         return ExitCode::FAILURE;
-    }
-
-    if args.iter().any(|a| a == "--write-baseline") {
-        match hyades_lint::write_baseline(&root) {
-            Ok(n) => {
-                println!("wrote {} with {n} entries", hyades_lint::baseline_file());
-                return ExitCode::SUCCESS;
-            }
-            Err(e) => {
-                eprintln!("hyades-lint: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
     }
 
     let json = args.iter().any(|a| a == "--json");

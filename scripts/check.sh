@@ -26,7 +26,9 @@ echo "==> hyades-lint (determinism & numerical-correctness rules)"
 mkdir -p target
 # One run, two renderings: the JSON report on stdout, the stable
 # machine-readable summary line (files=N violations=N effect-table=N
-# collectives=N notes=N) on stderr.
+# collectives=N allows=N) on stderr. `allows` counts the reasoned
+# lint:allow suppressions in the tree (tests/lint_gate.rs pins the set),
+# so the line echoed below keeps that count in every run's log.
 if ! cargo run -q -p hyades-lint -- --json --summary \
     > target/lint-report.json 2> target/lint-summary.txt; then
     cat target/lint-report.json target/lint-summary.txt
