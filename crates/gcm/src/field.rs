@@ -106,11 +106,8 @@ impl<'a> Band<'a> {
     /// The rows of the interior extended by `ext` rings (`-ext..ny + ext`)
     /// that this band holds; empty when it holds none of them.
     pub(crate) fn rows(&self, ext: i64) -> Range<i64> {
-        // `i64::max`, not `.max`: `hyades-lint` resolves a method on a
-        // receiver it cannot type by name (DESIGN §11), and the rows a
-        // kernel sweeps must not look rank-dependent to it.
-        let start = i64::max(self.js.start, -ext);
-        start..i64::max(start, i64::min(self.js.end, self.ny as i64 + ext))
+        let start = self.js.start.max(-ext);
+        start..start.max(self.js.end.min(self.ny as i64 + ext))
     }
 
     /// Cut the band at row `mid`: it keeps the rows below, and the rows

@@ -143,10 +143,7 @@ pub(crate) fn implicit_vertical_diffusion_rows(
                 here[i] = select(in_column(k, kmax[i]), x, here[i]);
             }
         }
-        // `nz ≥ 2` wherever there are factors. (`nz.saturating_sub(1)`
-        // would do no more, and `hyades-lint` resolves it to a workspace
-        // method: DESIGN §11.)
-        for k in (0..nz - 1).rev() {
+        for k in (0..nz.saturating_sub(1)).rev() {
             let (below, here) = cols.pair(&mut field, j, k + 1, k);
             for i in 0..n {
                 let x = here[i] - cp[k] * below[i];

@@ -22,7 +22,10 @@
 //! falling back to *every* same-named method when the type is unknown
 //! (sound for dynamic dispatch). Test scope (`tests/`, `#[cfg(test)]`)
 //! is never a callee of non-test code, and a function is never its own
-//! candidate.
+//! candidate. Where a call's argument list can be counted (see
+//! [`CallSite::args`]), a candidate with another number of parameters
+//! is dropped, so an iterator's `.collect()` no longer reaches a
+//! two-parameter workspace `collect`.
 
 use crate::lexer::TokKind;
 use crate::passes::FileCtx;
@@ -163,6 +166,31 @@ pub fn body_open(ctx: &FileCtx<'_>, start: usize) -> Option<usize> {
 pub(crate) fn call_open(ctx: &FileCtx<'_>, i: usize) -> Option<usize> {
     let open = ctx.skip_turbofish(i + 1);
     ctx.is(open, "(").then_some(open)
+}
+
+/// The number of arguments in the list opening at `open`, when the
+/// tokens tell it: a closure's `|a, b|` or a turbofish's `::<A, B>` has
+/// commas of its own, so a `|` or `<` at the list's top level makes the
+/// count unknown.
+fn arg_count(ctx: &FileCtx<'_>, open: usize) -> Option<usize> {
+    let close = ctx.bracket_partner(open)?;
+    let mut commas = 0;
+    let mut k = open + 1;
+    while k < close {
+        match ctx.text(k) {
+            "|" | "||" | "<" | "<<" => return None,
+            "," => commas += 1,
+            "(" | "[" | "{" => k = ctx.bracket_partner(k)?,
+            _ => {}
+        }
+        k += 1;
+    }
+    let trailing = ctx.is(close - 1, ",");
+    Some(if close == open + 1 {
+        0
+    } else {
+        commas + 1 - usize::from(trailing)
+    })
 }
 
 /// Locally inferred receiver types: variable → type name.
@@ -402,6 +430,10 @@ pub struct CallSite<'a> {
     /// The innermost enclosing function.
     pub caller: usize,
     pub call: RawCall<'a>,
+    /// Arguments passed, the receiver of a `recv.name(..)` call counted
+    /// as the first, so it compares with a definition's parameter count
+    /// `self` included; `None` when the list cannot be counted.
+    pub args: Option<usize>,
     /// Candidate callees, as indices into [`Workspace::fns`].
     pub cands: Vec<usize>,
 }
@@ -437,7 +469,7 @@ impl<'a> Workspace<'a> {
         let (resolver, files, fns) = (Resolver::new(&ws.fns), &ws.files, &ws.fns);
         let resolve = |sites: &mut [CallSite<'a>]| {
             for site in sites {
-                site.cands = resolver.candidates(files, fns, site.caller, &site.call);
+                site.cands = resolver.candidates(files, fns, site);
             }
         };
         let mid = ws.calls.len() / 2;
@@ -664,12 +696,16 @@ fn walk_file<'a>(
                     }
                     if t.text == "let" {
                         record_let(ctx, i, locals);
-                    } else if !KEYWORDS.contains(&t.text) && call_open(ctx, i).is_some() {
+                    } else if let Some(open) =
+                        call_open(ctx, i).filter(|_| !KEYWORDS.contains(&t.text))
+                    {
+                        let receiver = usize::from(i >= 1 && ctx.is(i - 1, "."));
                         calls.push(CallSite {
                             file,
                             tok: i,
                             caller: *fid,
                             call: classify_call(ctx, i, f.self_ty, locals),
+                            args: arg_count(ctx, open).map(|n| n + receiver),
                             cands: Vec::new(),
                         });
                     }
@@ -713,17 +749,17 @@ impl<'a> Resolver<'a> {
         r
     }
 
-    /// Candidate callees for `call` made from `caller`.
+    /// Candidate callees for the call `site`.
     fn candidates(
         &self,
         files: &[FileCtx<'a>],
         fns: &[FnRec<'a>],
-        caller: usize,
-        call: &RawCall<'a>,
+        site: &CallSite<'a>,
     ) -> Vec<usize> {
+        let caller = site.caller;
         let crate_of = |f: usize| files[fns[f].file].scope.crate_name.as_deref();
         let narrowed: Vec<usize>;
-        let cands: &[usize] = match *call {
+        let cands: &[usize] = match site.call {
             RawCall::Free { name } => {
                 let all = ids(&self.free_by_name, &name);
                 let same_file = |&c: &usize| fns[c].file == fns[caller].file;
@@ -769,10 +805,11 @@ impl<'a> Resolver<'a> {
             }
         };
         let caller_test = fns[caller].is_test;
+        let arity = |c: usize| site.args.is_none_or(|n| fns[c].params.len() == n);
         cands
             .iter()
             .copied()
-            .filter(|&c| c != caller && (caller_test || !fns[c].is_test))
+            .filter(|&c| c != caller && (caller_test || !fns[c].is_test) && arity(c))
             .collect()
     }
 }
@@ -822,7 +859,7 @@ mod reference {
         let resolver = Resolver::new(&fns);
         let mut callees: Vec<Vec<usize>> = vec![Vec::new(); fns.len()];
         for site in &mut calls {
-            site.cands = resolver.candidates(&files, &fns, site.caller, &site.call);
+            site.cands = resolver.candidates(&files, &fns, site);
             callees[site.caller].extend(&site.cands);
         }
         let mut callers: Vec<Vec<usize>> = vec![Vec::new(); fns.len()];
@@ -1061,6 +1098,64 @@ mod tests {
         let site = ws.calls.iter().find(|c| c.caller == run).unwrap();
         assert_eq!(ws.call_at(0, site.tok).map(|c| c.tok), Some(site.tok));
         assert!(ws.call_at(0, ws.fns[run].name_idx).is_none());
+    }
+
+    #[test]
+    fn arguments_are_counted_only_where_the_list_is_unambiguous() {
+        let count = |src: &str| {
+            let ctx = FileCtx::new("crates/a/src/lib.rs", src);
+            let open = (0..ctx.code.len()).find(|&k| ctx.is(k, "(")).unwrap();
+            arg_count(&ctx, open)
+        };
+        assert_eq!(count("f()"), Some(0));
+        assert_eq!(count("f(a, g(b, c), [d, e], S { x, y }, (p, q))"), Some(5));
+        // A trailing comma ends the list; it does not start an argument.
+        assert_eq!(count("f(a, b,)"), Some(2));
+        assert_eq!(count("f(\n    a,\n    b,\n)"), Some(2));
+        // A closure's parameters and a turbofish's types carry commas.
+        assert_eq!(count("f(|a, b| a + b, c)"), None);
+        assert_eq!(count("f(|| 1)"), None);
+        assert_eq!(count("f(g::<A, B>(x))"), None);
+        assert_eq!(count("f(<T as Tr>::g(x), y)"), None);
+        // Nested, they are inside an argument and count as it.
+        assert_eq!(count("f(g(|a, b| a), h::<A, B>())"), None);
+        assert_eq!(count("f((|a, b| a)(1, 2), [0; 3])"), Some(2));
+    }
+
+    #[test]
+    fn a_candidate_with_another_parameter_count_is_dropped() {
+        let src = "struct Census;\n\
+             impl Census {\n\
+                 fn collect(&self, scale: usize) -> usize { scale }\n\
+                 fn tally(&self) -> usize { self.collect(2) }\n\
+             }\n\
+             fn gather(xs: &[u8], c: Census) -> usize {\n\
+                 let v = xs.iter().collect::<Vec<_>>();\n\
+                 let w: Vec<u8> = xs.iter().map(|x| x + 1).collect();\n\
+                 let n = c.collect(|a, b| a);\n\
+                 Census::collect(&c, 3) + Census::collect(&c) + v.len()\n\
+             }\n";
+        let srcs = sources(&[("crates/a/src/lib.rs", src)]);
+        let ws = Workspace::build(&srcs);
+        let collect = ws.fns.iter().position(|f| f.name == "collect").unwrap();
+        let sites: Vec<(Option<usize>, Vec<usize>)> = (ws.calls.iter())
+            .filter(|c| ws.files[0].text(c.tok) == "collect")
+            .map(|c| (c.args, c.cands.clone()))
+            .collect();
+        assert_eq!(
+            sites,
+            vec![
+                // `self` is the receiver's slot: one argument is two.
+                (Some(2), vec![collect]),
+                // An iterator's `.collect()`: one slot, never `Census`'s.
+                (Some(1), vec![]),
+                (Some(1), vec![]),
+                // Uncountable: every same-named method stays.
+                (None, vec![collect]),
+                (Some(2), vec![collect]),
+                (Some(1), vec![]),
+            ]
+        );
     }
 
     #[test]
