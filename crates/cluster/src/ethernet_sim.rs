@@ -89,6 +89,8 @@ pub struct SwitchActor {
     /// its output port.
     pub forward_latency: SimDuration,
     ports: Vec<OutPort>,
+    /// Each port's sampler label, made on the first sample.
+    labels: Vec<String>,
 }
 
 impl SwitchActor {
@@ -139,10 +141,12 @@ impl SwitchActor {
         if !sampler::installed() {
             return;
         }
+        if self.labels.is_empty() {
+            self.labels = (0..self.ports.len()).map(|i| format!("p{i}")).collect();
+        }
         let now = ctx.now();
-        for (i, q) in self.ports.iter().enumerate() {
-            let entity = format!("p{i}");
-            sampler::record("ether.link", &entity, "occ", now, q.queue.len() as f64);
+        for (q, entity) in self.ports.iter().zip(&self.labels) {
+            sampler::record("ether.link", entity, "occ", now, q.queue.len() as f64);
         }
     }
 }
@@ -195,6 +199,7 @@ impl EthernetSim {
             // A contemporary store-and-forward switch forwarding decision.
             forward_latency: SimDuration::from_us_f64(5.0),
             ports,
+            labels: Vec::new(),
         });
         EthernetSim {
             switch,
