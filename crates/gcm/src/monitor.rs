@@ -31,7 +31,7 @@ use crate::field::{Field2, Field3};
 use crate::grid::GRAVITY;
 use hyades_comms::CommWorld;
 use hyades_telemetry::diag::{DiagRow, DiagSeries};
-use hyades_telemetry::{self as telemetry, flight};
+use hyades_telemetry::{self as telemetry, flight, prom::fixed};
 use std::fmt::Write as _;
 
 /// Prognostic fields in blame order: a non-finite value is attributed to
@@ -92,10 +92,6 @@ impl BlowupReport {
         out.push_str(&self.snapshot);
         out
     }
-}
-
-fn fixed(v: f64) -> String {
-    telemetry::prom::fixed(v)
 }
 
 /// Pack an owner location into a reduction tag: rank(19b) above

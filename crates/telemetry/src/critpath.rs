@@ -36,7 +36,7 @@
 //! before a step's communication if they are to be attributed.
 
 use crate::commlog::Stamped;
-use crate::export::{matched_flows, FlowEvent};
+use crate::export::{matched_flows, FlowEvent, Us};
 use crate::matcher::{self, Executed, MatchError};
 use crate::recorder::Phase;
 use std::collections::BTreeMap;
@@ -206,11 +206,6 @@ fn phase_order(p: Phase) -> u8 {
         Phase::Ds => 1,
         Phase::Outside => 2,
     }
-}
-
-/// Integer picoseconds rendered as exact microseconds.
-fn us(ps: u64) -> String {
-    format!("{}.{:06}", ps / 1_000_000, ps % 1_000_000)
 }
 
 /// Reconstruct the event DAG from stamped per-rank logs and compute the
@@ -626,7 +621,7 @@ impl CritPath {
             "critical path: {} ranks, {} ops, {} messages, {} reductions, {} steps",
             self.ranks, self.ops, self.messages, self.reductions, self.steps
         );
-        let _ = writeln!(out, "total path: {} us", us(self.total_path_ps));
+        let _ = writeln!(out, "total path: {} us", Us(self.total_path_ps));
 
         let _ = writeln!(out, "\n[per-step critical path]");
         let _ = writeln!(
@@ -644,9 +639,9 @@ impl CritPath {
                 out,
                 "  {:<6} {:>16} {:<12} {:>16} {:>6.1}%",
                 s.step,
-                us(s.path_ps),
+                Us(s.path_ps).to_string(),
                 format!("r{}/{}", s.dominant_rank, phase_label(s.dominant_phase)),
-                us(s.dominant_ps),
+                Us(s.dominant_ps).to_string(),
                 share
             );
         }
@@ -693,7 +688,7 @@ impl CritPath {
                 "  r{rank} {:<8} {}  {} us ({} hops)",
                 phase_label([Phase::Ps, Phase::Ds, Phase::Outside][domp as usize]),
                 steps,
-                us(dur),
+                Us(dur),
                 count
             );
             i = j;
@@ -714,8 +709,8 @@ impl CritPath {
                 out,
                 "  {:<6} {:>16} {:>16} {:>14}",
                 r.rank,
-                us(r.slack_ps),
-                us(r.on_path_ps),
+                Us(r.slack_ps).to_string(),
+                Us(r.on_path_ps).to_string(),
                 r.on_path_hops
             );
         }
@@ -738,7 +733,7 @@ impl CritPath {
                 a.rank,
                 phase_label(a.phase),
                 a.kind,
-                us(a.path_ps),
+                Us(a.path_ps).to_string(),
                 a.hops,
                 share
             );
@@ -760,8 +755,8 @@ impl CritPath {
                 e.step,
                 format!("r{}->r{}", e.src, e.dst),
                 e.words,
-                us(e.wire_ps),
-                us(e.wait_ps)
+                Us(e.wire_ps).to_string(),
+                Us(e.wait_ps).to_string()
             );
         }
         let wire_total: u64 = self.cross_edges.iter().map(|e| e.wire_ps).sum();
@@ -771,8 +766,8 @@ impl CritPath {
             "  total: {} edges, wire {} us, wait {} us (wire from the interconnect \
              point-to-point model; wait is schedule stall beyond the charged op cost)",
             self.cross_edges.len(),
-            us(wire_total),
-            us(wait_total)
+            Us(wire_total),
+            Us(wait_total)
         );
         out
     }
@@ -789,7 +784,7 @@ impl CritPath {
             self.messages,
             self.reductions,
             self.steps,
-            us(self.total_path_ps)
+            Us(self.total_path_ps)
         );
         out.push_str(",\"per_step\":[");
         for (i, s) in self.step_rows.iter().enumerate() {
@@ -800,7 +795,7 @@ impl CritPath {
                 out,
                 "{{\"step\":{},\"path_us\":{},\"dominant\":\"r{}/{}\"}}",
                 s.step,
-                us(s.path_ps),
+                Us(s.path_ps),
                 s.dominant_rank,
                 phase_label(s.dominant_phase)
             );
@@ -810,7 +805,7 @@ impl CritPath {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{}", us(r.slack_ps));
+            let _ = write!(out, "{}", Us(r.slack_ps));
         }
         out.push(']');
         match self.blame() {
@@ -829,8 +824,8 @@ impl CritPath {
             out,
             ",\"cross_edges\":{},\"wire_us\":{},\"wait_us\":{}}}}}",
             self.cross_edges.len(),
-            us(wire_total),
-            us(wait_total)
+            Us(wire_total),
+            Us(wait_total)
         );
         out
     }

@@ -307,8 +307,9 @@ fn comma(out: &mut String, first: &mut bool) {
     }
 }
 
-/// Integer picoseconds rendered as a microsecond JSON number, exactly.
-struct Us(u64);
+/// Integer picoseconds rendered as exact microseconds (a JSON number).
+/// It writes no padding: render it `to_string()` under a width.
+pub(crate) struct Us(pub(crate) u64);
 
 impl fmt::Display for Us {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
