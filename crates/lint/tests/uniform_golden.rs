@@ -44,3 +44,13 @@ fn guarded_fixture_witness_chain_is_exact() {
         f.message
     );
 }
+
+/// Every reasoned pragma covering a site is used, as in the per-file
+/// rules: both of `paired`'s, `above_code`'s, and neither of the two
+/// that cover no branch line.
+#[test]
+fn every_pragma_covering_a_site_is_used() {
+    let report = uniform::analyze(&common::fixture("uniform", "pragma_pair.rs").input());
+    let lines: Vec<usize> = report.used_allow.iter().map(|(_, line)| *line).collect();
+    assert_eq!(lines, vec![6, 7, 13]);
+}
