@@ -184,14 +184,14 @@ awk '/^\[E[0-9]+\]/ { section = $1 }
 # each other file's lines from the first line that starts with
 # `#[cfg(test)]` on; the closing `workspace` row sums the crates and
 # counts them.
-echo "==> line ledger (crate: total lines, of which tests)"
+echo "==> line ledger (crate: total lines, tests, non-test)"
 for crate in crates/*/; do
     find "$crate" -name '*.rs' -exec awk -v crate="$(basename "$crate")" '
         FNR == 1 { in_tests = (FILENAME ~ /\/tests\//) }
         /^[ \t]*#\[cfg\(test\)\]/ { in_tests = 1 }
         { total++; tests += in_tests }
-        END { printf "    %-10s %6d %6d\n", crate, total, tests }' {} +
+        END { printf "    %-10s %6d %6d %6d\n", crate, total, tests, total - tests }' {} +
 done | awk '{ print; crates++; total += $2; tests += $3 }
-    END { printf "    %-10s %6d %6d  (%d crates)\n", "workspace", total, tests, crates }'
+    END { printf "    %-10s %6d %6d %6d  (%d crates)\n", "workspace", total, tests, total - tests, crates }'
 
 echo "All checks passed."
