@@ -97,7 +97,7 @@ impl CoupledModel {
                 } else {
                     0.0 // land: no evaporation
                 };
-                self.atmos.bc.sst.set(i, j, sst_k);
+                self.atmos.bc.sst.set(i, j, 0, sst_k);
 
                 // Atmosphere → ocean: bulk wind stress from the lowest
                 // layer winds.
@@ -107,11 +107,11 @@ impl CoupledModel {
                 self.ocean
                     .bc
                     .taux
-                    .set(i, j, RHO_AIR * CD_MOMENTUM * speed * ua);
+                    .set(i, j, 0, RHO_AIR * CD_MOMENTUM * speed * ua);
                 self.ocean
                     .bc
                     .tauy
-                    .set(i, j, RHO_AIR * CD_MOMENTUM * speed * va);
+                    .set(i, j, 0, RHO_AIR * CD_MOMENTUM * speed * va);
 
                 // Net surface heat flux into the ocean: relaxation toward
                 // the overlying air temperature plus evaporative cooling.
@@ -129,9 +129,9 @@ impl CoupledModel {
                     let evap_mass = RHO_AIR * deficit * self.atmos.cfg.grid.dz[0]
                         / (9.81 * crate::physics::atmos::TAU_EVAP);
                     let q_evap = -L_VAP * evap_mass;
-                    self.ocean.bc.qflux.set(i, j, q_turb + q_evap);
+                    self.ocean.bc.qflux.set(i, j, 0, q_turb + q_evap);
                 } else {
-                    self.ocean.bc.qflux.set(i, j, 0.0);
+                    self.ocean.bc.qflux.set(i, j, 0, 0.0);
                 }
             }
         }
@@ -296,11 +296,11 @@ mod tests {
     fn boundary_conditions_flow_both_ways() {
         let c = small_pair();
         // SST handed to the atmosphere is the ocean's surface θ in K.
-        let sst = c.atmos.bc.sst.at(4, 4);
+        let sst = c.atmos.bc.sst.at(4, 4, 0);
         let expect = c.ocean.state.theta.at(4, 4, 0) + 273.15;
         assert!((sst - expect).abs() < 1e-12);
         // At rest the initial wind stress is zero.
-        assert_eq!(c.ocean.bc.taux.at(4, 4), 0.0);
+        assert_eq!(c.ocean.bc.taux.at(4, 4, 0), 0.0);
     }
 
     #[test]
@@ -342,8 +342,8 @@ mod tests {
         // The radiative forcing spins up winds, which must appear as
         // stress on the ocean.
         let mut max_tau = 0.0f64;
-        for (i, j) in c.ocean.bc.taux.clone().interior() {
-            max_tau = max_tau.max(c.ocean.bc.taux.at(i, j).abs());
+        for (i, j, _) in c.ocean.bc.taux.clone().interior() {
+            max_tau = max_tau.max(c.ocean.bc.taux.at(i, j, 0).abs());
         }
         assert!(max_tau > 0.0, "no momentum flux reached the ocean");
     }
@@ -352,12 +352,12 @@ mod tests {
     fn heat_flux_cools_warm_water_under_cold_air() {
         let mut c = small_pair();
         // Make the ocean much warmer than the air.
-        for (i, j) in c.ocean.state.ps.clone().interior() {
+        for (i, j, _) in c.ocean.state.ps.clone().interior() {
             c.ocean.state.theta.set(i, j, 0, 30.0);
         }
         c.exchange_boundary_conditions();
         // Mid-latitude air is colder than 30 °C water: flux must cool.
-        assert!(c.ocean.bc.qflux.at(8, 4) < 0.0);
+        assert!(c.ocean.bc.qflux.at(8, 4, 0) < 0.0);
     }
 }
 
@@ -639,14 +639,14 @@ mod schedule_tests {
 mod ring_tests {
     use super::tests::small_pair;
     use super::*;
-    use crate::field::Field2;
+    use crate::field::Field3;
     use hyades_comms::SerialWorld;
 
     /// The four sides of the +1 ring: the west and east columns, then the
     /// south and north rows (corners included).
     const SIDES: [&str; 4] = ["west", "east", "south", "north"];
 
-    fn side(f: &Field2, side: &str) -> Vec<(i64, i64)> {
+    fn side(f: &Field3, side: &str) -> Vec<(i64, i64)> {
         let (nx, ny) = (f.nx() as i64, f.ny() as i64);
         match side {
             "west" => (0..ny).map(|j| (-1, j)).collect(),
@@ -665,7 +665,7 @@ mod ring_tests {
         ("qflux", 50.0),
     ];
 
-    fn field<'a>(c: &'a mut CoupledModel, name: &str) -> &'a mut Field2 {
+    fn field<'a>(c: &'a mut CoupledModel, name: &str) -> &'a mut Field3 {
         match name {
             "sst" => &mut c.atmos.bc.sst,
             "taux" => &mut c.ocean.bc.taux,
@@ -702,7 +702,11 @@ mod ring_tests {
             ] {
                 bits.extend(f.interior().map(|(i, j, k)| f.at(i, j, k).to_bits()));
             }
-            bits.extend(st.ps.interior().map(|(i, j)| st.ps.at(i, j).to_bits()));
+            bits.extend(
+                st.ps
+                    .interior()
+                    .map(|(i, j, _)| st.ps.at(i, j, 0).to_bits()),
+            );
         }
         bits
     }
@@ -718,12 +722,12 @@ mod ring_tests {
             let nx = f.nx() as i64;
             for s in SIDES {
                 for (i, j) in side(f, s) {
-                    assert_eq!(f.at(i, j).to_bits(), 0, "{name} at ({i}, {j})");
+                    assert_eq!(f.at(i, j, 0).to_bits(), 0, "{name} at ({i}, {j})");
                 }
             }
             let wrapped = side(f, "east")
                 .iter()
-                .filter(|&&(i, j)| f.at(i % nx, j) != 0.0)
+                .filter(|&&(i, j)| f.at(i % nx, j, 0) != 0.0)
                 .count();
             assert!(wrapped > 0, "{name}: the wrapped interior is zero too");
         }
@@ -746,7 +750,7 @@ mod ring_tests {
                 let mut c = spun_up();
                 let f = field(&mut c, name);
                 for (i, j) in side(f, s) {
-                    f.add(i, j, delta);
+                    f.add(i, j, 0, delta);
                 }
                 c.step(&mut SerialWorld, &mut SerialWorld);
                 if interior_bits(&c) != want {

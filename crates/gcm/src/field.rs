@@ -6,7 +6,9 @@
 //! `0..ny`, the halo extends to `-h..0` and `nx..nx+h`.
 //!
 //! Storage is level-major (`k` slowest), so horizontal stencil sweeps walk
-//! contiguous memory.
+//! contiguous memory. A 2-D field — surface pressure, a column mask, a
+//! coupler boundary field, the elliptic operator — is a `Field3` of one
+//! level, read at level 0.
 //!
 //! Two ways in. `at`/`set` address one cell; their index is checked in
 //! debug builds only, so in a release build an `i` beyond the halo lands
@@ -66,7 +68,7 @@ fn block_span((nx, ny, h): (usize, usize, usize), is: Range<i64>, js: Range<i64>
 }
 
 /// The whole rows `js` of every level of a field, to write: all of them
-/// (`Field2::band`, `Field3::band`), or one of the two disjoint parts
+/// (`Field3::band`), or one of the two disjoint parts
 /// [`split_off`](Band::split_off) cuts a band into. Rows and columns are
 /// addressed as in the field, and a span outside the band panics.
 #[derive(Debug)]
@@ -216,15 +218,6 @@ fn all_finite(xs: &[f64]) -> bool {
     lanes.iter().all(|&s| s == 0.0) && blocks.remainder().iter().all(|x| x.is_finite())
 }
 
-/// A 2-D (single-level) field with halo.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Field2 {
-    nx: usize,
-    ny: usize,
-    h: usize,
-    data: Vec<f64>,
-}
-
 /// A 3-D field with halo in the horizontal only (the vertical dimension
 /// stays within a node, §3.2).
 #[derive(Clone, Debug, PartialEq)]
@@ -234,132 +227,6 @@ pub struct Field3 {
     nz: usize,
     h: usize,
     data: Vec<f64>,
-}
-
-impl Field2 {
-    pub fn new(nx: usize, ny: usize, h: usize) -> Field2 {
-        Field2 {
-            nx,
-            ny,
-            h,
-            data: vec![0.0; (nx + 2 * h) * (ny + 2 * h)],
-        }
-    }
-
-    pub fn nx(&self) -> usize {
-        self.nx
-    }
-    pub fn ny(&self) -> usize {
-        self.ny
-    }
-    pub fn halo(&self) -> usize {
-        self.h
-    }
-
-    #[inline]
-    fn idx(&self, i: i64, j: i64) -> usize {
-        let h = self.h as i64;
-        debug_assert!(
-            i >= -h && i < self.nx as i64 + h && j >= -h && j < self.ny as i64 + h,
-            "index ({i},{j}) outside field with halo {h}"
-        );
-        ((j + h) as usize) * (self.nx + 2 * self.h) + (i + h) as usize
-    }
-
-    #[inline]
-    pub fn at(&self, i: i64, j: i64) -> f64 {
-        self.data[self.idx(i, j)]
-    }
-
-    #[inline]
-    pub fn set(&mut self, i: i64, j: i64, v: f64) {
-        let ix = self.idx(i, j);
-        self.data[ix] = v;
-    }
-
-    #[inline]
-    pub fn add(&mut self, i: i64, j: i64, v: f64) {
-        let ix = self.idx(i, j);
-        self.data[ix] += v;
-    }
-
-    /// Columns `is` of row `j`; halo rows and columns are in range.
-    #[inline]
-    pub fn row(&self, j: i64, is: Range<i64>) -> &[f64] {
-        &self.data[row_span(self.nx, self.ny, self.h, j, is)]
-    }
-
-    #[inline]
-    pub fn row_mut(&mut self, j: i64, is: Range<i64>) -> &mut [f64] {
-        &mut self.data[row_span(self.nx, self.ny, self.h, j, is)]
-    }
-
-    /// Columns `is` of each row in `js` (neither empty), in row order.
-    #[inline]
-    pub fn block_mut(
-        &mut self,
-        is: Range<i64>,
-        js: Range<i64>,
-    ) -> impl Iterator<Item = &mut [f64]> + '_ {
-        block_mut(&mut self.data, (self.nx, self.ny, self.h), is, js)
-    }
-
-    /// Where the whole rows `js` (not empty), halo columns included, lie
-    /// in the storage.
-    #[inline]
-    fn rows_span(&self, js: Range<i64>) -> Range<usize> {
-        let is = -(self.h as i64)..(self.nx + self.h) as i64;
-        block_span((self.nx, self.ny, self.h), is, js)
-    }
-
-    /// The whole rows `js` (not empty) as one slice: cell `(i, j)` is at
-    /// `(j − js.start)·(nx + 2h) + h + i`. For sweeps that address
-    /// several rows of several equally shaped fields with one index.
-    #[inline]
-    pub fn rows(&self, js: Range<i64>) -> &[f64] {
-        &self.data[self.rows_span(js)]
-    }
-
-    #[inline]
-    pub fn rows_mut(&mut self, js: Range<i64>) -> &mut [f64] {
-        let span = self.rows_span(js);
-        &mut self.data[span]
-    }
-
-    /// Every row, to write as a band of one level.
-    pub(crate) fn band(&mut self) -> Band<'_> {
-        Band::new(&mut self.data, (self.nx, self.ny, self.h))
-    }
-
-    pub fn fill(&mut self, v: f64) {
-        self.data.fill(v);
-    }
-
-    /// Interior iterator (excludes halo).
-    pub fn interior(&self) -> impl Iterator<Item = (i64, i64)> + '_ {
-        let nx = self.nx as i64;
-        (0..self.ny as i64).flat_map(move |j| (0..nx).map(move |i| (i, j)))
-    }
-
-    /// Raw storage (tests, serialization).
-    pub fn raw(&self) -> &[f64] {
-        &self.data
-    }
-
-    pub fn raw_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
-    /// Sum over the interior.
-    pub fn interior_sum(&self) -> f64 {
-        self.interior().map(|(i, j)| self.at(i, j)).sum()
-    }
-
-    /// Max |v| over the interior (a NaN is passed over).
-    pub fn interior_max_abs(&self) -> f64 {
-        let nx = self.nx as i64;
-        (0..self.ny as i64).fold(0.0, |m, j| max_abs(m, self.row(j, 0..nx)))
-    }
 }
 
 impl Field3 {
@@ -437,6 +304,30 @@ impl Field3 {
         &mut self.data[span]
     }
 
+    /// The whole rows `js` (not empty) of level `k` as one slice: cell
+    /// `(i, j)` is at `(j − js.start)·(nx + 2h) + h + i`. For sweeps that
+    /// address several rows of several equally shaped fields with one
+    /// index.
+    #[inline]
+    pub fn rows(&self, js: Range<i64>, k: usize) -> &[f64] {
+        &self.data[self.rows_span(js, k)]
+    }
+
+    #[inline]
+    pub fn rows_mut(&mut self, js: Range<i64>, k: usize) -> &mut [f64] {
+        let span = self.rows_span(js, k);
+        &mut self.data[span]
+    }
+
+    /// Where the whole rows `js` (not empty) of level `k`, halo columns
+    /// included, lie in the storage.
+    #[inline]
+    fn rows_span(&self, js: Range<i64>, k: usize) -> Range<usize> {
+        let is = -(self.h as i64)..(self.nx + self.h) as i64;
+        let first = self.row_span(js.start, k, is.clone());
+        first.start..self.row_span(js.end - 1, k, is).end
+    }
+
     /// Every row of every level, to write as a band.
     pub(crate) fn band(&mut self) -> Band<'_> {
         Band::new(&mut self.data, (self.nx, self.ny, self.h))
@@ -462,18 +353,6 @@ impl Field3 {
 
     pub fn fill(&mut self, v: f64) {
         self.data.fill(v);
-    }
-
-    /// A single horizontal level as an owned `Field2` (diagnostics).
-    pub fn level(&self, k: usize) -> Field2 {
-        let mut f = Field2::new(self.nx, self.ny, self.h);
-        let h = self.h as i64;
-        for j in -h..self.ny as i64 + h {
-            for i in -h..self.nx as i64 + h {
-                f.set(i, j, self.at(i, j, k));
-            }
-        }
-        f
     }
 
     pub fn interior(&self) -> impl Iterator<Item = (i64, i64, usize)> + '_ {
@@ -517,61 +396,64 @@ mod tests {
     use super::*;
 
     #[test]
-    fn field2_halo_addressing() {
-        let mut f = Field2::new(4, 3, 2);
-        f.set(-2, -2, 1.0);
-        f.set(5, 4, 2.0);
-        f.set(0, 0, 3.0);
-        assert_eq!(f.at(-2, -2), 1.0);
-        assert_eq!(f.at(5, 4), 2.0);
-        assert_eq!(f.at(0, 0), 3.0);
+    fn halo_addressing() {
+        let mut f = Field3::new(4, 3, 1, 2);
+        f.set(-2, -2, 0, 1.0);
+        f.set(5, 4, 0, 2.0);
+        f.set(0, 0, 0, 3.0);
+        assert_eq!(f.at(-2, -2, 0), 1.0);
+        assert_eq!(f.at(5, 4, 0), 2.0);
+        assert_eq!(f.at(0, 0, 0), 3.0);
         assert_eq!(f.raw().len(), 8 * 7);
     }
 
     #[test]
     #[should_panic(expected = "outside field")]
     #[cfg(debug_assertions)]
-    fn field2_out_of_bounds_panics() {
-        let f = Field2::new(4, 3, 1);
-        let _ = f.at(5, 0);
+    fn out_of_bounds_panics() {
+        let f = Field3::new(4, 3, 1, 1);
+        let _ = f.at(5, 0, 0);
     }
 
     #[test]
     fn row_slices_alias_the_cells_at_addresses() {
-        let mut f = Field2::new(4, 3, 2);
+        let mut f = Field3::new(4, 3, 1, 2);
         let mut g = Field3::new(4, 3, 2, 2);
         for j in -2..5i64 {
             for i in -2..6i64 {
-                f.set(i, j, (100 * j + i) as f64);
+                f.set(i, j, 0, (100 * j + i) as f64);
                 g.set(i, j, 1, (100 * j + i) as f64 + 0.5);
             }
         }
         for j in -2..5i64 {
-            assert_eq!(f.row(j, -2..6).len(), 8);
-            for (i, &v) in (-1..5i64).zip(f.row(j, -1..5)) {
-                assert_eq!(v, f.at(i, j));
+            assert_eq!(f.row(j, 0, -2..6).len(), 8);
+            for (i, &v) in (-1..5i64).zip(f.row(j, 0, -1..5)) {
+                assert_eq!(v, f.at(i, j, 0));
             }
         }
-        assert!(f.row(0, 3..3).is_empty());
-        f.row_mut(4, 5..6)[0] = -1.0;
-        assert_eq!(f.at(5, 4), -1.0);
+        assert!(f.row(0, 0, 3..3).is_empty());
+        f.row_mut(4, 0, 5..6)[0] = -1.0;
+        assert_eq!(f.at(5, 4, 0), -1.0);
 
         // Whole rows as one slice: a row every `nx + 2h` words, the
-        // halo column first.
-        let rows = f.rows(-1..2);
+        // halo column first, on any level.
+        let rows = f.rows(-1..2, 0);
         assert_eq!(rows.len(), 3 * 8);
         assert_eq!(
             (rows[0], rows[8 + 2], rows[23]),
-            (f.at(-2, -1), f.at(0, 0), f.at(5, 1))
+            (f.at(-2, -1, 0), f.at(0, 0, 0), f.at(5, 1, 0))
         );
-        f.rows_mut(2..3)[2 + 3] = -2.0;
-        assert_eq!(f.at(3, 2), -2.0);
+        f.rows_mut(2..3, 0)[2 + 3] = -2.0;
+        assert_eq!(f.at(3, 2, 0), -2.0);
+        let rows = g.rows(-1..2, 1);
+        assert_eq!((rows[0], rows[23]), (g.at(-2, -1, 1), g.at(5, 1, 1)));
+        assert!(g.rows(-2..5, 0).iter().all(|&v| v == 0.0));
 
         // A block is its rows in order, each cut to the columns.
         let want: Vec<Vec<f64>> = (-1..2i64)
-            .map(|j| (4..6i64).map(|i| f.at(i, j)).collect())
+            .map(|j| (4..6i64).map(|i| f.at(i, j, 0)).collect())
             .collect();
-        let got: Vec<Vec<f64>> = f.block_mut(4..6, -1..2).map(|r| r.to_vec()).collect();
+        let got: Vec<Vec<f64>> = f.block_mut(0, 4..6, -1..2).map(|r| r.to_vec()).collect();
         assert_eq!(got, want);
         assert_eq!(g.block_mut(0, -2..6, -2..5).count(), 7);
         assert!(g.block_mut(0, -2..6, -2..5).all(|r| r == [0.0; 8]));
@@ -622,22 +504,23 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside field")]
     fn row_columns_beyond_the_halo_panic() {
-        let f = Field2::new(4, 3, 1);
-        let _ = f.row(0, 0..6);
+        let f = Field3::new(4, 3, 1, 1);
+        let _ = f.row(0, 0, 0..6);
     }
 
     #[test]
     #[should_panic(expected = "outside field")]
     fn row_above_the_halo_panics() {
-        let mut f = Field2::new(4, 3, 1);
-        let _ = f.row_mut(4, 0..4);
+        let mut f = Field3::new(4, 3, 1, 1);
+        let _ = f.row_mut(4, 0, 0..4);
     }
 
     #[test]
     #[should_panic(expected = "outside field")]
     fn rows_below_the_halo_panic() {
-        let f = Field2::new(4, 3, 1);
-        let _ = f.rows(-2..1);
+        // Level 1 has a level before it in the storage.
+        let f = Field3::new(4, 3, 2, 1);
+        let _ = f.rows(-2..1, 1);
     }
 
     #[test]
@@ -686,7 +569,7 @@ mod tests {
         let (nx, ny, nz, h) = (4usize, 3usize, 2usize, 2usize);
         let (hi, top) = (h as i64, (ny + h) as i64);
         let mut f = Field3::new(nx, ny, nz, h);
-        let mut g = Field2::new(nx, ny, h);
+        let mut g = Field3::new(nx, ny, 1, h);
         for mid in -hi..=top {
             let mut lower = f.band();
             let mut upper = lower.split_off(mid);
@@ -721,7 +604,7 @@ mod tests {
                 let band = if j < mid { &mut lower } else { &mut upper };
                 band.row_mut(j, 0, 0..1)[0] = (mid - j) as f64;
             }
-            assert!((-hi..top).all(|j| g.at(0, j) == (mid - j) as f64));
+            assert!((-hi..top).all(|j| g.at(0, j, 0) == (mid - j) as f64));
         }
         // A band cut again, below and above.
         let mut lower = f.band();
@@ -746,7 +629,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "row -1 outside band")]
     fn a_row_below_the_cut_panics() {
-        let mut f = Field2::new(4, 3, 1);
+        let mut f = Field3::new(4, 3, 1, 1);
         let mut upper = f.band().split_off(0);
         let _ = upper.row_mut(-1, 0, 0..4);
     }
@@ -782,19 +665,8 @@ mod tests {
     }
 
     #[test]
-    fn field3_level_extraction() {
-        let mut f = Field3::new(3, 2, 4, 1);
-        f.set(1, 1, 2, 42.0);
-        f.set(-1, 0, 2, 7.0);
-        let lvl = f.level(2);
-        assert_eq!(lvl.at(1, 1), 42.0);
-        assert_eq!(lvl.at(-1, 0), 7.0);
-        assert_eq!(f.level(1).at(1, 1), 0.0);
-    }
-
-    #[test]
     fn interior_iteration_counts() {
-        let f = Field2::new(4, 3, 2);
+        let f = Field3::new(4, 3, 1, 2);
         assert_eq!(f.interior().count(), 12);
         let f3 = Field3::new(4, 3, 5, 1);
         assert_eq!(f3.interior().count(), 60);
@@ -802,10 +674,10 @@ mod tests {
 
     #[test]
     fn sums_ignore_halo() {
-        let mut f = Field2::new(2, 2, 1);
+        let mut f = Field3::new(2, 2, 1, 1);
         f.fill(9.0); // fills halo too
         for (i, j) in [(0i64, 0i64), (1, 0), (0, 1), (1, 1)] {
-            f.set(i, j, 1.0);
+            f.set(i, j, 0, 1.0);
         }
         assert_eq!(f.interior_sum(), 4.0);
         assert_eq!(f.interior_max_abs(), 1.0);
@@ -858,24 +730,20 @@ mod tests {
             specials in proptest::collection::vec((proptest::prelude::any::<usize>(), 0u8..3, proptest::prelude::any::<u64>()), 0..3),
         ) {
             let mut f3 = Field3::new(nx, ny, nz, h);
-            let mut f2 = Field2::new(nx, ny, h);
-            for f in [f3.raw_mut(), f2.raw_mut()] {
-                for (n, (x, &(kind, bits))) in f.iter_mut().zip(words.iter().cycle()).enumerate() {
-                    *x = finite(kind, bits.rotate_left(n as u32));
-                }
-                for &(at, kind, bits) in &specials {
-                    let sign = bits & (1 << 63);
-                    f[at % f.len()] = f64::from_bits(match kind {
-                        0 => sign | f64::INFINITY.to_bits(),
-                        _ => sign | f64::NAN.to_bits() | (bits & 0x0007_ffff_ffff_ffff),
-                    });
-                }
+            let f = f3.raw_mut();
+            for (n, (x, &(kind, bits))) in f.iter_mut().zip(words.iter().cycle()).enumerate() {
+                *x = finite(kind, bits.rotate_left(n as u32));
+            }
+            for &(at, kind, bits) in &specials {
+                let sign = bits & (1 << 63);
+                f[at % f.len()] = f64::from_bits(match kind {
+                    0 => sign | f64::INFINITY.to_bits(),
+                    _ => sign | f64::NAN.to_bits() | (bits & 0x0007_ffff_ffff_ffff),
+                });
             }
             assert_eq!(f3.all_finite(), f3.raw().iter().all(|x| x.is_finite()));
             let scalar3 = f3.interior().fold(0.0, |m: f64, (i, j, k)| m.max(f3.at(i, j, k).abs()));
             assert_eq!(f3.interior_max_abs().to_bits(), scalar3.to_bits());
-            let scalar2 = f2.interior().fold(0.0, |m: f64, (i, j)| m.max(f2.at(i, j).abs()));
-            assert_eq!(f2.interior_max_abs().to_bits(), scalar2.to_bits());
         }
     }
 

@@ -13,7 +13,7 @@
 //! messages on single-tile-wide decompositions.
 
 use crate::decomp::Decomp;
-use crate::field::{Field2, Field3};
+use crate::field::Field3;
 use crate::tile::Tile;
 use hyades_comms::CommWorld;
 use std::ops::Range;
@@ -24,88 +24,35 @@ const PLACE_WEST: f64 = 1.0;
 const PLACE_NORTH: f64 = 2.0;
 const PLACE_SOUTH: f64 = 3.0;
 
-/// What the exchange needs of `Field2`/`Field3`: any block of any level
-/// as row slices, so a message is assembled and scattered a row at a time.
-pub trait HaloField {
-    fn levels(&self) -> usize;
-    fn halo_width(&self) -> usize;
-    /// Columns `is` of each row in `js` on level `k`, in row order.
-    fn block_mut(
-        &mut self,
-        k: usize,
-        is: Range<i64>,
-        js: Range<i64>,
-    ) -> impl Iterator<Item = &mut [f64]>;
-}
-
-impl HaloField for Field2 {
-    fn levels(&self) -> usize {
-        1
-    }
-    fn halo_width(&self) -> usize {
-        self.halo()
-    }
-    fn block_mut(
-        &mut self,
-        _k: usize,
-        is: Range<i64>,
-        js: Range<i64>,
-    ) -> impl Iterator<Item = &mut [f64]> {
-        Field2::block_mut(self, is, js)
-    }
-}
-
-impl HaloField for Field3 {
-    fn levels(&self) -> usize {
-        self.nz()
-    }
-    fn halo_width(&self) -> usize {
-        self.halo()
-    }
-    fn block_mut(
-        &mut self,
-        k: usize,
-        is: Range<i64>,
-        js: Range<i64>,
-    ) -> impl Iterator<Item = &mut [f64]> {
-        Field3::block_mut(self, k, is, js)
-    }
-}
-
 /// Hand `each` every row of the block `is × js`, in message order:
 /// field, level, row.
-fn each_row<F: HaloField>(
-    fields: &mut [&mut F],
+fn each_row(
+    fields: &mut [&mut Field3],
     is: &Range<i64>,
     js: &Range<i64>,
     mut each: impl FnMut(&mut [f64]),
 ) {
     for f in fields.iter_mut() {
-        for k in 0..f.levels() {
+        for k in 0..f.nz() {
             f.block_mut(k, is.clone(), js.clone()).for_each(&mut each);
         }
     }
 }
 
 /// Words the block `is × js` of every level of `fields` packs to.
-fn block_words<F: HaloField>(fields: &[&mut F], is: &Range<i64>, js: &Range<i64>) -> usize {
+fn block_words(fields: &[&mut Field3], is: &Range<i64>, js: &Range<i64>) -> usize {
     let cells = ((is.end - is.start) * (js.end - js.start)).max(0) as usize;
-    fields.iter().map(|f| f.levels() * cells).sum()
+    fields.iter().map(|f| f.nz() * cells).sum()
 }
 
-fn pack<F: HaloField>(
-    fields: &mut [&mut F],
-    code: f64,
-    is: Range<i64>,
-    js: Range<i64>,
-) -> Vec<f64> {
+fn pack(fields: &mut [&mut Field3], code: f64, is: Range<i64>, js: Range<i64>) -> Vec<f64> {
     let mut out = Vec::with_capacity(1 + block_words(fields, &is, &js));
     out.push(code);
     each_row(fields, &is, &js, |row| out.extend_from_slice(row));
     out
 }
 
-fn unpack<F: HaloField>(fields: &mut [&mut F], data: &[f64], is: Range<i64>, js: Range<i64>) {
+fn unpack(fields: &mut [&mut Field3], data: &[f64], is: Range<i64>, js: Range<i64>) {
     // Validate the payload size once up front; the fill loop below can
     // then consume infallibly.
     let expected = 1 + block_words(fields, &is, &js);
@@ -123,25 +70,26 @@ fn unpack<F: HaloField>(fields: &mut [&mut F], data: &[f64], is: Range<i64>, js:
     });
 }
 
-fn zero_halo<F: HaloField>(fields: &mut [&mut F], is: Range<i64>, js: Range<i64>) {
+fn zero_halo(fields: &mut [&mut Field3], is: Range<i64>, js: Range<i64>) {
     each_row(fields, &is, &js, |row| row.fill(0.0));
 }
 
-/// Exchange `width` halo rings of every field (all fields must share the
-/// tile's halo width ≥ `width`).
-pub fn exchange<F: HaloField>(
+/// Exchange `width` halo rings of every level of every field (all fields
+/// must share the tile's halo width ≥ `width`): the five 3-D state fields
+/// at width 3, CG's one-level fields at width 1.
+pub fn exchange3(
     world: &mut dyn CommWorld,
     decomp: &Decomp,
     tile: &Tile,
-    fields: &mut [&mut F],
+    fields: &mut [&mut Field3],
     width: usize,
 ) {
     assert!(width >= 1);
     for f in fields.iter() {
         assert!(
-            f.halo_width() >= width,
+            f.halo() >= width,
             "field halo {} narrower than exchange width {width}",
-            f.halo_width()
+            f.halo()
         );
     }
     let w = width as i64;
@@ -190,28 +138,6 @@ pub fn exchange<F: HaloField>(
     }
 }
 
-/// Exchange a set of 3-D fields.
-pub fn exchange3(
-    world: &mut dyn CommWorld,
-    decomp: &Decomp,
-    tile: &Tile,
-    fields: &mut [&mut Field3],
-    width: usize,
-) {
-    exchange(world, decomp, tile, fields, width);
-}
-
-/// Exchange a set of 2-D fields.
-pub fn exchange2(
-    world: &mut dyn CommWorld,
-    decomp: &Decomp,
-    tile: &Tile,
-    fields: &mut [&mut Field2],
-    width: usize,
-) {
-    exchange(world, decomp, tile, fields, width);
-}
-
 /// Bytes of one x-direction and one y-direction leg of a `width`-wide
 /// exchange of one `levels`-deep field — what `core::tour` prices the
 /// analytical model's `texch` with.
@@ -246,43 +172,18 @@ mod tests {
         }
     }
 
-    /// Cell access for the word-at-a-time reference below — what
-    /// `HaloField` itself offered until PR 13.
-    trait Cells: HaloField {
-        fn get(&self, i: i64, j: i64, k: usize) -> f64;
-        fn put(&mut self, i: i64, j: i64, k: usize, v: f64);
-    }
-
-    impl Cells for Field2 {
-        fn get(&self, i: i64, j: i64, _k: usize) -> f64 {
-            self.at(i, j)
-        }
-        fn put(&mut self, i: i64, j: i64, _k: usize, v: f64) {
-            self.set(i, j, v);
-        }
-    }
-
-    impl Cells for Field3 {
-        fn get(&self, i: i64, j: i64, k: usize) -> f64 {
-            self.at(i, j, k)
-        }
-        fn put(&mut self, i: i64, j: i64, k: usize, v: f64) {
-            self.set(i, j, k, v);
-        }
-    }
-
-    fn pack_reference<F: Cells>(
-        fields: &[&mut F],
+    fn pack_reference(
+        fields: &[&mut Field3],
         code: f64,
         is: Range<i64>,
         js: Range<i64>,
     ) -> Vec<f64> {
         let mut out = vec![code];
         for f in fields {
-            for k in 0..f.levels() {
+            for k in 0..f.nz() {
                 for j in js.clone() {
                     for i in is.clone() {
-                        out.push(f.get(i, j, k));
+                        out.push(f.at(i, j, k));
                     }
                 }
             }
@@ -290,37 +191,31 @@ mod tests {
         out
     }
 
-    fn unpack_reference<F: Cells>(
-        fields: &mut [&mut F],
-        data: &[f64],
-        is: Range<i64>,
-        js: Range<i64>,
-    ) {
+    fn unpack_reference(fields: &mut [&mut Field3], data: &[f64], is: Range<i64>, js: Range<i64>) {
         let mut it = data.iter().skip(1).copied();
         for f in fields.iter_mut() {
-            for k in 0..f.levels() {
+            for k in 0..f.nz() {
                 for j in js.clone() {
                     for i in is.clone() {
-                        f.put(i, j, k, it.next().expect("message as long as the block"));
+                        f.set(i, j, k, it.next().expect("message as long as the block"));
                     }
                 }
             }
         }
     }
 
-    /// Every block `exchange` sends or fills, for widths 1–3 on an
+    /// Every block `exchange3` sends or fills, for widths 1–3 on an
     /// `nx × ny` tile: slice pack gives the reference's message word for
     /// word, and slice unpack scatters it to the same cells.
-    fn check_against_reference<F: Cells + Clone + PartialEq + std::fmt::Debug>(
-        make: impl Fn() -> F,
-        raw_mut: impl Fn(&mut F) -> &mut [f64],
-    ) {
+    fn check_against_reference(levels: usize) {
         let (nx, ny) = (5i64, 4i64);
         for n_fields in [1usize, 3] {
             for w in 1..=3i64 {
-                let mut owned: Vec<F> = (0..n_fields).map(|_| make()).collect();
+                let mut owned: Vec<Field3> = (0..n_fields)
+                    .map(|_| Field3::new(5, 4, levels, 3))
+                    .collect();
                 for (n, f) in owned.iter_mut().enumerate() {
-                    for (m, v) in raw_mut(f).iter_mut().enumerate() {
+                    for (m, v) in f.raw_mut().iter_mut().enumerate() {
                         *v = (1000 * (n + 1) + m) as f64;
                     }
                 }
@@ -335,7 +230,7 @@ mod tests {
                     (-w..nx + w, -w..0),
                 ];
                 for (is, js) in blocks {
-                    let mut fields: Vec<&mut F> = owned.iter_mut().collect();
+                    let mut fields: Vec<&mut Field3> = owned.iter_mut().collect();
                     let message = pack(&mut fields, 7.0, is.clone(), js.clone());
                     assert_eq!(
                         message,
@@ -369,8 +264,8 @@ mod tests {
 
     #[test]
     fn slice_pack_and_unpack_match_the_word_at_a_time_reference() {
-        check_against_reference(|| Field2::new(5, 4, 3), Field2::raw_mut);
-        check_against_reference(|| Field3::new(5, 4, 3, 3), Field3::raw_mut);
+        check_against_reference(1);
+        check_against_reference(3);
     }
 
     #[test]
@@ -472,15 +367,15 @@ mod tests {
         let d = Decomp::blocks(8, 8, 2, 2, 3);
         let results = ThreadWorld::run(4, |world| {
             let t = d.tile(world.rank());
-            let mut f = Field2::new(t.nx, t.ny, 3);
+            let mut f = Field3::new(t.nx, t.ny, 1, 3);
             for j in 0..t.ny as i64 {
                 for i in 0..t.nx as i64 {
-                    f.set(i, j, (t.gx(i) * 100 + t.gy(j)) as f64);
+                    f.set(i, j, 0, (t.gx(i) * 100 + t.gy(j)) as f64);
                 }
             }
-            exchange2(world, &d, &t, &mut [&mut f], 1);
+            exchange3(world, &d, &t, &mut [&mut f], 1);
             // Only the innermost ring needs to be correct.
-            f.at(t.nx as i64, 0) == ((t.gx(t.nx as i64).rem_euclid(8)) * 100 + t.gy(0)) as f64
+            f.at(t.nx as i64, 0, 0) == ((t.gx(t.nx as i64).rem_euclid(8)) * 100 + t.gy(0)) as f64
         });
         assert!(results.iter().all(|&ok| ok));
     }
@@ -502,5 +397,76 @@ mod tests {
         assert_eq!(y, 34 * 8);
         let (x3, _) = exchange_leg_bytes(&t, 5, 3);
         assert_eq!(x3, 3 * 32 * 5 * 8);
+    }
+
+    /// Passes every message on to the rank's `ThreadWorld` and keeps each
+    /// one's placement code and payload bytes (placement word excluded).
+    struct Legs<'a> {
+        world: &'a mut ThreadWorld,
+        sent: Vec<(f64, u64)>,
+    }
+
+    impl CommWorld for Legs<'_> {
+        fn rank(&self) -> usize {
+            self.world.rank()
+        }
+        fn size(&self) -> usize {
+            self.world.size()
+        }
+        fn exchange(&mut self, outgoing: Vec<(usize, Vec<f64>)>) -> Vec<(usize, Vec<f64>)> {
+            let legs = outgoing
+                .iter()
+                .map(|(_, m)| (m[0], 8 * (m.len() - 1) as u64));
+            self.sent.extend(legs);
+            self.world.exchange(outgoing)
+        }
+        fn global_sum_vec(&mut self, xs: &mut [f64]) {
+            self.world.global_sum_vec(xs)
+        }
+        fn global_max(&mut self, x: f64) -> f64 {
+            self.world.global_max(x)
+        }
+        fn barrier(&mut self) {
+            self.world.barrier()
+        }
+        fn gather(&mut self, data: Vec<f64>) -> Option<Vec<Vec<f64>>> {
+            self.world.gather(data)
+        }
+    }
+
+    /// The bytes `exchange_leg_bytes` prices the model's exchange legs at
+    /// are the bytes `exchange3` sends: on a 2×2 cut of 8×4 tiles, every
+    /// x message of a 1- or 5-level field at width 1 or 3 carries the `x`
+    /// leg and every y message, corner columns included, the `y` leg.
+    #[test]
+    fn messages_carry_the_leg_bytes_they_are_priced_at() {
+        let d = Decomp::blocks(16, 8, 2, 2, 3);
+        let results = ThreadWorld::run(d.n_ranks(), |world| {
+            let t = d.tile(world.rank());
+            let mut legs = Vec::new();
+            for levels in [1, 5] {
+                for width in [1, 3] {
+                    let mut f = Field3::new(t.nx, t.ny, levels, 3);
+                    let mut world = Legs {
+                        world: &mut *world,
+                        sent: Vec::new(),
+                    };
+                    exchange3(&mut world, &d, &t, &mut [&mut f], width);
+                    legs.push((exchange_leg_bytes(&t, levels, width), world.sent));
+                }
+            }
+            legs
+        });
+        for legs in results {
+            for ((x, y), sent) in legs {
+                let is_x = |code: f64| code == PLACE_EAST || code == PLACE_WEST;
+                // Two x legs (west and east), one y leg (one wall).
+                assert_eq!(sent.iter().filter(|m| is_x(m.0)).count(), 2);
+                assert_eq!(sent.len(), 3);
+                for (code, bytes) in sent {
+                    assert_eq!(bytes, if is_x(code) { x } else { y }, "placement {code}");
+                }
+            }
+        }
     }
 }

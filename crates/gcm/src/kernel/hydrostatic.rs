@@ -248,7 +248,7 @@ pub(crate) mod reference {
             let dy = geom.dy;
             let area = geom.area_at(j);
             for i in -ext..nx + ext {
-                let kmax = masks.kmax.at(i, j) as usize;
+                let kmax = masks.kmax.at(i, j, 0) as usize;
                 // Below the bottom: no flow.
                 for k in kmax..nz {
                     w.set(i, j, k, 0.0);

@@ -28,7 +28,7 @@ pub mod vertical;
 
 use crate::config::ModelConfig;
 use crate::coupler::side_by_side;
-use crate::field::{Band, Field2, Field3};
+use crate::field::{Band, Field3};
 use crate::state::Masks;
 use crate::tile::Tile;
 use std::ops::Range;
@@ -142,7 +142,7 @@ impl Cols {
         &f.row(j, k, self.is.clone())[..self.n]
     }
 
-    /// The row on level `k` of a band (level 0 of a `Field2`'s), to write.
+    /// The row on level `k` of a band, to write.
     #[inline]
     pub fn of_mut<'a>(&self, band: &'a mut Band<'_>, j: i64, k: usize) -> &'a mut [f64] {
         &mut band.row_mut(j, k, self.is.clone())[..self.n]
@@ -162,29 +162,24 @@ impl Cols {
         (&read[..self.n], &mut write[..self.n])
     }
 
-    #[inline]
-    pub fn of2<'a>(&self, f: &'a Field2, j: i64) -> &'a [f64] {
-        &f.row(j, self.is.clone())[..self.n]
-    }
-
     /// The columns of the cells of row `j`.
     #[inline]
     pub fn cells<'a>(&self, masks: &'a Masks, j: i64) -> Columns<'a> {
-        let (kmax, bottom) = (self.of2(&masks.kmax, j), self.of2(&masks.bottom, j));
+        let (kmax, bottom) = (self.of(&masks.kmax, j, 0), self.of(&masks.bottom, j, 0));
         Columns { kmax, bottom }
     }
 
     /// The columns of the west faces (u-points) of row `j`.
     #[inline]
     pub fn u_faces<'a>(&self, masks: &'a Masks, j: i64) -> Columns<'a> {
-        let (kmax, bottom) = (self.of2(&masks.kmax_u, j), self.of2(&masks.bottom_u, j));
+        let (kmax, bottom) = (self.of(&masks.kmax_u, j, 0), self.of(&masks.bottom_u, j, 0));
         Columns { kmax, bottom }
     }
 
     /// The columns of the south faces (v-points) of row `j`.
     #[inline]
     pub fn v_faces<'a>(&self, masks: &'a Masks, j: i64) -> Columns<'a> {
-        let (kmax, bottom) = (self.of2(&masks.kmax_v, j), self.of2(&masks.bottom_v, j));
+        let (kmax, bottom) = (self.of(&masks.kmax_v, j, 0), self.of(&masks.bottom_v, j, 0));
         Columns { kmax, bottom }
     }
 }
@@ -328,7 +323,7 @@ pub struct Workspace {
     pub gt: Field3,
     pub gs: Field3,
     /// Depth-integrated divergence of the provisional flow (m³/s).
-    pub rhs: Field2,
+    pub rhs: Field3,
 }
 
 impl Workspace {
@@ -339,7 +334,7 @@ impl Workspace {
             gv: Field3::new(nx, ny, nz, h),
             gt: Field3::new(nx, ny, nz, h),
             gs: Field3::new(nx, ny, nz, h),
-            rhs: Field2::new(nx, ny, h),
+            rhs: Field3::new(nx, ny, 1, h),
         }
     }
 }
@@ -660,7 +655,7 @@ mod tests {
     #[test]
     fn cols_cut_rows_to_their_length() {
         let mut f = Field3::new(5, 4, 2, 3);
-        let mut g = Field2::new(5, 4, 3);
+        let mut g = Field3::new(5, 4, 1, 3);
         for (n, v) in f.raw_mut().iter_mut().enumerate() {
             *v = n as f64;
         }
@@ -670,10 +665,10 @@ mod tests {
         assert_eq!((cols.n, wide.n), (7, 10));
         assert_eq!(cols.of(&f, 2, 1), f.row(2, 1, -1..6));
         assert_eq!(wide.of(&f, -3, 0), f.row(-3, 0, -3..7));
-        assert_eq!(wide.of2(&g, 0), wide.of(&f, 0, 0));
+        assert_eq!(wide.of(&g, 0, 0), wide.of(&f, 0, 0));
         cols.of_mut(&mut f.band(), 0, 1)[0] = -1.0;
         cols.of_mut(&mut g.band(), 3, 0)[6] = -2.0;
-        assert_eq!((f.at(-1, 0, 1), g.at(5, 3)), (-1.0, -2.0));
+        assert_eq!((f.at(-1, 0, 1), g.at(5, 3, 0)), (-1.0, -2.0));
     }
 
     #[test]
@@ -695,7 +690,7 @@ mod tests {
             .masks
             .kmax
             .interior()
-            .map(|(i, j)| case.masks.kmax.at(i, j) as usize)
+            .map(|(i, j, _)| case.masks.kmax.at(i, j, 0) as usize)
             .collect();
         for want in [0, 1, 2, 5] {
             assert!(levels.contains(&want), "no column of {want} levels");
@@ -703,7 +698,7 @@ mod tests {
         let bottom = &case.masks.bottom;
         assert!(bottom
             .interior()
-            .any(|(i, j)| 0.0 < bottom.at(i, j) && bottom.at(i, j) < 1.0));
+            .any(|(i, j, _)| 0.0 < bottom.at(i, j, 0) && bottom.at(i, j, 0) < 1.0));
         // Both signs of `w`, and zeros of both signs.
         let w = case.state.w.raw();
         assert!(w.iter().any(|&x| x > 0.0) && w.iter().any(|&x| x < 0.0));
@@ -720,7 +715,7 @@ mod tests {
             let case = cases.iter().find(|c| c.label == label).expect(label);
             let kmax = &case.masks.kmax;
             kmax.interior()
-                .map(|(i, j)| kmax.at(i, j))
+                .map(|(i, j, _)| kmax.at(i, j, 0))
                 .collect::<Vec<_>>()
         };
         let whole = kmax("staircase Ocean 5x4x5");

@@ -7,7 +7,7 @@
 //! DS solve.
 
 use crate::config::ModelConfig;
-use crate::field::{Band, Field2, Field3};
+use crate::field::{Band, Field3};
 use crate::flops::{self, Phase};
 use crate::kernel::{select, Cols, TileGeom, Workspace};
 use crate::state::{Masks, ModelState};
@@ -215,7 +215,7 @@ pub(crate) fn correct_velocities(
     tile: &Tile,
     geom: &TileGeom,
     masks: &Masks,
-    ps: &Field2,
+    ps: &Field3,
     ustar: &Field3,
     vstar: &Field3,
     [mut u, mut v]: [Band<'_>; 2],
@@ -229,7 +229,7 @@ pub(crate) fn correct_velocities(
         for j in u.rows(0) {
             let dxc = geom.dxc_at(j);
             // Cell `i` is at index `i + 1` of `ps`'s row.
-            let (ps, ps_south) = (cols_west.of2(ps, j), cols.of2(ps, j - 1));
+            let (ps, ps_south) = (cols_west.of(ps, j, 0), cols.of(ps, j - 1, 0));
             let (u_faces, v_faces) = (cols.u_faces(masks, j), cols.v_faces(masks, j));
             let (ustar, vstar) = (cols.of(ustar, j, k), cols.of(vstar, j, k));
             let (u, v) = (cols.of_mut(&mut u, j, k), cols.of_mut(&mut v, j, k));
@@ -371,7 +371,7 @@ pub(crate) mod reference {
                     div += (uout - uin) * dy * dz + (vout - vin) * dz;
                     cells += 1;
                 }
-                ws.rhs.set(i, j, div);
+                ws.rhs.set(i, j, 0, div);
             }
         }
         flops::add(Phase::Ps, cells * 9);
@@ -397,10 +397,10 @@ pub(crate) mod reference {
             for j in 0..ny {
                 for i in 0..nx {
                     let mu = masks.u(i, j, k);
-                    let dpdx = (ps.at(i, j) - ps.at(i - 1, j)) / geom.dxc_at(j);
+                    let dpdx = (ps.at(i, j, 0) - ps.at(i - 1, j, 0)) / geom.dxc_at(j);
                     u.set(i, j, k, mu * (ws.gu.at(i, j, k) - dt * dpdx));
                     let mv = masks.v(i, j, k);
-                    let dpdy = (ps.at(i, j) - ps.at(i, j - 1)) / geom.dy;
+                    let dpdy = (ps.at(i, j, 0) - ps.at(i, j - 1, 0)) / geom.dy;
                     v.set(i, j, k, mv * (ws.gv.at(i, j, k) - dt * dpdy));
                     cells += 1;
                 }
@@ -471,7 +471,7 @@ mod tests {
     fn correction_removes_divergence_source() {
         let (cfg, tile, geom, masks, mut st, mut ws) = setup();
         // ps bump at one cell: the correction pushes flow out of it.
-        st.ps.set(4, 4, 10.0);
+        st.ps.set(4, 4, 0, 10.0);
         ws.gu.fill(0.0);
         ws.gv.fill(0.0);
         let uv = [st.u.band(), st.v.band()];
@@ -500,8 +500,8 @@ mod tests {
         ws.gu.set(4, 3, 0, 0.5);
         divergence_rhs(&cfg, &tile, &geom, &masks, &mut ws);
         let expect = 0.5 * geom.dy * cfg.grid.dz[0];
-        assert!((ws.rhs.at(3, 3) - expect).abs() < 1e-9);
-        assert!((ws.rhs.at(4, 3) + expect).abs() < 1e-9);
+        assert!((ws.rhs.at(3, 3, 0) - expect).abs() < 1e-9);
+        assert!((ws.rhs.at(4, 3, 0) + expect).abs() < 1e-9);
     }
 }
 

@@ -127,7 +127,7 @@ pub(crate) fn implicit_vertical_diffusion_rows(
     let n = cols.n;
     let mut cells = 0u64;
     for j in field.rows(0) {
-        let kmax = cols.of2(&masks.kmax, j);
+        let kmax = cols.of(&masks.kmax, j, 0);
         // Columns of fewer than two levels have nothing to mix.
         let top = cols.of_mut(&mut field, j, 0);
         for i in 0..n {
@@ -217,7 +217,7 @@ pub(crate) mod reference {
         let mut cells = 0u64;
         for j in 0..ny {
             for i in 0..nx {
-                let kmax = masks.kmax.at(i, j) as usize;
+                let kmax = masks.kmax.at(i, j, 0) as usize;
                 if kmax < 2 {
                     continue;
                 }
@@ -353,7 +353,7 @@ mod tests {
         let mut scratch = Tridiag::new(4);
         implicit_vertical_diffusion(&cfg, &tile, &masks, &mut f, 1.0, &mut scratch);
         for (i, j, k) in f.clone().interior() {
-            if masks.kmax.at(i, j) < 2.0 {
+            if masks.kmax.at(i, j, 0) < 2.0 {
                 assert_eq!(f.at(i, j, k), before.at(i, j, k));
             }
         }

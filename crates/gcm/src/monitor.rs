@@ -27,7 +27,7 @@
 //! collective.
 
 use crate::driver::{Model, StepStats};
-use crate::field::{Field2, Field3};
+use crate::field::Field3;
 use crate::grid::GRAVITY;
 use hyades_comms::CommWorld;
 use hyades_telemetry::diag::{DiagRow, DiagSeries};
@@ -299,7 +299,7 @@ impl RunMonitor {
             row.set(cols[4], min_rank as f64);
             row.set(cols[5], min_k as f64);
         }
-        let eps = extremes2(world, model, &s.ps, rank);
+        let eps = extremes3(world, model, &s.ps, rank);
         let (ps_max_rank, _, _, _) = unpack_loc(eps.max_tag);
         let (ps_min_rank, _, _, _) = unpack_loc(eps.min_tag);
         row.set("ps_max", eps.max);
@@ -400,9 +400,9 @@ fn local_budgets(model: &Model) -> [f64; 6] {
     let g = &model.geom;
     let dz = &model.cfg.grid.dz;
     let mut out = [0.0f64; 6];
-    for (i, j) in s.ps.interior() {
-        if m.depth.at(i, j) > 0.0 {
-            out[0] += g.area_at(j) * s.ps.at(i, j);
+    for (i, j, _) in s.ps.interior() {
+        if m.depth.at(i, j, 0) > 0.0 {
+            out[0] += g.area_at(j) * s.ps.at(i, j, 0);
         }
     }
     for (i, j, k) in s.theta.interior() {
@@ -417,7 +417,7 @@ fn local_budgets(model: &Model) -> [f64; 6] {
     out
 }
 
-/// Reduced min/max of a 3-D field with deterministic owner attribution.
+/// Reduced min/max of a field with deterministic owner attribution.
 fn extremes3(world: &mut dyn CommWorld, model: &Model, f: &Field3, rank: usize) -> Extremes {
     let t = &model.tile;
     let mut max = f64::NEG_INFINITY;
@@ -432,26 +432,6 @@ fn extremes3(world: &mut dyn CommWorld, model: &Model, f: &Field3, rank: usize) 
         if v < min {
             min = v;
             min_loc = (k, t.gy(j), t.gx(i));
-        }
-    }
-    reduce_extremes(world, rank, max, max_loc, min, min_loc)
-}
-
-/// Reduced min/max of a 2-D field (level recorded as 0).
-fn extremes2(world: &mut dyn CommWorld, model: &Model, f: &Field2, rank: usize) -> Extremes {
-    let t = &model.tile;
-    let mut max = f64::NEG_INFINITY;
-    let mut min = f64::INFINITY;
-    let (mut max_loc, mut min_loc) = ((0usize, 0i64, 0i64), (0usize, 0i64, 0i64));
-    for (i, j) in f.interior() {
-        let v = f.at(i, j);
-        if v > max {
-            max = v;
-            max_loc = (0, t.gy(j), t.gx(i));
-        }
-        if v < min {
-            min = v;
-            min_loc = (0, t.gy(j), t.gx(i));
         }
     }
     reduce_extremes(world, rank, max, max_loc, min, min_loc)
@@ -480,22 +460,15 @@ fn reduce_extremes(
 fn first_non_finite(model: &Model, rank: usize) -> Option<u64> {
     let s = &model.state;
     let t = &model.tile;
-    let fields3: [&Field3; 5] = [&s.u, &s.v, &s.w, &s.theta, &s.s];
+    let fields: [&Field3; 6] = [&s.u, &s.v, &s.w, &s.theta, &s.s, &s.ps];
     let mut best: Option<u64> = None;
-    for (fi, f) in fields3.iter().enumerate() {
+    for (fi, f) in fields.iter().enumerate() {
         for (i, j, k) in f.interior() {
             if !f.at(i, j, k).is_finite() {
                 let key = pack_blame(fi, k, t.gy(j), t.gx(i), rank);
                 best = Some(best.map_or(key, |b| b.min(key)));
                 break; // interior() scans in (k, j, i) order: first hit wins
             }
-        }
-    }
-    for (i, j) in s.ps.interior() {
-        if !s.ps.at(i, j).is_finite() {
-            let key = pack_blame(5, 0, t.gy(j), t.gx(i), rank);
-            best = Some(best.map_or(key, |b| b.min(key)));
-            break;
         }
     }
     best

@@ -88,7 +88,7 @@ pub(crate) fn forcing(
             }
             if k == 0 {
                 let (u, v) = (cols.of(&state.u, j, k), cols.of(&state.v, j, k));
-                let (q, sst) = (cols.of(&state.s, j, k), cols.of2(&bc.sst, j));
+                let (q, sst) = (cols.of(&state.s, j, k), cols.of(&bc.sst, j, 0));
                 let gu = cols.of_mut(&mut gu, j, k);
                 let gv = cols.of_mut(&mut gv, j, k);
                 let gs = cols.of_mut(&mut gs, j, k);
@@ -193,7 +193,7 @@ pub(crate) mod reference {
                         ws.gu.add(i, j, k, -state.u.at(i, j, k) / TAU_FRICTION);
                         ws.gv.add(i, j, k, -state.v.at(i, j, k) / TAU_FRICTION);
                         // Bulk evaporation toward saturation at the SST.
-                        let sst = bc.sst.at(i, j);
+                        let sst = bc.sst.at(i, j, 0);
                         if sst > 0.0 {
                             let p0 = crate::eos::P00 * 0.9;
                             let qs = q_sat(sst, p0);

@@ -13,7 +13,7 @@ pub mod ocean;
 
 use crate::config::{ModelConfig, SurfaceForcing};
 use crate::eos::FluidKind;
-use crate::field::{Band, Field2};
+use crate::field::{Band, Field3};
 use crate::flops::{self, Phase};
 use crate::kernel::{in_column, Cols, TileGeom, Workspace};
 use crate::state::{Masks, ModelState};
@@ -23,17 +23,17 @@ use crate::tile::Tile;
 #[derive(Clone, Debug)]
 pub struct BoundaryFields {
     /// Sea-surface temperature seen by the atmosphere (K).
-    pub sst: Field2,
+    pub sst: Field3,
     /// Surface wind stress seen by the ocean (N/m²).
-    pub taux: Field2,
-    pub tauy: Field2,
+    pub taux: Field3,
+    pub tauy: Field3,
     /// Net downward surface heat flux into the ocean (W/m²).
-    pub qflux: Field2,
+    pub qflux: Field3,
 }
 
 impl BoundaryFields {
     pub fn new(tile: &Tile) -> BoundaryFields {
-        let f = || Field2::new(tile.nx, tile.ny, tile.halo);
+        let f = || Field3::new(tile.nx, tile.ny, 1, tile.halo);
         BoundaryFields {
             sst: f(),
             taux: f(),
@@ -166,7 +166,7 @@ fn adjust_unstable_columns(
     let mut stack = Vec::new();
     let mut cells = 0u64;
     for j in theta.rows(0) {
-        let kmax = cols.of2(&masks.kmax, j);
+        let kmax = cols.of(&masks.kmax, j, 0);
         unstable.fill(false);
         for k in 0..cfg.grid.nz {
             let dz = cfg.grid.dz[k];
@@ -284,7 +284,7 @@ pub(crate) mod reference {
         let mut stack: Vec<Group> = Vec::new();
         for j in 0..ny {
             for i in 0..nx {
-                let kmax = masks.kmax.at(i, j) as usize;
+                let kmax = masks.kmax.at(i, j, 0) as usize;
                 if kmax < 2 {
                     continue;
                 }
@@ -441,8 +441,8 @@ mod sweep_tests {
             );
             let mut after = case.state.clone();
             convective_adjustment(cfg, tile, masks, &mut after);
-            for (i, j) in masks.kmax.interior() {
-                let levels = masks.kmax.at(i, j) as usize;
+            for (i, j, _) in masks.kmax.interior() {
+                let levels = masks.kmax.at(i, j, 0) as usize;
                 if levels < 2 {
                     continue;
                 }

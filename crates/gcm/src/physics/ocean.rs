@@ -69,8 +69,8 @@ pub(crate) fn forcing(
         if coupled {
             // Momentum: wind stress on the surface level; tracers: the
             // coupler's heat flux.
-            let (taux, tauy) = (cols.of2(&bc.taux, j), cols.of2(&bc.tauy, j));
-            let qflux = cols.of2(&bc.qflux, j);
+            let (taux, tauy) = (cols.of(&bc.taux, j, 0), cols.of(&bc.tauy, j, 0));
+            let qflux = cols.of(&bc.qflux, j, 0);
             for i in 0..n {
                 if u_faces.open(k, i) {
                     gu[i] += taux[i] / (RHO0 * dz0);
@@ -139,20 +139,20 @@ pub(crate) mod reference {
                 // Momentum: wind stress on the surface level.
                 if masks.u(i, j, k) != 0.0 {
                     let tx = if coupled {
-                        bc.taux.at(i, j)
+                        bc.taux.at(i, j, 0)
                     } else {
                         tau_x_climatology(lat, lat_max)
                     };
                     ws.gu.add(i, j, k, tx / (RHO0 * dz0));
                 }
                 if masks.v(i, j, k) != 0.0 && coupled {
-                    ws.gv.add(i, j, k, bc.tauy.at(i, j) / (RHO0 * dz0));
+                    ws.gv.add(i, j, k, bc.tauy.at(i, j, 0) / (RHO0 * dz0));
                 }
                 // Tracers: restoring (climatology) or flux (coupled).
                 if masks.c(i, j, k) != 0.0 {
                     if coupled {
                         ws.gt
-                            .add(i, j, k, bc.qflux.at(i, j) / (RHO0 * CP_SEA * dz0));
+                            .add(i, j, k, bc.qflux.at(i, j, 0) / (RHO0 * CP_SEA * dz0));
                     } else {
                         let (t_star, s_star) = surface_climatology(lat);
                         ws.gt
@@ -217,7 +217,7 @@ mod tests {
         let (cfg, tile, geom, masks, mut st, mut ws, bc) = oce();
         // Uniform cold, fresh surface: restoring must warm and salt the
         // tropics.
-        for (i, j) in st.ps.clone().interior() {
+        for (i, j, _) in st.ps.clone().interior() {
             st.theta.set(i, j, 0, 0.0);
             st.s.set(i, j, 0, 30.0);
         }

@@ -17,7 +17,7 @@
 
 use crate::config::ModelConfig;
 use crate::decomp::Decomp;
-use crate::field::Field2;
+use crate::field::Field3;
 use crate::flops::{self, Phase};
 use crate::grid::GRAVITY;
 use crate::halo;
@@ -54,17 +54,17 @@ pub struct CgResult {
 /// Reusable solver scratch.
 #[derive(Clone, Debug)]
 pub struct CgSolver {
-    r: Field2,
+    r: Field3,
     /// Written on the interior only and never exchanged: its halo stays
     /// the zeros it was allocated as, which `Mic0::solve` reads.
-    z: Field2,
-    p: Field2,
-    q: Field2,
+    z: Field3,
+    p: Field3,
+    q: Field3,
 }
 
 impl CgSolver {
     pub fn new(tile: &Tile) -> CgSolver {
-        let f = || Field2::new(tile.nx, tile.ny, tile.halo);
+        let f = || Field3::new(tile.nx, tile.ny, 1, tile.halo);
         CgSolver {
             r: f(),
             z: f(),
@@ -96,8 +96,8 @@ impl CgSolver {
         geom: &TileGeom,
         coeffs: &EllipticCoeffs,
         masks: &Masks,
-        rhs_vol: &Field2,
-        x: &mut Field2,
+        rhs_vol: &Field3,
+        x: &mut Field3,
     ) -> CgResult {
         // b = −rhs/Δt (+ the free-surface memory term); rigid lid: made
         // compatible by removing its wet-cell mean.
@@ -114,7 +114,7 @@ impl CgSolver {
         };
 
         // r = b − (−A)x  (warm start), z = M⁻¹ r, p = z.
-        halo::exchange2(world, decomp, tile, &mut [x], 1);
+        halo::exchange3(world, decomp, tile, &mut [x], 1);
         coeffs.apply(tile, x, &mut self.q);
         let mut init = self.start(cfg, tile, geom, coeffs, masks, rhs_vol, x, mean_b);
         world.global_sum_vec(&mut init);
@@ -136,7 +136,7 @@ impl CgSolver {
         while iterations < cfg.cg_max_iters {
             iterations += 1;
             // The paper's per-iteration exchange: two 2-D fields, width 1.
-            halo::exchange2(world, decomp, tile, &mut [&mut self.p, &mut self.r], 1);
+            halo::exchange3(world, decomp, tile, &mut [&mut self.p, &mut self.r], 1);
             // Global sum #1: p·q.
             let pq = world.global_sum(coeffs.apply_dot(tile, &self.p, &mut self.q));
             if pq <= 0.0 {
@@ -170,7 +170,7 @@ impl CgSolver {
             self.redirect(tile, beta);
         }
         // Publish the halo of the solution for the velocity correction.
-        halo::exchange2(world, decomp, tile, &mut [x], 1);
+        halo::exchange3(world, decomp, tile, &mut [x], 1);
         let rel_residual = (rr / rr0).sqrt();
         telemetry::count("gcm.cg", "solves", 1);
         telemetry::count("gcm.cg", "iterations", iterations as u64);
@@ -197,8 +197,8 @@ impl CgSolver {
         geom: &TileGeom,
         coeffs: &EllipticCoeffs,
         masks: &Masks,
-        rhs_vol: &Field2,
-        x: &Field2,
+        rhs_vol: &Field3,
+        x: &Field3,
         mean_b: f64,
     ) -> [f64; 2] {
         let nx = tile.nx as i64;
@@ -211,11 +211,11 @@ impl CgSolver {
         let mut rr = 0.0;
         for j in 0..tile.ny as i64 {
             let memory = fs * geom.area_at(j);
-            let depth = &masks.depth.row(j, 0..nx)[..n];
-            let rhs = &rhs_vol.row(j, 0..nx)[..n];
-            let x = &x.row(j, 0..nx)[..n];
-            let q = &self.q.row(j, 0..nx)[..n];
-            let r = &mut self.r.row_mut(j, 0..nx)[..n];
+            let depth = &masks.depth.row(j, 0, 0..nx)[..n];
+            let rhs = &rhs_vol.row(j, 0, 0..nx)[..n];
+            let x = &x.row(j, 0, 0..nx)[..n];
+            let q = &self.q.row(j, 0, 0..nx)[..n];
+            let r = &mut self.r.row_mut(j, 0, 0..nx)[..n];
             for i in 0..n {
                 let wet = depth[i] > 0.0;
                 if !wet {
@@ -234,8 +234,8 @@ impl CgSolver {
         let rz = coeffs.mic.solve(tile, &self.r, &mut self.z);
         for j in 0..tile.ny as i64 {
             self.p
-                .row_mut(j, 0..nx)
-                .copy_from_slice(self.z.row(j, 0..nx));
+                .row_mut(j, 0, 0..nx)
+                .copy_from_slice(self.z.row(j, 0, 0..nx));
         }
         [rz, rr]
     }
@@ -250,18 +250,18 @@ impl CgSolver {
         coeffs: &EllipticCoeffs,
         masks: &Masks,
         alpha: f64,
-        x: &mut Field2,
+        x: &mut Field3,
     ) -> [f64; 2] {
         let nx = tile.nx as i64;
         let n = tile.nx;
         let mut rr = 0.0;
         for j in 0..tile.ny as i64 {
-            let depth = &masks.depth.row(j, 0..nx)[..n];
-            let diag = &coeffs.diag.row(j, 0..nx)[..n];
-            let p = &self.p.row(j, 0..nx)[..n];
-            let q = &self.q.row(j, 0..nx)[..n];
-            let x = &mut x.row_mut(j, 0..nx)[..n];
-            let r = &mut self.r.row_mut(j, 0..nx)[..n];
+            let depth = &masks.depth.row(j, 0, 0..nx)[..n];
+            let diag = &coeffs.diag.row(j, 0, 0..nx)[..n];
+            let p = &self.p.row(j, 0, 0..nx)[..n];
+            let q = &self.q.row(j, 0, 0..nx)[..n];
+            let x = &mut x.row_mut(j, 0, 0..nx)[..n];
+            let r = &mut self.r.row_mut(j, 0, 0..nx)[..n];
             for i in 0..n {
                 // `depth > 0` is the wet test. A dry column has four
                 // zero transmissibilities and no free-surface term, so
@@ -286,8 +286,8 @@ impl CgSolver {
     fn redirect(&mut self, tile: &Tile, beta: f64) {
         let nx = tile.nx as i64;
         for j in 0..tile.ny as i64 {
-            let z = self.z.row(j, 0..nx);
-            for (p, &z) in self.p.row_mut(j, 0..nx).iter_mut().zip(z) {
+            let z = self.z.row(j, 0, 0..nx);
+            for (p, &z) in self.p.row_mut(j, 0, 0..nx).iter_mut().zip(z) {
                 *p = z + beta * *p;
             }
         }
@@ -295,12 +295,12 @@ impl CgSolver {
 }
 
 /// `[Σ −rhs/Δt, count]` over the tile's wet columns.
-fn wet_sum_and_count(tile: &Tile, masks: &Masks, rhs_vol: &Field2, dt: f64) -> [f64; 2] {
+fn wet_sum_and_count(tile: &Tile, masks: &Masks, rhs_vol: &Field3, dt: f64) -> [f64; 2] {
     let nx = tile.nx as i64;
     let mut sums = [0.0f64, 0.0];
     for j in 0..tile.ny as i64 {
-        let depth = masks.depth.row(j, 0..nx);
-        for (&rhs, &depth) in rhs_vol.row(j, 0..nx).iter().zip(depth) {
+        let depth = masks.depth.row(j, 0, 0..nx);
+        for (&rhs, &depth) in rhs_vol.row(j, 0, 0..nx).iter().zip(depth) {
             if depth > 0.0 {
                 sums[0] += -rhs / dt;
                 sums[1] += 1.0;
@@ -326,20 +326,20 @@ mod tests {
         coeffs: &EllipticCoeffs,
         masks: &Masks,
         cfg: &ModelConfig,
-        rhs: &Field2,
-        x: &Field2,
+        rhs: &Field3,
+        x: &Field3,
         world: &mut dyn CommWorld,
         decomp: &Decomp,
     ) -> f64 {
         let mut xx = x.clone();
-        halo::exchange2(world, decomp, tile, &mut [&mut xx], 1);
-        let mut ax = Field2::new(tile.nx, tile.ny, tile.halo);
+        halo::exchange3(world, decomp, tile, &mut [&mut xx], 1);
+        let mut ax = Field3::new(tile.nx, tile.ny, 1, tile.halo);
         coeffs.apply(tile, &xx, &mut ax);
         // Compare against the de-meaned b.
         let (mut sb, mut n) = (0.0, 0.0);
-        for (i, j) in rhs.interior() {
-            if masks.depth.at(i, j) > 0.0 {
-                sb += -rhs.at(i, j) / cfg.dt;
+        for (i, j, _) in rhs.interior() {
+            if masks.depth.at(i, j, 0) > 0.0 {
+                sb += -rhs.at(i, j, 0) / cfg.dt;
                 n += 1.0;
             }
         }
@@ -347,22 +347,22 @@ mod tests {
         let mean = sb / n;
         let mut num = 0.0;
         let mut den = 0.0;
-        for (i, j) in rhs.interior() {
-            if masks.depth.at(i, j) > 0.0 {
-                let b = -rhs.at(i, j) / cfg.dt - mean;
-                num += (b - ax.at(i, j)).powi(2);
+        for (i, j, _) in rhs.interior() {
+            if masks.depth.at(i, j, 0) > 0.0 {
+                let b = -rhs.at(i, j, 0) / cfg.dt - mean;
+                num += (b - ax.at(i, j, 0)).powi(2);
                 den += b * b;
             }
         }
         (world.global_sum(num) / world.global_sum(den).max(1e-300)).sqrt()
     }
 
-    fn rhs_pattern(tile: &Tile, masks: &Masks) -> Field2 {
+    fn rhs_pattern(tile: &Tile, masks: &Masks) -> Field3 {
         // A compatible (zero-mean over wet cells) right-hand side.
-        let mut rhs = Field2::new(tile.nx, tile.ny, tile.halo);
+        let mut rhs = Field3::new(tile.nx, tile.ny, 1, tile.halo);
         let mut wetcells = Vec::new();
-        for (i, j) in rhs.clone().interior() {
-            if masks.depth.at(i, j) > 0.0 {
+        for (i, j, _) in rhs.clone().interior() {
+            if masks.depth.at(i, j, 0) > 0.0 {
                 wetcells.push((i, j));
             }
         }
@@ -371,6 +371,7 @@ mod tests {
             rhs.set(
                 i,
                 j,
+                0,
                 (gx as f64 - 9.0) * 1e4 + if n % 2 == 0 { 5e3 } else { -5e3 },
             );
         }
@@ -391,8 +392,8 @@ mod tests {
         geom: &TileGeom,
         coeffs: &EllipticCoeffs,
         masks: &Masks,
-        rhs_vol: &Field2,
-        x: &Field2,
+        rhs_vol: &Field3,
+        x: &Field3,
         mean_b: f64,
     ) -> [f64; 2] {
         let (nx, ny) = (tile.nx as i64, tile.ny as i64);
@@ -403,28 +404,28 @@ mod tests {
         };
         let fs_rhs: Vec<f64> = (0..ny)
             .flat_map(|j| (0..nx).map(move |i| (i, j)))
-            .map(|(i, j)| fs * geom.area_at(j) * x.at(i, j))
+            .map(|(i, j)| fs * geom.area_at(j) * x.at(i, j, 0))
             .collect();
         let mut rr = 0.0;
         for j in 0..ny {
             for i in 0..nx {
-                let wet = masks.depth.at(i, j) > 0.0;
+                let wet = masks.depth.at(i, j, 0) > 0.0;
                 if !wet {
-                    s.r.set(i, j, 0.0);
+                    s.r.set(i, j, 0, 0.0);
                     continue;
                 }
-                let mut b = -rhs_vol.at(i, j) / cfg.dt - mean_b;
+                let mut b = -rhs_vol.at(i, j, 0) / cfg.dt - mean_b;
                 if cfg.free_surface {
                     b += fs_rhs[(j * nx + i) as usize];
                 }
-                let r = b - s.q.at(i, j);
-                s.r.set(i, j, r);
+                let r = b - s.q.at(i, j, 0);
+                s.r.set(i, j, 0, r);
                 rr += r * r;
             }
         }
         let rz = coeffs.mic.solve_reference(tile, &s.r, &mut s.z);
-        for (i, j) in s.z.clone().interior() {
-            s.p.set(i, j, s.z.at(i, j));
+        for (i, j, _) in s.z.clone().interior() {
+            s.p.set(i, j, 0, s.z.at(i, j, 0));
         }
         [rz, rr]
     }
@@ -436,18 +437,18 @@ mod tests {
         coeffs: &EllipticCoeffs,
         masks: &Masks,
         alpha: f64,
-        x: &mut Field2,
+        x: &mut Field3,
     ) -> [f64; 2] {
         let mut rr = 0.0;
         for j in 0..tile.ny as i64 {
             for i in 0..tile.nx as i64 {
-                let wet = masks.depth.at(i, j) > 0.0;
+                let wet = masks.depth.at(i, j, 0) > 0.0;
                 if !wet {
                     continue;
                 }
-                x.add(i, j, alpha * s.p.at(i, j));
-                let r = s.r.at(i, j) - alpha * s.q.at(i, j);
-                s.r.set(i, j, r);
+                x.add(i, j, 0, alpha * s.p.at(i, j, 0));
+                let r = s.r.at(i, j, 0) - alpha * s.q.at(i, j, 0);
+                s.r.set(i, j, 0, r);
                 rr += r * r;
             }
         }
@@ -459,8 +460,8 @@ mod tests {
     fn reference_redirect(s: &mut CgSolver, tile: &Tile, beta: f64) {
         for j in 0..tile.ny as i64 {
             for i in 0..tile.nx as i64 {
-                let p = s.z.at(i, j) + beta * s.p.at(i, j);
-                s.p.set(i, j, p);
+                let p = s.z.at(i, j, 0) + beta * s.p.at(i, j, 0);
+                s.p.set(i, j, 0, p);
             }
         }
     }
@@ -474,10 +475,10 @@ mod tests {
                 let dry = masks
                     .depth
                     .interior()
-                    .filter(|&(i, j)| masks.depth.at(i, j) == 0.0);
+                    .filter(|&(i, j, _)| masks.depth.at(i, j, 0) == 0.0);
                 assert!(dry.count() > 0, "{case}: no land");
                 if nx >= 3 && !free_surface {
-                    assert!(masks.depth.at(2, 2) > 0.0 && coeffs.diag.at(2, 2) == 0.0);
+                    assert!(masks.depth.at(2, 2, 0) > 0.0 && coeffs.diag.at(2, 2, 0) == 0.0);
                 }
 
                 let (rhs, x0) = (varied(&tile, 1), varied(&tile, 2));
@@ -506,8 +507,8 @@ mod tests {
                     let pq = coeffs.apply_dot(&tile, &fused.p, &mut fused.q);
                     coeffs.apply_reference(&tile, &cells.p, &mut cells.q);
                     let mut want_pq = 0.0;
-                    for (i, j) in cells.p.interior() {
-                        want_pq += cells.p.at(i, j) * cells.q.at(i, j);
+                    for (i, j, _) in cells.p.interior() {
+                        want_pq += cells.p.at(i, j, 0) * cells.q.at(i, j, 0);
                     }
                     assert_eq!(pq.to_bits(), want_pq.to_bits(), "{case}: p.q");
                     assert_eq!(state(&fused), state(&cells), "{case}: sweep 1 fields");
@@ -537,7 +538,7 @@ mod tests {
         let geom = TileGeom::build(&cfg, &tile);
         let coeffs = EllipticCoeffs::build(&cfg, &tile, &geom, &masks);
         let rhs = rhs_pattern(&tile, &masks);
-        let mut x = Field2::new(16, 8, 3);
+        let mut x = Field3::new(16, 8, 1, 3);
         let mut world = SerialWorld;
         let mut solver = CgSolver::new(&tile);
         let res = solver.solve(
@@ -559,7 +560,7 @@ mod tests {
         let geom = TileGeom::build(&cfg, &tile);
         let coeffs = EllipticCoeffs::build(&cfg, &tile, &geom, &masks);
         let rhs = rhs_pattern(&tile, &masks);
-        let mut x = Field2::new(32, 16, 3);
+        let mut x = Field3::new(32, 16, 1, 3);
         let mut world = SerialWorld;
         let mut solver = CgSolver::new(&tile);
         let res = solver.solve(
@@ -567,9 +568,9 @@ mod tests {
         );
         assert!(res.converged, "CG did not converge: {res:?}");
         // Land cells stay untouched.
-        for (i, j) in x.clone().interior() {
-            if masks.depth.at(i, j) == 0.0 {
-                assert_eq!(x.at(i, j), 0.0);
+        for (i, j, _) in x.clone().interior() {
+            if masks.depth.at(i, j, 0) == 0.0 {
+                assert_eq!(x.at(i, j, 0), 0.0);
             }
         }
     }
@@ -586,7 +587,7 @@ mod tests {
         let geom_s = TileGeom::build(&cfg_s, &tile_s);
         let coeffs_s = EllipticCoeffs::build(&cfg_s, &tile_s, &geom_s, &masks_s);
         let rhs_s = rhs_pattern(&tile_s, &masks_s);
-        let mut x_s = Field2::new(nx, ny, 3);
+        let mut x_s = Field3::new(nx, ny, 1, 3);
         let mut world = SerialWorld;
         let serial = CgSolver::new(&tile_s).solve(
             &mut world, &cfg_s, &ds, &tile_s, &geom_s, &coeffs_s, &masks_s, &rhs_s, &mut x_s,
@@ -603,7 +604,7 @@ mod tests {
             let geom = TileGeom::build(&cfg, &tile);
             let coeffs = EllipticCoeffs::build(&cfg, &tile, &geom, &masks);
             let rhs = rhs_pattern(&tile, &masks);
-            let mut x = Field2::new(tile.nx, tile.ny, 3);
+            let mut x = Field3::new(tile.nx, tile.ny, 1, 3);
             let res = CgSolver::new(&tile)
                 .solve(w, &cfg, &dp, &tile, &geom, &coeffs, &masks, &rhs, &mut x);
             assert!(res.converged);
@@ -617,8 +618,8 @@ mod tests {
             );
             // Return interior (global index, value) pairs.
             let mut out = Vec::new();
-            for (i, j) in x.clone().interior() {
-                out.push(((tile.gx(i), tile.gy(j)), x.at(i, j)));
+            for (i, j, _) in x.clone().interior() {
+                out.push(((tile.gx(i), tile.gy(j)), x.at(i, j, 0)));
             }
             out
         });
@@ -637,8 +638,8 @@ mod tests {
         let mean_p: f64 = par.values().sum::<f64>() / par.len() as f64;
         let mut max_diff = 0.0f64;
         let mut max_mag = 0.0f64;
-        for (i, j) in x_s.clone().interior() {
-            let a = x_s.at(i, j) - mean_s;
+        for (i, j, _) in x_s.clone().interior() {
+            let a = x_s.at(i, j, 0) - mean_s;
             let b = par[&(i, j)] - mean_p;
             max_diff = max_diff.max((a - b).abs());
             max_mag = max_mag.max(a.abs());
@@ -658,8 +659,8 @@ mod tests {
         let masks = Masks::build(&cfg, &tile, &topo);
         let geom = TileGeom::build(&cfg, &tile);
         let coeffs = EllipticCoeffs::build(&cfg, &tile, &geom, &masks);
-        let rhs = Field2::new(16, 8, 3);
-        let mut x = Field2::new(16, 8, 3);
+        let rhs = Field3::new(16, 8, 1, 3);
+        let mut x = Field3::new(16, 8, 1, 3);
         let mut world = SerialWorld;
         let res = CgSolver::new(&tile).solve(
             &mut world, &cfg, &d, &tile, &geom, &coeffs, &masks, &rhs, &mut x,
@@ -687,7 +688,7 @@ mod tests {
         let rhs = rhs_pattern(&tile, &masks);
         let mut world = SerialWorld;
         let mut cold_solve = |coeffs: &EllipticCoeffs| {
-            let mut x = Field2::new(32, 16, 3);
+            let mut x = Field3::new(32, 16, 1, 3);
             let res = CgSolver::new(&tile).solve(
                 &mut world, &cfg, &d, &tile, &geom, coeffs, &masks, &rhs, &mut x,
             );

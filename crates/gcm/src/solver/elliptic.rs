@@ -9,7 +9,7 @@
 //! connected wet region), exactly what conjugate gradients wants.
 
 use crate::config::ModelConfig;
-use crate::field::Field2;
+use crate::field::Field3;
 use crate::grid::GRAVITY;
 use crate::kernel::TileGeom;
 use crate::solver::mic::Mic0;
@@ -22,11 +22,11 @@ use hyades_telemetry as telemetry;
 #[derive(Clone, Debug)]
 pub struct EllipticCoeffs {
     /// West-face transmissibility of cell (i,j).
-    pub aw: Field2,
+    pub aw: Field3,
     /// South-face transmissibility of cell (i,j).
-    pub a_s: Field2,
+    pub a_s: Field3,
     /// Diagonal: sum of the four face transmissibilities.
-    pub diag: Field2,
+    pub diag: Field3,
     /// The operator's incomplete factor over the tile's own columns:
     /// CG's preconditioner.
     pub(crate) mic: Mic0,
@@ -38,19 +38,19 @@ pub const APPLY_FLOPS_PER_CELL: u64 = 9;
 impl EllipticCoeffs {
     pub fn build(cfg: &ModelConfig, tile: &Tile, geom: &TileGeom, masks: &Masks) -> EllipticCoeffs {
         let (nx, ny, h) = (tile.nx, tile.ny, tile.halo);
-        let mut aw = Field2::new(nx, ny, h);
-        let mut a_s = Field2::new(nx, ny, h);
-        let mut diag = Field2::new(nx, ny, h);
+        let mut aw = Field3::new(nx, ny, 1, h);
+        let mut a_s = Field3::new(nx, ny, 1, h);
+        let mut diag = Field3::new(nx, ny, 1, h);
         let hi = h as i64 - 1; // need neighbours at +1: build to h-1
         for j in -hi..(ny as i64 + hi) {
             for i in -hi..(nx as i64 + hi) {
-                let d = masks.depth.at(i, j);
-                let dw = masks.depth.at(i - 1, j);
-                let ds = masks.depth.at(i, j - 1);
+                let d = masks.depth.at(i, j, 0);
+                let dw = masks.depth.at(i - 1, j, 0);
+                let ds = masks.depth.at(i, j - 1, 0);
                 let hw = d.min(dw);
                 let hs = d.min(ds);
-                aw.set(i, j, hw * geom.dy / geom.dxc_at(j));
-                a_s.set(i, j, hs * geom.dxs_at(j) / geom.dy);
+                aw.set(i, j, 0, hw * geom.dy / geom.dxc_at(j));
+                a_s.set(i, j, 0, hs * geom.dxs_at(j) / geom.dy);
             }
         }
         // Linear implicit free surface (Crank–Nicolson-free variant): the
@@ -66,14 +66,15 @@ impl EllipticCoeffs {
         let di = h as i64 - 2;
         for j in -di..(ny as i64 + di) {
             for i in -di..(nx as i64 + di) {
-                let wet = (masks.depth.at(i, j) > 0.0) as u8 as f64;
+                let wet = (masks.depth.at(i, j, 0) > 0.0) as u8 as f64;
                 diag.set(
                     i,
                     j,
-                    aw.at(i, j)
-                        + aw.at(i + 1, j)
-                        + a_s.at(i, j)
-                        + a_s.at(i, j + 1)
+                    0,
+                    aw.at(i, j, 0)
+                        + aw.at(i + 1, j, 0)
+                        + a_s.at(i, j, 0)
+                        + a_s.at(i, j + 1, 0)
                         + wet * fs * geom.area_at(j),
                 );
             }
@@ -84,7 +85,7 @@ impl EllipticCoeffs {
 
     /// `out = (−A)·x` on the interior: positive-semidefinite form
     /// `Σ_faces a·(x − x_nbr)`. `x` needs a width-1 halo.
-    pub fn apply(&self, tile: &Tile, x: &Field2, out: &mut Field2) {
+    pub fn apply(&self, tile: &Tile, x: &Field3, out: &mut Field3) {
         self.apply_with(tile, x, out, |_, _| {});
     }
 
@@ -92,7 +93,7 @@ impl EllipticCoeffs {
     /// interior — CG's `p·q` from the sweep that forms `q`. One
     /// accumulator running in row-major order: the sum a separate pass
     /// over `x` and `out` would give, bit for bit.
-    pub(crate) fn apply_dot(&self, tile: &Tile, x: &Field2, out: &mut Field2) -> f64 {
+    pub(crate) fn apply_dot(&self, tile: &Tile, x: &Field3, out: &mut Field3) -> f64 {
         let mut dot = 0.0;
         self.apply_with(tile, x, out, |x, out| dot += x * out);
         dot
@@ -104,8 +105,8 @@ impl EllipticCoeffs {
     fn apply_with(
         &self,
         tile: &Tile,
-        x: &Field2,
-        out: &mut Field2,
+        x: &Field3,
+        out: &mut Field3,
         mut each: impl FnMut(f64, f64),
     ) {
         let nx = tile.nx as i64;
@@ -114,16 +115,16 @@ impl EllipticCoeffs {
         for j in 0..tile.ny as i64 {
             // Every operand cut to a slice of exactly `n` cells, so the
             // bounds are checked here and not per cell.
-            let xc = x.row(j, -1..nx + 1);
+            let xc = x.row(j, 0, -1..nx + 1);
             let (xw, xc, xe) = (&xc[..n], &xc[1..n + 1], &xc[2..n + 2]);
-            let xs = &x.row(j - 1, 0..nx)[..n];
-            let xn = &x.row(j + 1, 0..nx)[..n];
-            let diag = &self.diag.row(j, 0..nx)[..n];
-            let aw = self.aw.row(j, 0..nx + 1);
+            let xs = &x.row(j - 1, 0, 0..nx)[..n];
+            let xn = &x.row(j + 1, 0, 0..nx)[..n];
+            let diag = &self.diag.row(j, 0, 0..nx)[..n];
+            let aw = self.aw.row(j, 0, 0..nx + 1);
             let (aw, ae) = (&aw[..n], &aw[1..n + 1]);
-            let a_s = &self.a_s.row(j, 0..nx)[..n];
-            let a_n = &self.a_s.row(j + 1, 0..nx)[..n];
-            let q = &mut out.row_mut(j, 0..nx)[..n];
+            let a_s = &self.a_s.row(j, 0, 0..nx)[..n];
+            let a_n = &self.a_s.row(j + 1, 0, 0..nx)[..n];
+            let q = &mut out.row_mut(j, 0, 0..nx)[..n];
             for i in 0..n {
                 let v = diag[i] * xc[i]
                     - aw[i] * xw[i]
@@ -139,17 +140,17 @@ impl EllipticCoeffs {
     /// The cell-at-a-time operator `apply` was until PR 13: the reference
     /// its row kernel is tested against.
     #[cfg(test)]
-    pub(crate) fn apply_reference(&self, tile: &Tile, x: &Field2, out: &mut Field2) {
+    pub(crate) fn apply_reference(&self, tile: &Tile, x: &Field3, out: &mut Field3) {
         let (nx, ny) = (tile.nx as i64, tile.ny as i64);
         for j in 0..ny {
             for i in 0..nx {
-                let xc = x.at(i, j);
-                let q = self.diag.at(i, j) * xc
-                    - self.aw.at(i, j) * x.at(i - 1, j)
-                    - self.aw.at(i + 1, j) * x.at(i + 1, j)
-                    - self.a_s.at(i, j) * x.at(i, j - 1)
-                    - self.a_s.at(i, j + 1) * x.at(i, j + 1);
-                out.set(i, j, q);
+                let xc = x.at(i, j, 0);
+                let q = self.diag.at(i, j, 0) * xc
+                    - self.aw.at(i, j, 0) * x.at(i - 1, j, 0)
+                    - self.aw.at(i + 1, j, 0) * x.at(i + 1, j, 0)
+                    - self.a_s.at(i, j, 0) * x.at(i, j - 1, 0)
+                    - self.a_s.at(i, j + 1, 0) * x.at(i, j + 1, 0);
+                out.set(i, j, 0, q);
             }
         }
     }
@@ -180,15 +181,15 @@ mod tests {
     #[test]
     fn constant_field_is_in_nullspace() {
         let (_cfg, tile, _geom, _masks, coeffs) = setup(false);
-        let mut x = Field2::new(16, 8, 3);
+        let mut x = Field3::new(16, 8, 1, 3);
         x.fill(5.0);
-        let mut out = Field2::new(16, 8, 3);
+        let mut out = Field3::new(16, 8, 1, 3);
         coeffs.apply(&tile, &x, &mut out);
         // Interior rows away from walls: exact zero. Wall rows: the
         // missing face has zero transmissibility (depth 0 outside), so
         // also zero.
         assert!(
-            out.interior_max_abs() < 1e-6 * coeffs.diag.at(0, 4),
+            out.interior_max_abs() < 1e-6 * coeffs.diag.at(0, 4, 0),
             "{}",
             out.interior_max_abs()
         );
@@ -199,22 +200,22 @@ mod tests {
         for continents in [false, true] {
             let (_cfg, tile, _geom, _masks, coeffs) = setup(continents);
             // Values everywhere, halo included: the stencil reads ring 1.
-            let mut x = Field2::new(16, 8, 3);
+            let mut x = Field3::new(16, 8, 1, 3);
             for (n, v) in x.raw_mut().iter_mut().enumerate() {
                 *v = ((n * 37 % 101) as f64 - 50.0) * 0.37;
             }
-            let mut want = Field2::new(16, 8, 3);
+            let mut want = Field3::new(16, 8, 1, 3);
             want.fill(-1.0);
             let mut got = want.clone();
             coeffs.apply_reference(&tile, &x, &mut want);
             coeffs.apply(&tile, &x, &mut got);
-            let bits = |f: &Field2| f.raw().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let bits = |f: &Field3| f.raw().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&got), bits(&want), "interior equal, halo untouched");
             let dot = coeffs.apply_dot(&tile, &x, &mut got);
             assert_eq!(bits(&got), bits(&want));
             let mut want_dot = 0.0;
-            for (i, j) in x.interior() {
-                want_dot += x.at(i, j) * want.at(i, j);
+            for (i, j, _) in x.interior() {
+                want_dot += x.at(i, j, 0) * want.at(i, j, 0);
             }
             assert_eq!(dot.to_bits(), want_dot.to_bits());
         }
@@ -225,18 +226,20 @@ mod tests {
         // <Ax, y> == <x, Ay> for random-ish x, y over the interior with
         // zero halos (halo terms vanish because x,y are zero there).
         let (_cfg, tile, _geom, _masks, coeffs) = setup(true);
-        let mut x = Field2::new(16, 8, 3);
-        let mut y = Field2::new(16, 8, 3);
-        for (n, (i, j)) in x.clone().interior().enumerate() {
-            x.set(i, j, ((n * 37 % 17) as f64) - 8.0);
-            y.set(i, j, ((n * 53 % 13) as f64) - 6.0);
+        let mut x = Field3::new(16, 8, 1, 3);
+        let mut y = Field3::new(16, 8, 1, 3);
+        for (n, (i, j, _)) in x.clone().interior().enumerate() {
+            x.set(i, j, 0, ((n * 37 % 17) as f64) - 8.0);
+            y.set(i, j, 0, ((n * 53 % 13) as f64) - 6.0);
         }
-        let mut ax = Field2::new(16, 8, 3);
-        let mut ay = Field2::new(16, 8, 3);
+        let mut ax = Field3::new(16, 8, 1, 3);
+        let mut ay = Field3::new(16, 8, 1, 3);
         coeffs.apply(&tile, &x, &mut ax);
         coeffs.apply(&tile, &y, &mut ay);
-        let dot = |a: &Field2, b: &Field2| -> f64 {
-            a.interior().map(|(i, j)| a.at(i, j) * b.at(i, j)).sum()
+        let dot = |a: &Field3, b: &Field3| -> f64 {
+            a.interior()
+                .map(|(i, j, _)| a.at(i, j, 0) * b.at(i, j, 0))
+                .sum()
         };
         let axy = dot(&ax, &y);
         let xay = dot(&x, &ay);
@@ -249,13 +252,16 @@ mod tests {
     #[test]
     fn operator_is_positive_semidefinite() {
         let (_cfg, tile, _geom, _masks, coeffs) = setup(true);
-        let mut x = Field2::new(16, 8, 3);
-        for (n, (i, j)) in x.clone().interior().enumerate() {
-            x.set(i, j, ((n * 31 % 23) as f64) - 11.0);
+        let mut x = Field3::new(16, 8, 1, 3);
+        for (n, (i, j, _)) in x.clone().interior().enumerate() {
+            x.set(i, j, 0, ((n * 31 % 23) as f64) - 11.0);
         }
-        let mut ax = Field2::new(16, 8, 3);
+        let mut ax = Field3::new(16, 8, 1, 3);
         coeffs.apply(&tile, &x, &mut ax);
-        let xax: f64 = x.interior().map(|(i, j)| x.at(i, j) * ax.at(i, j)).sum();
+        let xax: f64 = x
+            .interior()
+            .map(|(i, j, _)| x.at(i, j, 0) * ax.at(i, j, 0))
+            .sum();
         assert!(xax >= -1e-9, "negative quadratic form: {xax}");
         assert!(xax > 0.0, "nonconstant field must have positive energy");
     }
@@ -263,9 +269,9 @@ mod tests {
     #[test]
     fn land_faces_have_zero_transmissibility() {
         let (_cfg, _tile, _geom, masks, coeffs) = setup(true);
-        for (i, j) in coeffs.aw.clone().interior() {
-            if masks.depth.at(i, j) == 0.0 || masks.depth.at(i - 1, j) == 0.0 {
-                assert_eq!(coeffs.aw.at(i, j), 0.0);
+        for (i, j, _) in coeffs.aw.clone().interior() {
+            if masks.depth.at(i, j, 0) == 0.0 || masks.depth.at(i - 1, j, 0) == 0.0 {
+                assert_eq!(coeffs.aw.at(i, j, 0), 0.0);
             }
         }
     }
@@ -273,9 +279,12 @@ mod tests {
     #[test]
     fn diag_positive_on_wet_columns() {
         let (_cfg, _tile, _geom, masks, coeffs) = setup(true);
-        for (i, j) in coeffs.diag.clone().interior() {
-            if masks.depth.at(i, j) > 0.0 {
-                assert!(coeffs.diag.at(i, j) > 0.0, "isolated wet cell at ({i},{j})");
+        for (i, j, _) in coeffs.diag.clone().interior() {
+            if masks.depth.at(i, j, 0) > 0.0 {
+                assert!(
+                    coeffs.diag.at(i, j, 0) > 0.0,
+                    "isolated wet cell at ({i},{j})"
+                );
             }
         }
     }

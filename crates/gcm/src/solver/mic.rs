@@ -35,7 +35,7 @@
 //! row-at-a-time one bit for bit; the latter handles the `ny % 4` rows
 //! left over and tiles narrower than four columns.
 
-use crate::field::Field2;
+use crate::field::Field3;
 use crate::tile::Tile;
 
 /// Share of the dropped fill the pivots absorb. Fixed: over 64 steps of
@@ -52,11 +52,11 @@ const SKEW: usize = 4;
 /// interior) so that one index addresses a cell in all of them.
 #[derive(Clone, Debug)]
 pub(crate) struct Mic0 {
-    inv: Field2,
-    cw: Field2,
-    cs: Field2,
-    ce: Field2,
-    cn: Field2,
+    inv: Field3,
+    cw: Field3,
+    cs: Field3,
+    ce: Field3,
+    cn: Field3,
 }
 
 /// The rows a sweep is working on and the one it reached them from, of
@@ -180,30 +180,30 @@ impl Skewed {
 impl Mic0 {
     /// Factor the operator with west/south transmissibilities `aw`,
     /// `a_s` and diagonal `diag` over the interior of `tile`.
-    pub(crate) fn build(tile: &Tile, aw: &Field2, a_s: &Field2, diag: &Field2) -> Mic0 {
+    pub(crate) fn build(tile: &Tile, aw: &Field3, a_s: &Field3, diag: &Field3) -> Mic0 {
         let (nx, ny) = (tile.nx as i64, tile.ny as i64);
-        let plane = || Field2::new(tile.nx, tile.ny, tile.halo);
+        let plane = || Field3::new(tile.nx, tile.ny, 1, tile.halo);
         let (mut inv, mut cw, mut cs, mut ce, mut cn) =
             (plane(), plane(), plane(), plane(), plane());
         // The four couplings of (i, j) inside the tile: zero across its
         // edge. (A land face has zero transmissibility already.)
-        let west = |i: i64, j: i64| if i > 0 { aw.at(i, j) } else { 0.0 };
-        let south = |i: i64, j: i64| if j > 0 { a_s.at(i, j) } else { 0.0 };
-        let east = |i: i64, j: i64| if i + 1 < nx { aw.at(i + 1, j) } else { 0.0 };
-        let north = |i: i64, j: i64| if j + 1 < ny { a_s.at(i, j + 1) } else { 0.0 };
+        let west = |i: i64, j: i64| if i > 0 { aw.at(i, j, 0) } else { 0.0 };
+        let south = |i: i64, j: i64| if j > 0 { a_s.at(i, j, 0) } else { 0.0 };
+        let east = |i: i64, j: i64| if i + 1 < nx { aw.at(i + 1, j, 0) } else { 0.0 };
+        let north = |i: i64, j: i64| if j + 1 < ny { a_s.at(i, j + 1, 0) } else { 0.0 };
         for j in 0..ny {
             for i in 0..nx {
-                let d = diag.at(i, j);
+                let d = diag.at(i, j, 0);
                 if d <= 0.0 {
                     continue;
                 }
                 let (w, s) = (west(i, j), south(i, j));
                 let mut pivot = d;
                 if w > 0.0 {
-                    pivot -= w * (w + OMEGA * north(i - 1, j)) * inv.at(i - 1, j);
+                    pivot -= w * (w + OMEGA * north(i - 1, j)) * inv.at(i - 1, j, 0);
                 }
                 if s > 0.0 {
-                    pivot -= s * (s + OMEGA * east(i, j - 1)) * inv.at(i, j - 1);
+                    pivot -= s * (s + OMEGA * east(i, j - 1)) * inv.at(i, j - 1, 0);
                 }
                 assert!(
                     pivot > 0.0 && pivot.is_finite(),
@@ -211,11 +211,11 @@ impl Mic0 {
                     tile.rank
                 );
                 let scale = 1.0 / pivot;
-                inv.set(i, j, scale);
-                cw.set(i, j, scale * w);
-                cs.set(i, j, scale * s);
-                ce.set(i, j, scale * east(i, j));
-                cn.set(i, j, scale * north(i, j));
+                inv.set(i, j, 0, scale);
+                cw.set(i, j, 0, scale * w);
+                cs.set(i, j, 0, scale * s);
+                ce.set(i, j, 0, scale * east(i, j));
+                cn.set(i, j, 0, scale * north(i, j));
             }
         }
         Mic0 {
@@ -233,7 +233,7 @@ impl Mic0 {
     /// `r` and `z` are fields of `tile`'s shape. Of `z`'s halo the
     /// sweeps read row −1 and row `ny`, against a zero coupling: it must
     /// be finite (the solver's `z` is never written there).
-    pub(crate) fn solve(&self, tile: &Tile, r: &Field2, z: &mut Field2) -> f64 {
+    pub(crate) fn solve(&self, tile: &Tile, r: &Field3, z: &mut Field3) -> f64 {
         let shape = (tile.nx, tile.ny, tile.halo);
         assert!(
             tile.halo >= 1 && [r, z].iter().all(|f| (f.nx(), f.ny(), f.halo()) == shape),
@@ -270,8 +270,8 @@ impl Mic0 {
     fn span<'a, const BACK: bool, const K: usize>(
         &'a self,
         tile: &Tile,
-        r: &'a Field2,
-        z: &'a mut Field2,
+        r: &'a Field3,
+        z: &'a mut Field3,
         j: usize,
     ) -> (Span<'a>, usize, [usize; K]) {
         let j = j as i64;
@@ -285,15 +285,15 @@ impl Mic0 {
         } else {
             (&self.cw, &self.cs)
         };
-        let z = z.rows_mut(js.clone());
+        let z = z.rows_mut(js.clone(), 0);
         // All five cut to one length: one bounds check serves a cell.
         let len = z.len();
         let span = Span {
             z,
-            r: &r.rows(js.clone())[..len],
-            inv: &self.inv.rows(js.clone())[..len],
-            cl: &cl.rows(js.clone())[..len],
-            cv: &cv.rows(js)[..len],
+            r: &r.rows(js.clone(), 0)[..len],
+            inv: &self.inv.rows(js.clone(), 0)[..len],
+            cl: &cl.rows(js.clone(), 0)[..len],
+            cv: &cv.rows(js, 0)[..len],
         };
         let stride = tile.nx + 2 * tile.halo;
         // In sweep order the span's rows are 0 (the one before) to `K`.
@@ -304,32 +304,34 @@ impl Mic0 {
     /// The point-Jacobi preconditioner `M = D` in the factor's clothes:
     /// the baseline the iteration counts are tested against.
     #[cfg(test)]
-    pub(crate) fn jacobi(tile: &Tile, diag: &Field2) -> Mic0 {
-        let uncoupled = Field2::new(tile.nx, tile.ny, tile.halo);
+    pub(crate) fn jacobi(tile: &Tile, diag: &Field3) -> Mic0 {
+        let uncoupled = Field3::new(tile.nx, tile.ny, 1, tile.halo);
         Mic0::build(tile, &uncoupled, &uncoupled, diag)
     }
 
     /// [`solve`](Self::solve) a cell at a time, straight from the two
     /// recurrences: the reference the sweeps are tested against.
     #[cfg(test)]
-    pub(crate) fn solve_reference(&self, tile: &Tile, r: &Field2, z: &mut Field2) -> f64 {
+    pub(crate) fn solve_reference(&self, tile: &Tile, r: &Field3, z: &mut Field3) -> f64 {
         let (nx, ny) = (tile.nx as i64, tile.ny as i64);
         for j in 0..ny {
             for i in 0..nx {
-                let west = if i > 0 { z.at(i - 1, j) } else { 0.0 };
-                let y = (self.inv.at(i, j) * r.at(i, j) + self.cs.at(i, j) * z.at(i, j - 1))
-                    + self.cw.at(i, j) * west;
-                z.set(i, j, y);
+                let west = if i > 0 { z.at(i - 1, j, 0) } else { 0.0 };
+                let y = (self.inv.at(i, j, 0) * r.at(i, j, 0)
+                    + self.cs.at(i, j, 0) * z.at(i, j - 1, 0))
+                    + self.cw.at(i, j, 0) * west;
+                z.set(i, j, 0, y);
             }
         }
         let mut rz = 0.0;
         for j in (0..ny).rev() {
             let mut row = 0.0;
             for i in (0..nx).rev() {
-                let east = if i + 1 < nx { z.at(i + 1, j) } else { 0.0 };
-                let v = (z.at(i, j) + self.cn.at(i, j) * z.at(i, j + 1)) + self.ce.at(i, j) * east;
-                z.set(i, j, v);
-                row += r.at(i, j) * v;
+                let east = if i + 1 < nx { z.at(i + 1, j, 0) } else { 0.0 };
+                let v = (z.at(i, j, 0) + self.cn.at(i, j, 0) * z.at(i, j + 1, 0))
+                    + self.ce.at(i, j, 0) * east;
+                z.set(i, j, 0, v);
+                row += r.at(i, j, 0) * v;
             }
             rz += row;
         }
@@ -357,16 +359,16 @@ mod tests {
                     let case = format!("{nx} x {ny}, free surface {free_surface}");
                     if nx >= 3 && ny >= 3 {
                         // The wet column no coupling reaches.
-                        let isolated = masks.depth.at(2, 2) > 0.0
-                            && (coeffs.diag.at(2, 2) == 0.0) != free_surface;
+                        let isolated = masks.depth.at(2, 2, 0) > 0.0
+                            && (coeffs.diag.at(2, 2, 0) == 0.0) != free_surface;
                         assert!(isolated, "{case}");
                     }
                     let r = varied(&tile, 1);
                     // `z` starts as whatever the last solve left,
                     // between the zero halo the solver's `z` keeps.
-                    let mut z = Field2::new(nx, ny, tile.halo);
-                    for (i, j) in r.interior() {
-                        z.set(i, j, 0.5 * r.at(i, j) - 0.1);
+                    let mut z = Field3::new(nx, ny, 1, tile.halo);
+                    for (i, j, _) in r.interior() {
+                        z.set(i, j, 0, 0.5 * r.at(i, j, 0) - 0.1);
                     }
                     let mut want = z.clone();
                     let rz = coeffs.mic.solve(&tile, &r, &mut z);
@@ -389,9 +391,9 @@ mod tests {
         // Every pivot positive (`build` asserts it, too), and none where
         // there is no diagonal.
         let mut dry = 0;
-        for (i, j) in coeffs.diag.interior() {
-            let pivot_inv = mic.inv.at(i, j);
-            if coeffs.diag.at(i, j) > 0.0 {
+        for (i, j, _) in coeffs.diag.interior() {
+            let pivot_inv = mic.inv.at(i, j, 0);
+            if coeffs.diag.at(i, j, 0) > 0.0 {
                 assert!(
                     pivot_inv > 0.0 && pivot_inv.is_finite(),
                     "{case}: ({i}, {j})"
@@ -404,13 +406,13 @@ mod tests {
         assert!(dry > 0, "{case}: no land");
 
         let (a, b) = (varied(tile, 5), varied(tile, 8));
-        let mut za = Field2::new(tile.nx, tile.ny, tile.halo);
+        let mut za = Field3::new(tile.nx, tile.ny, 1, tile.halo);
         let mut zb = za.clone();
         let aza = mic.solve(tile, &a, &mut za);
         mic.solve(tile, &b, &mut zb);
-        let dot = |f: &Field2, g: &Field2| -> (f64, f64) {
-            f.interior().fold((0.0, 0.0), |(sum, scale), (i, j)| {
-                let term = f.at(i, j) * g.at(i, j);
+        let dot = |f: &Field3, g: &Field3| -> (f64, f64) {
+            f.interior().fold((0.0, 0.0), |(sum, scale), (i, j, _)| {
+                let term = f.at(i, j, 0) * g.at(i, j, 0);
                 (sum + term, scale + term.abs())
             })
         };
@@ -423,35 +425,41 @@ mod tests {
             aza > 0.0 && dot(&a, &za).0 > 0.0,
             "{case}: <M^-1 a, a> = {aza}"
         );
-        for (i, j) in za.interior() {
-            if coeffs.diag.at(i, j) <= 0.0 {
-                assert_eq!((za.at(i, j), zb.at(i, j)), (0.0, 0.0), "{case}: ({i}, {j})");
+        for (i, j, _) in za.interior() {
+            if coeffs.diag.at(i, j, 0) <= 0.0 {
+                assert_eq!(
+                    (za.at(i, j, 0), zb.at(i, j, 0)),
+                    (0.0, 0.0),
+                    "{case}: ({i}, {j})"
+                );
             }
         }
 
         // M z = (D̃ + L) D̃⁻¹ (D̃ + L)ᵀ z gives `a` back. With u = D̃⁻¹(D̃ + L)ᵀ z,
         // i.e. u = z − ce·z_east − cn·z_north, and L's entries −a = −c·d̃:
-        let mut u = Field2::new(tile.nx, tile.ny, tile.halo);
-        for (i, j) in za.interior() {
-            let east = if i + 1 < nx { za.at(i + 1, j) } else { 0.0 };
-            let north = if j + 1 < ny { za.at(i, j + 1) } else { 0.0 };
+        let mut u = Field3::new(tile.nx, tile.ny, 1, tile.halo);
+        for (i, j, _) in za.interior() {
+            let east = if i + 1 < nx { za.at(i + 1, j, 0) } else { 0.0 };
+            let north = if j + 1 < ny { za.at(i, j + 1, 0) } else { 0.0 };
             u.set(
                 i,
                 j,
-                za.at(i, j) - mic.ce.at(i, j) * east - mic.cn.at(i, j) * north,
+                0,
+                za.at(i, j, 0) - mic.ce.at(i, j, 0) * east - mic.cn.at(i, j, 0) * north,
             );
         }
         let (mut worst, mut size) = (0.0f64, 0.0f64);
-        for (i, j) in u.interior() {
-            let inv = mic.inv.at(i, j);
+        for (i, j, _) in u.interior() {
+            let inv = mic.inv.at(i, j, 0);
             if inv == 0.0 {
                 continue;
             }
-            let west = if i > 0 { u.at(i - 1, j) } else { 0.0 };
-            let south = if j > 0 { u.at(i, j - 1) } else { 0.0 };
-            let back = (u.at(i, j) - mic.cw.at(i, j) * west - mic.cs.at(i, j) * south) / inv;
-            worst = worst.max((back - a.at(i, j)).abs());
-            size = size.max(a.at(i, j).abs());
+            let west = if i > 0 { u.at(i - 1, j, 0) } else { 0.0 };
+            let south = if j > 0 { u.at(i, j - 1, 0) } else { 0.0 };
+            let back =
+                (u.at(i, j, 0) - mic.cw.at(i, j, 0) * west - mic.cs.at(i, j, 0) * south) / inv;
+            worst = worst.max((back - a.at(i, j, 0)).abs());
+            size = size.max(a.at(i, j, 0).abs());
         }
         assert!(
             worst <= 1e-9 * size,

@@ -19,7 +19,7 @@ pub(crate) mod fixtures {
     use super::EllipticCoeffs;
     use crate::config::ModelConfig;
     use crate::decomp::Decomp;
-    use crate::field::Field2;
+    use crate::field::Field3;
     use crate::kernel::TileGeom;
     use crate::state::Masks;
     use crate::tile::Tile;
@@ -76,15 +76,15 @@ pub(crate) mod fixtures {
     }
 
     /// A field with a different value in every cell, halo included.
-    pub(crate) fn varied(tile: &Tile, salt: usize) -> Field2 {
-        let mut f = Field2::new(tile.nx, tile.ny, tile.halo);
+    pub(crate) fn varied(tile: &Tile, salt: usize) -> Field3 {
+        let mut f = Field3::new(tile.nx, tile.ny, 1, tile.halo);
         for (n, v) in f.raw_mut().iter_mut().enumerate() {
             *v = (((n + salt) * 7919 % 1009) as f64 - 504.0) * 1.0e-3 * (1 + salt % 3) as f64;
         }
         f
     }
 
-    pub(crate) fn bits(f: &Field2) -> Vec<u64> {
+    pub(crate) fn bits(f: &Field3) -> Vec<u64> {
         f.raw().iter().map(|v| v.to_bits()).collect()
     }
 }

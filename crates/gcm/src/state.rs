@@ -2,7 +2,7 @@
 
 use crate::config::ModelConfig;
 use crate::eos::FluidKind;
-use crate::field::{Band, Field2, Field3};
+use crate::field::{Band, Field3};
 use crate::kernel::{band_split, in_bands, in_column, thickness, wet};
 use crate::tile::Tile;
 use crate::topography::Topography;
@@ -23,21 +23,21 @@ use std::ops::Range;
 #[derive(Clone, Debug)]
 pub struct Masks {
     /// Wet levels per column.
-    pub kmax: Field2,
+    pub kmax: Field3,
     /// Thickness fraction of each column's deepest wet cell (1.0 on a
     /// full cell, 0.0 on land).
-    pub(crate) bottom: Field2,
+    pub(crate) bottom: Field3,
     /// Wet levels of each west face (u-point): those of the shallower of
     /// its two columns.
-    pub(crate) kmax_u: Field2,
+    pub(crate) kmax_u: Field3,
     /// Open fraction of each west face's deepest wet level: the smaller
     /// thickness fraction of its two cells there.
-    pub(crate) bottom_u: Field2,
+    pub(crate) bottom_u: Field3,
     /// The same for each south face (v-point).
-    pub(crate) kmax_v: Field2,
-    pub(crate) bottom_v: Field2,
+    pub(crate) kmax_v: Field3,
+    pub(crate) bottom_v: Field3,
     /// Fluid depth per column (m, or Pa for the atmosphere isomorph).
-    pub depth: Field2,
+    pub depth: Field3,
     /// Number of wet interior cells on this tile.
     pub wet_cells: u64,
     wet_columns: u64,
@@ -63,9 +63,10 @@ impl Masks {
     /// south of it, looked up in the topography.
     pub fn build(cfg: &ModelConfig, tile: &Tile, topo: &Topography) -> Masks {
         let (nx, ny, nz, h) = (tile.nx, tile.ny, cfg.grid.nz, tile.halo);
-        let f2 = || Field2::new(nx, ny, h);
-        let (mut kmax, mut bottom, mut depth) = (f2(), f2(), f2());
-        let (mut kmax_u, mut bottom_u, mut kmax_v, mut bottom_v) = (f2(), f2(), f2(), f2());
+        let plane = || Field3::new(nx, ny, 1, h);
+        let (mut kmax, mut bottom, mut depth) = (plane(), plane(), plane());
+        let (mut kmax_u, mut bottom_u, mut kmax_v, mut bottom_v) =
+            (plane(), plane(), plane(), plane());
         let column = |gi: i64, gj: i64| {
             let levels = topo.kmax(gi, gj);
             let bottom = match levels {
@@ -89,14 +90,14 @@ impl Masks {
                     (&mut kmax_v, &mut bottom_v, south),
                 ];
                 for (levels, fraction, (l, f)) in pairs {
-                    levels.set(i, j, l);
-                    fraction.set(i, j, f);
+                    levels.set(i, j, 0, l);
+                    fraction.set(i, j, 0, f);
                 }
-                depth.set(i, j, topo.depth(&cfg.grid, gi, gj));
+                depth.set(i, j, 0, topo.depth(&cfg.grid, gi, gj));
             }
         }
         // A column has its top `kmax` levels wet.
-        let levels = || kmax.interior().map(|(i, j)| kmax.at(i, j) as u64);
+        let levels = || kmax.interior().map(|(i, j, _)| kmax.at(i, j, 0) as u64);
         let wet_cells = levels().map(|l| l.min(nz as u64)).sum();
         let wet_columns = levels().filter(|&l| l > 0).count() as u64;
         Masks {
@@ -120,33 +121,33 @@ impl Masks {
 
     /// Cell-centre wet mask of cell `(i, j, k)` (1.0 wet / 0.0 land).
     pub fn c(&self, i: i64, j: i64, k: usize) -> f64 {
-        wet(k, self.kmax.at(i, j))
+        wet(k, self.kmax.at(i, j, 0))
     }
 
     /// West-face (u-point) mask: 1.0 where both cells are wet.
     pub fn u(&self, i: i64, j: i64, k: usize) -> f64 {
-        wet(k, self.kmax_u.at(i, j))
+        wet(k, self.kmax_u.at(i, j, 0))
     }
 
     /// South-face (v-point) mask: 1.0 where both cells are wet.
     pub fn v(&self, i: i64, j: i64, k: usize) -> f64 {
-        wet(k, self.kmax_v.at(i, j))
+        wet(k, self.kmax_v.at(i, j, 0))
     }
 
     /// Cell thickness factor: 1.0 above the column's bottom cell, the
     /// shaved fraction on it, 0.0 on land — the §3.2 partial cells.
     pub fn hc(&self, i: i64, j: i64, k: usize) -> f64 {
-        thickness(k, self.kmax.at(i, j), self.bottom.at(i, j))
+        thickness(k, self.kmax.at(i, j, 0), self.bottom.at(i, j, 0))
     }
 
     /// Open fraction of the west face: the smaller `hc` of its two cells.
     pub fn hu(&self, i: i64, j: i64, k: usize) -> f64 {
-        thickness(k, self.kmax_u.at(i, j), self.bottom_u.at(i, j))
+        thickness(k, self.kmax_u.at(i, j, 0), self.bottom_u.at(i, j, 0))
     }
 
     /// Open fraction of the south face, likewise.
     pub fn hv(&self, i: i64, j: i64, k: usize) -> f64 {
-        thickness(k, self.kmax_v.at(i, j), self.bottom_v.at(i, j))
+        thickness(k, self.kmax_v.at(i, j, 0), self.bottom_v.at(i, j, 0))
     }
 }
 
@@ -176,7 +177,7 @@ fn initial_rows(
         let frac = (k as f64 + 0.5) / levels as f64;
         for j in theta.rows(halo) {
             let cos2 = cos2[(j + halo) as usize];
-            let kmax = masks.kmax.row(j, is.clone());
+            let kmax = masks.kmax.row(j, 0, is.clone());
             let (theta, s) = (theta.row_mut(j, k, is.clone()), s.row_mut(j, k, is.clone()));
             for (n, i) in is
                 .clone()
@@ -223,7 +224,7 @@ pub struct ModelState {
     pub gt_prev: Field3,
     pub gs_prev: Field3,
     /// Surface pressure / surface geopotential (m²/s², i.e. p/ρ0).
-    pub ps: Field2,
+    pub ps: Field3,
     /// Hydrostatic pressure / geopotential anomaly at cell centres.
     pub phy: Field3,
     /// True until the first step has run (the AB2 history is empty and the
@@ -272,7 +273,7 @@ impl ModelState {
             gv_prev: f3(),
             gt_prev: f3(),
             gs_prev: f3(),
-            ps: Field2::new(nx, ny, h),
+            ps: Field3::new(nx, ny, 1, h),
             phy: f3(),
             first_step: true,
         };
@@ -317,8 +318,8 @@ pub(crate) mod reference {
         pub hc: Field3,
         pub hu: Field3,
         pub hv: Field3,
-        pub kmax: Field2,
-        pub depth: Field2,
+        pub kmax: Field3,
+        pub depth: Field3,
         pub wet_cells: u64,
         pub wet_columns: u64,
     }
@@ -331,14 +332,14 @@ pub(crate) mod reference {
         let mut hc = Field3::new(nx, ny, nz, h);
         let mut hu = Field3::new(nx, ny, nz, h);
         let mut hv = Field3::new(nx, ny, nz, h);
-        let mut kmax = Field2::new(nx, ny, h);
-        let mut depth = Field2::new(nx, ny, h);
+        let mut kmax = Field3::new(nx, ny, 1, h);
+        let mut depth = Field3::new(nx, ny, 1, h);
         let hi = h as i64;
         for j in -hi..(ny as i64 + hi) {
             for i in -hi..(nx as i64 + hi) {
                 let (gi, gj) = (tile.gx(i), tile.gy(j));
-                kmax.set(i, j, topo.kmax(gi, gj) as f64);
-                depth.set(i, j, topo.depth(&cfg.grid, gi, gj));
+                kmax.set(i, j, 0, topo.kmax(gi, gj) as f64);
+                depth.set(i, j, 0, topo.depth(&cfg.grid, gi, gj));
                 for k in 0..nz {
                     let wc = topo.wet(gi, gj, k);
                     c.set(i, j, k, wc as u8 as f64);
@@ -362,7 +363,7 @@ pub(crate) mod reference {
         }
         let wet_columns = kmax
             .interior()
-            .filter(|&(i, j)| kmax.at(i, j) > 0.0)
+            .filter(|&(i, j, _)| kmax.at(i, j, 0) > 0.0)
             .count() as u64;
         Expanded {
             c,

@@ -74,12 +74,6 @@ const CATALOG: &[Collective] = &[
         launders_args: false,
     },
     Collective {
-        name: "exchange2",
-        ret_rd: false,
-        args_rd: true,
-        launders_args: false,
-    },
-    Collective {
         name: "exchange3",
         ret_rd: false,
         args_rd: true,

@@ -189,7 +189,7 @@ proptest! {
     #[test]
     fn cg_solves_random_compatible_systems(seed in any::<u64>()) {
         use hyades::gcm::config::ModelConfig;
-        use hyades::gcm::field::Field2;
+        use hyades::gcm::field::Field3;
         use hyades::gcm::kernel::TileGeom;
         use hyades::gcm::solver::{CgSolver, EllipticCoeffs};
         use hyades::gcm::state::Masks;
@@ -203,14 +203,14 @@ proptest! {
         let geom = TileGeom::build(&cfg, &tile);
         let coeffs = EllipticCoeffs::build(&cfg, &tile, &geom, &masks);
         // Random rhs from the seed (deterministic per case).
-        let mut rhs = Field2::new(16, 8, 3);
+        let mut rhs = Field3::new(16, 8, 1, 3);
         let mut z = seed | 1;
-        for (i, j) in rhs.clone().interior() {
+        for (i, j, _) in rhs.clone().interior() {
             z = z.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let v = ((z >> 33) as i64 % 2000 - 1000) as f64 * 1e3;
-            rhs.set(i, j, v);
+            rhs.set(i, j, 0, v);
         }
-        let mut x = Field2::new(16, 8, 3);
+        let mut x = Field3::new(16, 8, 1, 3);
         let mut w = SerialWorld;
         let res = CgSolver::new(&tile).solve(&mut w, &cfg, &d, &tile, &geom, &coeffs, &masks, &rhs, &mut x);
         prop_assert!(res.converged, "CG failed: {res:?}");
