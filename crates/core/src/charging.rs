@@ -9,7 +9,7 @@
 //! while the closed-form performance model provides the prediction.
 
 use crate::perf::model::PerfModel;
-use hyades_comms::{CommWorld, SerialWorld};
+use hyades_comms::SerialWorld;
 use hyades_gcm::config::ModelConfig;
 use hyades_gcm::driver::Model;
 
@@ -38,32 +38,22 @@ impl ChargedRun {
     }
 }
 
-/// Execute `steps` of the model, charging time per the performance-model
-/// parameters in `pm` (whose `nps`/`nds`/`nxyz`/`nxy` describe the target
-/// cluster layout — e.g. Figure 11's 8-endpoint coupled configuration)
-/// but using the run's *measured* flop coefficients and per-step solver
-/// iteration counts.
+/// Execute `steps` of the model on one rank, charging time per the
+/// performance-model parameters in `pm` (whose `nps`/`nds`/`nxyz`/`nxy`
+/// describe the target cluster layout — e.g. Figure 11's 8-endpoint
+/// coupled configuration) but using the run's *measured* flop
+/// coefficients and per-step solver iteration counts.
 pub fn run_charged(cfg: ModelConfig, pm: &PerfModel, steps: usize) -> ChargedRun {
-    let mut world = SerialWorld;
-    run_charged_on(cfg, pm, steps, &mut world)
-}
-
-/// As [`run_charged`] with an explicit world (rank 0 reports).
-pub fn run_charged_on(
-    cfg: ModelConfig,
-    pm: &PerfModel,
-    steps: usize,
-    world: &mut dyn CommWorld,
-) -> ChargedRun {
     assert!(steps > 0);
-    let mut model = Model::new(cfg, world.rank());
+    let mut model = Model::new(cfg, 0);
+    let mut world = SerialWorld;
     let mut compute = 0.0f64;
     let mut comm = 0.0f64;
     let mut total_ni = 0u64;
     let wet_cells = model.masks.wet_cells.max(1) as f64;
     let wet_cols = model.masks.wet_columns().max(1) as f64;
     for _ in 0..steps {
-        let s = model.step(world);
+        let s = model.step(&mut world);
         assert!(s.cg_converged, "solver diverged during charged run");
         // Per-cell coefficients from this step's measured flops, applied
         // to the target layout's per-endpoint cell counts.
