@@ -95,8 +95,10 @@ for workload in coupled_serial ocean_1deg cluster_tour fabric_saturated comm_pri
         echo "hbench $workload reported failed checks (target/hbench-$workload.txt)"
         exit 1
     fi
-    # Printed, not gated: the end-to-end wall time and peak RSS.
+    # Printed, not gated: the three end-to-end metrics — wall time, setup
+    # time and peak RSS.
     sed -n -e "s/^  wall_s */    $workload wall_s /p" \
+        -e "s/^  setup_s */    $workload setup_s /p" \
         -e "s/^  peak_rss_mb */    $workload peak_rss_mb /p" "target/hbench-$workload.txt"
 done
 # Printed, not gated (the gates are in cargo test), from one traced run of
