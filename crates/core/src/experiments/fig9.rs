@@ -10,7 +10,7 @@
 use crate::scenario::small_coupled_scenario;
 use hyades_comms::SerialWorld;
 use hyades_gcm::coupler::CoupledModel;
-use hyades_gcm::diagnostics::{ascii_map, global_diagnostics};
+use hyades_gcm::diagnostics::{ascii_map, global_diagnostics, zonal_mean};
 
 /// Spin up a small coupled run for `steps` steps.
 pub fn spin_up(steps: usize) -> CoupledModel {
@@ -31,14 +31,8 @@ pub fn run() -> String {
     let do_ = global_diagnostics(&c.ocean, &mut w);
     // Zonal-mean zonal wind at the upper atmospheric level (the paper's
     // 250 mb panel corresponds to our level 3 of 5).
-    let lvl = 3;
     let mut zonal = String::new();
-    for j in 0..c.atmos.tile.ny as i64 {
-        let lat = c.atmos.cfg.grid.lat_c(j).to_degrees();
-        let mean: f64 = (0..c.atmos.tile.nx as i64)
-            .map(|i| c.atmos.state.u.at(i, j, lvl))
-            .sum::<f64>()
-            / c.atmos.tile.nx as f64;
+    for (lat, mean) in zonal_mean(&c.atmos, &c.atmos.state.u, 3) {
         zonal.push_str(&format!("{lat:7.1}  {mean:8.3}\n"));
     }
     format!(
