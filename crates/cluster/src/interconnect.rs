@@ -31,6 +31,13 @@ impl ExchangeShape {
     /// receive turn) per neighbor, x-direction neighbors first. An
     /// x-direction leg carries a `ty`-long edge, `ty × halo × levels ×
     /// elem_bytes`; a y-direction leg a `tx`-long one.
+    ///
+    /// The y leg is priced short: `hyades_gcm::halo::exchange3` sends its
+    /// rows widened by the x halo (the corner columns), `(tx + 2·halo) ×
+    /// halo` cells a level, as `halo::exchange_leg_bytes` counts them. On
+    /// a 32 × 32 tile of width 3 that is 18.75 % more y-leg bytes than the
+    /// experiments that price through this shape (E4, E5, E7, E10, E11)
+    /// charge.
     pub fn tile(tx: u32, ty: u32, halo: u32, levels: u32, elem_bytes: u32) -> Self {
         let x = (ty * halo * levels * elem_bytes) as u64;
         let y = (tx * halo * levels * elem_bytes) as u64;
