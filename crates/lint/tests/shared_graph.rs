@@ -33,7 +33,9 @@ fn flow_and_uniform_report_the_same_graph() {
                 assert!(
                     !ws.fns[callee].is_test,
                     "{}: non-test `{}` resolves into test scope `{}`",
-                    ws.files[site.file].rel_path, ws.fns[site.caller].qual, ws.fns[callee].qual
+                    ws.ctx(site.caller).rel_path,
+                    ws.fns[site.caller].qual,
+                    ws.fns[callee].qual
                 );
             }
         }
