@@ -195,5 +195,15 @@ for crate in crates/*/; do
         END { printf "    %-10s %6d %6d %6d\n", crate, total, tests, total - tests }' {} +
 done | awk '{ print; crates++; total += $2; tests += $3 }
     END { printf "    %-10s %6d %6d %6d  (%d crates)\n", "workspace", total, tests, total - tests, crates }'
+# The same count for each file of the analyser's sources, the figure
+# ROADMAP item 13 tracks, closing on their sum.
+echo "==> line ledger, crates/lint/src (file: total lines, tests, non-test)"
+for file in crates/lint/src/*.rs; do
+    awk -v file="$(basename "$file")" '
+        /^[ \t]*#\[cfg\(test\)\]/ { in_tests = 1 }
+        { total++; tests += in_tests }
+        END { printf "    %-10s %6d %6d %6d\n", file, total, tests, total - tests }' "$file"
+done | awk '{ print; total += $2; tests += $3 }
+    END { printf "    %-10s %6d %6d %6d\n", "lint/src", total, tests, total - tests }'
 
 echo "All checks passed."
