@@ -70,6 +70,8 @@ cargo test -q --release -p hyades-des -p hyades-arctic -p hyades-startx -p hyade
 if command -v taskset > /dev/null; then
     echo "==> cargo test -q --release, pinned to one core: comms world::, gcm coupler and bands, hyades-lint"
     taskset -c 0 cargo test -q --release -p hyades-comms world::
+    # The filter stays: `cargo test -q` above runs all of gcm's tests; this
+    # rerun is for the ones that start a helper thread.
     taskset -c 0 cargo test -q --release -p hyades-gcm -- coupler band set_up
     taskset -c 0 cargo test -q --release -p hyades-lint
     taskset -c 0 cargo run -q -p hyades-lint -- --json > target/lint-report-one-core.json
