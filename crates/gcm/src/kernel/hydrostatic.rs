@@ -121,8 +121,10 @@ pub const W_FLOPS_PER_CELL: u64 = 9;
 /// Diagnose `w` (the velocity across the interface between cell `k` and
 /// cell `k-1`, positive toward `k-1`) from the divergence of `(u, v)`,
 /// integrating from the far boundary (`w = 0` below the deepest wet cell).
-/// Computed on the interior extended by `ext` rings (requires `u`, `v`
-/// valid on `ext+1`), on the rows the band of `w` holds.
+/// Computed on the interior extended by `ext` rings, on the rows the band
+/// of `w` holds. It reads `u` on the east face of the last column and `v`
+/// on the north face of the last row too: at `ext = 0`, the faces
+/// `timestep::correct_velocities` writes beyond the interior.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn diagnose_w(
     cfg: &ModelConfig,

@@ -15,7 +15,7 @@ use crate::tile::Tile;
 
 pub const AB2_FLOPS_PER_CELL: u64 = 4;
 pub const UPDATE_FLOPS_PER_CELL: u64 = 14;
-pub const CORRECT_FLOPS_PER_CELL: u64 = 8;
+pub const CORRECT_FLOPS_PER_FACE: u64 = 4;
 
 /// Extrapolate `g` with AB2 against `g_prev`, storing the extrapolated
 /// value in `g` and the *pre-extrapolation* tendency in `g_prev` for the
@@ -207,8 +207,12 @@ pub(crate) fn divergence_rhs_rows(
 }
 
 /// Final update: subtract the gradient of `ps` (width-1 halo) from the
-/// provisional velocities `ustar`, `vstar` on the interior rows the bands
-/// of `u`, `v` hold (the next step's exchange refreshes the halo).
+/// provisional velocities `ustar`, `vstar` on the rows the bands of `u`,
+/// `v` hold: `u` on the interior rows with the tile's east face
+/// (`i = nx`), `v` on the interior columns with its north face (`j = ny`),
+/// which `hydrostatic::diagnose_w` reads. `ustar`, `vstar` are valid there
+/// (`velocity_star` runs on +1) and so is `ps` after the solve's exchange;
+/// the next step's exchange refreshes the rest of the halo.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn correct_velocities(
     cfg: &ModelConfig,
@@ -221,28 +225,39 @@ pub(crate) fn correct_velocities(
     [mut u, mut v]: [Band<'_>; 2],
 ) {
     let cols = Cols::new(tile.nx, 0);
-    let cols_west = cols.wider(1, 0);
+    let (cols_east, cols_both) = (cols.wider(0, 1), cols.wider(1, 1));
     let n = cols.n;
     let (dt, dy) = (cfg.dt, geom.dy);
-    let mut cells = 0u64;
+    let v_rows = v.rows(1);
+    let v_rows = v_rows.start.max(0)..v_rows.end;
+    let mut faces = 0u64;
     for k in 0..cfg.grid.nz {
         for j in u.rows(0) {
             let dxc = geom.dxc_at(j);
-            // Cell `i` is at index `i + 1` of `ps`'s row.
-            let (ps, ps_south) = (cols_west.of(ps, j, 0), cols.of(ps, j - 1, 0));
-            let (u_faces, v_faces) = (cols.u_faces(masks, j), cols.v_faces(masks, j));
-            let (ustar, vstar) = (cols.of(ustar, j, k), cols.of(vstar, j, k));
-            let (u, v) = (cols.of_mut(&mut u, j, k), cols.of_mut(&mut v, j, k));
-            for i in 0..n {
+            // Face `i` is at index `i + 1` of `ps`'s row.
+            let ps = cols_both.of(ps, j, 0);
+            let u_faces = cols_east.u_faces(masks, j);
+            let ustar = cols_east.of(ustar, j, k);
+            let u = cols_east.of_mut(&mut u, j, k);
+            for i in 0..n + 1 {
                 let dpdx = (ps[i + 1] - ps[i]) / dxc;
                 u[i] = u_faces.wet(k, i) * (ustar[i] - dt * dpdx);
-                let dpdy = (ps[i + 1] - ps_south[i]) / dy;
+            }
+            faces += n as u64 + 1;
+        }
+        for j in v_rows.clone() {
+            let (ps, ps_south) = (cols.of(ps, j, 0), cols.of(ps, j - 1, 0));
+            let v_faces = cols.v_faces(masks, j);
+            let vstar = cols.of(vstar, j, k);
+            let v = cols.of_mut(&mut v, j, k);
+            for i in 0..n {
+                let dpdy = (ps[i] - ps_south[i]) / dy;
                 v[i] = v_faces.wet(k, i) * (vstar[i] - dt * dpdy);
             }
-            cells += n as u64;
+            faces += n as u64;
         }
     }
-    flops::add(Phase::Ps, cells * CORRECT_FLOPS_PER_CELL);
+    flops::add(Phase::Ps, faces * CORRECT_FLOPS_PER_FACE);
 }
 
 /// The cell-at-a-time loops the row sweeps above replaced, kept as what
@@ -392,21 +407,26 @@ pub(crate) mod reference {
         let (nx, ny) = (tile.nx as i64, tile.ny as i64);
         let dt = cfg.dt;
         let ModelState { ps, u, v, .. } = state;
-        let mut cells = 0u64;
+        let mut faces = 0u64;
         for k in 0..nz {
-            for j in 0..ny {
-                for i in 0..nx {
-                    let mu = masks.u(i, j, k);
-                    let dpdx = (ps.at(i, j, 0) - ps.at(i - 1, j, 0)) / geom.dxc_at(j);
-                    u.set(i, j, k, mu * (ws.gu.at(i, j, k) - dt * dpdx));
-                    let mv = masks.v(i, j, k);
-                    let dpdy = (ps.at(i, j, 0) - ps.at(i, j - 1, 0)) / geom.dy;
-                    v.set(i, j, k, mv * (ws.gv.at(i, j, k) - dt * dpdy));
-                    cells += 1;
+            for j in 0..=ny {
+                for i in 0..=nx {
+                    if j < ny {
+                        let mu = masks.u(i, j, k);
+                        let dpdx = (ps.at(i, j, 0) - ps.at(i - 1, j, 0)) / geom.dxc_at(j);
+                        u.set(i, j, k, mu * (ws.gu.at(i, j, k) - dt * dpdx));
+                        faces += 1;
+                    }
+                    if i < nx {
+                        let mv = masks.v(i, j, k);
+                        let dpdy = (ps.at(i, j, 0) - ps.at(i, j - 1, 0)) / geom.dy;
+                        v.set(i, j, k, mv * (ws.gv.at(i, j, k) - dt * dpdy));
+                        faces += 1;
+                    }
                 }
             }
         }
-        flops::add(Phase::Ps, cells * CORRECT_FLOPS_PER_CELL);
+        flops::add(Phase::Ps, faces * CORRECT_FLOPS_PER_FACE);
     }
 }
 
