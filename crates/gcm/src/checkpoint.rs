@@ -230,7 +230,10 @@ mod tests {
     #[test]
     fn restart_continues_bit_exactly() {
         // 3 + 3 steps through a checkpoint must equal 6 straight steps:
-        // the AB2 history in the checkpoint is what makes this exact.
+        // the AB2 history in the checkpoint is what makes this exact. The
+        // resumed model assembles and factors the CG's coarse operator
+        // again on its first solve; the straight run keeps its first
+        // step's, and both must give the same bits.
         let mut straight = model();
         let mut w = SerialWorld;
         straight.run(&mut w, 6);

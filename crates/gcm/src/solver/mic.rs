@@ -41,7 +41,7 @@ use crate::tile::Tile;
 /// Share of the dropped fill the pivots absorb. Fixed: over 64 steps of
 /// the 64×32 coupled pair, `ω = 0 / 0.5 / 0.9 / 0.95 / 0.98 / 1.0` cost
 /// 7 464 / 6 566 / 6 053 / 6 253 / 6 749 / 9 709 CG iterations (`hbench`
-/// `gcm.cg_iters`; DESIGN §16).
+/// `gcm.cg_iters`, before the coarse space; EXPERIMENTS.md §16).
 const OMEGA: f64 = 0.9;
 
 /// Rows in a skewed group.
