@@ -41,11 +41,6 @@ pub struct ModelConfig {
     pub forcing: SurfaceForcing,
     /// Whether to use the idealized-continent topography (ocean only).
     pub continents: bool,
-    /// Linear implicit free surface: the DS operator gains a
-    /// `area/(g·Δt²)` diagonal term and `ps/g` becomes a real surface
-    /// elevation η. `false` = the paper's rigid-lid-style solve (pure
-    /// Neumann operator with a nullspace).
-    pub free_surface: bool,
     /// Treat vertical tracer diffusion implicitly (backward Euler,
     /// unconditionally stable — required for large `diff_v`).
     pub implicit_vertical: bool,
@@ -82,7 +77,6 @@ impl ModelConfig {
             cg_max_iters: 200,
             forcing: SurfaceForcing::Climatology,
             continents: false,
-            free_surface: false,
             implicit_vertical: false,
             theta_eq_offset: 0.0,
             seed: 1999,
@@ -110,7 +104,6 @@ impl ModelConfig {
             cg_max_iters: 200,
             forcing: SurfaceForcing::Climatology,
             continents: true,
-            free_surface: false,
             implicit_vertical: false,
             theta_eq_offset: 0.0,
             seed: 2425,
@@ -143,7 +136,6 @@ impl ModelConfig {
             cg_max_iters: 1500,
             forcing: SurfaceForcing::Climatology,
             continents: true,
-            free_surface: false,
             implicit_vertical: true,
             theta_eq_offset: 0.0,
             seed: 360,
@@ -168,7 +160,6 @@ impl ModelConfig {
             cg_max_iters: 500,
             forcing: SurfaceForcing::None,
             continents: false,
-            free_surface: false,
             implicit_vertical: false,
             theta_eq_offset: 0.0,
             seed: 7,
@@ -185,16 +176,6 @@ impl ModelConfig {
             dt: 600.0,
             ..ModelConfig::atmosphere_2p8125(Decomp::blocks(128, 64, 1, 1, 3))
         }
-    }
-
-    /// Sanity-check time-step stability limits (advisory; returns the most
-    /// restrictive CFL-style ratio, which should be < 1).
-    pub fn stability_ratio(&self, max_speed: f64) -> f64 {
-        let dx = self.grid.min_dx();
-        let adv = max_speed * self.dt / dx;
-        let visc = 4.0 * self.visc_h * self.dt / (dx * dx);
-        let cor = 2.0 * self.grid.omega * self.dt;
-        adv.max(visc).max(cor)
     }
 }
 
@@ -246,24 +227,6 @@ mod tests {
             );
         }
     }
-
-    #[test]
-    fn stability_margins() {
-        let d = Decomp::blocks(128, 64, 4, 2, 3);
-        let atm = ModelConfig::atmosphere_2p8125(d);
-        // 60 m/s jet at the wall latitude must still satisfy CFL.
-        assert!(
-            atm.stability_ratio(60.0) < 1.0,
-            "{}",
-            atm.stability_ratio(60.0)
-        );
-        let oce = ModelConfig::ocean_2p8125(d);
-        assert!(
-            oce.stability_ratio(1.5) < 1.0,
-            "{}",
-            oce.stability_ratio(1.5)
-        );
-    }
 }
 
 #[cfg(test)]
@@ -282,11 +245,6 @@ mod one_degree_tests {
         // E10 throughput analysis' nxyz.
         assert_eq!(cfg.grid.nx * cfg.grid.ny * cfg.grid.nz / 8, 108_000);
         assert!((cfg.grid.dlon.to_degrees() - 1.0).abs() < 1e-12);
-        assert!(
-            cfg.stability_ratio(1.5) < 1.0,
-            "{}",
-            cfg.stability_ratio(1.5)
-        );
     }
 
     #[test]

@@ -786,83 +786,6 @@ mod tests {
 }
 
 #[cfg(test)]
-mod free_surface_tests {
-    use super::*;
-    use crate::config::SurfaceForcing;
-    use crate::decomp::Decomp;
-    use hyades_comms::SerialWorld;
-
-    fn cfg(free_surface: bool) -> ModelConfig {
-        let d = Decomp::blocks(16, 8, 1, 1, 3);
-        let mut cfg = ModelConfig::test_ocean(16, 8, 4, d);
-        cfg.forcing = SurfaceForcing::Climatology;
-        cfg.free_surface = free_surface;
-        cfg
-    }
-
-    #[test]
-    fn free_surface_run_stays_finite_with_bounded_eta() {
-        let mut m = Model::new(cfg(true), 0);
-        let mut w = SerialWorld;
-        for _ in 0..30 {
-            let s = m.step(&mut w);
-            assert!(s.cg_converged);
-        }
-        assert!(m.state.is_finite());
-        // η = ps/g must stay at oceanic magnitudes (metres, not km).
-        let eta_max = m.state.ps.interior_max_abs() / crate::grid::GRAVITY;
-        assert!(eta_max < 5.0, "eta {eta_max} m");
-        assert!(eta_max > 1e-9, "surface never moved");
-    }
-
-    #[test]
-    fn free_surface_and_rigid_lid_agree_on_slow_dynamics() {
-        // The free surface admits (implicitly damped) external gravity
-        // waves the rigid lid filters, so velocities differ by a bounded
-        // barotropic sloshing transient during spin-up; the slow fields
-        // (tracers) must track closely.
-        let steps = 20;
-        let mut rl = Model::new(cfg(false), 0);
-        let mut fs = Model::new(cfg(true), 0);
-        let mut w = SerialWorld;
-        rl.run(&mut w, steps);
-        fs.run(&mut w, steps);
-        let scale = rl.state.u.interior_max_abs().max(1e-12);
-        let mut max_du = 0.0f64;
-        let mut max_dt = 0.0f64;
-        for (i, j, k) in rl.state.u.clone().interior() {
-            max_du = max_du.max((rl.state.u.at(i, j, k) - fs.state.u.at(i, j, k)).abs());
-            max_dt = max_dt.max((rl.state.theta.at(i, j, k) - fs.state.theta.at(i, j, k)).abs());
-        }
-        assert!(
-            max_du < 0.5 * scale,
-            "u differs by {max_du} (scale {scale}) — more than sloshing"
-        );
-        assert!(max_dt < 0.05, "theta differs by {max_dt} K");
-    }
-
-    #[test]
-    fn free_surface_solver_converges_faster() {
-        // The augmented diagonal improves the operator's conditioning:
-        // the free-surface solve should need no more iterations than the
-        // rigid lid, typically fewer.
-        let mut rl = Model::new(cfg(false), 0);
-        let mut fs = Model::new(cfg(true), 0);
-        let mut w = SerialWorld;
-        let mut rl_iters = 0usize;
-        let mut fs_iters = 0usize;
-        for _ in 0..10 {
-            rl_iters += rl.step(&mut w).cg_iterations;
-            fs_iters += fs.step(&mut w).cg_iterations;
-        }
-        assert!(
-            fs_iters <= rl_iters + 5,
-            "free surface {fs_iters} vs rigid lid {rl_iters}"
-        );
-    }
-}
-
-#[cfg(test)]
 mod construction_tests {
     use super::*;
     use crate::decomp::Decomp;

@@ -604,7 +604,7 @@ pub(crate) mod fixtures {
             cases.push(staircase(5, 4, 5, fluid).with_holes());
         }
         for nx in [1, 2, 5, 16] {
-            let (mut cfg, tile, ..) = scattered_land(nx, 6, false);
+            let (mut cfg, tile, ..) = scattered_land(nx, 6);
             cfg.forcing = SurfaceForcing::Climatology;
             let topo = scattered_topography(&cfg);
             let label = format!("scattered land {nx}x6x4");

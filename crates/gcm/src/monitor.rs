@@ -7,7 +7,7 @@
 //! that package's isomorph for the reproduction:
 //!
 //! * [`RunMonitor::observe`] computes, after every model step,
-//!   conserved-quantity budgets (free-surface volume anomaly, tracer
+//!   conserved-quantity budgets (area integral of `ps`, tracer
 //!   integrals, kinetic energy per velocity component), stability
 //!   indicators (advective and gravity-wave CFL numbers, max divergence
 //!   norm), per-field min/max extrema with the owning rank/level/cell,

@@ -8,26 +8,24 @@
 //! field `Zc` has no gradient inside a block, so
 //!
 //! ```text
-//! (ÂZc)(i) = Σ_faces a·(c_k(i) − c_k(nbr)) + f·area·c_k(i)
+//! (ÂZc)(i) = Σ_faces a·(c_k(i) − c_k(nbr))
 //! ```
 //!
 //! sums over the faces of cell `i` that cross a block edge only (≈ 6 % of
-//! the 1° tile's cells), plus the free surface's diagonal `f = 1/(g·Δt²)`
-//! on every wet cell. Each tile assembles its share of `E` from the faces
-//! it owns — the west and south faces of its interior cells — and applies
-//! `ÂZc` from the transmissibilities of the block-edge faces, not from an
-//! operator sweep.
+//! the 1° tile's cells). Each tile assembles its share of `E` from the
+//! faces it owns — the west and south faces of its interior cells — and
+//! applies `ÂZc` from the transmissibilities of the block-edge faces, not
+//! from an operator sweep.
 //!
-//! `E` is positive semidefinite. It is singular under the rigid lid (the
-//! constant), for an all-land block (a zero row) and for a closed basin
-//! made of whole blocks. The dense Cholesky factor drops every block whose
-//! pivot falls below [`DROP`] of its diagonal and solves with `c_k = 0`
-//! there: it is the factor of `E` restricted to the blocks it keeps.
+//! `E` is positive semidefinite. It is singular for the constant (the
+//! rigid lid's nullspace), for an all-land block (a zero row) and for a
+//! closed basin made of whole blocks. The dense Cholesky factor drops
+//! every block whose pivot falls below [`DROP`] of its diagonal and
+//! solves with `c_k = 0` there: it is the factor of `E` restricted to
+//! the blocks it keeps.
 
 use crate::config::ModelConfig;
 use crate::field::Field3;
-use crate::kernel::TileGeom;
-use crate::solver::free_surface_factor;
 use crate::state::Masks;
 use crate::tile::Tile;
 use hyades_comms::CommWorld;
@@ -49,16 +47,6 @@ struct Segment {
     bx: usize,
 }
 
-/// An interior row's block row.
-#[derive(Clone, Copy, Debug)]
-struct Row {
-    /// The first block of the row's block row (`by·nbx`).
-    base: usize,
-    /// `f·area` of the row's cells: the free surface's diagonal, 0 under
-    /// the rigid lid.
-    fs_area: f64,
-}
-
 /// A face of an interior cell that crosses a block edge: the cell's
 /// column, its block, the neighbour's block and the transmissibility.
 #[derive(Clone, Copy, Debug)]
@@ -74,7 +62,8 @@ struct Face {
 pub(crate) struct Coarse {
     nb: usize,
     segments: Vec<Segment>,
-    rows: Vec<Row>,
+    /// Per interior row, the first block of its block row (`by·nbx`).
+    rows: Vec<usize>,
     /// The faces of the tile's cells across block edges with a nonzero
     /// transmissibility, row by row (`row_faces[j]..row_faces[j + 1]`):
     /// per row the west and east faces at segment ends, then the south
@@ -94,7 +83,6 @@ impl Coarse {
     pub(crate) fn new(
         cfg: &ModelConfig,
         tile: &Tile,
-        geom: &TileGeom,
         masks: &Masks,
         (aw, a_s): (&Field3, &Field3),
         blocks: [usize; 2],
@@ -123,7 +111,6 @@ impl Coarse {
                 }),
             }
         }
-        let fs = free_surface_factor(cfg);
 
         let nx = tile.nx as i64;
         let (mut rows, mut faces, mut row_faces) = (Vec::new(), Vec::new(), vec![0]);
@@ -158,10 +145,7 @@ impl Coarse {
                 }
             }
             row_faces.push(faces.len());
-            rows.push(Row {
-                base,
-                fs_area: fs * geom.area_at(j),
-            });
+            rows.push(base);
         }
 
         let mut coarse = Coarse {
@@ -178,8 +162,8 @@ impl Coarse {
     }
 
     /// This tile's share of `E` and of the blocks' wet columns: the rows
-    /// of `E` that its cells' block-edge faces and free-surface diagonals
-    /// make (`(ZᵀÂZ)_kl = Σ_{i in k} (Âz_l)_i`).
+    /// of `E` that its cells' block-edge faces make
+    /// (`(ZᵀÂZ)_kl = Σ_{i in k} (Âz_l)_i`).
     fn assemble(&self, tile: &Tile, masks: &Masks) -> Vec<f64> {
         let nb = self.nb;
         let mut e = vec![0.0; nb * nb + nb];
@@ -188,13 +172,11 @@ impl Coarse {
             e[k * nb + l] -= a;
         }
         let nx = tile.nx as i64;
-        for (j, row) in (0..).zip(&self.rows) {
+        for j in 0..tile.ny as i64 {
             let depth = masks.depth.row(j, 0, 0..nx);
             for (cols, k) in self.row_blocks(j) {
-                for _ in depth[cols].iter().filter(|&&d| d > 0.0) {
-                    e[k * nb + k] += row.fs_area;
-                    e[nb * nb + k] += 1.0;
-                }
+                let wet = depth[cols].iter().filter(|&&d| d > 0.0).count();
+                e[nb * nb + k] += wet as f64;
             }
         }
         e
@@ -224,31 +206,20 @@ impl Coarse {
     /// Interior row `j`'s segments as (columns, block).
     #[inline]
     pub(crate) fn row_blocks(&self, j: i64) -> impl Iterator<Item = (Range<usize>, usize)> + '_ {
-        let base = self.rows[j as usize].base;
+        let base = self.rows[j as usize];
         self.segments
             .iter()
             .map(move |seg| (seg.start..seg.end, base + seg.bx))
     }
 
     /// `f −= ÂZc` on the interior: per cell, its block-edge faces west,
-    /// east, south and north, then the free-surface term on a wet cell.
-    pub(crate) fn subtract_az(&self, tile: &Tile, masks: &Masks, c: &[f64], f: &mut Field3) {
+    /// east, south and north.
+    pub(crate) fn subtract_az(&self, tile: &Tile, c: &[f64], f: &mut Field3) {
         let nx = tile.nx as i64;
-        for (j, row) in (0..).zip(&self.rows) {
+        for (j, faces) in (0..tile.ny as i64).zip(self.row_faces.windows(2)) {
             let f = f.row_mut(j, 0, 0..nx);
-            let faces = &self.faces[self.row_faces[j as usize]..self.row_faces[j as usize + 1]];
-            for &Face { i, k, l, a } in faces {
+            for &Face { i, k, l, a } in &self.faces[faces[0]..faces[1]] {
                 f[i] -= a * (c[k] - c[l]);
-            }
-            if row.fs_area != 0.0 {
-                let depth = masks.depth.row(j, 0, 0..nx);
-                for (cols, k) in self.row_blocks(j) {
-                    let fc = row.fs_area * c[k];
-                    let cells = f[cols.clone()].iter_mut().zip(&depth[cols]);
-                    for (f, _) in cells.filter(|(_, &d)| d > 0.0) {
-                        *f -= fc;
-                    }
-                }
             }
         }
     }

@@ -12,7 +12,6 @@ use crate::config::ModelConfig;
 use crate::field::Field3;
 use crate::kernel::TileGeom;
 use crate::solver::coarse::{Coarse, BLOCKS};
-use crate::solver::free_surface_factor;
 use crate::solver::mic::Mic0;
 use crate::state::Masks;
 use crate::tile::Tile;
@@ -67,30 +66,19 @@ impl EllipticCoeffs {
                 a_s.set(i, j, 0, hs * geom.dxs_at(j) / geom.dy);
             }
         }
-        // Linear implicit free surface (Crank–Nicolson-free variant): the
-        // surface elevation η = ps/g evolves as ∂η/∂t = −∇·(H v̄), which
-        // adds `area/(g·Δt²)` to the diagonal. The augmented operator is
-        // strictly positive-definite — the nullspace of the rigid-lid
-        // operator disappears.
-        let fs = free_surface_factor(cfg);
         let di = h as i64 - 2;
         for j in -di..(ny as i64 + di) {
             for i in -di..(nx as i64 + di) {
-                let wet = (masks.depth.at(i, j, 0) > 0.0) as u8 as f64;
                 diag.set(
                     i,
                     j,
                     0,
-                    aw.at(i, j, 0)
-                        + aw.at(i + 1, j, 0)
-                        + a_s.at(i, j, 0)
-                        + a_s.at(i, j + 1, 0)
-                        + wet * fs * geom.area_at(j),
+                    aw.at(i, j, 0) + aw.at(i + 1, j, 0) + a_s.at(i, j, 0) + a_s.at(i, j + 1, 0),
                 );
             }
         }
         let mic = Mic0::build(tile, &aw, &a_s, &diag);
-        let coarse = Coarse::new(cfg, tile, geom, masks, (&aw, &a_s), blocks);
+        let coarse = Coarse::new(cfg, tile, masks, (&aw, &a_s), blocks);
         EllipticCoeffs {
             aw,
             a_s,

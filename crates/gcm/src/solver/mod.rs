@@ -15,16 +15,6 @@ mod mic;
 pub use cg::{CgResult, CgSolver};
 pub use elliptic::EllipticCoeffs;
 
-/// The free surface's diagonal per unit area, `1/(g·Δt²)`; 0 under the
-/// rigid lid.
-fn free_surface_factor(cfg: &crate::config::ModelConfig) -> f64 {
-    if cfg.free_surface {
-        1.0 / (crate::grid::GRAVITY * cfg.dt * cfg.dt)
-    } else {
-        0.0
-    }
-}
-
 /// What the sweep tests of [`cg`] and `mic` run on.
 #[cfg(test)]
 pub(crate) mod fixtures {
@@ -40,17 +30,15 @@ pub(crate) mod fixtures {
     /// An `nx × ny` tile (halo 3) of an ocean three columns wider and a
     /// row taller, whose land follows a fixed scatter, with its operator. From `nx = 3`,
     /// `ny = 3` up, column (2, 2) is wet between four dry neighbours:
-    /// wet with a zero diagonal under the rigid lid.
+    /// wet with a zero diagonal.
     pub(crate) fn scattered_land(
         nx: usize,
         ny: usize,
-        free_surface: bool,
     ) -> (ModelConfig, Tile, TileGeom, Masks, EllipticCoeffs) {
         // The sweeps never exchange, so any tile of the grid will do —
         // also one narrower than its halo, which `Decomp::blocks` refuses.
         let d = Decomp::blocks(16, 8, 1, 1, 3);
-        let mut cfg = ModelConfig::test_ocean(nx + 3, ny + 1, 4, d);
-        cfg.free_surface = free_surface;
+        let cfg = ModelConfig::test_ocean(nx + 3, ny + 1, 4, d);
         let tile = offset_tile(nx, ny);
         let masks = Masks::build(&cfg, &tile, &scattered_topography(&cfg));
         let geom = TileGeom::build(&cfg, &tile);
