@@ -159,6 +159,35 @@ fn poll_then_yield<T>(mut poll: impl FnMut() -> Option<T>) -> Option<T> {
     None
 }
 
+/// The reduction a rank joins; every rank must join the same one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Op {
+    Sum,
+    Max,
+    Barrier,
+}
+
+impl Op {
+    /// The `CommWorld` call that joins this reduction.
+    fn call(self) -> &'static str {
+        match self {
+            Op::Sum => "global_sum_vec",
+            Op::Max => "global_max",
+            Op::Barrier => "barrier",
+        }
+    }
+
+    /// Fold `b` into `a`, word by word.
+    fn combine(self, a: &mut [f64], b: &[f64]) {
+        let pairs = a.iter_mut().zip(b);
+        match self {
+            Op::Sum => pairs.for_each(|(a, b)| *a += b),
+            Op::Max => pairs.for_each(|(a, b)| *a = a.max(*b)),
+            Op::Barrier => {}
+        }
+    }
+}
+
 /// Shared state for deterministic reductions and barriers.
 struct RendezvousCore {
     m: Mutex<RendezvousState>,
@@ -171,9 +200,9 @@ struct RendezvousCore {
 }
 
 struct RendezvousState {
-    /// Per-rank contribution to the in-flight operation (buffers reused
-    /// from one operation to the next).
-    slots: Vec<Vec<f64>>,
+    /// Per-rank reduction and contribution to the in-flight operation
+    /// (buffers reused from one operation to the next).
+    slots: Vec<(Op, Vec<f64>)>,
     arrived: usize,
     /// Result of the last completed operation.
     result: Vec<f64>,
@@ -185,7 +214,7 @@ impl RendezvousCore {
     fn new(n: usize) -> Self {
         RendezvousCore {
             m: Mutex::new(RendezvousState {
-                slots: vec![Vec::new(); n],
+                slots: vec![(Op::Barrier, Vec::new()); n],
                 arrived: 0,
                 result: Vec::new(),
                 departed: Vec::new(),
@@ -202,24 +231,43 @@ impl RendezvousCore {
         self.m.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Deposit this rank's contribution `xs`; the last arriver combines
-    /// all contributions in rank order with `combine` (whatever order
-    /// they arrived in) and publishes the result, which every rank
-    /// copies back into `xs`. Returns the reduction's generation number
-    /// (the all-ranks join point, recorded in the comm log for the
+    /// Deposit this rank's contribution `xs` to `op`; the last arriver
+    /// checks that every rank joined the same `op` with as many words,
+    /// combines all contributions in rank order (whatever order they
+    /// arrived in) and publishes the result, which every rank copies
+    /// back into `xs`. Returns the reduction's generation number (the
+    /// all-ranks join point, recorded in the comm log for the
     /// happens-before checker).
-    fn reduce(&self, rank: usize, xs: &mut [f64], combine: fn(&mut [f64], &[f64])) -> u64 {
+    ///
+    /// # Panics
+    ///
+    /// In the last arriver, naming two ranks' calls, if the ranks did not
+    /// all join the same reduction.
+    fn reduce(&self, rank: usize, op: Op, xs: &mut [f64]) -> u64 {
         let mut st = self.lock();
         let my_gen = self.generation.load(Ordering::Relaxed);
-        st.slots[rank].clear();
-        st.slots[rank].extend_from_slice(xs);
+        let slot = &mut st.slots[rank];
+        slot.0 = op;
+        slot.1.clear();
+        slot.1.extend_from_slice(xs);
         st.arrived += 1;
         if st.arrived == self.n {
             let RendezvousState { slots, result, .. } = &mut *st;
+            let joined = |(op, v): &(Op, Vec<f64>)| (*op, v.len());
+            if let Some(other) = (1..self.n).find(|&r| joined(&slots[r]) != joined(&slots[0])) {
+                let call = |r: usize| {
+                    let (op, words) = joined(&slots[r]);
+                    let plural = if words == 1 { "" } else { "s" };
+                    format!("rank {r} called {} with {words} word{plural}", op.call())
+                };
+                let calls = format!("{}, {}", call(0), call(other));
+                drop(st);
+                panic!("reduction {my_gen} mismatched: {calls}");
+            }
             result.clear();
-            result.extend_from_slice(&slots[0]);
-            for v in &slots[1..] {
-                combine(result, v);
+            result.extend_from_slice(&slots[0].1);
+            for (_, v) in &slots[1..] {
+                op.combine(result, v);
             }
             st.arrived = 0;
             self.generation.store(my_gen + 1, Ordering::Release);
@@ -313,10 +361,10 @@ impl ThreadWorld {
         data
     }
 
-    /// Join the all-ranks rendezvous with the contribution `xs`, which
-    /// becomes the rank-ordered `combine` of everyone's.
-    fn reduce(&self, xs: &mut [f64], combine: fn(&mut [f64], &[f64])) {
-        let generation = self.red.reduce(self.rank, xs, combine);
+    /// Join the all-ranks rendezvous `op` with the contribution `xs`,
+    /// which becomes the rank-ordered combination of everyone's.
+    fn reduce(&self, op: Op, xs: &mut [f64]) {
+        let generation = self.red.reduce(self.rank, op, xs);
         commlog::record(CommEvent::Reduce { generation });
     }
 
@@ -385,25 +433,17 @@ impl CommWorld for ThreadWorld {
     }
 
     fn global_sum_vec(&mut self, xs: &mut [f64]) {
-        self.reduce(xs, |a, b| {
-            for (ai, bi) in a.iter_mut().zip(b) {
-                *ai += bi;
-            }
-        });
+        self.reduce(Op::Sum, xs);
     }
 
     fn global_max(&mut self, x: f64) -> f64 {
         let mut v = [x];
-        self.reduce(&mut v, |a, b| {
-            for (ai, bi) in a.iter_mut().zip(b) {
-                *ai = ai.max(*bi);
-            }
-        });
+        self.reduce(Op::Max, &mut v);
         v[0]
     }
 
     fn barrier(&mut self) {
-        self.reduce(&mut [], |_a, _b| {});
+        self.reduce(Op::Barrier, &mut []);
     }
 
     fn gather(&mut self, data: Vec<f64>) -> Option<Vec<Vec<f64>>> {
@@ -780,6 +820,49 @@ mod tests {
         assert_eq!(
             panic_message(outcome.unwrap_err()),
             "rank 0: rank 2 left before reduction 0 (peer exited early)"
+        );
+    }
+
+    /// The panic of a two-rank run whose ranks call `rank0` and `rank1`.
+    fn mismatch(rank0: fn(&mut ThreadWorld), rank1: fn(&mut ThreadWorld)) -> String {
+        let outcome = within_ten_seconds(move || {
+            std::panic::catch_unwind(|| {
+                ThreadWorld::run(2, |w| if w.rank() == 0 { rank0(w) } else { rank1(w) })
+            })
+        });
+        panic_message(outcome.expect_err("the mismatched reduction completed"))
+    }
+
+    #[test]
+    fn a_max_met_by_a_sum_is_refused_naming_both_calls() {
+        let got = mismatch(
+            |w| {
+                w.global_max(1.0);
+            },
+            |w| {
+                w.global_sum(5.0);
+            },
+        );
+        assert_eq!(
+            got,
+            "reduction 0 mismatched: rank 0 called global_max with 1 word, \
+             rank 1 called global_sum_vec with 1 word"
+        );
+    }
+
+    #[test]
+    fn a_two_word_sum_met_by_a_max_is_refused_naming_both_calls() {
+        let got = mismatch(
+            |w| w.global_sum_vec(&mut [1.0, 2.0]),
+            |w| {
+                w.global_max(1.0);
+                w.global_max(2.0);
+            },
+        );
+        assert_eq!(
+            got,
+            "reduction 0 mismatched: rank 0 called global_sum_vec with 2 words, \
+             rank 1 called global_max with 1 word"
         );
     }
 
