@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Full local gate: formatting, release build, clippy, rustdoc, static analysis,
-# tests, the benchmark's six workloads, the tour example, the examples that
-# complete at their defaults, and every experiment's report and point data
+# tests, the benchmark's six workloads, the tour example, every other
+# example at its defaults, and every experiment's report and point data
 # regenerated into one artifact directory; then a per-crate line count.
 # Run from anywhere inside the repo.
 set -eu
@@ -157,11 +157,10 @@ if command -v taskset > /dev/null; then
     echo "    pinned to one core: $(tail -n 1 target/tour-one-core.txt)"
 fi
 
-# The examples that complete at their defaults. `coupled_climate` is left
-# out: its default 200 steps leave the finite numbers at step 60 (ROADMAP
-# item 1's horizon); add it when item 1 lands.
+# Every example but `tour` and `reproduce_all` (run above and below), at
+# its defaults.
 echo "==> examples (each must exit 0)"
-for example in quickstart ocean_gyre checkpoint_restart climate_atlas paleo_experiment century_planner scaling_study; do
+for example in quickstart ocean_gyre checkpoint_restart climate_atlas paleo_experiment century_planner scaling_study coupled_climate; do
     if ! cargo run -q --release --example "$example" > "target/example-$example.txt" 2>&1; then
         tail -n 20 "target/example-$example.txt"
         echo "example $example failed (target/example-$example.txt)"
