@@ -205,7 +205,7 @@ fn gcm_results_match_the_pinned_golden_values() {
     let digest = model_state_digest(model_state_digest(FNV_OFFSET, &pair.atmos), &pair.ocean);
     assert_eq!(
         (digest, iters),
-        (0xb578_9d8d_d09b_8245, 268),
+        (0x9ce8_4522_9144_0e5f, 268),
         "coupled 16x8"
     );
 
@@ -258,7 +258,7 @@ fn coupled_64x32_matches_the_pinned_golden_values() {
     let digest = model_state_digest(model_state_digest(FNV_OFFSET, &pair.atmos), &pair.ocean);
     assert_eq!(
         (digest, iters),
-        (0xa9d8_fe1a_a0e3_d5d6, 4886),
+        (0x542b_d8e5_21a8_68d8, 4883),
         "coupled 64x32"
     );
 }
@@ -675,7 +675,7 @@ fn tour_bundle_matches_the_pinned_digest() {
             .fold(hash, |h, b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
     });
     assert_eq!(
-        digest, 0xd3f2_3a77_e179_18d6,
+        digest, 0x865c_cb60_c18f_9c72,
         "tour bundle digest {digest:#018x}"
     );
 }
