@@ -68,11 +68,11 @@ cargo test -q --release -p hyades-des -p hyades-arctic -p hyades-startx -p hyade
 # the caller, and the coupler's, the bands' and the analyser's
 # bit-identity tests must pass there too, as must its report.
 if command -v taskset > /dev/null; then
-    echo "==> cargo test -q --release, pinned to one core: comms world::, gcm coupler and bands, hyades-lint"
+    echo "==> cargo test -q --release, pinned to one core: comms world::, gcm coupler, bands and halos, hyades-lint"
     taskset -c 0 cargo test -q --release -p hyades-comms world::
     # The filter stays: `cargo test -q` above runs all of gcm's tests; this
-    # rerun is for the ones that start a helper thread.
-    taskset -c 0 cargo test -q --release -p hyades-gcm -- coupler band set_up
+    # rerun is for the ones that start a helper thread or a 2x2 ThreadWorld.
+    taskset -c 0 cargo test -q --release -p hyades-gcm -- coupler band halo_tests set_up
     taskset -c 0 cargo test -q --release -p hyades-lint
     taskset -c 0 cargo run -q -p hyades-lint -- --json > target/lint-report-one-core.json
     if ! cmp target/lint-report.json target/lint-report-one-core.json; then
