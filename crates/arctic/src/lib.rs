@@ -26,6 +26,10 @@
 //! The paper's packet format (Figure 1b) is carried faithfully: two 32-bit
 //! header words followed by a payload of 2–22 32-bit words.
 
+// Library code reports failure instead of panicking; a panic that
+// cannot happen carries a reasoned `#[expect]`.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod crc;
 pub mod fault;
 pub mod network;

@@ -135,8 +135,8 @@ proptest! {
         // For each (src, dst, priority) class, delivery order must match
         // injection order.
         for sink in &delivered {
-            let mut last_seen: std::collections::HashMap<(u16, bool), usize> =
-                std::collections::HashMap::new();
+            let mut last_seen: std::collections::BTreeMap<(u16, bool), usize> =
+                std::collections::BTreeMap::new();
             for (_, pkt) in sink {
                 let seq = pkt.payload[0] as usize;
                 let key = (pkt.src, pkt.priority == Priority::High);

@@ -18,6 +18,10 @@
 //! * [`machines`] — the vector supercomputers of Figure 10 (Cray Y-MP,
 //!   Cray C90, NEC SX-4) as sustained-rate comparator models.
 
+// Library code reports failure instead of panicking; a panic that
+// cannot happen carries a reasoned `#[expect]`.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod ethernet;
 pub mod ethernet_sim;
 pub mod interconnect;

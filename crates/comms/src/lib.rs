@@ -34,6 +34,10 @@
 //!   [`hyades_cluster::interconnect::PrimitiveModel`] for Arctic, the
 //!   "stand-alone benchmark" step of the paper's methodology.
 
+// Library code reports failure instead of panicking; a panic that
+// cannot happen carries a reasoned `#[expect]`.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod barrier;
 pub mod exchange;
 pub mod gsum;

@@ -791,7 +791,10 @@ impl TourConfig {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the report renders each of the recovery run's results, passed as they come out of the run"
+)]
 fn render_recovery_report(
     tour: &TourConfig,
     stats: &hyades_gcm::resilient::RecoveryStats,

@@ -9,7 +9,6 @@ use crate::actor::ActorId;
 use crate::time::SimTime;
 use std::any::Any;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// An event payload. Actors downcast to their own message types.
 pub type Payload = Box<dyn Any>;
@@ -45,7 +44,11 @@ impl Ord for ScheduledEvent {
 /// Deterministic pending-event set.
 #[derive(Default)]
 pub struct EventQueue {
-    heap: BinaryHeap<ScheduledEvent>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the one heap of events: its key is (time, seq), seq an insertion counter, so equal-time events pop in the order they were scheduled"
+    )]
+    heap: std::collections::BinaryHeap<ScheduledEvent>,
     next_seq: u64,
 }
 

@@ -27,6 +27,10 @@
 //! — the same methodology the paper itself uses (stand-alone benchmarks feed
 //! an analytical performance model).
 
+// Library code reports failure instead of panicking; a panic that
+// cannot happen carries a reasoned `#[expect]`.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod actor;
 pub mod event;
 pub mod fault;

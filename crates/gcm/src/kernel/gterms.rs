@@ -283,7 +283,10 @@ fn vertical_viscosity(
 }
 
 /// Flux-form tendency for one tracer on the interior extended by `ext`.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a kernel takes each field it reads or writes as an argument of its own"
+)]
 pub fn tracer_tendency(
     cfg: &ModelConfig,
     tile: &Tile,
@@ -313,7 +316,10 @@ pub fn tracer_tendency(
 /// the south flux of the cell to the north, expression for expression, so
 /// differencing the shared values is what differencing four fluxes of its
 /// own was.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a kernel takes each field it reads or writes as an argument of its own"
+)]
 pub(crate) fn tracer_tendency_rows(
     cfg: &ModelConfig,
     tile: &Tile,
@@ -422,7 +428,6 @@ pub(crate) mod reference {
 
     /// Evaluate `G_u`, `G_v` on the interior extended by `ext` rings
     /// (requires state valid on `ext+1`).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn momentum_tendencies(
         cfg: &ModelConfig,
         tile: &Tile,
@@ -566,7 +571,10 @@ pub(crate) mod reference {
     }
 
     /// Flux-form tendency for one tracer on the interior extended by `ext`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the cell-at-a-time reference keeps the signature of the kernel it checks"
+    )]
     pub(crate) fn tracer_tendency(
         cfg: &ModelConfig,
         tile: &Tile,

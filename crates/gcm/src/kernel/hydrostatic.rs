@@ -60,7 +60,10 @@ pub(crate) fn buoyancy_and_phy_rows(
 
 /// Rows outermost, levels in the middle, a row of columns innermost; the
 /// two column carries of the accumulation are a row each.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a kernel takes each field it reads or writes as an argument of its own"
+)]
 fn buoyancy_and_phy_with(
     cfg: &ModelConfig,
     tile: &Tile,
@@ -125,7 +128,10 @@ pub const W_FLOPS_PER_CELL: u64 = 9;
 /// of `w` holds. It reads `u` on the east face of the last column and `v`
 /// on the north face of the last row too: at `ext = 0`, the faces
 /// `timestep::correct_velocities` writes beyond the interior.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a kernel takes each field it reads or writes as an argument of its own"
+)]
 pub(crate) fn diagnose_w(
     cfg: &ModelConfig,
     tile: &Tile,
@@ -232,7 +238,10 @@ pub(crate) mod reference {
     /// integrating from the far boundary (`w = 0` below the deepest wet cell).
     /// Computed on the interior extended by `ext` rings (requires `u`, `v`
     /// valid on `ext+1`).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the cell-at-a-time reference keeps the signature of the kernel it checks"
+    )]
     pub(crate) fn diagnose_w(
         cfg: &ModelConfig,
         tile: &Tile,

@@ -213,7 +213,10 @@ pub(crate) fn divergence_rhs_rows(
 /// which `hydrostatic::diagnose_w` reads. `ustar`, `vstar` are valid there
 /// (`velocity_star` runs on +1) and so is `ps` after the solve's exchange;
 /// the next step's exchange refreshes the rest of the halo.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a kernel takes each field it reads or writes as an argument of its own"
+)]
 pub(crate) fn correct_velocities(
     cfg: &ModelConfig,
     tile: &Tile,

@@ -39,6 +39,10 @@
 //! adjustment, bulk surface fluxes) after the 5-level model the paper
 //! cites.
 
+// Library code reports failure instead of panicking; a panic that
+// cannot happen carries a reasoned `#[expect]`.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod checkpoint;
 pub mod config;
 pub mod coupler;

@@ -58,7 +58,10 @@ pub fn q_sat(t: f64, p: f64) -> f64 {
 /// the row's latitude and the level only, so it is evaluated once per
 /// (row, level), and the surface terms are a second pass over the rows
 /// of level 0.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a kernel takes each field it reads or writes as an argument of its own"
+)]
 pub(crate) fn forcing(
     cfg: &ModelConfig,
     tile: &Tile,
@@ -163,7 +166,10 @@ pub(crate) mod reference {
 
     /// Add radiative relaxation, boundary-layer friction, and surface
     /// evaporation to the tendencies.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the cell-at-a-time reference keeps the signature of the kernel it checks"
+    )]
     pub(crate) fn forcing(
         cfg: &ModelConfig,
         tile: &Tile,

@@ -44,7 +44,10 @@ impl BoundaryFields {
 }
 
 /// Add the fluid-appropriate forcing to the tendencies in `ws`.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a kernel takes each field it reads or writes as an argument of its own"
+)]
 pub fn apply_forcing(
     cfg: &ModelConfig,
     tile: &Tile,
@@ -61,7 +64,10 @@ pub fn apply_forcing(
 
 /// [`apply_forcing`] on the rows the bands of the tendencies
 /// `[gu, gv, gt, gs]` hold.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a kernel takes each field it reads or writes as an argument of its own"
+)]
 pub(crate) fn apply_forcing_rows(
     cfg: &ModelConfig,
     tile: &Tile,

@@ -38,7 +38,10 @@ pub fn surface_climatology(lat: f64) -> (f64, f64) {
 /// Add wind stress, heat, and salinity forcing to the tendencies: a sweep
 /// over the rows of the surface level, the row's climatology evaluated
 /// once.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a kernel takes each field it reads or writes as an argument of its own"
+)]
 pub(crate) fn forcing(
     cfg: &ModelConfig,
     tile: &Tile,
@@ -115,7 +118,10 @@ pub(crate) mod reference {
     use crate::kernel::Workspace;
 
     /// Add wind stress, heat, and salinity forcing to the tendencies.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the cell-at-a-time reference keeps the signature of the kernel it checks"
+    )]
     pub(crate) fn forcing(
         cfg: &ModelConfig,
         tile: &Tile,

@@ -108,9 +108,12 @@ impl ResilientRunner {
                     let replayed = (next - 1) - to_step;
                     self.stats.restarts += 1;
                     self.stats.replayed_steps += replayed;
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the image was written by save_image from this same pair, so its shapes and trailer match; only a defect can fail here"
+                    )]
                     model
                         .load_checkpoint(&mut self.checkpoint.as_slice())
-                        // lint:allow(unwrap-in-lib, the image was written by save_image from this same pair, so its shapes and trailer match; only a defect can fail here)
                         .expect("in-memory checkpoint restore never fails");
                     atmos_monitor.truncate(to_step);
                     ocean_monitor.truncate(to_step);
@@ -145,9 +148,12 @@ impl ResilientRunner {
 /// Overwrite `image` with `model`'s checkpoint.
 fn save_image(model: &CoupledModel, image: &mut Vec<u8>) {
     image.clear();
+    #[expect(
+        clippy::expect_used,
+        reason = "writing into a Vec<u8> cannot fail, and the writer is the only source of an io::Error in save_checkpoint"
+    )]
     model
         .save_checkpoint(image)
-        // lint:allow(unwrap-in-lib, writing into a Vec<u8> cannot fail, and the writer is the only source of an io::Error in save_checkpoint)
         .expect("in-memory checkpoint never fails");
 }
 

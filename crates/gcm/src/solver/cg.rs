@@ -113,7 +113,10 @@ impl CgSolver {
     /// summed row by row in the order the backward sweep finishes the
     /// rows, so results are those of the cell-at-a-time loops kept below
     /// as test references, bit for bit.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the solve reads the world, the configuration, the tile, its geometry, masks and coefficients, and both fields it works on"
+    )]
     pub fn solve(
         &mut self,
         world: &mut dyn CommWorld,
@@ -378,7 +381,10 @@ mod tests {
     use crate::topography::Topography;
     use hyades_comms::{SerialWorld, ThreadWorld};
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the residual check reads what the solve it checks reads"
+    )]
     fn residual_of(
         tile: &Tile,
         coeffs: &EllipticCoeffs,

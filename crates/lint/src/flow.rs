@@ -1,9 +1,9 @@
 //! `lint::flow` — whole-program interprocedural determinism analysis.
 //!
-//! The per-file rules in [`crate::rules`] catch nondeterminism *sources*
-//! where they are written; nothing there proves a source can't flow
-//! through a call chain into a reduction or an exported artifact. This
-//! module closes that gap with three layers on the shared front end
+//! Clippy's type and method bans catch nondeterminism *sources* where
+//! they are written; nothing there proves a source can't flow through a
+//! call chain into a reduction or an exported artifact. This module
+//! closes that gap with three layers on the shared front end
 //! ([`crate::graph::Workspace`]):
 //!
 //! 1. **Function table + call graph** come from the workspace: every
@@ -14,8 +14,8 @@
 //!    unknown receiver type falls back to *every* same-named method — an
 //!    over-approximation that keeps dynamic dispatch sound).
 //! 2. **Effect lattice.** `Det < DetModuloSeed < Nondet` over each
-//!    file's one source list (`FileCtx::sources`, the list the per-file
-//!    rules flag): wall-clock reads, unseeded RNG, hash-container
+//!    file's one source list (`sources`): wall-clock reads, unseeded
+//!    RNG, hash-container
 //!    iteration, thread identity, env/args reads, atomic
 //!    read-modify-write, parallel-iterator methods; `SplitMix64` (and
 //!    `seed_from_u64`) mark `DetModuloSeed`. A function's intrinsic
@@ -31,13 +31,13 @@
 //!    carrying the witness call chain. Test-scope functions (`tests/`,
 //!    `#[cfg(test)]`) are never resolved as callees of non-test code.
 //!
-//! The one escape hatch is `lint:allow(rule, why)`: on a source line it
-//! removes that source from the catalog (same attribution rules as the
-//! per-file passes), on a sink's `fn` line it waives the sink's
-//! `nondet-reachable` finding.
+//! The one escape hatch is `lint:allow(nondet-reachable, why)` on (or
+//! alone above) a sink's `fn` line: it waives the sink's finding.
 
 use crate::graph::{self, Fixpoint, Workspace};
-use crate::rules::{Finding, Source, NONDET_REACHABLE};
+use crate::lexer::TokKind;
+use crate::passes::FileCtx;
+use crate::rules::{Finding, NONDET_REACHABLE};
 use std::collections::BTreeSet;
 
 /// The effect lattice, ordered: `Det < DetModuloSeed < Nondet`.
@@ -179,8 +179,7 @@ pub struct FlowReport {
     /// In `WORKSPACE_SINKS` order, then definition order.
     pub sinks: Vec<SinkResult>,
     /// (file, pragma line) of every `lint:allow` pragma this analysis
-    /// honored; such pragmas are not stale even when no per-file rule
-    /// fired on their line.
+    /// honored, for the pragma audit.
     pub used_allow: BTreeSet<(String, usize)>,
     /// `nondet-reachable` findings.
     pub findings: Vec<Finding>,
@@ -236,18 +235,137 @@ pub fn analyze(sources: &[(String, String)], sinks: &[SinkSpec]) -> FlowReport {
     analyze_ws(&Workspace::build(sources), sinks)
 }
 
+/// A token that reads nondeterminism (or seed-scoped determinism) into
+/// the function owning it.
+enum Source<'a> {
+    /// `SystemTime`, `time::Instant` or `Instant::now`.
+    Wallclock,
+    /// `thread_rng`, `from_entropy` or `rand::random`.
+    Rng(&'static str),
+    /// `recv.method()`: one of [`ITERATION_METHODS`] on a hash container.
+    HashMethod(&'a str, &'a str),
+    /// `for … in [&[mut ]][self.]name` over a hash container.
+    HashFor(&'a str),
+    /// `thread::current` or `ThreadId`.
+    Thread(&'static str),
+    /// `env::var`, `env::args` and their kin.
+    Env(&'a str),
+    /// `.fetch_add(` and the other atomic read-modify-writes.
+    Atomic(&'a str),
+    /// `.par_iter()` and the rest of [`PAR_METHODS`].
+    Par(&'a str),
+    /// `SplitMix64` or `seed_from_u64`: determinism modulo the seed.
+    Seeded(&'a str),
+}
+
+/// Every [`Source`] token of the file, ascending. A hash container is a
+/// name bound to a `HashMap` / `HashSet` in the file (keyed access —
+/// `get`, `insert`, `remove`, `contains_key`, indexing — is fine;
+/// iteration is not).
+fn sources<'a>(ctx: &FileCtx<'a>) -> Vec<(usize, Source<'a>)> {
+    let hash_names = ctx.bound_names(&["HashMap", "HashSet"]);
+    (0..ctx.code.len())
+        .filter(|&i| ctx.code[i].kind == TokKind::Ident)
+        .filter_map(|i| Some((i, source_at(ctx, i, &hash_names)?)))
+        .collect()
+}
+
+fn source_at<'a>(ctx: &FileCtx<'a>, i: usize, hash_names: &BTreeSet<String>) -> Option<Source<'a>> {
+    let pathed = |seg: &str| i >= 2 && ctx.is(i - 1, "::") && ctx.is_ident(i - 2, seg);
+    let dotted = i >= 1 && ctx.is(i - 1, ".");
+    match ctx.code[i].text {
+        "SystemTime" => Some(Source::Wallclock),
+        "Instant" if pathed("time") => Some(Source::Wallclock),
+        "Instant" if ctx.is(i + 1, "::") && ctx.is_ident(i + 2, "now") => Some(Source::Wallclock),
+        "thread_rng" => Some(Source::Rng("thread_rng")),
+        "from_entropy" => Some(Source::Rng("from_entropy")),
+        "random" if pathed("rand") => Some(Source::Rng("rand::random")),
+        "for" => {
+            let (idx, name) = for_in_subject(ctx, i)?;
+            (hash_names.contains(name) && !ctx.is(idx + 1, ".")).then_some(Source::HashFor(name))
+        }
+        m if i >= 2
+            && dotted
+            && ctx.is(i + 1, "(")
+            && ctx.kind(i - 2) == Some(TokKind::Ident)
+            && hash_names.contains(ctx.text(i - 2))
+            && ITERATION_METHODS.contains(&m) =>
+        {
+            Some(Source::HashMethod(ctx.text(i - 2), m))
+        }
+        "current" if pathed("thread") => Some(Source::Thread("thread::current")),
+        "ThreadId" => Some(Source::Thread("ThreadId")),
+        t @ ("var" | "vars" | "var_os" | "args" | "args_os") if pathed("env") => {
+            Some(Source::Env(t))
+        }
+        t @ ("fetch_add"
+        | "fetch_sub"
+        | "fetch_and"
+        | "fetch_or"
+        | "fetch_xor"
+        | "fetch_update"
+        | "fetch_min"
+        | "fetch_max"
+        | "compare_exchange"
+        | "compare_exchange_weak")
+            if dotted && ctx.is(i + 1, "(") =>
+        {
+            Some(Source::Atomic(t))
+        }
+        t @ ("SplitMix64" | "seed_from_u64") => Some(Source::Seeded(t)),
+        m if PAR_METHODS.contains(&m) && dotted => Some(Source::Par(m)),
+        _ => None,
+    }
+}
+
+/// Methods on a hash container whose results depend on hash-iteration
+/// order.
+const ITERATION_METHODS: &[&str] = &[
+    "iter",
+    "iter_mut",
+    "keys",
+    "values",
+    "values_mut",
+    "drain",
+    "into_iter",
+    "retain",
+    "into_keys",
+    "into_values",
+];
+
+/// Rayon-style parallel-iterator constructors: reduction order over
+/// these is scheduling-dependent.
+const PAR_METHODS: &[&str] = &["par_iter", "par_iter_mut", "into_par_iter", "par_bridge"];
+
+/// For a `for` token at `i`, the identifier heading the iterated
+/// expression (after `in`, past `&`/`mut`/`self.`).
+fn for_in_subject<'a>(ctx: &FileCtx<'a>, i: usize) -> Option<(usize, &'a str)> {
+    let j = ctx.find_at_depth0(i + 1, ctx.code.len(), &["in", "{", ";"]);
+    let mut k = j.filter(|&j| ctx.is(j, "in"))? + 1;
+    if ctx.is(k, "&") {
+        k += 1;
+    }
+    if ctx.is(k, "mut") {
+        k += 1;
+    }
+    if ctx.is_ident(k, "self") && ctx.is(k + 1, ".") {
+        k += 2;
+    }
+    (ctx.kind(k) == Some(TokKind::Ident)).then(|| (k, ctx.code[k].text))
+}
+
 /// A source's effect and its description in the effect table.
 fn effect_of(source: &Source<'_>, text: &str) -> (Effect, String) {
     let nondet = |what: String| (Effect::Nondet, what);
     match *source {
         // The type's own name: `time::Instant` and `Instant::now` both
         // read `Instant`.
-        Source::Wallclock(_) => nondet(format!("wall-clock `{text}`")),
+        Source::Wallclock => nondet(format!("wall-clock `{text}`")),
         Source::Rng(tok) => nondet(format!("unseeded RNG `{tok}`")),
         Source::HashMethod(recv, method) => {
             nondet(format!("hash-container iteration `{recv}.{method}()`"))
         }
-        Source::HashFor(_, name) => nondet(format!("hash-container iteration `for .. in {name}`")),
+        Source::HashFor(name) => nondet(format!("hash-container iteration `for .. in {name}`")),
         Source::Thread(tok) => nondet(format!("thread identity `{tok}`")),
         Source::Env(tok) => nondet(format!("environment read `env::{tok}`")),
         Source::Atomic(tok) => nondet(format!("atomic read-modify-write `.{tok}()`")),
@@ -257,9 +375,9 @@ fn effect_of(source: &Source<'_>, text: &str) -> (Effect, String) {
 }
 
 /// Function `f`'s own facts. Its intrinsic effect is the strongest
-/// un-suppressed source among the tokens it owns (the first one seen,
-/// among equals): its share of its file's source list, by span.
-fn fn_facts(ws: &Workspace<'_>, f: usize, used_allow: &mut BTreeSet<(String, usize)>) -> FnFlow {
+/// source among the tokens it owns (the first one seen, among equals):
+/// its share of its file's source list, by span.
+fn fn_facts(ws: &Workspace<'_>, f: usize, sources: &[(usize, Source<'_>)]) -> FnFlow {
     let (ctx, def) = (ws.ctx(f), &ws.fns[f]);
     // Methods of the seeded RNG are DetModuloSeed by construction even
     // when their bodies only touch state.
@@ -270,20 +388,12 @@ fn fn_facts(ws: &Workspace<'_>, f: usize, used_allow: &mut BTreeSet<(String, usi
         (Effect::Det, None)
     };
     for &(s, e) in &def.spans {
-        let sources = ctx.sources();
         let first = sources.partition_point(|&(i, _)| i < s);
         for (i, src) in sources[first..].iter().take_while(|&&(i, _)| i < e) {
-            let line = ctx.line(*i);
-            if src
-                .rule()
-                .is_some_and(|rule| ctx.allow_into(rule, line, used_allow))
-            {
-                continue;
-            }
             let (eff, what) = effect_of(src, ctx.text(*i));
             if eff > intrinsic || (eff == intrinsic && source.is_none()) {
                 intrinsic = eff;
-                source = Some((line, what));
+                source = Some((ctx.line(*i), what));
             }
         }
     }
@@ -334,7 +444,10 @@ fn run<'w, 'a>(
     let n = ws.fns.len();
     let mut findings = Vec::new();
     let mut used_allow = BTreeSet::new();
-    let facts: Vec<FnFlow> = (0..n).map(|f| fn_facts(ws, f, &mut used_allow)).collect();
+    let per_file: Vec<_> = ws.files.iter().map(sources).collect();
+    let facts: Vec<FnFlow> = (0..n)
+        .map(|f| fn_facts(ws, f, &per_file[ws.fns[f].file]))
+        .collect();
 
     let effect = facts.iter().map(|f| f.intrinsic).collect();
     let mut fx = Effects {
@@ -520,8 +633,10 @@ mod tests {
         assert_eq!(test_scale.effect, Effect::Nondet);
     }
 
+    /// Only the sink's line takes a pragma: one on a source line names a
+    /// retired per-file rule, so the source stays and the pragma is unused.
     #[test]
-    fn allow_pragma_removes_source_and_is_recorded() {
+    fn a_pragma_on_a_source_line_leaves_the_source() {
         let src = "fn throughput() -> u64 {\n\
                        // lint:allow(instant-wallclock, human-facing banner only)\n\
                        let t0 = std::time::Instant::now();\n\
@@ -529,11 +644,9 @@ mod tests {
                    }\n\
                    pub fn publish_sum(xs: &[f64]) -> f64 { throughput() as f64 + xs.len() as f64 }\n";
         let r = one("crates/comms/src/flowdemo.rs", src, SINK_PUBLISH);
-        assert!(r.findings.is_empty(), "{:?}", r.findings);
-        assert_eq!(r.sinks[0].effect, Effect::Det);
-        assert!(r
-            .used_allow
-            .contains(&("crates/comms/src/flowdemo.rs".to_string(), 2)));
+        assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
+        assert_eq!(r.sinks[0].effect, Effect::Nondet);
+        assert!(r.used_allow.is_empty());
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! call sites ([`CallSite`]). The halves are joined in file order,
 //! each thread resolves half the call sites against the whole function
 //! table, and the forward and reverse edges are folded in site order.
-//! [`crate::rules`] runs over `ws.files`, [`crate::flow`] gives each
-//! function the entries of its file's source list its spans own, and
+//! [`crate::rules`] audits the pragmas of `ws.files`, [`crate::flow`]
+//! gives each function the entries of its file's source list its spans
+//! own, and
 //! [`crate::uniform`] interprets each tree, whose calls name their sites
 //! ([`Workspace::site`]) — so a call site resolves to the same
 //! candidates for everyone. Both whole-program analyses reach their
@@ -1246,7 +1247,7 @@ mod tests {
             assert_eq!(byte_half(&few[..n]), cut);
             assert_builds_like_the_reference(&few[..n]);
         }
-        for dir in ["", "flow", "uniform"] {
+        for dir in ["flow", "uniform"] {
             let corpus = fixture_corpus(dir);
             assert!(corpus.len() >= 4, "fixture corpus `{dir}` went missing");
             assert_builds_like_the_reference(&corpus);

@@ -1,11 +1,9 @@
-//! A hand-rolled Rust lexer: the foundation of the v2 rule engine.
+//! A hand-rolled Rust lexer: the foundation of every analysis here.
 //!
-//! PR 1's engine scrubbed source *lines* (strings blanked, comments
-//! split off) and matched substrings against the residue. That cannot
-//! see expression structure: `.sum::<f64>()` over a hash iterator looks
-//! exactly like one over a `Vec`. This lexer produces a real token
-//! stream with line spans so rules in [`crate::passes`] can match
-//! token *sequences* instead.
+//! Matching substrings of scrubbed source lines cannot see expression
+//! structure. This lexer produces a real token stream with line spans,
+//! so [`crate::passes`] and the analyses over it match token
+//! *sequences* instead.
 //!
 //! Handled, faithfully enough for linting (not a full rustc lexer):
 //!

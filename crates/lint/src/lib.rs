@@ -1,25 +1,26 @@
-//! hyades-lint: a determinism & numerical-correctness static-analysis
-//! pass over the Hyades workspace sources.
+//! hyades-lint: the whole-program determinism analyses over the Hyades
+//! workspace sources.
 //!
 //! The discrete-event simulation results in this repo are only
 //! trustworthy if they are bit-reproducible: same seed, same trace, same
 //! numbers (paper §4: validation against the measured Hyades cluster
-//! depends on replayable runs). This crate enforces, mechanically, the
-//! coding rules that keep it that way — see [`rules`] for the table.
+//! depends on replayable runs). Clippy carries the per-file rules that
+//! keep it that way (the root `clippy.toml`); this crate proves what no
+//! per-file rule can — see [`rules`] for the table.
 //!
 //! The engine is a static-analysis layer over the sources as text, and
 //! depends on no other workspace crate: [`lexer`] is a hand-rolled Rust
 //! lexer (string/comment/raw-string aware, spans), [`passes`] the
-//! per-file token view rules are written against, and two whole-program
-//! analyzers go beyond per-file rules — [`flow`] infers a determinism
-//! effect (`Det`/`DetModuloSeed`/`Nondet`) for every function over the
-//! workspace call graph and proves the declared sinks (reductions,
-//! exporters, traces) never reach `Nondet` code, and [`uniform`] proves
-//! SPMD collective uniformity: no rank-dependent branch, early exit, or
-//! loop bound can make one rank skip or repeat a blocking collective the
-//! others enter. [`graph`] is the one front end under both: each file
-//! lexed once, one function table, one resolved call graph
-//! ([`graph::Workspace`]). A pass runs on two threads (see [`graph`]).
+//! per-file token view, and two whole-program analyzers run over it —
+//! [`flow`] infers a determinism effect (`Det`/`DetModuloSeed`/`Nondet`)
+//! for every function over the workspace call graph and proves the
+//! declared sinks (reductions, exporters, traces) never reach `Nondet`
+//! code, and [`uniform`] proves SPMD collective uniformity: no
+//! rank-dependent branch, early exit, or loop bound can make one rank
+//! skip or repeat a blocking collective the others enter. [`graph`] is
+//! the one front end under both: each file lexed once, one function
+//! table, one resolved call graph ([`graph::Workspace`]). A pass runs on
+//! two threads (see [`graph`]).
 //!
 //! Runs two ways:
 //!
@@ -29,7 +30,7 @@
 //!   files, violations, effect-table functions, collective sites,
 //!   reasoned suppressions);
 //! * as a `#[test]` (`tests/lint_gate.rs` in the workspace root), so
-//!   plain `cargo test` enforces the rules in CI.
+//!   plain `cargo test` enforces both analyses in CI.
 
 pub mod flow;
 pub mod graph;
@@ -38,7 +39,7 @@ pub mod passes;
 pub mod rules;
 pub mod uniform;
 
-pub use rules::{analyze, Finding};
+pub use rules::Finding;
 
 use std::path::{Path, PathBuf};
 
@@ -54,7 +55,7 @@ pub fn workspace_root() -> PathBuf {
 
 /// Directories scanned, relative to the workspace root. `vendor/` (stub
 /// crates), `target/`, and `crates/lint/tests/fixtures/` (deliberately
-/// bad code for self-tests) are outside this list by construction.
+/// divergent code for self-tests) are outside this list by construction.
 const SCAN_ROOTS: &[&str] = &["crates", "src", "tests", "examples"];
 
 /// All `.rs` files under the scan roots as (workspace-relative path with
@@ -191,31 +192,23 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Lint every scanned source: per-file rule findings plus the
-/// interprocedural [`flow`] and [`uniform`] findings, and the reasoned
-/// `lint:allow` inventory. Pragmas either whole-program analysis
-/// honored are reconciled here: a pragma that suppressed a flow source
-/// or a collective-divergence finding is not "unused" even when no
-/// per-file rule fired on its line. Everything runs over one
-/// [`graph::Workspace`], so each file is lexed once; [`uniform`] runs on
-/// a second thread beside [`flow`] and the rules.
+/// Lint every scanned source: the interprocedural [`flow`] and
+/// [`uniform`] findings, the audit of every `lint:allow` pragma against
+/// the ones either analysis honoured, and the reasoned `lint:allow`
+/// inventory. Everything runs over one [`graph::Workspace`], so each
+/// file is lexed once; [`uniform`] runs on a second thread beside
+/// [`flow`].
 pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
     let sources = collect_sources(root)?;
     let ws = graph::Workspace::build(&sources);
-    let flow_then_rules = || {
-        let fl = flow::analyze_ws(&ws, flow::WORKSPACE_SINKS);
-        let per_file: Vec<_> = ws.files.iter().map(rules::analyze_ctx).collect();
-        (fl, per_file)
-    };
-    let (un, (fl, per_file)) = side_by_side(|| uniform::analyze_ws(&ws), flow_then_rules);
-    let mut violations = Vec::new();
-    for findings in per_file {
-        violations.extend(findings.into_iter().filter(|f| {
-            f.rule != rules::UNUSED_PRAGMA
-                || (!fl.used_allow.contains(&(f.rel_path.clone(), f.line))
-                    && !un.used_allow.contains(&(f.rel_path.clone(), f.line)))
-        }));
-    }
+    let (un, fl) = side_by_side(
+        || uniform::analyze_ws(&ws),
+        || flow::analyze_ws(&ws, flow::WORKSPACE_SINKS),
+    );
+    let used = fl.used_allow.union(&un.used_allow).cloned().collect();
+    let mut violations: Vec<Finding> = (ws.files.iter())
+        .flat_map(|ctx| rules::audit(ctx, &used))
+        .collect();
     violations.extend(fl.findings);
     violations.extend(un.findings);
     violations.sort();
@@ -283,28 +276,6 @@ mod tests {
         );
     }
 
-    /// Acceptance check: a fixture with a deliberate `thread_rng()`
-    /// (and friends) must be caught when fed through the analyzer.
-    #[test]
-    fn fixture_with_thread_rng_is_caught() {
-        let bad = include_str!("../tests/fixtures/bad_rng.rs");
-        let findings = analyze("crates/des/src/bad_rng.rs", bad);
-        let rules_hit: Vec<&str> = findings.iter().map(|f| f.rule).collect();
-        assert!(rules_hit.contains(&rules::UNSEEDED_RNG), "{findings:?}");
-        assert!(
-            rules_hit.contains(&rules::INSTANT_WALLCLOCK),
-            "{findings:?}"
-        );
-        assert!(rules_hit.contains(&rules::HASH_ITERATION), "{findings:?}");
-    }
-
-    #[test]
-    fn fixture_clean_passes() {
-        let good = include_str!("../tests/fixtures/clean.rs");
-        let findings = analyze("crates/des/src/clean.rs", good);
-        assert!(findings.is_empty(), "{findings:?}");
-    }
-
     #[test]
     fn side_by_side_returns_both_sides_and_re_raises_the_helpers_panic() {
         assert_eq!(side_by_side(|| 'h', || 'c'), ('h', 'c'));
@@ -325,10 +296,14 @@ mod tests {
             violations: vec![Finding {
                 rel_path: "crates/x/src/a.rs".into(),
                 line: 3,
-                rule: rules::UNSEEDED_RNG,
+                rule: rules::COLLECTIVE_DIVERGENCE,
                 message: "say \"no\"".into(),
             }],
-            allows: vec![("crates/x/src/a.rs".into(), "unwrap-in-lib".into(), 2)],
+            allows: vec![(
+                "crates/x/src/a.rs".into(),
+                "collective-divergence".into(),
+                2,
+            )],
             files_scanned: 2,
             effect_fns: 41,
             collective_sites: 7,
@@ -342,7 +317,7 @@ mod tests {
             "hyades-lint: files=2 violations=1 effect-table=41 collectives=7 allows=2"
         );
         assert!(json.contains("\\\"no\\\""));
-        assert!(json.contains("\"rule\": \"unseeded-rng\""));
+        assert!(json.contains("\"rule\": \"collective-divergence\""));
         // Stable: rendering twice is byte-identical.
         assert_eq!(json, report.render_json());
     }

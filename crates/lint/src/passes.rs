@@ -1,42 +1,31 @@
-//! Everything a rule needs to see a file as a token sequence.
+//! Everything an analysis needs to see a file as a token sequence.
 //!
-//! [`FileCtx`] owns one lexed file plus the derived facts rules keep
-//! asking for: where the file sits in the workspace ([`classify`]),
+//! [`FileCtx`] owns one lexed file plus the derived facts the analyses
+//! keep asking for: which crate the file belongs to ([`classify`]),
 //! which tokens are inside `#[cfg(test)]` regions, which lines carry
-//! code (for own-line pragma attribution), bracket matching, parsed
-//! `lint:allow` pragmas, and the file's nondeterminism sources. Each
-//! front-end decision is made here once — where a `<…>` ends, where an
-//! item's body opens, what a range holds at bracket depth 0, what a
-//! pattern binds, which pragmas cover a line — and every analysis calls
-//! the one answer instead of re-deriving structure from strings.
+//! code (for own-line pragma attribution), bracket matching and parsed
+//! `lint:allow` pragmas. Each front-end decision is made here once —
+//! where a `<…>` ends, where an item's body opens, what a range holds at
+//! bracket depth 0, what a pattern binds, which pragmas cover a line —
+//! and every analysis calls the one answer instead of re-deriving
+//! structure from strings.
 
 use crate::graph::{starts_upper, KEYWORDS};
 use crate::lexer::{lex, Tok, TokKind};
-use crate::rules::{sources, Source};
 use std::collections::BTreeSet;
-use std::sync::OnceLock;
 
 /// Where a file sits in the workspace, derived from its relative path.
 pub struct FileScope {
     /// `Some("des")` for `crates/des/...`.
     pub crate_name: Option<String>,
-    /// Under a `src/` directory (library code), as opposed to
-    /// `tests/` or the workspace `examples/`.
-    pub in_src: bool,
 }
 
 pub fn classify(rel_path: &str) -> FileScope {
-    let parts: Vec<&str> = rel_path.split('/').collect();
-    let crate_name = if parts.len() >= 2 && parts[0] == "crates" {
-        Some(parts[1].to_string())
-    } else {
-        None
-    };
-    let in_src = match crate_name {
-        Some(_) => parts.get(2) == Some(&"src"),
-        None => parts.first() == Some(&"src"),
-    };
-    FileScope { crate_name, in_src }
+    let mut parts = rel_path.split('/');
+    let crate_name = (parts.next() == Some("crates"))
+        .then(|| parts.next().map(str::to_string))
+        .flatten();
+    FileScope { crate_name }
 }
 
 /// A parsed `lint:allow(rule, reason)` pragma.
@@ -62,12 +51,6 @@ pub struct Let {
     pub stop: usize,
 }
 
-/// A file's hash-container names and nondeterminism sources.
-struct Nondet<'a> {
-    hash_names: BTreeSet<String>,
-    sources: Vec<(usize, Source<'a>)>,
-}
-
 /// A lexed file with the derived facts rules match against.
 pub struct FileCtx<'a> {
     pub rel_path: &'a str,
@@ -80,10 +63,6 @@ pub struct FileCtx<'a> {
     pub in_test: Vec<bool>,
     /// Parsed non-doc pragmas, in source order.
     pub pragmas: Vec<Pragma>,
-    /// The hash-container names and the source list, worked out on first
-    /// use: [`crate::uniform`] never asks, so a pass computes them beside
-    /// it rather than before it.
-    nondet: OnceLock<Nondet<'a>>,
     /// For each closer token index, the opener index (and vice versa);
     /// `u32::MAX` elsewhere.
     partner: Vec<u32>,
@@ -118,32 +97,9 @@ impl<'a> FileCtx<'a> {
             comments,
             in_test: Vec::new(),
             pragmas,
-            nondet: OnceLock::new(),
         };
         ctx.in_test = cfg_test_flags(&ctx);
         ctx
-    }
-
-    fn nondet(&self) -> &Nondet<'a> {
-        self.nondet.get_or_init(|| {
-            let hash_names = self.bound_names(&["HashMap", "HashSet"]);
-            let sources = sources(self, &hash_names);
-            Nondet {
-                hash_names,
-                sources,
-            }
-        })
-    }
-
-    /// Names bound to a `HashMap` / `HashSet` ([`FileCtx::bound_names`]).
-    pub fn hash_names(&self) -> &BTreeSet<String> {
-        &self.nondet().hash_names
-    }
-
-    /// Every nondeterminism source token, ascending: the one list the
-    /// per-file rules flag and [`crate::flow`] assigns to functions.
-    pub(crate) fn sources(&self) -> &[(usize, Source<'a>)] {
-        &self.nondet().sources
     }
 
     /// Token text at `i` (empty past the end).
@@ -170,30 +126,19 @@ impl<'a> FileCtx<'a> {
         self.code.get(i).map(|t| t.line as usize).unwrap_or(0)
     }
 
-    /// Indices of the reasoned `lint:allow(rule, why)` pragmas covering
-    /// `line`: on the line itself, or alone on the line above.
-    pub(crate) fn allows<'s>(
-        &'s self,
-        rule: &'s str,
-        line: usize,
-    ) -> impl Iterator<Item = usize> + 's {
-        let covers = move |p: &Pragma| p.line == line || (p.own_line && p.line + 1 == line);
-        (self.pragmas.iter().enumerate())
-            .filter(move |(_, p)| p.rule == rule && p.has_reason && covers(p))
-            .map(|(k, _)| k)
-    }
-
-    /// Record every pragma covering `line` in `used` as (file, pragma
-    /// line); true when one does.
+    /// Record every reasoned `lint:allow(rule, why)` pragma covering
+    /// `line` — on the line itself, or alone on the line above — in
+    /// `used` as (file, pragma line); true when one does.
     pub(crate) fn allow_into(
         &self,
         rule: &str,
         line: usize,
         used: &mut BTreeSet<(String, usize)>,
     ) -> bool {
+        let covers = |p: &Pragma| p.line == line || (p.own_line && p.line + 1 == line);
         let mut any = false;
-        for k in self.allows(rule, line) {
-            used.insert((self.rel_path.to_string(), self.pragmas[k].line));
+        for p in (self.pragmas.iter()).filter(|p| p.rule == rule && p.has_reason && covers(p)) {
+            used.insert((self.rel_path.to_string(), p.line));
             any = true;
         }
         any
@@ -538,12 +483,10 @@ mod tests {
     fn classify_paths() {
         let s = classify("crates/des/src/sim.rs");
         assert_eq!(s.crate_name.as_deref(), Some("des"));
-        assert!(s.in_src);
         let s = classify("crates/des/tests/t.rs");
-        assert!(!s.in_src);
+        assert_eq!(s.crate_name.as_deref(), Some("des"));
         let s = classify("tests/determinism.rs");
         assert!(s.crate_name.is_none());
-        assert!(!s.in_src);
     }
 
     #[test]
@@ -647,7 +590,7 @@ mod tests {
     }
 
     /// The angle skipper as each of its readers needs it: a turbofish
-    /// (calls, the float-reduce rule) and generics (item bodies, `impl`
+    /// (calls) and generics (item bodies, `impl`
     /// subjects, parameter lists).
     #[test]
     fn angles_close_where_each_former_caller_expects() {

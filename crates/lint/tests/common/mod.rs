@@ -13,9 +13,6 @@
 //! Re-bless every snapshot after an intentional change with
 //! `UPDATE_GOLDEN=1 cargo test -p hyades-lint`.
 
-// Each test crate uses its own part of this module.
-#![allow(dead_code)]
-
 use hyades_lint::flow::SinkSpec;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -26,8 +23,7 @@ pub struct Fixture {
     pub src: String,
 }
 
-/// The `.rs` fixtures under `tests/fixtures/<dir>` (`""` for the
-/// per-file rule fixtures), sorted by path.
+/// The `.rs` fixtures under `tests/fixtures/<dir>`, sorted by path.
 pub fn fixtures(dir: &str) -> Vec<Fixture> {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
@@ -97,14 +93,10 @@ impl Fixture {
             .collect()
     }
 
-    pub fn snapshot(&self) -> PathBuf {
-        self.path.with_extension("expected")
-    }
-
     /// `got` must equal the snapshot; with `UPDATE_GOLDEN` set it
     /// becomes the snapshot instead.
     pub fn check(&self, got: &str) {
-        let (name, snapshot) = (self.name(), self.snapshot());
+        let (name, snapshot) = (self.name(), self.path.with_extension("expected"));
         if std::env::var_os("UPDATE_GOLDEN").is_some() {
             fs::write(&snapshot, got).expect("write snapshot");
             return;

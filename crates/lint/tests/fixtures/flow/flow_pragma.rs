@@ -1,12 +1,10 @@
 //@path crates/comms/src/golden/flow_pragma.rs
 //@sink publish comms reduction
-// Pragma-suppressed chain: the same wall-clock helper as flow_chain,
-// but its source line carries an audited lint:allow pragma — the
-// source leaves the catalog, the chain stays Det and the sink check
-// passes.
+// Pragma-waived sink: the same wall-clock helper as flow_chain, but the
+// sink's `fn` line carries an audited lint:allow pragma: the chain
+// stays Nondet in the table and the sink's finding is waived.
 
 fn wall_ns() -> u64 {
-    // lint:allow(instant-wallclock, wall_ns is compiled to a constant in sim builds; never feeds simulated time)
     let t = std::time::SystemTime::now();
     t.elapsed().map(|d| d.as_nanos() as u64).unwrap_or(0)
 }
@@ -15,6 +13,7 @@ fn jitter(x: f64) -> f64 {
     x + (wall_ns() % 3) as f64
 }
 
+// lint:allow(nondet-reachable, the published figure is a banner that no simulated result reads)
 pub fn publish(xs: &[f64]) -> f64 {
     let mut acc = 0.0;
     for &x in xs {

@@ -10,6 +10,10 @@ use hyades_lint::graph::Workspace;
 use hyades_lint::rules::COLLECTIVE_DIVERGENCE;
 use hyades_lint::{collect_sources, flow, uniform, workspace_root};
 
+#[expect(
+    dead_code,
+    reason = "this crate reads fixtures only, it checks no snapshot"
+)]
 mod common;
 
 #[test]

@@ -25,6 +25,10 @@
 //! * **LogP harness** ([`logp`]) — ping-pong and overhead microbenchmarks
 //!   run on the simulated fabric, regenerating Figure 2.
 
+// Library code reports failure instead of panicking; a panic that
+// cannot happen carries a reasoned `#[expect]`.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod host;
 pub mod logp;
 pub mod msg;

@@ -278,10 +278,12 @@ pub fn analyze(
 
     // Cross-edge tables: incoming/outgoing messages per op, and the
     // per-rank op index of every reduce round.
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "per rank, per op: the messages it receives, read only in this function"
+    )]
     let mut in_msgs: Vec<Vec<Vec<(usize, usize, u64, usize)>>> =
         ops.iter().map(|r| vec![Vec::new(); r.len()]).collect();
-    #[allow(clippy::type_complexity)]
     let mut out_msgs: Vec<Vec<Vec<(usize, usize, u64)>>> =
         ops.iter().map(|r| vec![Vec::new(); r.len()]).collect();
     for (mi, m) in run.messages.iter().enumerate() {

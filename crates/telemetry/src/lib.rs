@@ -35,6 +35,10 @@
 //! [`SimTime`]: hyades_des::SimTime
 //! [`SimDuration`]: hyades_des::SimDuration
 
+// Library code reports failure instead of panicking; a panic that
+// cannot happen carries a reasoned `#[expect]`.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod artifact;
 pub mod commlog;
 pub mod critpath;

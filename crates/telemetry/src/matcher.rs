@@ -198,7 +198,10 @@ pub fn replay(progs: &[Vec<CommEvent>]) -> Result<MatchedRun, MatchError> {
     let mut vc: Vec<Clock> = vec![vec![0; n]; n];
     // (src, dst) -> FIFO of (send clock, words, message ordinal on the
     // channel, send event index).
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "one FIFO of sends per directed channel, read only in this function"
+    )]
     let mut channels: BTreeMap<(usize, usize), VecDeque<(Clock, usize, usize, usize)>> =
         BTreeMap::new();
     let mut sent_on: BTreeMap<(usize, usize), usize> = BTreeMap::new();
