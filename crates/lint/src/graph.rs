@@ -363,17 +363,32 @@ pub enum Atom<'a> {
     Let(usize, Vec<&'a str>, Expr<'a>, Option<(usize, Block<'a>)>),
     /// `NAME = RHS` (`true`) or `NAME op= RHS`.
     Assign(&'a str, bool, Expr<'a>),
-    /// `return` (`true`), `break` or `continue`, and the expression after
-    /// it.
-    Exit(usize, bool, Expr<'a>),
+    /// `return`, `break` or `continue`, and the expression after it.
+    Exit(usize, Jump<'a>, Expr<'a>),
     /// `if [let] … { } [else if …]`: an arm per condition, and the `else`
     /// block.
     If(usize, Vec<Arm<'a>>, Option<Block<'a>>),
     /// `match SCRUTINEE { PAT [if GUARD] => BODY, … }`.
     Match(usize, Expr<'a>, Vec<Arm<'a>>),
-    /// `while [let PAT =] HEAD`, `for PAT in HEAD`, `loop` (no head): the
-    /// names `PAT` binds, `HEAD` and the body.
-    Loop(usize, Vec<&'a str>, Expr<'a>, Block<'a>),
+    /// `['label:] while [let PAT =] HEAD`, `for PAT in HEAD`, `loop` (no
+    /// head): the label, the names `PAT` binds, `HEAD` and the body.
+    Loop(
+        usize,
+        Option<&'a str>,
+        Vec<&'a str>,
+        Option<Expr<'a>>,
+        Block<'a>,
+    ),
+}
+
+/// Where an [`Atom::Exit`] goes: out of the function, or out of (or on
+/// to the next turn of) the loop its label names — the innermost one
+/// without a label.
+#[derive(Debug, PartialEq)]
+pub enum Jump<'a> {
+    Return,
+    Break(Option<&'a str>),
+    Continue(Option<&'a str>),
 }
 
 /// An arm of an `if` chain (`test` is its condition) or of a `match`
@@ -796,18 +811,34 @@ impl<'a> Parser<'_, 'a> {
         stmts
     }
 
-    /// One statement starting at `i`, and where the next one starts.
+    /// One statement starting at `i`, and where the next one starts. A
+    /// statement ends at its `;`, or at the `}` of a construct or of an
+    /// item with a body; an attribute or a loop label before it is read
+    /// past.
     fn stmt(&mut self, i: usize, end: usize) -> (usize, Expr<'a>) {
         let ctx = self.ctx;
         let (next, atom) = match ctx.text(i) {
             "fn" if ctx.kind(i + 1) == Some(TokKind::Ident) => (item_end(ctx, i).min(end), None),
+            "struct" | "enum" | "union" | "impl" | "trait" | "mod"
+                if ctx.kind(i + 1) == Some(TokKind::Ident) || ctx.is(i + 1, "<") =>
+            {
+                let body = ctx.body_open(i + 1).and_then(|o| ctx.bracket_partner(o));
+                let stop = body.or_else(|| ctx.find_at_depth0(i + 1, end, &[";"]));
+                (stop.map_or(end, |c| c + 1).min(end), None)
+            }
+            "#" => {
+                let open = i + 1 + usize::from(ctx.is(i + 1, "!"));
+                let close = ctx
+                    .is(open, "[")
+                    .then(|| ctx.bracket_partner(open))
+                    .flatten();
+                (close.map_or(i + 1, |c| c + 1), None)
+            }
+            _ if ctx.kind(i) == Some(TokKind::Lifetime) && ctx.is(i + 1, ":") => {
+                return self.stmt(i + 2, end);
+            }
             "let" => self.stmt_let(i, end),
             "if" | "match" | "while" | "for" | "loop" => self.construct(i, end),
-            "break" | "continue" => {
-                let stop = ctx.find_at_depth0(i + 1, end, &[";"]).unwrap_or(end);
-                let value = self.expr(i + 1, stop);
-                (stop + 1, Some(Atom::Exit(ctx.line(i), false, value)))
-            }
             _ => {
                 let stop = ctx.find_at_depth0(i, end, &[";"]).unwrap_or(end);
                 // `x = e` / `x += e`.
@@ -872,12 +903,12 @@ impl<'a> Parser<'_, 'a> {
         let Some((open, close)) = open.and_then(|o| self.braces(o)) else {
             return (i + 1, None);
         };
-        let head = head.map_or_else(Vec::new, |j| self.expr(j, open));
+        let label = (i >= 2 && ctx.kind(i - 2) == Some(TokKind::Lifetime) && ctx.is(i - 1, ":"))
+            .then(|| ctx.text(i - 2));
+        let head = head.map(|j| self.expr(j, open));
         let body = self.block(open + 1, close);
-        (
-            close + 1,
-            Some(Atom::Loop(ctx.line(i), binders, head, body)),
-        )
+        let atom = Atom::Loop(ctx.line(i), label, binders, head, body);
+        (close + 1, Some(atom))
     }
 
     fn construct_if(&mut self, i: usize, end: usize) -> (usize, Option<Atom<'a>>) {
@@ -962,10 +993,17 @@ impl<'a> Parser<'_, 'a> {
                     atoms.extend(atom);
                     i = next.max(i + 1);
                 }
-                "return" => {
+                "return" | "break" | "continue" => {
+                    let label =
+                        (ctx.kind(i + 1) == Some(TokKind::Lifetime)).then(|| ctx.text(i + 1));
+                    let jump = match t {
+                        "return" => Jump::Return,
+                        "break" => Jump::Break(label),
+                        _ => Jump::Continue(label),
+                    };
                     let stop = ctx.find_at_depth0(i + 1, e, &[";"]).unwrap_or(e);
                     let value = self.expr(i + 1, stop);
-                    atoms.push(Atom::Exit(ctx.line(i), true, value));
+                    atoms.push(Atom::Exit(ctx.line(i), jump, value));
                     i = stop + 1;
                 }
                 // `.rank` — method call or field read — is THE root source.
@@ -1549,5 +1587,37 @@ mod tests {
         // `let nz = wrap(nz)` is of a type nobody can see: by name.
         let elapsed = id("saturating_sub");
         assert_eq!(cands("rebound"), (method(None), vec![elapsed]));
+    }
+
+    /// A statement that does not end in `;` ends where Rust ends it: an
+    /// attribute line and a label are read past, an item at its body's
+    /// `}`. A `break` names the loop it leaves, and a `loop` has no head.
+    #[test]
+    fn statements_end_at_an_item_body_and_read_past_labels_and_attributes() {
+        let src = sources(&[(
+            "crates/comms/src/w.rs",
+            "fn f(r: usize) {\n\
+                 #[derive(Clone)]\n\
+                 enum Node { A(u8) }\n\
+                 let topo = r;\n\
+                 'outer: for x in xs { break 'outer; }\n\
+                 let k = loop { continue };\n\
+             }\n",
+        )]);
+        use Atom::{Exit, Let, Loop, Name};
+        let jump = |line, jump| vec![vec![Exit(line, jump, vec![])]];
+        let outer = jump(5, Jump::Break(Some("'outer")));
+        let head = Some(vec![Name("xs")]);
+        let k = vec![Loop(6, None, vec![], None, jump(6, Jump::Continue(None)))];
+        assert_eq!(
+            Workspace::build(&src).fns[0].body,
+            [
+                vec![],
+                vec![],
+                vec![Let(4, vec!["topo"], vec![Name("r")], None)],
+                vec![Loop(5, Some("'outer"), vec!["x"], head, outer)],
+                vec![Let(6, vec!["k"], k, None)],
+            ]
+        );
     }
 }

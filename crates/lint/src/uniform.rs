@@ -43,7 +43,7 @@
 //! (or alone above it) it covers that site, directly above a `fn` every
 //! site of the function.
 
-use crate::graph::{self, Atom, Block, Call, Expr, Fixpoint, RawCall, Workspace};
+use crate::graph::{self, Atom, Block, Call, Expr, Fixpoint, Jump, RawCall, Workspace};
 use crate::passes::FileCtx;
 use crate::rules::{Finding, COLLECTIVE_DIVERGENCE};
 use std::collections::{BTreeMap, BTreeSet};
@@ -179,10 +179,14 @@ enum Node {
     /// Call into a function that (transitively) issues collectives.
     CallColl { qual: String, line: usize },
     /// Early exit. `ret` distinguishes function-level exits (`return`,
-    /// `let .. else` divergence) from loop-level ones
-    /// (`break`/`continue`), which only skip collectives when the
-    /// *innermost* enclosing loop contains one.
-    Exit { line: usize, ret: bool },
+    /// `let .. else` divergence) from loop-level ones (`break` /
+    /// `continue`), which only skip collectives when the loop they leave
+    /// — `target`, counted from the function's outermost — contains one.
+    Exit {
+        line: usize,
+        ret: bool,
+        target: Option<usize>,
+    },
     /// `if` chain / `match` / `let .. else`: condition taint plus one
     /// summary per arm. `has_else` = the arm set is exhaustive.
     Branch {
@@ -288,12 +292,7 @@ impl State<'_, '_> {
                 env.insert(p, wit.clone());
             }
         }
-        let mut w = Walk {
-            ctx: ws.ctx(fid),
-            st: self,
-            fid,
-            ret: None,
-        };
+        let mut w = Walk::new(self, fid);
         let (nodes, last) = w.block(&def.body, &mut env);
         join(&mut w.ret, last);
         if let Some(wit) = w.ret.take() {
@@ -361,14 +360,7 @@ fn run<'w, 'a>(ws: &'w Workspace<'a>, fixpoint: fn(&mut State<'w, 'a>)) -> Unifo
     let trees = std::mem::take(&mut st.trees);
     for (fid, tree) in trees.iter().enumerate() {
         if !ws.fns[fid].is_test {
-            let ctx = ws.ctx(fid);
-            Walk {
-                ctx,
-                st: &mut st,
-                fid,
-                ret: None,
-            }
-            .check(tree, false, false, false);
+            Walk::new(&mut st, fid).check(tree, &mut Vec::new(), false);
         }
     }
     finish(st, &trees)
@@ -382,9 +374,48 @@ struct Walk<'s, 'w, 'a> {
     fid: usize,
     /// The taint of the values the function returns.
     ret: Taint,
+    /// The loops around the position, outermost first.
+    loops: Vec<LoopFrame<'a>>,
+    /// The taints of the conditions around the position: a `break`
+    /// under a rank-dependent one carries it to its loop's value.
+    guards: Vec<Taint>,
 }
 
-impl<'a> Walk<'_, '_, 'a> {
+/// A loop being walked: its label, the taint of what its `break`s carry,
+/// and how many guards were around it.
+struct LoopFrame<'a> {
+    label: Option<&'a str>,
+    value: Taint,
+    guards: usize,
+}
+
+impl<'s, 'w, 'a> Walk<'s, 'w, 'a> {
+    fn new(st: &'s mut State<'w, 'a>, fid: usize) -> Self {
+        Walk {
+            ctx: st.ws.ctx(fid),
+            st,
+            fid,
+            ret: None,
+            loops: Vec::new(),
+            guards: Vec::new(),
+        }
+    }
+
+    /// The loop a `break` / `continue` leaves, as an index into `loops`:
+    /// the one its label names, else the innermost.
+    fn loop_left(&self, label: Option<&str>) -> Option<usize> {
+        let named = label.and_then(|l| self.loops.iter().rposition(|f| f.label == Some(l)));
+        named.or(self.loops.len().checked_sub(1))
+    }
+
+    /// Run `walk` under a condition of taint `cond`.
+    fn guarded<R>(&mut self, cond: &Taint, walk: impl FnOnce(&mut Self) -> R) -> R {
+        self.guards.push(cond.clone());
+        let out = walk(self);
+        self.guards.pop();
+        out
+    }
+
     /// Walk one arm in a copy of `env`; a name the arm taints stays
     /// tainted after it, since the arm may have run.
     fn arm(
@@ -434,10 +465,11 @@ impl<'a> Walk<'_, '_, 'a> {
                 Atom::Let(line, binders, init, els) => {
                     let t = self.expr(init, env, nodes);
                     if let Some((else_line, block)) = els {
-                        let mut arm = self.block_arm(block, &[], &None, env);
+                        let mut arm = self.guarded(&t, |w| w.block_arm(block, &[], &None, env));
                         arm.push(Node::Exit {
                             line: *else_line,
                             ret: true,
+                            target: None,
                         });
                         nodes.push(Node::Branch {
                             rd: t.clone(),
@@ -472,15 +504,31 @@ impl<'a> Walk<'_, '_, 'a> {
                     }
                     None
                 }
-                // A `return`'s value is the function's.
-                Atom::Exit(line, ret, value) => {
-                    let t = self.expr(value, env, nodes);
-                    if *ret {
-                        join(&mut self.ret, t);
-                    }
+                // A `return`'s value is the function's; a `break`'s, joined
+                // with the guards between it and its loop, is the loop's.
+                Atom::Exit(line, jump, value) => {
+                    let mut t = self.expr(value, env, nodes);
+                    let target = match jump {
+                        Jump::Return => {
+                            join(&mut self.ret, t);
+                            None
+                        }
+                        Jump::Continue(label) => self.loop_left(*label),
+                        Jump::Break(label) => {
+                            let k = self.loop_left(*label);
+                            if let Some(frame) = k.map(|k| &mut self.loops[k]) {
+                                for g in &self.guards[frame.guards..] {
+                                    join(&mut t, g.clone());
+                                }
+                                join(&mut frame.value, t);
+                            }
+                            k
+                        }
+                    };
                     nodes.push(Node::Exit {
                         line: *line,
-                        ret: *ret,
+                        ret: *jump == Jump::Return,
+                        target,
                     });
                     None
                 }
@@ -489,10 +537,13 @@ impl<'a> Walk<'_, '_, 'a> {
                     for arm in arms {
                         let c = self.expr(&arm.test, env, nodes);
                         join(&mut cond, c.clone());
-                        summaries.push(self.block_arm(&arm.body, &arm.names, &c, env));
+                        let arm =
+                            self.guarded(&cond, |w| w.block_arm(&arm.body, &arm.names, &c, env));
+                        summaries.push(arm);
                     }
                     if let Some(block) = els {
-                        summaries.push(self.block_arm(block, &[], &None, env));
+                        summaries
+                            .push(self.guarded(&cond, |w| w.block_arm(block, &[], &None, env)));
                     }
                     nodes.push(Node::Branch {
                         rd: cond.clone(),
@@ -512,7 +563,7 @@ impl<'a> Walk<'_, '_, 'a> {
                             let gt = w.expr(&arm.test, arm_env, nodes);
                             join(&mut cond, gt);
                             bind(arm_env, &arm.names, &cond);
-                            w.block(&arm.body, arm_env).0
+                            w.guarded(&cond, |w| w.block(&arm.body, arm_env).0)
                         }));
                     }
                     nodes.push(Node::Branch {
@@ -523,16 +574,23 @@ impl<'a> Walk<'_, '_, 'a> {
                     });
                     cond
                 }
-                // `rd` taints the trip count.
-                Atom::Loop(line, binders, head, body) => {
-                    let rd = self.expr(head, env, nodes);
-                    let body_nodes = self.block_arm(body, binders, &rd, env);
+                // `rd` taints the trip count; only a `loop` (no head) has a
+                // value, the one its `break`s carry.
+                Atom::Loop(line, label, binders, head, body) => {
+                    let rd = head.as_ref().and_then(|h| self.expr(h, env, nodes));
+                    self.loops.push(LoopFrame {
+                        label: *label,
+                        value: None,
+                        guards: self.guards.len(),
+                    });
+                    let body_nodes = self.guarded(&rd, |w| w.block_arm(body, binders, &rd, env));
+                    let value = self.loops.pop().and_then(|f| f.value);
                     nodes.push(Node::Loop {
                         rd,
                         line: *line,
                         body: body_nodes,
                     });
-                    None
+                    value.filter(|_| head.is_none())
                 }
             };
             join(&mut taint, t);
@@ -725,17 +783,32 @@ impl<'a> Walk<'_, '_, 'a> {
         });
     }
 
+    /// Does a `break` / `continue` under `nodes` leave one of `loops`
+    /// (the enclosing ones' has-collective bits, outermost first) that
+    /// contains a collective?
+    fn leaves_c(nodes: &[Node], loops: &[bool]) -> bool {
+        nodes.iter().any(|n| match n {
+            Node::Exit {
+                ret: false,
+                target: Some(k),
+                ..
+            } => loops.get(*k) == Some(&true),
+            Node::Branch { arms, .. } => arms.iter().any(|a| Self::leaves_c(a, loops)),
+            Node::Loop { body, .. } => Self::leaves_c(body, loops),
+            _ => false,
+        })
+    }
+
     /// Recursive uniformity check.
     ///
-    /// * `any_loop_c` — some enclosing loop contains a collective, so a
-    ///   rank-dependent `return` diverges (it skips that loop's
-    ///   remaining iterations).
-    /// * `inner_loop_c` — the *innermost* enclosing loop contains a
-    ///   collective; only then do `break`/`continue` skip one.
+    /// * `loops` — per enclosing loop, outermost first: does it contain a
+    ///   collective? A rank-dependent `return` diverges when any does (it
+    ///   skips that loop's remaining iterations), a `break` / `continue`
+    ///   when the loop it leaves does.
     /// * `after_c` — collectives run after this node sequence completes
     ///   (tail of an enclosing block or the next loop iteration), so a
     ///   rank-dependent `return` diverges even with nothing left here.
-    fn check(&mut self, nodes: &[Node], any_loop_c: bool, inner_loop_c: bool, after_c: bool) {
+    fn check(&mut self, nodes: &[Node], loops: &mut Vec<bool>, after_c: bool) {
         for (idx, n) in nodes.iter().enumerate() {
             let rest_c = after_c || Self::has_c(&nodes[idx + 1..]);
             match n {
@@ -750,9 +823,8 @@ impl<'a> Walk<'_, '_, 'a> {
                         let distinct = !arm_sigs.windows(2).all(|w| w[0] == w[1]);
                         let any_c = arms.iter().any(|a| Self::has_c(a));
                         let ret_exit = arm_sigs.iter().any(|s| s.contains('!'));
-                        let loop_exit = arm_sigs.iter().any(|s| s.contains('^'));
-                        let exits_diverge =
-                            (ret_exit && (rest_c || any_loop_c)) || (loop_exit && inner_loop_c);
+                        let exits_diverge = (ret_exit && (rest_c || loops.contains(&true)))
+                            || arms.iter().any(|a| Self::leaves_c(a, loops));
                         if distinct && (any_c || exits_diverge) {
                             let qual = &self.st.ws.fns[self.fid].qual;
                             let what = Self::first_coll(std::slice::from_ref(n))
@@ -776,7 +848,7 @@ impl<'a> Walk<'_, '_, 'a> {
                         }
                     }
                     for a in arms {
-                        self.check(a, any_loop_c, inner_loop_c, rest_c);
+                        self.check(a, loops, rest_c);
                     }
                 }
                 Node::Loop { rd, line, body } => {
@@ -794,7 +866,9 @@ impl<'a> Walk<'_, '_, 'a> {
                             ),
                         );
                     }
-                    self.check(body, any_loop_c || body_c, body_c, body_c || rest_c);
+                    loops.push(body_c);
+                    self.check(body, loops, body_c || rest_c);
+                    loops.pop();
                 }
                 _ => {}
             }
@@ -1164,6 +1238,38 @@ pub fn drive(world: &mut dyn CommWorld, mask: Vec<f64>) {
 }
 "#);
         assert!(divergences(&r).is_empty(), "{:?}", r.findings);
+    }
+
+    #[test]
+    fn a_break_leaves_only_the_loop_it_names() {
+        // The unlabelled `break` leaves the collective-free `for`, which
+        // only rank 0 runs; the barrier's loop turns alike on every rank.
+        let nested = r#"
+pub fn drive(world: &mut dyn CommWorld, xs: &[usize]) {
+    let r = world.rank();
+    loop {
+        world.barrier();
+        if r == 0 {
+            for x in xs {
+                if *x == 3 {
+                    break;
+                }
+            }
+        }
+        break;
+    }
+}
+"#;
+        let r = run(nested);
+        assert!(divergences(&r).is_empty(), "{:?}", r.findings);
+        // Named, the same `break` leaves the barrier's loop on rank 0 only.
+        let r = run(&nested.replace("    loop {", "    'turn: loop {").replace(
+            "                    break;",
+            "                    break 'turn;",
+        ));
+        let d = divergences(&r);
+        assert_eq!(d.len(), 1, "{:?}", r.findings);
+        assert_eq!(d[0].line, 6);
     }
 
     #[test]

@@ -16,8 +16,8 @@ pub fn drain(world: &mut dyn CommWorld, out: Vec<(usize, Vec<f64>)>) {
 }
 
 /// `loop { break v }`: each rank leaves the loop at its own iteration,
-/// so ranks issue different numbers of barriers. The loop's value is
-/// not traced, so the branch on `owner` goes unflagged (a gap).
+/// so ranks issue different numbers of barriers; the loop's value, taken
+/// under the rank test, makes the branch on `owner` rank-dependent too.
 pub fn first_owned(world: &mut dyn CommWorld) {
     let r = world.rank();
     let mut k = 0;
@@ -34,9 +34,9 @@ pub fn first_owned(world: &mut dyn CommWorld) {
 }
 
 /// A labelled `break 'outer` leaves the outer loop, whose barrier the
-/// other ranks still enter. Gaps: only the innermost loop is consulted
-/// for a `break`, and the labelled loop's statement runs on to the next
-/// `;`, so `seen` is never bound and the branch on it is not flagged.
+/// other ranks still enter: a `break` is weighed against the loop it
+/// names. The labelled loop's statement ends at its `}`, so `seen` is
+/// bound and the branch on it is flagged.
 pub fn search(world: &mut dyn CommWorld, rows: &[Vec<usize>]) {
     let r = world.rank();
     'outer: for row in rows {
