@@ -14,7 +14,11 @@ cargo fmt --check
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo clippy (every target, warnings are errors)"
+# The gate of the per-file determinism rules: clippy.toml bans their
+# types and methods, the simulation crates warn on unwrap/expect, and a
+# reasoned #[expect] is the one escape hatch (tests/lint_gate.rs pins the
+# set).
+echo "==> cargo clippy (every target, warnings are errors; the determinism rules in clippy.toml)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 # A dangling or private intra-doc link (one a deletion leaves behind) is
@@ -22,7 +26,7 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> cargo doc (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
-echo "==> hyades-lint (determinism & numerical-correctness rules)"
+echo "==> hyades-lint (whole-program proofs: sinks stay deterministic, collectives stay uniform)"
 mkdir -p target
 # One run, two renderings: the JSON report on stdout, the stable
 # machine-readable summary line (files=N violations=N effect-table=N
@@ -39,8 +43,9 @@ lint_summary=$(grep '^hyades-lint: files=' target/lint-summary.txt)
 echo "    ${lint_summary#hyades-lint: } (report: target/lint-report.json)"
 
 # The analyser reads sources as text: it links no other workspace crate,
-# and nothing at run time links it.
-echo "==> crate graph: hyades-lint is a leaf, hyades does not depend on it"
+# and nothing at run time links it. No crate can draw an unseeded random
+# number: no RNG crate is in the graph at all.
+echo "==> crate graph: hyades-lint is a leaf, hyades does not depend on it, no rand or getrandom"
 lint_deps=$(cargo tree --offline -p hyades-lint -e normal --prefix none | grep '^hyades' | grep -v '^hyades-lint ' || true)
 if [ -n "$lint_deps" ]; then
     echo "hyades-lint depends on workspace crates:"
@@ -49,6 +54,12 @@ if [ -n "$lint_deps" ]; then
 fi
 if cargo tree --offline -p hyades -e normal | grep -q 'hyades-lint'; then
     echo "hyades depends on hyades-lint"
+    exit 1
+fi
+rng_crates=$(cargo tree --offline --workspace -e normal,build,dev --prefix none | grep -E '^(rand|getrandom)[_a-z]* ' | sort -u || true)
+if [ -n "$rng_crates" ]; then
+    echo "an RNG crate is in the crate graph:"
+    echo "$rng_crates"
     exit 1
 fi
 
