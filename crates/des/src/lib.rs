@@ -11,9 +11,9 @@
 //! * [`SimTime`] / [`SimDuration`] — integer picosecond timestamps, so that
 //!   every run is exactly reproducible (no floating-point drift in event
 //!   ordering).
-//! * [`Simulator`] — a binary-heap event queue dispatching events to
-//!   registered [`Actor`]s. Ties are broken by insertion sequence number, so
-//!   execution order is fully deterministic.
+//! * [`Simulator`] — a sorted pending-event list dispatching events to
+//!   registered [`Actor`]s. Equal times dispatch in the order they were
+//!   scheduled, so execution order is fully deterministic.
 //! * [`rng::SplitMix64`] — a tiny deterministic RNG for components that need
 //!   randomized decisions (e.g. Arctic's random up-route selection).
 //! * [`stats`] — online statistics and log-scale histograms used by the

@@ -319,6 +319,29 @@ mod tests {
     }
 
     #[test]
+    fn outside_schedule_at_now_queues_behind_a_halted_handlers_events() {
+        let mut sim = Simulator::new();
+        let (ids, log) = loggers(&mut sim, &[0, 1, 2, 3]);
+        let fan = sim.add_actor(Fanout {
+            targets: vec![ids[2], ids[0]],
+            halt: true,
+        });
+        let at = SimTime::from_ps(3);
+        sim.schedule(at, fan, ());
+        sim.run();
+        assert_eq!(sim.now(), at);
+        // The halted handler's two events at `at` were queued first, so
+        // outside events at `at` dispatch behind them in the order they
+        // were scheduled, and the one at a later time waits for them all.
+        sim.schedule(at, ids[3], ());
+        sim.schedule(SimTime::from_ps(4), ids[1], ());
+        sim.schedule(at, ids[1], ());
+        sim.resume();
+        sim.run();
+        assert_eq!(*log.borrow(), vec![2, 0, 3, 1, 1]);
+    }
+
+    #[test]
     #[should_panic(expected = "cannot schedule into the past")]
     fn scheduling_into_past_panics() {
         let mut sim = Simulator::new();

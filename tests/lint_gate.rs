@@ -20,7 +20,6 @@ const ALLOWS: &[(&str, &str, usize)] =
 /// is (`allow_attributes` bans a plain `#[allow]`).
 const EXPECTS: &[(&str, &str, usize)] = &[
     ("crates/core/src/tour.rs", "clippy::too_many_arguments", 1),
-    ("crates/des/src/event.rs", "clippy::disallowed_types", 1),
     (
         "crates/gcm/src/kernel/gterms.rs",
         "clippy::too_many_arguments",
