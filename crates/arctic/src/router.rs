@@ -66,8 +66,9 @@ pub enum PortTarget {
 struct OutputPort {
     target: PortTarget,
     free_at: SimTime,
-    /// Queued packets with the time their head became eligible for the
-    /// link (arrival + fall-through): the baseline for stall accounting.
+    /// Queued packets with the time their head becomes eligible for the
+    /// link (arrival + fall-through): the earliest grant, and the baseline
+    /// for stall accounting.
     high: VecDeque<(SimTime, Box<Arrive>)>,
     low: VecDeque<(SimTime, Box<Arrive>)>,
     /// Packets granted this link.
@@ -265,21 +266,29 @@ impl RouterActor {
     fn try_tx(&mut self, port: usize, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         let q = &mut self.ports[port];
-        if now < q.free_at || q.queued() == 0 {
+        if now < q.free_at {
             return;
         }
-        // High priority is never blocked behind queued low priority.
-        let (ready, mut ev) = match q.high.pop_front() {
-            Some(p) => p,
-            None => match q.low.pop_front() {
-                Some(p) => p,
-                None => return,
-            },
+        // Only a head that has fallen through may take the link; among
+        // those, high priority is never blocked behind queued low priority.
+        let fallen = |(ready, _): &mut (SimTime, Box<Arrive>)| *ready <= now;
+        let granted = q.high.pop_front_if(fallen);
+        let Some((ready, mut ev)) = granted.or_else(|| q.low.pop_front_if(fallen)) else {
+            // A link that frees before the queued heads fall through waits
+            // for the first of them.
+            let first = [&q.high, &q.low]
+                .into_iter()
+                .filter_map(|fifo| fifo.front().map(|(ready, _)| *ready))
+                .min();
+            if let Some(ready) = first {
+                ctx.send_after(ready - now, ctx.self_id(), TryTx { port });
+            }
+            return;
         };
         let pkt = &mut ev.0;
         // Time the head waited for the link beyond its fall-through —
         // the flow-control stall this grant resolves.
-        q.stall_ps += now.as_ps().saturating_sub(ready.as_ps());
+        q.stall_ps += (now - ready).as_ps();
         let ser = self.link.serialization(pkt);
         q.free_at = now + ser;
         q.packets += 1;
@@ -381,6 +390,36 @@ mod tests {
                 "{words} payload words"
             );
         }
+    }
+
+    /// A link that frees after a short packet must not go to a packet
+    /// whose head is still falling through: the second packet arrives
+    /// 0.12 µs after the first, so the first's 0.107 µs on the link ends
+    /// 0.013 µs before the second may be granted.
+    #[test]
+    fn a_head_is_granted_only_after_it_has_fallen_through() {
+        let mut sim = hyades_des::Simulator::new();
+        let sink = sim.add_actor(crate::network::SinkEndpoint::default());
+        let link = Arc::new(LinkModel::default());
+        let mut router = RouterActor::new(
+            RouterAddr { level: 0, word: 0 },
+            Arc::new(FatTree::new(16)),
+            Arc::clone(&link),
+        );
+        router.wire_port(down_port_index(0), PortTarget::Endpoint(sink));
+        let id = sim.add_actor(router);
+        let arrivals = [0.0, 0.12].map(SimTime::from_us_f64);
+        for (tag, &at) in arrivals.iter().enumerate() {
+            let pkt = Packet::new(1, 0, Priority::Low, tag as u16, vec![7, 8]);
+            sim.schedule(at, id, Arrive(pkt));
+        }
+        sim.run();
+        let sink = sim.actor::<crate::network::SinkEndpoint>(sink);
+        let got: Vec<SimTime> = sink.deliveries.iter().map(|(at, _)| *at).collect();
+        let ser = link.serialization(&sink.deliveries[0].1);
+        let want = arrivals.map(|at| at + FALL_THROUGH + WIRE_LATENCY + ser);
+        assert_eq!(got, want);
+        assert_eq!(sim.actor::<RouterActor>(id).port_stall_ps(0), 0);
     }
 
     #[test]

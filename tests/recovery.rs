@@ -202,9 +202,10 @@ fn fault_plan_seed_sweep_small_legs_and_gsum() {
 }
 
 /// The same 750 runs against values recorded once (at the commit before
-/// the protocol nodes were restructured), not against themselves: any
-/// change to a simulated time or a recovery counter of any of them moves
-/// the digest, and has to be re-pinned on purpose.
+/// the protocol nodes were restructured; re-pinned when routers stopped
+/// granting a link to a head still falling through), not against
+/// themselves: any change to a simulated time or a recovery counter of
+/// any of them moves the digest, and has to be re-pinned on purpose.
 #[test]
 fn fault_sweep_matches_the_pinned_digest() {
     let mut d = Digest::new();
@@ -212,7 +213,7 @@ fn fault_sweep_matches_the_pinned_digest() {
     for n in [2, 4, 8, 16] {
         sweep_gsum(n, 0..150, 0, &mut d);
     }
-    assert_eq!(d.0, 0x0792_b5e1_7333_4734, "{:#018x}", d.0);
+    assert_eq!(d.0, 0x5c76_5842_6581_ef9f, "{:#018x}", d.0);
 }
 
 #[test]
@@ -237,5 +238,5 @@ fn fault_plan_seed_sweep_full() {
     for n in [2, 4, 8, 16] {
         sweep_gsum(n, 0..2000, 0, d);
     }
-    assert_eq!(d.0, 0x5f73_64ae_cabd_dcbf, "{:#018x}", d.0);
+    assert_eq!(d.0, 0x007f_b5c7_57d0_336b, "{:#018x}", d.0);
 }
