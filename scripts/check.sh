@@ -140,6 +140,15 @@ awk '$1 ~ /^(comms\.(exchange_4x4_4096_us|gsum_16_us|retries|backoff_waits)|star
         printf "    comm_primitives %-30s %14.6f %s\n", $1, $2, $3 }' \
     target/hbench-comm_primitives-traced.txt
 
+# And from one traced run of the long fabric simulations: the events
+# dispatched (exact), the host cost of one, and the packet rate.
+cargo run --release --offline --quiet --manifest-path hbench/Cargo.toml -- \
+    --workload fabric_saturated --seconds 3 --trace 1 > target/hbench-fabric_saturated-traced.txt
+awk '$1 == "des.events" { printf "    fabric_saturated %-29s %12.0f\n", $1, $2 }
+    $1 == "des.ns_per_event" { printf "    fabric_saturated %-29s %12.1f ns\n", $1, $2 }
+    $1 ~ /^(des\.dispatch|arctic\.packets)_per_s$/ { printf "    fabric_saturated %-29s %12.2f M/s\n", $1, $2 / 1e6 }' \
+    target/hbench-fabric_saturated-traced.txt
+
 # And from one traced run of the tour: what ThreadWorld completes a second
 # between two ranks, and where a repetition's host time goes.
 cargo run --release --offline --quiet --manifest-path hbench/Cargo.toml -- \
