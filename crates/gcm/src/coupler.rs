@@ -638,8 +638,8 @@ mod schedule_tests {
     }
 }
 
-/// ROADMAP item 1(d), characterised and not changed: what the +1 ring of
-/// the boundary fields holds, and whether it reaches the model state.
+/// ROADMAP item 1(iii), the ring fill: what the +1 ring of the boundary
+/// fields holds, and whether it reaches the model state.
 /// `apply_forcing(.., ext = 1)` reads that ring.
 #[cfg(test)]
 mod ring_tests {

@@ -9,10 +9,10 @@
 //! back to the last checkpoint and replays forward.
 //!
 //! Rolling every rank back — rather than restarting only the dead one —
-//! is what keeps the collective schedule uniform: the [`FaultPlan`] is
-//! replicated, so every rank sees the same crash at the same step and
-//! takes the same rollback branch, and no rank is ever left stranded in
-//! a reduction (`lint::uniform` would flag anything less). Because the
+//! is what keeps the collective schedule uniform: the runner's step count
+//! and pending crashes come from the replicated [`FaultPlan`], so every
+//! rank takes the same rollback branch at the same step, and no rank is
+//! left stranded in a reduction (`lint::uniform` proves it). Because the
 //! model is deterministic, replaying from a coupling-boundary checkpoint
 //! reproduces the lost steps bit-for-bit; the run's final state is
 //! indistinguishable from one that never crashed (asserted by
@@ -32,7 +32,7 @@ use crate::monitor::RunMonitor;
 use hyades_comms::CommWorld;
 use hyades_des::fault::FaultPlan;
 use hyades_telemetry::{self as telemetry, flight};
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 /// What recovery cost: checkpoints taken, rollbacks performed, and
 /// steps re-run that an uninterrupted run would have run once.
@@ -47,15 +47,15 @@ pub struct RecoveryStats {
 /// every coupling boundary and rolling back on planned crashes.
 #[derive(Debug)]
 pub struct ResilientRunner {
-    plan: FaultPlan,
+    /// Crashes still to fire: step → the rank [`FaultPlan::crash_at_step`]
+    /// names. A fired one is removed, so a replay does not re-crash.
+    crashes: BTreeMap<u64, usize>,
     /// In-memory image of the last checkpoint (a real deployment would
-    /// put this on the neighbour's disk; the recovery semantics are the
-    /// same).
+    /// put it on a neighbour's disk, with the same recovery semantics).
     checkpoint: Vec<u8>,
     checkpoint_step: u64,
-    /// Crash steps already fired: a replay passing the same step again
-    /// must not re-crash, or the run would livelock.
-    consumed: BTreeSet<u64>,
+    /// Steps taken: the runner's own replicated count (DESIGN §14).
+    steps: u64,
     stats: RecoveryStats,
 }
 
@@ -63,13 +63,15 @@ impl ResilientRunner {
     /// Checkpoint `model`'s current state (normally step 0, a coupling
     /// boundary) and arm the plan.
     pub fn new(model: &CoupledModel, plan: FaultPlan) -> ResilientRunner {
+        let planned = (plan.rank_crashes.iter()).filter_map(|c| plan.crash_at_step(c.at_step));
+        let crashes = planned.map(|c| (c.at_step, c.rank)).collect();
         let mut checkpoint = Vec::new();
         save_image(model, &mut checkpoint);
         ResilientRunner {
-            plan,
+            crashes,
             checkpoint,
             checkpoint_step: model.steps_taken(),
-            consumed: BTreeSet::new(),
+            steps: model.steps_taken(),
             stats: RecoveryStats::default(),
         }
     }
@@ -79,19 +81,17 @@ impl ResilientRunner {
     }
 
     /// Run `model` up to `total_steps` coupled steps, recovering from
-    /// every planned crash along the way. Before each step, if the plan
-    /// schedules a crash at the step about to run (and it has not fired
-    /// yet), roll back to the last checkpoint instead of stepping —
-    /// restoring model state, rewinding both monitors, and charging the
-    /// recovery to telemetry. Otherwise take a monitored step and
-    /// checkpoint at a coupling boundary. Returns `true` if the run
-    /// finished healthy, `false` on a sentinel trip (rollback does not
-    /// resurrect a physically blown-up run).
+    /// every planned crash along the way. Before a step with a crash still
+    /// to fire, roll back to the last checkpoint instead — restoring model
+    /// state, rewinding both monitors, and charging the recovery to
+    /// telemetry. Otherwise take a monitored step and checkpoint at a
+    /// coupling boundary. Returns `true` if the run finished healthy,
+    /// `false` on a sentinel trip (a rise in either monitor's `trips`;
+    /// rollback does not resurrect a physically blown-up run).
     ///
     /// Collective: every rank calls this with the same (replicated)
     /// runner state, so the rollback branch is rank-uniform by
     /// construction.
-    // lint:allow(collective-divergence, every rank holds the same replicated FaultPlan and consumed set, so all ranks take the same rollback-vs-step branch)
     pub fn run(
         &mut self,
         model: &mut CoupledModel,
@@ -100,41 +100,41 @@ impl ResilientRunner {
         ocean_monitor: &mut RunMonitor,
         total_steps: u64,
     ) -> bool {
-        while model.steps_taken() < total_steps {
-            let next = model.steps_taken() + 1;
-            if let Some(crash) = self.plan.crash_at_step(next) {
-                if self.consumed.insert(next) {
-                    let to_step = self.checkpoint_step;
-                    let replayed = (next - 1) - to_step;
-                    self.stats.restarts += 1;
-                    self.stats.replayed_steps += replayed;
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "the image was written by save_image from this same pair, so its shapes and trailer match; only a defect can fail here"
-                    )]
-                    model
-                        .load_checkpoint(&mut self.checkpoint.as_slice())
-                        .expect("in-memory checkpoint restore never fails");
-                    atmos_monitor.truncate(to_step);
-                    ocean_monitor.truncate(to_step);
-                    telemetry::count("gcm.recovery", "restarts", 1);
-                    telemetry::count("gcm.recovery", "replayed_steps", replayed);
-                    flight::crumb(next, crash.rank, "recovery.crash", crash.rank as u64);
-                    flight::crumb(next, crash.rank, "recovery.rollback", to_step);
-                    continue;
-                }
+        while self.steps < total_steps {
+            self.steps += 1;
+            if let Some(rank) = self.crashes.remove(&self.steps) {
+                let to_step = self.checkpoint_step;
+                let replayed = (self.steps - 1) - to_step;
+                self.stats.restarts += 1;
+                self.stats.replayed_steps += replayed;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the image was written by save_image from this same pair, so its shapes and trailer match; only a defect can fail here"
+                )]
+                model
+                    .load_checkpoint(&mut self.checkpoint.as_slice())
+                    .expect("in-memory checkpoint restore never fails");
+                atmos_monitor.truncate(to_step);
+                ocean_monitor.truncate(to_step);
+                telemetry::count("gcm.recovery", "restarts", 1);
+                telemetry::count("gcm.recovery", "replayed_steps", replayed);
+                flight::crumb(self.steps, rank, "recovery.crash", rank as u64);
+                flight::crumb(self.steps, rank, "recovery.rollback", to_step);
+                self.steps = to_step;
+                continue;
             }
-            let (_, _, healthy) = model.step_monitored(world, atmos_monitor, ocean_monitor);
-            if !healthy {
+            let trips = atmos_monitor.trips() + ocean_monitor.trips();
+            model.step_monitored(world, atmos_monitor, ocean_monitor);
+            if atmos_monitor.trips() + ocean_monitor.trips() > trips {
                 return false;
             }
-            if model.steps_taken().is_multiple_of(model.couple_every) {
+            if self.steps.is_multiple_of(model.couple_every) {
                 save_image(model, &mut self.checkpoint);
-                self.checkpoint_step = model.steps_taken();
+                self.checkpoint_step = self.steps;
                 self.stats.checkpoints += 1;
                 telemetry::count("gcm.recovery", "checkpoints", 1);
                 flight::crumb(
-                    model.steps_taken(),
+                    self.steps,
                     world.rank(),
                     "recovery.checkpoint",
                     self.checkpoint.len() as u64,
@@ -240,6 +240,27 @@ mod tests {
             clean.step_monitored(&mut w, &mut cma, &mut cmo);
         }
         assert_eq!(clean.ocean.state.theta.raw(), c.ocean.state.theta.raw());
+    }
+
+    /// Two ranks planned to crash at one step are one crash, charged to
+    /// the lower rank, as [`FaultPlan::crash_at_step`] names it.
+    #[test]
+    fn two_crashes_at_one_step_roll_back_once_for_the_lowest_rank() {
+        let mut w = SerialWorld;
+        let plan = FaultPlan::new(3).rank_crash(2, 5).rank_crash(1, 5);
+        let mut c = pair();
+        let mut r = ResilientRunner::new(&c, plan);
+        let (mut ma, mut mo) = monitors();
+        flight::install();
+        assert!(r.run(&mut c, &mut w, &mut ma, &mut mo, 8));
+        let trace = flight::take().expect("installed above");
+        assert_eq!(r.stats().restarts, 1);
+        assert_eq!(c.steps_taken(), 8);
+        let crashes: Vec<(usize, u64)> = (trace.iter())
+            .filter(|t| t.label == "recovery.crash")
+            .map(|t| (t.actor.0, t.detail))
+            .collect();
+        assert_eq!(crashes, [(1, 1)]);
     }
 
     #[test]

@@ -30,9 +30,6 @@
 //!    `Nondet` code outside test scope is a `nondet-reachable` finding
 //!    carrying the witness call chain. Test-scope functions (`tests/`,
 //!    `#[cfg(test)]`) are never resolved as callees of non-test code.
-//!
-//! The one escape hatch is `lint:allow(nondet-reachable, why)` on (or
-//! alone above) a sink's `fn` line: it waives the sink's finding.
 
 use crate::graph::{self, Fixpoint, Workspace};
 use crate::lexer::TokKind;
@@ -178,9 +175,6 @@ pub struct FlowReport {
     pub fns: Vec<FnEffect>,
     /// In `WORKSPACE_SINKS` order, then definition order.
     pub sinks: Vec<SinkResult>,
-    /// (file, pragma line) of every `lint:allow` pragma this analysis
-    /// honored, for the pragma audit.
-    pub used_allow: BTreeSet<(String, usize)>,
     /// `nondet-reachable` findings.
     pub findings: Vec<Finding>,
 }
@@ -443,7 +437,6 @@ fn run<'w, 'a>(
 ) -> FlowReport {
     let n = ws.fns.len();
     let mut findings = Vec::new();
-    let mut used_allow = BTreeSet::new();
     let per_file: Vec<_> = ws.files.iter().map(sources).collect();
     let facts: Vec<FnFlow> = (0..n)
         .map(|f| fn_facts(ws, f, &per_file[ws.fns[f].file]))
@@ -504,27 +497,24 @@ fn run<'w, 'a>(
             let terminal = ch.last().copied().unwrap_or(m);
             let chain_quals: Vec<String> = ch.iter().map(|&f| ws.fns[f].qual.clone()).collect();
             if effect[m] == Effect::Nondet {
-                let (ctx, line) = (ws.ctx(m), ws.fns[m].line);
-                if !ctx.allow_into(NONDET_REACHABLE, line, &mut used_allow) {
-                    let src_txt = facts[terminal]
-                        .source
-                        .as_ref()
-                        .map(|(l, w)| format!("{w} at {}:{l}", path(terminal)))
-                        .unwrap_or_else(|| "unresolved source".to_string());
-                    findings.push(Finding {
-                        rel_path: path(m).to_string(),
-                        line: ws.fns[m].line,
-                        rule: NONDET_REACHABLE,
-                        message: format!(
-                            "sink `{}` ({}) transitively reaches Nondet `{}` ({}); chain: {}",
-                            ws.fns[m].qual,
-                            spec.what,
-                            ws.fns[terminal].qual,
-                            src_txt,
-                            chain_quals.join(" -> ")
-                        ),
-                    });
-                }
+                let src_txt = facts[terminal]
+                    .source
+                    .as_ref()
+                    .map(|(l, w)| format!("{w} at {}:{l}", path(terminal)))
+                    .unwrap_or_else(|| "unresolved source".to_string());
+                findings.push(Finding {
+                    rel_path: path(m).to_string(),
+                    line: ws.fns[m].line,
+                    rule: NONDET_REACHABLE,
+                    message: format!(
+                        "sink `{}` ({}) transitively reaches Nondet `{}` ({}); chain: {}",
+                        ws.fns[m].qual,
+                        spec.what,
+                        ws.fns[terminal].qual,
+                        src_txt,
+                        chain_quals.join(" -> ")
+                    ),
+                });
             }
             sink_results.push(SinkResult {
                 name: spec.name,
@@ -557,7 +547,6 @@ fn run<'w, 'a>(
         call_edges: ws.call_edges(),
         fns: fns_out,
         sinks: sink_results,
-        used_allow,
         findings,
     }
 }
@@ -631,35 +620,6 @@ mod tests {
         let test_scale = effect_of(&r, "comms::flowdemo::tests::scale");
         assert!(test_scale.is_test);
         assert_eq!(test_scale.effect, Effect::Nondet);
-    }
-
-    /// Only the sink's line takes a pragma: one on a source line names a
-    /// retired per-file rule, so the source stays and the pragma is unused.
-    #[test]
-    fn a_pragma_on_a_source_line_leaves_the_source() {
-        let src = "fn throughput() -> u64 {\n\
-                       // lint:allow(instant-wallclock, human-facing banner only)\n\
-                       let t0 = std::time::Instant::now();\n\
-                       t0.elapsed().as_nanos() as u64\n\
-                   }\n\
-                   pub fn publish_sum(xs: &[f64]) -> f64 { throughput() as f64 + xs.len() as f64 }\n";
-        let r = one("crates/comms/src/flowdemo.rs", src, SINK_PUBLISH);
-        assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
-        assert_eq!(r.sinks[0].effect, Effect::Nondet);
-        assert!(r.used_allow.is_empty());
-    }
-
-    #[test]
-    fn sink_level_allow_waives_and_is_recorded() {
-        let src = "fn stamp() -> u64 { std::time::SystemTime::now().elapsed().unwrap().as_nanos() as u64 }\n\
-                   // lint:allow(nondet-reachable, demo waiver)\n\
-                   pub fn publish_sum(xs: &[f64]) -> f64 { stamp() as f64 + xs.len() as f64 }\n";
-        let r = one("crates/comms/src/flowdemo.rs", src, SINK_PUBLISH);
-        assert!(r.findings.is_empty(), "{:?}", r.findings);
-        assert_eq!(r.sinks[0].effect, Effect::Nondet);
-        assert!(r
-            .used_allow
-            .contains(&("crates/comms/src/flowdemo.rs".to_string(), 2)));
     }
 
     #[test]
@@ -817,7 +777,6 @@ mod tests {
             let swept = run(&ws, sinks, graph::sweep);
             let reference = run(&ws, sinks, round_robin);
             assert_eq!(swept.render_golden(), reference.render_golden());
-            assert_eq!(swept.used_allow, reference.used_allow);
             let chains = |r: &FlowReport| -> Vec<Vec<String>> {
                 r.sinks.iter().map(|k| k.chain.clone()).collect()
             };

@@ -8,13 +8,11 @@
 //! call sites ([`CallSite`]). The halves are joined in file order,
 //! each thread resolves half the call sites against the whole function
 //! table, and the forward and reverse edges are folded in site order.
-//! [`crate::rules`] audits the pragmas of `ws.files`, [`crate::flow`]
-//! gives each function the entries of its file's source list its spans
-//! own, and
-//! [`crate::uniform`] interprets each tree, whose calls name their sites
-//! ([`Workspace::site`]) — so a call site resolves to the same
-//! candidates for everyone. Both whole-program analyses reach their
-//! fixpoint through the one `sweep`.
+//! [`crate::flow`] gives each function the entries of its file's source
+//! list its spans own, and [`crate::uniform`] interprets each tree,
+//! whose calls name their sites ([`Workspace::site`]) — so a call site
+//! resolves to the same candidates for everyone. Both whole-program
+//! analyses reach their fixpoint through the one `sweep`.
 //!
 //! Resolution order: a bare `name(..)` narrows same-file → same-crate →
 //! workspace; `Type::name(..)` / `Self::name(..)` go through a

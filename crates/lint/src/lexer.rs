@@ -9,8 +9,8 @@
 //!
 //! * line comments (`//`, with `///` / `//!` marked as doc) and nested
 //!   block comments (`/* /* */ */`, `/**` / `/*!` as doc) — emitted as
-//!   [`TokKind::Comment`] / [`TokKind::DocComment`] tokens so the pragma
-//!   parser sees them, never as code;
+//!   [`TokKind::Comment`] / [`TokKind::DocComment`] tokens, never as
+//!   code;
 //! * string literals with escapes, raw strings `r"…"`/`r#"…"#` (any
 //!   hash count), byte strings `b"…"`/`br#"…"#`, char literals;
 //! * lifetimes vs char literals (`'a` is a [`TokKind::Lifetime`], `'a'`
@@ -60,11 +60,6 @@ pub struct Tok<'a> {
 impl Tok<'_> {
     pub fn is_ident(&self, name: &str) -> bool {
         self.kind == TokKind::Ident && self.text == name
-    }
-
-    /// Number of lines this token spans beyond its first.
-    pub fn extra_lines(&self) -> u32 {
-        self.text.bytes().filter(|&b| b == b'\n').count() as u32
     }
 }
 
@@ -489,8 +484,6 @@ mod tests {
         assert_eq!(find("ef").line, 2);
         // Token after a multi-line string lands on the string's last line.
         assert_eq!(find("gh").line, 4);
-        let s = ts.iter().find(|t| t.kind == TokKind::Str).unwrap();
-        assert_eq!(s.extra_lines(), 1);
     }
 
     #[test]

@@ -27,8 +27,7 @@
 //! * `cargo run -p hyades-lint` — prints `file:line: rule: message`
 //!   diagnostics, exits nonzero on violations (`--json` for a
 //!   machine-readable report, `--summary` for the one-line counts:
-//!   files, violations, effect-table functions, collective sites,
-//!   reasoned suppressions);
+//!   files, violations, effect-table functions, collective sites);
 //! * as a `#[test]` (`tests/lint_gate.rs` in the workspace root), so
 //!   plain `cargo test` enforces both analyses in CI.
 
@@ -106,9 +105,6 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 pub struct LintReport {
     /// Hard failures, sorted by path/line.
     pub violations: Vec<Finding>,
-    /// Every reasoned `lint:allow` in the tree as (file, rule, count),
-    /// sorted: the suppression set `tests/lint_gate.rs` pins.
-    pub allows: Vec<(String, String, usize)>,
     /// Files scanned.
     pub files_scanned: usize,
     /// Functions in the interprocedural effect table ([`flow`]).
@@ -166,12 +162,11 @@ impl LintReport {
     /// report. Field order is part of the contract.
     pub fn render_summary(&self) -> String {
         format!(
-            "hyades-lint: files={} violations={} effect-table={} collectives={} allows={}",
+            "hyades-lint: files={} violations={} effect-table={} collectives={}",
             self.files_scanned,
             self.violations.len(),
             self.effect_fns,
-            self.collective_sites,
-            self.allows.iter().map(|(_, _, n)| n).sum::<usize>()
+            self.collective_sites
         )
     }
 }
@@ -193,9 +188,7 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Lint every scanned source: the interprocedural [`flow`] and
-/// [`uniform`] findings, the audit of every `lint:allow` pragma against
-/// the ones either analysis honoured, and the reasoned `lint:allow`
-/// inventory. Everything runs over one [`graph::Workspace`], so each
+/// [`uniform`] findings. Both run over one [`graph::Workspace`], so each
 /// file is lexed once; [`uniform`] runs on a second thread beside
 /// [`flow`].
 pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
@@ -205,27 +198,12 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
         || uniform::analyze_ws(&ws),
         || flow::analyze_ws(&ws, flow::WORKSPACE_SINKS),
     );
-    let used = fl.used_allow.union(&un.used_allow).cloned().collect();
-    let mut violations: Vec<Finding> = (ws.files.iter())
-        .flat_map(|ctx| rules::audit(ctx, &used))
-        .collect();
-    violations.extend(fl.findings);
+    let mut violations = fl.findings;
     violations.extend(un.findings);
     violations.sort();
     violations.dedup();
-    let mut allows = std::collections::BTreeMap::new();
-    for ctx in &ws.files {
-        for p in &ctx.pragmas {
-            if p.has_reason && rules::ALL_RULES.contains(&p.rule.as_str()) {
-                *allows.entry((ctx.rel_path, p.rule.as_str())).or_insert(0) += 1;
-            }
-        }
-    }
     Ok(LintReport {
         violations,
-        allows: (allows.into_iter())
-            .map(|((file, rule), n)| (file.to_string(), rule.to_string(), n))
-            .collect(),
         files_scanned: sources.len(),
         effect_fns: fl.functions,
         collective_sites: un.collective_sites,
@@ -299,11 +277,6 @@ mod tests {
                 rule: rules::COLLECTIVE_DIVERGENCE,
                 message: "say \"no\"".into(),
             }],
-            allows: vec![(
-                "crates/x/src/a.rs".into(),
-                "collective-divergence".into(),
-                2,
-            )],
             files_scanned: 2,
             effect_fns: 41,
             collective_sites: 7,
@@ -314,7 +287,7 @@ mod tests {
         assert!(json.contains("\"collective_sites\": 7"));
         assert_eq!(
             report.render_summary(),
-            "hyades-lint: files=2 violations=1 effect-table=41 collectives=7 allows=2"
+            "hyades-lint: files=2 violations=1 effect-table=41 collectives=7"
         );
         assert!(json.contains("\\\"no\\\""));
         assert!(json.contains("\"rule\": \"collective-divergence\""));

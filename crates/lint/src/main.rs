@@ -5,10 +5,9 @@
 //! * `--json` — emit the report as one stable-sorted JSON object
 //!   (machine-readable CI diffs);
 //! * `--summary` — print one stable `hyades-lint: files=N violations=N
-//!   effect-table=N collectives=N allows=N` line (`allows` counts the
-//!   reasoned `lint:allow` suppressions in the tree); together with
-//!   `--json` the JSON goes to stdout and this line to stderr, so one
-//!   run feeds both consumers (`scripts/check.sh`).
+//!   effect-table=N collectives=N` line; together with `--json` the JSON
+//!   goes to stdout and this line to stderr, so one run feeds both
+//!   consumers (`scripts/check.sh`).
 
 use std::process::ExitCode;
 

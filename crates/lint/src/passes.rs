@@ -2,13 +2,11 @@
 //!
 //! [`FileCtx`] owns one lexed file plus the derived facts the analyses
 //! keep asking for: which crate the file belongs to ([`classify`]),
-//! which tokens are inside `#[cfg(test)]` regions, which lines carry
-//! code (for own-line pragma attribution), bracket matching and parsed
-//! `lint:allow` pragmas. Each front-end decision is made here once —
-//! where a `<…>` ends, where an item's body opens, what a range holds at
-//! bracket depth 0, what a pattern binds, which pragmas cover a line —
-//! and every analysis calls the one answer instead of re-deriving
-//! structure from strings.
+//! which tokens are inside `#[cfg(test)]` regions, and bracket matching.
+//! Each front-end decision is made here once — where a `<…>` ends, where
+//! an item's body opens, what a range holds at bracket depth 0, what a
+//! pattern binds — and every analysis calls the one answer instead of
+//! re-deriving structure from strings.
 
 use crate::graph::{starts_upper, KEYWORDS};
 use crate::lexer::{lex, Tok, TokKind};
@@ -28,17 +26,6 @@ pub fn classify(rel_path: &str) -> FileScope {
     FileScope { crate_name }
 }
 
-/// A parsed `lint:allow(rule, reason)` pragma.
-#[derive(Debug, Clone)]
-pub struct Pragma {
-    pub rule: String,
-    pub has_reason: bool,
-    /// Pragma sits on a comment-only line, so it covers the next line.
-    pub own_line: bool,
-    /// 1-based source line the pragma text sits on.
-    pub line: usize,
-}
-
 /// A `let` statement's token indices ([`FileCtx::let_parts`]).
 pub struct Let {
     /// The pattern's half-open range.
@@ -55,14 +42,10 @@ pub struct Let {
 pub struct FileCtx<'a> {
     pub rel_path: &'a str,
     pub scope: FileScope,
-    /// Code tokens only (comments split out below).
+    /// Code tokens only (comments dropped).
     pub code: Vec<Tok<'a>>,
-    /// Comment tokens (doc and plain) in source order.
-    pub comments: Vec<Tok<'a>>,
     /// Per code token: inside a `#[cfg(test)]`-gated item.
     pub in_test: Vec<bool>,
-    /// Parsed non-doc pragmas, in source order.
-    pub pragmas: Vec<Pragma>,
     /// For each closer token index, the opener index (and vice versa);
     /// `u32::MAX` elsewhere.
     partner: Vec<u32>,
@@ -70,33 +53,16 @@ pub struct FileCtx<'a> {
 
 impl<'a> FileCtx<'a> {
     pub fn new(rel_path: &'a str, source: &'a str) -> Self {
-        let all = lex(source);
-        let mut code = Vec::new();
-        let mut comments = Vec::new();
-        // Indexed by 1-based line: does it carry at least one code token?
-        let mut lines_with_code: Vec<bool> = Vec::new();
-        for t in all {
-            if matches!(t.kind, TokKind::Comment | TokKind::DocComment) {
-                comments.push(t);
-            } else {
-                let (first, last) = (t.line as usize, (t.line + t.extra_lines()) as usize);
-                if lines_with_code.len() <= last {
-                    lines_with_code.resize(last + 1, false);
-                }
-                lines_with_code[first..=last].fill(true);
-                code.push(t);
-            }
-        }
+        let mut code: Vec<Tok<'a>> = (lex(source).into_iter())
+            .filter(|t| !matches!(t.kind, TokKind::Comment | TokKind::DocComment))
+            .collect();
         code.shrink_to_fit();
-        let pragmas = parse_pragmas(&comments, &lines_with_code);
         let mut ctx = FileCtx {
             rel_path,
             scope: classify(rel_path),
             partner: match_brackets(&code),
             code,
-            comments,
             in_test: Vec::new(),
-            pragmas,
         };
         ctx.in_test = cfg_test_flags(&ctx);
         ctx
@@ -124,24 +90,6 @@ impl<'a> FileCtx<'a> {
     /// 1-based line of token `i`.
     pub fn line(&self, i: usize) -> usize {
         self.code.get(i).map(|t| t.line as usize).unwrap_or(0)
-    }
-
-    /// Record every reasoned `lint:allow(rule, why)` pragma covering
-    /// `line` — on the line itself, or alone on the line above — in
-    /// `used` as (file, pragma line); true when one does.
-    pub(crate) fn allow_into(
-        &self,
-        rule: &str,
-        line: usize,
-        used: &mut BTreeSet<(String, usize)>,
-    ) -> bool {
-        let covers = |p: &Pragma| p.line == line || (p.own_line && p.line + 1 == line);
-        let mut any = false;
-        for p in (self.pragmas.iter()).filter(|p| p.rule == rule && p.has_reason && covers(p)) {
-            used.insert((self.rel_path.to_string(), p.line));
-            any = true;
-        }
-        any
     }
 
     /// Matching bracket for opener/closer token `i`, if balanced.
@@ -386,10 +334,6 @@ impl<'a> FileCtx<'a> {
     }
 }
 
-fn has_code(lines_with_code: &[bool], l: usize) -> bool {
-    lines_with_code.get(l).copied().unwrap_or(false)
-}
-
 /// Opener/closer partner indices over `()`, `[]`, `{}`.
 fn match_brackets(code: &[Tok<'_>]) -> Vec<u32> {
     let mut partner = vec![u32::MAX; code.len()];
@@ -438,41 +382,6 @@ fn cfg_test_flags(ctx: &FileCtx<'_>) -> Vec<bool> {
         }
     }
     flags
-}
-
-/// Parse `lint:allow(rule, reason)` pragmas out of the comment stream.
-/// Doc comments describe the syntax without invoking it; only plain
-/// comments carry live pragmas.
-fn parse_pragmas(comments: &[Tok<'_>], lines_with_code: &[bool]) -> Vec<Pragma> {
-    let mut out = Vec::new();
-    for c in comments {
-        if c.kind == TokKind::DocComment {
-            continue;
-        }
-        let mut rest = c.text;
-        let mut offset = 0usize;
-        while let Some(pos) = rest.find("lint:allow(") {
-            let abs = offset + pos;
-            let line = c.line as usize + c.text[..abs].bytes().filter(|&b| b == b'\n').count();
-            let body = &rest[pos + "lint:allow(".len()..];
-            let close = body.find(')').unwrap_or(body.len());
-            let inner = &body[..close];
-            let (rule, reason) = match inner.split_once(',') {
-                Some((r, why)) => (r.trim(), !why.trim().is_empty()),
-                None => (inner.trim(), false),
-            };
-            out.push(Pragma {
-                rule: rule.to_string(),
-                has_reason: reason,
-                own_line: !has_code(lines_with_code, line),
-                line,
-            });
-            let consumed = pos + "lint:allow(".len() + close;
-            offset += consumed;
-            rest = &rest[consumed..];
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -680,27 +589,5 @@ mod tests {
         let t = let_parts("let (mut a, ref b, Some(c), m::N) = t else { return };");
         assert_eq!(t, (vec!["a", "b", "c"], None, Some("="), ";"));
         assert_eq!(let_parts("let x;"), (vec!["x"], None, None, ";"));
-    }
-
-    #[test]
-    fn pragmas_same_line_and_own_line() {
-        let src = "let t = now(); // lint:allow(instant-wallclock, demo)\n\
-                   // lint:allow(unseeded-rng, fixture)\n\
-                   let r = rng();\n";
-        let ctx = FileCtx::new("crates/x/src/a.rs", src);
-        assert_eq!(ctx.pragmas.len(), 2);
-        assert_eq!(ctx.pragmas[0].rule, "instant-wallclock");
-        assert!(!ctx.pragmas[0].own_line);
-        assert_eq!(ctx.pragmas[0].line, 1);
-        assert!(ctx.pragmas[1].own_line);
-        assert_eq!(ctx.pragmas[1].line, 2);
-        assert!(ctx.pragmas[1].has_reason);
-    }
-
-    #[test]
-    fn doc_comments_do_not_carry_pragmas() {
-        let src = "//! Use `lint:allow(rule, reason)` to suppress.\n/// lint:allow(x, y)\n";
-        let ctx = FileCtx::new("crates/x/src/a.rs", src);
-        assert!(ctx.pragmas.is_empty());
     }
 }

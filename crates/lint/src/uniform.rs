@@ -36,17 +36,16 @@
 //! Soundness caveats (documented, deliberate): closures are inlined
 //! into the enclosing function (over-approximate), `?` early returns
 //! are not modeled, struct fields are not tracked as taint carriers
-//! (only locals and parameters), and two arms calling *different*
-//! collective-bearing helpers are flagged even if the helpers happen to
-//! issue equal sequences. The one escape hatch is
-//! `lint:allow(collective-divergence, why)`: on a branch or loop line
-//! (or alone above it) it covers that site, directly above a `fn` every
-//! site of the function.
+//! (only locals and parameters), any `.rank` read is a source even of a
+//! field that holds no caller's rank (`RankCrash.rank`), and two arms
+//! calling *different* collective-bearing helpers are flagged even if
+//! the helpers happen to issue equal sequences. Nothing suppresses a
+//! finding: a false positive is fixed here or in the code.
 
 use crate::graph::{self, Atom, Block, Call, Expr, Fixpoint, Jump, RawCall, Workspace};
 use crate::passes::FileCtx;
 use crate::rules::{Finding, COLLECTIVE_DIVERGENCE};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// One entry in the collective catalog.
@@ -223,9 +222,6 @@ pub struct UniformReport {
     pub collective_sites: usize,
     /// Collective-bearing non-test functions, sorted by qualified name.
     pub fns: Vec<FnUniform>,
-    /// (file, pragma line) of every `lint:allow` pragma this analysis
-    /// honored.
-    pub used_allow: BTreeSet<(String, usize)>,
     /// `collective-divergence` findings.
     pub findings: Vec<Finding>,
 }
@@ -264,7 +260,6 @@ struct State<'w, 'a> {
     /// The control tree of each function's latest walk.
     trees: Vec<Vec<Node>>,
     findings: Vec<Finding>,
-    used_allow: BTreeSet<(String, usize)>,
     divergent: Vec<bool>,
 }
 
@@ -351,7 +346,6 @@ fn run<'w, 'a>(ws: &'w Workspace<'a>, fixpoint: fn(&mut State<'w, 'a>)) -> Unifo
         dirty: vec![true; n],
         trees: vec![Vec::new(); n],
         findings: Vec::new(),
-        used_allow: BTreeSet::new(),
         divergent: vec![false; n],
     };
     fixpoint(&mut st);
@@ -418,30 +412,27 @@ impl<'s, 'w, 'a> Walk<'s, 'w, 'a> {
 
     /// Walk one arm in a copy of `env`; a name the arm taints stays
     /// tainted after it, since the arm may have run.
-    fn arm(
-        &mut self,
-        env: &mut Env<'a>,
-        walk: impl FnOnce(&mut Self, &mut Env<'a>) -> Vec<Node>,
-    ) -> Vec<Node> {
+    fn arm<R>(&mut self, env: &mut Env<'a>, walk: impl FnOnce(&mut Self, &mut Env<'a>) -> R) -> R {
         let mut arm_env = env.clone();
-        let nodes = walk(self, &mut arm_env);
+        let out = walk(self, &mut arm_env);
         for (k, v) in arm_env {
             env.entry(k).or_insert(v);
         }
-        nodes
+        out
     }
 
-    /// [`Walk::arm`] over `block`, in which `binders` carry `taint`.
+    /// [`Walk::block`] as an [`Walk::arm`], in which `binders` carry
+    /// `taint`.
     fn block_arm(
         &mut self,
         block: &Block<'a>,
         binders: &[&'a str],
         taint: &Taint,
         env: &mut Env<'a>,
-    ) -> Vec<Node> {
+    ) -> (Vec<Node>, Taint) {
         self.arm(env, |w, env| {
             bind(env, binders, taint);
-            w.block(block, env).0
+            w.block(block, env)
         })
     }
 
@@ -465,7 +456,8 @@ impl<'s, 'w, 'a> Walk<'s, 'w, 'a> {
                 Atom::Let(line, binders, init, els) => {
                     let t = self.expr(init, env, nodes);
                     if let Some((else_line, block)) = els {
-                        let mut arm = self.guarded(&t, |w| w.block_arm(block, &[], &None, env));
+                        let (mut arm, _) =
+                            self.guarded(&t, |w| w.block_arm(block, &[], &None, env));
                         arm.push(Node::Exit {
                             line: *else_line,
                             ret: true,
@@ -532,18 +524,22 @@ impl<'s, 'w, 'a> Walk<'s, 'w, 'a> {
                     });
                     None
                 }
+                // The value is the condition's taint joined with every
+                // arm's.
                 Atom::If(line, arms, els) => {
-                    let (mut cond, mut summaries) = (None, Vec::new());
+                    let (mut cond, mut value, mut summaries) = (None, None, Vec::new());
                     for arm in arms {
                         let c = self.expr(&arm.test, env, nodes);
                         join(&mut cond, c.clone());
-                        let arm =
+                        let (arm, v) =
                             self.guarded(&cond, |w| w.block_arm(&arm.body, &arm.names, &c, env));
+                        join(&mut value, v);
                         summaries.push(arm);
                     }
                     if let Some(block) = els {
-                        summaries
-                            .push(self.guarded(&cond, |w| w.block_arm(block, &[], &None, env)));
+                        let (arm, v) = self.guarded(&cond, |w| w.block_arm(block, &[], &None, env));
+                        join(&mut value, v);
+                        summaries.push(arm);
                     }
                     nodes.push(Node::Branch {
                         rd: cond.clone(),
@@ -551,20 +547,23 @@ impl<'s, 'w, 'a> Walk<'s, 'w, 'a> {
                         arms: summaries,
                         has_else: els.is_some(),
                     });
+                    join(&mut cond, value);
                     cond
                 }
                 Atom::Match(line, scrutinee, arms) => {
                     let mut cond = self.expr(scrutinee, env, nodes);
-                    let mut summaries = Vec::new();
+                    let (mut value, mut summaries) = (None, Vec::new());
                     for arm in arms {
                         // The guard's taint joins the match's, and the
                         // binders carry it.
-                        summaries.push(self.arm(env, |w, arm_env| {
+                        let (arm, v) = self.arm(env, |w, arm_env| {
                             let gt = w.expr(&arm.test, arm_env, nodes);
                             join(&mut cond, gt);
                             bind(arm_env, &arm.names, &cond);
-                            w.guarded(&cond, |w| w.block(&arm.body, arm_env).0)
-                        }));
+                            w.guarded(&cond, |w| w.block(&arm.body, arm_env))
+                        });
+                        join(&mut value, v);
+                        summaries.push(arm);
                     }
                     nodes.push(Node::Branch {
                         rd: cond.clone(),
@@ -572,6 +571,7 @@ impl<'s, 'w, 'a> Walk<'s, 'w, 'a> {
                         arms: summaries,
                         has_else: true, // match is exhaustive
                     });
+                    join(&mut cond, value);
                     cond
                 }
                 // `rd` taints the trip count; only a `loop` (no head) has a
@@ -583,7 +583,8 @@ impl<'s, 'w, 'a> Walk<'s, 'w, 'a> {
                         value: None,
                         guards: self.guards.len(),
                     });
-                    let body_nodes = self.guarded(&rd, |w| w.block_arm(body, binders, &rd, env));
+                    let (body_nodes, _) =
+                        self.guarded(&rd, |w| w.block_arm(body, binders, &rd, env));
                     let value = self.loops.pop().and_then(|f| f.value);
                     nodes.push(Node::Loop {
                         rd,
@@ -765,15 +766,6 @@ impl<'s, 'w, 'a> Walk<'s, 'w, 'a> {
     }
 
     fn emit(&mut self, line: usize, message: String) {
-        // Per-site allow pragmas on the branch/loop line, else the ones
-        // above the `fn`.
-        let fn_line = self.st.ws.fns[self.fid].line;
-        let used = &mut self.st.used_allow;
-        if self.ctx.allow_into(COLLECTIVE_DIVERGENCE, line, used)
-            || self.ctx.allow_into(COLLECTIVE_DIVERGENCE, fn_line, used)
-        {
-            return;
-        }
         self.st.divergent[self.fid] = true;
         self.st.findings.push(Finding {
             rel_path: self.ctx.rel_path.to_string(),
@@ -913,7 +905,6 @@ fn finish(st: State<'_, '_>, trees: &[Vec<Node>]) -> UniformReport {
         call_edges: ws.call_edges(),
         collective_sites,
         fns: fns_out,
-        used_allow: st.used_allow,
         findings,
     }
 }
@@ -1115,7 +1106,6 @@ pub fn drive(world: &mut dyn CommWorld) {
             let swept = super::run(&ws, graph::sweep);
             let reference = super::run(&ws, walk_everything_until_stable);
             assert_eq!(swept.render_golden(), reference.render_golden());
-            assert_eq!(swept.used_allow, reference.used_allow);
         }
     }
 
@@ -1284,43 +1274,6 @@ pub fn drive(world: &mut dyn CommWorld, d: f64) {
 }
 "#);
         assert!(divergences(&r).is_empty(), "{:?}", r.findings);
-    }
-
-    #[test]
-    fn allow_pragma_suppresses_and_is_used() {
-        let r = run(r#"
-pub fn drive(world: &mut dyn CommWorld) {
-    // lint:allow(collective-divergence, manual proof: demo)
-    if world.rank() == 0 {
-        world.global_sum(1.0);
-    }
-}
-"#);
-        assert!(divergences(&r).is_empty(), "{:?}", r.findings);
-        assert_eq!(r.used_allow.len(), 1);
-        assert!(r
-            .used_allow
-            .contains(&("crates/comms/src/t.rs".to_string(), 3)));
-    }
-
-    #[test]
-    fn fn_level_allow_covers_every_site_of_its_fn() {
-        let r = run(r#"
-// lint:allow(collective-divergence, rank 0 intentionally reports alone; harness drains)
-pub fn report(world: &mut dyn CommWorld) {
-    if world.rank() == 0 {
-        world.global_sum(1.0);
-    }
-    while world.rank() > 1 {
-        world.barrier();
-    }
-}
-"#);
-        assert!(divergences(&r).is_empty(), "{:?}", r.findings);
-        let pragma = ("crates/comms/src/t.rs".to_string(), 2);
-        assert_eq!(r.used_allow, BTreeSet::from([pragma]));
-        let row = r.fns.iter().find(|f| f.qual == "comms::t::report").unwrap();
-        assert_eq!(row.verdict, "uniform");
     }
 
     #[test]

@@ -45,49 +45,3 @@ fn guarded_fixture_witness_chain_is_exact() {
         f.message
     );
 }
-
-/// Every reasoned pragma covering a site is used, as in the per-file
-/// rules: both of `paired`'s, `above_code`'s, and neither of the two
-/// that cover no branch line.
-#[test]
-fn every_pragma_covering_a_site_is_used() {
-    let report = uniform::analyze(&common::fixture("uniform", "pragma_pair.rs").input());
-    let lines: Vec<usize> = report.used_allow.iter().map(|(_, line)| *line).collect();
-    assert_eq!(lines, vec![6, 7, 13]);
-}
-
-/// The whole-workspace pass audits every pragma against the ones an
-/// analysis honoured: `pragma_pair`'s two that cover no site are
-/// unused, and its five reasoned pragmas are the suppression inventory.
-#[test]
-fn fixture_pragmas_are_audited() {
-    let case = common::fixture("uniform", "pragma_pair.rs");
-    let root = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("pragma_inventory");
-    let file = root.join(case.rel());
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(file.parent().unwrap()).unwrap();
-    std::fs::write(&file, &case.src).unwrap();
-    let report = hyades_lint::lint_workspace(&root).unwrap();
-    // The declared workspace sinks are absent from a one-file tree.
-    let audited: Vec<(usize, &str)> = (report.violations.iter())
-        .filter(|f| f.rule != "nondet-reachable")
-        .map(|f| (f.line, f.rule))
-        .collect();
-    assert_eq!(
-        audited,
-        vec![
-            (20, "unused-pragma"),
-            (22, "collective-divergence"),
-            (28, "unused-pragma"),
-            (29, "collective-divergence"),
-        ]
-    );
-    let allows: Vec<(&str, &str, usize)> = (report.allows.iter())
-        .map(|(f, r, n)| (f.as_str(), r.as_str(), *n))
-        .collect();
-    assert_eq!(allows, vec![(case.rel(), "collective-divergence", 5)]);
-    assert_eq!(
-        report.render_summary().rsplit_once(' ').unwrap().1,
-        "allows=5"
-    );
-}

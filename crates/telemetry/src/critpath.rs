@@ -659,16 +659,6 @@ impl CritPath {
             let (step_lo, mut step_hi) = (self.hops[i].step, self.hops[i].step);
             let mut j = i;
             while j < self.hops.len() && self.hops[j].rank == rank {
-                // A cross-kind hop ends the segment *after* being counted
-                // on the destination rank's row only if it is local;
-                // wire/reduce hops start a new segment boundary below.
-                if j > i
-                    && matches!(self.hops[j].kind, "wire" | "reduce")
-                    && self.hops[j - 1].rank == rank
-                    && self.hops[j].rank == rank
-                {
-                    // reduce self-join stays in segment
-                }
                 dur += self.hops[j].dur_ps;
                 count += 1;
                 step_hi = self.hops[j].step;

@@ -8,6 +8,16 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# ROADMAP's standing rule: a PR's entry in CHANGES.md (its `PR N:` line,
+# the last one being the newest) is at most 1.5 kB; detail beyond that
+# belongs in EXPERIMENTS.md and the commit messages.
+echo "==> CHANGES.md: the newest PR entry is at most 1536 bytes"
+entry_bytes=$(LC_ALL=C awk '/^PR [0-9]+:/ { n = length($0) } END { print n + 0 }' CHANGES.md)
+if [ "$entry_bytes" -gt 1536 ]; then
+    echo "the newest PR entry in CHANGES.md is $entry_bytes bytes"
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -30,9 +40,7 @@ echo "==> hyades-lint (whole-program proofs: sinks stay deterministic, collectiv
 mkdir -p target
 # One run, two renderings: the JSON report on stdout, the stable
 # machine-readable summary line (files=N violations=N effect-table=N
-# collectives=N allows=N) on stderr. `allows` counts the reasoned
-# lint:allow suppressions in the tree (tests/lint_gate.rs pins the set),
-# so the line echoed below keeps that count in every run's log.
+# collectives=N) on stderr. No finding can be suppressed.
 if ! cargo run -q -p hyades-lint -- --json --summary \
     > target/lint-report.json 2> target/lint-summary.txt; then
     cat target/lint-report.json target/lint-summary.txt

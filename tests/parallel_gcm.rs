@@ -240,10 +240,9 @@ fn coupled_pair_runs_on_eight_threads_and_matches_serial() {
 }
 
 /// The paper's own 128×64 coupled pair at its default cap of 200
-/// iterations: both surface-pressure solves converge on every step while
-/// the run is finite (it leaves the finite numbers after step 59 for
-/// reasons that are not the solver's — ROADMAP item 1). Under point
-/// Jacobi not one of these steps converged.
+/// iterations: both surface-pressure solves converge, and the run stays
+/// finite, on each of its first 32 steps. Under point Jacobi not one of
+/// these steps converged.
 #[test]
 #[ignore = "about a second in release; scripts/check.sh runs it"]
 fn paper_grid_converges_while_finite() {
