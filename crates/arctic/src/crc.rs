@@ -2,13 +2,13 @@
 //!
 //! Arctic verifies message correctness "at every router stage and at the
 //! network endpoints using CRC" (§2.2). We implement CRC-16-CCITT (polynomial
-//! 0x1021, init 0xFFFF) over the header and payload words; routers recompute
-//! and compare at each stage, and the endpoint exposes the result as the
-//! 1-bit status the software layer checks.
+//! 0x1021, init 0xFFFF) over the header and payload words; routers check
+//! it at each stage, and the endpoint exposes the result as the 1-bit
+//! status the software layer checks.
 //!
-//! The checksum is the simulator's most-executed kernel (once per packet
-//! per stage), so it folds two 32-bit words per step through eight
-//! 256-entry tables ("slice-by-8", 4 KB) instead of shifting bit by bit.
+//! A [`crate::packet::Packet`] computes it when built and after each
+//! injected bit flip, and a stage reuses that. The kernel folds two 32-bit
+//! words per step through eight 256-entry tables ("slice-by-8", 4 KB).
 //! The CRC is linear over GF(2): the register after n more bytes equals
 //! the CRC, from a zero register, of those bytes with the old 16-bit
 //! register XORed into the leading two. `TABLES[k][b]` is the

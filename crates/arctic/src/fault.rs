@@ -60,7 +60,7 @@ impl FaultInjector {
         }
         let word = self.rng.next_below(pkt.payload.len() as u64) as usize;
         let bit = self.rng.next_below(32) as u32;
-        pkt.payload[word] ^= 1 << bit;
+        pkt.flip_bit(word, bit);
         self.injected += 1;
         true
     }

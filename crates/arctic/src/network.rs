@@ -465,7 +465,7 @@ mod tests {
     fn corrupted_packet_is_flagged_not_dropped() {
         let (mut sim, net) = build(16, ArcticConfig::default());
         let mut pkt = Packet::new(0, 9, Priority::High, 0, vec![5, 6]);
-        pkt.payload[0] ^= 1; // corrupt after CRC computation
+        pkt.flip_bit(0, 0); // corrupt after CRC computation
         net.inject_at(&mut sim, SimTime::ZERO, pkt);
         sim.run();
         assert!(net.total_crc_failures(&sim) >= 1);

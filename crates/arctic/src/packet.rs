@@ -6,6 +6,8 @@
 //! 5-bit size) — followed by a payload of 2 to 22 32-bit words.
 
 use crate::crc::{crc16_update, INIT};
+use hyades_telemetry as telemetry;
+use std::ops::Deref;
 
 /// Minimum payload size in 32-bit words.
 pub const MIN_PAYLOAD_WORDS: usize = 2;
@@ -39,6 +41,20 @@ pub enum UpRoute {
     Random,
 }
 
+/// A packet's payload words, read-only: nothing hands out mutable access,
+/// so [`Packet::flip_bit`] is the one way to change one after
+/// [`Packet::new`].
+#[derive(Clone, Debug)]
+pub struct Words(Box<[u32]>);
+
+impl Deref for Words {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.0
+    }
+}
+
 /// A packet in flight through the fabric.
 #[derive(Clone, Debug)]
 pub struct Packet {
@@ -51,16 +67,21 @@ pub struct Packet {
     /// 11-bit user tag (protocol-level discriminator).
     pub usr_tag: u16,
     /// Payload words (2..=22).
-    pub payload: Vec<u32>,
+    pub payload: Words,
     /// Up-hops remaining before the packet turns around and descends.
     /// Routing scratch state maintained by the fabric (not covered by the
     /// CRC; it is derived from `src`/`dst` at injection).
     pub up_remaining: u8,
-    /// CRC computed at injection; re-verified at each stage.
+    /// CRC computed at injection; compared at each stage.
     pub crc: u16,
     /// Set if any stage detected a CRC mismatch: the endpoint's 1-bit
     /// status. Software treats this as a catastrophic network failure.
     pub corrupted: bool,
+    /// The last CRC computed and the masked header words it covered; the
+    /// one payload write, [`Packet::flip_bit`], recomputes it. Two fields,
+    /// not a tuple, whose padding would make the packet 48 bytes, not 40.
+    memo_header: [u32; 2],
+    memo_crc: u16,
 }
 
 impl Packet {
@@ -88,12 +109,15 @@ impl Packet {
             dst,
             uproute_bits: 0,
             usr_tag: usr_tag & 0x7FF,
-            payload,
+            payload: Words(payload.into_boxed_slice()),
             up_remaining: 0,
             crc: 0,
             corrupted: false,
+            memo_header: [0; 2],
+            memo_crc: 0,
         };
-        pkt.crc = pkt.compute_crc();
+        pkt.remember();
+        pkt.crc = pkt.memo_crc;
         pkt
     }
 
@@ -106,21 +130,43 @@ impl Packet {
         [route, tag]
     }
 
-    /// CRC over header and payload. Note the CRC intentionally excludes the
-    /// up-route bits (they are rewritten per-path when the random-uproute
-    /// feature is used): we mask them out of the route word.
-    pub fn compute_crc(&self) -> u16 {
+    /// The header words the CRC covers. The CRC intentionally excludes
+    /// the up-route bits (they are rewritten per-path when the
+    /// random-uproute feature is used): we mask them out of the route word.
+    fn covered_header(&self) -> [u32; 2] {
         let [route, tag] = self.header_words();
-        let header = crc16_update(INIT, &[route & !0x3FFF, tag]);
-        crc16_update(header, &self.payload)
+        [route & !0x3FFF, tag]
     }
 
-    /// Verify the CRC; marks (and reports) corruption.
+    /// CRC over header and payload, computed in full every call (counted
+    /// as `arctic.packet` `crc_computations`).
+    pub fn compute_crc(&self) -> u16 {
+        telemetry::count("arctic.packet", "crc_computations", 1);
+        crc16_update(crc16_update(INIT, &self.covered_header()), &self.payload)
+    }
+
+    /// Recompute the CRC and remember it with the header words it covers.
+    fn remember(&mut self) {
+        self.memo_header = self.covered_header();
+        self.memo_crc = self.compute_crc();
+    }
+
+    /// Verify the CRC; marks (and reports) corruption. The remembered CRC
+    /// is reused only while the covered header words are unchanged.
     pub fn verify(&mut self) -> bool {
-        if self.compute_crc() != self.crc {
+        if self.covered_header() != self.memo_header {
+            self.remember();
+        }
+        if self.memo_crc != self.crc {
             self.corrupted = true;
         }
         !self.corrupted
+    }
+
+    /// Flip one payload bit (a link fault) and recompute the remembered CRC.
+    pub fn flip_bit(&mut self, word: usize, bit: u32) {
+        self.payload.0[word] ^= 1 << bit;
+        self.remember();
     }
 
     /// Bytes this packet occupies on a link: header + payload words.
@@ -182,9 +228,16 @@ mod tests {
     fn crc_roundtrip_and_corruption() {
         let mut p = Packet::new(3, 9, Priority::High, 0x7FF, vec![1, 2, 3]);
         assert!(p.verify());
-        p.payload[1] ^= 0x8000;
+        p.flip_bit(1, 15);
         assert!(!p.verify());
         assert!(p.corrupted);
+    }
+
+    /// `TxPort` queues packets by value, tens of thousands at once in a
+    /// saturated fabric: the CRC memo must not make each one larger.
+    #[test]
+    fn packet_with_its_crc_memo_is_40_bytes() {
+        assert_eq!(std::mem::size_of::<Packet>(), 40);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //!   though an in-flight packet is never preempted mid-transmission,
 //! * **CRC verification** at every stage: a mismatch sets the packet's
 //!   corruption bit, which the endpoint surfaces as the 1-bit status word.
+//!   A stage reuses the CRC the packet remembers ([`Packet::verify`]).
 //!
 //! FIFO order within a priority class at each port follows arrival order, so
 //! two packets following the same path are delivered in injection order —
@@ -137,12 +138,7 @@ impl Default for LinkModel {
 impl LinkModel {
     /// Time `pkt` occupies a link.
     pub fn serialization(&self, pkt: &Packet) -> SimDuration {
-        match self.ser_by_words.get(HEADER_WORDS + pkt.payload.len()) {
-            Some(&ser) => ser,
-            // `payload` is a public field: a hand-built oversize packet
-            // is still timed, just not from the table.
-            None => SimDuration::for_bytes_at(pkt.wire_bytes(), LINK_MBYTE_PER_SEC),
-        }
+        self.ser_by_words[HEADER_WORDS + pkt.payload.len()]
     }
 }
 
@@ -379,11 +375,8 @@ mod tests {
     #[test]
     fn link_model_serialization_equals_for_bytes_at() {
         let link = LinkModel::default();
-        // Every legal size from the table, then one oversize hand-built
-        // packet through the fallback.
-        for words in (0..=MAX_PAYLOAD_WORDS).chain([40]) {
-            let mut pkt = Packet::new(0, 1, Priority::Low, 0, vec![]);
-            pkt.payload = vec![0; words];
+        for words in 0..=MAX_PAYLOAD_WORDS {
+            let pkt = Packet::new(0, 1, Priority::Low, 0, vec![0; words]);
             assert_eq!(
                 link.serialization(&pkt),
                 SimDuration::for_bytes_at(pkt.wire_bytes(), LINK_MBYTE_PER_SEC),
@@ -420,6 +413,31 @@ mod tests {
         let want = arrivals.map(|at| at + FALL_THROUGH + WIRE_LATENCY + ser);
         assert_eq!(got, want);
         assert_eq!(sim.actor::<RouterActor>(id).port_stall_ps(0), 0);
+    }
+
+    /// The CRC a packet remembers from a clean check does not hide a bit
+    /// flipped after it: the next stage fails the check and forwards the
+    /// packet flagged.
+    #[test]
+    fn a_stage_catches_a_flip_after_a_clean_check() {
+        let mut sim = hyades_des::Simulator::new();
+        let sink = sim.add_actor(crate::network::SinkEndpoint::default());
+        let mut router = RouterActor::new(
+            RouterAddr { level: 0, word: 0 },
+            Arc::new(FatTree::new(16)),
+            Arc::new(LinkModel::default()),
+        );
+        router.wire_port(down_port_index(0), PortTarget::Endpoint(sink));
+        let id = sim.add_actor(router);
+        let mut pkt = Packet::new(1, 0, Priority::Low, 3, vec![7, 8, 9]);
+        assert!(pkt.verify());
+        pkt.flip_bit(2, 31);
+        sim.schedule(SimTime::ZERO, id, Arrive(pkt));
+        sim.run();
+        assert_eq!(sim.actor::<RouterActor>(id).crc_failures, 1);
+        let sink = sim.actor::<crate::network::SinkEndpoint>(sink);
+        assert_eq!(sink.deliveries.len(), 1);
+        assert_eq!(sink.corrupted, 1, "endpoint must see the 1-bit status");
     }
 
     #[test]

@@ -211,6 +211,45 @@ mod tests {
         }
     }
 
+    /// `[crc_computations, packets injected, dropped, corrupted, stage
+    /// crossings]` counted while `run` runs under a telemetry recorder.
+    fn crc_counts(run: impl FnOnce()) -> [u64; 5] {
+        hyades_telemetry::enable(0);
+        run();
+        let reg = hyades_telemetry::disable().unwrap().registry;
+        [
+            ("arctic.packet", "crc_computations"),
+            ("arctic.txport", "packets_injected"),
+            ("arctic.fault", "dropped"),
+            ("arctic.fault", "corrupted"),
+            ("arctic.router", "stage_crossings"),
+        ]
+        .map(|(component, metric)| reg.counter(component, metric))
+    }
+
+    /// A packet's CRC is computed when it is built and again only after
+    /// an injected bit flip: a per-stage recompute would multiply the
+    /// count by the stages a packet crosses.
+    #[test]
+    fn crc_is_computed_once_per_packet_and_once_per_flip() {
+        let clean = crc_counts(|| {
+            measure_exchange(HostParams::default(), 4, 4, 4096);
+        });
+        // 3 200 packets, each across 4 stages.
+        assert_eq!(clean, [3200, 3200, 0, 0, 12800]);
+
+        let plan = FaultPlan::new(0xEC)
+            .link_window(0.0, 120.0, 0.3, 0.15)
+            .niu_stall(1, 10.0, 60.0);
+        let faulty = crc_counts(|| {
+            measure_exchange_faulty(HostParams::default(), 4, 2, 1024, &plan);
+        });
+        // Every packet built (injected or dropped), plus every flip.
+        let [crcs, injected, dropped, flipped, _] = faulty;
+        assert_eq!(crcs, injected + dropped + flipped);
+        assert_eq!(faulty, [550, 525, 7, 18, 1725]);
+    }
+
     #[test]
     fn exchange_time_grows_linearly_in_bytes_past_overhead() {
         let t1 = measure_exchange(HostParams::default(), 4, 2, 4096).as_us_f64();

@@ -73,7 +73,7 @@ fn arctic_storm_trace(seed: u64) -> DeliveryTrace {
                 at.since(SimTime::ZERO).as_ps(),
                 pkt.src,
                 pkt.usr_tag,
-                pkt.payload.clone(),
+                pkt.payload.to_vec(),
             ));
         }
     }
@@ -675,7 +675,7 @@ fn tour_bundle_matches_the_pinned_digest() {
             .fold(hash, |h, b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
     });
     assert_eq!(
-        digest, 0x865c_cb60_c18f_9c72,
+        digest, 0x2c7a_2cc8_b8a1_50a4,
         "tour bundle digest {digest:#018x}"
     );
 }

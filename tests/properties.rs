@@ -58,6 +58,38 @@ proptest! {
         prop_assert_eq!(p.compute_crc(), crc16_words(&covered));
     }
 
+    /// The CRC a packet remembers never goes stale: after any sequence
+    /// of header reassignments and payload bit flips, `verify()` agrees
+    /// with a full recompute (and `corrupted`, once set, stays set), and
+    /// the fields outside the CRC do not change its verdict.
+    #[test]
+    fn verify_agrees_with_a_full_recompute_after_any_change(
+        payload in prop::collection::vec(any::<u32>(), 0..=22),
+        ops in prop::collection::vec((0u8..7, any::<u32>()), 1..40),
+    ) {
+        let mut p = Packet::new(3, 9, Priority::Low, 0x155, payload);
+        let mut before = p.verify();
+        prop_assert!(before);
+        for (op, v) in ops {
+            match op {
+                0 => p.dst = v as u16,
+                1 => p.priority = if v & 1 == 0 { Priority::Low } else { Priority::High },
+                2 => p.usr_tag = v as u16 & 0x7FF,
+                3 => p.crc = v as u16,
+                4 => p.flip_bit(v as usize % p.payload.len(), v >> 27),
+                5 => p.uproute_bits = v as u16,
+                _ => p.up_remaining = v as u8,
+            }
+            let want = !p.corrupted && p.compute_crc() == p.crc;
+            let got = p.verify();
+            prop_assert_eq!(got, want, "op {} value {:#x}", op, v);
+            if op >= 5 {
+                prop_assert_eq!(got, before, "field outside the CRC changed the verdict");
+            }
+            before = got;
+        }
+    }
+
     #[test]
     fn fat_tree_routing_reaches_destination(
         log_n in 1u32..6,
